@@ -12,12 +12,10 @@ runs against the naive plan (CI runs a matrix entry with this on).  Tests
 that assert optimizer behavior pass ``optimize=True`` explicitly and are
 unaffected; the differential harness always exercises both plans.
 
-``--no-columnar``/``--columnar`` do the same for the columnar shard
-runtime's module default (``DEFAULT_COLUMNAR``): ``--no-columnar`` forces
-the pure row path everywhere a pipeline leaves ``columnar`` unset;
-``--columnar`` forces it on (the default is already "auto: on", so the
-flag mostly documents intent in CI matrix entries).  The differential
-harness always exercises both layouts regardless.
+``--no-columnar`` does the same for the columnar shard runtime's module
+default (``DEFAULT_COLUMNAR``): it forces the pure row path everywhere a
+pipeline leaves ``columnar`` unset (the default is "auto: on").  The
+differential harness always exercises both layouts regardless.
 
 ``--adaptive`` flips ``DEFAULT_ADAPTIVE`` in the engine options, so every
 test whose options leave ``adaptive`` unset runs with the cost-model
@@ -37,8 +35,6 @@ answer against a from-scratch recompute of the same version (results
 must be bit-identical — this matrix entry proves the invalidation cone
 is never too narrow, suite-wide).
 """
-
-import pytest
 
 
 def pytest_addoption(parser):
@@ -63,14 +59,6 @@ def pytest_addoption(parser):
         default=False,
         help="run the whole suite against the pure row runtime "
              "(disables whole-shard vectorized execution)",
-    )
-    parser.addoption(
-        "--columnar",
-        action="store_true",
-        default=False,
-        help="run the whole suite under the columnar shard runtime "
-             "(already the default; rejects combination with "
-             "--no-columnar)",
     )
     parser.addoption(
         "--adaptive",
@@ -101,10 +89,7 @@ def pytest_configure(config):
         from repro.dataflow import pcollection
 
         pcollection.DEFAULT_OPTIMIZE = False
-    no_columnar = config.getoption("--no-columnar")
-    if no_columnar and config.getoption("--columnar"):
-        raise pytest.UsageError("--columnar and --no-columnar conflict")
-    if no_columnar:
+    if config.getoption("--no-columnar"):
         from repro.dataflow import pcollection
 
         pcollection.DEFAULT_COLUMNAR = False

@@ -34,13 +34,13 @@ from repro.core.distributed import (
 )
 from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
-from repro.dataflow.options import UNSET, EngineOptions, legacy_engine_options
+from repro.dataflow.options import EngineOptions
 from repro.utils.cancel import CancelToken
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_cardinality
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SelectorConfig:
     """Configuration mirroring the paper's experiment matrix.
 
@@ -74,13 +74,6 @@ class SelectorConfig:
         every checkpoint entry the run did not touch (see
         :meth:`repro.dataflow.pcollection.Pipeline.gc_checkpoints`); the
         removed-entry count lands in ``report.extra``.
-
-    The old flat engine keywords (``executor=``, ``num_shards=``,
-    ``spill_to_disk=``, ``optimize=``, ``stream_source=``, ``workers=``,
-    ``checkpoint_dir=``) are deprecated: they fold into an
-    ``EngineOptions`` with identical semantics and emit a
-    :class:`DeprecationWarning`.  Reading them back (``config.executor``
-    and friends) delegates to ``options``.
     """
 
     bounding: Optional[str] = None
@@ -94,102 +87,28 @@ class SelectorConfig:
     options: EngineOptions = field(default_factory=EngineOptions)
     checkpoint_gc: bool = False
 
-    def __init__(
-        self,
-        bounding: Optional[str] = None,
-        sampler: str = "uniform",
-        sampling_fraction: float = 1.0,
-        machines: int = 1,
-        rounds: int = 1,
-        adaptive: bool = False,
-        gamma: float = 0.75,
-        engine: str = "memory",
-        options: Optional[EngineOptions] = None,
-        checkpoint_gc: bool = False,
-        *,
-        executor=UNSET,
-        num_shards=UNSET,
-        spill_to_disk=UNSET,
-        optimize=UNSET,
-        stream_source=UNSET,
-        workers=UNSET,
-        checkpoint_dir=UNSET,
-    ) -> None:
-        if bounding not in (None, "exact", "approximate"):
+    def __post_init__(self) -> None:
+        if self.bounding not in (None, "exact", "approximate"):
             raise ValueError(
-                f"bounding must be None/'exact'/'approximate', got {bounding!r}"
+                "bounding must be None/'exact'/'approximate', got "
+                f"{self.bounding!r}"
             )
-        if machines < 1:
-            raise ValueError(f"machines must be >= 1, got {machines}")
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds}")
-        if engine not in ("memory", "dataflow"):
+        if self.machines < 1:
+            raise ValueError(f"machines must be >= 1, got {self.machines}")
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.engine not in ("memory", "dataflow"):
             raise ValueError(
-                f"engine must be 'memory' or 'dataflow', got {engine!r}"
+                f"engine must be 'memory' or 'dataflow', got {self.engine!r}"
             )
-        # The one shared legacy-kwarg shim (same as the beams):
-        # EngineOptions normalizes and validates (registry-backed executor
-        # names, host:port worker addresses) in one place — no
-        # frozen-dataclass mutation needed here anymore.
-        options = legacy_engine_options(
-            {
-                "executor": executor, "num_shards": num_shards,
-                "spill_to_disk": spill_to_disk, "optimize": optimize,
-                "stream_source": stream_source, "workers": workers,
-                "checkpoint_dir": checkpoint_dir,
-            },
-            options=options, context=None, api="SelectorConfig",
-            stacklevel=3,
-        )
-        object.__setattr__(self, "bounding", bounding)
-        object.__setattr__(self, "sampler", sampler)
-        object.__setattr__(self, "sampling_fraction", sampling_fraction)
-        object.__setattr__(self, "machines", machines)
-        object.__setattr__(self, "rounds", rounds)
-        object.__setattr__(self, "adaptive", adaptive)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "engine", engine)
-        options = options if options is not None else EngineOptions()
-        if checkpoint_gc and (
-            engine != "dataflow" or options.checkpoint_dir is None
+        if self.checkpoint_gc and (
+            self.engine != "dataflow" or self.options.checkpoint_dir is None
         ):
             # A silent no-op would read as "stale checkpoints cleaned".
             raise ValueError(
                 "checkpoint_gc requires engine='dataflow' and "
                 "options.checkpoint_dir"
             )
-        object.__setattr__(self, "options", options)
-        object.__setattr__(self, "checkpoint_gc", bool(checkpoint_gc))
-
-    # -- deprecated flat-knob read access (delegates to ``options``) -------
-
-    @property
-    def executor(self):
-        return self.options.executor
-
-    @property
-    def num_shards(self) -> int:
-        return self.options.num_shards
-
-    @property
-    def spill_to_disk(self) -> bool:
-        return self.options.spill_to_disk
-
-    @property
-    def optimize(self) -> Optional[bool]:
-        return self.options.optimize
-
-    @property
-    def stream_source(self) -> Optional[bool]:
-        return self.options.stream_source
-
-    @property
-    def workers(self) -> Optional[tuple]:
-        return self.options.workers
-
-    @property
-    def checkpoint_dir(self) -> Optional[str]:
-        return self.options.checkpoint_dir
 
 
 @dataclass

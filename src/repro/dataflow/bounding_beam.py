@@ -17,8 +17,7 @@ Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
 (``options=``) or a shared :class:`~repro.dataflow.options.DataflowContext`
 (``context=`` — how the end-to-end selector shares a worker pool between
 bounding and greedy).  This beam streams its graph/utility generators by
-default (``options.stream_source=None``); the old per-call engine keywords
-are deprecated shims.
+default (``options.stream_source=None``).
 
 Sampling (approximate mode) is hash-based per edge per round rather than
 generator-based: a distributed runner has no global RNG stream, and
@@ -39,65 +38,29 @@ from repro.core.problem import SubsetProblem
 from repro.dataflow.library import BoundingFilter
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.options import (
-    UNSET,
     DataflowContext,
     EngineOptions,
     engine_context,
-    legacy_engine_options,
 )
 from repro.dataflow.pcollection import PCollection
 from repro.dataflow.transforms import distributed_kth_largest, flatten
 from repro.utils.rng import SeedLike, as_generator
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BeamBoundingConfig:
     """Algorithm knobs for the dataflow bounding driver.
 
-    Engine knobs (executor, shards, spill, …) no longer live here — they
+    Engine knobs (executor, shards, spill, …) do not live here — they
     come from the :class:`~repro.dataflow.options.EngineOptions` /
     :class:`~repro.dataflow.options.DataflowContext` handed to
-    :class:`BeamBoundingDriver`.  The old engine keywords are still
-    accepted and folded into an ``EngineOptions`` by the driver (with a
-    ``DeprecationWarning``), matching every other legacy surface.
+    :class:`BeamBoundingDriver`.
     """
 
     mode: str = "exact"
     sampler: str = "uniform"
     p: float = 1.0
     max_rounds: int = 10_000
-
-    def __init__(
-        self,
-        mode: str = "exact",
-        sampler: str = "uniform",
-        p: float = 1.0,
-        max_rounds: int = 10_000,
-        *,
-        num_shards=UNSET,
-        executor=UNSET,
-        spill_to_disk=UNSET,
-        optimize=UNSET,
-        stream_source=UNSET,
-        checkpoint_dir=UNSET,
-    ) -> None:
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "sampler", sampler)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "max_rounds", max_rounds)
-        # Deprecated engine knobs: validate and warn here (at the call
-        # site that wrote them), then ride along as a ready-made
-        # EngineOptions (not a field: excluded from eq/repr) for the
-        # driver to consume.
-        object.__setattr__(self, "_legacy_options", legacy_engine_options(
-            {
-                "num_shards": num_shards, "executor": executor,
-                "spill_to_disk": spill_to_disk, "optimize": optimize,
-                "stream_source": stream_source,
-                "checkpoint_dir": checkpoint_dir,
-            },
-            options=None, context=None, api="BeamBoundingConfig",
-        ))
 
 
 class BeamBoundingDriver:
@@ -125,16 +88,6 @@ class BeamBoundingDriver:
             raise ValueError("bounding requires alpha > 0")
         self.problem = problem
         self.config = config or BeamBoundingConfig()
-        legacy = getattr(self.config, "_legacy_options", None)
-        if legacy is not None:
-            if options is not None or context is not None:
-                raise TypeError(
-                    "BeamBoundingDriver: the config carries deprecated "
-                    "engine keywords; pass options=/context= OR legacy "
-                    "BeamBoundingConfig engine fields, not both"
-                )
-            options = legacy
-        private_context = context is None
         self._context_guard = engine_context(options, context)
         self.context = self._context_guard.__enter__()
         try:
@@ -149,14 +102,6 @@ class BeamBoundingDriver:
                     "bounding-sources", problem_fingerprint(problem)
                 )
             self.pipeline = self.context.pipeline(**pipeline_overrides)
-            if private_context:
-                # Historical drivers tore everything down through
-                # ``driver.pipeline.close()``; hand the private context's
-                # executor ownership to the (single) pipeline so that
-                # contract still holds.  ``close()`` below remains correct
-                # — executor ``close()`` is idempotent on every backend.
-                self.pipeline._owns_executor = self.context._owns_executor
-                self.context._owns_executor = False
             self._seed_salt = int(as_generator(seed).integers(0, 2**31 - 1))
             self._round_counter = 0
             stream = opts.resolve_stream(True)
@@ -328,29 +273,14 @@ def beam_bound(
     seed: SeedLike = None,
     options: Optional[EngineOptions] = None,
     context: Optional[DataflowContext] = None,
-    num_shards=UNSET,
-    executor=UNSET,
-    spill_to_disk=UNSET,
-    optimize=UNSET,
-    stream_source=UNSET,
-    checkpoint_dir=UNSET,
 ) -> Tuple[BoundingResult, PipelineMetrics]:
     """One-call wrapper over :class:`BeamBoundingDriver`.
 
     Engine knobs live on ``options`` (or a shared ``context``); decisions
     are identical on every backend, plan, and ingest mode for a fixed
     seed.  ``options.spill_to_disk=True`` keeps every materialized shard
-    on disk — the literal larger-than-memory mode.  The old per-call
-    engine keywords are deprecated shims over ``EngineOptions``.
+    on disk — the literal larger-than-memory mode.
     """
-    options = legacy_engine_options(
-        {
-            "num_shards": num_shards, "executor": executor,
-            "spill_to_disk": spill_to_disk, "optimize": optimize,
-            "stream_source": stream_source, "checkpoint_dir": checkpoint_dir,
-        },
-        options=options, context=context, api="beam_bound",
-    )
     driver = BeamBoundingDriver(
         problem,
         BeamBoundingConfig(mode=mode, sampler=sampler, p=p),

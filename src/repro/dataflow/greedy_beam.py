@@ -19,8 +19,7 @@ Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
 (``options=``) or a shared :class:`~repro.dataflow.options.DataflowContext`
 (``context=`` — how the end-to-end selector shares a worker pool between
 bounding and greedy).  This beam ingests its (array-backed) ground set
-eagerly by default (``options.stream_source=None``); the old per-call
-engine keywords are deprecated shims.
+eagerly by default (``options.stream_source=None``).
 """
 
 from __future__ import annotations
@@ -41,11 +40,9 @@ from repro.core.problem import SubsetProblem
 from repro.dataflow.library import PartitionedGreedy
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.options import (
-    UNSET,
     DataflowContext,
     EngineOptions,
     engine_context,
-    legacy_engine_options,
 )
 from repro.utils.rng import SeedLike, as_generator
 
@@ -63,12 +60,6 @@ def beam_distributed_greedy(
     seed: SeedLike = None,
     options: Optional[EngineOptions] = None,
     context: Optional[DataflowContext] = None,
-    num_shards=UNSET,
-    executor=UNSET,
-    spill_to_disk=UNSET,
-    optimize=UNSET,
-    stream_source=UNSET,
-    checkpoint_dir=UNSET,
 ) -> Tuple[DistributedResult, PipelineMetrics]:
     """Algorithm 6 as a dataflow job; returns (result, engine metrics).
 
@@ -90,14 +81,6 @@ def beam_distributed_greedy(
     rerun hits the same keys): a killed drive resumes from its last
     completed round.
     """
-    options = legacy_engine_options(
-        {
-            "num_shards": num_shards, "executor": executor,
-            "spill_to_disk": spill_to_disk, "optimize": optimize,
-            "stream_source": stream_source, "checkpoint_dir": checkpoint_dir,
-        },
-        options=options, context=context, api="beam_distributed_greedy",
-    )
     if m < 1 or rounds < 1:
         raise ValueError("m and rounds must be >= 1")
     rng = as_generator(seed)

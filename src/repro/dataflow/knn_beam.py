@@ -13,9 +13,7 @@ largest cell, not the corpus.
 Engine configuration comes from a single
 :class:`~repro.dataflow.options.EngineOptions` (``options=``) or a shared
 :class:`~repro.dataflow.options.DataflowContext` (``context=``, e.g. to
-reuse one worker pool across several builds).  The old per-call engine
-keywords (``executor=``, ``num_shards=``, …) still work but are
-deprecated — they fold into an ``EngineOptions`` and warn.
+reuse one worker pool across several builds).
 """
 
 from __future__ import annotations
@@ -27,11 +25,9 @@ import numpy as np
 from repro.dataflow.library import ShardedKnn
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.options import (
-    UNSET,
     DataflowContext,
     EngineOptions,
     engine_context,
-    legacy_engine_options,
 )
 from repro.graph.csr import NeighborGraph
 from repro.graph.knn import l2_normalize
@@ -68,12 +64,6 @@ def beam_knn_graph(
     seed: SeedLike = 0,
     options: Optional[EngineOptions] = None,
     context: Optional[DataflowContext] = None,
-    num_shards=UNSET,
-    executor=UNSET,
-    spill_to_disk=UNSET,
-    optimize=UNSET,
-    stream_source=UNSET,
-    checkpoint_dir=UNSET,
 ) -> Tuple[NeighborGraph, np.ndarray, np.ndarray, PipelineMetrics]:
     """Construct a symmetric kNN graph with the dataflow engine.
 
@@ -95,14 +85,6 @@ def beam_knn_graph(
     redundant reshards, so shuffle volume drops by more than half versus
     the naive plan.
     """
-    options = legacy_engine_options(
-        {
-            "num_shards": num_shards, "executor": executor,
-            "spill_to_disk": spill_to_disk, "optimize": optimize,
-            "stream_source": stream_source, "checkpoint_dir": checkpoint_dir,
-        },
-        options=options, context=context, api="beam_knn_graph",
-    )
     x = l2_normalize(embeddings)
     n = x.shape[0]
     if not 1 <= k < n:

@@ -1,13 +1,17 @@
 """The engine's unified public configuration: ``EngineOptions`` +
 ``DataflowContext``.
 
-Four PRs grew the dataflow engine knob by knob — ``executor``,
-``num_shards``, ``spill_to_disk``, ``optimize``, ``stream_source``,
-``workers``, ``checkpoint_dir``, ``checkpoint_salt``,
-``broadcast_min_bytes`` — each threaded by hand through every beam entry
-point, ``SelectorConfig``, and the CLI, with its own defaulting and
-validation at every stop.  This module replaces that sprawl with two
-abstractions:
+A knob is declared exactly once, as one entry of the :data:`_KNOBS`
+table below: its name, default, the coercer that type-checks and
+normalizes a value, how its ``REPRO_ENGINE_<NAME>`` text decodes, and
+its command-line flags.  Everything else is derived from that table —
+the constructor's defaulting, explicitness tracking and per-field
+validation, ``from_dict``/``from_json``/``to_dict``, the environment
+parser, and the :func:`add_engine_arguments` flag block — so adding a
+knob is a one-entry diff.  Only the genuinely cross-field rules
+(``workers`` ⇒ ``executor="remote"``, ``checkpoint_salt`` ⇒
+``checkpoint_dir``, factory-only knobs vs an ``Executor`` instance) are
+hand-written code.
 
 :class:`EngineOptions`
     One immutable, validated options object carrying every engine knob.
@@ -34,22 +38,21 @@ abstractions:
 
 Configuration precedence for :meth:`EngineOptions.from_namespace` (the
 CLI path) is ``defaults < environment < --engine-options JSON file <
-explicit flags``.
-
-The old per-function keyword knobs on the beams and ``SelectorConfig``
-still work through :func:`legacy_engine_options`, which folds them into an
-``EngineOptions`` and emits a :class:`DeprecationWarning` — results are
-bit-identical to the new API, but new code (and everything in this repo)
-should construct options explicitly.
+explicit flags``.  ``options=EngineOptions(...)`` or a shared
+``context=DataflowContext(...)`` is the only way to configure a beam,
+``BeamBoundingDriver`` or ``SelectorConfig``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import inspect
 import json
+import numbers
 import os
 import threading
-import warnings
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, NamedTuple
+from typing import Optional, Sequence, Tuple
 
 from repro.dataflow.executor import (
     DEFAULT_BROADCAST_MIN_BYTES,
@@ -63,9 +66,7 @@ __all__ = [
     "EngineOptions",
     "DataflowContext",
     "add_engine_arguments",
-    "legacy_engine_options",
     "parse_worker_address",
-    "UNSET",
     "DEFAULT_ADAPTIVE",
 ]
 
@@ -74,20 +75,10 @@ __all__ = [
 #: ``DEFAULT_OPTIMIZE``/``DEFAULT_COLUMNAR`` in ``pcollection``.
 DEFAULT_ADAPTIVE = False
 
-
-class _Unset:
-    """Sentinel distinguishing "not passed" from every legal value
-    (``None`` is a legal value for several knobs)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<UNSET>"
-
-
-#: The "caller did not pass this keyword" sentinel used by the legacy
-#: compatibility shims.
-UNSET = _Unset()
+#: "The caller did not pass ``executor``" — ``None`` cannot stand in for
+#: it on the one positional parameter, because not-passed must stay
+#: distinguishable from every value for explicitness tracking.
+_UNSET: Any = object()
 
 
 def parse_worker_address(spec: Any) -> Tuple[str, int]:
@@ -129,12 +120,230 @@ def parse_worker_address(spec: Any) -> Tuple[str, int]:
     return host, port
 
 
-def _as_opt_bool(value: Any, knob: str) -> Optional[bool]:
-    if value is None:
-        return None
+# -- typed coercers ----------------------------------------------------------
+#
+# ``coerce(value, label) -> normalized value``; a value of the wrong type
+# or range raises ``ValueError`` naming ``label`` (the knob, or the
+# environment variable it came from).  They are deliberately strict:
+# options arrive from JSON files and HTTP bodies, where ``bool("false")``
+# / ``int(2.7)`` / ``int(True)`` would silently turn a typo into a
+# different configuration.
+
+
+def _executor(value: Any, label: str) -> "str | Executor":
+    if isinstance(value, Executor):
+        return value
+    value = str(value)
+    if value not in executor_names():
+        raise ValueError(
+            f"{label} must be one of {executor_names()} or an Executor "
+            f"instance, got {value!r}"
+        )
+    return value
+
+
+def _int_at_least(minimum: int) -> Callable[[Any, str], int]:
+    def coerce(value: Any, label: str) -> int:
+        # numbers.Integral (not int) so NumPy integers keep working;
+        # bool is Integral too, and never a count.
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{label} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{label} must be >= {minimum}, got {value}")
+        return int(value)
+
+    return coerce
+
+
+def _bool(value: Any, label: str) -> bool:
     if isinstance(value, bool):
         return value
-    raise ValueError(f"{knob} must be True, False, or None, got {value!r}")
+    raise ValueError(f"{label} must be True or False, got {value!r}")
+
+
+def _opt_bool(value: Any, label: str) -> Optional[bool]:
+    if value is None or isinstance(value, bool):
+        return value
+    raise ValueError(f"{label} must be True, False, or None, got {value!r}")
+
+
+def _opt_str(value: Any, label: str) -> Optional[str]:
+    return None if value is None else str(value)
+
+
+def _opt_choice(choices: Sequence[str]) -> Callable[[Any, str], Optional[str]]:
+    def coerce(value: Any, label: str) -> Optional[str]:
+        if value is None:
+            return None
+        value = str(value)
+        if value not in choices:
+            listed = ", ".join(repr(c) for c in choices)
+            raise ValueError(
+                f"{label} must be {listed}, or None, got {value!r}"
+            )
+        return value
+
+    return coerce
+
+
+def _workers(value: Any, label: str) -> Optional[Tuple[str, ...]]:
+    if value is None:
+        return None
+    if isinstance(value, str):
+        value = [w for w in value.split(",") if w]
+    return tuple("{}:{}".format(*parse_worker_address(w)) for w in value) or None
+
+
+# -- the knob table ----------------------------------------------------------
+
+
+class _Knob(NamedTuple):
+    """One engine knob — the only place its name is declared."""
+
+    name: str
+    default: Any
+    #: Typed validator/normalizer, see above.
+    coerce: Callable[[Any, str], Any]
+    #: How ``REPRO_ENGINE_<NAME>`` text decodes (see ``_decode_env``):
+    #: ``int`` | ``bool`` | ``opt_bool`` | ``opt_word`` | ``list`` | ``text``.
+    env: str
+    #: ``(option string, help)`` per command-line flag; empty keeps the
+    #: knob off the CLI.  Boolean knobs take a ``--x`` / ``--no-x`` pair
+    #: so a flag can undo an env/JSON setting in both directions.
+    flags: Tuple[Tuple[str, str], ...] = ()
+    #: argparse ``dest`` when the knob's own name is taken on a host CLI.
+    dest: Optional[str] = None
+    #: argparse ``choices``; a callable is evaluated when the parser is
+    #: built, so late-registered executors show up.
+    choices: "Sequence[str] | Callable[[], Sequence[str]] | None" = None
+
+
+_SHUFFLE_MODES = ("driver", "worker")
+
+_KNOBS: Tuple[_Knob, ...] = (
+    _Knob("executor", "sequential", _executor, "text", flags=(
+        ("--executor",
+         "dataflow engine backend: sequential, persistent thread pool, "
+         "persistent worker-process pool, or a remote TCP worker cluster"),
+    ), choices=executor_names),
+    _Knob("num_shards", 8, _int_at_least(1), "int", flags=(
+        ("--num-shards", "dataflow logical worker count"),
+    )),
+    _Knob("spill_to_disk", False, _bool, "bool", flags=(
+        ("--spill-to-disk",
+         "keep dataflow shards on disk (larger-than-memory mode)"),
+        ("--no-spill-to-disk",
+         "keep shards in memory (overrides a spill_to_disk set via "
+         "environment or --engine-options)"),
+    )),
+    _Knob("optimize", None, _opt_bool, "opt_bool", flags=(
+        ("--no-optimize",
+         "disable the dataflow plan optimizer (combiner lifting, "
+         "redundant-shuffle elision, post-shuffle fusion) and run the "
+         "naive plan"),
+        ("--optimize",
+         "run the plan optimizer (overrides an optimize=false set via "
+         "environment or --engine-options)"),
+    )),
+    _Knob("columnar", None, _opt_bool, "opt_bool", flags=(
+        ("--no-columnar",
+         "disable the columnar shard runtime (whole-shard vectorized "
+         "execution of batch-declared operators) and run the pure row "
+         "path"),
+        ("--columnar",
+         "run the columnar shard runtime (overrides a columnar=false set "
+         "via environment or --engine-options)"),
+    )),
+    _Knob("stream_source", None, _opt_bool, "opt_bool", flags=(
+        ("--stream-source",
+         "ingest every dataflow source through chunked streaming (the "
+         "driver never materializes the ground set); by default each "
+         "beam keeps its own ingest mode"),
+        ("--no-stream-source",
+         "force eager ingest everywhere (disables the bounding stage's "
+         "default streaming)"),
+    )),
+    _Knob("workers", None, _workers, "list", flags=(
+        ("--workers",
+         "comma-separated host:port list of remote worker daemons "
+         "(python -m repro.dataflow.remote.worker); with --executor "
+         "remote and no list, two localhost workers are auto-spawned"),
+    )),
+    _Knob("checkpoint_dir", None, _opt_str, "text", flags=(
+        ("--checkpoint-dir",
+         "persist dataflow stage outputs here (plan-digest keyed); "
+         "rerunning an identical, killed job resumes from the last "
+         "completed stage"),
+    )),
+    # Not a flag: beams derive their own per-stage salt.
+    _Knob("checkpoint_salt", None, _opt_str, "text"),
+    _Knob("broadcast_min_bytes", DEFAULT_BROADCAST_MIN_BYTES,
+          _int_at_least(0), "int", flags=(
+        ("--broadcast-min-bytes",
+         "closure-capture size threshold for one-time broadcast on the "
+         "multiprocess/remote backends"),
+    )),
+    _Knob("stream_chunk_size", 4096, _int_at_least(1), "int", flags=(
+        ("--stream-chunk-size", "records per chunk for streaming sources"),
+    )),
+    # Not a flag: False only reproduces the historical eager engine.
+    _Knob("fuse", True, _bool, "bool"),
+    # Named --adaptive-plan, with a matching distinct dest, because the
+    # selector CLI already owns --adaptive (and the args.adaptive slot)
+    # for the greedy algorithm's adaptive partitioning — a shared dest
+    # would let either flag silently flip the other's feature.
+    _Knob("adaptive", None, _opt_bool, "opt_bool", dest="adaptive_plan", flags=(
+        ("--adaptive-plan",
+         "let the cost-model-driven planner choose the engine knobs left "
+         "unset (num_shards, executor backend, broadcast_min_bytes, "
+         "checkpoint placement); explicit flags always win, results are "
+         "bit-identical"),
+        ("--no-adaptive-plan",
+         "disable adaptive planning (overrides an adaptive=true set via "
+         "environment or --engine-options)"),
+    )),
+    _Knob("shuffle", None, _opt_choice(_SHUFFLE_MODES), "opt_word", flags=(
+        ("--shuffle",
+         "shuffle data plane: merge buckets on the driver (the default) "
+         "or exchange them worker-to-worker on the remote backend (the "
+         "driver only plans the assignment; peer fetches fall back "
+         "through the driver when a producer dies); results are "
+         "bit-identical either way"),
+    ), choices=_SHUFFLE_MODES),
+)
+
+_KNOB_BY_NAME: Dict[str, _Knob] = {knob.name: knob for knob in _KNOBS}
+
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _decode_env(kind: str, raw: str, key: str) -> Any:
+    """Decode one environment variable's text by its knob's ``env`` kind
+    (type and range checks are the coercer's job)."""
+    text = raw.strip()
+    lowered = text.lower()
+    if kind.startswith("opt_") and lowered == "none":
+        return None
+    if kind == "int":
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{key} must be an integer, got {raw!r}") from None
+    if kind in ("bool", "opt_bool"):
+        if lowered in _TRUE_WORDS:
+            return True
+        if lowered in _FALSE_WORDS:
+            return False
+        raise ValueError(
+            f"{key} must be a boolean (1/0, true/false, yes/no, on/off), "
+            f"got {raw!r}"
+        )
+    if kind == "opt_word":
+        return lowered
+    if kind == "list":
+        return tuple(w for w in text.split(",") if w) or None
+    return text
 
 
 class EngineOptions:
@@ -211,188 +420,66 @@ class EngineOptions:
     knob's default value explicitly still pins it.
     """
 
-    __slots__ = (
-        "executor", "num_shards", "spill_to_disk", "optimize", "columnar",
-        "stream_source", "workers", "checkpoint_dir", "checkpoint_salt",
-        "broadcast_min_bytes", "stream_chunk_size", "fuse", "adaptive",
-        "shuffle", "_explicit", "_frozen",
-    )
+    #: Knob names in declaration order.
+    _FIELDS = tuple(_KNOB_BY_NAME)
 
-    #: Knob names in declaration order — the single list every
-    #: constructor, serializer, and CLI helper iterates.
-    _FIELDS = (
-        "executor", "num_shards", "spill_to_disk", "optimize", "columnar",
-        "stream_source", "workers", "checkpoint_dir", "checkpoint_salt",
-        "broadcast_min_bytes", "stream_chunk_size", "fuse", "adaptive",
-        "shuffle",
-    )
+    __slots__ = _FIELDS + ("_explicit", "_frozen")
 
-    #: Default value per knob, applied when the keyword is not passed
-    #: (keywords default to :data:`UNSET` so explicitness is observable).
-    _DEFAULTS: Dict[str, Any] = {
-        "executor": "sequential",
-        "num_shards": 8,
-        "spill_to_disk": False,
-        "optimize": None,
-        "columnar": None,
-        "stream_source": None,
-        "workers": None,
-        "checkpoint_dir": None,
-        "checkpoint_salt": None,
-        "broadcast_min_bytes": DEFAULT_BROADCAST_MIN_BYTES,
-        "stream_chunk_size": 4096,
-        "fuse": True,
-        "adaptive": None,
-        "shuffle": None,
-    }
+    def __init__(self, executor: Any = _UNSET, **knobs: Any) -> None:
+        if executor is not _UNSET:
+            knobs["executor"] = executor
+        for name in knobs.keys() - _KNOB_BY_NAME.keys():
+            raise TypeError(
+                f"EngineOptions() got an unexpected keyword argument {name!r}"
+            )
+        for knob in _KNOBS:
+            value = knobs.get(knob.name, knob.default)
+            object.__setattr__(
+                self, knob.name, knob.coerce(value, knob.name)
+            )
+        self._check_cross_field()
+        object.__setattr__(self, "_explicit", frozenset(knobs))
+        object.__setattr__(self, "_frozen", True)
 
-    def __init__(
-        self,
-        executor: Any = UNSET,
-        *,
-        num_shards: Any = UNSET,
-        spill_to_disk: Any = UNSET,
-        optimize: Any = UNSET,
-        columnar: Any = UNSET,
-        stream_source: Any = UNSET,
-        workers: Any = UNSET,
-        checkpoint_dir: Any = UNSET,
-        checkpoint_salt: Any = UNSET,
-        broadcast_min_bytes: Any = UNSET,
-        stream_chunk_size: Any = UNSET,
-        fuse: Any = UNSET,
-        adaptive: Any = UNSET,
-        shuffle: Any = UNSET,
-    ) -> None:
-        passed = {
-            "executor": executor,
-            "num_shards": num_shards,
-            "spill_to_disk": spill_to_disk,
-            "optimize": optimize,
-            "columnar": columnar,
-            "stream_source": stream_source,
-            "workers": workers,
-            "checkpoint_dir": checkpoint_dir,
-            "checkpoint_salt": checkpoint_salt,
-            "broadcast_min_bytes": broadcast_min_bytes,
-            "stream_chunk_size": stream_chunk_size,
-            "fuse": fuse,
-            "adaptive": adaptive,
-            "shuffle": shuffle,
-        }
-        explicit = frozenset(k for k, v in passed.items() if v is not UNSET)
-        resolved = {
-            k: (self._DEFAULTS[k] if v is UNSET else v)
-            for k, v in passed.items()
-        }
-        executor = resolved["executor"]
-        num_shards = resolved["num_shards"]
-        spill_to_disk = resolved["spill_to_disk"]
-        optimize = resolved["optimize"]
-        columnar = resolved["columnar"]
-        stream_source = resolved["stream_source"]
-        workers = resolved["workers"]
-        checkpoint_dir = resolved["checkpoint_dir"]
-        checkpoint_salt = resolved["checkpoint_salt"]
-        broadcast_min_bytes = resolved["broadcast_min_bytes"]
-        stream_chunk_size = resolved["stream_chunk_size"]
-        fuse = resolved["fuse"]
-        adaptive = resolved["adaptive"]
-        shuffle = resolved["shuffle"]
-        if shuffle is not None:
-            shuffle = str(shuffle)
-            if shuffle not in ("driver", "worker"):
-                raise ValueError(
-                    "shuffle must be 'driver', 'worker', or None, got "
-                    f"{shuffle!r}"
-                )
-        if isinstance(executor, Executor):
-            resolved_executor: "str | Executor" = executor
-        else:
-            executor = str(executor)
-            if executor not in executor_names():
-                raise ValueError(
-                    f"executor must be one of {executor_names()} or an "
-                    f"Executor instance, got {executor!r}"
-                )
-            resolved_executor = executor
-        num_shards = int(num_shards)
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        stream_chunk_size = int(stream_chunk_size)
-        if stream_chunk_size < 1:
-            raise ValueError(
-                f"stream_chunk_size must be >= 1, got {stream_chunk_size}"
-            )
-        broadcast_min_bytes = int(broadcast_min_bytes)
-        if broadcast_min_bytes < 0:
-            raise ValueError(
-                f"broadcast_min_bytes must be >= 0, got {broadcast_min_bytes}"
-            )
-        normalized_workers: Optional[Tuple[str, ...]] = None
-        if workers is not None:
-            if isinstance(workers, str):
-                workers = [w for w in workers.split(",") if w]
-            normalized_workers = tuple(
-                "{}:{}".format(*parse_worker_address(w)) for w in workers
-            )
-            if not normalized_workers:
-                normalized_workers = None
-        if isinstance(resolved_executor, Executor):
+    def _check_cross_field(self) -> None:
+        """The rules that span knobs (per-knob checks are coercers)."""
+        if isinstance(self.executor, Executor):
             # An already-built instance carries its own workers and
             # broadcast threshold; accepting these knobs alongside it
             # would silently drop them (mirrors resolve_executor's
             # opts-with-an-instance error).
-            if normalized_workers is not None:
+            if self.workers is not None:
                 raise ValueError(
                     "workers requires an executor *name* (e.g. 'remote'); "
-                    f"the passed {type(resolved_executor).__name__} "
+                    f"the passed {type(self.executor).__name__} "
                     "instance was already built with its own workers"
                 )
-            if broadcast_min_bytes != DEFAULT_BROADCAST_MIN_BYTES:
+            if self.broadcast_min_bytes != DEFAULT_BROADCAST_MIN_BYTES:
                 raise ValueError(
                     "broadcast_min_bytes requires an executor *name*; "
-                    f"the passed {type(resolved_executor).__name__} "
+                    f"the passed {type(self.executor).__name__} "
                     "instance was already built with its own threshold"
                 )
-        elif normalized_workers is not None and resolved_executor != "remote":
+        elif self.workers is not None and self.executor != "remote":
             raise ValueError(
                 f"workers requires executor='remote', got "
-                f"executor={resolved_executor!r}"
+                f"executor={self.executor!r}"
             )
-        if checkpoint_dir is not None:
-            checkpoint_dir = str(checkpoint_dir)
-        if checkpoint_salt is not None:
-            checkpoint_salt = str(checkpoint_salt)
-            if checkpoint_dir is None:
-                raise ValueError(
-                    "checkpoint_salt requires checkpoint_dir (a salt keys "
-                    "streaming sources inside a checkpoint directory)"
-                )
-        object.__setattr__(self, "executor", resolved_executor)
-        object.__setattr__(self, "num_shards", num_shards)
-        object.__setattr__(self, "spill_to_disk", bool(spill_to_disk))
-        object.__setattr__(
-            self, "optimize", _as_opt_bool(optimize, "optimize")
-        )
-        object.__setattr__(
-            self, "columnar", _as_opt_bool(columnar, "columnar")
-        )
-        object.__setattr__(
-            self, "stream_source", _as_opt_bool(stream_source, "stream_source")
-        )
-        object.__setattr__(self, "workers", normalized_workers)
-        object.__setattr__(self, "checkpoint_dir", checkpoint_dir)
-        object.__setattr__(self, "checkpoint_salt", checkpoint_salt)
-        object.__setattr__(self, "broadcast_min_bytes", broadcast_min_bytes)
-        object.__setattr__(self, "stream_chunk_size", stream_chunk_size)
-        object.__setattr__(self, "fuse", bool(fuse))
-        object.__setattr__(
-            self, "adaptive", _as_opt_bool(adaptive, "adaptive")
-        )
-        object.__setattr__(self, "shuffle", shuffle)
-        object.__setattr__(self, "_explicit", explicit)
-        object.__setattr__(self, "_frozen", True)
+        if self.checkpoint_salt is not None and self.checkpoint_dir is None:
+            raise ValueError(
+                "checkpoint_salt requires checkpoint_dir (a salt keys "
+                "streaming sources inside a checkpoint directory)"
+            )
+
+    @classmethod
+    def _build(
+        cls, state: Mapping[str, Any], explicit: Iterable[str]
+    ) -> "EngineOptions":
+        """Validate a full ``state`` and stamp its provenance: the
+        explicit set is the caller's, not "every knob in ``state``"."""
+        built = cls(**state)
+        object.__setattr__(built, "_explicit", frozenset(explicit))
+        return built
 
     # -- immutability ------------------------------------------------------
 
@@ -416,7 +503,7 @@ class EngineOptions:
         return self
 
     def __reduce__(self):
-        return (_rebuild_options, (self._state(), sorted(self._explicit)))
+        return (type(self)._build, (self._state(), sorted(self._explicit)))
 
     def _state(self) -> Dict[str, Any]:
         return {name: getattr(self, name) for name in self._FIELDS}
@@ -429,7 +516,7 @@ class EngineOptions:
         Explicitness is provenance, not value: it does not participate in
         equality or hashing.
         """
-        if name not in self._FIELDS:
+        if name not in _KNOB_BY_NAME:
             raise ValueError(
                 f"unknown engine option {name!r}; expected one of "
                 f"{list(self._FIELDS)}"
@@ -449,11 +536,10 @@ class EngineOptions:
         return hash(tuple(sorted(state.items(), key=lambda kv: kv[0])))
 
     def __repr__(self) -> str:
-        defaults = _DEFAULT_STATE
         shown = ", ".join(
-            f"{name}={getattr(self, name)!r}"
-            for name in self._FIELDS
-            if getattr(self, name) != defaults[name]
+            f"{knob.name}={getattr(self, knob.name)!r}"
+            for knob in _KNOBS
+            if getattr(self, knob.name) != knob.default
         )
         return f"EngineOptions({shown})"
 
@@ -463,7 +549,7 @@ class EngineOptions:
     def from_dict(cls, mapping: Mapping[str, Any]) -> "EngineOptions":
         """Build options from a plain mapping; unknown keys are an error."""
         cls._check_known(mapping, "mapping")
-        return cls(**dict(mapping))
+        return cls(**mapping)
 
     @classmethod
     def from_json(cls, text: str) -> "EngineOptions":
@@ -477,14 +563,14 @@ class EngineOptions:
 
     #: Environment knobs: ``REPRO_ENGINE_<NAME>``.  Booleans accept
     #: 1/0, true/false, yes/no, on/off (case-insensitive); the optional
-    #: booleans additionally accept ``none`` for "engine default";
-    #: workers is a comma-separated ``host:port`` list; a set-but-empty
-    #: variable counts as unset.
+    #: knobs additionally accept ``none`` for "engine default"; workers
+    #: is a comma-separated ``host:port`` list; a set-but-empty variable
+    #: counts as unset.
     ENV_PREFIX = "REPRO_ENGINE_"
 
     @classmethod
     def _check_known(cls, mapping: Mapping[str, Any], what: str) -> None:
-        unknown = sorted(set(mapping) - set(cls._FIELDS))
+        unknown = sorted(set(mapping) - _KNOB_BY_NAME.keys())
         if unknown:
             raise ValueError(
                 f"unknown engine option(s) {unknown} in {what}; expected a "
@@ -508,15 +594,19 @@ class EngineOptions:
         for key, raw in env.items():
             if not key.startswith(cls.ENV_PREFIX):
                 continue
-            name = key[len(cls.ENV_PREFIX):].lower()
-            if name not in cls._FIELDS:
+            knob = _KNOB_BY_NAME.get(key[len(cls.ENV_PREFIX):].lower())
+            if knob is None:
                 raise ValueError(
                     f"unknown engine environment variable {key!r}; expected "
                     f"{cls.ENV_PREFIX}{{{', '.join(f.upper() for f in cls._FIELDS)}}}"
                 )
             if not raw.strip():
                 continue
-            overrides[name] = _parse_env_value(name, raw, key)
+            # Coerced here too so a bad value is reported against the
+            # variable that carried it, not the knob it lands on.
+            overrides[knob.name] = knob.coerce(
+                _decode_env(knob.env, raw, key), key
+            )
         return overrides
 
     @classmethod
@@ -553,11 +643,7 @@ class EngineOptions:
         combination, not per layer.
         """
         base = base if base is not None else cls()
-        state = base._state()
-        explicit = set(base._explicit)
-        env_overrides = cls._env_overrides()
-        state.update(env_overrides)
-        explicit.update(env_overrides)
+        layers = [cls._env_overrides()]
         blob_path = getattr(args, "engine_options", None)
         if blob_path:
             with open(blob_path) as fh:
@@ -567,19 +653,18 @@ class EngineOptions:
                     f"{blob_path}: engine options JSON must be an object"
                 )
             cls._check_known(blob, blob_path)
-            state.update(blob)
-            explicit.update(blob)
-        flag_overrides = {
-            name: getattr(args, _FLAG_DESTS.get(name, name))
-            for name in cls._FIELDS
-            if getattr(args, _FLAG_DESTS.get(name, name), None) is not None
+            layers.append(blob)
+        flags = {
+            knob.name: getattr(args, knob.dest or knob.name, None)
+            for knob in _KNOBS
         }
-        state.update(flag_overrides)
-        explicit.update(flag_overrides)
-        executor = state.pop("executor")
-        built = cls(executor, **state)
-        object.__setattr__(built, "_explicit", frozenset(explicit))
-        return built
+        layers.append({k: v for k, v in flags.items() if v is not None})
+        state = base._state()
+        explicit = set(base._explicit)
+        for layer in layers:
+            state.update(layer)
+            explicit.update(layer)
+        return cls._build(state, explicit)
 
     # -- derivation & serialization ----------------------------------------
 
@@ -591,25 +676,20 @@ class EngineOptions:
         object's plus the overridden knobs.
         """
         self._check_known(overrides, "derive()")
-        state = self._state()
-        state.update(overrides)
-        executor = state.pop("executor")
-        derived = type(self)(executor, **state)
-        object.__setattr__(
-            derived, "_explicit", self._explicit | frozenset(overrides)
+        return self._build(
+            {**self._state(), **overrides}, self._explicit | set(overrides)
         )
-        return derived
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able dict (round-trips through :meth:`from_dict` when the
         executor is a name; instances serialize as their backend name)."""
-        state = self._state()
-        executor = state["executor"]
-        if isinstance(executor, Executor):
-            state["executor"] = executor.name
-        if state["workers"] is not None:
-            state["workers"] = list(state["workers"])
-        return state
+
+        def jsonable(value: Any) -> Any:
+            if isinstance(value, Executor):
+                return value.name
+            return list(value) if isinstance(value, tuple) else value
+
+        return {name: jsonable(v) for name, v in self._state().items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -643,73 +723,26 @@ class EngineOptions:
         return opts
 
 
-def _rebuild_options(
-    state: Dict[str, Any], explicit: Optional[Iterable[str]] = None
-) -> EngineOptions:
-    executor = state.pop("executor")
-    options = EngineOptions(executor, **state)
-    if explicit is not None:
-        object.__setattr__(options, "_explicit", frozenset(explicit))
-    return options
-
-
-_DEFAULT_STATE = EngineOptions()._state()
-
-#: Field -> argparse dest for the flags whose natural dest is taken by a
-#: non-engine argument on a host CLI (the selector's --adaptive owns
-#: ``args.adaptive`` for the greedy algorithm's adaptive partitioning).
-_FLAG_DESTS = {"adaptive": "adaptive_plan"}
-
-
-def _parse_env_value(name: str, raw: str, key: str) -> Any:
-    text = raw.strip()
-    if name in ("num_shards", "broadcast_min_bytes", "stream_chunk_size"):
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"{key} must be an integer, got {raw!r}") from None
-    if name in (
-        "spill_to_disk", "fuse", "optimize", "columnar", "stream_source",
-        "adaptive",
-    ):
-        lowered = text.lower()
-        if (
-            name in ("optimize", "columnar", "stream_source", "adaptive")
-            and lowered == "none"
-        ):
-            return None
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(
-            f"{key} must be a boolean (1/0, true/false, yes/no, on/off), "
-            f"got {raw!r}"
-        )
-    if name == "shuffle":
-        lowered = text.lower()
-        if lowered == "none":
-            return None
-        if lowered in ("driver", "worker"):
-            return lowered
-        raise ValueError(
-            f"{key} must be 'driver', 'worker', or 'none', got {raw!r}"
-        )
-    if name == "workers":
-        return tuple(w for w in text.split(",") if w) or None
-    if name in ("checkpoint_dir", "checkpoint_salt", "executor"):
-        return text or None
-    raise AssertionError(name)  # pragma: no cover - guarded by caller
+# ``EngineOptions(executor, *, <one keyword per knob>)`` for help() and
+# IDEs, spelled from the table like everything else.
+EngineOptions.__signature__ = inspect.Signature([
+    inspect.Parameter(
+        knob.name,
+        inspect.Parameter.KEYWORD_ONLY if i
+        else inspect.Parameter.POSITIONAL_OR_KEYWORD,
+        default=knob.default,
+    )
+    for i, knob in enumerate(_KNOBS)
+])
 
 
 def add_engine_arguments(parser: Any) -> Any:
     """Attach the shared engine flag block to an argparse parser.
 
-    One definition replaces the hand-copied flag blocks that used to live
-    in every CLI entry point.  All defaults are ``None`` ("not passed"),
-    so :meth:`EngineOptions.from_namespace` can layer explicit flags over
-    the environment and an optional ``--engine-options`` JSON file.
-    Returns the created argument group.
+    The flags are the knob table's; all defaults are ``None`` ("not
+    passed"), so :meth:`EngineOptions.from_namespace` can layer explicit
+    flags over the environment and an optional ``--engine-options`` JSON
+    file.  Returns the created argument group.
     """
     group = parser.add_argument_group(
         "engine options",
@@ -721,144 +754,22 @@ def add_engine_arguments(parser: Any) -> Any:
         help="JSON file of EngineOptions fields (e.g. "
              '{"executor": "thread", "num_shards": 16})',
     )
-    group.add_argument(
-        "--executor", choices=tuple(executor_names()), default=None,
-        help="dataflow engine backend: sequential, persistent thread "
-             "pool, persistent worker-process pool, or a remote TCP "
-             "worker cluster",
-    )
-    group.add_argument(
-        "--num-shards", dest="num_shards", type=int, default=None,
-        help="dataflow logical worker count",
-    )
-    group.add_argument(
-        "--spill-to-disk", dest="spill_to_disk", action="store_true",
-        default=None,
-        help="keep dataflow shards on disk (larger-than-memory mode)",
-    )
-    group.add_argument(
-        "--no-spill-to-disk", dest="spill_to_disk", action="store_false",
-        help="keep shards in memory (overrides a spill_to_disk set via "
-             "environment or --engine-options)",
-    )
-    group.add_argument(
-        "--no-optimize", dest="optimize", action="store_false", default=None,
-        help="disable the dataflow plan optimizer (combiner lifting, "
-             "redundant-shuffle elision, post-shuffle fusion) and run "
-             "the naive plan",
-    )
-    group.add_argument(
-        "--optimize", dest="optimize", action="store_true",
-        help="run the plan optimizer (overrides an optimize=false set "
-             "via environment or --engine-options)",
-    )
-    group.add_argument(
-        "--no-columnar", dest="columnar", action="store_false", default=None,
-        help="disable the columnar shard runtime (whole-shard vectorized "
-             "execution of batch-declared operators) and run the pure "
-             "row path",
-    )
-    group.add_argument(
-        "--columnar", dest="columnar", action="store_true",
-        help="run the columnar shard runtime (overrides a columnar=false "
-             "set via environment or --engine-options)",
-    )
-    group.add_argument(
-        "--stream-source", dest="stream_source", action="store_true",
-        default=None,
-        help="ingest every dataflow source through chunked streaming "
-             "(the driver never materializes the ground set); by default "
-             "each beam keeps its own ingest mode",
-    )
-    group.add_argument(
-        "--no-stream-source", dest="stream_source", action="store_false",
-        help="force eager ingest everywhere (disables the bounding "
-             "stage's default streaming)",
-    )
-    group.add_argument(
-        "--workers", default=None,
-        help="comma-separated host:port list of remote worker daemons "
-             "(python -m repro.dataflow.remote.worker); with --executor "
-             "remote and no list, two localhost workers are auto-spawned",
-    )
-    group.add_argument(
-        "--shuffle", choices=("driver", "worker"), default=None,
-        help="shuffle data plane: merge buckets on the driver (the "
-             "default) or exchange them worker-to-worker on the remote "
-             "backend (the driver only plans the assignment; peer "
-             "fetches fall back through the driver when a producer "
-             "dies); results are bit-identical either way",
-    )
-    group.add_argument(
-        "--checkpoint-dir", dest="checkpoint_dir", default=None,
-        help="persist dataflow stage outputs here (plan-digest keyed); "
-             "rerunning an identical, killed job resumes from the last "
-             "completed stage",
-    )
-    group.add_argument(
-        "--broadcast-min-bytes", dest="broadcast_min_bytes", type=int,
-        default=None,
-        help="closure-capture size threshold for one-time broadcast on "
-             "the multiprocess/remote backends",
-    )
-    group.add_argument(
-        "--stream-chunk-size", dest="stream_chunk_size", type=int,
-        default=None,
-        help="records per chunk for streaming sources",
-    )
-    # Named --adaptive-plan, with a matching distinct dest, because the
-    # selector CLI already owns --adaptive (and the args.adaptive slot)
-    # for the greedy algorithm's adaptive partitioning — a shared dest
-    # would let either flag silently flip the other's feature.
-    group.add_argument(
-        "--adaptive-plan", dest="adaptive_plan", action="store_true",
-        default=None,
-        help="let the cost-model-driven planner choose the engine knobs "
-             "left unset (num_shards, executor backend, "
-             "broadcast_min_bytes, checkpoint placement); explicit flags "
-             "always win, results are bit-identical",
-    )
-    group.add_argument(
-        "--no-adaptive-plan", dest="adaptive_plan", action="store_false",
-        help="disable adaptive planning (overrides an adaptive=true set "
-             "via environment or --engine-options)",
-    )
+    for knob in _KNOBS:
+        common = {"dest": knob.dest or knob.name, "default": None}
+        for option, help_text in knob.flags:
+            if knob.env in ("bool", "opt_bool"):
+                negated = option.startswith("--no-")
+                group.add_argument(
+                    option, help=help_text, **common,
+                    action="store_false" if negated else "store_true",
+                )
+            else:
+                choices = knob.choices() if callable(knob.choices) else knob.choices
+                group.add_argument(
+                    option, help=help_text, **common, choices=choices,
+                    type=int if knob.env == "int" else None,
+                )
     return group
-
-
-def legacy_engine_options(
-    legacy: Mapping[str, Any],
-    *,
-    options: Optional[EngineOptions],
-    context: Optional["DataflowContext"],
-    api: str,
-    stacklevel: int = 3,
-) -> Optional[EngineOptions]:
-    """Fold deprecated per-function engine kwargs into an ``EngineOptions``.
-
-    ``legacy`` maps knob name → passed value, with :data:`UNSET` marking
-    "not passed".  When any knob was actually passed: warn
-    (``DeprecationWarning``), reject mixing with the new API, and build
-    the equivalent options object — results are bit-identical because the
-    new path consumes exactly the same values.
-    """
-    passed = {k: v for k, v in legacy.items() if v is not UNSET}
-    if not passed:
-        return options
-    if options is not None or context is not None:
-        raise TypeError(
-            f"{api}: pass engine configuration either through the new "
-            f"API (options=EngineOptions(...) / a shared context) or "
-            f"through the deprecated keywords {sorted(passed)}, not both"
-        )
-    warnings.warn(
-        f"{api}: the engine keyword(s) {sorted(passed)} are deprecated; "
-        f"pass options=EngineOptions(...) (or share a DataflowContext) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return EngineOptions.from_dict(passed)
 
 
 class DataflowContext:
@@ -1022,20 +933,6 @@ class DataflowContext:
         self.close()
 
 
-class _SharedContext:
-    """Context-manager view of a caller-owned :class:`DataflowContext`
-    (exiting does not close it) — what beams use when handed a context."""
-
-    def __init__(self, context: DataflowContext) -> None:
-        self._context = context
-
-    def __enter__(self) -> DataflowContext:
-        return self._context
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
 def engine_context(
     options: Optional[EngineOptions],
     context: Optional[DataflowContext],
@@ -1049,5 +946,5 @@ def engine_context(
     if context is not None:
         if options is not None:
             raise TypeError("pass either options= or context=, not both")
-        return _SharedContext(context)
+        return contextlib.nullcontext(context)
     return DataflowContext(options if options is not None else EngineOptions())

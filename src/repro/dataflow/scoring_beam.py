@@ -11,8 +11,7 @@ named group.
 Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
 (``options=``) or a shared :class:`~repro.dataflow.options.DataflowContext`
 (``context=``).  This beam streams its graph/utility/solution generators
-by default (``options.stream_source=None``); the old per-call engine
-keywords are deprecated shims.
+by default (``options.stream_source=None``).
 """
 
 from __future__ import annotations
@@ -25,11 +24,9 @@ from repro.core.distributed import fingerprint, problem_fingerprint
 from repro.core.problem import SubsetProblem
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.options import (
-    UNSET,
     DataflowContext,
     EngineOptions,
     engine_context,
-    legacy_engine_options,
 )
 from repro.dataflow.pcollection import PCollection, PTransform
 from repro.dataflow.transforms import cogroup, sum_globally
@@ -83,12 +80,6 @@ def beam_score(
     *,
     options: Optional[EngineOptions] = None,
     context: Optional[DataflowContext] = None,
-    num_shards=UNSET,
-    executor=UNSET,
-    spill_to_disk=UNSET,
-    optimize=UNSET,
-    stream_source=UNSET,
-    checkpoint_dir=UNSET,
 ) -> Tuple[float, PipelineMetrics]:
     """Distributed evaluation of the pairwise submodular objective.
 
@@ -99,14 +90,6 @@ def beam_score(
     subset contents, so a rerun of the same scoring job skips completed
     stages.
     """
-    options = legacy_engine_options(
-        {
-            "num_shards": num_shards, "executor": executor,
-            "spill_to_disk": spill_to_disk, "optimize": optimize,
-            "stream_source": stream_source, "checkpoint_dir": checkpoint_dir,
-        },
-        options=options, context=context, api="beam_score",
-    )
     subset_ids = np.asarray(subset_ids, dtype=np.int64)
     if subset_ids.size and (
         subset_ids.min() < 0 or subset_ids.max() >= problem.n

@@ -169,6 +169,24 @@ class JobSpec:
                 )
         self.force = bool(self.force)
 
+    def resolve_options(self, **overrides: Any) -> EngineOptions:
+        """The :class:`EngineOptions` this spec runs under.
+
+        ``engine_options`` holds every knob (digests need the full,
+        defaulted dict), so what the submitter *pinned* is recovered by
+        value: only knobs that differ from their defaults are explicit.
+        Digest-equal specs therefore behave identically, and a job
+        submitted with just ``{"adaptive": true}`` leaves the planner
+        free to choose the rest.
+        """
+        defaults = EngineOptions().to_dict()
+        pinned = {
+            name: value
+            for name, value in self.engine_options.items()
+            if value != defaults[name]
+        }
+        return EngineOptions.from_dict({**pinned, **overrides})
+
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 

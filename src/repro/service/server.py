@@ -508,7 +508,7 @@ class SelectorService:
         if sel["incremental"]:
             return self._execute_incremental(record, cancel=cancel)
         problem, _ = self._problem(spec.dataset)
-        options = EngineOptions.from_dict(spec.engine_options)
+        options = spec.resolve_options()
         config = SelectorConfig(
             bounding=sel["bounding"],
             sampler=sel["sampler"],
@@ -574,9 +574,7 @@ class SelectorService:
         checkpoint_dir = os.path.join(
             self.config.state_dir, "incremental", family_digest(spec)
         )
-        options = EngineOptions.from_dict(
-            {**spec.engine_options, "checkpoint_dir": checkpoint_dir}
-        )
+        options = spec.resolve_options(checkpoint_dir=checkpoint_dir)
         view = self._warm_context(options).scoped()
         try:
             driver = IncrementalDriver(

@@ -1,5 +1,5 @@
 """The unified engine API: ``EngineOptions``, ``DataflowContext``,
-composite transforms, checkpoint GC, and the deprecated-kwarg shims.
+composite transforms, checkpoint GC, and the knob-table contract.
 
 Covers the API-redesign contract end to end:
 
@@ -13,13 +13,16 @@ Covers the API-redesign contract end to end:
   checkpoint digests across pipelines for :meth:`gc_checkpoints`;
 - named composites render as collapsible groups in ``explain()`` on the
   real kNN and bounding plans;
-- the deprecated flat keywords on the beams and ``SelectorConfig`` warn
-  and produce **bit-identical results and metrics** to the new API.
+- every knob of the field table shows up, exactly once, on every
+  surface, and ``options=`` / ``context=`` is the only way in.
 """
 
+import argparse
 import json
 import os
-import warnings
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from repro.dataflow import (
 )
 from repro.dataflow.bounding_beam import BeamBoundingDriver
 from repro.dataflow.options import (
+    _KNOBS,
     add_engine_arguments,
     parse_worker_address,
 )
@@ -561,111 +565,153 @@ class TestTopKPerKey:
             TopKPerKey(0)
 
 
-class TestDeprecatedKwargShims:
-    """Satellite: the old flat keywords warn and are bit-identical —
-    results *and* metrics — to the new API (these are the only tests
-    that may catch the DeprecationWarning)."""
+def _sample(knob):
+    """A legal non-default ``(value, environment text)`` for ``knob``,
+    chosen by its declared kind — a new table entry needs no new case."""
+    if knob.env == "int":
+        return knob.default + 1, str(knob.default + 1)
+    if knob.env == "bool":
+        return (not knob.default), "no" if knob.default else "yes"
+    if knob.env == "opt_bool":
+        return True, "true"
+    if knob.env == "opt_word":
+        return knob.choices[0], knob.choices[0]
+    if knob.env == "list":
+        return ("h:1", "g:2"), "h:1,g:2"
+    assert knob.env == "text"
+    word = "thread" if knob.name == "executor" else f"{knob.name}-value"
+    return word, word
 
-    @staticmethod
-    def _semantic(metrics):
-        return (
-            metrics.peak_shard_records, metrics.shuffled_records,
-            metrics.executed_stages, metrics.fused_stages,
-            metrics.lifted_combiners, metrics.elided_shuffles,
-        )
 
-    def test_knn_beam_legacy_path_bit_identical(self):
-        x, _ = clustered_points(n=120, n_clusters=4)
-        _, new_nbrs, new_sims, new_metrics = beam_knn_graph(
-            x, 5, seed=0, options=EngineOptions(num_shards=4),
+#: The cross-field rules: knobs that are only legal next to another one.
+_COMPANIONS = {
+    "workers": {"executor": "remote"},
+    "checkpoint_salt": {"checkpoint_dir": "ckpt"},
+}
+
+
+class TestKnobTableContract:
+    """One entry of the field table is all a knob is: each one must show
+    up — exactly once — as a flag family, an environment variable, a
+    dict/JSON key, and survive derive()/pickle with its provenance."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_env(self, monkeypatch):
+        for key in list(os.environ):
+            if key.startswith(EngineOptions.ENV_PREFIX):
+                monkeypatch.delenv(key)
+
+    def test_every_flag_family_belongs_to_one_knob(self):
+        parser = argparse.ArgumentParser()
+        group = add_engine_arguments(parser)
+        families = {}
+        for action in group._group_actions:
+            families.setdefault(action.dest, []).extend(action.option_strings)
+        assert families.pop("engine_options") == ["--engine-options"]
+        assert families == {
+            knob.dest or knob.name: [option for option, _ in knob.flags]
+            for knob in _KNOBS
+            if knob.flags
+        }
+
+    @pytest.mark.parametrize("knob", _KNOBS, ids=lambda knob: knob.name)
+    def test_knob_on_every_surface(self, knob):
+        value, text = _sample(knob)
+        companions = _COMPANIONS.get(knob.name, {})
+        options = EngineOptions(**{knob.name: value}, **companions)
+        assert getattr(options, knob.name) == value != knob.default
+        others = [k.name for k in _KNOBS if k.name not in (knob.name, *companions)]
+        untouched, bystander = others[0], others[1]
+
+        def pinned(candidate):
+            assert candidate == options
+            assert candidate.is_explicit(knob.name)
+            assert not candidate.is_explicit(untouched)
+
+        # dict / JSON
+        assert EngineOptions.from_dict(options.to_dict()) == options
+        pinned(EngineOptions.from_json(json.dumps(
+            {knob.name: options.to_dict()[knob.name], **companions}
+        )))
+        # environment: exactly REPRO_ENGINE_<NAME>
+        env = {f"REPRO_ENGINE_{knob.name.upper()}": text}
+        env.update(
+            (f"REPRO_ENGINE_{name.upper()}", word)
+            for name, word in companions.items()
         )
-        with pytest.deprecated_call():
-            _, old_nbrs, old_sims, old_metrics = beam_knn_graph(
-                x, 5, seed=0, num_shards=4,
+        pinned(EngineOptions.from_env(env))
+        # command line (knobs that have flags)
+        if knob.flags:
+            parser = argparse.ArgumentParser()
+            add_engine_arguments(parser)
+            positive = next(
+                option for option, _ in knob.flags
+                if not option.startswith("--no-")
             )
-        np.testing.assert_array_equal(old_nbrs, new_nbrs)
-        np.testing.assert_array_equal(old_sims, new_sims)
-        assert self._semantic(old_metrics) == self._semantic(new_metrics)
-
-    def test_bounding_beam_legacy_path_bit_identical(self, small_problem):
-        k = small_problem.n // 6
-        new, new_metrics = beam_bound(
-            small_problem, k, mode="exact",
-            options=EngineOptions(num_shards=4, spill_to_disk=True),
+            argv = [positive] if knob.env.endswith("bool") else [positive, text]
+            for name, word in companions.items():
+                argv += [f"--{name.replace('_', '-')}", word]
+            pinned(EngineOptions.from_namespace(parser.parse_args(argv)))
+        # derive() and pickle keep value and provenance
+        bystander_value, _ = _sample(
+            next(k for k in _KNOBS if k.name == bystander)
         )
-        with pytest.deprecated_call():
-            old, old_metrics = beam_bound(
-                small_problem, k, mode="exact", num_shards=4,
-                spill_to_disk=True,
-            )
-        np.testing.assert_array_equal(old.solution, new.solution)
-        np.testing.assert_array_equal(old.remaining, new.remaining)
-        assert self._semantic(old_metrics) == self._semantic(new_metrics)
+        derived = options.derive(**{bystander: bystander_value})
+        assert getattr(derived, knob.name) == value
+        assert derived.is_explicit(knob.name) and derived.is_explicit(bystander)
+        assert not derived.is_explicit(untouched)
+        pinned(pickle.loads(pickle.dumps(options)))
 
-    def test_selector_config_legacy_kwargs(self):
-        with pytest.deprecated_call():
-            old = SelectorConfig(engine="dataflow", executor="thread",
-                                 num_shards=4, spill_to_disk=True)
-        new = SelectorConfig(
-            engine="dataflow",
-            options=EngineOptions("thread", num_shards=4, spill_to_disk=True),
-        )
-        assert old == new
-        assert old.executor == "thread" and old.num_shards == 4
+    @pytest.mark.parametrize("blob, knob", [
+        ('{"spill_to_disk": "false"}', "spill_to_disk"),
+        ('{"fuse": "no"}', "fuse"),
+        ('{"fuse": 0}', "fuse"),
+        ('{"num_shards": 2.7}', "num_shards"),
+        ('{"num_shards": "4"}', "num_shards"),
+        ('{"stream_chunk_size": true}', "stream_chunk_size"),
+        ('{"broadcast_min_bytes": 1e6}', "broadcast_min_bytes"),
+        ('{"optimize": "false"}', "optimize"),
+    ])
+    def test_outside_input_is_not_silently_coerced(self, blob, knob):
+        """Satellite bugfix: ``bool("false")`` / ``int(2.7)`` /
+        ``int(True)`` used to turn these into *different* settings."""
+        with pytest.raises(ValueError, match=knob):
+            EngineOptions.from_json(blob)
 
-    def test_selector_config_legacy_workers_validated(self):
-        """Satellite bugfix: bad worker addresses fail at config time —
-        and no object.__setattr__ normalization hack is involved."""
-        with pytest.deprecated_call():
-            cfg = SelectorConfig(engine="dataflow", executor="remote",
-                                 workers=["h:1", ("g", 2)])
-        assert cfg.workers == ("h:1", "g:2")
-        with pytest.deprecated_call(), pytest.raises(ValueError):
-            SelectorConfig(engine="dataflow", executor="remote",
-                           workers=["h:99999"])
+    def test_numpy_integers_still_accepted(self):
+        options = EngineOptions(num_shards=np.int64(4))
+        assert options.num_shards == 4 and type(options.num_shards) is int
 
-    def test_bounding_config_legacy_engine_kwargs(self, small_problem):
-        """BeamBoundingConfig's old engine fields still work through the
-        same deprecation shim as every other legacy surface."""
+
+class TestOneWayIn:
+    """The per-function engine keywords are gone, not deprecated."""
+
+    def test_removed_keywords_are_plain_type_errors(self, small_problem):
+        from repro.dataflow import beam_distributed_greedy, beam_score
         from repro.dataflow.bounding_beam import BeamBoundingConfig
 
-        with pytest.deprecated_call():
-            config = BeamBoundingConfig(mode="exact", num_shards=4)
-        driver = BeamBoundingDriver(small_problem, config)
-        try:
-            assert driver.pipeline.num_shards == 4
-        finally:
-            driver.close()
-        # Without legacy kwargs, no warning and fields compare normally.
-        assert BeamBoundingConfig(mode="exact") == BeamBoundingConfig(
-            mode="exact"
+        x, _ = clustered_points(n=40, n_clusters=2)
+        with pytest.raises(TypeError, match="num_shards"):
+            beam_knn_graph(x, 5, num_shards=4)
+        with pytest.raises(TypeError, match="executor"):
+            beam_bound(small_problem, 3, executor="thread")
+        with pytest.raises(TypeError, match="spill_to_disk"):
+            beam_distributed_greedy(small_problem, 3, m=2, spill_to_disk=True)
+        with pytest.raises(TypeError, match="checkpoint_dir"):
+            beam_score(small_problem, np.arange(3), checkpoint_dir="ckpt")
+        with pytest.raises(TypeError, match="num_shards"):
+            SelectorConfig(num_shards=4)
+        with pytest.raises(TypeError, match="num_shards"):
+            BeamBoundingConfig(num_shards=4)
+        assert not hasattr(SelectorConfig(), "num_shards")
+
+    def test_imports_clean_under_deprecation_errors(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-c",
+             "import repro.dataflow, repro.core.pipeline"],
+            check=True, env=env,
         )
-
-    def test_bounding_config_legacy_path_keeps_pipeline_teardown(
-        self, small_problem
-    ):
-        """Historical drivers called driver.pipeline.close() to tear
-        everything down; on the legacy-config path that must still close
-        the executor (no leaked pools/clusters)."""
-        from repro.dataflow.bounding_beam import BeamBoundingConfig
-
-        with pytest.deprecated_call():
-            config = BeamBoundingConfig(executor="thread", num_shards=4)
-        driver = BeamBoundingDriver(small_problem, config)
-        executor = driver.pipeline.executor
-        driver.pipeline.close()
-        with pytest.raises(RuntimeError, match="executor closed"):
-            executor.run_stage(len, [[1], [2]])
-        driver.close()  # idempotent on the already-closed executor
-
-    def test_mixing_old_and_new_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            SelectorConfig(options=EngineOptions(), num_shards=4)
-        with pytest.raises(TypeError, match="not both"):
-            beam_bound(
-                random_problem(20, seed=0), 3,
-                options=EngineOptions(), num_shards=4,
-            )
 
 
 class TestCliIntegration:

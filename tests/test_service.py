@@ -40,6 +40,7 @@ from repro.service import (
     plan_digest,
     start_http_server,
 )
+from repro.service.jobs import family_digest
 
 #: One tiny dataset shared by every real drive in this module.
 _DATASET = {"preset": "cifar100_tiny", "n_points": 100, "seed": 0}
@@ -172,6 +173,45 @@ class TestJobSpec:
             JobSpec.from_dict(
                 _spec_dict(engine_options={"executor": "warp-drive"})
             )
+
+    @pytest.mark.parametrize("engine_options, knob", [
+        ({"spill_to_disk": "false"}, "spill_to_disk"),
+        ({"fuse": "no"}, "fuse"),
+        ({"num_shards": 2.7}, "num_shards"),
+        ({"stream_chunk_size": True}, "stream_chunk_size"),
+    ])
+    def test_mistyped_engine_options_rejected_not_coerced(
+        self, engine_options, knob
+    ):
+        """A JSON body's ``"false"`` / ``2.7`` / ``true`` used to become
+        ``True`` / ``2`` / ``1`` — a different job than the one asked for."""
+        with pytest.raises(ValueError, match=knob):
+            JobSpec.from_dict(_spec_dict(engine_options=engine_options))
+
+    def test_only_non_default_knobs_are_pinned(self):
+        """The digest needs every knob spelled out; the planner must
+        still see which ones the submitter actually chose."""
+        spec = JobSpec.from_dict(_spec_dict(engine_options={"adaptive": True}))
+        # Unchanged from before resolve_options existed.
+        assert plan_digest(spec) == (
+            "19d94cafd018729811b8afbcad368a0a6fb31752"
+            "66e31d34f4e05873bf98055a"
+        )
+        assert family_digest(spec) == (
+            "58cc0809103f6eb52894b67d9d9fee42acee9f38"
+            "eb17a7b3fa72b08c96b5b713"
+        )
+        options = spec.resolve_options()
+        assert options.to_dict() == spec.engine_options
+        assert options.is_explicit("adaptive")
+        assert not options.is_explicit("num_shards")
+        spelled = JobSpec.from_dict(_spec_dict(
+            engine_options={"adaptive": True, "num_shards": 8}
+        ))
+        assert plan_digest(spelled) == plan_digest(spec)
+        assert not spelled.resolve_options().is_explicit("num_shards")
+        pinned = spec.resolve_options(checkpoint_dir="ckpt")
+        assert pinned.checkpoint_dir == "ckpt"
 
 
 class TestJobStore:
@@ -407,6 +447,21 @@ class TestExecutionAndDedup:
         assert len(metrics["warm_contexts"]) == 1
         assert metrics["counters"]["completed"] == 4
         assert metrics["counters"]["dedup_hits"] == 0
+
+    def test_adaptive_job_lets_the_planner_plan(self, service):
+        """Regression: jobs rebuilt their options from the fully spelled
+        dict, which pinned every knob and left the planner nothing."""
+        record = service.submit(JobSpec.from_dict(
+            _spec_dict(engine_options={"adaptive": True})
+        ))
+        assert _wait(service, record.job_id).state == "done"
+        (context,) = service._contexts.values()
+        assert context.planner is not None
+        assert not context.options.is_explicit("num_shards")
+        assert not context.options.is_explicit("executor")
+        reference = _solo_select(engine_options={"adaptive": True})
+        payload = service.result(record.job_id)
+        assert payload["report"]["selected"] == reference.selected.tolist()
 
     def test_per_job_executor_stats_isolated(self, service):
         a = service.submit(JobSpec.from_dict(_spec_dict(sel_seed=1)))
