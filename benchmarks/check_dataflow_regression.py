@@ -1,6 +1,6 @@
 """CI gates over the ``BENCH_dataflow.json`` record.
 
-Two checks, both read from the record ``test_dataflow_engine.py`` emits:
+Six checks, all read from the record ``test_dataflow_engine.py`` emits:
 
 1. **Pool-persistence probe** (default: ``small_stages_multiprocess`` vs
    ``small_stages_sequential``): the many-small-stages workload isolates
@@ -32,17 +32,7 @@ Two checks, both read from the record ``test_dataflow_engine.py`` emits:
    side by the stage count and fails here even though results stay
    correct.
 
-4. **Columnar-runtime gate** (``--columnar-candidate`` vs
-   ``--columnar-baseline``, default ``knn_columnar`` vs
-   ``knn_sequential``): the vectorized shard runtime must beat the
-   row-path sequential kNN build by at least 20% wall time
-   (``knn_columnar <= 0.8 x knn_sequential``) and must have actually
-   vectorized something (``vectorized_stages > 0``).  Both modes are
-   best-of-3 of the same compute-heavy build in the same process, so the
-   ratio is stable where absolute walls are not; a silent fallback to
-   the row path shows up as a ratio near 1.0 and fails here.
-
-5. **Worker-shuffle gate** (``--p2p-mode``, default ``knn_remote_p2p``):
+4. **Worker-shuffle gate** (``--p2p-mode``, default ``knn_remote_p2p``):
    the remote kNN build under ``shuffle="worker"`` must have moved its
    shuffle buckets peer-to-peer (``p2p_shuffle_bytes > 0``) with **zero**
    bucket bytes crossing the driver on the fault-free path
@@ -51,11 +41,11 @@ Two checks, both read from the record ``test_dataflow_engine.py`` emits:
    the exchange declining, a worker fetch quietly failing over — keeps
    results bit-identical and fails only here.
 
-6. **Adaptive-planning gate** (``--adaptive-candidate`` vs
-   ``--adaptive-baseline``, default ``knn_adaptive`` vs ``knn_columnar``):
-   letting the cost-model planner choose the engine knobs must stay
-   within 10% of the hand-tuned columnar build
-   (``knn_adaptive <= 1.1 x knn_columnar``), and after one calibration
+5. **Adaptive-planning gate** (``--adaptive-candidate`` vs
+   ``--adaptive-baseline``, default ``knn_adaptive`` vs
+   ``knn_sequential``): letting the cost-model planner choose the engine
+   knobs must stay within 10% of the hand-tuned 8-shard build
+   (``knn_adaptive <= 1.1 x knn_sequential``), and after one calibration
    drive the model must actually track the machine — the median
    per-stage symmetric relative error between ``predicted_ms`` and
    ``actual_ms`` must stay under ``--max-adaptive-rel-err``.  A planner
@@ -63,7 +53,7 @@ Two checks, both read from the record ``test_dataflow_engine.py`` emits:
    regression (constants no longer fitted from the observed profiles)
    fails the error bound.
 
-7. **Incremental-reuse gate** (``--incremental-mode``, default
+6. **Incremental-reuse gate** (``--incremental-mode``, default
    ``knn_incremental``): a 10% delta drive against a warm checkpoint
    directory must actually reuse shards (``reused_shards > 0``) and must
    re-execute strictly less than ``--max-incremental-stage-ratio``
@@ -104,18 +94,10 @@ def main(argv=None) -> int:
     parser.add_argument("--broadcast-mode", default="knn_remote",
                         help="mode whose closure-broadcast volume is gated "
                              "(empty string skips the gate)")
-    parser.add_argument("--columnar-baseline", default="knn_sequential",
-                        help="row-runtime mode the columnar build must beat "
-                             "(empty string skips the gate)")
-    parser.add_argument("--columnar-candidate", default="knn_columnar",
-                        help="columnar-runtime mode whose wall time is gated")
-    parser.add_argument("--max-columnar-ratio", type=float, default=0.8,
-                        help="fail when columnar wall exceeds this fraction "
-                             "of the row baseline's wall")
     parser.add_argument("--p2p-mode", default="knn_remote_p2p",
                         help="worker-shuffle mode whose byte routing is "
                              "gated (empty string skips the gate)")
-    parser.add_argument("--adaptive-baseline", default="knn_columnar",
+    parser.add_argument("--adaptive-baseline", default="knn_sequential",
                         help="hand-tuned mode the adaptive build is gated "
                              "against (empty string skips the gate)")
     parser.add_argument("--adaptive-candidate", default="knn_adaptive",
@@ -228,43 +210,6 @@ def main(argv=None) -> int:
             )
             return 1
         print("OK: closure broadcast ships each blob once per worker")
-
-    if args.columnar_baseline:
-        try:
-            row_wall = float(modes[args.columnar_baseline]["wall_ms"])
-            col = modes[args.columnar_candidate]
-            col_wall = float(col["wall_ms"])
-            vectorized = int(col["vectorized_stages"])
-        except KeyError as missing:
-            print(
-                f"columnar-gate mode/field {missing} not found in "
-                f"{args.record}",
-                file=sys.stderr,
-            )
-            return 2
-        ratio = col_wall / row_wall if row_wall > 0 else float("inf")
-        print(
-            f"{args.columnar_candidate}: {col_wall:.1f} ms, "
-            f"{args.columnar_baseline}: {row_wall:.1f} ms — ratio "
-            f"{ratio:.3f} (max allowed {args.max_columnar_ratio:.2f}), "
-            f"{vectorized} vectorized stages"
-        )
-        if vectorized == 0:
-            print(
-                "FAIL: columnar mode executed zero vectorized stages — "
-                "the batch kernels silently fell back to the row path",
-                file=sys.stderr,
-            )
-            return 1
-        if ratio > args.max_columnar_ratio:
-            print(
-                f"FAIL: columnar wall ratio {ratio:.3f} exceeds "
-                f"{args.max_columnar_ratio:.2f} — the vectorized shard "
-                "runtime no longer pays for itself on the kNN build",
-                file=sys.stderr,
-            )
-            return 1
-        print("OK: columnar runtime beats the row baseline")
 
     if args.p2p_mode:
         try:

@@ -1,25 +1,16 @@
-"""E21 — dataflow engine: fusion, optimizer, executor backends, pool
+"""E21 — dataflow engine: optimizer, executor backends, pool
 persistence.
 
-Benchmarks the engine along four axes on a synthetic preset-sized
+Benchmarks the engine along these axes on a synthetic preset-sized
 workload:
 
-- *fusion*: an element-wise-heavy pipeline (``flat_map`` fan-out → two
-  ``map`` s → ``filter`` → shuffle) with fusion off vs on — fewer physical
-  stages, smaller peak shard footprint, one pass per shard;
 - *optimizer*: the kNN build with the plan optimizer off
   (``knn_sequential_noopt``) vs on — combiner lifting plus
   redundant-shuffle elision must strictly shrink ``shuffled_records``
   (``check_dataflow_regression.py`` gates CI on this);
 - *executor*: the distributed kNN build (the heaviest per-shard compute in
   the repo) on the sequential vs thread vs multiprocess backend —
-  identical output, shard-parallel wall time (all pinned to the row
-  runtime so they double as the columnar axis's baseline);
-- *columnar*: the same kNN build under the columnar shard runtime
-  (whole-shard NumPy kernels + vectorized shuffle writes) vs the
-  row-path ``knn_sequential`` baseline — bit-identical output, and
-  ``check_dataflow_regression.py`` gates CI on
-  ``knn_columnar <= 0.8 x knn_sequential`` wall time;
+  identical output, shard-parallel wall time;
 - *remote / closure broadcast*: the same kNN build on ``RemoteExecutor``
   with two auto-spawned localhost worker daemons — identical output, and
   the ``broadcast_bytes`` record witnesses that the embedding matrix
@@ -47,7 +38,7 @@ workload:
   bit-identical, and after one calibration drive the model's per-stage
   ``predicted_ms`` is recorded next to the measured ``actual_ms``
   (``check_dataflow_regression.py`` gates CI on
-  ``knn_adaptive <= 1.1 x knn_columnar`` wall time and on the median
+  ``knn_adaptive <= 1.1 x knn_sequential`` wall time and on the median
   predicted-vs-actual relative error).
 
 Emits ``BENCH_dataflow.json`` under ``benchmarks/results/`` via
@@ -71,25 +62,6 @@ from repro.dataflow import (
     predicted_vs_actual,
 )
 from conftest import BENCH_SCALE
-
-
-def _elementwise_pipeline(n: int, *, fuse: bool, executor="sequential"):
-    """A fan-out-heavy chain whose intermediates dwarf the input."""
-    pipeline = Pipeline(num_shards=8, fuse=fuse, executor=executor)
-    start = time.perf_counter()
-    result = (
-        pipeline.create(range(n))
-        .flat_map(lambda x: [(x, j) for j in range(8)])
-        .map(lambda xy: (xy[0], xy[1] * 3 + 1))
-        .map(lambda xy: (xy[0] % 97, xy[1]))
-        .filter(lambda kv: kv[1] % 2 == 1)
-        .as_keyed()
-        .group_by_key()
-        .count()
-    )
-    elapsed = time.perf_counter() - start
-    pipeline.close()
-    return result, elapsed, pipeline.metrics
 
 
 def _executor_matrix(min_parallel_records=None):
@@ -140,32 +112,13 @@ def test_e21_dataflow_engine():
         "modes": {},
     }
 
-    # -- fusion axis ------------------------------------------------------
-    baseline = None
-    for label, fuse in (("sequential/unfused", False), ("sequential/fused", True)):
-        result, elapsed, metrics = _elementwise_pipeline(n, fuse=fuse)
-        if baseline is None:
-            baseline = result
-        assert result == baseline, "fusion changed results"
-        rows.append((
-            f"elementwise {label}", elapsed * 1e3,
-            metrics.executed_stages, metrics.fused_stages,
-            metrics.peak_shard_records,
-        ))
-        record["modes"][f"elementwise_{label.replace('/', '_')}"] = {
-            "wall_ms": elapsed * 1e3,
-            "executed_stages": metrics.executed_stages,
-            "fused_stages": metrics.fused_stages,
-            "peak_shard_records": metrics.peak_shard_records,
-        }
-
     # -- optimizer axis ---------------------------------------------------
     # The naive plan (no combiner lifting, no reshard elision, no
     # post-shuffle fusion): identical output, strictly more shuffle.
     start = time.perf_counter()
     _, knn_noopt_nbrs, _, noopt_metrics = beam_knn_graph(
         x, 10, n_clusters=16, nprobe=4, seed=0,
-        options=EngineOptions(num_shards=8, optimize=False, columnar=False),
+        options=EngineOptions(num_shards=8, optimize=False),
     )
     noopt_elapsed = time.perf_counter() - start
     rows.append((
@@ -201,8 +154,7 @@ def test_e21_dataflow_engine():
                 _, nbrs, _, metrics = beam_knn_graph(
                     x, 10, n_clusters=16, nprobe=4, seed=0,
                     options=EngineOptions(
-                        executor, num_shards=8, optimize=True,
-                        columnar=False,
+                        executor, num_shards=8, optimize=True
                     ),
                 )
                 rep_elapsed = time.perf_counter() - start
@@ -227,43 +179,6 @@ def test_e21_dataflow_engine():
             "elided_shuffles": metrics.elided_shuffles,
         }
 
-    # -- columnar axis: row runtime vs vectorized shard runtime -----------
-    # Same build, same seed, columnar on: the assign stage runs as one
-    # whole-shard NumPy kernel, the shuffle write hashes/routes whole key
-    # columns, and results must stay bit-identical to the row path.  The
-    # executor-matrix modes above pin ``columnar=False``, so
-    # ``knn_sequential`` is a true row baseline for the CI ratio gate
-    # (``knn_columnar <= 0.8 x knn_sequential``).
-    col_elapsed = None
-    for _rep in range(3):
-        start = time.perf_counter()
-        _, nbrs, _, col_metrics = beam_knn_graph(
-            x, 10, n_clusters=16, nprobe=4, seed=0,
-            options=EngineOptions(num_shards=8, optimize=True, columnar=True),
-        )
-        rep_elapsed = time.perf_counter() - start
-        col_elapsed = (
-            rep_elapsed if col_elapsed is None else min(col_elapsed, rep_elapsed)
-        )
-        np.testing.assert_array_equal(nbrs, knn_baseline)
-    rows.append((
-        "knn build columnar", col_elapsed * 1e3,
-        col_metrics.executed_stages, col_metrics.fused_stages,
-        col_metrics.peak_shard_records,
-    ))
-    record["modes"]["knn_columnar"] = {
-        "wall_ms": col_elapsed * 1e3,
-        "executed_stages": col_metrics.executed_stages,
-        "fused_stages": col_metrics.fused_stages,
-        "peak_shard_records": col_metrics.peak_shard_records,
-        "shuffled_records": col_metrics.shuffled_records,
-        "pre_shuffle_records": col_metrics.pre_shuffle_records,
-        "lifted_combiners": col_metrics.lifted_combiners,
-        "elided_shuffles": col_metrics.elided_shuffles,
-        "vectorized_stages": col_metrics.vectorized_stages,
-        "columnar_rows": col_metrics.columnar_rows,
-    }
-
     # -- remote axis: TCP worker cluster + closure broadcast --------------
     # One run (worker daemons cost ~1 s to spawn; the wall gate lives on
     # the small-stages probe, not here).  The claim under test: output is
@@ -277,7 +192,7 @@ def test_e21_dataflow_engine():
         _, nbrs, _, metrics = beam_knn_graph(
             x, 10, n_clusters=16, nprobe=4, seed=0,
             options=EngineOptions(
-                remote_executor, num_shards=8, optimize=True, columnar=False
+                remote_executor, num_shards=8, optimize=True
             ),
         )
         remote_elapsed = time.perf_counter() - start
@@ -305,45 +220,6 @@ def test_e21_dataflow_engine():
         "retried_shards": remote_stats["retried_shards"],
     }
 
-    # Columnar build over the wire: ColumnarShard payloads (pickled
-    # ndarray columns) cross the TCP boundary and the result must still
-    # match the row baseline bit-for-bit.
-    remote_executor = RemoteExecutor(max_workers=n_remote_workers)
-    try:
-        start = time.perf_counter()
-        _, nbrs, _, metrics = beam_knn_graph(
-            x, 10, n_clusters=16, nprobe=4, seed=0,
-            options=EngineOptions(
-                remote_executor, num_shards=8, optimize=True, columnar=True
-            ),
-        )
-        col_remote_elapsed = time.perf_counter() - start
-        col_remote_stats = remote_executor.stats()
-    finally:
-        remote_executor.close()
-    np.testing.assert_array_equal(nbrs, knn_baseline)
-    rows.append((
-        "knn build columnar remote(2)", col_remote_elapsed * 1e3,
-        metrics.executed_stages, metrics.fused_stages,
-        metrics.peak_shard_records,
-    ))
-    record["modes"]["knn_columnar_remote"] = {
-        "wall_ms": col_remote_elapsed * 1e3,
-        "executed_stages": metrics.executed_stages,
-        "fused_stages": metrics.fused_stages,
-        "peak_shard_records": metrics.peak_shard_records,
-        "shuffled_records": metrics.shuffled_records,
-        "vectorized_stages": metrics.vectorized_stages,
-        "columnar_rows": metrics.columnar_rows,
-        "n_workers": n_remote_workers,
-        "broadcast_bytes": col_remote_stats["broadcast_bytes"],
-        "broadcast_blobs": col_remote_stats["broadcast_blobs"],
-        "unique_broadcast_bytes": col_remote_stats["unique_broadcast_bytes"],
-        "stage_payload_bytes": col_remote_stats["stage_payload_bytes"],
-        "worker_failures": col_remote_stats["worker_failures"],
-        "retried_shards": col_remote_stats["retried_shards"],
-    }
-
     # Worker-to-worker shuffle plane: the same build with shuffle buckets
     # exchanged peer-to-peer.  The claim under test: on the fault-free
     # path zero bucket bytes cross the driver (``driver_shuffle_bytes ==
@@ -356,7 +232,7 @@ def test_e21_dataflow_engine():
             x, 10, n_clusters=16, nprobe=4, seed=0,
             options=EngineOptions(
                 remote_executor, num_shards=8, optimize=True,
-                columnar=False, shuffle="worker",
+                shuffle="worker",
             ),
         )
         p2p_elapsed = time.perf_counter() - start
@@ -558,26 +434,13 @@ def test_e21_dataflow_engine():
             "peak_shard_records": metrics.peak_shard_records,
         }
 
-    # The engine's checkable claims: fusion cuts physical stages and peak
-    # footprint; the optimizer strictly shrinks kNN shuffle volume;
-    # backends agree bit-for-bit (asserted above).
-    unfused = record["modes"]["elementwise_sequential_unfused"]
-    fused = record["modes"]["elementwise_sequential_fused"]
-    assert fused["executed_stages"] < unfused["executed_stages"]
-    assert fused["fused_stages"] > 0
-    assert fused["peak_shard_records"] <= unfused["peak_shard_records"]
+    # The engine's checkable claims: the optimizer strictly shrinks kNN
+    # shuffle volume; backends agree bit-for-bit (asserted above).
     optimized = record["modes"]["knn_sequential"]
     naive = record["modes"]["knn_sequential_noopt"]
     assert optimized["shuffled_records"] < naive["shuffled_records"]
     assert optimized["lifted_combiners"] > 0
     assert optimized["elided_shuffles"] > 0
-    # Columnar runtime: the vectorized kernels actually fired (the wall
-    # ratio vs knn_sequential is gated in check_dataflow_regression.py,
-    # where reruns are cheap; output identity was asserted inline).
-    columnar = record["modes"]["knn_columnar"]
-    assert columnar["vectorized_stages"] > 0
-    assert columnar["columnar_rows"] > 0
-    assert columnar["shuffled_records"] == optimized["shuffled_records"]
     # Closure broadcast: the (large) captures shipped, and shipped to
     # each worker at most once across every stage of the build.
     remote = record["modes"]["knn_remote"]

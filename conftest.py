@@ -12,11 +12,6 @@ runs against the naive plan (CI runs a matrix entry with this on).  Tests
 that assert optimizer behavior pass ``optimize=True`` explicitly and are
 unaffected; the differential harness always exercises both plans.
 
-``--no-columnar`` does the same for the columnar shard runtime's module
-default (``DEFAULT_COLUMNAR``): it forces the pure row path everywhere a
-pipeline leaves ``columnar`` unset (the default is "auto: on").  The
-differential harness always exercises both layouts regardless.
-
 ``--adaptive`` flips ``DEFAULT_ADAPTIVE`` in the engine options, so every
 test whose options leave ``adaptive`` unset runs with the cost-model
 planner choosing the engine knobs (results are bit-identical by design —
@@ -54,13 +49,6 @@ def pytest_addoption(parser):
              "dataflow plan",
     )
     parser.addoption(
-        "--no-columnar",
-        action="store_true",
-        default=False,
-        help="run the whole suite against the pure row runtime "
-             "(disables whole-shard vectorized execution)",
-    )
-    parser.addoption(
         "--adaptive",
         action="store_true",
         default=False,
@@ -89,10 +77,6 @@ def pytest_configure(config):
         from repro.dataflow import pcollection
 
         pcollection.DEFAULT_OPTIMIZE = False
-    if config.getoption("--no-columnar"):
-        from repro.dataflow import pcollection
-
-        pcollection.DEFAULT_COLUMNAR = False
     if config.getoption("--adaptive"):
         from repro.dataflow import options
 

@@ -309,6 +309,14 @@ class DistributedSelector:
 
         if selected.size > k:  # defensive; bounding already subsamples
             selected = np.sort(rng.choice(selected, size=k, replace=False))
+        if selected.size < k:
+            # ``k <= n`` and bounding keeps >= k candidates, so a short
+            # selection means a stage under-filled its budget — a bug to
+            # surface, not a result to score.
+            raise RuntimeError(
+                f"selected {selected.size} of the requested {k} points; "
+                "refusing to return a short selection"
+            )
         return SelectionReport(
             selected=selected,
             objective=self.objective.value(selected),

@@ -19,8 +19,8 @@ operator DAG** and a pluggable executor:
   operators that declare whole-shard NumPy implementations
   (:class:`~repro.dataflow.columnar.BatchDoFn`, ``Fold(batch=...)``)
   over struct-of-arrays :class:`~repro.dataflow.columnar.ColumnarShard`
-  s, with automatic per-record fallback and bit-identical results
-  (``columnar=False`` forces the pure row path),
+  s, with automatic per-record fallback for plain callables and
+  bit-identical results,
 - sources stream: ``create()``/``create_keyed()`` shard generators lazily
   in bounded chunks, so the driver never materializes the ground set,
 - hash-shards every keyed operation across ``num_shards`` logical workers,

@@ -20,13 +20,12 @@ the columnar alternative:
 :class:`BatchDoFn`
     A DoFn that declares a whole-shard implementation next to its
     per-record one.  The engine applies ``batch`` to the entire shard
-    when the pipeline runs columnar (``Pipeline(columnar=...)``) and the
-    op sits in the leading *batch prefix* of a fused chain; everywhere
-    else the scalar ``fn`` runs per record — automatic fallback, same
-    results.  Consecutive batch ops chain without leaving NumPy
-    (batch-level fusion); the first non-batch op in a chain is the
-    *fallback boundary* where the shard is materialized to rows
-    (``explain()`` renders it).
+    when the op sits in the leading *batch prefix* of a fused chain;
+    everywhere else the scalar ``fn`` runs per record — automatic
+    fallback, same results.  Consecutive batch ops chain without
+    leaving NumPy (batch-level fusion); the first non-batch op in a
+    chain is the *fallback boundary* where the shard is materialized to
+    rows (``explain()`` renders it).
 
 :func:`stable_shard` / :func:`stable_shard_column`
     The engine's deterministic key hash, and its whole-column

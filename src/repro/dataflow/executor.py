@@ -6,8 +6,7 @@ routing buckets.  An :class:`Executor` decides how those per-shard calls
 run.  Four backends ship:
 
 :class:`SequentialExecutor`
-    One shard at a time on the driver — the reference backend.  Metrics and
-    results are byte-identical to the historical eager engine.
+    One shard at a time on the driver — the reference backend.
 
 :class:`ThreadExecutor`
     Shard-parallel execution on a persistent thread pool.  No fork, no

@@ -13,7 +13,9 @@ Beam-like engine: each round applies the
 with per-shard memory metered.  Behaviour matches the in-memory
 implementation given the same partition assignment; partitioning here is
 hash-of-rng-draw based, so the two implementations are statistically (not
-bit-) identical.
+bit-) identical.  The in-memory partitions are balanced, so every round
+fills its target there; iid partition ids are not, so here a round may
+come up short — see *fill passes* in :func:`beam_distributed_greedy`.
 
 Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
 (``options=``) or a shared :class:`~repro.dataflow.options.DataflowContext`
@@ -44,6 +46,7 @@ from repro.dataflow.options import (
     EngineOptions,
     engine_context,
 )
+from repro.dataflow.transforms import flatten
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -80,6 +83,15 @@ def beam_distributed_greedy(
     digest (the round DoFns capture the per-round seed draws, so a seeded
     rerun hits the same keys): a killed drive resumes from its last
     completed round.
+
+    Returns exactly ``min(k, |candidates|)`` ids, deterministically per
+    seed on every executor.  *Fill passes*: partition ids are drawn iid,
+    so a partition can be smaller than its target and the round's union
+    smaller than the round's target; a round whose union falls below
+    ``k`` could never reach ``k`` again, so the shortfall is selected —
+    same per-partition greedy — from the round's unselected inputs,
+    split over the fewest machines that fit them (Alg. 6's adaptive
+    rule).  Rounds that stay at or above ``k`` run exactly as before.
     """
     if m < 1 or rounds < 1:
         raise ValueError("m and rounds must be >= 1")
@@ -133,7 +145,8 @@ def beam_distributed_greedy(
                 # draw (iid uniform partition ids; expected balance is fine
                 # for the shapes we reproduce and it is the natural
                 # dataflow formulation).
-                survivors = survivors.apply(
+                label = f"PartitionedGreedy[round {round_idx}]"
+                picked = survivors.apply(
                     PartitionedGreedy(
                         problem,
                         per_target=per_target,
@@ -141,8 +154,35 @@ def beam_distributed_greedy(
                         assignment_seed=int(rng.integers(0, 2**31 - 1)),
                         base_penalty=base_penalty,
                     ),
-                    name=f"PartitionedGreedy[round {round_idx}]",
+                    name=label,
                 )
+                output_size = picked.count()
+                # Fill passes (see the docstring).  ``input_size >= k``
+                # holds for every round, so the unselected inputs always
+                # cover the shortfall and each pass adds at least one id.
+                while output_size < k:
+                    taken = frozenset(picked.to_list())
+                    m_fill = int(
+                        np.ceil((input_size - output_size) / partition_cap)
+                    )
+                    fill = survivors.filter(
+                        lambda v, _taken=taken: v not in _taken,
+                        name="greedy/unselected",
+                    ).apply(
+                        PartitionedGreedy(
+                            problem,
+                            per_target=int(
+                                np.ceil((n_round - output_size) / m_fill)
+                            ),
+                            m_round=m_fill,
+                            assignment_seed=int(rng.integers(0, 2**31 - 1)),
+                            base_penalty=base_penalty,
+                        ),
+                        name=f"{label} fill",
+                    )
+                    picked = flatten([picked, fill], name="greedy/filled")
+                    output_size = picked.count()
+                survivors = picked
                 stats.append(
                     RoundStats(
                         round_idx=round_idx,
@@ -150,7 +190,7 @@ def beam_distributed_greedy(
                         target_size=int(n_round),
                         m_round=m_round,
                         per_partition_target=per_target,
-                        output_size=int(survivors.count()),
+                        output_size=int(output_size),
                     )
                 )
 

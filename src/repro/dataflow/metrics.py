@@ -33,7 +33,7 @@ Checkpoint counters (``Pipeline(checkpoint_dir=...)`` only):
 ``checkpoint_stores``
     Boundary outputs persisted to the checkpoint directory this run.
 
-Columnar-runtime counters (``Pipeline(columnar=...)``):
+Columnar-runtime counters:
 
 ``vectorized_stages``
     Physical stages whose fused chain (or lifted fold) ran at least one

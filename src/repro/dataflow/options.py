@@ -72,7 +72,7 @@ __all__ = [
 
 #: Engine-wide default for ``EngineOptions.adaptive=None`` — the test
 #: harness's ``--adaptive`` matrix flag flips this, mirroring
-#: ``DEFAULT_OPTIMIZE``/``DEFAULT_COLUMNAR`` in ``pcollection``.
+#: ``DEFAULT_OPTIMIZE`` in ``pcollection``.
 DEFAULT_ADAPTIVE = False
 
 #: "The caller did not pass ``executor``" — ``None`` cannot stand in for
@@ -245,15 +245,6 @@ _KNOBS: Tuple[_Knob, ...] = (
          "run the plan optimizer (overrides an optimize=false set via "
          "environment or --engine-options)"),
     )),
-    _Knob("columnar", None, _opt_bool, "opt_bool", flags=(
-        ("--no-columnar",
-         "disable the columnar shard runtime (whole-shard vectorized "
-         "execution of batch-declared operators) and run the pure row "
-         "path"),
-        ("--columnar",
-         "run the columnar shard runtime (overrides a columnar=false set "
-         "via environment or --engine-options)"),
-    )),
     _Knob("stream_source", None, _opt_bool, "opt_bool", flags=(
         ("--stream-source",
          "ingest every dataflow source through chunked streaming (the "
@@ -286,8 +277,6 @@ _KNOBS: Tuple[_Knob, ...] = (
     _Knob("stream_chunk_size", 4096, _int_at_least(1), "int", flags=(
         ("--stream-chunk-size", "records per chunk for streaming sources"),
     )),
-    # Not a flag: False only reproduces the historical eager engine.
-    _Knob("fuse", True, _bool, "bool"),
     # Named --adaptive-plan, with a matching distinct dest, because the
     # selector CLI already owns --adaptive (and the args.adaptive slot)
     # for the greedy algorithm's adaptive partitioning — a shared dest
@@ -365,12 +354,6 @@ class EngineOptions:
     optimize:
         Run the plan optimizer.  ``None`` defers to the engine-wide
         default (the test harness's ``--no-optimize`` flips it).
-    columnar:
-        Run the columnar shard runtime (whole-shard NumPy execution of
-        operators that declare a batch implementation, with automatic
-        per-record fallback).  ``None`` defers to the engine-wide
-        default — "auto", i.e. on where vectorized impls exist (the
-        test harness's ``--no-columnar`` flips it).
     stream_source:
         Force chunked streaming ingest everywhere (``True``), force eager
         ingest (``False``), or keep each beam's own default (``None``).
@@ -392,10 +375,6 @@ class EngineOptions:
     stream_chunk_size:
         Records per chunk for streaming sources (bounds driver memory
         during ingest).
-    fuse:
-        Collapse adjacent element-wise stages into one pass per shard
-        (leave on; ``False`` exists to reproduce the historical eager
-        engine's stage-by-stage metrics).
     adaptive:
         Let the cost-model-driven :class:`~repro.dataflow.planner.
         AdaptivePlanner` choose the performance knobs the caller left
@@ -857,9 +836,7 @@ class DataflowContext:
             num_shards,
             spill_to_disk=o.spill_to_disk,
             executor=self.executor,
-            fuse=o.fuse,
             optimize=o.optimize,
-            columnar=o.columnar,
             stream_chunk_size=o.stream_chunk_size,
             checkpoint_dir=o.checkpoint_dir,
             checkpoint_salt=o.checkpoint_salt,

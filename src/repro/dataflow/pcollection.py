@@ -105,13 +105,10 @@ deterministically is silently non-checkpointable (it and its descendants
 always execute).
 
 Metrics semantics: ``stage_counts`` are recorded when transforms are
-*built* (identical to the eager engine), ``shuffled_records`` /
-``materialized_records`` when they execute.  With ``fuse=False``,
-``optimize=False``, and the sequential executor, all counters — including
-``peak_shard_records`` — are byte-identical to the historical eager
-engine; fusion and optimization can only lower ``peak_shard_records`` and
-``shuffled_records`` because fused intermediates never exist as shards and
-elided shuffles never move records.
+*built*, ``shuffled_records`` / ``materialized_records`` when they
+execute.  Fusion and optimization can only lower ``peak_shard_records``
+and ``shuffled_records`` because fused intermediates never exist as shards
+and elided shuffles never move records.
 
 There is intentionally no operation that hands a whole PCollection to user
 code; :meth:`PCollection.to_list` is the explicit test-only escape hatch and
@@ -158,15 +155,6 @@ from repro.dataflow.metrics import PipelineMetrics, StageProfile
 #: can run against the naive plan.
 DEFAULT_OPTIMIZE = True
 
-#: Module default for ``Pipeline(columnar=None)`` — the "auto" setting of
-#: the columnar runtime: on, which means *on where vectorized
-#: implementations exist* (batch execution only ever fires on ops declared
-#: as :class:`~repro.dataflow.columnar.BatchDoFn` / ``Fold(batch=...)``;
-#: plain callables always run the row path).  The test harness flips this
-#: via the ``--no-columnar`` pytest option so the whole tier-1 suite can
-#: run against the pure row runtime.
-DEFAULT_COLUMNAR = True
-
 #: Module default for ``Pipeline(shuffle=None)`` — the shuffle data
 #: plane: ``"driver"`` merges buckets on the driver (the historical star
 #: topology), ``"worker"`` exchanges them worker-to-worker on executors
@@ -194,11 +182,11 @@ class Fold:
     ``batch`` optionally declares a whole-list (vectorized)
     implementation: ``batch(values)`` must equal folding ``add`` over
     ``values`` from ``zero()`` — bit-identically, value order respected.
-    Under the columnar runtime the lifted combiner's pre-combine stage
-    applies ``batch`` once per key instead of ``add`` once per record;
-    everywhere else (row runtime, naive plan) the scalar fold runs, so a
-    ``batch`` fold is subject to the same differential bit-identity bar
-    as every other rewrite.
+    The lifted combiner's pre-combine stage applies ``batch`` once per
+    key instead of ``add`` once per record; the naive plan (and a fold
+    declared without ``batch``) runs the scalar fold, so a ``batch`` fold
+    is subject to the same differential bit-identity bar as every other
+    rewrite.
     """
 
     __slots__ = ("zero", "add", "merge", "label", "batch")
@@ -479,60 +467,83 @@ def _chain_iter(records, ops: tuple):
     return it
 
 
-def _split_batch_prefix(ops: tuple, columnar: bool) -> Tuple[int, tuple]:
-    """``(n_batch, row_ops)``: how much of a fused chain runs whole-shard.
+class _FusedChain:
+    """A fused element-wise chain plus its one batch-prefix decision.
 
-    With the columnar runtime off the prefix is always empty — every op
-    runs the scalar row path, which is the differential reference.
+    ``ops`` are ``(kind, fn)`` pairs in execution order; ``n_batch`` is
+    how many leading ops run whole-shard (ops declared as
+    :class:`BatchDoFn`).  Plain callables have an empty prefix, so the
+    row path is the automatic fallback — and the differential reference:
+    declare the same op without ``batch`` to reach it.
+
+    Built once per physical stage — by execution from the nodes it
+    consumes, by ``explain()`` from the nodes it peeks at — so the stage
+    function, the :class:`StageProfile` and the rendered ``[vectorized
+    …]`` note all read the same ``n_batch`` and cannot drift apart.
+    Holds no nodes: it ships to workers inside the stage function.
     """
-    n_batch = batch_prefix_len(ops) if columnar else 0
-    return n_batch, ops[n_batch:]
 
+    __slots__ = ("ops", "n_batch")
 
-def _chain_shard(records, ops: tuple, n_batch: int, row_ops: tuple):
-    """One shard through a chain: batch prefix, then the row remainder.
+    def __init__(self, ops) -> None:
+        self.ops = tuple(ops)
+        self.n_batch = batch_prefix_len(self.ops)
 
-    Returns a :class:`ColumnarShard` when the whole chain stayed batch
-    and produced one (so the downstream stage — or the stored boundary —
-    keeps the columns); otherwise a plain row list.  The transition from
-    the batch prefix to the first row op is the *fallback boundary*:
-    ``as_records`` materializes the exact scalar records there.
-    """
-    shard = run_batch_prefix(records, ops, n_batch)
-    if not row_ops:
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    @property
+    def vectorized(self) -> bool:
+        return self.n_batch > 0
+
+    @property
+    def all_batch(self) -> bool:
+        return self.n_batch == len(self.ops)
+
+    def batch(self, records):
+        """The shard after the batch prefix (a list or a
+        :class:`ColumnarShard`)."""
+        return run_batch_prefix(records, self.ops, self.n_batch)
+
+    def rows(self, shard):
+        """Thread the batch prefix's output through the row remainder.
+
+        This is the *fallback boundary*: ``as_records`` materializes the
+        exact scalar records there.
+        """
+        return _chain_iter(as_records(shard), self.ops[self.n_batch:])
+
+    def run(self, records):
+        """Stage: the whole chain, one pass per shard.
+
+        Returns a :class:`ColumnarShard` when the chain stayed batch and
+        produced one (so the downstream stage — or the stored boundary —
+        keeps the columns); otherwise a plain row list.
+        """
+        shard = self.batch(records)
+        if not self.all_batch:
+            return list(self.rows(shard))
         if isinstance(shard, (list, ColumnarShard)):
             return shard
         return list(shard)
-    return list(_chain_iter(as_records(shard), row_ops))
 
 
-def _make_chain_fn(ops, columnar=False):
-    """Stage: fused element-wise chain, one pass per shard."""
-    ops = tuple(ops)
-    n_batch, row_ops = _split_batch_prefix(ops, columnar)
-
-    def run_chain(records, _ops=ops, _n=n_batch, _rest=row_ops):
-        return _chain_shard(records, _ops, _n, _rest)
-
-    return run_chain
-
-
-def _compose_post_ops(fn, ops, columnar=False):
+def _compose_post_ops(fn, ops):
     """Wrap a shuffle-read stage with a fused element-wise consumer chain
     (post-shuffle fusion): one pass produces the chain's output directly,
-    so the shuffle-read intermediate never exists as a stored shard."""
+    so the shuffle-read intermediate never exists as a stored shard.  The
+    consumer chain runs the row path (the read stages emit rows)."""
     if not ops:
         return fn
     ops = tuple(ops)
-    n_batch, row_ops = _split_batch_prefix(ops, columnar)
 
-    def read_and_chain(records, _fn=fn, _ops=ops, _n=n_batch, _rest=row_ops):
-        return _chain_shard(_fn(records), _ops, _n, _rest)
+    def read_and_chain(records, _fn=fn, _ops=ops):
+        return list(_chain_iter(as_records(_fn(records)), _ops))
 
     return read_and_chain
 
 
-def _make_keyed_bucketer(ops, num_shards, columnar=False):
+def _make_keyed_bucketer(chain, num_shards):
     """Stage: shuffle write — fuse the producing chain into key routing.
 
     When the whole producing chain ran batch and left a keyed
@@ -541,15 +552,17 @@ def _make_keyed_bucketer(ops, num_shards, columnar=False):
     (:func:`~repro.dataflow.columnar.route_columnar`), and the buckets
     stay columnar through the driver merge.
     """
-    ops = tuple(ops)
-    n_batch, row_ops = _split_batch_prefix(ops, columnar)
 
-    def route(records, _ops=ops, _num=num_shards, _n=n_batch, _rest=row_ops):
-        shard = run_batch_prefix(records, _ops, _n)
-        if not _rest and isinstance(shard, ColumnarShard) and shard.keys is not None:
+    def route(records, _chain=chain, _num=num_shards):
+        shard = _chain.batch(records)
+        if (
+            _chain.all_batch
+            and isinstance(shard, ColumnarShard)
+            and shard.keys is not None
+        ):
             return route_columnar(shard, _num)
         buckets: List[list] = [[] for _ in range(_num)]
-        for element in _chain_iter(as_records(shard), _rest):
+        for element in _chain.rows(shard):
             buckets[_stable_shard(element[0], _num)].append(element)
         return buckets
 
@@ -564,61 +577,39 @@ class _MissingKey:
     workers."""
 
 
-def _make_precombiner(ops, zero, add, num_shards, columnar=False, batch=None):
+def _make_precombiner(chain, zero, add, num_shards, batch=None):
     """Stage: combiner lifting — local pre-combine, then bucket partials.
 
     Returns ``(n_pre, buckets)`` so the driver can meter the pre-shuffle
     record volume the local aggregation absorbed (the payload the executor
     ships back is the partials plus one int).
 
-    Under the columnar runtime, a fold that declares ``batch`` is applied
-    once per key over that key's (order-preserved) value list instead of
-    once per record; key order — and therefore every downstream insertion
-    order — matches the scalar dict's first-appearance order exactly.
+    A fold that declares ``batch`` is applied once per key over that
+    key's (order-preserved) value list instead of once per record; key
+    order — and therefore every downstream insertion order — matches the
+    scalar dict's first-appearance order exactly.
     """
-    ops = tuple(ops)
-    n_batch, row_ops = _split_batch_prefix(ops, columnar)
-    if not columnar:
-        batch = None
 
     def precombine(
-        records, _ops=ops, _zero=zero, _add=add, _num=num_shards,
-        _n=n_batch, _rest=row_ops, _batch=batch, _columnar=columnar,
+        records, _chain=chain, _zero=zero, _add=add, _num=num_shards,
+        _batch=batch,
     ):
-        shard = run_batch_prefix(records, _ops, _n)
         local: dict = {}
         n_pre = 0
-        if (
-            _batch is not None
-            and not _rest
-            and isinstance(shard, ColumnarShard)
-            and shard.keys is not None
-        ):
+        pairs = _chain.rows(_chain.batch(records))
+        if _batch is not None:
             grouped: dict = {}
-            for key, value in zip(shard.keys_list(), shard.values_list()):
-                grouped.setdefault(key, []).append(value)
-            n_pre = len(shard)
-            for key, values in grouped.items():
-                local[key] = _batch(values)
-        elif _batch is not None:
-            grouped = {}
-            for key, value in _chain_iter(as_records(shard), _rest):
+            for key, value in pairs:
                 n_pre += 1
                 grouped.setdefault(key, []).append(value)
             for key, values in grouped.items():
                 local[key] = _batch(values)
         else:
-            for key, value in _chain_iter(as_records(shard), _rest):
+            for key, value in pairs:
                 n_pre += 1
                 acc = local.get(key, _MissingKey)
                 local[key] = _add(_zero() if acc is _MissingKey else acc, value)
-        if _columnar:
-            buckets = bucket_keyed_items(list(local.items()), _num)
-        else:
-            buckets = [[] for _ in range(_num)]
-            for key, acc in local.items():
-                buckets[_stable_shard(key, _num)].append((key, acc))
-        return n_pre, buckets
+        return n_pre, bucket_keyed_items(list(local.items()), _num)
 
     return precombine
 
@@ -659,20 +650,17 @@ def _group_shard(records):
     return list(groups.items())
 
 
-def _make_cogroup_bucketer(tag, num_shards, ops=(), columnar=False):
+def _make_cogroup_bucketer(tag, num_shards, chain):
     """Stage: tagged shuffle write for CoGroupByKey (producing chain fused).
 
     The tagged ``(key, tag, value)`` triple has no columnar layout, so this
     write is always a fallback boundary: a vectorized producing chain runs
     in batch, then rows are routed one at a time.
     """
-    ops = tuple(ops)
-    n_batch, row_ops = _split_batch_prefix(ops, columnar)
 
-    def route(records, _tag=tag, _num=num_shards, _ops=ops, _n=n_batch, _rest=row_ops):
-        shard = run_batch_prefix(records, _ops, _n)
+    def route(records, _tag=tag, _num=num_shards, _chain=chain):
         buckets: List[list] = [[] for _ in range(_num)]
-        for key, value in _chain_iter(as_records(shard), _rest):
+        for key, value in _chain.rows(_chain.batch(records)):
             buckets[_stable_shard(key, _num)].append((key, _tag, value))
         return buckets
 
@@ -693,6 +681,14 @@ def _make_cogroup_grouper(n_inputs):
         return list(groups.items())
 
     return group
+
+
+def _total_rows(shards) -> int:
+    """Records across a stage's input shards (0 when a shard is unsized)."""
+    try:
+        return sum(len(shard) for shard in shards)
+    except TypeError:
+        return 0
 
 
 def _make_folder(zero, add):
@@ -726,13 +722,6 @@ class Pipeline:
         worker processes.  An executor created here (from a string) is
         closed by :meth:`close`; a passed-in instance is not — it can be
         shared across pipelines and outlives each of them.
-    fuse:
-        Collapse adjacent element-wise stages (and element-wise producers
-        of shuffle writes) into one pass per shard.  ``False`` *together
-        with* ``optimize=False`` reproduces the eager engine's
-        stage-by-stage execution byte-for-byte, including
-        ``peak_shard_records`` (the optimizer's post-shuffle fusion and
-        shuffle elision are governed by ``optimize``, not ``fuse``).
     optimize:
         Run the plan optimizer (combiner lifting, redundant-shuffle
         elision, post-shuffle fusion) before execution.  ``None`` (the
@@ -756,16 +745,6 @@ class Pipeline:
         (e.g. :func:`repro.core.distributed.problem_fingerprint`);
         without it, streaming sources — and everything derived from
         them — are simply not checkpointed.
-    columnar:
-        Enable the columnar shard runtime: operators that declare a
-        whole-shard batch implementation (:class:`BatchDoFn`, ``Fold``
-        with ``batch=``) run vectorized over :class:`ColumnarShard`
-        struct-of-arrays, falling back to per-record rows at the first
-        non-batch operator.  ``None`` (the default) resolves to the
-        module default ``DEFAULT_COLUMNAR`` — "auto": on wherever
-        vectorized implementations exist, a no-op everywhere else.
-        Results are bit-identical either way; ``False`` forces the pure
-        row path (the CLI's ``--no-columnar``).
     planner:
         An :class:`~repro.dataflow.planner.AdaptivePlanner` to consult for
         cost-gated optimizer rewrites and checkpoint placement, and to
@@ -792,13 +771,11 @@ class Pipeline:
         *,
         spill_to_disk: bool = False,
         executor: "str | Executor" = "sequential",
-        fuse: bool = True,
         optimize: Optional[bool] = None,
         stream_chunk_size: int = 4096,
         checkpoint_dir: Optional[str] = None,
         checkpoint_salt: Optional[str] = None,
         touched_digests: "Optional[set]" = None,
-        columnar: Optional[bool] = None,
         planner=None,
         plan_records: Optional[int] = None,
         shuffle: Optional[str] = None,
@@ -816,9 +793,7 @@ class Pipeline:
         self.num_shards = int(num_shards)
         self.metrics = PipelineMetrics()
         self.spill_to_disk = bool(spill_to_disk)
-        self.fuse = bool(fuse)
         self.optimize = DEFAULT_OPTIMIZE if optimize is None else bool(optimize)
-        self.columnar = DEFAULT_COLUMNAR if columnar is None else bool(columnar)
         self.shuffle = DEFAULT_SHUFFLE if shuffle is None else str(shuffle)
         self.stream_chunk_size = int(stream_chunk_size)
         self.checkpoint_dir = checkpoint_dir
@@ -1237,8 +1212,7 @@ class Pipeline:
         cur = dep
         while True:
             if (
-                self.fuse
-                and cur.kind in _ELEMENTWISE
+                cur.kind in _ELEMENTWISE
                 and cur.cached is None
                 and cur.consumers <= 1
             ):
@@ -1329,34 +1303,53 @@ class Pipeline:
                 raw = self._shuffle_by_key(
                     node.deps[0], label=f"shuffle {self._describe(node)}"
                 )
-            elif kind == "group":
-                raw = self._exec_group(node)
-            elif kind == "combine_per_key":
-                raw = self._exec_combine_per_key(node)
             elif kind == "reshuffle":
                 raw = self._exec_reshuffle(node)
-            elif kind == "flatten":
-                raw = self._exec_flatten(node)
-            elif kind == "cogroup":
-                raw = self._exec_cogroup(node)
-            else:  # pragma: no cover - construction bug
-                raise AssertionError(f"unknown node kind {kind!r}")
+            else:
+                raw = self._exec_shuffle_read(node)
         finally:
             self._current_digest = prev_digest
         if digest is not None and self.planner is not None:
             # Adaptive checkpoint placement: store the boundary only when
             # its (measured, subtree-inclusive — conservative on the side
             # of durability) recompute cost beats the modeled store+load.
-            try:
-                n_records = sum(len(shard) for shard in raw)
-            except TypeError:
-                n_records = 0
             if not self.planner.should_checkpoint(
                 recompute_sec=time.perf_counter() - started,
-                n_records=n_records,
+                n_records=_total_rows(raw),
             ):
                 digest = None
         return self._finish_node(node, raw, checkpoint_digest=digest)
+
+    def _record_stage(
+        self,
+        *,
+        label: str,
+        wall_ms: float,
+        rows_in: int,
+        fused: int = 0,
+        vectorized: bool = False,
+        payload_bytes: int = 0,
+    ) -> None:
+        """Meter one executed physical stage — the only recorder, whether
+        the stage ran through ``run_stage`` or as half of a worker
+        exchange, so the counters, the profile stream and the planner's
+        history cannot disagree about what ran."""
+        self.executor.stages_run += 1
+        self.metrics.observe_stage_execution(fused=fused)
+        if vectorized:
+            self.metrics.observe_vectorized_stage()
+        profile = StageProfile(
+            label=label,
+            wall_ms=wall_ms,
+            rows_in=rows_in,
+            fused=fused,
+            vectorized=vectorized,
+            payload_bytes=payload_bytes,
+            digest=self._current_digest,
+        )
+        self.metrics.observe_stage_profile(profile)
+        if self.planner is not None:
+            self.planner.record_profile(profile)
 
     def _run_stage(
         self,
@@ -1368,38 +1361,19 @@ class Pipeline:
         label: str = "",
     ) -> List[Any]:
         payload_before = self.executor.stats().get("stage_payload_bytes", 0)
-        self.executor.stages_run += 1
         start = time.perf_counter()
         out = self.executor.run_stage(fn, shards)
         wall_ms = (time.perf_counter() - start) * 1000.0
-        self.metrics.observe_stage_execution(fused=fused)
-        if vectorized:
-            self.metrics.observe_vectorized_stage()
-        try:
-            rows_in = sum(len(shard) for shard in shards)
-        except TypeError:
-            rows_in = 0
         payload_after = self.executor.stats().get("stage_payload_bytes", 0)
-        profile = StageProfile(
+        self._record_stage(
             label=label,
             wall_ms=wall_ms,
-            rows_in=rows_in,
+            rows_in=_total_rows(shards),
             fused=fused,
             vectorized=vectorized,
             payload_bytes=max(0, payload_after - payload_before),
-            digest=self._current_digest,
         )
-        self.metrics.observe_stage_profile(profile)
-        if self.planner is not None:
-            self.planner.record_profile(profile)
         return out
-
-    def _vector_prefix(self, ops) -> int:
-        """How many leading ops of a fused chain run vectorized (0 when
-        the columnar runtime is off)."""
-        if not self.columnar:
-            return 0
-        return batch_prefix_len(tuple(ops))
 
     def _upstream_chain(self, dep: _Node, *, for_shuffle: bool = False):
         """Collect (and consume) the fusable chain above ``dep``.
@@ -1409,8 +1383,7 @@ class Pipeline:
         already materialized) ancestor, and ``base_live`` is ``base``'s
         consumer count before the chain's claims were released (``== 1``
         means our chain is its sole live consumer — the post-shuffle
-        fusion precondition).  With ``fuse=False`` the chain is always
-        empty, so every node materializes individually.
+        fusion precondition).
 
         The chain is about to be consumed by the executing stage, so each
         fused-through node's claim on its dep is released here (after the
@@ -1498,25 +1471,28 @@ class Pipeline:
             base.release_claims()
             return raw
         base_shards = self._materialize_node(base)
+        chain = _FusedChain(ops)
         return self._run_stage(
-            _make_chain_fn(ops, columnar=self.columnar),
+            chain.run,
             base_shards,
-            fused=len(ops) - 1,
-            vectorized=self._vector_prefix(ops) > 0,
+            fused=len(chain) - 1,
+            vectorized=chain.vectorized,
             label=self._describe(node),
         )
 
-    def _exec_shuffle_read(self, base: _Node, post_ops) -> List[list]:
-        if base.kind == "group":
-            return self._exec_group(base, post_ops=post_ops)
-        if base.kind == "combine_per_key":
-            return self._exec_combine_per_key(base, post_ops=post_ops)
-        if base.kind == "cogroup":
-            return self._exec_cogroup(base, post_ops=post_ops)
-        if base.kind == "flatten":
-            return self._exec_flatten(base, post_ops=post_ops)
-        raise AssertionError(  # pragma: no cover - guarded by caller
-            f"not a post-shuffle-fusable kind: {base.kind!r}"
+    def _exec_shuffle_read(self, node: _Node, post_ops=()) -> List[list]:
+        """Run a shuffle-read node, with ``post_ops`` (an element-wise
+        consumer chain, row path) fused into its read stage."""
+        if node.kind == "group":
+            return self._exec_group(node, post_ops)
+        if node.kind == "combine_per_key":
+            return self._exec_combine_per_key(node, post_ops)
+        if node.kind == "cogroup":
+            return self._exec_cogroup(node, post_ops)
+        if node.kind == "flatten":
+            return self._exec_flatten(node, post_ops)
+        raise AssertionError(  # pragma: no cover - construction bug
+            f"unknown node kind {node.kind!r}"
         )
 
     def _exchange_enabled(self) -> bool:
@@ -1535,117 +1511,106 @@ class Pipeline:
         except Exception:  # pragma: no cover - defensive
             return 1
 
-    def _run_exchange(
+    def _driver_shuffle(
+        self, write_fn, base_shards, *, combine: bool = False, **write
+    ) -> List[Any]:
+        """Shuffle write stage + driver-side bucket merge.
+
+        ``write`` is the write stage's metering (``fused``,
+        ``vectorized``, ``label``).  With ``combine`` the write stage is
+        a pre-combiner returning ``(n_pre, buckets)`` per shard, and the
+        pre-aggregation volume is metered next to the moved volume.
+        """
+        stage_out = self._run_stage(write_fn, base_shards, **write)
+        # Merge per input-shard part order; columnar buckets concatenate
+        # column-wise, mixed destinations degrade to rows.
+        parts: List[List[Any]] = [[] for _ in range(self.num_shards)]
+        moved = 0
+        offered: Optional[int] = 0 if combine else None
+        for out in stage_out:
+            if combine:
+                n_pre, out = out
+                offered += n_pre
+            for i, bucket in enumerate(out):
+                if len(bucket):
+                    parts[i].append(bucket)
+                    moved += len(bucket)
+        self.metrics.observe_shuffle(moved, pre_records=offered)
+        # The write stage above produced the routed buckets; credit the
+        # moved volume to it so the cost model sees the shuffle.
+        self.metrics.attribute_shuffle_to_last_stage(moved)
+        return [merge_bucket_parts(p) for p in parts]
+
+    def _grouping_shuffle(
         self,
         write_fn,
         base_shards,
         read_fn,
         *,
-        combine: bool = False,
-        meter_shards: bool = False,
-        write_fused: int = 0,
-        write_vectorized: bool = False,
-        write_label: str = "",
-        read_fused: int = 0,
-        read_label: str = "",
-    ) -> Optional[List[Any]]:
-        """Try one shuffle as a worker-to-worker exchange.
+        combine: bool,
+        write: dict,
+        read: dict,
+    ) -> List[Any]:
+        """One grouping shuffle — write stage, bucket movement, read
+        stage — as a worker-to-worker exchange when the data plane
+        offers one, else through the driver merge.
 
-        Returns the read-stage results, or ``None`` when the exchange is
-        off or the executor declined it (too few shards, nothing
-        serializes, no live workers) — the caller then runs the
-        driver-merge path with the *same* stage functions, so the two
-        paths cannot diverge.  Metering mirrors the driver path: two
-        stage executions, two profiles (shuffle volume credited to the
-        write), plus the exchange byte counters.
+        Both planes run the *same* stage functions and meter the same
+        two stages (``write``/``read`` carry each one's ``fused``,
+        ``vectorized`` and ``label``), shuffle volume credited to the
+        write, so they cannot diverge.  The executor may decline an
+        exchange (too few shards, nothing serializes, no live workers);
+        the driver merge is then the fallback.
+
+        The key-routed intermediate of a plain group is a real
+        per-worker footprint and is metered even though it is never
+        stored; combine partials (one accumulator per key) are not.
         """
-        if not self._exchange_enabled():
-            return None
-        out = self.executor.run_exchange(
-            write_fn, base_shards, read_fn, self.num_shards, combine=combine
-        )
-        if out is None:
-            return None
-        results, info = out
-        try:
-            rows_in = sum(len(shard) for shard in base_shards)
-        except TypeError:
-            rows_in = 0
-        self.executor.stages_run += 1
-        self.metrics.observe_stage_execution(fused=write_fused)
-        if write_vectorized:
-            self.metrics.observe_vectorized_stage()
-        write_profile = StageProfile(
-            label=write_label,
+        exchanged = None
+        if self._exchange_enabled():
+            exchanged = self.executor.run_exchange(
+                write_fn, base_shards, read_fn, self.num_shards,
+                combine=combine,
+            )
+        if exchanged is None:
+            merged = self._driver_shuffle(
+                write_fn, base_shards, combine=combine, **write
+            )
+            if not combine:
+                for shard in merged:
+                    self.metrics.observe_shard(
+                        len(shard), columnar=isinstance(shard, ColumnarShard)
+                    )
+            return self._run_stage(read_fn, merged, **read)
+        results, info = exchanged
+        self._record_stage(
             wall_ms=info["write_seconds"] * 1000.0,
-            rows_in=rows_in,
-            fused=write_fused,
-            vectorized=write_vectorized,
+            rows_in=_total_rows(base_shards),
             payload_bytes=info["write_payload_bytes"],
-            digest=self._current_digest,
+            **write,
         )
-        self.metrics.observe_stage_profile(write_profile)
         self.metrics.observe_shuffle(
-            info["moved"],
-            pre_records=info["pre_records"] if combine else None,
+            info["moved"], pre_records=info["pre_records"]
         )
         self.metrics.attribute_shuffle_to_last_stage(info["moved"])
-        if meter_shards:
-            for count, is_col in zip(
+        if not combine:
+            for count, is_columnar in zip(
                 info["dest_counts"], info["dest_columnar"]
             ):
-                self.metrics.observe_shard(count, columnar=is_col)
-        self.executor.stages_run += 1
-        self.metrics.observe_stage_execution(fused=read_fused)
-        read_profile = StageProfile(
-            label=read_label,
+                self.metrics.observe_shard(count, columnar=is_columnar)
+        self._record_stage(
             wall_ms=info["read_seconds"] * 1000.0,
             rows_in=sum(info["dest_counts"]),
-            fused=read_fused,
             payload_bytes=info["read_payload_bytes"],
-            digest=self._current_digest,
+            **read,
         )
-        self.metrics.observe_stage_profile(read_profile)
         self.metrics.observe_exchange(
             p2p_bytes=info["p2p_bytes"],
             driver_bytes=info["driver_bytes"],
             refetches=info["refetches"],
             fetch_chunks=info.get("fetch_chunks", 0),
         )
-        if self.planner is not None:
-            self.planner.record_profile(write_profile)
-            self.planner.record_profile(read_profile)
         return results
-
-    def _driver_shuffle(
-        self, write_fn, base_shards, *, fused: int, vectorized: bool,
-        label: str,
-    ) -> List[Any]:
-        """Shuffle write stage + driver-side bucket merge."""
-        num = self.num_shards
-        bucket_lists = self._run_stage(
-            write_fn,
-            base_shards,
-            fused=fused,
-            vectorized=vectorized,
-            label=label,
-        )
-        # Merge per input-shard part order (identical to the old
-        # ``extend`` sequence); columnar buckets concatenate column-wise,
-        # mixed destinations degrade to rows.
-        parts: List[List[Any]] = [[] for _ in range(num)]
-        moved = 0
-        for buckets in bucket_lists:
-            for i, bucket in enumerate(buckets):
-                if len(bucket):
-                    parts[i].append(bucket)
-                    moved += len(bucket)
-        shards: List[Any] = [merge_bucket_parts(p) for p in parts]
-        self.metrics.observe_shuffle(moved)
-        # The write stage above produced the routed buckets; credit the
-        # moved volume to it so the cost model sees the shuffle.
-        self.metrics.attribute_shuffle_to_last_stage(moved)
-        return shards
 
     def _shuffle_by_key(self, dep: _Node, *, label: str = "") -> List[list]:
         """Shuffle write + driver-side merge; fuses the producing chain.
@@ -1656,121 +1621,65 @@ class Pipeline:
         """
         ops, base, _ = self._upstream_chain(dep, for_shuffle=True)
         base_shards = self._materialize_node(base)
+        chain = _FusedChain(ops)
         return self._driver_shuffle(
-            _make_keyed_bucketer(ops, self.num_shards, columnar=self.columnar),
+            _make_keyed_bucketer(chain, self.num_shards),
             base_shards,
-            fused=len(ops),
-            vectorized=self._vector_prefix(ops) > 0,
+            fused=len(chain),
+            vectorized=chain.vectorized,
             label=label or f"shuffle {self._describe(dep)}",
         )
 
-    def _exec_group(self, node: _Node, post_ops=()) -> List[list]:
-        # One chain walk serves both data planes (the walk consumes
-        # fusion claims, so it must not run twice).
+    def _exec_group(self, node: _Node, post_ops) -> List[list]:
         ops, base, _ = self._upstream_chain(node.deps[0], for_shuffle=True)
         base_shards = self._materialize_node(base)
-        write_fn = _make_keyed_bucketer(
-            ops, self.num_shards, columnar=self.columnar
-        )
-        read_fn = _compose_post_ops(_group_shard, post_ops)
-        exchanged = self._run_exchange(
-            write_fn,
+        chain = _FusedChain(ops)
+        desc = self._describe(node)
+        return self._grouping_shuffle(
+            _make_keyed_bucketer(chain, self.num_shards),
             base_shards,
-            read_fn,
-            meter_shards=True,
-            write_fused=len(ops),
-            write_vectorized=self._vector_prefix(ops) > 0,
-            write_label=f"shuffle-write {self._describe(node)}",
-            read_fused=len(post_ops),
-            read_label=f"group-read {self._describe(node)}",
-        )
-        if exchanged is not None:
-            return exchanged
-        resharded = self._driver_shuffle(
-            write_fn,
-            base_shards,
-            fused=len(ops),
-            vectorized=self._vector_prefix(ops) > 0,
-            label=f"shuffle-write {self._describe(node)}",
-        )
-        # The key-routed intermediate is a real per-worker footprint (the
-        # eager engine materialized it); meter it even though it is never
-        # stored.
-        for shard in resharded:
-            self.metrics.observe_shard(
-                len(shard), columnar=isinstance(shard, ColumnarShard)
-            )
-        return self._run_stage(
-            read_fn,
-            resharded,
-            fused=len(post_ops),
-            label=f"group-read {self._describe(node)}",
+            _compose_post_ops(_group_shard, post_ops),
+            combine=False,
+            write=dict(
+                fused=len(chain),
+                vectorized=chain.vectorized,
+                label=f"shuffle-write {desc}",
+            ),
+            read=dict(fused=len(post_ops), label=f"group-read {desc}"),
         )
 
-    def _exec_combine_per_key(self, node: _Node, post_ops=()) -> List[list]:
-        # ``extra`` is a 3-tuple from ``combine_per_key`` calls predating
-        # vectorized folds, a 4-tuple (with the fold's batch impl) since.
-        zero, add, merge = node.extra[:3]
-        fold_batch = node.extra[3] if len(node.extra) > 3 else None
+    def _exec_combine_per_key(self, node: _Node, post_ops) -> List[list]:
+        zero, add, merge, fold_batch = node.extra
         if node.lifted_from is not None:
             self.metrics.observe_lifted_combiner()
         ops, base, _ = self._upstream_chain(node.deps[0], for_shuffle=True)
         base_shards = self._materialize_node(base)
-        num = self.num_shards
-        write_fn = _make_precombiner(
-            ops, zero, add, num,
-            columnar=self.columnar,
-            batch=fold_batch,
-        )
-        read_fn = _compose_post_ops(_make_combiner_merger(merge), post_ops)
-        write_vectorized = self.columnar and (
-            fold_batch is not None or self._vector_prefix(ops) > 0
-        )
-        exchanged = self._run_exchange(
-            write_fn,
+        chain = _FusedChain(ops)
+        desc = self._describe(node)
+        return self._grouping_shuffle(
+            _make_precombiner(
+                chain, zero, add, self.num_shards, batch=fold_batch
+            ),
             base_shards,
-            read_fn,
+            _compose_post_ops(_make_combiner_merger(merge), post_ops),
             combine=True,
-            write_fused=len(ops),
-            write_vectorized=write_vectorized,
-            write_label=f"combine-write {self._describe(node)}",
-            read_fused=len(post_ops),
-            read_label=f"combine-read {self._describe(node)}",
-        )
-        if exchanged is not None:
-            return exchanged
-        stage_out = self._run_stage(
-            write_fn,
-            base_shards,
-            fused=len(ops),
-            vectorized=write_vectorized,
-            label=f"combine-write {self._describe(node)}",
-        )
-        partials: List[list] = [[] for _ in range(num)]
-        moved = 0
-        offered = 0
-        for n_pre, buckets in stage_out:
-            offered += n_pre
-            for i, bucket in enumerate(buckets):
-                partials[i].extend(bucket)
-                moved += len(bucket)
-        self.metrics.observe_shuffle(moved, pre_records=offered)
-        self.metrics.attribute_shuffle_to_last_stage(moved)
-        return self._run_stage(
-            read_fn,
-            partials,
-            fused=len(post_ops),
-            label=f"combine-read {self._describe(node)}",
+            write=dict(
+                fused=len(chain),
+                vectorized=fold_batch is not None or chain.vectorized,
+                label=f"combine-write {desc}",
+            ),
+            read=dict(fused=len(post_ops), label=f"combine-read {desc}"),
         )
 
     def _exec_reshuffle(self, node: _Node) -> List[list]:
         ops, base, _ = self._upstream_chain(node.deps[0])
         base_shards = self._materialize_node(base)
+        chain = _FusedChain(ops)
         transformed = self._run_stage(
-            _make_chain_fn(ops, columnar=self.columnar),
+            chain.run,
             base_shards,
-            fused=len(ops),
-            vectorized=self._vector_prefix(ops) > 0,
+            fused=len(chain),
+            vectorized=chain.vectorized,
             label=f"rebalance {self._describe(node)}",
         )
         num = self.num_shards
@@ -1784,7 +1693,7 @@ class Pipeline:
         self.metrics.attribute_shuffle_to_last_stage(moved)
         return shards
 
-    def _exec_flatten(self, node: _Node, post_ops=()) -> List[list]:
+    def _exec_flatten(self, node: _Node, post_ops) -> List[list]:
         dep_shards = [self._materialize_node(dep) for dep in node.deps]
         groups = [
             _ShardGroup([stored[i] for stored in dep_shards])
@@ -1797,7 +1706,7 @@ class Pipeline:
             label=f"flatten {self._describe(node)}",
         )
 
-    def _exec_cogroup(self, node: _Node, post_ops=()) -> List[list]:
+    def _exec_cogroup(self, node: _Node, post_ops) -> List[list]:
         n_inputs = node.extra
         num = self.num_shards
         routed: List[list] = [[] for _ in range(num)]
@@ -1811,11 +1720,12 @@ class Pipeline:
             else:
                 ops, base = [], dep
             stored = self._materialize_node(base)
+            chain = _FusedChain(ops)
             bucket_lists = self._run_stage(
-                _make_cogroup_bucketer(tag, num, ops, columnar=self.columnar),
+                _make_cogroup_bucketer(tag, num, chain),
                 stored,
-                fused=len(ops),
-                vectorized=self._vector_prefix(ops) > 0,
+                fused=len(chain),
+                vectorized=chain.vectorized,
                 label=f"cogroup-write #{tag} {self._describe(node)}",
             )
             for buckets in bucket_lists:
@@ -1876,7 +1786,6 @@ class Pipeline:
             self._explain_reuse = False
         header = (
             f"plan (optimize={'on' if self.optimize else 'off'}, "
-            f"fuse={'on' if self.fuse else 'off'}, "
             f"shards={self.num_shards})"
         )
         rendered: List[str] = [header]
@@ -1991,15 +1900,14 @@ class Pipeline:
     def _vector_note(self, nodes) -> str:
         """Annotation for a fused chain's vectorized prefix.
 
-        Empty when the columnar runtime is off or no op in the chain is
-        batch-capable — plans built from plain callables render exactly
-        as before.  A partial prefix names the first row-fallback op so a
-        silently-degraded plan is visible in :meth:`PCollection.explain`.
+        Reads the same :class:`_FusedChain` decision the executing stage
+        is built from.  Empty when no leading op is batch-capable — plans
+        built from plain callables render unannotated.  A partial prefix
+        names the first row-fallback op so a silently-degraded plan is
+        visible in :meth:`PCollection.explain`.
         """
         nodes = list(nodes)
-        if not self.columnar or not nodes:
-            return ""
-        prefix = batch_prefix_len(tuple((n.kind, n.fn) for n in nodes))
+        prefix = _FusedChain((n.kind, n.fn) for n in nodes).n_batch
         if prefix == 0:
             return ""
         if prefix == len(nodes):
@@ -2031,11 +1939,13 @@ class Pipeline:
             chain, base, base_live, _ = self._peek_chain(node.deps[0])
             ops = chain + [node]
             desc = " + ".join(self._describe(n) for n in ops)
-            desc += self._vector_note(ops)
-            desc += self._reuse_note(node)
             if self._fuses_post_shuffle(base, base_live):
+                # No vector note: a post-shuffle-fused consumer chain
+                # runs the row path (see ``_compose_post_ops``).
+                desc += self._reuse_note(node)
                 ref = self._render_shuffle(base, lines, memo, post=desc)
             else:
+                desc += self._vector_note(ops) + self._reuse_note(node)
                 base_ref = self._render_plan(base, lines, memo)
                 ref = self._emit(lines, f"{desc} <- {base_ref}", node.scope)
         else:
@@ -2100,12 +2010,7 @@ class Pipeline:
             label = f"combine-write {self._describe(node)}"
             if node.lifted_from is not None:
                 label += f" (lifted from group '{node.lifted_from}')"
-            if (
-                self.columnar
-                and node.extra is not None
-                and len(node.extra) > 3
-                and node.extra[3] is not None
-            ):
+            if node.extra is not None and node.extra[3] is not None:
                 label += " [vectorized fold]"
             write = self._render_write(
                 node.deps[0], lines, memo, label=label, scope=scope
@@ -2348,9 +2253,9 @@ class PCollection:
         Each input shard pre-combines locally (``zero``/``add``), then only
         per-key accumulators shuffle (``merge``) — the same record-volume
         optimization Beam's combiner lifting performs.  ``batch``, when
-        given and the columnar runtime is on, replaces the per-record
-        ``add`` loop with one whole-value-list call per key (must be
-        bit-identical to folding ``add`` from ``zero()``).
+        given, replaces the per-record ``add`` loop with one
+        whole-value-list call per key (must be bit-identical to folding
+        ``add`` from ``zero()``).
         """
         self._require_keyed("combine_per_key")
         self.pipeline.metrics.count_stage(name)

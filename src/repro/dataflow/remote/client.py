@@ -454,49 +454,47 @@ class RemoteExecutor(Executor):
             # Stage function doesn't serialize: run on the driver with
             # identical results, like the multiprocess backend.
             return [fn(_resolve(shard)) for shard in shards]
-        state = _StageState(len(shards))
         # Task-shard broadcast digests, accumulated by the channel loops
         # (under ``_stats_lock``) so stage-end eviction sees them too.
         task_digests_seen: "set[str]" = set()
-        threads = [
-            threading.Thread(
-                target=self._channel_loop,
-                args=(
-                    channel,
-                    payload,
-                    digests,
-                    fn,
-                    shards,
-                    state,
-                    task_digests_seen,
-                ),
-                daemon=True,
-                name=f"repro-remote-{channel.address[1]}",
-            )
-            for channel in channels
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if self._close_event.is_set():
-            raise RuntimeError("executor closed during stage")
-        if state.failure is not None:
-            exc, tb = state.failure
-            if exc is not None:
-                raise exc from RuntimeError(f"worker traceback:\n{tb}")
-            raise RuntimeError(f"stage failed on remote worker:\n{tb}")
-        # Single-threaded again (channel loops joined): drop blob bytes
-        # every live channel has received — no further reader exists, so
-        # long drives don't pile their capture history on the driver.
-        # Eviction must stay this conservative — ``maybe_register``'s
-        # identity fast path returns a digest without repopulating
-        # ``blobs``, so bytes a live channel has never seen must survive
-        # for a later ship.
-        live = [ch for ch in self._channels if ch.alive]
-        for digest in digests | frozenset(task_digests_seen):
-            if live and all(digest in ch.shipped for ch in live):
-                self._registry.evict(digest)
+
+        def send_task(channel: _Channel, index: int) -> bool:
+            shard = shards[index]
+            if self.resolve_before_send:
+                shard = _resolve(shard)
+            task_frame = None
+            if columnar_task_eligible(shard, self._registry):
+                # Zero-copy columnar dispatch: broadcast-sized ndarray
+                # columns travel as content-addressed blobs, shipped to
+                # this worker only if it has not seen them yet.
+                try:
+                    col_payload, task_digests = dumps_with_broadcast(
+                        shard, self._registry
+                    )
+                    task_frame = protocol.dumps(
+                        (MSG_TASK_COL, index, col_payload)
+                    )
+                except Exception:
+                    task_frame = None  # degrade to the inline frame
+                else:
+                    self._ship_blobs(channel, task_digests)
+                    with self._stats_lock:
+                        task_digests_seen.update(task_digests)
+            if task_frame is None:
+                try:
+                    task_frame = protocol.dumps((MSG_TASK, index, shard))
+                except Exception:
+                    return False
+            protocol.send_frame(channel.sock, task_frame)
+            return True
+
+        state = _StageState(len(shards))
+        self._run_on_channels(
+            channels, payload, digests, state, send_task,
+            lambda index: fn(_resolve(shards[index])),
+        )
+        self._check_stage(state)
+        self._evict_shipped(digests | frozenset(task_digests_seen))
         missing = state.missing()
         if missing:
             raise RuntimeError(
@@ -504,114 +502,6 @@ class RemoteExecutor(Executor):
                 f"shard(s) unfinished (of {len(shards)})"
             )
         return state.results
-
-    def _channel_loop(
-        self,
-        channel: _Channel,
-        payload: bytes,
-        digests: "frozenset[str]",
-        fn,
-        shards: List[Any],
-        state: _StageState,
-        task_digests_seen: "set[str]",
-    ) -> None:
-        """Drive one worker through the stage; never raises."""
-        in_flight: Optional[int] = None
-        try:
-            self._send_stage(channel, payload, digests)
-            while True:
-                index = state.next_task(self._close_event)
-                if index is None:
-                    return
-                in_flight = index
-                shard = shards[index]
-                if self.resolve_before_send:
-                    shard = _resolve(shard)
-                task_frame = None
-                if columnar_task_eligible(shard, self._registry):
-                    # Zero-copy columnar dispatch: broadcast-sized ndarray
-                    # columns travel as content-addressed blobs, shipped
-                    # to this worker only if it has not seen them yet.
-                    try:
-                        col_payload, task_digests = dumps_with_broadcast(
-                            shard, self._registry
-                        )
-                        task_frame = protocol.dumps(
-                            (MSG_TASK_COL, index, col_payload)
-                        )
-                    except Exception:
-                        task_frame = None  # degrade to the inline frame
-                    else:
-                        self._ship_blobs(channel, task_digests)
-                        with self._stats_lock:
-                            task_digests_seen.update(task_digests)
-                if task_frame is None:
-                    try:
-                        task_frame = protocol.dumps((MSG_TASK, index, shard))
-                    except Exception:
-                        task_frame = None
-                if task_frame is None:
-                    # Unserializable shard: compute on the driver (nothing
-                    # was sent, so the channel stays in lockstep).  A DoFn
-                    # exception here is a deterministic stage failure, the
-                    # same one the sequential backend would raise.
-                    try:
-                        result = fn(_resolve(shards[index]))
-                    except BaseException as exc:
-                        state.abandon(index)
-                        in_flight = None
-                        state.fail(exc, traceback.format_exc())
-                        return
-                    state.complete(index, result)
-                    in_flight = None
-                    continue
-                protocol.send_frame(channel.sock, task_frame)
-                reply = self._recv_reply(channel)
-                tag = reply[0]
-                if tag == MSG_RESULT:
-                    state.complete(reply[1], reply[2])
-                    in_flight = None
-                elif tag == MSG_ERROR:
-                    state.abandon(index)
-                    in_flight = None
-                    state.fail(reply[2], reply[3])
-                    return
-                else:
-                    raise _ChannelDead(f"unexpected message tag {tag}")
-        except (
-            _ChannelDead,
-            ConnectionError,
-            OSError,
-            EOFError,
-            pickle.UnpicklingError,
-        ):
-            channel.kill()
-            if self._close_event.is_set():
-                # close() tore the socket down under us; not a worker
-                # fault.  Release the shard so no other loop waits on it.
-                if in_flight is not None:
-                    state.abandon(in_flight)
-                return
-            with self._stats_lock:
-                self.worker_failures += 1
-            if in_flight is not None:
-                with self._stats_lock:
-                    self.retried_shards += 1
-                state.requeue(in_flight)
-        except BaseException:
-            # Anything else is a driver-side protocol/deserialization
-            # error (e.g. a worker exception whose class fails to
-            # unpickle).  The channel is desynced and retrying would
-            # reproduce it, so fail the stage cleanly — never leave the
-            # shard in flight, which would hang the sibling loops.
-            channel.kill()
-            if in_flight is not None:
-                state.abandon(in_flight)
-            state.fail(
-                None,
-                "driver-side channel error (worker reply could not be "
-                "processed):\n" + traceback.format_exc(),
-            )
 
     # -- worker-to-worker shuffle exchange ---------------------------------
 
@@ -735,11 +625,11 @@ class RemoteExecutor(Executor):
         t_write = time.perf_counter()
         w_state = _StageState(len(shards))
         try:
-            self._run_exchange_stage(
+            self._run_on_channels(
                 channels, w_payload, w_digests, w_state, write_send,
-                write_local, None,
+                write_local,
             )
-            self._check_exchange_stage(w_state)
+            self._check_stage(w_state)
             for index in w_state.missing():
                 # Every worker died mid-write: finish on the driver.
                 w_state.results[index] = write_local(index)
@@ -840,11 +730,11 @@ class RemoteExecutor(Executor):
             # can serve reads (it fetches its parts from peers).
             read_channels = [ch for ch in self._channels if ch.alive]
             if read_channels:
-                self._run_exchange_stage(
+                self._run_on_channels(
                     read_channels, r_payload, r_digests, r_state, read_send,
                     read_dest_local, read_handle,
                 )
-            self._check_exchange_stage(r_state)
+            self._check_stage(r_state)
             for index in r_state.missing():
                 r_state.results[index] = read_dest_local(index)
                 r_state.done[index] = True
@@ -852,12 +742,7 @@ class RemoteExecutor(Executor):
             self._evict_exchange(exchange_id)
         read_seconds = time.perf_counter() - t_read
 
-        # Stage-end registry eviction, same conservative rule as
-        # ``run_stage``: drop bytes every live channel already holds.
-        live = [ch for ch in self._channels if ch.alive]
-        for digest in w_digests | r_digests:
-            if live and all(digest in ch.shipped for ch in live):
-                self._registry.evict(digest)
+        self._evict_shipped(w_digests | r_digests)
 
         results: List[Any] = []
         dest_counts: List[int] = []
@@ -895,7 +780,8 @@ class RemoteExecutor(Executor):
         _exchange, input_idx, dest = bucket_id.rsplit("/", 2)
         return int(input_idx), int(dest)
 
-    def _check_exchange_stage(self, state: _StageState) -> None:
+    def _check_stage(self, state: _StageState) -> None:
+        """Re-raise what the channel loops recorded (they never raise)."""
         if self._close_event.is_set():
             raise RuntimeError("executor closed during stage")
         if state.failure is not None:
@@ -916,7 +802,23 @@ class RemoteExecutor(Executor):
             except OSError:
                 channel.kill()
 
-    def _run_exchange_stage(
+    def _evict_shipped(self, digests: "frozenset[str]") -> None:
+        """Stage-end registry eviction: drop blob bytes every live
+        channel has received, so long drives don't pile their capture
+        history on the driver.
+
+        Runs single-threaded (channel loops joined) — no further reader
+        exists.  Eviction must stay this conservative:
+        ``maybe_register``'s identity fast path returns a digest without
+        repopulating ``blobs``, so bytes a live channel has never seen
+        must survive for a later ship.
+        """
+        live = [ch for ch in self._channels if ch.alive]
+        for digest in digests:
+            if live and all(digest in ch.shipped for ch in live):
+                self._registry.evict(digest)
+
+    def _run_on_channels(
         self,
         channels: List[_Channel],
         payload: bytes,
@@ -926,17 +828,17 @@ class RemoteExecutor(Executor):
         local_compute: Callable[[int], Any],
         handle_result: Optional[
             Callable[[_Channel, _StageState, int, Any], bool]
-        ],
+        ] = None,
     ) -> None:
         threads = [
             threading.Thread(
-                target=self._exchange_loop,
+                target=self._drive_channel,
                 args=(
                     channel, payload, digests, state, send_task,
                     local_compute, handle_result,
                 ),
                 daemon=True,
-                name=f"repro-remote-x-{channel.address[1]}",
+                name=f"repro-remote-{channel.address[1]}",
             )
             for channel in channels
         ]
@@ -945,7 +847,7 @@ class RemoteExecutor(Executor):
         for thread in threads:
             thread.join()
 
-    def _exchange_loop(
+    def _drive_channel(
         self,
         channel: _Channel,
         payload: bytes,
@@ -955,16 +857,20 @@ class RemoteExecutor(Executor):
         local_compute: Callable[[int], Any],
         handle_result: Optional[
             Callable[[_Channel, _StageState, int, Any], bool]
-        ],
+        ] = None,
     ) -> None:
-        """Drive one worker through an exchange stage; never raises.
+        """Drive one worker through one stage; never raises.
 
-        The skeleton — dynamic task pull, lockstep reply, dead-channel
-        requeue — matches ``_channel_loop``; what varies per phase is how
-        a task is sent (``send_task``; returning False means the frame
-        does not serialize and ``local_compute`` runs it on the driver)
-        and how a result is recorded (``handle_result``; ``None`` means
-        plain completion owned by this channel).
+        The one dispatch loop — dynamic task pull, lockstep reply,
+        dead-channel requeue — behind ``run_stage`` and both exchange
+        phases.  What varies per caller is how a task is sent
+        (``send_task``; returning False means nothing was sent because
+        the frame does not serialize, so the channel stays in lockstep
+        and ``local_compute`` runs the task on the driver — a DoFn
+        exception there is a deterministic stage failure, the same one
+        the sequential backend would raise) and how a result is recorded
+        (``handle_result``; ``None`` means plain completion owned by
+        this channel).
         """
         in_flight: Optional[int] = None
         try:
@@ -1010,6 +916,8 @@ class RemoteExecutor(Executor):
         ):
             channel.kill()
             if self._close_event.is_set():
+                # close() tore the socket down under us; not a worker
+                # fault.  Release the shard so no other loop waits on it.
                 if in_flight is not None:
                     state.abandon(in_flight)
                 return
@@ -1020,6 +928,11 @@ class RemoteExecutor(Executor):
                     self.retried_shards += 1
                 state.requeue(in_flight)
         except BaseException:
+            # Anything else is a driver-side protocol/deserialization
+            # error (e.g. a worker exception whose class fails to
+            # unpickle).  The channel is desynced and retrying would
+            # reproduce it, so fail the stage cleanly — never leave the
+            # shard in flight, which would hang the sibling loops.
             channel.kill()
             if in_flight is not None:
                 state.abandon(in_flight)

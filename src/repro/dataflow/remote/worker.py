@@ -248,7 +248,13 @@ class WorkerServer:
                     self._drain.wait()
             os._exit(0)
 
-        threading.Thread(target=drain_and_exit, daemon=True).start()
+        # Explicitly not a daemon thread (the default would inherit the
+        # connection handler's daemon flag): closing the listener makes
+        # ``serve_forever`` — the process's main thread — return as soon
+        # as its blocked ``accept`` wakes (on Linux, at the next incoming
+        # connection), and interpreter exit would otherwise kill the
+        # daemon compute threads mid-task instead of draining them.
+        threading.Thread(target=drain_and_exit, daemon=False).start()
 
     # -- per-connection state machine -------------------------------------
 

@@ -177,13 +177,15 @@ class JobSpec:
         value: only knobs that differ from their defaults are explicit.
         Digest-equal specs therefore behave identically, and a job
         submitted with just ``{"adaptive": true}`` leaves the planner
-        free to choose the rest.
+        free to choose the rest.  A key that is no longer a knob (a spec
+        persisted before the knob was removed) is passed through, so it
+        raises the usual unknown-option ``ValueError`` naming it.
         """
         defaults = EngineOptions().to_dict()
         pinned = {
             name: value
             for name, value in self.engine_options.items()
-            if value != defaults[name]
+            if name not in defaults or value != defaults[name]
         }
         return EngineOptions.from_dict({**pinned, **overrides})
 
@@ -202,6 +204,15 @@ class JobSpec:
         if "dataset" not in data or "selector" not in data:
             raise ValueError("job spec requires 'dataset' and 'selector'")
         return cls(**data)
+
+    @classmethod
+    def as_persisted(cls, data: Dict[str, Any]) -> "JobSpec":
+        """A stored :meth:`to_dict` taken verbatim, without validation —
+        for :meth:`JobRecord.from_dict` only."""
+        spec = object.__new__(cls)
+        for f in dataclasses.fields(cls):
+            setattr(spec, f.name, data[f.name])
+        return spec
 
 
 def plan_digest(spec: JobSpec) -> str:
@@ -277,8 +288,20 @@ class JobRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobRecord":
+        """Rebuild a persisted record.
+
+        A spec that no longer validates — persisted by a version whose
+        engine knobs have since been removed, say — is kept as persisted
+        instead of raising: one stale job must not fail every reader of
+        the store, the service's boot included.  Running it raises the
+        typed error from :meth:`JobSpec.resolve_options`, which fails
+        that one job.
+        """
         data = dict(data)
-        data["spec"] = JobSpec.from_dict(data["spec"])
+        try:
+            data["spec"] = JobSpec.from_dict(data["spec"])
+        except ValueError:
+            data["spec"] = JobSpec.as_persisted(data["spec"])
         return cls(**data)
 
 

@@ -12,7 +12,11 @@ This module property-tests the primitives that carry that promise:
   counter-based hash);
 - ``ColumnarShard`` row <-> columnar round-trips (``tolist`` semantics);
 - the zero-copy task-shard broadcast path on the multiprocess and remote
-  backends (columns ship once per worker, results unchanged).
+  backends (columns ship once per worker, results unchanged);
+- every batch-declared operator against the *same op declared without
+  its* ``batch`` — the engine's automatic row fallback, which is the
+  reference the batch twins are held to (there is no runtime switch:
+  dropping the declaration is how the row path is reached).
 """
 
 import pickle
@@ -35,7 +39,11 @@ from repro.dataflow.executor import (
     dumps_with_broadcast,
     loads_with_broadcast,
 )
-from repro.dataflow.library import edge_hash01, edge_hash01_column
+from repro.dataflow import library
+from repro.dataflow.library import TopKPerKey, edge_hash01, edge_hash01_column
+from repro.dataflow.options import EngineOptions
+from repro.dataflow.pcollection import Fold, Pipeline
+from repro.dataflow.transforms import cogroup
 
 
 class TestStableShardColumn:
@@ -320,3 +328,199 @@ class TestZeroCopyTaskBroadcast:
             inline = plain_ex.run_stage(fn, shards)
         assert via_broadcast == inline
         assert via_broadcast == [fn(s.to_records()) for s in shards]
+
+
+def _shards(collection):
+    """Every shard's records, in order — equality here is bit-identity of
+    placement, order and values, not just of the sorted bag."""
+    return list(collection.iter_shards())
+
+
+def _columnar_pairs(shard):
+    """Batch twin of ``x -> (x % 5, x * x)``, emitted columnar."""
+    values = np.asarray(as_records(shard), dtype=np.int64)
+    if values.size == 0:
+        return []
+    return ColumnarShard(values % 5, (values * values,))
+
+
+class TestBatchVsRowDeclaration:
+    """Each pipeline runs twice: with its ops declared ``BatchDoFn`` /
+    ``Fold(batch=...)`` and with the same ops declared plain.  Outputs
+    must match shard for shard, and only the batch run may meter
+    vectorized stages."""
+
+    @staticmethod
+    def _both(build, num_shards=4):
+        runs = []
+        for batch in (True, False):
+            # optimize=True: the lifted-fold case asserts a rewrite.
+            pipeline = Pipeline(num_shards=num_shards, optimize=True)
+            runs.append((_shards(build(pipeline, batch)), pipeline.metrics))
+        (batch_out, batch_metrics), (row_out, row_metrics) = runs
+        assert batch_out == row_out
+        assert batch_metrics.vectorized_stages > 0
+        assert row_metrics.vectorized_stages == 0
+        assert row_metrics.columnar_rows == 0
+        assert (
+            batch_metrics.shuffled_records, batch_metrics.executed_stages
+        ) == (row_metrics.shuffled_records, row_metrics.executed_stages)
+        return batch_metrics
+
+    @staticmethod
+    def _declare(fn, batch_fn, batch):
+        return BatchDoFn(fn, batch_fn) if batch else fn
+
+    def test_map_filter_flat_map_chain(self):
+        def build(pipeline, batch):
+            double = self._declare(
+                lambda x: x * 2, lambda s: [x * 2 for x in as_records(s)],
+                batch,
+            )
+            keep = self._declare(
+                lambda x: x % 3 != 0,
+                lambda s: [x % 3 != 0 for x in as_records(s)], batch,
+            )
+            spread = self._declare(
+                lambda x: [x, -x],
+                lambda s: [y for x in as_records(s) for y in (x, -x)], batch,
+            )
+            return (
+                pipeline.create(range(200)).map(double).filter(keep)
+                .flat_map(spread).map(lambda x: x + 1)  # fallback boundary
+            )
+
+        self._both(build)
+
+    def test_columnar_shuffle_write_and_group(self):
+        """A keyed ``ColumnarShard`` routes with the column hash and
+        merges column-wise; groups equal the per-record routing."""
+        def build(pipeline, batch):
+            pairs = self._declare(
+                lambda x: (x % 5, x * x), _columnar_pairs, batch
+            )
+            return (
+                pipeline.create(range(-60, 240)).map(pairs).as_keyed()
+                .group_by_key().map_values(list)
+            )
+
+        assert self._both(build).columnar_rows > 0
+
+    def test_columnar_boundary_is_stored_as_rows_view(self):
+        """A stored columnar boundary reads back as the row records."""
+        def build(pipeline, batch):
+            pairs = self._declare(
+                lambda x: (x % 5, x * x), _columnar_pairs, batch
+            )
+            return pipeline.create(range(100)).map(pairs).as_keyed().cache()
+
+        assert self._both(build).columnar_rows == 100
+
+    def test_cogroup_write_is_a_fallback_boundary(self):
+        def build(pipeline, batch):
+            pairs = self._declare(
+                lambda x: (x % 5, x * x), _columnar_pairs, batch
+            )
+            left = pipeline.create(range(90)).map(pairs).as_keyed()
+            right = pipeline.create_keyed([(k, -k) for k in range(7)])
+            return cogroup([left, right]).map_values(
+                lambda sides: (sum(sides[0]), sides[1])
+            )
+
+        self._both(build)
+
+    @pytest.mark.parametrize("lifted", [True, False])
+    def test_batch_fold_vs_scalar_fold(self, lifted):
+        """``Fold(batch=...)`` — via combiner lifting and via an explicit
+        ``combine_per_key`` — equals the per-record ``add`` loop."""
+        def add(acc, value):
+            acc.append(value * 3)
+            return acc
+
+        def merge(a, b):
+            return a + b
+
+        def batch_fn(values):
+            return [value * 3 for value in values]
+
+        def build(pipeline, batch):
+            keyed = pipeline.create_keyed(
+                [(i % 9, i) for i in range(300)]
+            )
+            declared = batch_fn if batch else None
+            if lifted:
+                return keyed.group_by_key().map_values(
+                    Fold(list, add, merge, batch=declared)
+                )
+            return keyed.combine_per_key(list, add, merge, batch=declared)
+
+        self._both(build)
+
+    def test_top_k_per_key_batch_fold(self, monkeypatch):
+        pairs = [(i % 4, (i % 11, float((i * 37) % 23))) for i in range(400)]
+
+        def top(pipeline):
+            return _shards(pipeline.create_keyed(pairs) | TopKPerKey(3))
+
+        with_batch = top(Pipeline(num_shards=4))
+        monkeypatch.setattr(
+            library, "Fold",
+            lambda *args, batch=None, **kwargs: Fold(*args, **kwargs),
+        )
+        assert top(Pipeline(num_shards=4)) == with_batch
+
+
+class TestLibraryBeamsBatchVsRow:
+    """The library composites declare their hot DoFns as ``BatchDoFn``;
+    stripping the declarations (so the scalar reference DoFns run) must
+    not move one bit of a beam's output."""
+
+    @staticmethod
+    def _strip_batch(monkeypatch):
+        monkeypatch.setattr(
+            library, "BatchDoFn", lambda fn, batch, label=None: fn
+        )
+
+    def test_knn_beam(self, monkeypatch):
+        from repro.dataflow.knn_beam import beam_knn_graph
+
+        x = np.random.default_rng(0).standard_normal((150, 8))
+
+        def build():
+            _, neighbors, sims, metrics = beam_knn_graph(
+                x, 4, n_clusters=5, options=EngineOptions(num_shards=4)
+            )
+            return neighbors, sims, metrics
+
+        neighbors, sims, metrics = build()
+        assert metrics.vectorized_stages > 0
+        self._strip_batch(monkeypatch)
+        row_neighbors, row_sims, row_metrics = build()
+        assert row_metrics.vectorized_stages == 0
+        np.testing.assert_array_equal(neighbors, row_neighbors)
+        np.testing.assert_array_equal(sims, row_sims)
+
+    @pytest.mark.parametrize("mode", ["exact", "approximate"])
+    def test_bounding_beam(self, monkeypatch, mode):
+        from repro.core.problem import SubsetProblem
+        from repro.data.registry import load_dataset
+        from repro.dataflow import beam_bound
+
+        ds = load_dataset("cifar100_tiny", n_points=200, seed=0)
+        problem = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
+
+        def build():
+            result, metrics = beam_bound(
+                problem, 50, mode=mode, p=0.7, seed=3,
+                options=EngineOptions(num_shards=4),
+            )
+            return result, metrics
+
+        result, metrics = build()
+        assert metrics.vectorized_stages > 0
+        self._strip_batch(monkeypatch)
+        row_result, row_metrics = build()
+        assert row_metrics.vectorized_stages == 0
+        np.testing.assert_array_equal(result.solution, row_result.solution)
+        np.testing.assert_array_equal(result.remaining, row_result.remaining)
+        assert result.k_remaining == row_result.k_remaining

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.distributed import distributed_greedy
 from repro.core.greedy import greedy_heap
 from repro.core.objective import PairwiseObjective
 from repro.dataflow.greedy_beam import beam_distributed_greedy
 from repro.dataflow.options import EngineOptions
+from tests.conftest import random_problem
 
 
 class TestBeamDistributedGreedy:
@@ -75,3 +78,114 @@ class TestBeamDistributedGreedy:
         a, _ = beam_distributed_greedy(tiny_problem, 30, m=4, rounds=2, seed=3)
         b, _ = beam_distributed_greedy(tiny_problem, 30, m=4, rounds=2, seed=3)
         np.testing.assert_array_equal(a.selected, b.selected)
+
+
+class TestFillsBudget:
+    """iid partition ids can leave a partition smaller than its target;
+    the beam must still return exactly ``min(k, |candidates|)`` ids."""
+
+    @pytest.fixture(scope="class")
+    def underfill_problem(self):
+        from repro.core.problem import SubsetProblem
+        from repro.data.registry import load_dataset
+
+        ds = load_dataset("cifar100_tiny", n_points=400, seed=0)
+        return SubsetProblem(ds.utilities, ds.graph, alpha=0.9)
+
+    @staticmethod
+    def _select(problem, options, seeds):
+        from repro.core.pipeline import DistributedSelector, SelectorConfig
+        from repro.dataflow.options import DataflowContext
+
+        selector = DistributedSelector(
+            problem,
+            SelectorConfig(
+                bounding="exact", machines=8, rounds=4, engine="dataflow",
+                options=options,
+            ),
+        )
+        with DataflowContext(options) as ctx:
+            return {
+                seed: selector.select(40, seed=seed, context=ctx)
+                for seed in seeds
+            }
+
+    @pytest.fixture(scope="class")
+    def sequential_reports(self, underfill_problem):
+        return self._select(
+            underfill_problem, EngineOptions(num_shards=4), range(16)
+        )
+
+    def test_bounded_selection_returns_k(self, sequential_reports):
+        """Regression: seed 2 of this instance returned 39 ids (the last
+        round drew a 4-member partition against a target of 5)."""
+        for report in sequential_reports.values():
+            assert len(report) == 40
+            assert len(set(report.selected.tolist())) == 40
+        # Seed 2 is the one that needs a fill pass: its last round's
+        # union exceeds what 8 partitions x target 5 can produce.
+        last = sequential_reports[2].greedy.rounds[-1]
+        assert last.output_size > last.m_round * last.per_partition_target
+
+    @pytest.mark.parametrize("executor", ["thread", "remote"])
+    def test_filled_selection_identical_on_every_executor(
+        self, underfill_problem, sequential_reports, executor
+    ):
+        """The fill pass is as deterministic as the rounds themselves."""
+        seeds = (1, 2, 3)
+        reports = self._select(
+            underfill_problem, EngineOptions(executor, num_shards=4), seeds
+        )
+        for seed in seeds:
+            np.testing.assert_array_equal(
+                reports[seed].selected, sequential_reports[seed].selected
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(8, 40),
+        frac=st.floats(0.05, 1.0),
+        m=st.integers(1, 12),
+        rounds=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_returns_exactly_min_k_candidates(self, n, frac, m, rounds, seed):
+        problem = random_problem(n, seed=seed % 7)
+        candidates = np.arange(0, n, 2) if seed % 2 else None
+        pool = n if candidates is None else candidates.size
+        k = max(1, int(frac * pool))
+        result, _ = beam_distributed_greedy(
+            problem, k, m=m, rounds=rounds, candidates=candidates, seed=seed,
+            options=EngineOptions(num_shards=3),
+        )
+        chosen = result.selected.tolist()
+        assert len(chosen) == len(set(chosen)) == k
+        if candidates is not None:
+            assert set(chosen) <= set(candidates.tolist())
+        again, _ = beam_distributed_greedy(
+            problem, k, m=m, rounds=rounds, candidates=candidates, seed=seed,
+            options=EngineOptions(num_shards=3),
+        )
+        assert again.selected.tolist() == chosen
+
+    def test_selector_refuses_a_short_selection(
+        self, underfill_problem, monkeypatch
+    ):
+        """If a stage ever under-fills again, ``select`` raises instead
+        of scoring 39 points as if they were 40."""
+        import repro.dataflow as dataflow
+        from repro.core.distributed import DistributedResult
+        from repro.core.pipeline import DistributedSelector, SelectorConfig
+
+        real = dataflow.beam_distributed_greedy
+
+        def short(*args, **kwargs):
+            result, metrics = real(*args, **kwargs)
+            return DistributedResult(result.selected[:-1], result.rounds), metrics
+
+        monkeypatch.setattr(dataflow, "beam_distributed_greedy", short)
+        config = SelectorConfig(
+            machines=2, engine="dataflow", options=EngineOptions(num_shards=2)
+        )
+        with pytest.raises(RuntimeError, match="39 of the requested 40"):
+            DistributedSelector(underfill_problem, config).select(40, seed=0)

@@ -140,16 +140,19 @@ class TestFusion:
         assert pipeline.metrics.shuffled_records == 40
 
     def test_fusion_reduces_peak_shard_records(self):
-        def build(fuse):
-            pipeline = Pipeline(num_shards=2, fuse=fuse)
-            pipeline.create(range(100)).flat_map(
+        def build(materialize_intermediate):
+            pipeline = Pipeline(num_shards=2)
+            expanded = pipeline.create(range(100)).flat_map(
                 lambda x: [x] * 10
-            ).filter(lambda x: False).run()
+            )
+            if materialize_intermediate:
+                expanded.cache()
+            expanded.filter(lambda x: False).run()
             return pipeline.metrics
 
-        fused, unfused = build(True), build(False)
-        # Unfused materializes the 10x-expanded intermediate; fused streams
-        # through it.
+        fused, unfused = build(False), build(True)
+        # A cached intermediate stores the 10x-expanded shards; the fused
+        # chain streams through them.
         assert unfused.peak_shard_records == 500
         assert fused.peak_shard_records == 50  # the source shards
         assert unfused.fused_stages == 0
@@ -184,21 +187,25 @@ class TestFusion:
         assert pipeline.metrics.fused_stages == fused_before + 1
         assert sorted(late.to_list()) == [10 * (x + 1) for x in range(40)]
 
-    def test_fuse_false_matches_results(self):
+    def test_fused_chain_matches_stagewise_results(self):
         data = [(i % 7, i) for i in range(200)]
 
-        def run(fuse):
-            pipeline = Pipeline(num_shards=4, fuse=fuse)
-            return sorted(
-                pipeline.create_keyed(data)
-                .map_values(lambda v: v + 1)
-                .filter(lambda kv: kv[1] % 3 != 0)
-                .group_by_key()
-                .map_values(sorted)
-                .to_list()
-            )
+        def run(stagewise):
+            # ``cache()`` after every transform is the stage-by-stage
+            # reference: each node materializes, nothing fuses.
+            pipeline = Pipeline(num_shards=4)
+            step = (lambda c: c.cache()) if stagewise else (lambda c: c)
+            col = step(pipeline.create_keyed(data))
+            col = step(col.map_values(lambda v: v + 1))
+            col = step(col.filter(lambda kv: kv[1] % 3 != 0))
+            col = step(col.group_by_key())
+            result = sorted(col.map_values(sorted).to_list())
+            return result, pipeline.metrics.fused_stages
 
-        assert run(True) == run(False)
+        fused, n_fused = run(False)
+        stagewise, n_stagewise = run(True)
+        assert fused == stagewise
+        assert n_fused > 0 and n_stagewise == 0
 
 
 class TestStableShardIntegral:

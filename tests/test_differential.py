@@ -6,14 +6,15 @@ map_values — plain and :class:`Fold` — group_by_key / combine_per_key /
 flatten / cogroup, with shared intermediates and explicit ``cache()``),
 then executes each program across the full configuration matrix
 
-    {columnar, row} x {optimized, unoptimized}
-                    x {sequential, thread, multiprocess, remote}
-                    x {spill off, spill on}
+    {optimized, unoptimized} x {sequential, thread, multiprocess, remote}
+                             x {spill off, spill on}
 
-— 24 cells (the row-runtime axis skips the orthogonal spill knob), plus
-two ``shuffle="worker"`` cells where the remote backend exchanges
-shuffle buckets peer-to-peer instead of through the driver —
-asserting **identical results in every cell**.  The remote
+— 16 cells, plus two ``shuffle="worker"`` cells where the remote backend
+exchanges shuffle buckets peer-to-peer instead of through the driver —
+asserting **identical results in every cell**.  (The programs are built
+from plain callables, so every cell runs the engine's row path; the
+batch-declared twins are held to the same bar op by op in
+``test_columnar.py``.)  The remote
 cells run on two localhost worker daemons shared across the module (one
 :class:`LocalCluster`; each cell connects its own executor), so the
 socket/RPC backend is held to the same bit-identical bar as the
@@ -43,24 +44,17 @@ N_PROGRAMS = 8
 N_SHARDS = 4
 STREAM_CHUNK = 16
 
-#: The configuration matrix: the columnar runtime across every
-#: {optimize} x {executor} x {spill} combination, plus the row runtime
-#: across {optimize} x {executor} (spill is a storage knob orthogonal to
-#: the shard representation, so the row axis skips it), plus the
-#: worker-to-worker shuffle plane on the remote backend (the only
-#: backend with peers; shuffle buckets move peer-to-peer instead of
-#: through the driver, results must not change).
+#: The configuration matrix: every {optimize} x {executor} x {spill}
+#: combination, plus the worker-to-worker shuffle plane on the remote
+#: backend (the only backend with peers; shuffle buckets move
+#: peer-to-peer instead of through the driver, results must not change).
 CELLS = [
-    (optimize, executor, spill, True, None)
+    (optimize, executor, spill, None)
     for optimize in (True, False)
     for executor in ("sequential", "thread", "multiprocess", "remote")
     for spill in (False, True)
 ] + [
-    (optimize, executor, False, False, None)
-    for optimize in (True, False)
-    for executor in ("sequential", "thread", "multiprocess", "remote")
-] + [
-    (optimize, "remote", False, True, "worker")
+    (optimize, "remote", False, "worker")
     for optimize in (True, False)
 ]
 
@@ -207,7 +201,6 @@ def _run_cell(
     optimize: bool,
     executor_name: str,
     spill: bool,
-    columnar: bool = True,
     cluster=None,
     shuffle=None,
 ):
@@ -228,7 +221,6 @@ def _run_cell(
         num_shards=N_SHARDS,
         spill_to_disk=spill,
         optimize=optimize,
-        columnar=columnar,
         stream_chunk_size=STREAM_CHUNK,
         shuffle=shuffle,
     )
@@ -249,23 +241,23 @@ def _run_cell(
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
 def test_differential_matrix(seed, remote_cluster):
     """Every configuration cell is bit-identical to the naive sequential
-    in-memory *row-runtime* reference (the engine's original
-    record-at-a-time semantics)."""
-    reference = _run_cell(seed, False, "sequential", False, columnar=False)
-    for optimize, executor_name, spill, columnar, shuffle in CELLS:
+    in-memory reference (the engine's original record-at-a-time
+    semantics)."""
+    assert len(CELLS) == 18
+    reference = _run_cell(seed, False, "sequential", False)
+    for optimize, executor_name, spill, shuffle in CELLS:
         got = _run_cell(
             seed,
             optimize,
             executor_name,
             spill,
-            columnar=columnar,
             cluster=remote_cluster,
             shuffle=shuffle,
         )
         assert got == reference, (
             f"seed {seed}: cell (optimize={optimize}, "
             f"executor={executor_name}, spill={spill}, "
-            f"columnar={columnar}, shuffle={shuffle}) diverged"
+            f"shuffle={shuffle}) diverged"
         )
 
 
@@ -297,10 +289,10 @@ def test_programs_exercise_the_optimizer():
 
 
 def test_vectorized_path_fires_on_library_beams():
-    """Meta-test for the columnar axis: under ``columnar=True`` the
-    library's kNN and bounding plans actually execute vectorized stages
-    (otherwise the row/columnar matrix would be comparing the row path
-    against itself)."""
+    """Meta-test for the batch twins: the library's kNN and bounding
+    plans actually execute vectorized stages (otherwise the beams'
+    dataflow-vs-memory equivalence tests would be exercising the row
+    fallback only)."""
     from repro.core.problem import SubsetProblem
     from repro.data.registry import load_dataset
     from repro.dataflow import beam_bound
@@ -309,8 +301,7 @@ def test_vectorized_path_fires_on_library_beams():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((120, 8))
     _, _, _, knn_metrics = beam_knn_graph(
-        x, 4, n_clusters=4,
-        options=EngineOptions(num_shards=4, columnar=True),
+        x, 4, n_clusters=4, options=EngineOptions(num_shards=4)
     )
     assert knn_metrics.vectorized_stages > 0, "kNN beam never vectorized"
     assert knn_metrics.columnar_rows > 0
@@ -318,16 +309,6 @@ def test_vectorized_path_fires_on_library_beams():
     ds = load_dataset("cifar100_tiny", n_points=200, seed=0)
     problem = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
     _, bound_metrics = beam_bound(
-        problem, problem.n // 4,
-        options=EngineOptions(num_shards=4, columnar=True),
+        problem, problem.n // 4, options=EngineOptions(num_shards=4)
     )
     assert bound_metrics.vectorized_stages > 0, "bounding beam never vectorized"
-
-    # And the row axis really is the row path: columnar=False must not
-    # meter a single vectorized stage.
-    _, _, _, row_metrics = beam_knn_graph(
-        x, 4, n_clusters=4,
-        options=EngineOptions(num_shards=4, columnar=False),
-    )
-    assert row_metrics.vectorized_stages == 0
-    assert row_metrics.columnar_rows == 0

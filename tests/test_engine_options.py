@@ -135,7 +135,7 @@ class TestEngineOptionsRoundTrips:
         "remote", num_shards=16, spill_to_disk=True, optimize=False,
         stream_source=True, workers=("10.0.0.1:7077", "10.0.0.2:7078"),
         checkpoint_dir="ckpt", checkpoint_salt="v1",
-        broadcast_min_bytes=1024, stream_chunk_size=512, fuse=True,
+        broadcast_min_bytes=1024, stream_chunk_size=512,
     )
 
     def test_dict_round_trip(self):
@@ -160,7 +160,6 @@ class TestEngineOptionsRoundTrips:
             "REPRO_ENGINE_CHECKPOINT_SALT": "v1",
             "REPRO_ENGINE_BROADCAST_MIN_BYTES": "1024",
             "REPRO_ENGINE_STREAM_CHUNK_SIZE": "512",
-            "REPRO_ENGINE_FUSE": "on",
             "UNRELATED": "ignored",
         }
         assert EngineOptions.from_env(env) == self.OPTIONS
@@ -169,7 +168,7 @@ class TestEngineOptionsRoundTrips:
         with pytest.raises(ValueError, match="REPRO_ENGINE_SHARDS"):
             EngineOptions.from_env({"REPRO_ENGINE_SHARDS": "4"})
         with pytest.raises(ValueError, match="boolean"):
-            EngineOptions.from_env({"REPRO_ENGINE_FUSE": "maybe"})
+            EngineOptions.from_env({"REPRO_ENGINE_SPILL_TO_DISK": "maybe"})
         with pytest.raises(ValueError, match="integer"):
             EngineOptions.from_env({"REPRO_ENGINE_NUM_SHARDS": "many"})
 
@@ -601,6 +600,41 @@ class TestKnobTableContract:
             if key.startswith(EngineOptions.ENV_PREFIX):
                 monkeypatch.delenv(key)
 
+    def test_exact_knob_set(self):
+        """The configuration space, pinned: a knob added or removed is a
+        deliberate edit here (14 -> 12 when ``columnar`` and ``fuse``,
+        which no caller ever switched off, stopped being options)."""
+        assert tuple(knob.name for knob in _KNOBS) == (
+            "executor", "num_shards", "spill_to_disk", "optimize",
+            "stream_source", "workers", "checkpoint_dir", "checkpoint_salt",
+            "broadcast_min_bytes", "stream_chunk_size", "adaptive", "shuffle",
+        )
+        assert tuple(EngineOptions().to_dict()) == EngineOptions._FIELDS
+
+    @pytest.mark.parametrize("removed", ["columnar", "fuse"])
+    def test_removed_knobs_are_rejected_on_every_surface(self, removed):
+        """A removed knob is an unknown key everywhere a knob can arrive
+        from — never silently ignored."""
+        from repro.dataflow.pcollection import Pipeline
+
+        with pytest.raises(TypeError, match=removed):
+            EngineOptions(**{removed: True})
+        with pytest.raises(TypeError, match=removed):
+            Pipeline(**{removed: True})
+        with pytest.raises(ValueError, match=f"unknown.*{removed}"):
+            EngineOptions.from_dict({removed: True})
+        with pytest.raises(ValueError, match=f"unknown.*{removed}"):
+            EngineOptions.from_json(json.dumps({removed: False}))
+        with pytest.raises(ValueError, match=f"unknown.*{removed.upper()}"):
+            EngineOptions.from_env({f"REPRO_ENGINE_{removed.upper()}": "1"})
+        with pytest.raises(ValueError, match=f"unknown.*{removed}"):
+            EngineOptions().derive(**{removed: True})
+        parser = argparse.ArgumentParser()
+        add_engine_arguments(parser)
+        help_text = parser.format_help()
+        assert f"--{removed}" not in help_text
+        assert f"--no-{removed}" not in help_text
+
     def test_every_flag_family_belongs_to_one_knob(self):
         parser = argparse.ArgumentParser()
         group = add_engine_arguments(parser)
@@ -664,8 +698,8 @@ class TestKnobTableContract:
 
     @pytest.mark.parametrize("blob, knob", [
         ('{"spill_to_disk": "false"}', "spill_to_disk"),
-        ('{"fuse": "no"}', "fuse"),
-        ('{"fuse": 0}', "fuse"),
+        ('{"spill_to_disk": 0}', "spill_to_disk"),
+        ('{"adaptive": "no"}', "adaptive"),
         ('{"num_shards": 2.7}', "num_shards"),
         ('{"num_shards": "4"}', "num_shards"),
         ('{"stream_chunk_size": true}', "stream_chunk_size"),

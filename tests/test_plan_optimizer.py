@@ -45,7 +45,7 @@ class TestGoldenPlans:
         pipeline = Pipeline(num_shards=4, optimize=True)
         out = self._knn_shape(pipeline)
         assert_that(out, plan_matches(
-            "plan (optimize=on, fuse=on, shards=4)\n"
+            "plan (optimize=on, shards=4)\n"
             "S1: shuffle-write group 'knn/group' "
             "[fused: flat_map 'knn/assign'] "
             "(elided reshard 'knn/assign_key') "
@@ -65,7 +65,7 @@ class TestGoldenPlans:
         pipeline = Pipeline(num_shards=4, optimize=False)
         out = self._knn_shape(pipeline)
         assert_that(out, plan_matches(
-            "plan (optimize=off, fuse=on, shards=4)\n"
+            "plan (optimize=off, shards=4)\n"
             "S1: shuffle reshard 'knn/assign_key' "
             "[fused: flat_map 'knn/assign'] "
             "<- [materialized source 'knn/source']\n"
@@ -93,7 +93,7 @@ class TestGoldenPlans:
         )
         plan = survivors.explain()
         assert plan == (
-            "plan (optimize=on, fuse=on, shards=4)\n"
+            "plan (optimize=on, shards=4)\n"
             "S1: shuffle-write group 'greedy/group' "
             "[fused: map 'greedy/partition'] "
             "(elided reshard 'greedy/partition') "
@@ -140,7 +140,7 @@ class TestGoldenPlans:
 class TestColumnarPlanRendering:
     """Golden snapshots of the columnar runtime's ``explain()`` notes: a
     fully-batch chain, a partial prefix with its row-fallback boundary,
-    and the row runtime rendering exactly as before."""
+    and the same chain declared without ``batch`` rendering unannotated."""
 
     @staticmethod
     def _batch_double():
@@ -158,20 +158,25 @@ class TestColumnarPlanRendering:
             label="even",
         )
 
-    def _mixed_chain(self, pipeline):
-        """Two batch ops, then a plain lambda: the fallback boundary."""
+    def _mixed_chain(self, pipeline, *, batch=True):
+        """Two batch ops, then a plain lambda: the fallback boundary.
+        ``batch=False`` declares the same ops as plain callables — the
+        row reference."""
+        double, even = self._batch_double(), self._batch_even()
+        if not batch:
+            double, even = double.fn, even.fn
         return (
             pipeline.create(range(32), name="col/source")
-            .map(self._batch_double(), name="col/double")
-            .filter(self._batch_even(), name="col/even")
+            .map(double, name="col/double")
+            .filter(even, name="col/even")
             .map(lambda x: x + 1, name="col/bump")
         )
 
     def test_fallback_boundary_snapshot(self):
-        pipeline = Pipeline(num_shards=4, optimize=True, columnar=True)
+        pipeline = Pipeline(num_shards=4, optimize=True)
         out = self._mixed_chain(pipeline)
         assert out.explain() == (
-            "plan (optimize=on, fuse=on, shards=4)\n"
+            "plan (optimize=on, shards=4)\n"
             "S1: map 'col/double' + filter 'col/even' + map 'col/bump' "
             "[vectorized x2, row fallback at map 'col/bump'] "
             "<- [materialized source 'col/source']\n"
@@ -182,29 +187,30 @@ class TestColumnarPlanRendering:
         )
         assert pipeline.metrics.vectorized_stages == 1
 
-    def test_row_runtime_renders_unannotated(self):
-        """``columnar=False`` must render the identical chain exactly as
-        the pre-columnar engine did — no note, no metered stages."""
-        pipeline = Pipeline(num_shards=4, optimize=True, columnar=False)
-        out = self._mixed_chain(pipeline)
+    def test_row_fallback_renders_unannotated(self):
+        """The same chain declared without ``batch`` renders with no
+        note, meters no vectorized stage, and computes the same records."""
+        pipeline = Pipeline(num_shards=4, optimize=True)
+        out = self._mixed_chain(pipeline, batch=False)
         assert out.explain() == (
-            "plan (optimize=on, fuse=on, shards=4)\n"
+            "plan (optimize=on, shards=4)\n"
             "S1: map 'col/double' + filter 'col/even' + map 'col/bump' "
             "<- [materialized source 'col/source']\n"
             "result <- S1"
         )
-        out.run()
+        batch_out = self._mixed_chain(Pipeline(num_shards=4, optimize=True))
+        assert list(out.iter_shards()) == list(batch_out.iter_shards())
         assert pipeline.metrics.vectorized_stages == 0
 
     def test_fully_vectorized_chain_snapshot(self):
-        pipeline = Pipeline(num_shards=4, optimize=True, columnar=True)
+        pipeline = Pipeline(num_shards=4, optimize=True)
         out = (
             pipeline.create(range(32), name="col/source")
             .map(self._batch_double(), name="col/double")
             .filter(self._batch_even(), name="col/even")
         )
         assert out.explain() == (
-            "plan (optimize=on, fuse=on, shards=4)\n"
+            "plan (optimize=on, shards=4)\n"
             "S1: map 'col/double' + filter 'col/even' [vectorized] "
             "<- [materialized source 'col/source']\n"
             "result <- S1"
@@ -213,7 +219,7 @@ class TestColumnarPlanRendering:
     def test_fused_shuffle_write_renders_boundary(self):
         """The write-side fused chain carries the same annotation; the
         key-assigning plain map is the boundary."""
-        pipeline = Pipeline(num_shards=4, optimize=True, columnar=True)
+        pipeline = Pipeline(num_shards=4, optimize=True)
         out = (
             pipeline.create(range(32), name="col/source")
             .map(self._batch_double(), name="col/double")
@@ -222,7 +228,7 @@ class TestColumnarPlanRendering:
             .map_values(Fold.sum(), name="col/sum")
         )
         assert out.explain() == (
-            "plan (optimize=on, fuse=on, shards=4)\n"
+            "plan (optimize=on, shards=4)\n"
             "S1: combine-write combine_per_key 'col/sum' "
             "(lifted from group 'col/group') "
             "[fused: map 'col/double' + map 'col/key'] "

@@ -170,8 +170,8 @@ class TestKnobPrecedence:
     def test_derive_and_pickle_preserve_explicitness(self):
         import pickle
 
-        o = EngineOptions(num_shards=4).derive(fuse=True)
-        assert o.is_explicit("num_shards") and o.is_explicit("fuse")
+        o = EngineOptions(num_shards=4).derive(spill_to_disk=False)
+        assert o.is_explicit("num_shards") and o.is_explicit("spill_to_disk")
         assert not o.is_explicit("executor")
         o2 = pickle.loads(pickle.dumps(o))
         assert o2.is_explicit("num_shards") and not o2.is_explicit("executor")

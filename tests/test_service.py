@@ -18,6 +18,7 @@ everything touching results, dedup, or parity runs real selections on a
 tiny dataset.
 """
 
+import json
 import threading
 import time
 
@@ -176,7 +177,7 @@ class TestJobSpec:
 
     @pytest.mark.parametrize("engine_options, knob", [
         ({"spill_to_disk": "false"}, "spill_to_disk"),
-        ({"fuse": "no"}, "fuse"),
+        ({"adaptive": "no"}, "adaptive"),
         ({"num_shards": 2.7}, "num_shards"),
         ({"stream_chunk_size": True}, "stream_chunk_size"),
     ])
@@ -188,18 +189,25 @@ class TestJobSpec:
         with pytest.raises(ValueError, match=knob):
             JobSpec.from_dict(_spec_dict(engine_options=engine_options))
 
+    @pytest.mark.parametrize("removed", ["columnar", "fuse"])
+    def test_removed_engine_knob_is_an_unknown_key(self, removed):
+        with pytest.raises(ValueError, match=f"unknown.*{removed}"):
+            JobSpec.from_dict(_spec_dict(engine_options={removed: True}))
+
     def test_only_non_default_knobs_are_pinned(self):
         """The digest needs every knob spelled out; the planner must
         still see which ones the submitter actually chose."""
         spec = JobSpec.from_dict(_spec_dict(engine_options={"adaptive": True}))
-        # Unchanged from before resolve_options existed.
+        # Pinned: the digests move only when the normalised dict does
+        # (last: it lost the removed ``columnar``/``fuse`` keys, so
+        # result-store entries keyed under the 14-knob dict now miss).
         assert plan_digest(spec) == (
-            "19d94cafd018729811b8afbcad368a0a6fb31752"
-            "66e31d34f4e05873bf98055a"
+            "c3e825b443ff7717ea09f8d166446c70b993e0ea"
+            "fe8ca65a7cf8b9897e568f67"
         )
         assert family_digest(spec) == (
-            "58cc0809103f6eb52894b67d9d9fee42acee9f38"
-            "eb17a7b3fa72b08c96b5b713"
+            "d32066aa7b09de5d9ee09f767187ece904b2087d"
+            "470f4c028cc6d73d8db29dad"
         )
         options = spec.resolve_options()
         assert options.to_dict() == spec.engine_options
@@ -418,6 +426,34 @@ class TestScheduling:
             # … while the completed one stayed queryable, not re-run.
             assert svc.status(finished.job_id).state == "done"
             assert svc.result(finished.job_id) == {"report": {}}
+        finally:
+            svc.close()
+
+
+    def test_restart_fails_only_the_job_with_a_removed_engine_knob(
+        self, tmp_path
+    ):
+        """A record persisted by a version that still had the
+        ``columnar``/``fuse`` knobs must not take the boot down: the
+        service starts, that one job fails with the typed unknown-option
+        error, and its neighbours run."""
+        state_dir = str(tmp_path)
+        store = JobStore(state_dir)
+        stale = JobRecord.create(JobSpec.from_dict(_spec_dict())).to_dict()
+        stale["spec"]["engine_options"].update(columnar=None, fuse=True)
+        with open(store._job_path(stale["job_id"]), "w") as fh:
+            json.dump(stale, fh)
+        healthy = JobRecord.create(JobSpec.from_dict(_spec_dict(sel_seed=1)))
+        store.save_job(healthy)
+
+        svc = SelectorService(ServiceConfig(state_dir=state_dir))
+        try:
+            failed = _wait(svc, stale["job_id"])
+            assert failed.state == "failed"
+            assert failed.error.startswith("ValueError: unknown engine option")
+            assert "columnar" in failed.error and "fuse" in failed.error
+            assert _wait(svc, healthy.job_id).state == "done"
+            assert svc.metrics()["counters"]["failed"] == 1
         finally:
             svc.close()
 

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.dataflow import pcollection
+from repro.dataflow.columnar import BatchDoFn, ColumnarShard, as_records
 from repro.dataflow.options import DataflowContext, EngineOptions
 from repro.dataflow.pcollection import Fold, Pipeline
 from repro.dataflow.remote import LocalCluster, RemoteExecutor
@@ -129,11 +130,29 @@ class TestExchangeDataPlane:
         )
 
     def test_columnar_group_zero_driver_bytes(self, remote):
+        """Columnar buckets (a batch-declared producer) ride the worker
+        plane like row buckets: same groups, nothing through the driver."""
+        def tag_batch(shard):
+            rows = as_records(shard)
+            return ColumnarShard(
+                np.array([kv[0] for kv in rows], dtype=np.int64),
+                (np.array([kv[1] * 3 + 1 for kv in rows], dtype=np.int64),),
+            )
+
+        def drive(pipeline):
+            data = [(i % 7, i) for i in range(400)]
+            tag = BatchDoFn(lambda kv: (kv[0], kv[1] * 3 + 1), tag_batch)
+            return sorted(
+                pipeline.create(data).map(tag).as_keyed()
+                .group_by_key().map_values(sorted).to_list()
+            )
+
         reference = sorted(_group_drive(Pipeline(num_shards=4)))
         pipeline = Pipeline(
-            num_shards=4, executor=remote, shuffle="worker", columnar=True
+            num_shards=4, executor=remote, shuffle="worker"
         )
-        assert sorted(_group_drive(pipeline)) == reference
+        assert drive(pipeline) == reference
+        assert pipeline.metrics.columnar_rows > 0
         assert remote.stats()["driver_shuffle_bytes"] == 0
 
     def test_lifted_fold_over_exchange(self, remote):
@@ -286,14 +305,14 @@ class TestElasticMembership:
 class TestFaultFallback:
     """A producer dying mid-shuffle degrades to the driver, bit-identically."""
 
-    def _exchange_drive_with_kill(self, kill):
+    def _exchange_drive_with_kill(self, kill, barrier_dir):
         """Run a grouped drive, invoking ``kill(executor)`` right after
         the exchange's write phase (buckets resident, read not planned)."""
         executor = RemoteExecutor(
             max_workers=2, min_parallel_records=0, heartbeat_timeout=5.0
         )
         try:
-            original = executor._check_exchange_stage
+            original = executor._check_stage
             fired = {"done": False}
 
             def check(state):
@@ -302,29 +321,45 @@ class TestFaultFallback:
                     fired["done"] = True
                     kill(executor)
 
-            executor._check_exchange_stage = check
+            executor._check_stage = check
             pipeline = Pipeline(
                 num_shards=4, executor=executor, shuffle="worker"
             )
 
-            def slow_tag(kv):
-                time.sleep(0.05)  # both workers take write tasks
-                return (kv[0], kv[1] * 2)
+            def rendezvous_double(value, _dir=str(barrier_dir)):
+                # Handshake instead of a sleep: a process's first record
+                # announces it, then waits until a second process has
+                # announced too — so both workers hold write tasks (and
+                # therefore buckets) whichever one the kill picks.  The
+                # driver's re-derivation finds both markers and never
+                # waits.
+                marker = os.path.join(_dir, str(os.getpid()))
+                if not os.path.exists(marker):
+                    with open(marker, "w"):
+                        pass
+                    deadline = time.monotonic() + 30
+                    while (
+                        len(os.listdir(_dir)) < 2
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.005)
+                return value * 2
 
+            # Keyed at the source: the exchange's write phase is the
+            # drive's first stage under either plan, so the hook above
+            # fires between its write and its read.
             data = [(i % 7, i) for i in range(200)]
             got = (
-                pipeline.create(data)
-                .map(slow_tag)
-                .as_keyed()
+                pipeline.create_keyed(data)
+                .map_values(rendezvous_double)
                 .group_by_key()
                 .map_values(sorted)
                 .to_list()
             )
             seq = Pipeline(num_shards=4)
             reference = (
-                seq.create(data)
-                .map(lambda kv: (kv[0], kv[1] * 2))
-                .as_keyed()
+                seq.create_keyed(data)
+                .map_values(lambda v: v * 2)
                 .group_by_key()
                 .map_values(sorted)
                 .to_list()
@@ -334,29 +369,92 @@ class TestFaultFallback:
         finally:
             executor.close()
 
-    def test_producer_killed_between_write_and_read(self):
+    def test_run_stage_and_exchange_share_the_requeue_path(self, tmp_path):
+        """A worker SIGKILLed mid-task is handled by the one dispatch
+        loop whichever entry point drove it: the in-flight shard is
+        requeued onto the survivor and counted once, in a plain
+        ``run_stage`` and in an exchange's write phase alike."""
+
+        def drive(mode):
+            barrier_dir = tmp_path / mode
+            barrier_dir.mkdir()
+            executor = RemoteExecutor(
+                max_workers=2, min_parallel_records=0, heartbeat_timeout=5.0
+            )
+            try:
+                victim = executor.worker_pids[0]
+
+                def double(value, _victim=victim, _dir=str(barrier_dir)):
+                    # The victim dies holding its first shard; the
+                    # survivor waits to see it start, so the victim is
+                    # certain to have had a shard in flight.
+                    marker = os.path.join(_dir, "victim-started")
+                    if os.getpid() == _victim:
+                        with open(marker, "w"):
+                            pass
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    deadline = time.monotonic() + 30
+                    while (
+                        not os.path.exists(marker)
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.005)
+                    return value * 2
+
+                data = [(i % 7, i) for i in range(80)]
+                pipeline = Pipeline(
+                    num_shards=4, executor=executor,
+                    shuffle="worker" if mode == "exchange" else "driver",
+                )
+                doubled = pipeline.create_keyed(data).map_values(double)
+                if mode == "exchange":
+                    got = doubled.group_by_key().map_values(sorted).to_list()
+                    want = {}
+                    for key, value in data:
+                        want.setdefault(key, []).append(value * 2)
+                    assert sorted(got) == sorted(want.items())
+                else:
+                    assert sorted(doubled.to_list()) == sorted(
+                        (key, value * 2) for key, value in data
+                    )
+                stats = executor.stats()
+                # The drive really took the entry point it names.
+                assert executor._exchange_counter == int(mode == "exchange")
+                return {
+                    key: stats[key]
+                    for key in ("worker_failures", "retried_shards")
+                }
+            finally:
+                executor.close()
+
+        plain, exchange = drive("run_stage"), drive("exchange")
+        assert plain == exchange == {
+            "worker_failures": 1, "retried_shards": 1,
+        }
+
+    def test_producer_killed_between_write_and_read(self, tmp_path):
         def kill_one(executor):
             os.kill(executor.worker_pids[0], signal.SIGKILL)
             time.sleep(0.2)
 
-        stats = self._exchange_drive_with_kill(kill_one)
+        stats = self._exchange_drive_with_kill(kill_one, tmp_path)
         # The lost producer's buckets were re-derived on the driver; the
         # survivor's parts for the broken destinations were pulled
         # through the driver too — both count as fallback traffic.
         assert stats["bucket_refetches"] > 0
         assert stats["worker_failures"] >= 1
 
-    def test_all_producers_killed_completes_on_driver(self):
+    def test_all_producers_killed_completes_on_driver(self, tmp_path):
         def kill_all(executor):
             for pid in executor.worker_pids:
                 os.kill(pid, signal.SIGKILL)
             time.sleep(0.2)
 
-        stats = self._exchange_drive_with_kill(kill_all)
+        stats = self._exchange_drive_with_kill(kill_all, tmp_path)
         assert stats["bucket_refetches"] > 0
         assert stats["worker_failures"] == 2
 
-    def test_known_dead_producer_inlines_through_driver(self):
+    def test_known_dead_producer_inlines_through_driver(self, tmp_path):
         """When the driver already knows the producer is gone (channel
         dead at planning time), its buckets ship inline — re-derived,
         counted as driver bytes — and the drive still matches."""
@@ -365,7 +463,7 @@ class TestFaultFallback:
             os.kill(executor.worker_pids[0], signal.SIGKILL)
             victim.kill()
 
-        stats = self._exchange_drive_with_kill(kill_and_mark)
+        stats = self._exchange_drive_with_kill(kill_and_mark, tmp_path)
         assert stats["bucket_refetches"] > 0
         assert stats["driver_shuffle_bytes"] > 0
 
@@ -584,6 +682,20 @@ class TestGracefulShutdown:
             message = (MSG_SHUTDOWN, True) if force else (MSG_SHUTDOWN,)
             protocol.send_msg(sock, message)
 
+    @staticmethod
+    def _wait_not_listening(address, timeout=30.0):
+        """Block until the daemon has closed its listener — the first
+        thing a graceful shutdown does, so the request has been acted on
+        (not merely sent) once a connect is refused."""
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                socket.create_connection(address, timeout=5).close()
+            except OSError:
+                return
+            assert time.monotonic() < deadline, "daemon still listening"
+            time.sleep(0.02)
+
     def test_graceful_drains_inflight_task(self, tmp_path):
         marker_dir = str(tmp_path)
         with LocalCluster(2) as private:
@@ -594,12 +706,19 @@ class TestGracefulShutdown:
                 def slow(records, _dir=marker_dir):
                     # Announce the task is *running* (a daemon with no
                     # active task exits immediately on graceful
-                    # shutdown, so the test must not race task pickup).
+                    # shutdown), then stay in flight until the test has
+                    # seen both daemons act on the shutdown request — an
+                    # event, not a sleep the request has to beat.
                     with open(
                         os.path.join(_dir, f"started-{os.getpid()}"), "w"
                     ):
                         pass
-                    time.sleep(1.5)
+                    deadline = time.monotonic() + 60
+                    while (
+                        not os.path.exists(os.path.join(_dir, "release"))
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.01)
                     return sum(records)
 
                 results = {}
@@ -615,6 +734,11 @@ class TestGracefulShutdown:
                     time.sleep(0.02)
                 for address in private.addresses:
                     self._request_shutdown(address)
+                for address in private.addresses:
+                    self._wait_not_listening(address)
+                assert runner.is_alive(), "task finished before shutdown"
+                with open(os.path.join(marker_dir, "release"), "w"):
+                    pass
                 runner.join(timeout=30)
                 assert not runner.is_alive(), "stage never finished"
                 # The in-flight shards drained to their replies...
