@@ -4,9 +4,18 @@ The difficulty the paper highlights: when iterating over a point's neighbors
 there is no O(1) "is the neighbor in the subset?" check, because the subset
 is not in memory.  The implementation therefore works entirely through
 joins, packaged as the :class:`~repro.dataflow.library.BoundingFilter`
-composite (fan out the graph by neighbor id → three-way cogroup with the
-partial solution and the unassigned set → cogroup with the utilities →
-per-point ``(lower, Umax)`` bounds); thresholds ``U^k`` come from
+composite (three-way cogroup of the graph with the partial solution and
+the unassigned set → live edges re-keyed to their other endpoint →
+cogroup with the unassigned set and the utilities → per-point ``(lower,
+Umax)`` bounds).  The graph must be symmetric, weights included
+(``NeighborGraph`` validates edge set, weight and multiplicity unless
+built with ``check=False``): a point's adjacency record then doubles as
+the list of edges that name it as neighbor, so the loop-invariant graph
+is never re-shuffled.
+Graph, utilities, solution and unassigned set all stay hash-partitioned
+by point id from round to round, so a round moves exactly one thing
+across a shuffle — its live edges, once, as columns
+(``metrics.shuffled_records`` counts them).  Thresholds ``U^k`` come from
 :func:`~repro.dataflow.transforms.distributed_kth_largest` (bisection with
 distributed counts, O(1) driver state per probe).  The grow/shrink
 convergence driver mirrors Algorithm 5 exactly, and
@@ -138,7 +147,13 @@ class BeamBoundingDriver:
     def _compute_bounds(
         self, solution: PCollection, remaining: PCollection
     ) -> PCollection:
-        """Keyed ``(node, (lower, umax))`` over the remaining set."""
+        """Keyed ``(node, (lower, umax))`` over the remaining set.
+
+        Cached: the grow/shrink steps derive two consumers from the
+        bounds one after the other (the threshold values, then the
+        survivors), and an uncached chain would run the round's joins
+        once per consumer.
+        """
         cfg = self.config
         self._round_counter += 1
         return remaining.apply(
@@ -153,7 +168,7 @@ class BeamBoundingDriver:
                 round_salt=self._round_counter,
                 seed_salt=self._seed_salt,
             )
-        )
+        ).cache()
 
     # -- grow / shrink -----------------------------------------------------
 
@@ -162,10 +177,9 @@ class BeamBoundingDriver:
         """Set difference via cogroup (no membership lookups)."""
         from repro.dataflow.transforms import cogroup
 
-        return cogroup([remaining, removed], name="bound/minus").flat_map(
-            lambda kv: [(kv[0], True)] if kv[1][0] and not kv[1][1] else [],
-            name="bound/minus_emit",
-        ).as_keyed(name="bound/minus_key")
+        return cogroup([remaining, removed], name="bound/minus").filter(
+            lambda kv: kv[1][0] and not kv[1][1], name="bound/minus_keep"
+        ).map_values(lambda _: True, name="bound/minus_emit")
 
     def run(self, k: int) -> Tuple[BoundingResult, PipelineMetrics]:
         """Execute Alg. 5; returns the result and the pipeline metrics."""
@@ -280,6 +294,12 @@ def beam_bound(
     are identical on every backend, plan, and ingest mode for a fixed
     seed.  ``options.spill_to_disk=True`` keeps every materialized shard
     on disk — the literal larger-than-memory mode.
+
+    ``problem.graph`` must be symmetric with equal weights in both
+    directions (``NeighborGraph`` validates that unless built with
+    ``check=False``; it is not re-checked here); each grow/shrink round
+    then shuffles only its live edges, once — see
+    :class:`~repro.dataflow.library.BoundingFilter`.
     """
     driver = BeamBoundingDriver(
         problem,

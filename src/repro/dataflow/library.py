@@ -369,17 +369,38 @@ class BoundingFilter(PTransform):
     """One round of the bounding pre-pass's bound computation (Sec. 5).
 
     Input: the keyed *remaining* set ``(id, True)``.  Output: keyed
-    ``(id, (lower, umax))`` bounds over it.  Expands to the paper's
-    join-only plan — no machine ever holds the subset:
+    ``(id, (lower, umax))`` bounds over it, hash-partitioned by id like
+    its inputs.  Expands to the paper's join-only plan — no machine ever
+    holds the subset:
 
-    1. fan out the neighbor graph, keying each edge by its *neighbor*;
-    2. three-way cogroup with the partial solution and the remaining set:
-       dead edges (endpoint shrunk away) drop, survivors re-key by their
-       source with a solution-membership tag;
-    3. cogroup with the remaining set and the utilities: per point, the
-       solution mass and the (optionally hash-sampled) unassigned mass
-       reduce to ``lower = u - ratio*(mass_sol + mass_unassigned)`` and
+    1. three-way cogroup of the neighbor graph with the partial solution
+       and the remaining set, keyed by point ``a``: dead points (shrunk
+       away) drop their edges, survivors re-key every edge to its other
+       endpoint ``b`` with ``a``'s solution-membership tag;
+    2. cogroup of those live edges with the remaining set and the
+       utilities, keyed by ``b``: per point, the solution mass and the
+       (optionally hash-sampled) unassigned mass reduce to
+       ``lower = u - ratio*(mass_sol + mass_unassigned)`` and
        ``umax = u - ratio*mass_sol``.
+
+    **Precondition: the neighbor graph is symmetric, weights included** —
+    ``(b, s)`` is in ``a``'s adjacency record exactly as often as
+    ``(a, s)`` is in ``b``'s.  :class:`~repro.graph.csr.NeighborGraph`
+    validates exactly that (edge set, weight and multiplicity) unless it
+    was built with ``check=False``, which makes it the caller's
+    guarantee; with ``w(a,b) != w(b,a)`` this plan would charge ``b`` the
+    weight ``a`` stores and disagree with the in-memory ``bound``.  Then
+    "the edge table keyed by neighbor ``a``, grouped by ``a``" *is* ``a``'s
+    own adjacency record, so step 1 reads ``neighbors`` in place (an
+    asymmetric graph would need its edge table re-keyed by neighbor id
+    first).
+
+    One exchange per round: ``neighbors``, ``solution``, ``remaining``
+    and ``utilities`` are all hash-partitioned by point id, so under the
+    optimizer every join input but one is a narrow dependency; the only
+    records that cross a shuffle are step 1's live edges, re-keyed to
+    ``b``, once — emitted as a keyed :class:`ColumnarShard`
+    ``(b; a, s, in_solution)`` and routed column-wise.
 
     Sampling (``mode="approximate"``, ``p < 1``) is counter-based
     Bernoulli per edge per round (:func:`edge_hash01`) — a distributed
@@ -419,67 +440,70 @@ class BoundingFilter(PTransform):
         round_salt = self.round_salt
         seed_salt = self.seed_salt
 
-        # (1) fan out: key by the *neighbor* id a; value (b, s) keeps the
-        # original source so edges can be inverted later.
-        def fan_out(kv):
-            return [(b, (kv[0], s)) for b, s in kv[1]]
+        # (1) three-way join keyed by a: ``adjacency`` holds a's adjacency
+        # record (by symmetry, the edges whose neighbor endpoint is a).
+        # Drop dead points, tag solution membership, re-key to b.
+        def _membership(in_solution, in_remaining) -> Optional[bool]:
+            if in_solution:
+                return True
+            if in_remaining:
+                return False
+            return None  # a was discarded by a shrink step
 
-        def fan_out_batch(shard):
-            # Emit the edge table columnar — (neighbor, source, weight)
-            # arrays — so the join shuffle hashes and routes the neighbor
-            # column without materializing one tuple per edge.
-            records = (
-                shard.to_records() if isinstance(shard, ColumnarShard)
-                else shard
-            )
-            neighbor_ids: List[int] = []
-            sources: List[int] = []
-            weights: List[float] = []
-            for a, edges in records:
-                for b, s in edges:
-                    neighbor_ids.append(b)
-                    sources.append(a)
-                    weights.append(s)
-            if not neighbor_ids:
+        def invert(kv) -> Iterable[Tuple[int, Tuple[int, float, bool]]]:
+            a, (adjacency, in_solution, in_remaining) = kv
+            flag = _membership(in_solution, in_remaining)
+            if flag is None:
                 return []
+            return [(b, (a, s, flag)) for edges in adjacency for b, s in edges]
+
+        def invert_batch(shard):
+            # The round's one edge exchange, columnar: (b; a, s, flag)
+            # arrays, so the shuffle hashes and routes the b column
+            # without materializing one tuple per live edge.
+            sources: List[int] = []
+            flags: List[bool] = []
+            degrees: List[int] = []
+            live_edges: List[Tuple[int, float]] = []
+            for a, (adjacency, in_solution, in_remaining) in as_records(shard):
+                flag = _membership(in_solution, in_remaining)
+                if flag is None:
+                    continue
+                before = len(live_edges)
+                for edges in adjacency:
+                    live_edges.extend(edges)
+                sources.append(a)
+                flags.append(flag)
+                degrees.append(len(live_edges) - before)
+            if not live_edges:
+                return []
+            neighbor_ids, weights = zip(*live_edges)
             return ColumnarShard(
                 np.asarray(neighbor_ids, dtype=np.int64),
                 (
-                    np.asarray(sources, dtype=np.int64),
+                    np.repeat(np.asarray(sources, dtype=np.int64), degrees),
                     np.asarray(weights, dtype=np.float64),
+                    np.repeat(np.asarray(flags, dtype=bool), degrees),
                 ),
             )
 
-        fanned = self.neighbors.flat_map(
-            BatchDoFn(fan_out, fan_out_batch, label="bound/fan_out"),
-            name="bound/fan_out",
-        ).as_keyed(name="bound/fan_out_key")
-
-        # (2) three-way join keyed by a: filter dead edges, tag solution
-        # membership, invert back to key b.
-        def invert(kv) -> Iterable[Tuple[int, Tuple[int, float, bool]]]:
-            a, (edges, in_solution, in_remaining) = kv
-            if not edges:
-                return []
-            if in_solution:
-                flag = True
-            elif in_remaining:
-                flag = False
-            else:
-                return []  # a was discarded by a shrink step
-            return [(b, (a, s, flag)) for b, s in edges]
-
         edges4 = cogroup(
-            [fanned, self.solution, remaining], name="bound/threeway_join"
-        ).flat_map(invert, name="bound/invert").as_keyed(
-            name="bound/invert_key"
-        )
+            [self.neighbors, self.solution, remaining],
+            name="bound/threeway_join",
+        ).flat_map(
+            BatchDoFn(invert, invert_batch, label="bound/invert"),
+            name="bound/invert",
+        ).as_keyed(name="bound/invert_key")
 
-        # (3) join with remaining + utilities keyed by b; sample and reduce.
-        def reduce_bounds(kv):
-            b, (partners, in_remaining, utility) = kv
-            if not in_remaining or not utility:
-                return []
+        # (2) join with remaining + utilities keyed by b; sample and reduce.
+        # ``filter`` + ``map_keyed_values`` keep the join's partitioning, so the
+        # bounds feed the next round's joins without another routing pass.
+        def bounded(kv) -> bool:
+            _partners, in_remaining, utility = kv[1]
+            return bool(in_remaining and utility)
+
+        def reduce_bounds(b, joined):
+            partners, _in_remaining, utility = joined
             u = utility[0]
             mass_solution = 0.0
             unassigned: List[Tuple[int, float]] = []
@@ -520,12 +544,12 @@ class BoundingFilter(PTransform):
                 mass_sampled = sum(s for _, s in unassigned)
             umax = u - ratio * mass_solution
             lower = u - ratio * (mass_solution + mass_sampled)
-            return [(b, (lower, umax))]
+            return (lower, umax)
 
         return cogroup(
             [edges4, remaining, self.utilities], name="bound/bounds_join"
-        ).flat_map(reduce_bounds, name="bound/reduce").as_keyed(
-            name="bound/reduce_key"
+        ).filter(bounded, name="bound/bounded").map_keyed_values(
+            reduce_bounds, name="bound/reduce"
         )
 
 

@@ -18,7 +18,10 @@ Optimizer counters (all recorded when the plan executes):
     ``combine_per_key`` with pre-shuffle partial aggregation.
 ``elided_shuffles``
     Redundant ``as_keyed``/``key_by`` reshards whose routing was subsumed
-    by the downstream grouping shuffle (the records route once, not twice).
+    by the downstream grouping shuffle (the records route once, not
+    twice), plus cogroup inputs that were already hash-partitioned by key
+    and were read in place (those records do not route at all; an input
+    counts once, a redundant reshard skipped above it included).
 ``pre_shuffle_records``
     Records *offered* to shuffle writes before partial aggregation;
     ``shuffled_records`` stays the post-aggregation volume that actually

@@ -28,7 +28,7 @@ run`/:meth:`~PCollection.cache`.  At a sink the engine:
 
 Plan optimization
 -----------------
-With ``optimize=True`` three rewrites run between DAG construction and
+With ``optimize=True`` four rewrites run between DAG construction and
 execution (``optimize=False`` — the CLI's ``--no-optimize`` — reproduces
 the naive plan exactly):
 
@@ -58,6 +58,25 @@ the naive plan exactly):
     stage and the grouped intermediate never exists as a stored shard.
     (Pre-shuffle producers already fused into the shuffle write; cogroup
     inputs gain the same write-side fusion under ``optimize``.)
+
+*Partition-aware CoGroupByKey*
+    Every plan node knows whether its output is hash-partitioned by key
+    at the pipeline's ``num_shards`` (``_Node.partitioned``): keyed
+    sources and every shuffle (``as_keyed``/``key_by`` reshards,
+    ``group_by_key``, ``combine_per_key``, ``cogroup``) establish the
+    property, ``filter``/``map_values`` keep it, ``flatten`` keeps it
+    when all inputs have it, and ``map``/``flat_map``/``reshuffle`` —
+    which may rewrite keys or placement — drop it.  A cogroup input
+    whose base is partitioned and whose fused chain is key-preserving is
+    a *narrow dependency*: its shard ``i`` already is destination
+    ``i``'s part, so it gets no write stage and moves no record; its
+    chain runs inside the read stage.  Counted once per input in
+    ``metrics.elided_shuffles`` (a redundant ``as_keyed`` skipped on the
+    way to it is not counted again) and rendered as ``[co-partitioned]``
+    on the read line.  Record order per
+    destination is what routing would have produced (routing a placed
+    shard is the identity), so results are bit-identical to the
+    route-everything ``optimize=False`` plan.
 
 :meth:`PCollection.explain` renders the optimized physical plan without
 executing it (golden-plan tests pin the rewrites).
@@ -328,6 +347,18 @@ class _ShardGroup:
         return out
 
 
+class _CoGroupParts(_ShardGroup):
+    """One destination shard of a CoGroupByKey: the per-input parts, kept
+    apart.  ``load`` resolves each part inside the worker (spilled and
+    multi-chunk parts included) and hands the read stage one entry per
+    input, in tag order."""
+
+    __slots__ = ()
+
+    def load(self) -> list:
+        return [_resolve(part) for part in self.parts]
+
+
 def gc_checkpoint_entries(
     checkpoint_dir: Optional[str], protected: "set[str]"
 ) -> int:
@@ -366,12 +397,17 @@ def gc_checkpoint_entries(
 # -- operator DAG ----------------------------------------------------------
 
 #: Node kinds that are element-wise (shard-local, fusable).
-_ELEMENTWISE = frozenset({"map", "flat_map", "filter", "map_values"})
+_ELEMENTWISE = frozenset(
+    {"map", "flat_map", "filter", "map_values", "map_keyed_values"}
+)
 
 #: Element-wise kinds that leave every element's key untouched — the only
 #: stages that may legally sit between an elided reshard and the grouping
 #: shuffle that subsumes it.
-_KEY_PRESERVING = frozenset({"filter", "map_values"})
+_KEY_PRESERVING = frozenset({"filter", "map_values", "map_keyed_values"})
+
+#: Kinds whose output is hash-partitioned by key whatever their input was.
+_PARTITIONING = frozenset({"reshard", "group", "combine_per_key", "cogroup"})
 
 #: Shuffle-read stages that element-wise consumers may fuse into.
 _POST_SHUFFLE_FUSABLE = frozenset(
@@ -396,22 +432,39 @@ class _Node:
 
     ``lifted_from`` records the name of the ``group_by_key`` a lifted
     ``combine_per_key`` node replaced (for ``explain()``).
+
+    ``partitioned`` says the output is hash-partitioned by key at the
+    pipeline's ``num_shards``: every ``(key, value)`` record sits on shard
+    ``stable_shard(key)``.  Sources state it (keyed sources route at
+    creation); every other kind derives it from its kind and inputs —
+    shuffles establish it, ``filter``/``map_values`` keep their input's,
+    ``flatten`` keeps it when every input has it, anything that may
+    rewrite keys or placement (``map``/``flat_map``/``reshuffle``) drops
+    it.  It survives lineage truncation, which is why it is stored.
     """
 
     __slots__ = (
         "kind", "name", "deps", "fn", "extra", "cached", "consumers",
-        "claims_released", "lifted_from", "scope", "__weakref__"
+        "claims_released", "lifted_from", "scope", "partitioned",
+        "__weakref__"
     )
 
     def __init__(
         self, kind: str, deps: tuple = (), fn=None, extra=None,
         name: str = "", scope: tuple = (),
+        partitioned: Optional[bool] = None,
     ) -> None:
         self.kind = kind
         self.name = name
         self.deps = deps
         self.fn = fn
         self.extra = extra
+        if partitioned is None:
+            partitioned = kind in _PARTITIONING or (
+                (kind in _KEY_PRESERVING or kind == "flatten")
+                and all(dep.partitioned for dep in deps)
+            )
+        self.partitioned = partitioned
         self.cached: Optional[list] = None
         self.consumers = 0
         self.claims_released = False
@@ -451,11 +504,16 @@ def _iter_map_values(it, fn):
     return ((k, fn(v)) for k, v in it)
 
 
+def _iter_map_keyed_values(it, fn):
+    return ((k, fn(k, v)) for k, v in it)
+
+
 _OP_ITER = {
     "map": _iter_map,
     "flat_map": _iter_flat_map,
     "filter": _iter_filter,
     "map_values": _iter_map_values,
+    "map_keyed_values": _iter_map_keyed_values,
 }
 
 
@@ -633,51 +691,46 @@ def _flatten_shard(records):
     return records
 
 
-def _group_shard(records):
-    """Stage: GroupByKey's per-shard grouping (input already key-routed).
+def _keyed_pairs(shard):
+    """``(key, value)`` pairs of a key-routed shard, columnar or rows.
 
-    Accepts a :class:`ColumnarShard` (zipping the key/value columns keeps
-    the first-appearance insertion order identical to the row loop) or a
-    plain row list.
+    Zipping the key/value columns yields exactly the row path's records
+    (``tolist`` scalars) in the same order.
     """
+    if isinstance(shard, ColumnarShard) and shard.keys is not None:
+        return zip(shard.keys_list(), shard.values_list())
+    return shard
+
+
+def _group_shard(records):
+    """Stage: GroupByKey's per-shard grouping (input already key-routed)."""
     groups: dict = {}
-    if isinstance(records, ColumnarShard) and records.keys is not None:
-        for key, value in zip(records.keys_list(), records.values_list()):
-            groups.setdefault(key, []).append(value)
-    else:
-        for key, value in records:
-            groups.setdefault(key, []).append(value)
+    for key, value in _keyed_pairs(records):
+        groups.setdefault(key, []).append(value)
     return list(groups.items())
 
 
-def _make_cogroup_bucketer(tag, num_shards, chain):
-    """Stage: tagged shuffle write for CoGroupByKey (producing chain fused).
+def _make_cogroup_grouper(chains):
+    """Stage: build the per-key tuple-of-value-lists for CoGroupByKey.
 
-    The tagged ``(key, tag, value)`` triple has no columnar layout, so this
-    write is always a fallback boundary: a vectorized producing chain runs
-    in batch, then rows are routed one at a time.
+    The stage input is one destination's per-input parts in tag order
+    (:class:`_CoGroupParts`).  ``chains[tag]`` is the fused key-preserving
+    chain a co-partitioned input still has to run (``None`` for routed
+    inputs, whose chain ran in their write stage).  Keys appear in
+    first-appearance order over the parts taken input by input.
     """
 
-    def route(records, _tag=tag, _num=num_shards, _chain=chain):
-        buckets: List[list] = [[] for _ in range(_num)]
-        for key, value in _chain.rows(_chain.batch(records)):
-            buckets[_stable_shard(key, _num)].append((key, _tag, value))
-        return buckets
-
-    return route
-
-
-def _make_cogroup_grouper(n_inputs):
-    """Stage: build the per-key tuple-of-value-lists for CoGroupByKey."""
-
-    def group(records, _n=n_inputs):
+    def group(parts, _chains=chains):
+        n_inputs = len(_chains)
         groups: dict = {}
-        for key, tag, value in records:
-            entry = groups.get(key)
-            if entry is None:
-                entry = tuple([] for _ in range(_n))
-                groups[key] = entry
-            entry[tag].append(value)
+        for tag, (part, chain) in enumerate(zip(parts, _chains)):
+            if chain is not None:
+                part = chain.run(part)
+            for key, value in _keyed_pairs(part):
+                entry = groups.get(key)
+                if entry is None:
+                    entry = groups[key] = tuple([] for _ in range(n_inputs))
+                entry[tag].append(value)
         return list(groups.items())
 
     return group
@@ -916,7 +969,8 @@ class Pipeline:
             stream = not isinstance(pairs, Collection)
         if stream:
             node = self._new_node(
-                "stream_source", (), extra=(iter(pairs), True), name=name
+                "stream_source", (), extra=(iter(pairs), True), name=name,
+                partitioned=True,
             )
             return PCollection(self, node, keyed=True)
         shards: List[List[Any]] = [[] for _ in range(self.num_shards)]
@@ -927,9 +981,13 @@ class Pipeline:
     # -- DAG construction --------------------------------------------------
 
     def _new_node(
-        self, kind: str, deps: tuple = (), fn=None, extra=None, name: str = ""
+        self, kind: str, deps: tuple = (), fn=None, extra=None, name: str = "",
+        partitioned: Optional[bool] = None,
     ) -> _Node:
-        node = _Node(kind, deps, fn, extra, name=name, scope=self._scope)
+        node = _Node(
+            kind, deps, fn, extra, name=name, scope=self._scope,
+            partitioned=partitioned,
+        )
         for dep in deps:
             dep.consumers += 1
         self._nodes.add(node)
@@ -954,7 +1012,9 @@ class Pipeline:
     def _from_materialized(
         self, shards: List[list], *, keyed: bool, name: str = "source"
     ) -> "PCollection":
-        node = self._new_node("source", name=name)
+        # Keyed sources were routed by ``create_keyed``; round-robin ones
+        # carry no placement.
+        node = self._new_node("source", name=name, partitioned=keyed)
         self._finish_node(node, shards)
         return PCollection(self, node, keyed=keyed)
 
@@ -1706,39 +1766,69 @@ class Pipeline:
             label=f"flatten {self._describe(node)}",
         )
 
+    def _co_partitioned(self, kinds, base: _Node) -> bool:
+        """Is a cogroup input a narrow dependency — already sitting on its
+        destination shards?  True under ``optimize`` when ``base`` is
+        hash-partitioned by key and no op of the fused chain (``kinds``)
+        can rewrite a key.  The one predicate behind execution
+        (:meth:`_exec_cogroup`) and :meth:`explain`."""
+        return (
+            self.optimize
+            and base.partitioned
+            and all(kind in _KEY_PRESERVING for kind in kinds)
+        )
+
     def _exec_cogroup(self, node: _Node, post_ops) -> List[list]:
-        n_inputs = node.extra
-        num = self.num_shards
-        routed: List[list] = [[] for _ in range(num)]
-        moved = 0
+        """CoGroupByKey: bring every input's records for destination ``i``
+        to shard ``i``, then group input by input.
+
+        A co-partitioned input (see :meth:`_co_partitioned`) does not
+        move: its shard ``i`` *is* destination ``i``'s part, and its
+        key-preserving chain runs inside the read stage.  Every other
+        input is an ordinary keyed shuffle write with its producing chain
+        fused in (``optimize=False`` routes every input, unfused).
+        """
+        desc = self._describe(node)
+        per_input: List[List[Any]] = []
+        read_chains: List[Optional[_FusedChain]] = []
         for tag, dep in enumerate(node.deps):
+            elided_before = self.metrics.elided_shuffles
             if self.optimize:
-                # Write-side fusion for cogroup inputs: each input's
-                # element-wise producing chain (and any redundant reshard)
-                # folds into its tagged routing pass.
                 ops, base, _ = self._upstream_chain(dep, for_shuffle=True)
             else:
                 ops, base = [], dep
             stored = self._materialize_node(base)
             chain = _FusedChain(ops)
-            bucket_lists = self._run_stage(
-                _make_cogroup_bucketer(tag, num, chain),
-                stored,
-                fused=len(chain),
-                vectorized=chain.vectorized,
-                label=f"cogroup-write #{tag} {self._describe(node)}",
+            if self._co_partitioned((kind for kind, _ in ops), base):
+                # One count per input read in place — also when the walk
+                # above already counted a redundant reshard it skipped.
+                if self.metrics.elided_shuffles == elided_before:
+                    self.metrics.observe_elided_shuffles()
+                per_input.append(stored)
+                read_chains.append(chain if ops else None)
+                continue
+            per_input.append(
+                self._driver_shuffle(
+                    _make_keyed_bucketer(chain, self.num_shards),
+                    stored,
+                    fused=len(chain),
+                    vectorized=chain.vectorized,
+                    label=f"cogroup-write #{tag} {desc}",
+                )
             )
-            for buckets in bucket_lists:
-                for i, bucket in enumerate(buckets):
-                    routed[i].extend(bucket)
-                    moved += len(bucket)
-        self.metrics.observe_shuffle(moved)
-        self.metrics.attribute_shuffle_to_last_stage(moved)
+            read_chains.append(None)
+        narrow = [chain for chain in read_chains if chain is not None]
         return self._run_stage(
-            _compose_post_ops(_make_cogroup_grouper(n_inputs), post_ops),
-            routed,
-            fused=len(post_ops),
-            label=f"cogroup-read {self._describe(node)}",
+            _compose_post_ops(
+                _make_cogroup_grouper(tuple(read_chains)), post_ops
+            ),
+            [
+                _CoGroupParts([shards[i] for shards in per_input])
+                for i in range(self.num_shards)
+            ],
+            fused=len(post_ops) + sum(len(chain) for chain in narrow),
+            vectorized=any(chain.vectorized for chain in narrow),
+            label=f"cogroup-read {desc}",
         )
 
     # -- plan rendering ----------------------------------------------------
@@ -1965,14 +2055,47 @@ class Pipeline:
         """Render one shuffle write (with fused producers / elided reshards)."""
         chain, base, _, elided = self._peek_chain(dep, for_shuffle=True)
         base_ref = self._render_plan(base, lines, memo)
-        text = label
+        text = label + self._chain_note(chain, elided)
+        return self._emit(lines, f"{text} <- {base_ref}", scope)
+
+    def _chain_note(self, chain, elided=(), *, lead: str = "") -> str:
+        """The suffix every consumer of a fused chain renders:
+        `` [<lead>; fused: a + b]`` (either half optional), the chain's
+        vector note, then one ``(elided …)`` per skipped reshard."""
+        parts = [lead] if lead else []
         if chain:
-            text += " [fused: " + " + ".join(
-                self._describe(n) for n in chain
-            ) + "]" + self._vector_note(chain)
+            parts.append(
+                "fused: " + " + ".join(self._describe(n) for n in chain)
+            )
+        text = f" [{'; '.join(parts)}]" if parts else ""
+        text += self._vector_note(chain)
         for elided_node in elided:
             text += f" (elided {self._describe(elided_node)})"
-        return self._emit(lines, f"{text} <- {base_ref}", scope)
+        return text
+
+    def _render_cogroup_input(
+        self,
+        node: _Node,
+        tag: int,
+        dep: _Node,
+        lines: List[Tuple[tuple, str]],
+        memo: dict,
+    ) -> str:
+        """Render how input ``tag`` reaches cogroup ``node``: a write
+        stage, or — co-partitioned — the base's own reference with a
+        ``[co-partitioned]`` note (no stage runs for it)."""
+        label = f"cogroup-write #{tag} {self._describe(node)}"
+        if not self.optimize:
+            dep_ref = self._render_plan(dep, lines, memo)
+            return self._emit(lines, f"{label} <- {dep_ref}", node.scope)
+        chain, base, _, elided = self._peek_chain(dep, for_shuffle=True)
+        if not self._co_partitioned((n.kind for n in chain), base):
+            return self._render_write(
+                dep, lines, memo, label=label, scope=node.scope
+            )
+        return self._render_plan(base, lines, memo) + self._chain_note(
+            chain, elided, lead="co-partitioned"
+        )
 
     def _render_shuffle(
         self, node: _Node, lines: List[Tuple[tuple, str]], memo: dict,
@@ -1989,11 +2112,7 @@ class Pipeline:
         if kind == "reshuffle":
             chain, base, _, _ = self._peek_chain(node.deps[0])
             base_ref = self._render_plan(base, lines, memo)
-            text = f"rebalance {self._describe(node)}"
-            if chain:
-                text += " [fused: " + " + ".join(
-                    self._describe(n) for n in chain
-                ) + "]" + self._vector_note(chain)
+            text = f"rebalance {self._describe(node)}" + self._chain_note(chain)
             return self._emit(lines, f"{text} <- {base_ref}", scope)
         if kind == "group":
             write = self._render_write(
@@ -2022,30 +2141,14 @@ class Pipeline:
                 scope,
             )
         if kind == "cogroup":
-            writes = []
-            for tag, dep in enumerate(node.deps):
-                if self.optimize:
-                    writes.append(
-                        self._render_write(
-                            dep, lines, memo,
-                            label=f"cogroup-write #{tag} {self._describe(node)}",
-                            scope=scope,
-                        )
-                    )
-                else:
-                    dep_ref = self._render_plan(dep, lines, memo)
-                    writes.append(
-                        self._emit(
-                            lines,
-                            f"cogroup-write #{tag} {self._describe(node)} "
-                            f"<- {dep_ref}",
-                            scope,
-                        )
-                    )
+            inputs = [
+                self._render_cogroup_input(node, tag, dep, lines, memo)
+                for tag, dep in enumerate(node.deps)
+            ]
             return self._emit(
                 lines,
                 f"cogroup-read {self._describe(node)}{fused_note} <- "
-                + ", ".join(writes),
+                + ", ".join(inputs),
                 scope,
             )
         if kind == "flatten":
@@ -2222,6 +2325,18 @@ class PCollection:
         self._require_keyed("map_values")
         self.pipeline.metrics.count_stage(name)
         return self._derive("map_values", fn, keyed=True, name=name)
+
+    def map_keyed_values(
+        self, fn: Callable[[Any, Any], Any], *, name: str = "map_keyed_values"
+    ) -> "PCollection":
+        """``map_values`` for value maps that read the key: emits
+        ``(key, fn(key, value))``.  ``fn`` sees the key (for a per-key
+        hash, say) but cannot change it, so — unlike a ``map`` returning
+        ``(k, f(k, v))`` — the collection's partitioning survives.
+        """
+        self._require_keyed("map_keyed_values")
+        self.pipeline.metrics.count_stage(name)
+        return self._derive("map_keyed_values", fn, keyed=True, name=name)
 
     def as_keyed(self, *, name: str = "as_keyed") -> "PCollection":
         """Interpret ``(key, value)`` elements as keyed and shuffle by key."""

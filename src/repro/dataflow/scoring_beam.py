@@ -1,12 +1,17 @@
 """Distributed subset scoring (Sec. 5, "Scoring").
 
-Computes ``f(S)`` without holding ``S`` on any machine: fan out the neighbor
-graph, join against the solution to keep edges whose *neighbor* endpoint is
-selected, invert, join against the solution again to keep edges whose
-*source* endpoint is selected, reduce to a per-point score, and sum — "our
-function is decomposable".  The pairwise chain is packaged as the
-:class:`SelectedEdgeMass` composite, so ``explain()`` renders it as one
-named group.
+Computes ``f(S)`` without holding ``S`` on any machine: join the neighbor
+graph against the solution to keep the adjacency records of selected
+points, re-key their edges to the other endpoint, join against the
+solution again to keep edges whose other endpoint is selected too, reduce
+to a per-point score, and sum — "our function is decomposable".  The
+pairwise chain is packaged as the :class:`SelectedEdgeMass` composite, so
+``explain()`` renders it as one named group.  The graph must be symmetric,
+weights included (``NeighborGraph`` validates edge set, weight and
+multiplicity unless built with ``check=False``): that is what lets the
+first join read the adjacency records in place — co-partitioned with the
+solution, so nothing moves; an asymmetric graph would need its edge table
+re-keyed by neighbor id first.
 
 Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
 (``options=``) or a shared :class:`~repro.dataflow.options.DataflowContext`
@@ -35,10 +40,13 @@ from repro.dataflow.transforms import cogroup, sum_globally
 class SelectedEdgeMass(PTransform):
     """Per-point pairwise mass restricted to a selected subset.
 
-    Input: the keyed neighbor lists ``(v, [(neighbor, weight), ...])``.
-    Output: one float per selected point — the summed weight of its edges
-    whose *both* endpoints are selected.  Two membership joins against the
-    solution (no machine ever holds the subset as a lookup table).
+    Input: the keyed neighbor lists ``(v, [(neighbor, weight), ...])`` of
+    a **symmetric** graph.  Output: one float per selected point — the
+    summed weight of its edges whose *both* endpoints are selected.  Two
+    membership joins against the solution (no machine ever holds the
+    subset as a lookup table); by symmetry the first reads each selected
+    point's own adjacency record, so the only shuffle is the selected
+    points' edges re-keyed to their other endpoint.
     """
 
     def __init__(self, solution: PCollection, *, name: str = "SelectedEdgeMass") -> None:
@@ -47,18 +55,15 @@ class SelectedEdgeMass(PTransform):
 
     def expand(self, neighbors: PCollection) -> PCollection:
         solution = self.solution
-        fanned = neighbors.flat_map(
-            lambda kv: [(b, (kv[0], s)) for b, s in kv[1]], name="score/fan_out"
-        ).as_keyed(name="score/fan_out_key")
 
         def keep_selected_neighbor(kv) -> Iterable[Tuple[int, float]]:
-            a, (edges, in_solution) = kv
+            _a, (adjacency, in_solution) = kv
             if not in_solution:
                 return []
-            return [(b, s) for b, s in edges]
+            return [edge for edges in adjacency for edge in edges]
 
         half_edges = cogroup(
-            [fanned, solution], name="score/neighbor_join"
+            [neighbors, solution], name="score/neighbor_join"
         ).flat_map(
             keep_selected_neighbor, name="score/invert"
         ).as_keyed(name="score/invert_key")

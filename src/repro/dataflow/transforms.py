@@ -64,6 +64,11 @@ def cogroup(
 
     Output: one element per distinct key, ``(key, ([values_0], [values_1],
     ..., [values_{n-1}]))`` with one value list per input collection.
+
+    Under the plan optimizer an input that is already hash-partitioned by
+    key (a keyed source, any shuffle's output, or either behind
+    ``filter``/``map_values``) is read in place — only the other inputs
+    cross a shuffle.
     """
     if not collections:
         raise ValueError("cogroup requires at least one collection")
@@ -74,10 +79,7 @@ def cogroup(
         coll._require_keyed("cogroup")
     pipeline.metrics.count_stage(name)
     node = pipeline._new_node(
-        "cogroup",
-        tuple(c._node for c in collections),
-        extra=len(collections),
-        name=name,
+        "cogroup", tuple(c._node for c in collections), name=name
     )
     return PCollection(pipeline, node, keyed=True)
 

@@ -35,7 +35,11 @@ class NeighborGraph:
         All similarities must be non-negative — this is what makes the
         pairwise objective submodular (Sec. 3).
     check:
-        If true (default), validate CSR structure and symmetry.
+        If true (default), validate CSR structure and *weighted* symmetry:
+        every stored entry ``(a, b, w)`` has its mirror ``(b, a, w)``, with
+        the same weight and multiplicity.  ``check=False`` skips all of it
+        and makes symmetry the caller's guarantee — the selectors and the
+        dataflow join plans rely on it without re-checking.
     """
 
     __slots__ = ("indptr", "indices", "weights", "_n")
@@ -288,18 +292,25 @@ class NeighborGraph:
                 raise ValueError("graph must be symmetric (see symmetrize_knn)")
 
     def _is_symmetric(self) -> bool:
-        # Edge-set symmetry via sorted integer codes instead of a Python
-        # set of tuples: the distinct (a, b) codes must equal the
-        # distinct (b, a) codes.  ``np.unique`` makes this a set (not
-        # multiset) comparison, matching the tuple-set semantics even if
-        # a row carries duplicate neighbor entries.
+        # Weighted symmetry: the multiset of stored entries (a, b, w)
+        # must equal the multiset of their mirrors (b, a, w) — same edge
+        # set, same weight in both directions, same multiplicity.  The
+        # join-only dataflow plans (``dataflow.library.BoundingFilter``,
+        # ``scoring_beam.SelectedEdgeMass``) read a point's adjacency
+        # record as "the edges that name it as neighbor", which is only
+        # true under exactly this condition.
         rows = np.repeat(
             np.arange(self._n, dtype=np.int64), np.diff(self.indptr)
         )
-        cols = self.indices.astype(np.int64, copy=False)
         n = np.int64(self._n)
+        stored = rows * n + self.indices
+        mirrored = self.indices * n + rows
+        by_stored = np.lexsort((self.weights, stored))
+        by_mirrored = np.lexsort((self.weights, mirrored))
         return np.array_equal(
-            np.unique(rows * n + cols), np.unique(cols * n + rows)
+            stored[by_stored], mirrored[by_mirrored]
+        ) and np.array_equal(
+            self.weights[by_stored], self.weights[by_mirrored]
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

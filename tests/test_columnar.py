@@ -85,6 +85,20 @@ class TestStableShardColumn:
             )
         assert stable_shard(np.int64(-9), 7) == stable_shard(-9, 7)
 
+    def test_exact_int_fast_path_matches_integral_branch(self):
+        # ``type(key) is int`` short-circuits the ABC check; every other
+        # Integral (NumPy scalars, ``bool``) still shards by value, and
+        # negatives land where Python's ``%`` puts them.
+        for num_shards in (1, 3, 8):
+            assert stable_shard(5, num_shards) == stable_shard(
+                np.int64(5), num_shards
+            ) == 5 % num_shards
+            assert stable_shard(True, num_shards) == 1 % num_shards
+            assert stable_shard(False, num_shards) == 0
+        assert stable_shard(-1, 8) == stable_shard(np.int32(-1), 8) == 7
+        assert stable_shard(-9, 7) == 5
+        assert stable_shard(-(2**70), 11) == (-(2**70)) % 11
+
     def test_string_keys_route_through_scalar_hash(self):
         keys = np.array(["alpha", "beta", "", "émile", "a" * 100])
         expected = [stable_shard(k, 9) for k in keys.tolist()]
@@ -502,6 +516,8 @@ class TestLibraryBeamsBatchVsRow:
 
     @pytest.mark.parametrize("mode", ["exact", "approximate"])
     def test_bounding_beam(self, monkeypatch, mode):
+        """``bound/invert``'s batch twin (the live edges as a keyed
+        ``ColumnarShard``, routed column-wise) vs its row fn."""
         from repro.core.problem import SubsetProblem
         from repro.data.registry import load_dataset
         from repro.dataflow import beam_bound

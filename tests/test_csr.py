@@ -76,6 +76,31 @@ class TestConstruction:
                 np.array([0, 1, 1]), np.array([1]), np.array([1.0])
             )
 
+    def test_weight_asymmetric_edges_rejected(self):
+        # Both directions stored, but w(0,1) != w(1,0): the join-only
+        # dataflow plans read a row as "edges naming me as neighbor",
+        # which only holds when the mirror carries the same weight.
+        with pytest.raises(ValueError, match="symmetric"):
+            NeighborGraph.from_edges(
+                2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 2.0]),
+                symmetrize=False,
+            )
+
+    def test_multiplicity_asymmetric_csr_rejected(self):
+        # Row 0 lists neighbor 1 twice, row 1 lists 0 once.
+        with pytest.raises(ValueError, match="symmetric"):
+            NeighborGraph(
+                np.array([0, 2, 3]), np.array([1, 1, 0]),
+                np.array([1.0, 1.0, 1.0]),
+            )
+
+    def test_symmetric_edge_list_accepted_without_symmetrize(self):
+        g = NeighborGraph.from_edges(
+            3, np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]),
+            np.array([0.5, 0.5, 2.0, 2.0]), symmetrize=False,
+        )
+        assert g.num_edges == 2
+
 
 class TestAccessors:
     def test_degrees(self):

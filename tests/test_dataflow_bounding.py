@@ -73,6 +73,69 @@ class TestBeamBoundingEquivalence:
         assert metrics.peak_shard_records < total_records / 2
         assert metrics.shuffled_records > 0
 
+    def test_one_edge_exchange_per_round(self, problem):
+        """The count gate on the round's shuffle volume: the graph, the
+        solution, the remaining set and the utilities stay where they
+        are, so a round moves its live edges — re-keyed to their other
+        endpoint by ``bound/invert`` — and nothing else.  Re-introducing
+        the per-round graph fan-out (or any identity reshard of the
+        round's state) fails this on any machine."""
+        nnz = problem.graph.num_directed_edges
+        _, metrics = beam_bound(
+            problem, problem.n // 10,
+            options=EngineOptions(num_shards=8, optimize=True),
+        )
+        moved = {}
+        for profile in metrics.stage_profiles:
+            if profile.shuffled_records:
+                stage = profile.label.split("'")[1]
+                moved[stage] = moved.get(stage, 0) + profile.shuffled_records
+        rounds = sum(
+            1 for profile in metrics.stage_profiles
+            if profile.label == "cogroup-read cogroup 'bound/threeway_join'"
+        )
+        assert rounds >= 2
+        assert "bound/threeway_join" not in moved
+        assert set(moved) == {"bound/bounds_join"}
+        assert metrics.shuffled_records == moved["bound/bounds_join"]
+        assert 0 < metrics.shuffled_records <= rounds * nnz + problem.n
+
+    def test_weight_asymmetric_graph_never_reaches_the_join_plan(self):
+        """``bound/threeway_join`` reads a point's adjacency record as the
+        edges that name it as neighbor — true only when every ``(a, b, w)``
+        has its mirror ``(b, a, w)``.  ``NeighborGraph`` enforces exactly
+        that, so a graph with ``w(a,b) != w(b,a)`` (where the symmetric
+        plan and the in-memory ``bound`` would disagree) is rejected at
+        construction, and a mirrored edge list still matches ``bound``."""
+        from repro.graph.csr import NeighborGraph
+
+        rng = np.random.default_rng(0)
+        n = 80
+        pairs = sorted({
+            (min(a, int(b)), max(a, int(b)))
+            for a in range(n) for b in rng.choice(n, 3, replace=False)
+            if a != b
+        })
+        lo, hi = np.array(pairs).T
+        sources, targets = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        w = rng.random(lo.size)
+        with pytest.raises(ValueError, match="symmetric"):
+            NeighborGraph.from_edges(
+                n, sources, targets, rng.random(sources.size),
+                symmetrize=False,
+            )
+        graph = NeighborGraph.from_edges(
+            n, sources, targets, np.concatenate([w, w]), symmetrize=False
+        )
+        p = SubsetProblem.with_alpha(rng.random(n), graph, 0.7)
+        for k in (8, 20, 40):
+            mem = bound(p, k, mode="exact")
+            beam, _ = beam_bound(
+                p, k, mode="exact", options=EngineOptions(num_shards=3)
+            )
+            np.testing.assert_array_equal(mem.solution, beam.solution)
+            np.testing.assert_array_equal(mem.remaining, beam.remaining)
+
     def test_invalid_k(self, problem):
         with pytest.raises(ValueError):
             beam_bound(problem, problem.n + 1)

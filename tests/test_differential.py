@@ -31,9 +31,12 @@ given seed describes exactly one program; only the engine configuration
 varies across cells.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.dataflow.columnar import BatchDoFn, ColumnarShard, as_records
 from repro.dataflow.executor import MultiprocessExecutor, ThreadExecutor
 from repro.dataflow.options import DataflowContext, EngineOptions
 from repro.dataflow.pcollection import Fold, Pipeline
@@ -197,8 +200,8 @@ def _run_program(seed: int, pipeline: Pipeline):
 
 
 def _run_cell(
-    seed: int,
-    optimize: bool,
+    program,
+    optimize,
     executor_name: str,
     spill: bool,
     cluster=None,
@@ -207,7 +210,9 @@ def _run_cell(
     """One configuration cell, driven through the public configuration
     surface: an ``EngineOptions`` (holding the cell's backend, plan, and
     storage knobs) resolved by a ``DataflowContext`` that owns the
-    executor lifecycle and builds the pipeline."""
+    executor lifecycle and builds the pipeline ``program(pipeline)``
+    runs on.  ``optimize``/``shuffle`` of ``None`` take the module
+    defaults, i.e. whatever ``--no-optimize``/``--worker-shuffle`` set."""
     if executor_name == "thread":
         executor = ThreadExecutor(min_parallel_records=0)
     elif executor_name == "multiprocess":
@@ -228,7 +233,7 @@ def _run_cell(
         with DataflowContext(options) as ctx:
             pipeline = ctx.pipeline()
             try:
-                return _run_program(seed, pipeline)
+                return program(pipeline)
             finally:
                 pipeline.close()
     finally:
@@ -244,10 +249,11 @@ def test_differential_matrix(seed, remote_cluster):
     in-memory reference (the engine's original record-at-a-time
     semantics)."""
     assert len(CELLS) == 18
-    reference = _run_cell(seed, False, "sequential", False)
+    program = functools.partial(_run_program, seed)
+    reference = _run_cell(program, False, "sequential", False)
     for optimize, executor_name, spill, shuffle in CELLS:
         got = _run_cell(
-            seed,
+            program,
             optimize,
             executor_name,
             spill,
@@ -259,6 +265,121 @@ def test_differential_matrix(seed, remote_cluster):
             f"executor={executor_name}, spill={spill}, "
             f"shuffle={shuffle}) diverged"
         )
+
+
+# -- partition-aware cogroup -------------------------------------------------
+
+
+def _run_cogroup_program(pipeline: Pipeline):
+    """One join over every way an input reaches a cogroup — read in place
+    (a keyed source; a combine output under a key-preserving chain),
+    routed as rows, routed as columns (an all-batch chain that leaves a
+    keyed ``ColumnarShard``) — feeding a second join in place.
+
+    Returns each sink's records shard by shard, in stored order: the
+    narrow dependency must reproduce the routed plan's placement *and*
+    sequence, not just its bag of records.  (Ops are closures so the
+    payload backends ship them by value.)
+    """
+    data = [(i % 17, i) for i in range(90)]
+
+    def fan(kv):
+        return [((kv[0] * 7 + j) % 23, (kv[1], j)) for j in range(kv[1] % 4)]
+
+    def fan_batch(shard):
+        keys, sources, ranks = [], [], []
+        for key, value in as_records(shard):
+            for j in range(value % 4):
+                keys.append((key * 7 + j) % 23)
+                sources.append(value)
+                ranks.append(j)
+        if not keys:
+            return []
+        return ColumnarShard(
+            np.asarray(keys, dtype=np.int64),
+            (np.asarray(sources, dtype=np.int64),
+             np.asarray(ranks, dtype=np.int64)),
+        )
+
+    placed = pipeline.create_keyed(data)
+    summed = (
+        pipeline.create(data)
+        .as_keyed()
+        .combine_per_key(int, lambda a, v: a + v, lambda a, b: a + b)
+        .filter(lambda kv: kv[1] % 2 == 0)
+        .map_keyed_values(lambda k, v: v + k)
+    )
+    # Placed base, re-keying map: the placement is stale, so it must route.
+    rows = placed.map(lambda kv: ((kv[0] * 3) % 13, kv[1])).as_keyed()
+    columns = placed.flat_map(BatchDoFn(fan, fan_batch)).as_keyed()
+    joined = cogroup([placed, summed, rows, columns])
+    reduced = joined.filter(lambda kv: kv[1][2]).map_values(
+        lambda t: (len(t[0]), t[1], sum(t[2]), t[3])
+    )
+    again = cogroup([reduced, placed])
+    return [
+        [list(shard) for shard in col.iter_shards()]
+        for col in (joined, reduced, again)
+    ]
+
+
+def test_partition_aware_cogroup_matrix(
+    remote_cluster, matrix_executor, tmp_path
+):
+    """Co-partitioned cogroup inputs skip their shuffle without moving a
+    record or a bit: every cell — both plans, all four executors, spill,
+    both shuffle planes — equals the route-everything ``optimize=False``
+    plan, shard by shard.  One more cell takes its executor and plan from
+    the command line (``--executor`` / ``--no-optimize`` /
+    ``--worker-shuffle``), so the CI matrix entries drive it too; and a
+    checkpointed drive resumes to the same shards."""
+    program = _run_cogroup_program
+    reference = _run_cell(program, False, "sequential", False)
+    assert any(shard for shard in reference[-1])
+    cells = CELLS + [(None, matrix_executor, False, None)]
+    for optimize, executor_name, spill, shuffle in cells:
+        got = _run_cell(
+            program, optimize, executor_name, spill,
+            cluster=remote_cluster, shuffle=shuffle,
+        )
+        assert got == reference, (
+            f"cell (optimize={optimize}, executor={executor_name}, "
+            f"spill={spill}, shuffle={shuffle}) diverged"
+        )
+    for optimize in (True, False):
+        hits = []
+        for spill in (False, True):   # cold drive, then a spilled resume
+            pipeline = Pipeline(
+                num_shards=N_SHARDS, optimize=optimize, spill_to_disk=spill,
+                checkpoint_dir=str(tmp_path / f"ckpt-{optimize}"),
+            )
+            try:
+                assert _run_cogroup_program(pipeline) == reference
+                hits.append(pipeline.metrics.checkpoint_hits)
+            finally:
+                pipeline.close()
+        assert hits[0] == 0 and hits[1] > 0
+
+
+def test_partition_aware_cogroup_skips_the_shuffle():
+    """Meta-test: the optimized cell above really takes the narrow path
+    (five inputs read in place, only the two unplaced ones move)."""
+    on, off = (
+        Pipeline(num_shards=N_SHARDS, optimize=optimize)
+        for optimize in (True, False)
+    )
+    try:
+        assert _run_cogroup_program(on) == _run_cogroup_program(off)
+        narrow = [
+            p for p in on.metrics.stage_profiles
+            if p.label.startswith("cogroup-write")
+        ]
+        assert [p.label.split()[1] for p in narrow] == ["#2", "#3"]
+        assert narrow[1].vectorized           # the columnar exchange
+        assert on.metrics.shuffled_records < off.metrics.shuffled_records
+    finally:
+        on.close()
+        off.close()
 
 
 def test_programs_exercise_the_optimizer():
@@ -309,6 +430,14 @@ def test_vectorized_path_fires_on_library_beams():
     ds = load_dataset("cifar100_tiny", n_points=200, seed=0)
     problem = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
     _, bound_metrics = beam_bound(
-        problem, problem.n // 4, options=EngineOptions(num_shards=4)
+        problem, problem.n // 4,
+        options=EngineOptions(num_shards=4, optimize=True),
     )
     assert bound_metrics.vectorized_stages > 0, "bounding beam never vectorized"
+    # The round's one exchange: ``bound/invert``'s batch twin emits the
+    # live edges as columns and the write routes them column-wise.
+    exchanges = [
+        p for p in bound_metrics.stage_profiles
+        if p.label == "cogroup-write #0 cogroup 'bound/bounds_join'"
+    ]
+    assert exchanges and all(p.vectorized for p in exchanges)

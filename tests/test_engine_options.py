@@ -41,6 +41,7 @@ from repro.dataflow import (
     beam_knn_graph,
 )
 from repro.dataflow.bounding_beam import BeamBoundingDriver
+from repro.dataflow.library import BoundingFilter
 from repro.dataflow.options import (
     _KNOBS,
     add_engine_arguments,
@@ -479,11 +480,39 @@ class TestCompositeGroups:
                 [(v, True) for v in range(small_problem.n)],
                 name="state/remaining",
             )
-            plan = driver._compute_bounds(solution, remaining).explain()
+            # Applied directly: ``_compute_bounds`` caches its result, and
+            # a materialized node renders no plan.
+            plan = remaining.apply(
+                BoundingFilter(
+                    driver.neighbors, driver.utilities, solution,
+                    ratio=small_problem.beta_over_alpha,
+                )
+            ).explain(costs=False)
         finally:
             driver.close()
         assert "[composite 'BoundingFilter']" in plan
-        assert "bound/threeway_join" in plan
+        if driver.pipeline.optimize:
+            # One exchange per round: the graph, the solution and the
+            # remaining set are read in place — only the live edges,
+            # re-keyed by ``bound/invert``, get a write stage.
+            assert (
+                "cogroup-read cogroup 'bound/threeway_join' <- "
+                "S1 [co-partitioned], "
+                "[materialized source 'state/solution'] [co-partitioned], "
+                "[materialized source 'state/remaining'] [co-partitioned]"
+            ) in plan
+            assert plan.count("cogroup-write #") == 1
+            assert (
+                "cogroup-write #0 cogroup 'bound/bounds_join' "
+                "[fused: flat_map 'bound/invert'] [vectorized] "
+                "(elided reshard 'bound/invert_key')"
+            ) in plan
+            assert (
+                "+ filter 'bound/bounded' + map_keyed_values 'bound/reduce' "
+                "[post-shuffle fused]"
+            ) in plan
+        else:
+            assert plan.count("cogroup-write #") == 6
         # One application is one group: interleaved out-of-scope lines
         # (the streamed utility source) mark re-entry as resumed instead
         # of opening what reads like a second application.

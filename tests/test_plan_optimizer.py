@@ -7,6 +7,7 @@ beams' own metrics (``lifted_combiners`` / ``elided_shuffles`` /
 """
 
 import numpy as np
+import pytest
 
 from repro.dataflow import (
     EngineOptions,
@@ -15,7 +16,7 @@ from repro.dataflow import (
     beam_score,
 )
 from repro.dataflow.columnar import BatchDoFn, as_records
-from repro.dataflow.pcollection import Fold, Pipeline
+from repro.dataflow.pcollection import Fold, Pipeline, _Node
 from repro.dataflow.testing import assert_that, equal_to, plan_matches
 from repro.dataflow.transforms import cogroup
 from tests.conftest import random_problem
@@ -110,31 +111,184 @@ class TestGoldenPlans:
         assert metrics.shuffled_records == 50
 
     def test_scoring_shape_cogroup_fusion(self):
-        """The scoring join: write-side fusion of each input's chain (with
-        reshard elision) and post-shuffle fusion of the join consumer."""
+        """The scoring joins: co-partitioned inputs are read in place (no
+        write stage, a ``[co-partitioned]`` note instead), the re-keyed
+        edges route once with their chain fused into the write (reshard
+        elided), and the join consumer fuses into the read."""
         pipeline = Pipeline(num_shards=4, optimize=True)
-        edges = (
-            pipeline.create_keyed([(v, [(v + 1, 1.0)]) for v in range(20)],
-                                  name="score/neighbors")
-            .flat_map(lambda kv: [(b, (kv[0], s)) for b, s in kv[1]],
-                      name="score/fan_out")
-            .as_keyed(name="score/fan_out_key")
+        neighbors = pipeline.create_keyed(
+            [(v, [((v + 1) % 20, 1.0), ((v - 1) % 20, 0.5)])
+             for v in range(20)],
+            name="score/neighbors",
         )
         solution = pipeline.create_keyed(
-            [(v, True) for v in range(0, 20, 2)], name="score/solution"
+            [(v, True) for v in (0, 1, 2, 4, 6)], name="score/solution"
         )
-        unary = cogroup([edges, solution], name="score/join").flat_map(
-            lambda kv: [kv[0]] if kv[1][1] else [], name="score/keep"
+        half_edges = cogroup(
+            [neighbors, solution], name="score/neighbor_join"
+        ).flat_map(
+            lambda kv: [e for edges in kv[1][0] for e in edges]
+            if kv[1][1] else [],
+            name="score/invert",
+        ).as_keyed(name="score/invert_key")
+        mass = cogroup(
+            [half_edges, solution], name="score/source_join"
+        ).flat_map(
+            lambda kv: [(kv[0], sum(kv[1][0]))] if kv[1][1] else [],
+            name="score/per_point",
         )
-        plan = unary.explain()
-        assert "cogroup-write #0 cogroup 'score/join' " \
-               "[fused: flat_map 'score/fan_out'] " \
-               "(elided reshard 'score/fan_out_key')" in plan
-        assert "cogroup-read cogroup 'score/join' + flat_map 'score/keep' " \
-               "[post-shuffle fused]" in plan
-        unary.run()
-        assert pipeline.metrics.elided_shuffles == 1
-        assert pipeline.metrics.fused_stages >= 2
+        assert mass.explain() == (
+            "plan (optimize=on, shards=4)\n"
+            "S1: cogroup-read cogroup 'score/neighbor_join' <- "
+            "[materialized source 'score/neighbors'] [co-partitioned], "
+            "[materialized source 'score/solution'] [co-partitioned]\n"
+            "S2: cogroup-write #0 cogroup 'score/source_join' "
+            "[fused: flat_map 'score/invert'] "
+            "(elided reshard 'score/invert_key') <- S1\n"
+            "S3: cogroup-read cogroup 'score/source_join' "
+            "+ flat_map 'score/per_point' [post-shuffle fused] <- S2, "
+            "[materialized source 'score/solution'] [co-partitioned]\n"
+            "result <- S3"
+        )
+        # 0-1 and 1-2 are the only edges with both endpoints selected.
+        assert_that(mass, equal_to(
+            [(0, 0.5), (1, 1.5), (2, 1.0), (4, 0), (6, 0)]
+        ))
+        metrics = pipeline.metrics
+        # Three inputs read in place + the elided reshard; the only
+        # records that move are the five selected points' ten edges.
+        assert metrics.elided_shuffles == 4
+        assert metrics.shuffled_records == 10
+        assert metrics.executed_stages == 3
+
+    def test_cogroup_naive_plan_routes_every_input(self):
+        """``optimize=False`` is the differential reference: every cogroup
+        input gets a write stage, co-partitioned or not."""
+        pipeline = Pipeline(num_shards=4, optimize=False)
+        left = pipeline.create_keyed([(v, v) for v in range(12)], name="l")
+        right = pipeline.create_keyed([(v, -v) for v in range(6)], name="r")
+        joined = cogroup([left, right], name="j")
+        assert joined.explain() == (
+            "plan (optimize=off, shards=4)\n"
+            "S1: cogroup-write #0 cogroup 'j' <- [materialized source 'l']\n"
+            "S2: cogroup-write #1 cogroup 'j' <- [materialized source 'r']\n"
+            "S3: cogroup-read cogroup 'j' <- S1, S2\n"
+            "result <- S3"
+        )
+        joined.run()
+        assert pipeline.metrics.elided_shuffles == 0
+        assert pipeline.metrics.shuffled_records == 18
+
+    def test_co_partitioned_chain_runs_in_the_read(self):
+        """A key-preserving chain over a partitioned base stays a narrow
+        dependency — it runs inside the read stage — while one
+        key-rewriting op forces the ordinary write."""
+        pipeline = Pipeline(num_shards=4, optimize=True)
+        base = pipeline.create_keyed([(v, v) for v in range(12)], name="b")
+        kept = base.filter(lambda kv: kv[0] % 2 == 0, name="even").map_values(
+            lambda v: v * 10, name="x10"
+        )
+        moved = base.map(lambda kv: (kv[0] + 1, kv[1]), name="shift").as_keyed(
+            name="shift_key"
+        )
+        joined = cogroup([kept, moved], name="j")
+        assert joined.explain() == (
+            "plan (optimize=on, shards=4)\n"
+            "S1: cogroup-write #1 cogroup 'j' [fused: map 'shift'] "
+            "(elided reshard 'shift_key') <- [materialized source 'b']\n"
+            "S2: cogroup-read cogroup 'j' <- [materialized source 'b'] "
+            "[co-partitioned; fused: filter 'even' + map_values 'x10'], S1\n"
+            "result <- S2"
+        )
+        assert dict(joined.to_list())[2] == ([20], [1])
+        assert pipeline.metrics.shuffled_records == 12
+        assert pipeline.metrics.fused_stages == 3
+
+    def test_co_partitioned_input_counts_once(self):
+        """A redundant ``as_keyed`` above an input that is then read in
+        place is one elided routing of that input, not two."""
+        pipeline = Pipeline(num_shards=4, optimize=True)
+        left = pipeline.create_keyed([(v, v) for v in range(12)], name="l")
+        right = pipeline.create_keyed(
+            [(v, -v) for v in range(6)], name="r"
+        ).as_keyed(name="again")
+        joined = cogroup([left, right], name="j")
+        assert joined.explain() == (
+            "plan (optimize=on, shards=4)\n"
+            "S1: cogroup-read cogroup 'j' <- "
+            "[materialized source 'l'] [co-partitioned], "
+            "[materialized source 'r'] [co-partitioned] "
+            "(elided reshard 'again')\n"
+            "result <- S1"
+        )
+        assert dict(joined.to_list())[3] == ([3], [-3])
+        assert pipeline.metrics.elided_shuffles == 2
+        assert pipeline.metrics.shuffled_records == 0
+
+
+class TestPartitionProperty:
+    """Which plan nodes know their output is hash-partitioned by key —
+    asserted on bare nodes, no pipeline."""
+
+    @staticmethod
+    def _keyed():
+        return _Node("source", partitioned=True)
+
+    def test_sources_state_it(self):
+        pipeline = Pipeline(num_shards=4)
+        assert pipeline.create_keyed([(1, 2)])._node.partitioned
+        assert pipeline.create_keyed(iter([(1, 2)]))._node.partitioned
+        assert not pipeline.create([1, 2])._node.partitioned
+        assert not pipeline.create(iter([1, 2]))._node.partitioned
+
+    @pytest.mark.parametrize(
+        "kind", ["reshard", "group", "combine_per_key", "cogroup"]
+    )
+    def test_shuffles_establish_it(self, kind):
+        unplaced = _Node("source", partitioned=False)
+        assert _Node(kind, (unplaced,)).partitioned
+
+    @pytest.mark.parametrize(
+        "kind", ["filter", "map_values", "map_keyed_values"]
+    )
+    def test_key_preserving_ops_keep_their_inputs(self, kind):
+        assert _Node(kind, (self._keyed(),)).partitioned
+        unplaced = _Node("source", partitioned=False)
+        assert not _Node(kind, (unplaced,)).partitioned
+
+    @pytest.mark.parametrize("kind", ["map", "flat_map", "reshuffle"])
+    def test_key_rewriting_ops_drop_it(self, kind):
+        assert not _Node(kind, (self._keyed(),)).partitioned
+
+    def test_key_by_drops_then_reestablishes(self):
+        pipeline = Pipeline(num_shards=4)
+        rekeyed = pipeline.create_keyed([(1, 2)]).key_by(lambda kv: kv[1])
+        assert rekeyed._node.kind == "reshard" and rekeyed._node.partitioned
+        assert not rekeyed._node.deps[0].partitioned   # the keying map
+
+    def test_flatten_is_all_or_nothing(self):
+        unplaced = _Node("source", partitioned=False)
+        assert _Node("flatten", (self._keyed(), self._keyed())).partitioned
+        assert not _Node("flatten", (self._keyed(), unplaced)).partitioned
+
+    def test_lifted_combiner_keeps_it(self):
+        pipeline = Pipeline(num_shards=4, optimize=True)
+        folded = (
+            pipeline.create([(i % 3, i) for i in range(12)])
+            .as_keyed()
+            .group_by_key(name="g")
+            .map_values(Fold.sum(), name="s")
+        )
+        assert "lifted from group 'g'" in folded.explain()
+        assert folded._node.kind == "combine_per_key"
+        assert folded._node.partitioned
+
+    def test_survives_materialization(self):
+        pipeline = Pipeline(num_shards=4)
+        kept = pipeline.create_keyed([(i, i) for i in range(8)]).filter(
+            lambda kv: kv[0] > 2
+        ).cache()
+        assert kept._node.deps == () and kept._node.partitioned
 
 
 class TestColumnarPlanRendering:
@@ -460,6 +614,8 @@ class TestBeamMetrics:
             options=EngineOptions(num_shards=4, optimize=False),
         )
         assert score_on == score_off
-        assert m_on.elided_shuffles == 2   # fan_out_key + invert_key
+        # Five join inputs read in place (both of neighbor_join and
+        # unary_join, the solution side of source_join) + invert_key.
+        assert m_on.elided_shuffles == 6
         assert m_on.shuffled_records < m_off.shuffled_records
         assert m_on.fused_stages > m_off.fused_stages
