@@ -377,8 +377,11 @@ def test_e21_dataflow_engine():
     # -- sieve-streaming axis: one-pass quality vs batch greedy -----------
     batch = greedy_heap(problem, k_sel)
     start = time.perf_counter()
+    # optimize pinned: the lifted-combiner gate below is about the
+    # optimized plan (``--no-optimize`` flips the session default).
     sieve_result, sieve_metrics = beam_sieve_select(
-        problem, k_sel, seed=0, options=EngineOptions(num_shards=8)
+        problem, k_sel, seed=0,
+        options=EngineOptions(num_shards=8, optimize=True),
     )
     sieve_elapsed = time.perf_counter() - start
     quality = (

@@ -140,18 +140,19 @@ def test_e17_dataflow_memory_claim(benchmark, cifar_ds):
     k = n // 10
     shards = 16
 
+    # optimize pinned: the tracked table records the optimized plan's
+    # peaks, and ``--no-optimize`` runs must leave the tree clean too.
+    options = EngineOptions(num_shards=shards, optimize=True)
+
     def compute():
         bound_result, bound_metrics = beam_bound(
-            problem, k, mode="approximate", p=0.3, seed=0,
-            options=EngineOptions(num_shards=shards),
+            problem, k, mode="approximate", p=0.3, seed=0, options=options
         )
         subset = bound_result.solution
         if subset.size < k:
             extra = bound_result.remaining[: k - subset.size]
             subset = np.sort(np.concatenate([subset, extra]))
-        score, score_metrics = beam_score(
-            problem, subset, options=EngineOptions(num_shards=shards)
-        )
+        score, score_metrics = beam_score(problem, subset, options=options)
         return bound_metrics, score_metrics, score
 
     bound_metrics, score_metrics, score = benchmark.pedantic(

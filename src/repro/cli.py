@@ -142,11 +142,7 @@ def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
 
             g = problem.graph
             neighbors = pipeline.create_keyed(
-                (
-                    (v, list(zip(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist(),
-                                 g.weights[g.indptr[v]:g.indptr[v + 1]].tolist())))
-                    for v in range(g.n)
-                ),
+                g.adjacency_records(),
                 name="source/neighbors", stream=True,
             )
             utilities = pipeline.create_keyed(

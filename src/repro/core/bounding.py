@@ -112,11 +112,7 @@ def compute_utilities(
     keep = EDGE_SAMPLERS[sampler](g, p, rng)
     # Sampled mass over *remaining* neighbors; solution neighbors always in.
     contrib = np.where(keep & remaining[g.indices], g.weights, 0.0)
-    sampled_mass = np.zeros(g.n)
-    nonempty = g.indptr[:-1] < g.indptr[1:]
-    if contrib.size:
-        sampled_mass[nonempty] = np.add.reduceat(contrib, g.indptr[:-1][nonempty])
-    lower = problem.utilities - ratio * (mass_solution + sampled_mass)
+    lower = problem.utilities - ratio * (mass_solution + g.row_sums(contrib))
     return lower, u_max
 
 

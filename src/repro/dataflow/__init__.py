@@ -11,8 +11,8 @@ operator DAG** and a pluggable executor:
 - a plan optimizer runs between DAG construction and execution: combiner
   lifting (``group_by_key().map_values(Fold)`` → ``combine_per_key`` with
   pre-shuffle partial aggregation), redundant-shuffle elision, and
-  post-shuffle fusion — ``optimize=False`` keeps the naive plan reachable
-  and ``PCollection.explain()`` renders the physical plan,
+  post-shuffle fusion — ``optimize=False`` keeps the naive plan reachable;
+  ``explain()`` renders the one physical plan ``run()`` executes (``plan``),
 - adjacent element-wise stages fuse into one pass per shard (Beam's
   producer–consumer fusion; ``metrics.fused_stages`` counts the savings),
 - a columnar shard runtime (:mod:`repro.dataflow.columnar`) executes

@@ -116,11 +116,7 @@ class BeamBoundingDriver:
             stream = opts.resolve_stream(True)
             g = problem.graph
             self.neighbors = self.pipeline.create_keyed(
-                (
-                    (v, list(zip(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist(),
-                                 g.weights[g.indptr[v]:g.indptr[v + 1]].tolist())))
-                    for v in range(g.n)
-                ),
+                g.adjacency_records(),
                 name="source/neighbors",
                 stream=stream,
             )

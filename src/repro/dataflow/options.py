@@ -379,7 +379,7 @@ class EngineOptions:
         Let the cost-model-driven :class:`~repro.dataflow.planner.
         AdaptivePlanner` choose the performance knobs the caller left
         unset (``num_shards``, executor backend, ``broadcast_min_bytes``,
-        checkpoint placement, optimizer lift/elide decisions).  Every
+        checkpoint placement, optimizer lift decisions).  Every
         knob passed explicitly overrides the planner; results are
         bit-identical either way.  ``None`` defers to the engine-wide
         default (the test harness's ``--adaptive`` flips it).

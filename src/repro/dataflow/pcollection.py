@@ -12,83 +12,23 @@ Transforms are **lazy**: ``map``/``flat_map``/``filter``/``key_by``/
 DAG instead of executing.  Work happens only at *sinks* — :meth:`PCollection.
 count`, :meth:`~PCollection.to_list`, :meth:`~PCollection.iter_shards`,
 :meth:`~PCollection.combine_globally`, and the explicit :meth:`~PCollection.
-run`/:meth:`~PCollection.cache`.  At a sink the engine:
+run`/:meth:`~PCollection.cache`.  A sink is three steps, the first two
+pure functions of bare nodes in :mod:`repro.dataflow.plan`:
 
-1. runs the **plan optimizer** (``optimize=True``, the default) over the
-   DAG below the sink — see *Plan optimization* below,
-2. walks the DAG up to materialized ancestors,
-3. *fuses* adjacent element-wise stages (and element-wise producers of a
-   shuffle write) into a single generator pass over each shard
-   (``metrics.fused_stages`` counts the stages eliminated),
-4. hands each physical stage's per-shard work to the pipeline's
-   :class:`~repro.dataflow.executor.Executor` (sequential, shard-parallel
-   threads, or a persistent pool of worker processes),
-5. caches the materialized shards on the node and truncates its lineage, so
-   dropped intermediates are freed exactly like the old eager engine.
-
-Plan optimization
------------------
-With ``optimize=True`` four rewrites run between DAG construction and
-execution (``optimize=False`` — the CLI's ``--no-optimize`` — reproduces
-the naive plan exactly):
-
-*Combiner lifting*
-    ``group_by_key().map_values(fold)`` where ``fold`` is a declared
-    :class:`Fold` rewrites to ``combine_per_key``: each input shard
-    pre-aggregates locally and only per-key accumulators shuffle.  The
-    ``Fold`` contract (associative ``add``/``merge``, as in Beam's
-    CombineFn) is the user's promise that regrouping is value-preserving.
-    Counted in ``metrics.lifted_combiners``; ``pre_shuffle_records`` vs
-    ``shuffled_records`` witnesses the saved volume.
-
-*Redundant-shuffle elision*
-    A ``key_by``/``as_keyed`` reshard whose only consumer is a downstream
-    grouping shuffle (``group_by_key``/``combine_per_key``/``cogroup``) is
-    skipped — the grouping op routes by the same key anyway, so records
-    cross the network once instead of twice.  Only key-preserving stages
-    (``filter``/``map_values``) may sit between the two, which is what the
-    keyed type system allows; per-shard order is unchanged (routing a
-    key-routed shard is the identity), so results are bit-identical.
-    Counted in ``metrics.elided_shuffles``.
-
-*Post-shuffle fusion*
-    Element-wise consumers of a shuffle *read* (``group_by_key``,
-    ``combine_per_key``, ``cogroup``, ``flatten``) fuse into the read
-    stage, so ``group_by_key().flat_map(fn)`` executes as one physical
-    stage and the grouped intermediate never exists as a stored shard.
-    (Pre-shuffle producers already fused into the shuffle write; cogroup
-    inputs gain the same write-side fusion under ``optimize``.)
-
-*Partition-aware CoGroupByKey*
-    Every plan node knows whether its output is hash-partitioned by key
-    at the pipeline's ``num_shards`` (``_Node.partitioned``): keyed
-    sources and every shuffle (``as_keyed``/``key_by`` reshards,
-    ``group_by_key``, ``combine_per_key``, ``cogroup``) establish the
-    property, ``filter``/``map_values`` keep it, ``flatten`` keeps it
-    when all inputs have it, and ``map``/``flat_map``/``reshuffle`` —
-    which may rewrite keys or placement — drop it.  A cogroup input
-    whose base is partitioned and whose fused chain is key-preserving is
-    a *narrow dependency*: its shard ``i`` already is destination
-    ``i``'s part, so it gets no write stage and moves no record; its
-    chain runs inside the read stage.  Counted once per input in
-    ``metrics.elided_shuffles`` (a redundant ``as_keyed`` skipped on the
-    way to it is not counted again) and rendered as ``[co-partitioned]``
-    on the read line.  Record order per
-    destination is what routing would have produced (routing a placed
-    shard is the identity), so results are bit-identical to the
-    route-everything ``optimize=False`` plan.
-
-:meth:`PCollection.explain` renders the optimized physical plan without
-executing it (golden-plan tests pin the rewrites).
-
-Sharing: materialized nodes execute once, and fusion stops at any
-element-wise node that already has multiple consumers, materializing it
-instead.  The one lazy-engine caveat (same as Spark's uncached-RDD
-semantics): an element-wise intermediate that was fused through — because
-it had a single consumer at the time — is not cached, so a *new* consumer
-derived after that sink re-runs its chain.  DoFns are pure throughout this
-codebase, so results never change; call :meth:`PCollection.cache` on an
-intermediate you will fan out from later to pin it.
+1. **optimize (logical)** — with ``optimize=True`` (the default) combiner
+   lifting rewrites the DAG below the sink in place;
+2. **plan (physical)** — one read-only walk up to materialized ancestors
+   builds a small DAG of ``_Stage`` records, deciding which element-wise
+   nodes *fuse* into which stage (chains, producers of a shuffle write,
+   consumers of a shuffle read), which reshards a write subsumes and
+   which cogroup inputs are read in place (*Plan optimization*, there);
+3. **run | render** — :meth:`PCollection.run` executes the plan:
+   ``Pipeline`` builds each stage's per-shard function, hands it to the
+   :class:`~repro.dataflow.executor.Executor`, meters it from the stage's
+   own fields, caches the boundary's shards on its node and truncates the
+   lineage, so dropped intermediates are freed exactly like the old eager
+   engine.  :meth:`PCollection.explain` formats the *same* plan value
+   without executing it, so what is rendered is what runs.
 
 Streaming sources: :meth:`Pipeline.create`/:meth:`Pipeline.create_keyed`
 accept any iterable.  Generators and other bare iterators (anything that
@@ -140,7 +80,6 @@ import hashlib
 import itertools
 import os
 import pickle
-import re
 import shutil
 import tempfile
 import time
@@ -151,14 +90,11 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dataflow.columnar import (
-    BatchDoFn,
     ColumnarShard,
     as_records,
-    batch_prefix_len,
     bucket_keyed_items,
     merge_bucket_parts,
     route_columnar,
-    run_batch_prefix,
 )
 from repro.dataflow.columnar import stable_shard as _stable_shard
 from repro.dataflow.executor import (
@@ -168,6 +104,16 @@ from repro.dataflow.executor import (
     resolve_executor,
 )
 from repro.dataflow.metrics import PipelineMetrics, StageProfile
+from repro.dataflow.plan import (  # Fold: re-exported, the public home
+    Fold,
+    _build_plan,
+    _chain_iter,
+    _format_plan,
+    _lift_combiners,
+    _Node,
+    _Plan,
+    _Stage,
+)
 
 #: Module default for ``Pipeline(optimize=None)``.  The test harness flips
 #: this via the ``--no-optimize`` pytest option so the whole tier-1 suite
@@ -181,82 +127,6 @@ DEFAULT_OPTIMIZE = True
 #: path kept as the fault fallback.  The test harness flips this via the
 #: ``--worker-shuffle`` pytest option; results are bit-identical.
 DEFAULT_SHUFFLE = "driver"
-
-
-class Fold:
-    """A declared per-key reduction — the unit of combiner lifting.
-
-    ``zero()`` makes a fresh accumulator, ``add(acc, value)`` folds one
-    value in, ``merge(a, b)`` combines two accumulators (defaults to
-    ``add``, which is correct whenever accumulators and values share a
-    type, e.g. sums).  Declaring the reduction is the user's promise that
-    ``add``/``merge`` are associative — Beam's CombineFn contract — which
-    lets the optimizer rewrite ``group_by_key().map_values(fold)`` into
-    ``combine_per_key`` with pre-shuffle partial aggregation.
-
-    A ``Fold`` is also a plain callable over a grouped value list, so the
-    unoptimized plan (``optimize=False``) applies it directly to the
-    output of ``group_by_key`` with identical results.
-
-    ``batch`` optionally declares a whole-list (vectorized)
-    implementation: ``batch(values)`` must equal folding ``add`` over
-    ``values`` from ``zero()`` — bit-identically, value order respected.
-    The lifted combiner's pre-combine stage applies ``batch`` once per
-    key instead of ``add`` once per record; the naive plan (and a fold
-    declared without ``batch``) runs the scalar fold, so a ``batch`` fold
-    is subject to the same differential bit-identity bar as every other
-    rewrite.
-    """
-
-    __slots__ = ("zero", "add", "merge", "label", "batch")
-
-    def __init__(
-        self,
-        zero: Callable[[], Any],
-        add: Callable[[Any, Any], Any],
-        merge: Optional[Callable[[Any, Any], Any]] = None,
-        *,
-        label: str = "fold",
-        batch: Optional[Callable[[list], Any]] = None,
-    ) -> None:
-        self.zero = zero
-        self.add = add
-        self.merge = merge if merge is not None else add
-        self.label = label
-        self.batch = batch
-
-    def __call__(self, values: Iterable[Any]) -> Any:
-        acc = self.zero()
-        for value in values:
-            acc = self.add(acc, value)
-        return acc
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Fold({self.label})"
-
-    @classmethod
-    def sum(cls) -> "Fold":
-        return cls(int, lambda a, v: a + v, label="sum")
-
-    @classmethod
-    def count(cls) -> "Fold":
-        return cls(int, lambda a, _v: a + 1, lambda a, b: a + b, label="count")
-
-    @classmethod
-    def max(cls) -> "Fold":
-        return cls(
-            lambda: None,
-            lambda a, v: v if a is None or v > a else a,
-            label="max",
-        )
-
-    @classmethod
-    def min(cls) -> "Fold":
-        return cls(
-            lambda: None,
-            lambda a, v: v if a is None or v < a else a,
-            label="min",
-        )
 
 
 class PTransform:
@@ -389,211 +259,15 @@ def gc_checkpoint_entries(
     return removed
 
 
-# ``_stable_shard`` now lives in :mod:`repro.dataflow.columnar` (as
-# ``stable_shard``, next to its vectorized column twin); the engine-internal
-# name is kept as an alias via the import above.
-
-
-# -- operator DAG ----------------------------------------------------------
-
-#: Node kinds that are element-wise (shard-local, fusable).
-_ELEMENTWISE = frozenset(
-    {"map", "flat_map", "filter", "map_values", "map_keyed_values"}
-)
-
-#: Element-wise kinds that leave every element's key untouched — the only
-#: stages that may legally sit between an elided reshard and the grouping
-#: shuffle that subsumes it.
-_KEY_PRESERVING = frozenset({"filter", "map_values", "map_keyed_values"})
-
-#: Kinds whose output is hash-partitioned by key whatever their input was.
-_PARTITIONING = frozenset({"reshard", "group", "combine_per_key", "cogroup"})
-
-#: Shuffle-read stages that element-wise consumers may fuse into.
-_POST_SHUFFLE_FUSABLE = frozenset(
-    {"group", "combine_per_key", "cogroup", "flatten"}
-)
-
-
-class _Node:
-    """One operator in the lazy DAG.
-
-    ``cached`` holds the materialized (possibly spilled) shards once the
-    node has executed; materialization also truncates ``deps`` so upstream
-    intermediates become collectable, mirroring the eager engine's memory
-    profile.  ``consumers`` counts downstream nodes built on this one:
-    fusion never reaches through a node that has more than one consumer at
-    materialization time — it materializes instead, so subgraphs shared by
-    the already-built consumers execute once.  A consumer releases its
-    claim when it materializes (lineage truncation decrements its deps'
-    counts), so only *live* consumers block fusion.  (A consumer derived
-    *after* the node was fused through recomputes the chain; ``cache()``
-    pins.)
-
-    ``lifted_from`` records the name of the ``group_by_key`` a lifted
-    ``combine_per_key`` node replaced (for ``explain()``).
-
-    ``partitioned`` says the output is hash-partitioned by key at the
-    pipeline's ``num_shards``: every ``(key, value)`` record sits on shard
-    ``stable_shard(key)``.  Sources state it (keyed sources route at
-    creation); every other kind derives it from its kind and inputs —
-    shuffles establish it, ``filter``/``map_values`` keep their input's,
-    ``flatten`` keeps it when every input has it, anything that may
-    rewrite keys or placement (``map``/``flat_map``/``reshuffle``) drops
-    it.  It survives lineage truncation, which is why it is stored.
-    """
-
-    __slots__ = (
-        "kind", "name", "deps", "fn", "extra", "cached", "consumers",
-        "claims_released", "lifted_from", "scope", "partitioned",
-        "__weakref__"
-    )
-
-    def __init__(
-        self, kind: str, deps: tuple = (), fn=None, extra=None,
-        name: str = "", scope: tuple = (),
-        partitioned: Optional[bool] = None,
-    ) -> None:
-        self.kind = kind
-        self.name = name
-        self.deps = deps
-        self.fn = fn
-        self.extra = extra
-        if partitioned is None:
-            partitioned = kind in _PARTITIONING or (
-                (kind in _KEY_PRESERVING or kind == "flatten")
-                and all(dep.partitioned for dep in deps)
-            )
-        self.partitioned = partitioned
-        self.cached: Optional[list] = None
-        self.consumers = 0
-        self.claims_released = False
-        self.lifted_from: Optional[str] = None
-        #: Composite-scope tokens ``(label, seq)`` — which named composite
-        #: application(s) built this node; ``explain()`` groups by it.
-        self.scope = scope
-
-    def release_claims(self) -> None:
-        """Drop this node's claim on its deps' ``consumers`` counts.
-
-        Called once — when the node materializes (lineage truncation) or
-        when it is fused through into an executing stage.  The flag guards
-        against double release: a fused-through node may still materialize
-        directly later (late-consumer recompute), and decrementing twice
-        would let fusion reach through deps with live consumers.
-        """
-        if not self.claims_released:
-            self.claims_released = True
-            for dep in self.deps:
-                dep.consumers -= 1
-
-
-def _iter_map(it, fn):
-    return map(fn, it)
-
-
-def _iter_flat_map(it, fn):
-    return itertools.chain.from_iterable(map(fn, it))
-
-
-def _iter_filter(it, fn):
-    return filter(fn, it)
-
-
-def _iter_map_values(it, fn):
-    return ((k, fn(v)) for k, v in it)
-
-
-def _iter_map_keyed_values(it, fn):
-    return ((k, fn(k, v)) for k, v in it)
-
-
-_OP_ITER = {
-    "map": _iter_map,
-    "flat_map": _iter_flat_map,
-    "filter": _iter_filter,
-    "map_values": _iter_map_values,
-    "map_keyed_values": _iter_map_keyed_values,
-}
-
-
-def _chain_iter(records, ops: tuple):
-    """Lazily thread one shard through a fused element-wise chain."""
-    it: Iterable[Any] = records
-    for kind, fn in ops:
-        it = _OP_ITER[kind](it, fn)
-    return it
-
-
-class _FusedChain:
-    """A fused element-wise chain plus its one batch-prefix decision.
-
-    ``ops`` are ``(kind, fn)`` pairs in execution order; ``n_batch`` is
-    how many leading ops run whole-shard (ops declared as
-    :class:`BatchDoFn`).  Plain callables have an empty prefix, so the
-    row path is the automatic fallback — and the differential reference:
-    declare the same op without ``batch`` to reach it.
-
-    Built once per physical stage — by execution from the nodes it
-    consumes, by ``explain()`` from the nodes it peeks at — so the stage
-    function, the :class:`StageProfile` and the rendered ``[vectorized
-    …]`` note all read the same ``n_batch`` and cannot drift apart.
-    Holds no nodes: it ships to workers inside the stage function.
-    """
-
-    __slots__ = ("ops", "n_batch")
-
-    def __init__(self, ops) -> None:
-        self.ops = tuple(ops)
-        self.n_batch = batch_prefix_len(self.ops)
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    @property
-    def vectorized(self) -> bool:
-        return self.n_batch > 0
-
-    @property
-    def all_batch(self) -> bool:
-        return self.n_batch == len(self.ops)
-
-    def batch(self, records):
-        """The shard after the batch prefix (a list or a
-        :class:`ColumnarShard`)."""
-        return run_batch_prefix(records, self.ops, self.n_batch)
-
-    def rows(self, shard):
-        """Thread the batch prefix's output through the row remainder.
-
-        This is the *fallback boundary*: ``as_records`` materializes the
-        exact scalar records there.
-        """
-        return _chain_iter(as_records(shard), self.ops[self.n_batch:])
-
-    def run(self, records):
-        """Stage: the whole chain, one pass per shard.
-
-        Returns a :class:`ColumnarShard` when the chain stayed batch and
-        produced one (so the downstream stage — or the stored boundary —
-        keeps the columns); otherwise a plain row list.
-        """
-        shard = self.batch(records)
-        if not self.all_batch:
-            return list(self.rows(shard))
-        if isinstance(shard, (list, ColumnarShard)):
-            return shard
-        return list(shard)
-
-
-def _compose_post_ops(fn, ops):
-    """Wrap a shuffle-read stage with a fused element-wise consumer chain
-    (post-shuffle fusion): one pass produces the chain's output directly,
-    so the shuffle-read intermediate never exists as a stored shard.  The
-    consumer chain runs the row path (the read stages emit rows)."""
-    if not ops:
+def _compose_post_ops(fn, post):
+    """Wrap a shuffle-read stage with its fused element-wise consumer
+    nodes ``post`` (post-shuffle fusion): one pass produces the chain's
+    output directly, so the shuffle-read intermediate never exists as a
+    stored shard.  The consumer chain runs the row path (the read stages
+    emit rows)."""
+    if not post:
         return fn
-    ops = tuple(ops)
+    ops = tuple((node.kind, node.fn) for node in post)
 
     def read_and_chain(records, _fn=fn, _ops=ops):
         return list(_chain_iter(as_records(_fn(records)), _ops))
@@ -861,8 +535,8 @@ class Pipeline:
         self.touched_checkpoint_digests: "set[str]" = (
             touched_digests if touched_digests is not None else set()
         )
-        #: Adaptive planner consulted by the optimizer (lift/elide cost
-        #: gates) and the checkpoint-placement gate; ``None`` — the
+        #: Adaptive planner consulted by the optimizer (the lift cost
+        #: gate) and the checkpoint-placement gate; ``None`` — the
         #: default — preserves the unconditional seed behavior exactly.
         self.planner = planner
         #: The caller's estimate of this pipeline's input size (records);
@@ -988,8 +662,6 @@ class Pipeline:
             kind, deps, fn, extra, name=name, scope=self._scope,
             partitioned=partitioned,
         )
-        for dep in deps:
-            dep.consumers += 1
         self._nodes.add(node)
         return node
 
@@ -1037,8 +709,9 @@ class Pipeline:
 
         Truncation releases the node's claim on its deps: their
         ``consumers`` counts drop so a chain derived from a dep *after*
-        this sink still fuses (``_upstream_chain`` stops at nodes with
-        multiple live consumers; a stale count would block fusion forever).
+        this sink still fuses (the plan builder's chain walk stops at nodes
+        with multiple live consumers; a stale count would block fusion
+        forever).
         """
         if stored:
             kept = raw_shards
@@ -1198,143 +871,57 @@ class Pipeline:
             self.checkpoint_dir, self.touched_checkpoint_digests | set(keep)
         )
 
-    # -- plan optimization -------------------------------------------------
+    # -- planning ----------------------------------------------------------
 
-    def _lift_combiners(self, node: _Node) -> None:
-        """Logical rewrite pass: ``group_by_key → map_values(Fold)`` becomes
-        ``combine_per_key`` (Beam's combiner lifting).
+    def _plan(self, node: _Node) -> _Plan:
+        """optimize → plan: the physical plan a sink on ``node`` executes
+        and :meth:`_explain` renders — both come through here.
 
-        The rewrite fires only when the group is uncached and the
-        ``map_values`` is its sole live consumer; it mutates the
-        ``map_values`` node in place (so PCollections referencing it see
-        the combine) and transfers the group's claim on its dep to the new
-        combine node.  Idempotent — safe to run at every sink and from
-        :meth:`PCollection.explain`.
+        Adaptive runs consult the cost model before lifting: a lift whose
+        modeled shuffle saving cannot repay its pre-combine pass stays a
+        plain group (non-adaptive: always lift).  The physical rewrites
+        only ever remove work, so the builder applies them unasked.
         """
-        seen: set = set()
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if id(cur) in seen or cur.cached is not None:
-                continue
-            seen.add(id(cur))
-            if cur.kind == "map_values" and isinstance(cur.fn, Fold):
-                dep = cur.deps[0]
-                if (
-                    dep.kind == "group"
-                    and dep.cached is None
-                    and dep.consumers == 1
-                    and not dep.claims_released
-                    # Adaptive runs consult the cost model: a lift whose
-                    # modeled shuffle saving cannot repay its pre-combine
-                    # pass stays a plain group (non-adaptive: always lift).
-                    and (
-                        self.planner is None
-                        or self.planner.should_lift(self.plan_records)
-                    )
-                ):
-                    fold = cur.fn
-                    cur.kind = "combine_per_key"
-                    cur.fn = None
-                    cur.extra = (fold.zero, fold.add, fold.merge, fold.batch)
-                    cur.deps = dep.deps
-                    cur.lifted_from = dep.name
-                    # The combine inherits the group's claim on its dep;
-                    # mark the group released so it never decrements the
-                    # (transferred) claim again, and drop the combine's
-                    # own claim on the now-orphaned group — a stale count
-                    # would block fusion for any later consumer of the
-                    # group.  (The lift is metered at execution, not here
-                    # — explain() also runs this pass and must leave the
-                    # metrics untouched.)
-                    dep.claims_released = True
-                    dep.consumers -= 1
-            stack.extend(cur.deps)
-
-    def _peek_chain(self, dep: _Node, *, for_shuffle: bool = False):
-        """Read-only fusion walk: what would fuse above (and including)
-        ``dep``?
-
-        Returns ``(chain, base, base_live, elided)`` — the fusable
-        element-wise nodes in execution order, the first non-fusable (or
-        already materialized) ancestor, ``base``'s live-consumer count at
-        walk time (counting our own claim), and the redundant reshard
-        nodes elided along the way.  ``for_shuffle=True`` means the chain
-        feeds a shuffle write, which both fuses the producers into the
-        routing pass and (under ``optimize``) elides single-consumer
-        reshards whose routing the write subsumes — legal only while every
-        op walked so far preserves keys.  Shared by execution
-        (:meth:`_upstream_chain`) and :meth:`explain`.
-        """
-        chain: List[_Node] = []
-        elided: List[_Node] = []
-        keys_stable = True
-        cur = dep
-        while True:
-            if (
-                cur.kind in _ELEMENTWISE
-                and cur.cached is None
-                and cur.consumers <= 1
-            ):
-                chain.append(cur)
-                if cur.kind not in _KEY_PRESERVING:
-                    keys_stable = False
-                cur = cur.deps[0]
-                continue
-            if (
-                for_shuffle
-                and self.optimize
-                and cur.kind == "reshard"
-                and cur.cached is None
-                and cur.consumers <= 1
-                and keys_stable
-                # Adaptive runs consult the predicted shuffle cost; an
-                # elision strictly removes a routing pass, so the model
-                # always approves — the consult keeps every rewrite
-                # flowing through one policy point.
-                and (
-                    self.planner is None
-                    or self.planner.should_elide(self.plan_records)
-                )
-            ):
-                elided.append(cur)
-                cur = cur.deps[0]
-                continue
-            break
-        base_live = cur.consumers
-        chain.reverse()
-        return chain, cur, base_live, elided
-
-    def _fuses_post_shuffle(self, base: _Node, base_live: int) -> bool:
-        """Would an element-wise chain ending at ``base`` fuse into its
-        shuffle-read stage?  The single predicate behind both execution
-        (:meth:`_exec_elementwise`) and :meth:`explain` — keep them from
-        drifting."""
-        return (
+        if self._state.closed:
+            raise RuntimeError("pipeline closed")
+        if (
             self.optimize
-            and base.cached is None
-            and base_live <= 1
-            and base.kind in _POST_SHUFFLE_FUSABLE
-        )
+            and node.cached is None
+            and (
+                self.planner is None
+                or self.planner.should_lift(self.plan_records)
+            )
+        ):
+            _lift_combiners(node)
+        return _build_plan(node, optimize=self.optimize)
 
     # -- execution ---------------------------------------------------------
 
     def _materialize(self, node: _Node) -> List[Any]:
-        """Sink entry point: optimize the plan below ``node``, then run it."""
-        if self.optimize and node.cached is None:
-            self._lift_combiners(node)
-        return self._materialize_node(node)
-
-    def _materialize_node(self, node: _Node) -> List[Any]:
-        """Execute the DAG below ``node`` (cached subgraphs run once)."""
+        """Sink entry point: plan the DAG below ``node``, then run the
+        plan (cached subgraphs run once)."""
         if node.cached is not None:
             return node.cached
+        # Hold only the plan's root: a finished stage truncates, so
+        # upstream boundaries' shards are freed as the run advances.
+        result = self._plan(node).result
+        return self._read(result)
+
+    def _read(self, source: "_Stage | _Node") -> List[Any]:
+        """The shards behind one stage input (or the sink): a
+        materialized node's cache, or a stage's output — run after the
+        stages it reads from, or loaded from its boundary's checkpoint,
+        skipping the whole subtree below it."""
+        if isinstance(source, _Node):
+            return source.cached
+        stage = source
+        node = stage.boundary
+        if node is None:
+            return self._execute(stage)
+        if node.cached is not None:
+            # A second reader of a stage this plan shares.
+            return node.cached
         if self._state.closed:
-            raise RuntimeError("pipeline closed")
-        kind = node.kind
-        if kind == "source":
-            # Sources are cached at creation; losing the cache means close()
-            # dropped it.
             raise RuntimeError("pipeline closed")
         digest: Optional[str] = None
         if self.checkpoint_dir is not None:
@@ -1346,60 +933,73 @@ class Pipeline:
                 loaded = self._checkpoint_load(digest)
                 if loaded is not None:
                     self.metrics.observe_checkpoint_hit()
+                    stage.truncate()
                     return self._finish_node(node, loaded, stored=True)
-        if kind == "stream_source":
-            # Always checkpointed when a digest exists: the source iterator
-            # is spent after one consumption, so its recompute cost is
-            # effectively infinite — no placement decision to make.
-            return self._exec_stream_source(node, checkpoint_digest=digest)
         prev_digest = self._current_digest
         if digest is not None:
             self._current_digest = digest
         started = time.perf_counter()
         try:
-            if kind in _ELEMENTWISE:
-                raw = self._exec_elementwise(node)
-            elif kind == "reshard":
-                raw = self._shuffle_by_key(
-                    node.deps[0], label=f"shuffle {self._describe(node)}"
-                )
-            elif kind == "reshuffle":
-                raw = self._exec_reshuffle(node)
-            else:
-                raw = self._exec_shuffle_read(node)
+            raw = self._execute(stage)
         finally:
             self._current_digest = prev_digest
-        if digest is not None and self.planner is not None:
+        streamed = stage.kind == "stream"
+        if digest is not None and self.planner is not None and not streamed:
             # Adaptive checkpoint placement: store the boundary only when
             # its (measured, subtree-inclusive — conservative on the side
             # of durability) recompute cost beats the modeled store+load.
+            # (A streamed source is always stored: its iterator is spent
+            # after one consumption, so recomputing is not an option.)
             if not self.planner.should_checkpoint(
                 recompute_sec=time.perf_counter() - started,
                 n_records=_total_rows(raw),
             ):
                 digest = None
-        return self._finish_node(node, raw, checkpoint_digest=digest)
+        stage.truncate()
+        return self._finish_node(
+            node, raw, stored=streamed, checkpoint_digest=digest
+        )
+
+    def _execute(self, stage: _Stage) -> List[Any]:
+        self._begin(stage)
+        return self._STAGE_RUNNERS[stage.kind](self, stage)
+
+    def _begin(self, stage: _Stage) -> None:
+        """``stage`` is about to run: release what it fuses through and
+        count its rewrites, from the stage's own fields.
+
+        Each fused-through node's claim on its dep is released (the plan
+        was built from the pre-release counts).  Without this, a chain of
+        length >= 2 leaves stale claims on its interior nodes and
+        anything derived from them after the sink can never fuse.
+        """
+        for fused_node in stage.fused_through:
+            fused_node.release_claims()
+        elided = stage.elided_shuffles
+        if elided:
+            self.metrics.observe_elided_shuffles(elided)
+        if stage.lifted:
+            self.metrics.observe_lifted_combiner()
 
     def _record_stage(
         self,
+        stage: _Stage,
         *,
-        label: str,
         wall_ms: float,
         rows_in: int,
-        fused: int = 0,
-        vectorized: bool = False,
         payload_bytes: int = 0,
     ) -> None:
-        """Meter one executed physical stage — the only recorder, whether
-        the stage ran through ``run_stage`` or as half of a worker
-        exchange, so the counters, the profile stream and the planner's
-        history cannot disagree about what ran."""
+        """Meter one executed physical stage from its own fields — the
+        only recorder, whether the stage ran through ``run_stage`` or as
+        half of a worker exchange, so the counters, the profile stream
+        and the planner's history cannot disagree about what ran."""
+        fused, vectorized = stage.fused_stages, stage.vectorized
         self.executor.stages_run += 1
         self.metrics.observe_stage_execution(fused=fused)
         if vectorized:
             self.metrics.observe_vectorized_stage()
         profile = StageProfile(
-            label=label,
+            label=stage.label,
             wall_ms=wall_ms,
             rows_in=rows_in,
             fused=fused,
@@ -1411,66 +1011,28 @@ class Pipeline:
         if self.planner is not None:
             self.planner.record_profile(profile)
 
-    def _run_stage(
-        self,
-        fn,
-        shards,
-        *,
-        fused: int = 0,
-        vectorized: bool = False,
-        label: str = "",
-    ) -> List[Any]:
+    def _run_stage(self, fn, shards, stage: _Stage) -> List[Any]:
         payload_before = self.executor.stats().get("stage_payload_bytes", 0)
         start = time.perf_counter()
         out = self.executor.run_stage(fn, shards)
         wall_ms = (time.perf_counter() - start) * 1000.0
         payload_after = self.executor.stats().get("stage_payload_bytes", 0)
         self._record_stage(
-            label=label,
+            stage,
             wall_ms=wall_ms,
             rows_in=_total_rows(shards),
-            fused=fused,
-            vectorized=vectorized,
             payload_bytes=max(0, payload_after - payload_before),
         )
         return out
 
-    def _upstream_chain(self, dep: _Node, *, for_shuffle: bool = False):
-        """Collect (and consume) the fusable chain above ``dep``.
-
-        Returns ``(ops, base, base_live)`` where ``ops`` are ``(kind, fn)``
-        pairs in execution order, ``base`` is the first non-fusable (or
-        already materialized) ancestor, and ``base_live`` is ``base``'s
-        consumer count before the chain's claims were released (``== 1``
-        means our chain is its sole live consumer — the post-shuffle
-        fusion precondition).
-
-        The chain is about to be consumed by the executing stage, so each
-        fused-through node's claim on its dep is released here (after the
-        walk — the stop decisions use the pre-release counts).  Without
-        this, a chain of length >= 2 leaves stale claims on its interior
-        nodes and anything derived from them after the sink can never
-        fuse.  Elided reshards release the same way and are counted in
-        ``metrics.elided_shuffles``.
-        """
-        chain, base, base_live, elided = self._peek_chain(
-            dep, for_shuffle=for_shuffle
-        )
-        for fused_node in chain:
-            fused_node.release_claims()
-        for elided_node in elided:
-            elided_node.release_claims()
-        if elided:
-            self.metrics.observe_elided_shuffles(len(elided))
-        return [(n.kind, n.fn) for n in chain], base, base_live
-
-    def _exec_stream_source(
-        self, node: _Node, *, checkpoint_digest: Optional[str] = None
-    ) -> List[Any]:
+    def _run_stream_source(self, stage: _Stage) -> List[Any]:
         """Consume a lazy source chunk by chunk: route each bounded chunk,
         store its per-shard buckets (spilled immediately when enabled),
         and assemble each shard as a :class:`_ShardGroup` of chunk parts —
-        the driver never holds more than one chunk of raw input."""
+        the driver never holds more than one chunk of raw input.  (No
+        stage function runs, so no ``StageProfile``; the returned shards
+        are already stored.)"""
+        node = stage.node
         elements, keyed = node.extra
         if elements is None:
             raise RuntimeError(
@@ -1515,45 +1077,7 @@ class Pipeline:
                 shards.append(shard_parts[0])
             else:
                 shards.append(_ShardGroup(shard_parts))
-        return self._finish_node(
-            node, shards, stored=True, checkpoint_digest=checkpoint_digest
-        )
-
-    def _exec_elementwise(self, node: _Node) -> List[list]:
-        ops, base, base_live = self._upstream_chain(node.deps[0])
-        ops.append((node.kind, node.fn))
-        if self._fuses_post_shuffle(base, base_live):
-            # Post-shuffle fusion: the whole element-wise chain runs inside
-            # the shuffle-read stage; ``base`` is fused through and never
-            # materialized (late consumers recompute, as with any fused
-            # intermediate).
-            raw = self._exec_shuffle_read(base, post_ops=ops)
-            base.release_claims()
-            return raw
-        base_shards = self._materialize_node(base)
-        chain = _FusedChain(ops)
-        return self._run_stage(
-            chain.run,
-            base_shards,
-            fused=len(chain) - 1,
-            vectorized=chain.vectorized,
-            label=self._describe(node),
-        )
-
-    def _exec_shuffle_read(self, node: _Node, post_ops=()) -> List[list]:
-        """Run a shuffle-read node, with ``post_ops`` (an element-wise
-        consumer chain, row path) fused into its read stage."""
-        if node.kind == "group":
-            return self._exec_group(node, post_ops)
-        if node.kind == "combine_per_key":
-            return self._exec_combine_per_key(node, post_ops)
-        if node.kind == "cogroup":
-            return self._exec_cogroup(node, post_ops)
-        if node.kind == "flatten":
-            return self._exec_flatten(node, post_ops)
-        raise AssertionError(  # pragma: no cover - construction bug
-            f"unknown node kind {node.kind!r}"
-        )
+        return shards
 
     def _exchange_enabled(self) -> bool:
         """Is the worker-to-worker shuffle data plane in play?"""
@@ -1572,16 +1096,16 @@ class Pipeline:
             return 1
 
     def _driver_shuffle(
-        self, write_fn, base_shards, *, combine: bool = False, **write
+        self, write_fn, base_shards, write: _Stage, *, combine: bool = False
     ) -> List[Any]:
-        """Shuffle write stage + driver-side bucket merge.
+        """Shuffle write stage (metered as ``write``) + driver-side bucket
+        merge.
 
-        ``write`` is the write stage's metering (``fused``,
-        ``vectorized``, ``label``).  With ``combine`` the write stage is
-        a pre-combiner returning ``(n_pre, buckets)`` per shard, and the
-        pre-aggregation volume is metered next to the moved volume.
+        With ``combine`` the write stage is a pre-combiner returning
+        ``(n_pre, buckets)`` per shard, and the pre-aggregation volume is
+        metered next to the moved volume.
         """
-        stage_out = self._run_stage(write_fn, base_shards, **write)
+        stage_out = self._run_stage(write_fn, base_shards, write)
         # Merge per input-shard part order; columnar buckets concatenate
         # column-wise, mixed destinations degrade to rows.
         parts: List[List[Any]] = [[] for _ in range(self.num_shards)]
@@ -1601,147 +1125,30 @@ class Pipeline:
         self.metrics.attribute_shuffle_to_last_stage(moved)
         return [merge_bucket_parts(p) for p in parts]
 
-    def _grouping_shuffle(
-        self,
-        write_fn,
-        base_shards,
-        read_fn,
-        *,
-        combine: bool,
-        write: dict,
-        read: dict,
-    ) -> List[Any]:
-        """One grouping shuffle — write stage, bucket movement, read
-        stage — as a worker-to-worker exchange when the data plane
-        offers one, else through the driver merge.
+    # Stage runners: each only builds its stage's function from the plan's
+    # decisions and hands it to the metered planes above.
 
-        Both planes run the *same* stage functions and meter the same
-        two stages (``write``/``read`` carry each one's ``fused``,
-        ``vectorized`` and ``label``), shuffle volume credited to the
-        write, so they cannot diverge.  The executor may decline an
-        exchange (too few shards, nothing serializes, no live workers);
-        the driver merge is then the fallback.
+    def _run_chain(self, stage: _Stage) -> List[Any]:
+        return self._run_stage(
+            stage.chain.fused.run, self._read(stage.inputs[0]), stage
+        )
 
-        The key-routed intermediate of a plain group is a real
-        per-worker footprint and is metered even though it is never
-        stored; combine partials (one accumulator per key) are not.
+    def _run_write(self, stage: _Stage) -> List[Any]:
+        """A keyed shuffle write whose routed shards the driver needs —
+        a materialized reshard, or one routed cogroup input.
+
+        Always the driver data plane: the merged shards are wanted on
+        the driver anyway, so a worker exchange would move every byte
+        twice.
         """
-        exchanged = None
-        if self._exchange_enabled():
-            exchanged = self.executor.run_exchange(
-                write_fn, base_shards, read_fn, self.num_shards,
-                combine=combine,
-            )
-        if exchanged is None:
-            merged = self._driver_shuffle(
-                write_fn, base_shards, combine=combine, **write
-            )
-            if not combine:
-                for shard in merged:
-                    self.metrics.observe_shard(
-                        len(shard), columnar=isinstance(shard, ColumnarShard)
-                    )
-            return self._run_stage(read_fn, merged, **read)
-        results, info = exchanged
-        self._record_stage(
-            wall_ms=info["write_seconds"] * 1000.0,
-            rows_in=_total_rows(base_shards),
-            payload_bytes=info["write_payload_bytes"],
-            **write,
-        )
-        self.metrics.observe_shuffle(
-            info["moved"], pre_records=info["pre_records"]
-        )
-        self.metrics.attribute_shuffle_to_last_stage(info["moved"])
-        if not combine:
-            for count, is_columnar in zip(
-                info["dest_counts"], info["dest_columnar"]
-            ):
-                self.metrics.observe_shard(count, columnar=is_columnar)
-        self._record_stage(
-            wall_ms=info["read_seconds"] * 1000.0,
-            rows_in=sum(info["dest_counts"]),
-            payload_bytes=info["read_payload_bytes"],
-            **read,
-        )
-        self.metrics.observe_exchange(
-            p2p_bytes=info["p2p_bytes"],
-            driver_bytes=info["driver_bytes"],
-            refetches=info["refetches"],
-            fetch_chunks=info.get("fetch_chunks", 0),
-        )
-        return results
-
-    def _shuffle_by_key(self, dep: _Node, *, label: str = "") -> List[list]:
-        """Shuffle write + driver-side merge; fuses the producing chain.
-
-        Always the driver data plane: callers that materialize the
-        routed shards (the ``reshard`` node) need them on the driver
-        anyway, so a worker exchange would move every byte twice.
-        """
-        ops, base, _ = self._upstream_chain(dep, for_shuffle=True)
-        base_shards = self._materialize_node(base)
-        chain = _FusedChain(ops)
         return self._driver_shuffle(
-            _make_keyed_bucketer(chain, self.num_shards),
-            base_shards,
-            fused=len(chain),
-            vectorized=chain.vectorized,
-            label=label or f"shuffle {self._describe(dep)}",
+            _make_keyed_bucketer(stage.chain.fused, self.num_shards),
+            self._read(stage.inputs[0]),
+            stage,
         )
 
-    def _exec_group(self, node: _Node, post_ops) -> List[list]:
-        ops, base, _ = self._upstream_chain(node.deps[0], for_shuffle=True)
-        base_shards = self._materialize_node(base)
-        chain = _FusedChain(ops)
-        desc = self._describe(node)
-        return self._grouping_shuffle(
-            _make_keyed_bucketer(chain, self.num_shards),
-            base_shards,
-            _compose_post_ops(_group_shard, post_ops),
-            combine=False,
-            write=dict(
-                fused=len(chain),
-                vectorized=chain.vectorized,
-                label=f"shuffle-write {desc}",
-            ),
-            read=dict(fused=len(post_ops), label=f"group-read {desc}"),
-        )
-
-    def _exec_combine_per_key(self, node: _Node, post_ops) -> List[list]:
-        zero, add, merge, fold_batch = node.extra
-        if node.lifted_from is not None:
-            self.metrics.observe_lifted_combiner()
-        ops, base, _ = self._upstream_chain(node.deps[0], for_shuffle=True)
-        base_shards = self._materialize_node(base)
-        chain = _FusedChain(ops)
-        desc = self._describe(node)
-        return self._grouping_shuffle(
-            _make_precombiner(
-                chain, zero, add, self.num_shards, batch=fold_batch
-            ),
-            base_shards,
-            _compose_post_ops(_make_combiner_merger(merge), post_ops),
-            combine=True,
-            write=dict(
-                fused=len(chain),
-                vectorized=fold_batch is not None or chain.vectorized,
-                label=f"combine-write {desc}",
-            ),
-            read=dict(fused=len(post_ops), label=f"combine-read {desc}"),
-        )
-
-    def _exec_reshuffle(self, node: _Node) -> List[list]:
-        ops, base, _ = self._upstream_chain(node.deps[0])
-        base_shards = self._materialize_node(base)
-        chain = _FusedChain(ops)
-        transformed = self._run_stage(
-            chain.run,
-            base_shards,
-            fused=len(chain),
-            vectorized=chain.vectorized,
-            label=f"rebalance {self._describe(node)}",
-        )
+    def _run_rebalance(self, stage: _Stage) -> List[Any]:
+        transformed = self._run_chain(stage)
         num = self.num_shards
         shards: List[list] = [[] for _ in range(num)]
         moved = 0
@@ -1753,90 +1160,129 @@ class Pipeline:
         self.metrics.attribute_shuffle_to_last_stage(moved)
         return shards
 
-    def _exec_flatten(self, node: _Node, post_ops) -> List[list]:
-        dep_shards = [self._materialize_node(dep) for dep in node.deps]
+    def _run_grouping(self, read: _Stage) -> List[Any]:
+        """GroupByKey / CombinePerKey: one grouping shuffle — write stage,
+        bucket movement, read stage — as a worker-to-worker exchange when
+        the data plane offers one, else through the driver merge.  (The
+        read drives its write, so both halves can run as one exchange.)
+
+        Both planes run the *same* stage functions and meter the same
+        two stages, shuffle volume credited to the write, so they cannot
+        diverge.  The executor may decline an exchange (too few shards,
+        nothing serializes, no live workers); the driver merge is then
+        the fallback.
+
+        The key-routed intermediate of a plain group is a real
+        per-worker footprint and is metered even though it is never
+        stored; combine partials (one accumulator per key) are not.
+        """
+        write = read.inputs[0]
+        self._begin(write)
+        base_shards = self._read(write.inputs[0])
+        chain = write.chain.fused
+        combine = read.kind == "combine-read"
+        if combine:
+            zero, add, merge, fold_batch = read.node.extra
+            write_fn = _make_precombiner(
+                chain, zero, add, self.num_shards, batch=fold_batch
+            )
+            read_fn = _make_combiner_merger(merge)
+        else:
+            write_fn = _make_keyed_bucketer(chain, self.num_shards)
+            read_fn = _group_shard
+        read_fn = _compose_post_ops(read_fn, read.post)
+        exchanged = None
+        if self._exchange_enabled():
+            exchanged = self.executor.run_exchange(
+                write_fn, base_shards, read_fn, self.num_shards,
+                combine=combine,
+            )
+        if exchanged is None:
+            merged = self._driver_shuffle(
+                write_fn, base_shards, write, combine=combine
+            )
+            if not combine:
+                for shard in merged:
+                    self.metrics.observe_shard(
+                        len(shard), columnar=isinstance(shard, ColumnarShard)
+                    )
+            return self._run_stage(read_fn, merged, read)
+        results, info = exchanged
+        self._record_stage(
+            write,
+            wall_ms=info["write_seconds"] * 1000.0,
+            rows_in=_total_rows(base_shards),
+            payload_bytes=info["write_payload_bytes"],
+        )
+        self.metrics.observe_shuffle(
+            info["moved"], pre_records=info["pre_records"]
+        )
+        self.metrics.attribute_shuffle_to_last_stage(info["moved"])
+        if not combine:
+            for count, is_columnar in zip(
+                info["dest_counts"], info["dest_columnar"]
+            ):
+                self.metrics.observe_shard(count, columnar=is_columnar)
+        self._record_stage(
+            read,
+            wall_ms=info["read_seconds"] * 1000.0,
+            rows_in=sum(info["dest_counts"]),
+            payload_bytes=info["read_payload_bytes"],
+        )
+        self.metrics.observe_exchange(
+            p2p_bytes=info["p2p_bytes"],
+            driver_bytes=info["driver_bytes"],
+            refetches=info["refetches"],
+            fetch_chunks=info.get("fetch_chunks", 0),
+        )
+        return results
+
+    def _run_cogroup(self, stage: _Stage) -> List[Any]:
+        """CoGroupByKey: bring every input's records for destination ``i``
+        to shard ``i``, then group input by input.
+
+        A co-partitioned input does not move: its shard ``i`` *is*
+        destination ``i``'s part, and its key-preserving chain runs
+        inside the read stage.  Every other input arrives through its
+        own write stage (``optimize=False`` routes every input, unfused).
+        """
+        per_input = [self._read(source) for source in stage.inputs]
+        read_chains = tuple(
+            chain.fused if chain and chain.nodes else None
+            for chain in stage.narrow
+        )
+        return self._run_stage(
+            _compose_post_ops(_make_cogroup_grouper(read_chains), stage.post),
+            [
+                _CoGroupParts([shards[i] for shards in per_input])
+                for i in range(self.num_shards)
+            ],
+            stage,
+        )
+
+    def _run_flatten(self, stage: _Stage) -> List[Any]:
+        dep_shards = [self._read(source) for source in stage.inputs]
         groups = [
             _ShardGroup([stored[i] for stored in dep_shards])
             for i in range(self.num_shards)
         ]
         return self._run_stage(
-            _compose_post_ops(_flatten_shard, post_ops),
-            groups,
-            fused=len(post_ops),
-            label=f"flatten {self._describe(node)}",
+            _compose_post_ops(_flatten_shard, stage.post), groups, stage
         )
 
-    def _co_partitioned(self, kinds, base: _Node) -> bool:
-        """Is a cogroup input a narrow dependency — already sitting on its
-        destination shards?  True under ``optimize`` when ``base`` is
-        hash-partitioned by key and no op of the fused chain (``kinds``)
-        can rewrite a key.  The one predicate behind execution
-        (:meth:`_exec_cogroup`) and :meth:`explain`."""
-        return (
-            self.optimize
-            and base.partitioned
-            and all(kind in _KEY_PRESERVING for kind in kinds)
-        )
-
-    def _exec_cogroup(self, node: _Node, post_ops) -> List[list]:
-        """CoGroupByKey: bring every input's records for destination ``i``
-        to shard ``i``, then group input by input.
-
-        A co-partitioned input (see :meth:`_co_partitioned`) does not
-        move: its shard ``i`` *is* destination ``i``'s part, and its
-        key-preserving chain runs inside the read stage.  Every other
-        input is an ordinary keyed shuffle write with its producing chain
-        fused in (``optimize=False`` routes every input, unfused).
-        """
-        desc = self._describe(node)
-        per_input: List[List[Any]] = []
-        read_chains: List[Optional[_FusedChain]] = []
-        for tag, dep in enumerate(node.deps):
-            elided_before = self.metrics.elided_shuffles
-            if self.optimize:
-                ops, base, _ = self._upstream_chain(dep, for_shuffle=True)
-            else:
-                ops, base = [], dep
-            stored = self._materialize_node(base)
-            chain = _FusedChain(ops)
-            if self._co_partitioned((kind for kind, _ in ops), base):
-                # One count per input read in place — also when the walk
-                # above already counted a redundant reshard it skipped.
-                if self.metrics.elided_shuffles == elided_before:
-                    self.metrics.observe_elided_shuffles()
-                per_input.append(stored)
-                read_chains.append(chain if ops else None)
-                continue
-            per_input.append(
-                self._driver_shuffle(
-                    _make_keyed_bucketer(chain, self.num_shards),
-                    stored,
-                    fused=len(chain),
-                    vectorized=chain.vectorized,
-                    label=f"cogroup-write #{tag} {desc}",
-                )
-            )
-            read_chains.append(None)
-        narrow = [chain for chain in read_chains if chain is not None]
-        return self._run_stage(
-            _compose_post_ops(
-                _make_cogroup_grouper(tuple(read_chains)), post_ops
-            ),
-            [
-                _CoGroupParts([shards[i] for shards in per_input])
-                for i in range(self.num_shards)
-            ],
-            fused=len(post_ops) + sum(len(chain) for chain in narrow),
-            vectorized=any(chain.vectorized for chain in narrow),
-            label=f"cogroup-read {desc}",
-        )
+    _STAGE_RUNNERS = {
+        "stream": _run_stream_source,
+        "chain": _run_chain,
+        "shuffle": _run_write,
+        "cogroup-write": _run_write,
+        "rebalance": _run_rebalance,
+        "group-read": _run_grouping,
+        "combine-read": _run_grouping,
+        "cogroup-read": _run_cogroup,
+        "flatten": _run_flatten,
+    }
 
     # -- plan rendering ----------------------------------------------------
-
-    #: Transient flag set by :meth:`_explain`: when on, stage lines whose
-    #: boundary digest already has a checkpoint entry on disk render a
-    #: ``[checkpoint: reuse]`` note (opt-in, so golden plans are unmoved).
-    _explain_reuse = False
 
     def _explain(
         self,
@@ -1845,327 +1291,66 @@ class Pipeline:
         costs: Optional[bool] = None,
         reuse: bool = False,
     ) -> str:
-        """Render the physical plan that a sink on ``node`` would execute.
-
-        Stages built by a named composite (:meth:`PCollection.apply`)
-        render indented under a ``[composite '<name>']`` header — one
-        group per application, nesting with nested composites.  Plans
-        without composites render exactly as before.
-
-        With ``costs`` (defaulting to on exactly when the pipeline has an
-        adaptive planner), every stage line is annotated with the cost
-        model's predicted wall time — the same prediction the planner
-        bases its decisions on.
-
-        With ``reuse`` (off by default), stages whose plan digest already
-        has a checkpoint entry in ``checkpoint_dir`` are annotated
-        ``[checkpoint: reuse]`` — what a drive would load instead of
-        executing.  The incremental driver renders the reused cone this
-        way.
-        """
+        """:meth:`PCollection.explain`: build the plan a sink on ``node``
+        would run and hand it to the renderer."""
         if costs is None:
             costs = self.planner is not None
-        if self.optimize and node.cached is None:
-            self._lift_combiners(node)
-        lines: List[Tuple[tuple, str]] = []
-        memo: dict = {}
-        self._explain_reuse = bool(reuse) and self.checkpoint_dir is not None
-        try:
-            ref = self._render_plan(node, lines, memo)
-        finally:
-            self._explain_reuse = False
-        header = (
-            f"plan (optimize={'on' if self.optimize else 'off'}, "
-            f"shards={self.num_shards})"
+        plan = self._plan(node)
+        reuse = reuse and self.checkpoint_dir is not None
+        return _format_plan(
+            plan,
+            num_shards=self.num_shards,
+            stream_chunk_size=self.stream_chunk_size,
+            boundary_note=self._reuse_note if reuse else None,
+            cost_note=self._cost_note(plan) if costs else None,
         )
-        rendered: List[str] = [header]
-        open_scope: tuple = ()
-        opened: set = set()
-        for scope, text in lines:
-            common = 0
-            for ours, theirs in zip(open_scope, scope):
-                if ours != theirs:
-                    break
-                common += 1
-            for depth in range(common, len(scope)):
-                token = scope[depth]
-                # An out-of-scope line (e.g. another input's source) can
-                # interleave with a composite's stages; re-entering the
-                # same application is marked, not shown as a new one.
-                marker = " (resumed)" if token in opened else ""
-                opened.add(token)
-                rendered.append(
-                    "  " * depth + f"[composite '{token[0]}'{marker}]"
-                )
-            open_scope = scope
-            rendered.append("  " * len(scope) + text)
-        rendered.append(f"result <- {ref}")
-        if costs:
-            rendered = self._annotate_costs(rendered, node)
-        return "\n".join(rendered)
 
-    def _estimate_plan_rows(self, node: _Node) -> int:
-        """Plan-wide input-row estimate for pre-run cost prediction.
+    def _reuse_note(self, stage: _Stage) -> str:
+        """``[checkpoint: reuse]`` when ``stage``'s boundary would load
+        rather than execute: the same digest → file mapping
+        :meth:`_read` consults, so the annotation and the load agree."""
+        node = stage.boundary
+        digest = self._node_digest(node) if node is not None else None
+        if digest is None or not os.path.exists(self._checkpoint_path(digest)):
+            return ""
+        return " [checkpoint: reuse]"
 
-        Sums the sizes of every materialized/eager source reachable from
-        ``node``; stream sources contribute the pipeline's declared
+    def _cost_note(self, plan: _Plan) -> Callable[[_Stage], str]:
+        """The ``[cost ~…ms]`` annotation: the model's predicted wall time
+        of a stage, from the stage's own fields (``vectorized``,
+        ``charged_shuffle``) and a plan-wide input-row estimate.
+
+        The estimate sums the sizes of every materialized node the plan
+        reads; stream sources contribute the pipeline's declared
         ``plan_records`` hint (or one chunk when no hint was given).
         Deliberately coarse — predictions before any run exists only need
         the right order of magnitude to rank plans.
-        """
-        seen: set = set()
-        total = 0
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if id(cur) in seen:
-                continue
-            seen.add(id(cur))
-            if cur.cached is not None:
-                total += sum(len(shard) for shard in cur.cached)
-                continue
-            if cur.kind == "stream_source":
-                total += self.plan_records or self.stream_chunk_size
-                continue
-            stack.extend(cur.deps)
-        return total
-
-    def _annotate_costs(self, rendered: List[str], node: _Node) -> List[str]:
-        """Append the model's predicted wall time to every stage line.
-
-        Works on the rendered text so the base rendering (pinned by
-        golden-plan tests when costs are off) stays byte-identical.
         """
         from repro.cluster.costmodel import CostModel
 
         model = (
             self.planner.cost_model if self.planner is not None else CostModel()
         )
-        rows = self._estimate_plan_rows(node)
-        out: List[str] = []
-        stage_re = re.compile(r"S\d+: ")
-        for line in rendered:
-            body = line.lstrip()
-            if not stage_re.match(body):
-                out.append(line)
-                continue
-            vectorized = "[vectorized" in body
-            shuffled = 0
-            if any(tok in body for tok in ("-write", "shuffle ", "rebalance")):
-                shuffled = rows
+        read = [plan.result]
+        for stage in plan.stages:
+            read.extend(stage.inputs)
+        cached = {id(src): src for src in read if isinstance(src, _Node)}
+        streams = sum(stage.kind == "stream" for stage in plan.stages)
+        rows = streams * (self.plan_records or self.stream_chunk_size) + sum(
+            len(shard) for node in cached.values() for shard in node.cached
+        )
+        parallelism = self._shuffle_parallelism()
+
+        def note(stage: _Stage) -> str:
             predicted_ms = 1000.0 * model.predict_stage_seconds(
                 rows,
-                vectorized=vectorized,
-                shuffled_records=shuffled,
-                shuffle_parallelism=self._shuffle_parallelism(),
+                vectorized=stage.vectorized,
+                shuffled_records=rows if stage.charged_shuffle else 0,
+                shuffle_parallelism=parallelism,
             )
-            out.append(f"{line} [cost ~{predicted_ms:.2f}ms]")
-        return out
+            return f" [cost ~{predicted_ms:.2f}ms]"
 
-    def _emit(
-        self, lines: List[Tuple[tuple, str]], text: str, scope: tuple = ()
-    ) -> str:
-        ref = f"S{len(lines) + 1}"
-        lines.append((scope, f"{ref}: {text}"))
-        return ref
-
-    @staticmethod
-    def _describe(node: _Node) -> str:
-        return f"{node.kind} '{node.name}'" if node.name else node.kind
-
-    def _reuse_note(self, node: _Node) -> str:
-        """``[checkpoint: reuse]`` when ``node``'s boundary would load.
-
-        Only active during an ``_explain(reuse=True)`` render; checks the
-        same digest → file mapping :meth:`_materialize_node` consults, so
-        the annotation and the actual load agree.
-        """
-        if not self._explain_reuse:
-            return ""
-        digest = self._node_digest(node)
-        if digest is None or not os.path.exists(self._checkpoint_path(digest)):
-            return ""
-        return " [checkpoint: reuse]"
-
-    def _vector_note(self, nodes) -> str:
-        """Annotation for a fused chain's vectorized prefix.
-
-        Reads the same :class:`_FusedChain` decision the executing stage
-        is built from.  Empty when no leading op is batch-capable — plans
-        built from plain callables render unannotated.  A partial prefix
-        names the first row-fallback op so a silently-degraded plan is
-        visible in :meth:`PCollection.explain`.
-        """
-        nodes = list(nodes)
-        prefix = _FusedChain((n.kind, n.fn) for n in nodes).n_batch
-        if prefix == 0:
-            return ""
-        if prefix == len(nodes):
-            return " [vectorized]"
-        return (
-            f" [vectorized x{prefix}, "
-            f"row fallback at {self._describe(nodes[prefix])}]"
-        )
-
-    def _render_plan(
-        self, node: _Node, lines: List[Tuple[tuple, str]], memo: dict
-    ) -> str:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if node.cached is not None:
-            ref = f"[materialized {self._describe(node)}]"
-            memo[key] = ref
-            return ref
-        kind = node.kind
-        if kind == "stream_source":
-            ref = self._emit(
-                lines,
-                f"stream source '{node.name}' "
-                f"(chunks of {self.stream_chunk_size})",
-                node.scope,
-            )
-        elif kind in _ELEMENTWISE:
-            chain, base, base_live, _ = self._peek_chain(node.deps[0])
-            ops = chain + [node]
-            desc = " + ".join(self._describe(n) for n in ops)
-            if self._fuses_post_shuffle(base, base_live):
-                # No vector note: a post-shuffle-fused consumer chain
-                # runs the row path (see ``_compose_post_ops``).
-                desc += self._reuse_note(node)
-                ref = self._render_shuffle(base, lines, memo, post=desc)
-            else:
-                desc += self._vector_note(ops) + self._reuse_note(node)
-                base_ref = self._render_plan(base, lines, memo)
-                ref = self._emit(lines, f"{desc} <- {base_ref}", node.scope)
-        else:
-            ref = self._render_shuffle(node, lines, memo, post="")
-        memo[key] = ref
-        return ref
-
-    def _render_write(
-        self,
-        dep: _Node,
-        lines: List[Tuple[tuple, str]],
-        memo: dict,
-        *,
-        label: str,
-        scope: tuple = (),
-    ) -> str:
-        """Render one shuffle write (with fused producers / elided reshards)."""
-        chain, base, _, elided = self._peek_chain(dep, for_shuffle=True)
-        base_ref = self._render_plan(base, lines, memo)
-        text = label + self._chain_note(chain, elided)
-        return self._emit(lines, f"{text} <- {base_ref}", scope)
-
-    def _chain_note(self, chain, elided=(), *, lead: str = "") -> str:
-        """The suffix every consumer of a fused chain renders:
-        `` [<lead>; fused: a + b]`` (either half optional), the chain's
-        vector note, then one ``(elided …)`` per skipped reshard."""
-        parts = [lead] if lead else []
-        if chain:
-            parts.append(
-                "fused: " + " + ".join(self._describe(n) for n in chain)
-            )
-        text = f" [{'; '.join(parts)}]" if parts else ""
-        text += self._vector_note(chain)
-        for elided_node in elided:
-            text += f" (elided {self._describe(elided_node)})"
-        return text
-
-    def _render_cogroup_input(
-        self,
-        node: _Node,
-        tag: int,
-        dep: _Node,
-        lines: List[Tuple[tuple, str]],
-        memo: dict,
-    ) -> str:
-        """Render how input ``tag`` reaches cogroup ``node``: a write
-        stage, or — co-partitioned — the base's own reference with a
-        ``[co-partitioned]`` note (no stage runs for it)."""
-        label = f"cogroup-write #{tag} {self._describe(node)}"
-        if not self.optimize:
-            dep_ref = self._render_plan(dep, lines, memo)
-            return self._emit(lines, f"{label} <- {dep_ref}", node.scope)
-        chain, base, _, elided = self._peek_chain(dep, for_shuffle=True)
-        if not self._co_partitioned((n.kind for n in chain), base):
-            return self._render_write(
-                dep, lines, memo, label=label, scope=node.scope
-            )
-        return self._render_plan(base, lines, memo) + self._chain_note(
-            chain, elided, lead="co-partitioned"
-        )
-
-    def _render_shuffle(
-        self, node: _Node, lines: List[Tuple[tuple, str]], memo: dict,
-        *, post: str
-    ) -> str:
-        kind = node.kind
-        scope = node.scope
-        fused_note = f" + {post} [post-shuffle fused]" if post else ""
-        if kind == "reshard":
-            return self._render_write(
-                node.deps[0], lines, memo,
-                label=f"shuffle {self._describe(node)}", scope=scope,
-            )
-        if kind == "reshuffle":
-            chain, base, _, _ = self._peek_chain(node.deps[0])
-            base_ref = self._render_plan(base, lines, memo)
-            text = f"rebalance {self._describe(node)}" + self._chain_note(chain)
-            return self._emit(lines, f"{text} <- {base_ref}", scope)
-        if kind == "group":
-            write = self._render_write(
-                node.deps[0], lines, memo,
-                label=f"shuffle-write {self._describe(node)}", scope=scope,
-            )
-            return self._emit(
-                lines,
-                f"group-read {self._describe(node)}{fused_note}"
-                f"{self._reuse_note(node)} <- {write}",
-                scope,
-            )
-        if kind == "combine_per_key":
-            label = f"combine-write {self._describe(node)}"
-            if node.lifted_from is not None:
-                label += f" (lifted from group '{node.lifted_from}')"
-            if node.extra is not None and node.extra[3] is not None:
-                label += " [vectorized fold]"
-            write = self._render_write(
-                node.deps[0], lines, memo, label=label, scope=scope
-            )
-            return self._emit(
-                lines,
-                f"combine-read {self._describe(node)}{fused_note}"
-                f"{self._reuse_note(node)} <- {write}",
-                scope,
-            )
-        if kind == "cogroup":
-            inputs = [
-                self._render_cogroup_input(node, tag, dep, lines, memo)
-                for tag, dep in enumerate(node.deps)
-            ]
-            return self._emit(
-                lines,
-                f"cogroup-read {self._describe(node)}{fused_note} <- "
-                + ", ".join(inputs),
-                scope,
-            )
-        if kind == "flatten":
-            dep_refs = [
-                self._render_plan(dep, lines, memo) for dep in node.deps
-            ]
-            return self._emit(
-                lines,
-                f"flatten {self._describe(node)}{fused_note}"
-                f"{self._reuse_note(node)} <- " + ", ".join(dep_refs),
-                scope,
-            )
-        if kind == "source":  # uncached source: pipeline was closed
-            return self._emit(lines, f"read source '{node.name}'", scope)
-        raise AssertionError(  # pragma: no cover - construction bug
-            f"unknown node kind {kind!r}"
-        )
+        return note
 
 
 class PCollection:
@@ -2202,11 +1387,19 @@ class PCollection:
         exactly what :meth:`run` will execute.  Intended for golden-plan
         tests and debugging.
 
+        Stages built by a named composite (:meth:`apply`) render
+        indented under a ``[composite '<name>']`` header — one group per
+        application, nesting with nested composites.
+
         ``costs`` appends the cost model's predicted wall time to every
-        stage line; it defaults to on exactly when the pipeline runs with
-        an adaptive planner, so existing golden plans are unaffected.
-        ``reuse`` (off by default) annotates stages whose checkpointed
-        boundary already exists on disk — see ``Pipeline._explain``.
+        stage line — the same prediction the planner bases its decisions
+        on; it defaults to on exactly when the pipeline runs with an
+        adaptive planner, so existing golden plans are unaffected.
+        ``reuse`` (off by default) annotates stages whose boundary's plan
+        digest already has a checkpoint entry in ``checkpoint_dir`` with
+        ``[checkpoint: reuse]`` — what a drive would load instead of
+        executing.  The incremental driver renders the reused cone this
+        way.
         """
         return self.pipeline._explain(self._node, costs=costs, reuse=reuse)
 
@@ -2396,7 +1589,10 @@ class PCollection:
         """
         self.pipeline.metrics.count_stage(name)
         shards = self._shards
-        accumulators = self.pipeline._run_stage(_make_folder(zero, add), shards)
+        # The one plan-less stage: it folds stored shards, unlabelled.
+        accumulators = self.pipeline._run_stage(
+            _make_folder(zero, add), shards, _Stage("fold", self._node, label="")
+        )
         result = zero()
         for (acc,) in accumulators:
             result = merge(result, acc)

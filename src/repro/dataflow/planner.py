@@ -1,7 +1,7 @@
 """Cost-model-driven adaptive planning for the dataflow engine.
 
 Every performance knob the engine exposes (``num_shards``, executor
-backend, ``broadcast_min_bytes``, optimizer lift/elide decisions,
+backend, ``broadcast_min_bytes``, optimizer lift decisions,
 checkpoint placement) was historically hand-tuned per beam.  This module
 closes the loop described in the paper's Sec. 4.4 complexity analysis:
 the cluster :class:`~repro.cluster.costmodel.CostModel` predicts what
@@ -258,16 +258,6 @@ class AdaptivePlanner:
             / self.cost_model.disk_bytes_per_sec
         )
         return saving_sec >= 0.01 * self.cost_model.stage_overhead_sec
-
-    def should_elide(self, plan_records: Optional[int]) -> bool:
-        """Is eliding a redundant reshard predicted profitable?
-
-        Elision strictly removes a routing pass, so the modeled saving is
-        never negative — the consult exists so the optimizer's rewrites
-        all flow through one policy point.
-        """
-        n = plan_records or 0
-        return self.cost_model.shuffle_seconds(n, 1) >= 0.0
 
     def should_checkpoint(
         self, *, recompute_sec: float, n_records: int

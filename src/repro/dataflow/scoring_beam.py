@@ -113,11 +113,7 @@ def beam_score(
         stream = opts.resolve_stream(True)
         try:
             neighbors = pipeline.create_keyed(
-                (
-                    (v, list(zip(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist(),
-                                 g.weights[g.indptr[v]:g.indptr[v + 1]].tolist())))
-                    for v in range(g.n)
-                ),
+                g.adjacency_records(),
                 name="score/neighbors",
                 stream=stream,
             )

@@ -170,6 +170,14 @@ class NeighborGraph:
                 if v < nb:
                     yield v, int(nb), float(w)
 
+    def adjacency_records(self) -> Iterator[Tuple[int, list]]:
+        """Yield ``(v, [(neighbor, weight), ...])`` for every vertex in id
+        order — the keyed record stream the dataflow beams ingest (Python
+        scalars, neighbors in CSR order)."""
+        for v in range(self._n):
+            nbrs, ws = self.neighbors(v)
+            yield v, list(zip(nbrs.tolist(), ws.tolist()))
+
     def neighbor_mass(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-vertex sum of weights to neighbors selected by ``mask``.
 
@@ -188,11 +196,14 @@ class NeighborGraph:
             if mask.shape != (self._n,):
                 raise ValueError(f"mask must have shape ({self._n},), got {mask.shape}")
             contrib = np.where(mask[self.indices], self.weights, 0.0)
+        return self.row_sums(contrib)
+
+    def row_sums(self, contrib: np.ndarray) -> np.ndarray:
+        """Per-vertex sum of a per-directed-edge array (CSR order)."""
         out = np.zeros(self._n, dtype=np.float64)
         nonempty = self.indptr[:-1] < self.indptr[1:]
         if contrib.size:
-            sums = np.add.reduceat(contrib, self.indptr[:-1][nonempty])
-            out[nonempty] = sums
+            out[nonempty] = np.add.reduceat(contrib, self.indptr[:-1][nonempty])
         return out
 
     def max_neighbor_mass(self) -> float:

@@ -125,6 +125,26 @@ class TestAccessors:
         # vertex 2 touches weights 2 and 3.
         assert g.max_neighbor_mass() == 5.0
 
+    def test_adjacency_records_are_the_beams_source_stream(self):
+        """Same records, order and Python scalar types as the generator
+        the beams used to spell out — checkpoint digests hash them."""
+        g = NeighborGraph.from_edges(
+            5, np.array([0, 1, 0]), np.array([1, 2, 3]),
+            np.array([1.0, 2.0, 0.5]),
+        )
+        records = list(g.adjacency_records())
+        assert records == [
+            (v, list(zip(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist(),
+                         g.weights[g.indptr[v]:g.indptr[v + 1]].tolist())))
+            for v in range(g.n)
+        ]
+        assert records[4] == (4, [])   # isolated vertices still appear
+        for v, edges in records:
+            assert type(v) is int
+            assert all(
+                type(nb) is int and type(w) is float for nb, w in edges
+            )
+
 
 class TestNeighborMass:
     def test_full_mass(self):
@@ -153,6 +173,19 @@ class TestNeighborMass:
     def test_mask_shape_check(self):
         with pytest.raises(ValueError):
             triangle().neighbor_mass(np.zeros(5, dtype=bool))
+
+    def test_row_sums_is_the_one_reduction(self):
+        """``neighbor_mass`` and the approximate bounding branch share
+        ``row_sums``: per-edge values summed per vertex, empty rows 0."""
+        g = NeighborGraph.from_edges(
+            4, np.array([0, 1]), np.array([1, 2]), np.array([2.0, 3.0])
+        )
+        np.testing.assert_array_equal(
+            g.row_sums(g.weights), g.neighbor_mass()
+        )
+        halved = g.row_sums(g.weights * 0.5)
+        np.testing.assert_array_equal(halved, [1.0, 2.5, 1.5, 0.0])
+        assert NeighborGraph.empty(3).row_sums(np.zeros(0)).tolist() == [0.0] * 3
 
 
 class TestSubgraph:

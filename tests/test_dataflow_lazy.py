@@ -259,6 +259,17 @@ class TestClosedPipeline:
         with pytest.raises(RuntimeError, match="pipeline closed"):
             mapped.count()
 
+    def test_explain_after_close_raises(self):
+        """Planning — whether to run or to render — needs the lineage
+        ``close()`` dropped: a source and a derived node fail alike."""
+        pipeline = Pipeline(2)
+        source = pipeline.create(range(10))
+        mapped = source.map(lambda x: x + 1)
+        pipeline.close()
+        for pc in (source, mapped):
+            with pytest.raises(RuntimeError, match="pipeline closed"):
+                pc.explain()
+
     def test_close_drops_shard_references(self):
         pipeline = Pipeline(2, spill_to_disk=True)
         pc = pipeline.create(range(10)).run()

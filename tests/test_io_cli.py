@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,35 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "points: 300" in out
         assert "monotone certificate" in out
+
+    def test_plan_prints_both_costed_plans(self, capsys):
+        """``repro plan`` — the end-to-end caller of ``explain(costs=True)``
+        — prints the kNN and the bounding plan, every stage costed once,
+        and the bounding join reads all three inputs in place."""
+        # --optimize: the join assertions are about the optimized plan,
+        # whatever default the session runs under.
+        code = main([
+            "plan", "--preset", "cifar100_tiny", "--n-points", "200",
+            "--optimize",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "kNN build plan:" in out and "bounding round plan:" in out
+        stage_lines = [
+            line.strip() for line in out.splitlines()
+            if re.match(r"\s*S\d+: ", line)
+        ]
+        assert len(stage_lines) >= 10
+        for line in stage_lines:
+            assert len(re.findall(r"\[cost ~[\d.]+ms\]", line)) == 1, line
+        bounding = out.split("bounding round plan:")[1]
+        (join,) = [
+            line for line in bounding.splitlines()
+            if "cogroup-read cogroup 'bound/threeway_join'" in line
+        ]
+        assert join.count("[co-partitioned]") == 3
+        assert "cogroup-write" not in join
+        assert "'bound/threeway_join'" not in bounding.replace(join, "")
 
     def test_missing_source_errors(self):
         with pytest.raises(SystemExit):

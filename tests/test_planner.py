@@ -15,6 +15,7 @@ pinned here:
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -153,11 +154,10 @@ class TestPlanningDecisions:
             recompute_sec=0.0, n_records=10**9
         )
 
-    def test_optimizer_gates_default_open(self):
+    def test_lift_gate_defaults_open(self):
         planner = AdaptivePlanner()
         assert planner.should_lift(None)
         assert planner.should_lift(10_000)
-        assert planner.should_elide(10_000)
 
 
 class TestKnobPrecedence:
@@ -308,13 +308,7 @@ class TestPredictedVsActual:
                 ).explain()
                 g = problem.graph
                 neighbors = pipeline.create_keyed(
-                    (
-                        (v, list(zip(
-                            g.indices[g.indptr[v]:g.indptr[v + 1]].tolist(),
-                            g.weights[g.indptr[v]:g.indptr[v + 1]].tolist(),
-                        )))
-                        for v in range(g.n)
-                    ),
+                    g.adjacency_records(),
                     name="src/neighbors", stream=True,
                 )
                 utilities = pipeline.create_keyed(
@@ -347,6 +341,47 @@ class TestPredictedVsActual:
         assert "[cost ~" not in out.explain()
         assert "[cost ~" in out.explain(costs=True)
         p2.close()
+
+    @pytest.mark.parametrize(
+        "name", ["pre-write", "rebalance scores", "shuffle in", "[vectorized"]
+    )
+    def test_cost_comes_from_the_stage_not_its_name(self, name):
+        """A plain map is costed as a plain map whatever it is called —
+        the annotation reads the typed stage, not the rendered text."""
+        import repro.dataflow.pcollection as pc
+
+        def cost(map_name):
+            with pc.Pipeline(num_shards=4) as pipeline:
+                plan = pipeline.create(range(64), name="s").map(
+                    lambda v: v + 1, name=map_name
+                ).explain(costs=True)
+            (line,) = [ln for ln in plan.splitlines() if ln.startswith("S1:")]
+            return re.search(r"\[cost ~[\d.]+ms\]$", line).group()
+
+        assert cost(name) == cost("m")
+
+    def test_shuffles_and_batch_stages_are_costed_as_such(self):
+        """The typed fields do change the prediction: a stage that moves
+        records costs more than the map feeding it, a vectorized one
+        less than its row twin."""
+        import repro.dataflow.pcollection as pc
+        from repro.dataflow.columnar import BatchDoFn, as_records
+
+        double = BatchDoFn(
+            lambda v: v * 2, lambda s: [v * 2 for v in as_records(s)]
+        )
+        with pc.Pipeline(num_shards=4) as pipeline:
+            source = pipeline.create(range(4096), name="s")
+            row = source.map(double.fn, name="m").explain(costs=True)
+            batch = source.map(double, name="m").explain(costs=True)
+            moved = source.key_by(lambda v: v % 3, name="k").explain(
+                costs=True
+            )
+        row, batch, moved = (
+            float(re.search(r"\[cost ~([\d.]+)ms\]", plan).group(1))
+            for plan in (row, batch, moved)
+        )
+        assert batch < row < moved
 
 
 class TestScenarioRatioAndWhatIf:

@@ -58,6 +58,17 @@ def remote(cluster):
     executor.close()
 
 
+# Tests whose subject is the exchange data plane (``p2p_shuffle_bytes >
+# 0``, zero driver bytes, a kill between one write and its read) pin
+# ``optimize=True``: only the optimized plan shuffles the unrouted source
+# in a single exchange.  The naive plan reshards on the driver first, so
+# the exchange's write finds every record already on its destination
+# shard — whether any byte then crosses between peers depends on which
+# worker happens to pull which task — and leaves the sorted
+# ``map_values`` a separate stage that needs a live worker.  Plan-agnostic
+# tests keep the session default (``--no-optimize`` flips it).
+
+
 def _group_drive(pipeline):
     """A grouping beam: fused map upstream, sorted group downstream."""
     data = [(i % 7, i) for i in range(400)]
@@ -86,9 +97,11 @@ class TestExchangeDataPlane:
     """Fault-free p2p shuffles: zero driver bytes, identical everything."""
 
     def test_group_zero_driver_bytes(self, remote):
-        seq = Pipeline(num_shards=4)
+        seq = Pipeline(num_shards=4, optimize=True)
         reference = sorted(_group_drive(seq))
-        pipeline = Pipeline(num_shards=4, executor=remote, shuffle="worker")
+        pipeline = Pipeline(
+            num_shards=4, executor=remote, shuffle="worker", optimize=True
+        )
         got = _group_drive(pipeline)
         assert sorted(got) == reference
         stats = remote.stats()
@@ -111,9 +124,11 @@ class TestExchangeDataPlane:
         )
 
     def test_combine_zero_driver_bytes(self, remote):
-        seq = Pipeline(num_shards=4)
+        seq = Pipeline(num_shards=4, optimize=True)
         reference = sorted(_combine_drive(seq))
-        pipeline = Pipeline(num_shards=4, executor=remote, shuffle="worker")
+        pipeline = Pipeline(
+            num_shards=4, executor=remote, shuffle="worker", optimize=True
+        )
         got = _combine_drive(pipeline)
         assert sorted(got) == reference
         stats = remote.stats()
@@ -208,6 +223,7 @@ class TestExchangeDataPlane:
             "remote",
             num_shards=4,
             shuffle="worker",
+            optimize=True,
             workers=[f"{h}:{p}" for h, p in cluster.addresses],
         )
         with DataflowContext(options) as ctx:
@@ -255,7 +271,8 @@ class TestElasticMembership:
 
                 # And the joiner serves the p2p shuffle plane.
                 pipeline = Pipeline(
-                    num_shards=4, executor=executor, shuffle="worker"
+                    num_shards=4, executor=executor, shuffle="worker",
+                    optimize=True,
                 )
                 assert sorted(_group_drive(pipeline)) == sorted(
                     _group_drive(Pipeline(num_shards=4))
@@ -323,7 +340,8 @@ class TestFaultFallback:
 
             executor._check_stage = check
             pipeline = Pipeline(
-                num_shards=4, executor=executor, shuffle="worker"
+                num_shards=4, executor=executor, shuffle="worker",
+                optimize=True,
             )
 
             def rendezvous_double(value, _dir=str(barrier_dir)):
@@ -623,7 +641,8 @@ class TestChunkedBucketFetch:
             )
             try:
                 pipeline = Pipeline(
-                    num_shards=4, executor=executor, shuffle="worker"
+                    num_shards=4, executor=executor, shuffle="worker",
+                    optimize=True,
                 )
                 got = self._fat_drive(pipeline, record_sleep=0.02)
                 assert got == reference
@@ -660,7 +679,8 @@ class TestChunkedBucketFetch:
             )
             try:
                 pipeline = Pipeline(
-                    num_shards=4, executor=executor, shuffle="worker"
+                    num_shards=4, executor=executor, shuffle="worker",
+                    optimize=True,
                 )
                 got = self._fat_drive(pipeline, record_sleep=0.02)
                 assert got == reference
