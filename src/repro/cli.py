@@ -120,7 +120,11 @@ def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
     calibrated constants (persisted next to ``--checkpoint-dir``).
     """
     from repro.dataflow import DataflowContext
-    from repro.dataflow.library import BoundingFilter, ShardedKnn
+    from repro.dataflow.library import (
+        BoundingFilter,
+        ShardedKnn,
+        packed_adjacency,
+    )
     from repro.graph.knn import l2_normalize
 
     options = EngineOptions.from_namespace(args)
@@ -141,10 +145,12 @@ def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
             print(knn.explain(costs=True))
 
             g = problem.graph
-            neighbors = pipeline.create_keyed(
+            # A drive packs (and caches) the graph once, before round 1;
+            # unexecuted here, the pack shows fused into the join read.
+            neighbors = packed_adjacency(pipeline.create_keyed(
                 g.adjacency_records(),
                 name="source/neighbors", stream=True,
-            )
+            ))
             utilities = pipeline.create_keyed(
                 ((v, float(problem.utilities[v])) for v in range(problem.n)),
                 name="source/utilities", stream=True,

@@ -15,7 +15,17 @@ is never re-shuffled.
 Graph, utilities, solution and unassigned set all stay hash-partitioned
 by point id from round to round, so a round moves exactly one thing
 across a shuffle — its live edges, once, as columns
-(``metrics.shuffled_records`` counts them).  Thresholds ``U^k`` come from
+(``metrics.shuffled_records`` counts them).  The adjacency is packed once
+per drive into list-valued columns
+(:func:`~repro.dataflow.library.packed_adjacency`: one record per point,
+cached, the streamed source shards released) and a round's joins touch
+only columns: both read as co-grouped views, the edge table is a
+``repeat``/mask over the packed child columns, and the bounds come out
+as a keyed ``(id; lower, umax)`` shard (per-record functions remain the
+automatic row fallback).  The driver's own steps — threshold inputs,
+survivor marks, the set difference — stay per-record: they see at most
+``n / num_shards`` records a shard, where a NumPy call costs more than
+the loop it would replace.  Thresholds ``U^k`` come from
 :func:`~repro.dataflow.transforms.distributed_kth_largest` (bisection with
 distributed counts, O(1) driver state per probe).  The grow/shrink
 convergence driver mirrors Algorithm 5 exactly, and
@@ -44,7 +54,7 @@ import numpy as np
 from repro.core.bounding import BoundingResult
 from repro.core.distributed import fingerprint, problem_fingerprint
 from repro.core.problem import SubsetProblem
-from repro.dataflow.library import BoundingFilter
+from repro.dataflow.library import BoundingFilter, packed_adjacency
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.options import (
     DataflowContext,
@@ -115,11 +125,17 @@ class BeamBoundingDriver:
             self._round_counter = 0
             stream = opts.resolve_stream(True)
             g = problem.graph
-            self.neighbors = self.pipeline.create_keyed(
-                g.adjacency_records(),
-                name="source/neighbors",
-                stream=stream,
-            )
+            # Packed once per drive: the graph is loop-invariant, so a
+            # round repeats/masks these columns and never re-flattens an
+            # adjacency list.  Caching truncates the lineage — the
+            # streamed source shards are dropped, not kept beside the pack.
+            self.neighbors = packed_adjacency(
+                self.pipeline.create_keyed(
+                    g.adjacency_records(),
+                    name="source/neighbors",
+                    stream=stream,
+                )
+            ).cache()
             self.utilities = self.pipeline.create_keyed(
                 ((v, float(problem.utilities[v])) for v in range(problem.n)),
                 name="source/utilities",

@@ -27,6 +27,23 @@ the columnar alternative:
     chain is the *fallback boundary* where the shard is materialized to
     rows (``explain()`` renders it).
 
+:class:`ListColumn`
+    A *list-valued* column — offsets plus aligned child columns — for
+    the two places the engine used to hold one Python list per key: a
+    packed adjacency ``(a, [(b, s), ...])`` and a join's per-key value
+    lists.  It slices, routes, concatenates and pickles like a flat
+    column; ``tolist`` gives back the row path's lists.
+
+:class:`CoGroupedShard` / :func:`cogroup_columns` / :func:`segment_group`
+    The columnar CoGroupByKey read.  One segment-grouping kernel turns
+    the per-input integer key columns of a destination into the distinct
+    keys in first-appearance order, input by input — the row grouping's
+    order — plus every record's segment id; the *co-grouped view* keeps
+    just that, so a batch consumer reduces by segment
+    (``np.bincount(segment_ids, weights=...)`` sums each key's values
+    left to right in arrival order) and the per-key lists are built only
+    if a consumer asks for them or for rows.
+
 :func:`stable_shard` / :func:`stable_shard_column`
     The engine's deterministic key hash, and its whole-column
     counterpart.  Integer-dtype columns hash with one vectorized ``%``
@@ -45,10 +62,24 @@ which yields built-in Python scalars (``int``/``float``/``bool``) —
 the exact types the scalar DoFns emit — so a pipeline may cross the
 boundary in either direction any number of times without changing a
 single bit of its output.
+
+A :class:`ListColumn` value column makes ``columns[j][i]`` a list: of
+scalars with one child column, of ``m``-tuples with ``m`` children, of
+lists with a ``ListColumn`` child (``len(shard)`` stays the number of
+*keys*, which is what the engine meters).  The co-grouped view is a
+keyed shard with one such column per join input, so its records are
+``(key, ([values_0], ..., [values_{n-1}]))`` — the row grouping's,
+key order included.  Which form a cogroup read produces is decided by
+what its parts *are*, never by a switch: plain-``int`` keys on every part
+and at least one part already columnar (row parts then ride along, their
+values as one never-inspected object column) give the view; anything
+else — string/float/bool/NumPy-scalar/oversized keys, an unkeyed shard,
+all-row parts — groups rows exactly as before.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -57,7 +88,11 @@ import numpy as np
 __all__ = [
     "ColumnarShard",
     "BatchDoFn",
+    "CoGroupedShard",
+    "ListColumn",
     "as_records",
+    "cogroup_columns",
+    "segment_group",
     "stable_shard",
     "stable_shard_column",
     "bucket_keyed_items",
@@ -143,6 +178,121 @@ def stable_shard_column(keys: np.ndarray, num_shards: int) -> np.ndarray:
     )
 
 
+class ListColumn:
+    """A list-valued column: entry ``i`` is the list of child records
+    ``offsets[i]:offsets[i + 1]``.
+
+    ``children`` are aligned child columns (ndarrays, or ``ListColumn``s
+    for lists of lists); one child makes each entry a list of scalars,
+    ``m > 1`` children a list of ``m``-tuples — the same rule a
+    :class:`ColumnarShard` applies to its value columns.  ``offsets``
+    starts at 0 and ends at the child length.  It serves the two places
+    the engine used to hold one Python list per key: a packed adjacency
+    ``(a, [(b, s), ...])`` and a cogroup's per-key value lists; both
+    stay sliceable, routable and picklable as whole arrays, and
+    :meth:`tolist` gives back exactly the row path's lists.
+    """
+
+    __slots__ = ("offsets", "children")
+
+    def __init__(self, offsets: np.ndarray, children: Sequence[Any]) -> None:
+        if not children:
+            raise ValueError("ListColumn needs at least one child column")
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.children = tuple(children)
+        for child in self.children:
+            if len(child) != self.offsets[-1]:
+                raise ValueError(
+                    f"child column length {len(child)} != "
+                    f"last offset {self.offsets[-1]}"
+                )
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def nbytes(self) -> int:
+        return self.offsets.nbytes + sum(c.nbytes for c in self.children)
+
+    def lengths(self) -> np.ndarray:
+        """Entries per list."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    def tolist(self) -> list:
+        """One Python list per entry (``ndarray.tolist`` scalars)."""
+        if len(self.children) == 1:
+            flat = self.children[0].tolist()
+        else:
+            flat = list(zip(*(child.tolist() for child in self.children)))
+        bounds = self.offsets.tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def __getitem__(self, index: Any) -> "ListColumn":
+        """Entry subset by contiguous slice, boolean mask or index array
+        (what :meth:`ColumnarShard.take`/``mask`` and the shuffle routing
+        ask of a column); the child records follow."""
+        if isinstance(index, slice):
+            lo, hi, step = index.indices(len(self))
+            if step == 1:
+                offsets = self.offsets[lo:max(lo, hi) + 1]
+                start, stop = offsets[0], offsets[-1]
+                return ListColumn(
+                    offsets - start,
+                    tuple(child[start:stop] for child in self.children),
+                )
+            index = np.arange(lo, hi, step)
+        index = np.asarray(index)
+        if index.dtype == np.bool_:
+            index = np.flatnonzero(index)
+        starts = self.offsets[:-1][index]
+        lengths = self.offsets[1:][index] - starts
+        offsets = np.zeros(len(index) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        # Child positions of the kept lists, list after list.
+        gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(
+            offsets[-1]
+        )
+        return ListColumn(
+            offsets, tuple(child[gather] for child in self.children)
+        )
+
+    @classmethod
+    def from_lists(cls, lists: Sequence[Sequence[Any]]) -> "ListColumn":
+        """Pack Python lists of scalars or of uniform-width tuples (one
+        child column per tuple position; dtypes inferred by NumPy, as in
+        :meth:`ColumnarShard.from_records`)."""
+        offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, lists), dtype=np.int64, count=len(lists)),
+            out=offsets[1:],
+        )
+        flat = list(itertools.chain.from_iterable(lists))
+        if flat and isinstance(flat[0], tuple):
+            children = tuple(np.asarray(col) for col in zip(*flat))
+        else:
+            children = (np.asarray(flat),)
+        return cls(offsets, children)
+
+
+def _concat_columns(columns: Sequence[Any]) -> Any:
+    """Concatenate one column's per-part pieces (flat or list-valued)."""
+    first = columns[0]
+    if not isinstance(first, ListColumn):
+        return np.concatenate(columns)
+    ends = np.cumsum([col.offsets[-1] for col in columns])
+    offsets = np.concatenate(
+        [first.offsets]
+        + [col.offsets[1:] + end for col, end in zip(columns[1:], ends)]
+    )
+    return ListColumn(
+        offsets,
+        tuple(
+            _concat_columns([col.children[i] for col in columns])
+            for i in range(len(first.children))
+        ),
+    )
+
+
 class ColumnarShard:
     """One shard as a struct of arrays: a key column + aligned value columns.
 
@@ -162,7 +312,10 @@ class ColumnarShard:
         if not columns:
             raise ValueError("ColumnarShard needs at least one value column")
         self.keys = None if keys is None else np.asarray(keys)
-        self.columns = tuple(np.asarray(col) for col in columns)
+        self.columns = tuple(
+            col if isinstance(col, ListColumn) else np.asarray(col)
+            for col in columns
+        )
         n = len(self.columns[0])
         for col in self.columns[1:]:
             if len(col) != n:
@@ -244,6 +397,8 @@ class ColumnarShard:
     def mask(self, keep: np.ndarray) -> "ColumnarShard":
         """Row subset by boolean mask, order preserved."""
         keep = np.asarray(keep, dtype=bool)
+        if keep.all():
+            return self
         keys = None if self.keys is None else self.keys[keep]
         return ColumnarShard(keys, tuple(col[keep] for col in self.columns))
 
@@ -259,7 +414,7 @@ class ColumnarShard:
         )
         n_cols = len(parts[0].columns)
         columns = tuple(
-            np.concatenate([part.columns[i] for part in parts])
+            _concat_columns([part.columns[i] for part in parts])
             for i in range(n_cols)
         )
         return ColumnarShard(keys, columns)
@@ -284,12 +439,19 @@ class BatchDoFn:
     - ``flat_map``: ``batch(s)`` equals the concatenation of ``fn(x)``
       outputs in record order;
     - ``filter``: ``batch(s)`` is a boolean mask aligned with ``s``
-      (``[bool(fn(x)) for x in s]``); the engine applies it.
+      (``[bool(fn(x)) for x in s]``); the engine applies it;
+    - ``map_values`` / ``map_keyed_values``: ``batch(s)`` equals the
+      keyed output records, ``[(k, fn(v)) for k, v in s]`` /
+      ``[(k, fn(k, v)) for k, v in s]`` — keys untouched, as for ``fn``.
 
     ``batch`` may return a plain list or a :class:`ColumnarShard`; a
     columnar return keeps the chain (and the downstream shuffle routing)
     in NumPy.  Batch impls must accept both shard forms — helpers on
-    :class:`ColumnarShard` make either direction cheap.
+    :class:`ColumnarShard` make either direction cheap — or return
+    ``NotImplemented`` for a form they have no kernel for (a twin written
+    against a co-grouped shard handed a row list, say): the engine then
+    runs ``fn`` per record over that shard, the same automatic fallback
+    an op outside the batch prefix gets.
     """
 
     __slots__ = ("fn", "batch", "label")
@@ -312,10 +474,11 @@ class BatchDoFn:
         return f"BatchDoFn({self.label})"
 
 
-#: Op kinds the batch protocol covers (``map_values`` chains fall back to
-#: rows; declared ``Fold`` reductions vectorize through the combiner path
-#: instead — see ``Fold(batch=...)``).
-_BATCHABLE_KINDS = frozenset({"map", "flat_map", "filter"})
+#: Op kinds the batch protocol covers (declared ``Fold`` reductions
+#: vectorize through the combiner path instead — see ``Fold(batch=...)``).
+_BATCHABLE_KINDS = frozenset(
+    {"map", "flat_map", "filter", "map_values", "map_keyed_values"}
+)
 
 
 def batch_prefix_len(ops: Sequence[Tuple[str, Any]]) -> int:
@@ -338,40 +501,51 @@ def as_records(shard: Any) -> list:
 
 
 def apply_batch_op(kind: str, dofn: BatchDoFn, shard: Any) -> Any:
-    """Apply one batch op to a whole shard (list or columnar)."""
+    """Apply one batch op to a whole shard (list or columnar);
+    ``NotImplemented`` when the twin declines this shard form."""
     out = dofn.batch(shard)
-    if kind != "filter":
+    if kind != "filter" or out is NotImplemented:
         return out
     if isinstance(shard, ColumnarShard):
         return shard.mask(np.asarray(out, dtype=bool))
     return [record for record, keep in zip(shard, out) if keep]
 
 
-def run_batch_prefix(shard: Any, ops: Sequence[Tuple[str, Any]], n: int) -> Any:
-    """Thread a shard through the first ``n`` ops batch-wise."""
-    for kind, dofn in ops[:n]:
-        shard = apply_batch_op(kind, dofn, shard)
-    return shard
+def _stable_order(
+    values: np.ndarray, low: int, span: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable argsort of an int64 column with values in ``[low,
+    low + span)``: ``(order, values[order] - low)``.
+
+    Value and position pack into one int64 whenever they fit, and a
+    plain value sort of the packed column replaces the (several times
+    slower) stable argsort; position breaks ties, so the order is the
+    stable one either way.
+    """
+    bits = max(values.size - 1, 0).bit_length()
+    if span < (1 << (62 - bits)):
+        packed = np.sort(((values - low) << bits) | np.arange(values.size))
+        return packed & ((1 << bits) - 1), packed >> bits
+    order = np.argsort(values, kind="stable")
+    return order, values[order] - low
 
 
 def route_columnar(shard: ColumnarShard, num_shards: int) -> List[Any]:
     """Vectorized shuffle write: bucket a keyed columnar shard by the
     stable key hash.
 
-    One vectorized hash over the key column, one stable argsort, and
+    One vectorized hash over the key column, one stable sort, and
     ``num_shards`` zero-copy slices.  The stable sort preserves record
     order within each bucket, so the driver-side merge sees exactly the
     row path's record sequence — results stay bit-identical.  Empty
     buckets are plain empty lists (the merge skips them).
     """
     ids = stable_shard_column(shard.keys, num_shards)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    bounds = np.searchsorted(sorted_ids, np.arange(num_shards + 1))
+    order, sorted_ids = _stable_order(ids, 0, num_shards)
+    bounds = np.searchsorted(sorted_ids, np.arange(num_shards + 1)).tolist()
     sorted_shard = shard.take(order)
     buckets: List[Any] = []
-    for i in range(num_shards):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
+    for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             buckets.append([])
         else:
@@ -399,3 +573,160 @@ def merge_bucket_parts(parts: List[Any]) -> Any:
     for part in parts:
         merged.extend(as_records(part))
     return merged
+
+
+# -- the columnar join read -------------------------------------------------
+
+
+def segment_group(
+    key_columns: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The one segment-grouping kernel: the union of integer key columns
+    in **first-appearance order, input by input**, plus each column's
+    segment ids (positions into that union).
+
+    That is the key order a dict filled column by column would have —
+    the order the row-path grouping emits.  One stable sort over the
+    concatenated keys: each run of equal keys then starts at the key's
+    first appearance, and ranking the runs by that position restores
+    appearance order.  Needs at least one key.
+    """
+    all_keys = np.concatenate(key_columns)
+    low = int(all_keys.min())
+    order, sorted_keys = _stable_order(
+        all_keys, low, int(all_keys.max()) - low + 1
+    )
+    run_start = np.empty(all_keys.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=run_start[1:])
+    first = order[run_start]
+    by_appearance = np.argsort(first)
+    rank = np.argsort(by_appearance)
+    segments = np.empty(all_keys.size, dtype=np.int64)
+    segments[order] = rank[np.cumsum(run_start) - 1]
+    ends = np.cumsum([len(col) for col in key_columns]).tolist()
+    return all_keys[first[by_appearance]], [
+        segments[lo:hi] for lo, hi in zip([0] + ends, ends)
+    ]
+
+
+def _int_keyed_columns(part: Any) -> Optional[Tuple[np.ndarray, tuple]]:
+    """``(int64 key column, value columns)`` of one keyed part, or
+    ``None`` when its keys are not plain integers.
+
+    A row part's values ride along as one object column — never
+    inspected, so ``tolist`` hands back the very same objects whatever
+    they are (ragged tuples, lists, ``None``).
+    """
+    if isinstance(part, ColumnarShard):
+        if part.keys is None or not np.issubdtype(
+            part.keys.dtype, np.signedinteger
+        ):
+            return None
+        return part.keys.astype(np.int64, copy=False), part.columns
+    records = as_records(part)
+    keys = [key for key, _value in records]
+    if not set(map(type, keys)) <= {int}:
+        return None  # bool / float / str keys hash-equal across types: rows
+    try:
+        key_column = np.array(keys, dtype=np.int64)
+    except OverflowError:
+        return None
+    values = [value for _key, value in records]
+    return key_column, (np.fromiter(values, dtype=object, count=len(keys)),)
+
+
+class CoGroupedShard(ColumnarShard):
+    """The co-grouped view of a CoGroupByKey: one record per distinct key,
+    one list-valued column per input — ``(key, ([values_0], ...,
+    [values_{n-1}]))``, the row grouping's records in its key order.
+
+    Held as what the segment kernel produced — per input, each record's
+    segment id (its key's position in ``keys``) beside the input's value
+    columns, records still in arrival order — because that is all a
+    segment reduction needs: ``np.bincount(segment_ids, weights=...)``
+    adds a key's values left to right in arrival order without sorting
+    anything.  ``columns`` (one :class:`ListColumn` per input) is built on
+    first use, so every generic :class:`ColumnarShard` consumer — rows,
+    routing, ``take`` — works unchanged and pays for the lists only if it
+    asks.
+    """
+
+    __slots__ = ("inputs", "_lists")
+
+    def __init__(self, keys: np.ndarray, inputs: Sequence[tuple]) -> None:
+        self.keys = keys
+        #: Per input: ``(segment_ids, value columns)``, arrival order.
+        self.inputs = tuple(inputs)
+        self._lists: List[Optional[ListColumn]] = [None] * len(self.inputs)
+
+    def __reduce__(self):
+        return CoGroupedShard, (self.keys, self.inputs)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def columns(self) -> Tuple[ListColumn, ...]:
+        return tuple(self.lists(tag) for tag in range(len(self.inputs)))
+
+    def counts(self, tag: int) -> np.ndarray:
+        """Values per key from input ``tag``."""
+        return np.bincount(self.inputs[tag][0], minlength=len(self.keys))
+
+    def lists(self, tag: int) -> ListColumn:
+        """Input ``tag``'s values grouped per key, arrival order kept."""
+        grouped = self._lists[tag]
+        if grouped is None:
+            segment_ids, columns = self.inputs[tag]
+            offsets = np.zeros(len(self.keys) + 1, dtype=np.int64)
+            np.cumsum(self.counts(tag), out=offsets[1:])
+            if (segment_ids[1:] < segment_ids[:-1]).any():
+                order, _ = _stable_order(segment_ids, 0, len(self.keys))
+                columns = tuple(col[order] for col in columns)
+            grouped = self._lists[tag] = ListColumn(offsets, columns)
+        return grouped
+
+    def mask(self, keep: np.ndarray) -> "CoGroupedShard":
+        keep = np.asarray(keep, dtype=bool)
+        if keep.all():
+            return self
+        renumber = np.cumsum(keep) - 1
+        inputs = []
+        for segment_ids, columns in self.inputs:
+            kept = keep[segment_ids]
+            inputs.append(
+                (renumber[segment_ids[kept]], tuple(col[kept] for col in columns))
+            )
+        return CoGroupedShard(self.keys[keep], inputs)
+
+
+def cogroup_columns(parts: Sequence[Any]) -> Optional[CoGroupedShard]:
+    """CoGroupByKey of one destination's per-input parts, as columns.
+
+    Returns the co-grouped view (:class:`CoGroupedShard`): distinct keys
+    in first-appearance order, input by input, each key's values per
+    input in arrival order — ``to_records()`` is exactly the row
+    grouping's list, built only if a consumer asks for rows.
+
+    What the parts *are* decides: ``None`` (the caller groups rows) unless
+    at least one part already is columnar — someone upstream chose
+    columns — and every part has plain-integer keys.
+    """
+    if len(parts) < 2 or not any(
+        isinstance(part, ColumnarShard) for part in parts
+    ):
+        return None
+    inputs = []
+    for part in parts:
+        keyed = _int_keyed_columns(part)
+        if keyed is None:
+            return None
+        inputs.append(keyed)
+    if not any(len(keys) for keys, _columns in inputs):
+        return None
+    keys, segments = segment_group([keys for keys, _columns in inputs])
+    return CoGroupedShard(
+        keys,
+        [(ids, columns) for ids, (_keys, columns) in zip(segments, inputs)],
+    )

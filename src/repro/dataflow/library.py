@@ -29,7 +29,13 @@ from typing import Any, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dataflow.columnar import BatchDoFn, ColumnarShard, as_records
+from repro.dataflow.columnar import (
+    BatchDoFn,
+    CoGroupedShard,
+    ColumnarShard,
+    ListColumn,
+    as_records,
+)
 from repro.dataflow.pcollection import Fold, PCollection, PTransform
 from repro.dataflow.transforms import cogroup
 
@@ -37,6 +43,7 @@ __all__ = [
     "ShardedKnn",
     "TopKPerKey",
     "BoundingFilter",
+    "packed_adjacency",
     "PartitionedGreedy",
 ]
 
@@ -62,16 +69,20 @@ def edge_hash01(b: int, a: int, round_salt: int, seed_salt: int) -> float:
 
 
 def edge_hash01_column(
-    b: int, a: np.ndarray, round_salt: int, seed_salt: int
+    b: "int | np.ndarray", a: np.ndarray, round_salt: int, seed_salt: int
 ) -> np.ndarray:
-    """Vectorized :func:`edge_hash01` over a source-id column.
+    """Vectorized :func:`edge_hash01` over a source-id column ``a``.
 
-    uint64 arithmetic wraps exactly like the masked Python ints, and the
-    53-bit mantissa division is exact in float64 — bit-identical to the
-    scalar hash for every edge (property-tested in ``test_columnar.py``).
+    ``b`` is one id for the whole column or a column aligned with ``a``
+    (a whole shard's edges in one call).  uint64 arithmetic wraps exactly
+    like the masked Python ints, and the 53-bit mantissa division is
+    exact in float64 — bit-identical to the scalar hash for every edge
+    (property-tested in ``test_columnar.py``).
     """
+    # At least 1-d: array arithmetic wraps silently, scalar arithmetic warns.
+    b = np.atleast_1d(np.asarray(b, dtype=np.int64)).astype(np.uint64)
     x = np.asarray(a, dtype=np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
-    x = x + np.uint64((int(b) * 0x9E3779B97F4A7C15) & _MASK64)
+    x = x + b * np.uint64(0x9E3779B97F4A7C15)
     x = x + np.uint64((int(round_salt) * 2654435761 + int(seed_salt)) & _MASK64)
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
@@ -365,6 +376,109 @@ class TopKPerKey(PTransform):
         )
 
 
+def _cogrouped(shard: Any, n_inputs: int) -> bool:
+    """Is ``shard`` the co-grouped view of ``n_inputs`` collections (and
+    not the row grouping's list)?"""
+    return isinstance(shard, CoGroupedShard) and len(shard.inputs) == n_inputs
+
+
+def packed_adjacency(neighbors: PCollection) -> PCollection:
+    """Keyed adjacency records ``(a, [(b, s), ...])`` with each shard's
+    lists packed into one list-valued column — what lets
+    :class:`BoundingFilter` build a round's edge table by ``repeat`` and
+    mask over the child columns instead of walking one Python list per
+    point.
+
+    Same records (``to_records()`` of a packed shard is the input), one
+    per point, same keys on the same shards; the adjacency is
+    loop-invariant, so callers ``cache()`` the result once per drive.
+    """
+
+    def keep(edges):
+        return edges
+
+    def pack(shard):
+        records = as_records(shard)
+        return ColumnarShard(
+            np.asarray([a for a, _edges in records], dtype=np.int64),
+            (ListColumn.from_lists([edges for _a, edges in records]),),
+        )
+
+    return neighbors.map_values(
+        BatchDoFn(keep, pack, label="bound/pack"), name="bound/pack"
+    )
+
+
+# BoundingFilter's round-invariant steps.  They close over nothing, so
+# they live at module level: a round's plan digests (and stage payloads)
+# then pickle them by reference instead of by value, every round.
+
+
+def _membership(in_solution, in_remaining) -> Optional[bool]:
+    if in_solution:
+        return True
+    if in_remaining:
+        return False
+    return None  # a was discarded by a shrink step
+
+
+def _invert(kv) -> Iterable[Tuple[int, Tuple[int, float, bool]]]:
+    """``bound/invert``: a's adjacency record (by symmetry, the edges whose
+    neighbor endpoint is a) re-keyed to the other endpoint b, dead points
+    dropped, a's solution membership tagged."""
+    a, (adjacency, in_solution, in_remaining) = kv
+    flag = _membership(in_solution, in_remaining)
+    if flag is None:
+        return []
+    return [(b, (a, s, flag)) for edges in adjacency for b, s in edges]
+
+
+def _invert_batch(shard):
+    """The round's one edge exchange, columnar: ``(b; a, s, flag)`` arrays,
+    so the shuffle hashes and routes the b column without materializing
+    one tuple per live edge."""
+    if not _cogrouped(shard, 3):
+        return NotImplemented
+    adjacency = shard.lists(0)
+    packed = adjacency.children[0]
+    if (
+        len(adjacency.children) != 1
+        or not isinstance(packed, ListColumn)
+        or len(packed.children) != 2
+    ):
+        return NotImplemented  # raw adjacency lists: not packed
+    in_solution = shard.counts(1) > 0
+    live = in_solution | (shard.counts(2) > 0)
+    # a's edges are the entries of its adjacency lists, and the lists of
+    # consecutive keys are consecutive in the child columns: the edge
+    # table is those columns, each a repeated per degree.
+    degrees = np.diff(packed.offsets[adjacency.offsets])
+    columns = (
+        packed.children[0].astype(np.int64, copy=False),
+        np.repeat(shard.keys, degrees),
+        packed.children[1].astype(np.float64, copy=False),
+        np.repeat(in_solution, degrees),
+    )
+    if not live.all():
+        keep = np.repeat(live, degrees)
+        columns = tuple(col[keep] for col in columns)
+    if not columns[0].size:
+        return []
+    return ColumnarShard(columns[0], columns[1:])
+
+
+def _bounded(kv) -> bool:
+    """``bound/bounded``: b is unassigned and has a utility."""
+    _partners, in_remaining, utility = kv[1]
+    return bool(in_remaining and utility)
+
+
+def _bounded_batch(shard):
+    if not _cogrouped(shard, 3):
+        return NotImplemented
+    return (shard.counts(1) > 0) & (shard.counts(2) > 0)
+
+
 class BoundingFilter(PTransform):
     """One round of the bounding pre-pass's bound computation (Sec. 5).
 
@@ -401,6 +515,24 @@ class BoundingFilter(PTransform):
     records that cross a shuffle are step 1's live edges, re-keyed to
     ``b``, once — emitted as a keyed :class:`ColumnarShard`
     ``(b; a, s, in_solution)`` and routed column-wise.
+
+    Columns end to end: hand in ``neighbors`` packed
+    (:func:`packed_adjacency`, once per drive) and both joins read as
+    co-grouped views; ``bound/invert`` builds the edge table by
+    ``repeat``/mask over the packed child columns, ``bound/bounded`` is a
+    mask over per-key counts and ``bound/reduce`` a segment reduction
+    emitting a keyed ``(b; lower, umax)`` shard.  Raw adjacency records
+    (or any non-integer key) run the per-record functions instead, with
+    the same result.
+
+    **Summation order is part of the contract.**  A point's masses are
+    summed left to right over its edges in *arrival order* at the join
+    (source shard by source shard, each shard's edges in its record
+    order) by one explicit add per edge — never builtin ``sum``
+    (compensated on Python >= 3.12) nor a pairwise reduction — and both
+    paths reproduce exactly that order (``np.bincount`` adds its weights
+    one by one in input order), so bounds are identical to the last bit
+    across paths, plans, executors and Python versions.
 
     Sampling (``mode="approximate"``, ``p < 1``) is counter-based
     Bernoulli per edge per round (:func:`edge_hash01`) — a distributed
@@ -443,65 +575,20 @@ class BoundingFilter(PTransform):
         # (1) three-way join keyed by a: ``adjacency`` holds a's adjacency
         # record (by symmetry, the edges whose neighbor endpoint is a).
         # Drop dead points, tag solution membership, re-key to b.
-        def _membership(in_solution, in_remaining) -> Optional[bool]:
-            if in_solution:
-                return True
-            if in_remaining:
-                return False
-            return None  # a was discarded by a shrink step
-
-        def invert(kv) -> Iterable[Tuple[int, Tuple[int, float, bool]]]:
-            a, (adjacency, in_solution, in_remaining) = kv
-            flag = _membership(in_solution, in_remaining)
-            if flag is None:
-                return []
-            return [(b, (a, s, flag)) for edges in adjacency for b, s in edges]
-
-        def invert_batch(shard):
-            # The round's one edge exchange, columnar: (b; a, s, flag)
-            # arrays, so the shuffle hashes and routes the b column
-            # without materializing one tuple per live edge.
-            sources: List[int] = []
-            flags: List[bool] = []
-            degrees: List[int] = []
-            live_edges: List[Tuple[int, float]] = []
-            for a, (adjacency, in_solution, in_remaining) in as_records(shard):
-                flag = _membership(in_solution, in_remaining)
-                if flag is None:
-                    continue
-                before = len(live_edges)
-                for edges in adjacency:
-                    live_edges.extend(edges)
-                sources.append(a)
-                flags.append(flag)
-                degrees.append(len(live_edges) - before)
-            if not live_edges:
-                return []
-            neighbor_ids, weights = zip(*live_edges)
-            return ColumnarShard(
-                np.asarray(neighbor_ids, dtype=np.int64),
-                (
-                    np.repeat(np.asarray(sources, dtype=np.int64), degrees),
-                    np.asarray(weights, dtype=np.float64),
-                    np.repeat(np.asarray(flags, dtype=bool), degrees),
-                ),
-            )
-
         edges4 = cogroup(
             [self.neighbors, self.solution, remaining],
             name="bound/threeway_join",
         ).flat_map(
-            BatchDoFn(invert, invert_batch, label="bound/invert"),
+            BatchDoFn(_invert, _invert_batch, label="bound/invert"),
             name="bound/invert",
         ).as_keyed(name="bound/invert_key")
 
         # (2) join with remaining + utilities keyed by b; sample and reduce.
         # ``filter`` + ``map_keyed_values`` keep the join's partitioning, so the
         # bounds feed the next round's joins without another routing pass.
-        def bounded(kv) -> bool:
-            _partners, in_remaining, utility = kv[1]
-            return bool(in_remaining and utility)
-
+        # Masses are summed left to right in arrival order, one explicit
+        # add per edge: builtin ``sum`` is compensated on Python >= 3.12,
+        # and the bound's last bits must not depend on the interpreter.
         def reduce_bounds(b, joined):
             partners, _in_remaining, utility = joined
             u = utility[0]
@@ -512,6 +599,7 @@ class BoundingFilter(PTransform):
                     mass_solution += s
                 else:
                     unassigned.append((a, s))
+            mass_sampled = 0.0
             if approximate and unassigned:
                 # One vectorized hash over the edge column (bit-identical
                 # to per-edge edge_hash01); the kept-mass accumulation
@@ -523,11 +611,12 @@ class BoundingFilter(PTransform):
                     count=len(unassigned),
                 )
                 hashes = edge_hash01_column(b, source_col, round_salt, seed_salt)
+                mean_s = 0.0
                 if sampler == "weighted":
-                    mean_s = sum(s for _, s in unassigned) / len(unassigned)
-                else:
-                    mean_s = 0.0
-                if sampler == "weighted" and mean_s > 0:
+                    for _a, s in unassigned:
+                        mean_s += s
+                    mean_s /= len(unassigned)
+                if mean_s > 0:
                     weight_col = np.fromiter(
                         (s for _, s in unassigned),
                         dtype=np.float64,
@@ -536,20 +625,74 @@ class BoundingFilter(PTransform):
                     keep = hashes < np.minimum(1.0, p * weight_col / mean_s)
                 else:
                     keep = hashes < p
-                mass_sampled = 0.0
                 for (_a, s), kept in zip(unassigned, keep.tolist()):
                     if kept:
                         mass_sampled += s
             else:
-                mass_sampled = sum(s for _, s in unassigned)
+                for _a, s in unassigned:
+                    mass_sampled += s
             umax = u - ratio * mass_solution
             lower = u - ratio * (mass_solution + mass_sampled)
             return (lower, umax)
 
+        def reduce_batch(shard):
+            if not _cogrouped(shard, 3):
+                return NotImplemented
+            segment, partners = shard.inputs[0]
+            utility_of, utility = shard.inputs[2]
+            if (
+                len(partners) != 3
+                or len(utility) != 1
+                or (shard.counts(2) != 1).any()
+            ):
+                return NotImplemented
+            sources, weights, in_solution = partners
+            if weights.dtype != np.float64 or in_solution.dtype != np.bool_:
+                return NotImplemented  # edges that arrived as rows
+            n = len(shard)
+            u = np.empty(n, dtype=np.float64)
+            u[utility_of] = utility[0]  # exactly one per key: any order
+            # ``bincount`` adds its weights one by one in input order, and
+            # the edges are in arrival order: the same left-to-right sum
+            # per key as the loop above, nothing sorted
+            # (``np.add.reduceat`` sums pairwise and is not the same).
+            mass_solution = np.bincount(
+                segment[in_solution], weights=weights[in_solution], minlength=n
+            )
+            unassigned = ~in_solution
+            segment, weights = segment[unassigned], weights[unassigned]
+            if approximate and segment.size:
+                keep = edge_hash01_column(
+                    shard.keys[segment], sources[unassigned],
+                    round_salt, seed_salt,
+                )
+                if sampler == "weighted":
+                    mean_s = np.bincount(
+                        segment, weights=weights, minlength=n
+                    ) / np.maximum(np.bincount(segment, minlength=n), 1)
+                    mean_s = mean_s[segment]
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        keep = keep < np.where(
+                            mean_s > 0,
+                            np.minimum(1.0, p * weights / mean_s),
+                            p,
+                        )
+                else:
+                    keep = keep < p
+                segment, weights = segment[keep], weights[keep]
+            mass_sampled = np.bincount(segment, weights=weights, minlength=n)
+            umax = u - ratio * mass_solution
+            lower = u - ratio * (mass_solution + mass_sampled)
+            return ColumnarShard(shard.keys, (lower, umax))
+
         return cogroup(
             [edges4, remaining, self.utilities], name="bound/bounds_join"
-        ).filter(bounded, name="bound/bounded").map_keyed_values(
-            reduce_bounds, name="bound/reduce"
+        ).filter(
+            BatchDoFn(_bounded, _bounded_batch, label="bound/bounded"),
+            name="bound/bounded",
+        ).map_keyed_values(
+            BatchDoFn(reduce_bounds, reduce_batch, label="bound/reduce"),
+            name="bound/reduce",
         )
 
 

@@ -93,6 +93,7 @@ from repro.dataflow.columnar import (
     ColumnarShard,
     as_records,
     bucket_keyed_items,
+    cogroup_columns,
     merge_bucket_parts,
     route_columnar,
 )
@@ -107,7 +108,6 @@ from repro.dataflow.metrics import PipelineMetrics, StageProfile
 from repro.dataflow.plan import (  # Fold: re-exported, the public home
     Fold,
     _build_plan,
-    _chain_iter,
     _format_plan,
     _lift_combiners,
     _Node,
@@ -261,16 +261,17 @@ def gc_checkpoint_entries(
 
 def _compose_post_ops(fn, post):
     """Wrap a shuffle-read stage with its fused element-wise consumer
-    nodes ``post`` (post-shuffle fusion): one pass produces the chain's
-    output directly, so the shuffle-read intermediate never exists as a
-    stored shard.  The consumer chain runs the row path (the read stages
-    emit rows)."""
-    if not post:
+    chain ``post`` (a ``_FusedChain``; post-shuffle fusion): one pass
+    produces the chain's output directly, so the shuffle-read
+    intermediate never exists as a stored shard.  The chain's batch
+    prefix gets the read's output whole — rows, or a cogroup read's
+    co-grouped columns — and ``as_records`` at its end is the row
+    fallback, as in every other stage."""
+    if not post.ops:
         return fn
-    ops = tuple((node.kind, node.fn) for node in post)
 
-    def read_and_chain(records, _fn=fn, _ops=ops):
-        return list(_chain_iter(as_records(_fn(records)), _ops))
+    def read_and_chain(records, _fn=fn, _run=post.run):
+        return _run(_fn(records))
 
     return read_and_chain
 
@@ -392,14 +393,24 @@ def _make_cogroup_grouper(chains):
     chain a co-partitioned input still has to run (``None`` for routed
     inputs, whose chain ran in their write stage).  Keys appear in
     first-appearance order over the parts taken input by input.
+
+    Integer-keyed parts of which at least one is columnar group by
+    segment (:func:`~repro.dataflow.columnar.cogroup_columns`) into the
+    co-grouped view — same records, same order, no per-key Python list
+    unless a row consumer asks; anything else groups rows.
     """
 
     def group(parts, _chains=chains):
+        parts = [
+            part if chain is None else chain.run(part)
+            for part, chain in zip(parts, _chains)
+        ]
+        grouped = cogroup_columns(parts)
+        if grouped is not None:
+            return grouped
         n_inputs = len(_chains)
         groups: dict = {}
-        for tag, (part, chain) in enumerate(zip(parts, _chains)):
-            if chain is not None:
-                part = chain.run(part)
+        for tag, part in enumerate(parts):
             for key, value in _keyed_pairs(part):
                 entry = groups.get(key)
                 if entry is None:
@@ -1190,7 +1201,7 @@ class Pipeline:
         else:
             write_fn = _make_keyed_bucketer(chain, self.num_shards)
             read_fn = _group_shard
-        read_fn = _compose_post_ops(read_fn, read.post)
+        read_fn = _compose_post_ops(read_fn, read.post_chain.fused)
         exchanged = None
         if self._exchange_enabled():
             exchanged = self.executor.run_exchange(
@@ -1252,7 +1263,9 @@ class Pipeline:
             for chain in stage.narrow
         )
         return self._run_stage(
-            _compose_post_ops(_make_cogroup_grouper(read_chains), stage.post),
+            _compose_post_ops(
+                _make_cogroup_grouper(read_chains), stage.post_chain.fused
+            ),
             [
                 _CoGroupParts([shards[i] for shards in per_input])
                 for i in range(self.num_shards)
@@ -1267,7 +1280,9 @@ class Pipeline:
             for i in range(self.num_shards)
         ]
         return self._run_stage(
-            _compose_post_ops(_flatten_shard, stage.post), groups, stage
+            _compose_post_ops(_flatten_shard, stage.post_chain.fused),
+            groups,
+            stage,
         )
 
     _STAGE_RUNNERS = {

@@ -42,7 +42,10 @@ CLI's ``--no-optimize`` — reproduces the naive plan exactly):
     stage, so ``group_by_key().flat_map(fn)`` executes as one physical
     stage and the grouped intermediate never exists as a stored shard.
     (Pre-shuffle producers already fused into the shuffle write; cogroup
-    inputs gain the same write-side fusion under ``optimize``.)
+    inputs gain the same write-side fusion under ``optimize``.)  The
+    fused consumers' batch prefix runs whole-shard over the read's
+    output — a cogroup read's co-grouped columns included — like any
+    other chain's.
 
 *Partition-aware CoGroupByKey*
     Every plan node knows whether its output is hash-partitioned by key
@@ -82,9 +85,9 @@ from typing import (
 
 from repro.dataflow.columnar import (
     ColumnarShard,
+    apply_batch_op,
     as_records,
     batch_prefix_len,
-    run_batch_prefix,
 )
 
 
@@ -332,8 +335,15 @@ class _FusedChain:
 
     def batch(self, records):
         """The shard after the batch prefix (a list or a
-        :class:`ColumnarShard`)."""
-        return run_batch_prefix(records, self.ops, self.n_batch)
+        :class:`ColumnarShard`).  A twin that declines a shard form
+        (``NotImplemented``) has its scalar ``fn`` run over the rows."""
+        shard = records
+        for kind, dofn in self.ops[: self.n_batch]:
+            out = apply_batch_op(kind, dofn, shard)
+            if out is NotImplemented:
+                out = list(_OP_ITER[kind](as_records(shard), dofn.fn))
+            shard = out
+        return shard
 
     def rows(self, shard):
         """Thread the batch prefix's output through the row remainder.
@@ -469,7 +479,10 @@ class _Stage:
     and its read share it).  ``chain`` is the producing chain fused into
     the stage — ending in ``node`` itself for a ``chain`` stage — with
     the reshards it elides (``None`` on reads); ``post`` the consumers
-    fused into a shuffle read (post-shuffle fusion; they run rows).
+    fused into a shuffle read (post-shuffle fusion) and ``post_chain``
+    the same nodes as the :class:`_Chain` the fusion walk found — its
+    batch prefix runs whole-shard over the read's output (a cogroup read
+    hands it the co-grouped columns), the rest rows.
 
     ``inputs`` has one entry per input, in tag order: the ``_Stage``
     producing it (a cogroup's *routed* input: its write stage) or an
@@ -492,8 +505,9 @@ class _Stage:
     ``fused_stages``
         Logical stages this one absorbed (``StageProfile.fused``).
     ``vectorized``
-        Does any of the stage run whole-shard?  A fused consumer chain
-        (``post``) never does — shuffle reads emit rows.
+        Does any of the stage run whole-shard — a producing or narrow
+        chain's batch prefix, a batch fold, or the fused consumer
+        chain's batch prefix?
     ``moves_records`` / ``charged_shuffle``
         Does the stage move records between shards, and does the cost
         model charge it shuffle volume?  The second also holds for a read
@@ -509,14 +523,15 @@ class _Stage:
     """
 
     __slots__ = (
-        "index", "kind", "label", "node", "chain", "post", "inputs", "narrow",
-        "boundary", "fused_through", "fused_stages", "vectorized",
+        "index", "kind", "label", "node", "chain", "post_chain", "inputs",
+        "narrow", "boundary", "fused_through", "fused_stages", "vectorized",
         "moves_records", "charged_shuffle", "elided_shuffles", "lifted",
     )
 
     def __init__(
         self, kind: str, node: _Node, *, label: Optional[str] = None,
-        chain: Optional[_Chain] = None, post=(), inputs=(), narrow=(),
+        chain: Optional[_Chain] = None, post: Optional[_Chain] = None,
+        inputs=(), narrow=(),
     ) -> None:
         self.index = 0
         self.kind = kind
@@ -527,7 +542,7 @@ class _Stage:
         self.label = label
         self.node = node
         self.chain = chain
-        self.post: Tuple[_Node, ...] = tuple(post)
+        self.post_chain: _Chain = post if post is not None else _Chain()
         self.inputs: tuple = tuple(inputs)
         self.narrow: Tuple[Optional[_Chain], ...] = tuple(narrow)
 
@@ -545,7 +560,9 @@ class _Stage:
             sum(len(c.nodes) for c in chains) + len(post) - (kind == "chain")
         )
         batch_fold = kind == "combine-write" and node.extra[3] is not None
-        self.vectorized = batch_fold or any(c.fused.vectorized for c in chains)
+        self.vectorized = batch_fold or any(
+            c.fused.vectorized for c in (*chains, self.post_chain)
+        )
         self.moves_records = kind in _MOVING
         self.charged_shuffle = self.moves_records or bool(post)
         self.elided_shuffles = (len(chain.elided) if chain else 0) + sum(
@@ -555,12 +572,17 @@ class _Stage:
             kind == "combine-write" and node.lifted_from is not None
         )
 
+    @property
+    def post(self) -> Tuple[_Node, ...]:
+        return self.post_chain.nodes
+
     def truncate(self) -> None:
         """Forget where the output came from, once it is stored: upstream
         stages (and through them upstream boundaries' shards) become
         collectable as the run advances, like a node's own lineage."""
         self.chain = None
-        self.post = self.inputs = self.narrow = self.fused_through = ()
+        self.post_chain = _Chain()
+        self.inputs = self.narrow = self.fused_through = ()
 
 
 class _Plan(NamedTuple):
@@ -607,7 +629,7 @@ def _build_plan(node: _Node, *, optimize: bool) -> _Plan:
             kind, op, chain=chain, inputs=[produce(chain.base)], **fields
         )
 
-    def operator(op: _Node, post=()) -> _Stage:
+    def operator(op: _Node, post: Optional[_Chain] = None) -> _Stage:
         """The stage(s) of a non-element-wise node, ``post`` fused in."""
         kind = op.kind
         if kind == "stream_source":
@@ -672,7 +694,7 @@ def _build_plan(node: _Node, *, optimize: bool) -> _Plan:
                 # shuffle-read stage; ``base`` is fused through and never
                 # materialized (late consumers recompute, as with any
                 # fused intermediate).
-                stage = operator(base, post=chain.nodes)
+                stage = operator(base, post=chain)
             else:
                 stage = emit("chain", cur, chain=chain, inputs=[produce(base)])
         else:
@@ -744,9 +766,8 @@ def _stage_text(stage: _Stage, stream_chunk_size: int, note: str) -> str:
         if stage.chain is not None:
             text += _chain_note(stage.chain)
     if stage.post:
-        # No vector note: a post-shuffle-fused consumer chain runs rows.
         text += " + " + " + ".join(map(_describe, stage.post))
-        text += f"{note} [post-shuffle fused]"
+        text += f"{note} [post-shuffle fused]{_vector_note(stage.post_chain)}"
     else:
         text += note
     if stage.inputs:

@@ -10,7 +10,10 @@ This module property-tests the primitives that carry that promise:
 - ``bucket_keyed_items`` vs the scalar bucketing loop;
 - ``edge_hash01_column`` vs ``edge_hash01`` (the bounding sampler's
   counter-based hash);
-- ``ColumnarShard`` row <-> columnar round-trips (``tolist`` semantics);
+- ``ColumnarShard`` row <-> columnar round-trips (``tolist`` semantics),
+  list-valued columns included;
+- the columnar join read (``cogroup_columns``) vs the row grouping it
+  replaces — same records, same key order — and its row fallbacks;
 - the zero-copy task-shard broadcast path on the multiprocess and remote
   backends (columns ship once per worker, results unchanged);
 - every batch-declared operator against the *same op declared without
@@ -23,12 +26,20 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataflow.columnar import (
     BatchDoFn,
+    CoGroupedShard,
     ColumnarShard,
+    ListColumn,
     as_records,
     bucket_keyed_items,
+    cogroup_columns,
+    merge_bucket_parts,
+    route_columnar,
+    segment_group,
     stable_shard,
     stable_shard_column,
 )
@@ -42,7 +53,9 @@ from repro.dataflow.executor import (
 from repro.dataflow import library
 from repro.dataflow.library import TopKPerKey, edge_hash01, edge_hash01_column
 from repro.dataflow.options import EngineOptions
-from repro.dataflow.pcollection import Fold, Pipeline
+from repro.dataflow.pcollection import Fold, Pipeline, _make_cogroup_grouper
+from repro.dataflow.plan import _FusedChain
+from repro.dataflow.remote import protocol
 from repro.dataflow.transforms import cogroup
 
 
@@ -181,6 +194,34 @@ class TestEdgeHash01Column:
         hashes = edge_hash01_column(5, np.arange(1000), 1, 2)
         assert float(hashes.min()) >= 0.0 and float(hashes.max()) < 1.0
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-(2**40), 2**40), st.integers(-(2**40), 2**40)
+            ),
+            max_size=60,
+        ),
+        st.integers(0, 2**20),
+        st.integers(0, 2**31 - 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_b_column_matches_scalar_elementwise(self, edges, round_salt, seed_salt):
+        """A whole shard's edges in one call: ``b`` as a column aligned
+        with ``a`` hashes each edge exactly like the scalar."""
+        b = np.array([e[0] for e in edges], dtype=np.int64)
+        a = np.array([e[1] for e in edges], dtype=np.int64)
+        got = edge_hash01_column(b, a, round_salt, seed_salt)
+        assert got.tolist() == [
+            edge_hash01(eb, ea, round_salt, seed_salt) for eb, ea in edges
+        ]
+        for eb in {e[0] for e in edges}:  # scalar b: unchanged behaviour
+            mine = a[b == eb]
+            assert edge_hash01_column(
+                eb, mine, round_salt, seed_salt
+            ).tolist() == [
+                edge_hash01(eb, int(ea), round_salt, seed_salt) for ea in mine
+            ]
+
 
 class TestColumnarShardRoundTrip:
     def test_keyed_single_column(self):
@@ -242,6 +283,241 @@ class TestColumnarShardRoundTrip:
         dofn = BatchDoFn(lambda x: x + 1, lambda shard: [x + 1 for x in shard])
         assert dofn(41) == 42
         assert "BatchDoFn" in repr(dofn)
+
+    def test_declined_shard_form_runs_the_scalar_fn(self):
+        """A twin answering ``NotImplemented`` gets the automatic row
+        fallback, op by op, for every batchable kind."""
+        decline = lambda shard: NotImplemented  # noqa: E731
+        chain = _FusedChain([
+            ("map", BatchDoFn(lambda x: (x % 3, x), decline)),
+            ("filter", BatchDoFn(lambda kv: kv[1] % 2 == 0, decline)),
+            ("map_values", BatchDoFn(lambda v: v * 10, decline)),
+            ("map_keyed_values", BatchDoFn(lambda k, v: k + v, decline)),
+            ("flat_map", BatchDoFn(lambda kv: [kv, kv], decline)),
+        ])
+        assert chain.all_batch
+        expected = [
+            kv for x in range(10) if x % 2 == 0
+            for kv in [(x % 3, x % 3 + x * 10)] * 2
+        ]
+        assert chain.run(list(range(10))) == expected
+        columnar = ColumnarShard(None, (np.arange(10),))
+        assert chain.run(columnar) == expected
+
+
+def _adjacency(n=7):
+    """``(a, [(b, s), ...])`` records with empty and long lists."""
+    return [
+        (a * 3 - 4, [(b, b / 8 + a) for b in range(a % 4 * (a % 3))])
+        for a in range(n)
+    ]
+
+
+def _packed(records):
+    return ColumnarShard(
+        np.array([a for a, _ in records], dtype=np.int64),
+        (ListColumn.from_lists([edges for _, edges in records]),),
+    )
+
+
+class TestListColumn:
+    """The list-valued column: ``to_records`` is the row path's lists,
+    and it survives everything a flat column does."""
+
+    def test_round_trip_scalars_tuples_and_nesting(self):
+        records = _adjacency()
+        shard = _packed(records)
+        assert len(shard) == len(records)
+        assert shard.to_records() == records
+        for _a, edges in shard.to_records():
+            for b, s in edges:
+                assert type(b) is int and type(s) is float
+        scalars = ListColumn.from_lists([[1, 2], [], [3]])
+        assert scalars.tolist() == [[1, 2], [], [3]]
+        assert scalars.lengths().tolist() == [2, 0, 1]
+        nested = ListColumn(np.array([0, 2, 2, 3]), (scalars,))
+        assert nested.tolist() == [[[1, 2], []], [], [[3]]]
+
+    def test_misaligned_children_rejected(self):
+        with pytest.raises(ValueError):
+            ListColumn(np.array([0, 2]), (np.arange(3),))
+        with pytest.raises(ValueError):
+            ListColumn(np.array([0]), ())
+
+    def test_take_mask_slice_concat(self):
+        records = _adjacency()
+        shard = _packed(records)
+        order = np.array([5, 0, 6, 2, 2])
+        assert shard.take(order).to_records() == [records[i] for i in order]
+        keep = np.arange(len(records)) % 3 != 1
+        assert shard.mask(keep).to_records() == [
+            r for r, k in zip(records, keep) if k
+        ]
+        column = shard.columns[0]
+        assert column[2:6].tolist() == [e for _, e in records[2:6]]
+        assert column[4:4].tolist() == []
+        assert column[::2].tolist() == [e for _, e in records[::2]]
+        both = ColumnarShard.concat([shard.take(order), shard])
+        assert both.to_records() == [records[i] for i in order] + records
+
+    def test_survives_routing_and_the_shuffle_merge(self):
+        records = _adjacency(40)
+        buckets = route_columnar(_packed(records), 4)
+        for dest, bucket in enumerate(buckets):
+            assert as_records(bucket) == [
+                r for r in records if stable_shard(r[0], 4) == dest
+            ]
+        merged = merge_bucket_parts([b for b in buckets if len(b)])
+        assert sorted(merged.to_records()) == sorted(records)
+
+    def test_pickle_and_wire_round_trip(self):
+        shard = _packed(_adjacency())
+        for clone in (
+            pickle.loads(pickle.dumps(shard)),
+            protocol.loads(protocol.dumps((0, shard)))[1],
+        ):
+            assert clone.to_records() == shard.to_records()
+        registry = BroadcastRegistry(min_bytes=8)
+        assert columnar_task_eligible(shard, registry)
+        payload, _digests = dumps_with_broadcast(shard, registry)
+        blobs = {d: pickle.loads(b) for d, b in registry.blobs.items()}
+        assert loads_with_broadcast(payload, blobs).to_records() == (
+            shard.to_records()
+        )
+
+
+# -- the columnar join read ---------------------------------------------------
+
+def _as_part(rows, form):
+    """One cogroup input part holding ``rows`` in the given form."""
+    if form == "rows" or not rows:
+        return list(rows)
+    keys = np.array([k for k, _ in rows], dtype=np.int64)
+    values = [v for _, v in rows]
+    if form == "pairs":
+        return ColumnarShard(
+            keys, (np.array(values), np.array(values) * 0.5)
+        )
+    return ColumnarShard(keys, (np.array(values),))
+
+
+_PART = st.lists(
+    st.tuples(st.integers(-6, 9), st.integers(-50, 50)), max_size=14
+)
+
+
+class TestCoGroupColumns:
+    """``cogroup_columns`` ≡ the row grouping: records *and* key order."""
+
+    @given(
+        st.lists(
+            st.tuples(_PART, st.sampled_from(["rows", "column", "pairs"])),
+            min_size=2, max_size=4,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_view_is_the_row_grouping(self, spec):
+        parts = [_as_part(rows, form) for rows, form in spec]
+        row_parts = [as_records(part) for part in parts]
+        expected = _make_cogroup_grouper((None,) * len(parts))(row_parts)
+        view = cogroup_columns(parts)
+        if view is None:
+            # All-row (or all-empty) parts: nobody asked for columns.
+            assert not any(
+                isinstance(p, ColumnarShard) and len(p) for p in parts
+            )
+            return
+        assert isinstance(view, CoGroupedShard)
+        assert len(view) == len(expected)
+        assert view.to_records() == expected
+        assert repr(view.to_records()) == repr(expected)
+        for tag in range(len(parts)):
+            assert view.counts(tag).tolist() == [
+                len(lists[tag]) for _key, lists in expected
+            ]
+        # Masking the view = filtering the grouped rows; pickling (spill,
+        # checkpoint, the wire) keeps it.
+        keep = np.arange(len(view)) % 2 == 0
+        assert view.mask(keep).to_records() == expected[::2]
+        assert pickle.loads(pickle.dumps(view)).to_records() == expected
+
+    @given(_PART, _PART)
+    @settings(max_examples=100, deadline=None)
+    def test_grouper_with_a_pending_narrow_chain(self, left, right):
+        """A co-partitioned input still runs its fused chain inside the
+        read; the columnar and the row grouping see the same part."""
+        keep_even = _FusedChain([("filter", lambda kv: kv[1] % 2 == 0)])
+        columnar = _make_cogroup_grouper((keep_even, None))(
+            [_as_part(left, "rows"), _as_part(right, "column")]
+        )
+        rows = _make_cogroup_grouper((keep_even, None))([left, right])
+        assert as_records(columnar) == rows
+        if right:
+            assert isinstance(columnar, CoGroupedShard)
+
+    def test_segment_group_order_is_first_appearance(self):
+        keys, segments = segment_group(
+            [np.array([5, -2, 5]), np.array([], dtype=np.int64),
+             np.array([7, -2, 0])]
+        )
+        assert keys.tolist() == [5, -2, 7, 0]
+        assert [s.tolist() for s in segments] == [[0, 1, 0], [], [2, 1, 3]]
+        wide = np.array([2**62, -(2**62), 2**62])  # no room to pack
+        keys, (ids,) = segment_group([wide])
+        assert keys.tolist() == [2**62, -(2**62)] and ids.tolist() == [0, 1, 0]
+
+    def test_narrow_integer_key_columns_group_as_int64(self):
+        """int32 keys × thousands of records would overflow the packed
+        (key, position) sort if it ran in the column's own dtype."""
+        rng = np.random.default_rng(0)
+        keys = rng.integers(0, 2**20, size=5000).astype(np.int32)
+        left = ColumnarShard(keys, (np.arange(5000),))
+        right = ColumnarShard(keys[::7].astype(np.int16) % 50, (np.arange(715),))
+        view = cogroup_columns([left, right])
+        assert view.to_records() == _make_cogroup_grouper((None, None))(
+            [left.to_records(), right.to_records()]
+        )
+
+    @pytest.mark.parametrize("odd", [
+        [("a", 1), ("b", 2)],                  # string keys
+        [(1.0, 1), (2, 2)],                    # float key, hash-equal to 1
+        [(True, 1), (3, 2)],                   # bool key, hash-equal to 1
+        [(np.int64(1), 1), (3, 2)],            # NumPy-scalar keys
+        [(2**70, 1), (3, 2)],                  # beyond int64
+        [((1, 2), 1), ((3, 4), 2)],            # tuple keys
+    ])
+    def test_non_integer_keys_group_rows(self, odd):
+        column = _as_part([(1, 10), (3, 30), (1, 11)], "column")
+        assert cogroup_columns([column, odd]) is None
+        grouped = _make_cogroup_grouper((None, None))([column, odd])
+        assert grouped == _make_cogroup_grouper((None, None))(
+            [as_records(column), odd]
+        )
+
+    def test_unkeyed_and_non_integer_columns_group_rows(self):
+        column = _as_part([(1, 10), (3, 30)], "column")
+        floats = ColumnarShard(np.array([1.0, 3.0]), (np.arange(2),))
+        assert cogroup_columns([column, floats]) is None
+        assert cogroup_columns([column]) is None  # one input: a 1-tuple
+
+    def test_ragged_and_object_values_ride_along(self):
+        """Row values are never inspected: whatever they are, the view
+        hands back the same objects."""
+        marker = object()
+        odd = [(1, (1, 2, 3)), (3, [4]), (1, None), (7, marker), (3, (5,))]
+        column = _as_part([(3, 30), (1, 10)], "column")
+        view = cogroup_columns([column, odd])
+        assert view.to_records() == _make_cogroup_grouper((None, None))(
+            [as_records(column), odd]
+        )
+        assert view.to_records()[2][1][1][0] is marker
+
+    def test_malformed_row_records_raise_like_the_row_grouping(self):
+        column = _as_part([(1, 10)], "column")
+        with pytest.raises(ValueError):
+            cogroup_columns([column, [(1, 2, 3)]])
+        with pytest.raises(ValueError):
+            _make_cogroup_grouper((None, None))([[(1, 10)], [(1, 2, 3)]])
 
 
 class TestZeroCopyTaskBroadcast:

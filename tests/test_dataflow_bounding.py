@@ -1,12 +1,20 @@
 """Equivalence of the Section-5 join-based bounding/scoring vs in-memory."""
 
+import gc
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.bounding import bound
 from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
-from repro.dataflow import EngineOptions, beam_bound, beam_score
+from repro.dataflow import EngineOptions, beam_bound, beam_score, library
+from repro.dataflow.bounding_beam import BeamBoundingDriver
+from repro.dataflow.columnar import ColumnarShard
+from repro.dataflow.library import BoundingFilter, packed_adjacency
+from repro.dataflow.pcollection import Pipeline
 from tests.conftest import random_problem
 
 
@@ -72,6 +80,40 @@ class TestBeamBoundingEquivalence:
                                 options=EngineOptions(num_shards=8))
         assert metrics.peak_shard_records < total_records / 2
         assert metrics.shuffled_records > 0
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_peak_shard_is_points_per_shard_with_the_pack_cached(
+        self, problem, spill
+    ):
+        """Every materialized node is metered with ``len(shard)``; the
+        packed adjacency is cached for the whole drive, so it must keep
+        one record per *point* — a cached per-edge table would lift the
+        peak from ``n / shards`` to the edge count."""
+        _, metrics = beam_bound(
+            problem, problem.n // 10,
+            options=EngineOptions(
+                num_shards=8, optimize=True, spill_to_disk=spill
+            ),
+        )
+        assert metrics.peak_shard_records == math.ceil(problem.n / 8)
+
+    def test_streamed_graph_is_released_once_packed(self, problem):
+        """The pack truncates its lineage: the streamed ``source/neighbors``
+        shards are dropped, not kept resident beside the packed copy."""
+        driver = BeamBoundingDriver(problem, options=EngineOptions(num_shards=4))
+        try:
+            gc.collect()
+            live = {node.name for node in driver.pipeline._nodes}
+            assert "bound/pack" in live and "source/neighbors" not in live
+            packed = driver.neighbors._node
+            assert packed.deps == () and packed.partitioned
+            shards = [s.load() for s in packed.cached]
+            assert all(isinstance(s, ColumnarShard) for s in shards)
+            assert sum(len(s) for s in shards) == problem.n
+            records = [r for s in shards for r in s.to_records()]
+            assert sorted(records) == list(problem.graph.adjacency_records())
+        finally:
+            driver.close()
 
     def test_one_edge_exchange_per_round(self, problem):
         """The count gate on the round's shuffle volume: the graph, the
@@ -139,6 +181,184 @@ class TestBeamBoundingEquivalence:
     def test_invalid_k(self, problem):
         with pytest.raises(ValueError):
             beam_bound(problem, problem.n + 1)
+
+
+def _strip_batch_twins(monkeypatch):
+    """The same composites built from plain callables: the row path."""
+    monkeypatch.setattr(
+        library, "BatchDoFn", lambda fn, batch, label=None: fn
+    )
+
+
+def _one_round(problem, *, num_shards, optimize, spill, **sampling):
+    """``BoundingFilter`` over a mid-drive state — a partial solution, a
+    remaining set, and points in neither (shrunk away) — two rounds with
+    different salts.  Returns the bounds and the counters that must not
+    depend on which path ran."""
+    n = problem.n
+    g = problem.graph
+    with Pipeline(
+        num_shards=num_shards, optimize=optimize, spill_to_disk=spill
+    ) as pipeline:
+        neighbors = packed_adjacency(
+            pipeline.create_keyed(g.adjacency_records(), name="source/neighbors")
+        ).cache()
+        utilities = pipeline.create_keyed(
+            [(v, float(problem.utilities[v])) for v in range(n)],
+            name="source/utilities",
+        )
+        solution = pipeline.create_keyed(
+            [(v, True) for v in range(0, n, 7)], name="state/solution"
+        )
+        remaining = pipeline.create_keyed(
+            [(v, True) for v in range(n) if v % 7 and v % 5],
+            name="state/remaining",
+        )
+        bounds = [
+            remaining.apply(BoundingFilter(
+                neighbors, utilities, solution,
+                ratio=problem.beta_over_alpha, round_salt=salt, seed_salt=11,
+                **sampling,
+            )).to_list()
+            for salt in (1, 2)
+        ]
+        metrics = pipeline.metrics
+        return bounds, (
+            metrics.shuffled_records, metrics.peak_shard_records,
+            metrics.executed_stages,
+        ), metrics.vectorized_stages
+
+
+SAMPLING = {
+    "exact": {"mode": "exact"},
+    "uniform": {"mode": "approximate", "sampler": "uniform", "p": 0.3},
+    "weighted": {"mode": "approximate", "sampler": "weighted", "p": 0.3},
+}
+
+
+class TestBoundingFilterColumnsVsRows:
+    """The composite as shipped (batch twins over the co-grouped view)
+    against the same composite built from plain callables: every bound
+    to the last bit, in the same order, with the same counters."""
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["memory", "spill"])
+    @pytest.mark.parametrize("optimize", [True, False], ids=["optimized", "naive"])
+    @pytest.mark.parametrize("num_shards", [1, 8])
+    @pytest.mark.parametrize("sampling", SAMPLING)
+    def test_bit_identical_bounds_and_counters(
+        self, monkeypatch, sampling, num_shards, optimize, spill
+    ):
+        problem = random_problem(120, seed=5, avg_degree=6)
+        config = dict(
+            num_shards=num_shards, optimize=optimize, spill=spill,
+            **SAMPLING[sampling],
+        )
+        bounds, counters, vectorized = _one_round(problem, **config)
+        assert vectorized > 0
+        assert all(len(b) > 0 for b in bounds)
+        _strip_batch_twins(monkeypatch)
+        row_bounds, row_counters, row_vectorized = _one_round(problem, **config)
+        assert row_vectorized == 0
+        assert repr(bounds) == repr(row_bounds)
+        assert counters == row_counters
+
+    @pytest.mark.parametrize("sampler", ["uniform", "weighted"])
+    def test_sampling_changes_the_bounds(self, sampler):
+        """Meta: the approximate cells above do sample (else they would
+        only re-test exact mode)."""
+        problem = random_problem(120, seed=5, avg_degree=6)
+        config = dict(num_shards=8, optimize=True, spill=False)
+        exact, _, _ = _one_round(problem, **config, **SAMPLING["exact"])
+        sampled, _, _ = _one_round(problem, **config, **SAMPLING[sampler])
+        assert [kv[0] for kv in exact[0]] == [kv[0] for kv in sampled[0]]
+        assert exact[0] != sampled[0] and sampled[0] != sampled[1]
+
+    @pytest.mark.parametrize("num_shards", [1, 8])
+    def test_masses_are_summed_left_to_right(self, monkeypatch, num_shards):
+        """Summation order is part of the contract.  Point 0's unassigned
+        mass is ``1e16 + 1.0 - 1e16``: left to right that is ``0.0``; a
+        compensated sum (builtin ``sum`` on Python >= 3.12) or a pairwise
+        one (``np.add.reduceat``) gives ``1.0``.  Its 12 solution
+        neighbours (above reduceat's pairwise threshold) cancel the same
+        way.  "Left to right" is arrival order at the destination: source
+        shard by source shard, ids ascending within one."""
+        heavy = [1e16, 1.0, -1e16]
+        many = [1e16] + [1.0] * 10 + [-1e16]
+        arrival = sorted(range(1, 16), key=lambda a: (a % num_shards, a))
+        weights = dict(zip([a for a in arrival if a < 4], heavy))
+        weights.update(zip([a for a in arrival if a >= 4], many))
+        records = [(0, [(b, w) for b, w in weights.items()])] + [
+            (b, [(0, w)]) for b, w in weights.items()
+        ]
+
+        def run():
+            with Pipeline(num_shards=num_shards) as pipeline:
+                neighbors = packed_adjacency(
+                    pipeline.create_keyed(records, name="source/neighbors")
+                )
+                utilities = pipeline.create_keyed(
+                    [(v, 0.5) for v in range(16)], name="source/utilities"
+                )
+                solution = pipeline.create_keyed(
+                    [(v, True) for v in range(4, 16)], name="state/solution"
+                )
+                remaining = pipeline.create_keyed(
+                    [(v, True) for v in range(4)], name="state/remaining"
+                )
+                return dict(remaining.apply(BoundingFilter(
+                    neighbors, utilities, solution, ratio=1.0,
+                )).to_list())
+
+        bounds = run()
+        assert bounds[0] == (0.5, 0.5)  # both masses cancel to exactly 0.0
+        _strip_batch_twins(monkeypatch)
+        assert run() == bounds
+
+
+class TestBoundsGolden:
+    """One fixed problem, its per-point bounds pinned bit for bit — the
+    same digest on every Python version, executor, plan and data plane
+    (the CI matrix re-runs this cell under each).  The problem is built
+    from seeded integer/uniform draws only: no BLAS, no kNN build."""
+
+    GOLDEN = {
+        "exact":
+            "110b271fcbbaa1974355784ddc3506cd83f8de5bc527677f51dc3dc56a8acda8",
+        "approximate":
+            "3ee208e4d2871f4beacabccef972c76f1b7bba7ec53a3549c50d48bc5a224258",
+    }
+
+    @pytest.mark.parametrize("mode", GOLDEN)
+    def test_bounds_digest(self, mode, matrix_executor):
+        problem = random_problem(200, seed=42, avg_degree=8)
+        sampling = (
+            {"mode": "exact"} if mode == "exact"
+            else {"mode": "approximate", "sampler": "weighted", "p": 0.4}
+        )
+        g = problem.graph
+        with Pipeline(num_shards=4, executor=matrix_executor) as pipeline:
+            neighbors = packed_adjacency(
+                pipeline.create_keyed(g.adjacency_records(), name="source/neighbors")
+            )
+            utilities = pipeline.create_keyed(
+                [(v, float(problem.utilities[v])) for v in range(200)],
+                name="source/utilities",
+            )
+            solution = pipeline.create_keyed(
+                [(v, True) for v in range(0, 200, 9)], name="state/solution"
+            )
+            remaining = pipeline.create_keyed(
+                [(v, True) for v in range(200) if v % 9 and v % 4],
+                name="state/remaining",
+            )
+            bounds = remaining.apply(BoundingFilter(
+                neighbors, utilities, solution,
+                ratio=problem.beta_over_alpha, round_salt=3, seed_salt=17,
+                **sampling,
+            )).to_list()
+        assert len(bounds) == sum(1 for v in range(200) if v % 9 and v % 4)
+        digest = hashlib.sha256(repr(sorted(bounds)).encode()).hexdigest()
+        assert digest == self.GOLDEN[mode]
 
 
 class TestBeamScoring:

@@ -495,9 +495,10 @@ class TestCompositeGroups:
             # One exchange per round: the graph, the solution and the
             # remaining set are read in place — only the live edges,
             # re-keyed by ``bound/invert``, get a write stage.
+            # The graph was packed (and cached) when the driver was built.
             assert (
                 "cogroup-read cogroup 'bound/threeway_join' <- "
-                "S1 [co-partitioned], "
+                "[materialized map_values 'bound/pack'] [co-partitioned], "
                 "[materialized source 'state/solution'] [co-partitioned], "
                 "[materialized source 'state/remaining'] [co-partitioned]"
             ) in plan
@@ -509,7 +510,7 @@ class TestCompositeGroups:
             ) in plan
             assert (
                 "+ filter 'bound/bounded' + map_keyed_values 'bound/reduce' "
-                "[post-shuffle fused]"
+                "[post-shuffle fused] [vectorized] <- "
             ) in plan
         else:
             assert plan.count("cogroup-write #") == 6

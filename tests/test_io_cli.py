@@ -168,7 +168,10 @@ class TestCLI:
             line for line in bounding.splitlines()
             if "cogroup-read cogroup 'bound/threeway_join'" in line
         ]
-        assert join.count("[co-partitioned]") == 3
+        # All three inputs read in place; the graph's once-per-drive pack
+        # (not run by ``plan``) shows fused into the read.
+        assert join.count("[co-partitioned") == 3
+        assert "[co-partitioned; fused: map_values 'bound/pack']" in join
         assert "cogroup-write" not in join
         assert "'bound/threeway_join'" not in bounding.replace(join, "")
 

@@ -18,7 +18,12 @@ import re
 
 import pytest
 
-from repro.dataflow.library import BoundingFilter, ShardedKnn
+from repro.dataflow.library import (
+    BoundingFilter,
+    ShardedKnn,
+    packed_adjacency,
+)
+from repro.dataflow.columnar import BatchDoFn
 from repro.dataflow.pcollection import Pipeline
 from repro.dataflow.plan import (
     Fold,
@@ -170,7 +175,11 @@ def _join_shapes(pipeline):
 
 
 def _library_beams(pipeline):
-    """The real kNN and bounding composites (what ``repro plan`` prints)."""
+    """The real kNN and bounding composites (what ``repro plan`` prints),
+    then a second bounding round over the now-cached pack — a drive's
+    steady state: vectorized reads (``bound/bounded`` + ``bound/reduce``
+    fused into ``bound/bounds_join``) render from the same ``_Stage``
+    field their ``StageProfile`` is recorded from."""
     x, _ = clustered_points(n=80, n_clusters=4)
     xn = l2_normalize(x)
     knn = pipeline.create(range(80), name="knn/source").apply(
@@ -178,9 +187,9 @@ def _library_beams(pipeline):
     )
     problem = random_problem(60, seed=7)
     g = problem.graph
-    neighbors = pipeline.create_keyed(
+    neighbors = packed_adjacency(pipeline.create_keyed(
         g.adjacency_records(), name="source/neighbors"
-    )
+    ))
     utilities = pipeline.create_keyed(
         [(v, float(problem.utilities[v])) for v in range(g.n)],
         name="source/utilities",
@@ -191,12 +200,14 @@ def _library_beams(pipeline):
     remaining = pipeline.create_keyed(
         [(v, True) for v in range(g.n) if v % 9], name="source/remaining"
     )
-    bounds = remaining.apply(
-        BoundingFilter(
-            neighbors, utilities, solution, ratio=problem.beta_over_alpha
-        )
-    )
-    return [knn, bounds]
+
+    def one_round(salt):
+        return remaining.apply(BoundingFilter(
+            neighbors, utilities, solution, ratio=problem.beta_over_alpha,
+            mode="approximate", p=0.5, round_salt=salt,
+        ))
+
+    return [knn, one_round(1), neighbors, one_round(2)]
 
 
 PROGRAMS = {
@@ -328,6 +339,15 @@ def test_parser_reads_the_golden_lines():
     assert _parse_stage_line(
         "S1: map 'a' + filter 'b' <- [materialized source 's']"
     ) == ("filter 'b'", False, 1)
+    # A read whose fused consumers have batch twins: vectorized, and the
+    # narrow input's pending chain counts as fused.
+    assert _parse_stage_line(
+        "  S4: cogroup-read cogroup 'bound/bounds_join' + filter "
+        "'bound/bounded' + map_keyed_values 'bound/reduce' [post-shuffle "
+        "fused] [vectorized] <- S2, [materialized source 'r'] "
+        "[co-partitioned], S3 [co-partitioned; fused: map_values 'pack'] "
+        "[vectorized]"
+    ) == ("cogroup-read cogroup 'bound/bounds_join'", True, 3)
 
 
 # -- the builder on bare nodes ------------------------------------------------
@@ -441,6 +461,27 @@ class TestPostShuffleFusion:
         assert not read.vectorized and not read.moves_records
         assert read.charged_shuffle                # the cost model's constant
         assert group in read.fused_through
+
+    def test_a_batch_prefix_makes_the_read_vectorized(self):
+        """One field: the fused consumers' batch prefix sets
+        ``_Stage.vectorized`` (what ``StageProfile`` records) and renders
+        the note on the read line — here a partial prefix."""
+        twin = BatchDoFn(lambda kv: True, lambda shard: [True] * len(shard))
+        join = _op("cogroup", _source(placed=True), _source("r", placed=True))
+        kept = _op("filter", join, name="f", fn=twin)
+        last = _op("map_values", kept, name="m", fn=len)
+        read = _build_plan(last, optimize=True).stages[-1]
+        assert read.kind == "cogroup-read" and read.post == (kept, last)
+        assert read.vectorized and read.post_chain.fused.n_batch == 1
+        (line,) = [
+            ln for ln in _render(_build_plan(last, optimize=True)).splitlines()
+            if ln.startswith("S1: ")
+        ]
+        assert (
+            "+ filter 'f' + map_values 'm' [post-shuffle fused] "
+            "[vectorized x1, row fallback at map_values 'm'] <- "
+        ) in line
+        assert _parse_stage_line(line) == ("cogroup-read cogroup 'cogroup'", True, 2)
 
     def test_a_shared_read_materializes(self):
         group = _op("group", _source(placed=True), name="g")
