@@ -37,7 +37,7 @@ def pytest_addoption(parser):
         "--executor",
         action="store",
         default="sequential",
-        choices=("sequential", "thread", "multiprocess", "remote"),
+        choices=("sequential", "thread", "remote"),
         help="dataflow executor backend for executor-matrix tests "
              "(remote auto-spawns localhost worker daemons)",
     )

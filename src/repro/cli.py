@@ -34,7 +34,7 @@ Examples
         --bounding approximate --sampling-fraction 0.3 --machines 8 \
         --rounds 8 --adaptive --report report.json --out ids.npy
     python -m repro select --preset cifar100_tiny --k 200 \
-        --engine dataflow --executor multiprocess --num-shards 16
+        --engine dataflow --executor thread --num-shards 16
     python -m repro select --preset cifar100_tiny --k 200 \
         --engine dataflow --stream-source --no-optimize
     python -m repro select --preset cifar100_tiny --k 200 \

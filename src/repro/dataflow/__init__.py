@@ -26,12 +26,11 @@ operator DAG** and a pluggable executor:
 - hash-shards every keyed operation across ``num_shards`` logical workers,
 - runs per-shard stage work on a :class:`~repro.dataflow.executor.Executor`
   — :class:`~repro.dataflow.executor.SequentialExecutor` (default), the
-  thread-pool :class:`~repro.dataflow.executor.ThreadExecutor`, the
-  persistent-process-pool
-  :class:`~repro.dataflow.executor.MultiprocessExecutor`, or the
-  TCP-cluster :class:`~repro.dataflow.remote.RemoteExecutor` (one-time
-  closure broadcast, heartbeat fault detection, shard retry) — with
-  identical results and metrics on every backend,
+  thread-pool :class:`~repro.dataflow.executor.ThreadExecutor`, or the
+  worker-daemon :class:`~repro.dataflow.remote.RemoteExecutor` (localhost
+  processes or a TCP cluster; one-time closure broadcast, heartbeat fault
+  detection, shard retry) — with identical results and metrics on every
+  backend,
 - checkpoints materialization boundaries (``Pipeline(checkpoint_dir=...)``)
   keyed by deterministic plan digests, so killed drives resume from their
   last completed stage,
@@ -53,7 +52,7 @@ via :func:`~repro.dataflow.options.add_engine_arguments`), and a
 :class:`~repro.dataflow.options.DataflowContext` owns the resolved
 executor/cluster lifecycle for a whole multi-pipeline run::
 
-    with DataflowContext(EngineOptions("multiprocess", num_shards=16)) as ctx:
+    with DataflowContext(EngineOptions("remote", num_shards=16)) as ctx:
         result, metrics = beam_bound(problem, k, context=ctx)
         graph, *_ = beam_knn_graph(x, 10, context=ctx)   # same worker pool
 
@@ -66,7 +65,6 @@ PTransform`; apply with ``pcoll.apply(...)`` or ``pcoll | ...``) live in
 
 from repro.dataflow.executor import (
     Executor,
-    MultiprocessExecutor,
     SequentialExecutor,
     ThreadExecutor,
     executor_names,
@@ -117,7 +115,6 @@ __all__ = [
     "Executor",
     "SequentialExecutor",
     "ThreadExecutor",
-    "MultiprocessExecutor",
     "RemoteExecutor",
     "LocalCluster",
     "resolve_executor",

@@ -272,7 +272,7 @@ _KNOBS: Tuple[_Knob, ...] = (
           _int_at_least(0), "int", flags=(
         ("--broadcast-min-bytes",
          "closure-capture size threshold for one-time broadcast on the "
-         "multiprocess/remote backends"),
+         "remote backend"),
     )),
     _Knob("stream_chunk_size", 4096, _int_at_least(1), "int", flags=(
         ("--stream-chunk-size", "records per chunk for streaming sources"),
@@ -342,7 +342,7 @@ class EngineOptions:
     ----------
     executor:
         Backend name from the executor registry (``"sequential"``,
-        ``"thread"``, ``"multiprocess"``, ``"remote"``, or anything
+        ``"thread"``, ``"remote"``, or anything
         registered via :func:`~repro.dataflow.executor.register_executor`)
         or an already-built :class:`~repro.dataflow.executor.Executor`
         instance.  Instances are shared, never closed by the context that
@@ -370,8 +370,8 @@ class EngineOptions:
         own per-stage salt via :meth:`derive`.
     broadcast_min_bytes:
         Captured-object size threshold for one-time closure broadcast on
-        the payload-shipping backends (multiprocess, remote); ignored by
-        the in-process backends.
+        the payload-shipping remote backend; ignored by the in-process
+        backends.
     stream_chunk_size:
         Records per chunk for streaming sources (bounds driver memory
         during ingest).
@@ -687,8 +687,8 @@ class EngineOptions:
 
     def executor_factory_options(self) -> Dict[str, Any]:
         """Backend factory kwargs implied by these options (the remote
-        backend's worker list; the broadcast threshold for the
-        payload-shipping backends)."""
+        backend's worker list and broadcast threshold; "multiprocess" is
+        the registry's alias of "remote")."""
         if isinstance(self.executor, Executor):
             return {}
         opts: Dict[str, Any] = {}

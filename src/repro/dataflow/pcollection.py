@@ -42,7 +42,7 @@ bit-identical; ``stream=True/False`` overrides the auto-detection.
 Spilling (``spill_to_disk=True``) happens only at materialization
 boundaries: fused intermediates never touch storage, and one shard is
 resident at a time under the sequential backend (one per worker under the
-multiprocess backend).
+parallel backends).
 
 Checkpointing (``checkpoint_dir=...``) also happens only at
 materialization boundaries: every boundary output is persisted keyed by a
@@ -159,7 +159,7 @@ class PTransform:
 
 
 class _PipelineState:
-    """Shared liveness flag, visible to spilled shards (even across fork)."""
+    """Shared liveness flag, visible to spilled shards."""
 
     __slots__ = ("closed",)
 
@@ -306,8 +306,8 @@ class _MissingKey:
     """Key-absent sentinel for the combiner dicts.  ``None`` is a
     legitimate accumulator state (``Fold.max()``'s ``zero()`` returns it),
     so absence must be a value no ``add``/``merge`` can produce.  A class
-    pickles by reference, keeping the identity check valid inside forked
-    workers."""
+    pickles by reference, keeping the identity check valid inside worker
+    processes."""
 
 
 def _make_precombiner(chain, zero, add, num_shards, batch=None):
@@ -453,13 +453,13 @@ class Pipeline:
         Store materialized shards on disk (one resident at a time under the
         sequential executor) — the literal larger-than-memory mode.
     executor:
-        ``"sequential"`` (default), ``"thread"``, ``"multiprocess"``, or an
+        ``"sequential"`` (default), ``"thread"``, ``"remote"``, or an
         :class:`~repro.dataflow.executor.Executor` instance.  Backends are
         result- and metrics-equivalent; thread runs shards of a stage on a
-        persistent thread pool, multiprocess on a persistent pool of forked
-        worker processes.  An executor created here (from a string) is
-        closed by :meth:`close`; a passed-in instance is not — it can be
-        shared across pipelines and outlives each of them.
+        persistent thread pool, remote on worker daemons (auto-spawned on
+        localhost from the bare name).  An executor created here (from a
+        string) is closed by :meth:`close`; a passed-in instance is not —
+        it can be shared across pipelines and outlives each of them.
     optimize:
         Run the plan optimizer (combiner lifting, redundant-shuffle
         elision, post-shuffle fusion) before execution.  ``None`` (the

@@ -6,10 +6,10 @@ idempotent, concurrency-safe ``close`` — over a cluster of worker
 daemons reached by TCP, so every pipeline, beam, and optimizer pass runs
 unchanged with ``num_shards`` spread across real worker processes.
 
-Scheduling mirrors the multiprocess backend: per stage, each live worker
-receives any broadcast blobs it has not seen, the (small) stage payload,
-and then shards one at a time, pulled dynamically from a shared queue so
-skewed shards load-balance across the cluster.
+Scheduling is dynamic: per stage, each live worker receives any
+broadcast blobs it has not seen, the (small) stage payload, and then
+shards one at a time, pulled from a shared queue so skewed shards
+load-balance across the cluster.
 
 Fault model
 -----------
@@ -229,8 +229,7 @@ class RemoteExecutor(Executor):
         failure *detection*, not task runtime.
     broadcast_min_bytes:
         Captured objects at least this large ship once per worker (the
-        closure-broadcast threshold shared with the multiprocess
-        backend).
+        closure-broadcast threshold).
     resolve_before_send:
         Load spilled shards on the driver before shipping.  Off by
         default (localhost workers read the driver's spill files
@@ -452,7 +451,7 @@ class RemoteExecutor(Executor):
             payload, digests = dumps_with_broadcast(fn, self._registry)
         except Exception:
             # Stage function doesn't serialize: run on the driver with
-            # identical results, like the multiprocess backend.
+            # identical results.
             return [fn(_resolve(shard)) for shard in shards]
         # Task-shard broadcast digests, accumulated by the channel loops
         # (under ``_stats_lock``) so stage-end eviction sees them too.

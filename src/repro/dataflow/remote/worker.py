@@ -240,7 +240,6 @@ class WorkerServer:
             if self._shutting_down:
                 return
             self._shutting_down = True
-        self.close()
 
         def drain_and_exit() -> None:
             with self._drain:
@@ -249,12 +248,16 @@ class WorkerServer:
             os._exit(0)
 
         # Explicitly not a daemon thread (the default would inherit the
-        # connection handler's daemon flag): closing the listener makes
-        # ``serve_forever`` — the process's main thread — return as soon
-        # as its blocked ``accept`` wakes (on Linux, at the next incoming
-        # connection), and interpreter exit would otherwise kill the
+        # connection handler's daemon flag), and started *before* the
+        # listener closes: closing it makes ``serve_forever`` — the
+        # process's main thread — return (at once when it is between two
+        # ``accept`` calls, else when the blocked one wakes), and an
+        # interpreter exit that finds no non-daemon thread kills the
         # daemon compute threads mid-task instead of draining them.
-        threading.Thread(target=drain_and_exit, daemon=False).start()
+        threading.Thread(
+            target=drain_and_exit, name="repro-worker-drain", daemon=False
+        ).start()
+        self.close()
 
     # -- per-connection state machine -------------------------------------
 

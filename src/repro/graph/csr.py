@@ -15,13 +15,31 @@ restriction and returns a relabeled CSR plus the local→global id map.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 
+def _frozen(array: np.ndarray, dtype: type) -> np.ndarray:
+    """A read-only contiguous view of ``array`` (copied only to convert).
+
+    The flag goes on a view, never on ``array`` itself, so a caller that
+    hands in its own array keeps writing to it — at its own risk: the
+    graph shares the memory.
+    """
+    view = np.ascontiguousarray(array, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
+
+
 class NeighborGraph:
     """Symmetric sparse similarity graph in CSR form.
+
+    Frozen: ``indptr`` / ``indices`` / ``weights`` are read-only views, so
+    an in-place write raises instead of silently invalidating the symmetry
+    the constructor checked (and every cached plan or checkpoint keyed on
+    the graph's content).
 
     Parameters
     ----------
@@ -52,12 +70,20 @@ class NeighborGraph:
         *,
         check: bool = True,
     ) -> None:
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
+        self.indptr = _frozen(indptr, np.int64)
+        self.indices = _frozen(indices, np.int64)
+        self.weights = _frozen(weights, np.float64)
         self._n = int(self.indptr.size - 1)
         if check:
             self._validate()
+
+    def __reduce__(self):
+        # NumPy does not pickle the writeable flag: rebuild through
+        # ``__init__`` so a worker's copy is as frozen as the driver's.
+        return (
+            functools.partial(NeighborGraph, check=False),
+            (self.indptr, self.indices, self.weights),
+        )
 
     # -- construction --------------------------------------------------
 

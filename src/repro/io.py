@@ -67,8 +67,10 @@ def load_dataset_file(path: str) -> SelectionDataset:
     """Read a SelectionDataset written by :func:`save_dataset`."""
     with np.load(path) as data:
         _check_archive(data, "selection_dataset")
+        # Outside input: a hand-made archive with w(a,b) != w(b,a) must
+        # fail here, not inside a join plan that assumes symmetry.
         graph = NeighborGraph(
-            data["indptr"], data["indices"], data["weights"], check=False
+            data["indptr"], data["indices"], data["weights"], check=True
         )
         neighbors = data["neighbors"]
         similarities = data["similarities"]

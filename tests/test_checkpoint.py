@@ -21,7 +21,7 @@ import pytest
 from repro.core.pipeline import DistributedSelector, SelectorConfig
 from repro.core.problem import SubsetProblem
 from repro.dataflow import EngineOptions, beam_bound, beam_distributed_greedy
-from repro.dataflow.executor import MultiprocessExecutor
+from repro.dataflow.executor import ThreadExecutor
 from repro.dataflow.pcollection import Fold, Pipeline
 
 
@@ -68,14 +68,11 @@ class TestPipelineCheckpointing:
 
     def test_hits_cross_executor_backends(self, tmp_path):
         """A boundary written under the sequential backend restores under
-        multiprocess — backends are bit-identical, so digests are too."""
+        the thread pool — backends are bit-identical, so digests are too."""
         ckpt = str(tmp_path / "ckpt")
         first, _ = _run_job(ckpt)
-        executor = MultiprocessExecutor(min_parallel_records=0)
-        try:
+        with ThreadExecutor(min_parallel_records=0) as executor:
             second, m2 = _run_job(ckpt, executor=executor)
-        finally:
-            executor.close()
         assert second == first
         assert m2.checkpoint_hits > 0
 

@@ -14,8 +14,8 @@ This module property-tests the primitives that carry that promise:
   list-valued columns included;
 - the columnar join read (``cogroup_columns``) vs the row grouping it
   replaces — same records, same key order — and its row fallbacks;
-- the zero-copy task-shard broadcast path on the multiprocess and remote
-  backends (columns ship once per worker, results unchanged);
+- the zero-copy task-shard broadcast path on the remote backend
+  (columns ship once per worker, results unchanged);
 - every batch-declared operator against the *same op declared without
   its* ``batch`` — the engine's automatic row fallback, which is the
   reference the batch twins are held to (there is no runtime switch:
@@ -45,7 +45,6 @@ from repro.dataflow.columnar import (
 )
 from repro.dataflow.executor import (
     BroadcastRegistry,
-    MultiprocessExecutor,
     columnar_task_eligible,
     dumps_with_broadcast,
     loads_with_broadcast,
@@ -55,7 +54,7 @@ from repro.dataflow.library import TopKPerKey, edge_hash01, edge_hash01_column
 from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import Fold, Pipeline, _make_cogroup_grouper
 from repro.dataflow.plan import _FusedChain
-from repro.dataflow.remote import protocol
+from repro.dataflow.remote import LocalCluster, RemoteExecutor, protocol
 from repro.dataflow.transforms import cogroup
 
 
@@ -557,15 +556,20 @@ class TestZeroCopyTaskBroadcast:
         # The payload itself is small: the arrays live in the blobs.
         assert len(payload) < shard.columns[0].nbytes
 
-    def test_multiprocess_ships_columns_once(self):
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        with LocalCluster(2) as shared:
+            yield shared
+
+    def test_remote_ships_columns_once(self, cluster):
         shards = self._shards()
 
         def fn(records):
             return sum(v for _, v in records)
 
         expected = [fn(s.to_records()) for s in shards]
-        with MultiprocessExecutor(
-            max_workers=2, min_parallel_records=0, broadcast_min_bytes=1024
+        with RemoteExecutor(
+            workers=cluster.addresses, broadcast_min_bytes=1024
         ) as ex:
             assert ex.run_stage(fn, shards) == expected
             first = ex.stats()
@@ -578,44 +582,24 @@ class TestZeroCopyTaskBroadcast:
             assert second["unique_broadcast_bytes"] == (
                 first["unique_broadcast_bytes"]
             ), "re-dispatch re-registered identical columns"
-            n_workers = 2
-            assert second["broadcast_bytes"] <= (
-                second["unique_broadcast_bytes"] * n_workers
-            ), "a column crossed the pipe more than once per worker"
-
-    def test_remote_ships_columns_once(self):
-        pytest.importorskip("cloudpickle")
-        from repro.dataflow.remote import RemoteExecutor
-
-        shards = self._shards()
-
-        def fn(records):
-            return sum(v for _, v in records)
-
-        expected = [fn(s.to_records()) for s in shards]
-        with RemoteExecutor(max_workers=2, broadcast_min_bytes=1024) as ex:
-            assert ex.run_stage(fn, shards) == expected
-            assert ex.run_stage(fn, shards) == expected
-            stats = ex.stats()
-            assert stats["broadcast_blobs"] > 0, "no column broadcast"
-            assert stats["broadcast_bytes"] <= (
-                stats["unique_broadcast_bytes"] * stats["n_workers"]
+            assert 0 < second["broadcast_bytes"] <= (
+                second["unique_broadcast_bytes"] * second["n_workers"]
             ), "a column crossed the wire more than once per worker"
 
-    def test_results_identical_with_and_without_broadcast(self):
+    def test_results_identical_with_and_without_broadcast(self, cluster):
         shards = self._shards()
 
         def fn(records):
             return [(k, v * 2) for k, v in records]
 
-        with MultiprocessExecutor(
-            max_workers=2, min_parallel_records=0, broadcast_min_bytes=1024
+        with RemoteExecutor(
+            workers=cluster.addresses, broadcast_min_bytes=1024
         ) as broadcast_ex:
             via_broadcast = broadcast_ex.run_stage(fn, shards)
-        with MultiprocessExecutor(
-            max_workers=2, min_parallel_records=0
-        ) as plain_ex:
+            assert broadcast_ex.stats()["broadcast_blobs"] > 0
+        with RemoteExecutor(workers=cluster.addresses) as plain_ex:
             inline = plain_ex.run_stage(fn, shards)
+            assert plain_ex.stats()["broadcast_blobs"] == 0
         assert via_broadcast == inline
         assert via_broadcast == [fn(s.to_records()) for s in shards]
 

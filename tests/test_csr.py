@@ -1,5 +1,7 @@
 """Tests for the CSR NeighborGraph."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,47 @@ class TestConstruction:
             np.array([0.5, 0.5, 2.0, 2.0]), symmetrize=False,
         )
         assert g.num_edges == 2
+
+
+class TestFrozen:
+    """The index is immutable: its arrays are read-only views."""
+
+    ARRAYS = ("indptr", "indices", "weights")
+
+    def _assert_frozen(self, graph):
+        for name in self.ARRAYS:
+            array = getattr(graph, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_in_place_write_raises(self):
+        g = triangle()
+        self._assert_frozen(g)
+        with pytest.raises(ValueError, match="read-only"):
+            g.weights *= 2.0
+        assert g.weights.tolist() == [1.0, 3.0, 1.0, 2.0, 3.0, 2.0]
+
+    def test_callers_own_arrays_stay_writable(self):
+        g = triangle()
+        indptr, indices, weights = (
+            getattr(g, name).copy() for name in self.ARRAYS
+        )
+        clone = NeighborGraph(indptr, indices, weights)
+        self._assert_frozen(clone)
+        assert all(a.flags.writeable for a in (indptr, indices, weights))
+
+    def test_pickle_subgraph_and_from_edges_stay_frozen(self):
+        g = triangle()
+        clone = pickle.loads(pickle.dumps(g))
+        for name in self.ARRAYS:
+            np.testing.assert_array_equal(
+                getattr(clone, name), getattr(g, name)
+            )
+        sub, _ = g.subgraph(np.array([0, 2]))
+        assert sub.num_edges == 1
+        for graph in (clone, sub, NeighborGraph.empty(2)):
+            self._assert_frozen(graph)
 
 
 class TestAccessors:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dataflow.executor import (
-    MultiprocessExecutor,
     SequentialExecutor,
     ThreadExecutor,
     resolve_executor,
@@ -287,7 +286,6 @@ class TestExecutors:
     def test_resolve_executor(self):
         assert isinstance(resolve_executor("sequential"), SequentialExecutor)
         assert isinstance(resolve_executor("thread"), ThreadExecutor)
-        assert isinstance(resolve_executor("multiprocess"), MultiprocessExecutor)
         assert isinstance(resolve_executor(None), SequentialExecutor)
         inst = SequentialExecutor()
         assert resolve_executor(inst) is inst
@@ -298,7 +296,7 @@ class TestExecutors:
         with pytest.raises(ValueError):
             Pipeline(2, executor="bogus")
 
-    def test_multiprocess_matches_sequential_on_engine_ops(self):
+    def test_thread_matches_sequential_on_engine_ops(self):
         data = [(i % 9, i) for i in range(300)]
 
         def run(executor):
@@ -321,15 +319,7 @@ class TestExecutors:
                 pipeline.metrics.shuffled_records,
             )
 
-        seq = run("sequential")
-        mp = run(MultiprocessExecutor(min_parallel_records=0))
-        assert seq == mp
-
-    def test_multiprocess_with_spill(self):
-        executor = MultiprocessExecutor(min_parallel_records=0)
-        with Pipeline(4, spill_to_disk=True, executor=executor) as pipeline:
-            pc = pipeline.create(range(500)).map(lambda x: x * 3)
-            assert sorted(pc.to_list()) == [3 * i for i in range(500)]
+        assert run("sequential") == run("thread")
 
     def test_cogroup_and_flatten_lazy(self):
         pipeline = Pipeline(3)

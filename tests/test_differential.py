@@ -6,10 +6,10 @@ map_values — plain and :class:`Fold` — group_by_key / combine_per_key /
 flatten / cogroup, with shared intermediates and explicit ``cache()``),
 then executes each program across the full configuration matrix
 
-    {optimized, unoptimized} x {sequential, thread, multiprocess, remote}
+    {optimized, unoptimized} x {sequential, thread, remote}
                              x {spill off, spill on}
 
-— 16 cells, plus two ``shuffle="worker"`` cells where the remote backend
+— 12 cells, plus two ``shuffle="worker"`` cells where the remote backend
 exchanges shuffle buckets peer-to-peer instead of through the driver —
 asserting **identical results in every cell**.  (The programs are built
 from plain callables, so every cell runs the engine's row path; the
@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from repro.dataflow.columnar import BatchDoFn, ColumnarShard, as_records
-from repro.dataflow.executor import MultiprocessExecutor, ThreadExecutor
+from repro.dataflow.executor import ThreadExecutor
 from repro.dataflow.options import DataflowContext, EngineOptions
 from repro.dataflow.pcollection import Fold, Pipeline
 from repro.dataflow.remote import LocalCluster, RemoteExecutor
@@ -54,7 +54,7 @@ STREAM_CHUNK = 16
 CELLS = [
     (optimize, executor, spill, None)
     for optimize in (True, False)
-    for executor in ("sequential", "thread", "multiprocess", "remote")
+    for executor in ("sequential", "thread", "remote")
     for spill in (False, True)
 ] + [
     (optimize, "remote", False, "worker")
@@ -215,8 +215,6 @@ def _run_cell(
     defaults, i.e. whatever ``--no-optimize``/``--worker-shuffle`` set."""
     if executor_name == "thread":
         executor = ThreadExecutor(min_parallel_records=0)
-    elif executor_name == "multiprocess":
-        executor = MultiprocessExecutor(max_workers=2, min_parallel_records=0)
     elif executor_name == "remote":
         executor = RemoteExecutor(workers=cluster.addresses)
     else:
@@ -248,7 +246,7 @@ def test_differential_matrix(seed, remote_cluster):
     """Every configuration cell is bit-identical to the naive sequential
     in-memory reference (the engine's original record-at-a-time
     semantics)."""
-    assert len(CELLS) == 18
+    assert len(CELLS) == 14
     program = functools.partial(_run_program, seed)
     reference = _run_cell(program, False, "sequential", False)
     for optimize, executor_name, spill, shuffle in CELLS:
@@ -327,7 +325,7 @@ def test_partition_aware_cogroup_matrix(
     remote_cluster, matrix_executor, tmp_path
 ):
     """Co-partitioned cogroup inputs skip their shuffle without moving a
-    record or a bit: every cell — both plans, all four executors, spill,
+    record or a bit: every cell — both plans, all three executors, spill,
     both shuffle planes — equals the route-everything ``optimize=False``
     plan, shard by shard.  One more cell takes its executor and plan from
     the command line (``--executor`` / ``--no-optimize`` /

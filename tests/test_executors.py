@@ -1,13 +1,14 @@
 """Executor/spill equivalence on the real beams, plus pool lifecycle.
 
 The engine contract: storage mode (in-memory vs spill-to-disk) and executor
-backend (sequential vs thread vs multiprocess) may change *where and when*
+backend (sequential vs thread vs remote) may change *where and when*
 work runs, but never the results or the semantic metrics
 (``peak_shard_records``, ``shuffled_records``, ``executed_stages``).  These
 tests pin that contract on the kNN, bounding, cogroup, and flatten paths,
 plus the end-to-end selector — and pin the persistent-pool lifecycle:
-one worker pool per executor lifetime, shared across pipelines, surviving
-failed stages and ``Pipeline.close()``.
+one pool per executor lifetime, shared across pipelines, surviving
+failed stages and ``Pipeline.close()``.  The remote cells share one
+module-scoped :class:`LocalCluster` (each connects its own executor).
 """
 
 import os
@@ -23,26 +24,30 @@ from repro.dataflow import (
     beam_distributed_greedy,
     beam_knn_graph,
 )
-from repro.dataflow.executor import (
-    MultiprocessExecutor,
-    SequentialExecutor,
-    ThreadExecutor,
-)
+from repro.dataflow.executor import SequentialExecutor, ThreadExecutor
 from repro.dataflow.pcollection import Pipeline, _DiskShard
+from repro.dataflow.remote import LocalCluster, RemoteExecutor
 from repro.dataflow.transforms import cogroup, flatten
 from tests.test_knn import clustered_points
 
-EXECUTOR_NAMES = ("sequential", "thread", "multiprocess")
+EXECUTOR_NAMES = ("sequential", "thread", "remote")
 
 
-def _fresh_executor(name):
+@pytest.fixture(scope="module")
+def cluster():
+    """Two worker daemons shared by every remote cell in the module."""
+    with LocalCluster(2) as shared:
+        yield shared
+
+
+def _fresh_executor(name, cluster):
     """A new instance per run, pools forced on so tiny test data still
     exercises the parallel paths."""
     if name == "sequential":
         return SequentialExecutor()
     if name == "thread":
         return ThreadExecutor(min_parallel_records=0)
-    return MultiprocessExecutor(min_parallel_records=0)
+    return RemoteExecutor(workers=cluster.addresses)
 
 
 @pytest.fixture(scope="module")
@@ -62,21 +67,18 @@ def _semantic(metrics):
 
 
 class TestKnnBeamInvariance:
-    def test_metrics_and_output_invariant(self):
+    def test_metrics_and_output_invariant(self, cluster):
         x, _ = clustered_points(n=250, n_clusters=5)
         runs = {}
         for spill in (False, True):
             for name in EXECUTOR_NAMES:
-                executor = _fresh_executor(name)
-                try:
+                with _fresh_executor(name, cluster) as executor:
                     _, nbrs, sims, metrics = beam_knn_graph(
                         x, 5, seed=0,
                         options=EngineOptions(
                             executor, num_shards=4, spill_to_disk=spill
                         ),
                     )
-                finally:
-                    executor.close()
                 runs[(spill, name)] = (nbrs, sims, _semantic(metrics))
         baseline = runs[(False, "sequential")]
         for key, (nbrs, sims, semantic) in runs.items():
@@ -86,18 +88,19 @@ class TestKnnBeamInvariance:
 
 
 class TestBoundingBeamInvariance:
-    def test_metrics_and_decisions_invariant(self, problem):
+    def test_metrics_and_decisions_invariant(self, problem, cluster):
         k = problem.n // 10
         runs = {}
         for spill in (False, True):
-            for executor in EXECUTOR_NAMES:
-                result, metrics = beam_bound(
-                    problem, k, mode="exact", seed=0,
-                    options=EngineOptions(
-                        executor, num_shards=4, spill_to_disk=spill
-                    ),
-                )
-                runs[(spill, executor)] = (
+            for name in EXECUTOR_NAMES:
+                with _fresh_executor(name, cluster) as executor:
+                    result, metrics = beam_bound(
+                        problem, k, mode="exact", seed=0,
+                        options=EngineOptions(
+                            executor, num_shards=4, spill_to_disk=spill
+                        ),
+                    )
+                runs[(spill, name)] = (
                     result.solution, result.remaining, _semantic(metrics)
                 )
         baseline = runs[(False, "sequential")]
@@ -136,15 +139,12 @@ class TestCogroupFlattenInvariance:
         finally:
             pipeline.close()
 
-    def test_results_and_metrics_invariant(self):
+    def test_results_and_metrics_invariant(self, cluster):
         runs = {}
         for spill in (False, True):
             for name in EXECUTOR_NAMES:
-                executor = _fresh_executor(name)
-                try:
+                with _fresh_executor(name, cluster) as executor:
                     runs[(spill, name)] = self._run(executor, spill)
-                finally:
-                    executor.close()
         baseline = runs[(False, "sequential")]
         for key, run in runs.items():
             assert run == baseline, key
@@ -161,10 +161,12 @@ class TestCogroupFlattenInvariance:
         assert pipeline.metrics.executed_stages == before + 1
         assert union.count() == 60
 
-    def test_flatten_loads_spilled_shards_off_driver(self, monkeypatch):
+    def test_flatten_loads_spilled_shards_off_driver(
+        self, monkeypatch, cluster
+    ):
         """Regression: flatten used to load spilled shards on the driver.
-        With the multiprocess backend the loads must happen in the forked
-        workers, so a driver-side spy sees none."""
+        With the remote backend the loads must happen in the worker
+        daemons, so a driver-side spy sees none."""
         driver_loads = []
         original = _DiskShard.load
 
@@ -173,29 +175,27 @@ class TestCogroupFlattenInvariance:
             return original(self)
 
         monkeypatch.setattr(_DiskShard, "load", spying_load)
-        executor = MultiprocessExecutor(min_parallel_records=0)
-        try:
+        with RemoteExecutor(workers=cluster.addresses) as executor:
             pipeline = Pipeline(2, spill_to_disk=True, executor=executor)
             a = pipeline.create(range(300))
             b = pipeline.create(range(300, 600))
-            flatten([a, b]).run()
+            union = flatten([a, b]).run()
+            # The daemons never see the spy (separate processes, class
+            # pickled by reference); any append happened on the driver.
+            assert driver_loads == []
+            assert union.count() == 600
             pipeline.close()
-        finally:
-            executor.close()
-        # Workers inherit the spy but append to their own copy of the list;
-        # any append visible here happened in the driver process.
-        assert driver_loads == []
 
 
 class TestGreedyBeamInvariance:
-    def test_selected_identical_across_executors(self, problem):
-        results = [
-            beam_distributed_greedy(
-                problem, 20, m=4, rounds=2, seed=7,
-                options=EngineOptions(executor, num_shards=4),
-            )[0].selected
-            for executor in EXECUTOR_NAMES
-        ]
+    def test_selected_identical_across_executors(self, problem, cluster):
+        results = []
+        for name in EXECUTOR_NAMES:
+            with _fresh_executor(name, cluster) as executor:
+                results.append(beam_distributed_greedy(
+                    problem, 20, m=4, rounds=2, seed=7,
+                    options=EngineOptions(executor, num_shards=4),
+                )[0].selected)
         np.testing.assert_array_equal(results[0], results[1])
         np.testing.assert_array_equal(results[0], results[2])
 
@@ -219,26 +219,15 @@ class TestGreedyBeamInvariance:
 
 
 class TestExecutorLifecycle:
-    """Persistent-pool semantics of the parallel backends."""
-
-    def test_multiprocess_creates_one_pool_for_many_stages(self):
-        executor = MultiprocessExecutor(max_workers=2, min_parallel_records=0)
-        try:
-            pipeline = Pipeline(2, executor=executor)
-            col = pipeline.create(range(64))
-            for i in range(5):
-                col = col.map(lambda x, _i=i: x + _i).run()
-            assert executor.pools_created == 1
-            assert sorted(col.to_list()) == [x + 10 for x in range(64)]
-            pipeline.close()
-        finally:
-            executor.close()
+    """Persistent-pool semantics of the parallel backends (the remote
+    backend's own lifecycle — close races, worker death — lives in
+    ``test_remote_executor.py``)."""
 
     def test_shared_executor_survives_pipeline_close(self):
         """A passed-in executor instance is not owned by the pipeline:
         closing one pipeline leaves it usable by the next, on the same
-        worker pool."""
-        executor = MultiprocessExecutor(min_parallel_records=0)
+        pool."""
+        executor = ThreadExecutor(min_parallel_records=0)
         try:
             first = Pipeline(2, executor=executor)
             assert sorted(
@@ -254,11 +243,11 @@ class TestExecutorLifecycle:
         finally:
             executor.close()
 
-    def test_interleaved_pipelines_share_one_executor(self):
-        """Regression: the old module-global payload channel made a shared
-        executor non-reentrant across pipelines with interleaved stages."""
-        executor = MultiprocessExecutor(min_parallel_records=0)
-        try:
+    def test_interleaved_pipelines_share_one_executor(self, cluster):
+        """One payload-shipping executor serves pipelines whose stages
+        interleave: each stage carries its own payload, so neither
+        pipeline runs the other's function."""
+        with RemoteExecutor(workers=cluster.addresses) as executor:
             first = Pipeline(2, executor=executor)
             second = Pipeline(2, executor=executor)
             a = first.create(range(100)).map(lambda x: x + 1)
@@ -267,41 +256,20 @@ class TestExecutorLifecycle:
             assert sorted(b.to_list()) == list(range(-1, 99))
             first.close()
             second.close()
-        finally:
-            executor.close()
 
-    def test_skewed_shards_spread_across_workers(self):
+    def test_skewed_shards_spread_across_workers(self, cluster):
         """Tasks dispatch dynamically: with more shards than workers, every
         worker processes some shards (a static split could serialize skewed
         shards behind one worker)."""
-        executor = MultiprocessExecutor(max_workers=2, min_parallel_records=0)
-        try:
+        with RemoteExecutor(workers=cluster.addresses) as executor:
             pids = executor.run_stage(
                 lambda records: os.getpid(), [[i] for i in range(16)]
             )
             assert len(set(pids)) == 2
             assert os.getpid() not in pids
-        finally:
-            executor.close()
-
-    def test_unpicklable_shard_records_degrade_in_process(self):
-        """Regression: a driver-side task-pickling failure must happen
-        before anything is sent, leaving the worker channels clean — the
-        stage runs in-process and the pool still works afterwards."""
-        executor = MultiprocessExecutor(min_parallel_records=0)
-        try:
-            pipeline = Pipeline(2, executor=executor)
-            funcs = pipeline.create([(lambda i=i: i) for i in range(20)])
-            assert sorted(funcs.map(lambda f: f()).to_list()) == list(range(20))
-            assert sorted(
-                pipeline.create(range(50)).map(lambda x: x + 1).to_list()
-            ) == list(range(1, 51))
-            pipeline.close()
-        finally:
-            executor.close()
 
     def test_pool_survives_failed_stage(self):
-        executor = MultiprocessExecutor(min_parallel_records=0)
+        executor = ThreadExecutor(min_parallel_records=0)
         try:
             pipeline = Pipeline(2, executor=executor)
             with pytest.raises(ZeroDivisionError):
@@ -314,16 +282,16 @@ class TestExecutorLifecycle:
         finally:
             executor.close()
 
-    @pytest.mark.parametrize("name", ("thread", "multiprocess"))
-    def test_run_stage_after_close_raises(self, name):
-        executor = _fresh_executor(name)
+    @pytest.mark.parametrize("name", ("thread", "remote"))
+    def test_run_stage_after_close_raises(self, name, cluster):
+        executor = _fresh_executor(name, cluster)
         executor.close()
         with pytest.raises(RuntimeError, match="executor closed"):
             executor.run_stage(lambda records: records, [[1, 2], [3]])
 
-    def test_close_idempotent(self):
-        for name in ("thread", "multiprocess"):
-            executor = _fresh_executor(name)
+    def test_close_idempotent(self, cluster):
+        for name in ("thread", "remote"):
+            executor = _fresh_executor(name, cluster)
             executor.run_stage(lambda records: len(records), [[1], [2, 3]])
             executor.close()
             executor.close()
@@ -331,13 +299,13 @@ class TestExecutorLifecycle:
     def test_max_workers_zero_rejected(self):
         """Regression: ``max_workers=0`` used to fall through the truthiness
         check to the default pool size instead of raising."""
-        for cls in (MultiprocessExecutor, ThreadExecutor):
+        for cls in (RemoteExecutor, ThreadExecutor):
             with pytest.raises(ValueError, match="max_workers"):
                 cls(max_workers=0)
             with pytest.raises(ValueError, match="max_workers"):
                 cls(max_workers=-3)
-            assert cls(max_workers=1).max_workers == 1
-            assert cls(max_workers=None).max_workers >= 2
+        assert ThreadExecutor(max_workers=1).max_workers == 1
+        assert ThreadExecutor(max_workers=None).max_workers >= 2
 
     def test_executor_context_manager(self):
         with ThreadExecutor(min_parallel_records=0) as executor:
@@ -348,16 +316,19 @@ class TestExecutorLifecycle:
 
 
 class TestSelectorDataflowEngine:
-    def test_dataflow_engine_matches_itself_across_executors(self, problem):
+    def test_dataflow_engine_matches_itself_across_executors(
+        self, problem, cluster
+    ):
         reports = []
-        for executor in EXECUTOR_NAMES:
-            config = SelectorConfig(
-                bounding="exact", machines=4, rounds=2, engine="dataflow",
-                options=EngineOptions(executor, num_shards=4),
-            )
-            reports.append(
-                DistributedSelector(problem, config).select(20, seed=0)
-            )
+        for name in EXECUTOR_NAMES:
+            with _fresh_executor(name, cluster) as executor:
+                config = SelectorConfig(
+                    bounding="exact", machines=4, rounds=2, engine="dataflow",
+                    options=EngineOptions(executor, num_shards=4),
+                )
+                reports.append(
+                    DistributedSelector(problem, config).select(20, seed=0)
+                )
         for other in reports[1:]:
             np.testing.assert_array_equal(reports[0].selected, other.selected)
             assert reports[0].objective == other.objective

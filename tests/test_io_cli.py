@@ -56,6 +56,19 @@ class TestDatasetIO:
         np.testing.assert_array_equal(loaded.neighbors, ds.neighbors)
         assert loaded.graph.num_edges == ds.graph.num_edges
 
+    def test_asymmetric_weight_rejected(self, ds, tmp_path):
+        """A dataset archive is outside input: one edge whose two stored
+        directions disagree must not reach the selectors."""
+        path = str(tmp_path / "ds.npz")
+        save_dataset(ds, path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["weights"] = arrays["weights"].copy()
+        arrays["weights"][0] += 0.25
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match="symmetric"):
+            load_dataset_file(path)
+
 
 class TestReportIO:
     def test_round_trip(self, ds, tmp_path):

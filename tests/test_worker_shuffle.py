@@ -33,7 +33,7 @@ from repro.dataflow.columnar import BatchDoFn, ColumnarShard, as_records
 from repro.dataflow.options import DataflowContext, EngineOptions
 from repro.dataflow.pcollection import Fold, Pipeline
 from repro.dataflow.remote import LocalCluster, RemoteExecutor
-from repro.dataflow.remote import protocol
+from repro.dataflow.remote import protocol, worker
 from repro.dataflow.remote.client import _Channel
 from repro.dataflow.remote.protocol import (
     MSG_PING,
@@ -704,9 +704,10 @@ class TestGracefulShutdown:
 
     @staticmethod
     def _wait_not_listening(address, timeout=30.0):
-        """Block until the daemon has closed its listener — the first
-        thing a graceful shutdown does, so the request has been acted on
-        (not merely sent) once a connect is refused."""
+        """Block until the daemon has closed its listener — which a
+        graceful shutdown does as soon as its drain thread is up, so the
+        request has been acted on (not merely sent) once a connect is
+        refused."""
         deadline = time.monotonic() + timeout
         while True:
             try:
@@ -768,6 +769,53 @@ class TestGracefulShutdown:
             # ...and then every daemon exited cleanly on its own.
             for proc in private._procs:
                 assert proc.wait(timeout=15) == 0
+
+    def test_drain_thread_is_alive_before_the_listener_closes(
+        self, monkeypatch
+    ):
+        """Regression for the drain race: closing the listener lets the
+        daemon's main thread fall out of ``serve_forever``, and an
+        interpreter exit that finds no non-daemon thread kills the
+        in-flight task — so the drain thread must already be running at
+        the moment ``close()`` is called."""
+        server = worker.WorkerServer()
+        exits = []
+        monkeypatch.setattr(worker.os, "_exit", exits.append)
+        server._active_tasks = 1
+        seen_at_close = []
+        real_close = server.close
+
+        def spying_close():
+            seen_at_close.extend(
+                t for t in threading.enumerate()
+                if t.name == "repro-worker-drain"
+            )
+            real_close()
+
+        monkeypatch.setattr(server, "close", spying_close)
+        # From a daemon thread, like the connection handler that receives
+        # MSG_SHUTDOWN — the drain thread must not inherit its flag.
+        handler = threading.Thread(
+            target=server._graceful_shutdown, daemon=True
+        )
+        handler.start()
+        try:
+            handler.join(timeout=10)
+            assert not handler.is_alive()
+            assert len(seen_at_close) == 1
+            assert seen_at_close[0].is_alive() and not seen_at_close[0].daemon
+            assert exits == [], "exited with a task still in flight"
+        finally:
+            # Always let the drain finish while ``os._exit`` is still
+            # patched: a drain thread left waiting would block pytest's
+            # own exit (it is non-daemon by design).
+            with server._drain:
+                server._active_tasks = 0
+                server._drain.notify_all()
+            for thread in threading.enumerate():
+                if thread.name == "repro-worker-drain":
+                    thread.join(timeout=10)
+        assert exits == [0]
 
     def test_force_shutdown_exits_immediately(self):
         with LocalCluster(1) as private:
