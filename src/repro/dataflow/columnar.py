@@ -443,6 +443,9 @@ class BatchDoFn:
     - ``map_values`` / ``map_keyed_values``: ``batch(s)`` equals the
       keyed output records, ``[(k, fn(v)) for k, v in s]`` /
       ``[(k, fn(k, v)) for k, v in s]`` — keys untouched, as for ``fn``.
+    - ``key_by``: ``batch(s)`` equals the keyed output records,
+      ``[(fn(x), x) for x in s]`` — as a keyed :class:`ColumnarShard`
+      the shuffle write routes its key column without building rows.
 
     ``batch`` may return a plain list or a :class:`ColumnarShard`; a
     columnar return keeps the chain (and the downstream shuffle routing)

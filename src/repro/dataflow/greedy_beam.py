@@ -11,9 +11,14 @@ Beam-like engine: each round applies the
               ─ per-group centralized greedy ─ flatten
 
 with per-shard memory metered.  Behaviour matches the in-memory
-implementation given the same partition assignment; partitioning here is
-hash-of-rng-draw based, so the two implementations are statistically (not
-bit-) identical.  The in-memory partitions are balanced, so every round
+implementation given the same partition assignment.  Partitioning here is
+a counter-based hash: the driver's seeded generator draws one assignment
+seed per round, and point ``v`` goes to partition
+``int(hash01(v, seed) * m_round)`` — a SplitMix64 mix of the pair
+(:func:`~repro.dataflow.library.partition_of`), evaluated over a whole
+shard's id column at once by its bit-identical twin.  The in-memory
+implementation permutes instead, so the two are statistically (not bit-)
+identical.  The in-memory partitions are balanced, so every round
 fills its target there; iid partition ids are not, so here a round may
 come up short — see *fill passes* in :func:`beam_distributed_greedy`.
 
@@ -75,8 +80,9 @@ def beam_distributed_greedy(
 
     Engine knobs live on ``options`` (or a shared ``context``).  With
     ``optimize`` on (the default) each round's composite executes as one
-    shuffle (the ``key_by`` reshard is elided) plus one fused read stage
-    (the per-group greedy runs inside the shuffle read).
+    shuffle (the ``key_by`` reshard is elided; its partition hash runs
+    once per shard and the write routes the key column) plus one fused
+    read stage (the per-group greedy runs inside the shuffle read).
     ``options.stream_source=True`` ingests the ground set through the
     chunked streaming source path, so the driver never holds it whole.
     With a checkpoint directory, each round's boundaries key on a plan
@@ -141,10 +147,10 @@ def beam_distributed_greedy(
                 m_round = max(1, min(m_round, input_size))
                 per_target = int(np.ceil(n_round / m_round))
 
-                # Random partition assignment: a per-round permutation-free
-                # draw (iid uniform partition ids; expected balance is fine
-                # for the shapes we reproduce and it is the natural
-                # dataflow formulation).
+                # Random partition assignment: one seed drawn per round,
+                # hashed with each id (iid uniform partition ids; expected
+                # balance is fine for the shapes we reproduce and it is
+                # the natural dataflow formulation).
                 label = f"PartitionedGreedy[round {round_idx}]"
                 picked = survivors.apply(
                     PartitionedGreedy(
@@ -194,7 +200,7 @@ def beam_distributed_greedy(
                     )
                 )
 
-            final = np.array(sorted(survivors.to_list()), dtype=np.int64)
+            final = np.sort(np.asarray(survivors.to_list(), dtype=np.int64))
             if final.size > k:
                 final = np.sort(rng.choice(final, size=k, replace=False))
             return (

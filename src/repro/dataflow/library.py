@@ -50,6 +50,31 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
+def _mix01(x: int) -> float:
+    """SplitMix64 finalizer of a 64-bit state, as a float in [0, 1)."""
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    x ^= x >> 31
+    return (x >> 11) / float(1 << 53)
+
+
+def _mix01_column(x: np.ndarray) -> np.ndarray:
+    """:func:`_mix01` over a fresh uint64 column (mixed in place).
+
+    uint64 arithmetic wraps exactly like the masked Python ints, and the
+    53-bit mantissa division is exact in float64, so every element is
+    bit-identical to the scalar mixer.
+    """
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return (x >> np.uint64(11)) / float(1 << 53)
+
+
 def edge_hash01(b: int, a: int, round_salt: int, seed_salt: int) -> float:
     """Deterministic float in [0, 1) per (edge, round) — distributed-safe.
 
@@ -60,12 +85,7 @@ def edge_hash01(b: int, a: int, round_salt: int, seed_salt: int) -> float:
     x = (b * 0x9E3779B97F4A7C15) & _MASK64
     x = (x + a * 0xBF58476D1CE4E5B9) & _MASK64
     x = (x + round_salt * 2654435761 + seed_salt) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return (x >> 11) / float(1 << 53)
+    return _mix01(x)
 
 
 def edge_hash01_column(
@@ -74,22 +94,51 @@ def edge_hash01_column(
     """Vectorized :func:`edge_hash01` over a source-id column ``a``.
 
     ``b`` is one id for the whole column or a column aligned with ``a``
-    (a whole shard's edges in one call).  uint64 arithmetic wraps exactly
-    like the masked Python ints, and the 53-bit mantissa division is
-    exact in float64 — bit-identical to the scalar hash for every edge
-    (property-tested in ``test_columnar.py``).
+    (a whole shard's edges in one call).  Bit-identical to the scalar
+    hash for every edge (property-tested in ``test_columnar.py``).
     """
     # At least 1-d: array arithmetic wraps silently, scalar arithmetic warns.
     b = np.atleast_1d(np.asarray(b, dtype=np.int64)).astype(np.uint64)
     x = np.asarray(a, dtype=np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
     x = x + b * np.uint64(0x9E3779B97F4A7C15)
     x = x + np.uint64((int(round_salt) * 2654435761 + int(seed_salt)) & _MASK64)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return (x >> np.uint64(11)) / float(1 << 53)
+    return _mix01_column(x)
+
+
+#: Domain separator of the partition hash: keeps ``partition_of(v, seed)``
+#: off the ``edge_hash01(v, seed, 0, 0)`` stream the bounding sampler draws.
+_PARTITION_SALT = 0xD6E8FEB86659FD93
+
+
+def partition_of(v: int, seed: int, m: int) -> int:
+    """Partition id in ``[0, m)`` of point ``v`` under ``seed``.
+
+    Counter-based, like :func:`edge_hash01`: ``int(hash01 * m)`` of the
+    SplitMix64-mixed ``(v, seed)`` pair — iid-uniform over ids,
+    independent across seeds, no RNG object, and the same answer on every
+    worker.  ``m == 1`` is always partition 0.
+    """
+    # int(): a np.int64 id would overflow against the 64-bit constants.
+    x = int(v) * 0x9E3779B97F4A7C15 + int(seed) * 0xBF58476D1CE4E5B9
+    return int(_mix01((x + _PARTITION_SALT) & _MASK64) * m)
+
+
+def partition_of_column(ids: np.ndarray, seed: int, m: int) -> np.ndarray:
+    """Vectorized :func:`partition_of` over an id column — bit-identical
+    to the scalar draw for every id (property-tested in
+    ``test_columnar.py``)."""
+    x = np.asarray(ids, dtype=np.int64).astype(np.uint64)
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    x += np.uint64((int(seed) * 0xBF58476D1CE4E5B9 + _PARTITION_SALT) & _MASK64)
+    return (_mix01_column(x) * m).astype(np.int64)
+
+
+def _id_column(shard: Any) -> np.ndarray:
+    """A shard of point ids as one int64 column — the one row → column
+    conversion a batch twin over ids pays."""
+    if isinstance(shard, ColumnarShard):
+        return shard.columns[0].astype(np.int64, copy=False)
+    return np.fromiter(shard, dtype=np.int64, count=len(shard))
 
 
 class ShardedKnn(PTransform):
@@ -148,10 +197,7 @@ class ShardedKnn(PTransform):
             # One matmul for the whole shard; emitted columnar so the
             # downstream shuffle routes the cell keys without ever
             # building row tuples.
-            if isinstance(shard, ColumnarShard):
-                ids = shard.columns[0].astype(np.int64, copy=False)
-            else:
-                ids = np.fromiter(shard, dtype=np.int64, count=len(shard))
+            ids = _id_column(shard)
             if ids.size == 0:
                 return []
             sims = x[ids] @ centroids.T
@@ -706,9 +752,14 @@ class PartitionedGreedy(PTransform):
     shuffle plus one fused read stage (the reshard is elided and the
     per-group greedy runs inside the shuffle read).
 
-    Partition assignment is seeded counter-based (iid uniform partition
-    ids), so a fixed ``assignment_seed`` reproduces the round exactly on
-    any backend.
+    Partition assignment is seeded and counter-based: point ``v`` goes to
+    :func:`partition_of` ``(v, assignment_seed, m_round)`` — a SplitMix64
+    hash of the ``(id, seed)`` pair scaled to ``[0, m_round)``, iid
+    uniform over ids — so a fixed ``assignment_seed`` reproduces the
+    round exactly on any backend, and no RNG object exists per record.
+    The ``key_by`` carries the hash's column twin
+    (:func:`partition_of_column`): a whole shard is assigned in one call
+    and leaves keyed and columnar, so the shuffle write stays in NumPy.
     """
 
     def __init__(
@@ -734,17 +785,27 @@ class PartitionedGreedy(PTransform):
         problem = self.problem
         base_penalty = self.base_penalty
 
-        def assign(v: int, s=self.assignment_seed, mr=self.m_round) -> int:
-            local = np.random.default_rng((s, v))
-            return int(local.integers(mr))
+        seed, m_round = self.assignment_seed, self.m_round
 
-        grouped = survivors.key_by(assign, name="greedy/partition").group_by_key(
-            name="greedy/group"
-        )
+        def assign(v: int) -> int:
+            return partition_of(v, seed, m_round)
+
+        def assign_batch(shard):
+            # One hash over the shard's id column, emitted keyed and
+            # columnar so the shuffle write routes it without row tuples.
+            ids = _id_column(shard)
+            if ids.size == 0:
+                return []
+            return ColumnarShard(partition_of_column(ids, seed, m_round), (ids,))
+
+        grouped = survivors.key_by(
+            BatchDoFn(assign, assign_batch, label="greedy/partition"),
+            name="greedy/partition",
+        ).group_by_key(name="greedy/group")
 
         def select_in_partition(kv, target=self.per_target):
             _pid, members = kv
-            part = np.array(sorted(members), dtype=np.int64)
+            part = np.sort(np.asarray(members, dtype=np.int64))
             sub = problem.restrict(part)
             local_penalty = (
                 base_penalty[part] if base_penalty is not None else None

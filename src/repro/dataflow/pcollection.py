@@ -90,6 +90,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dataflow.columnar import (
+    BatchDoFn,
     ColumnarShard,
     as_records,
     bucket_keyed_items,
@@ -1514,11 +1515,23 @@ class PCollection:
         return self._derive("filter", predicate, keyed=self.keyed, name=name)
 
     def key_by(self, fn: Callable[[Any], Any], *, name: str = "key_by") -> "PCollection":
-        """Emit ``(fn(x), x)`` and shuffle by the new key."""
+        """Emit ``(fn(x), x)`` and shuffle by the new key.
+
+        A :class:`~repro.dataflow.columnar.BatchDoFn` keeps its
+        whole-shard twin (``batch(s)`` equals the keyed records
+        ``[(fn(x), x) for x in s]``): a twin that returns a keyed
+        ``ColumnarShard`` hands the shuffle write its key column.
+        """
         self.pipeline.metrics.count_stage(name)
-        keyed = self._derive(
-            "map", lambda x, _fn=fn: (_fn(x), x), keyed=False, name=name
-        )
+
+        twin = fn if isinstance(fn, BatchDoFn) else None
+
+        def pair(x, _fn=twin.fn if twin else fn):
+            return (_fn(x), x)
+
+        if twin:
+            pair = BatchDoFn(pair, twin.batch, label=twin.label)
+        keyed = self._derive("map", pair, keyed=False, name=name)
         return keyed._derive("reshard", None, keyed=True, name=name)
 
     def map_values(

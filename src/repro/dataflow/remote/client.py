@@ -83,7 +83,6 @@ from repro.dataflow.remote.protocol import (
     MSG_TASK_SHUF,
     MSG_TASK_SHUF_READ,
 )
-from repro.dataflow.remote.worker import _fetch_peer_buckets
 
 #: Per-worker broadcast-cache budget (bytes of shipped blobs tracked in
 #: the driver's ledger).  Crossing it evicts least-recently-referenced
@@ -673,7 +672,7 @@ class RemoteExecutor(Executor):
                     continue
                 _, host, port, bucket_id = source
                 try:
-                    got, n_chunks = _fetch_peer_buckets(
+                    got, n_chunks = protocol.fetch_peer_buckets(
                         host, port, [bucket_id]
                     )
                     payload = got[bucket_id]

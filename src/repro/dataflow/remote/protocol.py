@@ -103,7 +103,7 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from typing import Any, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 try:
     import cloudpickle as _cloudpickle
@@ -190,3 +190,54 @@ def send_msg(sock: socket.socket, message: Tuple[Any, ...]) -> None:
 
 def recv_msg(sock: socket.socket) -> Tuple[Any, ...]:
     return loads(recv_frame(sock))
+
+
+def fetch_peer_buckets(
+    host: str, port: int, bucket_ids: List[str]
+) -> Tuple[Dict[str, Optional[bytes]], int]:
+    """Fetch several buckets from one peer daemon over a fresh connection.
+
+    Returns ``(id → serialized bytes, chunk_frames)`` — the value is
+    ``None`` when the peer no longer holds the bucket, and
+    ``chunk_frames`` counts the bounded ``MSG_BUCKET_CHUNK`` frames
+    received for buckets large enough to stream in pieces (single-frame
+    ``MSG_BUCKET`` replies add nothing).  Connection errors propagate —
+    the caller turns them into a ``FETCH_FAILED`` reply so the driver
+    can fall back.
+    """
+    sock = socket.create_connection((host, port), timeout=30.0)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        out: Dict[str, Optional[bytes]] = {}
+        chunk_frames = 0
+        for bucket_id in bucket_ids:
+            send_msg(sock, (MSG_FETCH_BUCKET, bucket_id))
+            reply = recv_msg(sock)
+            if reply[0] == MSG_BUCKET and reply[1] == bucket_id:
+                out[bucket_id] = reply[2]
+                continue
+            if reply[0] != MSG_BUCKET_CHUNK or reply[1] != bucket_id:
+                raise ConnectionError("bucket fetch protocol violation")
+            pieces: List[bytes] = []
+            while True:
+                if (
+                    reply[0] != MSG_BUCKET_CHUNK
+                    or reply[1] != bucket_id
+                    or reply[2] != len(pieces)
+                ):
+                    raise ConnectionError(
+                        "bucket chunk sequence protocol violation"
+                    )
+                pieces.append(reply[4])
+                chunk_frames += 1
+                if len(pieces) == reply[3]:
+                    break
+                reply = recv_msg(sock)
+            out[bucket_id] = b"".join(pieces)
+        try:
+            send_msg(sock, (MSG_BYE,))
+        except OSError:
+            pass
+        return out, chunk_frames
+    finally:
+        sock.close()

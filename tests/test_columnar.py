@@ -10,6 +10,9 @@ This module property-tests the primitives that carry that promise:
 - ``bucket_keyed_items`` vs the scalar bucketing loop;
 - ``edge_hash01_column`` vs ``edge_hash01`` (the bounding sampler's
   counter-based hash);
+- ``partition_of_column`` vs ``partition_of`` (the greedy rounds'
+  partition draw: same mixer), plus its uniformity and independence
+  across seeds;
 - ``ColumnarShard`` row <-> columnar round-trips (``tolist`` semantics),
   list-valued columns included;
 - the columnar join read (``cogroup_columns``) vs the row grouping it
@@ -50,7 +53,13 @@ from repro.dataflow.executor import (
     loads_with_broadcast,
 )
 from repro.dataflow import library
-from repro.dataflow.library import TopKPerKey, edge_hash01, edge_hash01_column
+from repro.dataflow.library import (
+    TopKPerKey,
+    edge_hash01,
+    edge_hash01_column,
+    partition_of,
+    partition_of_column,
+)
 from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import Fold, Pipeline, _make_cogroup_grouper
 from repro.dataflow.plan import _FusedChain
@@ -220,6 +229,66 @@ class TestEdgeHash01Column:
             ).tolist() == [
                 edge_hash01(eb, int(ea), round_salt, seed_salt) for ea in mine
             ]
+
+
+class TestPartitionOfColumn:
+    """The greedy rounds' partition hash: exact twins, iid-uniform ids,
+    independent rounds."""
+
+    @given(
+        st.lists(st.integers(0, 2**62), max_size=60),
+        st.integers(0, 2**31 - 2),
+        st.sampled_from([1, 2, 3, 8, 16, 1000]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_scalar(self, ids, seed, m):
+        column = np.array(ids, dtype=np.int64)
+        got = partition_of_column(column, seed, m)
+        assert got.dtype == np.int64
+        assert got.tolist() == [partition_of(v, seed, m) for v in ids]
+        # NumPy scalars and a plain list of Python ints draw the same.
+        assert got.tolist() == [partition_of(v, seed, m) for v in column]
+        assert partition_of_column(ids, seed, m).tolist() == got.tolist()
+        assert all(type(partition_of(v, seed, m)) is int for v in ids[:3])
+
+    def test_ids_beyond_int32_and_largest_seed(self):
+        ids = np.array(
+            [0, 1, 2**31 - 1, 2**31, 2**31 + 1, 2**40 + 7, 2**62], dtype=np.int64
+        )
+        for seed in (0, 1, 2**31 - 2):
+            for m in (2, 16, 1000):
+                got = partition_of_column(ids, seed, m).tolist()
+                assert got == [partition_of(v, seed, m) for v in ids.tolist()]
+                assert all(0 <= pid < m for pid in got)
+
+    def test_one_partition_is_always_zero(self):
+        assert not partition_of_column(np.arange(1000), 5, 1).any()
+        assert partition_of(123, 5, 1) == 0
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 16, 1000])
+    def test_uniform_over_ids(self, m):
+        n = 100_000
+        counts = np.bincount(partition_of_column(np.arange(n), 12345, m), minlength=m)
+        assert counts.size == m
+        chi2 = float(((counts - n / m) ** 2 / (n / m)).sum())
+        # chi-square with m - 1 degrees of freedom: mean m - 1,
+        # variance 2 (m - 1); five sigmas of slack on a fixed draw.
+        assert chi2 < (m - 1) + 5 * np.sqrt(2 * (m - 1))
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 16])
+    def test_two_seeds_agree_on_one_id_in_m(self, m):
+        """Rounds are independent: a new seed re-deals every id."""
+        n = 100_000
+        ids = np.arange(n)
+        for seed_a, seed_b in [(0, 1), (7, 8), (1, 2**31 - 2)]:
+            agree = float(
+                (
+                    partition_of_column(ids, seed_a, m)
+                    == partition_of_column(ids, seed_b, m)
+                ).mean()
+            )
+            sigma = np.sqrt((1 / m) * (1 - 1 / m) / n)
+            assert abs(agree - 1 / m) < 5 * sigma
 
 
 class TestColumnarShardRoundTrip:
@@ -618,6 +687,14 @@ def _columnar_pairs(shard):
     return ColumnarShard(values % 5, (values * values,))
 
 
+def _columnar_keyed(shard):
+    """``key_by`` twin of ``x -> x % 5``: the keyed records, columnar."""
+    values = np.asarray(as_records(shard), dtype=np.int64)
+    if values.size == 0:
+        return []
+    return ColumnarShard(values % 5, (values,))
+
+
 class TestBatchVsRowDeclaration:
     """Each pipeline runs twice: with its ops declared ``BatchDoFn`` /
     ``Fold(batch=...)`` and with the same ops declared plain.  Outputs
@@ -679,6 +756,55 @@ class TestBatchVsRowDeclaration:
             )
 
         assert self._both(build).columnar_rows > 0
+
+    def test_key_by_keeps_the_batch_twin(self):
+        """``key_by(BatchDoFn)``: the fused chain leaves a keyed
+        ``ColumnarShard`` and the shuffle write routes its key column."""
+        def build(pipeline, batch):
+            key = self._declare(lambda x: x % 5, _columnar_keyed, batch)
+            return (
+                pipeline.create(range(-60, 240)).key_by(key, name="k")
+                .group_by_key(name="g")
+            )
+
+        metrics = self._both(build)
+        assert metrics.columnar_rows > 0
+        write = next(
+            p for p in metrics.stage_profiles
+            if p.label == "shuffle-write group 'g'"
+        )
+        assert write.vectorized
+
+        pipeline = Pipeline(num_shards=4, optimize=True)
+        keyed = pipeline.create(range(100)).key_by(
+            BatchDoFn(lambda x: x % 5, _columnar_keyed)
+        ).cache()
+        stored = [shard for shard in keyed._shards if len(shard)]
+        assert stored
+        assert all(
+            isinstance(shard, ColumnarShard) and shard.keys is not None
+            for shard in stored
+        )
+        assert sorted(keyed.to_list()) == sorted(
+            (x % 5, x) for x in range(100)
+        )
+
+    def test_key_by_falls_back_to_rows(self):
+        """A twin that declines (``NotImplemented``) and a plain callable
+        both key by the scalar fn, record for record."""
+        def run(key):
+            pipeline = Pipeline(num_shards=4, optimize=True)
+            keyed = pipeline.create(range(-60, 240)).key_by(key)
+            return _shards(keyed.group_by_key()), pipeline.metrics
+
+        plain, plain_metrics = run(lambda x: x % 5)
+        declined, _ = run(
+            BatchDoFn(lambda x: x % 5, lambda shard: NotImplemented)
+        )
+        columnar, _ = run(BatchDoFn(lambda x: x % 5, _columnar_keyed))
+        assert plain == declined == columnar
+        assert plain_metrics.vectorized_stages == 0
+        assert plain_metrics.columnar_rows == 0
 
     def test_columnar_boundary_is_stored_as_rows_view(self):
         """A stored columnar boundary reads back as the row records."""
@@ -800,3 +926,28 @@ class TestLibraryBeamsBatchVsRow:
         np.testing.assert_array_equal(result.solution, row_result.solution)
         np.testing.assert_array_equal(result.remaining, row_result.remaining)
         assert result.k_remaining == row_result.k_remaining
+
+    def test_greedy_beam(self, monkeypatch):
+        """``greedy/partition``'s ``key_by`` twin (one hash per shard,
+        routed column-wise) vs its per-record fn."""
+        from repro.core.problem import SubsetProblem
+        from repro.data.registry import load_dataset
+        from repro.dataflow.greedy_beam import beam_distributed_greedy
+
+        ds = load_dataset("cifar100_tiny", n_points=200, seed=0)
+        problem = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
+
+        def build():
+            return beam_distributed_greedy(
+                problem, 20, m=4, rounds=3, seed=5,
+                options=EngineOptions(num_shards=4),
+            )
+
+        result, metrics = build()
+        assert metrics.vectorized_stages > 0
+        self._strip_batch(monkeypatch)
+        row_result, row_metrics = build()
+        assert row_metrics.vectorized_stages == 0
+        np.testing.assert_array_equal(result.selected, row_result.selected)
+        assert result.rounds == row_result.rounds
+        assert metrics.shuffled_records == row_metrics.shuffled_records

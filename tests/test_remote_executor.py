@@ -310,6 +310,38 @@ class TestFaultRetry:
             executor.close()
 
 
+class TestWorkerBoot:
+    """``python -m repro.dataflow.remote.worker`` must not find its own
+    module pre-imported by the package (runpy warns about the double
+    import on every daemon boot)."""
+
+    def test_package_import_leaves_worker_module_out(self):
+        import subprocess
+        import sys
+
+        from repro.dataflow.remote.cluster import _worker_env
+
+        probe = (
+            "import sys, repro.dataflow.remote, repro.dataflow.remote.client;"
+            "assert 'repro.dataflow.remote.worker' not in sys.modules"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=_worker_env(),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_local_cluster_worker_stderr_is_empty(self, capfd):
+        # The daemon inherits this process's fd 2, which capfd captures.
+        with LocalCluster(1) as private:
+            executor = RemoteExecutor(workers=private.addresses)
+            try:
+                assert executor.run_stage(sum, [[1, 2], [3, 4]]) == [3, 7]
+            finally:
+                executor.close()
+        assert capfd.readouterr().err == ""
+
+
 class TestCloseSemantics:
     def test_close_idempotent(self, cluster):
         executor = RemoteExecutor(workers=cluster.addresses)
