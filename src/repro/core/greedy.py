@@ -112,7 +112,7 @@ def greedy_heap(
     k = check_cardinality(k, problem.n)
     pri = _init_priorities(problem, base_penalty)
     # Negative keys sort ascending, so tie-break on smaller id matches naive.
-    heap = AddressableMaxHeap((v, pri[v]) for v in range(problem.n))
+    heap = AddressableMaxHeap(enumerate(pri.tolist()))
     selected_mask = np.zeros(problem.n, dtype=bool)
     order: List[int] = []
     gains: List[float] = []
@@ -144,7 +144,7 @@ def lazy_greedy(
     """
     k = check_cardinality(k, problem.n)
     pri = _init_priorities(problem, base_penalty)
-    heap = AddressableMaxHeap((v, pri[v]) for v in range(problem.n))
+    heap = AddressableMaxHeap(enumerate(pri.tolist()))
     selected_mask = np.zeros(problem.n, dtype=bool)
     order: List[int] = []
     gains: List[float] = []

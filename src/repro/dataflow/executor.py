@@ -120,11 +120,12 @@ def _validate_max_workers(max_workers: "int | None") -> int:
 
 
 def _dumps_payload(obj: Any) -> bytes:
-    """Serialize a DoFn or a shard for a plan digest or a checkpoint file.
+    """Serialize a shard (or the shard count) for a checkpoint file.
 
-    cloudpickle when available (DoFns are closures, which the stdlib
-    pickler rejects); otherwise the stdlib pickler — callers treat a
-    raised error as "no digest / no checkpoint for this boundary".
+    cloudpickle when available (records may hold closures, which the
+    stdlib pickler rejects); otherwise the stdlib pickler — the writer
+    treats a raised error as "no checkpoint for this boundary".  Plan
+    digests do not come through here (:mod:`repro.dataflow.digest`).
     """
     if _cloudpickle is not None:
         return _cloudpickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)

@@ -47,21 +47,25 @@ parallel backends).
 Checkpointing (``checkpoint_dir=...``) also happens only at
 materialization boundaries: every boundary output is persisted keyed by a
 deterministic *plan digest* — a recursive content hash over the physical
-subplan that produced it (operator kinds, names, serialized DoFns, shard
-count, and source contents; streaming sources, whose contents cannot be
-hashed without consuming them, are keyed by the caller-supplied
-``checkpoint_salt`` instead).  A rerun of the same plan over the same
-inputs finds the digest on disk and skips the whole subtree — which is
-how a killed bounding drive resumes from its last completed stage
-(``metrics.checkpoint_hits`` / ``checkpoint_stores``).  Because the
+subplan that produced it (operator kinds, names, shard count, source
+contents, and a *structural* digest of each DoFn — bytecode, constants,
+defaults, captured values and referenced globals, but no file path, line
+number or hash-seed order, see :mod:`repro.dataflow.digest` — so a
+checkout moved elsewhere, or edited above a DoFn, still resumes;
+streaming sources, whose contents cannot be hashed without consuming
+them, are keyed by the caller-supplied ``checkpoint_salt`` instead).  A
+rerun of the same plan over the same inputs finds the digest on disk and
+skips the whole subtree — which is how a killed bounding drive resumes
+from its last completed stage (``metrics.checkpoint_hits`` /
+``checkpoint_stores``).  Because the
 digest covers everything that determines the boundary's bit-exact
 output, differently-configured runs (other data, seeds, shard counts, or
 DoFns) can safely share one checkpoint directory; plans that the
 optimizer rewrites differently simply key different boundaries, and a
 hit may legally cross ``optimize`` settings since backends and plans are
-bit-identical.  A node whose DoFn or source cannot be serialized
-deterministically is silently non-checkpointable (it and its descendants
-always execute).
+bit-identical.  A node whose DoFn or source the digest pickler cannot
+reduce (a captured lock, an instance of a local class) is silently
+non-checkpointable (it and its descendants always execute).
 
 Metrics semantics: ``stage_counts`` are recorded when transforms are
 *built*, ``shuffled_records`` / ``materialized_records`` when they
@@ -89,6 +93,7 @@ from collections.abc import Collection
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
+from repro.dataflow import digest as _digest
 from repro.dataflow.columnar import (
     BatchDoFn,
     ColumnarShard,
@@ -565,6 +570,12 @@ class Pipeline:
         self._digest_memo: "weakref.WeakKeyDictionary[_Node, Optional[str]]" = (
             weakref.WeakKeyDictionary()
         )
+        #: ``id(part)`` -> (weak ref, digest) of the DoFns / extras this
+        #: pipeline has digested: branches sharing one DoFn hash it once.
+        #: Weak and per-pipeline — a part lives exactly as long as its
+        #: nodes hold it, and nothing is remembered by identity across
+        #: drives (captured arrays stay writable between them).
+        self._part_digests: "dict[int, Tuple[weakref.ref, Optional[bytes]]]" = {}
         self._spill_dir: Optional[str] = None
         if spill_to_disk:
             self._spill_dir = tempfile.mkdtemp(prefix="repro-dataflow-")
@@ -585,6 +596,7 @@ class Pipeline:
         shard — raises ``RuntimeError("pipeline closed")``.
         """
         self._state.closed = True
+        self._part_digests.clear()
         for node in list(self._nodes):
             node.cached = None
             node.deps = ()
@@ -745,8 +757,12 @@ class Pipeline:
     # -- checkpointing -----------------------------------------------------
 
     #: Bump when the digest recipe or checkpoint file format changes —
-    #: stale checkpoint directories then miss instead of mis-loading.
-    _CHECKPOINT_VERSION = b"repro-ckpt-1"
+    #: stale checkpoint directories then miss instead of mis-loading
+    #: (``gc_checkpoints`` reaps what they leave).  Also the lever for
+    #: what the recipe cannot see: library code a DoFn reaches by
+    #: reference.  ``-2``: the structural recipe of
+    #: :mod:`repro.dataflow.digest` replaced cloudpickled closures.
+    _CHECKPOINT_VERSION = b"repro-ckpt-2"
 
     def _node_digest(self, node: _Node) -> Optional[str]:
         """Deterministic digest of the subplan below ``node`` (memoized).
@@ -762,7 +778,28 @@ class Pipeline:
         memo[node] = digest
         return digest
 
+    def _part_digest(self, part: Any) -> Optional[bytes]:
+        """:func:`repro.dataflow.digest.part_digest` of a node's ``fn`` or
+        ``extra``, once per distinct object per pipeline.  A part that
+        cannot be weakly referenced (a tuple of folds) is hashed each
+        time it is asked for."""
+        entry = self._part_digests.get(id(part))
+        if entry is not None and entry[0]() is part:
+            return entry[1]
+        digest = _digest.part_digest(part)
+        try:
+            self._part_digests[id(part)] = (weakref.ref(part), digest)
+        except TypeError:
+            pass
+        return digest
+
     def _compute_digest(self, node: _Node) -> Optional[str]:
+        """SHA-256 over the checkpoint version, the shard count, the
+        node's kind and name, and then: an eager source's shards, or the
+        salt of a streaming one, or the structural digests
+        (:mod:`repro.dataflow.digest` — no paths, no line numbers, no
+        hash-seed order) of ``fn`` and ``extra`` followed by the digests
+        of the deps.  ``None``: not checkpointable."""
         h = hashlib.sha256()
         h.update(self._CHECKPOINT_VERSION)
         h.update(f"|{self.num_shards}|{node.kind}|{node.name}|".encode())
@@ -775,11 +812,7 @@ class Pipeline:
             try:
                 for shard in node.cached:
                     h.update(b"#shard")
-                    h.update(
-                        pickle.dumps(
-                            _resolve(shard), protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                    )
+                    _digest.update_digest(h, _resolve(shard))
             except Exception:
                 return None
             return h.hexdigest()
@@ -798,10 +831,10 @@ class Pipeline:
             if part is None:
                 h.update(b"none")
                 continue
-            try:
-                h.update(_dumps_payload(part))
-            except Exception:
+            part_digest = self._part_digest(part)
+            if part_digest is None:
                 return None
+            h.update(part_digest)
         for dep in node.deps:
             dep_digest = self._node_digest(dep)
             if dep_digest is None:

@@ -281,10 +281,11 @@ class NeighborGraph:
         lengths = stops - starts
         total = int(lengths.sum())
         if total:
-            # Build a flat index selecting all adjacency entries of `vertices`.
-            flat = np.concatenate(
-                [np.arange(lo, hi) for lo, hi in zip(starts, stops)]
-            ) if vertices.size else np.empty(0, dtype=np.int64)
+            # Build a flat index selecting all adjacency entries of
+            # `vertices`: each row's start, shifted back by where the row
+            # begins in the output, plus the output position.
+            offsets = np.cumsum(lengths) - lengths
+            flat = np.repeat(starts - offsets, lengths) + np.arange(total)
             nbr_global = self.indices[flat]
             w = self.weights[flat]
             nbr_local = global_to_local[nbr_global]

@@ -7,7 +7,11 @@ per data shard** whose single record carries exactly that shard's alive
 ``(ids, utilities)`` payload.  Eager sources checkpoint-digest their
 *content* (see ``Pipeline._compute_digest``), so each shard's
 candidate-selection branch gets a materialization boundary keyed by what
-the shard actually contains:
+the shard actually contains — plus the structural digest of the one
+``select_candidates`` closure every branch shares (it captures the
+problem's graph; :mod:`repro.dataflow.digest` hashes it once per drive,
+free of checkout path, line numbers and hash seed, so a checkpoint
+directory keeps its reuse across a redeploy):
 
 - a shard the delta did not touch hashes to the same digest as last
   drive → its branch **loads from the checkpoint** (``checkpoint_hits``)

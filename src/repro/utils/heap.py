@@ -39,8 +39,9 @@ class AddressableMaxHeap:
         self._popped: set = set()
         if items is not None:
             for key, priority in items:
-                self._priority[int(key)] = float(priority)
-                self._heap.append((-float(priority), int(key)))
+                key, priority = int(key), float(priority)
+                self._priority[key] = priority
+                self._heap.append((-priority, key))
             heapq.heapify(self._heap)
 
     def __len__(self) -> int:

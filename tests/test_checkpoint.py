@@ -9,11 +9,14 @@ checkpoint directory is safe to share and safe to resume into after a
 SIGKILL mid-drive.
 """
 
+import gc
+import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -158,10 +161,8 @@ class TestPipelineCheckpointing:
         """A boundary written by a spilling run restores in a non-spilling
         one (and vice versa): storage mode is not part of the digest.
 
-        Note the job must be *the same code* both times — plan digests
-        serialize the DoFns, and cloudpickle embeds code locations, which
-        is the right strictness for the real resume scenario (rerunning
-        the same driver script).
+        The two ``run`` calls build distinct lambda objects from one
+        source line; the structural digest sees the same code either way.
         """
         ckpt = str(tmp_path / "ckpt")
 
@@ -185,6 +186,112 @@ class TestPipelineCheckpointing:
         second, hits2 = run(spill=False)
         assert second == first
         assert hits1 == 0 and hits2 > 0
+
+
+    def test_old_version_entries_are_never_loaded(self, tmp_path, monkeypatch):
+        """The recipe change is one announced invalidation: the version
+        tag is hashed into every digest, so a ``repro-ckpt-1`` directory
+        misses, recomputes, and is reaped by ``gc_checkpoints``."""
+        assert Pipeline._CHECKPOINT_VERSION == b"repro-ckpt-2"
+        ckpt = str(tmp_path / "ckpt")
+        with monkeypatch.context() as patch:
+            patch.setattr(Pipeline, "_CHECKPOINT_VERSION", b"repro-ckpt-1")
+            first, m1 = _run_job(ckpt)
+        old_entries = set(os.listdir(ckpt))
+        assert m1.checkpoint_stores == len(old_entries) > 0
+        second, m2 = _run_job(ckpt)
+        assert second == first
+        assert m2.checkpoint_hits == 0
+        assert m2.checkpoint_stores == m1.checkpoint_stores
+        pipeline = Pipeline(num_shards=4, checkpoint_dir=ckpt)
+        try:
+            assert pipeline.gc_checkpoints() == 2 * len(old_entries)
+        finally:
+            pipeline.close()
+
+    def test_part_memo_keeps_no_dofn_alive(self, tmp_path):
+        """The per-pipeline part memo is weak: once a node is finished
+        (``fn`` dropped) its DoFn is collectable, pipeline still open."""
+        table = np.arange(8)
+
+        def dofn(x):
+            return x + int(table[0])
+
+        ref = weakref.ref(dofn)
+        with Pipeline(num_shards=2, checkpoint_dir=str(tmp_path)) as pipeline:
+            col = pipeline.create(range(10), name="src").map(dofn)
+            del dofn
+            col.run()
+            assert pipeline.metrics.checkpoint_stores == 1  # it was digested
+            gc.collect()
+            assert ref() is None
+
+
+#: A driver script with by-value DoFns of every flavour the digest must
+#: see through: lambdas, a module-level function of ``__main__`` reading
+#: a global, a set-membership constant, a fold.
+_MOVABLE_PROGRAM = textwrap.dedent(
+    """
+    import json, sys
+
+    from repro.dataflow.pcollection import Fold, Pipeline
+
+    OFFSET = 11
+
+
+    def shift(x):
+        return x + OFFSET
+
+
+    with Pipeline(num_shards=3, checkpoint_dir=sys.argv[1]) as p:
+        tripled = p.create(range(90), name="src").map(lambda x: x * 3).cache()
+        kept = tripled.filter(lambda x: x % 10 in {0, 2, 4}).map(shift).cache()
+        sums = (
+            kept.key_by(lambda x: x % 7)
+            .group_by_key()
+            .map_values(Fold.sum())
+            .cache()
+        )
+        m = p.metrics
+        print(json.dumps({
+            "out": sorted(sums.to_list()),
+            "hits": m.checkpoint_hits,
+            "stores": m.checkpoint_stores,
+            "stages": m.executed_stages,
+        }))
+    """
+)
+
+
+class TestCheckoutMove:
+    def test_moved_copy_resumes_every_boundary(self, tmp_path):
+        """A checkpoint dir written by one copy of a program resumes in
+        full from a copy at another path, with its line numbers shifted,
+        under another hash seed: nothing runs, nothing is stored again."""
+        ckpt = str(tmp_path / "ckpt")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+        def run(directory, *, shift, hash_seed):
+            directory.mkdir(parents=True)
+            script = directory / "drive.py"
+            script.write_text("# moved\n" * shift + _MOVABLE_PROGRAM)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = src + (
+                os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+            )
+            proc = subprocess.run(
+                [sys.executable, str(script), ckpt],
+                env=env, capture_output=True, text=True, timeout=120,
+                check=True,
+            )
+            return json.loads(proc.stdout)
+
+        first = run(tmp_path / "a", shift=0, hash_seed="1")
+        moved = run(tmp_path / "b" / "deeper", shift=9, hash_seed="2")
+        assert first["stores"] == 3 and first["hits"] == 0
+        assert moved["out"] == first["out"]
+        assert moved["hits"] == first["stores"]
+        assert moved["stores"] == 0 and moved["stages"] == 0
 
 
 class TestBeamCheckpointing:

@@ -263,6 +263,60 @@ class TestSubgraph:
             triangle().subgraph(np.array([0, 9]))
 
 
+def _subgraph_per_row(g: NeighborGraph, vertices: np.ndarray):
+    """``subgraph``'s arrays by the old recipe — one ``np.arange`` per
+    kept vertex — kept as the reference for the flat-index formula."""
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[vertices] = np.arange(vertices.size, dtype=np.int64)
+    rows = [np.arange(g.indptr[v], g.indptr[v + 1]) for v in vertices]
+    flat = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    nbr_local = local[g.indices[flat]]
+    keep = nbr_local >= 0
+    row_local = np.repeat(
+        np.arange(vertices.size, dtype=np.int64), [row.size for row in rows]
+    ).astype(np.int64)[keep]
+    indptr = np.zeros(vertices.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_local, minlength=vertices.size), out=indptr[1:])
+    return indptr, nbr_local[keep], g.weights[flat][keep]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 24), st.integers(0, 60), st.integers(0, 10_000), st.data())
+def test_subgraph_flat_index_matches_per_row_reference(n, n_edges, seed, data):
+    """Bit-identical arrays for any vertex order/subset: empty
+    ``vertices``, zero-degree rows, every edge cross-partition."""
+    rng = np.random.default_rng(seed)
+    sources = rng.integers(0, n, size=n_edges)
+    targets = rng.integers(0, n, size=n_edges)
+    keep = sources != targets
+    g = NeighborGraph.from_edges(
+        n, sources[keep], targets[keep], rng.random(int(keep.sum()))
+    )
+    vertices = np.array(
+        data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)),
+        dtype=np.int64,
+    )
+    sub, mapping = g.subgraph(vertices)
+    indptr, indices, weights = _subgraph_per_row(g, vertices)
+    np.testing.assert_array_equal(mapping, vertices)
+    for got, want in (
+        (sub.indptr, indptr), (sub.indices, indices), (sub.weights, weights)
+    ):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_subgraph_with_only_cross_partition_edges():
+    # A star: every edge touches the dropped hub, so the kept leaves'
+    # rows are non-empty going in and all empty coming out.
+    g = NeighborGraph.from_edges(
+        5, np.zeros(4, dtype=np.int64), np.arange(1, 5), np.ones(4)
+    )
+    sub, _ = g.subgraph(np.array([3, 1, 4, 2]))
+    assert sub.n == 4 and sub.indices.size == 0
+    np.testing.assert_array_equal(sub.indptr, np.zeros(5, dtype=np.int64))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 20), st.integers(1, 40), st.integers(0, 10_000))
 def test_random_graphs_round_trip(n, n_edges, seed):

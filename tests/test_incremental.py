@@ -150,6 +150,65 @@ def test_ten_percent_delta_runs_under_half_the_cold_stages(tmp_path):
     assert delta.executed_stages < 0.5 * cold.executed_stages
 
 
+def test_delta_drive_digests_each_distinct_part_once(tmp_path, monkeypatch):
+    """16 branches share one ``select_candidates`` closure (it captures
+    the problem's graph): a drive hashes it once, not once per branch —
+    three distinct parts in all (the selector, ``incr/key``, the
+    refiner), whatever the shard count."""
+    from repro.dataflow import digest
+
+    problem = random_problem(N, seed=21)
+    v0 = DatasetVersion.initial(problem.utilities)
+    lo, _hi = shard_bounds(N, 16)[5]
+    ids = np.arange(lo, lo + 3, dtype=np.int64)
+    delta = Delta(kind="update", ids=ids, utilities=v0.utilities[ids] + 0.5)
+    seen = []
+
+    def spy(part, _real=digest.part_digest):
+        seen.append(part)
+        return _real(part)
+
+    with DataflowContext(EngineOptions(
+        num_shards=ENGINE_SHARDS, checkpoint_dir=str(tmp_path)
+    )) as ctx:
+        driver = IncrementalDriver(problem, K, context=ctx, data_shards=16)
+        driver.drive(v0)
+        monkeypatch.setattr(digest, "part_digest", spy)
+        warm = driver.drive(v0.apply(delta), deltas=[delta])
+    assert warm.checkpoint_hits == 15
+    assert len(seen) == 3
+    assert len({id(part) for part in seen}) == 3
+
+
+def test_branch_digest_is_independent_of_digest_order(tmp_path):
+    """The part memo shares *finished* digests only: every part is hashed
+    by a fresh pickler, so what was digested before cannot leak in."""
+    problem = random_problem(N, seed=22)
+    v0 = DatasetVersion.initial(problem.utilities)
+    with DataflowContext(EngineOptions(
+        num_shards=ENGINE_SHARDS, checkpoint_dir=str(tmp_path)
+    )) as ctx:
+        driver = IncrementalDriver(
+            problem, K, context=ctx, data_shards=DATA_SHARDS
+        )
+
+        def digests(order):
+            pipeline = ctx.pipeline(adaptive=False)
+            try:
+                branches, _pooled = driver._build(pipeline, v0)
+                found = {
+                    s: pipeline._node_digest(branches[s]._node) for s in order
+                }
+            finally:
+                pipeline.close()
+            return [found[s] for s in range(DATA_SHARDS)]
+
+        forward = digests(range(DATA_SHARDS))
+        backward = digests(reversed(range(DATA_SHARDS)))
+    assert None not in forward and len(set(forward)) == DATA_SHARDS
+    assert forward == backward
+
+
 def test_unchanged_version_is_a_full_reuse_noop(tmp_path):
     problem = random_problem(N, seed=4)
     v0 = DatasetVersion.initial(problem.utilities)
