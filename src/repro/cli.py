@@ -50,9 +50,12 @@ Examples
         --window 2.0 --checkpoint-dir ckpt/
     python -m repro score --preset cifar100_tiny --subset ids.npy
 
-Engine flags are one shared block (:func:`repro.dataflow.options.
-add_engine_arguments`); resolution order is ``defaults < REPRO_ENGINE_*
-environment < --engine-options JSON file < explicit flags``.
+Every flag family is declared once: engine flags are one shared block
+(:func:`repro.dataflow.options.add_engine_arguments`; ``defaults <
+--engine-options JSON file < explicit flags``), the selector knobs are
+one block shared by ``select`` and ``submit`` (built into a config by
+:func:`repro.service.jobs.selector_config`, as the service does), and
+``serve`` attaches the flags ``python -m repro.service`` declares.
 """
 
 from __future__ import annotations
@@ -63,13 +66,18 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.bounding import BOUNDING_MODES
 from repro.core.objective import PairwiseObjective
 from repro.core.pipeline import DistributedSelector, SelectorConfig
 from repro.core.problem import SubsetProblem
+from repro.core.sampling import EDGE_SAMPLERS
+from repro.dataflow.context import DataflowContext
 from repro.dataflow.options import EngineOptions, add_engine_arguments
 from repro.data.classifier import margin_utilities
 from repro.data.registry import load_dataset
 from repro.graph.symmetrize import build_knn_graph
+from repro.service.__main__ import add_service_arguments, run as cmd_serve
+from repro.service.jobs import selector_config
 
 
 def _build_problem(args: argparse.Namespace) -> tuple:
@@ -119,7 +127,6 @@ def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
     ``--adaptive-plan`` the predictions come from the planner's
     calibrated constants (persisted next to ``--checkpoint-dir``).
     """
-    from repro.dataflow import DataflowContext
     from repro.dataflow.library import (
         BoundingFilter,
         ShardedKnn,
@@ -192,43 +199,27 @@ def _print_incremental(result, prefix: str = "") -> None:
 
 def _run_incremental(problem, k: int, args: argparse.Namespace) -> int:
     """``select --incremental``: one delta-aware drive (always dataflow)."""
-    from repro.dataflow.options import DataflowContext
     from repro.incremental import (
-        DatasetVersion,
         IncrementalDriver,
-        synthetic_deltas,
+        drive_synthetic_version,
+        synthetic_version,
     )
 
-    options = EngineOptions.from_namespace(args)
-    version = DatasetVersion.initial(problem.utilities)
-    log = None
-    if args.dataset_version > 0:
-        log = synthetic_deltas(
-            version,
-            seed=args.seed,
-            steps=args.dataset_version,
-            frac=args.delta_frac,
-        )
-    with DataflowContext(options) as ctx:
-        driver = IncrementalDriver(
-            problem, k, context=ctx, data_shards=args.data_shards
-        )
+    with DataflowContext(EngineOptions.from_namespace(args)) as ctx:
         if args.explain:
-            target = version.apply_all(log) if log is not None else version
-            print(driver.explain(target))
-            return 0
-        # Attribute only the deltas beyond the checkpoint dir's last
-        # drive (synthetic step i carries timestamp i).
-        previous = driver.last_version()
-        deltas = None
-        if log is not None:
-            version = version.apply_all(log)
-            deltas = (
-                log.between(float(previous), float(args.dataset_version))
-                if previous is not None
-                else list(log)
+            version, _ = synthetic_version(
+                problem.utilities, args.dataset_version,
+                seed=args.seed, frac=args.delta_frac,
             )
-        result = driver.drive(version, deltas=deltas)
+            driver = IncrementalDriver(
+                problem, k, context=ctx, data_shards=args.data_shards
+            )
+            print(driver.explain(version))
+            return 0
+        result = drive_synthetic_version(
+            problem, k, args.dataset_version, context=ctx, seed=args.seed,
+            data_shards=args.data_shards, delta_frac=args.delta_frac,
+        )
     _print_incremental(result)
     if result.delta_records:
         print(f"deltas since last drive: {result.delta_records} records")
@@ -242,7 +233,6 @@ def _run_incremental(problem, k: int, args: argparse.Namespace) -> int:
 
 def cmd_watch(args: argparse.Namespace) -> int:
     """Windowed streaming drive over a synthetic delta stream."""
-    from repro.dataflow.options import DataflowContext
     from repro.incremental import (
         DatasetVersion,
         IncrementalDriver,
@@ -281,16 +271,9 @@ def cmd_select(args: argparse.Namespace) -> int:
         return _run_incremental(problem, k, args)
     if args.explain:
         return _print_plans(problem, embeddings, args)
-    config = SelectorConfig(
-        bounding=None if args.bounding == "none" else args.bounding,
-        sampler=args.sampler,
-        sampling_fraction=args.sampling_fraction,
-        machines=args.machines,
-        rounds=args.rounds,
-        adaptive=args.adaptive,
-        gamma=args.gamma,
-        engine=args.engine,
-        options=EngineOptions.from_namespace(args),
+    config = selector_config(
+        _selector_section(args),
+        EngineOptions.from_namespace(args),
         checkpoint_gc=args.checkpoint_gc,
     )
     report = DistributedSelector(problem, config).select(k, seed=args.seed)
@@ -334,23 +317,6 @@ def cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the long-lived selector service (see :mod:`repro.service`)."""
-    from repro.service.server import ServiceConfig, serve
-
-    config = ServiceConfig(
-        state_dir=args.state_dir,
-        max_queued=args.max_queued,
-        max_running=args.max_running,
-        max_num_shards=args.max_num_shards,
-        max_records=args.max_records,
-        default_timeout_s=args.default_timeout,
-        result_max_age_s=args.result_max_age,
-        result_max_bytes=args.result_max_bytes,
-    )
-    return serve(config, host=args.host, port=args.port)
-
-
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit a selection job to a running service (and optionally wait)."""
     from repro.service.client import ServiceClient, ServiceError
@@ -363,19 +329,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
             "alpha": args.alpha,
             "version": args.dataset_version,
         },
-        "selector": {
-            "incremental": args.incremental,
-            "k": args.k,
-            "bounding": None if args.bounding == "none" else args.bounding,
-            "sampler": args.sampler,
-            "sampling_fraction": args.sampling_fraction,
-            "machines": args.machines,
-            "rounds": args.rounds,
-            "adaptive": args.adaptive,
-            "gamma": args.gamma,
-            "seed": args.seed,
-            "engine": args.engine,
-        },
+        "selector": _selector_section(args),
         "engine_options": EngineOptions.from_namespace(args).to_dict(),
         "tenant": args.tenant,
         "priority": args.priority,
@@ -480,11 +434,50 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_incremental(parser: argparse.ArgumentParser) -> None:
+def _add_selector_arguments(
+    parser: argparse.ArgumentParser, *, engine_default: str
+) -> None:
+    """The selector knobs (``select`` and ``submit`` share this block);
+    defaults are ``SelectorConfig``'s, bar the per-command engine."""
+    defaults = SelectorConfig()
+    parser.add_argument("--bounding", choices=("none",) + BOUNDING_MODES,
+                        default="none")
+    parser.add_argument("--sampler", choices=sorted(EDGE_SAMPLERS),
+                        default=defaults.sampler)
+    parser.add_argument("--sampling-fraction", type=float,
+                        default=defaults.sampling_fraction)
+    parser.add_argument("--machines", type=int, default=defaults.machines)
+    parser.add_argument("--rounds", type=int, default=defaults.rounds)
+    parser.add_argument("--adaptive", action="store_true")
+    parser.add_argument("--gamma", type=float, default=defaults.gamma)
+    parser.add_argument("--engine", choices=("memory", "dataflow"),
+                        default=engine_default,
+                        help="run stages in-memory or on the dataflow engine")
+    parser.add_argument("--incremental", action="store_true",
+                        help="drive the delta-aware incremental runtime "
+                             "(dataflow engine): over the same checkpoints, "
+                             "a later --dataset-version re-executes only "
+                             "the touched shards")
     parser.add_argument("--dataset-version", type=int, default=0,
                         help="advance the base dataset by this many "
                              "synthetic delta steps (deterministic in "
                              "--seed)")
+
+
+def _selector_section(args: argparse.Namespace) -> dict:
+    """The ``JobSpec.selector`` section a parsed selector block spells."""
+    section = {
+        name: getattr(args, name)
+        for name in ("k", "sampler", "sampling_fraction", "machines",
+                     "rounds", "adaptive", "gamma", "seed", "engine",
+                     "incremental")
+    }
+    section["bounding"] = None if args.bounding == "none" else args.bounding
+    return section
+
+
+def _add_delta_arguments(parser: argparse.ArgumentParser) -> None:
+    """The delta-runtime knobs ``select --incremental`` and ``watch`` share."""
     parser.add_argument("--data-shards", type=int, default=8,
                         help="contiguous id ranges delta invalidation "
                              "works at (fixed per checkpoint dir)")
@@ -505,23 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--k", type=int, default=None, help="subset size")
     p_select.add_argument("--fraction", type=float, default=0.1,
                           help="subset fraction if --k is absent")
-    p_select.add_argument("--bounding",
-                          choices=("none", "exact", "approximate"),
-                          default="none")
-    p_select.add_argument("--sampler", choices=("uniform", "weighted"),
-                          default="uniform")
-    p_select.add_argument("--sampling-fraction", type=float, default=1.0)
-    p_select.add_argument("--machines", type=int, default=1)
-    p_select.add_argument("--rounds", type=int, default=1)
-    p_select.add_argument("--adaptive", action="store_true")
-    p_select.add_argument("--gamma", type=float, default=0.75)
-    p_select.add_argument("--engine", choices=("memory", "dataflow"),
-                          default="memory",
-                          help="run stages in-memory or on the dataflow engine")
-    # One shared flag block for every engine knob (--executor,
-    # --num-shards, --spill-to-disk, --no-optimize, --stream-source,
-    # --workers, --checkpoint-dir, --engine-options, ...), resolved by
-    # EngineOptions.from_namespace with env/JSON-file layering.
+    _add_selector_arguments(p_select, engine_default="memory")
     add_engine_arguments(p_select)
     p_select.add_argument("--checkpoint-gc", dest="checkpoint_gc",
                           action="store_true",
@@ -534,12 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the physical dataflow plans with "
                                "predicted per-stage costs and exit without "
                                "executing")
-    p_select.add_argument("--incremental", action="store_true",
-                          help="drive the delta-aware incremental runtime "
-                               "(dataflow engine; with --checkpoint-dir, "
-                               "re-runs over a later --dataset-version "
-                               "re-execute only the touched shards)")
-    _add_incremental(p_select)
+    _add_delta_arguments(p_select)
     p_select.set_defaults(func=cmd_select)
 
     p_plan = sub.add_parser(
@@ -552,25 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="run the long-lived selector service"
     )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=7171,
-                         help="listen port (0 = ephemeral, printed on the "
-                              "REPRO_SERVICE_READY line)")
-    p_serve.add_argument("--state-dir", required=True,
-                         help="persistent job store directory")
-    p_serve.add_argument("--max-queued", type=int, default=64)
-    p_serve.add_argument("--max-running", type=int, default=4)
-    p_serve.add_argument("--max-num-shards", type=int, default=64)
-    p_serve.add_argument("--max-records", type=int, default=1_000_000)
-    p_serve.add_argument("--default-timeout", type=float, default=None,
-                         metavar="SECONDS")
-    p_serve.add_argument("--result-max-age", type=float, default=None,
-                         metavar="SECONDS",
-                         help="evict stored results older than this "
-                              "(opportunistic, after every completed job)")
-    p_serve.add_argument("--result-max-bytes", type=int, default=None,
-                         help="evict oldest stored results while results/ "
-                              "exceeds this size")
+    add_service_arguments(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(
@@ -584,26 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--alpha", type=float, default=0.9)
     p_submit.add_argument("--seed", type=int, default=0)
     p_submit.add_argument("--k", type=int, required=True)
-    p_submit.add_argument("--bounding",
-                          choices=("none", "exact", "approximate"),
-                          default="none")
-    p_submit.add_argument("--sampler", choices=("uniform", "weighted"),
-                          default="uniform")
-    p_submit.add_argument("--sampling-fraction", type=float, default=1.0)
-    p_submit.add_argument("--machines", type=int, default=1)
-    p_submit.add_argument("--rounds", type=int, default=1)
-    p_submit.add_argument("--adaptive", action="store_true")
-    p_submit.add_argument("--gamma", type=float, default=0.75)
-    p_submit.add_argument("--engine", choices=("memory", "dataflow"),
-                          default="dataflow")
-    p_submit.add_argument("--incremental", action="store_true",
-                          help="run the job through the delta-aware "
-                               "incremental runtime (dataflow engine); "
-                               "resubmitting with a later --dataset-version "
-                               "recomputes only the delta cone")
-    p_submit.add_argument("--dataset-version", type=int, default=0,
-                          help="dataset version: base advanced by this many "
-                               "synthetic delta steps")
+    _add_selector_arguments(p_submit, engine_default="dataflow")
     add_engine_arguments(p_submit)
     p_submit.add_argument("--tenant", default="default")
     p_submit.add_argument("--priority", type=int, default=0)
@@ -657,12 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument("--out", help="write the last window's selected "
                                        "ids to .npy")
     add_engine_arguments(p_watch)
-    p_watch.add_argument(
-        "--data-shards", type=int, default=8,
-        help="contiguous id ranges delta invalidation works at")
-    p_watch.add_argument("--delta-frac", type=float, default=0.1,
-                         help="fraction of alive points each delta step "
-                              "touches")
+    _add_delta_arguments(p_watch)
     p_watch.set_defaults(func=cmd_watch)
 
     p_score = sub.add_parser("score", help="score a subset")

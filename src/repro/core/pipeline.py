@@ -19,12 +19,13 @@ per-shard memory metering in the report's ``extra``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.core.bounding import BoundingResult, bound
+from repro.core.bounding import BOUNDING_MODES, BoundingResult, bound
 from repro.core.distributed import (
     DistributedResult,
     LinearDeltaSchedule,
@@ -34,10 +35,16 @@ from repro.core.distributed import (
 )
 from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
+from repro.core.sampling import EDGE_SAMPLERS
 from repro.dataflow.options import EngineOptions
 from repro.utils.cancel import CancelToken
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_cardinality
+
+
+def _is_a(value: Any, kind: type) -> bool:
+    """``value`` is a ``kind`` of number (``bool`` is never one)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,7 @@ class SelectorConfig:
         Every dataflow-engine knob, as one validated
         :class:`~repro.dataflow.options.EngineOptions` (ignored by the
         memory engine).  The selector opens one
-        :class:`~repro.dataflow.options.DataflowContext` from it per run
+        :class:`~repro.dataflow.context.DataflowContext` from it per run
         — the bounding and greedy stages share its (persistent) worker
         pool or cluster, and it is closed when the run finishes.
         ``options.stream_source=None`` (the default) keeps each beam's
@@ -88,19 +95,30 @@ class SelectorConfig:
     checkpoint_gc: bool = False
 
     def __post_init__(self) -> None:
-        if self.bounding not in (None, "exact", "approximate"):
-            raise ValueError(
-                "bounding must be None/'exact'/'approximate', got "
-                f"{self.bounding!r}"
-            )
-        if self.machines < 1:
-            raise ValueError(f"machines must be >= 1, got {self.machines}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.engine not in ("memory", "dataflow"):
-            raise ValueError(
-                f"engine must be 'memory' or 'dataflow', got {self.engine!r}"
-            )
+        # The one validator of these knobs — the CLI, ``JobSpec`` (at
+        # submit time) and direct construction all land here — against
+        # the constants the algorithms themselves own.
+        def check(ok: bool, name: str, rule: str) -> None:
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}"
+                )
+
+        check(self.bounding is None or self.bounding in BOUNDING_MODES,
+              "bounding", f"None or one of {BOUNDING_MODES}")
+        check(self.sampler in EDGE_SAMPLERS,
+              "sampler", f"one of {sorted(EDGE_SAMPLERS)}")
+        check(_is_a(self.sampling_fraction, numbers.Real)
+              and 0 < self.sampling_fraction <= 1,
+              "sampling_fraction", "a number in (0, 1]")
+        for name in ("machines", "rounds"):
+            value = getattr(self, name)
+            check(_is_a(value, numbers.Integral) and value >= 1,
+                  name, "an integer >= 1")
+        check(_is_a(self.gamma, numbers.Real) and self.gamma > 0,
+              "gamma", "a number > 0")
+        check(self.engine in ("memory", "dataflow"),
+              "engine", "'memory' or 'dataflow'")
         if self.checkpoint_gc and (
             self.engine != "dataflow" or self.options.checkpoint_dir is None
         ):
@@ -152,11 +170,11 @@ class DistributedSelector:
         land in ``report.extra["bounding_metrics"/"greedy_metrics"]``.
 
         ``context`` lends the run an existing warm
-        :class:`~repro.dataflow.options.DataflowContext` (dataflow engine
+        :class:`~repro.dataflow.context.DataflowContext` (dataflow engine
         only): both stages run on its executor, the context is *not*
         closed here, and ``report.extra["executor_stats"]`` reflects that
         context's view — a long-lived service passes per-job
-        :meth:`~repro.dataflow.options.DataflowContext.scoped` views so
+        :meth:`~repro.dataflow.context.DataflowContext.scoped` views so
         concurrent tenants share one warm pool with isolated stats.
 
         ``cancel`` is a cooperative stop flag

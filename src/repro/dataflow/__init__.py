@@ -47,10 +47,11 @@ Public configuration surface
 ----------------------------
 Every engine knob lives on one validated, frozen
 :class:`~repro.dataflow.options.EngineOptions` (constructible from
-kwargs, dict/JSON, ``REPRO_ENGINE_*`` environment variables, or argparse
-via :func:`~repro.dataflow.options.add_engine_arguments`), and a
-:class:`~repro.dataflow.options.DataflowContext` owns the resolved
-executor/cluster lifecycle for a whole multi-pipeline run::
+kwargs, a dict, or argparse via
+:func:`~repro.dataflow.options.add_engine_arguments`) — configuration
+and nothing else.  The runtime object is
+:class:`~repro.dataflow.context.DataflowContext`, which owns the
+resolved executor/cluster lifecycle for a whole multi-pipeline run::
 
     with DataflowContext(EngineOptions("remote", num_shards=16)) as ctx:
         result, metrics = beam_bound(problem, k, context=ctx)
@@ -58,8 +59,8 @@ executor/cluster lifecycle for a whole multi-pipeline run::
 
 Reusable named composites (:class:`~repro.dataflow.pcollection.
 PTransform`; apply with ``pcoll.apply(...)`` or ``pcoll | ...``) live in
-:mod:`repro.dataflow.library` — ``ShardedKnn``, ``TopKPerKey``,
-``BoundingFilter``, ``PartitionedGreedy`` — and render as named groups in
+:mod:`repro.dataflow.library` — ``ShardedKnn``, ``BoundingFilter``,
+``PartitionedGreedy`` — and render as named groups in
 ``PCollection.explain()``.
 """
 
@@ -68,14 +69,10 @@ from repro.dataflow.executor import (
     SequentialExecutor,
     ThreadExecutor,
     executor_names,
-    register_executor,
     resolve_executor,
 )
-from repro.dataflow.options import (
-    DataflowContext,
-    EngineOptions,
-    add_engine_arguments,
-)
+from repro.dataflow.options import EngineOptions, add_engine_arguments
+from repro.dataflow.context import DataflowContext
 from repro.dataflow.remote import LocalCluster, RemoteExecutor
 from repro.dataflow.columnar import BatchDoFn, ColumnarShard
 from repro.dataflow.metrics import PipelineMetrics, StageProfile
@@ -90,7 +87,6 @@ from repro.dataflow.library import (
     BoundingFilter,
     PartitionedGreedy,
     ShardedKnn,
-    TopKPerKey,
 )
 from repro.dataflow.bounding_beam import BeamBoundingDriver, beam_bound
 from repro.dataflow.greedy_beam import beam_distributed_greedy
@@ -118,13 +114,11 @@ __all__ = [
     "RemoteExecutor",
     "LocalCluster",
     "resolve_executor",
-    "register_executor",
     "executor_names",
     "cogroup",
     "flatten",
     "distributed_kth_largest",
     "ShardedKnn",
-    "TopKPerKey",
     "BoundingFilter",
     "PartitionedGreedy",
     "beam_bound",

@@ -33,7 +33,7 @@ convergence driver mirrors Algorithm 5 exactly, and
 the in-memory reference (exact mode).
 
 Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
-(``options=``) or a shared :class:`~repro.dataflow.options.DataflowContext`
+(``options=``) or a shared :class:`~repro.dataflow.context.DataflowContext`
 (``context=`` — how the end-to-end selector shares a worker pool between
 bounding and greedy).  This beam streams its graph/utility generators by
 default (``options.stream_source=None``).
@@ -56,11 +56,8 @@ from repro.core.distributed import fingerprint, problem_fingerprint
 from repro.core.problem import SubsetProblem
 from repro.dataflow.library import BoundingFilter, packed_adjacency
 from repro.dataflow.metrics import PipelineMetrics
-from repro.dataflow.options import (
-    DataflowContext,
-    EngineOptions,
-    engine_context,
-)
+from repro.dataflow.context import DataflowContext, engine_context
+from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import PCollection
 from repro.dataflow.transforms import distributed_kth_largest, flatten
 from repro.utils.rng import SeedLike, as_generator
@@ -72,7 +69,7 @@ class BeamBoundingConfig:
 
     Engine knobs (executor, shards, spill, …) do not live here — they
     come from the :class:`~repro.dataflow.options.EngineOptions` /
-    :class:`~repro.dataflow.options.DataflowContext` handed to
+    :class:`~repro.dataflow.context.DataflowContext` handed to
     :class:`BeamBoundingDriver`.
     """
 

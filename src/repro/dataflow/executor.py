@@ -506,9 +506,9 @@ class JobScopedExecutor(Executor):
 #
 # The single string→factory mapping behind every ``executor=`` knob in the
 # codebase: ``Pipeline``, ``SelectorConfig``, the CLI, and the beams all
-# resolve through here, so adding a backend is one ``register_executor``
-# call.  Factories take the backend's own keyword options (e.g. ``workers``
-# for the remote backend).
+# resolve through here, so adding a backend is one entry of ``_EXECUTORS``.
+# Factories take the backend's own keyword options (e.g. ``workers`` for
+# the remote backend).
 
 
 def _remote_factory(**opts) -> "Executor":
@@ -530,11 +530,6 @@ _EXECUTORS: Dict[str, Callable[..., Executor]] = {
     # the spelling and the probe leave together in a [benchmark] PR.
     "multiprocess": _remote_factory,
 }
-
-
-def register_executor(name: str, factory: Callable[..., Executor]) -> None:
-    """Register (or override) an executor backend under ``name``."""
-    _EXECUTORS[str(name)] = factory
 
 
 def executor_names() -> List[str]:

@@ -23,7 +23,7 @@ fills its target there; iid partition ids are not, so here a round may
 come up short — see *fill passes* in :func:`beam_distributed_greedy`.
 
 Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
-(``options=``) or a shared :class:`~repro.dataflow.options.DataflowContext`
+(``options=``) or a shared :class:`~repro.dataflow.context.DataflowContext`
 (``context=`` — how the end-to-end selector shares a worker pool between
 bounding and greedy).  This beam ingests its (array-backed) ground set
 eagerly by default (``options.stream_source=None``).
@@ -46,11 +46,8 @@ from repro.core.distributed import (
 from repro.core.problem import SubsetProblem
 from repro.dataflow.library import PartitionedGreedy
 from repro.dataflow.metrics import PipelineMetrics
-from repro.dataflow.options import (
-    DataflowContext,
-    EngineOptions,
-    engine_context,
-)
+from repro.dataflow.context import DataflowContext, engine_context
+from repro.dataflow.options import EngineOptions
 from repro.dataflow.transforms import flatten
 from repro.utils.rng import SeedLike, as_generator
 

@@ -12,7 +12,7 @@ largest cell, not the corpus.
 
 Engine configuration comes from a single
 :class:`~repro.dataflow.options.EngineOptions` (``options=``) or a shared
-:class:`~repro.dataflow.options.DataflowContext` (``context=``, e.g. to
+:class:`~repro.dataflow.context.DataflowContext` (``context=``, e.g. to
 reuse one worker pool across several builds).
 """
 
@@ -24,11 +24,8 @@ import numpy as np
 
 from repro.dataflow.library import ShardedKnn
 from repro.dataflow.metrics import PipelineMetrics
-from repro.dataflow.options import (
-    DataflowContext,
-    EngineOptions,
-    engine_context,
-)
+from repro.dataflow.context import DataflowContext, engine_context
+from repro.dataflow.options import EngineOptions
 from repro.graph.csr import NeighborGraph
 from repro.graph.knn import l2_normalize
 from repro.graph.symmetrize import symmetrize_knn

@@ -3,15 +3,14 @@
 Each class here is a :class:`~repro.dataflow.pcollection.PTransform`
 extracted from a beam entry point: the multi-probe sharded kNN build
 (:class:`ShardedKnn`), the bounding pre-pass's join-based bound
-computation (:class:`BoundingFilter`), one round of the partition-based
-distributed greedy (:class:`PartitionedGreedy`), and the generic
-distributed per-key top-k (:class:`TopKPerKey`).  The beams are now thin
-compositions of these over a
-:class:`~repro.dataflow.options.DataflowContext`; anything else built on
+computation (:class:`BoundingFilter`), and one round of the
+partition-based distributed greedy (:class:`PartitionedGreedy`).  The
+beams are thin compositions of these over a
+:class:`~repro.dataflow.context.DataflowContext`; anything else built on
 the engine can reuse them the same way::
 
     merged = points.apply(ShardedKnn(x, centroids, k=10, nprobe=3))
-    best   = scored | TopKPerKey(5)
+    merged = points | ShardedKnn(x, centroids, k=10, nprobe=3)
 
 Applying a composite tags its stages with the transform's name, so
 ``explain()`` renders each application as a named, indented group —
@@ -41,7 +40,6 @@ from repro.dataflow.transforms import cogroup
 
 __all__ = [
     "ShardedKnn",
-    "TopKPerKey",
     "BoundingFilter",
     "packed_adjacency",
     "PartitionedGreedy",
@@ -343,82 +341,6 @@ class ShardedKnn(PTransform):
         return candidates.group_by_key(name="knn/merge_group").map_values(
             Fold(merge_zero, merge_add, merge_merge, label="knn/topk"),
             name="knn/merge",
-        )
-
-
-class TopKPerKey(PTransform):
-    """Distributed per-key top-k: ``(key, (item, score))`` pairs in,
-    ``(key, [(item, score), ...])`` out — the k best-scoring distinct
-    items per key, sorted by ``(-score, item)``.
-
-    Duplicate items keep their maximum score.  Written as the naive
-    ``group_by_key().map_values(Fold)`` so the optimizer lifts it to
-    ``combine_per_key``: each shard ships at most ``k`` accumulator
-    entries per key instead of every pair.  The fold is associative —
-    trimming partials to ``k`` is safe because an entry dropped from a
-    partial was beaten by ``k`` better entries that also reach the merge.
-    """
-
-    def __init__(self, k: int, *, name: str = "TopKPerKey") -> None:
-        super().__init__(name)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
-
-    def expand(self, pairs: PCollection) -> PCollection:
-        k = self.k
-
-        # The accumulator is the output itself: at most ``k`` ``(item,
-        # score)`` pairs kept sorted by ``(-score, item)``.  ``add``
-        # mutates it in place (the engine's Folds may — accumulators are
-        # stage-local, the same contract ShardedKnn's merge relies on),
-        # so per-record work is O(k) with no dict/list churn.
-        def add(acc, pair):
-            item, score = pair
-            for i, (existing, prev) in enumerate(acc):
-                if existing == item:
-                    if score <= prev:
-                        return acc
-                    del acc[i]
-                    break
-            rank = (-score, item)
-            lo, hi = 0, len(acc)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if (-acc[mid][1], acc[mid][0]) < rank:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < k:
-                acc.insert(lo, (item, score))
-                if len(acc) > k:
-                    acc.pop()
-            return acc
-
-        def merge(a, b):
-            for pair in b:
-                a = add(a, pair)
-            return a
-
-        def batch(values):
-            # Equal to folding ``add`` over ``values`` from ``[]``: the
-            # incremental top-k keeps exactly the k best (item, max-score)
-            # pairs — an entry of that set is never evicted (fewer than k
-            # better entries exist to push it out) and always admitted
-            # (when its maximal pair arrives, at most k - 1 better entries
-            # occupy the accumulator) — so one dedupe-to-max + sort + trim
-            # reproduces the fold's result without the per-record churn.
-            best: dict = {}
-            for item, score in values:
-                prev = best.get(item)
-                if prev is None or score > prev:
-                    best[item] = score
-            ranked = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))
-            return ranked[:k]
-
-        return pairs.group_by_key(name="topk/group").map_values(
-            Fold(list, add, merge, label=f"topk/{k}", batch=batch),
-            name="topk/fold",
         )
 
 

@@ -1,70 +1,49 @@
-"""The engine's unified public configuration: ``EngineOptions`` +
-``DataflowContext``.
+"""The engine's configuration, and nothing else: ``EngineOptions``.
 
 A knob is declared exactly once, as one entry of the :data:`_KNOBS`
 table below: its name, default, the coercer that type-checks and
-normalizes a value, how its ``REPRO_ENGINE_<NAME>`` text decodes, and
-its command-line flags.  Everything else is derived from that table —
-the constructor's defaulting, explicitness tracking and per-field
-validation, ``from_dict``/``from_json``/``to_dict``, the environment
-parser, and the :func:`add_engine_arguments` flag block — so adding a
-knob is a one-entry diff.  Only the genuinely cross-field rules
-(``workers`` ⇒ ``executor="remote"``, ``checkpoint_salt`` ⇒
-``checkpoint_dir``, factory-only knobs vs an ``Executor`` instance) are
-hand-written code.
+normalizes a value, and its command-line flags.  Everything else is
+derived from that table — the constructor's defaulting, explicitness
+tracking and per-field validation, ``from_dict``/``to_dict``, and the
+:func:`add_engine_arguments` flag block — so adding a knob is a
+one-entry diff.  Only the genuinely cross-field rules (``workers`` ⇒
+``executor="remote"``, ``checkpoint_salt`` ⇒ ``checkpoint_dir``,
+factory-only knobs vs an ``Executor`` instance) are hand-written code.
 
 :class:`EngineOptions`
     One immutable, validated options object carrying every engine knob.
     Constructible from plain kwargs, a dict (:meth:`EngineOptions.
-    from_dict`), a JSON blob (:meth:`~EngineOptions.from_json`),
-    environment variables (:meth:`~EngineOptions.from_env`, prefix
-    ``REPRO_ENGINE_``), or an argparse namespace populated by the shared
-    :func:`add_engine_arguments` helper (:meth:`~EngineOptions.
-    from_namespace`).  All validation — registry-backed executor names,
-    ``host:port`` worker addresses with port-range checks, checkpoint
-    settings — happens once, at construction.  :meth:`~EngineOptions.
-    derive` produces per-stage variants without re-stating the rest.
-
-:class:`DataflowContext`
-    A context manager owning the resolved executor (and, for the remote
-    backend, the worker cluster) plus the checkpoint directory for a whole
-    multi-pipeline run.  Beams build their pipelines through
-    :meth:`DataflowContext.pipeline`, so the bounding and greedy stages of
-    a selection share one persistent worker pool without any caller
-    hand-managing executor creation, sharing, or close.  The context also
-    aggregates every pipeline's touched checkpoint digests, which is what
-    makes :meth:`DataflowContext.gc_checkpoints` safe: it deletes exactly
-    the entries no stage of the current run produced or reused.
+    from_dict` — what a JSON file or HTTP body parses to), or an argparse
+    namespace populated by the shared :func:`add_engine_arguments` helper
+    (:meth:`~EngineOptions.from_namespace`).  All validation —
+    registry-backed executor names, ``host:port`` worker addresses with
+    port-range checks, checkpoint settings — happens once, at
+    construction.  :meth:`~EngineOptions.derive` produces per-stage
+    variants without re-stating the rest.
 
 Configuration precedence for :meth:`EngineOptions.from_namespace` (the
-CLI path) is ``defaults < environment < --engine-options JSON file <
-explicit flags``.  ``options=EngineOptions(...)`` or a shared
-``context=DataflowContext(...)`` is the only way to configure a beam,
-``BeamBoundingDriver`` or ``SelectorConfig``.
+CLI path) is ``defaults < --engine-options JSON file < explicit flags``.
+``options=EngineOptions(...)`` or a shared ``context=`` (the runtime
+object, :class:`repro.dataflow.context.DataflowContext`) is the only way
+to configure a beam, ``BeamBoundingDriver`` or ``SelectorConfig``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import inspect
 import json
 import numbers
-import os
-import threading
 from typing import Any, Callable, Dict, Iterable, Mapping, NamedTuple
 from typing import Optional, Sequence, Tuple
 
 from repro.dataflow.executor import (
     DEFAULT_BROADCAST_MIN_BYTES,
     Executor,
-    JobScopedExecutor,
     executor_names,
-    resolve_executor,
 )
 
 __all__ = [
     "EngineOptions",
-    "DataflowContext",
     "add_engine_arguments",
     "parse_worker_address",
     "DEFAULT_ADAPTIVE",
@@ -123,11 +102,10 @@ def parse_worker_address(spec: Any) -> Tuple[str, int]:
 # -- typed coercers ----------------------------------------------------------
 #
 # ``coerce(value, label) -> normalized value``; a value of the wrong type
-# or range raises ``ValueError`` naming ``label`` (the knob, or the
-# environment variable it came from).  They are deliberately strict:
-# options arrive from JSON files and HTTP bodies, where ``bool("false")``
-# / ``int(2.7)`` / ``int(True)`` would silently turn a typo into a
-# different configuration.
+# or range raises ``ValueError`` naming ``label`` (the knob).  They are
+# deliberately strict: options arrive from JSON files and HTTP bodies,
+# where ``bool("false")`` / ``int(2.7)`` / ``int(True)`` would silently
+# turn a typo into a different configuration.
 
 
 def _executor(value: Any, label: str) -> "str | Executor":
@@ -204,48 +182,47 @@ class _Knob(NamedTuple):
     default: Any
     #: Typed validator/normalizer, see above.
     coerce: Callable[[Any, str], Any]
-    #: How ``REPRO_ENGINE_<NAME>`` text decodes (see ``_decode_env``):
-    #: ``int`` | ``bool`` | ``opt_bool`` | ``opt_word`` | ``list`` | ``text``.
-    env: str
     #: ``(option string, help)`` per command-line flag; empty keeps the
-    #: knob off the CLI.  Boolean knobs take a ``--x`` / ``--no-x`` pair
-    #: so a flag can undo an env/JSON setting in both directions.
+    #: knob off the CLI.
     flags: Tuple[Tuple[str, str], ...] = ()
+    #: What the flags parse: ``bool`` makes them a ``--x`` / ``--no-x``
+    #: switch pair (so a flag can undo an ``--engine-options`` setting in
+    #: both directions), ``int`` an integer argument, ``None`` a string.
+    flag_type: Optional[type] = None
     #: argparse ``dest`` when the knob's own name is taken on a host CLI.
     dest: Optional[str] = None
-    #: argparse ``choices``; a callable is evaluated when the parser is
-    #: built, so late-registered executors show up.
-    choices: "Sequence[str] | Callable[[], Sequence[str]] | None" = None
+    #: argparse ``choices``.
+    choices: Optional[Sequence[str]] = None
 
 
 _SHUFFLE_MODES = ("driver", "worker")
 
 _KNOBS: Tuple[_Knob, ...] = (
-    _Knob("executor", "sequential", _executor, "text", flags=(
+    _Knob("executor", "sequential", _executor, flags=(
         ("--executor",
          "dataflow engine backend: sequential, persistent thread pool, "
          "persistent worker-process pool, or a remote TCP worker cluster"),
-    ), choices=executor_names),
-    _Knob("num_shards", 8, _int_at_least(1), "int", flags=(
+    ), choices=executor_names()),
+    _Knob("num_shards", 8, _int_at_least(1), flag_type=int, flags=(
         ("--num-shards", "dataflow logical worker count"),
     )),
-    _Knob("spill_to_disk", False, _bool, "bool", flags=(
+    _Knob("spill_to_disk", False, _bool, flag_type=bool, flags=(
         ("--spill-to-disk",
          "keep dataflow shards on disk (larger-than-memory mode)"),
         ("--no-spill-to-disk",
          "keep shards in memory (overrides a spill_to_disk set via "
-         "environment or --engine-options)"),
+         "--engine-options)"),
     )),
-    _Knob("optimize", None, _opt_bool, "opt_bool", flags=(
+    _Knob("optimize", None, _opt_bool, flag_type=bool, flags=(
         ("--no-optimize",
          "disable the dataflow plan optimizer (combiner lifting, "
          "redundant-shuffle elision, post-shuffle fusion) and run the "
          "naive plan"),
         ("--optimize",
          "run the plan optimizer (overrides an optimize=false set via "
-         "environment or --engine-options)"),
+         "--engine-options)"),
     )),
-    _Knob("stream_source", None, _opt_bool, "opt_bool", flags=(
+    _Knob("stream_source", None, _opt_bool, flag_type=bool, flags=(
         ("--stream-source",
          "ingest every dataflow source through chunked streaming (the "
          "driver never materializes the ground set); by default each "
@@ -254,34 +231,35 @@ _KNOBS: Tuple[_Knob, ...] = (
          "force eager ingest everywhere (disables the bounding stage's "
          "default streaming)"),
     )),
-    _Knob("workers", None, _workers, "list", flags=(
+    _Knob("workers", None, _workers, flags=(
         ("--workers",
          "comma-separated host:port list of remote worker daemons "
          "(python -m repro.dataflow.remote.worker); with --executor "
          "remote and no list, two localhost workers are auto-spawned"),
     )),
-    _Knob("checkpoint_dir", None, _opt_str, "text", flags=(
+    _Knob("checkpoint_dir", None, _opt_str, flags=(
         ("--checkpoint-dir",
          "persist dataflow stage outputs here (plan-digest keyed); "
          "rerunning an identical, killed job resumes from the last "
          "completed stage"),
     )),
     # Not a flag: beams derive their own per-stage salt.
-    _Knob("checkpoint_salt", None, _opt_str, "text"),
+    _Knob("checkpoint_salt", None, _opt_str),
     _Knob("broadcast_min_bytes", DEFAULT_BROADCAST_MIN_BYTES,
-          _int_at_least(0), "int", flags=(
+          _int_at_least(0), flag_type=int, flags=(
         ("--broadcast-min-bytes",
          "closure-capture size threshold for one-time broadcast on the "
          "remote backend"),
     )),
-    _Knob("stream_chunk_size", 4096, _int_at_least(1), "int", flags=(
+    _Knob("stream_chunk_size", 4096, _int_at_least(1), flag_type=int, flags=(
         ("--stream-chunk-size", "records per chunk for streaming sources"),
     )),
     # Named --adaptive-plan, with a matching distinct dest, because the
     # selector CLI already owns --adaptive (and the args.adaptive slot)
     # for the greedy algorithm's adaptive partitioning — a shared dest
     # would let either flag silently flip the other's feature.
-    _Knob("adaptive", None, _opt_bool, "opt_bool", dest="adaptive_plan", flags=(
+    _Knob("adaptive", None, _opt_bool, flag_type=bool, dest="adaptive_plan",
+          flags=(
         ("--adaptive-plan",
          "let the cost-model-driven planner choose the engine knobs left "
          "unset (num_shards, executor backend, broadcast_min_bytes, "
@@ -289,9 +267,9 @@ _KNOBS: Tuple[_Knob, ...] = (
          "bit-identical"),
         ("--no-adaptive-plan",
          "disable adaptive planning (overrides an adaptive=true set via "
-         "environment or --engine-options)"),
+         "--engine-options)"),
     )),
-    _Knob("shuffle", None, _opt_choice(_SHUFFLE_MODES), "opt_word", flags=(
+    _Knob("shuffle", None, _opt_choice(_SHUFFLE_MODES), flags=(
         ("--shuffle",
          "shuffle data plane: merge buckets on the driver (the default) "
          "or exchange them worker-to-worker on the remote backend (the "
@@ -303,37 +281,6 @@ _KNOBS: Tuple[_Knob, ...] = (
 
 _KNOB_BY_NAME: Dict[str, _Knob] = {knob.name: knob for knob in _KNOBS}
 
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
-
-def _decode_env(kind: str, raw: str, key: str) -> Any:
-    """Decode one environment variable's text by its knob's ``env`` kind
-    (type and range checks are the coercer's job)."""
-    text = raw.strip()
-    lowered = text.lower()
-    if kind.startswith("opt_") and lowered == "none":
-        return None
-    if kind == "int":
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"{key} must be an integer, got {raw!r}") from None
-    if kind in ("bool", "opt_bool"):
-        if lowered in _TRUE_WORDS:
-            return True
-        if lowered in _FALSE_WORDS:
-            return False
-        raise ValueError(
-            f"{key} must be a boolean (1/0, true/false, yes/no, on/off), "
-            f"got {raw!r}"
-        )
-    if kind == "opt_word":
-        return lowered
-    if kind == "list":
-        return tuple(w for w in text.split(",") if w) or None
-    return text
-
 
 class EngineOptions:
     """Every dataflow-engine knob, validated once, frozen forever.
@@ -342,9 +289,7 @@ class EngineOptions:
     ----------
     executor:
         Backend name from the executor registry (``"sequential"``,
-        ``"thread"``, ``"remote"``, or anything
-        registered via :func:`~repro.dataflow.executor.register_executor`)
-        or an already-built :class:`~repro.dataflow.executor.Executor`
+        ``"thread"``, ``"remote"``) or an already-built :class:`~repro.dataflow.executor.Executor`
         instance.  Instances are shared, never closed by the context that
         receives them.
     num_shards:
@@ -531,23 +476,6 @@ class EngineOptions:
         return cls(**mapping)
 
     @classmethod
-    def from_json(cls, text: str) -> "EngineOptions":
-        """Build options from a JSON object (the ``--engine-options`` blob)."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"engine options JSON must be an object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
-
-    #: Environment knobs: ``REPRO_ENGINE_<NAME>``.  Booleans accept
-    #: 1/0, true/false, yes/no, on/off (case-insensitive); the optional
-    #: knobs additionally accept ``none`` for "engine default"; workers
-    #: is a comma-separated ``host:port`` list; a set-but-empty variable
-    #: counts as unset.
-    ENV_PREFIX = "REPRO_ENGINE_"
-
-    @classmethod
     def _check_known(cls, mapping: Mapping[str, Any], what: str) -> None:
         unknown = sorted(set(mapping) - _KNOB_BY_NAME.keys())
         if unknown:
@@ -557,72 +485,19 @@ class EngineOptions:
             )
 
     @classmethod
-    def _env_overrides(
-        cls, env: Optional[Mapping[str, str]] = None
-    ) -> Dict[str, Any]:
-        """Parse ``REPRO_ENGINE_*`` variables into an overrides dict.
-
-        Set-but-empty variables are skipped (the common way scripts
-        "unset" a knob); unknown ``REPRO_ENGINE_*`` variables are an
-        error — a typoed knob should fail loudly, not silently configure
-        nothing.
-        """
-        if env is None:
-            env = os.environ
-        overrides: Dict[str, Any] = {}
-        for key, raw in env.items():
-            if not key.startswith(cls.ENV_PREFIX):
-                continue
-            knob = _KNOB_BY_NAME.get(key[len(cls.ENV_PREFIX):].lower())
-            if knob is None:
-                raise ValueError(
-                    f"unknown engine environment variable {key!r}; expected "
-                    f"{cls.ENV_PREFIX}{{{', '.join(f.upper() for f in cls._FIELDS)}}}"
-                )
-            if not raw.strip():
-                continue
-            # Coerced here too so a bad value is reported against the
-            # variable that carried it, not the knob it lands on.
-            overrides[knob.name] = knob.coerce(
-                _decode_env(knob.env, raw, key), key
-            )
-        return overrides
-
-    @classmethod
-    def from_env(
-        cls,
-        env: Optional[Mapping[str, str]] = None,
-        *,
-        base: Optional["EngineOptions"] = None,
-    ) -> "EngineOptions":
-        """Build options from ``REPRO_ENGINE_*`` environment variables.
-
-        Unset (or set-but-empty) variables keep ``base``'s value (or the
-        default).
-        """
-        base = base if base is not None else cls()
-        return base.derive(**cls._env_overrides(env))
-
-    @classmethod
-    def from_namespace(
-        cls,
-        args: Any,
-        *,
-        base: Optional["EngineOptions"] = None,
-    ) -> "EngineOptions":
+    def from_namespace(cls, args: Any) -> "EngineOptions":
         """Build options from an argparse namespace populated by
         :func:`add_engine_arguments`.
 
-        Precedence: ``defaults < environment < --engine-options JSON file
-        < explicit flags``.  Flags the user did not pass are ``None`` in
-        the namespace and leave the lower layers untouched.  All layers
-        are merged *before* the single validating construction, so
-        cross-field constraints (e.g. ``workers`` from the environment
-        with ``--executor remote`` on the command line) hold for the
+        Precedence: ``defaults < --engine-options JSON file < explicit
+        flags``.  Flags the user did not pass are ``None`` in the
+        namespace and leave the lower layers untouched.  All layers are
+        merged *before* the single validating construction, so
+        cross-field constraints (e.g. ``checkpoint_salt`` from the file
+        with ``--checkpoint-dir`` on the command line) hold for the
         combination, not per layer.
         """
-        base = base if base is not None else cls()
-        layers = [cls._env_overrides()]
+        overrides: Dict[str, Any] = {}
         blob_path = getattr(args, "engine_options", None)
         if blob_path:
             with open(blob_path) as fh:
@@ -632,18 +507,12 @@ class EngineOptions:
                     f"{blob_path}: engine options JSON must be an object"
                 )
             cls._check_known(blob, blob_path)
-            layers.append(blob)
-        flags = {
-            knob.name: getattr(args, knob.dest or knob.name, None)
-            for knob in _KNOBS
-        }
-        layers.append({k: v for k, v in flags.items() if v is not None})
-        state = base._state()
-        explicit = set(base._explicit)
-        for layer in layers:
-            state.update(layer)
-            explicit.update(layer)
-        return cls._build(state, explicit)
+            overrides.update(blob)
+        for knob in _KNOBS:
+            flag = getattr(args, knob.dest or knob.name, None)
+            if flag is not None:
+                overrides[knob.name] = flag
+        return cls(**overrides)
 
     # -- derivation & serialization ----------------------------------------
 
@@ -669,9 +538,6 @@ class EngineOptions:
             return list(value) if isinstance(value, tuple) else value
 
         return {name: jsonable(v) for name, v in self._state().items()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     # -- resolution helpers ------------------------------------------------
 
@@ -720,13 +586,13 @@ def add_engine_arguments(parser: Any) -> Any:
 
     The flags are the knob table's; all defaults are ``None`` ("not
     passed"), so :meth:`EngineOptions.from_namespace` can layer explicit
-    flags over the environment and an optional ``--engine-options`` JSON
-    file.  Returns the created argument group.
+    flags over an optional ``--engine-options`` JSON file.  Returns the
+    created argument group.
     """
     group = parser.add_argument_group(
         "engine options",
-        "dataflow-engine configuration (defaults < REPRO_ENGINE_* env "
-        "< --engine-options JSON < explicit flags)",
+        "dataflow-engine configuration (defaults < --engine-options JSON "
+        "< explicit flags)",
     )
     group.add_argument(
         "--engine-options", default=None, metavar="FILE",
@@ -736,192 +602,15 @@ def add_engine_arguments(parser: Any) -> Any:
     for knob in _KNOBS:
         common = {"dest": knob.dest or knob.name, "default": None}
         for option, help_text in knob.flags:
-            if knob.env in ("bool", "opt_bool"):
+            if knob.flag_type is bool:
                 negated = option.startswith("--no-")
                 group.add_argument(
                     option, help=help_text, **common,
                     action="store_false" if negated else "store_true",
                 )
             else:
-                choices = knob.choices() if callable(knob.choices) else knob.choices
                 group.add_argument(
-                    option, help=help_text, **common, choices=choices,
-                    type=int if knob.env == "int" else None,
+                    option, help=help_text, **common, choices=knob.choices,
+                    type=knob.flag_type,
                 )
     return group
-
-
-class DataflowContext:
-    """Owns the resolved executor + checkpoint directory for a run.
-
-    ``DataflowContext(options)`` resolves the executor once (spawning the
-    worker cluster for the remote backend); every pipeline built through
-    :meth:`pipeline` shares it.  ``close()`` — or exiting the ``with``
-    block — tears the executor down *iff* the context created it: an
-    :class:`~repro.dataflow.executor.Executor` instance passed in via
-    ``options.executor`` is shared and left running, exactly as pipelines
-    treat passed-in executors.
-
-    The context also aggregates the checkpoint digests every pipeline of
-    the run touched (computed, stored, or resumed), so
-    :meth:`gc_checkpoints` can drop exactly the stale entries.
-    """
-
-    def __init__(self, options: Optional[EngineOptions] = None, **kwargs: Any):
-        if options is None:
-            options = EngineOptions(**kwargs)
-        elif kwargs:
-            options = options.derive(**kwargs)
-        self.planner = None
-        if options.resolve_adaptive():
-            from repro.dataflow.planner import AdaptivePlanner
-
-            self.planner = AdaptivePlanner(
-                history_dir=options.checkpoint_dir
-            )
-            # Context-level decisions happen before the executor is
-            # resolved; the planner only touches knobs the caller left
-            # unset, so explicit configuration always wins.
-            planned: Dict[str, Any] = {}
-            if not options.is_explicit("executor") and not isinstance(
-                options.executor, Executor
-            ):
-                choice = self.planner.choose_executor(options.executor)
-                if choice != options.executor:
-                    planned["executor"] = choice
-            if not options.is_explicit("broadcast_min_bytes"):
-                choice = self.planner.choose_broadcast_min_bytes(
-                    options.broadcast_min_bytes
-                )
-                if choice != options.broadcast_min_bytes:
-                    planned["broadcast_min_bytes"] = choice
-            if planned:
-                options = options.derive(**planned)
-        self.options = options
-        self.executor = resolve_executor(
-            options.executor, **options.executor_factory_options()
-        )
-        self._owns_executor = not isinstance(options.executor, Executor)
-        self.touched_checkpoint_digests: "set[str]" = set()
-        self._dispatch_lock = threading.RLock()
-        self._scoped = False
-        self._closed = False
-
-    def pipeline(self, **overrides: Any):
-        """A :class:`~repro.dataflow.pcollection.Pipeline` wired to this
-        context's executor and options.
-
-        ``overrides`` are per-pipeline :class:`EngineOptions` tweaks
-        (``checkpoint_salt=...`` is the common one — each beam derives its
-        own salt from the data it streams).  The pipeline never owns the
-        executor; closing it leaves the context's executor running.
-
-        ``plan_records`` (not an options knob) is the beam's estimate of
-        the pipeline's input size; with adaptive planning on it lets the
-        planner size ``num_shards`` and cost the optimizer's rewrites —
-        an explicit ``num_shards`` still wins.
-        """
-        from repro.dataflow.pcollection import Pipeline
-
-        if self._closed:
-            raise RuntimeError("DataflowContext closed")
-        plan_records = overrides.pop("plan_records", None)
-        o = self.options.derive(**overrides) if overrides else self.options
-        num_shards = o.num_shards
-        if self.planner is not None and not o.is_explicit("num_shards"):
-            num_shards = self.planner.choose_num_shards(
-                plan_records, base=o.num_shards
-            )
-        return Pipeline(
-            num_shards,
-            spill_to_disk=o.spill_to_disk,
-            executor=self.executor,
-            optimize=o.optimize,
-            stream_chunk_size=o.stream_chunk_size,
-            checkpoint_dir=o.checkpoint_dir,
-            checkpoint_salt=o.checkpoint_salt,
-            touched_digests=self.touched_checkpoint_digests,
-            planner=self.planner,
-            plan_records=plan_records,
-            shuffle=o.shuffle,
-        )
-
-    def scoped(self) -> "DataflowContext":
-        """A per-job view of this warm context for concurrent drives.
-
-        The view shares everything warm — options, executor pool (through
-        a :class:`~repro.dataflow.executor.JobScopedExecutor`, which
-        serializes dispatch across all views and meters only the view's
-        own work), adaptive planner, and the touched-digest set — while
-        giving each concurrent drive isolated executor stats, so per-job
-        reports stay correct when a long-lived service multiplexes
-        tenants onto one context.  Closing a view is a no-op on the
-        shared resources: the base context's executor stays up and the
-        planner's history flushes once, when the *base* closes.
-        """
-        if self._closed:
-            raise RuntimeError("DataflowContext closed")
-        view = object.__new__(DataflowContext)
-        view.options = self.options
-        view.planner = self.planner
-        view.executor = JobScopedExecutor(self.executor, self._dispatch_lock)
-        view._owns_executor = False
-        view.touched_checkpoint_digests = self.touched_checkpoint_digests
-        view._dispatch_lock = self._dispatch_lock
-        view._scoped = True
-        view._closed = False
-        return view
-
-    def gc_checkpoints(self, keep: Iterable[str] = ()) -> int:
-        """Delete checkpoint entries no pipeline of this run touched.
-
-        Returns the number of entries removed.  ``keep`` protects extra
-        digests (e.g. from a sibling run sharing the directory).  A
-        context without a checkpoint directory has nothing to collect.
-        """
-        from repro.dataflow.pcollection import gc_checkpoint_entries
-
-        return gc_checkpoint_entries(
-            self.options.checkpoint_dir,
-            self.touched_checkpoint_digests | set(keep),
-        )
-
-    def close(self) -> None:
-        """Release the executor (only if this context created it).
-
-        With adaptive planning on, first persist the planner's profile
-        history and recalibrated cost-model constants next to the
-        checkpoints so the next drive starts calibrated.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        # Scoped views share the planner; flushing its history from every
-        # concurrent job would race on the files, so only the base flushes.
-        if self.planner is not None and not self._scoped:
-            self.planner.flush()
-        if self._owns_executor:
-            self.executor.close()
-
-    def __enter__(self) -> "DataflowContext":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-def engine_context(
-    options: Optional[EngineOptions],
-    context: Optional[DataflowContext],
-):
-    """The beams' entry contract: yield a usable ``DataflowContext``.
-
-    A passed-in ``context`` is shared (never closed here); otherwise a
-    fresh context is built from ``options`` (or pure defaults) and closed
-    when the beam finishes.
-    """
-    if context is not None:
-        if options is not None:
-            raise TypeError("pass either options= or context=, not both")
-        return contextlib.nullcontext(context)
-    return DataflowContext(options if options is not None else EngineOptions())

@@ -108,7 +108,7 @@ def predicted_vs_actual(
 class AdaptivePlanner:
     """Chooses engine knobs by querying the (calibrated) cost model.
 
-    One planner serves one :class:`~repro.dataflow.options.DataflowContext`
+    One planner serves one :class:`~repro.dataflow.context.DataflowContext`
     — it loads any persisted history/constants from ``history_dir`` (the
     context's checkpoint directory) at construction, calibrates, collects
     this drive's profiles via :meth:`record_profile`, and persists the

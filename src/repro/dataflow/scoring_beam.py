@@ -14,7 +14,7 @@ solution, so nothing moves; an asymmetric graph would need its edge table
 re-keyed by neighbor id first.
 
 Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
-(``options=``) or a shared :class:`~repro.dataflow.options.DataflowContext`
+(``options=``) or a shared :class:`~repro.dataflow.context.DataflowContext`
 (``context=``).  This beam streams its graph/utility/solution generators
 by default (``options.stream_source=None``).
 """
@@ -28,11 +28,8 @@ import numpy as np
 from repro.core.distributed import fingerprint, problem_fingerprint
 from repro.core.problem import SubsetProblem
 from repro.dataflow.metrics import PipelineMetrics
-from repro.dataflow.options import (
-    DataflowContext,
-    EngineOptions,
-    engine_context,
-)
+from repro.dataflow.context import DataflowContext, engine_context
+from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import PCollection, PTransform
 from repro.dataflow.transforms import cogroup, sum_globally
 

@@ -32,11 +32,8 @@ from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.pcollection import Fold, PCollection, PTransform
-from repro.dataflow.options import (
-    DataflowContext,
-    EngineOptions,
-    engine_context,
-)
+from repro.dataflow.context import DataflowContext, engine_context
+from repro.dataflow.options import EngineOptions
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_cardinality
 

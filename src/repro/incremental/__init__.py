@@ -12,12 +12,14 @@ from repro.incremental.delta import (
     invalidation_summary,
     shard_bounds,
     synthetic_deltas,
+    synthetic_version,
 )
 from repro.incremental.driver import (
     IncrementalDriver,
     IncrementalResult,
     WindowResult,
     WindowSpec,
+    drive_synthetic_version,
 )
 from repro.utils.cancel import CancelToken, DriveCancelled
 
@@ -31,7 +33,9 @@ __all__ = [
     "IncrementalResult",
     "WindowResult",
     "WindowSpec",
+    "drive_synthetic_version",
     "invalidation_summary",
     "shard_bounds",
     "synthetic_deltas",
+    "synthetic_version",
 ]

@@ -323,6 +323,17 @@ def synthetic_deltas(
     return log
 
 
+def synthetic_version(
+    utilities: np.ndarray, steps: int, *, seed: SeedLike, frac: float = 0.1
+) -> Tuple[DatasetVersion, DeltaLog]:
+    """``(version, log)`` of a synthetic delta family: the base version
+    over ``utilities`` advanced by ``steps`` :func:`synthetic_deltas`
+    steps (step ``i`` carries timestamp ``i``; ``steps=0`` is the base)."""
+    base = DatasetVersion.initial(utilities)
+    log = synthetic_deltas(base, seed=seed, steps=steps, frac=frac)
+    return base.apply_all(log), log
+
+
 def invalidation_summary(
     before: DatasetVersion,
     after: DatasetVersion,

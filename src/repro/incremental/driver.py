@@ -44,10 +44,16 @@ import numpy as np
 from repro.core.greedy import greedy_heap
 from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
-from repro.dataflow.options import DataflowContext
+from repro.dataflow.context import DataflowContext
 from repro.dataflow.transforms import flatten
-from repro.incremental.delta import DatasetVersion, Delta, DeltaLog
+from repro.incremental.delta import (
+    DatasetVersion,
+    Delta,
+    DeltaLog,
+    synthetic_version,
+)
 from repro.utils.cancel import CancelToken
+from repro.utils.rng import SeedLike
 
 #: Flipped by the test harness's ``--incremental`` flag: every drive then
 #: cross-checks the fingerprint-predicted reuse against the checkpoint
@@ -462,3 +468,27 @@ class IncrementalDriver:
                 break
             index += 1
         return results
+
+
+def drive_synthetic_version(
+    problem: SubsetProblem, k: int, steps: int, *,
+    context: DataflowContext, seed: SeedLike, data_shards: int = 8,
+    delta_frac: float = 0.1, cancel: Optional[CancelToken] = None,
+) -> IncrementalResult:
+    """Drive version ``steps`` of a synthetic delta family on ``context``
+    — what ``repro select --incremental --dataset-version N`` and an
+    ``incremental: true`` service job both run.  ``delta_records``
+    attributes only the deltas beyond the last drive recorded in the
+    context's checkpoint directory."""
+    version, log = synthetic_version(
+        problem.utilities, steps, seed=seed, frac=delta_frac
+    )
+    driver = IncrementalDriver(
+        problem, k, context=context, data_shards=data_shards
+    )
+    previous = driver.last_version()
+    if previous is None:
+        deltas = list(log)
+    else:
+        deltas = log.between(float(previous), float(steps))
+    return driver.drive(version, deltas=deltas, cancel=cancel)

@@ -15,9 +15,9 @@ across submissions:
 :mod:`repro.service.server`
     The service itself — a FIFO-with-priorities queue drained by a
     bounded pool of driver threads, each drive multiplexed onto a shared
-    warm :class:`~repro.dataflow.options.DataflowContext` (one per
+    warm :class:`~repro.dataflow.context.DataflowContext` (one per
     distinct :class:`~repro.dataflow.options.EngineOptions` profile)
-    through per-job :meth:`~repro.dataflow.options.DataflowContext.
+    through per-job :meth:`~repro.dataflow.context.DataflowContext.
     scoped` views; digest-matched resubmissions answered from the store
     without recompute; admission control, per-job timeouts and
     cancellation; and a threaded HTTP front end with a metrics endpoint.

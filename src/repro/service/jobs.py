@@ -34,6 +34,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.core.pipeline import SelectorConfig
 from repro.dataflow.options import EngineOptions
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "JobStore",
     "family_digest",
     "plan_digest",
+    "selector_config",
 ]
 
 #: Job lifecycle states.  ``queued → running → done`` is the happy path;
@@ -64,9 +66,10 @@ _DATASET_DEFAULTS: Dict[str, Any] = {
     "version": 0,
 }
 
-#: Selector-spec fields and their defaults (``k`` is required).  These
-#: mirror ``SelectorConfig`` / the ``repro select`` flags; ``seed`` is
-#: the selection seed, distinct from the dataset seed.
+#: Selector-spec fields and their defaults (``k`` is required): the
+#: ``SelectorConfig`` knobs (built and validated by
+#: :func:`selector_config`) plus ``seed`` — the selection seed, distinct
+#: from the dataset seed — and ``incremental``.
 _SELECTOR_DEFAULTS: Dict[str, Any] = {
     "bounding": None,
     "sampler": "uniform",
@@ -82,6 +85,24 @@ _SELECTOR_DEFAULTS: Dict[str, Any] = {
     #: family and reports ``reused_shards``/``invalidated_shards``.
     "incremental": False,
 }
+
+
+def selector_config(
+    selector: Dict[str, Any], options: EngineOptions = EngineOptions(),
+    *, checkpoint_gc: bool = False,
+) -> SelectorConfig:
+    """The :class:`~repro.core.pipeline.SelectorConfig` a ``selector``
+    section describes — the one constructor ``repro select`` and the
+    service's drive both call, so ``SelectorConfig.__post_init__`` is the
+    only validator of these knobs."""
+    knobs = {
+        f.name: selector[f.name]
+        for f in dataclasses.fields(SelectorConfig)
+        if f.name in _SELECTOR_DEFAULTS
+    }
+    return SelectorConfig(
+        **knobs, options=options, checkpoint_gc=checkpoint_gc
+    )
 
 
 def _normalize_section(
@@ -140,11 +161,8 @@ class JobSpec:
             raise ValueError(
                 f"selector.k must be >= 1, got {self.selector['k']}"
             )
-        if self.selector["engine"] not in ("memory", "dataflow"):
-            raise ValueError(
-                "selector.engine must be 'memory' or 'dataflow', got "
-                f"{self.selector['engine']!r}"
-            )
+        # A bad knob fails here (HTTP 400), not in a drive thread.
+        selector_config(self.selector)
         self.dataset["version"] = int(self.dataset["version"])
         if self.dataset["version"] < 0:
             raise ValueError(

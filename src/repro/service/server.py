@@ -10,11 +10,11 @@ Job queue
     (``max_running``) drains the queue.
 
 Warm contexts
-    Each drive runs on a shared :class:`~repro.dataflow.options.
+    Each drive runs on a shared :class:`~repro.dataflow.context.
     DataflowContext` — one per distinct
     :class:`~repro.dataflow.options.EngineOptions` profile, created on
     first use and kept warm — through a per-job
-    :meth:`~repro.dataflow.options.DataflowContext.scoped` view, so
+    :meth:`~repro.dataflow.context.DataflowContext.scoped` view, so
     concurrent tenants share one executor pool and broadcast/blob cache
     while each job's ``executor_stats`` stay isolated.  Datasets are
     cached by their (preset, size, seed, alpha) identity, so repeat
@@ -84,9 +84,17 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.dataflow.options import DataflowContext, EngineOptions
+from repro.core.pipeline import DistributedSelector
+from repro.dataflow.context import DataflowContext
+from repro.dataflow.options import EngineOptions
 from repro.service.client import AdmissionError, ServiceError
-from repro.service.jobs import JobRecord, JobSpec, JobStore, family_digest
+from repro.service.jobs import (
+    JobRecord,
+    JobSpec,
+    JobStore,
+    family_digest,
+    selector_config,
+)
 from repro.utils.cancel import CancelToken, DriveCancelled
 
 __all__ = ["SelectorService", "ServiceConfig", "serve", "start_http_server"]
@@ -498,9 +506,6 @@ class SelectorService:
     def _execute(
         self, record: JobRecord, cancel: Optional[CancelToken] = None
     ) -> Dict[str, Any]:
-        # Imported here so importing the service package (e.g. for the
-        # client) stays cheap; these pull in NumPy and the whole engine.
-        from repro.core.pipeline import DistributedSelector, SelectorConfig
         from repro.io import report_to_dict
 
         spec = record.spec
@@ -509,18 +514,7 @@ class SelectorService:
             return self._execute_incremental(record, cancel=cancel)
         problem, _ = self._problem(spec.dataset)
         options = spec.resolve_options()
-        config = SelectorConfig(
-            bounding=sel["bounding"],
-            sampler=sel["sampler"],
-            sampling_fraction=sel["sampling_fraction"],
-            machines=sel["machines"],
-            rounds=sel["rounds"],
-            adaptive=sel["adaptive"],
-            gamma=sel["gamma"],
-            engine=sel["engine"],
-            options=options,
-        )
-        selector = DistributedSelector(problem, config)
+        selector = DistributedSelector(problem, selector_config(sel, options))
         if sel["engine"] == "dataflow":
             view = self._warm_context(options).scoped()
             try:
@@ -542,55 +536,33 @@ class SelectorService:
     def _execute_incremental(
         self, record: JobRecord, cancel: Optional[CancelToken] = None
     ) -> Dict[str, Any]:
-        """Drive an ``incremental: true`` job through the delta runtime.
-
-        ``dataset.version`` picks the dataset version: version ``v`` is
-        the base ground set advanced by ``v`` synthetic delta steps
-        (deterministic in the dataset seed).  All versions of one job
-        *family* (the spec minus the version) share a checkpoint
-        directory under the service state dir, so resubmitting with the
-        version advanced re-executes only the delta cone and the payload
-        reports how much was reused.
+        """Drive an ``incremental: true`` job through the delta runtime
+        (:func:`repro.incremental.drive_synthetic_version`, as ``select
+        --incremental`` does).  All versions of one job *family* (the spec
+        minus ``dataset.version``) share a checkpoint directory under the
+        state dir, so an advanced version re-executes only the delta cone
+        and the payload reports how much was reused.
         """
-        from repro.incremental import (
-            DatasetVersion,
-            IncrementalDriver,
-            synthetic_deltas,
-        )
+        from repro.incremental import drive_synthetic_version
 
         spec = record.spec
-        sel = spec.selector
         dataset = spec.dataset
         base = {k: v for k, v in dataset.items() if k != "version"}
         problem, _ = self._problem(base)
-        version = DatasetVersion.initial(problem.utilities)
-        steps = dataset["version"]
-        log = None
-        if steps > 0:
-            log = synthetic_deltas(
-                version, seed=dataset["seed"], steps=steps, frac=0.1
-            )
-            version = version.apply_all(log)
         checkpoint_dir = os.path.join(
             self.config.state_dir, "incremental", family_digest(spec)
         )
         options = spec.resolve_options(checkpoint_dir=checkpoint_dir)
         view = self._warm_context(options).scoped()
         try:
-            driver = IncrementalDriver(
-                problem, sel["k"], context=view, data_shards=8
+            result = drive_synthetic_version(
+                problem,
+                spec.selector["k"],
+                dataset["version"],
+                context=view,
+                seed=dataset["seed"],
+                cancel=cancel,
             )
-            # Attribute the deltas applied since the family's last drive
-            # (synthetic step i carries timestamp i) to the metrics.
-            previous = driver.last_version()
-            deltas = (
-                log.between(float(previous), float(steps))
-                if log is not None and previous is not None
-                else list(log)
-                if log is not None
-                else None
-            )
-            result = driver.drive(version, deltas=deltas, cancel=cancel)
             stats = view.executor.stats()
         finally:
             view.close()

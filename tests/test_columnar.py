@@ -54,7 +54,6 @@ from repro.dataflow.executor import (
 )
 from repro.dataflow import library
 from repro.dataflow.library import (
-    TopKPerKey,
     edge_hash01,
     edge_hash01_column,
     partition_of,
@@ -855,19 +854,6 @@ class TestBatchVsRowDeclaration:
             return keyed.combine_per_key(list, add, merge, batch=declared)
 
         self._both(build)
-
-    def test_top_k_per_key_batch_fold(self, monkeypatch):
-        pairs = [(i % 4, (i % 11, float((i * 37) % 23))) for i in range(400)]
-
-        def top(pipeline):
-            return _shards(pipeline.create_keyed(pairs) | TopKPerKey(3))
-
-        with_batch = top(Pipeline(num_shards=4))
-        monkeypatch.setattr(
-            library, "Fold",
-            lambda *args, batch=None, **kwargs: Fold(*args, **kwargs),
-        )
-        assert top(Pipeline(num_shards=4)) == with_batch
 
 
 class TestLibraryBeamsBatchVsRow:

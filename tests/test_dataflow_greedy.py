@@ -95,7 +95,7 @@ class TestFillsBudget:
     @staticmethod
     def _select(problem, options, seeds):
         from repro.core.pipeline import DistributedSelector, SelectorConfig
-        from repro.dataflow.options import DataflowContext
+        from repro.dataflow.context import DataflowContext
 
         # 20 machines x target 2 = k exactly, over ~100 last-round inputs:
         # any partition that draws fewer than 2 ids under-fills the round,

@@ -38,7 +38,8 @@ import pytest
 
 from repro.dataflow.columnar import BatchDoFn, ColumnarShard, as_records
 from repro.dataflow.executor import ThreadExecutor
-from repro.dataflow.options import DataflowContext, EngineOptions
+from repro.dataflow.context import DataflowContext
+from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import Fold, Pipeline
 from repro.dataflow.remote import LocalCluster, RemoteExecutor
 from repro.dataflow.transforms import cogroup, flatten

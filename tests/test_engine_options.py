@@ -4,7 +4,8 @@ composite transforms, checkpoint GC, and the knob-table contract.
 Covers the API-redesign contract end to end:
 
 - ``EngineOptions`` round-trips between every construction surface
-  (kwargs ↔ dict/JSON ↔ ``REPRO_ENGINE_*`` environment ↔ argparse), with
+  (kwargs ↔ dict ↔ argparse, with an ``--engine-options`` JSON file
+  under the flags), with
   all validation — registry-backed executor names, ``host:port`` worker
   addresses with port-range checks, checkpoint settings — at
   construction time;
@@ -36,12 +37,12 @@ from repro.dataflow import (
     Pipeline,
     SequentialExecutor,
     ShardedKnn,
-    TopKPerKey,
     beam_bound,
     beam_knn_graph,
 )
 from repro.dataflow.bounding_beam import BeamBoundingDriver
 from repro.dataflow.library import BoundingFilter
+from repro.dataflow.pcollection import PTransform
 from repro.dataflow.options import (
     _KNOBS,
     add_engine_arguments,
@@ -144,42 +145,7 @@ class TestEngineOptionsRoundTrips:
         with pytest.raises(ValueError, match="unknown engine option"):
             EngineOptions.from_dict({"shards": 4})
 
-    def test_json_round_trip(self):
-        assert EngineOptions.from_json(self.OPTIONS.to_json()) == self.OPTIONS
-        with pytest.raises(ValueError, match="object"):
-            EngineOptions.from_json("[1, 2]")
-
-    def test_env_round_trip(self):
-        env = {
-            "REPRO_ENGINE_EXECUTOR": "remote",
-            "REPRO_ENGINE_NUM_SHARDS": "16",
-            "REPRO_ENGINE_SPILL_TO_DISK": "yes",
-            "REPRO_ENGINE_OPTIMIZE": "false",
-            "REPRO_ENGINE_STREAM_SOURCE": "1",
-            "REPRO_ENGINE_WORKERS": "10.0.0.1:7077,10.0.0.2:7078",
-            "REPRO_ENGINE_CHECKPOINT_DIR": "ckpt",
-            "REPRO_ENGINE_CHECKPOINT_SALT": "v1",
-            "REPRO_ENGINE_BROADCAST_MIN_BYTES": "1024",
-            "REPRO_ENGINE_STREAM_CHUNK_SIZE": "512",
-            "UNRELATED": "ignored",
-        }
-        assert EngineOptions.from_env(env) == self.OPTIONS
-
-    def test_env_rejects_unknown_and_bad_values(self):
-        with pytest.raises(ValueError, match="REPRO_ENGINE_SHARDS"):
-            EngineOptions.from_env({"REPRO_ENGINE_SHARDS": "4"})
-        with pytest.raises(ValueError, match="boolean"):
-            EngineOptions.from_env({"REPRO_ENGINE_SPILL_TO_DISK": "maybe"})
-        with pytest.raises(ValueError, match="integer"):
-            EngineOptions.from_env({"REPRO_ENGINE_NUM_SHARDS": "many"})
-
-    def test_env_optional_bool_none(self):
-        o = EngineOptions.from_env({"REPRO_ENGINE_OPTIMIZE": "none"})
-        assert o.optimize is None
-
     def test_argparse_round_trip(self):
-        import argparse
-
         parser = argparse.ArgumentParser()
         add_engine_arguments(parser)
         args = parser.parse_args([
@@ -193,12 +159,10 @@ class TestEngineOptionsRoundTrips:
         # --checkpoint-salt is not a CLI flag; everything else matches.
         assert got == self.OPTIONS.derive(checkpoint_salt=None)
 
-    def test_namespace_precedence_env_json_flags(self, tmp_path, monkeypatch):
-        """defaults < environment < --engine-options JSON < explicit flags."""
-        import argparse
-
+    def test_namespace_precedence_json_flags(self, tmp_path, monkeypatch):
+        """defaults < --engine-options JSON < explicit flags — and no
+        environment rung under them."""
         monkeypatch.setenv("REPRO_ENGINE_NUM_SHARDS", "2")
-        monkeypatch.setenv("REPRO_ENGINE_SPILL_TO_DISK", "1")
         blob = tmp_path / "options.json"
         blob.write_text(json.dumps({"num_shards": 4, "executor": "thread"}))
         parser = argparse.ArgumentParser()
@@ -206,7 +170,8 @@ class TestEngineOptionsRoundTrips:
 
         args = parser.parse_args(["--engine-options", str(blob)])
         o = EngineOptions.from_namespace(args)
-        assert (o.num_shards, o.executor, o.spill_to_disk) == (4, "thread", True)
+        assert (o.num_shards, o.executor) == (4, "thread")
+        assert o.is_explicit("num_shards") and not o.is_explicit("optimize")
 
         args = parser.parse_args(
             ["--engine-options", str(blob), "--num-shards", "6"]
@@ -214,52 +179,39 @@ class TestEngineOptionsRoundTrips:
         assert EngineOptions.from_namespace(args).num_shards == 6
 
         args = parser.parse_args([])
-        assert EngineOptions.from_namespace(args).num_shards == 2
+        assert EngineOptions.from_namespace(args) == EngineOptions()
+        assert not hasattr(EngineOptions, "from_env")
 
-    def test_namespace_cross_layer_constraints(self, tmp_path, monkeypatch):
+    def test_namespace_cross_layer_constraints(self, tmp_path):
         """Cross-field validation runs on the merged layers, not per
-        layer: workers from the environment plus --executor remote from
-        the command line is a valid combination."""
-        import argparse
-
-        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "10.0.0.1:7077")
-        parser = argparse.ArgumentParser()
-        add_engine_arguments(parser)
-        args = parser.parse_args(["--executor", "remote"])
-        o = EngineOptions.from_namespace(args)
-        assert (o.executor, o.workers) == ("remote", ("10.0.0.1:7077",))
-        # checkpoint_salt from a JSON file + --checkpoint-dir flag, too.
-        monkeypatch.delenv("REPRO_ENGINE_WORKERS")
+        layer: checkpoint_salt from the JSON file plus --checkpoint-dir
+        from the command line is a valid combination."""
         blob = tmp_path / "options.json"
         blob.write_text(json.dumps({"checkpoint_salt": "v1"}))
+        parser = argparse.ArgumentParser()
+        add_engine_arguments(parser)
         args = parser.parse_args(
             ["--engine-options", str(blob), "--checkpoint-dir", "ckpt"]
         )
         o = EngineOptions.from_namespace(args)
         assert (o.checkpoint_dir, o.checkpoint_salt) == ("ckpt", "v1")
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            EngineOptions.from_namespace(
+                parser.parse_args(["--engine-options", str(blob)])
+            )
 
-    def test_boolean_flags_override_lower_layers_both_ways(self, monkeypatch):
-        """--no-spill-to-disk / --optimize can undo env/JSON settings, so
-        the documented precedence holds in both directions."""
-        import argparse
-
-        monkeypatch.setenv("REPRO_ENGINE_SPILL_TO_DISK", "1")
-        monkeypatch.setenv("REPRO_ENGINE_OPTIMIZE", "0")
+    def test_boolean_flags_override_the_file_both_ways(self, tmp_path):
+        """--no-spill-to-disk / --optimize can undo --engine-options
+        settings, so the documented precedence holds in both directions."""
+        blob = tmp_path / "options.json"
+        blob.write_text(json.dumps({"spill_to_disk": True, "optimize": False}))
         parser = argparse.ArgumentParser()
         add_engine_arguments(parser)
-        args = parser.parse_args(["--no-spill-to-disk", "--optimize"])
+        args = parser.parse_args([
+            "--engine-options", str(blob), "--no-spill-to-disk", "--optimize",
+        ])
         o = EngineOptions.from_namespace(args)
         assert (o.spill_to_disk, o.optimize) == (False, True)
-
-    def test_env_empty_value_is_unset(self, monkeypatch):
-        """A set-but-empty variable (how scripts 'unset' knobs) keeps the
-        default instead of crashing validation."""
-        o = EngineOptions.from_env({
-            "REPRO_ENGINE_EXECUTOR": "",
-            "REPRO_ENGINE_NUM_SHARDS": " ",
-            "REPRO_ENGINE_OPTIMIZE": "",
-        })
-        assert o == EngineOptions()
 
 
 class TestDataflowContext:
@@ -548,67 +500,35 @@ class TestCompositeGroups:
             pipeline.close()
 
     def test_or_sugar(self):
+        class Largest(PTransform):
+            def expand(self, pairs):
+                return pairs.group_by_key().map_values(max)
+
         pipeline = Pipeline(num_shards=2)
         try:
-            pairs = pipeline.create_keyed(
-                [(i % 2, (i, float(i))) for i in range(10)]
-            )
-            best = pairs | TopKPerKey(2)
+            pairs = pipeline.create_keyed([(i % 2, i) for i in range(10)])
+            best = pairs | Largest()
+            plan = best.explain()
             out = dict(best.to_list())
         finally:
             pipeline.close()
-        assert out[0] == [(8, 8.0), (6, 6.0)]
-        assert out[1] == [(9, 9.0), (7, 7.0)]
-
-
-class TestTopKPerKey:
-    def test_matches_brute_force_and_lifts(self):
-        rng = np.random.default_rng(0)
-        pairs = [
-            (int(rng.integers(5)), (int(rng.integers(40)), float(rng.integers(100))))
-            for _ in range(300)
-        ]
-        expected = {}
-        for key, (item, score) in pairs:
-            best = expected.setdefault(key, {})
-            if item not in best or score > best[item]:
-                best[item] = score
-        expected = {
-            key: sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
-            for key, best in expected.items()
-        }
-        for optimize in (True, False):
-            pipeline = Pipeline(num_shards=4, optimize=optimize)
-            try:
-                got = dict(
-                    pipeline.create_keyed(pairs).apply(TopKPerKey(3)).to_list()
-                )
-                lifted = pipeline.metrics.lifted_combiners
-            finally:
-                pipeline.close()
-            assert got == expected, optimize
-            assert lifted == (1 if optimize else 0)
-
-    def test_k_validated(self):
-        with pytest.raises(ValueError):
-            TopKPerKey(0)
+        assert out == {0: 8, 1: 9}
+        assert "[composite 'Largest']" in plan
 
 
 def _sample(knob):
-    """A legal non-default ``(value, environment text)`` for ``knob``,
-    chosen by its declared kind — a new table entry needs no new case."""
-    if knob.env == "int":
+    """A legal non-default ``(value, command-line text)`` for ``knob``,
+    chosen from its table entry — a new entry needs no new case."""
+    if knob.flag_type is int:
         return knob.default + 1, str(knob.default + 1)
-    if knob.env == "bool":
-        return (not knob.default), "no" if knob.default else "yes"
-    if knob.env == "opt_bool":
-        return True, "true"
-    if knob.env == "opt_word":
-        return knob.choices[0], knob.choices[0]
-    if knob.env == "list":
+    if knob.flag_type is bool:
+        return (not knob.default), None
+    if knob.choices:
+        word = "thread" if knob.name == "executor" else knob.choices[0]
+        return word, word
+    if knob.name == "workers":
         return ("h:1", "g:2"), "h:1,g:2"
-    assert knob.env == "text"
-    word = "thread" if knob.name == "executor" else f"{knob.name}-value"
+    word = f"{knob.name}-value"
     return word, word
 
 
@@ -621,14 +541,8 @@ _COMPANIONS = {
 
 class TestKnobTableContract:
     """One entry of the field table is all a knob is: each one must show
-    up — exactly once — as a flag family, an environment variable, a
-    dict/JSON key, and survive derive()/pickle with its provenance."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        for key in list(os.environ):
-            if key.startswith(EngineOptions.ENV_PREFIX):
-                monkeypatch.delenv(key)
+    up — exactly once — as a flag family and a dict key, and survive
+    derive()/pickle with its provenance."""
 
     def test_exact_knob_set(self):
         """The configuration space, pinned: a knob added or removed is a
@@ -653,10 +567,6 @@ class TestKnobTableContract:
             Pipeline(**{removed: True})
         with pytest.raises(ValueError, match=f"unknown.*{removed}"):
             EngineOptions.from_dict({removed: True})
-        with pytest.raises(ValueError, match=f"unknown.*{removed}"):
-            EngineOptions.from_json(json.dumps({removed: False}))
-        with pytest.raises(ValueError, match=f"unknown.*{removed.upper()}"):
-            EngineOptions.from_env({f"REPRO_ENGINE_{removed.upper()}": "1"})
         with pytest.raises(ValueError, match=f"unknown.*{removed}"):
             EngineOptions().derive(**{removed: True})
         parser = argparse.ArgumentParser()
@@ -692,18 +602,11 @@ class TestKnobTableContract:
             assert candidate.is_explicit(knob.name)
             assert not candidate.is_explicit(untouched)
 
-        # dict / JSON
+        # dict, as a JSON body or file spells it
         assert EngineOptions.from_dict(options.to_dict()) == options
-        pinned(EngineOptions.from_json(json.dumps(
+        pinned(EngineOptions.from_dict(json.loads(json.dumps(
             {knob.name: options.to_dict()[knob.name], **companions}
-        )))
-        # environment: exactly REPRO_ENGINE_<NAME>
-        env = {f"REPRO_ENGINE_{knob.name.upper()}": text}
-        env.update(
-            (f"REPRO_ENGINE_{name.upper()}", word)
-            for name, word in companions.items()
-        )
-        pinned(EngineOptions.from_env(env))
+        ))))
         # command line (knobs that have flags)
         if knob.flags:
             parser = argparse.ArgumentParser()
@@ -712,7 +615,7 @@ class TestKnobTableContract:
                 option for option, _ in knob.flags
                 if not option.startswith("--no-")
             )
-            argv = [positive] if knob.env.endswith("bool") else [positive, text]
+            argv = [positive] if knob.flag_type is bool else [positive, text]
             for name, word in companions.items():
                 argv += [f"--{name.replace('_', '-')}", word]
             pinned(EngineOptions.from_namespace(parser.parse_args(argv)))
@@ -740,7 +643,7 @@ class TestKnobTableContract:
         """Satellite bugfix: ``bool("false")`` / ``int(2.7)`` /
         ``int(True)`` used to turn these into *different* settings."""
         with pytest.raises(ValueError, match=knob):
-            EngineOptions.from_json(blob)
+            EngineOptions.from_dict(json.loads(blob))
 
     def test_numpy_integers_still_accepted(self):
         options = EngineOptions(num_shards=np.int64(4))

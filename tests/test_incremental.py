@@ -29,7 +29,8 @@ import pytest
 
 from repro.core.greedy import greedy_heap
 from repro.dataflow.executor import ThreadExecutor
-from repro.dataflow.options import DataflowContext, EngineOptions
+from repro.dataflow.context import DataflowContext
+from repro.dataflow.options import EngineOptions
 from repro.dataflow.remote import LocalCluster, RemoteExecutor
 from repro.incremental import (
     CancelToken,
@@ -629,6 +630,50 @@ def test_service_incremental_jobs_reuse_across_versions(service):
     assert inc["delta_records"] > 0
     # Different versions are different digests: no dedup between them.
     assert r0.digest != r1.digest
+
+
+def test_cli_and_service_incremental_drives_share_one_function(
+    service, tmp_path, capsys, monkeypatch
+):
+    """``select --incremental --dataset-version N`` and an ``incremental:
+    true`` job at ``version: N`` are the same drive — one function — so
+    the selection and the reuse accounting agree, cold and warm."""
+    import re
+
+    import repro.incremental
+    from repro.cli import main
+
+    calls = []
+    shared = repro.incremental.drive_synthetic_version
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["context"])
+        return shared(*args, **kwargs)
+
+    monkeypatch.setattr(repro.incremental, "drive_synthetic_version", spy)
+    out = str(tmp_path / "ids.npy")
+    argv = [
+        "select", "--preset", "cifar100_tiny", "--n-points", "300",
+        "--seed", "7", "--k", "12", "--incremental",
+        "--executor", "sequential", "--num-shards", "4",
+        "--checkpoint-dir", str(tmp_path / "cli-ckpt"), "--out", out,
+    ]
+    for version in (0, 1):
+        assert main(argv + ["--dataset-version", str(version)]) == 0
+        reuse = re.search(
+            r"reuse: (\d+) shards reused, (\d+) invalidated",
+            capsys.readouterr().out,
+        )
+        record = service.submit(_incremental_spec(version))
+        assert _wait(service, record.job_id).state == "done"
+        report = service.result(record.job_id)["report"]
+        assert report["selected"] == np.load(out).tolist()
+        assert report["incremental"]["reused_shards"] == int(reuse.group(1))
+        assert report["incremental"]["invalidated_shards"] == int(
+            reuse.group(2)
+        )
+    assert report["incremental"]["reused_shards"] > 0
+    assert len(calls) == 4
 
 
 def test_service_incremental_requires_dataflow():

@@ -197,3 +197,71 @@ class TestCLI:
         np.save(emb, ds.embeddings[:100])
         code = main(["select", "--embeddings", emb, "--k", "5", "--knn-k", "3"])
         assert code == 0
+
+
+def _flag_block(parser, options=None):
+    """``{option strings: (dest, default, type, required, choices, action)}``
+    of a parser's own flags (``options`` restricts to a few of them)."""
+    return {
+        tuple(action.option_strings): (
+            action.dest, action.default, action.type, action.required,
+            tuple(action.choices) if action.choices else None,
+            type(action).__name__,
+        )
+        for action in parser._actions
+        if action.option_strings and action.dest != "help"
+        and (options is None or set(action.option_strings) & set(options))
+    }
+
+
+class TestOneDoorPerFlagFamily:
+    """Each flag family has one declaration that every command attaches."""
+
+    @pytest.fixture(scope="class")
+    def commands(self):
+        from repro.cli import build_parser
+
+        (subparsers,) = build_parser()._subparsers._group_actions
+        return subparsers.choices
+
+    def test_both_service_spellings_take_the_same_flags(self, commands):
+        """``python -m repro.service`` and ``repro serve``: same option
+        strings, dests, defaults and types — compared action by action."""
+        from repro.service.__main__ import build_parser as service_parser
+
+        standalone = _flag_block(service_parser())
+        assert standalone == _flag_block(commands["serve"])
+        assert ("--result-max-age",) in standalone
+        assert ("--result-max-bytes",) in standalone
+
+    def test_select_and_submit_share_the_selector_block(self, commands):
+        knobs = ["--bounding", "--sampler", "--sampling-fraction",
+                 "--machines", "--rounds", "--adaptive", "--gamma",
+                 "--engine", "--incremental", "--dataset-version"]
+        select = _flag_block(commands["select"], knobs)
+        submit = _flag_block(commands["submit"], knobs)
+        assert len(select) == len(knobs)
+        # The engine default is the one per-command difference.
+        assert select.pop(("--engine",))[1] == "memory"
+        assert submit.pop(("--engine",))[1] == "dataflow"
+        assert select == submit
+        # Defaults are SelectorConfig's own.
+        defaults = SelectorConfig()
+        assert select[("--gamma",)][1] == defaults.gamma
+        assert select[("--machines",)][1] == defaults.machines
+
+    def test_select_and_watch_share_the_delta_block(self, commands):
+        knobs = ["--data-shards", "--delta-frac"]
+        select = _flag_block(commands["select"], knobs)
+        assert len(select) == 2
+        assert select == _flag_block(commands["watch"], knobs)
+
+    def test_invalid_selector_flags_fail_in_selector_config(self):
+        """Flags argparse cannot range-check land in the one validator."""
+        with pytest.raises(ValueError, match="sampling_fraction"):
+            main(["select", "--preset", "cifar100_tiny", "--n-points", "100",
+                  "--k", "5", "--bounding", "approximate",
+                  "--sampling-fraction", "7"])
+        with pytest.raises(ValueError, match="machines"):
+            main(["select", "--preset", "cifar100_tiny", "--n-points", "100",
+                  "--k", "5", "--machines", "0"])

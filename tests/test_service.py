@@ -60,6 +60,23 @@ def _spec_dict(sel_seed=0, tenant="default", **overrides):
     return spec
 
 
+#: Selector knobs no algorithm accepts.  Each must be rejected by the one
+#: validator — ``SelectorConfig.__post_init__`` — wherever it arrives from.
+_BAD_SELECTOR_KNOBS = [
+    {"bounding": "bogus"},
+    {"sampler": "nope"},
+    {"sampler": "nope", "bounding": "exact"},
+    {"sampling_fraction": 7},
+    {"sampling_fraction": 0},
+    {"sampling_fraction": "0.3"},
+    {"machines": 0},
+    {"machines": 2.5},
+    {"rounds": -1},
+    {"gamma": -1.0},
+    {"gamma": 0},
+]
+
+
 def _solo_select(sel_seed=0, engine_options=None):
     """The one-shot reference: same config path as the service's
     ``_execute``, but a fresh private context per call."""
@@ -168,6 +185,17 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="engine"):
             JobSpec(dataset={"preset": "cifar100_tiny"},
                     selector={"k": 5, "engine": "quantum"})
+
+    @pytest.mark.parametrize("knobs", _BAD_SELECTOR_KNOBS, ids=str)
+    def test_bad_selector_knobs_fail_at_construction(self, knobs):
+        """Satellite bugfix: these used to be accepted at submit and die
+        in a drive thread — or, on the dataflow engine, run to completion
+        (``sampler='nope'``, ``sampling_fraction=7``)."""
+        for engine in ("memory", "dataflow"):
+            with pytest.raises(ValueError, match=next(iter(knobs))):
+                SelectorConfig(engine=engine, **knobs)
+        with pytest.raises(ValueError, match=next(iter(knobs))):
+            JobSpec.from_dict(_spec_dict(selector={"k": _K, **knobs}))
 
     def test_bad_engine_options_fail_at_construction(self):
         with pytest.raises(ValueError):
@@ -659,6 +687,15 @@ class TestHTTP:
         with pytest.raises(ServiceError) as no_result:
             endpoint.result("nope")
         assert no_result.value.status == 404
+
+    def test_bad_selector_knobs_are_a_400_and_leave_no_record(self, endpoint):
+        for knobs in _BAD_SELECTOR_KNOBS:
+            with pytest.raises(ServiceError) as bad_spec:
+                endpoint.submit(_spec_dict(selector={"k": _K, **knobs}))
+            assert bad_spec.value.status == 400, knobs
+            assert next(iter(knobs)) in str(bad_spec.value)
+        assert endpoint.jobs() == []
+        assert endpoint.metrics()["counters"]["submitted"] == 0
 
     def test_cancel_route(self, endpoint):
         record = endpoint.submit(_spec_dict())

@@ -30,7 +30,8 @@ import pytest
 
 from repro.dataflow import pcollection
 from repro.dataflow.columnar import BatchDoFn, ColumnarShard, as_records
-from repro.dataflow.options import DataflowContext, EngineOptions
+from repro.dataflow.context import DataflowContext
+from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import Fold, Pipeline
 from repro.dataflow.remote import LocalCluster, RemoteExecutor
 from repro.dataflow.remote import protocol, worker
