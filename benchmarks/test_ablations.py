@@ -5,8 +5,8 @@
   miniature of the global structure, recovering part of the loss the paper
   attributes to "less global information" per partition.
 - E19: centralized greedy variants (Sec. 3 "related optimizations") —
-  wall-clock of Alg. 2's heap greedy vs naive / lazy / stochastic /
-  threshold on identical instances, with quality deltas.  Confirms the
+  wall-clock of Alg. 2's heap greedy vs naive / stochastic / threshold
+  on identical instances, with quality deltas.  Confirms the
   paper's argument that Alg. 2 is the right per-partition engine for
   pairwise functions.
 """
@@ -21,7 +21,6 @@ from repro.core.distributed import distributed_greedy, stratified_partitioner
 from repro.core.greedy import (
     greedy_heap,
     greedy_naive,
-    lazy_greedy,
     stochastic_greedy,
     threshold_greedy,
 )
@@ -80,7 +79,6 @@ def test_e19_greedy_variants(benchmark, cifar_problem_09):
     variants = [
         ("heap (Alg. 2)", lambda: greedy_heap(problem, k)),
         ("naive (Alg. 1)", lambda: greedy_naive(problem, k)),
-        ("lazy (Minoux)", lambda: lazy_greedy(problem, k)),
         ("stochastic", lambda: stochastic_greedy(problem, k, seed=0)),
         ("threshold", lambda: threshold_greedy(problem, k)),
     ]
@@ -100,9 +98,8 @@ def test_e19_greedy_variants(benchmark, cifar_problem_09):
 
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     by_label = {r[0]: r for r in rows}
-    # Exactness: heap == naive == lazy in quality.
+    # Exactness: heap == naive in quality.
     assert by_label["naive (Alg. 1)"][2] == pytest.approx(100.0, abs=1e-6)
-    assert by_label["lazy (Minoux)"][2] == pytest.approx(100.0, abs=1e-6)
     # Approximate variants stay close.
     assert by_label["stochastic"][2] >= 95.0
     assert by_label["threshold"][2] >= 95.0

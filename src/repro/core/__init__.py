@@ -16,7 +16,6 @@ from repro.core.greedy import (
     SelectionResult,
     greedy_heap,
     greedy_naive,
-    lazy_greedy,
     stochastic_greedy,
     threshold_greedy,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "SelectionResult",
     "greedy_naive",
     "greedy_heap",
-    "lazy_greedy",
     "stochastic_greedy",
     "threshold_greedy",
     "GREEDY_VARIANTS",

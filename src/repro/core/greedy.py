@@ -9,9 +9,20 @@ variants it discusses as "related optimizations":
 - :func:`greedy_heap` — Alg. 2: priorities start at ``alpha*u(v)`` scale and
   are decremented by ``beta*s(v1,v2)`` when a neighbor is selected, so
   selection never rescans the ground set.
-- :func:`lazy_greedy` — Minoux (1978) lazy evaluations.
 - :func:`stochastic_greedy` — Mirzasoleiman et al. (2015).
 - :func:`threshold_greedy` — Badanidiyuru & Vondrák (2014).
+
+Alg. 2's queue is a *lazy upper-bound queue*: the live priorities sit in
+one flat list and a binary heap holds exactly one ``(-key, id)`` entry per
+unselected vertex whose key is an upper bound on that vertex's priority.
+Decrementing a neighbor touches only the list; a stale key is refreshed in
+place (one ``heapreplace``) when it reaches the top.  That is sound because
+priorities only ever fall — ``beta >= 0`` (``check_alpha_beta``) and only
+``w > 0`` edges decrement — so a stored key never undercuts the truth, and
+the top entry whose key *equals* its live priority is the true maximum.
+This is Minoux's (1978) lazy evaluation with an O(1) refresh — the fresh
+gain is already in the list — which is why there is no separate lazy-greedy
+variant.
 
 All selectors support "warm" selection where some mass has already been
 committed (the partial solution S' produced by bounding) via
@@ -22,12 +33,12 @@ committed (the partial solution S' produced by bounding) via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from typing import List, Optional
 
 import numpy as np
 
 from repro.core.problem import SubsetProblem
-from repro.utils.heap import AddressableMaxHeap
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_cardinality
 
@@ -65,8 +76,22 @@ def _init_priorities(problem: SubsetProblem, base_penalty: Optional[np.ndarray])
                 f"base_penalty must have shape ({problem.n},), "
                 f"got {base_penalty.shape}"
             )
+        # A NaN priority never equals itself, so greedy_heap's accept test
+        # would spin on it forever.
+        if not np.isfinite(base_penalty).all():
+            raise ValueError("base_penalty contains NaN or infinite values")
         pri = pri - base_penalty
     return pri
+
+
+def _decrement_neighbors(gains_now: np.ndarray, problem: SubsetProblem, v: int) -> None:
+    """Lower the gain of ``v``'s neighbors by ``beta * s(v, nb)``, in place.
+
+    ``np.subtract.at``, not fancy ``-=``: the graph may hold multi-edges and
+    fancy assignment applies only one of a repeated neighbor's entries.
+    """
+    nbrs, ws = problem.graph.neighbors(v)
+    np.subtract.at(gains_now, nbrs, problem.beta * ws)
 
 
 def greedy_naive(
@@ -91,8 +116,7 @@ def greedy_naive(
         order.append(v)
         gains.append(float(gains_masked[v]))
         selected_mask[v] = True
-        nbrs, ws = problem.graph.neighbors(v)
-        gains_now[nbrs] -= problem.beta * ws
+        _decrement_neighbors(gains_now, problem, v)
     return SelectionResult(
         np.array(order, dtype=np.int64), float(np.sum(gains)), np.array(gains)
     )
@@ -106,64 +130,46 @@ def greedy_heap(
 ) -> SelectionResult:
     """Algorithm 2: priority queue with neighbor-only decrements.
 
-    O(n log n + k * kg * log n).  Produces exactly the same selection as
-    :func:`greedy_naive` (same tie-breaking: max priority, then smallest id).
+    O(n + k * kg * log n).  Produces exactly the same selection and the
+    same gain floats as :func:`greedy_naive` (max priority, then smallest
+    id; each decrement is the same scalar ``p - beta*w`` in CSR order).
+
+    Invariant: ``pri[v]`` is the live priority of every unselected ``v``
+    and ``heap`` holds exactly one ``(-key, v)`` entry for it with
+    ``key >= pri[v]``.  Selecting a vertex lowers its neighbors in ``pri``
+    only — never pushes — which keeps the invariant because ``beta >= 0``
+    and only ``w > 0`` edges decrement.  The top entry is accepted iff its
+    key equals ``pri[v]``; otherwise it is re-keyed in place to ``pri[v]``
+    (Minoux's lazy evaluation, the refresh being one list read).  An
+    accepted ``(-p, v)`` is the smallest tuple in the heap while every
+    other vertex ``u`` has ``pri[u] <= key[u]``, so no live priority
+    exceeds ``p`` and any ``u`` tied at ``p`` has a fresh key and a larger
+    id: ties still break to the smallest id.
     """
     k = check_cardinality(k, problem.n)
-    pri = _init_priorities(problem, base_penalty)
-    # Negative keys sort ascending, so tie-break on smaller id matches naive.
-    heap = AddressableMaxHeap(enumerate(pri.tolist()))
-    selected_mask = np.zeros(problem.n, dtype=bool)
+    graph, beta = problem.graph, problem.beta
+    pri = _init_priorities(problem, base_penalty).tolist()
+    heap = [(-p, v) for v, p in enumerate(pri)]
+    heapify(heap)
+    indptr = graph.indptr.tolist()
+    indices, weights = graph.indices, graph.weights
+    selected = bytearray(problem.n)
     order: List[int] = []
     gains: List[float] = []
-    while len(order) < k:
-        v1, gain = heap.popmax()
+    for _ in range(k):
+        neg, v1 = heap[0]
+        while -neg != pri[v1]:  # stale upper bound: refresh in place
+            heapreplace(heap, (-pri[v1], v1))
+            neg, v1 = heap[0]
+        heappop(heap)
         order.append(v1)
-        gains.append(gain)
-        selected_mask[v1] = True
-        nbrs, ws = problem.graph.neighbors(v1)
-        for v2, w in zip(nbrs.tolist(), ws.tolist()):
-            if not selected_mask[v2] and w > 0:
-                heap.decrease_weight_by(v2, problem.beta * w)
-    return SelectionResult(
-        np.array(order, dtype=np.int64), float(np.sum(gains)), np.array(gains)
-    )
-
-
-def lazy_greedy(
-    problem: SubsetProblem,
-    k: int,
-    *,
-    base_penalty: Optional[np.ndarray] = None,
-) -> SelectionResult:
-    """Minoux's lazy greedy: re-evaluate a gain only when it tops the queue.
-
-    The paper notes (Sec. 3, "Related optimizations") that for pairwise
-    functions lazy evaluation is no cheaper than Alg. 2's neighbor updates —
-    this implementation exists for the ablation benches and tests.
-    """
-    k = check_cardinality(k, problem.n)
-    pri = _init_priorities(problem, base_penalty)
-    heap = AddressableMaxHeap(enumerate(pri.tolist()))
-    selected_mask = np.zeros(problem.n, dtype=bool)
-    order: List[int] = []
-    gains: List[float] = []
-
-    def exact_gain(v: int) -> float:
-        nbrs, ws = problem.graph.neighbors(v)
-        mass = float(ws[selected_mask[nbrs]].sum())
-        base = pri[v]
-        return float(base - problem.beta * mass)
-
-    while len(order) < k:
-        v, stale = heap.popmax()
-        fresh = exact_gain(v)
-        if heap and fresh < heap.peekmax()[1] - 1e-15:
-            heap.push(v, fresh)  # re-enqueue with refreshed gain
-            continue
-        order.append(v)
-        gains.append(fresh)
-        selected_mask[v] = True
+        gains.append(pri[v1])
+        selected[v1] = 1
+        lo, hi = indptr[v1], indptr[v1 + 1]
+        if lo != hi:  # partitions drop most edges: most rows are empty
+            for v2, w in zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()):
+                if w > 0 and not selected[v2]:
+                    pri[v2] -= beta * w
     return SelectionResult(
         np.array(order, dtype=np.int64), float(np.sum(gains)), np.array(gains)
     )
@@ -200,8 +206,7 @@ def stochastic_greedy(
         order.append(v)
         gains.append(float(gains_now[v]))
         selected_mask[v] = True
-        nbrs, ws = problem.graph.neighbors(v)
-        gains_now[nbrs] -= problem.beta * ws
+        _decrement_neighbors(gains_now, problem, v)
     return SelectionResult(
         np.array(order, dtype=np.int64), float(np.sum(gains)), np.array(gains)
     )
@@ -243,8 +248,7 @@ def threshold_greedy(
                 order.append(v)
                 gains.append(float(gains_now[v]))
                 selected_mask[v] = True
-                nbrs, ws = problem.graph.neighbors(v)
-                gains_now[nbrs] -= problem.beta * ws
+                _decrement_neighbors(gains_now, problem, v)
                 if len(order) == k:
                     break
         tau *= 1.0 - epsilon
@@ -255,8 +259,7 @@ def threshold_greedy(
         order.append(v)
         gains.append(float(gains_masked[v]))
         selected_mask[v] = True
-        nbrs, ws = problem.graph.neighbors(v)
-        gains_now[nbrs] -= problem.beta * ws
+        _decrement_neighbors(gains_now, problem, v)
     return SelectionResult(
         np.array(order, dtype=np.int64), float(np.sum(gains)), np.array(gains)
     )
@@ -265,7 +268,6 @@ def threshold_greedy(
 GREEDY_VARIANTS = {
     "naive": greedy_naive,
     "heap": greedy_heap,
-    "lazy": lazy_greedy,
     "stochastic": stochastic_greedy,
     "threshold": threshold_greedy,
 }

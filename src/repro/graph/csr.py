@@ -221,6 +221,8 @@ class NeighborGraph:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (self._n,):
                 raise ValueError(f"mask must have shape ({self._n},), got {mask.shape}")
+            if not mask.any():
+                return np.zeros(self._n, dtype=np.float64)
             contrib = np.where(mask[self.indices], self.weights, 0.0)
         return self.row_sums(contrib)
 
@@ -275,33 +277,28 @@ class NeighborGraph:
             raise ValueError("vertices out of range")
         global_to_local = np.full(self._n, -1, dtype=np.int64)
         global_to_local[vertices] = np.arange(vertices.size, dtype=np.int64)
-        # Gather each kept vertex's adjacency, keeping only in-partition ends.
+        # Walk each kept vertex's adjacency, keeping only in-partition ends.
         starts = self.indptr[vertices]
-        stops = self.indptr[vertices + 1]
-        lengths = stops - starts
-        total = int(lengths.sum())
+        lengths = self.indptr[vertices + 1] - starts
+        row_ends = np.cumsum(lengths)
+        total = int(row_ends[-1]) if vertices.size else 0
+        indptr = np.zeros(vertices.size + 1, dtype=np.int64)
         if total:
-            # Build a flat index selecting all adjacency entries of
-            # `vertices`: each row's start, shifted back by where the row
-            # begins in the output, plus the output position.
-            offsets = np.cumsum(lengths) - lengths
-            flat = np.repeat(starts - offsets, lengths) + np.arange(total)
-            nbr_global = self.indices[flat]
-            w = self.weights[flat]
-            nbr_local = global_to_local[nbr_global]
+            # Flat index of every adjacency entry of `vertices`: each row's
+            # start, shifted back by where the row begins in the output,
+            # plus the output position.
+            flat = np.repeat(starts - (row_ends - lengths), lengths) + np.arange(total)
+            # Filter before gathering weights: partitions keep few entries.
+            nbr_local = global_to_local[self.indices[flat]]
             keep = nbr_local >= 0
-            row_local = np.repeat(np.arange(vertices.size, dtype=np.int64), lengths)
-            row_local = row_local[keep]
             nbr_local = nbr_local[keep]
-            w = w[keep]
+            w = self.weights[flat[keep]]
+            # Kept entries up to each row's end; `flat` walks rows in order.
+            kept = np.concatenate(([0], np.cumsum(keep)))
+            indptr[1:] = kept[row_ends]
         else:
-            row_local = np.empty(0, dtype=np.int64)
             nbr_local = np.empty(0, dtype=np.int64)
             w = np.empty(0, dtype=np.float64)
-        counts = np.bincount(row_local, minlength=vertices.size)
-        indptr = np.zeros(vertices.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        # row_local is already sorted because `flat` walks rows in order.
         sub = NeighborGraph(indptr, nbr_local, w, check=False)
         return sub, vertices.copy()
 

@@ -1,6 +1,5 @@
-"""Shared utilities: addressable heaps, RNG plumbing, validation helpers."""
+"""Shared utilities: RNG plumbing and validation helpers."""
 
-from repro.utils.heap import AddressableMaxHeap
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.validation import (
     check_alpha_beta,
@@ -9,7 +8,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "AddressableMaxHeap",
     "as_generator",
     "spawn_generators",
     "check_alpha_beta",

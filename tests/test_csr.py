@@ -280,6 +280,17 @@ def _subgraph_per_row(g: NeighborGraph, vertices: np.ndarray):
     return indptr, nbr_local[keep], g.weights[flat][keep]
 
 
+def _assert_subgraph_matches_per_row(g: NeighborGraph, vertices: np.ndarray):
+    sub, mapping = g.subgraph(vertices)
+    indptr, indices, weights = _subgraph_per_row(g, vertices)
+    np.testing.assert_array_equal(mapping, vertices)
+    for got, want in (
+        (sub.indptr, indptr), (sub.indices, indices), (sub.weights, weights)
+    ):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 24), st.integers(0, 60), st.integers(0, 10_000), st.data())
 def test_subgraph_flat_index_matches_per_row_reference(n, n_edges, seed, data):
@@ -296,14 +307,20 @@ def test_subgraph_flat_index_matches_per_row_reference(n, n_edges, seed, data):
         data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)),
         dtype=np.int64,
     )
-    sub, mapping = g.subgraph(vertices)
-    indptr, indices, weights = _subgraph_per_row(g, vertices)
-    np.testing.assert_array_equal(mapping, vertices)
-    for got, want in (
-        (sub.indptr, indptr), (sub.indices, indices), (sub.weights, weights)
-    ):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+    _assert_subgraph_matches_per_row(g, vertices)
+
+
+@pytest.mark.parametrize("size", [0, 1, 60])
+def test_subgraph_filter_before_gather_matches_reference(size):
+    """Filtering ``keep`` before the weight gather and reading row counts
+    off one ``cumsum(keep)`` changes no array: a random partition in
+    unsorted order over a graph whose upper half is isolated rows."""
+    rng = np.random.default_rng(size)
+    n = 400
+    a, b = rng.integers(0, n // 2, size=(2, 900))
+    g = NeighborGraph.from_edges(n, a[a != b], b[a != b], rng.random(int((a != b).sum())))
+    vertices = rng.permutation(n)[:size]
+    _assert_subgraph_matches_per_row(g, vertices)
 
 
 def test_subgraph_with_only_cross_partition_edges():

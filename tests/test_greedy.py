@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.greedy import (
+    GREEDY_VARIANTS,
     greedy_heap,
     greedy_naive,
-    lazy_greedy,
     stochastic_greedy,
     threshold_greedy,
 )
@@ -91,18 +91,57 @@ class TestHeapEquivalence:
         assert res.selected[0] == np.argmax(gains)
 
 
-class TestLazy:
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_lazy_matches_naive_objective(self, seed):
-        p = random_problem(35, seed=seed % 99_991, avg_degree=4)
-        naive = greedy_naive(p, 12)
-        lazy = lazy_greedy(p, 12)
-        # Lazy may tie-break differently; objectives must match.
-        assert lazy.objective == pytest.approx(naive.objective, abs=1e-9)
+class TestMultiEdges:
+    """``NeighborGraph``'s validator accepts mirrored multi-edges; every
+    variant must apply each stored entry, as Alg. 2's walk does."""
 
-    def test_lazy_selects_k(self, small_problem):
-        assert len(lazy_greedy(small_problem, 7)) == 7
+    @staticmethod
+    def problem():
+        graph = NeighborGraph(
+            np.array([0, 2, 4, 4]), np.array([1, 1, 0, 0]), np.full(4, 0.3)
+        )
+        return SubsetProblem(np.array([1.0, 0.9, 0.5]), graph, alpha=1.0, beta=1.0)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            greedy_naive,
+            greedy_heap,
+            # A full-size candidate sample makes it plain greedy.
+            lambda p, k: stochastic_greedy(p, k, epsilon=0.01, seed=0),
+            lambda p, k: threshold_greedy(p, k, epsilon=0.5),
+        ],
+        ids=["naive", "heap", "stochastic", "threshold-sweep"],
+    )
+    def test_every_variant_applies_every_entry(self, variant):
+        # Fancy ``gains[nbrs] -= ...`` applied one of the two entries:
+        # gains [1.0, 0.6, 0.5], picking [0, 1] at k = 2.
+        res = variant(self.problem(), 3)
+        assert res.selected.tolist() == [0, 2, 1]
+        np.testing.assert_allclose(res.gains, [1.0, 0.5, 0.3], rtol=0, atol=1e-12)
+
+    def test_threshold_top_up_applies_every_entry(self):
+        # 0 is taken by the sweep and pushes 1 and 2 below every threshold;
+        # the top-up takes 1, whose double edge to 2 must count twice.
+        graph = NeighborGraph(
+            np.array([0, 2, 5, 8]),
+            np.array([1, 2, 0, 2, 2, 0, 1, 1]),
+            np.array([1.0, 1.0, 1.0, 0.1, 0.1, 1.0, 0.1, 0.1]),
+        )
+        p = SubsetProblem(np.array([1.0, 0.5, 0.5]), graph, alpha=1.0, beta=1.0)
+        res = threshold_greedy(p, 3, epsilon=0.5)
+        assert res.selected.tolist() == [0, 1, 2]
+        np.testing.assert_allclose(res.gains, [1.0, -0.5, -0.7], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_VARIANTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_base_penalty_is_rejected(small_problem, name, bad):
+    """A NaN priority never equals itself: Alg. 2's accept test would spin."""
+    penalty = np.zeros(small_problem.n)
+    penalty[3] = bad
+    with pytest.raises(ValueError, match="base_penalty"):
+        GREEDY_VARIANTS[name](small_problem, 5, base_penalty=penalty)
 
 
 class TestStochastic:

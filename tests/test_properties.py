@@ -13,7 +13,9 @@ from repro.core.greedy import greedy_heap, greedy_naive
 from repro.core.normalization import normalize_scores
 from repro.core.objective import PairwiseObjective
 from repro.core.pipeline import DistributedSelector, SelectorConfig
+from repro.core.problem import SubsetProblem
 from repro.core.sampling import uniform_edge_sample
+from repro.graph.csr import NeighborGraph
 from tests.conftest import random_problem
 
 
@@ -180,9 +182,7 @@ def test_restriction_preserves_objective_on_inside_sets(seed):
 
 
 def test_heap_greedy_equals_naive_at_scale():
-    """Alg. 2 == Alg. 1 to the bit at n = 3000: the queue is seeded from
-    ``enumerate(pri.tolist())``, so ids, gains and tie-breaks must be
-    exactly what per-point ``float(pri[v])`` seeding produced."""
+    """Alg. 2 == Alg. 1 to the bit at n = 3000: ids, gains and tie-breaks."""
     p = random_problem(3000, seed=11, avg_degree=8)
     # Duplicate utilities so the smallest-id tie-break is exercised.
     utilities = p.utilities.copy()
@@ -193,3 +193,56 @@ def test_heap_greedy_equals_naive_at_scale():
     np.testing.assert_array_equal(heap.selected, naive.selected)
     np.testing.assert_array_equal(heap.gains, naive.gains)
     assert heap.objective == naive.objective
+
+
+_QUANTA = st.integers(0, 4).map(lambda q: q / 4)
+
+
+@st.composite
+def _greedy_instances(draw):
+    """``(problem, k, base_penalty)`` over everything the validator accepts:
+    quantised utilities (many exact ties), zero-weight edges, multi-edges."""
+    n = draw(st.integers(1, 12))
+    utilities = draw(st.lists(_QUANTA, min_size=n, max_size=n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _QUANTA)
+    edges = [e for e in draw(st.lists(pair, max_size=3 * n)) if e[0] != e[1]]
+    a, b, w = (np.array(col) for col in zip(*edges)) if edges else ([], [], [])
+    sources = np.concatenate([a, b]).astype(np.int64)
+    order = np.argsort(sources, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=n))))
+    graph = NeighborGraph(
+        indptr, np.concatenate([b, a])[order], np.concatenate([w, w])[order]
+    )
+    alpha = draw(st.sampled_from([0.0, 0.9, 1.0]))
+    beta = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    penalty = draw(st.none() | st.lists(_QUANTA, min_size=n, max_size=n))
+    k = draw(st.sampled_from([0, 1, n // 2, n]))
+    problem = SubsetProblem(np.array(utilities), graph, alpha=alpha, beta=beta)
+    return problem, k, None if penalty is None else np.array(penalty)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_greedy_instances())
+def test_heap_greedy_is_bitwise_naive_on_every_accepted_graph(instance):
+    """Alg. 2's kernel performs Alg. 1's float operations in Alg. 1's order:
+    ids, gain floats and objective are equal, not close."""
+    problem, k, penalty = instance
+    naive = greedy_naive(problem, k, base_penalty=penalty)
+    heap = greedy_heap(problem, k, base_penalty=penalty)
+    assert heap.selected.tolist() == naive.selected.tolist()
+    assert heap.gains.tolist() == naive.gains.tolist()
+    assert heap.objective == naive.objective
+
+
+def test_stale_heap_keys_are_refreshed_never_dropped():
+    """Every stored key stays >= the live priority: a hub demoted k - 1
+    times surfaces stale each time, is re-keyed, and is still selected."""
+    leaves = [10.0, 9.0, 8.0, 7.0, 1.0, 1.0, 1.0]
+    n, k = len(leaves) + 1, 5
+    graph = NeighborGraph.from_edges(
+        n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n), np.ones(n - 1)
+    )
+    problem = SubsetProblem(np.array([9.5] + leaves), graph, alpha=1.0, beta=1.0)
+    res = greedy_heap(problem, k)
+    assert res.selected.tolist() == [1, 2, 3, 4, 0]
+    assert res.gains.tolist() == [10.0, 9.0, 8.0, 7.0, 5.5]
