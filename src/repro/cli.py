@@ -121,17 +121,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
     """Render the dataflow plans a run would execute — no stage runs.
 
-    Builds the kNN-construction and bounding-round plans on streaming
-    sources (never consumed) and prints :meth:`PCollection.explain` with
+    Builds the kNN-construction and bounding-round plans on the beams'
+    sources (streamed ones never consumed; the graph and utility columns
+    routed, as a drive routes them) and prints :meth:`PCollection.explain` with
     the cost model's predicted wall time per stage.  With
     ``--adaptive-plan`` the predictions come from the planner's
     calibrated constants (persisted next to ``--checkpoint-dir``).
     """
-    from repro.dataflow.library import (
-        BoundingFilter,
-        ShardedKnn,
-        packed_adjacency,
-    )
+    from repro.dataflow.columnar import ListColumn
+    from repro.dataflow.library import BoundingFilter, ShardedKnn, by_point
     from repro.graph.knn import l2_normalize
 
     options = EngineOptions.from_namespace(args)
@@ -152,15 +150,14 @@ def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
             print(knn.explain(costs=True))
 
             g = problem.graph
-            # A drive packs (and caches) the graph once, before round 1;
-            # unexecuted here, the pack shows fused into the join read.
-            neighbors = packed_adjacency(pipeline.create_keyed(
-                g.adjacency_records(),
-                name="source/neighbors", stream=True,
-            ))
+            # The graph and utility sources a drive reads: the problem's
+            # arrays as columns, routed here (no stage runs).
+            neighbors = pipeline.create_keyed(
+                by_point(ListColumn(g.indptr, (g.indices, g.weights))),
+                name="source/neighbors",
+            )
             utilities = pipeline.create_keyed(
-                ((v, float(problem.utilities[v])) for v in range(problem.n)),
-                name="source/utilities", stream=True,
+                by_point(problem.utilities), name="source/utilities"
             )
             solution = pipeline.create_keyed(
                 iter(()), name="source/solution", stream=True

@@ -25,8 +25,11 @@ from repro.core.problem import SubsetProblem
 SubsetLike = Union[np.ndarray, list, tuple, set, frozenset]
 
 
-def _as_mask(subset: SubsetLike, n: int) -> np.ndarray:
-    """Normalize id collections / boolean masks to a boolean mask."""
+def subset_mask(subset: SubsetLike, n: int) -> np.ndarray:
+    """Normalize id collections / boolean masks to a boolean mask — the
+    one reading of a subset every evaluator shares (the objective here,
+    the dataflow ``beam_score``): a boolean array must have shape
+    ``(n,)``; ids must be distinct and in ``[0, n)``."""
     if isinstance(subset, np.ndarray) and subset.dtype == bool:
         if subset.shape != (n,):
             raise ValueError(f"mask must have shape ({n},), got {subset.shape}")
@@ -52,12 +55,12 @@ class PairwiseObjective:
 
     def unary(self, subset: SubsetLike) -> float:
         """``Σ_{v∈S} u(v)`` (unweighted by alpha)."""
-        mask = _as_mask(subset, self.problem.n)
+        mask = subset_mask(subset, self.problem.n)
         return float(self.problem.utilities[mask].sum())
 
     def pairwise(self, subset: SubsetLike) -> float:
         """``Σ_{(v1,v2)∈E; v1,v2∈S} s(v1,v2)`` counted once per edge."""
-        mask = _as_mask(subset, self.problem.n)
+        mask = subset_mask(subset, self.problem.n)
         g = self.problem.graph
         # mass restricted to rows in S and columns in S; halve double count.
         mass = g.neighbor_mass(mask)
@@ -65,7 +68,7 @@ class PairwiseObjective:
 
     def value(self, subset: SubsetLike) -> float:
         """Full objective ``f(S)``."""
-        mask = _as_mask(subset, self.problem.n)
+        mask = subset_mask(subset, self.problem.n)
         p = self.problem
         unary = p.utilities[mask].sum()
         mass = p.graph.neighbor_mass(mask)
@@ -73,7 +76,7 @@ class PairwiseObjective:
 
     def marginal_gain(self, v: int, subset: SubsetLike) -> float:
         """``f(S ∪ {v}) - f(S)`` for ``v ∉ S``."""
-        mask = _as_mask(subset, self.problem.n)
+        mask = subset_mask(subset, self.problem.n)
         if mask[v]:
             raise ValueError(f"point {v} already in subset")
         p = self.problem
@@ -87,7 +90,7 @@ class PairwiseObjective:
         ``gains[v] = alpha*u(v) - beta*mass_S(v)``; only meaningful for
         ``v ∉ S`` but computed for all (callers mask).
         """
-        mask = _as_mask(subset, self.problem.n)
+        mask = subset_mask(subset, self.problem.n)
         p = self.problem
         return p.alpha * p.utilities - p.beta * p.graph.neighbor_mass(mask)
 

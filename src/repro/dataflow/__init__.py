@@ -60,7 +60,7 @@ resolved executor/cluster lifecycle for a whole multi-pipeline run::
 Reusable named composites (:class:`~repro.dataflow.pcollection.
 PTransform`; apply with ``pcoll.apply(...)`` or ``pcoll | ...``) live in
 :mod:`repro.dataflow.library` — ``ShardedKnn``, ``BoundingFilter``,
-``PartitionedGreedy`` — and render as named groups in
+``SelectedEdgeMass``, ``PartitionedGreedy`` — and render as named groups in
 ``PCollection.explain()``.
 """
 
@@ -86,6 +86,7 @@ from repro.dataflow.transforms import (
 from repro.dataflow.library import (
     BoundingFilter,
     PartitionedGreedy,
+    SelectedEdgeMass,
     ShardedKnn,
 )
 from repro.dataflow.bounding_beam import BeamBoundingDriver, beam_bound
@@ -120,6 +121,7 @@ __all__ = [
     "distributed_kth_largest",
     "ShardedKnn",
     "BoundingFilter",
+    "SelectedEdgeMass",
     "PartitionedGreedy",
     "beam_bound",
     "BeamBoundingDriver",

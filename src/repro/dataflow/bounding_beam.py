@@ -15,14 +15,14 @@ is never re-shuffled.
 Graph, utilities, solution and unassigned set all stay hash-partitioned
 by point id from round to round, so a round moves exactly one thing
 across a shuffle — its live edges, once, as columns
-(``metrics.shuffled_records`` counts them).  The adjacency is packed once
-per drive into list-valued columns
-(:func:`~repro.dataflow.library.packed_adjacency`: one record per point,
-cached, the streamed source shards released) and a round's joins touch
-only columns: both read as co-grouped views, the edge table is a
-``repeat``/mask over the packed child columns, and the bounds come out
-as a keyed ``(id; lower, umax)`` shard (per-record functions remain the
-automatic row fallback).  The driver's own steps — threshold inputs,
+(``metrics.shuffled_records`` counts them).  The graph and utility
+sources are the problem's arrays as columns (the CSR graph is one
+list-valued column, :func:`~repro.dataflow.library.by_point`: one record
+per point) and a round's joins touch only columns: both read as grouped
+views, the edge table is a ``repeat``/mask over the adjacency's child
+columns, and the bounds come out as a keyed ``(id; lower, umax)`` shard
+(per-record functions remain the automatic row fallback).  The driver's
+own steps — threshold inputs,
 survivor marks, the set difference — stay per-record: they see at most
 ``n / num_shards`` records a shard, where a NumPy call costs more than
 the loop it would replace.  Thresholds ``U^k`` come from
@@ -35,8 +35,7 @@ the in-memory reference (exact mode).
 Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
 (``options=``) or a shared :class:`~repro.dataflow.context.DataflowContext`
 (``context=`` — how the end-to-end selector shares a worker pool between
-bounding and greedy).  This beam streams its graph/utility generators by
-default (``options.stream_source=None``).
+bounding and greedy).
 
 Sampling (approximate mode) is hash-based per edge per round rather than
 generator-based: a distributed runner has no global RNG stream, and
@@ -54,7 +53,8 @@ import numpy as np
 from repro.core.bounding import BoundingResult
 from repro.core.distributed import fingerprint, problem_fingerprint
 from repro.core.problem import SubsetProblem
-from repro.dataflow.library import BoundingFilter, packed_adjacency
+from repro.dataflow.columnar import ListColumn
+from repro.dataflow.library import BoundingFilter, by_point
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.context import DataflowContext, engine_context
 from repro.dataflow.options import EngineOptions
@@ -85,10 +85,11 @@ class BeamBoundingDriver:
     Driver-resident state is limited to scalars (``k_remaining``, round
     counters, convergence flags); point sets live sharded in the pipeline.
     The pipeline is built through the given context (or a private one from
-    ``options``); with a checkpoint directory, plan digests are salted
-    with the problem's content fingerprint so the streamed graph/utility
-    sources checkpoint too — a killed drive rerun with the same directory
-    resumes from its last completed stage with bit-identical decisions.
+    ``options``); with a checkpoint directory, plan digests cover the
+    graph/utility columns and are salted with the problem's content
+    fingerprint so the streamed remaining-set source checkpoints too — a
+    killed drive rerun with the same directory resumes from its last
+    completed stage with bit-identical decisions.
     """
 
     def __init__(
@@ -111,32 +112,26 @@ class BeamBoundingDriver:
             # Input-size hint for the adaptive planner's cost gates.
             pipeline_overrides = {"plan_records": int(problem.n)}
             if opts.checkpoint_dir is not None:
-                # Salt the plan digests with the streamed sources' content
-                # so a resumed drive can only reuse checkpoints of its own
-                # data.
+                # Salt the plan digests with the problem's content so a
+                # resumed drive can only reuse checkpoints of its own data
+                # (streamed sources cannot be hashed).
                 pipeline_overrides["checkpoint_salt"] = fingerprint(
                     "bounding-sources", problem_fingerprint(problem)
                 )
             self.pipeline = self.context.pipeline(**pipeline_overrides)
             self._seed_salt = int(as_generator(seed).integers(0, 2**31 - 1))
             self._round_counter = 0
-            stream = opts.resolve_stream(True)
             g = problem.graph
-            # Packed once per drive: the graph is loop-invariant, so a
-            # round repeats/masks these columns and never re-flattens an
-            # adjacency list.  Caching truncates the lineage — the
-            # streamed source shards are dropped, not kept beside the pack.
-            self.neighbors = packed_adjacency(
-                self.pipeline.create_keyed(
-                    g.adjacency_records(),
-                    name="source/neighbors",
-                    stream=stream,
-                )
-            ).cache()
+            # The graph is loop-invariant: its source is the CSR arrays
+            # themselves as one list-valued column, routed once, and a
+            # round repeats/masks those columns — no adjacency list is
+            # ever built as Python objects.
+            self.neighbors = self.pipeline.create_keyed(
+                by_point(ListColumn(g.indptr, (g.indices, g.weights))),
+                name="source/neighbors",
+            )
             self.utilities = self.pipeline.create_keyed(
-                ((v, float(problem.utilities[v])) for v in range(problem.n)),
-                name="source/utilities",
-                stream=stream,
+                by_point(problem.utilities), name="source/utilities"
             )
         except BaseException:
             # A privately-created context (and its executor / worker

@@ -29,20 +29,25 @@ the columnar alternative:
 
 :class:`ListColumn`
     A *list-valued* column — offsets plus aligned child columns — for
-    the two places the engine used to hold one Python list per key: a
-    packed adjacency ``(a, [(b, s), ...])`` and a join's per-key value
-    lists.  It slices, routes, concatenates and pickles like a flat
-    column; ``tolist`` gives back the row path's lists.
+    every place the engine would otherwise hold one Python list per key:
+    an adjacency ``(a, [(b, s), ...])`` (offsets and children are the CSR
+    arrays themselves), a point's kNN candidates, a join's or a group's
+    per-key value lists.  It slices, routes, concatenates and pickles
+    like a flat column; ``tolist`` gives back the row path's lists.
 
-:class:`CoGroupedShard` / :func:`cogroup_columns` / :func:`segment_group`
-    The columnar CoGroupByKey read.  One segment-grouping kernel turns
-    the per-input integer key columns of a destination into the distinct
-    keys in first-appearance order, input by input — the row grouping's
-    order — plus every record's segment id; the *co-grouped view* keeps
-    just that, so a batch consumer reduces by segment
-    (``np.bincount(segment_ids, weights=...)`` sums each key's values
-    left to right in arrival order) and the per-key lists are built only
-    if a consumer asks for them or for rows.
+:class:`CoGroupedShard` / :func:`cogroup_columns` / :func:`group_columns` / :func:`segment_group`
+    The columnar CoGroupByKey and GroupByKey reads.  One
+    segment-grouping kernel turns the integer key columns of a
+    destination into the distinct keys in first-appearance order, input
+    by input — the row grouping's order — plus every record's segment
+    id; the *grouped view* keeps just that, so a batch consumer reduces
+    by segment (``np.bincount(segment_ids, weights=...)`` sums each
+    key's values left to right in arrival order) and the per-key lists
+    are built only if a consumer asks for them or for rows.  Its
+    consumers: the cogroup read (bounding's and scoring's joins), the
+    group read of a columnar shard (one input, records ``(key,
+    [values])`` — the kNN cells, the greedy partitions), and the batch
+    folds that rank or reduce per key (the kNN top-k merge).
 
 :func:`stable_shard` / :func:`stable_shard_column`
     The engine's deterministic key hash, and its whole-column
@@ -69,12 +74,14 @@ lists with a ``ListColumn`` child (``len(shard)`` stays the number of
 *keys*, which is what the engine meters).  The co-grouped view is a
 keyed shard with one such column per join input, so its records are
 ``(key, ([values_0], ..., [values_{n-1}]))`` — the row grouping's,
-key order included.  Which form a cogroup read produces is decided by
-what its parts *are*, never by a switch: plain-``int`` keys on every part
-and at least one part already columnar (row parts then ride along, their
-values as one never-inspected object column) give the view; anything
-else — string/float/bool/NumPy-scalar/oversized keys, an unkeyed shard,
-all-row parts — groups rows exactly as before.
+key order included; the one-input view of a group read has one column,
+so its records are ``(key, [values])``.  Which form a read produces is
+decided by what its input *is*, never by a switch: a signed-integer
+keyed columnar shard groups into the view, as does a join with
+plain-``int`` keys on every part and at least one part already columnar
+(row parts then ride along, their values as one never-inspected object
+column); anything else — string/float/bool/NumPy-scalar/oversized keys,
+an unkeyed shard, all-row parts — groups rows exactly as before.
 """
 
 from __future__ import annotations
@@ -92,6 +99,8 @@ __all__ = [
     "ListColumn",
     "as_records",
     "cogroup_columns",
+    "group_columns",
+    "int_keyed",
     "segment_group",
     "stable_shard",
     "stable_shard_column",
@@ -186,11 +195,11 @@ class ListColumn:
     for lists of lists); one child makes each entry a list of scalars,
     ``m > 1`` children a list of ``m``-tuples — the same rule a
     :class:`ColumnarShard` applies to its value columns.  ``offsets``
-    starts at 0 and ends at the child length.  It serves the two places
-    the engine used to hold one Python list per key: a packed adjacency
-    ``(a, [(b, s), ...])`` and a cogroup's per-key value lists; both
-    stay sliceable, routable and picklable as whole arrays, and
-    :meth:`tolist` gives back exactly the row path's lists.
+    starts at 0 and ends at the child length, so a CSR graph *is* one:
+    ``ListColumn(indptr, (indices, weights))`` holds every adjacency
+    ``[(b, s), ...]``.  Lists stay sliceable, routable and picklable as
+    whole arrays, and :meth:`tolist` gives back exactly the row path's
+    lists.
     """
 
     __slots__ = ("offsets", "children")
@@ -613,6 +622,17 @@ def segment_group(
     ]
 
 
+def int_keyed(shard: Any) -> bool:
+    """Is ``shard`` a keyed :class:`ColumnarShard` with a signed-integer
+    key column — what the segment kernels (and so every batch fold)
+    take?"""
+    return (
+        isinstance(shard, ColumnarShard)
+        and shard.keys is not None
+        and np.issubdtype(shard.keys.dtype, np.signedinteger)
+    )
+
+
 def _int_keyed_columns(part: Any) -> Optional[Tuple[np.ndarray, tuple]]:
     """``(int64 key column, value columns)`` of one keyed part, or
     ``None`` when its keys are not plain integers.
@@ -622,9 +642,7 @@ def _int_keyed_columns(part: Any) -> Optional[Tuple[np.ndarray, tuple]]:
     they are (ragged tuples, lists, ``None``).
     """
     if isinstance(part, ColumnarShard):
-        if part.keys is None or not np.issubdtype(
-            part.keys.dtype, np.signedinteger
-        ):
+        if not int_keyed(part):
             return None
         return part.keys.astype(np.int64, copy=False), part.columns
     records = as_records(part)
@@ -640,9 +658,11 @@ def _int_keyed_columns(part: Any) -> Optional[Tuple[np.ndarray, tuple]]:
 
 
 class CoGroupedShard(ColumnarShard):
-    """The co-grouped view of a CoGroupByKey: one record per distinct key,
+    """The grouped view of a CoGroupByKey: one record per distinct key,
     one list-valued column per input — ``(key, ([values_0], ...,
     [values_{n-1}]))``, the row grouping's records in its key order.
+    With one input (a GroupByKey, :func:`group_columns`) the one column
+    makes the records ``(key, [values])``.
 
     Held as what the segment kernel produced — per input, each record's
     segment id (its key's position in ``keys``) beside the input's value
@@ -733,3 +753,15 @@ def cogroup_columns(parts: Sequence[Any]) -> Optional[CoGroupedShard]:
         keys,
         [(ids, columns) for ids, (_keys, columns) in zip(segments, inputs)],
     )
+
+
+def group_columns(shard: Any) -> Optional[CoGroupedShard]:
+    """GroupByKey of one key-routed shard, as columns: the one-input
+    grouped view — ``to_records()`` is the row grouping's ``(key,
+    [values])`` list, key order and value order included — or ``None``
+    (the caller groups rows) unless ``shard`` is a non-empty
+    :func:`int_keyed` columnar shard."""
+    if not int_keyed(shard) or not len(shard):
+        return None
+    keys, (segments,) = segment_group([shard.keys.astype(np.int64, copy=False)])
+    return CoGroupedShard(keys, [(segments, shard.columns)])

@@ -6,9 +6,9 @@ expresses the standard IVF-sharded construction on the dataflow engine as
 a thin composition: fit a coarse quantizer on a driver-sized sample (the
 only centralized step), then apply the
 :class:`~repro.dataflow.library.ShardedKnn` composite (multi-probe
-assignment → per-cell brute force → per-point candidate merge) and take
-each point's global top-k on the way out.  Peak per-worker memory is the
-largest cell, not the corpus.
+assignment → per-cell brute force → per-point top-k merge) and drain each
+point's top-k columns straight into the neighbor table.  Peak per-worker
+memory is the largest cell, not the corpus.
 
 Engine configuration comes from a single
 :class:`~repro.dataflow.options.EngineOptions` (``options=``) or a shared
@@ -18,10 +18,11 @@ reuse one worker pool across several builds).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.dataflow.columnar import ColumnarShard, ListColumn
 from repro.dataflow.library import ShardedKnn
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.context import DataflowContext, engine_context
@@ -49,6 +50,17 @@ def _fit_centroids(
                 if norm > 0:
                     centroids[c] = mean / norm
     return centroids
+
+
+def _top_k_columns(shard) -> Tuple[np.ndarray, ListColumn]:
+    """``(points, ListColumn(host, sim))`` of one merged shard — its
+    columns, or the same built from row records (the row fallback)."""
+    if isinstance(shard, ColumnarShard):
+        return shard.keys, shard.columns[0]
+    return (
+        np.fromiter((point for point, _ in shard), np.int64, len(shard)),
+        ListColumn.from_lists([top_k for _, top_k in shard]),
+    )
 
 
 def beam_knn_graph(
@@ -115,46 +127,19 @@ def beam_knn_graph(
             merged = points.apply(
                 ShardedKnn(x, centroids, k=k, nprobe=nprobe)
             )
-            # Drain the per-point candidate dicts into flat columns and
-            # rank them with one lexsort instead of one ``sorted`` per
-            # point.  Sort order (point, -sim, host) reproduces the
-            # per-point ``sorted(..., key=(-sim, host))`` bit-for-bit:
-            # float negation is exact and each (point, host) pair is
-            # unique, so the order is total.
-            point_ids: List[int] = []
-            counts: List[int] = []
-            flat_hosts: List[int] = []
-            flat_sims: List[float] = []
-            for point, acc in (
-                pair for shard in merged.iter_shards() for pair in shard
-            ):
-                point_ids.append(point)
-                counts.append(len(acc))
-                flat_hosts.extend(acc.keys())
-                flat_sims.extend(acc.values())
-            if flat_hosts:
-                pts = np.repeat(
-                    np.asarray(point_ids, dtype=np.int64),
-                    np.asarray(counts, dtype=np.int64),
-                )
-                hosts_col = np.asarray(flat_hosts, dtype=np.int64)
-                sims_col = np.asarray(flat_sims, dtype=np.float64)
-                order = np.lexsort((hosts_col, -sims_col, pts))
-                pts = pts[order]
-                # Rank within each point's run (points are unique per
-                # record, so runs are contiguous after the sort).
-                run_start = np.empty(pts.size, dtype=bool)
-                run_start[0] = True
-                np.not_equal(pts[1:], pts[:-1], out=run_start[1:])
-                starts = np.flatnonzero(run_start)
-                ranks = np.arange(pts.size, dtype=np.int64) - np.repeat(
-                    starts, np.diff(np.append(starts, pts.size))
-                )
-                keep = ranks < k
-                pts = pts[keep]
-                ranks = ranks[keep]
-                neighbors[pts, ranks] = hosts_col[order][keep]
-                sims_out[pts, ranks] = sims_col[order][keep]
+            # Each point's record is its top-k, already ordered by
+            # (-sim, host): its candidates go into its row as they are.
+            for shard in merged.iter_stored():
+                if len(shard):
+                    point_ids, top_k = _top_k_columns(shard)
+                    lengths = top_k.lengths()
+                    rows = np.repeat(point_ids, lengths)
+                    ranks = np.arange(rows.size) - np.repeat(
+                        top_k.offsets[:-1], lengths
+                    )
+                    neighbors[rows, ranks], sims_out[rows, ranks] = (
+                        top_k.children
+                    )
             metrics = pipeline.metrics
         finally:
             pipeline.close()

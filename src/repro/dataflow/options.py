@@ -224,12 +224,11 @@ _KNOBS: Tuple[_Knob, ...] = (
     )),
     _Knob("stream_source", None, _opt_bool, flag_type=bool, flags=(
         ("--stream-source",
-         "ingest every dataflow source through chunked streaming (the "
-         "driver never materializes the ground set); by default each "
-         "beam keeps its own ingest mode"),
+         "ingest the beams' point-id sources through chunked streaming "
+         "(the driver never materializes the ground set as records); by "
+         "default each beam keeps its own ingest mode"),
         ("--no-stream-source",
-         "force eager ingest everywhere (disables the bounding stage's "
-         "default streaming)"),
+         "force eager ingest of the beams' point-id sources"),
     )),
     _Knob("workers", None, _workers, flags=(
         ("--workers",
@@ -300,8 +299,10 @@ class EngineOptions:
         Run the plan optimizer.  ``None`` defers to the engine-wide
         default (the test harness's ``--no-optimize`` flips it).
     stream_source:
-        Force chunked streaming ingest everywhere (``True``), force eager
-        ingest (``False``), or keep each beam's own default (``None``).
+        Force chunked streaming ingest of the beams' point-id sources
+        (``True``), force eager ingest (``False``), or keep each beam's
+        own default (``None``).  Sources built from arrays (the graph
+        and utility columns) are always eager.
     workers:
         Remote-worker addresses (``"host:port"`` strings or ``(host,
         port)`` pairs, normalized to strings).  Requires

@@ -100,6 +100,8 @@ from repro.dataflow.columnar import (
     as_records,
     bucket_keyed_items,
     cogroup_columns,
+    group_columns,
+    int_keyed,
     merge_bucket_parts,
     route_columnar,
 )
@@ -316,6 +318,12 @@ class _MissingKey:
     processes."""
 
 
+def _batch_fold_input(shard, batch) -> bool:
+    """Does a fold's whole-shard ``batch`` take this shard — a non-empty
+    :func:`~repro.dataflow.columnar.int_keyed` columnar one?"""
+    return batch is not None and int_keyed(shard) and len(shard) > 0
+
+
 def _make_precombiner(chain, zero, add, num_shards, batch=None):
     """Stage: combiner lifting — local pre-combine, then bucket partials.
 
@@ -323,40 +331,38 @@ def _make_precombiner(chain, zero, add, num_shards, batch=None):
     record volume the local aggregation absorbed (the payload the executor
     ships back is the partials plus one int).
 
-    A fold that declares ``batch`` is applied once per key over that
-    key's (order-preserved) value list instead of once per record; key
-    order — and therefore every downstream insertion order — matches the
-    scalar dict's first-appearance order exactly.
+    A fold that declares ``batch`` folds a whole int-keyed columnar shard
+    in one call (one accumulator row per key, first-appearance order —
+    the scalar dict's) and the partials route column-wise; anything else
+    runs ``add`` once per record.
     """
 
     def precombine(
         records, _chain=chain, _zero=zero, _add=add, _num=num_shards,
         _batch=batch,
     ):
+        shard = _chain.batch(records)
+        if _chain.all_batch and _batch_fold_input(shard, _batch):
+            return len(shard), route_columnar(_batch(shard), _num)
         local: dict = {}
         n_pre = 0
-        pairs = _chain.rows(_chain.batch(records))
-        if _batch is not None:
-            grouped: dict = {}
-            for key, value in pairs:
-                n_pre += 1
-                grouped.setdefault(key, []).append(value)
-            for key, values in grouped.items():
-                local[key] = _batch(values)
-        else:
-            for key, value in pairs:
-                n_pre += 1
-                acc = local.get(key, _MissingKey)
-                local[key] = _add(_zero() if acc is _MissingKey else acc, value)
+        for key, value in _chain.rows(shard):
+            n_pre += 1
+            acc = local.get(key, _MissingKey)
+            local[key] = _add(_zero() if acc is _MissingKey else acc, value)
         return n_pre, bucket_keyed_items(list(local.items()), _num)
 
     return precombine
 
 
-def _make_combiner_merger(merge):
-    """Stage: merge routed per-key accumulators on the destination shard."""
+def _make_combiner_merger(merge, batch=None):
+    """Stage: merge routed per-key accumulators on the destination shard
+    — with a declared ``batch``, in one call over a columnar shard of
+    partials."""
 
-    def merge_shard(records, _merge=merge):
+    def merge_shard(records, _merge=merge, _batch=batch):
+        if _batch_fold_input(records, _batch):
+            return _batch(records)
         merged: dict = {}
         for key, acc in records:
             prev = merged.get(key, _MissingKey)
@@ -384,7 +390,14 @@ def _keyed_pairs(shard):
 
 
 def _group_shard(records):
-    """Stage: GroupByKey's per-shard grouping (input already key-routed)."""
+    """Stage: GroupByKey's per-shard grouping (input already key-routed).
+
+    An int-keyed columnar shard groups by segment into the one-input
+    grouped view (:func:`~repro.dataflow.columnar.group_columns`) — the
+    same ``(key, [values])`` records, lists built only if asked for."""
+    grouped = group_columns(records)
+    if grouped is not None:
+        return grouped
     groups: dict = {}
     for key, value in _keyed_pairs(records):
         groups.setdefault(key, []).append(value)
@@ -660,9 +673,17 @@ class Pipeline:
         """``(key, value)`` pairs, sharded by key.
 
         Streaming (see :meth:`create`) routes each bounded chunk by key as
-        it is consumed — same placement, same order as eager sharding.
+        it is consumed — same placement, same order as eager sharding.  A
+        keyed :class:`~repro.dataflow.columnar.ColumnarShard` is its
+        records already in columns: it routes column-wise
+        (:func:`~repro.dataflow.columnar.route_columnar`) into columnar
+        shards, the same placement and order as the records would get.
         """
         self.metrics.count_stage(name)
+        if isinstance(pairs, ColumnarShard):
+            return self._from_materialized(
+                route_columnar(pairs, self.num_shards), keyed=True, name=name
+            )
         if stream is None:
             stream = not isinstance(pairs, Collection)
         if stream:
@@ -762,7 +783,11 @@ class Pipeline:
     #: what the recipe cannot see: library code a DoFn reaches by
     #: reference.  ``-2``: the structural recipe of
     #: :mod:`repro.dataflow.digest` replaced cloudpickled closures.
-    _CHECKPOINT_VERSION = b"repro-ckpt-2"
+    #: ``-3``: boundary payloads became columns (the kNN merge's
+    #: accumulator is a sorted top-k list, no longer a ``{host: sim}``
+    #: dict; grouped reads store the grouped view), so no entry written
+    #: before may reach a reader of the new shapes.
+    _CHECKPOINT_VERSION = b"repro-ckpt-3"
 
     def _node_digest(self, node: _Node) -> Optional[str]:
         """Deterministic digest of the subplan below ``node`` (memoized).
@@ -1231,7 +1256,7 @@ class Pipeline:
             write_fn = _make_precombiner(
                 chain, zero, add, self.num_shards, batch=fold_batch
             )
-            read_fn = _make_combiner_merger(merge)
+            read_fn = _make_combiner_merger(merge, fold_batch)
         else:
             write_fn = _make_keyed_bucketer(chain, self.num_shards)
             read_fn = _group_shard
@@ -1478,6 +1503,13 @@ class PCollection:
         for shard in self._shards:
             yield as_records(_resolve(shard))
 
+    def iter_stored(self) -> Iterator[Any]:
+        """Yield each shard as the stage stored it (spilled shards loaded
+        one at a time): a :class:`ColumnarShard` stays columns, for a
+        driver that drains arrays; anything else is its record list."""
+        for shard in self._shards:
+            yield _resolve(shard)
+
     def run(self) -> "PCollection":
         """Force execution of this collection's DAG; returns self."""
         self.pipeline._materialize(self._node)
@@ -1614,7 +1646,7 @@ class PCollection:
         add: Callable[[Any, Any], Any],
         merge: Callable[[Any, Any], Any],
         *,
-        batch: Optional[Callable[[list], Any]] = None,
+        batch: Optional[Callable[[ColumnarShard], ColumnarShard]] = None,
         name: str = "combine_per_key",
     ) -> "PCollection":
         """Beam CombinePerKey with combiner lifting.
@@ -1622,9 +1654,9 @@ class PCollection:
         Each input shard pre-combines locally (``zero``/``add``), then only
         per-key accumulators shuffle (``merge``) — the same record-volume
         optimization Beam's combiner lifting performs.  ``batch``, when
-        given, replaces the per-record ``add`` loop with one
-        whole-value-list call per key (must be bit-identical to folding
-        ``add`` from ``zero()``).
+        given, is :class:`Fold`'s whole-shard contract: both the
+        pre-combine and the merge call it on an int-keyed columnar shard
+        instead of looping ``add`` / ``merge`` over its records.
         """
         self._require_keyed("combine_per_key")
         self.pipeline.metrics.count_stage(name)

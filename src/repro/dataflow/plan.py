@@ -106,14 +106,20 @@ class Fold:
     unoptimized plan (``optimize=False``) applies it directly to the
     output of ``group_by_key`` with identical results.
 
-    ``batch`` optionally declares a whole-list (vectorized)
-    implementation: ``batch(values)`` must equal folding ``add`` over
-    ``values`` from ``zero()`` — bit-identically, value order respected.
-    The lifted combiner's pre-combine stage applies ``batch`` once per
-    key instead of ``add`` once per record; the naive plan (and a fold
-    declared without ``batch``) runs the scalar fold, so a ``batch`` fold
-    is subject to the same differential bit-identity bar as every other
-    rewrite.
+    ``batch`` optionally declares one whole-shard (vectorized)
+    implementation.  ``batch(shard)`` takes a keyed
+    :class:`~repro.dataflow.columnar.ColumnarShard` with a signed-integer
+    key column and returns one as well: one row per distinct key, in
+    first-appearance order, whose value is the key's values folded in
+    record order — bit-identical to the scalar fold.  Both halves of the
+    lifted combiner call it: the pre-combine on the (keyed columnar)
+    output of its producing chain, the merge on the routed partials,
+    which are accumulators — so a batch fold is one whose accumulators
+    fold like values (``merge`` agrees with ``add``, as for sums, counts
+    and top-k lists).  Any other shard (rows, non-integer keys, an empty
+    shard) runs ``add``/``merge`` per record, as does the naive plan, so
+    a ``batch`` fold is held to the same differential bit-identity bar as
+    every other rewrite.
     """
 
     __slots__ = ("zero", "add", "merge", "label", "batch")
@@ -125,7 +131,7 @@ class Fold:
         merge: Optional[Callable[[Any, Any], Any]] = None,
         *,
         label: str = "fold",
-        batch: Optional[Callable[[list], Any]] = None,
+        batch: Optional[Callable[[ColumnarShard], ColumnarShard]] = None,
     ) -> None:
         self.zero = zero
         self.add = add
@@ -466,6 +472,14 @@ _MOVING = frozenset(
 )
 
 
+def _batch_fold(stage: "_Stage") -> bool:
+    """Is ``stage`` half of a combine whose fold declares ``batch``?"""
+    return (
+        stage.kind in ("combine-write", "combine-read")
+        and stage.node.extra[3] is not None
+    )
+
+
 class _Stage:
     """One physical stage — what runs, what is metered, what is rendered.
 
@@ -559,8 +573,7 @@ class _Stage:
         self.fused_stages = (
             sum(len(c.nodes) for c in chains) + len(post) - (kind == "chain")
         )
-        batch_fold = kind == "combine-write" and node.extra[3] is not None
-        self.vectorized = batch_fold or any(
+        self.vectorized = _batch_fold(self) or any(
             c.fused.vectorized for c in (*chains, self.post_chain)
         )
         self.moves_records = kind in _MOVING
@@ -761,7 +774,7 @@ def _stage_text(stage: _Stage, stream_chunk_size: int, note: str) -> str:
         text = stage.label
         if stage.lifted:
             text += f" (lifted from group '{node.lifted_from}')"
-        if kind == "combine-write" and node.extra[3] is not None:
+        if _batch_fold(stage):
             text += " [vectorized fold]"
         if stage.chain is not None:
             text += _chain_note(stage.chain)

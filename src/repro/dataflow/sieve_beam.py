@@ -59,11 +59,6 @@ def _log_merge(a: list, b: list) -> list:
     return merged
 
 
-def _log_batch(values: List[Tuple[int, int]]) -> list:
-    """Whole-shard fold: one sort instead of per-record insorts."""
-    return sorted(values)
-
-
 def _make_replay(problem: SubsetProblem, k: int, epsilon: float):
     """Reducer DoFn: ordered log → ``(best_ids, num_sieves, memory)``."""
 
@@ -94,11 +89,7 @@ class StreamingSieve(PTransform):
 
     def expand(self, pcoll: PCollection) -> PCollection:
         ladder_log = Fold(
-            _log_zero,
-            _log_add,
-            _log_merge,
-            label="sieve_ladder_log",
-            batch=_log_batch,
+            _log_zero, _log_add, _log_merge, label="sieve_ladder_log"
         )
         return (
             pcoll.map(lambda arrival: (0, arrival), name="sieve/key")

@@ -196,14 +196,6 @@ class NeighborGraph:
                 if v < nb:
                     yield v, int(nb), float(w)
 
-    def adjacency_records(self) -> Iterator[Tuple[int, list]]:
-        """Yield ``(v, [(neighbor, weight), ...])`` for every vertex in id
-        order — the keyed record stream the dataflow beams ingest (Python
-        scalars, neighbors in CSR order)."""
-        for v in range(self._n):
-            nbrs, ws = self.neighbors(v)
-            yield v, list(zip(nbrs.tolist(), ws.tolist()))
-
     def neighbor_mass(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-vertex sum of weights to neighbors selected by ``mask``.
 
@@ -330,8 +322,8 @@ class NeighborGraph:
         # Weighted symmetry: the multiset of stored entries (a, b, w)
         # must equal the multiset of their mirrors (b, a, w) — same edge
         # set, same weight in both directions, same multiplicity.  The
-        # join-only dataflow plans (``dataflow.library.BoundingFilter``,
-        # ``scoring_beam.SelectedEdgeMass``) read a point's adjacency
+        # join-only dataflow plans (``dataflow.library.BoundingFilter``
+        # and ``SelectedEdgeMass``) read a point's adjacency
         # record as "the edges that name it as neighbor", which is only
         # true under exactly this condition.
         rows = np.repeat(

@@ -189,13 +189,15 @@ class TestPipelineCheckpointing:
 
 
     def test_old_version_entries_are_never_loaded(self, tmp_path, monkeypatch):
-        """The recipe change is one announced invalidation: the version
-        tag is hashed into every digest, so a ``repro-ckpt-1`` directory
-        misses, recomputes, and is reaped by ``gc_checkpoints``."""
-        assert Pipeline._CHECKPOINT_VERSION == b"repro-ckpt-2"
+        """A boundary-format change is one announced invalidation: the
+        version tag is hashed into every digest, so a ``repro-ckpt-2``
+        directory — whose kNN merge boundaries hold ``{host: sim}`` dicts,
+        not the top-k lists the drain now reads — misses, recomputes, and
+        is reaped by ``gc_checkpoints``."""
+        assert Pipeline._CHECKPOINT_VERSION == b"repro-ckpt-3"
         ckpt = str(tmp_path / "ckpt")
         with monkeypatch.context() as patch:
-            patch.setattr(Pipeline, "_CHECKPOINT_VERSION", b"repro-ckpt-1")
+            patch.setattr(Pipeline, "_CHECKPOINT_VERSION", b"repro-ckpt-2")
             first, m1 = _run_job(ckpt)
         old_entries = set(os.listdir(ckpt))
         assert m1.checkpoint_stores == len(old_entries) > 0

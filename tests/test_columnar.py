@@ -60,7 +60,14 @@ from repro.dataflow.library import (
     partition_of_column,
 )
 from repro.dataflow.options import EngineOptions
-from repro.dataflow.pcollection import Fold, Pipeline, _make_cogroup_grouper
+from repro.dataflow.pcollection import (
+    Fold,
+    Pipeline,
+    _group_shard,
+    _make_cogroup_grouper,
+    _make_combiner_merger,
+    _make_precombiner,
+)
 from repro.dataflow.plan import _FusedChain
 from repro.dataflow.remote import LocalCluster, RemoteExecutor, protocol
 from repro.dataflow.transforms import cogroup
@@ -228,6 +235,30 @@ class TestEdgeHash01Column:
             ).tolist() == [
                 edge_hash01(eb, int(ea), round_salt, seed_salt) for ea in mine
             ]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.integers(0, 40),
+            st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0]),
+        ),
+        max_size=80,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_similarity_order_is_lexsort(candidates):
+    """The kNN merge's ``(segment, -sim, host)`` order is ``np.lexsort``'s,
+    with ``-0.0`` and ``0.0`` tied and falling back to the host."""
+    segments = np.array([c[0] for c in candidates], dtype=np.int64)
+    hosts = np.array([c[1] for c in candidates], dtype=np.int64)
+    sims = np.array([c[2] for c in candidates], dtype=np.float64)
+    got = library._similarity_order(segments, hosts, sims, 6)
+    expected = np.lexsort((hosts, -sims, segments))
+    assert segments[got].tolist() == segments[expected].tolist()
+    assert hosts[got].tolist() == hosts[expected].tolist()
+    assert (-sims[got]).tolist() == (-sims[expected]).tolist()
 
 
 class TestPartitionOfColumn:
@@ -404,6 +435,33 @@ class TestListColumn:
         assert scalars.lengths().tolist() == [2, 0, 1]
         nested = ListColumn(np.array([0, 2, 2, 3]), (scalars,))
         assert nested.tolist() == [[[1, 2], []], [], [[3]]]
+
+    def test_csr_arrays_are_the_adjacency_records(self):
+        """``by_point(ListColumn(indptr, (indices, weights)))`` — the
+        bounding and scoring beams' graph source — holds every vertex's
+        ``(v, [(neighbor, weight), ...])`` record, in id order, neighbors
+        in CSR order, as Python scalars (checkpoint digests hash the
+        boundaries derived from it), isolated vertices included."""
+        from repro.graph.csr import NeighborGraph
+
+        g = NeighborGraph.from_edges(
+            5, np.array([0, 1, 0]), np.array([1, 2, 3]),
+            np.array([1.0, 2.0, 0.5]),
+        )
+        records = library.by_point(
+            ListColumn(g.indptr, (g.indices, g.weights))
+        ).to_records()
+        assert records == [
+            (v, list(zip(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist(),
+                         g.weights[g.indptr[v]:g.indptr[v + 1]].tolist())))
+            for v in range(g.n)
+        ]
+        assert records[4] == (4, [])
+        for v, edges in records:
+            assert type(v) is int
+            assert all(
+                type(nb) is int and type(w) is float for nb, w in edges
+            )
 
     def test_misaligned_children_rejected(self):
         with pytest.raises(ValueError):
@@ -678,6 +736,15 @@ def _shards(collection):
     return list(collection.iter_shards())
 
 
+def _sum_by_key(shard):
+    """Batch twin of summing each key's int values: one row per key, in
+    first-appearance order."""
+    keys, (segments,) = segment_group([shard.keys.astype(np.int64)])
+    totals = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(totals, segments, shard.columns[0])
+    return ColumnarShard(keys, (totals,))
+
+
 def _columnar_pairs(shard):
     """Batch twin of ``x -> (x % 5, x * x)``, emitted columnar."""
     values = np.asarray(as_records(shard), dtype=np.int64)
@@ -830,41 +897,86 @@ class TestBatchVsRowDeclaration:
 
     @pytest.mark.parametrize("lifted", [True, False])
     def test_batch_fold_vs_scalar_fold(self, lifted):
-        """``Fold(batch=...)`` — via combiner lifting and via an explicit
-        ``combine_per_key`` — equals the per-record ``add`` loop."""
+        """``Fold(batch=...)``'s whole-shard contract — via combiner
+        lifting and via an explicit ``combine_per_key``: one call per
+        int-keyed columnar shard in the pre-combine and one per
+        destination in the merge, equal to the per-record ``add`` /
+        ``merge`` loops."""
+        calls = []
+
         def add(acc, value):
-            acc.append(value * 3)
-            return acc
+            return acc + value
 
-        def merge(a, b):
-            return a + b
-
-        def batch_fn(values):
-            return [value * 3 for value in values]
+        def batch_fn(shard):
+            calls.append(len(shard))
+            return _sum_by_key(shard)
 
         def build(pipeline, batch):
-            keyed = pipeline.create_keyed(
-                [(i % 9, i) for i in range(300)]
-            )
+            pairs = ColumnarShard(np.arange(300) % 9 - 4, (np.arange(300),))
+            keyed = pipeline.create_keyed(pairs if batch else pairs.to_records())
             declared = batch_fn if batch else None
             if lifted:
                 return keyed.group_by_key().map_values(
-                    Fold(list, add, merge, batch=declared)
+                    Fold(int, add, batch=declared)
                 )
-            return keyed.combine_per_key(list, add, merge, batch=declared)
+            return keyed.combine_per_key(int, add, add, batch=declared)
 
         self._both(build)
+        # Keys -4..4 fill all four shards, and each destination receives
+        # one partial per key.
+        assert sum(calls[:4]) == 300 and sum(calls[4:]) == 9
+        assert len(calls) == 8
+
+    def test_batch_fold_declines_empty_and_non_int_shards(self):
+        """An empty shard and a non-integer key column run the scalar fold
+        (the segment kernels need integer keys) — same records."""
+        def add(acc, value):
+            return acc + value
+
+        def never(shard):
+            raise AssertionError("batch fold called")
+
+        precombine = _make_precombiner(_FusedChain(()), int, add, 4, batch=never)
+        merge = _make_combiner_merger(add, batch=never)
+        empty = ColumnarShard(np.zeros(0, np.int64), (np.zeros(0, np.int64),))
+        assert precombine(empty) == (0, [[], [], [], []])
+        assert merge(empty) == []
+        named = ColumnarShard(np.array(["a", "b", "a"]), (np.array([1, 2, 3]),))
+        n_pre, buckets = precombine(named)
+        assert n_pre == 3
+        assert sorted(kv for bucket in buckets for kv in bucket) == [
+            ("a", 4), ("b", 2)
+        ]
+        assert merge(named) == [("a", 4), ("b", 2)]
+
+    def test_group_read_of_columns_is_the_grouped_view(self):
+        """A group read of an int-keyed columnar shard hands its consumer
+        the one-input view; its records are the row grouping's."""
+        pairs = ColumnarShard(np.arange(40) % 6, (np.arange(40) * 1.5,))
+        view = _group_shard(pairs)
+        assert isinstance(view, CoGroupedShard) and len(view.inputs) == 1
+        assert view.to_records() == _group_shard(pairs.to_records())
+        assert _group_shard(ColumnarShard(
+            np.array(["x", "y", "x"]), (np.arange(3),)
+        )) == [("x", [0, 2]), ("y", [1])]
 
 
 class TestLibraryBeamsBatchVsRow:
-    """The library composites declare their hot DoFns as ``BatchDoFn``;
-    stripping the declarations (so the scalar reference DoFns run) must
-    not move one bit of a beam's output."""
+    """The library composites declare their hot DoFns as ``BatchDoFn``
+    and their folds with ``batch``; stripping the declarations (so the
+    scalar reference DoFns and folds run) must not move one bit of a
+    beam's output."""
 
     @staticmethod
     def _strip_batch(monkeypatch):
         monkeypatch.setattr(
             library, "BatchDoFn", lambda fn, batch, label=None: fn
+        )
+        monkeypatch.setattr(
+            library, "Fold",
+            lambda zero, add, merge=None, *, label="fold", batch=None: Fold(
+                zero, add, merge, label=label
+            ),
         )
 
     def test_knn_beam(self, monkeypatch):
@@ -936,4 +1048,29 @@ class TestLibraryBeamsBatchVsRow:
         assert row_metrics.vectorized_stages == 0
         np.testing.assert_array_equal(result.selected, row_result.selected)
         assert result.rounds == row_result.rounds
+        assert metrics.shuffled_records == row_metrics.shuffled_records
+
+    def test_score_beam(self, monkeypatch):
+        """``score/invert`` (repeat/mask over the adjacency columns) and
+        ``score/per_point`` (one ``np.bincount``) vs their row fns: the
+        same float, the same shuffle."""
+        from repro.core.problem import SubsetProblem
+        from repro.data.registry import load_dataset
+        from repro.dataflow import beam_score
+
+        ds = load_dataset("cifar100_tiny", n_points=200, seed=0)
+        problem = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
+        subset = np.random.default_rng(1).choice(200, 70, replace=False)
+
+        def build():
+            return beam_score(
+                problem, subset, options=EngineOptions(num_shards=4)
+            )
+
+        score, metrics = build()
+        assert metrics.vectorized_stages > 0
+        self._strip_batch(monkeypatch)
+        row_score, row_metrics = build()
+        assert row_metrics.vectorized_stages == 0
+        assert score == row_score
         assert metrics.shuffled_records == row_metrics.shuffled_records

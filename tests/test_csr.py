@@ -168,26 +168,6 @@ class TestAccessors:
         # vertex 2 touches weights 2 and 3.
         assert g.max_neighbor_mass() == 5.0
 
-    def test_adjacency_records_are_the_beams_source_stream(self):
-        """Same records, order and Python scalar types as the generator
-        the beams used to spell out — checkpoint digests hash them."""
-        g = NeighborGraph.from_edges(
-            5, np.array([0, 1, 0]), np.array([1, 2, 3]),
-            np.array([1.0, 2.0, 0.5]),
-        )
-        records = list(g.adjacency_records())
-        assert records == [
-            (v, list(zip(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist(),
-                         g.weights[g.indptr[v]:g.indptr[v + 1]].tolist())))
-            for v in range(g.n)
-        ]
-        assert records[4] == (4, [])   # isolated vertices still appear
-        for v, edges in records:
-            assert type(v) is int
-            assert all(
-                type(nb) is int and type(w) is float for nb, w in edges
-            )
-
 
 class TestNeighborMass:
     def test_full_mass(self):

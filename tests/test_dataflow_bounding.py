@@ -12,8 +12,8 @@ from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
 from repro.dataflow import EngineOptions, beam_bound, beam_score, library
 from repro.dataflow.bounding_beam import BeamBoundingDriver
-from repro.dataflow.columnar import ColumnarShard
-from repro.dataflow.library import BoundingFilter, packed_adjacency
+from repro.dataflow.columnar import ColumnarShard, ListColumn
+from repro.dataflow.library import BoundingFilter, by_point
 from repro.dataflow.pcollection import Pipeline
 from tests.conftest import random_problem
 
@@ -86,9 +86,9 @@ class TestBeamBoundingEquivalence:
         self, problem, spill
     ):
         """Every materialized node is metered with ``len(shard)``; the
-        packed adjacency is cached for the whole drive, so it must keep
-        one record per *point* — a cached per-edge table would lift the
-        peak from ``n / shards`` to the edge count."""
+        packed adjacency source lives for the whole drive, so it must keep
+        one record per *point* — a per-edge table would lift the peak from
+        ``n / shards`` to the edge count."""
         _, metrics = beam_bound(
             problem, problem.n // 10,
             options=EngineOptions(
@@ -98,20 +98,26 @@ class TestBeamBoundingEquivalence:
         assert metrics.peak_shard_records == math.ceil(problem.n / 8)
 
     def test_streamed_graph_is_released_once_packed(self, problem):
-        """The pack truncates its lineage: the streamed ``source/neighbors``
-        shards are dropped, not kept resident beside the packed copy."""
+        """The graph source *is* the packed adjacency: columnar shards over
+        the CSR arrays, one record per point, routed once at creation —
+        no row copy of the adjacency and no pack stage exist."""
         driver = BeamBoundingDriver(problem, options=EngineOptions(num_shards=4))
         try:
             gc.collect()
             live = {node.name for node in driver.pipeline._nodes}
-            assert "bound/pack" in live and "source/neighbors" not in live
+            assert "source/neighbors" in live and "bound/pack" not in live
             packed = driver.neighbors._node
-            assert packed.deps == () and packed.partitioned
+            assert packed.kind == "source" and packed.deps == ()
+            assert packed.partitioned
             shards = [s.load() for s in packed.cached]
-            assert all(isinstance(s, ColumnarShard) for s in shards)
+            assert all(
+                isinstance(s, ColumnarShard)
+                and isinstance(s.columns[0], ListColumn)
+                for s in shards
+            )
             assert sum(len(s) for s in shards) == problem.n
             records = [r for s in shards for r in s.to_records()]
-            assert sorted(records) == list(problem.graph.adjacency_records())
+            assert sorted(records) == _adjacency_records(problem.graph)
         finally:
             driver.close()
 
@@ -183,6 +189,22 @@ class TestBeamBoundingEquivalence:
             beam_bound(problem, problem.n + 1)
 
 
+def _adjacency_records(g):
+    """Every point's adjacency record, spelled out from the CSR arrays."""
+    return [
+        (v, list(zip(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist(),
+                     g.weights[g.indptr[v]:g.indptr[v + 1]].tolist())))
+        for v in range(g.n)
+    ]
+
+
+def _adjacency_source(pipeline, g):
+    return pipeline.create_keyed(
+        by_point(ListColumn(g.indptr, (g.indices, g.weights))),
+        name="source/neighbors",
+    )
+
+
 def _strip_batch_twins(monkeypatch):
     """The same composites built from plain callables: the row path."""
     monkeypatch.setattr(
@@ -200,9 +222,7 @@ def _one_round(problem, *, num_shards, optimize, spill, **sampling):
     with Pipeline(
         num_shards=num_shards, optimize=optimize, spill_to_disk=spill
     ) as pipeline:
-        neighbors = packed_adjacency(
-            pipeline.create_keyed(g.adjacency_records(), name="source/neighbors")
-        ).cache()
+        neighbors = _adjacency_source(pipeline, g)
         utilities = pipeline.create_keyed(
             [(v, float(problem.utilities[v])) for v in range(n)],
             name="source/utilities",
@@ -293,8 +313,12 @@ class TestBoundingFilterColumnsVsRows:
 
         def run():
             with Pipeline(num_shards=num_shards) as pipeline:
-                neighbors = packed_adjacency(
-                    pipeline.create_keyed(records, name="source/neighbors")
+                neighbors = pipeline.create_keyed(
+                    ColumnarShard(
+                        np.array([v for v, _ in records]),
+                        (ListColumn.from_lists([e for _, e in records]),),
+                    ),
+                    name="source/neighbors",
                 )
                 utilities = pipeline.create_keyed(
                     [(v, 0.5) for v in range(16)], name="source/utilities"
@@ -337,9 +361,7 @@ class TestBoundsGolden:
         )
         g = problem.graph
         with Pipeline(num_shards=4, executor=matrix_executor) as pipeline:
-            neighbors = packed_adjacency(
-                pipeline.create_keyed(g.adjacency_records(), name="source/neighbors")
-            )
+            neighbors = _adjacency_source(pipeline, g)
             utilities = pipeline.create_keyed(
                 [(v, float(problem.utilities[v])) for v in range(200)],
                 name="source/utilities",
@@ -379,3 +401,28 @@ class TestBeamScoring:
     def test_out_of_range_subset(self, problem):
         with pytest.raises(ValueError):
             beam_score(problem, np.array([problem.n]))
+
+    def test_subset_is_read_like_the_objective(self):
+        """A boolean mask is a mask, not the ids {0, 1}; duplicate ids and
+        a mask of the wrong shape raise — ``PairwiseObjective``'s rules,
+        through the one shared validator."""
+        from repro.data.registry import load_dataset
+
+        ds = load_dataset("cifar100_tiny", n_points=100, seed=0)
+        p = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
+        mask = np.zeros(p.n, dtype=bool)
+        mask[[10, 20, 30]] = True
+        expected = PairwiseObjective(p).value(mask)
+        assert expected == PairwiseObjective(p).value([10, 20, 30])
+        options = EngineOptions(num_shards=4)
+        assert beam_score(p, mask, options=options)[0] == pytest.approx(
+            expected, abs=1e-12
+        )
+        assert beam_score(p, {30, 10, 20}, options=options)[0] == (
+            beam_score(p, mask, options=options)[0]
+        )
+        for bad in ([5, 5, 7], np.ones(p.n + 1, dtype=bool)):
+            with pytest.raises(ValueError):
+                PairwiseObjective(p).value(bad)
+            with pytest.raises(ValueError):
+                beam_score(p, bad, options=options)

@@ -447,10 +447,11 @@ class TestCompositeGroups:
             # One exchange per round: the graph, the solution and the
             # remaining set are read in place — only the live edges,
             # re-keyed by ``bound/invert``, get a write stage.
-            # The graph was packed (and cached) when the driver was built.
+            # The graph source is the packed adjacency columns, routed
+            # when the driver was built.
             assert (
                 "cogroup-read cogroup 'bound/threeway_join' <- "
-                "[materialized map_values 'bound/pack'] [co-partitioned], "
+                "[materialized source 'source/neighbors'] [co-partitioned], "
                 "[materialized source 'state/solution'] [co-partitioned], "
                 "[materialized source 'state/remaining'] [co-partitioned]"
             ) in plan

@@ -181,10 +181,13 @@ class TestCLI:
             line for line in bounding.splitlines()
             if "cogroup-read cogroup 'bound/threeway_join'" in line
         ]
-        # All three inputs read in place; the graph's once-per-drive pack
-        # (not run by ``plan``) shows fused into the read.
+        # All three inputs read in place; the graph is its columnar
+        # source, no pack stage in front of it.
         assert join.count("[co-partitioned") == 3
-        assert "[co-partitioned; fused: map_values 'bound/pack']" in join
+        assert (
+            "[materialized source 'source/neighbors'] [co-partitioned]"
+        ) in join
+        assert "bound/pack" not in out
         assert "cogroup-write" not in join
         assert "'bound/threeway_join'" not in bounding.replace(join, "")
 

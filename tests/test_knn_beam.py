@@ -81,3 +81,65 @@ class TestBeamKnnGraph:
             sel = greedy_heap(problem, 20).selected
             scores.append(PairwiseObjective(problem).value(sel))
         assert scores[1] >= 0.9 * scores[0]
+
+
+class TestIvfReference:
+    """The beam against an independent NumPy IVF multi-probe top-k: the
+    same centroids, each point's candidates the hosts of its probed cells
+    (a host lives in its home cell only), ranked by ``(-sim, host)``.
+
+    Embeddings are ±0.25 sign vectors in 16 dims, drawn from a small pool
+    so most points have exact duplicates: every norm is exactly 1 and
+    every dot product a sum of ±1/16, exact in any summation order — so
+    similarities tie exactly and often, within a cell and across cells,
+    and the tie-break by host is what is being pinned."""
+
+    K, NPROBE = 5, 2
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(3)
+        pool = rng.choice([-0.25, 0.25], size=(60, 16))
+        return pool[rng.integers(0, 60, size=240)], pool[:6]
+
+    @classmethod
+    def _reference(cls, x, centroids):
+        probes = np.argsort(-(x @ centroids.T), axis=1)[:, : cls.NPROBE]
+        home = probes[:, 0]
+        sims = x @ x.T
+        n = x.shape[0]
+        neighbors = np.empty((n, cls.K), dtype=np.int64)
+        top_sims = np.empty((n, cls.K))
+        for q in range(n):
+            hosts = np.flatnonzero(np.isin(home, probes[q]))
+            hosts = hosts[hosts != q]
+            assert hosts.size >= cls.K  # no random padding in play
+            order = np.lexsort((hosts, -sims[q, hosts]))[: cls.K]
+            neighbors[q] = hosts[order]
+            top_sims[q] = sims[q, hosts[order]]
+        return neighbors, np.maximum(top_sims, 0.0)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    @pytest.mark.parametrize(
+        "num_shards,optimize", [(8, True), (8, False), (3, True)]
+    )
+    def test_matches_reference_with_exact_ties(
+        self, monkeypatch, num_shards, optimize, rows
+    ):
+        from repro.dataflow import knn_beam
+        from tests.test_columnar import TestLibraryBeamsBatchVsRow
+
+        x, centroids = self._data()
+        expected = self._reference(x, centroids)
+        assert len(np.unique(expected[1])) < 10  # ties, not a fluke
+        monkeypatch.setattr(
+            knn_beam, "_fit_centroids", lambda *_args: centroids.copy()
+        )
+        if rows:
+            TestLibraryBeamsBatchVsRow._strip_batch(monkeypatch)
+        _, neighbors, sims, _ = beam_knn_graph(
+            x, self.K, nprobe=self.NPROBE,
+            options=EngineOptions(num_shards=num_shards, optimize=optimize),
+        )
+        np.testing.assert_array_equal(neighbors, expected[0])
+        np.testing.assert_array_equal(sims, expected[1])

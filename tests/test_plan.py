@@ -18,12 +18,8 @@ import re
 
 import pytest
 
-from repro.dataflow.library import (
-    BoundingFilter,
-    ShardedKnn,
-    packed_adjacency,
-)
-from repro.dataflow.columnar import BatchDoFn
+from repro.dataflow.library import BoundingFilter, ShardedKnn, by_point
+from repro.dataflow.columnar import BatchDoFn, ListColumn
 from repro.dataflow.pcollection import Pipeline
 from repro.dataflow.plan import (
     Fold,
@@ -176,10 +172,10 @@ def _join_shapes(pipeline):
 
 def _library_beams(pipeline):
     """The real kNN and bounding composites (what ``repro plan`` prints),
-    then a second bounding round over the now-cached pack — a drive's
-    steady state: vectorized reads (``bound/bounded`` + ``bound/reduce``
-    fused into ``bound/bounds_join``) render from the same ``_Stage``
-    field their ``StageProfile`` is recorded from."""
+    then a second bounding round over the same adjacency columns — a
+    drive's steady state: vectorized reads (``bound/bounded`` +
+    ``bound/reduce`` fused into ``bound/bounds_join``) render from the
+    same ``_Stage`` field their ``StageProfile`` is recorded from."""
     x, _ = clustered_points(n=80, n_clusters=4)
     xn = l2_normalize(x)
     knn = pipeline.create(range(80), name="knn/source").apply(
@@ -187,12 +183,12 @@ def _library_beams(pipeline):
     )
     problem = random_problem(60, seed=7)
     g = problem.graph
-    neighbors = packed_adjacency(pipeline.create_keyed(
-        g.adjacency_records(), name="source/neighbors"
-    ))
+    neighbors = pipeline.create_keyed(
+        by_point(ListColumn(g.indptr, (g.indices, g.weights))),
+        name="source/neighbors",
+    )
     utilities = pipeline.create_keyed(
-        [(v, float(problem.utilities[v])) for v in range(g.n)],
-        name="source/utilities",
+        by_point(problem.utilities), name="source/utilities"
     )
     solution = pipeline.create_keyed(
         [(v, True) for v in range(0, g.n, 9)], name="source/solution"
@@ -207,7 +203,7 @@ def _library_beams(pipeline):
             mode="approximate", p=0.5, round_salt=salt,
         ))
 
-    return [knn, one_round(1), neighbors, one_round(2)]
+    return [knn, one_round(1), one_round(2)]
 
 
 PROGRAMS = {

@@ -295,7 +295,8 @@ class TestPredictedVsActual:
         assert errs[len(errs) // 2] <= 0.9
 
     def test_explain_renders_cost_per_stage_on_knn_and_bounding_plans(self):
-        from repro.dataflow.library import BoundingFilter, ShardedKnn
+        from repro.dataflow.columnar import ListColumn
+        from repro.dataflow.library import BoundingFilter, ShardedKnn, by_point
 
         problem = random_problem(200, seed=2)
         x, _ = clustered_points(200, dim=8, seed=4)
@@ -308,8 +309,8 @@ class TestPredictedVsActual:
                 ).explain()
                 g = problem.graph
                 neighbors = pipeline.create_keyed(
-                    g.adjacency_records(),
-                    name="src/neighbors", stream=True,
+                    by_point(ListColumn(g.indptr, (g.indices, g.weights))),
+                    name="src/neighbors",
                 )
                 utilities = pipeline.create_keyed(
                     ((v, 1.0) for v in range(200)),

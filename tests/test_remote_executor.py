@@ -12,10 +12,13 @@ each driver connection independently); the fault-injection tests spawn
 their own private workers so killing one cannot disturb neighbours.
 """
 
+import hashlib
 import os
+import pickle
 import signal
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +32,9 @@ from repro.dataflow.executor import (
     resolve_executor,
 )
 from repro.dataflow.pcollection import Pipeline
-from repro.dataflow.remote import LocalCluster, RemoteExecutor
+from repro.dataflow.remote import LocalCluster, RemoteExecutor, protocol
+from repro.dataflow.remote.protocol import MSG_BLOB
+from repro.graph.knn import l2_normalize
 from tests.test_knn import clustered_points
 
 
@@ -209,14 +214,26 @@ class TestClosureBroadcast:
         finally:
             executor.close()
 
-    def test_knn_build_ships_embeddings_once_per_worker(self, cluster):
+    def test_knn_build_ships_embeddings_once_per_worker(
+        self, cluster, monkeypatch
+    ):
         """Acceptance: across the kNN build's stages (assign write,
         cell-knn read, merge write/read), the embedding matrix — captured
-        by several DoFns — broadcasts to each worker exactly once."""
+        by several DoFns — broadcasts to each worker exactly once, and no
+        blob reaches any worker twice."""
         x, _ = clustered_points(n=200, n_clusters=4)
         _, ref_nbrs, _, _ = beam_knn_graph(
             x, 5, seed=0, options=EngineOptions(num_shards=4)
         )
+        blob_sends = []  # (worker socket, blob) per blob frame sent
+        send_msg = protocol.send_msg
+
+        def spy(sock, msg):
+            if msg[0] == MSG_BLOB:
+                blob_sends.append((sock, msg[2]))
+            return send_msg(sock, msg)
+
+        monkeypatch.setattr(protocol, "send_msg", spy)
         executor = RemoteExecutor(
             workers=cluster.addresses, broadcast_min_bytes=4096
         )
@@ -229,12 +246,27 @@ class TestClosureBroadcast:
         finally:
             executor.close()
         np.testing.assert_array_equal(nbrs, ref_nbrs)
-        assert stats["broadcast_bytes"] > 0
-        # Every distinct blob at most once per worker — re-shipping per
-        # stage would multiply the left side by the stage count.
-        assert stats["broadcast_bytes"] == (
-            stats["unique_broadcast_bytes"] * 2
+        assert stats["broadcast_bytes"] == sum(
+            len(blob) for _, blob in blob_sends
+        ) > 0
+        # Each (worker, blob) pair is sent once — re-shipping per stage
+        # would repeat a pair.  (A columnar task shard over the threshold
+        # ships its columns only to the one worker that runs it.)
+        sends_per_pair = Counter(
+            (sock, hashlib.sha256(blob).hexdigest())
+            for sock, blob in blob_sends
         )
+        assert max(sends_per_pair.values()) == 1
+        # The captured embeddings reach both workers, once each.
+        embeddings = l2_normalize(x)
+
+        def is_embeddings(blob):
+            obj = pickle.loads(blob)
+            return isinstance(obj, np.ndarray) and np.array_equal(
+                obj, embeddings
+            )
+
+        assert sum(is_embeddings(blob) for _, blob in blob_sends) == 2
 
     def test_small_captures_inline(self, remote):
         """Captures under the threshold ride in the stage payload."""
