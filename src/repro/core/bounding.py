@@ -21,6 +21,13 @@ every optimal completion.  Shrink (Lemma 4.4) discards ``v`` when
 ``Umax(v) < U^k_min``.  Alg. 5 alternates: shrink to convergence, grow to
 convergence, repeat until neither changes anything.
 
+A round costs its remaining points, not the ground set: the bounds are
+computed for the remaining rows only, from their own edges (gathered
+once per distinct remaining set), summed exactly as a whole-graph pass
+would sum them — :func:`compute_utilities` is the same kernel over
+every row.  Approximate mode still draws each round's keep mask over
+every edge, so the generator stream is the sampler's.
+
 This module is the in-memory reference implementation; the dataflow engine
 runs the same logic with distributed joins (:mod:`repro.dataflow.bounding_beam`)
 and is tested for equivalence against this one.
@@ -29,12 +36,13 @@ and is tested for equivalence against this one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.problem import SubsetProblem
-from repro.core.sampling import EDGE_SAMPLERS
+from repro.core.sampling import EDGE_SAMPLERS, KEEP_PROBABILITIES
+from repro.graph.csr import NeighborGraph, segment_sums
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_cardinality
 
@@ -82,6 +90,69 @@ class BoundingResult:
         return int(self.solution.size)
 
 
+def _check_bounding(problem: SubsetProblem, mode: str) -> None:
+    if problem.alpha <= 0:
+        raise ValueError("bounding requires alpha > 0 (utilities in u-units)")
+    if mode not in BOUNDING_MODES:
+        raise ValueError(f"mode must be one of {BOUNDING_MODES}, got {mode!r}")
+
+
+class _LiveEdges(NamedTuple):
+    """The adjacency of ``rows``, gathered once: each entry's flat
+    position in the graph's edge arrays (to read a whole-graph edge
+    mask), each row's entry count, and the entries' neighbor ids and
+    weights — row after row, CSR order within a row."""
+
+    rows: np.ndarray
+    flat: np.ndarray
+    lengths: np.ndarray
+    neighbors: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, graph: NeighborGraph, rows: np.ndarray) -> "_LiveEdges":
+        flat, lengths = graph.row_edges(rows)
+        return cls(rows, flat, lengths, graph.indices[flat], graph.weights[flat])
+
+
+def _row_bounds(
+    problem: SubsetProblem,
+    live: _LiveEdges,
+    remaining: np.ndarray,
+    solution: np.ndarray,
+    keep: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lower, Umax)`` of ``live.rows`` alone, from their own edges.
+
+    ``keep`` is ``None`` for ``Umin`` (every alive neighbor counts) or a
+    sampled keep mask over *all* directed edges for ``Uexp`` (read at the
+    rows' edges).  A row's masses are summed by ``np.add.reduceat`` over
+    its whole adjacency, masked-out entries as zeros — the sum a
+    whole-graph ``row_sums`` makes — so a row's bounds are the same bits
+    whichever other rows are computed with it.
+    """
+    ratio = problem.beta_over_alpha
+    neighbors, weights, lengths = live.neighbors, live.weights, live.lengths
+    utilities = problem.utilities[live.rows]
+    # An empty solution sums to exact zeros: skip the pass.
+    mass_solution = (
+        segment_sums(np.where(solution[neighbors], weights, 0.0), lengths)
+        if solution.any()
+        else np.zeros(live.rows.size)
+    )
+    u_max = utilities - ratio * mass_solution
+    if keep is None:
+        alive = (remaining | solution)[neighbors]
+        lower = utilities - ratio * segment_sums(
+            np.where(alive, weights, 0.0), lengths
+        )
+        return lower, u_max
+    # Sampled mass over *remaining* neighbors; solution neighbors always in.
+    sampled = np.where(keep[live.flat] & remaining[neighbors], weights, 0.0)
+    lower = utilities - ratio * (mass_solution + segment_sums(sampled, lengths))
+    return lower, u_max
+
+
 def compute_utilities(
     problem: SubsetProblem,
     remaining: np.ndarray,
@@ -95,29 +166,26 @@ def compute_utilities(
     """Per-point ``(lower, Umax)`` arrays over the full ground set.
 
     ``lower`` is ``Umin`` in exact mode and ``Uexp`` in approximate mode.
-    Entries for non-remaining points are computed too (callers mask).
+    Entries for non-remaining points are computed too (callers mask):
+    this is the kernel :func:`bound` runs over its remaining rows only,
+    run over every row, so both agree to the last bit.
     """
-    if problem.alpha <= 0:
-        raise ValueError("bounding requires alpha > 0 (utilities in u-units)")
-    if mode not in BOUNDING_MODES:
-        raise ValueError(f"mode must be one of {BOUNDING_MODES}, got {mode!r}")
-    g = problem.graph
-    ratio = problem.beta_over_alpha
-    mass_solution = g.neighbor_mass(solution)
-    u_max = problem.utilities - ratio * mass_solution
-    if mode == "exact" or p >= 1.0:
-        mass_alive = g.neighbor_mass(remaining | solution)
-        lower = problem.utilities - ratio * mass_alive
-        return lower, u_max
-    keep = EDGE_SAMPLERS[sampler](g, p, rng)
-    # Sampled mass over *remaining* neighbors; solution neighbors always in.
-    contrib = np.where(keep & remaining[g.indices], g.weights, 0.0)
-    lower = problem.utilities - ratio * (mass_solution + g.row_sums(contrib))
-    return lower, u_max
+    _check_bounding(problem, mode)
+    keep = None
+    if mode == "approximate" and p < 1.0:
+        keep = EDGE_SAMPLERS[sampler](problem.graph, p, rng)
+    return _row_bounds(
+        problem,
+        _LiveEdges.of(problem.graph, np.arange(problem.n)),
+        np.asarray(remaining, dtype=bool),
+        np.asarray(solution, dtype=bool),
+        keep,
+    )
 
 
-def _kth_largest(values: np.ndarray, k: int) -> float:
-    """k-th largest entry of ``values`` (k >= 1, k <= len)."""
+def kth_largest(values: np.ndarray, k: int) -> float:
+    """k-th largest entry of ``values`` (k >= 1, k <= len) — the
+    threshold of a round whose values are all in memory."""
     if not 1 <= k <= values.size:
         raise ValueError(f"need 1 <= k <= {values.size}, got {k}")
     return float(np.partition(values, values.size - k)[values.size - k])
@@ -159,20 +227,36 @@ def bound(
         raise ValueError(
             f"sampler must be one of {sorted(EDGE_SAMPLERS)}, got {sampler!r}"
         )
+    _check_bounding(problem, mode)
     rng = as_generator(seed)
     n = problem.n
+    nnz = problem.graph.num_directed_edges
+    # Round-invariant, so computed once; each round then draws the keep
+    # mask exactly as ``EDGE_SAMPLERS[sampler]`` would.
+    keep_probability = (
+        KEEP_PROBABILITIES[sampler](problem.graph, p)
+        if mode == "approximate" and p < 1.0
+        else None
+    )
     remaining = np.ones(n, dtype=bool)
     solution = np.zeros(n, dtype=bool)
     k_remaining = k_total
     grow_rounds = 0
     shrink_rounds = 0
     history: List[Tuple[str, int]] = []
+    live: Optional[_LiveEdges] = None
 
-    def utilities() -> Tuple[np.ndarray, np.ndarray]:
-        return compute_utilities(
-            problem, remaining, solution,
-            mode=mode, sampler=sampler, p=p, rng=rng,
-        )
+    def utilities(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lower, Umax)`` of the remaining ``rows`` — their edges only."""
+        nonlocal live
+        # ``remaining`` only shrinks, so an unchanged count is an
+        # unchanged set, whose edges are already gathered.
+        if live is None or live.rows.size != rows.size:
+            live = _LiveEdges.of(problem.graph, rows)
+        keep = None
+        if keep_probability is not None:
+            keep = rng.random(nnz) < keep_probability
+        return _row_bounds(problem, live, remaining, solution, keep)
 
     def shrink_once() -> int:
         """One Shrink round (Alg. 4); returns #points discarded."""
@@ -180,9 +264,9 @@ def bound(
         rem_idx = np.flatnonzero(remaining)
         if k_remaining <= 0 or rem_idx.size <= k_remaining:
             return 0
-        lower, u_max = utilities()
-        threshold = _kth_largest(lower[rem_idx], k_remaining)
-        drop = rem_idx[u_max[rem_idx] < threshold]
+        lower, u_max = utilities(rem_idx)
+        threshold = kth_largest(lower, k_remaining)
+        drop = rem_idx[u_max < threshold]
         remaining[drop] = False
         return int(drop.size)
 
@@ -198,9 +282,9 @@ def bound(
             remaining[rem_idx] = False
             k_remaining -= rem_idx.size
             return int(rem_idx.size)
-        lower, u_max = utilities()
-        threshold = _kth_largest(u_max[rem_idx], k_remaining)
-        add = rem_idx[lower[rem_idx] > threshold]
+        lower, u_max = utilities(rem_idx)
+        threshold = kth_largest(u_max, k_remaining)
+        add = rem_idx[lower > threshold]
         solution[add] = True
         remaining[add] = False
         k_remaining -= add.size

@@ -61,7 +61,8 @@ Reusable named composites (:class:`~repro.dataflow.pcollection.
 PTransform`; apply with ``pcoll.apply(...)`` or ``pcoll | ...``) live in
 :mod:`repro.dataflow.library` — ``ShardedKnn``, ``BoundingFilter``,
 ``SelectedEdgeMass``, ``PartitionedGreedy`` — and render as named groups in
-``PCollection.explain()``.
+``PCollection.explain()``; the bounding rounds' thresholds come from its
+``OrderStatistics``.
 """
 
 from repro.dataflow.executor import (
@@ -78,13 +79,10 @@ from repro.dataflow.columnar import BatchDoFn, ColumnarShard
 from repro.dataflow.metrics import PipelineMetrics, StageProfile
 from repro.dataflow.planner import AdaptivePlanner, predicted_vs_actual
 from repro.dataflow.pcollection import Fold, PCollection, Pipeline, PTransform
-from repro.dataflow.transforms import (
-    cogroup,
-    distributed_kth_largest,
-    flatten,
-)
+from repro.dataflow.transforms import cogroup, flatten
 from repro.dataflow.library import (
     BoundingFilter,
+    OrderStatistics,
     PartitionedGreedy,
     SelectedEdgeMass,
     ShardedKnn,
@@ -118,11 +116,11 @@ __all__ = [
     "executor_names",
     "cogroup",
     "flatten",
-    "distributed_kth_largest",
     "ShardedKnn",
     "BoundingFilter",
     "SelectedEdgeMass",
     "PartitionedGreedy",
+    "OrderStatistics",
     "beam_bound",
     "BeamBoundingDriver",
     "beam_score",

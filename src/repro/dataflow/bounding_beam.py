@@ -21,16 +21,21 @@ list-valued column, :func:`~repro.dataflow.library.by_point`: one record
 per point) and a round's joins touch only columns: both read as grouped
 views, the edge table is a ``repeat``/mask over the adjacency's child
 columns, and the bounds come out as a keyed ``(id; lower, umax)`` shard
-(per-record functions remain the automatic row fallback).  The driver's
-own steps — threshold inputs,
-survivor marks, the set difference — stay per-record: they see at most
+(per-record functions remain the automatic row fallback).
+
+A round's decision is one pass over those cached bounds:
+:class:`~repro.dataflow.library.OrderStatistics` folds them
+column-wise, and with at most ``exact_cap`` (4096) points live that one
+fold brings both columns to the driver, which takes the threshold
+``U^k`` with ``np.partition`` and counts the survivors (or grown points)
+from the same arrays.  Above the cap, 1024-bucket histograms narrow to
+the threshold (O(exact_cap) driver state) and one counting fold
+follows.  Set sizes are driver arithmetic, so no pass counts a set.  The
+survivor marks and the set difference stay per-record: they see at most
 ``n / num_shards`` records a shard, where a NumPy call costs more than
-the loop it would replace.  Thresholds ``U^k`` come from
-:func:`~repro.dataflow.transforms.distributed_kth_largest` (bisection with
-distributed counts, O(1) driver state per probe).  The grow/shrink
-convergence driver mirrors Algorithm 5 exactly, and
-``tests/test_dataflow_bounding.py`` asserts bit-equal decisions against
-the in-memory reference (exact mode).
+the loop it would replace.  The grow/shrink convergence driver mirrors
+Algorithm 5 exactly, and ``tests/test_dataflow_bounding.py`` asserts
+bit-equal decisions against the in-memory reference (exact mode).
 
 Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
 (``options=``) or a shared :class:`~repro.dataflow.context.DataflowContext`
@@ -54,13 +59,16 @@ from repro.core.bounding import BoundingResult
 from repro.core.distributed import fingerprint, problem_fingerprint
 from repro.core.problem import SubsetProblem
 from repro.dataflow.columnar import ListColumn
-from repro.dataflow.library import BoundingFilter, by_point
+from repro.dataflow.library import BoundingFilter, OrderStatistics, by_point
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.context import DataflowContext, engine_context
 from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import PCollection
-from repro.dataflow.transforms import distributed_kth_largest, flatten
+from repro.dataflow.transforms import flatten
 from repro.utils.rng import SeedLike, as_generator
+
+#: Value columns of the keyed ``(id; lower, umax)`` bounds.
+_LOWER, _UMAX = 0, 1
 
 
 @dataclass(frozen=True)
@@ -154,7 +162,7 @@ class BeamBoundingDriver:
         """Keyed ``(node, (lower, umax))`` over the remaining set.
 
         Cached: the grow/shrink steps derive two consumers from the
-        bounds one after the other (the threshold values, then the
+        bounds one after the other (the threshold fold, then the
         survivors), and an uncached chain would run the round's joins
         once per consumer.
         """
@@ -194,47 +202,48 @@ class BeamBoundingDriver:
         remaining = self.pipeline.create_keyed(
             ((v, True) for v in range(self.problem.n)), name="state/remaining"
         )
+        # Sizes are driver arithmetic: no pass counts a set.
+        rem_count = self.problem.n
         k_remaining = k
         grow_rounds = 0
         shrink_rounds = 0
         total = 0
 
         def shrink_once() -> int:
-            nonlocal remaining
-            rem_count = remaining.count()
+            nonlocal remaining, rem_count
             if k_remaining <= 0 or rem_count <= k_remaining:
                 return 0
-            bounds = self._compute_bounds(solution, remaining)
-            lower_values = bounds.map(lambda kv: kv[1][0], name="shrink/lower")
-            threshold = distributed_kth_largest(lower_values, k_remaining)
-            survivors = bounds.filter(
-                lambda kv, t=threshold: kv[1][1] >= t, name="shrink/keep"
-            ).map_values(lambda _: True, name="shrink/mark")
-            new_count = survivors.count()
-            remaining = survivors
-            return rem_count - new_count
+            bounds = OrderStatistics(self._compute_bounds(solution, remaining))
+            threshold = bounds.kth_largest(k_remaining, _LOWER)
+            kept = bounds.count_at_least(_UMAX, threshold)
+            dropped, rem_count = rem_count - kept, kept
+            if dropped:
+                remaining = bounds.values.filter(
+                    lambda kv, t=threshold: kv[1][1] >= t, name="shrink/keep"
+                ).map_values(lambda _: True, name="shrink/mark")
+            return dropped
 
         def grow_once() -> int:
-            nonlocal remaining, solution, k_remaining
-            rem_count = remaining.count()
+            nonlocal remaining, solution, k_remaining, rem_count
             if k_remaining <= 0 or rem_count == 0:
                 return 0
             if rem_count <= k_remaining:
                 solution = flatten([solution, remaining], name="grow/take_all")
                 remaining = self.pipeline.create_keyed([], name="grow/empty")
-                k_remaining -= rem_count
-                return rem_count
-            bounds = self._compute_bounds(solution, remaining)
-            umax_values = bounds.map(lambda kv: kv[1][1], name="grow/umax")
-            threshold = distributed_kth_largest(umax_values, k_remaining)
-            grown = bounds.filter(
-                lambda kv, t=threshold: kv[1][0] > t, name="grow/include"
-            ).map_values(lambda _: True, name="grow/mark")
-            n_grown = grown.count()
+                taken, rem_count = rem_count, 0
+                k_remaining -= taken
+                return taken
+            bounds = OrderStatistics(self._compute_bounds(solution, remaining))
+            threshold = bounds.kth_largest(k_remaining, _UMAX)
+            n_grown = bounds.count_above(_LOWER, threshold)
             if n_grown:
+                grown = bounds.values.filter(
+                    lambda kv, t=threshold: kv[1][0] > t, name="grow/include"
+                ).map_values(lambda _: True, name="grow/mark")
                 solution = flatten([solution, grown], name="grow/union")
                 remaining = self._minus(remaining, grown)
                 k_remaining -= n_grown
+                rem_count -= n_grown
             return n_grown
 
         while total < cfg.max_rounds:

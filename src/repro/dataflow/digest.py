@@ -5,7 +5,8 @@ A part is pickled by a :class:`pickle.Pickler` subclass whose "file" is
 the hash: frames and large buffers go straight into SHA-256, no
 intermediate ``bytes``.  Everything pickles as the stdlib pickles it,
 except the two things the stdlib cannot pickle and cloudpickle pickles
-with the checkout baked in:
+with the checkout baked in, and the one it pickles in an order that
+depends on the process:
 
 - a **by-value function** (a lambda, a nested function, anything under
   ``__main__`` — whatever is not importable as ``module.qualname``)
@@ -14,7 +15,11 @@ with the checkout baked in:
   the globals its code (and the code nested in it) names, and its
   ``__dict__`` as pickle *state*.  State is written after the function
   is memoised, so self- and mutually-recursive closures terminate;
-- a **module** reduces to its name.
+- a **module** reduces to its name;
+- a **set** or **frozenset** (exactly those types) writes its elements
+  sorted by their own digests, not in hash-table order — which for
+  strings is ``PYTHONHASHSEED`` order, and can differ between two copies
+  of one set.
 
 The code digest covers what the code *does* — ``co_code``, constants
 (recursively; a ``frozenset`` constant in sorted order, so the digest
@@ -46,6 +51,10 @@ __all__ = ["part_digest", "update_digest"]
 _PROTOCOL = 5
 
 _EMPTY_CELL = "<empty cell>"
+
+#: A frozenset, not a tuple: the hook sees every object pickled, and a
+#: hashed lookup is the cheaper test.
+_SET_TYPES = frozenset((set, frozenset))
 
 _Summary = Tuple[str, Tuple[str, ...]]
 
@@ -131,7 +140,22 @@ def _reduce_function(fn: types.FunctionType):
     return _by_value, (fn.__module__, fn.__qualname__, digest), state
 
 
+def _element_digest(obj: Any) -> bytes:
+    h = hashlib.sha256()
+    update_digest(h, obj)
+    return h.digest()
+
+
 class _DigestPickler(pickle.Pickler):
+    def persistent_id(self, obj: Any):
+        # The one hook the C pickler consults before its fast path for
+        # exact sets (``reducer_override`` never sees them).  Iteration
+        # order is the hash table's: hash-seed order for strings, and two
+        # copies of one set may differ.
+        if type(obj) in _SET_TYPES:
+            return type(obj).__name__, sorted(obj, key=_element_digest)
+        return None
+
     def reducer_override(self, obj: Any):
         if isinstance(obj, types.FunctionType):
             if _importable(obj):

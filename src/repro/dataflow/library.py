@@ -5,8 +5,9 @@ extracted from a beam entry point: the multi-probe sharded kNN build
 (:class:`ShardedKnn`), the bounding pre-pass's join-based bound
 computation (:class:`BoundingFilter`), the scoring beam's pairwise mass
 (:class:`SelectedEdgeMass`), and one round of the partition-based
-distributed greedy (:class:`PartitionedGreedy`).  The beams are thin
-compositions of these over a
+distributed greedy (:class:`PartitionedGreedy`); :class:`OrderStatistics`
+answers a bounding round's threshold and counts in one columnar fold.
+The beams are thin compositions of these over a
 :class:`~repro.dataflow.context.DataflowContext`, fed by columnar
 sources over the problem's own arrays (:func:`by_point`); anything else
 built on the engine can reuse them the same way::
@@ -26,10 +27,13 @@ post-shuffle fusion) are unchanged.
 
 from __future__ import annotations
 
+import operator
+import struct
 from typing import Any, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.bounding import kth_largest as array_kth_largest
 from repro.dataflow.columnar import (
     BatchDoFn,
     CoGroupedShard,
@@ -46,6 +50,7 @@ __all__ = [
     "BoundingFilter",
     "SelectedEdgeMass",
     "PartitionedGreedy",
+    "OrderStatistics",
     "by_point",
 ]
 
@@ -686,6 +691,248 @@ class BoundingFilter(PTransform):
             BatchDoFn(reduce_bounds, reduce_batch, label="bound/reduce"),
             name="bound/reduce",
         )
+
+
+#: Live records at or below which one fold brings every value column to
+#: the driver; above it, k-th largest narrows by histogram first.
+EXACT_CAP = 4096
+
+#: A narrowing probe histograms 2**10 = 1024 buckets of order keys.
+_BUCKET_BITS = 10
+_BUCKETS = 1 << _BUCKET_BITS
+_SIGN = 1 << 63
+
+
+def _order_key(x: float) -> int:
+    """An int in ``[0, 2**64)`` ordered exactly like the float ``x``:
+    its IEEE bits with the sign bit set when ``x >= 0``, all bits
+    flipped when ``x < 0``; ``-0.0`` keys as ``0.0`` (they compare
+    equal)."""
+    (bits,) = struct.unpack("<Q", struct.pack("<d", float(x) + 0.0))
+    return bits ^ _MASK64 if bits & _SIGN else bits | _SIGN
+
+
+def _order_key_column(x: np.ndarray) -> np.ndarray:
+    """:func:`_order_key` over a float column — the same key for every
+    element."""
+    bits = (np.asarray(x, dtype=np.float64) + 0.0).view(np.uint64)
+    return np.where(bits >> np.uint64(63), ~bits, bits | np.uint64(_SIGN))
+
+
+def _key_float(key: int) -> float:
+    """The float whose :func:`_order_key` is ``key``."""
+    bits = key ^ _SIGN if key & _SIGN else key ^ _MASK64
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _value_columns(record) -> tuple:
+    """A keyed record's value columns: a tuple value is one column per
+    entry (a columnar shard's row form), anything else is column 0."""
+    value = record[1]
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _in_band(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    return (keys >= np.uint64(lo)) & (keys <= np.uint64(hi))
+
+
+def _concat_collected(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return tuple(np.concatenate((x, y)) for x, y in zip(a, b))
+
+
+def _collect_fold(band=None):
+    """Fold: every value column, restricted to the records whose column
+    ``band[0]`` has its order key in ``[band[1], band[2]]`` (every record
+    without a ``band``) — ``None`` when no record qualifies."""
+
+    def keep(columns) -> bool:
+        return band is None or band[1] <= _order_key(columns[band[0]]) <= band[2]
+
+    def add(acc, record):
+        columns = _value_columns(record)
+        if not keep(columns):
+            return acc
+        if acc is None:
+            acc = tuple([] for _ in columns)
+        for out, value in zip(acc, columns):
+            out.append(value)
+        return acc
+
+    def batch(shard):
+        columns = shard.columns
+        if band is not None:
+            column, lo, hi = band
+            mask = _in_band(_order_key_column(columns[column]), lo, hi)
+            columns = tuple(col[mask] for col in columns)
+        return tuple(np.asarray(col, dtype=np.float64) for col in columns)
+
+    return (lambda: None), add, _concat_collected, batch
+
+
+def _histogram_fold(column: int, lo: int, hi: int, shift: int):
+    """Fold: ``(counts, min, max)`` of the order keys of ``column`` in
+    ``[lo, hi]`` — ``counts[b]`` keys with ``(key - lo) >> shift == b``;
+    an empty band's min and max are ``2**64`` and ``-1``."""
+
+    def zero():
+        return np.zeros(_BUCKETS, dtype=np.int64), _MASK64 + 1, -1
+
+    def add(acc, record):
+        key = _order_key(_value_columns(record)[column])
+        if not lo <= key <= hi:
+            return acc
+        counts, low, high = acc
+        counts[(key - lo) >> shift] += 1
+        return counts, min(low, key), max(high, key)
+
+    def batch(shard):
+        keys = _order_key_column(shard.columns[column])
+        keys = keys[_in_band(keys, lo, hi)]
+        if not keys.size:
+            return zero()
+        buckets = (keys - np.uint64(lo)) >> np.uint64(shift)
+        return (
+            np.bincount(buckets.astype(np.int64), minlength=_BUCKETS),
+            int(keys.min()),
+            int(keys.max()),
+        )
+
+    def merge(a, b):
+        return a[0] + b[0], min(a[1], b[1]), max(a[2], b[2])
+
+    return zero, add, merge, batch
+
+
+def _passing(values, threshold: float, strict: bool):
+    """``values > threshold`` (strict) or ``values >= threshold`` — for
+    one float or a column."""
+    return values > threshold if strict else values >= threshold
+
+
+def _count_fold(column: int, threshold: float, strict: bool):
+    """Fold: how many records pass :func:`_passing` on ``column``."""
+
+    def add(acc, record):
+        value = _value_columns(record)[column]
+        return acc + bool(_passing(value, threshold, strict))
+
+    def batch(shard):
+        return int(np.count_nonzero(
+            _passing(shard.columns[column], threshold, strict)
+        ))
+
+    return int, add, operator.add, batch
+
+
+class OrderStatistics:
+    """Ranks and counts over the float value columns of a keyed
+    collection, with O(``exact_cap``) driver state.
+
+    The bounding thresholds ``U^k_min`` / ``U^k_max`` are order
+    statistics of collections that need not fit in memory.  ``values``
+    holds ``(key, value)`` records, ``value`` one float or a tuple of
+    floats (column ``i`` is ``value[i]``) — the keyed ``(id; lower,
+    umax)`` bounds, say.  Every question is one ``combine_globally`` whose
+    whole-shard form reads the columns and whose row form (the fallback)
+    reads records; both give the same answer.
+
+    - At most ``exact_cap`` records: the first question brings every
+      value column to the driver in one fold, and every answer — any
+      rank of any column, any count — comes from those arrays
+      (``np.partition``).  A bounding round is then one pass.
+    - Above it, :meth:`kth_largest` narrows by histogram: each probe
+      counts the band's values in 1024 buckets of their order keys
+      (monotone 64-bit integers, :func:`_order_key`) and keeps the
+      bucket holding rank ``k``, trimmed to the band's min and max.  A
+      probe cuts the key range by 2**10, so 64-bit keys need at most 7
+      probes; spread-out columns (normal, uniform, bound-shaped) took 1
+      or 2 at 50 000 values, all-equal values take 1.  Once the bucket
+      holds at most ``exact_cap`` values they come to the driver and the
+      rank is taken exactly; a bucket of one key *is* the answer.  Each
+      count is one more fold.
+
+    The answer is an exact order statistic — ``np.partition``'s value,
+    with ``-0.0`` and ``0.0`` equal — so decisions made with it do not
+    depend on which path ran.
+    """
+
+    def __init__(self, values: PCollection, *, exact_cap: int = EXACT_CAP) -> None:
+        values._require_keyed("OrderStatistics")
+        self.values = values
+        self.n = values.count()
+        self.exact_cap = int(exact_cap)
+        self._columns: Optional[tuple] = None
+
+    def _fold(self, fold, name: str) -> Any:
+        zero, add, merge, batch = fold
+        return self.values.combine_globally(
+            zero, add, merge, batch=batch, name=name
+        )
+
+    def _driver_columns(self) -> Optional[tuple]:
+        """Every value column on the driver, fetched once — or ``None``
+        above ``exact_cap``."""
+        if self._columns is None and 0 < self.n <= self.exact_cap:
+            self._columns = tuple(
+                np.asarray(col, dtype=np.float64)
+                for col in self._fold(_collect_fold(), "order/collect")
+            )
+        return self._columns
+
+    def kth_largest(self, k: int, column: int = 0) -> float:
+        """k-th largest value of ``column`` (``k = 1`` is the maximum)."""
+        if not 1 <= k <= self.n:
+            raise ValueError(f"need 1 <= k <= {self.n}, got k={k}")
+        columns = self._driver_columns()
+        if columns is not None:
+            return array_kth_largest(columns[column], k)
+        # Invariant: ``above`` keys lie over ``hi``; rank k is in [lo, hi].
+        lo, hi, above = 0, _MASK64, 0
+        while lo < hi:
+            shift = max(0, (hi - lo).bit_length() - _BUCKET_BITS)
+            counts, low, high = self._fold(
+                _histogram_fold(column, lo, hi, shift), "order/histogram"
+            )
+            from_top = np.cumsum(counts[::-1])
+            top = int(np.searchsorted(from_top, k - above))
+            bucket = _BUCKETS - 1 - top
+            above += int(from_top[top] - counts[bucket])
+            lo, hi = (
+                max(lo + (bucket << shift), low),
+                min(lo + ((bucket + 1) << shift) - 1, high),
+            )
+            if lo < hi and counts[bucket] <= self.exact_cap:
+                band = self._fold(
+                    _collect_fold((column, lo, hi)), "order/band"
+                )[column]
+                return array_kth_largest(
+                    np.asarray(band, dtype=np.float64), k - above
+                )
+        return _key_float(lo)
+
+    def count_at_least(self, column: int, threshold: float) -> int:
+        """How many records have ``column >= threshold``."""
+        return self._count(column, threshold, strict=False)
+
+    def count_above(self, column: int, threshold: float) -> int:
+        """How many records have ``column > threshold``."""
+        return self._count(column, threshold, strict=True)
+
+    def _count(self, column: int, threshold: float, strict: bool) -> int:
+        if not self.n:
+            return 0
+        columns = self._driver_columns()
+        if columns is None:
+            return self._fold(
+                _count_fold(column, threshold, strict), "order/count"
+            )
+        return int(np.count_nonzero(
+            _passing(columns[column], threshold, strict)
+        ))
 
 
 def _selected_edges(kv) -> List[Tuple[int, float]]:

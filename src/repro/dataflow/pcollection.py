@@ -448,10 +448,13 @@ def _total_rows(shards) -> int:
         return 0
 
 
-def _make_folder(zero, add):
-    """Stage: CombineGlobally's per-shard accumulation."""
+def _make_folder(zero, add, batch=None):
+    """Stage: CombineGlobally's per-shard accumulation — with a declared
+    ``batch``, one call over a whole int-keyed columnar shard."""
 
-    def fold(records, _zero=zero, _add=add):
+    def fold(records, _zero=zero, _add=add, _batch=batch):
+        if _batch_fold_input(records, _batch):
+            return [_batch(records)]
         acc = _zero()
         for element in records:
             acc = _add(acc, element)
@@ -1672,6 +1675,7 @@ class PCollection:
         add: Callable[[Any, Any], Any],
         merge: Callable[[Any, Any], Any],
         *,
+        batch: Optional[Callable[[ColumnarShard], Any]] = None,
         name: str = "combine_globally",
     ) -> Any:
         """Global combine: per-shard accumulate, then merge on the driver.
@@ -1679,12 +1683,18 @@ class PCollection:
         A sink: materializes this collection, then folds each shard
         (executor-parallel) and merges the per-shard accumulators —
         O(num_shards) driver state, matching Beam's CombineGlobally contract.
+        ``batch`` is :class:`Fold`'s whole-shard contract with one global
+        key: on a non-empty int-keyed columnar shard it returns the
+        shard's accumulator — what ``add`` folds from ``zero()`` over its
+        records — in one call; any other shard runs ``add`` per record.
         """
         self.pipeline.metrics.count_stage(name)
         shards = self._shards
         # The one plan-less stage: it folds stored shards, unlabelled.
         accumulators = self.pipeline._run_stage(
-            _make_folder(zero, add), shards, _Stage("fold", self._node, label="")
+            _make_folder(zero, add, batch),
+            shards,
+            _Stage("fold", self._node, label=""),
         )
         result = zero()
         for (acc,) in accumulators:

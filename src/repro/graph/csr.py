@@ -33,6 +33,21 @@ def _frozen(array: np.ndarray, dtype: type) -> np.ndarray:
     return view
 
 
+def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum of each run of ``values`` cut into consecutive ``lengths``.
+
+    ``np.add.reduceat`` over the non-empty runs: each run is summed on
+    its own, so a run's sum depends only on its entries — the same bits
+    whether the other runs are there or not.
+    """
+    out = np.zeros(lengths.size, dtype=np.float64)
+    if values.size:
+        nonempty = lengths > 0
+        starts = np.cumsum(lengths) - lengths
+        out[nonempty] = np.add.reduceat(values, starts[nonempty])
+    return out
+
+
 class NeighborGraph:
     """Symmetric sparse similarity graph in CSR form.
 
@@ -220,11 +235,26 @@ class NeighborGraph:
 
     def row_sums(self, contrib: np.ndarray) -> np.ndarray:
         """Per-vertex sum of a per-directed-edge array (CSR order)."""
-        out = np.zeros(self._n, dtype=np.float64)
-        nonempty = self.indptr[:-1] < self.indptr[1:]
-        if contrib.size:
-            out[nonempty] = np.add.reduceat(contrib, self.indptr[:-1][nonempty])
-        return out
+        return segment_sums(contrib, self.degrees())
+
+    def row_edges(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(flat, lengths)``: the flat position in ``indices`` /
+        ``weights`` of every adjacency entry of ``rows`` — row after row,
+        in the order given — and each row's entry count.  Gathering a
+        per-edge array at ``flat`` and summing it with
+        :func:`segment_sums` over ``lengths`` gives exactly the rows'
+        entries of :meth:`row_sums`, at the cost of their edges only."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        row_ends = np.cumsum(lengths)
+        total = int(row_ends[-1]) if rows.size else 0
+        # Each row's start, shifted back by where the row begins in the
+        # output, plus the output position.
+        flat = np.repeat(starts - (row_ends - lengths), lengths) + np.arange(
+            total, dtype=np.int64
+        )
+        return flat, lengths
 
     def max_neighbor_mass(self) -> float:
         """``max_v Σ_j s(v, j)`` — the monotonicity offset's driver (Eq. 2)."""
@@ -270,16 +300,9 @@ class NeighborGraph:
         global_to_local = np.full(self._n, -1, dtype=np.int64)
         global_to_local[vertices] = np.arange(vertices.size, dtype=np.int64)
         # Walk each kept vertex's adjacency, keeping only in-partition ends.
-        starts = self.indptr[vertices]
-        lengths = self.indptr[vertices + 1] - starts
-        row_ends = np.cumsum(lengths)
-        total = int(row_ends[-1]) if vertices.size else 0
+        flat, lengths = self.row_edges(vertices)
         indptr = np.zeros(vertices.size + 1, dtype=np.int64)
-        if total:
-            # Flat index of every adjacency entry of `vertices`: each row's
-            # start, shifted back by where the row begins in the output,
-            # plus the output position.
-            flat = np.repeat(starts - (row_ends - lengths), lengths) + np.arange(total)
+        if flat.size:
             # Filter before gathering weights: partitions keep few entries.
             nbr_local = global_to_local[self.indices[flat]]
             keep = nbr_local >= 0
@@ -287,7 +310,7 @@ class NeighborGraph:
             w = self.weights[flat[keep]]
             # Kept entries up to each row's end; `flat` walks rows in order.
             kept = np.concatenate(([0], np.cumsum(keep)))
-            indptr[1:] = kept[row_ends]
+            indptr[1:] = kept[np.cumsum(lengths)]
         else:
             nbr_local = np.empty(0, dtype=np.int64)
             w = np.empty(0, dtype=np.float64)

@@ -1,14 +1,23 @@
 """Tests for exact and approximate bounding (Sec. 4.1–4.2, Alg. 3–5)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounding import bound, compute_utilities
+from repro.core.bounding import (
+    _LiveEdges,
+    _row_bounds,
+    bound,
+    compute_utilities,
+)
 from repro.core.greedy import greedy_heap
 from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
+from repro.core.sampling import EDGE_SAMPLERS, KEEP_PROBABILITIES
+from repro.dataflow import EngineOptions, beam_bound
 from repro.graph.csr import NeighborGraph
 from tests.conftest import brute_force_best, random_problem
 
@@ -68,21 +77,97 @@ class TestComputeUtilities:
             assert (lower <= umax + 1e-12).all()
 
 
+class TestLiveRowBounds:
+    """A bounding round computes its remaining rows only, from their own
+    edges: each row's bounds must be the whole-graph computation's row,
+    bit for bit — with isolated rows, and with no row live at all."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(0, 4),
+        st.floats(0.0, 1.0),
+        st.sampled_from([None, 0.3]),
+    )
+    def test_live_rows_equal_whole_graph_rows(
+        self, seed, avg_degree, live_fraction, p
+    ):
+        problem = random_problem(50, seed=seed, avg_degree=avg_degree)
+        g, n = problem.graph, problem.n
+        rng = np.random.default_rng(seed)
+        remaining = rng.random(n) < live_fraction
+        solution = ~remaining & (rng.random(n) < 0.3)
+        keep = None if p is None else rng.random(g.num_directed_edges) < p
+        rows = np.flatnonzero(remaining)
+        whole = _row_bounds(
+            problem, _LiveEdges.of(g, np.arange(n)), remaining, solution, keep
+        )
+        live = _row_bounds(
+            problem, _LiveEdges.of(g, rows), remaining, solution, keep
+        )
+        for full_column, live_column in zip(whole, live):
+            assert full_column[rows].tobytes() == live_column.tobytes()
+
+
+class TestKeepProbabilitiesOncePerRun:
+    """``bound`` computes the sampler's keep probabilities once and draws
+    ``gen.random(nnz) < prob`` per round — the sampler's own draw."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_weighted_probabilities_are_the_per_round_recipe(self, p):
+        """Row sums added one by one in CSR order (``np.add.at``, the
+        per-round recipe) — the same bits as the once-per-run
+        ``bincount``."""
+        g = random_problem(200, seed=4, avg_degree=6).graph
+        degrees = np.diff(g.indptr)
+        row_of_edge = np.repeat(np.arange(g.n), degrees)
+        row_sum = np.zeros(g.n)
+        np.add.at(row_sum, row_of_edge, g.weights)
+        mean = np.where(degrees > 0, row_sum / np.maximum(degrees, 1), 0.0)
+        expected = np.clip(p * g.weights / mean[row_of_edge], 0.0, 1.0)
+        got = KEEP_PROBABILITIES["weighted"](g, p)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sampler", ["uniform", "weighted"])
+    def test_draw_is_the_samplers_draw(self, sampler):
+        g = random_problem(200, seed=4, avg_degree=6).graph
+        prob = KEEP_PROBABILITIES[sampler](g, 0.3)
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                a.random(g.num_directed_edges) < prob,
+                EDGE_SAMPLERS[sampler](g, 0.3, b),
+            )
+
+
 class TestExactBoundingCorrectness:
     """Lemmas 4.3/4.4: exact bounding preserves an optimal solution."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 6))
-    def test_optimum_survives_bounding(self, seed, k):
-        p = random_problem(10, seed=seed % 99_991, avg_degree=3)
-        result = bound(p, k, mode="exact")
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.integers(8, 12))
+    def test_optimum_survives_bounding(self, seed, k, n):
+        """In memory and through the dataflow driver alike."""
+        p = random_problem(n, seed=seed % 99_991, avg_degree=3)
         best, best_sets = brute_force_best(p, k)
-        allowed = set(result.solution.tolist()) | set(result.remaining.tolist())
-        required = set(result.solution.tolist())
-        # Some optimal set must contain everything grown and nothing shrunk.
-        assert any(
-            required <= s and s <= allowed for s in best_sets
-        ), f"bounding killed all optima (incl={required}, sets={best_sets})"
+        results = {
+            "memory": bound(p, k, mode="exact"),
+            "dataflow": beam_bound(
+                p, k, mode="exact", options=EngineOptions(num_shards=3)
+            )[0],
+        }
+        for engine, result in results.items():
+            allowed = set(result.solution.tolist()) | set(
+                result.remaining.tolist()
+            )
+            required = set(result.solution.tolist())
+            # Some optimal set must contain everything grown and nothing
+            # shrunk.
+            assert any(
+                required <= s and s <= allowed for s in best_sets
+            ), (
+                f"{engine} bounding killed all optima "
+                f"(incl={required}, sets={best_sets})"
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -225,3 +310,50 @@ class TestBoundingBehaviour:
         b = bound(tiny_problem, k, mode="approximate", p=0.3, seed=42)
         np.testing.assert_array_equal(a.solution, b.solution)
         np.testing.assert_array_equal(a.remaining, b.remaining)
+
+
+BOUND_MODES = {
+    "exact": {"mode": "exact"},
+    "uniform": {"mode": "approximate", "sampler": "uniform", "p": 0.3},
+    "weighted": {"mode": "approximate", "sampler": "weighted", "p": 0.5},
+}
+
+
+def decisions_digest(results) -> str:
+    """SHA-256 over every decision of a sequence of bounding results."""
+    h = hashlib.sha256()
+    for r in results:
+        h.update(repr((
+            r.solution.tolist(), r.remaining.tolist(), r.grow_rounds,
+            r.shrink_rounds, r.n_excluded, r.k_remaining, r.overshoot,
+        )).encode())
+    return h.hexdigest()
+
+
+class TestBoundDecisionsGolden:
+    """``bound``'s decisions over a fixed grid — 60 seeded problems × 3
+    values of k — pinned bit for bit per mode.  The approximate modes pin
+    the sampler's generator stream too: a round that drew its keep mask
+    differently would move the digest."""
+
+    GOLDEN = {
+        "exact":
+            "513f661289fc368dedce6dac0d2ad25753e3cba454b95795e29c5442f2021db5",
+        "uniform":
+            "ddfd5754823dd1e085f94abd457ef8f84ac69e4b5b048a53b733f6bea23d4b28",
+        "weighted":
+            "d44b9476a37b083ac37590ca45bc7d101f3885f7b7f0f62946ced31a6781be9c",
+    }
+
+    @pytest.mark.parametrize("mode", GOLDEN)
+    def test_decisions_digest(self, mode):
+        def results():
+            for i in range(60):
+                problem = random_problem(
+                    30 + 5 * (i % 12), seed=i, avg_degree=3 + i % 5
+                )
+                n = problem.n
+                for k in (max(1, n // 10), n // 3, (2 * n) // 3):
+                    yield bound(problem, k, seed=i, **BOUND_MODES[mode])
+
+        assert decisions_digest(results()) == self.GOLDEN[mode]

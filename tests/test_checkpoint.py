@@ -426,7 +426,7 @@ class TestCrashResume:
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         proc = subprocess.run(
-            [sys.executable, "-c", _KILL_SCRIPT, "25", ckpt],
+            [sys.executable, "-c", _KILL_SCRIPT, "13", ckpt],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == -signal.SIGKILL, (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.csr import NeighborGraph
+from repro.graph.csr import NeighborGraph, segment_sums
 
 
 def triangle() -> NeighborGraph:
@@ -301,6 +301,38 @@ def test_subgraph_filter_before_gather_matches_reference(size):
     g = NeighborGraph.from_edges(n, a[a != b], b[a != b], rng.random(int((a != b).sum())))
     vertices = rng.permutation(n)[:size]
     _assert_subgraph_matches_per_row(g, vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.integers(0, 60), st.integers(0, 10_000), st.data())
+def test_row_edges_sum_like_row_sums(n, n_edges, seed, data):
+    """A per-edge array gathered at ``row_edges`` and summed per row is
+    ``row_sums``' entry for each row, to the last bit — for any row
+    order, zero-degree rows and no rows at all."""
+    rng = np.random.default_rng(seed)
+    sources = rng.integers(0, n, size=n_edges)
+    targets = rng.integers(0, n, size=n_edges)
+    keep = sources != targets
+    g = NeighborGraph.from_edges(
+        n, sources[keep], targets[keep], rng.random(int(keep.sum()))
+    )
+    rows = np.array(
+        data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)),
+        dtype=np.int64,
+    )
+    values = rng.normal(size=g.num_directed_edges) * 1e8
+    flat, lengths = g.row_edges(rows)
+    np.testing.assert_array_equal(lengths, g.degrees()[rows])
+    expected = [
+        np.arange(g.indptr[v], g.indptr[v + 1]) for v in rows.tolist()
+    ]
+    np.testing.assert_array_equal(
+        flat, np.concatenate(expected) if expected else np.empty(0, np.int64)
+    )
+    assert (
+        segment_sums(values[flat], lengths).tobytes()
+        == g.row_sums(values)[rows].tobytes()
+    )
 
 
 def test_subgraph_with_only_cross_partition_edges():

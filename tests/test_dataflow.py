@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.pcollection import Pipeline
-from repro.dataflow.transforms import (
-    cogroup,
-    count_where,
-    distributed_kth_largest,
-    flatten,
-    min_max_globally,
-    sum_globally,
+from repro.dataflow.columnar import ColumnarShard
+from repro.dataflow.library import (
+    OrderStatistics,
+    _key_float,
+    _order_key,
+    _order_key_column,
+    by_point,
 )
+from repro.dataflow.pcollection import PCollection, Pipeline
+from repro.dataflow.transforms import cogroup, flatten, sum_globally
 
 
 @pytest.fixture
@@ -107,11 +108,27 @@ class TestCombine:
     def test_sum_globally(self, pipeline):
         assert sum_globally(pipeline.create([1.5, 2.5, 3.0])) == 7.0
 
-    def test_count_where(self, pipeline):
-        assert count_where(pipeline.create(range(10)), lambda x: x > 6) == 3
+    def test_combine_globally_batch_takes_whole_columnar_shards(self, pipeline):
+        """``batch`` folds a non-empty int-keyed columnar shard in one
+        call; rows (and empty shards) run ``add`` — same total."""
+        calls = []
 
-    def test_min_max(self, pipeline):
-        assert min_max_globally(pipeline.create([3.0, -1.0, 7.0])) == (-1.0, 7.0)
+        def batch(shard):
+            calls.append(len(shard))
+            return float(shard.columns[0].sum())
+
+        def total(pc):
+            return pc.combine_globally(
+                float, lambda acc, kv: acc + kv[1], lambda a, b: a + b,
+                batch=batch,
+            )
+
+        values = np.arange(20, dtype=np.float64)
+        assert total(pipeline.create_keyed(by_point(values))) == 190.0
+        assert sorted(calls) == [5, 5, 5, 5]
+        calls.clear()
+        rows = pipeline.create_keyed([(i, float(i)) for i in range(20)])
+        assert total(rows) == 190.0 and calls == []
 
 
 class TestFlattenCogroup:
@@ -149,36 +166,165 @@ class TestFlattenCogroup:
             cogroup([])
 
 
-class TestKthLargest:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=200),
-        st.data(),
-    )
-    def test_matches_numpy(self, values, data):
-        k = data.draw(st.integers(1, len(values)))
+def _keyed_values(pipeline, values, form):
+    """``values`` as a keyed collection: one columnar value column, or
+    ``(id, value)`` rows."""
+    if form == "columns":
+        return pipeline.create_keyed(by_point(np.asarray(values, dtype=float)))
+    return pipeline.create_keyed([(i, v) for i, v in enumerate(values)])
+
+
+def _expected_kth(values, k):
+    values = np.asarray(values, dtype=float)
+    return float(np.partition(values, values.size - k)[values.size - k])
+
+
+_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e300])
+_VALUES = st.lists(
+    st.one_of(_TIES, st.floats(allow_nan=False)), min_size=1, max_size=120
+)
+
+
+class TestOrderStatistics:
+    """k-th largest and threshold counts against NumPy, on both paths:
+    every column on the driver (the default cap) and histogram narrowing
+    (a tiny cap)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_VALUES, st.data())
+    @pytest.mark.parametrize("form", ["columns", "rows"])
+    @pytest.mark.parametrize("exact_cap", [4096, 3])
+    def test_kth_largest_matches_partition(self, form, exact_cap, values, data):
+        n = len(values)
+        k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
         pipeline = Pipeline(num_shards=3)
-        pc = pipeline.create(values)
-        expected = float(np.sort(np.asarray(values))[len(values) - k])
-        assert distributed_kth_largest(pc, k) == expected
+        stats = OrderStatistics(
+            _keyed_values(pipeline, values, form), exact_cap=exact_cap
+        )
+        threshold = stats.kth_largest(k)
+        assert threshold == _expected_kth(values, k)
+        array = np.asarray(values, dtype=float)
+        assert stats.count_at_least(0, threshold) == int((array >= threshold).sum())
+        assert stats.count_above(0, threshold) == int((array > threshold).sum())
+        assert stats.count_at_least(0, threshold) >= k > stats.count_above(
+            0, threshold
+        )
+
+    @pytest.mark.parametrize("form", ["columns", "rows"])
+    def test_columns_of_tuple_values(self, form):
+        rng = np.random.default_rng(1)
+        lower = rng.normal(size=300)
+        umax = lower + rng.random(300)
+        pipeline = Pipeline(num_shards=4)
+        if form == "columns":
+            pc = pipeline.create_keyed(ColumnarShard(np.arange(300), (lower, umax)))
+        else:
+            pc = pipeline.create_keyed(
+                [(i, (a, b)) for i, (a, b) in enumerate(zip(lower, umax))]
+            )
+        for cap in (4096, 16):
+            stats = OrderStatistics(pc, exact_cap=cap)
+            t = stats.kth_largest(40, 1)
+            assert t == _expected_kth(umax, 40)
+            assert stats.count_above(0, t) == int((lower > t).sum())
 
     def test_small_exact_cap_still_exact(self):
         rng = np.random.default_rng(0)
-        values = rng.normal(size=5000).tolist()
+        values = rng.normal(size=5000)
         pipeline = Pipeline(num_shards=8)
-        pc = pipeline.create(values)
-        got = distributed_kth_largest(pc, 1234, exact_cap=64)
-        expected = float(np.sort(values)[5000 - 1234])
-        assert got == expected
+        stats = OrderStatistics(
+            _keyed_values(pipeline, values, "columns"), exact_cap=64
+        )
+        assert stats.kth_largest(1234) == _expected_kth(values, 1234)
 
-    def test_all_equal(self):
-        pipeline = Pipeline(2)
-        assert distributed_kth_largest(pipeline.create([2.0] * 10), 5) == 2.0
+    @pytest.mark.parametrize("form", ["columns", "rows"])
+    @pytest.mark.parametrize(
+        "values",
+        [[2.0] * 50, [-0.0] * 30 + [0.0] * 30, [1.0] * 40 + [3.0] * 40],
+        ids=["constant", "signed-zeros", "two-values"],
+    )
+    def test_more_equal_values_than_the_cap_terminates(self, form, values):
+        pipeline = Pipeline(num_shards=3)
+        pc = _keyed_values(pipeline, values, form)
+        for k in (1, len(values) // 2, len(values)):
+            stats = OrderStatistics(pc, exact_cap=4)
+            assert stats.kth_largest(k) == _expected_kth(values, k)
+
+    @pytest.mark.parametrize("exact_cap", [4096, 50, 5])
+    def test_driver_never_receives_more_than_exact_cap_rows(
+        self, monkeypatch, exact_cap
+    ):
+        """Spy on every fold result the driver receives: value columns
+        are at most ``exact_cap`` long; nothing is ``to_list``-ed."""
+        received = []
+        combine = PCollection.combine_globally
+
+        def spy(self, *args, **kwargs):
+            result = combine(self, *args, **kwargs)
+            received.append(result)
+            return result
+
+        monkeypatch.setattr(PCollection, "combine_globally", spy)
+        n = 4000
+        values = np.random.default_rng(3).normal(size=n)
+        pipeline = Pipeline(num_shards=8)
+        pc = pipeline.create_keyed(ColumnarShard(np.arange(n), (values, -values)))
+        stats = OrderStatistics(pc, exact_cap=exact_cap)
+        for k in (1, 17, n // 2, n):
+            t = stats.kth_largest(k, 1)
+            assert t == _expected_kth(-values, k)
+            assert stats.count_at_least(0, -t) == int((values >= -t).sum())
+        floats = [
+            part.size for result in received if isinstance(result, tuple)
+            for part in result
+            if isinstance(part, np.ndarray) and part.dtype == np.float64
+        ]
+        assert floats and max(floats) <= exact_cap
+        assert pipeline.metrics.materialized_records == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(_TIES, st.floats(allow_nan=False)), max_size=60))
+    def test_order_keys_sort_like_floats(self, values):
+        """The histogram's integer keys: the column twin is the scalar
+        key, keys order like the floats, ``-0.0`` keys as ``0.0``, and a
+        key turns back into its float."""
+        array = np.asarray(values, dtype=float)
+        keys = _order_key_column(array)
+        assert keys.tolist() == [_order_key(x) for x in values]
+        for x, key in zip(values, keys.tolist()):
+            assert _key_float(key) == x
+        ordered = array[np.argsort(keys, kind="stable")]
+        assert (ordered[1:] >= ordered[:-1]).all()
+        assert _order_key(-0.0) == _order_key(0.0)
+
+    def test_constant_values_narrow_in_one_probe(self, monkeypatch):
+        """Min and max of one probe's band meet: the answer without a
+        second probe or a fetch, however far over the cap."""
+        folds = []
+        combine = PCollection.combine_globally
+        monkeypatch.setattr(
+            PCollection, "combine_globally",
+            lambda self, *a, **kw: folds.append(kw["name"]) or combine(
+                self, *a, **kw
+            ),
+        )
+        pipeline = Pipeline(num_shards=4)
+        stats = OrderStatistics(
+            _keyed_values(pipeline, [-3.5] * 200, "columns"), exact_cap=8
+        )
+        assert stats.kth_largest(77) == -3.5
+        assert folds == ["order/histogram"]
 
     def test_k_out_of_range(self):
         pipeline = Pipeline(2)
-        with pytest.raises(ValueError):
-            distributed_kth_largest(pipeline.create([1.0]), 2)
+        stats = OrderStatistics(_keyed_values(pipeline, [1.0], "rows"))
+        for k in (0, 2):
+            with pytest.raises(ValueError):
+                stats.kth_largest(k)
+
+    def test_requires_keyed(self):
+        with pytest.raises(TypeError):
+            OrderStatistics(Pipeline(2).create([1.0, 2.0]))
 
 
 class TestMetrics:

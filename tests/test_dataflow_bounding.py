@@ -16,6 +16,7 @@ from repro.dataflow.columnar import ColumnarShard, ListColumn
 from repro.dataflow.library import BoundingFilter, by_point
 from repro.dataflow.pcollection import Pipeline
 from tests.conftest import random_problem
+from tests.test_bounding import BOUND_MODES, decisions_digest
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +382,35 @@ class TestBoundsGolden:
         assert len(bounds) == sum(1 for v in range(200) if v % 9 and v % 4)
         digest = hashlib.sha256(repr(sorted(bounds)).encode()).hexdigest()
         assert digest == self.GOLDEN[mode]
+
+
+class TestBeamDecisionsGolden:
+    """``beam_bound``'s decisions on two instances × 3 values of k,
+    pinned bit for bit per mode — whatever a round's threshold pass looks
+    like, it must make exactly these decisions."""
+
+    GOLDEN = {
+        "exact":
+            "0396f7ba5502afef6196b5ac358175b3a4501611f66577512772d1d2c6eb2ff9",
+        "uniform":
+            "2f8a1aa121eec443b4640a63870972fe0e7d6515c1fdacc13f49c58034104ee3",
+        "weighted":
+            "a213103e89d1607555f669ee6cb77bc702c83ed8f0cda3a72af10bebc762e809",
+    }
+
+    @pytest.mark.parametrize("mode", GOLDEN)
+    def test_decisions_digest(self, problem, mode):
+        def results():
+            for instance in (random_problem(150, seed=3, avg_degree=6), problem):
+                n = instance.n
+                for k in (n // 10, n // 3, (2 * n) // 3):
+                    yield beam_bound(
+                        instance, k, seed=5,
+                        options=EngineOptions(num_shards=4),
+                        **BOUND_MODES[mode],
+                    )[0]
+
+        assert decisions_digest(results()) == self.GOLDEN[mode]
 
 
 class TestBeamScoring:

@@ -153,22 +153,57 @@ _SEED_SCRIPT = textwrap.dedent(
 )
 
 
-def test_hash_seed_does_not_move_the_digest():
+def _digest_lines(script, hash_seed):
+    """``script``'s stdout lines, run under ``PYTHONHASHSEED=hash_seed``."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return proc.stdout.split()
 
-    def run(seed):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = src + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", _SEED_SCRIPT],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        return proc.stdout.split()
 
-    first, second = run("1"), run("4242")
+def test_hash_seed_does_not_move_the_digest():
+    first = _digest_lines(_SEED_SCRIPT, "1")
+    second = _digest_lines(_SEED_SCRIPT, "4242")
     assert len(first) == 2 and first == second
+
+
+_SET_SCRIPT = textwrap.dedent(
+    """
+    from repro.dataflow.digest import part_digest
+
+    names = {f"name-{i}" for i in range(20)}
+
+    def make(members):
+        return lambda x: x in members
+
+    print(part_digest(make(names)).hex())
+    print(part_digest(make(frozenset(names))).hex())
+    print(part_digest(make({1, 2, frozenset(names)})).hex())
+    """
+)
+
+
+def test_captured_set_of_strings_digests_in_canonical_order():
+    """A runtime ``set``/``frozenset`` iterates in hash-seed order; the
+    digest writes its elements sorted by their own digests instead."""
+    first = _digest_lines(_SET_SCRIPT, "1")
+    second = _digest_lines(_SET_SCRIPT, "2")
+    assert len(first) == 3 and first == second
+    assert len(set(first)) == 3
+
+
+def test_set_elements_still_move_the_digest():
+    names = {f"name-{i}" for i in range(20)}
+    digest = part_digest(lambda x, s=names: x in s)
+    assert part_digest(lambda x, s=set(names): x in s) == digest
+    assert part_digest(lambda x, s=names | {"extra"}: x in s) != digest
+    assert part_digest(lambda x, s=frozenset(names): x in s) != digest
 
 
 def test_unpicklable_capture_is_not_checkpointable(tmp_path):
