@@ -5,8 +5,8 @@ makes it cross process — and machine — boundaries:
 
 :mod:`~repro.dataflow.remote.worker`
     The long-lived worker daemon (``python -m repro.dataflow.remote.
-    worker --host H --port P``): accepts length-prefixed cloudpickle
-    frames over TCP, caches broadcast blobs, executes stage shards, and
+    worker --host H --port P``): accepts length-prefixed pickle frames
+    over TCP, caches broadcast blobs, executes stage shards, and
     heartbeats while computing.
 :mod:`~repro.dataflow.remote.client`
     :class:`RemoteExecutor`, the ``Executor`` implementation that
@@ -17,7 +17,8 @@ makes it cross process — and machine — boundaries:
     :class:`LocalCluster`, which auto-spawns localhost daemons for the
     zero-configuration ``--executor remote`` path (and for tests).
 :mod:`~repro.dataflow.remote.protocol`
-    The framing and message vocabulary shared by both ends.
+    The framing, message vocabulary and versioned handshake shared by
+    both ends, and the persistent peer links shuffle reads fetch over.
 
 The backend registers as ``"remote"`` in
 :func:`repro.dataflow.executor.resolve_executor`, so

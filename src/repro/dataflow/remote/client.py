@@ -73,8 +73,6 @@ from repro.dataflow.remote.protocol import (
     MSG_EVICT_BLOBS,
     MSG_EVICT_BUCKETS,
     MSG_HEARTBEAT,
-    MSG_PING,
-    MSG_PONG,
     MSG_RESULT,
     MSG_SHUTDOWN,
     MSG_STAGE,
@@ -282,6 +280,9 @@ class RemoteExecutor(Executor):
         self._stats_lock = threading.Lock()
         self._cluster: Optional[LocalCluster] = None
         self._channels: List[_Channel] = []
+        #: Persistent links for the exchange fault fallback's reads from
+        #: surviving producers; closed by :meth:`close`.
+        self._links = protocol.PeerLinks()
         try:
             if workers:
                 addresses = [_parse_address(w) for w in workers]
@@ -319,22 +320,17 @@ class RemoteExecutor(Executor):
                         f"{connect_timeout:.0f}s"
                     ) from None
                 time.sleep(0.05)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # Handshake: one round trip proves a protocol-speaking worker.
-        # The deadline covers only the handshake reply — it must not
+        # Handshake: one round trip proves a worker speaking this protocol
+        # version.  The deadline covers only the handshake — it must not
         # leak onto later sends (see ``_recv_reply``).
-        protocol.send_msg(sock, (MSG_PING,))
-        sock.settimeout(30.0)
         try:
-            reply = protocol.recv_msg(sock)
-        finally:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(30.0)
+            protocol.handshake(sock, address)
             sock.settimeout(None)
-        if reply[0] != MSG_PONG:
+        except BaseException:
             sock.close()
-            raise RuntimeError(
-                f"worker at {address[0]}:{address[1]} answered the "
-                "handshake with an unexpected message"
-            )
+            raise
         return sock
 
     @property
@@ -664,20 +660,26 @@ class RemoteExecutor(Executor):
                 sources[dest].append(("inline", payload))
 
         def read_dest_local(index: int) -> tuple:
-            """Driver fallback for one destination shard."""
+            """Driver fallback for one destination shard: one fetch per
+            surviving producer, re-derivation for whatever it lacks."""
+            fetched: Dict[str, Optional[bytes]] = {}
+            for (host, port), ids in protocol.peer_sources(
+                sources[index]
+            ).items():
+                try:
+                    got, n_chunks = self._links.fetch(host, port, ids)
+                except (ConnectionError, OSError):
+                    continue  # producer gone: its parts are re-derived
+                fetched.update(got)
+                with fallback_lock:
+                    info["fetch_chunks"] += n_chunks
             parts: List[Any] = []
             for source in sources[index]:
                 if source[0] == "inline":
                     parts.append(protocol.loads(source[1]))
                     continue
-                _, host, port, bucket_id = source
-                try:
-                    got, n_chunks = protocol.fetch_peer_buckets(
-                        host, port, [bucket_id]
-                    )
-                    payload = got[bucket_id]
-                except (ConnectionError, OSError):
-                    payload, n_chunks = None, 0
+                bucket_id = source[3]
+                payload = fetched.get(bucket_id)
                 if payload is None:
                     input_idx, dest = self._split_bucket_id(bucket_id)
                     parts.append(bucket_for(input_idx, dest, refetch=True))
@@ -685,7 +687,6 @@ class RemoteExecutor(Executor):
                     parts.append(protocol.loads(payload))
                     with fallback_lock:
                         info["driver_bytes"] += len(payload)
-                        info["fetch_chunks"] += n_chunks
             merged = merge_bucket_parts(parts)
             value = read_fn(merged)
             return (
@@ -1025,5 +1026,6 @@ class RemoteExecutor(Executor):
             cluster, self._cluster = self._cluster, None
         for channel in channels:
             channel.kill()
+        self._links.close()
         if cluster is not None:
             cluster.terminate()

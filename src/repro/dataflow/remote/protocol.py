@@ -8,9 +8,13 @@ boundaries survive TCP's stream semantics.
 
 Driver → worker messages
 ------------------------
-``(MSG_PING,)``
-    Liveness probe; the worker answers ``(MSG_PONG,)``.  Also used as the
-    connection handshake.
+``(MSG_PING, version)``
+    The connection handshake, sent first on every driver channel and on
+    every peer link: ``version`` is the sender's ``PROTOCOL_VERSION``,
+    and the daemon answers ``(MSG_PONG, its_version)``.  The opener
+    (:func:`handshake`) refuses a daemon speaking another version with a
+    :class:`ProtocolVersionError` before any task or fetch is sent; a
+    ``MSG_PONG`` without a version comes from a protocol-1 daemon.
 ``(MSG_BLOB, digest, blob_bytes)``
     One broadcast capture (see :mod:`repro.dataflow.executor`): the worker
     unpickles and caches it under ``digest`` for the channel's lifetime.
@@ -49,12 +53,17 @@ Worker-to-worker shuffle (appended tags, values never shift):
     ``extra`` is the pre-combine record count when ``combine`` is true
     (the write fn returns ``(n_pre, buckets)``) else ``None`` — the
     driver learns the routing without moving a byte of bucket data.
-``(MSG_FETCH_BUCKET, bucket_id)``
-    Peer-to-peer (or driver-fallback) bucket fetch, sent on a fresh
-    connection to the *producing* worker's daemon; answered with one
-    ``MSG_BUCKET`` frame, or — when the stored payload exceeds the
-    daemon's ``bucket_chunk_bytes`` — a run of ``MSG_BUCKET_CHUNK``
-    frames.
+``(MSG_FETCH_BUCKETS, bucket_ids)``
+    Peer-to-peer (or driver-fallback) fetch of every bucket one read
+    task needs from one *producing* daemon: one request per (read task,
+    peer), sent on a persistent peer link (:class:`PeerLinks`).  The
+    daemon answers each id in request order — one ``MSG_BUCKET`` frame,
+    or, when the stored payload exceeds its ``bucket_chunk_bytes``, a
+    run of ``MSG_BUCKET_CHUNK`` frames — and writes the whole answer
+    with a single ``sendall`` (flushed early only once the pending
+    frames pass ``bucket_chunk_bytes``, which keeps the send buffer
+    bounded).  The link stays open for the next request.  Tag 12 (the
+    protocol-1 one-request-per-bucket fetch) is retired and never reused.
 ``(MSG_BUCKET, bucket_id, payload_bytes_or_None)``
     The stored bucket's serialized bytes (``None`` when the id is
     unknown — e.g. the exchange was already evicted).
@@ -92,10 +101,26 @@ Worker → driver, in addition to the replies above:
     Sent periodically while a task is computing, so the driver can tell a
     slow worker from a dead one without bounding task runtime.
 
-Serialization uses :mod:`cloudpickle` when available (shards may contain
-arbitrary user records; stage payloads are produced by the broadcast
-pickler upstream) and degrades to the stdlib pickler otherwise — the
-caller treats a serialization error as "run this shard on the driver".
+Serialization: frames the driver builds (stage payloads, user shards)
+use :mod:`cloudpickle` when available (:func:`dumps`): a class defined in
+the driver's ``__main__`` would pickle by reference under the stdlib
+pickler and then fail to load on the worker.  The caller treats a
+serialization error as "run this shard on the driver".  Frames a worker
+builds (stored buckets, task replies, fetch answers) and the handshake
+and fetch requests are data, so they use the much cheaper stdlib pickler
+(:func:`dumps_plain`) and fall back to cloudpickle only when it raises:
+a class or function the worker received by value fails the stdlib
+pickler's by-reference identity check loudly, so the fallback cannot be
+skipped silently.
+
+Peer links
+----------
+Shuffle reads reach producing daemons over :class:`PeerLinks`: one pool
+of persistent connections per process, keyed by address (the
+``WorkerServer`` owns a worker's, the ``RemoteExecutor`` the driver's
+fault-fallback pool).  A pooled link that fails is dropped and the fetch
+retried once on a fresh connection; only a failure there reaches the
+caller, which turns it into ``FETCH_FAILED``.
 """
 
 from __future__ import annotations
@@ -103,7 +128,8 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+import threading
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 try:
     import cloudpickle as _cloudpickle
@@ -127,12 +153,21 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
 #: Appended after the original block so existing tag values never shift.
 MSG_TASK_COL = 10
 MSG_TASK_SHUF = 11
-MSG_FETCH_BUCKET = 12
+# 12 was MSG_FETCH_BUCKET (protocol 1: one request per bucket); retired,
+# never reused.
 MSG_BUCKET = 13
 MSG_TASK_SHUF_READ = 14
 MSG_EVICT_BUCKETS = 15
 MSG_EVICT_BLOBS = 16
 MSG_BUCKET_CHUNK = 17
+MSG_FETCH_BUCKETS = 18
+
+#: Carried by the ``MSG_PING``/``MSG_PONG`` handshake.  Bump it whenever
+#: a tag is retired or a message changes shape: a daemon from another
+#: checkout is then refused at connect time instead of misreading frames.
+#: Version 1 is the unversioned protocol that fetched one bucket per
+#: request.
+PROTOCOL_VERSION = 2
 
 #: Default upper bound on one ``MSG_BUCKET`` payload before the serving
 #: daemon switches to ``MSG_BUCKET_CHUNK`` streaming (workers take
@@ -151,11 +186,36 @@ _HEADER = struct.Struct(">Q")
 MAX_FRAME_BYTES = 1 << 40
 
 
+class ProtocolVersionError(RuntimeError):
+    """A daemon answered the handshake with another ``PROTOCOL_VERSION``."""
+
+    def __init__(self, address: Tuple[str, int], ours: int, theirs: Any):
+        super().__init__(address, ours, theirs)
+        self.address, self.ours, self.theirs = address, ours, theirs
+
+    def __str__(self) -> str:
+        host, port = self.address
+        return (
+            f"worker at {host}:{port} speaks protocol version "
+            f"{self.theirs}, this process speaks version {self.ours}: "
+            "start every daemon and driver from the same release"
+        )
+
+
 def dumps(message: Tuple[Any, ...]) -> bytes:
     """Serialize one message (cloudpickle when available)."""
     if _cloudpickle is not None:
         return _cloudpickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
     return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def dumps_plain(message: Any) -> bytes:
+    """Serialize a frame that carries no driver code: the stdlib pickler,
+    and :func:`dumps` only when it raises (a local or by-value class)."""
+    try:
+        return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return dumps(message)
 
 
 def loads(payload: bytes) -> Tuple[Any, ...]:
@@ -173,8 +233,13 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return bytes(buf)
 
 
+def frame(payload: bytes) -> bytes:
+    """``payload`` behind its length header: one frame, ready to send."""
+    return _HEADER.pack(len(payload)) + payload
+
+
 def send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
+    sock.sendall(frame(payload))
 
 
 def recv_frame(sock: socket.socket) -> bytes:
@@ -192,52 +257,145 @@ def recv_msg(sock: socket.socket) -> Tuple[Any, ...]:
     return loads(recv_frame(sock))
 
 
-def fetch_peer_buckets(
-    host: str, port: int, bucket_ids: List[str]
-) -> Tuple[Dict[str, Optional[bytes]], int]:
-    """Fetch several buckets from one peer daemon over a fresh connection.
+def handshake(sock: socket.socket, address: Tuple[str, int]) -> None:
+    """Open a driver channel or a peer link: a versioned ``MSG_PING``,
+    answered by a ``MSG_PONG`` that must carry this ``PROTOCOL_VERSION``.
 
-    Returns ``(id → serialized bytes, chunk_frames)`` — the value is
-    ``None`` when the peer no longer holds the bucket, and
-    ``chunk_frames`` counts the bounded ``MSG_BUCKET_CHUNK`` frames
-    received for buckets large enough to stream in pieces (single-frame
-    ``MSG_BUCKET`` replies add nothing).  Connection errors propagate —
-    the caller turns them into a ``FETCH_FAILED`` reply so the driver
-    can fall back.
+    Raises :class:`ProtocolVersionError` on a version mismatch and
+    ``RuntimeError`` on any other answer; connection errors propagate.
     """
-    sock = socket.create_connection((host, port), timeout=30.0)
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        out: Dict[str, Optional[bytes]] = {}
-        chunk_frames = 0
-        for bucket_id in bucket_ids:
-            send_msg(sock, (MSG_FETCH_BUCKET, bucket_id))
+    send_frame(sock, dumps_plain((MSG_PING, PROTOCOL_VERSION)))
+    reply = recv_msg(sock)
+    if reply[0] != MSG_PONG:
+        raise RuntimeError(
+            f"worker at {address[0]}:{address[1]} answered the handshake "
+            "with an unexpected message"
+        )
+    theirs = reply[1] if len(reply) > 1 else 1
+    if theirs != PROTOCOL_VERSION:
+        raise ProtocolVersionError(address, PROTOCOL_VERSION, theirs)
+
+
+def peer_sources(
+    sources: Iterable[tuple], exclude: Optional[Tuple[str, int]] = None
+) -> Dict[Tuple[str, int], List[str]]:
+    """A read task's ``("peer", host, port, bucket_id)`` sources grouped
+    by producing daemon (except ``exclude``), ids in input-shard order —
+    one ``MSG_FETCH_BUCKETS`` request per group."""
+    by_peer: Dict[Tuple[str, int], List[str]] = {}
+    for source in sources:
+        if source[0] == "peer" and (source[1], source[2]) != exclude:
+            by_peer.setdefault((source[1], source[2]), []).append(source[3])
+    return by_peer
+
+
+def _fetch_on(
+    sock: socket.socket, bucket_ids: List[str]
+) -> Tuple[Dict[str, Optional[bytes]], int]:
+    """One ``MSG_FETCH_BUCKETS`` round trip on an open link."""
+    send_frame(sock, dumps_plain((MSG_FETCH_BUCKETS, list(bucket_ids))))
+    out: Dict[str, Optional[bytes]] = {}
+    chunk_frames = 0
+    for bucket_id in bucket_ids:
+        reply = recv_msg(sock)
+        if reply[0] == MSG_BUCKET and reply[1] == bucket_id:
+            out[bucket_id] = reply[2]
+            continue
+        if reply[0] != MSG_BUCKET_CHUNK or reply[1] != bucket_id:
+            raise ConnectionError("bucket fetch protocol violation")
+        pieces: List[bytes] = []
+        while True:
+            if (
+                reply[0] != MSG_BUCKET_CHUNK
+                or reply[1] != bucket_id
+                or reply[2] != len(pieces)
+            ):
+                raise ConnectionError(
+                    "bucket chunk sequence protocol violation"
+                )
+            pieces.append(reply[4])
+            chunk_frames += 1
+            if len(pieces) == reply[3]:
+                break
             reply = recv_msg(sock)
-            if reply[0] == MSG_BUCKET and reply[1] == bucket_id:
-                out[bucket_id] = reply[2]
-                continue
-            if reply[0] != MSG_BUCKET_CHUNK or reply[1] != bucket_id:
-                raise ConnectionError("bucket fetch protocol violation")
-            pieces: List[bytes] = []
-            while True:
-                if (
-                    reply[0] != MSG_BUCKET_CHUNK
-                    or reply[1] != bucket_id
-                    or reply[2] != len(pieces)
-                ):
-                    raise ConnectionError(
-                        "bucket chunk sequence protocol violation"
-                    )
-                pieces.append(reply[4])
-                chunk_frames += 1
-                if len(pieces) == reply[3]:
-                    break
-                reply = recv_msg(sock)
-            out[bucket_id] = b"".join(pieces)
+        out[bucket_id] = b"".join(pieces)
+    return out, chunk_frames
+
+
+class PeerLinks:
+    """Persistent connections to peer daemons, pooled per address.
+
+    One instance per process, owned (and closed) by whatever serves or
+    drives shuffle reads.  Thread-safe: a fetch checks a link out, so two
+    concurrent fetches to one peer use two links and a link carries one
+    request–reply at a time.  After :meth:`close`, links coming back from
+    in-flight fetches are closed instead of pooled.
+    """
+
+    def __init__(self) -> None:
+        self._idle: Dict[Tuple[str, int], List[socket.socket]] = {}
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def fetch(
+        self, host: str, port: int, bucket_ids: List[str]
+    ) -> Tuple[Dict[str, Optional[bytes]], int]:
+        """Fetch several buckets from one peer daemon in one round trip.
+
+        Returns ``(id → serialized bytes, chunk_frames)`` — the value is
+        ``None`` when the peer no longer holds the bucket, and
+        ``chunk_frames`` counts the bounded ``MSG_BUCKET_CHUNK`` frames
+        received for buckets large enough to stream in pieces
+        (single-frame ``MSG_BUCKET`` replies add nothing).  A pooled link
+        that fails is dropped and the fetch retried once on a fresh
+        connection; connection errors from that one propagate — the
+        caller turns them into ``FETCH_FAILED`` so the driver can fall
+        back.
+        """
+        address = (host, port)
+        with self._lock:
+            idle = self._idle.get(address)
+            sock = idle.pop() if idle else None
+        if sock is not None:
+            try:
+                return self._fetch_and_keep(address, sock, bucket_ids)
+            except (ConnectionError, OSError):
+                pass  # a stale link (the peer restarted or died): dropped
+        return self._fetch_and_keep(address, self._open(address), bucket_ids)
+
+    def _open(self, address: Tuple[str, int]) -> socket.socket:
+        # The timeout bounds every later wait on the link too: a peer
+        # silent that long fails the fetch (then FETCH_FAILED).
+        sock = socket.create_connection(address, timeout=30.0)
         try:
-            send_msg(sock, (MSG_BYE,))
-        except OSError:
-            pass
-        return out, chunk_frames
-    finally:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            handshake(sock, address)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+
+    def _fetch_and_keep(
+        self, address: Tuple[str, int], sock: socket.socket,
+        bucket_ids: List[str],
+    ) -> Tuple[Dict[str, Optional[bytes]], int]:
+        try:
+            out = _fetch_on(sock, bucket_ids)
+        except BaseException:
+            sock.close()  # desynced or dead: never pooled again
+            raise
+        with self._lock:
+            if not self._closed:
+                self._idle.setdefault(address, []).append(sock)
+                return out
         sock.close()
+        return out
+
+    def close(self) -> None:
+        """Close every idle link.  Idempotent."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for socks in idle.values():
+            for sock in socks:
+                sock.close()

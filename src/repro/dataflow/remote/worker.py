@@ -17,12 +17,17 @@ without imposing a task deadline.
 
 Worker-to-worker shuffle: a ``MSG_TASK_SHUF`` write task leaves its
 buckets in the *daemon-wide* bucket store (shared across connections —
-peers arrive on fresh connections), serialized once at write time;
-``MSG_FETCH_BUCKET`` serves those bytes to any peer (or to the driver's
-fault fallback), and a ``MSG_TASK_SHUF_READ`` task fetches its assigned
-parts, merges them in input-shard order (bit-identical to the driver's
-``merge_bucket_parts``), and runs the read stage in place — the driver
-sees routing metadata and final results, never bucket data.
+peers read it over their own persistent links), serialized once at write
+time; one ``MSG_FETCH_BUCKETS`` request serves every bucket a read task
+needs from this daemon to a peer (or to the driver's fault fallback) in
+one round trip, and a ``MSG_TASK_SHUF_READ`` task fetches its assigned
+parts — one request per producing peer, over the daemon's own
+:class:`~repro.dataflow.remote.protocol.PeerLinks` pool, which
+:meth:`WorkerServer.close` closes — merges them in input-shard order
+(bit-identical to the driver's ``merge_bucket_parts``), and runs the
+read stage in place — the driver sees routing metadata and final
+results, never bucket data.  Buckets and task replies are built here, so
+they go through the stdlib pickler (``protocol.dumps_plain``).
 
 Shutdown is graceful by default: ``(MSG_SHUTDOWN,)`` closes the listener
 and drains every connection's in-flight task before exiting, so other
@@ -67,7 +72,7 @@ from repro.dataflow.remote.protocol import (
     MSG_ERROR,
     MSG_EVICT_BLOBS,
     MSG_EVICT_BUCKETS,
-    MSG_FETCH_BUCKET,
+    MSG_FETCH_BUCKETS,
     MSG_HEARTBEAT,
     MSG_PING,
     MSG_PONG,
@@ -78,9 +83,15 @@ from repro.dataflow.remote.protocol import (
     MSG_TASK_COL,
     MSG_TASK_SHUF,
     MSG_TASK_SHUF_READ,
+    PROTOCOL_VERSION,
 )
 
 from repro.dataflow.columnar import ColumnarShard
+
+
+def _send(sock: socket.socket, message: tuple) -> None:
+    """Send one frame built on this worker (stdlib pickler first)."""
+    protocol.send_frame(sock, protocol.dumps_plain(message))
 
 
 class WorkerServer:
@@ -110,9 +121,12 @@ class WorkerServer:
         self.host, self.port = self._listener.getsockname()[:2]
         #: Daemon-wide bucket store: ``"<exchange>/<input>/<dest>" ->
         #: serialized bucket`` — shared across connections because peers
-        #: (and the driver's fault fallback) fetch over fresh connections.
+        #: (and the driver's fault fallback) fetch over their own links.
         self._buckets: Dict[str, bytes] = {}
         self._buckets_lock = threading.Lock()
+        #: This daemon's persistent links to the peers its read tasks
+        #: fetch from; closed by :meth:`close`.
+        self._links = protocol.PeerLinks()
         #: In-flight task count across every connection, so a graceful
         #: shutdown can drain to a task boundary before exiting.
         self._active_tasks = 0
@@ -135,6 +149,7 @@ class WorkerServer:
 
     def close(self) -> None:
         self._listener.close()
+        self._links.close()
 
     # -- bucket store ------------------------------------------------------
 
@@ -156,26 +171,42 @@ class WorkerServer:
         with self._buckets_lock:
             return sum(len(v) for v in self._buckets.values())
 
-    def _send_bucket(self, sock: socket.socket, bucket_id: str) -> None:
-        """Answer one ``MSG_FETCH_BUCKET``: a single frame for small (or
-        missing) payloads, bounded ``MSG_BUCKET_CHUNK`` frames otherwise."""
-        payload = self.get_bucket(bucket_id)
+    def _send_buckets(
+        self, sock: socket.socket, bucket_ids: List[str]
+    ) -> None:
+        """Answer one ``MSG_FETCH_BUCKETS``: every id in request order, a
+        single frame for small (or missing) payloads, bounded
+        ``MSG_BUCKET_CHUNK`` frames otherwise — all in one ``sendall``,
+        flushed early only once the pending frames pass the chunk cap."""
         limit = self.bucket_chunk_bytes
-        if payload is None or limit is None or len(payload) <= limit:
-            protocol.send_msg(sock, (MSG_BUCKET, bucket_id, payload))
-            return
-        n_chunks = -(-len(payload) // limit)
-        for seq in range(n_chunks):
-            protocol.send_msg(
-                sock,
-                (
-                    MSG_BUCKET_CHUNK,
-                    bucket_id,
-                    seq,
-                    n_chunks,
-                    payload[seq * limit:(seq + 1) * limit],
-                ),
-            )
+        frames: List[bytes] = []
+        pending = 0
+        for bucket_id in bucket_ids:
+            payload = self.get_bucket(bucket_id)
+            if payload is None or limit is None or len(payload) <= limit:
+                messages = [(MSG_BUCKET, bucket_id, payload)]
+            else:
+                n_chunks = -(-len(payload) // limit)
+                # A generator: one chunk copy exists at a time.
+                messages = (
+                    (
+                        MSG_BUCKET_CHUNK,
+                        bucket_id,
+                        seq,
+                        n_chunks,
+                        payload[seq * limit:(seq + 1) * limit],
+                    )
+                    for seq in range(n_chunks)
+                )
+            for message in messages:
+                frame = protocol.frame(protocol.dumps_plain(message))
+                frames.append(frame)
+                pending += len(frame)
+                if limit is not None and pending >= limit:
+                    sock.sendall(b"".join(frames))
+                    frames, pending = [], 0
+        if frames:
+            sock.sendall(b"".join(frames))
 
     # -- shutdown ----------------------------------------------------------
 
@@ -220,7 +251,9 @@ class WorkerServer:
                 message = protocol.recv_msg(sock)
                 tag = message[0]
                 if tag == MSG_PING:
-                    protocol.send_msg(sock, (MSG_PONG,))
+                    # The opener compares versions and hangs up on a
+                    # mismatch before sending anything else.
+                    _send(sock, (MSG_PONG, PROTOCOL_VERSION))
                 elif tag == MSG_BLOB:
                     try:
                         blobs[message[1]] = load_blob(message[2])
@@ -255,17 +288,15 @@ class WorkerServer:
                     try:
                         shard = loads_with_broadcast(message[2], blobs)
                     except BaseException:
-                        protocol.send_frame(
+                        _send(
                             sock,
-                            protocol.dumps(
-                                (
-                                    MSG_ERROR,
-                                    message[1],
-                                    None,
-                                    "columnar task payload failed to "
-                                    "load on the worker:\n"
-                                    + traceback.format_exc(),
-                                )
+                            (
+                                MSG_ERROR,
+                                message[1],
+                                None,
+                                "columnar task payload failed to "
+                                "load on the worker:\n"
+                                + traceback.format_exc(),
                             ),
                         )
                     else:
@@ -291,8 +322,8 @@ class WorkerServer:
                             fn, fn_error, message[2]
                         ),
                     )
-                elif tag == MSG_FETCH_BUCKET:
-                    self._send_bucket(sock, message[1])
+                elif tag == MSG_FETCH_BUCKETS:
+                    self._send_buckets(sock, message[1])
                 elif tag == MSG_EVICT_BUCKETS:
                     self.evict_exchange(message[1])
                 elif tag == MSG_BYE:
@@ -346,7 +377,7 @@ class WorkerServer:
                 n = len(bucket)
                 if not n:
                     continue
-                payload = protocol.dumps(bucket)
+                payload = protocol.dumps_plain(bucket)
                 self.store_bucket(f"{exchange_id}/{index}/{dest}", payload)
                 metas.append((dest, n, len(payload)))
             return extra, metas
@@ -358,19 +389,16 @@ class WorkerServer:
 
         def work() -> Any:
             read_fn = self._check_fn(fn, fn_error)
-            # Group the peer parts by producer so each peer costs one
-            # connection; own-daemon parts are served from the local store.
-            by_peer: Dict[Tuple[str, int], List[str]] = {}
-            for source in sources:
-                if source[0] == "peer":
-                    _, host, port, bucket_id = source
-                    if not (host == self.host and port == self.port):
-                        by_peer.setdefault((host, port), []).append(bucket_id)
+            # One request per producing peer; own-daemon parts are served
+            # from the local store.
             fetched: Dict[str, Optional[bytes]] = {}
             fetch_chunks = 0
-            for (host, port), ids in by_peer.items():
+            own = (self.host, self.port)
+            for (host, port), ids in protocol.peer_sources(
+                sources, exclude=own
+            ).items():
                 try:
-                    got, n_chunks = protocol.fetch_peer_buckets(host, port, ids)
+                    got, n_chunks = self._links.fetch(host, port, ids)
                 except (ConnectionError, OSError) as exc:
                     return (FETCH_FAILED, f"{host}:{port}: {exc}")
                 fetched.update(got)
@@ -384,7 +412,7 @@ class WorkerServer:
                     parts.append(protocol.loads(payload))
                     continue
                 _, host, port, bucket_id = source
-                if host == self.host and port == self.port:
+                if (host, port) == own:
                     payload = self.get_bucket(bucket_id)
                     if payload is None:
                         return (FETCH_FAILED, f"local bucket {bucket_id} gone")
@@ -429,15 +457,17 @@ class WorkerServer:
                     reply = box.get(timeout=self.heartbeat_interval)
                     break
                 except queue.Empty:
-                    protocol.send_msg(sock, (MSG_HEARTBEAT,))
+                    _send(sock, (MSG_HEARTBEAT,))
             try:
-                payload = protocol.dumps(reply)
+                payload = protocol.dumps_plain(reply)
             except Exception:
                 # Unpicklable result or exception object: ship the traceback.
                 if reply[0] == MSG_ERROR:
-                    payload = protocol.dumps((MSG_ERROR, index, None, reply[3]))
+                    payload = protocol.dumps_plain(
+                        (MSG_ERROR, index, None, reply[3])
+                    )
                 else:
-                    payload = protocol.dumps(
+                    payload = protocol.dumps_plain(
                         (
                             MSG_ERROR,
                             index,
@@ -457,7 +487,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.dataflow.remote.worker",
         description="long-lived dataflow worker daemon (length-prefixed "
-        "cloudpickle frames over TCP)",
+        "pickle frames over TCP)",
     )
     parser.add_argument("--host", default="127.0.0.1",
                         help="interface to bind (default: loopback)")

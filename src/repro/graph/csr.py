@@ -116,6 +116,9 @@ class NeighborGraph:
 
         With ``symmetrize=True`` each input edge ``(a, b, w)`` is mirrored to
         ``(b, a, w)``; duplicate directed edges keep the maximum weight.
+        Both directions of a pair then reduce the same weight multiset, so
+        the result is symmetric by construction and only the symmetry
+        proof is skipped; ``symmetrize=False`` checks it.
         """
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
@@ -153,7 +156,9 @@ class NeighborGraph:
         counts = np.bincount(sources, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, targets, weights, check=True)
+        graph = cls(indptr, targets, weights, check=False)
+        graph._validate(symmetry=not symmetrize)
+        return graph
 
     @classmethod
     def empty(cls, n: int) -> "NeighborGraph":
@@ -319,7 +324,7 @@ class NeighborGraph:
 
     # -- validation -------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self, *, symmetry: bool = True) -> None:
         if self.indptr.ndim != 1 or self.indptr.size < 1:
             raise ValueError("indptr must be 1-D with length n + 1")
         if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
@@ -338,7 +343,7 @@ class NeighborGraph:
             rows = np.repeat(np.arange(self._n), np.diff(self.indptr))
             if (rows == self.indices).any():
                 raise ValueError("self-loops are not allowed")
-            if not self._is_symmetric():
+            if symmetry and not self._is_symmetric():
                 raise ValueError("graph must be symmetric (see symmetrize_knn)")
 
     def _is_symmetric(self) -> bool:

@@ -346,6 +346,45 @@ def test_subgraph_with_only_cross_partition_edges():
     np.testing.assert_array_equal(sub.indptr, np.zeros(5, dtype=np.int64))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_symmetrize_builds_symmetric_graphs(n, data):
+    """``from_edges(symmetrize=True)`` skips the symmetry proof because
+    its mirror-then-max-dedup builds a symmetric graph; ``_is_symmetric``
+    stays the oracle.  Edge lists repeat pairs in both directions with
+    tied, zero and distinct weights (few vertices, many edges)."""
+    edges = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0),
+            ).filter(lambda e: e[0] != e[1]),
+            max_size=60,
+        )
+    )
+    sources, targets, weights = (
+        np.array([e[i] for e in edges], dtype=dtype)
+        for i, dtype in enumerate((np.int64, np.int64, np.float64))
+    )
+    g = NeighborGraph.from_edges(n, sources, targets, weights)
+    assert g._is_symmetric()
+    # The checked constructor accepts the same arrays.
+    NeighborGraph(g.indptr, g.indices, g.weights)
+
+
+def test_symmetrize_still_rejects_nan_and_asymmetry_is_still_checked():
+    with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
+        NeighborGraph.from_edges(
+            3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, np.nan])
+        )
+    with pytest.raises(ValueError, match="symmetric"):
+        NeighborGraph.from_edges(
+            2, np.array([0]), np.array([1]), np.array([1.0]),
+            symmetrize=False,
+        )
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 20), st.integers(1, 40), st.integers(0, 10_000))
 def test_random_graphs_round_trip(n, n_edges, seed):

@@ -86,8 +86,12 @@ class TestRemoteBasics:
         finally:
             executor.close()
         assert "remote" in executor_names()
-        with pytest.raises(ValueError, match="instance"):
-            resolve_executor(RemoteExecutor(workers=specs), workers=specs)
+        instance = RemoteExecutor(workers=specs)
+        try:
+            with pytest.raises(ValueError, match="instance"):
+                resolve_executor(instance, workers=specs)
+        finally:
+            instance.close()
 
     def test_multiprocess_name_resolves_to_remote(self):
         """The fork pool is gone; ``bench/workloads.py`` still drives
@@ -141,6 +145,24 @@ class TestRemoteBasics:
             assert time.monotonic() - start < 30.0, "stage hung"
         finally:
             executor.close()
+
+    def test_by_value_results_fall_back_to_cloudpickle(self, remote):
+        """Worker replies go through the stdlib pickler; a class the
+        worker received by value fails its by-reference lookup and the
+        reply falls back to cloudpickle, arriving intact."""
+        class Box:
+            def __init__(self, value):
+                self.value = value
+
+        out = remote.run_stage(
+            lambda records: [Box(r * 2) for r in records], [[1], [2, 3]]
+        )
+        assert [[box.value for box in shard] for shard in out] == [[2], [4, 6]]
+        plain = (1, "a", np.arange(3))
+        assert protocol.dumps_plain(plain) == pickle.dumps(
+            plain, protocol=pickle.HIGHEST_PROTOCOL
+        )
+        assert protocol.loads(protocol.dumps_plain(Box(5))).value == 5
 
     def test_spilled_shards_resolve_on_localhost_workers(self, cluster):
         executor = RemoteExecutor(workers=cluster.addresses)

@@ -13,7 +13,11 @@ the drive still finishes bit-identically.
 The satellites ride along: elastic membership (``LocalCluster.spawn`` +
 ``RemoteExecutor.add_worker``/``remove_worker``), the reply-timeout
 scoping regression in ``_recv_reply``, the worker-side blob-cache LRU
-byte cap, and graceful ``MSG_SHUTDOWN`` drain.
+byte cap, and graceful ``MSG_SHUTDOWN`` drain.  The read side's round
+trips are pinned too: one ``MSG_FETCH_BUCKETS`` request per (read task,
+peer) over persistent links that a later exchange reuses, one fresh
+retry for a broken pooled link, and a handshake that refuses a daemon of
+another protocol version.
 
 Fault-injection tests spawn private clusters so killing a worker cannot
 disturb neighbouring tests; everything else shares one module cluster.
@@ -41,6 +45,8 @@ from repro.dataflow.remote.protocol import (
     MSG_PONG,
     MSG_RESULT,
     MSG_SHUTDOWN,
+    PROTOCOL_VERSION,
+    ProtocolVersionError,
 )
 
 
@@ -831,3 +837,257 @@ class TestGracefulShutdown:
             assert private._procs[0].wait(timeout=15) == 0
             with pytest.raises(RuntimeError, match="closed"):
                 executor.run_stage(len, [[1], [2]])
+
+
+def _padded_group_drive(pipeline, pause=0.005):
+    """A grouped drive whose write and read tasks each take a while, so
+    the dynamic task pull spreads both phases over every worker: each
+    destination then has parts on both workers and each worker's reads
+    fetch from its peer.  Keys cycle mod 7, coprime to the 4-way
+    sharding, so every input shard feeds every non-empty destination.
+    The pauses change no value."""
+    data = [(i % 7, i) for i in range(40)]
+
+    def slow_tag(kv, _pause=pause):
+        time.sleep(_pause)
+        return (kv[0], kv[1] * 3 + 1)
+
+    def slow_sorted(values, _pause=pause):
+        time.sleep(_pause * 10)
+        return sorted(values)
+
+    return sorted(
+        pipeline.create(data).map(slow_tag).as_keyed().group_by_key()
+        .map_values(slow_sorted).to_list()
+    )
+
+
+class _CountingServer(worker.WorkerServer):
+    """An in-process daemon that counts the connections it accepts and
+    records the ids of every ``MSG_FETCH_BUCKETS`` request it answers."""
+
+    def __init__(self):
+        super().__init__()
+        self.accepted = 0
+        self.fetch_requests = []
+        self._count_lock = threading.Lock()
+
+    def _serve_connection(self, sock):
+        with self._count_lock:
+            self.accepted += 1
+        super()._serve_connection(sock)
+
+    def _send_buckets(self, sock, bucket_ids):
+        with self._count_lock:
+            self.fetch_requests.append(list(bucket_ids))
+        super()._send_buckets(sock, bucket_ids)
+
+
+@pytest.fixture
+def counting_servers():
+    servers = [_CountingServer() for _ in range(2)]
+    threads = [
+        threading.Thread(target=server.serve_forever, daemon=True)
+        for server in servers
+    ]
+    for thread in threads:
+        thread.start()
+    yield servers
+    for server in servers:
+        server._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+        server.close()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def _exchange_pipeline(executor):
+    return Pipeline(
+        num_shards=4, executor=executor, shuffle="worker", optimize=True
+    )
+
+
+class TestPeerLinks:
+    """Shuffle reads cost one round trip per peer over persistent links."""
+
+    def test_one_fetch_request_per_read_task_and_peer(self, counting_servers):
+        executor = RemoteExecutor(
+            workers=[server.address for server in counting_servers],
+            min_parallel_records=0,
+        )
+        try:
+            got = _padded_group_drive(_exchange_pipeline(executor))
+            assert executor.stats()["p2p_shuffle_bytes"] > 0
+        finally:
+            executor.close()
+        assert got == _padded_group_drive(Pipeline(num_shards=4), pause=0)
+        for server in counting_servers:
+            dests = []
+            for ids in server.fetch_requests:
+                # A request carries one read task's parts ("x/input/dest")...
+                request_dests = {bucket.rsplit("/", 1)[1] for bucket in ids}
+                assert len(request_dests) == 1, ids
+                dests.extend(request_dests)
+            # ...and that task sends this peer no second request.
+            assert len(dests) == len(set(dests)), server.fetch_requests
+        assert max(
+            len(ids) for server in counting_servers
+            for ids in server.fetch_requests
+        ) >= 2
+
+    def test_second_exchange_opens_no_peer_connection(self, counting_servers):
+        reference = _padded_group_drive(Pipeline(num_shards=4), pause=0)
+        executor = RemoteExecutor(
+            workers=[server.address for server in counting_servers],
+            min_parallel_records=0,
+        )
+        try:
+            accepted = []
+            for _ in range(2):
+                got = _padded_group_drive(_exchange_pipeline(executor))
+                assert got == reference
+                accepted.append(sum(s.accepted for s in counting_servers))
+        finally:
+            executor.close()
+        requests = sum(len(s.fetch_requests) for s in counting_servers)
+        # Two driver channels plus at most one link per ordered peer pair,
+        # all opened by the first exchange and reused by the second.
+        assert accepted[1] == accepted[0] <= 4
+        assert requests > accepted[1] - 2
+
+    def test_broken_pooled_link_is_replaced(self, counting_servers):
+        server = counting_servers[0]
+        server.store_bucket("x/0/1", protocol.dumps_plain([(1, 2)]))
+        want = ({"x/0/1": server.get_bucket("x/0/1")}, 0)
+        links = protocol.PeerLinks()
+        try:
+            assert links.fetch(server.host, server.port, ["x/0/1"]) == want
+            (pooled,) = links._idle[(server.host, server.port)]
+            pooled.shutdown(socket.SHUT_RDWR)
+            # The broken link is dropped and the fetch retried fresh.
+            assert links.fetch(server.host, server.port, ["x/0/1"]) == want
+            assert server.accepted == 2
+            assert links._idle[(server.host, server.port)] != [pooled]
+        finally:
+            links.close()
+
+    def test_pooled_link_to_killed_peer_is_retried_once(self, monkeypatch):
+        with LocalCluster(1) as private:
+            host, port = private.addresses[0]
+            links = protocol.PeerLinks()
+            try:
+                assert links.fetch(host, port, ["x/0/0"]) == (
+                    {"x/0/0": None}, 0,
+                )
+                os.kill(private.pids[0], signal.SIGKILL)
+                private._procs[0].wait(timeout=15)
+                opened = []
+                connect = socket.create_connection
+
+                def counting_connect(address, *args, **kwargs):
+                    opened.append(address)
+                    return connect(address, *args, **kwargs)
+
+                monkeypatch.setattr(
+                    protocol.socket, "create_connection", counting_connect
+                )
+                # The pooled link fails, one fresh connection is tried,
+                # and only its failure reaches the caller (FETCH_FAILED).
+                with pytest.raises(OSError):
+                    links.fetch(host, port, ["x/0/0"])
+                assert opened == [(host, port)]
+            finally:
+                links.close()
+
+    def test_killed_producer_with_warm_links_falls_back_bit_identically(self):
+        reference = _padded_group_drive(Pipeline(num_shards=4), pause=0)
+        executor = RemoteExecutor(
+            max_workers=2, min_parallel_records=0, heartbeat_timeout=5.0
+        )
+        try:
+            # Warm-up: both workers read from each other, pooling links.
+            warm = _padded_group_drive(_exchange_pipeline(executor))
+            assert warm == reference
+            assert executor.stats()["p2p_shuffle_bytes"] > 0
+            original = executor._check_stage
+            fired = []
+
+            def check(state):
+                original(state)
+                if not fired:  # right after the next exchange's write
+                    fired.append(True)
+                    os.kill(executor.worker_pids[0], signal.SIGKILL)
+                    time.sleep(0.2)
+
+            executor._check_stage = check
+            got = _padded_group_drive(_exchange_pipeline(executor))
+            stats = executor.stats()
+        finally:
+            executor.close()
+        assert got == reference
+        assert stats["bucket_refetches"] > 0
+        assert stats["worker_failures"] >= 1
+
+
+class TestProtocolVersion:
+    """The handshake refuses a daemon of another protocol version before
+    any task or fetch is sent."""
+
+    @staticmethod
+    def _stub_daemon(pong):
+        """A listener that answers the handshake with ``pong`` and records
+        every message it receives until the opener hangs up."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10)
+        received = []
+
+        def serve():
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            with conn:
+                try:
+                    while True:
+                        message = protocol.recv_msg(conn)
+                        received.append(message)
+                        if message[0] == MSG_PING:
+                            protocol.send_msg(conn, pong)
+                except (ConnectionError, OSError):
+                    pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        return listener, thread, received
+
+    @pytest.mark.parametrize("pong", [
+        (MSG_PONG, PROTOCOL_VERSION + 1),
+        (MSG_PONG,),  # an unversioned (protocol 1) daemon
+    ])
+    def test_driver_and_peer_link_refuse_another_version(self, pong):
+        theirs = pong[1] if len(pong) > 1 else 1
+        for open_link in (
+            lambda host, port: RemoteExecutor(
+                workers=[f"{host}:{port}"], connect_timeout=5
+            ),
+            lambda host, port: protocol.PeerLinks().fetch(
+                host, port, ["x/0/0"]
+            ),
+        ):
+            listener, thread, received = self._stub_daemon(pong)
+            try:
+                host, port = listener.getsockname()[:2]
+                with pytest.raises(ProtocolVersionError) as caught:
+                    open_link(host, port)
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            finally:
+                listener.close()
+            assert received == [(MSG_PING, PROTOCOL_VERSION)]
+            message = str(caught.value)
+            assert f"version {theirs}" in message
+            assert f"version {PROTOCOL_VERSION}" in message
+            # It crosses the wire intact (a worker's peer link raises it
+            # inside a read task, whose error reply the driver re-raises).
+            clone = protocol.loads(protocol.dumps_plain(caught.value))
+            assert str(clone) == message
