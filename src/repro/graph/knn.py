@@ -13,6 +13,10 @@ from typing import Tuple
 
 import numpy as np
 
+#: Rows per ``argpartition`` call in :func:`exact_knn`: its index array
+#: is as wide as a block, so whole blocks would double the peak.
+_SELECT_ROWS = 128
+
 
 def l2_normalize(embeddings: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
     """Row-normalize embeddings so dot products equal cosine similarity."""
@@ -44,8 +48,8 @@ def exact_knn(
     k:
         Neighbors per point (the paper uses 10).
     block_size:
-        Query rows processed per block; peak extra memory is
-        ``block_size * n`` float64.
+        Query rows per similarity product; peak extra memory is one
+        ``block_size * n`` float64 buffer, reused by every block.
     clip_negative:
         Clamp similarities at zero.  The submodular objective requires
         ``s >= 0`` (Sec. 3), and cosine similarities of dissimilar points can
@@ -64,18 +68,26 @@ def exact_knn(
         raise ValueError(f"k={k} must be < number of points n={n}")
     neighbors = np.empty((n, k), dtype=np.int64)
     sims = np.empty((n, k), dtype=np.float64)
+    # One buffer serves every block, and top-k selection runs a few rows
+    # at a time, so the extra memory is one block however the allocator
+    # places or returns what earlier steps freed.  Selection is per row,
+    # so its row slices change no result.
+    buffer = np.empty((min(block_size, n), n), dtype=np.float64)
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
-        block = x[start:stop] @ x.T
+        block = np.matmul(x[start:stop], x.T, out=buffer[: stop - start])
         # Exclude self-similarity.
         rows = np.arange(stop - start)
         block[rows, np.arange(start, stop)] = -np.inf
-        # Top-k per row via argpartition, then sort the k winners.
-        part = np.argpartition(block, -k, axis=1)[:, -k:]
-        part_sims = np.take_along_axis(block, part, axis=1)
-        order = np.argsort(-part_sims, axis=1)
-        neighbors[start:stop] = np.take_along_axis(part, order, axis=1)
-        sims[start:stop] = np.take_along_axis(part_sims, order, axis=1)
+        for lo in range(start, stop, _SELECT_ROWS):
+            hi = min(lo + _SELECT_ROWS, stop)
+            chunk = block[lo - start:hi - start]
+            # Top-k per row via argpartition, then sort the k winners.
+            part = np.argpartition(chunk, -k, axis=1)[:, -k:]
+            part_sims = np.take_along_axis(chunk, part, axis=1)
+            order = np.argsort(-part_sims, axis=1)
+            neighbors[lo:hi] = np.take_along_axis(part, order, axis=1)
+            sims[lo:hi] = np.take_along_axis(part_sims, order, axis=1)
     if clip_negative:
         np.maximum(sims, 0.0, out=sims)
     return neighbors, sims

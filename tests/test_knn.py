@@ -63,6 +63,24 @@ class TestExactKnn:
         np.testing.assert_array_equal(n1, n2)
         np.testing.assert_allclose(s1, s2)
 
+    def test_row_sliced_selection_is_bit_identical(self):
+        # One block of 300 rows, selected a few rows at a time, must give
+        # exactly what one argpartition over the whole block gives.
+        x, _ = clustered_points(n=300)
+        unit = l2_normalize(x)
+        block = unit @ unit.T
+        np.fill_diagonal(block, -np.inf)
+        part = np.argpartition(block, -6, axis=1)[:, -6:]
+        part_sims = np.take_along_axis(block, part, axis=1)
+        order = np.argsort(-part_sims, axis=1)
+        neighbors, sims = exact_knn(x, 6, clip_negative=False)
+        np.testing.assert_array_equal(
+            neighbors, np.take_along_axis(part, order, axis=1)
+        )
+        np.testing.assert_array_equal(
+            sims, np.take_along_axis(part_sims, order, axis=1)
+        )
+
     def test_no_self_neighbors(self):
         x, _ = clustered_points(n=40)
         neighbors, _ = exact_knn(x, 6)
