@@ -12,11 +12,6 @@ runs against the naive plan (CI runs a matrix entry with this on).  Tests
 that assert optimizer behavior pass ``optimize=True`` explicitly and are
 unaffected; the differential harness always exercises both plans.
 
-``--adaptive`` flips ``DEFAULT_ADAPTIVE`` in the engine options, so every
-test whose options leave ``adaptive`` unset runs with the cost-model
-planner choosing the engine knobs (results are bit-identical by design —
-this matrix entry proves it suite-wide).
-
 ``--worker-shuffle`` flips the engine's module default shuffle data plane
 (``DEFAULT_SHUFFLE``) to ``"worker"``, so every test whose pipelines
 leave ``shuffle`` unset plans shuffles as worker-to-worker exchanges.
@@ -49,13 +44,6 @@ def pytest_addoption(parser):
              "dataflow plan",
     )
     parser.addoption(
-        "--adaptive",
-        action="store_true",
-        default=False,
-        help="run the whole suite with cost-model-driven adaptive "
-             "planning on by default (results must stay bit-identical)",
-    )
-    parser.addoption(
         "--worker-shuffle",
         action="store_true",
         default=False,
@@ -77,10 +65,6 @@ def pytest_configure(config):
         from repro.dataflow import pcollection
 
         pcollection.DEFAULT_OPTIMIZE = False
-    if config.getoption("--adaptive"):
-        from repro.dataflow import options
-
-        options.DEFAULT_ADAPTIVE = True
     if config.getoption("--worker-shuffle"):
         from repro.dataflow import pcollection
 

@@ -57,7 +57,7 @@ class CostModel:
     stage_overhead_sec: float = 2.0e-4  # dispatch + bookkeeping per stage
     records_per_sec: float = 1_500_000.0  # row-path per-record throughput
     vectorized_records_per_sec: float = 8_000_000.0  # batch-path throughput
-    disk_bytes_per_sec: float = 400_000_000.0  # checkpoint store/load
+    disk_bytes_per_sec: float = 400_000_000.0  # shuffled + shipped bytes
 
     # -- building blocks ---------------------------------------------------
 
@@ -109,13 +109,6 @@ class CostModel:
                 self.disk_bytes_per_sec * max(int(shuffle_parallelism), 1)
             )
         return float(seconds)
-
-    def checkpoint_store_load_seconds(self, n_bytes: int) -> float:
-        """One store plus one later load of a checkpoint of ``n_bytes``."""
-        return float(
-            2.0 * self.stage_overhead_sec
-            + 2.0 * max(n_bytes, 0) / self.disk_bytes_per_sec
-        )
 
     # -- calibration from observed stage profiles --------------------------
 

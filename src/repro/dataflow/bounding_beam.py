@@ -117,8 +117,7 @@ class BeamBoundingDriver:
         self.context = self._context_guard.__enter__()
         try:
             opts = self.context.options
-            # Input-size hint for the adaptive planner's cost gates.
-            pipeline_overrides = {"plan_records": int(problem.n)}
+            pipeline_overrides = {}
             if opts.checkpoint_dir is not None:
                 # Salt the plan digests with the problem's content so a
                 # resumed drive can only reuse checkpoints of its own data

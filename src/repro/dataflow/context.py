@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.dataflow.executor import (
     Executor,
@@ -42,30 +42,12 @@ class DataflowContext:
         if options is None:
             options = EngineOptions()
         self.planner = None
-        if options.resolve_adaptive():
+        if options.adaptive:
             from repro.dataflow.planner import AdaptivePlanner
 
             self.planner = AdaptivePlanner(
                 history_dir=options.checkpoint_dir
             )
-            # Context-level decisions happen before the executor is
-            # resolved; the planner only touches knobs the caller left
-            # unset, so explicit configuration always wins.
-            planned: Dict[str, Any] = {}
-            if not options.is_explicit("executor") and not isinstance(
-                options.executor, Executor
-            ):
-                choice = self.planner.choose_executor(options.executor)
-                if choice != options.executor:
-                    planned["executor"] = choice
-            if not options.is_explicit("broadcast_min_bytes"):
-                choice = self.planner.choose_broadcast_min_bytes(
-                    options.broadcast_min_bytes
-                )
-                if choice != options.broadcast_min_bytes:
-                    planned["broadcast_min_bytes"] = choice
-            if planned:
-                options = options.derive(**planned)
         self.options = options
         self.executor = resolve_executor(
             options.executor, **options.executor_factory_options()
@@ -85,10 +67,9 @@ class DataflowContext:
         own salt from the data it streams).  The pipeline never owns the
         executor; closing it leaves the context's executor running.
 
-        ``plan_records`` (not an options knob) is the beam's estimate of
-        the pipeline's input size; with adaptive planning on it lets the
-        planner size ``num_shards`` and cost the optimizer's rewrites —
-        an explicit ``num_shards`` still wins.
+        ``plan_records`` (not an options knob) is the caller's estimate
+        of a streaming source's size, for ``explain``'s cost notes.  The
+        context's planner, if any, records the pipeline's stage profiles.
         """
         from repro.dataflow.pcollection import Pipeline
 
@@ -96,13 +77,8 @@ class DataflowContext:
             raise RuntimeError("DataflowContext closed")
         plan_records = overrides.pop("plan_records", None)
         o = self.options.derive(**overrides) if overrides else self.options
-        num_shards = o.num_shards
-        if self.planner is not None and not o.is_explicit("num_shards"):
-            num_shards = self.planner.choose_num_shards(
-                plan_records, base=o.num_shards
-            )
         return Pipeline(
-            num_shards,
+            o.num_shards,
             spill_to_disk=o.spill_to_disk,
             executor=self.executor,
             optimize=o.optimize,

@@ -105,8 +105,7 @@ def beam_distributed_greedy(
 
     with engine_context(options, context) as ctx:
         opts = ctx.options
-        # Input-size hint for the adaptive planner's cost gates.
-        pipeline_overrides = {"plan_records": n0}
+        pipeline_overrides = {}
         if opts.checkpoint_dir is not None:
             # Pins the streamed ground set's content (the eager path hashes
             # source contents directly, so this only matters for

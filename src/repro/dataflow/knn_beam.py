@@ -107,9 +107,7 @@ def beam_knn_graph(
     sims_out = np.full((n, k), -np.inf)
     with engine_context(options, context) as ctx:
         opts = ctx.options
-        # Input-size hint: lets the adaptive planner size shard counts
-        # and cost the optimizer's rewrites before anything runs.
-        pipeline_overrides = {"plan_records": int(n)}
+        pipeline_overrides = {}
         if opts.checkpoint_dir is not None:
             from repro.core.distributed import fingerprint
 

@@ -100,9 +100,8 @@ class StageProfile:
 
     ``digest`` is the plan digest of the materialization boundary the
     stage ran under (when the pipeline computes digests — i.e. whenever a
-    checkpoint directory or an adaptive planner is attached), so repeated
-    drives of the same plan accumulate a history keyed the same way
-    checkpoints are.
+    checkpoint directory is set), so repeated drives of the same plan
+    accumulate a history keyed the same way checkpoints are.
     """
 
     label: str

@@ -3,8 +3,8 @@
 A knob is declared exactly once, as one entry of the :data:`_KNOBS`
 table below: its name, default, the coercer that type-checks and
 normalizes a value, and its command-line flags.  Everything else is
-derived from that table — the constructor's defaulting, explicitness
-tracking and per-field validation, ``from_dict``/``to_dict``, and the
+derived from that table — the constructor's defaulting and per-field
+validation, ``from_dict``/``to_dict``, and the
 :func:`add_engine_arguments` flag block — so adding a knob is a
 one-entry diff.  Only the genuinely cross-field rules (``workers`` ⇒
 ``executor="remote"``, ``checkpoint_salt`` ⇒ ``checkpoint_dir``,
@@ -33,7 +33,7 @@ from __future__ import annotations
 import inspect
 import json
 import numbers
-from typing import Any, Callable, Dict, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Dict, Mapping, NamedTuple
 from typing import Optional, Sequence, Tuple
 
 from repro.dataflow.executor import (
@@ -46,18 +46,7 @@ __all__ = [
     "EngineOptions",
     "add_engine_arguments",
     "parse_worker_address",
-    "DEFAULT_ADAPTIVE",
 ]
-
-#: Engine-wide default for ``EngineOptions.adaptive=None`` — the test
-#: harness's ``--adaptive`` matrix flag flips this, mirroring
-#: ``DEFAULT_OPTIMIZE`` in ``pcollection``.
-DEFAULT_ADAPTIVE = False
-
-#: "The caller did not pass ``executor``" — ``None`` cannot stand in for
-#: it on the one positional parameter, because not-passed must stay
-#: distinguishable from every value for explicitness tracking.
-_UNSET: Any = object()
 
 
 def parse_worker_address(spec: Any) -> Tuple[str, int]:
@@ -260,10 +249,9 @@ _KNOBS: Tuple[_Knob, ...] = (
     _Knob("adaptive", None, _opt_bool, flag_type=bool, dest="adaptive_plan",
           flags=(
         ("--adaptive-plan",
-         "let the cost-model-driven planner choose the engine knobs left "
-         "unset (num_shards, executor backend, broadcast_min_bytes, "
-         "checkpoint placement); explicit flags always win, results are "
-         "bit-identical"),
+         "record per-stage profiles and calibrate the cost model from "
+         "them (persisted next to --checkpoint-dir); reports carry "
+         "predicted vs actual stage times, and no engine knob changes"),
         ("--no-adaptive-plan",
          "disable adaptive planning (overrides an adaptive=true set via "
          "--engine-options)"),
@@ -322,13 +310,12 @@ class EngineOptions:
         Records per chunk for streaming sources (bounds driver memory
         during ingest).
     adaptive:
-        Let the cost-model-driven :class:`~repro.dataflow.planner.
-        AdaptivePlanner` choose the performance knobs the caller left
-        unset (``num_shards``, executor backend, ``broadcast_min_bytes``,
-        checkpoint placement, optimizer lift decisions).  Every
-        knob passed explicitly overrides the planner; results are
-        bit-identical either way.  ``None`` defers to the engine-wide
-        default (the test harness's ``--adaptive`` flips it).
+        Attach a :class:`~repro.dataflow.planner.AdaptivePlanner` that
+        records every stage's profile, calibrates the cost model from
+        that history (persisted next to ``checkpoint_dir``), and feeds
+        ``report.extra["plan_costs"]`` and ``explain()``'s cost notes.
+        It changes no knob and no rewrite, so results and plans are the
+        same either way.  ``None`` reads as off.
     shuffle:
         Shuffle data plane: ``"driver"`` merges buckets on the driver
         (the historical star topology), ``"worker"`` exchanges buckets
@@ -339,20 +326,17 @@ class EngineOptions:
         the driver merge, whatever this says.  ``None`` defers to the
         engine-wide default (the test harness's ``--worker-shuffle``
         flips it).  Results are bit-identical in both modes.
-
-    Knobs the caller actually passed are tracked (:meth:`is_explicit`) so
-    the adaptive planner knows which decisions are pinned — passing a
-    knob's default value explicitly still pins it.
     """
 
     #: Knob names in declaration order.
     _FIELDS = tuple(_KNOB_BY_NAME)
 
-    __slots__ = _FIELDS + ("_explicit", "_frozen")
+    __slots__ = _FIELDS + ("_frozen",)
 
-    def __init__(self, executor: Any = _UNSET, **knobs: Any) -> None:
-        if executor is not _UNSET:
-            knobs["executor"] = executor
+    def __init__(
+        self, executor: Any = _KNOB_BY_NAME["executor"].default, **knobs: Any
+    ) -> None:
+        knobs["executor"] = executor
         for name in knobs.keys() - _KNOB_BY_NAME.keys():
             raise TypeError(
                 f"EngineOptions() got an unexpected keyword argument {name!r}"
@@ -363,7 +347,6 @@ class EngineOptions:
                 self, knob.name, knob.coerce(value, knob.name)
             )
         self._check_cross_field()
-        object.__setattr__(self, "_explicit", frozenset(knobs))
         object.__setattr__(self, "_frozen", True)
 
     def _check_cross_field(self) -> None:
@@ -396,16 +379,6 @@ class EngineOptions:
                 "streaming sources inside a checkpoint directory)"
             )
 
-    @classmethod
-    def _build(
-        cls, state: Mapping[str, Any], explicit: Iterable[str]
-    ) -> "EngineOptions":
-        """Validate a full ``state`` and stamp its provenance: the
-        explicit set is the caller's, not "every knob in ``state``"."""
-        built = cls(**state)
-        object.__setattr__(built, "_explicit", frozenset(explicit))
-        return built
-
     # -- immutability ------------------------------------------------------
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -428,25 +401,10 @@ class EngineOptions:
         return self
 
     def __reduce__(self):
-        return (type(self)._build, (self._state(), sorted(self._explicit)))
+        return (type(self).from_dict, (self._state(),))
 
     def _state(self) -> Dict[str, Any]:
         return {name: getattr(self, name) for name in self._FIELDS}
-
-    def is_explicit(self, name: str) -> bool:
-        """Was ``name`` passed by the caller (vs defaulted)?
-
-        The adaptive planner only decides knobs that are *not* explicit —
-        a knob set to its default value on purpose is still pinned.
-        Explicitness is provenance, not value: it does not participate in
-        equality or hashing.
-        """
-        if name not in _KNOB_BY_NAME:
-            raise ValueError(
-                f"unknown engine option {name!r}; expected one of "
-                f"{list(self._FIELDS)}"
-            )
-        return name in self._explicit
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, EngineOptions):
@@ -519,15 +477,9 @@ class EngineOptions:
 
     def derive(self, **overrides: Any) -> "EngineOptions":
         """A new ``EngineOptions`` with ``overrides`` applied and the full
-        validation re-run — the per-stage tweak primitive.
-
-        Explicitness carries over: the copy's explicit set is this
-        object's plus the overridden knobs.
-        """
+        validation re-run — the per-stage tweak primitive."""
         self._check_known(overrides, "derive()")
-        return self._build(
-            {**self._state(), **overrides}, self._explicit | set(overrides)
-        )
+        return type(self)(**{**self._state(), **overrides})
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able dict (round-trips through :meth:`from_dict` when the
@@ -546,11 +498,6 @@ class EngineOptions:
         """The effective streaming-ingest choice for a beam whose own
         default is ``default`` (``stream_source=None`` defers to it)."""
         return default if self.stream_source is None else self.stream_source
-
-    def resolve_adaptive(self) -> bool:
-        """The effective adaptive-planning choice (``None`` defers to the
-        engine-wide :data:`DEFAULT_ADAPTIVE`)."""
-        return DEFAULT_ADAPTIVE if self.adaptive is None else self.adaptive
 
     def executor_factory_options(self) -> Dict[str, Any]:
         """Backend factory kwargs implied by these options (the remote

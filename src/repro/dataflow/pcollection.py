@@ -506,14 +506,13 @@ class Pipeline:
         without it, streaming sources — and everything derived from
         them — are simply not checkpointed.
     planner:
-        An :class:`~repro.dataflow.planner.AdaptivePlanner` to consult for
-        cost-gated optimizer rewrites and checkpoint placement, and to
-        feed per-stage profiles.  ``None`` (the default) keeps every
-        rewrite unconditional — the exact pre-adaptive behavior.
+        An :class:`~repro.dataflow.planner.AdaptivePlanner` that records
+        every executed stage's profile and whose calibrated cost model
+        prices ``explain``'s cost notes.  It never changes the plan.
     plan_records:
-        Caller's estimate of the input size in records; used by the
-        planner's cost gates and by ``explain``'s predicted-cost
-        rendering when sources stream (eager sources are simply counted).
+        Caller's estimate of a streaming source's size in records, for
+        ``explain``'s predicted-cost rendering (eager sources are simply
+        counted).
     shuffle:
         Shuffle data plane: ``"driver"`` merges buckets on the driver,
         ``"worker"`` runs group/combine shuffles as a worker-to-worker
@@ -568,13 +567,10 @@ class Pipeline:
         self.touched_checkpoint_digests: "set[str]" = (
             touched_digests if touched_digests is not None else set()
         )
-        #: Adaptive planner consulted by the optimizer (the lift cost
-        #: gate) and the checkpoint-placement gate; ``None`` — the
-        #: default — preserves the unconditional seed behavior exactly.
+        #: Records each stage's profile; ``None`` records nothing.
         self.planner = planner
-        #: The caller's estimate of this pipeline's input size (records);
-        #: what the planner costs rewrites against and what ``explain``'s
-        #: predicted-cost rendering uses for streaming sources.
+        #: The caller's estimate of a streaming source's size (records),
+        #: for ``explain``'s predicted-cost rendering.
         self.plan_records = plan_records
         #: Plan digest of the boundary currently executing — stamps the
         #: stage profiles recorded under it (checkpointed runs only).
@@ -948,23 +944,13 @@ class Pipeline:
 
     def _plan(self, node: _Node) -> _Plan:
         """optimize → plan: the physical plan a sink on ``node`` executes
-        and :meth:`_explain` renders — both come through here.
-
-        Adaptive runs consult the cost model before lifting: a lift whose
-        modeled shuffle saving cannot repay its pre-combine pass stays a
-        plain group (non-adaptive: always lift).  The physical rewrites
-        only ever remove work, so the builder applies them unasked.
+        and :meth:`_explain` renders — both come through here.  The
+        physical rewrites only ever remove work, so the builder applies
+        them unasked.
         """
         if self._state.closed:
             raise RuntimeError("pipeline closed")
-        if (
-            self.optimize
-            and node.cached is None
-            and (
-                self.planner is None
-                or self.planner.should_lift(self.plan_records)
-            )
-        ):
+        if self.optimize and node.cached is None:
             _lift_combiners(node)
         return _build_plan(node, optimize=self.optimize)
 
@@ -1011,26 +997,13 @@ class Pipeline:
         prev_digest = self._current_digest
         if digest is not None:
             self._current_digest = digest
-        started = time.perf_counter()
         try:
             raw = self._execute(stage)
         finally:
             self._current_digest = prev_digest
-        streamed = stage.kind == "stream"
-        if digest is not None and self.planner is not None and not streamed:
-            # Adaptive checkpoint placement: store the boundary only when
-            # its (measured, subtree-inclusive — conservative on the side
-            # of durability) recompute cost beats the modeled store+load.
-            # (A streamed source is always stored: its iterator is spent
-            # after one consumption, so recomputing is not an option.)
-            if not self.planner.should_checkpoint(
-                recompute_sec=time.perf_counter() - started,
-                n_records=_total_rows(raw),
-            ):
-                digest = None
         stage.truncate()
         return self._finish_node(
-            node, raw, stored=streamed, checkpoint_digest=digest
+            node, raw, stored=stage.kind == "stream", checkpoint_digest=digest
         )
 
     def _execute(self, stage: _Stage) -> List[Any]:
@@ -1469,9 +1442,8 @@ class PCollection:
         application, nesting with nested composites.
 
         ``costs`` appends the cost model's predicted wall time to every
-        stage line — the same prediction the planner bases its decisions
-        on; it defaults to on exactly when the pipeline runs with an
-        adaptive planner, so existing golden plans are unaffected.
+        stage line; it defaults to on exactly when the pipeline runs with
+        an adaptive planner, so existing golden plans are unaffected.
         ``reuse`` (off by default) annotates stages whose boundary's plan
         digest already has a checkpoint entry in ``checkpoint_dir`` with
         ``[checkpoint: reuse]`` — what a drive would load instead of

@@ -1,46 +1,36 @@
-"""Cost-model-driven adaptive planning for the dataflow engine.
+"""Cost-model feedback for the dataflow engine: observe, calibrate, compare.
 
-Every performance knob the engine exposes (``num_shards``, executor
-backend, ``broadcast_min_bytes``, optimizer lift decisions,
-checkpoint placement) was historically hand-tuned per beam.  This module
-closes the loop described in the paper's Sec. 4.4 complexity analysis:
-the cluster :class:`~repro.cluster.costmodel.CostModel` predicts what
-each decision costs, and the engine's own per-stage observations
-(:class:`~repro.dataflow.metrics.StageProfile`) calibrate the model so
-the predictions track the machine actually running the drive.
-
-Three layers cooperate:
+The cluster :class:`~repro.cluster.costmodel.CostModel` predicts what a
+physical stage costs (the paper's Sec. 4.4 complexity analysis at engine
+scale), and the engine's own per-stage observations
+(:class:`~repro.dataflow.metrics.StageProfile`) calibrate it so the
+predictions track the machine actually running the drive.  The model
+observes; it decides nothing — every engine knob is the caller's, and
+``adaptive=True`` never changes a shard count, a backend, a rewrite or
+a checkpoint.
 
 *Observation* — every physical stage the engine runs appends a
 :class:`StageProfile` (wall time, rows, payload bytes, shuffle volume,
 vectorized flag) to ``PipelineMetrics.stage_profiles``, keyed by the same
-plan digests that key checkpoints.  The planner accumulates them into a
-history persisted next to the checkpoints (``stage_profiles.json``), and
-``CostModel.calibrate`` refits the engine-scale throughput constants from
-that history; the calibrated constants persist too (``cost_model.json``),
-so repeated drives sharpen the model instead of restarting it.
-
-*Planning* — :class:`AdaptivePlanner` answers the engine's questions:
-how many shards amortize per-stage dispatch for this input size, which
-executor backend is predicted fastest, what broadcast threshold, whether
-a combiner lift's shuffle saving repays its pre-aggregation pass, and
-whether a boundary's predicted recompute cost exceeds its checkpoint
-store+load cost.  It is wired up by ``EngineOptions(adaptive=True)`` /
-``--adaptive-plan``; any knob the caller sets explicitly always overrides the
-planner (the engine's results are bit-identical across every decision
-the planner may take, so adaptivity is purely a wall-clock matter).
+plan digests that key checkpoints.  With ``EngineOptions(adaptive=True)``
+/ ``--adaptive-plan`` the context's :class:`AdaptivePlanner` accumulates
+them into a history persisted next to the checkpoints
+(``stage_profiles.json``), and ``CostModel.calibrate`` refits the
+engine-scale throughput constants from that history; the calibrated
+constants persist too (``cost_model.json``), so repeated drives sharpen
+the model instead of restarting it.
 
 *Feedback* — ``explain()`` renders the model's predicted cost per stage,
 and :func:`predicted_vs_actual` turns a drive's profiles into the
 ``report.extra["plan_costs"]`` table comparing prediction to observed
-wall time — the number the bench gates on.
+wall time — the number the bench records.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import uuid
 from typing import Dict, Iterable, List, Optional
 
 from repro.cluster.costmodel import CostModel
@@ -60,14 +50,6 @@ COST_MODEL_FILE = "cost_model.json"
 # Profiles kept per plan digest; old observations age out so the model
 # tracks the machine's current behavior.
 _MAX_HISTORY_PER_KEY = 32
-# Hard ceiling on planner-chosen shard counts.
-_MAX_SHARDS = 64
-# Checkpoint placement only overrides durability when the modeled saving
-# is material; below this, storing is cheap insurance for crash-resume.
-_MIN_CHECKPOINT_SAVING_SEC = 0.05
-# Median observed stage wall above which a GIL-releasing thread pool is
-# predicted to beat in-process dispatch.
-_EXECUTOR_SWITCH_STAGE_SEC = 0.25
 
 
 def predicted_vs_actual(
@@ -106,7 +88,7 @@ def predicted_vs_actual(
 
 
 class AdaptivePlanner:
-    """Chooses engine knobs by querying the (calibrated) cost model.
+    """Keeps the stage-profile history that calibrates the cost model.
 
     One planner serves one :class:`~repro.dataflow.context.DataflowContext`
     — it loads any persisted history/constants from ``history_dir`` (the
@@ -179,100 +161,6 @@ class AdaptivePlanner:
             self.cost_model.to_json(),
         )
 
-    # -- planning decisions ------------------------------------------------
-
-    def choose_num_shards(
-        self, plan_records: Optional[int], *, base: int = 8
-    ) -> int:
-        """Shard count whose per-shard batch amortizes stage dispatch.
-
-        The break-even shard size is where per-shard compute matches the
-        modeled dispatch overhead; the planner targets twice that much
-        parallel slack but never drops below ``base`` (more shards only
-        shrink per-shard peaks — the memory-safe direction) and never
-        exceeds ``_MAX_SHARDS``.
-        """
-        if not plan_records or plan_records <= 0:
-            return base
-        per_shard = max(
-            64,
-            int(
-                0.5
-                * self.cost_model.stage_overhead_sec
-                * self.cost_model.records_per_sec
-            ),
-        )
-        need = math.ceil(plan_records / per_shard)
-        return max(base, min(_MAX_SHARDS, need))
-
-    def choose_executor(self, base: str = "sequential") -> str:
-        """Backend predicted fastest; results are identical either way.
-
-        The in-process backend pays zero payload shipping, so it wins
-        until the observed history shows per-stage compute heavy enough
-        (numpy kernels that release the GIL) to amortize pool dispatch.
-        """
-        walls_ms = [
-            p.wall_ms for history in self.history.values() for p in history
-        ]
-        if not walls_ms or (os.cpu_count() or 1) < 2:
-            return base
-        median_sec = sorted(walls_ms)[len(walls_ms) // 2] / 1000.0
-        if base == "sequential" and median_sec > _EXECUTOR_SWITCH_STAGE_SEC:
-            return "thread"
-        return base
-
-    def choose_broadcast_min_bytes(self, base: int) -> int:
-        """Broadcast threshold sized to the observed stage payloads.
-
-        When history shows stages repeatedly shipping payloads below the
-        current threshold, halving down to the median payload turns the
-        per-stage inline cost into a one-time content-addressed ship.
-        """
-        payloads = [
-            p.payload_bytes
-            for history in self.history.values()
-            for p in history
-            if p.payload_bytes > 0
-        ]
-        if not payloads:
-            return base
-        median = sorted(payloads)[len(payloads) // 2]
-        if 0 < median < base:
-            return max(4096, median // 2)
-        return base
-
-    def should_lift(self, plan_records: Optional[int]) -> bool:
-        """Is a combiner lift's shuffle saving worth its pre-aggregation?
-
-        Lifting fuses into the shuffle write (no extra stage), so its
-        marginal cost is a small fraction of a stage dispatch; the lift
-        is skipped only when the modeled volume saving cannot repay even
-        that.  Unknown input sizes lift, matching the seed behavior.
-        """
-        if plan_records is None or plan_records <= 0:
-            return True
-        saving_sec = (
-            plan_records
-            * self.cost_model.bytes_per_record
-            / self.cost_model.disk_bytes_per_sec
-        )
-        return saving_sec >= 0.01 * self.cost_model.stage_overhead_sec
-
-    def should_checkpoint(
-        self, *, recompute_sec: float, n_records: int
-    ) -> bool:
-        """Store this boundary, or prefer recomputing it on resume?
-
-        Skips the store only when the modeled store+load cost exceeds the
-        observed recompute cost by a material margin
-        (``_MIN_CHECKPOINT_SAVING_SEC``); below that, durability wins.
-        """
-        store_load = self.cost_model.checkpoint_store_load_seconds(
-            n_records * self.cost_model.bytes_per_record
-        )
-        return store_load - recompute_sec <= _MIN_CHECKPOINT_SAVING_SEC
-
     # -- feedback ----------------------------------------------------------
 
     def plan_costs(
@@ -285,10 +173,17 @@ class AdaptivePlanner:
 
     @staticmethod
     def _write_atomic(path: str, text: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        # A unique temp name: contexts sharing one directory flush
+        # concurrently, and a shared name lets one replace the other's.
+        tmp = f"{path}.tmp-{uuid.uuid4().hex}"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @staticmethod
     def _load_model(history_dir: str) -> Optional[CostModel]:

@@ -63,8 +63,7 @@ def beam_score(
     subset_ids = np.flatnonzero(subset_mask(subset_ids, problem.n))
     g = problem.graph
     with engine_context(options, context) as ctx:
-        # Input-size hint for the adaptive planner's cost gates.
-        pipeline = ctx.pipeline(plan_records=int(problem.n))
+        pipeline = ctx.pipeline()
         try:
             neighbors = pipeline.create_keyed(
                 by_point(ListColumn(g.indptr, (g.indices, g.weights))),

@@ -133,7 +133,7 @@ def beam_sieve_select(
     arrivals = list(enumerate(stream.tolist()))
 
     with engine_context(options, context) as ctx:
-        pipeline = ctx.pipeline(plan_records=int(problem.n))
+        pipeline = ctx.pipeline()
         try:
             folded = pipeline.create(arrivals, name="sieve/stream").apply(
                 StreamingSieve(problem, k, epsilon=epsilon)

@@ -286,9 +286,7 @@ class IncrementalDriver:
         ``reuse`` annotates boundaries whose checkpoint already exists —
         i.e. what the next :meth:`drive` will load instead of running.
         """
-        pipeline = self.context.pipeline(
-            adaptive=False, plan_records=version.num_alive
-        )
+        pipeline = self.context.pipeline(plan_records=version.num_alive)
         try:
             _branches, pooled = self._build(pipeline, version)
             return pooled.explain(reuse=reuse)
@@ -337,10 +335,7 @@ class IncrementalDriver:
         reused = self.data_shards - len(invalidated)
         delta_records = sum(d.num_records for d in deltas) if deltas else 0
 
-        overrides: Dict[str, Any] = {
-            "adaptive": False,  # planner store-skipping would break reuse
-            "plan_records": max(version.num_alive, 1),
-        }
+        overrides: Dict[str, Any] = {}
         if state is not None and state.get("engine_shards"):
             # Checkpoint loads reject a shard-count mismatch; pin the
             # engine sharding this directory was built with.

@@ -188,24 +188,12 @@ class JobSpec:
         self.force = bool(self.force)
 
     def resolve_options(self, **overrides: Any) -> EngineOptions:
-        """The :class:`EngineOptions` this spec runs under.
-
-        ``engine_options`` holds every knob (digests need the full,
-        defaulted dict), so what the submitter *pinned* is recovered by
-        value: only knobs that differ from their defaults are explicit.
-        Digest-equal specs therefore behave identically, and a job
-        submitted with just ``{"adaptive": true}`` leaves the planner
-        free to choose the rest.  A key that is no longer a knob (a spec
-        persisted before the knob was removed) is passed through, so it
-        raises the usual unknown-option ``ValueError`` naming it.
+        """The :class:`EngineOptions` this spec runs under, with
+        ``overrides`` applied.  A key that is no longer a knob (a spec
+        persisted before the knob was removed) raises the usual
+        unknown-option ``ValueError`` naming it.
         """
-        defaults = EngineOptions().to_dict()
-        pinned = {
-            name: value
-            for name, value in self.engine_options.items()
-            if name not in defaults or value != defaults[name]
-        }
-        return EngineOptions.from_dict({**pinned, **overrides})
+        return EngineOptions.from_dict({**self.engine_options, **overrides})
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)

@@ -21,6 +21,7 @@ jobs reusing shards across dataset versions, cooperative cancellation of
 running drives, and age/size-bounded result-store eviction.
 """
 
+import json
 import os
 import time
 
@@ -223,6 +224,32 @@ def test_unchanged_version_is_a_full_reuse_noop(tmp_path):
     assert second.checkpoint_hits >= DATA_SHARDS
     assert second.executed_stages == 0
     np.testing.assert_array_equal(first.selected, second.selected)
+
+
+def test_adaptive_context_keeps_the_engine_sharding(tmp_path):
+    """An adaptive context only observes: the drive runs on the options'
+    shard count and selects exactly what a plain context selects.  (The
+    input is large enough that a size-driven shard choice would differ.)"""
+    problem = random_problem(1600, seed=12)
+    version = DatasetVersion.initial(problem.utilities)
+    results = {}
+    for adaptive in (False, True):
+        checkpoint_dir = tmp_path / f"adaptive-{adaptive}"
+        options = EngineOptions(
+            checkpoint_dir=str(checkpoint_dir), adaptive=adaptive
+        )
+        with DataflowContext(options) as ctx:
+            assert (ctx.planner is not None) == adaptive
+            driver = IncrementalDriver(
+                problem, K, context=ctx, data_shards=DATA_SHARDS
+            )
+            results[adaptive] = driver.drive(version)
+        with open(checkpoint_dir / "incremental_state.json") as fh:
+            assert json.load(fh)["engine_shards"] == options.num_shards
+    np.testing.assert_array_equal(
+        results[True].selected, results[False].selected
+    )
+    assert results[True].objective == results[False].objective
 
 
 def test_resharding_a_checkpoint_dir_is_rejected(tmp_path):

@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from repro.core.objective import PairwiseObjective
 from repro.core.pipeline import DistributedSelector, SelectorConfig
 from repro.core.problem import SubsetProblem
 from repro.core.sampling import uniform_edge_sample
+from repro.dataflow import DataflowContext, EngineOptions
 from repro.graph.csr import NeighborGraph
+from repro.incremental import DatasetVersion, Delta, IncrementalDriver
 from tests.conftest import random_problem
 
 
@@ -246,3 +250,67 @@ def test_stale_heap_keys_are_refreshed_never_dropped():
     res = greedy_heap(problem, k)
     assert res.selected.tolist() == [1, 2, 3, 4, 0]
     assert res.gains.tolist() == [10.0, 9.0, 8.0, 7.0, 5.5]
+
+
+_DELTA_N, _DELTA_K, _DELTA_SHARDS = 120, 8, 4
+_DELTA_PROBLEM = random_problem(_DELTA_N, seed=13)
+
+
+@st.composite
+def _delta_logs(draw):
+    """``(v0, [delta, ...])``: 1–4 valid deltas — appends from dead ids,
+    updates and expires from alive ones — that always leave at least
+    k + 5 ids alive."""
+    alive = np.ones(_DELTA_N, dtype=bool)
+    dormant = draw(st.lists(st.integers(0, _DELTA_N - 1), max_size=20))
+    alive[dormant] = False
+    version = DatasetVersion.initial(_DELTA_PROBLEM.utilities, alive=alive)
+    v0, deltas = version, []
+    spare = _DELTA_K + 5
+    for _ in range(draw(st.integers(1, 4))):
+        live, dead = version.alive_ids, np.flatnonzero(~version.alive)
+        kinds = ["update"]
+        if live.size > spare:
+            kinds.append("expire")
+        if dead.size:
+            kinds.append("append")
+        kind = draw(st.sampled_from(kinds))
+        pool = dead if kind == "append" else live
+        most = live.size - spare if kind == "expire" else pool.size
+        ids = np.array(draw(st.lists(
+            st.sampled_from(pool.tolist()),
+            min_size=1, max_size=min(most, 16), unique=True,
+        )), dtype=np.int64)
+        utilities = None if kind == "expire" else np.array(draw(st.lists(
+            st.floats(0.0, 2.0), min_size=ids.size, max_size=ids.size
+        )))
+        delta = Delta(kind=kind, ids=ids, utilities=utilities)
+        version = version.apply(delta)
+        deltas.append(delta)
+    return v0, deltas
+
+
+@settings(max_examples=60, deadline=None)
+@given(_delta_logs())
+def test_fuzzed_delta_logs_keep_incremental_equal_to_cold(log):
+    """Each version of a fuzzed delta log, driven on one warm checkpointed
+    driver, selects exactly what a cold drive of that version selects."""
+    version, deltas = log
+    engine = EngineOptions(num_shards=2)
+    with tempfile.TemporaryDirectory() as warm_dir, DataflowContext(
+        engine.derive(checkpoint_dir=warm_dir)
+    ) as warm_ctx, DataflowContext(engine) as cold_ctx:
+        warm, cold = (
+            IncrementalDriver(
+                _DELTA_PROBLEM, _DELTA_K, context=ctx,
+                data_shards=_DELTA_SHARDS,
+            )
+            for ctx in (warm_ctx, cold_ctx)
+        )
+        warm.drive(version)
+        for delta in deltas:
+            version = version.apply(delta)
+            got = warm.drive(version, deltas=[delta])
+            want = cold.drive(version)
+            np.testing.assert_array_equal(got.selected, want.selected)
+            assert got.objective == want.objective
