@@ -166,7 +166,101 @@ class TestCalibration:
         assert bucket[-1].rows_in == 99
 
 
-class TestAdaptiveKnob:
+class TestPlanningDecisions:
+    """The decisions the planner used to take are the caller's again: an
+    attached planner leaves every rewrite and checkpoint in place."""
+
+    def test_lift_gate_defaults_open(self):
+        """Combiners lift under a planner even for an input estimate the
+        cost model would once have judged too small to repay the lift."""
+        from repro.dataflow.pcollection import Fold, Pipeline
+
+        for planner in (None, AdaptivePlanner()):
+            with Pipeline(
+                num_shards=4, optimize=True, planner=planner, plan_records=1
+            ) as pipeline:
+                folded = (
+                    pipeline.create([(i % 3, i) for i in range(12)])
+                    .as_keyed()
+                    .group_by_key(name="g")
+                    .map_values(Fold.sum(), name="s")
+                )
+                assert "lifted from group 'g'" in folded.explain()
+                assert sorted(folded.to_list()) == [(0, 18), (1, 22), (2, 26)]
+                assert pipeline.metrics.lifted_combiners == 1
+
+    def test_checkpoint_gate_prefers_durability_when_cheap(self, tmp_path):
+        """A planner never trades a checkpoint store for a recompute: every
+        boundary a plain pipeline stores, a planned one stores too, and
+        the rerun resumes from them."""
+        from repro.dataflow.pcollection import Fold, Pipeline
+
+        def run(ckpt, planner):
+            with Pipeline(
+                num_shards=4, checkpoint_dir=ckpt, planner=planner
+            ) as pipeline:
+                out = sorted(
+                    pipeline.create(range(100), name="src")
+                    .key_by(lambda x: x % 7)
+                    .group_by_key()
+                    .map_values(Fold.sum())
+                    .to_list()
+                )
+                return out, pipeline.metrics
+
+        plain, plain_metrics = run(str(tmp_path / "plain"), None)
+        planner = AdaptivePlanner()
+        planned, planned_metrics = run(str(tmp_path / "planned"), planner)
+        assert planned == plain
+        assert planner.history
+        assert planned_metrics.checkpoint_stores == (
+            plain_metrics.checkpoint_stores
+        ) > 0
+        again, resumed = run(str(tmp_path / "planned"), AdaptivePlanner())
+        assert again == plain
+        assert resumed.checkpoint_hits > 0
+
+
+class TestKnobPrecedence:
+    def test_planner_never_overrides_explicit_num_shards(self):
+        with DataflowContext(
+            EngineOptions(adaptive=True, num_shards=8)
+        ) as ctx:
+            assert ctx.planner is not None
+            pipeline = ctx.pipeline(plan_records=100_000)
+            try:
+                assert pipeline.num_shards == 8
+            finally:
+                pipeline.close()
+
+    def test_planner_leaves_unset_num_shards_at_default(self):
+        """An input estimate large enough that a size-driven choice would
+        re-shard still runs on the options' own shard count."""
+        with DataflowContext(EngineOptions(adaptive=True)) as ctx:
+            pipeline = ctx.pipeline(plan_records=100_000)
+            try:
+                assert pipeline.num_shards == EngineOptions().num_shards
+            finally:
+                pipeline.close()
+
+    def test_calibrated_history_changes_no_context_knob(self, tmp_path):
+        """Persisted history of slow, small-payload stages — once enough
+        to switch the executor and shrink the broadcast threshold —
+        leaves the context's options exactly as passed."""
+        history_dir = str(tmp_path)
+        planner = AdaptivePlanner(history_dir=history_dir)
+        for i in range(8):
+            planner.record_profile(StageProfile(
+                label=f"slow-{i}", wall_ms=2_000.0, rows_in=1_000 * (i + 1),
+                payload_bytes=8_192,
+            ))
+        planner.flush()
+        options = EngineOptions(adaptive=True, checkpoint_dir=history_dir)
+        with DataflowContext(options) as ctx:
+            assert ctx.planner.history
+            assert ctx.options == options
+            assert ctx.options.executor == "sequential"
+
     def test_cli_adaptive_plan_flag_is_isolated_from_selector_adaptive(self):
         """--adaptive-plan (engine) and --adaptive (greedy algorithm) must
         not share an argparse dest — either flag silently flipping the
@@ -195,6 +289,27 @@ class TestAdaptiveKnob:
 
 class TestBitIdenticalUnderAdaptive:
     """An attached planner changes neither the plan nor its output."""
+
+    def test_knn_graph_identical_with_planner_chosen_shards(self):
+        """The shard count an adaptive context plans with is the options'
+        own, and the graph built on it is bit-identical."""
+        x, _ = clustered_points(2000, dim=16, seed=3)
+        base_graph, base_nb, base_sims, _ = beam_knn_graph(
+            x, 10, seed=0, options=EngineOptions()
+        )
+        with DataflowContext(EngineOptions(adaptive=True)) as ctx:
+            pipeline = ctx.pipeline(plan_records=x.shape[0])
+            pipeline.close()
+            assert pipeline.num_shards == EngineOptions().num_shards
+            adapt_graph, adapt_nb, adapt_sims, _ = beam_knn_graph(
+                x, 10, seed=0, context=ctx
+            )
+            assert ctx.planner.history
+        np.testing.assert_array_equal(base_nb, adapt_nb)
+        np.testing.assert_array_equal(base_sims, adapt_sims)
+        np.testing.assert_array_equal(base_graph.indptr, adapt_graph.indptr)
+        np.testing.assert_array_equal(base_graph.indices, adapt_graph.indices)
+        np.testing.assert_array_equal(base_graph.weights, adapt_graph.weights)
 
     def test_score_identical_under_adaptive(self):
         problem = random_problem(300, seed=11)

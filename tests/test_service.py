@@ -523,6 +523,18 @@ class TestExecutionAndDedup:
         payload = service.result(record.job_id)
         assert payload["report"]["selected"] == reference.selected.tolist()
 
+    def test_adaptive_job_lets_the_planner_plan(self, service):
+        """The planner of an adaptive job's warm context records the
+        drive's stage profiles and prices them in the report."""
+        record = service.submit(JobSpec.from_dict(
+            _spec_dict(engine_options={"adaptive": True})
+        ))
+        assert _wait(service, record.job_id).state == "done"
+        (context,) = service._contexts.values()
+        assert context.planner.history
+        costs = service.result(record.job_id)["report"]["plan_costs"]
+        assert costs and all(r["predicted_ms"] > 0 for r in costs)
+
     def test_per_job_executor_stats_isolated(self, service):
         a = service.submit(JobSpec.from_dict(_spec_dict(sel_seed=1)))
         assert _wait(service, a.job_id).state == "done"
