@@ -72,8 +72,9 @@ class SelectorConfig:
         — the bounding and greedy stages share its (persistent) worker
         pool or cluster, and it is closed when the run finishes.
         ``options.stream_source=None`` (the default) keeps each beam's
-        own ingest default — the bounding stage streams its
-        graph/utility generators, the greedy stage ingests its
+        own ingest default — the bounding stage streams only its
+        remaining-set source (its graph and utilities are array
+        columns, always eager), the greedy stage ingests its
         (array-backed) ground set eagerly; results are identical either
         way.
     checkpoint_gc:

@@ -151,9 +151,8 @@ class BroadcastRegistry:
     drives don't accumulate their whole large-capture history on the
     driver.  The digest ledger survives eviction, and the identity fast
     path only short-circuits while the bytes exist, so a capture whose
-    blob was evicted is re-serialized on demand — which is what lets a
-    late-joining worker (elastic membership) or an LRU-evicted worker
-    cache receive the blob again.
+    blob was evicted is re-serialized on demand — which is what lets an
+    LRU-evicted worker cache receive the blob again.
     """
 
     def __init__(self, min_bytes: int = DEFAULT_BROADCAST_MIN_BYTES) -> None:
@@ -183,9 +182,8 @@ class BroadcastRegistry:
             # bytes still exist: after a stage-end eviction, a ledger
             # that says "seen" with no bytes behind it would hand
             # ``_ship_blobs`` a digest it cannot ship — a KeyError the
-            # moment a late-joining worker (or an LRU-evicted one)
-            # needs the blob again.  Falling through re-serializes to
-            # the same digest on demand.
+            # moment an LRU-evicted worker cache needs the blob again.
+            # Falling through re-serializes to the same digest on demand.
             if ref() is obj and digest in self.blobs:
                 return digest
         blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -343,21 +341,12 @@ class ThreadExecutor(Executor):
     ----------
     max_workers:
         Thread count; defaults to ``min(8, cpu_count)``, floored at 2.
-    min_parallel_records:
-        Stages whose total input is smaller than this run inline on the
-        driver.  Threads are cheap, so the default is 0 (always pool).
     """
 
     name = "thread"
 
-    def __init__(
-        self,
-        max_workers: "int | None" = None,
-        *,
-        min_parallel_records: int = 0,
-    ) -> None:
+    def __init__(self, max_workers: "int | None" = None) -> None:
         self.max_workers = _validate_max_workers(max_workers)
-        self.min_parallel_records = int(min_parallel_records)
         self.pools_created = 0
         self._pool: "concurrent.futures.ThreadPoolExecutor | None" = None
         self._closed = False
@@ -379,8 +368,7 @@ class ThreadExecutor(Executor):
         if self._closed:
             raise RuntimeError("executor closed")
         shards = list(shards)
-        total = sum(len(shard) for shard in shards)
-        if len(shards) < 2 or total < self.min_parallel_records:
+        if len(shards) < 2:
             return [fn(_resolve(shard)) for shard in shards]
         pool = self._ensure_pool()
         futures = [pool.submit(_run_resolved, fn, shard) for shard in shards]

@@ -50,14 +50,8 @@ on the remote backend):
 
 ``p2p_shuffle_bytes``
     Serialized shuffle-bucket bytes fetched worker-to-worker (the data
-    plane the driver never touched).
-``driver_shuffle_bytes``
-    Serialized shuffle-bucket bytes that crossed the driver anyway —
-    inline buckets for unserializable shards plus the fault fallback.
-    Zero on the fault-free path with every shard remoted.
-``bucket_refetches``
-    Buckets the driver had to re-derive from the original input shard
-    because their producing worker was gone.
+    plane the driver never touched).  An exchange that declines adds
+    nothing: the driver merge reruns its shuffle.
 ``bucket_fetch_chunks``
     Bounded ``MSG_BUCKET_CHUNK`` frames received while fetching peer
     buckets — large buckets stream in pieces instead of one frame per
@@ -148,8 +142,6 @@ class PipelineMetrics:
     vectorized_stages: int = 0
     columnar_rows: int = 0
     p2p_shuffle_bytes: int = 0
-    driver_shuffle_bytes: int = 0
-    bucket_refetches: int = 0
     bucket_fetch_chunks: int = 0
     reused_shards: int = 0
     invalidated_shards: int = 0
@@ -197,17 +189,10 @@ class PipelineMetrics:
             self.stage_profiles[-1].shuffled_records += n_records
 
     def observe_exchange(
-        self,
-        *,
-        p2p_bytes: int,
-        driver_bytes: int,
-        refetches: int,
-        fetch_chunks: int = 0,
+        self, *, p2p_bytes: int, fetch_chunks: int = 0
     ) -> None:
         """One worker-to-worker shuffle exchange's byte accounting."""
         self.p2p_shuffle_bytes += p2p_bytes
-        self.driver_shuffle_bytes += driver_bytes
-        self.bucket_refetches += refetches
         self.bucket_fetch_chunks += fetch_chunks
 
     def observe_incremental(
@@ -247,8 +232,6 @@ class PipelineMetrics:
         self.vectorized_stages = 0
         self.columnar_rows = 0
         self.p2p_shuffle_bytes = 0
-        self.driver_shuffle_bytes = 0
-        self.bucket_refetches = 0
         self.bucket_fetch_chunks = 0
         self.reused_shards = 0
         self.invalidated_shards = 0
@@ -272,8 +255,6 @@ class PipelineMetrics:
             vectorized_stages=self.vectorized_stages,
             columnar_rows=self.columnar_rows,
             p2p_shuffle_bytes=self.p2p_shuffle_bytes,
-            driver_shuffle_bytes=self.driver_shuffle_bytes,
-            bucket_refetches=self.bucket_refetches,
             bucket_fetch_chunks=self.bucket_fetch_chunks,
             reused_shards=self.reused_shards,
             invalidated_shards=self.invalidated_shards,

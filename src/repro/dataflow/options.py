@@ -260,9 +260,9 @@ _KNOBS: Tuple[_Knob, ...] = (
         ("--shuffle",
          "shuffle data plane: merge buckets on the driver (the default) "
          "or exchange them worker-to-worker on the remote backend (the "
-         "driver only plans the assignment; peer fetches fall back "
-         "through the driver when a producer dies); results are "
-         "bit-identical either way"),
+         "driver only plans the assignment, and an exchange a lost "
+         "producer breaks reruns through the driver merge); results "
+         "are bit-identical either way"),
     ), choices=_SHUFFLE_MODES),
 )
 
@@ -320,8 +320,8 @@ class EngineOptions:
         Shuffle data plane: ``"driver"`` merges buckets on the driver
         (the historical star topology), ``"worker"`` exchanges buckets
         worker-to-worker on the remote backend (the driver plans the
-        bucket→worker assignment; bucket bytes move peer-to-peer, with
-        the driver round-trip kept as the fault fallback).  Backends
+        bucket→worker assignment; bucket bytes move peer-to-peer, and an
+        exchange that declines reruns through the driver merge).  Backends
         without a peer exchange — every in-process executor — always use
         the driver merge, whatever this says.  ``None`` defers to the
         engine-wide default (the test harness's ``--worker-shuffle``

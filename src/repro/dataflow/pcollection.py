@@ -132,8 +132,9 @@ DEFAULT_OPTIMIZE = True
 #: plane: ``"driver"`` merges buckets on the driver (the historical star
 #: topology), ``"worker"`` exchanges them worker-to-worker on executors
 #: that implement ``run_exchange`` (the remote backend), with the driver
-#: path kept as the fault fallback.  The test harness flips this via the
-#: ``--worker-shuffle`` pytest option; results are bit-identical.
+#: merge rerunning any exchange that declines.  The test harness flips
+#: this via the ``--worker-shuffle`` pytest option; results are
+#: bit-identical.
 DEFAULT_SHUFFLE = "driver"
 
 
@@ -518,10 +519,10 @@ class Pipeline:
         ``"worker"`` runs group/combine shuffles as a worker-to-worker
         exchange on executors that implement ``run_exchange`` (the
         remote backend) — bucket bytes move peer-to-peer and the driver
-        only plans the assignment, falling back to the driver merge for
-        anything the exchange cannot cover.  ``None`` (the default)
-        resolves to the module default ``DEFAULT_SHUFFLE``.  Results are
-        bit-identical in both modes.
+        only plans the assignment; an exchange that cannot finish
+        declines, and the driver merge reruns its whole shuffle.  ``None``
+        (the default) resolves to the module default
+        ``DEFAULT_SHUFFLE``.  Results are bit-identical in both modes.
     """
 
     def __init__(
@@ -1215,8 +1216,9 @@ class Pipeline:
         Both planes run the *same* stage functions and meter the same
         two stages, shuffle volume credited to the write, so they cannot
         diverge.  The executor may decline an exchange (too few shards,
-        nothing serializes, no live workers); the driver merge is then
-        the fallback.
+        something does not serialize, a producer lost with its buckets,
+        no live worker); the driver merge then reruns the whole shuffle,
+        and only the rerun is metered.
 
         The key-routed intermediate of a plain group is a real
         per-worker footprint and is metered even though it is never
@@ -1277,8 +1279,6 @@ class Pipeline:
         )
         self.metrics.observe_exchange(
             p2p_bytes=info["p2p_bytes"],
-            driver_bytes=info["driver_bytes"],
-            refetches=info["refetches"],
             fetch_chunks=info.get("fetch_chunks", 0),
         )
         return results

@@ -27,20 +27,17 @@ dies mid-stage, ``run_stage`` raises.
 Worker-to-worker shuffle
 ------------------------
 ``run_exchange(write_fn, shards, read_fn, num_shards)`` runs a shuffle
-as two worker stages with *no bucket data through the driver* on the
-fault-free path: write tasks park their buckets on the producing
-worker's daemon, the driver plans only the bucket→worker assignment,
-and read tasks fetch their parts peer-to-peer before running the read
-stage in place.  Any bucket the driver computed itself (unserializable
-shard) travels inline; any bucket whose producer died is recovered by
-the driver — fetched from a surviving daemon or re-derived from the
-original input shard — so results stay bit-identical under faults.
-
-Elastic membership: ``add_worker``/``remove_worker`` grow and shrink
-the channel list between stages.  A joining worker starts with an empty
-shipped-blob ledger, so the ship-on-first-use path streams it exactly
-the captures its first tasks need; a leaving worker's in-flight shard
-rides the normal requeue path.
+as two worker stages with *no bucket data through the driver*: write
+tasks park their buckets on the producing worker's daemon, the driver
+plans only the bucket→worker assignment, and read tasks fetch their
+parts peer-to-peer before running the read stage in place.  An exchange
+is all or nothing.  A worker that dies with a task in flight is
+requeued as in any stage; anything else that stops the exchange — a
+producer lost with its buckets, a shard frame that does not serialize,
+no live worker left — makes it *decline* (counted in
+``exchange_fallbacks``), and the pipeline reruns the whole shuffle
+through the driver merge.  Stages are pure, so the rerun is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ import traceback
 from collections import OrderedDict, deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dataflow.columnar import ColumnarShard, merge_bucket_parts
 from repro.dataflow.executor import (
     DEFAULT_BROADCAST_MIN_BYTES,
     BroadcastRegistry,
@@ -68,7 +64,6 @@ from repro.dataflow.remote.cluster import LocalCluster
 from repro.dataflow.remote.protocol import (
     FETCH_FAILED,
     MSG_BLOB,
-    MSG_BYE,
     MSG_ERROR,
     MSG_EVICT_BLOBS,
     MSG_EVICT_BUCKETS,
@@ -200,6 +195,24 @@ class _ChannelDead(Exception):
     """Internal: the worker behind a channel is gone."""
 
 
+class _ExchangeDeclined(Exception):
+    """Internal: the exchange cannot finish worker-to-worker."""
+
+
+def _decline(_index: int) -> Any:
+    """An exchange's ``local_compute``: the driver runs no part of it."""
+    raise _ExchangeDeclined()
+
+
+def _fetch_failed(value: Any) -> bool:
+    """Is this read-task reply the worker's ``(FETCH_FAILED, detail)``?"""
+    return (
+        isinstance(value, tuple)
+        and len(value) == 2
+        and value[0] == FETCH_FAILED
+    )
+
+
 class RemoteExecutor(Executor):
     """Dataflow backend over a TCP worker cluster.
 
@@ -214,9 +227,6 @@ class RemoteExecutor(Executor):
     max_workers:
         Auto-spawned worker count (default 2).  Ignored when ``workers``
         is given.
-    min_parallel_records:
-        Stages with fewer total records run on the driver (default 0:
-        every stage goes to the cluster).
     connect_timeout:
         Seconds to keep retrying the initial connection per worker
         (daemons need a moment to import the engine).
@@ -248,21 +258,18 @@ class RemoteExecutor(Executor):
         workers: Optional[Sequence[Any]] = None,
         *,
         max_workers: Optional[int] = None,
-        min_parallel_records: int = 0,
         connect_timeout: float = 60.0,
         heartbeat_timeout: float = 10.0,
         broadcast_min_bytes: int = DEFAULT_BROADCAST_MIN_BYTES,
         resolve_before_send: bool = False,
         worker_cache_max_bytes: Optional[int] = DEFAULT_WORKER_CACHE_MAX_BYTES,
     ) -> None:
-        self.min_parallel_records = int(min_parallel_records)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.resolve_before_send = bool(resolve_before_send)
         self.worker_cache_max_bytes = (
             None if worker_cache_max_bytes is None
             else int(worker_cache_max_bytes)
         )
-        self._connect_timeout = float(connect_timeout)
         self.worker_failures = 0
         self.retried_shards = 0
         self.broadcast_bytes = 0
@@ -270,9 +277,8 @@ class RemoteExecutor(Executor):
         self.stage_payload_bytes = 0
         self.blob_evictions = 0
         self.p2p_shuffle_bytes = 0
-        self.driver_shuffle_bytes = 0
-        self.bucket_refetches = 0
         self.bucket_fetch_chunks = 0
+        self.exchange_fallbacks = 0
         self._exchange_counter = 0
         self._registry = BroadcastRegistry(broadcast_min_bytes)
         self._close_event = threading.Event()
@@ -280,9 +286,6 @@ class RemoteExecutor(Executor):
         self._stats_lock = threading.Lock()
         self._cluster: Optional[LocalCluster] = None
         self._channels: List[_Channel] = []
-        #: Persistent links for the exchange fault fallback's reads from
-        #: surviving producers; closed by :meth:`close`.
-        self._links = protocol.PeerLinks()
         try:
             if workers:
                 addresses = [_parse_address(w) for w in workers]
@@ -354,61 +357,9 @@ class RemoteExecutor(Executor):
             "stage_payload_bytes": self.stage_payload_bytes,
             "blob_evictions": self.blob_evictions,
             "p2p_shuffle_bytes": self.p2p_shuffle_bytes,
-            "driver_shuffle_bytes": self.driver_shuffle_bytes,
-            "bucket_refetches": self.bucket_refetches,
             "bucket_fetch_chunks": self.bucket_fetch_chunks,
+            "exchange_fallbacks": self.exchange_fallbacks,
         }
-
-    # -- elastic membership ------------------------------------------------
-
-    def add_worker(
-        self, worker: Any, *, connect_timeout: Optional[float] = None
-    ) -> Tuple[str, int]:
-        """Connect a new worker daemon and enter it into the task pool.
-
-        The worker participates from the next stage onward (stages
-        snapshot the live channel list when they start).  It joins with
-        an empty shipped-blob ledger, so the ship-on-first-use path
-        streams it exactly the broadcast captures its first stage needs
-        — nothing is pre-copied.  Returns the parsed ``(host, port)``.
-        """
-        address = _parse_address(worker)
-        timeout = (
-            self._connect_timeout if connect_timeout is None
-            else float(connect_timeout)
-        )
-        sock = self._connect(address, timeout)
-        channel = _Channel(address, sock)
-        with self._close_lock:
-            if self._close_event.is_set():
-                channel.kill()
-                raise RuntimeError("executor closed")
-            self._channels.append(channel)
-        return address
-
-    def remove_worker(self, worker: Any) -> Tuple[str, int]:
-        """Detach one worker (graceful ``MSG_BYE``, then drop the channel).
-
-        The daemon itself keeps running (it may serve other drivers); it
-        just stops receiving this executor's tasks.  If a stage is in
-        flight, its channel loop observes the closed socket and requeues
-        the worker's shard on the survivors — the normal fault path.
-        Returns the parsed ``(host, port)``.
-        """
-        address = _parse_address(worker)
-        with self._close_lock:
-            channel = next(
-                (ch for ch in self._channels if ch.address == address), None
-            )
-            if channel is None:
-                raise ValueError(f"no such worker: {address[0]}:{address[1]}")
-            self._channels.remove(channel)
-        try:
-            protocol.send_msg(channel.sock, (MSG_BYE,))
-        except OSError:
-            pass
-        channel.kill()
-        return address
 
     def shutdown_workers(self, *, force: bool = False) -> None:
         """Ask every connected daemon to exit, then close the executor.
@@ -433,14 +384,13 @@ class RemoteExecutor(Executor):
         if self._close_event.is_set():
             raise RuntimeError("executor closed")
         shards = list(shards)
-        total = sum(len(shard) for shard in shards)
         channels = [ch for ch in self._channels if ch.alive]
         if not channels:
             raise RuntimeError(
                 "no live remote workers (all "
                 f"{len(self._channels)} failed)"
             )
-        if len(shards) < 2 or total < self.min_parallel_records:
+        if len(shards) < 2:
             return [fn(_resolve(shard)) for shard in shards]
         try:
             payload, digests = dumps_with_broadcast(fn, self._registry)
@@ -517,34 +467,25 @@ class RemoteExecutor(Executor):
         the read stage's bucket→worker assignment.  Read tasks fetch
         their parts peer-to-peer, merge them in input-shard order
         (exactly the driver's ``merge_bucket_parts``), and run
-        ``read_fn`` in place — on the fault-free path zero bucket bytes
-        cross the driver.
+        ``read_fn`` in place — zero bucket bytes cross the driver.
 
-        Fault fallback: a bucket whose producer died (or that the driver
-        computed itself for an unserializable shard) goes through the
-        driver — fetched from a surviving daemon when possible,
-        re-derived from the original input shard otherwise — so retries
-        stay bit-identical with the driver-merge path.
-
-        Returns ``(results, info)`` with one read-stage result per
-        destination shard and an ``info`` dict of exchange telemetry
-        (``moved``, ``pre_records``, ``p2p_bytes``, ``driver_bytes``,
-        ``local_bytes``, ``refetches``, per-destination counts, phase
-        timings) — or ``None`` when the exchange cannot run remotely
-        (too few shards, below ``min_parallel_records``, nothing
-        serializes, or no live workers) and the caller should use the
-        driver-merge shuffle path.
+        All or nothing.  Returns ``(results, info)`` with one read-stage
+        result per destination shard and an ``info`` dict of exchange
+        telemetry (``moved``, ``pre_records``, ``p2p_bytes``,
+        ``local_bytes``, ``fetch_chunks``, per-destination counts, phase
+        timings) — or ``None``, and the caller reruns the shuffle
+        through the driver merge.  ``None`` comes without an attempt
+        when there are fewer than two shards or a stage function does
+        not serialize, and as a counted decline (``exchange_fallbacks``)
+        when a producer is lost with its buckets (dead at planning time,
+        or a read's ``FETCH_FAILED``), a shard frame does not serialize,
+        or no live worker is left.  A worker dying with a task in flight
+        is not a decline: the dispatch loop requeues the task.
         """
         if self._close_event.is_set():
             raise RuntimeError("executor closed")
         shards = list(shards)
-        total = sum(len(shard) for shard in shards)
-        channels = [ch for ch in self._channels if ch.alive]
-        if (
-            not channels
-            or len(shards) < 2
-            or total < self.min_parallel_records
-        ):
+        if len(shards) < 2:
             return None
         try:
             w_payload, w_digests = dumps_with_broadcast(
@@ -561,48 +502,6 @@ class RemoteExecutor(Executor):
                 f"x{os.getpid():x}.{id(self):x}.{self._exchange_counter}"
             )
 
-        # Buckets held on the driver: produced here for unserializable
-        # shards, or re-derived for dead producers (cached per input
-        # shard so one lost worker doesn't recompute a shard per
-        # destination).  Guarded by one lock together with the fallback
-        # byte counters — fallbacks may run on several channel threads.
-        driver_buckets: Dict[int, List[Any]] = {}
-        rederived: Dict[int, List[Any]] = {}
-        fallback_lock = threading.Lock()
-        info: Dict[str, Any] = {
-            "p2p_bytes": 0,
-            "driver_bytes": 0,
-            "local_bytes": 0,
-            "refetches": 0,
-            "fetch_chunks": 0,
-        }
-
-        def bucket_for(input_idx: int, dest: int, *, refetch: bool) -> Any:
-            """One bucket via the driver: held, else re-derived (cached)."""
-            with fallback_lock:
-                buckets = driver_buckets.get(input_idx)
-                if buckets is None:
-                    buckets = rederived.get(input_idx)
-                if buckets is None:
-                    out = write_fn(_resolve(shards[input_idx]))
-                    buckets = out[1] if combine else out
-                    rederived[input_idx] = buckets
-                if refetch:
-                    info["refetches"] += 1
-                return buckets[dest]
-
-        def write_local(index: int) -> tuple:
-            out = write_fn(_resolve(shards[index]))
-            extra, buckets = (out if combine else (None, out))
-            with fallback_lock:
-                driver_buckets[index] = buckets
-            metas = [
-                (dest, len(bucket), 0)
-                for dest, bucket in enumerate(buckets)
-                if len(bucket)
-            ]
-            return (extra, metas)
-
         def write_send(channel: _Channel, index: int) -> bool:
             shard = shards[index]
             if self.resolve_before_send:
@@ -616,83 +515,8 @@ class RemoteExecutor(Executor):
             protocol.send_frame(channel.sock, frame)
             return True
 
-        t_write = time.perf_counter()
-        w_state = _StageState(len(shards))
-        try:
-            self._run_on_channels(
-                channels, w_payload, w_digests, w_state, write_send,
-                write_local,
-            )
-            self._check_stage(w_state)
-            for index in w_state.missing():
-                # Every worker died mid-write: finish on the driver.
-                w_state.results[index] = write_local(index)
-                w_state.done[index] = True
-                w_state.owners[index] = None
-        except BaseException:
-            self._evict_exchange(exchange_id)
-            raise
-        t_read = time.perf_counter()
-
-        # Assignment: per destination, the bucket parts in input-shard
-        # order — peer descriptors for live producers, inline payloads
-        # through the driver for driver-held or lost buckets.
-        moved = 0
-        offered: Optional[int] = 0 if combine else None
+        # Per destination, its bucket parts in input-shard order.
         sources: List[List[tuple]] = [[] for _ in range(num_shards)]
-        for index in range(len(shards)):
-            extra, metas = w_state.results[index]
-            if combine and extra is not None:
-                offered += extra
-            owner = w_state.owners[index]
-            for dest, n_records, _n_bytes in metas:
-                moved += n_records
-                if owner is not None and owner.alive:
-                    host, port = owner.address
-                    sources[dest].append(
-                        ("peer", host, port, f"{exchange_id}/{index}/{dest}")
-                    )
-                    continue
-                payload = protocol.dumps(
-                    bucket_for(index, dest, refetch=owner is not None)
-                )
-                info["driver_bytes"] += len(payload)
-                sources[dest].append(("inline", payload))
-
-        def read_dest_local(index: int) -> tuple:
-            """Driver fallback for one destination shard: one fetch per
-            surviving producer, re-derivation for whatever it lacks."""
-            fetched: Dict[str, Optional[bytes]] = {}
-            for (host, port), ids in protocol.peer_sources(
-                sources[index]
-            ).items():
-                try:
-                    got, n_chunks = self._links.fetch(host, port, ids)
-                except (ConnectionError, OSError):
-                    continue  # producer gone: its parts are re-derived
-                fetched.update(got)
-                with fallback_lock:
-                    info["fetch_chunks"] += n_chunks
-            parts: List[Any] = []
-            for source in sources[index]:
-                if source[0] == "inline":
-                    parts.append(protocol.loads(source[1]))
-                    continue
-                bucket_id = source[3]
-                payload = fetched.get(bucket_id)
-                if payload is None:
-                    input_idx, dest = self._split_bucket_id(bucket_id)
-                    parts.append(bucket_for(input_idx, dest, refetch=True))
-                else:
-                    parts.append(protocol.loads(payload))
-                    with fallback_lock:
-                        info["driver_bytes"] += len(payload)
-            merged = merge_bucket_parts(parts)
-            value = read_fn(merged)
-            return (
-                value, len(merged), isinstance(merged, ColumnarShard), 0, 0,
-                0,
-            )
 
         def read_send(channel: _Channel, index: int) -> bool:
             protocol.send_frame(
@@ -701,55 +525,58 @@ class RemoteExecutor(Executor):
             )
             return True
 
-        def read_handle(
-            channel: _Channel, state: _StageState, index: int, value: Any
-        ) -> bool:
-            if (
-                isinstance(value, tuple)
-                and len(value) == 2
-                and value[0] == FETCH_FAILED
-            ):
-                # A producing peer is gone; this worker stays healthy —
-                # recover the shard on the driver and keep the channel
-                # pulling tasks.
-                try:
-                    result = read_dest_local(index)
-                except BaseException as exc:
-                    state.abandon(index)
-                    state.fail(exc, traceback.format_exc())
-                    return False
-                state.complete(index, result, owner=channel)
-                return True
-            state.complete(index, value, owner=channel)
-            return True
-
+        t_write = time.perf_counter()
+        w_state = _StageState(len(shards))
         r_state = _StageState(num_shards)
         try:
-            # Fresh snapshot: a worker that joined since the write stage
-            # can serve reads (it fetches its parts from peers).
-            read_channels = [ch for ch in self._channels if ch.alive]
-            if read_channels:
-                self._run_on_channels(
-                    read_channels, r_payload, r_digests, r_state, read_send,
-                    read_dest_local, read_handle,
-                )
+            self._run_on_channels(
+                [ch for ch in self._channels if ch.alive],
+                w_payload, w_digests, w_state, write_send, _decline,
+            )
+            self._check_stage(w_state)
+            t_read = time.perf_counter()
+            if w_state.missing() or not all(
+                owner.alive for owner in w_state.owners
+            ):
+                raise _ExchangeDeclined()
+            moved = 0
+            offered: Optional[int] = 0 if combine else None
+            for index, owner in enumerate(w_state.owners):
+                extra, metas = w_state.results[index]
+                if combine and extra is not None:
+                    offered += extra
+                host, port = owner.address
+                for dest, n_records, _n_bytes in metas:
+                    moved += n_records
+                    sources[dest].append(
+                        ("peer", host, port, f"{exchange_id}/{index}/{dest}")
+                    )
+            self._run_on_channels(
+                [ch for ch in self._channels if ch.alive],
+                r_payload, r_digests, r_state, read_send, _decline,
+            )
             self._check_stage(r_state)
-            for index in r_state.missing():
-                r_state.results[index] = read_dest_local(index)
-                r_state.done[index] = True
+            if r_state.missing() or any(
+                _fetch_failed(value) for value in r_state.results
+            ):
+                raise _ExchangeDeclined()
+        except _ExchangeDeclined:
+            with self._stats_lock:
+                self.exchange_fallbacks += 1
+            return None
         finally:
             self._evict_exchange(exchange_id)
         read_seconds = time.perf_counter() - t_read
 
         self._evict_shipped(w_digests | r_digests)
 
+        info: Dict[str, Any] = {
+            "p2p_bytes": 0, "local_bytes": 0, "fetch_chunks": 0,
+        }
         results: List[Any] = []
         dest_counts: List[int] = []
         dest_columnar: List[bool] = []
-        for index in range(num_shards):
-            value, n_merged, is_col, p2p, local, chunks = (
-                r_state.results[index]
-            )
+        for value, n_merged, is_col, p2p, local, chunks in r_state.results:
             results.append(value)
             dest_counts.append(n_merged)
             dest_columnar.append(is_col)
@@ -758,8 +585,6 @@ class RemoteExecutor(Executor):
             info["fetch_chunks"] += chunks
         with self._stats_lock:
             self.p2p_shuffle_bytes += info["p2p_bytes"]
-            self.driver_shuffle_bytes += info["driver_bytes"]
-            self.bucket_refetches += info["refetches"]
             self.bucket_fetch_chunks += info["fetch_chunks"]
         info.update(
             moved=moved,
@@ -772,12 +597,6 @@ class RemoteExecutor(Executor):
             read_payload_bytes=len(r_payload),
         )
         return results, info
-
-    @staticmethod
-    def _split_bucket_id(bucket_id: str) -> Tuple[int, int]:
-        """``"<exchange>/<input>/<dest>"`` → ``(input, dest)``."""
-        _exchange, input_idx, dest = bucket_id.rsplit("/", 2)
-        return int(input_idx), int(dest)
 
     def _check_stage(self, state: _StageState) -> None:
         """Re-raise what the channel loops recorded (they never raise)."""
@@ -825,16 +644,13 @@ class RemoteExecutor(Executor):
         state: _StageState,
         send_task: Callable[[_Channel, int], bool],
         local_compute: Callable[[int], Any],
-        handle_result: Optional[
-            Callable[[_Channel, _StageState, int, Any], bool]
-        ] = None,
     ) -> None:
         threads = [
             threading.Thread(
                 target=self._drive_channel,
                 args=(
                     channel, payload, digests, state, send_task,
-                    local_compute, handle_result,
+                    local_compute,
                 ),
                 daemon=True,
                 name=f"repro-remote-{channel.address[1]}",
@@ -854,22 +670,18 @@ class RemoteExecutor(Executor):
         state: _StageState,
         send_task: Callable[[_Channel, int], bool],
         local_compute: Callable[[int], Any],
-        handle_result: Optional[
-            Callable[[_Channel, _StageState, int, Any], bool]
-        ] = None,
     ) -> None:
         """Drive one worker through one stage; never raises.
 
         The one dispatch loop — dynamic task pull, lockstep reply,
         dead-channel requeue — behind ``run_stage`` and both exchange
         phases.  What varies per caller is how a task is sent
-        (``send_task``; returning False means nothing was sent because
-        the frame does not serialize, so the channel stays in lockstep
-        and ``local_compute`` runs the task on the driver — a DoFn
-        exception there is a deterministic stage failure, the same one
-        the sequential backend would raise) and how a result is recorded
-        (``handle_result``; ``None`` means plain completion owned by
-        this channel).
+        (``send_task``) and what happens when it cannot be: returning
+        False means nothing was sent because the frame does not
+        serialize, so the channel stays in lockstep and
+        ``local_compute`` runs the task on the driver.  An exception
+        there — a DoFn's, or an exchange's decline — fails the stage,
+        as the sequential backend would.
         """
         in_flight: Optional[int] = None
         try:
@@ -893,11 +705,7 @@ class RemoteExecutor(Executor):
                 reply = self._recv_reply(channel)
                 tag = reply[0]
                 if tag == MSG_RESULT:
-                    if handle_result is None:
-                        state.complete(reply[1], reply[2], owner=channel)
-                    elif not handle_result(channel, state, reply[1], reply[2]):
-                        in_flight = None
-                        return
+                    state.complete(reply[1], reply[2], owner=channel)
                     in_flight = None
                 elif tag == MSG_ERROR:
                     state.abandon(index)
@@ -1026,6 +834,5 @@ class RemoteExecutor(Executor):
             cluster, self._cluster = self._cluster, None
         for channel in channels:
             channel.kill()
-        self._links.close()
         if cluster is not None:
             cluster.terminate()

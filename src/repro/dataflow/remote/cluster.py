@@ -72,13 +72,12 @@ class LocalCluster:
         self.addresses: List[Tuple[str, int]] = []
         self._procs: List[subprocess.Popen] = []
         self._heartbeat_interval = float(heartbeat_interval)
-        self._startup_timeout = float(startup_timeout)
         self._bucket_chunk_bytes = bucket_chunk_bytes
         try:
             procs = [self._spawn_proc() for _ in range(int(n_workers))]
             for proc in procs:
                 self.addresses.append(
-                    self._read_ready_line(proc, self._startup_timeout)
+                    self._read_ready_line(proc, float(startup_timeout))
                 )
         except BaseException:
             self.terminate()
@@ -102,29 +101,6 @@ class LocalCluster:
         )
         self._procs.append(proc)
         return proc
-
-    def spawn(self) -> Tuple[str, int]:
-        """Start one more worker daemon and return its ``(host, port)``.
-
-        The elastic-membership companion to
-        :meth:`RemoteExecutor.add_worker`: spawn a daemon here, then hand
-        its address to a running executor to grow the task pool
-        mid-drive.  The new worker is owned by this cluster and dies
-        with :meth:`terminate` like the initial ones.
-        """
-        proc = self._spawn_proc()
-        try:
-            address = self._read_ready_line(proc, self._startup_timeout)
-        except BaseException:
-            self._procs.remove(proc)
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=5)
-            if proc.stdout is not None:
-                proc.stdout.close()
-            raise
-        self.addresses.append(address)
-        return address
 
     @staticmethod
     def _read_ready_line(

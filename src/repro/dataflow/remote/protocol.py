@@ -54,8 +54,8 @@ Worker-to-worker shuffle (appended tags, values never shift):
     (the write fn returns ``(n_pre, buckets)``) else ``None`` — the
     driver learns the routing without moving a byte of bucket data.
 ``(MSG_FETCH_BUCKETS, bucket_ids)``
-    Peer-to-peer (or driver-fallback) fetch of every bucket one read
-    task needs from one *producing* daemon: one request per (read task,
+    Peer-to-peer fetch of every bucket one read task needs from one
+    *producing* daemon: one request per (read task,
     peer), sent on a persistent peer link (:class:`PeerLinks`).  The
     daemon answers each id in request order — one ``MSG_BUCKET`` frame,
     or, when the stored payload exceeds its ``bucket_chunk_bytes``, a
@@ -77,15 +77,15 @@ Worker-to-worker shuffle (appended tags, values never shift):
 ``(MSG_TASK_SHUF_READ, index, sources)``
     A shuffle-read task: ``sources`` lists this destination shard's
     bucket parts in input-shard order, each ``("peer", host, port,
-    bucket_id)`` or ``("inline", payload_bytes)``.  The worker fetches
-    peer parts (its own daemon's store is hit locally), merges them
-    exactly like the driver's ``merge_bucket_parts``, and runs the
-    current stage function over the merged shard.  The reply is
+    bucket_id)``.  The worker fetches the parts (its own daemon's store
+    is hit locally), merges them exactly like the driver's
+    ``merge_bucket_parts``, and runs the current stage function over
+    the merged shard.  The reply is
     ``(MSG_RESULT, index, (value, n_merged, merged_columnar,
     p2p_bytes, local_bytes, fetch_chunks))`` — or ``(MSG_RESULT, index,
     (FETCH_FAILED, detail))`` when a producing peer is unreachable, in
-    which case the driver re-derives the shard itself (the fault
-    fallback).
+    which case the driver declines the exchange and reruns the whole
+    shuffle through its own merge.
 ``(MSG_EVICT_BUCKETS, exchange_id)``
     Drop every stored bucket of one exchange (sent when the read stage
     completes).  No reply.
@@ -116,10 +116,10 @@ skipped silently.
 Peer links
 ----------
 Shuffle reads reach producing daemons over :class:`PeerLinks`: one pool
-of persistent connections per process, keyed by address (the
-``WorkerServer`` owns a worker's, the ``RemoteExecutor`` the driver's
-fault-fallback pool).  A pooled link that fails is dropped and the fetch
-retried once on a fresh connection; only a failure there reaches the
+of persistent connections per worker daemon, keyed by address and owned
+by its ``WorkerServer`` (the driver fetches no bucket and has no pool).
+A pooled link that fails is dropped and the fetch retried once on a
+fresh connection; only a failure there reaches the
 caller, which turns it into ``FETCH_FAILED``.
 """
 
@@ -166,8 +166,9 @@ MSG_FETCH_BUCKETS = 18
 #: a tag is retired or a message changes shape: a daemon from another
 #: checkout is then refused at connect time instead of misreading frames.
 #: Version 1 is the unversioned protocol that fetched one bucket per
-#: request.
-PROTOCOL_VERSION = 2
+#: request; version 2 still sent inline-payload read sources
+#: and had the driver recover a ``FETCH_FAILED`` read itself.
+PROTOCOL_VERSION = 3
 
 #: Default upper bound on one ``MSG_BUCKET`` payload before the serving
 #: daemon switches to ``MSG_BUCKET_CHUNK`` streaming (workers take
@@ -175,7 +176,7 @@ PROTOCOL_VERSION = 2
 DEFAULT_BUCKET_CHUNK_BYTES = 4 << 20
 
 #: Shuffle-read reply marker: the worker could not fetch every assigned
-#: bucket (a producing peer died); the driver re-derives the shard.  A
+#: bucket (a producing peer died); the driver declines the exchange.  A
 #: module-level string constant so both sides compare by value.
 FETCH_FAILED = "__repro_bucket_fetch_failed__"
 
@@ -284,7 +285,7 @@ def peer_sources(
     one ``MSG_FETCH_BUCKETS`` request per group."""
     by_peer: Dict[Tuple[str, int], List[str]] = {}
     for source in sources:
-        if source[0] == "peer" and (source[1], source[2]) != exclude:
+        if (source[1], source[2]) != exclude:
             by_peer.setdefault((source[1], source[2]), []).append(source[3])
     return by_peer
 
@@ -349,8 +350,8 @@ class PeerLinks:
         (single-frame ``MSG_BUCKET`` replies add nothing).  A pooled link
         that fails is dropped and the fetch retried once on a fresh
         connection; connection errors from that one propagate — the
-        caller turns them into ``FETCH_FAILED`` so the driver can fall
-        back.
+        caller turns them into ``FETCH_FAILED`` and the driver declines
+        the exchange.
         """
         address = (host, port)
         with self._lock:

@@ -19,15 +19,17 @@ Worker-to-worker shuffle: a ``MSG_TASK_SHUF`` write task leaves its
 buckets in the *daemon-wide* bucket store (shared across connections —
 peers read it over their own persistent links), serialized once at write
 time; one ``MSG_FETCH_BUCKETS`` request serves every bucket a read task
-needs from this daemon to a peer (or to the driver's fault fallback) in
-one round trip, and a ``MSG_TASK_SHUF_READ`` task fetches its assigned
-parts — one request per producing peer, over the daemon's own
+needs from this daemon to a peer in one round trip, and a
+``MSG_TASK_SHUF_READ`` task fetches its assigned parts — one request
+per producing peer, over the daemon's own
 :class:`~repro.dataflow.remote.protocol.PeerLinks` pool, which
 :meth:`WorkerServer.close` closes — merges them in input-shard order
 (bit-identical to the driver's ``merge_bucket_parts``), and runs the
 read stage in place — the driver sees routing metadata and final
-results, never bucket data.  Buckets and task replies are built here, so
-they go through the stdlib pickler (``protocol.dumps_plain``).
+results, never bucket data.  A read that cannot fetch a part replies
+``FETCH_FAILED``, and the driver declines the whole exchange.  Buckets
+and task replies are built here, so they go through the stdlib
+pickler (``protocol.dumps_plain``).
 
 Shutdown is graceful by default: ``(MSG_SHUTDOWN,)`` closes the listener
 and drains every connection's in-flight task before exiting, so other
@@ -121,7 +123,7 @@ class WorkerServer:
         self.host, self.port = self._listener.getsockname()[:2]
         #: Daemon-wide bucket store: ``"<exchange>/<input>/<dest>" ->
         #: serialized bucket`` — shared across connections because peers
-        #: (and the driver's fault fallback) fetch over their own links.
+        #: fetch over their own links.
         self._buckets: Dict[str, bytes] = {}
         self._buckets_lock = threading.Lock()
         #: This daemon's persistent links to the peers its read tasks
@@ -406,12 +408,7 @@ class WorkerServer:
             parts: List[Any] = []
             p2p_bytes = 0
             local_bytes = 0
-            for source in sources:
-                if source[0] == "inline":
-                    payload = source[1]
-                    parts.append(protocol.loads(payload))
-                    continue
-                _, host, port, bucket_id = source
+            for _, host, port, bucket_id in sources:
                 if (host, port) == own:
                     payload = self.get_bucket(bucket_id)
                     if payload is None:

@@ -74,7 +74,7 @@ class TestPipelineCheckpointing:
         the thread pool — backends are bit-identical, so digests are too."""
         ckpt = str(tmp_path / "ckpt")
         first, _ = _run_job(ckpt)
-        with ThreadExecutor(min_parallel_records=0) as executor:
+        with ThreadExecutor() as executor:
             second, m2 = _run_job(ckpt, executor=executor)
         assert second == first
         assert m2.checkpoint_hits > 0

@@ -215,7 +215,7 @@ def _run_cell(
     runs on.  ``optimize``/``shuffle`` of ``None`` take the module
     defaults, i.e. whatever ``--no-optimize``/``--worker-shuffle`` set."""
     if executor_name == "thread":
-        executor = ThreadExecutor(min_parallel_records=0)
+        executor = ThreadExecutor()
     elif executor_name == "remote":
         executor = RemoteExecutor(workers=cluster.addresses)
     else:

@@ -41,12 +41,11 @@ def cluster():
 
 
 def _fresh_executor(name, cluster):
-    """A new instance per run, pools forced on so tiny test data still
-    exercises the parallel paths."""
+    """A new instance per run."""
     if name == "sequential":
         return SequentialExecutor()
     if name == "thread":
-        return ThreadExecutor(min_parallel_records=0)
+        return ThreadExecutor()
     return RemoteExecutor(workers=cluster.addresses)
 
 
@@ -227,7 +226,7 @@ class TestExecutorLifecycle:
         """A passed-in executor instance is not owned by the pipeline:
         closing one pipeline leaves it usable by the next, on the same
         pool."""
-        executor = ThreadExecutor(min_parallel_records=0)
+        executor = ThreadExecutor()
         try:
             first = Pipeline(2, executor=executor)
             assert sorted(
@@ -269,7 +268,7 @@ class TestExecutorLifecycle:
             assert os.getpid() not in pids
 
     def test_pool_survives_failed_stage(self):
-        executor = ThreadExecutor(min_parallel_records=0)
+        executor = ThreadExecutor()
         try:
             pipeline = Pipeline(2, executor=executor)
             with pytest.raises(ZeroDivisionError):
@@ -308,7 +307,7 @@ class TestExecutorLifecycle:
         assert ThreadExecutor(max_workers=None).max_workers >= 2
 
     def test_executor_context_manager(self):
-        with ThreadExecutor(min_parallel_records=0) as executor:
+        with ThreadExecutor() as executor:
             out = executor.run_stage(sum, [[1, 2], [3, 4]])
         assert out == [3, 7]
         with pytest.raises(RuntimeError, match="executor closed"):

@@ -70,7 +70,7 @@ def remote_cluster():
 
 def _options(executor_name, shuffle, cluster, checkpoint_dir):
     if executor_name == "thread":
-        executor = ThreadExecutor(min_parallel_records=0)
+        executor = ThreadExecutor()
     elif executor_name == "remote":
         executor = RemoteExecutor(workers=cluster.addresses)
     else:

@@ -225,7 +225,7 @@ def remote_cluster():
 @pytest.mark.parametrize("program", PROGRAMS)
 def test_plan_is_what_runs(program, optimize, plane, remote_cluster):
     executor = (
-        RemoteExecutor(workers=remote_cluster.addresses, min_parallel_records=0)
+        RemoteExecutor(workers=remote_cluster.addresses)
         if plane == "worker" else "sequential"
     )
     pipeline = Pipeline(
@@ -290,7 +290,7 @@ def test_a_fused_read_with_two_readers_runs_once(shape, plane, remote_cluster):
     for optimize in (True, False):
         executor = (
             RemoteExecutor(
-                workers=remote_cluster.addresses, min_parallel_records=0
+                workers=remote_cluster.addresses
             )
             if plane == "worker" else "sequential"
         )

@@ -108,14 +108,19 @@ class TestRemoteBasics:
         assert remote.run_stage(sum, [[1, 2], [3]]) == [3, 3]
 
     def test_unserializable_shard_records_degrade_to_driver(self, remote):
-        shards = [[(lambda i=i: i) for i in range(5)], [lambda: 99]]
-        out = remote.run_stage(lambda fns: sorted(f() for f in fns), shards)
-        assert out == [[0, 1, 2, 3, 4], [99]]
+        """A shard neither pickler can serialize (cloudpickle ships
+        lambdas, not locks) runs on the driver; the others stay remote."""
+        shards = [[threading.Lock(), 1], [2, 3]]
+        out = remote.run_stage(
+            lambda records: (os.getpid(), len(records)), shards
+        )
+        assert out[0] == (os.getpid(), 2)
+        assert out[1][0] != os.getpid() and out[1][1] == 2
 
     def test_dofn_error_on_driver_fallback_fails_stage(self, remote):
         """A DoFn exception while computing an unserializable shard on the
         driver is a deterministic stage failure, not a hang."""
-        shards = [[lambda: 1], [lambda: 2]]
+        shards = [[threading.Lock()], [threading.Lock()]]
         with pytest.raises(ZeroDivisionError):
             remote.run_stage(lambda fns: 1 // 0, shards)
 

@@ -1,23 +1,21 @@
-"""Worker-to-worker shuffle, elastic membership, and the remote bug sweep.
+"""Worker-to-worker shuffle, its one fault path, and the remote bug sweep.
 
 The tentpole contract: with ``shuffle="worker"`` on the remote backend,
 shuffle-write stages leave their buckets resident on the producing
-worker and the read stage fetches them peer-to-peer — on the fault-free
-path **zero bucket bytes cross the driver** (``driver_shuffle_bytes ==
-0`` while ``p2p_shuffle_bytes > 0``), and the results (and engine
-metrics) stay bit-identical to the sequential reference.  When a
-producing worker dies between write and read, the driver re-derives the
-lost buckets from the original input shards (``bucket_refetches``) and
-the drive still finishes bit-identically.
+worker and the read stage fetches them peer-to-peer — no bucket byte
+crosses the driver (``p2p_shuffle_bytes > 0``, ``exchange_fallbacks ==
+0``), and the results (and engine metrics) stay bit-identical to the
+sequential reference.  An exchange is all or nothing: a producer lost
+with its buckets, a shard that does not serialize, or no live worker
+makes it decline (``exchange_fallbacks``), and the driver merge reruns
+the whole shuffle — bit-identically, metered once.
 
-The satellites ride along: elastic membership (``LocalCluster.spawn`` +
-``RemoteExecutor.add_worker``/``remove_worker``), the reply-timeout
-scoping regression in ``_recv_reply``, the worker-side blob-cache LRU
-byte cap, and graceful ``MSG_SHUTDOWN`` drain.  The read side's round
-trips are pinned too: one ``MSG_FETCH_BUCKETS`` request per (read task,
-peer) over persistent links that a later exchange reuses, one fresh
-retry for a broken pooled link, and a handshake that refuses a daemon of
-another protocol version.
+The satellites ride along: the reply-timeout scoping regression in
+``_recv_reply``, the worker-side blob-cache LRU byte cap, and graceful
+``MSG_SHUTDOWN`` drain.  The read side's round trips are pinned too: one
+``MSG_FETCH_BUCKETS`` request per (read task, peer) over persistent
+links that a later exchange reuses, one fresh retry for a broken pooled
+link, and a handshake that refuses a daemon of another protocol version.
 
 Fault-injection tests spawn private clusters so killing a worker cannot
 disturb neighbouring tests; everything else shares one module cluster.
@@ -59,7 +57,7 @@ def cluster():
 @pytest.fixture
 def remote(cluster):
     executor = RemoteExecutor(
-        workers=cluster.addresses, min_parallel_records=0
+        workers=cluster.addresses
     )
     yield executor
     executor.close()
@@ -113,11 +111,9 @@ class TestExchangeDataPlane:
         assert sorted(got) == reference
         stats = remote.stats()
         assert stats["p2p_shuffle_bytes"] > 0
-        assert stats["driver_shuffle_bytes"] == 0
-        assert stats["bucket_refetches"] == 0
+        assert stats["exchange_fallbacks"] == 0
         # The pipeline's metrics mirror the executor counters.
         assert pipeline.metrics.p2p_shuffle_bytes == stats["p2p_shuffle_bytes"]
-        assert pipeline.metrics.driver_shuffle_bytes == 0
         # Counter-style metrics parity with the sequential reference —
         # the exchange changes where bytes move, not what the engine did.
         assert (
@@ -140,7 +136,7 @@ class TestExchangeDataPlane:
         assert sorted(got) == reference
         stats = remote.stats()
         assert stats["p2p_shuffle_bytes"] > 0
-        assert stats["driver_shuffle_bytes"] == 0
+        assert stats["exchange_fallbacks"] == 0
         assert (
             pipeline.metrics.shuffled_records,
             pipeline.metrics.pre_shuffle_records,
@@ -175,7 +171,7 @@ class TestExchangeDataPlane:
         )
         assert drive(pipeline) == reference
         assert pipeline.metrics.columnar_rows > 0
-        assert remote.stats()["driver_shuffle_bytes"] == 0
+        assert remote.stats()["exchange_fallbacks"] == 0
 
     def test_lifted_fold_over_exchange(self, remote):
         """The optimizer's lifted combiner rides the worker plane too."""
@@ -200,7 +196,8 @@ class TestExchangeDataPlane:
         )
         assert sorted(got) == reference
         assert pipeline.metrics.lifted_combiners == 1
-        assert remote.stats()["driver_shuffle_bytes"] == 0
+        assert remote.stats()["p2p_shuffle_bytes"] > 0
+        assert remote.stats()["exchange_fallbacks"] == 0
 
     def test_driver_plane_is_the_default(self, remote):
         """Leaving ``shuffle`` unset keeps every bucket on the driver."""
@@ -245,96 +242,42 @@ class TestExchangeDataPlane:
                 pipeline.close()
 
 
-class TestElasticMembership:
-    def test_spawned_worker_joins_and_serves(self):
-        """A worker spawned and added mid-drive receives tasks, the blob
-        cache reaching it lazily on first use."""
-        with LocalCluster(1) as private:
-            executor = RemoteExecutor(
-                workers=private.addresses,
-                min_parallel_records=0,
-                broadcast_min_bytes=1024,
-            )
-            try:
-                x = np.arange(8192, dtype=np.float64)
-
-                def lookup(records, _x=x):
-                    return [float(_x[r]) for r in records]
-
-                shards = [[i, i + 1] for i in range(0, 8, 2)]
-                expected = [lookup(s) for s in shards]
-                assert executor.run_stage(lookup, shards) == expected
-                assert executor.stats()["broadcast_blobs"] == 1
-
-                address = private.spawn()
-                assert executor.add_worker(address) == address
-                assert executor.stats()["n_workers"] == 2
-                # Same capture again: the joiner gets the blob on first
-                # use (one more ship), the veteran is not re-shipped.
-                assert executor.run_stage(lookup, shards) == expected
-                assert executor.stats()["broadcast_blobs"] == 2
-                assert executor.run_stage(lookup, shards) == expected
-                assert executor.stats()["broadcast_blobs"] == 2
-
-                # And the joiner serves the p2p shuffle plane.
-                pipeline = Pipeline(
-                    num_shards=4, executor=executor, shuffle="worker",
-                    optimize=True,
-                )
-                assert sorted(_group_drive(pipeline)) == sorted(
-                    _group_drive(Pipeline(num_shards=4))
-                )
-                assert executor.stats()["p2p_shuffle_bytes"] > 0
-                assert executor.stats()["driver_shuffle_bytes"] == 0
-            finally:
-                executor.close()
-
-    def test_add_worker_accepts_spec_strings(self, cluster):
-        executor = RemoteExecutor(workers=cluster.addresses[:1])
-        try:
-            host, port = cluster.addresses[1]
-            assert executor.add_worker(f"{host}:{port}") == (host, port)
-            assert executor.stats()["n_workers"] == 2
-        finally:
-            executor.close()
-
-    def test_remove_worker_shrinks_the_pool(self, cluster):
-        executor = RemoteExecutor(
-            workers=cluster.addresses, min_parallel_records=0
-        )
-        try:
-            executor.remove_worker(cluster.addresses[0])
-            assert executor.stats()["n_workers"] == 1
-            # The survivor still serves stages (and p2p degrades to a
-            # single-worker exchange, still off the driver).
-            assert executor.run_stage(sum, [[1, 2], [3, 4]]) == [3, 7]
-        finally:
-            executor.close()
-
-    def test_remove_unknown_worker_raises(self, cluster):
-        executor = RemoteExecutor(workers=cluster.addresses)
-        try:
-            with pytest.raises(ValueError, match="no such worker"):
-                executor.remove_worker(("127.0.0.1", 1))
-        finally:
-            executor.close()
-
-    def test_add_worker_after_close_raises(self, cluster):
-        executor = RemoteExecutor(workers=cluster.addresses)
-        executor.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.add_worker(cluster.addresses[0])
+def _metered(metrics):
+    """The engine counters a declined exchange must not meter twice."""
+    return (
+        metrics.executed_stages,
+        metrics.shuffled_records,
+        metrics.pre_shuffle_records,
+        metrics.peak_shard_records,
+    )
 
 
 class TestFaultFallback:
-    """A producer dying mid-shuffle degrades to the driver, bit-identically."""
+    """A faulted exchange declines and the driver merge reruns the whole
+    shuffle, bit-identically and metered once."""
+
+    @staticmethod
+    def _keyed_drive(pipeline, fn):
+        # Keyed at the source: the exchange's write phase is the drive's
+        # first stage under either plan.
+        data = [(i % 13, i) for i in range(200)]
+        return sorted(
+            pipeline.create_keyed(data).map_values(fn)
+            .group_by_key().map_values(sorted).to_list()
+        )
+
+    def _assert_declined_once(self, stats, got, pipeline):
+        seq = Pipeline(num_shards=4, optimize=True)
+        assert got == self._keyed_drive(seq, lambda v: v * 2)
+        assert stats["exchange_fallbacks"] == 1
+        assert stats["worker_failures"] >= 1
+        assert _metered(pipeline.metrics) == _metered(seq.metrics)
 
     def _exchange_drive_with_kill(self, kill, barrier_dir):
         """Run a grouped drive, invoking ``kill(executor)`` right after
-        the exchange's write phase (buckets resident, read not planned)."""
-        executor = RemoteExecutor(
-            max_workers=2, min_parallel_records=0, heartbeat_timeout=5.0
-        )
+        the exchange's write phase (buckets resident, no read sent).
+        Returns ``(stats, result, pipeline)``."""
+        executor = RemoteExecutor(max_workers=2, heartbeat_timeout=5.0)
         try:
             original = executor._check_stage
             fired = {"done": False}
@@ -356,8 +299,7 @@ class TestFaultFallback:
                 # announces it, then waits until a second process has
                 # announced too — so both workers hold write tasks (and
                 # therefore buckets) whichever one the kill picks.  The
-                # driver's re-derivation finds both markers and never
-                # waits.
+                # rerun finds both markers and never waits.
                 marker = os.path.join(_dir, str(os.getpid()))
                 if not os.path.exists(marker):
                     with open(marker, "w"):
@@ -370,27 +312,8 @@ class TestFaultFallback:
                         time.sleep(0.005)
                 return value * 2
 
-            # Keyed at the source: the exchange's write phase is the
-            # drive's first stage under either plan, so the hook above
-            # fires between its write and its read.
-            data = [(i % 7, i) for i in range(200)]
-            got = (
-                pipeline.create_keyed(data)
-                .map_values(rendezvous_double)
-                .group_by_key()
-                .map_values(sorted)
-                .to_list()
-            )
-            seq = Pipeline(num_shards=4)
-            reference = (
-                seq.create_keyed(data)
-                .map_values(lambda v: v * 2)
-                .group_by_key()
-                .map_values(sorted)
-                .to_list()
-            )
-            assert sorted(got) == sorted(reference)
-            return executor.stats()
+            got = self._keyed_drive(pipeline, rendezvous_double)
+            return executor.stats(), got, pipeline
         finally:
             executor.close()
 
@@ -404,7 +327,7 @@ class TestFaultFallback:
             barrier_dir = tmp_path / mode
             barrier_dir.mkdir()
             executor = RemoteExecutor(
-                max_workers=2, min_parallel_records=0, heartbeat_timeout=5.0
+                max_workers=2, heartbeat_timeout=5.0
             )
             try:
                 victim = executor.worker_pids[0]
@@ -447,50 +370,111 @@ class TestFaultFallback:
                 assert executor._exchange_counter == int(mode == "exchange")
                 return {
                     key: stats[key]
-                    for key in ("worker_failures", "retried_shards")
+                    for key in (
+                        "worker_failures", "retried_shards",
+                        "exchange_fallbacks",
+                    )
                 }
             finally:
                 executor.close()
 
         plain, exchange = drive("run_stage"), drive("exchange")
+        # A requeue is not a decline: the exchange still finished.
         assert plain == exchange == {
             "worker_failures": 1, "retried_shards": 1,
+            "exchange_fallbacks": 0,
         }
 
     def test_producer_killed_between_write_and_read(self, tmp_path):
+        """The survivor's read cannot fetch the dead producer's buckets
+        (``FETCH_FAILED``): the exchange declines after its reads."""
         def kill_one(executor):
             os.kill(executor.worker_pids[0], signal.SIGKILL)
             time.sleep(0.2)
 
-        stats = self._exchange_drive_with_kill(kill_one, tmp_path)
-        # The lost producer's buckets were re-derived on the driver; the
-        # survivor's parts for the broken destinations were pulled
-        # through the driver too — both count as fallback traffic.
-        assert stats["bucket_refetches"] > 0
-        assert stats["worker_failures"] >= 1
+        self._assert_declined_once(
+            *self._exchange_drive_with_kill(kill_one, tmp_path)
+        )
 
-    def test_all_producers_killed_completes_on_driver(self, tmp_path):
+    def test_all_producers_killed_raises_no_live_workers(self, tmp_path):
+        """With every producer gone the exchange declines, and its rerun
+        raises like any other remote stage with no worker left."""
         def kill_all(executor):
             for pid in executor.worker_pids:
                 os.kill(pid, signal.SIGKILL)
             time.sleep(0.2)
 
-        stats = self._exchange_drive_with_kill(kill_all, tmp_path)
-        assert stats["bucket_refetches"] > 0
-        assert stats["worker_failures"] == 2
+        with pytest.raises(RuntimeError, match="no live remote workers"):
+            self._exchange_drive_with_kill(kill_all, tmp_path)
 
-    def test_known_dead_producer_inlines_through_driver(self, tmp_path):
-        """When the driver already knows the producer is gone (channel
-        dead at planning time), its buckets ship inline — re-derived,
-        counted as driver bytes — and the drive still matches."""
-        def kill_and_mark(executor):
-            victim = executor._channels[0]
-            os.kill(executor.worker_pids[0], signal.SIGKILL)
-            victim.kill()
+    def test_known_dead_producer_declines_the_exchange(self, tmp_path):
+        """A producer that finished one write task and died on its next
+        is known dead when the driver plans the reads: its task was
+        requeued, but its buckets are gone, so the exchange declines
+        before any read is sent."""
+        executor = RemoteExecutor(max_workers=2, heartbeat_timeout=5.0)
+        try:
+            victim, survivor = executor.worker_pids
+            wrote = str(tmp_path / "victim-wrote-one")
+            died = str(tmp_path / "victim-died")
 
-        stats = self._exchange_drive_with_kill(kill_and_mark, tmp_path)
-        assert stats["bucket_refetches"] > 0
-        assert stats["driver_shuffle_bytes"] > 0
+            def double_batch(
+                shard, _victim=victim, _survivor=survivor, _wrote=wrote,
+                _died=died,
+            ):
+                # The survivor holds its first task until the victim has
+                # died, so the victim finishes one task and dies on its
+                # second.
+                if os.getpid() == _victim:
+                    if os.path.exists(_wrote):
+                        with open(_died, "w"):
+                            pass
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    with open(_wrote, "w"):
+                        pass
+                elif os.getpid() == _survivor:
+                    deadline = time.monotonic() + 30
+                    while (
+                        not os.path.exists(_died)
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.005)
+                return [(key, value * 2) for key, value in as_records(shard)]
+
+            pipeline = Pipeline(
+                num_shards=4, executor=executor, shuffle="worker",
+                optimize=True,
+            )
+            got = self._keyed_drive(
+                pipeline, BatchDoFn(lambda v: v * 2, double_batch)
+            )
+            stats = executor.stats()
+        finally:
+            executor.close()
+        assert stats["retried_shards"] == 1
+        self._assert_declined_once(stats, got, pipeline)
+
+    def test_unserializable_record_declines_the_exchange(self, remote):
+        """A write-input record neither pickler can serialize declines
+        the exchange; the driver merge reruns it (that shard on the
+        driver)."""
+        data = [(i % 7, i) for i in range(200)] + [(3, threading.Lock())]
+
+        def drive(pipeline):
+            return sorted(
+                pipeline.create(data).as_keyed().group_by_key().to_list(),
+                key=lambda kv: kv[0],
+            )
+
+        seq = Pipeline(num_shards=4, optimize=True)
+        pipeline = Pipeline(
+            num_shards=4, executor=remote, shuffle="worker", optimize=True
+        )
+        assert drive(pipeline) == drive(seq)
+        assert remote.stats()["exchange_fallbacks"] == 1
+        assert (
+            pipeline.metrics.executed_stages == seq.metrics.executed_stages
+        )
 
 
 class TestRecvReplyTimeoutScope:
@@ -557,7 +541,6 @@ class TestBlobCacheCap:
     def test_over_cap_blobs_evicted_and_reshippable(self, cluster):
         executor = RemoteExecutor(
             workers=cluster.addresses,
-            min_parallel_records=0,
             broadcast_min_bytes=1024,
             worker_cache_max_bytes=200_000,
         )
@@ -585,7 +568,6 @@ class TestBlobCacheCap:
     def test_uncapped_cache_never_evicts(self, cluster):
         executor = RemoteExecutor(
             workers=cluster.addresses,
-            min_parallel_records=0,
             broadcast_min_bytes=1024,
             worker_cache_max_bytes=None,
         )
@@ -644,7 +626,7 @@ class TestChunkedBucketFetch:
         reference = self._fat_drive(Pipeline(num_shards=4))
         with LocalCluster(2, bucket_chunk_bytes=128 * 1024) as private:
             executor = RemoteExecutor(
-                workers=private.addresses, min_parallel_records=0
+                workers=private.addresses
             )
             try:
                 pipeline = Pipeline(
@@ -659,8 +641,7 @@ class TestChunkedBucketFetch:
                 # each.
                 assert stats["p2p_shuffle_bytes"] > 0
                 assert stats["bucket_fetch_chunks"] >= 2
-                assert stats["driver_shuffle_bytes"] == 0
-                assert stats["bucket_refetches"] == 0
+                assert stats["exchange_fallbacks"] == 0
                 assert (
                     pipeline.metrics.bucket_fetch_chunks
                     == stats["bucket_fetch_chunks"]
@@ -682,7 +663,7 @@ class TestChunkedBucketFetch:
         reference = self._fat_drive(Pipeline(num_shards=4))
         with LocalCluster(2, bucket_chunk_bytes=0) as private:
             executor = RemoteExecutor(
-                workers=private.addresses, min_parallel_records=0
+                workers=private.addresses
             )
             try:
                 pipeline = Pipeline(
@@ -728,7 +709,7 @@ class TestGracefulShutdown:
         marker_dir = str(tmp_path)
         with LocalCluster(2) as private:
             executor = RemoteExecutor(
-                workers=private.addresses, min_parallel_records=0
+                workers=private.addresses
             )
             try:
                 def slow(records, _dir=marker_dir):
@@ -913,7 +894,6 @@ class TestPeerLinks:
     def test_one_fetch_request_per_read_task_and_peer(self, counting_servers):
         executor = RemoteExecutor(
             workers=[server.address for server in counting_servers],
-            min_parallel_records=0,
         )
         try:
             got = _padded_group_drive(_exchange_pipeline(executor))
@@ -939,7 +919,6 @@ class TestPeerLinks:
         reference = _padded_group_drive(Pipeline(num_shards=4), pause=0)
         executor = RemoteExecutor(
             workers=[server.address for server in counting_servers],
-            min_parallel_records=0,
         )
         try:
             accepted = []
@@ -1002,7 +981,7 @@ class TestPeerLinks:
     def test_killed_producer_with_warm_links_falls_back_bit_identically(self):
         reference = _padded_group_drive(Pipeline(num_shards=4), pause=0)
         executor = RemoteExecutor(
-            max_workers=2, min_parallel_records=0, heartbeat_timeout=5.0
+            max_workers=2, heartbeat_timeout=5.0
         )
         try:
             # Warm-up: both workers read from each other, pooling links.
@@ -1020,13 +999,17 @@ class TestPeerLinks:
                     time.sleep(0.2)
 
             executor._check_stage = check
-            got = _padded_group_drive(_exchange_pipeline(executor))
+            pipeline = _exchange_pipeline(executor)
+            got = _padded_group_drive(pipeline)
             stats = executor.stats()
         finally:
             executor.close()
         assert got == reference
-        assert stats["bucket_refetches"] > 0
+        assert stats["exchange_fallbacks"] == 1
         assert stats["worker_failures"] >= 1
+        seq = Pipeline(num_shards=4, optimize=True)
+        _padded_group_drive(seq, pause=0)
+        assert _metered(pipeline.metrics) == _metered(seq.metrics)
 
 
 class TestProtocolVersion:
