@@ -37,7 +37,7 @@ from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import Fold, Pipeline
 from repro.dataflow.remote import LocalCluster, RemoteExecutor
 from repro.dataflow.remote import protocol, worker
-from repro.dataflow.remote.client import _Channel
+from repro.dataflow.remote.client import _Channel, _fetch_failed
 from repro.dataflow.remote.protocol import (
     MSG_PING,
     MSG_PONG,
@@ -72,14 +72,57 @@ def remote(cluster):
 # worker happens to pull which task — and leaves the sorted
 # ``map_values`` a separate stage that needs a live worker.  Plan-agnostic
 # tests keep the session default (``--no-optimize`` flips it).
+#
+# Peer traffic also needs both workers to hold buckets and every
+# destination to merge parts from both.  The dynamic task pull alone
+# guarantees neither: one worker can take every write task before its
+# sibling's loop starts, so write-side functions of those tests go
+# through ``_on_both_workers``.  And ``create`` deals records to shards
+# round-robin, so keys cycle modulo a number coprime to the 4-way
+# sharding (7, 5): every input shard then holds every key.  Keys ``% 6``
+# would put the even keys on shards 0 and 2 only, and a worker that pulled
+# both of those and then the reads of the even keys' destinations would
+# serve itself locally.
 
 
-def _group_drive(pipeline):
-    """A grouping beam: fused map upstream, sorted group downstream."""
+def _on_both_workers(fn, barrier_dir):
+    """``fn`` behind a handshake that spreads a stage over two worker
+    processes: a process's first call announces it, then waits until a
+    second process has announced too.  A worker stuck in its first task
+    leaves every other task to its sibling, so both hold tasks — and so,
+    in an exchange's write, buckets — whichever loop starts first.  A
+    rerun finds both markers and never waits.  The handshake changes no
+    value."""
+
+    def spread(*args, _fn=fn, _dir=str(barrier_dir)):
+        marker = os.path.join(_dir, str(os.getpid()))
+        if not os.path.exists(marker):
+            with open(marker, "w"):
+                pass
+            deadline = time.monotonic() + 30
+            while (
+                len(os.listdir(_dir)) < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+        return _fn(*args)
+
+    return spread
+
+
+def _group_drive(pipeline, barrier_dir=None):
+    """A grouping beam: fused map upstream, sorted group downstream.
+    With ``barrier_dir`` the map spreads the write over both workers."""
     data = [(i % 7, i) for i in range(400)]
+
+    def tag(kv):
+        return (kv[0], kv[1] * 3 + 1)
+
+    if barrier_dir is not None:
+        tag = _on_both_workers(tag, barrier_dir)
     return (
         pipeline.create(data)
-        .map(lambda kv: (kv[0], kv[1] * 3 + 1))
+        .map(tag)
         .as_keyed()
         .group_by_key()
         .map_values(sorted)
@@ -87,13 +130,21 @@ def _group_drive(pipeline):
     )
 
 
-def _combine_drive(pipeline):
-    """A combine beam: the precombiner pre-aggregates before the wire."""
+def _combine_drive(pipeline, barrier_dir=None):
+    """A combine beam: the precombiner pre-aggregates before the wire.
+    With ``barrier_dir`` its ``add`` spreads the write over both
+    workers."""
     data = [(i % 5, i) for i in range(300)]
+
+    def add(acc, value):
+        return acc + value
+
+    if barrier_dir is not None:
+        add = _on_both_workers(add, barrier_dir)
     return (
         pipeline.create(data)
         .as_keyed()
-        .combine_per_key(int, lambda a, v: a + v, lambda a, b: a + b)
+        .combine_per_key(int, add, lambda a, b: a + b)
         .to_list()
     )
 
@@ -101,13 +152,13 @@ def _combine_drive(pipeline):
 class TestExchangeDataPlane:
     """Fault-free p2p shuffles: zero driver bytes, identical everything."""
 
-    def test_group_zero_driver_bytes(self, remote):
+    def test_group_zero_driver_bytes(self, remote, tmp_path):
         seq = Pipeline(num_shards=4, optimize=True)
         reference = sorted(_group_drive(seq))
         pipeline = Pipeline(
             num_shards=4, executor=remote, shuffle="worker", optimize=True
         )
-        got = _group_drive(pipeline)
+        got = _group_drive(pipeline, tmp_path)
         assert sorted(got) == reference
         stats = remote.stats()
         assert stats["p2p_shuffle_bytes"] > 0
@@ -126,13 +177,13 @@ class TestExchangeDataPlane:
             seq.metrics.peak_shard_records,
         )
 
-    def test_combine_zero_driver_bytes(self, remote):
+    def test_combine_zero_driver_bytes(self, remote, tmp_path):
         seq = Pipeline(num_shards=4, optimize=True)
         reference = sorted(_combine_drive(seq))
         pipeline = Pipeline(
             num_shards=4, executor=remote, shuffle="worker", optimize=True
         )
-        got = _combine_drive(pipeline)
+        got = _combine_drive(pipeline, tmp_path)
         assert sorted(got) == reference
         stats = remote.stats()
         assert stats["p2p_shuffle_bytes"] > 0
@@ -173,13 +224,13 @@ class TestExchangeDataPlane:
         assert pipeline.metrics.columnar_rows > 0
         assert remote.stats()["exchange_fallbacks"] == 0
 
-    def test_lifted_fold_over_exchange(self, remote):
+    def test_lifted_fold_over_exchange(self, remote, tmp_path):
         """The optimizer's lifted combiner rides the worker plane too."""
         seq = Pipeline(num_shards=4, optimize=True)
         data = list(range(500))
         reference = sorted(
             seq.create(data)
-            .key_by(lambda x: x % 6)
+            .key_by(lambda x: x % 7)
             .group_by_key()
             .map_values(Fold.sum())
             .to_list()
@@ -189,7 +240,7 @@ class TestExchangeDataPlane:
         )
         got = (
             pipeline.create(data)
-            .key_by(lambda x: x % 6)
+            .key_by(_on_both_workers(lambda x: x % 7, tmp_path))
             .group_by_key()
             .map_values(Fold.sum())
             .to_list()
@@ -222,7 +273,7 @@ class TestExchangeDataPlane:
         assert EngineOptions(shuffle="worker").shuffle == "worker"
         assert EngineOptions().shuffle is None
 
-    def test_context_threads_shuffle_through(self, cluster):
+    def test_context_threads_shuffle_through(self, cluster, tmp_path):
         options = EngineOptions(
             "remote",
             num_shards=4,
@@ -234,7 +285,7 @@ class TestExchangeDataPlane:
             pipeline = ctx.pipeline()
             try:
                 assert pipeline.shuffle == "worker"
-                assert sorted(_group_drive(pipeline)) == sorted(
+                assert sorted(_group_drive(pipeline, tmp_path)) == sorted(
                     _group_drive(Pipeline(num_shards=4))
                 )
                 assert pipeline.metrics.p2p_shuffle_bytes > 0
@@ -293,26 +344,11 @@ class TestFaultFallback:
                 num_shards=4, executor=executor, shuffle="worker",
                 optimize=True,
             )
-
-            def rendezvous_double(value, _dir=str(barrier_dir)):
-                # Handshake instead of a sleep: a process's first record
-                # announces it, then waits until a second process has
-                # announced too — so both workers hold write tasks (and
-                # therefore buckets) whichever one the kill picks.  The
-                # rerun finds both markers and never waits.
-                marker = os.path.join(_dir, str(os.getpid()))
-                if not os.path.exists(marker):
-                    with open(marker, "w"):
-                        pass
-                    deadline = time.monotonic() + 30
-                    while (
-                        len(os.listdir(_dir)) < 2
-                        and time.monotonic() < deadline
-                    ):
-                        time.sleep(0.005)
-                return value * 2
-
-            got = self._keyed_drive(pipeline, rendezvous_double)
+            # Both workers hold write tasks (and therefore buckets)
+            # whichever one the kill picks.
+            got = self._keyed_drive(
+                pipeline, _on_both_workers(lambda v: v * 2, barrier_dir)
+            )
             return executor.stats(), got, pipeline
         finally:
             executor.close()
@@ -475,6 +511,90 @@ class TestFaultFallback:
         assert (
             pipeline.metrics.executed_stages == seq.metrics.executed_stages
         )
+
+    def test_next_exchange_after_a_decline_runs_worker_to_worker(
+        self, remote, tmp_path
+    ):
+        """A decline leaves the executor whole: the next exchange on the
+        same channels finishes peer-to-peer, and only the faulted one is
+        counted."""
+        data = [(i % 7, i) for i in range(40)] + [(3, threading.Lock())]
+        pipeline = Pipeline(
+            num_shards=4, executor=remote, shuffle="worker", optimize=True
+        )
+        pipeline.create(data).as_keyed().group_by_key().to_list()
+        assert remote.stats()["exchange_fallbacks"] == 1
+        pipeline = Pipeline(
+            num_shards=4, executor=remote, shuffle="worker", optimize=True
+        )
+        assert sorted(_group_drive(pipeline, tmp_path)) == sorted(
+            _group_drive(Pipeline(num_shards=4))
+        )
+        stats = remote.stats()
+        assert stats["exchange_fallbacks"] == 1
+        assert stats["p2p_shuffle_bytes"] > 0
+        assert stats["worker_failures"] == 0
+
+    def test_unserializable_stage_function_is_not_an_attempt(self, remote):
+        """A stage function neither pickler can serialize returns ``None``
+        before any task is sent: the driver merge runs the shuffle (that
+        stage on the driver), and no decline is counted."""
+        guard = threading.Lock()
+
+        def drive(pipeline):
+            return sorted(
+                pipeline.create_keyed([(i % 7, i) for i in range(100)])
+                .map_values(lambda v, _guard=guard: v * 2)
+                .group_by_key().map_values(sorted).to_list()
+            )
+
+        seq = Pipeline(num_shards=4, optimize=True)
+        pipeline = Pipeline(
+            num_shards=4, executor=remote, shuffle="worker", optimize=True
+        )
+        assert drive(pipeline) == drive(seq)
+        stats = remote.stats()
+        assert stats["exchange_fallbacks"] == 0
+        assert stats["p2p_shuffle_bytes"] == 0
+        assert remote._exchange_counter == 0
+        assert _metered(pipeline.metrics) == _metered(seq.metrics)
+
+    def test_single_shard_exchange_is_not_an_attempt(self, remote):
+        """Fewer than two shards leave nothing to shuffle between peers:
+        ``None`` without an attempt, and no decline counted."""
+        assert remote.run_exchange(
+            lambda shard: [shard, []], [[(1, 2)]], len, 2
+        ) is None
+        assert remote.stats()["exchange_fallbacks"] == 0
+        assert remote._exchange_counter == 0
+
+    def test_closed_executor_refuses_an_exchange(self, cluster):
+        executor = RemoteExecutor(workers=cluster.addresses)
+        executor.close()
+        with pytest.raises(RuntimeError, match="executor closed"):
+            executor.run_exchange(
+                lambda shard: [shard, []], [[(1, 2)], [(3, 4)]], len, 2
+            )
+
+    def test_read_of_a_lost_part_replies_fetch_failed(self, counting_servers):
+        """A read task merges a destination only when every part is still
+        held — its own daemon's and its peers' alike.  One lost part makes
+        it reply ``FETCH_FAILED`` (the reply that declines the exchange),
+        never a partial merge."""
+        reader, peer = counting_servers
+        peer.store_bucket("x/0/1", protocol.dumps_plain([(1, 2)]))
+        held = ("peer", peer.host, peer.port, "x/0/1")
+        value, n_merged, _, p2p_bytes, local_bytes, _ = (
+            reader._make_shuffle_read_work(len, None, [held])()
+        )
+        assert (value, n_merged, local_bytes) == (1, 1, 0)
+        assert p2p_bytes > 0
+        for lost in (
+            ("peer", peer.host, peer.port, "x/1/1"),
+            ("peer", reader.host, reader.port, "x/1/1"),
+        ):
+            reply = reader._make_shuffle_read_work(len, None, [held, lost])()
+            assert _fetch_failed(reply), reply
 
 
 class TestRecvReplyTimeoutScope:
