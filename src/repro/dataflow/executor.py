@@ -149,10 +149,14 @@ class BroadcastRegistry:
     ``blobs`` maps digest → serialized bytes; executors :meth:`evict` a
     blob's bytes once every *current* worker holds it — long multi-round
     drives don't accumulate their whole large-capture history on the
-    driver.  The digest ledger survives eviction, and the identity fast
-    path only short-circuits while the bytes exist, so a capture whose
-    blob was evicted is re-serialized on demand — which is what lets an
-    LRU-evicted worker cache receive the blob again.
+    driver.  The digest ledger survives eviction.  A read-only ndarray
+    (``NeighborGraph``'s CSR views are read-only by contract, which plan
+    digests rely on too) keeps the identity fast path after eviction:
+    it is hashed once per executor, and :meth:`blob` rebuilds its bytes
+    from the live object only when a channel must be sent it again (an
+    LRU-evicted worker cache).  Any other capture fast-paths only while
+    its bytes exist and is re-serialized after eviction, so a writeable
+    array mutated in place still reaches the workers.
     """
 
     def __init__(self, min_bytes: int = DEFAULT_BROADCAST_MIN_BYTES) -> None:
@@ -161,6 +165,8 @@ class BroadcastRegistry:
         self.unique_bytes = 0
         self._by_id: Dict[int, Tuple[str, Callable[[], Any]]] = {}
         self._seen_digests: "set[str]" = set()
+        #: digest → weak reference to a live read-only capture of it.
+        self._frozen: Dict[str, Callable[[], Any]] = {}
 
     def _eligible(self, obj: Any) -> bool:
         if isinstance(obj, np.ndarray):
@@ -175,16 +181,17 @@ class BroadcastRegistry:
         """Digest for ``obj`` if it should broadcast, else ``None``."""
         if not self._eligible(obj):
             return None
+        frozen = isinstance(obj, np.ndarray) and not obj.flags.writeable
         entry = self._by_id.get(id(obj))
         if entry is not None:
             digest, ref = entry
-            # The identity fast path must also prove the serialized
-            # bytes still exist: after a stage-end eviction, a ledger
-            # that says "seen" with no bytes behind it would hand
-            # ``_ship_blobs`` a digest it cannot ship — a KeyError the
-            # moment an LRU-evicted worker cache needs the blob again.
-            # Falling through re-serializes to the same digest on demand.
-            if ref() is obj and digest in self.blobs:
+            # Past a stage-end eviction only a read-only capture may skip
+            # the hash: ``blob`` can rebuild its bytes.  A writeable one
+            # falls through and re-serializes, so an in-place mutation
+            # gets a new digest instead of the workers' stale copy.
+            if ref() is obj and (frozen or digest in self.blobs):
+                if frozen:
+                    self._frozen[digest] = ref
                 return digest
         blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(blob).hexdigest()
@@ -198,7 +205,26 @@ class BroadcastRegistry:
         except TypeError:  # bytes are not weakref-able; hold strongly
             ref = (lambda _obj=obj: _obj)
         self._by_id[id(obj)] = (digest, ref)
+        if frozen:
+            self._frozen[digest] = ref
         return digest
+
+    def blob(self, digest: str) -> bytes:
+        """A registered digest's serialized bytes, rebuilt from its live
+        read-only capture when eviction has dropped them.
+
+        Only a digest of the payload being shipped is asked for, and that
+        payload's owner keeps the capture alive.
+        """
+        blob = self.blobs.get(digest)
+        if blob is None:
+            capture = self._frozen[digest]()
+            if capture is None:
+                raise KeyError(f"broadcast capture {digest[:12]}… is gone")
+            blob = pickle.dumps(capture, protocol=pickle.HIGHEST_PROTOCOL)
+            # Kept until the stage-end eviction, for the other channels.
+            self.blobs[digest] = blob
+        return blob
 
     def evict(self, digest: str) -> None:
         """Drop a blob's serialized bytes (every worker has it by now)."""
@@ -245,7 +271,7 @@ def dumps_with_broadcast(
     """Serialize a stage payload, extracting large captures into blobs.
 
     Returns ``(payload, digests)`` — the payload references each blob by
-    digest; the caller must ship ``registry.blobs[digest]`` to any worker
+    digest; the caller must ship ``registry.blob(digest)`` to any worker
     that has not seen it yet, *before* the payload.
     """
     buffer = io.BytesIO()

@@ -9,7 +9,10 @@ unchanged with ``num_shards`` spread across real worker processes.
 Scheduling is dynamic: per stage, each live worker receives any
 broadcast blobs it has not seen, the (small) stage payload, and then
 shards one at a time, pulled from a shared queue so skewed shards
-load-balance across the cluster.
+load-balance across the cluster.  Each worker's loop runs on a
+persistent dispatch thread: the executor starts one daemon thread per
+channel at its first stage and reuses them for every later stage and
+exchange phase until ``close()``, so a stage starts no thread.
 
 Fault model
 -----------
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import queue
 import socket
 import threading
 import time
@@ -204,6 +208,13 @@ def _decline(_index: int) -> Any:
     raise _ExchangeDeclined()
 
 
+def _dispatch(jobs: "queue.SimpleQueue[Optional[Callable[[], None]]]") -> None:
+    """A dispatch thread: run channel loops until the ``None`` sentinel."""
+    for job in iter(jobs.get, None):
+        job()
+        del job  # an idle thread must not keep the last stage alive
+
+
 def _fetch_failed(value: Any) -> bool:
     """Is this read-task reply the worker's ``(FETCH_FAILED, detail)``?"""
     return (
@@ -286,6 +297,12 @@ class RemoteExecutor(Executor):
         self._stats_lock = threading.Lock()
         self._cluster: Optional[LocalCluster] = None
         self._channels: List[_Channel] = []
+        #: Channel loops queued for the dispatch threads, which are
+        #: started at the first stage (one per channel) and reused.
+        self._jobs: "queue.SimpleQueue[Optional[Callable[[], None]]]" = (
+            queue.SimpleQueue()
+        )
+        self._dispatch_threads: List[threading.Thread] = []
         try:
             if workers:
                 addresses = [_parse_address(w) for w in workers]
@@ -625,11 +642,12 @@ class RemoteExecutor(Executor):
         channel has received, so long drives don't pile their capture
         history on the driver.
 
-        Runs single-threaded (channel loops joined) — no further reader
+        Runs single-threaded (channel loops finished) — no further reader
         exists.  Eviction must stay this conservative:
         ``maybe_register``'s identity fast path returns a digest without
-        repopulating ``blobs``, so bytes a live channel has never seen
-        must survive for a later ship.
+        repopulating ``blobs``, and only a read-only capture's bytes can
+        be rebuilt later (``registry.blob``), so bytes a live channel has
+        never seen must survive for a later ship.
         """
         live = [ch for ch in self._channels if ch.alive]
         for digest in digests:
@@ -645,22 +663,41 @@ class RemoteExecutor(Executor):
         send_task: Callable[[_Channel, int], bool],
         local_compute: Callable[[int], Any],
     ) -> None:
-        threads = [
-            threading.Thread(
-                target=self._drive_channel,
-                args=(
+        """Run ``_drive_channel`` once per channel on the dispatch
+        threads; return when every loop has finished.
+
+        The threads are daemons, so an executor that is never closed
+        does not hold up interpreter exit.  After ``close()`` nothing is
+        queued, and the caller's ``_check_stage`` reports the close.
+        """
+        done = threading.Semaphore(0)
+
+        def drive(channel: _Channel) -> None:
+            try:
+                self._drive_channel(
                     channel, payload, digests, state, send_task,
                     local_compute,
-                ),
-                daemon=True,
-                name=f"repro-remote-{channel.address[1]}",
-            )
-            for channel in channels
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+                )
+            finally:
+                done.release()
+
+        with self._close_lock:
+            if self._close_event.is_set():
+                return
+            if not self._dispatch_threads:
+                self._dispatch_threads = [
+                    threading.Thread(
+                        target=_dispatch, args=(self._jobs,), daemon=True,
+                        name=f"repro-remote-dispatch-{i}",
+                    )
+                    for i in range(len(self._channels))
+                ]
+                for thread in self._dispatch_threads:
+                    thread.start()
+            for channel in channels:
+                self._jobs.put(lambda channel=channel: drive(channel))
+        for _ in channels:
+            done.acquire()
 
     def _drive_channel(
         self,
@@ -765,7 +802,7 @@ class RemoteExecutor(Executor):
             if digest in channel.shipped:
                 channel.shipped.move_to_end(digest)
                 continue
-            blob = self._registry.blobs[digest]
+            blob = self._registry.blob(digest)
             protocol.send_msg(channel.sock, (MSG_BLOB, digest, blob))
             channel.shipped[digest] = len(blob)
             channel.shipped_bytes += len(blob)
@@ -826,12 +863,17 @@ class RemoteExecutor(Executor):
         thread: channel loops observe the closed sockets, the in-flight
         ``run_stage`` raises ``RuntimeError("executor closed during
         stage")``, and nothing deadlocks waiting on a worker that will
-        never answer.
+        never answer.  The dispatch threads exit once the loops queued
+        before the close have returned.
         """
         with self._close_lock:
             self._close_event.set()
             channels, self._channels = self._channels, []
             cluster, self._cluster = self._cluster, None
+            # Behind every queued loop (FIFO), so none is stranded.
+            for _ in self._dispatch_threads:
+                self._jobs.put(None)
+            self._dispatch_threads = []
         for channel in channels:
             channel.kill()
         if cluster is not None:

@@ -27,9 +27,25 @@ import threading
 from typing import List, Optional, Tuple
 
 
-def _worker_env() -> dict:
-    """Child environment with the engine's source tree importable."""
+#: Thread-count variables of the BLAS builds NumPy may link.
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+)
+
+
+def _worker_env(n_workers: int = 1) -> dict:
+    """Child environment with the engine's source tree importable.
+
+    Each of ``n_workers`` daemons gets ``cpu_count // n_workers`` BLAS
+    threads (at least one) where the parent leaves a variable unset, so
+    the daemons share the cores instead of each running all-core BLAS
+    beside the others.  A value the parent sets passes through.
+    """
     env = dict(os.environ)
+    blas_threads = str(max(1, (os.cpu_count() or 1) // n_workers))
+    for name in _BLAS_THREAD_VARS:
+        if not env.get(name):
+            env[name] = blas_threads
     import repro
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -74,7 +90,8 @@ class LocalCluster:
         self._heartbeat_interval = float(heartbeat_interval)
         self._bucket_chunk_bytes = bucket_chunk_bytes
         try:
-            procs = [self._spawn_proc() for _ in range(int(n_workers))]
+            env = _worker_env(int(n_workers))
+            procs = [self._spawn_proc(env) for _ in range(int(n_workers))]
             for proc in procs:
                 self.addresses.append(
                     self._read_ready_line(proc, float(startup_timeout))
@@ -83,7 +100,7 @@ class LocalCluster:
             self.terminate()
             raise
 
-    def _spawn_proc(self) -> subprocess.Popen:
+    def _spawn_proc(self, env: dict) -> subprocess.Popen:
         argv = [
             sys.executable,
             "-m",
@@ -97,7 +114,7 @@ class LocalCluster:
         proc = subprocess.Popen(
             argv,
             stdout=subprocess.PIPE,
-            env=_worker_env(),
+            env=env,
         )
         self._procs.append(proc)
         return proc

@@ -98,8 +98,9 @@ Worker-to-worker shuffle (appended tags, values never shift):
 
 Worker → driver, in addition to the replies above:
 ``(MSG_HEARTBEAT,)``
-    Sent periodically while a task is computing, so the driver can tell a
-    slow worker from a dead one without bounding task runtime.
+    Sent every heartbeat interval by the connection's heartbeat thread
+    while a task runs, never after that task's reply, so the driver can
+    tell a slow worker from a dead one without bounding task runtime.
 
 Serialization: frames the driver builds (stage payloads, user shards)
 use :mod:`cloudpickle` when available (:func:`dumps`): a class defined in

@@ -10,10 +10,16 @@ stepping on each other.
 Per connection the protocol is strictly driver-paced (see
 :mod:`~repro.dataflow.remote.protocol`): blobs and the stage payload
 arrive without replies, and every task produces exactly one
-``MSG_RESULT``/``MSG_ERROR`` reply.  While a task computes, the handler
-emits ``MSG_HEARTBEAT`` frames every ``--heartbeat-interval`` seconds so
-the driver can distinguish a long-running shard from a dead worker
-without imposing a task deadline.
+``MSG_RESULT``/``MSG_ERROR`` reply.  A task runs on its connection's
+handler thread; beside it, the connection's one heartbeat thread
+(started at its first task, stopped when the connection ends) emits
+``MSG_HEARTBEAT`` frames every ``--heartbeat-interval`` seconds while a
+task runs, so the driver can distinguish a long-running shard from a
+dead worker without imposing a task deadline.  The reply goes out under
+the lock each beat takes, and the task is marked finished under that
+lock, so a beat never interleaves with a reply and never follows one.
+Peer-link connections run no tasks and so never start a heartbeat
+thread.
 
 Worker-to-worker shuffle: a ``MSG_TASK_SHUF`` write task leaves its
 buckets in the *daemon-wide* bucket store (shared across connections —
@@ -55,9 +61,9 @@ from __future__ import annotations
 
 import argparse
 import os
-import queue
 import socket
 import threading
+import time
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -94,6 +100,71 @@ from repro.dataflow.columnar import ColumnarShard
 def _send(sock: socket.socket, message: tuple) -> None:
     """Send one frame built on this worker (stdlib pickler first)."""
     protocol.send_frame(sock, protocol.dumps_plain(message))
+
+
+class _Heartbeat:
+    """One connection's ``MSG_HEARTBEAT`` beat while a task runs.
+
+    The thread starts at the connection's first task and stops in
+    :meth:`close`.  :meth:`reply` marks the task finished and sends its
+    reply under the lock every beat is sent under, so a beat never
+    interleaves with a reply and never follows one.  A task start wakes
+    the thread only when it is idle: a busy connection's thread sleeps
+    out its interval instead of waking on every task.
+    """
+
+    def __init__(self, sock: socket.socket, interval: float) -> None:
+        self._sock = sock
+        self._interval = interval
+        self._cond = threading.Condition()
+        self._running = False
+        self._since = 0.0  # the running task's start or its last beat
+        self._idle = False
+        self._closed = False
+        self._thread: Optional[threading.Thread] = None
+
+    def start_task(self) -> None:
+        with self._cond:
+            self._running = True
+            self._since = time.monotonic()
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._beat, daemon=True,
+                    name="repro-worker-heartbeat",
+                )
+                self._thread.start()
+            elif self._idle:
+                self._cond.notify()
+
+    def reply(self, payload: bytes) -> None:
+        with self._cond:
+            self._running = False
+            protocol.send_frame(self._sock, payload)
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify()
+        if self._thread is not None:
+            self._thread.join()
+
+    def _beat(self) -> None:
+        with self._cond:
+            while not self._closed:
+                if not self._running:
+                    self._idle = True
+                    self._cond.wait()
+                    self._idle = False
+                    continue
+                wait = self._since + self._interval - time.monotonic()
+                if wait > 0:
+                    self._cond.wait(wait)
+                    continue
+                try:
+                    _send(self._sock, (MSG_HEARTBEAT,))
+                except OSError:
+                    return  # the handler finds the dead socket itself
+                self._since = time.monotonic()
 
 
 class WorkerServer:
@@ -235,7 +306,7 @@ class WorkerServer:
         # process's main thread — return (at once when it is between two
         # ``accept`` calls, else when the blocked one wakes), and an
         # interpreter exit that finds no non-daemon thread kills the
-        # daemon compute threads mid-task instead of draining them.
+        # daemon handler threads mid-task instead of draining them.
         threading.Thread(
             target=drain_and_exit, name="repro-worker-drain", daemon=False
         ).start()
@@ -245,6 +316,7 @@ class WorkerServer:
 
     def _serve_connection(self, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        heartbeat = _Heartbeat(sock, self.heartbeat_interval)
         blobs: Dict[str, Any] = {}
         fn = None
         fn_error: Optional[str] = None
@@ -278,7 +350,7 @@ class WorkerServer:
                         fn, fn_error = None, traceback.format_exc()
                 elif tag == MSG_TASK:
                     self._run_task(
-                        sock,
+                        heartbeat,
                         message[1],
                         self._make_plain_work(fn, fn_error, message[2]),
                     )
@@ -286,7 +358,8 @@ class WorkerServer:
                     # Columnar task: the shard's ndarray columns are blob
                     # references against this channel's cache.  A resolve
                     # failure is this task's (one and only) error reply,
-                    # keeping the channel in lockstep.
+                    # keeping the channel in lockstep (no task is running,
+                    # so no beat can interleave).
                     try:
                         shard = loads_with_broadcast(message[2], blobs)
                     except BaseException:
@@ -303,13 +376,13 @@ class WorkerServer:
                         )
                     else:
                         self._run_task(
-                            sock,
+                            heartbeat,
                             message[1],
                             self._make_plain_work(fn, fn_error, shard),
                         )
                 elif tag == MSG_TASK_SHUF:
                     self._run_task(
-                        sock,
+                        heartbeat,
                         message[1],
                         self._make_shuffle_write_work(
                             fn, fn_error,
@@ -318,7 +391,7 @@ class WorkerServer:
                     )
                 elif tag == MSG_TASK_SHUF_READ:
                     self._run_task(
-                        sock,
+                        heartbeat,
                         message[1],
                         self._make_shuffle_read_work(
                             fn, fn_error, message[2]
@@ -340,12 +413,13 @@ class WorkerServer:
         except (ConnectionError, OSError):
             return
         finally:
+            heartbeat.close()
             try:
                 sock.close()
             except OSError:  # pragma: no cover - defensive
                 pass
 
-    # -- task bodies (run inside the heartbeating compute thread) ----------
+    # -- task bodies (run on the connection's handler thread) -------------
 
     @staticmethod
     def _check_fn(fn, fn_error):
@@ -434,27 +508,16 @@ class WorkerServer:
 
         return work
 
-    def _run_task(self, sock: socket.socket, index: int, work) -> None:
-        """Compute one task in a thread, heartbeating until it finishes."""
-        box: "queue.Queue[tuple]" = queue.Queue(maxsize=1)
+    def _run_task(self, heartbeat: _Heartbeat, index: int, work) -> None:
+        """Compute one task on this thread, heartbeating until its reply."""
         with self._drain:
             self._active_tasks += 1
-
-        def compute() -> None:
-            try:
-                box.put((MSG_RESULT, index, work()))
-            except BaseException as exc:
-                box.put((MSG_ERROR, index, exc, traceback.format_exc()))
-
-        thread = threading.Thread(target=compute, daemon=True)
-        thread.start()
         try:
-            while True:
-                try:
-                    reply = box.get(timeout=self.heartbeat_interval)
-                    break
-                except queue.Empty:
-                    _send(sock, (MSG_HEARTBEAT,))
+            heartbeat.start_task()
+            try:
+                reply = (MSG_RESULT, index, work())
+            except BaseException as exc:
+                reply = (MSG_ERROR, index, exc, traceback.format_exc())
             try:
                 payload = protocol.dumps_plain(reply)
             except Exception:
@@ -473,7 +536,7 @@ class WorkerServer:
                             + traceback.format_exc(),
                         )
                     )
-            protocol.send_frame(sock, payload)
+            heartbeat.reply(payload)
         finally:
             with self._drain:
                 self._active_tasks -= 1

@@ -16,8 +16,10 @@ import hashlib
 import os
 import pickle
 import signal
+import socket
 import threading
 import time
+import types
 from collections import Counter
 
 import numpy as np
@@ -26,16 +28,31 @@ import pytest
 from repro.core.pipeline import DistributedSelector, SelectorConfig
 from repro.core.problem import SubsetProblem
 from repro.dataflow import EngineOptions, beam_bound, beam_knn_graph
+from repro.dataflow import executor as executor_module
 from repro.dataflow.executor import (
     _resolve,
     executor_names,
     resolve_executor,
 )
 from repro.dataflow.pcollection import Pipeline
-from repro.dataflow.remote import LocalCluster, RemoteExecutor, protocol
-from repro.dataflow.remote.protocol import MSG_BLOB
+from repro.dataflow.remote import LocalCluster, RemoteExecutor, protocol, worker
+from repro.dataflow.remote.cluster import _BLAS_THREAD_VARS, _worker_env
+from repro.dataflow.remote.protocol import (
+    MSG_BLOB,
+    MSG_BYE,
+    MSG_ERROR,
+    MSG_HEARTBEAT,
+    MSG_PING,
+    MSG_PONG,
+    MSG_RESULT,
+    MSG_STAGE,
+    MSG_TASK,
+    PROTOCOL_VERSION,
+)
+from repro.graph.csr import NeighborGraph
 from repro.graph.knn import l2_normalize
 from tests.test_knn import clustered_points
+from tests.test_worker_shuffle import _on_both_workers
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +349,83 @@ class TestClosureBroadcast:
         finally:
             executor.close()
 
+    def test_frozen_graph_arrays_serialize_once(self, cluster, monkeypatch):
+        """Eight stages capturing one ``NeighborGraph`` hash each of its
+        read-only CSR arrays once, although stage-end eviction drops
+        their bytes after the first stage."""
+        rng = np.random.default_rng(3)
+        sources = rng.integers(0, 600, 3000)
+        targets = (sources + rng.integers(1, 600, 3000)) % 600  # no loops
+        graph = NeighborGraph.from_edges(
+            600, sources, targets, rng.random(3000)
+        )
+        hashed = []
+        real_sha256 = hashlib.sha256
+
+        def counting_sha256(data):
+            hashed.append(len(data))
+            return real_sha256(data)
+
+        monkeypatch.setattr(
+            executor_module, "hashlib",
+            types.SimpleNamespace(sha256=counting_sha256),
+        )
+        executor = RemoteExecutor(
+            workers=cluster.addresses, broadcast_min_bytes=1024
+        )
+        shards = [[0, 1], [2, 3], [4, 5]]
+        try:
+            for stage in range(8):
+                def row_mass(records, _g=graph, _s=stage):
+                    return [
+                        _s + float(
+                            _g.weights[_g.indptr[r]:_g.indptr[r + 1]].sum()
+                        )
+                        for r in records
+                    ]
+
+                assert executor.run_stage(row_mass, shards) == [
+                    row_mass(shard) for shard in shards
+                ]
+            assert executor._registry.blobs == {}
+            stats = executor.stats()
+        finally:
+            executor.close()
+        assert len(hashed) == 3, "a frozen CSR array was re-serialized"
+        assert stats["broadcast_blobs"] == 3 * 2
+        assert stats["broadcast_bytes"] == (
+            stats["unique_broadcast_bytes"] * 2
+        )
+
+    def test_mutated_writeable_capture_reaches_the_workers(self, cluster):
+        """A writeable capture keeps no fast path past eviction: mutated
+        in place, it re-serializes to a new digest and ships again."""
+        executor = RemoteExecutor(
+            workers=cluster.addresses, broadcast_min_bytes=1024
+        )
+        try:
+            x = np.arange(4096, dtype=np.float64)
+
+            def lookup(records, _x=x):
+                return [float(_x[r]) for r in records]
+
+            shards = [[0, 1], [2, 3]]
+            assert executor.run_stage(lookup, shards) == [
+                [0.0, 1.0], [2.0, 3.0]
+            ]
+            assert executor._registry.blobs == {}
+            x += 100.0
+            assert executor.run_stage(lookup, shards) == [
+                [100.0, 101.0], [102.0, 103.0]
+            ]
+            stats = executor.stats()
+            assert stats["broadcast_blobs"] == 2 * 2
+            assert stats["broadcast_bytes"] == (
+                stats["unique_broadcast_bytes"] * 2
+            )
+        finally:
+            executor.close()
+
 
 class TestFaultRetry:
     def test_sigkilled_worker_retries_on_survivor(self):
@@ -355,6 +449,42 @@ class TestFaultRetry:
         finally:
             executor.close()
 
+    def test_silent_worker_is_dead_after_the_timeout(self, tmp_path):
+        """A worker that stops answering (SIGSTOP: alive, but silent)
+        is dead once ``heartbeat_timeout`` passes without a frame: its
+        in-flight shard is requeued on the survivor."""
+        private = LocalCluster(2, heartbeat_interval=0.1)
+        victim = private.pids[0]
+        try:
+            executor = RemoteExecutor(
+                workers=private.addresses, heartbeat_timeout=1.0
+            )
+            try:
+                def freeze(records, _pid=victim):
+                    if os.getpid() == _pid:
+                        time.sleep(0.3)  # long enough to have beaten
+                        os.kill(_pid, signal.SIGSTOP)
+                        # The stop reaches this thread only once another
+                        # thread has taken the signal: never reply first.
+                        time.sleep(30.0)
+                    return [r * 2 for r in records]
+
+                shards = [[i] for i in range(8)]
+                start = time.monotonic()
+                out = executor.run_stage(
+                    _on_both_workers(freeze, tmp_path), shards
+                )
+                wall = time.monotonic() - start
+                assert out == [freeze(shard) for shard in shards]
+                assert executor.worker_failures == 1
+                assert executor.retried_shards == 1
+                assert wall < 5.0
+            finally:
+                executor.close()
+        finally:
+            os.kill(victim, signal.SIGCONT)
+            private.terminate()
+
     def test_all_workers_dead_raises(self):
         executor = RemoteExecutor(max_workers=2)
         try:
@@ -367,6 +497,129 @@ class TestFaultRetry:
                 executor.run_stage(sum, [[1], [2]])
         finally:
             executor.close()
+
+
+def _frames_until_reply(sock):
+    """``(heartbeats, reply)``: the frames up to a task's next reply."""
+    beats = 0
+    while True:
+        message = protocol.recv_msg(sock)
+        if message[0] != MSG_HEARTBEAT:
+            return beats, message
+        beats += 1
+
+
+class TestHeartbeatWire:
+    """Heartbeat discipline on a raw driver connection: beats only while
+    a task runs, one reply per task, and no beat after a reply."""
+
+    @pytest.fixture(scope="class")
+    def address(self):
+        with LocalCluster(1, heartbeat_interval=0.1) as private:
+            yield private.addresses[0]
+
+    @staticmethod
+    def _open(address, fn):
+        sock = socket.create_connection(address, timeout=10)
+        protocol.handshake(sock, address)
+        protocol.send_msg(sock, (MSG_STAGE, protocol.dumps(fn)))
+        return sock
+
+    @staticmethod
+    def _assert_nothing_pending(sock):
+        time.sleep(0.3)  # a beat trailing the reply would be queued by now
+        protocol.send_msg(sock, (MSG_PING, PROTOCOL_VERSION))
+        assert protocol.recv_msg(sock) == (MSG_PONG, PROTOCOL_VERSION)
+
+    def test_long_task_beats_then_replies_once(self, address):
+        def nap(records):
+            time.sleep(records[0])
+            return len(records)
+
+        with self._open(address, nap) as sock:
+            protocol.send_msg(sock, (MSG_TASK, 0, [0.5]))
+            beats, reply = _frames_until_reply(sock)
+            assert beats >= 2
+            assert reply == (MSG_RESULT, 0, 1)
+            self._assert_nothing_pending(sock)
+
+    def test_failing_task_replies_once_and_the_next_task_runs(self, address):
+        def fragile(records):
+            if records == ["boom"]:
+                raise ValueError("boom")
+            return len(records)
+
+        with self._open(address, fragile) as sock:
+            protocol.send_msg(sock, (MSG_TASK, 0, ["boom"]))
+            _, reply = _frames_until_reply(sock)
+            assert reply[:2] == (MSG_ERROR, 0)
+            assert isinstance(reply[2], ValueError)
+            protocol.send_msg(sock, (MSG_TASK, 1, [1, 2]))
+            _, reply = _frames_until_reply(sock)
+            assert reply == (MSG_RESULT, 1, 2)
+            self._assert_nothing_pending(sock)
+
+
+class TestNoThreadChurn:
+    """A stage starts no thread: the driver reuses its dispatch threads,
+    and a worker runs each task on its connection's handler thread."""
+
+    @staticmethod
+    def _count_starts(monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        return started
+
+    def test_stages_reuse_the_dispatch_threads(self, cluster, monkeypatch):
+        started = self._count_starts(monkeypatch)
+        executor = RemoteExecutor(workers=cluster.addresses)
+        shards = [[i, i + 1] for i in range(4)]
+        try:
+            assert executor.run_stage(sum, shards) == [1, 3, 5, 7]
+            pool = list(started)
+            assert len(pool) == len(cluster.addresses)
+            for _ in range(30):
+                assert executor.run_stage(sum, shards) == [1, 3, 5, 7]
+            assert started == pool, "a stage started threads"
+        finally:
+            executor.close()
+        for thread in pool:
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "close() left a dispatch thread"
+
+    def test_worker_runs_tasks_on_the_connection_thread(self, monkeypatch):
+        server = worker.WorkerServer(heartbeat_interval=60.0)
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        address = (server.host, server.port)
+        try:
+            with socket.create_connection(address, timeout=10) as sock:
+                protocol.handshake(sock, address)
+                protocol.send_msg(sock, (MSG_STAGE, protocol.dumps(sum)))
+                started = self._count_starts(monkeypatch)
+                for index in range(50):
+                    protocol.send_msg(sock, (MSG_TASK, index, [index, 1]))
+                    assert protocol.recv_msg(sock) == (
+                        MSG_RESULT, index, index + 1
+                    )
+                assert len(started) <= 1, "a task started a thread"
+                assert all(
+                    t.name == "repro-worker-heartbeat" for t in started
+                )
+                protocol.send_msg(sock, (MSG_BYE,))
+            for thread in started:
+                thread.join(timeout=10)
+                assert not thread.is_alive(), "heartbeat outlived its link"
+        finally:
+            server._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+            server.close()
+            serving.join(timeout=10)
 
 
 class TestWorkerBoot:
@@ -389,6 +642,20 @@ class TestWorkerBoot:
             capture_output=True, text=True,
         )
         assert done.returncode == 0, done.stderr
+
+    def test_worker_env_splits_blas_threads_unless_set(self, monkeypatch):
+        """Daemons share the cores: each of ``n`` gets ``cpu_count // n``
+        BLAS threads (at least one) unless the parent set the variable."""
+        for name in _BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        env = _worker_env(2)
+        assert [env[name] for name in _BLAS_THREAD_VARS] == ["4"] * 3
+        assert _worker_env(16)["OPENBLAS_NUM_THREADS"] == "1"
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        env = _worker_env(2)
+        assert env["OMP_NUM_THREADS"] == "3"
+        assert env["OPENBLAS_NUM_THREADS"] == env["MKL_NUM_THREADS"] == "4"
 
     def test_local_cluster_worker_stderr_is_empty(self, capfd):
         # The daemon inherits this process's fd 2, which capfd captures.

@@ -669,16 +669,28 @@ class TestBlobCacheCap:
             arrays = [
                 np.arange(16384, dtype=np.float64) + i for i in range(3)
             ]
+            # Read-only: its driver-side bytes are rebuilt, not re-hashed.
+            arrays[0].setflags(write=False)
             for x in arrays:  # each ~131 KiB: the third pushes out the first
                 out = self._capture_stage(executor, x, shards)
                 assert out == [[float(x[r % len(x)]) for r in s] for s in shards]
             stats = executor.stats()
             assert stats["blob_evictions"] > 0
             blobs_before = stats["broadcast_blobs"]
-            # The evicted first capture still works — re-shipped on use.
+            # The evicted first capture still works — re-shipped on use,
+            # from the live read-only array.
             out = self._capture_stage(executor, arrays[0], shards)
             assert out == [
                 [float(arrays[0][r % len(arrays[0])]) for r in s]
+                for s in shards
+            ]
+            assert executor.stats()["broadcast_blobs"] > blobs_before
+            # That ship pushed out the writeable second capture, which is
+            # re-serialized and re-shipped on use.
+            blobs_before = executor.stats()["broadcast_blobs"]
+            out = self._capture_stage(executor, arrays[1], shards)
+            assert out == [
+                [float(arrays[1][r % len(arrays[1])]) for r in s]
                 for s in shards
             ]
             assert executor.stats()["broadcast_blobs"] > blobs_before
