@@ -18,50 +18,35 @@ Quickstart
 True
 """
 
-from repro.core import (
-    BoundingResult,
-    DistributedResult,
-    DistributedSelector,
-    LinearDeltaSchedule,
-    PairwiseObjective,
-    SelectionReport,
-    SelectionResult,
-    SelectorConfig,
-    SubsetProblem,
-    bound,
-    centralized_reference,
-    distributed_greedy,
-    greedy_heap,
-    greedy_naive,
-    normalize_scores,
-    worst_case_partitioner,
-)
-from repro.data import PerturbedDataset, SelectionDataset, load_dataset
-from repro.graph import NeighborGraph, build_knn_graph
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SubsetProblem",
-    "PairwiseObjective",
-    "SelectionResult",
-    "greedy_naive",
-    "greedy_heap",
-    "bound",
-    "BoundingResult",
-    "distributed_greedy",
-    "DistributedResult",
-    "LinearDeltaSchedule",
-    "worst_case_partitioner",
-    "DistributedSelector",
-    "SelectorConfig",
-    "SelectionReport",
-    "centralized_reference",
-    "normalize_scores",
-    "NeighborGraph",
-    "build_knn_graph",
-    "load_dataset",
-    "SelectionDataset",
-    "PerturbedDataset",
-    "__version__",
-]
+# Imported on first read (:mod:`repro.utils.lazy`): ``import repro`` —
+# which every submodule import runs first — stays free.
+_EXPORTS = {
+    "SubsetProblem": ".core.problem",
+    "PairwiseObjective": ".core.objective",
+    "SelectionResult": ".core.greedy",
+    "greedy_naive": ".core.greedy",
+    "greedy_heap": ".core.greedy",
+    "bound": ".core.bounding",
+    "BoundingResult": ".core.bounding",
+    "distributed_greedy": ".core.distributed",
+    "DistributedResult": ".core.distributed",
+    "LinearDeltaSchedule": ".core.distributed",
+    "worst_case_partitioner": ".core.distributed",
+    "DistributedSelector": ".core.pipeline",
+    "SelectorConfig": ".core.pipeline",
+    "SelectionReport": ".core.pipeline",
+    "centralized_reference": ".core.pipeline",
+    "normalize_scores": ".core.normalization",
+    "NeighborGraph": ".graph.csr",
+    "build_knn_graph": ".graph.symmetrize",
+    "load_dataset": ".data.registry",
+    "SelectionDataset": ".data.registry",
+    "PerturbedDataset": ".data.perturbed",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

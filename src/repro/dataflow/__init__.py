@@ -63,69 +63,55 @@ PTransform`; apply with ``pcoll.apply(...)`` or ``pcoll | ...``) live in
 ``SelectedEdgeMass``, ``PartitionedGreedy`` — and render as named groups in
 ``PCollection.explain()``; the bounding rounds' thresholds come from its
 ``OrderStatistics``.
+
+Names are imported on first read (:mod:`repro.utils.lazy`), except the
+four beam entry points: ``bench/spans.py`` wraps them through the
+package ``__dict__``, where a lazy name is absent until its first read.
 """
 
-from repro.dataflow.executor import (
-    Executor,
-    SequentialExecutor,
-    ThreadExecutor,
-    executor_names,
-    resolve_executor,
-)
-from repro.dataflow.options import EngineOptions, add_engine_arguments
-from repro.dataflow.context import DataflowContext
-from repro.dataflow.remote import LocalCluster, RemoteExecutor
-from repro.dataflow.columnar import BatchDoFn, ColumnarShard
-from repro.dataflow.metrics import PipelineMetrics, StageProfile
-from repro.dataflow.planner import AdaptivePlanner, predicted_vs_actual
-from repro.dataflow.pcollection import Fold, PCollection, Pipeline, PTransform
-from repro.dataflow.transforms import cogroup, flatten
-from repro.dataflow.library import (
-    BoundingFilter,
-    OrderStatistics,
-    PartitionedGreedy,
-    SelectedEdgeMass,
-    ShardedKnn,
-)
-from repro.dataflow.bounding_beam import BeamBoundingDriver, beam_bound
-from repro.dataflow.greedy_beam import beam_distributed_greedy
-from repro.dataflow.knn_beam import beam_knn_graph
-from repro.dataflow.scoring_beam import beam_score
-from repro.dataflow.sieve_beam import StreamingSieve, beam_sieve_select
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Pipeline",
-    "PCollection",
-    "PTransform",
-    "Fold",
-    "BatchDoFn",
-    "ColumnarShard",
-    "EngineOptions",
-    "DataflowContext",
-    "add_engine_arguments",
-    "PipelineMetrics",
-    "StageProfile",
-    "AdaptivePlanner",
-    "predicted_vs_actual",
-    "Executor",
-    "SequentialExecutor",
-    "ThreadExecutor",
-    "RemoteExecutor",
-    "LocalCluster",
-    "resolve_executor",
-    "executor_names",
-    "cogroup",
-    "flatten",
-    "ShardedKnn",
-    "BoundingFilter",
-    "SelectedEdgeMass",
-    "PartitionedGreedy",
-    "OrderStatistics",
-    "beam_bound",
-    "BeamBoundingDriver",
-    "beam_score",
-    "beam_distributed_greedy",
-    "beam_knn_graph",
-    "StreamingSieve",
-    "beam_sieve_select",
-]
+_EXPORTS = {
+    "Pipeline": ".pcollection",
+    "PCollection": ".pcollection",
+    "PTransform": ".pcollection",
+    "Fold": ".pcollection",
+    "BatchDoFn": ".columnar",
+    "ColumnarShard": ".columnar",
+    "EngineOptions": ".options",
+    "DataflowContext": ".context",
+    "add_engine_arguments": ".options",
+    "PipelineMetrics": ".metrics",
+    "StageProfile": ".metrics",
+    "AdaptivePlanner": ".planner",
+    "predicted_vs_actual": ".planner",
+    "Executor": ".executor",
+    "SequentialExecutor": ".executor",
+    "ThreadExecutor": ".executor",
+    "RemoteExecutor": ".remote.client",
+    "LocalCluster": ".remote.cluster",
+    "resolve_executor": ".executor",
+    "executor_names": ".executor",
+    "cogroup": ".transforms",
+    "flatten": ".transforms",
+    "ShardedKnn": ".library",
+    "BoundingFilter": ".library",
+    "SelectedEdgeMass": ".library",
+    "PartitionedGreedy": ".library",
+    "OrderStatistics": ".library",
+    "beam_bound": ".bounding_beam",
+    "BeamBoundingDriver": ".bounding_beam",
+    "beam_score": ".scoring_beam",
+    "beam_distributed_greedy": ".greedy_beam",
+    "beam_knn_graph": ".knn_beam",
+    "StreamingSieve": ".sieve_beam",
+    "beam_sieve_select": ".sieve_beam",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+from repro.dataflow.bounding_beam import beam_bound  # noqa: E402
+from repro.dataflow.greedy_beam import beam_distributed_greedy  # noqa: E402
+from repro.dataflow.knn_beam import beam_knn_graph  # noqa: E402
+from repro.dataflow.scoring_beam import beam_score  # noqa: E402

@@ -34,6 +34,7 @@ from typing import Any, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.bounding import kth_largest as array_kth_largest
+from repro.core.greedy import greedy_heap
 from repro.dataflow.columnar import (
     BatchDoFn,
     CoGroupedShard,
@@ -1062,8 +1063,6 @@ class PartitionedGreedy(PTransform):
         self.base_penalty = base_penalty
 
     def expand(self, survivors: PCollection) -> PCollection:
-        from repro.core.greedy import greedy_heap
-
         problem = self.problem
         base_penalty = self.base_penalty
 

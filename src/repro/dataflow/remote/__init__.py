@@ -7,7 +7,8 @@ makes it cross process — and machine — boundaries:
     The long-lived worker daemon (``python -m repro.dataflow.remote.
     worker --host H --port P``): accepts length-prefixed pickle frames
     over TCP, caches broadcast blobs, executes stage shards, and
-    heartbeats while computing.
+    heartbeats while computing.  It imports the stage runtime before it
+    reports ready, and never the selector or this package's client.
 :mod:`~repro.dataflow.remote.client`
     :class:`RemoteExecutor`, the ``Executor`` implementation that
     partitions each stage's shards across the cluster with dynamic
@@ -29,18 +30,17 @@ reaches it without touching engine code.  Worker addresses are validated
 at connect time.
 """
 
-from repro.dataflow.remote.client import RemoteExecutor
-from repro.dataflow.remote.cluster import LocalCluster
+from repro.utils.lazy import lazy_exports
 
-__all__ = ["RemoteExecutor", "LocalCluster", "WorkerServer"]
+# Imported on first read (:mod:`repro.utils.lazy`).  That also keeps
+# ``python -m repro.dataflow.remote.worker`` from finding its module
+# pre-imported by its own package (runpy would warn about the double
+# import).
+_EXPORTS = {
+    "RemoteExecutor": ".client",
+    "LocalCluster": ".cluster",
+    "WorkerServer": ".worker",
+}
 
-
-def __getattr__(name):
-    # WorkerServer is imported lazily so that ``python -m
-    # repro.dataflow.remote.worker`` does not find the module pre-imported
-    # by its own package (runpy would warn about the double import).
-    if name == "WorkerServer":
-        from repro.dataflow.remote.worker import WorkerServer
-
-        return WorkerServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

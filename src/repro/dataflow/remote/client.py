@@ -240,7 +240,7 @@ class RemoteExecutor(Executor):
         is given.
     connect_timeout:
         Seconds to keep retrying the initial connection per worker
-        (daemons need a moment to import the engine).
+        (daemons need a moment to import the stage runtime).
     heartbeat_timeout:
         Seconds of channel silence after which a worker is declared dead.
         Workers heartbeat every ~1 s while computing, so this bounds

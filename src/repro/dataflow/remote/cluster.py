@@ -12,10 +12,13 @@ It backs two use cases:
 - tests share one cluster across many executors (workers serve each
   driver connection independently).
 
-Workers are separate OS processes (not forks): they import the engine
-fresh, exactly like a daemon started by hand on another machine, so the
+Workers are separate OS processes (not forks) that start from a fresh
+import, exactly like a daemon started by hand on another machine, so the
 localhost cluster exercises the same serialization and broadcast paths a
-multi-host deployment would.
+multi-host deployment would.  A daemon imports the stage runtime
+(:mod:`repro.dataflow.library` and what it needs), not the selector,
+the service or the data presets: the package ``__init__`` s re-export
+lazily, so a daemon's start-up is mostly that import.
 """
 
 from __future__ import annotations

@@ -67,6 +67,12 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
+# The stage runtime: stage functions unpickled here name its modules
+# (pcollection, plan, columnar, executor, transforms, the greedy and
+# bounding kernels), so importing it before the ready line keeps every
+# import out of a drive.  The package ``__init__`` s re-export lazily,
+# so the selector, the service and the data presets never load here.
+import repro.dataflow.library  # noqa: F401
 from repro.dataflow.columnar import merge_bucket_parts
 from repro.dataflow.executor import _resolve, load_blob, loads_with_broadcast
 from repro.dataflow.remote import protocol

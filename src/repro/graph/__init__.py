@@ -10,19 +10,21 @@ space with ScaNN and symmetrizes it (Sec. 6).  This package provides:
 - an IVF-style clustered approximate index (:mod:`repro.graph.ann`) standing
   in for ScaNN,
 - symmetrization utilities (:mod:`repro.graph.symmetrize`).
+
+Names below are imported on first read (:mod:`repro.utils.lazy`).
 """
 
-from repro.graph.ann import IVFIndex, approximate_knn
-from repro.graph.csr import NeighborGraph
-from repro.graph.knn import cosine_similarity_matrix, exact_knn
-from repro.graph.symmetrize import build_knn_graph, symmetrize_knn
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "NeighborGraph",
-    "exact_knn",
-    "cosine_similarity_matrix",
-    "IVFIndex",
-    "approximate_knn",
-    "symmetrize_knn",
-    "build_knn_graph",
-]
+_EXPORTS = {
+    "NeighborGraph": ".csr",
+    "exact_knn": ".knn",
+    "cosine_similarity_matrix": ".knn",
+    "IVFIndex": ".ann",
+    "approximate_knn": ".ann",
+    "symmetrize_knn": ".symmetrize",
+    "build_knn_graph": ".symmetrize",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

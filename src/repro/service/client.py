@@ -2,9 +2,13 @@
 
 :class:`ServiceClient` wraps the service's JSON routes in plain method
 calls — submit, status, result, wait, cancel, jobs, metrics — opening
-one :class:`http.client.HTTPConnection` per request (the service is a
-threaded server; connection reuse buys nothing at this request rate and
-keeps the client free of state).
+one :class:`http.client.HTTPConnection` per request, which keeps the
+client free of state.  Reuse is slower here, not free: a prototype with
+one HTTP/1.1 keep-alive connection per client thread raised the
+``svc-closed-loop`` bench workload's ``warm_s`` from 0.0052 s to
+0.086–0.090 s and its ``drive_s`` ×2.1–2.4 over two runs (2-CPU
+Linux box).  The likely cause, unverified, is Nagle's algorithm on the
+small request writes against delayed ACKs.
 
 Errors mirror HTTP: every non-2xx response raises :class:`ServiceError`
 carrying the status code and the server's message;

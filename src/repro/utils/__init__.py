@@ -1,16 +1,17 @@
-"""Shared utilities: RNG plumbing and validation helpers."""
+"""Shared utilities: RNG plumbing and validation helpers.
 
-from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.validation import (
-    check_alpha_beta,
-    check_cardinality,
-    check_unique_ids,
-)
+Names below are imported on first read (:mod:`repro.utils.lazy`).
+"""
 
-__all__ = [
-    "as_generator",
-    "spawn_generators",
-    "check_alpha_beta",
-    "check_cardinality",
-    "check_unique_ids",
-]
+from repro.utils.lazy import lazy_exports
+
+_EXPORTS = {
+    "as_generator": ".rng",
+    "spawn_generators": ".rng",
+    "check_alpha_beta": ".validation",
+    "check_cardinality": ".validation",
+    "check_unique_ids": ".validation",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -47,10 +47,16 @@ def random_problem(
 
 def brute_force_best(problem: SubsetProblem, k: int):
     """Exhaustive optimum over all k-subsets (tiny n only)."""
+    return _optima(problem, itertools.combinations(range(problem.n), k))
+
+
+def _optima(problem: SubsetProblem, combos):
+    """The best value over ``combos`` (sorted id tuples, in lexicographic
+    order) and every set within 1e-12 of it, by ``PairwiseObjective``."""
     objective = PairwiseObjective(problem)
     best_value = -np.inf
     best_sets = []
-    for combo in itertools.combinations(range(problem.n), k):
+    for combo in combos:
         value = objective.value(np.array(combo, dtype=np.int64))
         if value > best_value + 1e-12:
             best_value = value
@@ -58,6 +64,56 @@ def brute_force_best(problem: SubsetProblem, k: int):
         elif abs(value - best_value) <= 1e-12:
             best_sets.append(frozenset(combo))
     return best_value, best_sets
+
+
+#: How far below the best leaf seen a branch's upper bound may fall and
+#: still be walked; far above the float error of the incremental sums, so
+#: no set the 1e-12 tie rule could keep is cut.
+_BNB_SLACK = 1e-9
+
+
+def branch_and_bound_best(problem: SubsetProblem, k: int):
+    """:func:`brute_force_best`'s answer without walking every k-subset.
+
+    Depth-first over points in decreasing-utility order, tracking each
+    candidate's marginal gain.  A branch holding ``S`` with ``r`` points
+    left to pick is cut when ``f(S)`` plus the ``r`` largest gains left —
+    an upper bound, since ``beta >= 0`` makes ``f`` submodular — falls
+    more than ``_BNB_SLACK`` below the best leaf seen.  The surviving
+    leaves then go through the enumeration's own tie rule, so every
+    optimum is returned.
+    """
+    n, beta = problem.n, problem.beta
+    graph = problem.graph
+    order = np.argsort(-problem.utilities, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    # Dense similarities in visiting order (the graph has no self-loops).
+    sim = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    sim[rank[rows], rank[graph.indices]] = graph.weights
+    leaves = []
+    best = -np.inf
+
+    def visit(start, chosen, value, gains):
+        nonlocal best
+        left = k - len(chosen)
+        if left == 0:
+            if value >= best - _BNB_SLACK:
+                best = max(best, value)
+                leaves.append(tuple(sorted(order[chosen].tolist())))
+            return
+        rest = gains[start:]
+        if rest.size < left:
+            return
+        top = np.partition(rest, rest.size - left)[rest.size - left:].sum()
+        if value + top < best - _BNB_SLACK:
+            return
+        for j in range(start, n - left + 1):
+            visit(j + 1, chosen + [j], value + gains[j], gains - beta * sim[j])
+
+    visit(0, [], 0.0, problem.alpha * problem.utilities[order])
+    return _optima(problem, sorted(leaves))
 
 
 @pytest.fixture(scope="session")

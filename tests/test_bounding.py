@@ -19,7 +19,11 @@ from repro.core.problem import SubsetProblem
 from repro.core.sampling import EDGE_SAMPLERS, KEEP_PROBABILITIES
 from repro.dataflow import EngineOptions, beam_bound
 from repro.graph.csr import NeighborGraph
-from tests.conftest import brute_force_best, random_problem
+from tests.conftest import (
+    branch_and_bound_best,
+    brute_force_best,
+    random_problem,
+)
 
 
 class TestComputeUtilities:
@@ -209,9 +213,7 @@ class TestExactBoundingCorrectness:
         p = random_problem(30, seed=1783, avg_degree=4)
         k = 6
         result = bound(p, k, mode="exact")
-        from tests.conftest import brute_force_best
-
-        best, best_sets = brute_force_best(p, k)
+        best, best_sets = branch_and_bound_best(p, k)
         allowed = set(result.solution.tolist()) | set(result.remaining.tolist())
         required = set(result.solution.tolist())
         assert any(required <= s <= allowed for s in best_sets)

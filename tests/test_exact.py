@@ -8,7 +8,28 @@ from hypothesis import strategies as st
 from repro.core.exact import exact_maximize
 from repro.core.greedy import greedy_heap
 from repro.core.objective import PairwiseObjective
-from tests.conftest import brute_force_best, random_problem
+from repro.core.problem import SubsetProblem
+from repro.graph.csr import NeighborGraph
+from tests.conftest import (
+    branch_and_bound_best,
+    brute_force_best,
+    random_problem,
+)
+
+
+def test_branch_and_bound_oracle_matches_enumeration():
+    """The all-optima oracle the big regression instances use returns the
+    enumeration's value and optimum sets, ties included."""
+    for n in range(1, 13):
+        for seed in range(3):
+            p = random_problem(n, seed=seed, avg_degree=3)
+            for k in range(n + 1):
+                assert branch_and_bound_best(p, k) == brute_force_best(p, k)
+    # Exact ties: equal utilities and no edges make every k-subset optimal.
+    flat = SubsetProblem.with_alpha(np.ones(8), NeighborGraph.empty(8), 0.9)
+    best, best_sets = branch_and_bound_best(flat, 3)
+    assert (best, best_sets) == brute_force_best(flat, 3)
+    assert len(best_sets) == 56
 
 
 class TestExactMaximize:
