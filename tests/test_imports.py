@@ -32,7 +32,7 @@ from repro.dataflow.remote import LocalCluster, RemoteExecutor
 from repro.dataflow.remote.cluster import _worker_env
 from tests.test_knn import clustered_points
 
-#: Packages a worker daemon has no use for.
+#: Packages and modules a worker daemon has no use for.
 NOT_ON_WORKER = (
     "repro.service",
     "repro.incremental",
