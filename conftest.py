@@ -18,12 +18,6 @@ leave ``shuffle`` unset plans shuffles as worker-to-worker exchanges.
 Non-remote backends ignore the plane (they have no peers), so the flag
 only bites combined with ``--executor remote`` — where results must stay
 bit-identical with the driver-merge plane.
-
-``--incremental`` flips ``DEFAULT_VERIFY_REUSE`` in the incremental
-driver, so every delta drive in the suite cross-checks its reused-shard
-answer against a from-scratch recompute of the same version (results
-must be bit-identical — this matrix entry proves the invalidation cone
-is never too narrow, suite-wide).
 """
 
 
@@ -51,13 +45,6 @@ def pytest_addoption(parser):
              "exchanges (only bites with --executor remote; results "
              "must stay bit-identical)",
     )
-    parser.addoption(
-        "--incremental",
-        action="store_true",
-        default=False,
-        help="cross-check every incremental delta drive against a "
-             "from-scratch recompute (results must stay bit-identical)",
-    )
 
 
 def pytest_configure(config):
@@ -69,7 +56,3 @@ def pytest_configure(config):
         from repro.dataflow import pcollection
 
         pcollection.DEFAULT_SHUFFLE = "worker"
-    if config.getoption("--incremental"):
-        from repro.incremental import driver
-
-        driver.DEFAULT_VERIFY_REUSE = True

@@ -121,15 +121,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
     """Render the dataflow plans a run would execute — no stage runs.
 
-    Builds the kNN-construction and bounding-round plans on the beams'
-    sources (streamed ones never consumed; the graph and utility columns
-    routed, as a drive routes them) and prints :meth:`PCollection.explain` with
-    the cost model's predicted wall time per stage.  With
-    ``--adaptive-plan`` the predictions come from the planner's
-    calibrated constants (persisted next to ``--checkpoint-dir``).
+    Builds the kNN-construction and first bounding-round plans through
+    the beams themselves (:func:`~repro.dataflow.knn_beam.knn_plan`,
+    :meth:`~repro.dataflow.bounding_beam.BeamBoundingDriver.explain`),
+    so the sources stream exactly where a drive streams them, and prints
+    :meth:`PCollection.explain` with the cost model's predicted wall time
+    per stage.  With ``--adaptive-plan`` the predictions come from the
+    planner's calibrated constants (persisted next to
+    ``--checkpoint-dir``).
     """
-    from repro.dataflow.columnar import ListColumn
-    from repro.dataflow.library import BoundingFilter, ShardedKnn, by_point
+    from repro.dataflow.bounding_beam import BeamBoundingDriver
+    from repro.dataflow.knn_beam import knn_plan
     from repro.graph.knn import l2_normalize
 
     options = EngineOptions.from_namespace(args)
@@ -142,41 +144,18 @@ def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
             # The plan's shape (and cost) does not depend on centroid
             # values, so the k-means fit is skipped here.
             centroids = np.ascontiguousarray(x[:n_clusters])
-            points = pipeline.create(range(n), name="knn/source", stream=True)
-            knn = points.apply(
-                ShardedKnn(x, centroids, k=args.knn_k, nprobe=1)
-            )
+            knn = knn_plan(pipeline, x, centroids, args.knn_k, 1, options)
             print("kNN build plan:")
             print(knn.explain(costs=True))
-
-            g = problem.graph
-            # The graph and utility sources a drive reads: the problem's
-            # arrays as columns, routed here (no stage runs).
-            neighbors = pipeline.create_keyed(
-                by_point(ListColumn(g.indptr, (g.indices, g.weights))),
-                name="source/neighbors",
-            )
-            utilities = pipeline.create_keyed(
-                by_point(problem.utilities), name="source/utilities"
-            )
-            solution = pipeline.create_keyed(
-                iter(()), name="source/solution", stream=True
-            )
-            remaining = pipeline.create_keyed(
-                ((v, True) for v in range(problem.n)),
-                name="source/remaining", stream=True,
-            )
-            bounds = remaining.apply(
-                BoundingFilter(
-                    neighbors, utilities, solution,
-                    ratio=problem.beta_over_alpha,
-                )
-            )
-            print()
-            print("bounding round plan:")
-            print(bounds.explain(costs=True))
         finally:
             pipeline.close()
+        driver = BeamBoundingDriver(problem, context=ctx)
+        try:
+            print()
+            print("bounding round plan:")
+            print(driver.explain(costs=True))
+        finally:
+            driver.close()
     return 0
 
 

@@ -155,18 +155,12 @@ class BeamBoundingDriver:
 
     # -- the Section 5 join plan -----------------------------------------
 
-    def _compute_bounds(
-        self, solution: PCollection, remaining: PCollection
+    def _bounds(
+        self, solution: PCollection, remaining: PCollection, round_salt: int
     ) -> PCollection:
-        """Keyed ``(node, (lower, umax))`` over the remaining set.
-
-        Cached: the grow/shrink steps derive two consumers from the
-        bounds one after the other (the threshold fold, then the
-        survivors), and an uncached chain would run the round's joins
-        once per consumer.
-        """
+        """Keyed ``(node, (lower, umax))`` over the remaining set — one
+        round's join plan, not yet run."""
         cfg = self.config
-        self._round_counter += 1
         return remaining.apply(
             BoundingFilter(
                 self.neighbors,
@@ -176,10 +170,38 @@ class BeamBoundingDriver:
                 mode=cfg.mode,
                 sampler=cfg.sampler,
                 p=cfg.p,
-                round_salt=self._round_counter,
+                round_salt=round_salt,
                 seed_salt=self._seed_salt,
             )
-        ).cache()
+        )
+
+    def _compute_bounds(
+        self, solution: PCollection, remaining: PCollection
+    ) -> PCollection:
+        """The next round's :meth:`_bounds`, cached: the grow/shrink steps
+        derive two consumers from the bounds one after the other (the
+        threshold fold, then the survivors), and an uncached chain would
+        run the round's joins once per consumer.
+        """
+        self._round_counter += 1
+        return self._bounds(solution, remaining, self._round_counter).cache()
+
+    def _initial_state(self) -> Tuple[PCollection, PCollection]:
+        """``(solution, remaining)`` before the first round: an empty
+        eager solution and every point unassigned, streamed."""
+        solution = self.pipeline.create_keyed([], name="state/solution")
+        remaining = self.pipeline.create_keyed(
+            ((v, True) for v in range(self.problem.n)), name="state/remaining"
+        )
+        return solution, remaining
+
+    def explain(self, *, costs: Optional[bool] = None) -> str:
+        """Render the first round's bounds plan — what :meth:`run`
+        executes first — without running a stage (``costs`` as in
+        :meth:`~repro.dataflow.pcollection.PCollection.explain`)."""
+        solution, remaining = self._initial_state()
+        bounds = self._bounds(solution, remaining, self._round_counter + 1)
+        return bounds.explain(costs=costs)
 
     # -- grow / shrink -----------------------------------------------------
 
@@ -197,10 +219,7 @@ class BeamBoundingDriver:
         if not 0 <= k <= self.problem.n:
             raise ValueError(f"need 0 <= k <= {self.problem.n}, got {k}")
         cfg = self.config
-        solution = self.pipeline.create_keyed([], name="state/solution")
-        remaining = self.pipeline.create_keyed(
-            ((v, True) for v in range(self.problem.n)), name="state/remaining"
-        )
+        solution, remaining = self._initial_state()
         # Sizes are driver arithmetic: no pass counts a set.
         rem_count = self.problem.n
         k_remaining = k

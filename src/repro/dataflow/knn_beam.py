@@ -27,6 +27,7 @@ from repro.dataflow.library import ShardedKnn
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.context import DataflowContext, engine_context
 from repro.dataflow.options import EngineOptions
+from repro.dataflow.pcollection import PCollection, Pipeline
 from repro.graph.csr import NeighborGraph
 from repro.graph.knn import l2_normalize
 from repro.graph.symmetrize import symmetrize_knn
@@ -61,6 +62,26 @@ def _top_k_columns(shard) -> Tuple[np.ndarray, ListColumn]:
         np.fromiter((point for point, _ in shard), np.int64, len(shard)),
         ListColumn.from_lists([top_k for _, top_k in shard]),
     )
+
+
+def knn_plan(
+    pipeline: Pipeline,
+    x: np.ndarray,
+    centroids: np.ndarray,
+    k: int,
+    nprobe: int,
+    options: EngineOptions,
+) -> PCollection:
+    """The kNN build's plan on ``pipeline``, not yet run: the point-id
+    source (eager unless ``options.stream_source`` streams it) through
+    :class:`~repro.dataflow.library.ShardedKnn` over the normalized
+    embeddings ``x``.  :func:`beam_knn_graph` drives this plan and
+    ``repro plan`` explains it."""
+    points = pipeline.create(
+        range(x.shape[0]), name="knn/source",
+        stream=options.resolve_stream(False),
+    )
+    return points.apply(ShardedKnn(x, centroids, k=k, nprobe=nprobe))
 
 
 def beam_knn_graph(
@@ -119,12 +140,7 @@ def beam_knn_graph(
             )
         pipeline = ctx.pipeline(**pipeline_overrides)
         try:
-            points = pipeline.create(
-                range(n), name="knn/source", stream=opts.resolve_stream(False)
-            )
-            merged = points.apply(
-                ShardedKnn(x, centroids, k=k, nprobe=nprobe)
-            )
+            merged = knn_plan(pipeline, x, centroids, k, nprobe, opts)
             # Each point's record is its top-k, already ordered by
             # (-sim, host): its candidates go into its row as they are.
             for shard in merged.iter_stored():

@@ -32,7 +32,8 @@ Checkpoint counters (``Pipeline(checkpoint_dir=...)`` only):
 ``checkpoint_hits``
     Materialization boundaries restored from a checkpoint instead of
     executed — on a resumed run, every hit is a subtree of skipped
-    stages (so ``executed_stages`` shrinks accordingly).
+    stages (so ``executed_stages`` shrinks accordingly).  The
+    incremental driver reads its per-shard reuse from these hits.
 ``checkpoint_stores``
     Boundary outputs persisted to the checkpoint directory this run.
 
@@ -57,19 +58,6 @@ on the remote backend):
     buckets — large buckets stream in pieces instead of one frame per
     fetch, so this counts only the chunked (multi-frame) transfers;
     buckets small enough for a single frame add nothing.
-
-Incremental-drive counters (``repro.incremental``):
-
-``reused_shards``
-    Data shards of an incremental drive whose per-shard branch restored
-    from a checkpoint instead of re-executing (the delta left their
-    content fingerprint unchanged).
-``invalidated_shards``
-    Data shards the delta's fingerprint intersection invalidated — their
-    cone of stages re-executed.
-``delta_records``
-    Records carried by the deltas applied since the previous drive
-    (appends + updates + expires).
 
 Per-stage observations (``stage_profiles``):
 
@@ -143,9 +131,6 @@ class PipelineMetrics:
     columnar_rows: int = 0
     p2p_shuffle_bytes: int = 0
     bucket_fetch_chunks: int = 0
-    reused_shards: int = 0
-    invalidated_shards: int = 0
-    delta_records: int = 0
     stage_counts: Dict[str, int] = field(default_factory=dict)
     stage_profiles: List[StageProfile] = field(default_factory=list)
 
@@ -195,14 +180,6 @@ class PipelineMetrics:
         self.p2p_shuffle_bytes += p2p_bytes
         self.bucket_fetch_chunks += fetch_chunks
 
-    def observe_incremental(
-        self, *, reused: int = 0, invalidated: int = 0, delta_records: int = 0
-    ) -> None:
-        """One incremental drive's shard-reuse accounting."""
-        self.reused_shards += reused
-        self.invalidated_shards += invalidated
-        self.delta_records += delta_records
-
     def observe_lifted_combiner(self) -> None:
         self.lifted_combiners += 1
 
@@ -233,9 +210,6 @@ class PipelineMetrics:
         self.columnar_rows = 0
         self.p2p_shuffle_bytes = 0
         self.bucket_fetch_chunks = 0
-        self.reused_shards = 0
-        self.invalidated_shards = 0
-        self.delta_records = 0
         self.stage_counts.clear()
         self.stage_profiles.clear()
 
@@ -256,9 +230,6 @@ class PipelineMetrics:
             columnar_rows=self.columnar_rows,
             p2p_shuffle_bytes=self.p2p_shuffle_bytes,
             bucket_fetch_chunks=self.bucket_fetch_chunks,
-            reused_shards=self.reused_shards,
-            invalidated_shards=self.invalidated_shards,
-            delta_records=self.delta_records,
             stage_counts=dict(self.stage_counts),
             stage_profiles=[
                 StageProfile(**p.to_dict()) for p in self.stage_profiles

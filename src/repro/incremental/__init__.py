@@ -9,7 +9,6 @@ from repro.incremental.delta import (
     DatasetVersion,
     Delta,
     DeltaLog,
-    invalidation_summary,
     shard_bounds,
     synthetic_deltas,
     synthetic_version,
@@ -34,7 +33,6 @@ __all__ = [
     "WindowResult",
     "WindowSpec",
     "drive_synthetic_version",
-    "invalidation_summary",
     "shard_bounds",
     "synthetic_deltas",
     "synthetic_version",

@@ -15,20 +15,19 @@ are right now.  Three mutation kinds evolve a version:
 ``expire``
     Alive ids become dead — records aging out of the selection universe.
 
-Versions are **content-fingerprinted per data shard** with the same
-:func:`repro.core.distributed.fingerprint` primitive the beams use for
-checkpoint salts: the ground set is cut into ``num_shards`` contiguous id
-ranges, and a shard's fingerprint hashes exactly the (id, utility) pairs
-alive inside its range.  A delta therefore invalidates only the shards
-whose ranges it touches — the intersection the
-:class:`~repro.incremental.driver.IncrementalDriver` runs against the
-checkpointed stage-digest DAG.
+The ground set is cut into ``num_shards`` contiguous id ranges
+(:func:`shard_bounds`), and :meth:`DatasetVersion.shard_payload` yields
+exactly the (id, utility) pairs alive inside one range.  The
+:class:`~repro.incremental.driver.IncrementalDriver` feeds each payload
+to its own checkpointed branch, whose digest is keyed by that content —
+so a delta invalidates only the shards whose ranges it touches, and the
+engine's checkpoint lookup is the whole reuse decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,18 +243,13 @@ class DatasetVersion:
         return ids, self.utilities[ids]
 
     def shard_fingerprint(self, shard: int, num_shards: int) -> str:
-        """Content hash of exactly what ``shard`` contributes to a drive."""
+        """Content hash of exactly what ``shard`` contributes to a drive
+        (no drive reads it: the bench's fingerprint probe does)."""
         ids, utilities = self.shard_payload(shard, num_shards)
         return fingerprint("incr-shard", shard, num_shards, ids, utilities)
 
     def fingerprints(self, num_shards: int) -> List[str]:
         return [self.shard_fingerprint(s, num_shards) for s in range(num_shards)]
-
-    def diff_shards(self, other: "DatasetVersion", num_shards: int) -> List[int]:
-        """Shard indices whose content fingerprint differs from ``other``."""
-        mine = self.fingerprints(num_shards)
-        theirs = other.fingerprints(num_shards)
-        return [s for s in range(num_shards) if mine[s] != theirs[s]]
 
 
 def synthetic_deltas(
@@ -274,7 +268,7 @@ def synthetic_deltas(
     cycling through ``kinds``; appends only fire when dead ids exist to
     revive.  Mutated ids are a *contiguous run* of the candidate pool —
     real delta streams have locality (recent records churn), and locality
-    is what makes shard fingerprints worth intersecting; a uniformly
+    is what keeps most shard branches' checkpoints valid; a uniformly
     scattered delta would invalidate every shard.  The same ``(version,
     seed, steps, frac)`` always produces the same log — the service
     derives a job's dataset version ``v`` by replaying ``v`` steps from
@@ -332,16 +326,3 @@ def synthetic_version(
     base = DatasetVersion.initial(utilities)
     log = synthetic_deltas(base, seed=seed, steps=steps, frac=frac)
     return base.apply_all(log), log
-
-
-def invalidation_summary(
-    before: DatasetVersion,
-    after: DatasetVersion,
-    num_shards: int,
-) -> Dict[str, int]:
-    """Reuse accounting between two versions at a given shard split."""
-    changed = after.diff_shards(before, num_shards)
-    return {
-        "invalidated_shards": len(changed),
-        "reused_shards": num_shards - len(changed),
-    }

@@ -18,6 +18,10 @@ directory keeps its reuse across a redeploy):
   and none of its stages re-execute;
 - a touched shard hashes fresh → only its cone re-executes.
 
+That lookup is the only reuse decision: ``reused_shards`` counts the
+branches that loaded, ``invalidated_shards`` the ones that ran — a
+deleted or torn checkpoint is recomputed and counted as invalidated.
+
 The final refine stage (a real shuffle: flatten → key → group) always
 recomputes, but it only sees the ~``data_shards × candidates`` pooled
 candidates, not the dataset.  Selection is two-level greedy (GreeDi
@@ -54,11 +58,6 @@ from repro.incremental.delta import (
 )
 from repro.utils.cancel import CancelToken
 from repro.utils.rng import SeedLike
-
-#: Flipped by the test harness's ``--incremental`` flag: every drive then
-#: cross-checks the fingerprint-predicted reuse against the checkpoint
-#: hits the engine actually observed, and raises on any mismatch.
-DEFAULT_VERIFY_REUSE = False
 
 _STATE_FILE = "incremental_state.json"
 
@@ -186,8 +185,9 @@ class IncrementalDriver:
         branch boundaries persist.  Without one, every drive is cold
         (still correct, nothing reused).
     data_shards:
-        Contiguous id ranges the delta intersection works at.  Must stay
-        fixed for a checkpoint directory (enforced via the state file).
+        Contiguous id ranges reuse works at: one checkpointed branch per
+        range.  Changing it re-keys every branch, so the next drive on a
+        checkpoint directory is cold.
     candidates_per_shard:
         Per-shard candidate pool size (default ``k``, the GreeDi choice).
     """
@@ -200,7 +200,6 @@ class IncrementalDriver:
         context: DataflowContext,
         data_shards: int = 8,
         candidates_per_shard: Optional[int] = None,
-        verify_reuse: Optional[bool] = None,
     ) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -211,24 +210,25 @@ class IncrementalDriver:
         self.context = context
         self.data_shards = data_shards
         self.candidates_per_shard = candidates_per_shard or k
-        self.verify_reuse = verify_reuse
         self.checkpoint_dir = context.options.checkpoint_dir
 
-    # -- persistent shard-fingerprint state ------------------------------
+    # -- persistent state: the last driven version ----------------------
 
     def _state_path(self) -> Optional[str]:
         if not self.checkpoint_dir:
             return None
         return os.path.join(self.checkpoint_dir, _STATE_FILE)
 
-    def _load_state(self) -> Optional[Dict[str, Any]]:
+    def last_version(self) -> Optional[int]:
+        """The dataset version of the last drive recorded in this
+        checkpoint directory, or ``None`` when no drive has run yet."""
         path = self._state_path()
         if not path or not os.path.exists(path):
             return None
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return int(json.load(fh)["version"])
 
-    def _save_state(self, state: Dict[str, Any]) -> None:
+    def _save_version(self, version: int) -> None:
         path = self._state_path()
         if not path:
             return
@@ -238,20 +238,12 @@ class IncrementalDriver:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(state, fh)
+                json.dump({"version": version}, fh)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-
-    def last_version(self) -> Optional[int]:
-        """The dataset version of the last drive recorded in this
-        checkpoint directory, or ``None`` when no drive has run yet."""
-        state = self._load_state()
-        if state is None or "version" not in state:
-            return None
-        return int(state["version"])
 
     # -- plan construction ----------------------------------------------
 
@@ -304,9 +296,10 @@ class IncrementalDriver:
     ) -> IncrementalResult:
         """Select over ``version``, re-executing only the invalidated cone.
 
-        ``deltas`` (the batches applied since the previous drive) feed the
-        ``delta_records`` metric; reuse itself is decided by fingerprint
-        intersection, so passing them is optional.
+        A data shard is reused when its branch's ``cache()`` loads a
+        checkpoint and invalidated when the branch executes.  ``deltas``
+        (the batches applied since the previous drive) only feed the
+        ``delta_records`` count, so passing them is optional.
         """
         if cancel is not None:
             cancel.raise_if_cancelled("incremental drive")
@@ -315,39 +308,19 @@ class IncrementalDriver:
                 f"version ground set ({version.n}) does not match problem "
                 f"({self.problem.n})"
             )
-        fingerprints = version.fingerprints(self.data_shards)
-        state = self._load_state()
-        if state is not None and state.get("data_shards") != self.data_shards:
-            raise ValueError(
-                f"checkpoint dir was built with data_shards="
-                f"{state.get('data_shards')}; now {self.data_shards}. "
-                "Use a fresh checkpoint directory to re-shard."
-            )
-        if state is None:
-            invalidated = list(range(self.data_shards))
-        else:
-            previous = state.get("fingerprints", [])
-            invalidated = [
-                s
-                for s in range(self.data_shards)
-                if s >= len(previous) or previous[s] != fingerprints[s]
-            ]
-        reused = self.data_shards - len(invalidated)
         delta_records = sum(d.num_records for d in deltas) if deltas else 0
-
-        overrides: Dict[str, Any] = {}
-        if state is not None and state.get("engine_shards"):
-            # Checkpoint loads reject a shard-count mismatch; pin the
-            # engine sharding this directory was built with.
-            overrides["num_shards"] = int(state["engine_shards"])
-        pipeline = self.context.pipeline(**overrides)
+        pipeline = self.context.pipeline()
         try:
             branches, pooled = self._build(pipeline, version)
             hits_before = pipeline.metrics.checkpoint_hits
-            for branch in branches:
+            invalidated = []
+            for shard, branch in enumerate(branches):
                 if cancel is not None:
                     cancel.raise_if_cancelled("incremental drive")
+                branch_hits = pipeline.metrics.checkpoint_hits
                 branch.cache()
+                if pipeline.metrics.checkpoint_hits == branch_hits:
+                    invalidated.append(shard)
             if cancel is not None:
                 cancel.raise_if_cancelled("incremental drive")
             records = [
@@ -356,17 +329,6 @@ class IncrementalDriver:
                 for record in shard
             ]
             hits = pipeline.metrics.checkpoint_hits - hits_before
-            pipeline.metrics.observe_incremental(
-                reused=reused,
-                invalidated=len(invalidated),
-                delta_records=delta_records,
-            )
-            if self._verify_enabled() and self.checkpoint_dir and hits < reused:
-                raise RuntimeError(
-                    f"incremental reuse mismatch: fingerprints predicted "
-                    f"{reused} reused shard branches but the engine "
-                    f"observed only {hits} checkpoint hits"
-                )
             selected = records[0][1] if records else np.empty(0, dtype=np.int64)
             selected = np.asarray(selected, dtype=np.int64)
             versioned = replace(self.problem, utilities=version.utilities)
@@ -375,7 +337,7 @@ class IncrementalDriver:
                 selected=selected,
                 objective=objective,
                 version=version.version,
-                reused_shards=reused,
+                reused_shards=self.data_shards - len(invalidated),
                 invalidated_shards=len(invalidated),
                 delta_records=delta_records,
                 checkpoint_hits=hits,
@@ -385,34 +347,15 @@ class IncrementalDriver:
                     "data_shards": self.data_shards,
                     "num_alive": version.num_alive,
                     "metrics": {
-                        "reused_shards": reused,
-                        "invalidated_shards": len(invalidated),
-                        "delta_records": delta_records,
-                        "checkpoint_hits": hits,
                         "checkpoint_stores": pipeline.metrics.checkpoint_stores,
-                        "executed_stages": pipeline.metrics.executed_stages,
                         "shuffled_records": pipeline.metrics.shuffled_records,
                     },
                 },
             )
-            self._save_state(
-                {
-                    "data_shards": self.data_shards,
-                    "engine_shards": pipeline.num_shards,
-                    "fingerprints": fingerprints,
-                    "version": version.version,
-                    "k": self.k,
-                    "candidates_per_shard": self.candidates_per_shard,
-                }
-            )
+            self._save_version(version.version)
             return result
         finally:
             pipeline.close()
-
-    def _verify_enabled(self) -> bool:
-        if self.verify_reuse is None:
-            return DEFAULT_VERIFY_REUSE
-        return self.verify_reuse
 
     def drive_windows(
         self,

@@ -3,8 +3,10 @@
 Four guarantees pinned here:
 
 1. **Cone invalidation** — a delta invalidates exactly the data shards
-   whose content fingerprints moved; every other shard's branch loads
-   from its checkpoint (``checkpoint_hits``) and no stage re-executes.
+   whose content moved; every other shard's branch loads from its
+   checkpoint (``checkpoint_hits``) and no stage re-executes.  Reuse is
+   what the engine loaded: a missing or torn checkpoint, or a re-sharded
+   drive, recomputes and is counted as invalidated.
 2. **Bit-identity** — an incremental drive over version ``v`` equals a
    cold drive over ``v`` exactly, across every executor backend and both
    shuffle planes.  Reuse may change *what runs*, never *what comes out*
@@ -23,6 +25,7 @@ running drives, and age/size-bounded result-store eviction.
 
 import json
 import os
+import pickle
 import time
 
 import numpy as np
@@ -245,45 +248,94 @@ def test_adaptive_context_keeps_the_engine_sharding(tmp_path):
             )
             results[adaptive] = driver.drive(version)
         with open(checkpoint_dir / "incremental_state.json") as fh:
-            assert json.load(fh)["engine_shards"] == options.num_shards
+            assert json.load(fh) == {"version": 0}
+        for entry in checkpoint_dir.glob("*.ckpt"):
+            with open(entry, "rb") as fh:
+                assert pickle.load(fh) == options.num_shards
     np.testing.assert_array_equal(
         results[True].selected, results[False].selected
     )
     assert results[True].objective == results[False].objective
 
 
-def test_resharding_a_checkpoint_dir_is_rejected(tmp_path):
+def test_resharding_a_checkpoint_dir_drives_cold(tmp_path):
+    """A new ``data_shards`` re-keys every branch: the next drive on the
+    same directory reuses nothing and selects what a fresh directory
+    selects."""
     problem = random_problem(N, seed=5)
     v0 = DatasetVersion.initial(problem.utilities)
-    options = EngineOptions(
-        num_shards=ENGINE_SHARDS, checkpoint_dir=str(tmp_path)
-    )
-    with DataflowContext(options) as ctx:
-        IncrementalDriver(
-            problem, K, context=ctx, data_shards=DATA_SHARDS
-        ).drive(v0)
-        other = IncrementalDriver(
-            problem, K, context=ctx, data_shards=DATA_SHARDS * 2
+    results = {}
+    for label, first_shards in (("resharded", DATA_SHARDS), ("fresh", None)):
+        options = EngineOptions(
+            num_shards=ENGINE_SHARDS, checkpoint_dir=str(tmp_path / label)
         )
-        with pytest.raises(ValueError, match="data_shards"):
-            other.drive(v0)
+        with DataflowContext(options) as ctx:
+            if first_shards is not None:
+                IncrementalDriver(
+                    problem, K, context=ctx, data_shards=first_shards
+                ).drive(v0)
+            results[label] = IncrementalDriver(
+                problem, K, context=ctx, data_shards=DATA_SHARDS * 2
+            ).drive(v0)
+    resharded, fresh = results["resharded"], results["fresh"]
+    assert resharded.reused_shards == 0
+    assert resharded.invalidated_shards == DATA_SHARDS * 2
+    assert resharded.checkpoint_hits == 0
+    assert resharded.executed_stages == fresh.executed_stages
+    np.testing.assert_array_equal(resharded.selected, fresh.selected)
 
 
-def test_verify_reuse_cross_check_passes(tmp_path):
+@pytest.mark.parametrize("damage", ["delete", "tear"])
+def test_damaged_checkpoints_are_recomputed_and_counted(tmp_path, damage):
+    """Reuse is what the engine loaded: with every ``.ckpt`` deleted or
+    torn, a second drive of the same version reuses nothing, re-runs the
+    cold drive's stages and selects the same ids."""
     problem = random_problem(N, seed=6)
     v0 = DatasetVersion.initial(problem.utilities)
-    v1 = v0.apply(_shard_update(v0, shard=0))
     options = EngineOptions(
         num_shards=ENGINE_SHARDS, checkpoint_dir=str(tmp_path)
     )
     with DataflowContext(options) as ctx:
         driver = IncrementalDriver(
-            problem, K, context=ctx, data_shards=DATA_SHARDS,
-            verify_reuse=True,
+            problem, K, context=ctx, data_shards=DATA_SHARDS
         )
-        driver.drive(v0)
-        result = driver.drive(v1)
-    assert result.reused_shards == DATA_SHARDS - 1
+        cold = driver.drive(v0)
+        entries = list(tmp_path.glob("*.ckpt"))
+        assert entries
+        for entry in entries:
+            if damage == "delete":
+                entry.unlink()
+            else:
+                entry.write_bytes(entry.read_bytes()[:8])
+        again = driver.drive(v0)
+    assert again.reused_shards == 0
+    assert again.invalidated_shards == DATA_SHARDS
+    assert again.extra["invalidated"] == list(range(DATA_SHARDS))
+    assert again.checkpoint_hits == 0
+    assert again.executed_stages == cold.executed_stages
+    np.testing.assert_array_equal(again.selected, cold.selected)
+
+
+def test_changed_num_shards_drives_on_the_new_count(tmp_path):
+    """The context's ``num_shards`` is honoured on a directory built
+    with another count: the drive re-executes on the new sharding (the
+    shard count keys every checkpoint digest) and selects the same ids."""
+    problem = random_problem(N, seed=8)
+    v0 = DatasetVersion.initial(problem.utilities)
+    results = []
+    for num_shards in (ENGINE_SHARDS, ENGINE_SHARDS + 1):
+        options = EngineOptions(
+            num_shards=num_shards, checkpoint_dir=str(tmp_path)
+        )
+        with DataflowContext(options) as ctx:
+            results.append(IncrementalDriver(
+                problem, K, context=ctx, data_shards=DATA_SHARDS
+            ).drive(v0))
+    first, second = results
+    assert second.reused_shards == 0
+    assert second.checkpoint_hits == 0
+    assert second.executed_stages == first.executed_stages > 0
+    np.testing.assert_array_equal(second.selected, first.selected)
 
 
 # -- bit-identity across executors x shuffle planes --------------------------
@@ -653,7 +705,7 @@ def test_service_incremental_jobs_reuse_across_versions(service):
     inc = p1["report"]["incremental"]
     assert p1["report"]["version"] == 1
     assert inc["reused_shards"] > 0
-    assert inc["checkpoint_hits"] >= inc["reused_shards"] - 1
+    assert inc["checkpoint_hits"] >= inc["reused_shards"]
     assert inc["delta_records"] > 0
     # Different versions are different digests: no dedup between them.
     assert r0.digest != r1.digest

@@ -169,14 +169,32 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "kNN build plan:" in out and "bounding round plan:" in out
-        stage_lines = [
-            line.strip() for line in out.splitlines()
-            if re.match(r"\s*S\d+: ", line)
-        ]
-        assert len(stage_lines) >= 10
-        for line in stage_lines:
+        knn, bounding = out.split("bounding round plan:")
+
+        def stage_lines(plan):
+            return [
+                line.strip() for line in plan.splitlines()
+                if re.match(r"\s*S\d+: ", line)
+            ]
+
+        # The plans the beams drive: the kNN source eager (the beam's
+        # default), the bounding solution eager and its remaining set
+        # streamed.
+        assert "[materialized source 'knn/source']" in knn
+        assert "stream source 'knn/source'" not in knn
+        assert len(stage_lines(knn)) == 4
+        assert "stream source 'state/remaining'" in bounding
+        assert "[materialized source 'state/solution']" in bounding
+        assert len(stage_lines(bounding)) == 4
+        for line in stage_lines(out):
             assert len(re.findall(r"\[cost ~[\d.]+ms\]", line)) == 1, line
-        bounding = out.split("bounding round plan:")[1]
+        streamed = main([
+            "plan", "--preset", "cifar100_tiny", "--n-points", "200",
+            "--optimize", "--stream-source",
+        ])
+        assert streamed == 0
+        knn = capsys.readouterr().out.split("bounding round plan:")[0]
+        assert "stream source 'knn/source'" in knn
         (join,) = [
             line for line in bounding.splitlines()
             if "cogroup-read cogroup 'bound/threeway_join'" in line
