@@ -30,14 +30,12 @@ def sieve_pass(
     epsilon: float,
     order: Sequence[int],
 ) -> Tuple[List[int], int, int]:
-    """The single streaming pass, factored out of :func:`sieve_streaming`.
+    """The single streaming pass of :func:`sieve_streaming`.
 
     Consumes element ids in ``order`` and returns ``(best_ids,
     num_sieves, memory_points)`` — the best sieve's selection (in
     admission order), how many threshold sieves were live at the end, and
-    the largest per-sieve candidate set.  Shared with the dataflow beam
-    (:mod:`repro.dataflow.sieve_beam`), so the engine path and this
-    reference run literally the same loop.
+    the largest per-sieve candidate set.
     """
     alpha, beta = problem.alpha, problem.beta
     u = problem.utilities

@@ -14,13 +14,12 @@ timing was impossible.  This package reproduces the *system reasoning*:
 """
 
 from repro.cluster.costmodel import CostModel, Table4Scenario
-from repro.cluster.machine import MachineSpec, greedy_state_bytes, partition_fits
+from repro.cluster.machine import MachineSpec, greedy_state_bytes
 from repro.cluster.simulator import ClusterSimulator, SimulatedRun
 
 __all__ = [
     "MachineSpec",
     "greedy_state_bytes",
-    "partition_fits",
     "CostModel",
     "Table4Scenario",
     "ClusterSimulator",

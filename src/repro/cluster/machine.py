@@ -64,11 +64,3 @@ def greedy_state_bytes(
     adjacency = n_points * neighbors_per_point * (key_bytes + value_bytes)
     return queue + adjacency
 
-
-def partition_fits(
-    partition_size: int, machine: MachineSpec, *, neighbors_per_point: int = 10
-) -> bool:
-    """Does a partition's greedy state fit in the machine's DRAM?"""
-    return greedy_state_bytes(
-        partition_size, neighbors_per_point=neighbors_per_point
-    ) <= machine.dram_bytes

@@ -12,15 +12,12 @@ statistically matched synthetic stand-ins (see DESIGN.md substitutions):
 - :func:`~repro.data.registry.load_dataset` — named presets
   (``cifar100_like``, ``imagenet_like``, tiny CI variants),
 - :class:`~repro.data.perturbed.PerturbedDataset` — virtual on-the-fly
-  expansion of a base dataset (the 13 B stress-test stand-in),
-- :class:`~repro.data.store.ChunkedEmbeddingStore` — chunk-at-a-time access
-  so nothing requires the full embedding matrix in memory.
+  expansion of a base dataset (the 13 B stress-test stand-in).
 """
 
 from repro.data.classifier import CoarseClassifier, margin_utilities
 from repro.data.perturbed import PerturbedDataset
 from repro.data.registry import DATASET_PRESETS, SelectionDataset, load_dataset
-from repro.data.store import ChunkedEmbeddingStore, InMemoryEmbeddingStore
 from repro.data.synthetic import make_class_clusters
 
 __all__ = [
@@ -31,6 +28,4 @@ __all__ = [
     "load_dataset",
     "DATASET_PRESETS",
     "PerturbedDataset",
-    "ChunkedEmbeddingStore",
-    "InMemoryEmbeddingStore",
 ]

@@ -32,7 +32,6 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.data.store import ChunkedEmbeddingStore
 from repro.utils.rng import SeedLike
 
 
@@ -189,7 +188,3 @@ class PerturbedDataset:
             yield g, np.array(nbr_ids, dtype=np.int64), np.array(
                 nbr_sims, dtype=np.float64
             )
-
-    def as_store(self) -> ChunkedEmbeddingStore:
-        """Expose embeddings as a chunked virtual store."""
-        return ChunkedEmbeddingStore(self.n, self.dim, self.embeddings)

@@ -104,8 +104,6 @@ _EXPORTS = {
     "beam_score": ".scoring_beam",
     "beam_distributed_greedy": ".greedy_beam",
     "beam_knn_graph": ".knn_beam",
-    "StreamingSieve": ".sieve_beam",
-    "beam_sieve_select": ".sieve_beam",
 }
 
 __all__ = list(_EXPORTS)

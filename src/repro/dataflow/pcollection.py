@@ -246,7 +246,7 @@ def gc_checkpoint_entries(
 
     The single scan-and-unlink loop behind both
     :meth:`Pipeline.gc_checkpoints` and
-    :meth:`repro.dataflow.options.DataflowContext.gc_checkpoints`.
+    :meth:`repro.dataflow.context.DataflowContext.gc_checkpoints`.
     Returns the number of entries removed.  (GC is a post-run operation;
     a tmp file unlinked under a *concurrent* writer merely skips that
     writer's store — stores are best-effort by design.)
@@ -563,7 +563,7 @@ class Pipeline:
         #: Checkpoint digests this run computed, stored, or resumed —
         #: the "still live" set :meth:`gc_checkpoints` protects.  A
         #: caller-supplied set (``touched_digests``) lets a
-        #: :class:`~repro.dataflow.options.DataflowContext` aggregate
+        #: :class:`~repro.dataflow.context.DataflowContext` aggregate
         #: across every pipeline of a multi-stage run.
         self.touched_checkpoint_digests: "set[str]" = (
             touched_digests if touched_digests is not None else set()
@@ -934,7 +934,7 @@ class Pipeline:
         sharing the directory).  Returns the number of entries removed.
 
         For multi-pipeline runs, prefer
-        :meth:`repro.dataflow.options.DataflowContext.gc_checkpoints`,
+        :meth:`repro.dataflow.context.DataflowContext.gc_checkpoints`,
         which aggregates the touched sets of every stage first.
         """
         return gc_checkpoint_entries(
@@ -1455,9 +1455,6 @@ class PCollection:
     def count(self) -> int:
         """Total element count (a distributed aggregate, O(1) driver state)."""
         return sum(len(shard) for shard in self._shards)
-
-    def shard_sizes(self) -> List[int]:
-        return [len(shard) for shard in self._shards]
 
     def to_list(self) -> List[Any]:
         """Materialize everything on the driver — test/debug escape hatch.

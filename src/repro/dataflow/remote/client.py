@@ -354,10 +354,6 @@ class RemoteExecutor(Executor):
         return sock
 
     @property
-    def worker_addresses(self) -> List[Tuple[str, int]]:
-        return [ch.address for ch in self._channels]
-
-    @property
     def worker_pids(self) -> List[int]:
         """PIDs of auto-spawned workers (empty for external clusters)."""
         return list(self._cluster.pids) if self._cluster is not None else []

@@ -246,10 +246,6 @@ class WorkerServer:
             for key in [k for k in self._buckets if k.startswith(prefix)]:
                 del self._buckets[key]
 
-    def bucket_store_bytes(self) -> int:
-        with self._buckets_lock:
-            return sum(len(v) for v in self._buckets.values())
-
     def _send_buckets(
         self, sock: socket.socket, bucket_ids: List[str]
     ) -> None:

@@ -266,31 +266,6 @@ class NeighborGraph:
         mass = self.neighbor_mass()
         return float(mass.max()) if mass.size else 0.0
 
-    # -- interop -----------------------------------------------------------
-
-    def to_scipy_sparse(self):
-        """Export as a ``scipy.sparse.csr_matrix`` (symmetric, zero diag)."""
-        from scipy.sparse import csr_matrix
-
-        return csr_matrix(
-            (self.weights, self.indices, self.indptr), shape=(self._n, self._n)
-        )
-
-    @classmethod
-    def from_scipy_sparse(cls, matrix) -> "NeighborGraph":
-        """Build from any scipy sparse matrix (symmetrized, diag dropped)."""
-        from scipy.sparse import coo_matrix
-
-        coo = coo_matrix(matrix)
-        keep = coo.row != coo.col
-        return cls.from_edges(
-            coo.shape[0],
-            coo.row[keep].astype(np.int64),
-            coo.col[keep].astype(np.int64),
-            coo.data[keep].astype(np.float64),
-            symmetrize=True,
-        )
-
     # -- restriction ----------------------------------------------------
 
     def subgraph(self, vertices: np.ndarray) -> Tuple["NeighborGraph", np.ndarray]:

@@ -7,10 +7,8 @@ from repro.utils.lazy import lazy_exports
 
 _EXPORTS = {
     "as_generator": ".rng",
-    "spawn_generators": ".rng",
     "check_alpha_beta": ".validation",
     "check_cardinality": ".validation",
-    "check_unique_ids": ".validation",
 }
 
 __all__ = list(_EXPORTS)

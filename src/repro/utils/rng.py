@@ -2,15 +2,12 @@
 
 Every stochastic component in the library accepts either an integer seed, a
 ``numpy.random.Generator``, or ``None`` and converts it with
-:func:`as_generator`.  Distributed components that need independent
-per-partition streams derive them with :func:`spawn_generators`, which uses
-NumPy's ``SeedSequence.spawn`` so streams are statistically independent and
-reproducible regardless of execution order.
+:func:`as_generator`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -25,20 +22,3 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
 
-
-def spawn_generators(seed: SeedLike, n: int) -> List[np.random.Generator]:
-    """Derive ``n`` independent generators from ``seed``.
-
-    When ``seed`` is already a ``Generator`` we draw a fresh entropy value
-    from it, so repeated calls yield distinct (but still deterministic,
-    given the parent) families of streams.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    elif isinstance(seed, np.random.Generator):
-        seq = np.random.SeedSequence(int(seed.integers(0, 2**63 - 1)))
-    else:
-        seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n)]

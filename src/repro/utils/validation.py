@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def check_alpha_beta(alpha: float, beta: float) -> None:
     """Validate the objective's balancing parameters.
@@ -27,14 +25,3 @@ def check_cardinality(k: int, n: int) -> int:
         raise ValueError(f"subset size k={k} exceeds ground set size n={n}")
     return k
 
-
-def check_unique_ids(ids: np.ndarray) -> np.ndarray:
-    """Validate an array of point ids (integer, unique)."""
-    ids = np.asarray(ids)
-    if ids.ndim != 1:
-        raise ValueError(f"ids must be 1-D, got shape {ids.shape}")
-    if ids.size and not np.issubdtype(ids.dtype, np.integer):
-        raise ValueError(f"ids must be integers, got dtype {ids.dtype}")
-    if np.unique(ids).size != ids.size:
-        raise ValueError("ids contain duplicates")
-    return ids

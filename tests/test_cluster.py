@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.costmodel import CostModel, table4_rows
-from repro.cluster.machine import GB, MachineSpec, greedy_state_bytes, partition_fits
+from repro.cluster.machine import GB, MachineSpec, greedy_state_bytes
 from repro.cluster.simulator import ClusterSimulator, PartitionTooLargeError
 
 
@@ -19,12 +19,6 @@ class TestMachineModel:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             greedy_state_bytes(-1)
-
-    def test_partition_fits(self):
-        machine = MachineSpec(dram_bytes=350 * GB)
-        # 350 GB / 176 B per point ~ 1.98 B points.
-        assert partition_fits(1_900_000_000, machine)
-        assert not partition_fits(2_100_000_000, machine)
 
     def test_invalid_machine(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
-"""The incremental selection runtime: deltas, reuse, windows, sieve beam.
+"""The incremental selection runtime: deltas, reuse, windows.
 
-Four guarantees pinned here:
+Three guarantees pinned here:
 
 1. **Cone invalidation** — a delta invalidates exactly the data shards
    whose content moved; every other shard's branch loads from its
@@ -14,9 +14,6 @@ Four guarantees pinned here:
 3. **Window semantics** — tumbling windows partition the delta stream,
    sliding windows attribute overlaps multiply, empty windows drive as
    fully-reused no-ops, and each window sees the dataset as of its end.
-4. **Sieve parity** — the sieve-streaming beam is bit-identical to the
-   reference :func:`repro.baselines.sieve.sieve_streaming` for the same
-   seed, on every backend, with quality comparable to batch greedy.
 
 Plus the service runtime that surfaces all of it: ``incremental: true``
 jobs reusing shards across dataset versions, cooperative cancellation of
@@ -31,7 +28,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.greedy import greedy_heap
 from repro.dataflow.executor import ThreadExecutor
 from repro.dataflow.context import DataflowContext
 from repro.dataflow.options import EngineOptions
@@ -599,51 +595,6 @@ def test_explain_annotates_reusable_boundaries(tmp_path):
         plain = driver.explain(v0, reuse=False)
     assert after.count("[checkpoint: reuse]") >= DATA_SHARDS
     assert "[checkpoint: reuse]" not in plain
-
-
-# -- sieve-streaming beam ----------------------------------------------------
-
-
-def test_sieve_beam_matches_reference_across_backends():
-    from repro.baselines.sieve import sieve_streaming
-    from repro.dataflow.sieve_beam import beam_sieve_select
-
-    problem = random_problem(120, seed=21)
-    reference = sieve_streaming(problem, 12, seed=5)
-    for executor in ("sequential", "thread"):
-        for optimize in (True, False):
-            result, metrics = beam_sieve_select(
-                problem, 12, seed=5,
-                options=EngineOptions(
-                    executor, num_shards=3, optimize=optimize
-                ),
-            )
-            label = f"(executor={executor}, optimize={optimize})"
-            np.testing.assert_array_equal(
-                result.selected, reference.selected, err_msg=label
-            )
-            assert result.objective == reference.objective, label
-            assert (
-                result.central_memory_points
-                == reference.central_memory_points
-            ), label
-            if optimize:
-                assert metrics.lifted_combiners >= 1, label
-
-
-def test_sieve_beam_quality_vs_batch_greedy():
-    problem = random_problem(120, seed=22)
-    k = 12
-    batch = greedy_heap(problem, k)
-    from repro.dataflow.sieve_beam import beam_sieve_select
-
-    result, _ = beam_sieve_select(
-        problem, k, seed=7, options=EngineOptions(num_shards=3)
-    )
-    assert result.selected.size == k
-    # One pass with bounded memory: within a constant factor of batch
-    # greedy (the 1/2 - eps guarantee, with slack for the random stream).
-    assert result.objective >= 0.4 * batch.objective
 
 
 # -- service integration -----------------------------------------------------

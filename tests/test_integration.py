@@ -24,7 +24,6 @@ from repro.dataflow import (
     beam_score,
 )
 from repro.graph.csr import NeighborGraph
-from repro.io import load_dataset_file, save_dataset
 
 
 class TestEndToEndPipelines:
@@ -41,18 +40,6 @@ class TestEndToEndPipelines:
         ).select(k, seed=0)
         assert len(report) == k
         assert report.objective >= 0.85 * ref.objective
-
-    def test_save_load_select_consistency(self, tmp_path):
-        """Selection on a round-tripped dataset matches the original."""
-        ds = load_dataset("cifar100_tiny", n_points=400, seed=0)
-        path = str(tmp_path / "ds.npz")
-        save_dataset(ds, path)
-        loaded = load_dataset_file(path)
-        for data in (ds, loaded):
-            problem = SubsetProblem.with_alpha(data.utilities, data.graph, 0.9)
-            result = greedy_heap(problem, 40)
-            data.selection = result.selected  # type: ignore[attr-defined]
-        np.testing.assert_array_equal(ds.selection, loaded.selection)
 
     def test_cli_select_then_score_round_trip(self, tmp_path, capsys):
         ids_path = str(tmp_path / "ids.npy")
@@ -166,12 +153,3 @@ class TestValidationHardening:
             NeighborGraph.from_edges(
                 2, np.array([0]), np.array([1]), np.array([np.inf])
             )
-
-    def test_scipy_interop_round_trip(self):
-        ds = load_dataset("cifar100_tiny", n_points=200, seed=0)
-        sparse = ds.graph.to_scipy_sparse()
-        back = NeighborGraph.from_scipy_sparse(sparse)
-        assert back.num_edges == ds.graph.num_edges
-        np.testing.assert_allclose(
-            back.neighbor_mass(), ds.graph.neighbor_mass()
-        )

@@ -17,9 +17,9 @@ from repro.dataflow import (
 )
 from repro.dataflow.columnar import BatchDoFn, as_records
 from repro.dataflow.pcollection import Fold, Pipeline, _Node
-from repro.dataflow.testing import assert_that, equal_to, plan_matches
 from repro.dataflow.transforms import cogroup
 from tests.conftest import random_problem
+from tests.matchers import assert_that, equal_to, plan_matches
 from tests.test_knn import clustered_points
 
 

@@ -1,10 +1,9 @@
-"""Tests for embedding stores and the virtual perturbed dataset."""
+"""Tests for the virtual perturbed dataset."""
 
 import numpy as np
 import pytest
 
 from repro.data.perturbed import PerturbedDataset
-from repro.data.store import ChunkedEmbeddingStore, InMemoryEmbeddingStore
 from repro.graph.knn import exact_knn
 
 
@@ -16,54 +15,6 @@ def make_perturbed(n_base=20, factor=5, seed=0, k=3):
     return PerturbedDataset(
         base, utilities, nbrs, sims, factor=factor, seed=seed
     )
-
-
-class TestInMemoryStore:
-    def test_shape(self):
-        store = InMemoryEmbeddingStore(np.zeros((7, 3)))
-        assert store.n == 7 and store.dim == 3
-
-    def test_get(self):
-        arr = np.arange(12, dtype=float).reshape(4, 3)
-        store = InMemoryEmbeddingStore(arr)
-        np.testing.assert_array_equal(store.get(np.array([2, 0])), arr[[2, 0]])
-
-    def test_iter_chunks_covers_all(self):
-        arr = np.arange(10, dtype=float).reshape(5, 2)
-        store = InMemoryEmbeddingStore(arr)
-        seen = []
-        for ids, chunk in store.iter_chunks(2):
-            assert chunk.shape[0] == ids.size
-            seen.extend(ids.tolist())
-        assert seen == list(range(5))
-
-    def test_1d_rejected(self):
-        with pytest.raises(ValueError):
-            InMemoryEmbeddingStore(np.zeros(5))
-
-    def test_bad_chunk_size(self):
-        store = InMemoryEmbeddingStore(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            list(store.iter_chunks(0))
-
-
-class TestChunkedStore:
-    def test_virtual_generation(self):
-        store = ChunkedEmbeddingStore(
-            100, 4, lambda ids: np.tile(ids[:, None].astype(float), (1, 4))
-        )
-        out = store.get(np.array([3, 50]))
-        np.testing.assert_array_equal(out[:, 0], [3.0, 50.0])
-
-    def test_out_of_range(self):
-        store = ChunkedEmbeddingStore(10, 2, lambda ids: np.zeros((ids.size, 2)))
-        with pytest.raises(IndexError):
-            store.get(np.array([10]))
-
-    def test_shape_mismatch_detected(self):
-        store = ChunkedEmbeddingStore(10, 2, lambda ids: np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            store.get(np.array([0, 1]))
 
 
 class TestPerturbedDataset:
@@ -118,13 +69,6 @@ class TestPerturbedDataset:
             # Only lifted (symmetrized) kNN edges — at least k, no self.
             assert nbrs.size >= 3
             assert g not in nbrs.tolist()
-
-    def test_as_store_roundtrip(self):
-        ds = make_perturbed()
-        store = ds.as_store()
-        assert store.n == ds.n and store.dim == ds.dim
-        ids = np.array([1, 5, 9])
-        np.testing.assert_array_equal(store.get(ids), ds.embeddings(ids))
 
     def test_invalid_factor(self):
         rng = np.random.default_rng(0)

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.validation import (
-    check_alpha_beta,
-    check_cardinality,
-    check_unique_ids,
-)
+from repro.utils.rng import as_generator
+from repro.utils.validation import check_alpha_beta, check_cardinality
 
 
 class TestAsGenerator:
@@ -31,29 +27,6 @@ class TestAsGenerator:
         np.testing.assert_array_equal(a, b)
 
 
-class TestSpawnGenerators:
-    def test_count(self):
-        gens = spawn_generators(0, 5)
-        assert len(gens) == 5
-
-    def test_streams_differ(self):
-        g1, g2 = spawn_generators(0, 2)
-        assert not np.array_equal(g1.random(10), g2.random(10))
-
-    def test_deterministic_from_int_seed(self):
-        a = [g.random(3) for g in spawn_generators(1, 3)]
-        b = [g.random(3) for g in spawn_generators(1, 3)]
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_zero_children(self):
-        assert spawn_generators(0, 0) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
-
-
 class TestValidation:
     def test_alpha_beta_ok(self):
         check_alpha_beta(0.9, 0.1)
@@ -73,19 +46,3 @@ class TestValidation:
     def test_cardinality_out_of_range(self, k):
         with pytest.raises(ValueError):
             check_cardinality(k, 10)
-
-    def test_unique_ids_ok(self):
-        ids = np.array([3, 1, 2])
-        np.testing.assert_array_equal(check_unique_ids(ids), ids)
-
-    def test_unique_ids_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            check_unique_ids(np.array([1, 1, 2]))
-
-    def test_unique_ids_float_rejected(self):
-        with pytest.raises(ValueError):
-            check_unique_ids(np.array([1.0, 2.0]))
-
-    def test_unique_ids_2d_rejected(self):
-        with pytest.raises(ValueError):
-            check_unique_ids(np.zeros((2, 2), dtype=np.int64))
