@@ -24,6 +24,40 @@ class TestMachineModel:
         with pytest.raises(ValueError):
             MachineSpec(dram_bytes=0)
 
+    @pytest.mark.parametrize(
+        "knob", ["greedy_points_per_sec", "shuffle_bytes_per_sec"]
+    )
+    def test_invalid_throughput(self, knob):
+        with pytest.raises(ValueError, match="throughput"):
+            MachineSpec(**{knob: 0.0})
+
+    def test_custom_widths(self):
+        """32-bit keys and values halve the state; fewer neighbors shrink
+        only the adjacency term."""
+        n = 1_000
+        assert greedy_state_bytes(n, key_bytes=4, value_bytes=4) * 2 == (
+            greedy_state_bytes(n)
+        )
+        assert greedy_state_bytes(n, neighbors_per_point=0) == n * 16
+
+    def test_paper_machine_holds_about_two_billion_points(self):
+        """Sec. 6.3's 350 GB partitions at 176 B per point (10 neighbors)
+        hold ~1.99 B points of greedy state."""
+        dram = MachineSpec().dram_bytes
+        assert greedy_state_bytes(1_900_000_000) <= dram
+        assert greedy_state_bytes(2_100_000_000) > dram
+
+    def test_dict_round_trip(self):
+        spec = MachineSpec(
+            dram_bytes=7 * GB, greedy_points_per_sec=2.0,
+            shuffle_bytes_per_sec=3.0,
+        )
+        assert MachineSpec.from_dict(spec.to_dict()) == spec
+
+    def test_from_dict_ignores_unknown_and_defaults_missing(self):
+        spec = MachineSpec.from_dict({"dram_bytes": 5 * GB, "gpu": 8})
+        assert spec == MachineSpec(dram_bytes=5 * GB)
+
 
 class TestCostModel:
     def test_more_rounds_cost_more(self):
@@ -83,6 +117,20 @@ class TestSimulator:
         sim = ClusterSimulator(tiny_dram)
         with pytest.raises(PartitionTooLargeError):
             sim.run(tiny_problem, 60, m=2, rounds=1, seed=0)
+
+    def test_partition_exactly_at_capacity_fits(self, tiny_problem):
+        """The DRAM check is ``state > dram``: a partition whose state
+        fills the machine to the byte runs; one byte less refuses it."""
+        partition = int(np.ceil(tiny_problem.n / 2))
+        cap = greedy_state_bytes(partition)
+        run = ClusterSimulator(MachineSpec(dram_bytes=cap)).run(
+            tiny_problem, 60, m=2, rounds=1, seed=0
+        )
+        assert run.peak_partition_bytes == cap
+        with pytest.raises(PartitionTooLargeError, match="DRAM"):
+            ClusterSimulator(MachineSpec(dram_bytes=cap - 1)).run(
+                tiny_problem, 60, m=2, rounds=1, seed=0
+            )
 
     def test_more_machines_smaller_partitions_fit(self, tiny_problem):
         cap = greedy_state_bytes(int(np.ceil(tiny_problem.n / 8)) + 1)

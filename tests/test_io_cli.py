@@ -44,6 +44,34 @@ class TestReportIO:
         data = report_to_dict(report)
         assert len(data["greedy_rounds"]) == 3
 
+    def test_no_bounding_section_without_bounding(self, ds):
+        problem = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
+        report = DistributedSelector(
+            problem, SelectorConfig(machines=2, rounds=1)
+        ).select(20, seed=0)
+        data = report_to_dict(report)
+        assert "bounding" not in data
+        assert data["config"]["bounding"] is None
+        assert "engine_metrics" not in data  # the in-memory engine
+
+    def test_dataflow_report_is_json_with_engine_metrics(self, ds):
+        """A dataflow run's report carries both stages' pipeline metrics
+        and the engine options as plain JSON (the executor by name)."""
+        problem = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
+        report = DistributedSelector(
+            problem,
+            SelectorConfig(
+                bounding="exact", machines=2, rounds=2, engine="dataflow"
+            ),
+        ).select(20, seed=0)
+        data = json.loads(json.dumps(report_to_dict(report)))
+        assert set(data["engine_metrics"]) == {
+            "bounding_metrics", "greedy_metrics"
+        }
+        assert data["config"]["engine"] == "dataflow"
+        assert data["config"]["options"]["executor"] == "sequential"
+        assert data["selected"] == report.selected.tolist()
+
 class TestCLI:
     def test_select_preset(self, tmp_path, capsys):
         out = str(tmp_path / "ids.npy")
@@ -161,6 +189,43 @@ class TestCLI:
         np.save(emb, ds.embeddings[:100])
         code = main(["select", "--embeddings", emb, "--k", "5", "--knn-k", "3"])
         assert code == 0
+
+    def test_select_with_utilities_file(self, ds, tmp_path):
+        """``--utilities`` feeds the .npy utilities into the objective: a
+        point with all the utility and no rival is always picked."""
+        emb, util, out = (
+            str(tmp_path / name) for name in ("x.npy", "u.npy", "ids.npy")
+        )
+        np.save(emb, ds.embeddings[:100])
+        utilities = np.zeros(100)
+        utilities[37] = 1.0
+        np.save(util, utilities)
+        assert main([
+            "select", "--embeddings", emb, "--utilities", util,
+            "--k", "5", "--knn-k", "3", "--out", out,
+        ]) == 0
+        ids = np.load(out)
+        assert ids.size == 5 and 37 in ids.tolist()
+
+    def test_select_rejects_misaligned_utilities(self, ds, tmp_path):
+        emb, util = str(tmp_path / "x.npy"), str(tmp_path / "u.npy")
+        np.save(emb, ds.embeddings[:100])
+        np.save(util, np.ones(99))
+        with pytest.raises(ValueError, match="same number of points"):
+            main([
+                "select", "--embeddings", emb, "--utilities", util,
+                "--k", "5", "--knn-k", "3",
+            ])
+
+    def test_select_report_flag_writes_versioned_json(self, tmp_path):
+        path = str(tmp_path / "report.json")
+        assert main([
+            "select", "--preset", "cifar100_tiny", "--n-points", "200",
+            "--k", "10", "--report", path,
+        ]) == 0
+        with open(path) as fh:
+            data = json.load(fh)
+        assert data["version"] == 1 and len(data["selected"]) == 10
 
 
 def _flag_block(parser, options=None):
