@@ -38,10 +38,10 @@ def _materialize_graph(ds: PerturbedDataset) -> NeighborGraph:
     chunk = 10_000
     for start in range(0, ds.n, chunk):
         ids = np.arange(start, min(start + chunk, ds.n), dtype=np.int64)
-        for g, nbrs, sims in ds.neighbors(ids):
-            sources.append(np.full(nbrs.size, g, dtype=np.int64))
-            targets.append(nbrs)
-            weights.append(sims)
+        indptr, nbrs, sims = ds.adjacency(ids)
+        sources.append(np.repeat(ids, np.diff(indptr)))
+        targets.append(nbrs)
+        weights.append(sims)
     return NeighborGraph.from_edges(
         ds.n,
         np.concatenate(sources),

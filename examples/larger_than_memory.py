@@ -29,10 +29,10 @@ def materialize_graph(ds: PerturbedDataset) -> NeighborGraph:
     sources, targets, weights = [], [], []
     for start in range(0, ds.n, 10_000):
         ids = np.arange(start, min(start + 10_000, ds.n), dtype=np.int64)
-        for g, nbrs, sims in ds.neighbors(ids):
-            sources.append(np.full(nbrs.size, g, dtype=np.int64))
-            targets.append(nbrs)
-            weights.append(sims)
+        indptr, nbrs, sims = ds.adjacency(ids)
+        sources.append(np.repeat(ids, np.diff(indptr)))
+        targets.append(nbrs)
+        weights.append(sims)
     return NeighborGraph.from_edges(
         ds.n, np.concatenate(sources), np.concatenate(targets),
         np.concatenate(weights),

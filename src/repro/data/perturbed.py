@@ -20,6 +20,13 @@ Utilities and the neighbor structure are likewise derived per chunk:
   construction, exactly as Sec. 6 does for the real datasets, so the lifted
   graph is symmetric too.)
 
+Every accessor takes a chunk of virtual ids, each in ``[0, n)`` (any other
+id is a ``ValueError``), and computes it with whole-array operations.  :meth:`PerturbedDataset.adjacency` returns a
+chunk's neighbor lists as CSR-style arrays built from the symmetrized base
+graph's CSR, so one call holds that chunk's edges — memory scales with the
+chunk, not with the ground set.  :meth:`PerturbedDataset.neighbors` yields
+per-point views of those arrays.
+
 This exercises the identical code paths the 13 B experiment needs — chunked
 utility access, neighbor iteration without a global CSR in memory, and
 multi-round distributed greedy whose partitions exceed any single "machine"
@@ -111,10 +118,9 @@ class PerturbedDataset:
         # treatment of the real datasets; lifted edges inherit this symmetry.
         from repro.graph.symmetrize import symmetrize_knn
 
-        base_graph = symmetrize_knn(self.base_neighbors, self.base_similarities)
-        self._base_adjacency = [
-            base_graph.neighbors(b) for b in range(n_base)
-        ]
+        self._base_graph = symmetrize_knn(
+            self.base_neighbors, self.base_similarities
+        )
 
     # -- shape -----------------------------------------------------------
 
@@ -138,8 +144,19 @@ class PerturbedDataset:
 
     # -- chunked access ----------------------------------------------------
 
+    def _checked(self, ids: np.ndarray) -> np.ndarray:
+        """``ids`` as ``int64``; ``ValueError`` unless every id is in ``[0, n)``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.n):
+            raise ValueError(
+                f"virtual ids must lie in [0, {self.n}), got "
+                f"[{ids.min()}, {ids.max()}]"
+            )
+        return ids
+
     def embeddings(self, ids: np.ndarray) -> np.ndarray:
         """Embeddings of virtual points (deterministic in ``ids``)."""
+        ids = self._checked(ids)
         base, _copy = self.split_ids(ids)
         noise = _hash_floats(ids, self._salt + 1, self.dim) - 0.5
         out = self.base_embeddings[base] + self.noise_std * 2.0 * noise
@@ -151,40 +168,65 @@ class PerturbedDataset:
 
     def utilities(self, ids: np.ndarray) -> np.ndarray:
         """Utilities of virtual points: base utility + deterministic jitter."""
+        ids = self._checked(ids)
         base, copy = self.split_ids(ids)
         jitter = (_hash_floats(ids, self._salt + 2, 1).ravel() - 0.5) * 2.0
         out = self.base_utilities[base] + self.utility_jitter * jitter
         out[copy == 0] = self.base_utilities[base[copy == 0]]
         return np.maximum(out, 0.0)
 
+    def adjacency(
+        self, ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Neighbor lists of a chunk as ``(indptr, neighbor_ids, similarities)``.
+
+        Row ``i`` (``neighbor_ids[indptr[i]:indptr[i + 1]]``) belongs to
+        ``ids[i]``.  Two edge families, both symmetric by construction, in
+        this order within a row:
+
+        - *ring*: copy ``c`` of base ``b`` connects to copies ``c±1 (mod
+          factor)`` of the same base with similarity ``ring_similarity``,
+          sorted by id (one copy when ``factor == 2``, none when
+          ``factor == 1``),
+        - *lifted kNN*: copy ``c`` of base ``b`` connects to copy ``c`` of
+          each symmetrized-kNN neighbor of ``b`` with the base similarity,
+          in the base graph's adjacency order.
+        """
+        ids = self._checked(ids)
+        f = self.factor
+        base, copy = self.split_ids(ids)
+        ring = min(f - 1, 2)  # ring copies per row: c-1 == c+1 when f == 2
+        src, lifted = self._base_graph.row_edges(base)
+        indptr = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(lifted + ring, out=indptr[1:])
+        neighbor_ids = np.empty(indptr[-1], dtype=np.int64)
+        similarities = np.empty(indptr[-1], dtype=np.float64)
+        if ring:
+            prev = base * f + (copy - 1) % f
+            succ = base * f + (copy + 1) % f
+            neighbor_ids[indptr[:-1]] = np.minimum(prev, succ)
+            similarities[indptr[:-1]] = self.ring_similarity
+            if ring == 2:
+                neighbor_ids[indptr[:-1] + 1] = np.maximum(prev, succ)
+                similarities[indptr[:-1] + 1] = self.ring_similarity
+        # The chunk's j-th lifted edge belongs to row ``rows[j]`` and lands
+        # after that row's ring, so every ring before it shifts it along.
+        rows = np.repeat(np.arange(ids.size, dtype=np.int64), lifted)
+        dst = np.arange(src.size, dtype=np.int64) + ring * (rows + 1)
+        neighbor_ids[dst] = self._base_graph.indices[src] * f + copy[rows]
+        similarities[dst] = self._base_graph.weights[src]
+        return indptr, neighbor_ids, similarities
+
     def neighbors(self, ids: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         """Yield ``(virtual_id, neighbor_ids, similarities)`` per point.
 
-        Two edge families (both symmetric by construction):
-
-        - *ring*: copy ``c`` of base ``b`` connects to copies ``c±1 (mod
-          factor)`` of the same base with similarity ``ring_similarity``
-          (skipped when ``factor == 1``),
-        - *lifted kNN*: copy ``c`` of base ``b`` connects to copy ``c`` of
-          each symmetrized-kNN neighbor of ``b`` with the base similarity.
+        The arrays are views of one :meth:`adjacency` call over the chunk,
+        which runs (and checks ``ids``) before the first point is yielded.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        base, copy = self.split_ids(ids)
-        for g, b, c in zip(ids.tolist(), base.tolist(), copy.tolist()):
-            nbr_ids = []
-            nbr_sims = []
-            if self.factor > 1:
-                prev_c = (c - 1) % self.factor
-                next_c = (c + 1) % self.factor
-                ring = {b * self.factor + prev_c, b * self.factor + next_c}
-                ring.discard(g)
-                for r in sorted(ring):
-                    nbr_ids.append(r)
-                    nbr_sims.append(self.ring_similarity)
-            base_nbrs, base_sims = self._base_adjacency[b]
-            lifted = base_nbrs * self.factor + c
-            nbr_ids.extend(lifted.tolist())
-            nbr_sims.extend(base_sims.tolist())
-            yield g, np.array(nbr_ids, dtype=np.int64), np.array(
-                nbr_sims, dtype=np.float64
-            )
+        indptr, neighbor_ids, similarities = self.adjacency(ids)
+        bounds = indptr.tolist()
+        return (
+            (g, neighbor_ids[a:b], similarities[a:b])
+            for g, a, b in zip(ids.tolist(), bounds[:-1], bounds[1:])
+        )

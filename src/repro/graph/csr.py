@@ -16,9 +16,15 @@ restriction and returns a relabeled CSR plus the local→global id map.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
+
+# Largest ``n`` whose pair keys ``source * n + target`` (at most
+# ``n * n - 1``) fit in int64: ``from_edges`` sorts on that one key up to
+# here and falls back to a two-key ``np.lexsort`` above it.
+_PAIR_KEY_MAX_N = math.isqrt(2**63)
 
 
 def _frozen(array: np.ndarray, dtype: type) -> np.ndarray:
@@ -119,6 +125,12 @@ class NeighborGraph:
         Both directions of a pair then reduce the same weight multiset, so
         the result is symmetric by construction and only the symmetry
         proof is skipped; ``symmetrize=False`` checks it.
+
+        The dedup orders edges by ``(source, target)`` with one stable
+        ``argsort`` of the int64 key ``source * n + target`` — the same
+        permutation ``np.lexsort((targets, sources))`` gives — while
+        ``n <= _PAIR_KEY_MAX_N`` (about 3.04e9, where the key would
+        overflow), and with that ``lexsort`` above it.
         """
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
@@ -142,7 +154,10 @@ class NeighborGraph:
             )
         # Deduplicate directed pairs, keeping max weight.
         if sources.size:
-            order = np.lexsort((targets, sources))
+            if n <= _PAIR_KEY_MAX_N:
+                order = np.argsort(sources * n + targets, kind="stable")
+            else:
+                order = np.lexsort((targets, sources))
             sources, targets, weights = sources[order], targets[order], weights[order]
             key_change = np.empty(sources.size, dtype=bool)
             key_change[0] = True

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import csr
 from repro.graph.csr import NeighborGraph, segment_sums
 
 
@@ -404,3 +405,50 @@ def test_random_graphs_round_trip(n, n_edges, seed):
     mask = rng.random(n) < 0.5
     expected = (dense * mask[None, :]).sum(axis=1)
     np.testing.assert_allclose(g.neighbor_mass(mask), expected, atol=1e-12)
+
+
+def _multigraph(seed):
+    """Random edges on few vertices, then every edge repeated with a new
+    weight: each ``(s, t)`` pair occurs several times, weights differing."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    sources = rng.integers(0, n, size=int(rng.integers(1, 200)))
+    targets = rng.integers(0, n, size=sources.size)
+    keep = sources != targets
+    sources = np.tile(sources[keep], 2)
+    targets = np.tile(targets[keep], 2)
+    return n, sources, targets, rng.random(sources.size)
+
+
+def _assert_same_graph(a, b):
+    for name in ("indptr", "indices", "weights"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_from_edges_pair_key_sort_matches_lexsort(seed, monkeypatch):
+    """The one-key ``argsort`` and the ``lexsort`` fallback build the same
+    arrays, mirrored by ``from_edges`` and from symmetric input alike."""
+    n, sources, targets, weights = _multigraph(seed)
+    mirrored = (
+        np.concatenate([sources, targets]),
+        np.concatenate([targets, sources]),
+        np.concatenate([weights, weights]),
+    )
+    default = NeighborGraph.from_edges(n, sources, targets, weights)
+    checked = NeighborGraph.from_edges(n, *mirrored, symmetrize=False)
+    monkeypatch.setattr(csr, "_PAIR_KEY_MAX_N", 0)
+    _assert_same_graph(
+        default, NeighborGraph.from_edges(n, sources, targets, weights)
+    )
+    _assert_same_graph(
+        checked, NeighborGraph.from_edges(n, *mirrored, symmetrize=False)
+    )
+
+
+def test_pair_key_limit_is_the_int64_bound():
+    c = csr._PAIR_KEY_MAX_N
+    assert c == 3_037_000_499
+    assert c * c <= 2**63 < (c + 1) ** 2

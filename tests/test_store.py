@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.perturbed import PerturbedDataset
 from repro.graph.knn import exact_knn
+from repro.graph.symmetrize import symmetrize_knn
 
 
 def make_perturbed(n_base=20, factor=5, seed=0, k=3):
@@ -148,3 +149,98 @@ class TestPerturbedDataset:
         assert not np.array_equal(a.embeddings(ids), c.embeddings(ids))
         zeros = ids[ids % a.factor == 0]
         np.testing.assert_array_equal(a.embeddings(zeros), c.embeddings(zeros))
+
+
+def per_point_neighbors(ds, ids):
+    """Reference: the neighbor lists built one point at a time in Python,
+    as ``PerturbedDataset.neighbors`` did before it read one chunk-wide
+    ``adjacency`` call."""
+    base_graph = symmetrize_knn(ds.base_neighbors, ds.base_similarities)
+    ids = np.asarray(ids, dtype=np.int64)
+    base, copy = ds.split_ids(ids)
+    for g, b, c in zip(ids.tolist(), base.tolist(), copy.tolist()):
+        nbr_ids = []
+        nbr_sims = []
+        if ds.factor > 1:
+            prev_c = (c - 1) % ds.factor
+            next_c = (c + 1) % ds.factor
+            ring = {b * ds.factor + prev_c, b * ds.factor + next_c}
+            ring.discard(g)
+            for r in sorted(ring):
+                nbr_ids.append(r)
+                nbr_sims.append(ds.ring_similarity)
+        base_nbrs, base_sims = base_graph.neighbors(b)
+        lifted = base_nbrs * ds.factor + c
+        nbr_ids.extend(lifted.tolist())
+        nbr_sims.extend(base_sims.tolist())
+        yield g, np.array(nbr_ids, dtype=np.int64), np.array(
+            nbr_sims, dtype=np.float64
+        )
+
+
+class TestChunkAdjacency:
+    @staticmethod
+    def chunks(n):
+        rng = np.random.default_rng(n)
+        return [
+            np.arange(n),
+            # unsorted, non-contiguous, one id repeated
+            np.array([n - 1, 3, 0, n // 2, 3, 1]),
+            rng.permutation(n)[: n // 3],
+        ]
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 7])
+    def test_neighbors_match_per_point_reference(self, factor):
+        ds = make_perturbed(n_base=12, factor=factor, k=4)
+        for ids in self.chunks(ds.n):
+            got = list(ds.neighbors(ids))
+            want = list(per_point_neighbors(ds, ids))
+            assert len(got) == len(want) == ids.size
+            for (g, nbrs, sims), (rg, rnbrs, rsims) in zip(got, want):
+                assert type(g) is int and g == rg
+                assert nbrs.dtype == rnbrs.dtype == np.int64
+                assert sims.dtype == rsims.dtype == np.float64
+                np.testing.assert_array_equal(nbrs, rnbrs)
+                assert sims.tobytes() == rsims.tobytes()
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 7])
+    def test_adjacency_rows_are_the_yielded_arrays(self, factor):
+        ds = make_perturbed(n_base=12, factor=factor, k=4)
+        for ids in self.chunks(ds.n):
+            indptr, nbrs, sims = ds.adjacency(ids)
+            assert indptr.shape == (ids.size + 1,) and indptr[0] == 0
+            assert indptr[-1] == nbrs.size == sims.size
+            rows = list(ds.neighbors(ids))
+            for i, (g, row_nbrs, row_sims) in enumerate(rows):
+                assert g == ids[i]
+                a, b = indptr[i], indptr[i + 1]
+                np.testing.assert_array_equal(nbrs[a:b], row_nbrs)
+                np.testing.assert_array_equal(sims[a:b], row_sims)
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 7])
+    def test_empty_chunk(self, factor):
+        ds = make_perturbed(n_base=12, factor=factor, k=4)
+        empty = np.array([], dtype=np.int64)
+        assert list(ds.neighbors(empty)) == []
+        indptr, nbrs, sims = ds.adjacency(empty)
+        np.testing.assert_array_equal(indptr, [0])
+        assert nbrs.size == sims.size == 0
+        assert nbrs.dtype == np.int64 and sims.dtype == np.float64
+
+
+class TestIdRange:
+    ACCESSORS = {
+        "embeddings": lambda ds, ids: ds.embeddings(ids),
+        "utilities": lambda ds, ids: ds.utilities(ids),
+        "adjacency": lambda ds, ids: ds.adjacency(ids),
+        "neighbors": lambda ds, ids: list(ds.neighbors(ids)),
+    }
+
+    @pytest.mark.parametrize("accessor", sorted(ACCESSORS))
+    def test_out_of_range_ids_rejected(self, accessor):
+        ds = make_perturbed(n_base=6, factor=4)
+        call = self.ACCESSORS[accessor]
+        for bad in (-1, ds.n):
+            with pytest.raises(ValueError, match=r"\[0, 24\)"):
+                call(ds, np.array([0, bad]))
+        call(ds, np.array([0, ds.n - 1]))  # both ends of the range are fine
