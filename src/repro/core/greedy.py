@@ -24,6 +24,20 @@ This is Minoux's (1978) lazy evaluation with an O(1) refresh — the fresh
 gain is already in the list — which is why there is no separate lazy-greedy
 variant.
 
+The queue only serves the vertices that need it.  Alg. 6 drops every
+cross-partition edge, so with ``m`` machines a point keeps about ``1/m`` of
+its neighbors and most points of a partition are isolated or sit in a
+two-point component.  :func:`greedy_heap` gives those their gain sequences
+in closed form — an isolated point's gain is its priority; a pair
+``{a, b}`` yields the larger of ``(pri, -id)`` at its priority, then the
+other point at ``pri - beta * w`` — runs the heap over the rest only, and
+merges the three by ``(-gain, id)``.  The merge is exact, not an
+approximation: components never touch each other's priorities, and within
+one component greedy's gains never rise and equal gains come in
+increasing id (priorities only fall, and a tie was broken to the smaller
+id), so Alg. 2's global order is the sorted union of the per-component
+orders.
+
 All selectors support "warm" selection where some mass has already been
 committed (the partial solution S' produced by bounding) via
 ``base_penalty`` — a per-point penalty subtracted from the initial priority,
@@ -39,6 +53,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.problem import SubsetProblem
+from repro.graph.csr import NeighborGraph
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_cardinality
 
@@ -122,6 +137,57 @@ def greedy_naive(
     )
 
 
+def _sparse_components(graph: NeighborGraph):
+    """``(isolated, a, b, rest)``, each ascending: the degree-0 vertices,
+    the two-point components ``{a[i], b[i]}`` (each the other's only
+    entry, ``a < b``) and every other vertex.
+
+    Read off the rows alone, so only a symmetric graph makes them
+    components: the vertices a row names must name it back.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    degree = np.diff(indptr)
+    single = np.flatnonzero(degree == 1)
+    partner = indices[indptr[single]]
+    mutual = (single < partner) & (degree[partner] == 1)
+    mutual[mutual] = indices[indptr[partner[mutual]]] == single[mutual]
+    a, b = single[mutual], partner[mutual]
+    closed = degree == 0
+    isolated = np.flatnonzero(closed)
+    closed[a] = closed[b] = True
+    return isolated, a, b, np.flatnonzero(~closed)
+
+
+def _lazy_heap(
+    graph: NeighborGraph, beta: float, pri: List[float], vertices: np.ndarray,
+    picks: int,
+):
+    """The first ``picks`` of Alg. 2's ``(ids, gains)`` over ``vertices``,
+    a union of components of ``graph``; ``pri`` (indexed by vertex id) is
+    consumed."""
+    heap = [(-pri[v], v) for v in vertices.tolist()]
+    heapify(heap)
+    indptr = graph.indptr.tolist()
+    indices, weights = graph.indices, graph.weights
+    selected = bytearray(len(pri))
+    order: List[int] = []
+    gains: List[float] = []
+    for _ in range(picks):
+        neg, v1 = heap[0]
+        while -neg != pri[v1]:  # stale upper bound: refresh in place
+            heapreplace(heap, (-pri[v1], v1))
+            neg, v1 = heap[0]
+        heappop(heap)
+        order.append(v1)
+        gains.append(pri[v1])
+        selected[v1] = 1
+        lo, hi = indptr[v1], indptr[v1 + 1]
+        for v2, w in zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()):
+            if w > 0 and not selected[v2]:
+                pri[v2] -= beta * w
+    return np.array(order, dtype=np.int64), np.array(gains, dtype=np.float64)
+
+
 def greedy_heap(
     problem: SubsetProblem,
     k: int,
@@ -130,12 +196,24 @@ def greedy_heap(
 ) -> SelectionResult:
     """Algorithm 2: priority queue with neighbor-only decrements.
 
-    O(n + k * kg * log n).  Produces exactly the same selection and the
-    same gain floats as :func:`greedy_naive` (max priority, then smallest
-    id; each decrement is the same scalar ``p - beta*w`` in CSR order).
+    O(n log n + k * kg * log n).  Produces exactly the same selection and
+    the same gain floats as :func:`greedy_naive` (max priority, then
+    smallest id; each decrement is the same scalar ``p - beta*w`` in CSR
+    order).
 
-    Invariant: ``pri[v]`` is the live priority of every unselected ``v``
-    and ``heap`` holds exactly one ``(-key, v)`` entry for it with
+    Isolated points and two-point components skip the queue (see the
+    module docstring): a pair's second gain is ``pri - beta * w`` with
+    ``w`` from the first point's row, the one float the queue would
+    compute (``w == 0`` subtracts ``0.0``, which changes no float).  The
+    queue runs over the remaining vertices for at most ``min(k, |rest|)``
+    picks, and one ``np.lexsort`` by ``(-gain, id)`` merges the three;
+    with no isolated or paired vertex the queue's result is returned
+    as is.  The split reads components off the rows, so it relies on the
+    graph's symmetry — validated by :class:`NeighborGraph`, or the
+    caller's guarantee with ``check=False``.
+
+    Queue invariant: ``pri[v]`` is the live priority of every unselected
+    ``v`` and ``heap`` holds exactly one ``(-key, v)`` entry for it with
     ``key >= pri[v]``.  Selecting a vertex lowers its neighbors in ``pri``
     only — never pushes — which keeps the invariant because ``beta >= 0``
     and only ``w > 0`` edges decrement.  The top entry is accepted iff its
@@ -148,31 +226,20 @@ def greedy_heap(
     """
     k = check_cardinality(k, problem.n)
     graph, beta = problem.graph, problem.beta
-    pri = _init_priorities(problem, base_penalty).tolist()
-    heap = [(-p, v) for v, p in enumerate(pri)]
-    heapify(heap)
-    indptr = graph.indptr.tolist()
-    indices, weights = graph.indices, graph.weights
-    selected = bytearray(problem.n)
-    order: List[int] = []
-    gains: List[float] = []
-    for _ in range(k):
-        neg, v1 = heap[0]
-        while -neg != pri[v1]:  # stale upper bound: refresh in place
-            heapreplace(heap, (-pri[v1], v1))
-            neg, v1 = heap[0]
-        heappop(heap)
-        order.append(v1)
-        gains.append(pri[v1])
-        selected[v1] = 1
-        lo, hi = indptr[v1], indptr[v1 + 1]
-        if lo != hi:  # partitions drop most edges: most rows are empty
-            for v2, w in zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()):
-                if w > 0 and not selected[v2]:
-                    pri[v2] -= beta * w
-    return SelectionResult(
-        np.array(order, dtype=np.int64), float(np.sum(gains)), np.array(gains)
-    )
+    pri = _init_priorities(problem, base_penalty)
+    isolated, a, b, rest = _sparse_components(graph)
+    order, gains = _lazy_heap(graph, beta, pri.tolist(), rest, min(k, rest.size))
+    if rest.size < problem.n:
+        first = np.where(pri[a] >= pri[b], a, b)  # a tie goes to a < b
+        second = a + b - first
+        w = graph.weights[graph.indptr[first]]
+        ids = np.concatenate((isolated, first, second, order))
+        gains = np.concatenate(
+            (pri[isolated], pri[first], pri[second] - beta * w, gains)
+        )
+        pick = np.lexsort((ids, -gains))[:k]
+        order, gains = ids[pick], gains[pick]
+    return SelectionResult(order, float(np.sum(gains)), gains)
 
 
 def stochastic_greedy(

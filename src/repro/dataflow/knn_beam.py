@@ -37,19 +37,33 @@ from repro.utils.rng import SeedLike, as_generator
 def _fit_centroids(
     x: np.ndarray, n_clusters: int, n_iter: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Spherical k-means on a sample (the driver-sized coarse quantizer)."""
+    """Spherical k-means on a sample (the driver-sized coarse quantizer).
+
+    Each iteration sums every cluster's rows with one ``bincount`` keyed
+    by ``(cluster, column)``.  It adds a cluster's rows in sample order,
+    as ``members.mean(axis=0)`` does, so the centroids are the per-cluster
+    loop's bit for bit — up to the sign of a zero: a column whose every
+    member holds ``-0.0`` sums to ``+0.0`` here.  An empty cluster, or one
+    whose mean is zero, keeps its centroid.
+    """
     sample = x[rng.choice(x.shape[0], size=min(x.shape[0], 4096), replace=False)]
     n_clusters = min(n_clusters, sample.shape[0])
     centroids = sample[rng.choice(sample.shape[0], size=n_clusters, replace=False)]
+    d = sample.shape[1]
+    column = np.arange(d)
     for _ in range(n_iter):
         assign = np.argmax(sample @ centroids.T, axis=1)
-        for c in range(n_clusters):
-            members = sample[assign == c]
-            if members.size:
-                mean = members.mean(axis=0)
-                norm = np.linalg.norm(mean)
-                if norm > 0:
-                    centroids[c] = mean / norm
+        counts = np.bincount(assign, minlength=n_clusters)
+        sums = np.bincount(
+            (assign[:, None] * d + column).ravel(),
+            weights=sample.ravel(),
+            minlength=n_clusters * d,
+        ).reshape(n_clusters, d)
+        for c in np.flatnonzero(counts):
+            mean = sums[c] / counts[c]
+            norm = np.sqrt(mean.dot(mean))
+            if norm > 0:
+                centroids[c] = mean / norm
     return centroids
 
 

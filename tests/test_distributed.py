@@ -1,5 +1,8 @@
 """Tests for the multi-round distributed greedy (Alg. 6) and Δ-schedules."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from repro.core.distributed import (
 )
 from repro.core.greedy import greedy_heap
 from repro.core.objective import PairwiseObjective
+from repro.dataflow.greedy_beam import beam_distributed_greedy
+from repro.dataflow.options import EngineOptions
 from repro.utils.rng import as_generator
 from tests.conftest import random_problem
 
@@ -193,3 +198,72 @@ class TestDistributedGreedy:
             distributed_greedy(
                 small_problem, 5, m=2, rounds=1, partitioner=lossy, seed=0
             )
+
+    @pytest.mark.parametrize(
+        "split",
+        [
+            lambda ids: [ids[:-1], ids[:1]],  # overlap, right total size
+            lambda ids: [ids[:-1], ids[-1:] + 1],  # an id past n
+            lambda ids: [ids[:-1], ids[:1] - 1],  # a negative id
+        ],
+    )
+    def test_overlapping_partition_detected(self, small_problem, split):
+        """Parts whose sizes add up to |V| but that are no disjoint cover
+        of it: at n = 60, k = 59 the first one used to return 31 ids (id 0
+        twice whenever both parts picked it)."""
+        with pytest.raises(ValueError, match="disjoint"):
+            distributed_greedy(
+                small_problem, 59, m=2, rounds=1, seed=0,
+                partitioner=lambda round_idx, ids, m, rng: split(ids),
+            )
+
+
+def _golden_problem(i: int):
+    """Problem ``i`` of the golden grid: sparse enough that 16 partitions
+    leave most points isolated or paired; odd ``i`` quantises utilities
+    into exact ties."""
+    problem = random_problem(60 + 20 * (i % 8), seed=100 + i, avg_degree=2 + i % 4)
+    if i % 2:
+        problem = replace(problem, utilities=np.round(problem.utilities * 4) / 4)
+    return problem
+
+
+class TestDistributedSelectionsGolden:
+    """``distributed_greedy``'s selections over a fixed grid — 16 seeded
+    problems × m ∈ {1, 4, 16} × rounds ∈ {1, 3} × ``base_penalty`` off/on
+    — and ``beam_distributed_greedy`` on two instances, pinned bit for
+    bit.  Every per-partition ``greedy_heap`` call feeds the digest, so a
+    kernel that picked differently anywhere would move it."""
+
+    GOLDEN = {
+        "distributed":
+            "6d8ba69e45c86c5447bc96a34b9af5fd2e1b79ea99197be718bd84e539b0a61b",
+        "beam":
+            "8386aa4029aa3166066d8e63d767f8a07ab0af134d2d51ff37f19ad772b796a7",
+    }
+
+    def test_distributed_digest(self):
+        h = hashlib.sha256()
+        for i in range(16):
+            problem = _golden_problem(i)
+            penalty = as_generator(i).random(problem.n) * 0.5
+            for m in (1, 4, 16):
+                for rounds in (1, 3):
+                    for base_penalty in (None, penalty):
+                        run = distributed_greedy(
+                            problem, problem.n // 5, m=m, rounds=rounds,
+                            base_penalty=base_penalty, seed=i,
+                        )
+                        h.update(run.selected.tobytes())
+        assert h.hexdigest() == self.GOLDEN["distributed"]
+
+    def test_beam_digest(self):
+        h = hashlib.sha256()
+        for i in (0, 1):
+            problem = _golden_problem(i)
+            result, _ = beam_distributed_greedy(
+                problem, problem.n // 4, m=8, rounds=3, seed=i,
+                options=EngineOptions(num_shards=4),
+            )
+            h.update(result.selected.tobytes())
+        assert h.hexdigest() == self.GOLDEN["beam"]

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.dataflow.knn_beam import beam_knn_graph
+from repro.data.synthetic import make_class_clusters
+from repro.dataflow.knn_beam import _fit_centroids, beam_knn_graph
 from repro.dataflow.options import EngineOptions
-from repro.graph.knn import exact_knn
+from repro.graph.knn import exact_knn, l2_normalize
+from repro.utils.rng import as_generator
 from tests.test_knn import clustered_points
 
 
@@ -143,3 +145,50 @@ class TestIvfReference:
         )
         np.testing.assert_array_equal(neighbors, expected[0])
         np.testing.assert_array_equal(sims, expected[1])
+
+
+def _fit_centroids_per_cluster(x, n_clusters, n_iter, rng):
+    """The reference ``_fit_centroids``: one mask and one row mean per
+    cluster and iteration."""
+    sample = x[rng.choice(x.shape[0], size=min(x.shape[0], 4096), replace=False)]
+    n_clusters = min(n_clusters, sample.shape[0])
+    centroids = sample[rng.choice(sample.shape[0], size=n_clusters, replace=False)]
+    for _ in range(n_iter):
+        assign = np.argmax(sample @ centroids.T, axis=1)
+        for c in range(n_clusters):
+            members = sample[assign == c]
+            if members.size:
+                mean = members.mean(axis=0)
+                norm = np.linalg.norm(mean)
+                if norm > 0:
+                    centroids[c] = mean / norm
+    return centroids
+
+
+@pytest.mark.parametrize(
+    "n,n_classes,dim,seed",
+    [(800, 100, 64, 0), (3000, 100, 64, 401), (2000, 20, 16, 1)],
+)
+@pytest.mark.parametrize("rotated", [False, True], ids=["raw", "rotated"])
+def test_fit_centroids_is_the_per_cluster_loop_bit_for_bit(
+    n, n_classes, dim, seed, rotated
+):
+    """One ``bincount`` per iteration adds each cluster's rows in the order
+    ``members.mean(axis=0)`` did."""
+    x, _ = make_class_clusters(n, n_classes, dim, seed=seed)
+    if rotated:
+        x = x @ np.linalg.qr(as_generator(seed).normal(size=(dim, dim)))[0]
+    x = l2_normalize(x)
+    n_clusters = int(np.sqrt(n))
+    got = _fit_centroids(x, n_clusters, 8, as_generator(seed))
+    want = _fit_centroids_per_cluster(x, n_clusters, 8, as_generator(seed))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fit_centroids_keeps_empty_clusters():
+    """Four distinct rows, eight clusters: at least four stay empty and
+    keep their centroids, as in the per-cluster loop."""
+    x = l2_normalize(np.tile(as_generator(5).normal(size=(4, 6)), (8, 1)))
+    got = _fit_centroids(x, 8, 8, as_generator(5))
+    want = _fit_centroids_per_cluster(x, 8, 8, as_generator(5))
+    assert got.tobytes() == want.tobytes()

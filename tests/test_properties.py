@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.bounding import bound, compute_utilities
 from repro.core.distributed import LinearDeltaSchedule, distributed_greedy
-from repro.core.greedy import greedy_heap, greedy_naive
+from repro.core.greedy import _sparse_components, greedy_heap, greedy_naive
 from repro.core.normalization import normalize_scores
 from repro.core.objective import PairwiseObjective
 from repro.core.pipeline import DistributedSelector, SelectorConfig
@@ -202,40 +202,136 @@ def test_heap_greedy_equals_naive_at_scale():
 _QUANTA = st.integers(0, 4).map(lambda q: q / 4)
 
 
+def _multigraph(n, edges):
+    """The validated graph holding each ``(a, b, w)`` of ``edges`` in both
+    directions — repeats kept as multi-edges."""
+    a, b, w = (np.array(col) for col in zip(*edges)) if edges else ([], [], [])
+    sources = np.concatenate([a, b]).astype(np.int64)
+    order = np.argsort(sources, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=n))))
+    return NeighborGraph(
+        indptr, np.concatenate([b, a])[order], np.concatenate([w, w])[order]
+    )
+
+
+def _utilities(draw, n):
+    """Quantised utilities: many exact ties."""
+    return np.array(draw(st.lists(_QUANTA, min_size=n, max_size=n)))
+
+
+def _instance(draw, utilities, graph, ks):
+    """``(problem, k, base_penalty)``: the extreme balances, an optional
+    quantised penalty and ``k`` drawn from ``ks``."""
+    n = graph.n
+    alpha = draw(st.sampled_from([0.0, 0.9, 1.0]))
+    beta = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    penalty = draw(st.none() | st.lists(_QUANTA, min_size=n, max_size=n))
+    k = draw(ks)
+    problem = SubsetProblem(utilities, graph, alpha=alpha, beta=beta)
+    return problem, k, None if penalty is None else np.array(penalty)
+
+
 @st.composite
 def _greedy_instances(draw):
     """``(problem, k, base_penalty)`` over everything the validator accepts:
     quantised utilities (many exact ties), zero-weight edges, multi-edges."""
     n = draw(st.integers(1, 12))
-    utilities = draw(st.lists(_QUANTA, min_size=n, max_size=n))
+    utilities = _utilities(draw, n)
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _QUANTA)
     edges = [e for e in draw(st.lists(pair, max_size=3 * n)) if e[0] != e[1]]
-    a, b, w = (np.array(col) for col in zip(*edges)) if edges else ([], [], [])
-    sources = np.concatenate([a, b]).astype(np.int64)
-    order = np.argsort(sources, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=n))))
-    graph = NeighborGraph(
-        indptr, np.concatenate([b, a])[order], np.concatenate([w, w])[order]
+    return _instance(
+        draw, utilities, _multigraph(n, edges), st.sampled_from([0, 1, n // 2, n])
     )
-    alpha = draw(st.sampled_from([0.0, 0.9, 1.0]))
-    beta = draw(st.sampled_from([0.0, 0.1, 1.0]))
-    penalty = draw(st.none() | st.lists(_QUANTA, min_size=n, max_size=n))
-    k = draw(st.sampled_from([0, 1, n // 2, n]))
-    problem = SubsetProblem(np.array(utilities), graph, alpha=alpha, beta=beta)
-    return problem, k, None if penalty is None else np.array(penalty)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_greedy_instances())
-def test_heap_greedy_is_bitwise_naive_on_every_accepted_graph(instance):
-    """Alg. 2's kernel performs Alg. 1's float operations in Alg. 1's order:
-    ids, gain floats and objective are equal, not close."""
-    problem, k, penalty = instance
+#: Component shapes of a sparse partition, by the edges among their
+#: vertices; repeats in the list weight the draw toward points and pairs.
+_SHAPES = {
+    "point": (1, []),
+    "pair": (2, [(0, 1)]),
+    "path": (3, [(0, 1), (1, 2)]),
+    "triangle": (3, [(0, 1), (1, 2), (0, 2)]),
+    "doubled pair": (2, [(0, 1), (0, 1)]),
+}
+_SHAPE_DRAW = ["point"] * 4 + ["pair"] * 3 + ["path", "triangle", "doubled pair"]
+
+
+@st.composite
+def _sparse_greedy_instances(draw):
+    """``(problem, k, base_penalty)`` shaped like one partition of Alg. 6:
+    mostly isolated points and two-point components, some paths, triangles
+    and doubled pair edges, their ids interleaved; zero-weight pairs come
+    from the quantised weights."""
+    shapes = draw(st.lists(st.sampled_from(_SHAPE_DRAW), min_size=1, max_size=12))
+    n = sum(_SHAPES[shape][0] for shape in shapes)
+    ids = draw(st.permutations(range(n)))
+    edges, start = [], 0
+    for shape in shapes:
+        size, links = _SHAPES[shape]
+        members = ids[start:start + size]
+        start += size
+        edges += [(members[x], members[y], draw(_QUANTA)) for x, y in links]
+    return _instance(
+        draw, _utilities(draw, n), _multigraph(n, edges), st.integers(0, n)
+    )
+
+
+def _heap_is_naive(problem, k, penalty=None):
+    """``greedy_heap``'s result, after checking that its ids, gain floats
+    and objective equal ``greedy_naive``'s — equal, not close."""
     naive = greedy_naive(problem, k, base_penalty=penalty)
     heap = greedy_heap(problem, k, base_penalty=penalty)
     assert heap.selected.tolist() == naive.selected.tolist()
     assert heap.gains.tolist() == naive.gains.tolist()
     assert heap.objective == naive.objective
+    return heap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_greedy_instances())
+def test_heap_greedy_is_bitwise_naive_on_every_accepted_graph(instance):
+    """Alg. 2's kernel performs Alg. 1's float operations in Alg. 1's
+    order."""
+    _heap_is_naive(*instance)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_greedy_instances())
+def test_heap_greedy_is_bitwise_naive_on_sparse_partitions(instance):
+    """The closed forms for isolated points and pairs, merged with the
+    queue's picks, reproduce Alg. 1 bit for bit on partition-like graphs."""
+    _heap_is_naive(*instance)
+
+
+def _unit_balance(utilities, edges):
+    """The problem on ``edges`` at alpha = beta = 1."""
+    graph = _multigraph(len(utilities), edges)
+    return SubsetProblem(np.array(utilities), graph, alpha=1.0, beta=1.0)
+
+
+def test_isolated_point_tied_with_pair_second_gain_breaks_to_smaller_id():
+    """Pair {0, 2} yields 1.0 then 0.75 - 0.25 = 0.5; isolated 1 and 3 sit
+    at 0.5 too, so the three tied gains come out in id order."""
+    res = _heap_is_naive(_unit_balance([1.0, 0.5, 0.75, 0.5], [(0, 2, 0.25)]), 4)
+    assert res.selected.tolist() == [0, 1, 2, 3]
+    assert res.gains.tolist() == [1.0, 0.5, 0.5, 0.5]
+
+
+def test_zero_weight_pair_keeps_both_priorities():
+    res = _heap_is_naive(_unit_balance([0.5, 0.75], [(0, 1, 0.0)]), 2)
+    assert res.selected.tolist() == [1, 0]
+    assert res.gains.tolist() == [0.75, 0.5]
+
+
+def test_doubled_pair_edge_goes_through_the_queue():
+    """A doubled a–b edge gives each point degree 2: not a closed-form
+    pair, so the queue applies both entries (0.75 - 0.25 - 0.25)."""
+    edges = [(0, 1, 0.25), (0, 1, 0.25)]
+    isolated, a, b, rest = _sparse_components(_multigraph(2, edges))
+    assert (isolated.size, a.size, b.size) == (0, 0, 0)
+    assert rest.tolist() == [0, 1]
+    res = _heap_is_naive(_unit_balance([1.0, 0.75], edges), 2)
+    assert res.gains.tolist() == [1.0, 0.25]
 
 
 def test_stale_heap_keys_are_refreshed_never_dropped():
