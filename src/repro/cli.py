@@ -104,6 +104,17 @@ def _build_problem(args: argparse.Namespace) -> tuple:
     return problem, embeddings
 
 
+def _alpha(text: str) -> float:
+    """``--alpha``: the utility weight, in [0, 1] since ``beta = 1 - alpha``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", help="named synthetic dataset preset")
     parser.add_argument("--n-points", type=int, default=None,
@@ -113,7 +124,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--labels", help=".npy labels (margin utilities)")
     parser.add_argument("--knn-k", type=int, default=10)
     parser.add_argument("--knn-method", choices=("exact", "ann"), default="exact")
-    parser.add_argument("--alpha", type=float, default=0.9,
+    parser.add_argument("--alpha", type=_alpha, default=0.9,
                         help="utility weight (beta = 1 - alpha)")
     parser.add_argument("--seed", type=int, default=0)
 
@@ -511,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--preset", required=True,
                           help="named synthetic dataset preset")
     p_submit.add_argument("--n-points", type=int, default=None)
-    p_submit.add_argument("--alpha", type=float, default=0.9)
+    p_submit.add_argument("--alpha", type=_alpha, default=0.9)
     p_submit.add_argument("--seed", type=int, default=0)
     p_submit.add_argument("--k", type=int, required=True)
     _add_selector_arguments(p_submit, engine_default="dataflow")
@@ -585,6 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "bounding", "none") != "none" and args.alpha == 0:
+        parser.error("--bounding requires --alpha > 0 (its bounds are in "
+                     "utility units, divided by alpha)")
     return args.func(args)
 
 

@@ -21,12 +21,30 @@ every optimal completion.  Shrink (Lemma 4.4) discards ``v`` when
 ``Umax(v) < U^k_min``.  Alg. 5 alternates: shrink to convergence, grow to
 convergence, repeat until neither changes anything.
 
-A round costs its remaining points, not the ground set: the bounds are
-computed for the remaining rows only, from their own edges (gathered
-once per distinct remaining set), summed exactly as a whole-graph pass
-would sum them — :func:`compute_utilities` is the same kernel over
-every row.  Approximate mode still draws each round's keep mask over
-every edge, so the generator stream is the sampler's.
+A shrink round costs its remaining rows, a grow round costs its
+candidates — never the ground set:
+
+- *S' mass cache.* ``Σ_{nb ∈ S'} s(v, nb)`` is kept per row.  Only a
+  grow changes ``S'``, and it re-sums the rows next to the points it
+  added (the remaining ones), each by ``np.add.reduceat`` over the row's
+  whole adjacency with non-solution entries as zeros — the bits a
+  whole-graph pass gives.  ``Umax`` of a row is then one lookup.
+- *Shrink* needs every remaining row's lower bound (its threshold is
+  their k-th largest), so it sums the remaining rows' own edges,
+  gathered once per distinct remaining set.
+- *Grow* needs the lower bound only of its *candidates*, the rows whose
+  ``Umax`` beats the threshold: ``lower <= Umax`` holds exactly in
+  floating point, so no other row can pass ``lower > threshold``.
+  Masses are non-negative, ``beta/alpha >= 0`` and rounding is
+  monotone, so summing the same adjacency over a superset of the
+  solution neighbors (``Umin``), or adding a sampled mass to the
+  solution mass (``Uexp``), never gives a smaller mass.
+
+:func:`compute_utilities` runs the same row kernel over every row, so
+both agree to the last bit.  Approximate mode still draws each round's
+keep mask over every edge, so the generator stream is the sampler's; a
+round compares the draw with the keep probability only at the edges it
+reads.
 
 This module is the in-memory reference implementation; the dataflow engine
 runs the same logic with distributed joins (:mod:`repro.dataflow.bounding_beam`)
@@ -115,6 +133,52 @@ class _LiveEdges(NamedTuple):
         return cls(rows, flat, lengths, graph.indices[flat], graph.weights[flat])
 
 
+def _solution_mass(edges: _LiveEdges, solution: np.ndarray) -> np.ndarray:
+    """``Σ_{nb ∈ S'} s(v, nb)`` of each of ``edges.rows``.
+
+    Summed by ``np.add.reduceat`` over a row's whole adjacency,
+    non-solution entries as zeros — the sum a whole-graph ``row_sums``
+    makes — so a row's mass is the same bits whichever other rows are
+    summed with it.
+    """
+    return segment_sums(
+        np.where(solution[edges.neighbors], edges.weights, 0.0), edges.lengths
+    )
+
+
+def _upper_bound(
+    problem: SubsetProblem, rows: np.ndarray, mass_solution: np.ndarray
+) -> np.ndarray:
+    """``Umax`` of ``rows`` from their S' masses."""
+    return problem.utilities[rows] - problem.beta_over_alpha * mass_solution
+
+
+def _lower_bound(
+    problem: SubsetProblem,
+    edges: _LiveEdges,
+    remaining: np.ndarray,
+    solution: np.ndarray,
+    mass_solution: np.ndarray,
+    keep: Optional[np.ndarray],
+) -> np.ndarray:
+    """``Umin`` (``keep`` is ``None``: every alive neighbor counts) or
+    ``Uexp`` of ``edges.rows``; ``keep`` is the sampled keep mask at the
+    rows' entries and ``mass_solution`` their S' masses.  Summed like
+    :func:`_solution_mass`, so never below the S' mass: ``lower <=
+    Umax`` exactly."""
+    ratio = problem.beta_over_alpha
+    neighbors, weights, lengths = edges.neighbors, edges.weights, edges.lengths
+    utilities = problem.utilities[edges.rows]
+    if keep is None:
+        alive = (remaining | solution)[neighbors]
+        return utilities - ratio * segment_sums(
+            np.where(alive, weights, 0.0), lengths
+        )
+    # Sampled mass over *remaining* neighbors; solution neighbors always in.
+    sampled = np.where(keep & remaining[neighbors], weights, 0.0)
+    return utilities - ratio * (mass_solution + segment_sums(sampled, lengths))
+
+
 def _row_bounds(
     problem: SubsetProblem,
     live: _LiveEdges,
@@ -122,35 +186,15 @@ def _row_bounds(
     solution: np.ndarray,
     keep: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(lower, Umax)`` of ``live.rows`` alone, from their own edges.
-
-    ``keep`` is ``None`` for ``Umin`` (every alive neighbor counts) or a
-    sampled keep mask over *all* directed edges for ``Uexp`` (read at the
-    rows' edges).  A row's masses are summed by ``np.add.reduceat`` over
-    its whole adjacency, masked-out entries as zeros — the sum a
-    whole-graph ``row_sums`` makes — so a row's bounds are the same bits
-    whichever other rows are computed with it.
-    """
-    ratio = problem.beta_over_alpha
-    neighbors, weights, lengths = live.neighbors, live.weights, live.lengths
-    utilities = problem.utilities[live.rows]
-    # An empty solution sums to exact zeros: skip the pass.
-    mass_solution = (
-        segment_sums(np.where(solution[neighbors], weights, 0.0), lengths)
-        if solution.any()
-        else np.zeros(live.rows.size)
+    """``(lower, Umax)`` of ``live.rows`` alone, from their own edges;
+    ``keep`` is ``None`` for ``Umin`` or a sampled keep mask over *all*
+    directed edges for ``Uexp`` (read at the rows' edges)."""
+    mass_solution = _solution_mass(live, solution)
+    lower = _lower_bound(
+        problem, live, remaining, solution, mass_solution,
+        None if keep is None else keep[live.flat],
     )
-    u_max = utilities - ratio * mass_solution
-    if keep is None:
-        alive = (remaining | solution)[neighbors]
-        lower = utilities - ratio * segment_sums(
-            np.where(alive, weights, 0.0), lengths
-        )
-        return lower, u_max
-    # Sampled mass over *remaining* neighbors; solution neighbors always in.
-    sampled = np.where(keep[live.flat] & remaining[neighbors], weights, 0.0)
-    lower = utilities - ratio * (mass_solution + segment_sums(sampled, lengths))
-    return lower, u_max
+    return lower, _upper_bound(problem, live.rows, mass_solution)
 
 
 def compute_utilities(
@@ -166,9 +210,9 @@ def compute_utilities(
     """Per-point ``(lower, Umax)`` arrays over the full ground set.
 
     ``lower`` is ``Umin`` in exact mode and ``Uexp`` in approximate mode.
-    Entries for non-remaining points are computed too (callers mask):
-    this is the kernel :func:`bound` runs over its remaining rows only,
-    run over every row, so both agree to the last bit.
+    Entries for non-remaining points are computed too (callers mask).
+    The row kernel is :func:`bound`'s — its S' masses, its ``Umin`` /
+    ``Uexp`` sums — run over every row, so both agree to the last bit.
     """
     _check_bounding(problem, mode)
     keep = None
@@ -204,6 +248,14 @@ def bound(
 ) -> BoundingResult:
     """Algorithm 5: alternate Shrink and Grow until both converge.
 
+    A round computes only what its decision reads (see the module
+    docstring): a shrink round bounds every remaining row, a grow round
+    reads ``Umax`` off the cached S' masses and computes the lower bound
+    of its candidates alone — the rows with ``Umax`` above its threshold,
+    the only ones that can pass since ``lower <= Umax`` exactly.  The
+    decisions, ``history`` included, are those of bounding every
+    remaining row every round.
+
     Parameters
     ----------
     mode:
@@ -229,65 +281,90 @@ def bound(
         )
     _check_bounding(problem, mode)
     rng = as_generator(seed)
+    graph = problem.graph
     n = problem.n
-    nnz = problem.graph.num_directed_edges
+    nnz = graph.num_directed_edges
     # Round-invariant, so computed once; each round then draws the keep
     # mask exactly as ``EDGE_SAMPLERS[sampler]`` would.
     keep_probability = (
-        KEEP_PROBABILITIES[sampler](problem.graph, p)
+        KEEP_PROBABILITIES[sampler](graph, p)
         if mode == "approximate" and p < 1.0
         else None
     )
     remaining = np.ones(n, dtype=bool)
     solution = np.zeros(n, dtype=bool)
+    # Σ_{nb ∈ S'} s(v, nb), current for every remaining row.
+    mass_solution = np.zeros(n)
     k_remaining = k_total
     grow_rounds = 0
     shrink_rounds = 0
     history: List[Tuple[str, int]] = []
     live: Optional[_LiveEdges] = None
 
-    def utilities(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lower, Umax)`` of the remaining ``rows`` — their edges only."""
-        nonlocal live
-        # ``remaining`` only shrinks, so an unchanged count is an
-        # unchanged set, whose edges are already gathered.
-        if live is None or live.rows.size != rows.size:
-            live = _LiveEdges.of(problem.graph, rows)
-        keep = None
-        if keep_probability is not None:
-            keep = rng.random(nnz) < keep_probability
-        return _row_bounds(problem, live, remaining, solution, keep)
+    def keep_at(flat: np.ndarray) -> Optional[np.ndarray]:
+        """This round's keep mask at the edges ``flat``: the whole draw
+        (the sampler's generator stream), compared only where read."""
+        if keep_probability is None:
+            return None
+        draw = rng.random(nnz)[flat]
+        if np.ndim(keep_probability):
+            return draw < keep_probability[flat]
+        return draw < keep_probability
+
+    def include(ids: np.ndarray) -> None:
+        """Move ``ids`` into S' and refresh the S' mass of the remaining
+        rows next to them (the graph is symmetric: a row next to ``ids``
+        is a neighbor of one of them)."""
+        nonlocal k_remaining
+        solution[ids] = True
+        remaining[ids] = False
+        k_remaining -= ids.size
+        touched = graph.indices[graph.row_edges(ids)[0]]
+        touched = np.unique(touched[remaining[touched]])
+        mass_solution[touched] = _solution_mass(
+            _LiveEdges.of(graph, touched), solution
+        )
 
     def shrink_once() -> int:
         """One Shrink round (Alg. 4); returns #points discarded."""
-        nonlocal remaining
+        nonlocal live
         rem_idx = np.flatnonzero(remaining)
         if k_remaining <= 0 or rem_idx.size <= k_remaining:
             return 0
-        lower, u_max = utilities(rem_idx)
+        # ``remaining`` only shrinks, so an unchanged count is an
+        # unchanged set, whose edges are already gathered.
+        if live is None or live.rows.size != rem_idx.size:
+            live = _LiveEdges.of(graph, rem_idx)
+        mass = mass_solution[rem_idx]
+        lower = _lower_bound(
+            problem, live, remaining, solution, mass, keep_at(live.flat)
+        )
         threshold = kth_largest(lower, k_remaining)
-        drop = rem_idx[u_max < threshold]
+        drop = rem_idx[_upper_bound(problem, rem_idx, mass) < threshold]
         remaining[drop] = False
         return int(drop.size)
 
     def grow_once() -> int:
         """One Grow round (Alg. 3); returns #points included."""
-        nonlocal remaining, solution, k_remaining
         rem_idx = np.flatnonzero(remaining)
         if k_remaining <= 0 or rem_idx.size == 0:
             return 0
         if rem_idx.size <= k_remaining:
             # Everything left must be chosen.
-            solution[rem_idx] = True
-            remaining[rem_idx] = False
-            k_remaining -= rem_idx.size
+            include(rem_idx)
             return int(rem_idx.size)
-        lower, u_max = utilities(rem_idx)
+        mass = mass_solution[rem_idx]
+        u_max = _upper_bound(problem, rem_idx, mass)
         threshold = kth_largest(u_max, k_remaining)
-        add = rem_idx[lower > threshold]
-        solution[add] = True
-        remaining[add] = False
-        k_remaining -= add.size
+        # ``lower <= Umax``: only rows above the threshold can pass.
+        above = u_max > threshold
+        candidates = _LiveEdges.of(graph, rem_idx[above])
+        lower = _lower_bound(
+            problem, candidates, remaining, solution, mass[above],
+            keep_at(candidates.flat),
+        )
+        add = candidates.rows[lower > threshold]
+        include(add)
         return int(add.size)
 
     total_rounds = 0

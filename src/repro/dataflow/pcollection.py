@@ -897,7 +897,8 @@ class Pipeline:
         self.metrics.observe_checkpoint_store()
 
     def _checkpoint_load(self, digest: str) -> Optional[List[Any]]:
-        """Load a boundary's shards, or ``None`` when absent/unreadable.
+        """Load a boundary's shards, or ``None`` when absent/unreadable
+        (an unreadable entry is removed, so its recompute is stored).
 
         Each shard is passed through :meth:`_store_shard` as soon as it is
         read, so with ``spill_to_disk`` a resume keeps the engine's
@@ -917,9 +918,16 @@ class Pipeline:
         except FileNotFoundError:
             return None
         except Exception:
-            # Unreadable/corrupt entry (e.g. version skew): recompute.
+            # Unreadable/corrupt entry (e.g. a torn file): remove it and
+            # recompute, so the recompute's store writes it again rather
+            # than skip the existing path.  A directory that refuses the
+            # removal refuses that store too; the branch still recomputes.
             # (Shards already re-spilled before the failure are orphaned
             # in the spill dir until close() — harmless.)
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
             return None
 
     def gc_checkpoints(self, keep: Iterable[str] = ()) -> int:

@@ -8,17 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounding import (
+    BoundingResult,
     _LiveEdges,
     _row_bounds,
     bound,
     compute_utilities,
+    kth_largest,
 )
 from repro.core.greedy import greedy_heap
 from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
 from repro.core.sampling import EDGE_SAMPLERS, KEEP_PROBABILITIES
+from repro.data.perturbed import PerturbedDataset
+from repro.data.registry import load_dataset
 from repro.dataflow import EngineOptions, beam_bound
-from repro.graph.csr import NeighborGraph
+from repro.graph.csr import NeighborGraph, segment_sums
 from tests.conftest import (
     branch_and_bound_best,
     brute_force_best,
@@ -111,6 +115,170 @@ class TestLiveRowBounds:
         )
         for full_column, live_column in zip(whole, live):
             assert full_column[rows].tobytes() == live_column.tobytes()
+
+
+def _reference_bound(problem, k, *, mode="exact", sampler="uniform", p=1.0,
+                     seed=None):
+    """The per-round recipe ``bound`` replaced, kept as its reference:
+    every round computes both bounds of every remaining row from the
+    rows' own edges, with the keep mask drawn and compared whole."""
+    graph, n = problem.graph, problem.n
+    ratio = problem.beta_over_alpha
+    rng = np.random.default_rng(seed)
+    probability = (
+        KEEP_PROBABILITIES[sampler](graph, p)
+        if mode == "approximate" and p < 1.0 else None
+    )
+    remaining = np.ones(n, dtype=bool)
+    solution = np.zeros(n, dtype=bool)
+    k_remaining = k
+    history = []
+
+    def bounds(rows):
+        flat, lengths = graph.row_edges(rows)
+        neighbors, weights = graph.indices[flat], graph.weights[flat]
+        utilities = problem.utilities[rows]
+        mass_solution = segment_sums(
+            np.where(solution[neighbors], weights, 0.0), lengths
+        )
+        u_max = utilities - ratio * mass_solution
+        if probability is None:
+            alive = (remaining | solution)[neighbors]
+            lower = utilities - ratio * segment_sums(
+                np.where(alive, weights, 0.0), lengths
+            )
+            return lower, u_max
+        keep = rng.random(graph.num_directed_edges) < probability
+        sampled = np.where(keep[flat] & remaining[neighbors], weights, 0.0)
+        lower = utilities - ratio * (
+            mass_solution + segment_sums(sampled, lengths)
+        )
+        return lower, u_max
+
+    def shrink():
+        rows = np.flatnonzero(remaining)
+        if k_remaining <= 0 or rows.size <= k_remaining:
+            return 0
+        lower, u_max = bounds(rows)
+        drop = rows[u_max < kth_largest(lower, k_remaining)]
+        remaining[drop] = False
+        return drop.size
+
+    def grow():
+        nonlocal k_remaining
+        rows = np.flatnonzero(remaining)
+        if k_remaining <= 0 or rows.size == 0:
+            return 0
+        if rows.size <= k_remaining:
+            add = rows
+        else:
+            lower, u_max = bounds(rows)
+            add = rows[lower > kth_largest(u_max, k_remaining)]
+        solution[add] = True
+        remaining[add] = False
+        k_remaining -= add.size
+        return add.size
+
+    grow_rounds = shrink_rounds = 0
+    while True:
+        changed_outer = 0
+        for phase, step in (("shrink", shrink), ("grow", grow)):
+            while True:
+                if phase == "grow":
+                    grow_rounds += 1
+                else:
+                    shrink_rounds += 1
+                changed = step()
+                history.append((phase, changed))
+                changed_outer += changed
+                if changed == 0:
+                    break
+        if changed_outer == 0 or k_remaining <= 0:
+            break
+    solution_ids = np.flatnonzero(solution)
+    overshoot = max(0, solution_ids.size - k)
+    if overshoot:
+        solution_ids = np.sort(rng.choice(solution_ids, size=k, replace=False))
+        k_remaining = 0
+    remaining_ids = np.flatnonzero(remaining)
+    return BoundingResult(
+        solution=solution_ids,
+        remaining=remaining_ids,
+        n_excluded=n - int(np.count_nonzero(solution)) - remaining_ids.size,
+        k_remaining=max(k_remaining, 0),
+        grow_rounds=grow_rounds,
+        shrink_rounds=shrink_rounds,
+        complete=k_remaining <= 0,
+        overshoot=overshoot,
+        history=history,
+    )
+
+
+@st.composite
+def sparse_problems(draw):
+    """n <= 80 points, many isolated or paired, the rest joined at
+    random; quantised weights (0 among them) and tied utilities."""
+    n = draw(st.integers(1, 80))
+    alpha = draw(st.sampled_from([0.05, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    n_isolated = draw(st.integers(0, n))
+    n_pairs = draw(st.integers(0, (n - n_isolated) // 2))
+    paired = order[n_isolated:n_isolated + 2 * n_pairs]
+    rest = order[n_isolated + 2 * n_pairs:]
+    sources, targets = [paired[0::2]], [paired[1::2]]
+    if rest.size > 1:
+        n_edges = rest.size * draw(st.integers(1, 4))
+        a, b = rng.choice(rest, n_edges), rng.choice(rest, n_edges)
+        sources.append(a[a != b])
+        targets.append(b[a != b])
+    sources, targets = np.concatenate(sources), np.concatenate(targets)
+    weights = rng.integers(0, 5, sources.size) / 4.0
+    graph = NeighborGraph.from_edges(n, sources, targets, weights)
+    utilities = rng.integers(0, 4, n) / 4.0
+    return SubsetProblem.with_alpha(utilities, graph, alpha)
+
+
+BOUND_SETTINGS = st.sampled_from(
+    [{"mode": "exact"}]
+    + [
+        {"mode": "approximate", "sampler": sampler, "p": p}
+        for sampler in ("uniform", "weighted")
+        for p in (0.3, 0.7, 1.0)
+    ]
+)
+
+
+class TestBoundIsThePerRoundRecipe:
+    """``bound`` computes a round's bounds only where its decision reads
+    them; every field of its result — ``history`` too — must equal the
+    recipe that computed every remaining row's bounds every round."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_problems(), BOUND_SETTINGS, st.data())
+    def test_equals_reference(self, problem, config, data):
+        k = data.draw(st.integers(1, problem.n))
+        seed = data.draw(st.integers(0, 2**16))
+        got = bound(problem, k, seed=seed, track_history=True, **config)
+        want = _reference_bound(problem, k, seed=seed, **config)
+        assert got.solution.tolist() == want.solution.tolist()
+        assert got.remaining.tolist() == want.remaining.tolist()
+        for name in ("n_excluded", "k_remaining", "grow_rounds",
+                     "shrink_rounds", "complete", "overshoot", "history"):
+            assert getattr(got, name) == getattr(want, name), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_problems(), BOUND_SETTINGS, st.integers(0, 2**16))
+    def test_lower_never_exceeds_umax_exactly(self, problem, config, seed):
+        """``lower <= Umax`` with no tolerance — what lets a grow round
+        compute only the rows whose ``Umax`` beats its threshold."""
+        rng = np.random.default_rng(seed)
+        remaining = rng.random(problem.n) < 0.6
+        solution = ~remaining & (rng.random(problem.n) < 0.5)
+        lower, umax = compute_utilities(
+            problem, remaining, solution, rng=seed, **config
+        )
+        assert (lower <= umax).all()
 
 
 class TestKeepProbabilitiesOncePerRun:
@@ -357,5 +525,65 @@ class TestBoundDecisionsGolden:
                 n = problem.n
                 for k in (max(1, n // 10), n // 3, (2 * n) // 3):
                     yield bound(problem, k, seed=i, **BOUND_MODES[mode])
+
+        assert decisions_digest(results()) == self.GOLDEN[mode]
+
+
+def _perturbed_problem(alpha: float) -> SubsetProblem:
+    """A toy Sec. 6.3 instance: 60 base points × 5 perturbed copies."""
+    base = load_dataset("cifar100_tiny", n_points=60, seed=0)
+    ds = PerturbedDataset(
+        base.embeddings, base.utilities, base.neighbors, base.similarities,
+        factor=5, seed=1,
+    )
+    sources, targets, weights = [], [], []
+    for g, nbrs, sims in ds.neighbors(np.arange(ds.n)):
+        sources.append(np.full(nbrs.size, g))
+        targets.append(nbrs)
+        weights.append(sims)
+    graph = NeighborGraph.from_edges(
+        ds.n, np.concatenate(sources), np.concatenate(targets),
+        np.concatenate(weights),
+    )
+    return SubsetProblem.with_alpha(ds.utilities(np.arange(ds.n)), graph, alpha)
+
+
+@pytest.fixture(scope="module")
+def long_grow_problems():
+    """``cifar100_like`` n = 3000 and a toy ``PerturbedDataset`` at
+    α ∈ {0.5, 0.9, 0.99}: between them every mode has grow phases of
+    tens of rounds (uniform at α = 0.5, weighted at 0.9) or adds
+    hundreds of points per round (exact at 0.99)."""
+    like = load_dataset("cifar100_like", n_points=3000, seed=0)
+    return [
+        problem
+        for alpha in (0.5, 0.9, 0.99)
+        for problem in (
+            SubsetProblem.with_alpha(like.utilities, like.graph, alpha),
+            _perturbed_problem(alpha),
+        )
+    ]
+
+
+class TestBoundDecisionsGoldenLongGrow:
+    """``bound``'s decisions on instances whose grow phases run long,
+    k ∈ {n/50, n/10, n/2}, pinned bit for bit per mode."""
+
+    GOLDEN = {
+        "exact":
+            "d73f034a2b5d25328fb796bf9f356722e8f0debba77b9bde4cf5b996865f21dc",
+        "uniform":
+            "08505d4b023ce29c1ae098309f0e08de35acecdb927883eeb8cefb0518c02c0c",
+        "weighted":
+            "6864ceb3d9ec3feed0b6eb976df6881fbc90ac392052ba917e58950828cc18e1",
+    }
+
+    @pytest.mark.parametrize("mode", GOLDEN)
+    def test_decisions_digest(self, mode, long_grow_problems):
+        def results():
+            for problem in long_grow_problems:
+                n = problem.n
+                for k in (n // 50, n // 10, n // 2):
+                    yield bound(problem, k, seed=3, **BOUND_MODES[mode])
 
         assert decisions_digest(results()) == self.GOLDEN[mode]

@@ -376,6 +376,43 @@ class TestBeamCheckpointing:
         assert second.extra["bounding_metrics"].checkpoint_hits > 0
 
 
+class TestTornCheckpoint:
+    def test_torn_checkpoint_is_rewritten(self, tmp_path, problem):
+        """A checkpoint that no longer unpickles is recomputed *and*
+        stored again, so the drive after that resumes in full."""
+        ckpt = tmp_path / "ckpt"
+
+        def run():
+            config = SelectorConfig(
+                bounding="exact", machines=2, rounds=2, engine="dataflow",
+                options=EngineOptions(num_shards=4, checkpoint_dir=str(ckpt)),
+            )
+            report = DistributedSelector(problem, config).select(12, seed=3)
+            metrics = [
+                report.extra[label]
+                for label in ("bounding_metrics", "greedy_metrics")
+            ]
+            return report.selected, metrics
+
+        first, _ = run()
+        _, resumed = run()
+        assert all(m.checkpoint_stores == 0 for m in resumed)
+        newest = max(ckpt.glob("*.ckpt"), key=lambda f: f.stat().st_mtime_ns)
+        size = newest.stat().st_size
+        with open(newest, "r+b") as fh:
+            fh.truncate(size // 2)
+        healed, healing = run()
+        np.testing.assert_array_equal(healed, first)
+        assert sum(m.checkpoint_stores for m in healing) == 1
+        assert newest.stat().st_size == size
+        again, after = run()
+        np.testing.assert_array_equal(again, first)
+        assert all(m.checkpoint_stores == 0 for m in after)
+        assert [m.checkpoint_hits for m in after] == [
+            m.checkpoint_hits for m in resumed
+        ]
+
+
 #: Runs a bounding drive that SIGKILLs itself after N materialization
 #: boundaries — the crash half of the crash/resume test below.
 _KILL_SCRIPT = textwrap.dedent(

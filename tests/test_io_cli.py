@@ -180,6 +180,30 @@ class TestCLI:
         assert "cogroup-write" not in join
         assert "'bound/threeway_join'" not in bounding.replace(join, "")
 
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "1.5"],
+        ["--alpha", "-0.1"],
+        ["--alpha", "nan"],
+        ["--alpha", "0", "--bounding", "exact"],
+        ["--alpha", "0", "--bounding", "approximate"],
+    ])
+    def test_forbidden_alpha_is_a_usage_error(self, flags, capsys):
+        """Rejected by argparse before any dataset loads: exit 2 with one
+        ``error:`` line, no traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--preset", "cifar100_tiny", "--n-points", "100",
+                  "--k", "5", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err and "alpha" in err
+
+    def test_alpha_zero_without_bounding_runs(self, capsys):
+        code = main(["select", "--preset", "cifar100_tiny", "--n-points",
+                     "100", "--k", "5", "--alpha", "0"])
+        assert code == 0
+        assert "selected 5 of 100" in capsys.readouterr().out
+
     def test_missing_source_errors(self):
         with pytest.raises(SystemExit):
             main(["select", "--k", "10"])
