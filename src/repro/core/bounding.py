@@ -41,14 +41,20 @@ candidates — never the ground set:
   solution mass (``Uexp``), never gives a smaller mass.
 
 :func:`compute_utilities` runs the same row kernel over every row, so
-both agree to the last bit.  Approximate mode still draws each round's
-keep mask over every edge, so the generator stream is the sampler's; a
-round compares the draw with the keep probability only at the edges it
-reads.
+both agree to the last bit.  Approximate mode keeps an unassigned edge
+by the shared counter-based rule (:func:`~repro.core.sampling.keep_mask`,
+salted by the run's seed and the round), so a round hashes only the
+edges it reads.
+
+The Alg. 5 loop itself — the shrink/grow alternation, the round
+counter that salts the hash, the run's one seed draw, the overshoot
+subsample and the result — is :func:`alternate`, shared with the
+dataflow engine: the engines differ only in how a round computes its
+bounds, so on the same seed they make the same decisions.
 
 This module is the in-memory reference implementation; the dataflow engine
-runs the same logic with distributed joins (:mod:`repro.dataflow.bounding_beam`)
-and is tested for equivalence against this one.
+runs the same rounds with distributed joins (:mod:`repro.dataflow.bounding_beam`)
+and is tested for equal decisions against this one.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core.problem import SubsetProblem
-from repro.core.sampling import EDGE_SAMPLERS, KEEP_PROBABILITIES
+from repro.core.sampling import EDGE_SAMPLERS, keep_mask
 from repro.graph.csr import NeighborGraph, segment_sums
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_cardinality
@@ -108,11 +114,28 @@ class BoundingResult:
         return int(self.solution.size)
 
 
-def _check_bounding(problem: SubsetProblem, mode: str) -> None:
+def check_bounding(
+    problem: SubsetProblem, mode: str, sampler: str, p: float
+) -> None:
+    """The arguments of a bounding run, either engine: ``p`` must be in
+    ``(0, 1]`` whatever the mode, an unknown mode or sampler is an
+    error rather than a fallback."""
     if problem.alpha <= 0:
         raise ValueError("bounding requires alpha > 0 (utilities in u-units)")
     if mode not in BOUNDING_MODES:
         raise ValueError(f"mode must be one of {BOUNDING_MODES}, got {mode!r}")
+    if sampler not in EDGE_SAMPLERS:
+        raise ValueError(
+            f"sampler must be one of {EDGE_SAMPLERS}, got {sampler!r}"
+        )
+    if not 0 < p <= 1:
+        raise ValueError(f"sampling fraction p must be in (0, 1], got {p}")
+
+
+def draw_seed_salt(seed: SeedLike) -> int:
+    """A bounding run's one draw from ``seed``: it salts every keep-mask
+    hash of the run and seeds the overshoot subsample."""
+    return int(as_generator(seed).integers(0, 2**31 - 1))
 
 
 class _LiveEdges(NamedTuple):
@@ -197,6 +220,23 @@ def _row_bounds(
     return lower, _upper_bound(problem, live.rows, mass_solution)
 
 
+def _keep_at(
+    edges: _LiveEdges, remaining: np.ndarray, keep: dict
+) -> np.ndarray:
+    """A round's keep mask at ``edges``' entries: the shared rule
+    (:func:`~repro.core.sampling.keep_mask` with the round's ``keep``
+    keywords) at the unassigned ones, each row's edges in CSR order; the
+    rest are never read."""
+    unassigned = np.flatnonzero(remaining[edges.neighbors])
+    segment = np.repeat(np.arange(edges.rows.size), edges.lengths)[unassigned]
+    mask = np.zeros(edges.neighbors.size, dtype=bool)
+    mask[unassigned] = keep_mask(
+        edges.rows[segment], edges.neighbors[unassigned],
+        edges.weights[unassigned], segment, **keep,
+    )
+    return mask
+
+
 def compute_utilities(
     problem: SubsetProblem,
     remaining: np.ndarray,
@@ -209,21 +249,22 @@ def compute_utilities(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-point ``(lower, Umax)`` arrays over the full ground set.
 
-    ``lower`` is ``Umin`` in exact mode and ``Uexp`` in approximate mode.
+    ``lower`` is ``Umin`` in exact mode and ``Uexp`` in approximate mode,
+    sampled as the first round of ``bound(..., seed=rng)`` samples.
     Entries for non-remaining points are computed too (callers mask).
     The row kernel is :func:`bound`'s — its S' masses, its ``Umin`` /
     ``Uexp`` sums — run over every row, so both agree to the last bit.
     """
-    _check_bounding(problem, mode)
+    check_bounding(problem, mode, sampler, p)
+    remaining = np.asarray(remaining, dtype=bool)
+    live = _LiveEdges.of(problem.graph, np.arange(problem.n))
     keep = None
     if mode == "approximate" and p < 1.0:
-        keep = EDGE_SAMPLERS[sampler](problem.graph, p, rng)
+        keep = _keep_at(live, remaining, dict(
+            sampler=sampler, p=p, round_salt=1, seed_salt=draw_seed_salt(rng),
+        ))
     return _row_bounds(
-        problem,
-        _LiveEdges.of(problem.graph, np.arange(problem.n)),
-        np.asarray(remaining, dtype=bool),
-        np.asarray(solution, dtype=bool),
-        keep,
+        problem, live, remaining, np.asarray(solution, dtype=bool), keep
     )
 
 
@@ -233,6 +274,189 @@ def kth_largest(values: np.ndarray, k: int) -> float:
     if not 1 <= k <= values.size:
         raise ValueError(f"need 1 <= k <= {values.size}, got {k}")
     return float(np.partition(values, values.size - k)[values.size - k])
+
+
+def alternate(
+    problem: SubsetProblem,
+    k: int,
+    rounds,
+    *,
+    mode: str,
+    sampler: str,
+    p: float,
+    seed_salt: int,
+    max_rounds: int,
+    track_history: bool = False,
+) -> BoundingResult:
+    """Algorithm 5 over an engine's ``rounds``: shrink to convergence,
+    grow to convergence, repeat until neither changes anything.
+
+    ``rounds`` holds the engine's point state, every point undecided at
+    the start, and runs one round at a time:
+
+    - ``shrink(k_remaining, n_remaining, keep)`` — Alg. 4 over the
+      ``n_remaining`` undecided points; returns how many it discarded;
+    - ``grow(k_remaining, keep)`` — Alg. 3; returns how many it included;
+    - ``take_all()`` — include every undecided point;
+    - ``ids()`` — the sorted ids of ``(solution, remaining)``.
+
+    ``keep`` is ``None`` in exact mode, else the round's
+    :func:`~repro.core.sampling.keep_mask` keywords.  Set sizes are
+    arithmetic here, so a shrink with nothing to discard and a grow that
+    must take everything left compute no bounds; the hash's round salt
+    counts the rounds that do.  ``seed_salt`` — the run's one
+    :func:`draw_seed_salt`, whatever the mode — salts every hash and
+    seeds the uniform subsample of grown points beyond the budget.
+    """
+    check_bounding(problem, mode, sampler, p)
+    k_total = check_cardinality(k, problem.n)
+    n_remaining, k_remaining = problem.n, k_total
+    round_salt = 0
+    rounds_run = {"shrink": 0, "grow": 0}
+    history: List[Tuple[str, int]] = []
+
+    def next_keep() -> Optional[dict]:
+        nonlocal round_salt
+        round_salt += 1
+        if mode == "exact" or p == 1.0:
+            return None
+        return dict(
+            sampler=sampler, p=p, round_salt=round_salt, seed_salt=seed_salt
+        )
+
+    def shrink() -> int:
+        nonlocal n_remaining
+        if k_remaining <= 0 or n_remaining <= k_remaining:
+            return 0
+        dropped = rounds.shrink(k_remaining, n_remaining, next_keep())
+        n_remaining -= dropped
+        return dropped
+
+    def grow() -> int:
+        nonlocal n_remaining, k_remaining
+        if k_remaining <= 0 or n_remaining == 0:
+            return 0
+        if n_remaining <= k_remaining:
+            # Everything left must be chosen.
+            rounds.take_all()
+            grown = n_remaining
+        else:
+            grown = rounds.grow(k_remaining, next_keep())
+        n_remaining -= grown
+        k_remaining -= grown
+        return grown
+
+    total_rounds = 0
+    while total_rounds < max_rounds:
+        changed_outer = 0
+        # Each phase repeats until a round changes nothing.
+        for phase, step in (("shrink", shrink), ("grow", grow)):
+            while total_rounds < max_rounds:
+                rounds_run[phase] += 1
+                total_rounds += 1
+                changed = step()
+                if track_history:
+                    history.append((phase, changed))
+                changed_outer += changed
+                if changed == 0:
+                    break
+        if changed_outer == 0 or k_remaining <= 0:
+            break
+
+    solution, remaining = rounds.ids()
+    overshoot = max(0, solution.size - k_total)
+    if overshoot:
+        rng = as_generator(seed_salt)
+        solution = np.sort(rng.choice(solution, size=k_total, replace=False))
+        k_remaining = 0
+    # Excluded = discarded by shrink (overshot-then-subsampled points are
+    # neither included nor excluded; they are counted in `overshoot`).
+    n_excluded = problem.n - (solution.size + overshoot) - remaining.size
+    return BoundingResult(
+        solution=solution,
+        remaining=remaining,
+        n_excluded=int(n_excluded),
+        k_remaining=int(max(k_remaining, 0)),
+        grow_rounds=rounds_run["grow"],
+        shrink_rounds=rounds_run["shrink"],
+        complete=k_remaining <= 0,
+        overshoot=overshoot,
+        history=history,
+    )
+
+
+class _MemoryRounds:
+    """:func:`bound`'s rounds over boolean point masks (see the module
+    docstring): a shrink round bounds every remaining row, a grow round
+    reads ``Umax`` off the cached S' masses and computes the lower bound
+    of its candidates alone."""
+
+    def __init__(self, problem: SubsetProblem) -> None:
+        self.problem = problem
+        self.graph = problem.graph
+        self.remaining = np.ones(problem.n, dtype=bool)
+        self.solution = np.zeros(problem.n, dtype=bool)
+        # Σ_{nb ∈ S'} s(v, nb), current for every remaining row.
+        self.mass_solution = np.zeros(problem.n)
+        self.live: Optional[_LiveEdges] = None
+
+    def _lower(
+        self, edges: _LiveEdges, mass: np.ndarray, keep: Optional[dict]
+    ) -> np.ndarray:
+        if keep is not None:
+            keep = _keep_at(edges, self.remaining, keep)
+        return _lower_bound(
+            self.problem, edges, self.remaining, self.solution, mass, keep
+        )
+
+    def _include(self, ids: np.ndarray) -> None:
+        """Move ``ids`` into S' and refresh the S' mass of the remaining
+        rows next to them (the graph is symmetric: a row next to ``ids``
+        is a neighbor of one of them)."""
+        graph, remaining = self.graph, self.remaining
+        self.solution[ids] = True
+        remaining[ids] = False
+        touched = graph.indices[graph.row_edges(ids)[0]]
+        touched = np.unique(touched[remaining[touched]])
+        self.mass_solution[touched] = _solution_mass(
+            _LiveEdges.of(graph, touched), self.solution
+        )
+
+    def shrink(
+        self, k_remaining: int, n_remaining: int, keep: Optional[dict]
+    ) -> int:
+        # ``remaining`` only shrinks, so an unchanged count is an
+        # unchanged set, whose edges are already gathered.
+        live = self.live
+        if live is None or live.rows.size != n_remaining:
+            live = self.live = _LiveEdges.of(
+                self.graph, np.flatnonzero(self.remaining)
+            )
+        rows = live.rows
+        mass = self.mass_solution[rows]
+        threshold = kth_largest(self._lower(live, mass, keep), k_remaining)
+        drop = rows[_upper_bound(self.problem, rows, mass) < threshold]
+        self.remaining[drop] = False
+        return int(drop.size)
+
+    def grow(self, k_remaining: int, keep: Optional[dict]) -> int:
+        rows = np.flatnonzero(self.remaining)
+        mass = self.mass_solution[rows]
+        u_max = _upper_bound(self.problem, rows, mass)
+        threshold = kth_largest(u_max, k_remaining)
+        # ``lower <= Umax``: only rows above the threshold can pass.
+        above = u_max > threshold
+        candidates = _LiveEdges.of(self.graph, rows[above])
+        lower = self._lower(candidates, mass[above], keep)
+        add = candidates.rows[lower > threshold]
+        self._include(add)
+        return int(add.size)
+
+    def take_all(self) -> None:
+        self._include(np.flatnonzero(self.remaining))
+
+    def ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        return np.flatnonzero(self.solution), np.flatnonzero(self.remaining)
 
 
 def bound(
@@ -254,7 +478,8 @@ def bound(
     of its candidates alone — the rows with ``Umax`` above its threshold,
     the only ones that can pass since ``lower <= Umax`` exactly.  The
     decisions, ``history`` included, are those of bounding every
-    remaining row every round.
+    remaining row every round, and those of
+    :func:`~repro.dataflow.bounding_beam.beam_bound` on the same seed.
 
     Parameters
     ----------
@@ -265,6 +490,8 @@ def bound(
         ``"uniform"`` or ``"weighted"`` (only used in approximate mode).
     p:
         Neighborhood sampling fraction (Table 2 tests 0.3 and 0.7).
+    seed:
+        Drawn from once (:func:`draw_seed_salt`), whatever the mode.
     max_rounds:
         Safety valve on total Grow+Shrink invocations.
 
@@ -274,143 +501,8 @@ def bound(
         With ``solution`` capped at ``k`` via uniform subsampling if the
         grow phase overshot the budget.
     """
-    k_total = check_cardinality(k, problem.n)
-    if sampler not in EDGE_SAMPLERS:
-        raise ValueError(
-            f"sampler must be one of {sorted(EDGE_SAMPLERS)}, got {sampler!r}"
-        )
-    _check_bounding(problem, mode)
-    rng = as_generator(seed)
-    graph = problem.graph
-    n = problem.n
-    nnz = graph.num_directed_edges
-    # Round-invariant, so computed once; each round then draws the keep
-    # mask exactly as ``EDGE_SAMPLERS[sampler]`` would.
-    keep_probability = (
-        KEEP_PROBABILITIES[sampler](graph, p)
-        if mode == "approximate" and p < 1.0
-        else None
-    )
-    remaining = np.ones(n, dtype=bool)
-    solution = np.zeros(n, dtype=bool)
-    # Σ_{nb ∈ S'} s(v, nb), current for every remaining row.
-    mass_solution = np.zeros(n)
-    k_remaining = k_total
-    grow_rounds = 0
-    shrink_rounds = 0
-    history: List[Tuple[str, int]] = []
-    live: Optional[_LiveEdges] = None
-
-    def keep_at(flat: np.ndarray) -> Optional[np.ndarray]:
-        """This round's keep mask at the edges ``flat``: the whole draw
-        (the sampler's generator stream), compared only where read."""
-        if keep_probability is None:
-            return None
-        draw = rng.random(nnz)[flat]
-        if np.ndim(keep_probability):
-            return draw < keep_probability[flat]
-        return draw < keep_probability
-
-    def include(ids: np.ndarray) -> None:
-        """Move ``ids`` into S' and refresh the S' mass of the remaining
-        rows next to them (the graph is symmetric: a row next to ``ids``
-        is a neighbor of one of them)."""
-        nonlocal k_remaining
-        solution[ids] = True
-        remaining[ids] = False
-        k_remaining -= ids.size
-        touched = graph.indices[graph.row_edges(ids)[0]]
-        touched = np.unique(touched[remaining[touched]])
-        mass_solution[touched] = _solution_mass(
-            _LiveEdges.of(graph, touched), solution
-        )
-
-    def shrink_once() -> int:
-        """One Shrink round (Alg. 4); returns #points discarded."""
-        nonlocal live
-        rem_idx = np.flatnonzero(remaining)
-        if k_remaining <= 0 or rem_idx.size <= k_remaining:
-            return 0
-        # ``remaining`` only shrinks, so an unchanged count is an
-        # unchanged set, whose edges are already gathered.
-        if live is None or live.rows.size != rem_idx.size:
-            live = _LiveEdges.of(graph, rem_idx)
-        mass = mass_solution[rem_idx]
-        lower = _lower_bound(
-            problem, live, remaining, solution, mass, keep_at(live.flat)
-        )
-        threshold = kth_largest(lower, k_remaining)
-        drop = rem_idx[_upper_bound(problem, rem_idx, mass) < threshold]
-        remaining[drop] = False
-        return int(drop.size)
-
-    def grow_once() -> int:
-        """One Grow round (Alg. 3); returns #points included."""
-        rem_idx = np.flatnonzero(remaining)
-        if k_remaining <= 0 or rem_idx.size == 0:
-            return 0
-        if rem_idx.size <= k_remaining:
-            # Everything left must be chosen.
-            include(rem_idx)
-            return int(rem_idx.size)
-        mass = mass_solution[rem_idx]
-        u_max = _upper_bound(problem, rem_idx, mass)
-        threshold = kth_largest(u_max, k_remaining)
-        # ``lower <= Umax``: only rows above the threshold can pass.
-        above = u_max > threshold
-        candidates = _LiveEdges.of(graph, rem_idx[above])
-        lower = _lower_bound(
-            problem, candidates, remaining, solution, mass[above],
-            keep_at(candidates.flat),
-        )
-        add = candidates.rows[lower > threshold]
-        include(add)
-        return int(add.size)
-
-    total_rounds = 0
-    while total_rounds < max_rounds:
-        changed_outer = 0
-        # Inner shrink loop: repeat until a round changes nothing.
-        while total_rounds < max_rounds:
-            shrink_rounds += 1
-            total_rounds += 1
-            changed = shrink_once()
-            if track_history:
-                history.append(("shrink", changed))
-            changed_outer += changed
-            if changed == 0:
-                break
-        # Inner grow loop.
-        while total_rounds < max_rounds:
-            grow_rounds += 1
-            total_rounds += 1
-            changed = grow_once()
-            if track_history:
-                history.append(("grow", changed))
-            changed_outer += changed
-            if changed == 0:
-                break
-        if changed_outer == 0 or k_remaining <= 0:
-            break
-
-    solution_ids = np.flatnonzero(solution)
-    overshoot = max(0, solution_ids.size - k_total)
-    if overshoot:
-        keep = rng.choice(solution_ids, size=k_total, replace=False)
-        solution_ids = np.sort(keep)
-        k_remaining = 0
-    remaining_ids = np.flatnonzero(remaining)
-    # Excluded = discarded by shrink (overshot-then-subsampled points are
-    # neither included nor excluded; they are counted in `overshoot`).
-    n_excluded = n - int(np.count_nonzero(solution)) - remaining_ids.size
-    return BoundingResult(
-        solution=solution_ids,
-        remaining=remaining_ids,
-        n_excluded=int(n_excluded),
-        k_remaining=int(max(k_remaining, 0)),
-        grow_rounds=grow_rounds,
-        shrink_rounds=shrink_rounds,
-        complete=k_remaining <= 0,
-        overshoot=overshoot,
-        history=history,
+    return alternate(
+        problem, k, _MemoryRounds(problem), mode=mode, sampler=sampler, p=p,
+        seed_salt=draw_seed_salt(seed), max_rounds=max_rounds,
+        track_history=track_history,
     )

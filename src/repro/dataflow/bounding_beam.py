@@ -30,12 +30,13 @@ fold brings both columns to the driver, which takes the threshold
 ``U^k`` with ``np.partition`` and counts the survivors (or grown points)
 from the same arrays.  Above the cap, 1024-bucket histograms narrow to
 the threshold (O(exact_cap) driver state) and one counting fold
-follows.  Set sizes are driver arithmetic, so no pass counts a set.  The
-survivor marks and the set difference stay per-record: they see at most
-``n / num_shards`` records a shard, where a NumPy call costs more than
-the loop it would replace.  The grow/shrink convergence driver mirrors
-Algorithm 5 exactly, and ``tests/test_dataflow_bounding.py`` asserts
-bit-equal decisions against the in-memory reference (exact mode).
+follows.  The survivor marks and the set difference stay per-record:
+they see at most ``n / num_shards`` records a shard, where a NumPy call
+costs more than the loop it would replace.  The grow/shrink convergence
+loop is the in-memory reference's own
+(:func:`~repro.core.bounding.alternate`: set sizes are its arithmetic,
+so no pass counts a set), and ``tests/test_dataflow_bounding.py``
+asserts equal decisions against the in-memory reference in both modes.
 
 Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
 (``options=``) or a shared :class:`~repro.dataflow.context.DataflowContext`
@@ -45,7 +46,8 @@ bounding and greedy).
 Sampling (approximate mode) is hash-based per edge per round rather than
 generator-based: a distributed runner has no global RNG stream, and
 deterministic per-edge hashing is how one gets reproducible sampling in
-Beam.  Statistical behaviour matches the in-memory sampler.
+Beam.  It is the in-memory sampler
+(:func:`~repro.core.sampling.keep_mask`).
 """
 
 from __future__ import annotations
@@ -55,7 +57,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.bounding import BoundingResult
+from repro.core.bounding import (
+    BoundingResult,
+    alternate,
+    check_bounding,
+    draw_seed_salt,
+)
 from repro.core.distributed import fingerprint, problem_fingerprint
 from repro.core.problem import SubsetProblem
 from repro.dataflow.columnar import ListColumn
@@ -64,8 +71,8 @@ from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.context import DataflowContext, engine_context
 from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import PCollection
-from repro.dataflow.transforms import flatten
-from repro.utils.rng import SeedLike, as_generator
+from repro.dataflow.transforms import cogroup, flatten
+from repro.utils.rng import SeedLike
 
 #: Value columns of the keyed ``(id; lower, umax)`` bounds.
 _LOWER, _UMAX = 0, 1
@@ -91,7 +98,9 @@ class BeamBoundingDriver:
     """Runs Algorithm 5 with all per-point state in PCollections.
 
     Driver-resident state is limited to scalars (``k_remaining``, round
-    counters, convergence flags); point sets live sharded in the pipeline.
+    counters, convergence flags — :func:`~repro.core.bounding.alternate`
+    keeps them, calling this driver's rounds); point sets live sharded in
+    the pipeline.
     The pipeline is built through the given context (or a private one from
     ``options``); with a checkpoint directory, plan digests cover the
     graph/utility columns and are salted with the problem's content
@@ -109,10 +118,10 @@ class BeamBoundingDriver:
         context: Optional[DataflowContext] = None,
         seed: SeedLike = None,
     ) -> None:
-        if problem.alpha <= 0:
-            raise ValueError("bounding requires alpha > 0")
         self.problem = problem
-        self.config = config or BeamBoundingConfig()
+        self.config = cfg = config or BeamBoundingConfig()
+        # Before an executor starts; ``run`` checks again, as ``bound`` does.
+        check_bounding(problem, cfg.mode, cfg.sampler, cfg.p)
         self._context_guard = engine_context(options, context)
         self.context = self._context_guard.__enter__()
         try:
@@ -126,8 +135,7 @@ class BeamBoundingDriver:
                     "bounding-sources", problem_fingerprint(problem)
                 )
             self.pipeline = self.context.pipeline(**pipeline_overrides)
-            self._seed_salt = int(as_generator(seed).integers(0, 2**31 - 1))
-            self._round_counter = 0
+            self._seed_salt = draw_seed_salt(seed)
             g = problem.graph
             # The graph is loop-invariant: its source is the CSR arrays
             # themselves as one list-valued column, routed once, and a
@@ -156,35 +164,24 @@ class BeamBoundingDriver:
     # -- the Section 5 join plan -----------------------------------------
 
     def _bounds(
-        self, solution: PCollection, remaining: PCollection, round_salt: int
+        self,
+        solution: PCollection,
+        remaining: PCollection,
+        keep: Optional[dict],
     ) -> PCollection:
         """Keyed ``(node, (lower, umax))`` over the remaining set — one
-        round's join plan, not yet run."""
-        cfg = self.config
+        round's join plan, not yet run; ``keep`` as in
+        :func:`~repro.core.bounding.alternate`."""
+        sampling = {} if keep is None else dict(mode="approximate", **keep)
         return remaining.apply(
             BoundingFilter(
                 self.neighbors,
                 self.utilities,
                 solution,
                 ratio=self.problem.beta_over_alpha,
-                mode=cfg.mode,
-                sampler=cfg.sampler,
-                p=cfg.p,
-                round_salt=round_salt,
-                seed_salt=self._seed_salt,
+                **sampling,
             )
         )
-
-    def _compute_bounds(
-        self, solution: PCollection, remaining: PCollection
-    ) -> PCollection:
-        """The next round's :meth:`_bounds`, cached: the grow/shrink steps
-        derive two consumers from the bounds one after the other (the
-        threshold fold, then the survivors), and an uncached chain would
-        run the round's joins once per consumer.
-        """
-        self._round_counter += 1
-        return self._bounds(solution, remaining, self._round_counter).cache()
 
     def _initial_state(self) -> Tuple[PCollection, PCollection]:
         """``(solution, remaining)`` before the first round: an empty
@@ -200,110 +197,66 @@ class BeamBoundingDriver:
         executes first — without running a stage (``costs`` as in
         :meth:`~repro.dataflow.pcollection.PCollection.explain`)."""
         solution, remaining = self._initial_state()
-        bounds = self._bounds(solution, remaining, self._round_counter + 1)
-        return bounds.explain(costs=costs)
+        return self._bounds(solution, remaining, None).explain(costs=costs)
 
-    # -- grow / shrink -----------------------------------------------------
+    # -- grow / shrink: the rounds :func:`alternate` runs ----------------
 
-    @staticmethod
-    def _minus(remaining: PCollection, removed: PCollection) -> PCollection:
-        """Set difference via cogroup (no membership lookups)."""
-        from repro.dataflow.transforms import cogroup
+    def _round_bounds(self, keep: Optional[dict]) -> OrderStatistics:
+        """This round's :meth:`_bounds` over the current state, cached: a
+        round derives two consumers from the bounds one after the other
+        (the threshold fold, then the survivors), and an uncached chain
+        would run the round's joins once per consumer."""
+        bounds = self._bounds(self._solution, self._remaining, keep)
+        return OrderStatistics(bounds.cache())
 
-        return cogroup([remaining, removed], name="bound/minus").filter(
-            lambda kv: kv[1][0] and not kv[1][1], name="bound/minus_keep"
-        ).map_values(lambda _: True, name="bound/minus_emit")
+    def shrink(
+        self, k_remaining: int, n_remaining: int, keep: Optional[dict]
+    ) -> int:
+        bounds = self._round_bounds(keep)
+        threshold = bounds.kth_largest(k_remaining, _LOWER)
+        dropped = n_remaining - bounds.count_at_least(_UMAX, threshold)
+        if dropped:
+            self._remaining = bounds.values.filter(
+                lambda kv, t=threshold: kv[1][1] >= t, name="shrink/keep"
+            ).map_values(lambda _: True, name="shrink/mark")
+        return dropped
+
+    def grow(self, k_remaining: int, keep: Optional[dict]) -> int:
+        bounds = self._round_bounds(keep)
+        threshold = bounds.kth_largest(k_remaining, _UMAX)
+        n_grown = bounds.count_above(_LOWER, threshold)
+        if n_grown:
+            grown = bounds.values.filter(
+                lambda kv, t=threshold: kv[1][0] > t, name="grow/include"
+            ).map_values(lambda _: True, name="grow/mark")
+            self._solution = flatten([self._solution, grown], name="grow/union")
+            # Set difference via cogroup (no membership lookups).
+            self._remaining = cogroup(
+                [self._remaining, grown], name="bound/minus"
+            ).filter(
+                lambda kv: kv[1][0] and not kv[1][1], name="bound/minus_keep"
+            ).map_values(lambda _: True, name="bound/minus_emit")
+        return n_grown
+
+    def take_all(self) -> None:
+        self._solution = flatten(
+            [self._solution, self._remaining], name="grow/take_all"
+        )
+        self._remaining = self.pipeline.create_keyed([], name="grow/empty")
+
+    def ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        return tuple(
+            np.sort(np.array([key for key, _ in ids.to_list()], dtype=np.int64))
+            for ids in (self._solution, self._remaining)
+        )
 
     def run(self, k: int) -> Tuple[BoundingResult, PipelineMetrics]:
         """Execute Alg. 5; returns the result and the pipeline metrics."""
-        if not 0 <= k <= self.problem.n:
-            raise ValueError(f"need 0 <= k <= {self.problem.n}, got {k}")
         cfg = self.config
-        solution, remaining = self._initial_state()
-        # Sizes are driver arithmetic: no pass counts a set.
-        rem_count = self.problem.n
-        k_remaining = k
-        grow_rounds = 0
-        shrink_rounds = 0
-        total = 0
-
-        def shrink_once() -> int:
-            nonlocal remaining, rem_count
-            if k_remaining <= 0 or rem_count <= k_remaining:
-                return 0
-            bounds = OrderStatistics(self._compute_bounds(solution, remaining))
-            threshold = bounds.kth_largest(k_remaining, _LOWER)
-            kept = bounds.count_at_least(_UMAX, threshold)
-            dropped, rem_count = rem_count - kept, kept
-            if dropped:
-                remaining = bounds.values.filter(
-                    lambda kv, t=threshold: kv[1][1] >= t, name="shrink/keep"
-                ).map_values(lambda _: True, name="shrink/mark")
-            return dropped
-
-        def grow_once() -> int:
-            nonlocal remaining, solution, k_remaining, rem_count
-            if k_remaining <= 0 or rem_count == 0:
-                return 0
-            if rem_count <= k_remaining:
-                solution = flatten([solution, remaining], name="grow/take_all")
-                remaining = self.pipeline.create_keyed([], name="grow/empty")
-                taken, rem_count = rem_count, 0
-                k_remaining -= taken
-                return taken
-            bounds = OrderStatistics(self._compute_bounds(solution, remaining))
-            threshold = bounds.kth_largest(k_remaining, _UMAX)
-            n_grown = bounds.count_above(_LOWER, threshold)
-            if n_grown:
-                grown = bounds.values.filter(
-                    lambda kv, t=threshold: kv[1][0] > t, name="grow/include"
-                ).map_values(lambda _: True, name="grow/mark")
-                solution = flatten([solution, grown], name="grow/union")
-                remaining = self._minus(remaining, grown)
-                k_remaining -= n_grown
-                rem_count -= n_grown
-            return n_grown
-
-        while total < cfg.max_rounds:
-            changed_outer = 0
-            while total < cfg.max_rounds:
-                shrink_rounds += 1
-                total += 1
-                changed = shrink_once()
-                changed_outer += changed
-                if changed == 0:
-                    break
-            while total < cfg.max_rounds:
-                grow_rounds += 1
-                total += 1
-                changed = grow_once()
-                changed_outer += changed
-                if changed == 0:
-                    break
-            if changed_outer == 0 or k_remaining <= 0:
-                break
-
-        solution_ids = np.sort(
-            np.array([key for key, _ in solution.to_list()], dtype=np.int64)
-        )
-        overshoot = max(0, solution_ids.size - k)
-        if overshoot:
-            rng = as_generator(self._seed_salt)
-            solution_ids = np.sort(rng.choice(solution_ids, size=k, replace=False))
-            k_remaining = 0
-        remaining_ids = np.sort(
-            np.array([key for key, _ in remaining.to_list()], dtype=np.int64)
-        )
-        n_excluded = self.problem.n - (solution_ids.size + overshoot) - remaining_ids.size
-        result = BoundingResult(
-            solution=solution_ids,
-            remaining=remaining_ids,
-            n_excluded=int(n_excluded),
-            k_remaining=int(max(k_remaining, 0)),
-            grow_rounds=grow_rounds,
-            shrink_rounds=shrink_rounds,
-            complete=k_remaining <= 0,
-            overshoot=overshoot,
+        self._solution, self._remaining = self._initial_state()
+        result = alternate(
+            self.problem, k, self, mode=cfg.mode, sampler=cfg.sampler,
+            p=cfg.p, seed_salt=self._seed_salt, max_rounds=cfg.max_rounds,
         )
         return result, self.pipeline.metrics
 

@@ -15,7 +15,7 @@ implementation given the same partition assignment.  Partitioning here is
 a counter-based hash: the driver's seeded generator draws one assignment
 seed per round, and point ``v`` goes to partition
 ``int(hash01(v, seed) * m_round)`` — a SplitMix64 mix of the pair
-(:func:`~repro.dataflow.library.partition_of`), evaluated over a whole
+(:func:`~repro.core.sampling.partition_of`), evaluated over a whole
 shard's id column at once by its bit-identical twin.  The in-memory
 implementation permutes instead, so the two are statistically (not bit-)
 identical.  The in-memory partitions are balanced, so every round

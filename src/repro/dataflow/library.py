@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.bounding import kth_largest as array_kth_largest
 from repro.core.greedy import greedy_heap
+from repro.core.sampling import keep_mask, partition_of, partition_of_column
 from repro.dataflow.columnar import (
     BatchDoFn,
     CoGroupedShard,
@@ -54,92 +55,6 @@ __all__ = [
     "OrderStatistics",
     "by_point",
 ]
-
-_MASK64 = (1 << 64) - 1
-
-
-def _mix01(x: int) -> float:
-    """SplitMix64 finalizer of a 64-bit state, as a float in [0, 1)."""
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return (x >> 11) / float(1 << 53)
-
-
-def _mix01_column(x: np.ndarray) -> np.ndarray:
-    """:func:`_mix01` over a fresh uint64 column (mixed in place).
-
-    uint64 arithmetic wraps exactly like the masked Python ints, and the
-    53-bit mantissa division is exact in float64, so every element is
-    bit-identical to the scalar mixer.
-    """
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return (x >> np.uint64(11)) / float(1 << 53)
-
-
-def edge_hash01(b: int, a: int, round_salt: int, seed_salt: int) -> float:
-    """Deterministic float in [0, 1) per (edge, round) — distributed-safe.
-
-    SplitMix64-style mixing over plain Python ints (wrap-around masked).
-    A distributed runner has no global RNG stream; counter-based hashing
-    is how reproducible per-edge sampling works in Beam.
-    """
-    x = (b * 0x9E3779B97F4A7C15) & _MASK64
-    x = (x + a * 0xBF58476D1CE4E5B9) & _MASK64
-    x = (x + round_salt * 2654435761 + seed_salt) & _MASK64
-    return _mix01(x)
-
-
-def edge_hash01_column(
-    b: "int | np.ndarray", a: np.ndarray, round_salt: int, seed_salt: int
-) -> np.ndarray:
-    """Vectorized :func:`edge_hash01` over a source-id column ``a``.
-
-    ``b`` is one id for the whole column or a column aligned with ``a``
-    (a whole shard's edges in one call).  Bit-identical to the scalar
-    hash for every edge (property-tested in ``test_columnar.py``).
-    """
-    # At least 1-d: array arithmetic wraps silently, scalar arithmetic warns.
-    b = np.atleast_1d(np.asarray(b, dtype=np.int64)).astype(np.uint64)
-    x = np.asarray(a, dtype=np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
-    x = x + b * np.uint64(0x9E3779B97F4A7C15)
-    x = x + np.uint64((int(round_salt) * 2654435761 + int(seed_salt)) & _MASK64)
-    return _mix01_column(x)
-
-
-#: Domain separator of the partition hash: keeps ``partition_of(v, seed)``
-#: off the ``edge_hash01(v, seed, 0, 0)`` stream the bounding sampler draws.
-_PARTITION_SALT = 0xD6E8FEB86659FD93
-
-
-def partition_of(v: int, seed: int, m: int) -> int:
-    """Partition id in ``[0, m)`` of point ``v`` under ``seed``.
-
-    Counter-based, like :func:`edge_hash01`: ``int(hash01 * m)`` of the
-    SplitMix64-mixed ``(v, seed)`` pair — iid-uniform over ids,
-    independent across seeds, no RNG object, and the same answer on every
-    worker.  ``m == 1`` is always partition 0.
-    """
-    # int(): a np.int64 id would overflow against the 64-bit constants.
-    x = int(v) * 0x9E3779B97F4A7C15 + int(seed) * 0xBF58476D1CE4E5B9
-    return int(_mix01((x + _PARTITION_SALT) & _MASK64) * m)
-
-
-def partition_of_column(ids: np.ndarray, seed: int, m: int) -> np.ndarray:
-    """Vectorized :func:`partition_of` over an id column — bit-identical
-    to the scalar draw for every id (property-tested in
-    ``test_columnar.py``)."""
-    x = np.asarray(ids, dtype=np.int64).astype(np.uint64)
-    x *= np.uint64(0x9E3779B97F4A7C15)
-    x += np.uint64((int(seed) * 0xBF58476D1CE4E5B9 + _PARTITION_SALT) & _MASK64)
-    return (_mix01_column(x) * m).astype(np.int64)
-
 
 def _id_column(shard: Any) -> np.ndarray:
     """A shard of point ids as one int64 column — the one row → column
@@ -532,9 +447,11 @@ class BoundingFilter(PTransform):
     one by one in input order), so bounds are identical to the last bit
     across paths, plans, executors and Python versions.
 
-    Sampling (``mode="approximate"``, ``p < 1``) is counter-based
-    Bernoulli per edge per round (:func:`edge_hash01`) — a distributed
-    runner has no global RNG stream.
+    Sampling (``mode="approximate"``, ``p < 1``) is the in-memory
+    sampler: both paths hand a point's unassigned edges, in arrival
+    order, to :func:`~repro.core.sampling.keep_mask` — counter-based
+    per edge per round, since a distributed runner has no global RNG
+    stream.
     """
 
     def __init__(
@@ -599,30 +516,18 @@ class BoundingFilter(PTransform):
                     unassigned.append((a, s))
             mass_sampled = 0.0
             if approximate and unassigned:
-                # One vectorized hash over the edge column (bit-identical
-                # to per-edge edge_hash01); the kept-mass accumulation
-                # stays a sequential Python-float sum in edge order so the
-                # bound matches the scalar path to the last bit.
-                source_col = np.fromiter(
-                    (a for a, _ in unassigned),
-                    dtype=np.int64,
-                    count=len(unassigned),
+                # The keep mask over the edge columns; the kept-mass
+                # accumulation stays a sequential Python-float sum in edge
+                # order so the bound matches the batch path to the last bit.
+                count = len(unassigned)
+                keep = keep_mask(
+                    b,
+                    np.fromiter((a for a, _ in unassigned), np.int64, count),
+                    np.fromiter((s for _, s in unassigned), np.float64, count),
+                    np.zeros(count, dtype=np.int64),
+                    p=p, sampler=sampler,
+                    round_salt=round_salt, seed_salt=seed_salt,
                 )
-                hashes = edge_hash01_column(b, source_col, round_salt, seed_salt)
-                mean_s = 0.0
-                if sampler == "weighted":
-                    for _a, s in unassigned:
-                        mean_s += s
-                    mean_s /= len(unassigned)
-                if mean_s > 0:
-                    weight_col = np.fromiter(
-                        (s for _, s in unassigned),
-                        dtype=np.float64,
-                        count=len(unassigned),
-                    )
-                    keep = hashes < np.minimum(1.0, p * weight_col / mean_s)
-                else:
-                    keep = hashes < p
                 for (_a, s), kept in zip(unassigned, keep.tolist()):
                     if kept:
                         mass_sampled += s
@@ -660,23 +565,11 @@ class BoundingFilter(PTransform):
             unassigned = ~in_solution
             segment, weights = segment[unassigned], weights[unassigned]
             if approximate and segment.size:
-                keep = edge_hash01_column(
-                    shard.keys[segment], sources[unassigned],
-                    round_salt, seed_salt,
+                keep = keep_mask(
+                    shard.keys[segment], sources[unassigned], weights, segment,
+                    p=p, sampler=sampler,
+                    round_salt=round_salt, seed_salt=seed_salt,
                 )
-                if sampler == "weighted":
-                    mean_s = np.bincount(
-                        segment, weights=weights, minlength=n
-                    ) / np.maximum(np.bincount(segment, minlength=n), 1)
-                    mean_s = mean_s[segment]
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        keep = keep < np.where(
-                            mean_s > 0,
-                            np.minimum(1.0, p * weights / mean_s),
-                            p,
-                        )
-                else:
-                    keep = keep < p
                 segment, weights = segment[keep], weights[keep]
             mass_sampled = np.bincount(segment, weights=weights, minlength=n)
             umax = u - ratio * mass_solution
@@ -702,6 +595,7 @@ EXACT_CAP = 4096
 _BUCKET_BITS = 10
 _BUCKETS = 1 << _BUCKET_BITS
 _SIGN = 1 << 63
+_MASK64 = (1 << 64) - 1
 
 
 def _order_key(x: float) -> int:

@@ -18,7 +18,7 @@ from repro.core.bounding import (
 from repro.core.greedy import greedy_heap
 from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
-from repro.core.sampling import EDGE_SAMPLERS, KEEP_PROBABILITIES
+from repro.core.sampling import keep_mask
 from repro.data.perturbed import PerturbedDataset
 from repro.data.registry import load_dataset
 from repro.dataflow import EngineOptions, beam_bound
@@ -121,20 +121,22 @@ def _reference_bound(problem, k, *, mode="exact", sampler="uniform", p=1.0,
                      seed=None):
     """The per-round recipe ``bound`` replaced, kept as its reference:
     every round computes both bounds of every remaining row from the
-    rows' own edges, with the keep mask drawn and compared whole."""
+    rows' own edges, with the keep mask hashed at every row's
+    unassigned edges."""
     graph, n = problem.graph, problem.n
     ratio = problem.beta_over_alpha
-    rng = np.random.default_rng(seed)
-    probability = (
-        KEEP_PROBABILITIES[sampler](graph, p)
-        if mode == "approximate" and p < 1.0 else None
-    )
+    seed_salt = int(np.random.default_rng(seed).integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed_salt)
+    sampling = mode == "approximate" and p < 1.0
+    round_salt = 0
     remaining = np.ones(n, dtype=bool)
     solution = np.zeros(n, dtype=bool)
     k_remaining = k
     history = []
 
     def bounds(rows):
+        nonlocal round_salt
+        round_salt += 1
         flat, lengths = graph.row_edges(rows)
         neighbors, weights = graph.indices[flat], graph.weights[flat]
         utilities = problem.utilities[rows]
@@ -142,14 +144,21 @@ def _reference_bound(problem, k, *, mode="exact", sampler="uniform", p=1.0,
             np.where(solution[neighbors], weights, 0.0), lengths
         )
         u_max = utilities - ratio * mass_solution
-        if probability is None:
+        if not sampling:
             alive = (remaining | solution)[neighbors]
             lower = utilities - ratio * segment_sums(
                 np.where(alive, weights, 0.0), lengths
             )
             return lower, u_max
-        keep = rng.random(graph.num_directed_edges) < probability
-        sampled = np.where(keep[flat] & remaining[neighbors], weights, 0.0)
+        unassigned = remaining[neighbors]
+        segment = np.repeat(np.arange(rows.size), lengths)[unassigned]
+        keep = np.zeros(neighbors.size, dtype=bool)
+        keep[unassigned] = keep_mask(
+            rows[segment], neighbors[unassigned], weights[unassigned],
+            segment, p=p, sampler=sampler, round_salt=round_salt,
+            seed_salt=seed_salt,
+        )
+        sampled = np.where(keep, weights, 0.0)
         lower = utilities - ratio * (
             mass_solution + segment_sums(sampled, lengths)
         )
@@ -279,37 +288,6 @@ class TestBoundIsThePerRoundRecipe:
             problem, remaining, solution, rng=seed, **config
         )
         assert (lower <= umax).all()
-
-
-class TestKeepProbabilitiesOncePerRun:
-    """``bound`` computes the sampler's keep probabilities once and draws
-    ``gen.random(nnz) < prob`` per round — the sampler's own draw."""
-
-    @pytest.mark.parametrize("p", [0.3, 0.5])
-    def test_weighted_probabilities_are_the_per_round_recipe(self, p):
-        """Row sums added one by one in CSR order (``np.add.at``, the
-        per-round recipe) — the same bits as the once-per-run
-        ``bincount``."""
-        g = random_problem(200, seed=4, avg_degree=6).graph
-        degrees = np.diff(g.indptr)
-        row_of_edge = np.repeat(np.arange(g.n), degrees)
-        row_sum = np.zeros(g.n)
-        np.add.at(row_sum, row_of_edge, g.weights)
-        mean = np.where(degrees > 0, row_sum / np.maximum(degrees, 1), 0.0)
-        expected = np.clip(p * g.weights / mean[row_of_edge], 0.0, 1.0)
-        got = KEEP_PROBABILITIES["weighted"](g, p)
-        assert got.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("sampler", ["uniform", "weighted"])
-    def test_draw_is_the_samplers_draw(self, sampler):
-        g = random_problem(200, seed=4, avg_degree=6).graph
-        prob = KEEP_PROBABILITIES[sampler](g, 0.3)
-        a, b = np.random.default_rng(9), np.random.default_rng(9)
-        for _ in range(3):
-            np.testing.assert_array_equal(
-                a.random(g.num_directed_edges) < prob,
-                EDGE_SAMPLERS[sampler](g, 0.3, b),
-            )
 
 
 class TestExactBoundingCorrectness:
@@ -503,16 +481,17 @@ def decisions_digest(results) -> str:
 class TestBoundDecisionsGolden:
     """``bound``'s decisions over a fixed grid — 60 seeded problems × 3
     values of k — pinned bit for bit per mode.  The approximate modes pin
-    the sampler's generator stream too: a round that drew its keep mask
-    differently would move the digest."""
+    the sampler's hash too: a round that drew its keep mask differently
+    would move the digest.  Every digest is also ``beam_bound``'s over
+    the same grid."""
 
     GOLDEN = {
         "exact":
             "513f661289fc368dedce6dac0d2ad25753e3cba454b95795e29c5442f2021db5",
         "uniform":
-            "ddfd5754823dd1e085f94abd457ef8f84ac69e4b5b048a53b733f6bea23d4b28",
+            "9bf3e203c8c78f64ad4e82a701a9273c0d0609853ebbacf2d78074b3eceae46c",
         "weighted":
-            "d44b9476a37b083ac37590ca45bc7d101f3885f7b7f0f62946ced31a6781be9c",
+            "b2cc2bd98597ddc86060c5b61b28313d7b8b56a7a5925b4e586a25c6f8a9333a",
     }
 
     @pytest.mark.parametrize("mode", GOLDEN)
@@ -567,15 +546,16 @@ def long_grow_problems():
 
 class TestBoundDecisionsGoldenLongGrow:
     """``bound``'s decisions on instances whose grow phases run long,
-    k ∈ {n/50, n/10, n/2}, pinned bit for bit per mode."""
+    k ∈ {n/50, n/10, n/2}, pinned bit for bit per mode — digests that
+    are also ``beam_bound``'s over the same instances."""
 
     GOLDEN = {
         "exact":
             "d73f034a2b5d25328fb796bf9f356722e8f0debba77b9bde4cf5b996865f21dc",
         "uniform":
-            "08505d4b023ce29c1ae098309f0e08de35acecdb927883eeb8cefb0518c02c0c",
+            "93947fc85511a4d28416c9cf1205c06a8440fc9bef561b9b5629768079e2547f",
         "weighted":
-            "6864ceb3d9ec3feed0b6eb976df6881fbc90ac392052ba917e58950828cc18e1",
+            "90f2e47699eac33814bd4e5006cd64f0b1b8c28a5b2a5f0a128446efa24bfe3b",
     }
 
     @pytest.mark.parametrize("mode", GOLDEN)

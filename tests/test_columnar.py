@@ -32,6 +32,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.sampling import (
+    edge_hash01,
+    edge_hash01_column,
+    partition_of,
+    partition_of_column,
+)
 from repro.dataflow.columnar import (
     BatchDoFn,
     CoGroupedShard,
@@ -53,12 +59,6 @@ from repro.dataflow.executor import (
     loads_with_broadcast,
 )
 from repro.dataflow import library
-from repro.dataflow.library import (
-    edge_hash01,
-    edge_hash01_column,
-    partition_of,
-    partition_of_column,
-)
 from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import (
     Fold,

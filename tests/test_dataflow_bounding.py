@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -10,11 +11,18 @@ import pytest
 from repro.core.bounding import bound
 from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
-from repro.dataflow import EngineOptions, beam_bound, beam_score, library
+from repro.dataflow import (
+    DataflowContext,
+    EngineOptions,
+    beam_bound,
+    beam_score,
+    library,
+)
 from repro.dataflow.bounding_beam import BeamBoundingDriver
 from repro.dataflow.columnar import ColumnarShard, ListColumn
 from repro.dataflow.library import BoundingFilter, by_point
 from repro.dataflow.pcollection import Pipeline
+from repro.graph.csr import NeighborGraph
 from tests.conftest import random_problem
 from tests.test_bounding import BOUND_MODES, decisions_digest
 
@@ -47,24 +55,6 @@ class TestBeamBoundingEquivalence:
             beam, _ = beam_bound(p, k, mode="exact", options=EngineOptions(num_shards=3))
             np.testing.assert_array_equal(mem.solution, beam.solution)
             np.testing.assert_array_equal(mem.remaining, beam.remaining)
-
-    def test_approximate_mode_statistics(self, problem):
-        """Hash-sampled beam bounding behaves like the RNG-sampled one."""
-        k = problem.n // 10
-        mem = bound(problem, k, mode="approximate", p=0.3, seed=0)
-        beam, _ = beam_bound(
-            problem, k, mode="approximate", p=0.3, seed=0,
-            options=EngineOptions(num_shards=4),
-        )
-        # Different sampling streams, same qualitative outcome: both decide
-        # far more than exact bounding does.
-        exact = bound(problem, k, mode="exact")
-        for result in (mem, beam):
-            assert (
-                result.n_included + result.n_excluded
-                >= exact.n_included + exact.n_excluded
-            )
-        assert beam.n_included + beam.k_remaining == k
 
     def test_weighted_sampler_runs(self, problem):
         k = problem.n // 10
@@ -188,6 +178,91 @@ class TestBeamBoundingEquivalence:
     def test_invalid_k(self, problem):
         with pytest.raises(ValueError):
             beam_bound(problem, problem.n + 1)
+
+
+def _quantised_problem(n, seed):
+    """``random_problem`` with weights on a 1/4 grid (0 among them, so
+    the weighted sampler's zero-mean fallback comes up) and utilities on
+    a 1/8 grid: tied bounds and thresholds."""
+    base = random_problem(n, seed=seed, avg_degree=6)
+    g = base.graph
+    graph = NeighborGraph.from_edges(
+        n, np.repeat(np.arange(n), g.degrees()), g.indices,
+        np.round(g.weights * 4) / 4, symmetrize=False,
+    )
+    return SubsetProblem.with_alpha(
+        np.round(base.utilities * 8) / 8, graph, 0.9
+    )
+
+
+@pytest.fixture(scope="module")
+def matrix_context(matrix_executor):
+    """One context on the CI matrix's executor for the module's drives
+    (the remote backend spawns its workers once)."""
+    with DataflowContext(
+        EngineOptions(executor=matrix_executor, num_shards=4)
+    ) as context:
+        yield context
+
+
+DECISIONS = ("solution", "remaining", "n_excluded", "k_remaining",
+             "grow_rounds", "shrink_rounds", "complete", "overshoot")
+
+
+class TestBoundIsBeamBound:
+    """The in-memory ``bound`` and the dataflow ``beam_bound`` share the
+    Alg. 5 driver and the keep rule, so on one seed they make the same
+    decisions — every ``BoundingResult`` field, compared with ``==``, in
+    exact mode and under both samplers."""
+
+    @pytest.mark.parametrize("sampling", [
+        {"mode": "exact"},
+        {"mode": "approximate", "sampler": "uniform", "p": 0.3},
+        {"mode": "approximate", "sampler": "uniform", "p": 0.7},
+        {"mode": "approximate", "sampler": "weighted", "p": 0.3},
+        {"mode": "approximate", "sampler": "weighted", "p": 0.5},
+    ], ids=["exact", "uniform-0.3", "uniform-0.7", "weighted-0.3",
+            "weighted-0.5"])
+    def test_same_decisions(self, problem, matrix_context, sampling):
+        # ``problem`` drives the most rounds: one seed of it, two of each
+        # quantised instance.
+        quantised = [_quantised_problem(90, 1), _quantised_problem(150, 2)]
+        drives = [(problem, 0)] + list(itertools.product(quantised, (0, 7)))
+        for instance, seed in drives:
+            n = instance.n
+            for k in (n // 10, n // 3, (2 * n) // 3):
+                mem = bound(instance, k, seed=seed, **sampling)
+                beam, _ = beam_bound(
+                    instance, k, seed=seed, context=matrix_context,
+                    **sampling,
+                )
+                for name in DECISIONS:
+                    got, want = getattr(beam, name), getattr(mem, name)
+                    if isinstance(want, np.ndarray):
+                        got, want = got.tolist(), want.tolist()
+                    assert got == want, (n, k, seed, name)
+
+
+@pytest.mark.parametrize("bad", [
+    {"mode": "approximat"},
+    {"mode": "approximate", "sampler": "wieghted", "p": 0.5},
+    {"mode": "exact", "sampler": "wieghted"},
+    {"mode": "approximate", "p": 0.0},
+    {"mode": "approximate", "p": 1.5},
+    {"mode": "exact", "p": 1.5},
+    {"mode": "exact", "p": float("nan")},
+])
+@pytest.mark.parametrize("engine", ["memory", "dataflow"])
+def test_both_engines_reject_bad_arguments(engine, bad):
+    """An unknown mode or sampler, or ``p`` outside (0, 1] in any mode,
+    is an error on either engine — never a silent fallback to another
+    run."""
+    instance = random_problem(40, seed=0)
+    with pytest.raises(ValueError):
+        if engine == "memory":
+            bound(instance, 5, **bad)
+        else:
+            beam_bound(instance, 5, options=EngineOptions(num_shards=2), **bad)
 
 
 def _adjacency_records(g):

@@ -431,7 +431,7 @@ class TestCompositeGroups:
                 [(v, True) for v in range(small_problem.n)],
                 name="state/remaining",
             )
-            # Applied directly: ``_compute_bounds`` caches its result, and
+            # Applied directly: ``_round_bounds`` caches its result, and
             # a materialized node renders no plan.
             plan = remaining.apply(
                 BoundingFilter(

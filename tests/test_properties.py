@@ -16,7 +16,7 @@ from repro.core.normalization import normalize_scores
 from repro.core.objective import PairwiseObjective
 from repro.core.pipeline import DistributedSelector, SelectorConfig
 from repro.core.problem import SubsetProblem
-from repro.core.sampling import uniform_edge_sample
+from repro.core.sampling import keep_mask
 from repro.dataflow import DataflowContext, EngineOptions
 from repro.graph.csr import NeighborGraph
 from repro.incremental import DatasetVersion, Delta, IncrementalDriver
@@ -140,10 +140,13 @@ def test_appendix_b_hoeffding_simulation(seed):
     p = 0.7
     violations = 0
     trials = 30
-    rng = np.random.default_rng(seed)
     full_mass = g.neighbor_mass()
+    rows = np.repeat(np.arange(g.n), g.degrees())
     for t in range(trials):
-        keep = uniform_edge_sample(g, p, rng=rng)
+        keep = keep_mask(
+            rows, g.indices, g.weights, rows, p=p, sampler="uniform",
+            round_salt=t + 1, seed_salt=seed,
+        )
         contrib = np.where(keep, g.weights, 0.0)
         sampled = np.zeros(g.n)
         nonempty = g.indptr[:-1] < g.indptr[1:]
@@ -156,6 +159,53 @@ def test_appendix_b_hoeffding_simulation(seed):
     # p² = 0.49 vs mean p = 0.7: being below p²·S requires a large
     # deviation; empirically this is rare (clearly under 20 %).
     assert violation_rate < 0.2, violation_rate
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 14),
+    st.sampled_from([0.25, 0.5, 0.75, 0.875]),
+)
+def test_monotone_certificate_is_sufficient(seed, n, alpha):
+    """Appendix A: where ``is_monotone_certificate()`` holds, adding a
+    point never lowers f — every sampled ``f(A ∪ {v}) - f(A) >= 0``,
+    with no tolerance.  Weights are multiples of 1/8, utilities of 1/16
+    and alpha, beta dyadic, so every sum is exact.  Each utility sits
+    0–2 steps above the least the certificate allows, so a set A holding
+    all of v's neighbors can make the gain exactly 0; in half the cases
+    one point sits a step below it, where only an exact certificate can
+    tell."""
+    rng = np.random.default_rng(seed)
+    sources = rng.integers(0, n, 3 * n)
+    targets = rng.integers(0, n, 3 * n)
+    pair = sources != targets
+    graph = NeighborGraph.from_edges(
+        n, sources[pair], targets[pair],
+        rng.integers(0, 9, int(pair.sum())) / 8.0,
+    )
+    least = np.ceil((1 - alpha) * graph.neighbor_mass() / alpha * 16) / 16
+    steps = rng.integers(0, 3, n)
+    if rng.random() < 0.5:
+        steps[rng.integers(n)] = -1
+    problem = SubsetProblem.with_alpha(least + steps / 16, graph, alpha)
+    objective = PairwiseObjective(problem)
+    if not objective.is_monotone_certificate():
+        assert steps.min() < 0  # the least utilities always certify
+        return
+    # The tightest point first, against all of its neighbors.
+    tightest = int(np.argmin(steps))
+    trials = [(tightest, graph.neighbors(tightest)[0])]
+    for _ in range(20):
+        v = int(rng.integers(n))
+        others = np.delete(np.arange(n), v)
+        subset = others[rng.random(n - 1) < rng.random()]
+        if rng.random() < 0.5:
+            subset = np.union1d(subset, graph.neighbors(v)[0])
+        trials.append((v, subset))
+    for v, subset in trials:
+        gain = objective.value(np.append(subset, v)) - objective.value(subset)
+        assert gain >= 0, (v, subset.tolist(), gain)
 
 
 @settings(max_examples=15, deadline=None)
