@@ -83,7 +83,10 @@ from repro.service.jobs import selector_config
 def _build_problem(args: argparse.Namespace) -> tuple:
     """Resolve (problem, embeddings) from --preset or --embeddings."""
     if args.preset:
-        ds = load_dataset(args.preset, n_points=args.n_points, seed=args.seed)
+        ds = load_dataset(
+            args.preset, n_points=args.n_points, knn_k=args.knn_k,
+            knn_method=args.knn_method, seed=args.seed,
+        )
         utilities, graph, embeddings = ds.utilities, ds.graph, ds.embeddings
     elif args.embeddings:
         embeddings = np.load(args.embeddings)

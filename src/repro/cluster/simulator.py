@@ -19,6 +19,7 @@ from repro.cluster.machine import MachineSpec, greedy_state_bytes
 from repro.core.distributed import (
     DistributedResult,
     LinearDeltaSchedule,
+    RoundShapes,
     distributed_greedy,
 )
 from repro.core.problem import SubsetProblem
@@ -181,21 +182,15 @@ class ClusterSimulator:
         """
         if n_points < 1 or not 0 <= k <= n_points:
             raise ValueError(f"need 0 <= k <= n_points, got k={k}, n={n_points}")
-        if m < 1 or rounds < 1:
-            raise ValueError("m and rounds must be >= 1")
-        schedule = LinearDeltaSchedule(gamma)
-        partition_cap = int(np.ceil(n_points / m))
+        shapes = RoundShapes(
+            n_points, k, m, rounds, adaptive, LinearDeltaSchedule(gamma)
+        )
         survivors = int(n_points)
         per_round_hours: List[float] = []
         peak_bytes = 0
         feasible = True
         for round_idx in range(1, rounds + 1):
-            n_round = min(schedule(n_points, rounds, round_idx, k), survivors)
-            if adaptive:
-                m_round = int(np.ceil(survivors / partition_cap))
-            else:
-                m_round = m
-            m_round = max(1, min(m_round, survivors))
+            n_round, m_round, per_target = shapes.at(round_idx, survivors)
             partition_size = int(np.ceil(survivors / m_round))
             state = greedy_state_bytes(
                 partition_size, neighbors_per_point=self.neighbors_per_point
@@ -203,7 +198,6 @@ class ClusterSimulator:
             peak_bytes = max(peak_bytes, state)
             if state > self.machine.dram_bytes:
                 feasible = False
-            per_target = int(np.ceil(n_round / m_round))
             compute = self.cost_model.greedy_partition_seconds(
                 partition_size, per_target, avg_degree
             )

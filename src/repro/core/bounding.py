@@ -47,10 +47,10 @@ salted by the run's seed and the round), so a round hashes only the
 edges it reads.
 
 The Alg. 5 loop itself — the shrink/grow alternation, the round
-counter that salts the hash, the run's one seed draw, the overshoot
-subsample and the result — is :func:`alternate`, shared with the
-dataflow engine: the engines differ only in how a round computes its
-bounds, so on the same seed they make the same decisions.
+counter that salts the hash, the run's one seed draw and the result —
+is :func:`alternate`, shared with the dataflow engine: the engines
+differ only in how a round computes its bounds, so on the same seed
+they make the same decisions.
 
 This module is the in-memory reference implementation; the dataflow engine
 runs the same rounds with distributed joins (:mod:`repro.dataflow.bounding_beam`)
@@ -92,9 +92,6 @@ class BoundingResult:
         convergence-detecting no-op (matching Table 2's accounting).
     complete:
         True when bounding alone produced the entire subset.
-    overshoot:
-        Points grown beyond the budget before final uniform subsampling
-        ("this algorithm might grow S' larger than needed", Sec. 4.2).
     history:
         Optional per-round ``(phase, n_changed)`` trace.
     """
@@ -106,7 +103,6 @@ class BoundingResult:
     grow_rounds: int
     shrink_rounds: int
     complete: bool
-    overshoot: int = 0
     history: List[Tuple[str, int]] = field(default_factory=list)
 
     @property
@@ -134,7 +130,7 @@ def check_bounding(
 
 def draw_seed_salt(seed: SeedLike) -> int:
     """A bounding run's one draw from ``seed``: it salts every keep-mask
-    hash of the run and seeds the overshoot subsample."""
+    hash of the run."""
     return int(as_generator(seed).integers(0, 2**31 - 1))
 
 
@@ -305,8 +301,14 @@ def alternate(
     arithmetic here, so a shrink with nothing to discard and a grow that
     must take everything left compute no bounds; the hash's round salt
     counts the rounds that do.  ``seed_salt`` — the run's one
-    :func:`draw_seed_salt`, whatever the mode — salts every hash and
-    seeds the uniform subsample of grown points beyond the budget.
+    :func:`draw_seed_salt`, whatever the mode — salts every hash.
+
+    The solution never outgrows ``k``: a grow includes only rows whose
+    lower bound beats the ``k_remaining``-th largest ``Umax``, and
+    ``lower <= Umax`` holds exactly in both engines, so it adds at most
+    ``k_remaining - 1`` points; ``take_all`` adds ``n_remaining <=
+    k_remaining``.  (Sec. 4.2's "might grow S' larger than needed"
+    subsample therefore has nothing to do.)
     """
     check_bounding(problem, mode, sampler, p)
     k_total = check_cardinality(k, problem.n)
@@ -364,23 +366,14 @@ def alternate(
             break
 
     solution, remaining = rounds.ids()
-    overshoot = max(0, solution.size - k_total)
-    if overshoot:
-        rng = as_generator(seed_salt)
-        solution = np.sort(rng.choice(solution, size=k_total, replace=False))
-        k_remaining = 0
-    # Excluded = discarded by shrink (overshot-then-subsampled points are
-    # neither included nor excluded; they are counted in `overshoot`).
-    n_excluded = problem.n - (solution.size + overshoot) - remaining.size
     return BoundingResult(
         solution=solution,
         remaining=remaining,
-        n_excluded=int(n_excluded),
-        k_remaining=int(max(k_remaining, 0)),
+        n_excluded=int(problem.n - solution.size - remaining.size),
+        k_remaining=int(k_remaining),
         grow_rounds=rounds_run["grow"],
         shrink_rounds=rounds_run["shrink"],
-        complete=k_remaining <= 0,
-        overshoot=overshoot,
+        complete=k_remaining == 0,
         history=history,
     )
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,6 +136,44 @@ class LinearDeltaSchedule:
         raw = int(np.ceil(self.gamma * (r - round_idx) * (n0 - k) / r)) + k
         # Intermediate targets may exceed n0 for gamma > 1; clamp into range.
         return int(min(max(raw, k), n0))
+
+
+@dataclass(frozen=True)
+class RoundShapes:
+    """The shape of each round of Algorithm 6 (steps 1–3 of the module
+    docstring) over ``n0`` starting points and budget ``k`` — the one
+    definition the in-memory engine, the dataflow engine and the
+    cluster cost model share.  ``m`` and ``rounds`` must be >= 1."""
+
+    n0: int
+    k: int
+    m: int
+    rounds: int
+    adaptive: bool = False
+    schedule: Callable[[int, int, int, int], int] = LinearDeltaSchedule()
+
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+
+    def machines_for(self, size: int) -> int:
+        """The fewest machines of ``partition_cap = ceil(n0 / m)`` points
+        that hold ``size`` points (adaptive partitioning)."""
+        return int(np.ceil(size / int(np.ceil(self.n0 / self.m))))
+
+    def at(self, round_idx: int, size: int) -> Tuple[int, int, int]:
+        """``(n_round, m_round, per_target)`` of round ``round_idx``
+        (1-based) over ``size`` surviving points: the Δ-schedule's target
+        capped at ``size``, the machines (adaptive or ``m``, at most one
+        per point) and each partition's greedy target."""
+        n_round = min(
+            self.schedule(self.n0, self.rounds, round_idx, self.k), size
+        )
+        m_round = self.machines_for(size) if self.adaptive else self.m
+        m_round = max(1, min(m_round, size))
+        return n_round, m_round, int(np.ceil(n_round / m_round))
 
 
 def resolve_ground(
@@ -318,29 +356,18 @@ def distributed_greedy(
         ``selected`` are global ids, ``len == k`` (unless fewer candidates
         exist).
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if schedule is None:
-        schedule = LinearDeltaSchedule()
     rng = as_generator(seed)
     survivors, k = resolve_ground(problem.n, candidates, k)
-    n0 = int(survivors.size)
+    shapes = RoundShapes(
+        int(survivors.size), k, m, rounds, adaptive,
+        LinearDeltaSchedule() if schedule is None else schedule,
+    )
     if k == 0:
         return DistributedResult(np.empty(0, dtype=np.int64))
-    partition_cap = int(np.ceil(n0 / m))
     stats: List[RoundStats] = []
 
     for round_idx in range(1, rounds + 1):
-        n_round = schedule(n0, rounds, round_idx, k)
-        n_round = min(n_round, survivors.size)
-        if adaptive:
-            m_round = int(np.ceil(survivors.size / partition_cap))
-        else:
-            m_round = m
-        m_round = max(1, min(m_round, survivors.size))
-        per_target = int(np.ceil(n_round / m_round))
+        n_round, m_round, per_target = shapes.at(round_idx, survivors.size)
         parts = partitioner(round_idx, survivors, m_round, rng)
         _check_cover(parts, survivors, problem.n)
         selected_parts: List[np.ndarray] = []

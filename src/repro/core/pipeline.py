@@ -326,15 +326,14 @@ class DistributedSelector:
         else:
             selected = np.sort(solution)
 
-        if selected.size > k:  # defensive; bounding already subsamples
-            selected = np.sort(rng.choice(selected, size=k, replace=False))
-        if selected.size < k:
-            # ``k <= n`` and bounding keeps >= k candidates, so a short
-            # selection means a stage under-filled its budget — a bug to
-            # surface, not a result to score.
+        if selected.size != k:
+            # ``k <= n``, bounding includes at most ``k`` points and keeps
+            # >= k candidates, so a selection of any other size means a
+            # stage mis-filled its budget — a bug to surface, not a
+            # result to score.
             raise RuntimeError(
                 f"selected {selected.size} of the requested {k} points; "
-                "refusing to return a short selection"
+                "refusing to return a selection of another size"
             )
         return SelectionReport(
             selected=selected,

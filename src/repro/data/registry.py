@@ -90,7 +90,8 @@ def load_dataset(
     knn_k:
         Override the neighbor count (paper default: 10).
     knn_method:
-        ``"exact"`` or ``"ann"`` (the ScaNN stand-in).
+        ``"exact"`` or ``"ann"`` (ScaNN's IVF stage, run by the dataflow
+        kNN build; see :func:`repro.graph.symmetrize.build_knn_graph`).
     temperature:
         Coarse-classifier softmax temperature; larger values spread the
         margin-utility distribution (a very confident model would make all

@@ -38,6 +38,7 @@ import numpy as np
 from repro.core.distributed import (
     DistributedResult,
     LinearDeltaSchedule,
+    RoundShapes,
     RoundStats,
     fingerprint,
     problem_fingerprint,
@@ -96,12 +97,11 @@ def beam_distributed_greedy(
     split over the fewest machines that fit them (Alg. 6's adaptive
     rule).  Rounds that stay at or above ``k`` run exactly as before.
     """
-    if m < 1 or rounds < 1:
-        raise ValueError("m and rounds must be >= 1")
     rng = as_generator(seed)
     ground, k = resolve_ground(problem.n, candidates, k)
-    n0 = int(ground.size)
-    schedule = LinearDeltaSchedule(gamma)
+    shapes = RoundShapes(
+        int(ground.size), k, m, rounds, adaptive, LinearDeltaSchedule(gamma)
+    )
 
     with engine_context(options, context) as ctx:
         opts = ctx.options
@@ -128,20 +128,13 @@ def beam_distributed_greedy(
             else:
                 source = ground.tolist()
             survivors = pipeline.create(source, name="greedy/source")
-            partition_cap = int(np.ceil(n0 / m))
             stats: List[RoundStats] = []
 
             for round_idx in range(1, rounds + 1):
                 input_size = survivors.count()
                 if input_size == 0:
                     break
-                n_round = min(schedule(n0, rounds, round_idx, k), input_size)
-                if adaptive:
-                    m_round = int(np.ceil(input_size / partition_cap))
-                else:
-                    m_round = m
-                m_round = max(1, min(m_round, input_size))
-                per_target = int(np.ceil(n_round / m_round))
+                n_round, m_round, per_target = shapes.at(round_idx, input_size)
 
                 # Random partition assignment: one seed drawn per round,
                 # hashed with each id (iid uniform partition ids; expected
@@ -164,9 +157,7 @@ def beam_distributed_greedy(
                 # cover the shortfall and each pass adds at least one id.
                 while output_size < k:
                     taken = frozenset(picked.to_list())
-                    m_fill = int(
-                        np.ceil((input_size - output_size) / partition_cap)
-                    )
+                    m_fill = shapes.machines_for(input_size - output_size)
                     fill = survivors.filter(
                         lambda v, _taken=taken: v not in _taken,
                         name="greedy/unselected",

@@ -8,7 +8,9 @@ only centralized step), then apply the
 :class:`~repro.dataflow.library.ShardedKnn` composite (multi-probe
 assignment → per-cell brute force → per-point top-k merge) and drain each
 point's top-k columns straight into the neighbor table.  Peak per-worker
-memory is the largest cell, not the corpus.
+memory is the largest cell, not the corpus.  It is the repository's only
+approximate kNN: :func:`repro.graph.symmetrize.build_knn_graph` runs it
+for ``method="ann"``.
 
 Engine configuration comes from a single
 :class:`~repro.dataflow.options.EngineOptions` (``options=``) or a shared
@@ -65,6 +67,23 @@ def _fit_centroids(
             if norm > 0:
                 centroids[c] = mean / norm
     return centroids
+
+
+def _pad_short_rows(
+    x: np.ndarray, neighbors: np.ndarray, sims: np.ndarray,
+    rng: np.random.Generator,
+) -> None:
+    """Fill, in place, the ``-1`` slots of the points whose probed cells
+    had fewer than ``k`` hosts: each such row takes the first ids of one
+    ``rng.permutation(n)`` that are neither the point nor its hosts.  One
+    whole-table scan finds the rows; the RNG is drawn only for them."""
+    for v in np.flatnonzero((neighbors < 0).any(axis=1)).tolist():
+        missing = neighbors[v] < 0
+        used = np.append(neighbors[v][~missing], v)
+        perm = rng.permutation(x.shape[0])
+        fill = perm[~np.isin(perm, used)][: int(missing.sum())]
+        neighbors[v, missing] = fill
+        sims[v, missing] = x[fill] @ x[v]
 
 
 def _top_k_columns(shard) -> Tuple[np.ndarray, ListColumn]:
@@ -129,6 +148,8 @@ def beam_knn_graph(
     redundant reshards, so shuffle volume drops by more than half versus
     the naive plan.
     """
+    if n_clusters is not None and n_clusters < 1:
+        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     x = l2_normalize(embeddings)
     n = x.shape[0]
     if not 1 <= k < n:
@@ -171,16 +192,7 @@ def beam_knn_graph(
             metrics = pipeline.metrics
         finally:
             pipeline.close()
-    # Points whose probed cells had < k hosts: pad with random distinct ids.
-    # (One whole-matrix scan finds them; the RNG is only drawn for rows
-    # that actually pad, exactly as the per-row loop did.)
-    for v in np.flatnonzero((neighbors < 0).any(axis=1)).tolist():
-        missing = neighbors[v] < 0
-        used = set(neighbors[v][~missing].tolist()) | {v}
-        pool = [c for c in rng.permutation(n).tolist() if c not in used]
-        fill = pool[: int(missing.sum())]
-        neighbors[v, missing] = fill
-        sims_out[v, missing] = x[fill] @ x[v]
+    _pad_short_rows(x, neighbors, sims_out, rng)
     np.maximum(sims_out, 0.0, out=sims_out)
     graph = symmetrize_knn(neighbors, sims_out)
     return graph, neighbors, sims_out, metrics

@@ -7,9 +7,10 @@ space with ScaNN and symmetrizes it (Sec. 6).  This package provides:
 - :class:`~repro.graph.csr.NeighborGraph` — an immutable CSR adjacency
   structure with subgraph restriction (needed by partition-based greedy),
 - exact blocked brute-force kNN (:mod:`repro.graph.knn`),
-- an IVF-style clustered approximate index (:mod:`repro.graph.ann`) standing
-  in for ScaNN,
-- symmetrization utilities (:mod:`repro.graph.symmetrize`).
+- symmetrization utilities (:mod:`repro.graph.symmetrize`), whose
+  :func:`~repro.graph.symmetrize.build_knn_graph` also builds the
+  approximate graph (``method="ann"``) — ScaNN's IVF stage, run by the
+  dataflow kNN build (:func:`repro.dataflow.knn_beam.beam_knn_graph`).
 
 Names below are imported on first read (:mod:`repro.utils.lazy`).
 """
@@ -20,8 +21,6 @@ _EXPORTS = {
     "NeighborGraph": ".csr",
     "exact_knn": ".knn",
     "cosine_similarity_matrix": ".knn",
-    "IVFIndex": ".ann",
-    "approximate_knn": ".ann",
     "symmetrize_knn": ".symmetrize",
     "build_knn_graph": ".symmetrize",
 }

@@ -1,8 +1,9 @@
 """Exact k-nearest-neighbor search over embeddings (cosine similarity).
 
 The paper builds a 10-NN graph with ScaNN (Guo et al., 2020); for the
-reproduction we provide exact blocked brute force here and an approximate
-IVF index in :mod:`repro.graph.ann`.  The blocked implementation bounds peak
+reproduction we provide exact blocked brute force here, and the dataflow
+kNN build (:func:`repro.dataflow.knn_beam.beam_knn_graph`) runs ScaNN's IVF
+stage for the approximate graph.  The blocked implementation bounds peak
 memory to ``block_size × n`` similarity entries, mirroring the "cannot
 materialize the full similarity matrix" constraint of Sec. 6.
 """

@@ -53,8 +53,11 @@ def build_knn_graph(
     Parameters
     ----------
     method:
-        ``"exact"`` (blocked brute force) or ``"ann"`` (IVF index, the
-        ScaNN stand-in).
+        ``"exact"`` (blocked brute force) or ``"ann"``: ScaNN's IVF stage,
+        run by the dataflow kNN build
+        (:func:`repro.dataflow.knn_beam.beam_knn_graph`) on default
+        :class:`~repro.dataflow.options.EngineOptions` with 4 probes and
+        10 k-means iterations.
 
     Returns
     -------
@@ -63,11 +66,12 @@ def build_knn_graph(
     """
     if method == "exact":
         neighbors, sims = exact_knn(embeddings, k, block_size=block_size)
-    elif method == "ann":
-        from repro.graph.ann import approximate_knn
+        return symmetrize_knn(neighbors, sims), neighbors, sims
+    if method == "ann":
+        from repro.dataflow.knn_beam import beam_knn_graph
 
-        neighbors, sims = approximate_knn(embeddings, k, seed=seed)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'exact' or 'ann'")
-    graph = symmetrize_knn(neighbors, sims)
-    return graph, neighbors, sims
+        graph, neighbors, sims, _ = beam_knn_graph(
+            embeddings, k, nprobe=4, n_iter=10, seed=seed
+        )
+        return graph, neighbors, sims
+    raise ValueError(f"unknown method {method!r}; use 'exact' or 'ann'")

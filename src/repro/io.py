@@ -38,7 +38,6 @@ def report_to_dict(report: SelectionReport) -> Dict[str, Any]:
             "grow_rounds": b.grow_rounds,
             "shrink_rounds": b.shrink_rounds,
             "complete": bool(b.complete),
-            "overshoot": b.overshoot,
         }
     if report.greedy is not None:
         out["greedy_rounds"] = [asdict(s) for s in report.greedy.rounds]

@@ -206,7 +206,7 @@ def matrix_context(matrix_executor):
 
 
 DECISIONS = ("solution", "remaining", "n_excluded", "k_remaining",
-             "grow_rounds", "shrink_rounds", "complete", "overshoot")
+             "grow_rounds", "shrink_rounds", "complete")
 
 
 class TestBoundIsBeamBound:
@@ -236,6 +236,7 @@ class TestBoundIsBeamBound:
                     instance, k, seed=seed, context=matrix_context,
                     **sampling,
                 )
+                assert mem.solution.size <= k
                 for name in DECISIONS:
                     got, want = getattr(beam, name), getattr(mem, name)
                     if isinstance(want, np.ndarray):

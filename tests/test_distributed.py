@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.core.distributed import (
     LinearDeltaSchedule,
+    RoundShapes,
     distributed_greedy,
     random_partitioner,
     worst_case_partitioner,
@@ -226,6 +228,46 @@ def _golden_problem(i: int):
     if i % 2:
         problem = replace(problem, utilities=np.round(problem.utilities * 4) / 4)
     return problem
+
+
+class TestRoundShapes:
+    """Alg. 6's round shape, one definition for both engines and the
+    cluster model, against the rule written out: the Δ-target capped at
+    the survivors, ``ceil(size / ceil(n0 / m))`` machines when adaptive,
+    never more machines than survivors, ``ceil(target / machines)`` per
+    partition."""
+
+    @staticmethod
+    def _rule(n0, k, m, rounds, adaptive, round_idx, size):
+        n_round = min(LinearDeltaSchedule()(n0, rounds, round_idx, k), size)
+        m_round = -(-size // -(-n0 // m)) if adaptive else m
+        m_round = max(1, min(m_round, size))
+        return n_round, m_round, -(-n_round // m_round)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_is_the_rule(self, adaptive):
+        for n0, k, m in [(1000, 100, 8), (97, 10, 16), (50, 50, 3), (5, 2, 16)]:
+            for rounds in (1, 3, 8):
+                shapes = RoundShapes(n0, k, m, rounds, adaptive)
+                for round_idx in range(1, rounds + 1):
+                    for size in sorted({1, 2, k, (n0 + k) // 2, n0 - 1, n0}):
+                        assert shapes.at(round_idx, size) == self._rule(
+                            n0, k, m, rounds, adaptive, round_idx, size
+                        ), (n0, k, m, rounds, round_idx, size)
+
+    @pytest.mark.parametrize("m,rounds,message", [
+        (0, 1, "m must be >= 1, got 0"),
+        (4, 0, "rounds must be >= 1, got 0"),
+    ])
+    def test_every_caller_rejects_bad_m_and_rounds(
+        self, tiny_problem, m, rounds, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            distributed_greedy(tiny_problem, 5, m=m, rounds=rounds)
+        with pytest.raises(ValueError, match=message):
+            beam_distributed_greedy(tiny_problem, 5, m=m, rounds=rounds)
+        with pytest.raises(ValueError, match=message):
+            ClusterSimulator().what_if(1000, 10, m=m, rounds=rounds)
 
 
 class TestDistributedSelectionsGolden:

@@ -98,6 +98,34 @@ class TestCLI:
         assert os.path.exists(rep)
         assert "bounding:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags,knn", [
+        (["--knn-method", "ann"], {"knn_method": "ann"}),
+        (["--knn-k", "5"], {"knn_k": 5}),
+    ], ids=["knn-method-ann", "knn-k-5"])
+    def test_preset_builds_the_flagged_graph(self, flags, knn, capsys):
+        """``--preset`` builds its graph with ``--knn-k`` and
+        ``--knn-method``: the printed objective is the selection on the
+        flagged graph, not on the default one."""
+
+        def objective(**graph_args):
+            data = load_dataset(
+                "cifar100_tiny", n_points=300, seed=0, **graph_args
+            )
+            problem = SubsetProblem.with_alpha(data.utilities, data.graph, 0.9)
+            report = DistributedSelector(problem, SelectorConfig()).select(
+                30, seed=0
+            )
+            return f"objective {report.objective:.6f}"
+
+        code = main([
+            "select", "--preset", "cifar100_tiny", "--n-points", "300",
+            "--k", "30", *flags,
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert objective(**knn) in out
+        assert objective() not in out
+
     def test_select_from_npy_files(self, ds, tmp_path, capsys):
         emb = str(tmp_path / "x.npy")
         lab = str(tmp_path / "y.npy")

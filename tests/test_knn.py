@@ -1,9 +1,8 @@
-"""Tests for exact kNN, the IVF ANN index, and graph symmetrization."""
+"""Tests for exact kNN and graph symmetrization."""
 
 import numpy as np
 import pytest
 
-from repro.graph.ann import IVFIndex, approximate_knn
 from repro.graph.knn import cosine_similarity_matrix, exact_knn, l2_normalize
 from repro.graph.symmetrize import build_knn_graph, symmetrize_knn
 
@@ -103,42 +102,6 @@ class TestExactKnn:
             exact_knn(x, 0)
         with pytest.raises(ValueError):
             exact_knn(x, 10)
-
-
-class TestIVF:
-    def test_high_recall_on_clustered_data(self):
-        x, _ = clustered_points(n=200, n_clusters=4)
-        exact_nbrs, _ = exact_knn(x, 5)
-        approx_nbrs, _ = approximate_knn(x, 5, n_clusters=8, nprobe=3, seed=0)
-        recalls = [
-            len(set(exact_nbrs[i]) & set(approx_nbrs[i])) / 5
-            for i in range(200)
-        ]
-        assert np.mean(recalls) > 0.8
-
-    def test_search_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            IVFIndex(4).search(np.zeros((1, 3)), 2)
-
-    def test_output_shape_and_validity(self):
-        x, _ = clustered_points(n=80)
-        nbrs, sims = approximate_knn(x, 7, seed=1)
-        assert nbrs.shape == (80, 7)
-        assert sims.shape == (80, 7)
-        for i in range(80):
-            row = nbrs[i]
-            assert i not in row
-            assert len(set(row.tolist())) == 7
-            assert (row >= 0).all() and (row < 80).all()
-
-    def test_k_too_large_rejected(self):
-        x, _ = clustered_points(n=10)
-        with pytest.raises(ValueError):
-            approximate_knn(x, 10)
-
-    def test_invalid_cluster_count(self):
-        with pytest.raises(ValueError):
-            IVFIndex(0)
 
 
 class TestSymmetrize:

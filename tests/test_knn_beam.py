@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_class_clusters
+from repro.dataflow import knn_beam
 from repro.dataflow.knn_beam import _fit_centroids, beam_knn_graph
 from repro.dataflow.options import EngineOptions
 from repro.graph.knn import exact_knn, l2_normalize
+from repro.graph.symmetrize import build_knn_graph
 from repro.utils.rng import as_generator
 from tests.test_knn import clustered_points
 
@@ -65,12 +67,33 @@ class TestBeamKnnGraph:
         with pytest.raises(ValueError):
             beam_knn_graph(x, 0)
 
+    @pytest.mark.parametrize("n_clusters", [0, -3])
+    def test_invalid_cluster_count(self, n_clusters):
+        x, _ = clustered_points(n=20)
+        with pytest.raises(ValueError, match="n_clusters must be >= 1"):
+            beam_knn_graph(x, 3, n_clusters=n_clusters)
+
+    @pytest.mark.parametrize("shape", [(150, 4, 8), (400, 10, 24)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_ann_graph_is_the_beam(self, shape, seed):
+        """``build_knn_graph(method="ann")`` is the beam at 4 probes and
+        10 k-means iterations, bit for bit."""
+        n, n_classes, dim = shape
+        x, _ = make_class_clusters(n, n_classes, dim, seed=seed)
+        graph, neighbors, sims = build_knn_graph(x, 6, method="ann", seed=seed)
+        want = beam_knn_graph(x, 6, nprobe=4, n_iter=10, seed=seed)
+        np.testing.assert_array_equal(neighbors, want[1])
+        np.testing.assert_array_equal(sims, want[2])
+        for name in ("indptr", "indices", "weights"):
+            np.testing.assert_array_equal(
+                getattr(graph, name), getattr(want[0], name)
+            )
+
     def test_selection_quality_on_beam_graph(self):
         """End-to-end: graph built by dataflow feeds the selector."""
         from repro.core.greedy import greedy_heap
         from repro.core.objective import PairwiseObjective
         from repro.core.problem import SubsetProblem
-        from repro.graph.symmetrize import build_knn_graph
 
         x, _ = clustered_points(n=200, n_clusters=4)
         rng = np.random.default_rng(0)
@@ -192,3 +215,52 @@ def test_fit_centroids_keeps_empty_clusters():
     got = _fit_centroids(x, 8, 8, as_generator(5))
     want = _fit_centroids_per_cluster(x, 8, 8, as_generator(5))
     assert got.tobytes() == want.tobytes()
+
+
+def _pad_per_row(x, neighbors, sims, rng):
+    """The reference ``_pad_short_rows``: one Python list per padded row."""
+    n = x.shape[0]
+    for v in np.flatnonzero((neighbors < 0).any(axis=1)).tolist():
+        missing = neighbors[v] < 0
+        used = set(neighbors[v][~missing].tolist()) | {v}
+        pool = [c for c in rng.permutation(n).tolist() if c not in used]
+        fill = pool[: int(missing.sum())]
+        neighbors[v, missing] = fill
+        sims[v, missing] = x[fill] @ x[v]
+
+
+@pytest.mark.parametrize("n,k,seed", [(200, 5, 0), (200, 9, 3), (333, 7, 1)])
+def test_pad_is_the_per_row_loop(monkeypatch, n, k, seed):
+    """Half as many cells as points and one probe leave every row short
+    of hosts, so every row pads: the ids are the per-row loop's, the
+    tables stay valid and a padded similarity is the clipped dot
+    product with its fill."""
+    x, _ = clustered_points(n=n, seed=seed)
+    pad, holes = knn_beam._pad_short_rows, []
+
+    def spy(x, neighbors, sims, rng):
+        holes.append(neighbors < 0)
+        pad(x, neighbors, sims, rng)
+
+    monkeypatch.setattr(knn_beam, "_pad_short_rows", spy)
+    _, neighbors, sims, _ = beam_knn_graph(
+        x, k, n_clusters=n // 2, nprobe=1, seed=seed
+    )
+    monkeypatch.setattr(knn_beam, "_pad_short_rows", _pad_per_row)
+    _, want_neighbors, want_sims, _ = beam_knn_graph(
+        x, k, n_clusters=n // 2, nprobe=1, seed=seed
+    )
+    (missing,) = holes
+    assert missing.any(axis=1).all()
+    np.testing.assert_array_equal(neighbors, want_neighbors)
+    np.testing.assert_array_equal(sims, want_sims)
+    unit = l2_normalize(x)
+    for v in range(n):
+        row = neighbors[v]
+        assert v not in row
+        assert len(set(row.tolist())) == k
+        assert (row >= 0).all() and (row < n).all()
+        fill = row[missing[v]]
+        np.testing.assert_array_equal(
+            sims[v, missing[v]], np.maximum(unit[fill] @ unit[v], 0.0)
+        )

@@ -67,8 +67,7 @@ def test_bounding_state_partition(seed, p_fraction):
     remaining = set(result.remaining.tolist())
     assert not included & remaining
     assert (
-        len(included) + len(remaining) + result.n_excluded + result.overshoot
-        == problem.n
+        len(included) + len(remaining) + result.n_excluded == problem.n
     )
     assert result.n_included + result.k_remaining == 10
 
