@@ -36,7 +36,7 @@ Examples
     python -m repro select --preset cifar100_tiny --k 200 \
         --engine dataflow --executor thread --num-shards 16
     python -m repro select --preset cifar100_tiny --k 200 \
-        --engine dataflow --stream-source --no-optimize
+        --engine dataflow --no-optimize
     python -m repro select --preset cifar100_tiny --k 200 \
         --engine dataflow --executor remote \
         --workers 10.0.0.1:7077,10.0.0.2:7077 --checkpoint-dir ckpt/
@@ -52,7 +52,9 @@ Examples
 
 Every flag family is declared once: engine flags are one shared block
 (:func:`repro.dataflow.options.add_engine_arguments`; ``defaults <
---engine-options JSON file < explicit flags``), the selector knobs are
+--engine-options JSON file < explicit flags``), resolved once by
+:func:`main` into ``args.options`` — a bad value or file is a usage
+error (exit 2) before any dataset loads — and the selector knobs are
 one block shared by ``select`` and ``submit`` (built into a config by
 :func:`repro.service.jobs.selector_config`, as the service does), and
 ``serve`` attaches the flags ``python -m repro.service`` declares.
@@ -148,9 +150,8 @@ def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
     from repro.dataflow.knn_beam import knn_plan
     from repro.graph.knn import l2_normalize
 
-    options = EngineOptions.from_namespace(args)
     n = problem.n
-    with DataflowContext(options) as ctx:
+    with DataflowContext(args.options) as ctx:
         pipeline = ctx.pipeline(plan_records=n)
         try:
             x = l2_normalize(embeddings)
@@ -158,7 +159,7 @@ def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
             # The plan's shape (and cost) does not depend on centroid
             # values, so the k-means fit is skipped here.
             centroids = np.ascontiguousarray(x[:n_clusters])
-            knn = knn_plan(pipeline, x, centroids, args.knn_k, 1, options)
+            knn = knn_plan(pipeline, x, centroids, args.knn_k, 1)
             print("kNN build plan:")
             print(knn.explain(costs=True))
         finally:
@@ -195,7 +196,7 @@ def _run_incremental(problem, k: int, args: argparse.Namespace) -> int:
         synthetic_version,
     )
 
-    with DataflowContext(EngineOptions.from_namespace(args)) as ctx:
+    with DataflowContext(args.options) as ctx:
         if args.explain:
             version, _ = synthetic_version(
                 problem.utilities, args.dataset_version,
@@ -232,13 +233,12 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
     problem, _ = _build_problem(args)
     k = args.k if args.k is not None else max(1, int(problem.n * 0.1))
-    options = EngineOptions.from_namespace(args)
     version = DatasetVersion.initial(problem.utilities)
     log = synthetic_deltas(
         version, seed=args.seed, steps=args.steps, frac=args.delta_frac
     )
     spec = WindowSpec(args.window, slide=args.slide)
-    with DataflowContext(options) as ctx:
+    with DataflowContext(args.options) as ctx:
         driver = IncrementalDriver(
             problem, k, context=ctx, data_shards=args.data_shards
         )
@@ -263,7 +263,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         return _print_plans(problem, embeddings, args)
     config = selector_config(
         _selector_section(args),
-        EngineOptions.from_namespace(args),
+        args.options,
         checkpoint_gc=args.checkpoint_gc,
     )
     report = DistributedSelector(problem, config).select(k, seed=args.seed)
@@ -320,7 +320,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
             "version": args.dataset_version,
         },
         "selector": _selector_section(args),
-        "engine_options": EngineOptions.from_namespace(args).to_dict(),
+        "engine_options": args.options.to_dict(),
         "tenant": args.tenant,
         "priority": args.priority,
         "timeout_s": args.timeout,
@@ -602,6 +602,11 @@ def main(argv: Optional[list] = None) -> int:
     if getattr(args, "bounding", "none") != "none" and args.alpha == 0:
         parser.error("--bounding requires --alpha > 0 (its bounds are in "
                      "utility units, divided by alpha)")
+    if hasattr(args, "engine_options"):  # the engine flag block is attached
+        try:
+            args.options = EngineOptions.from_namespace(args)
+        except (ValueError, OSError) as exc:
+            parser.error(str(exc))
     return args.func(args)
 
 

@@ -302,6 +302,9 @@ def alternate(
     must take everything left compute no bounds; the hash's round salt
     counts the rounds that do.  ``seed_salt`` — the run's one
     :func:`draw_seed_salt`, whatever the mode — salts every hash.
+    ``n_excluded`` is the sum of the drops the shrinks report, and the
+    sets ``ids()`` returns must have the sizes that arithmetic gives, or
+    a ``RuntimeError`` names both.
 
     The solution never outgrows ``k``: a grow includes only rows whose
     lower bound beats the ``k_remaining``-th largest ``Umax``, and
@@ -313,6 +316,7 @@ def alternate(
     check_bounding(problem, mode, sampler, p)
     k_total = check_cardinality(k, problem.n)
     n_remaining, k_remaining = problem.n, k_total
+    n_excluded = 0
     round_salt = 0
     rounds_run = {"shrink": 0, "grow": 0}
     history: List[Tuple[str, int]] = []
@@ -327,11 +331,12 @@ def alternate(
         )
 
     def shrink() -> int:
-        nonlocal n_remaining
+        nonlocal n_remaining, n_excluded
         if k_remaining <= 0 or n_remaining <= k_remaining:
             return 0
         dropped = rounds.shrink(k_remaining, n_remaining, next_keep())
         n_remaining -= dropped
+        n_excluded += dropped
         return dropped
 
     def grow() -> int:
@@ -366,10 +371,18 @@ def alternate(
             break
 
     solution, remaining = rounds.ids()
+    # The counts the rounds reported must be the sets they hold: a shrink
+    # or grow that miscounts would skew every later round's k and n.
+    if (remaining.size, solution.size) != (n_remaining, k_total - k_remaining):
+        raise RuntimeError(
+            f"bounding rounds reported |V| = {n_remaining}, |S'| = "
+            f"{k_total - k_remaining} but hold {remaining.size} remaining "
+            f"and {solution.size} selected points"
+        )
     return BoundingResult(
         solution=solution,
         remaining=remaining,
-        n_excluded=int(problem.n - solution.size - remaining.size),
+        n_excluded=int(n_excluded),
         k_remaining=int(k_remaining),
         grow_rounds=rounds_run["grow"],
         shrink_rounds=rounds_run["shrink"],
@@ -491,8 +504,8 @@ def bound(
     Returns
     -------
     BoundingResult
-        With ``solution`` capped at ``k`` via uniform subsampling if the
-        grow phase overshot the budget.
+        Its ``solution`` never holds more than ``k`` points (see
+        :func:`alternate`).
     """
     return alternate(
         problem, k, _MemoryRounds(problem), mode=mode, sampler=sampler, p=p,

@@ -70,13 +70,10 @@ class SelectorConfig:
         memory engine).  The selector opens one
         :class:`~repro.dataflow.context.DataflowContext` from it per run
         — the bounding and greedy stages share its (persistent) worker
-        pool or cluster, and it is closed when the run finishes.
-        ``options.stream_source=None`` (the default) keeps each beam's
-        own ingest default — the bounding stage streams only its
-        remaining-set source (its graph and utilities are array
-        columns, always eager), the greedy stage ingests its
-        (array-backed) ground set eagerly; results are identical either
-        way.
+        pool or cluster, and it is closed when the run finishes.  The
+        bounding stage streams only its remaining-set source (its graph
+        and utilities are array columns, always eager); the greedy
+        stage ingests its (array-backed) ground set eagerly.
     checkpoint_gc:
         After a successful run with ``options.checkpoint_dir``, delete
         every checkpoint entry the run did not touch (see

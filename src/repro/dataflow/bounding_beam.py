@@ -125,16 +125,15 @@ class BeamBoundingDriver:
         self._context_guard = engine_context(options, context)
         self.context = self._context_guard.__enter__()
         try:
-            opts = self.context.options
-            pipeline_overrides = {}
-            if opts.checkpoint_dir is not None:
+            salt = None
+            if self.context.options.checkpoint_dir is not None:
                 # Salt the plan digests with the problem's content so a
                 # resumed drive can only reuse checkpoints of its own data
                 # (streamed sources cannot be hashed).
-                pipeline_overrides["checkpoint_salt"] = fingerprint(
+                salt = fingerprint(
                     "bounding-sources", problem_fingerprint(problem)
                 )
-            self.pipeline = self.context.pipeline(**pipeline_overrides)
+            self.pipeline = self.context.pipeline(checkpoint_salt=salt)
             self._seed_salt = draw_seed_salt(seed)
             g = problem.graph
             # The graph is loop-invariant: its source is the CSR arrays

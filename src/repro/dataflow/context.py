@@ -58,37 +58,33 @@ class DataflowContext:
         self._scoped = False
         self._closed = False
 
-    def pipeline(self, **overrides: Any):
+    def pipeline(self, **pipeline_args: Any):
         """A :class:`~repro.dataflow.pcollection.Pipeline` wired to this
         context's executor and options.
 
-        ``overrides`` are per-pipeline :class:`EngineOptions` tweaks
-        (``checkpoint_salt=...`` is the common one — each beam derives its
-        own salt from the data it streams).  The pipeline never owns the
-        executor; closing it leaves the context's executor running.
-
-        ``plan_records`` (not an options knob) is the caller's estimate
-        of a streaming source's size, for ``explain``'s cost notes.  The
+        ``pipeline_args`` are ``Pipeline``'s own per-pipeline keywords,
+        handed straight through: ``checkpoint_salt`` (bounding derives
+        one from the problem it streams), ``stream_chunk_size``, and
+        ``plan_records`` (the caller's estimate of a streaming source's
+        size, for ``explain``'s cost notes).  The pipeline never owns the
+        executor; closing it leaves the context's executor running.  The
         context's planner, if any, records the pipeline's stage profiles.
         """
         from repro.dataflow.pcollection import Pipeline
 
         if self._closed:
             raise RuntimeError("DataflowContext closed")
-        plan_records = overrides.pop("plan_records", None)
-        o = self.options.derive(**overrides) if overrides else self.options
+        o = self.options
         return Pipeline(
             o.num_shards,
             spill_to_disk=o.spill_to_disk,
             executor=self.executor,
             optimize=o.optimize,
-            stream_chunk_size=o.stream_chunk_size,
             checkpoint_dir=o.checkpoint_dir,
-            checkpoint_salt=o.checkpoint_salt,
             touched_digests=self.touched_checkpoint_digests,
             planner=self.planner,
-            plan_records=plan_records,
             shuffle=o.shuffle,
+            **pipeline_args,
         )
 
     def scoped(self) -> "DataflowContext":

@@ -26,12 +26,12 @@ Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
 (``options=``) or a shared :class:`~repro.dataflow.context.DataflowContext`
 (``context=`` — how the end-to-end selector shares a worker pool between
 bounding and greedy).  This beam ingests its (array-backed) ground set
-eagerly by default (``options.stream_source=None``).
+eagerly, as one list of ids.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -40,8 +40,6 @@ from repro.core.distributed import (
     LinearDeltaSchedule,
     RoundShapes,
     RoundStats,
-    fingerprint,
-    problem_fingerprint,
     resolve_ground,
 )
 from repro.core.problem import SubsetProblem
@@ -81,8 +79,6 @@ def beam_distributed_greedy(
     shuffle (the ``key_by`` reshard is elided; its partition hash runs
     once per shard and the write routes the key column) plus one fused
     read stage (the per-group greedy runs inside the shuffle read).
-    ``options.stream_source=True`` ingests the ground set through the
-    chunked streaming source path, so the driver never holds it whole.
     With a checkpoint directory, each round's boundaries key on a plan
     digest (the round DoFns capture the per-round seed draws, so a seeded
     rerun hits the same keys): a killed drive resumes from its last
@@ -104,30 +100,14 @@ def beam_distributed_greedy(
     )
 
     with engine_context(options, context) as ctx:
-        opts = ctx.options
-        pipeline_overrides = {}
-        if opts.checkpoint_dir is not None:
-            # Pins the streamed ground set's content (the eager path hashes
-            # source contents directly, so this only matters for
-            # ``stream_source=True`` — but it must agree with that data).
-            pipeline_overrides["checkpoint_salt"] = fingerprint(
-                "greedy-source", problem_fingerprint(problem), ground
-            )
-        pipeline = ctx.pipeline(**pipeline_overrides)
+        pipeline = ctx.pipeline()
         try:
             if k == 0:
                 return (
                     DistributedResult(np.empty(0, dtype=np.int64)),
                     pipeline.metrics,
                 )
-            # Streaming feeds a generator so the driver never materializes
-            # the ground list; int(v) matches tolist()'s Python ints
-            # bit-for-bit.
-            if opts.resolve_stream(False):
-                source: "Iterable[int]" = (int(v) for v in ground)
-            else:
-                source = ground.tolist()
-            survivors = pipeline.create(source, name="greedy/source")
+            survivors = pipeline.create(ground.tolist(), name="greedy/source")
             stats: List[RoundStats] = []
 
             for round_idx in range(1, rounds + 1):

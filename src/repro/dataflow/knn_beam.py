@@ -103,17 +103,13 @@ def knn_plan(
     centroids: np.ndarray,
     k: int,
     nprobe: int,
-    options: EngineOptions,
 ) -> PCollection:
-    """The kNN build's plan on ``pipeline``, not yet run: the point-id
-    source (eager unless ``options.stream_source`` streams it) through
+    """The kNN build's plan on ``pipeline``, not yet run: the eager
+    point-id source ``range(n)`` through
     :class:`~repro.dataflow.library.ShardedKnn` over the normalized
     embeddings ``x``.  :func:`beam_knn_graph` drives this plan and
     ``repro plan`` explains it."""
-    points = pipeline.create(
-        range(x.shape[0]), name="knn/source",
-        stream=options.resolve_stream(False),
-    )
+    points = pipeline.create(range(x.shape[0]), name="knn/source")
     return points.apply(ShardedKnn(x, centroids, k=k, nprobe=nprobe))
 
 
@@ -136,11 +132,10 @@ def beam_knn_graph(
 
     Engine knobs live on ``options`` (every backend produces identical
     outputs for a fixed seed); ``context`` shares an existing executor /
-    checkpoint scope instead.  ``options.stream_source=None`` keeps this
-    beam's default of eager point-id ingest.  With a checkpoint
-    directory, boundaries key on a plan digest (the stage DoFns capture
-    the embeddings and fitted centroids, so only a bit-identical rerun
-    hits) — a killed build resumes from its last completed stage.
+    checkpoint scope instead.  With a checkpoint directory, boundaries
+    key on a plan digest (the stage DoFns capture the embeddings and
+    fitted centroids, so only a bit-identical rerun hits) — a killed
+    build resumes from its last completed stage.
 
     The candidate merge is written naively (``group_by_key`` + ``Fold``)
     inside :class:`~repro.dataflow.library.ShardedKnn`; with ``optimize``
@@ -162,20 +157,9 @@ def beam_knn_graph(
     neighbors = np.full((n, k), -1, dtype=np.int64)
     sims_out = np.full((n, k), -np.inf)
     with engine_context(options, context) as ctx:
-        opts = ctx.options
-        pipeline_overrides = {}
-        if opts.checkpoint_dir is not None:
-            from repro.core.distributed import fingerprint
-
-            # The streamed source is just ``range(n)``; the embeddings and
-            # centroids are captured by the stage DoFns and enter the plan
-            # digests through them.
-            pipeline_overrides["checkpoint_salt"] = fingerprint(
-                "knn-source", int(n)
-            )
-        pipeline = ctx.pipeline(**pipeline_overrides)
+        pipeline = ctx.pipeline()
         try:
-            merged = knn_plan(pipeline, x, centroids, k, nprobe, opts)
+            merged = knn_plan(pipeline, x, centroids, k, nprobe)
             # Each point's record is its top-k, already ordered by
             # (-sim, host): its candidates go into its row as they are.
             for shard in merged.iter_stored():

@@ -6,9 +6,8 @@ normalizes a value, and its command-line flags.  Everything else is
 derived from that table — the constructor's defaulting and per-field
 validation, ``from_dict``/``to_dict``, and the
 :func:`add_engine_arguments` flag block — so adding a knob is a
-one-entry diff.  Only the genuinely cross-field rules (``workers`` ⇒
-``executor="remote"``, ``checkpoint_salt`` ⇒ ``checkpoint_dir``,
-factory-only knobs vs an ``Executor`` instance) are hand-written code.
+one-entry diff.  Only the one cross-field rule (``workers`` ⇒
+``executor="remote"``) is hand-written code.
 
 :class:`EngineOptions`
     One immutable, validated options object carrying every engine knob.
@@ -18,8 +17,7 @@ factory-only knobs vs an ``Executor`` instance) are hand-written code.
     (:meth:`~EngineOptions.from_namespace`).  All validation —
     registry-backed executor names, ``host:port`` worker addresses with
     port-range checks, checkpoint settings — happens once, at
-    construction.  :meth:`~EngineOptions.derive` produces per-stage
-    variants without re-stating the rest.
+    construction.
 
 Configuration precedence for :meth:`EngineOptions.from_namespace` (the
 CLI path) is ``defaults < --engine-options JSON file < explicit flags``.
@@ -36,11 +34,7 @@ import numbers
 from typing import Any, Callable, Dict, Mapping, NamedTuple
 from typing import Optional, Sequence, Tuple
 
-from repro.dataflow.executor import (
-    DEFAULT_BROADCAST_MIN_BYTES,
-    Executor,
-    executor_names,
-)
+from repro.dataflow.executor import Executor, executor_names
 
 __all__ = [
     "EngineOptions",
@@ -53,9 +47,10 @@ def parse_worker_address(spec: Any) -> Tuple[str, int]:
     """Validate one remote-worker address; returns ``(host, port)``.
 
     Accepts ``"host:port"`` strings and ``(host, port)`` pairs.  The port
-    must parse as an integer in ``[1, 65535]`` and the host must be
-    non-empty — checked here, at configuration time, instead of deep
-    inside ``RemoteExecutor`` at connect time.
+    — in a pair, an integer that is not a bool, or a digit string — must
+    lie in ``[1, 65535]`` and the host must be non-empty — checked here,
+    at configuration time, instead of deep inside ``RemoteExecutor`` at
+    connect time.
     """
     if isinstance(spec, str):
         host, sep, port_text = spec.rpartition(":")
@@ -73,12 +68,15 @@ def parse_worker_address(spec: Any) -> Tuple[str, int]:
                 f"(host, port) pair, got {spec!r}"
             ) from None
         host = str(host)
-        try:
+        # Strict, like the coercers below: ``int(True)`` / ``int(7077.9)``
+        # would quietly connect to another port than the one written.
+        if isinstance(port, str) and port.isdigit():
             port = int(port)
-        except (TypeError, ValueError):
+        elif isinstance(port, bool) or not isinstance(port, numbers.Integral):
             raise ValueError(
                 f"worker port must be an integer, got {port!r}"
-            ) from None
+            )
+        port = int(port)
         if not host:
             raise ValueError(f"worker host must be non-empty, got {spec!r}")
     if not 1 <= port <= 65535:
@@ -211,14 +209,6 @@ _KNOBS: Tuple[_Knob, ...] = (
          "run the plan optimizer (overrides an optimize=false set via "
          "--engine-options)"),
     )),
-    _Knob("stream_source", None, _opt_bool, flag_type=bool, flags=(
-        ("--stream-source",
-         "ingest the beams' point-id sources through chunked streaming "
-         "(the driver never materializes the ground set as records); by "
-         "default each beam keeps its own ingest mode"),
-        ("--no-stream-source",
-         "force eager ingest of the beams' point-id sources"),
-    )),
     _Knob("workers", None, _workers, flags=(
         ("--workers",
          "comma-separated host:port list of remote worker daemons "
@@ -230,17 +220,6 @@ _KNOBS: Tuple[_Knob, ...] = (
          "persist dataflow stage outputs here (plan-digest keyed); "
          "rerunning an identical, killed job resumes from the last "
          "completed stage"),
-    )),
-    # Not a flag: beams derive their own per-stage salt.
-    _Knob("checkpoint_salt", None, _opt_str),
-    _Knob("broadcast_min_bytes", DEFAULT_BROADCAST_MIN_BYTES,
-          _int_at_least(0), flag_type=int, flags=(
-        ("--broadcast-min-bytes",
-         "closure-capture size threshold for one-time broadcast on the "
-         "remote backend"),
-    )),
-    _Knob("stream_chunk_size", 4096, _int_at_least(1), flag_type=int, flags=(
-        ("--stream-chunk-size", "records per chunk for streaming sources"),
     )),
     # Named --adaptive-plan, with a matching distinct dest, because the
     # selector CLI already owns --adaptive (and the args.adaptive slot)
@@ -286,11 +265,6 @@ class EngineOptions:
     optimize:
         Run the plan optimizer.  ``None`` defers to the engine-wide
         default (the test harness's ``--no-optimize`` flips it).
-    stream_source:
-        Force chunked streaming ingest of the beams' point-id sources
-        (``True``), force eager ingest (``False``), or keep each beam's
-        own default (``None``).  Sources built from arrays (the graph
-        and utility columns) are always eager.
     workers:
         Remote-worker addresses (``"host:port"`` strings or ``(host,
         port)`` pairs, normalized to strings).  Requires
@@ -298,17 +272,6 @@ class EngineOptions:
     checkpoint_dir:
         Persist every materialization boundary here, keyed by plan
         digests; a killed run resumes from its last completed stage.
-    checkpoint_salt:
-        Content fingerprint standing in for streaming sources in the plan
-        digest.  Requires ``checkpoint_dir``.  Beams usually derive their
-        own per-stage salt via :meth:`derive`.
-    broadcast_min_bytes:
-        Captured-object size threshold for one-time closure broadcast on
-        the payload-shipping remote backend; ignored by the in-process
-        backends.
-    stream_chunk_size:
-        Records per chunk for streaming sources (bounds driver memory
-        during ingest).
     adaptive:
         Attach a :class:`~repro.dataflow.planner.AdaptivePlanner` that
         records every stage's profile, calibrates the cost model from
@@ -350,33 +313,22 @@ class EngineOptions:
         object.__setattr__(self, "_frozen", True)
 
     def _check_cross_field(self) -> None:
-        """The rules that span knobs (per-knob checks are coercers)."""
+        """The one rule that spans knobs (per-knob checks are coercers)."""
+        if self.workers is None:
+            return
         if isinstance(self.executor, Executor):
-            # An already-built instance carries its own workers and
-            # broadcast threshold; accepting these knobs alongside it
-            # would silently drop them (mirrors resolve_executor's
-            # opts-with-an-instance error).
-            if self.workers is not None:
-                raise ValueError(
-                    "workers requires an executor *name* (e.g. 'remote'); "
-                    f"the passed {type(self.executor).__name__} "
-                    "instance was already built with its own workers"
-                )
-            if self.broadcast_min_bytes != DEFAULT_BROADCAST_MIN_BYTES:
-                raise ValueError(
-                    "broadcast_min_bytes requires an executor *name*; "
-                    f"the passed {type(self.executor).__name__} "
-                    "instance was already built with its own threshold"
-                )
-        elif self.workers is not None and self.executor != "remote":
+            # An already-built instance carries its own workers; accepting
+            # a list alongside it would silently drop it (mirrors
+            # resolve_executor's opts-with-an-instance error).
+            raise ValueError(
+                "workers requires an executor *name* (e.g. 'remote'); "
+                f"the passed {type(self.executor).__name__} "
+                "instance was already built with its own workers"
+            )
+        if self.executor != "remote":
             raise ValueError(
                 f"workers requires executor='remote', got "
                 f"executor={self.executor!r}"
-            )
-        if self.checkpoint_salt is not None and self.checkpoint_dir is None:
-            raise ValueError(
-                "checkpoint_salt requires checkpoint_dir (a salt keys "
-                "streaming sources inside a checkpoint directory)"
             )
 
     # -- immutability ------------------------------------------------------
@@ -384,8 +336,8 @@ class EngineOptions:
     def __setattr__(self, name: str, value: Any) -> None:
         if getattr(self, "_frozen", False):
             raise AttributeError(
-                f"EngineOptions is immutable; use derive({name}=...) to "
-                "build a modified copy"
+                f"EngineOptions is immutable; build a new one with "
+                f"{name}=... instead"
             )
         object.__setattr__(self, name, value)
 
@@ -451,10 +403,10 @@ class EngineOptions:
         Precedence: ``defaults < --engine-options JSON file < explicit
         flags``.  Flags the user did not pass are ``None`` in the
         namespace and leave the lower layers untouched.  All layers are
-        merged *before* the single validating construction, so
-        cross-field constraints (e.g. ``checkpoint_salt`` from the file
-        with ``--checkpoint-dir`` on the command line) hold for the
-        combination, not per layer.
+        merged *before* the single validating construction, so the
+        cross-field rule (``workers`` from the file with ``--executor
+        remote`` on the command line) holds for the combination, not
+        per layer.
         """
         overrides: Dict[str, Any] = {}
         blob_path = getattr(args, "engine_options", None)
@@ -473,13 +425,7 @@ class EngineOptions:
                 overrides[knob.name] = flag
         return cls(**overrides)
 
-    # -- derivation & serialization ----------------------------------------
-
-    def derive(self, **overrides: Any) -> "EngineOptions":
-        """A new ``EngineOptions`` with ``overrides`` applied and the full
-        validation re-run — the per-stage tweak primitive."""
-        self._check_known(overrides, "derive()")
-        return type(self)(**{**self._state(), **overrides})
+    # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able dict (round-trips through :meth:`from_dict` when the
@@ -492,28 +438,11 @@ class EngineOptions:
 
         return {name: jsonable(v) for name, v in self._state().items()}
 
-    # -- resolution helpers ------------------------------------------------
-
-    def resolve_stream(self, default: bool) -> bool:
-        """The effective streaming-ingest choice for a beam whose own
-        default is ``default`` (``stream_source=None`` defers to it)."""
-        return default if self.stream_source is None else self.stream_source
-
     def executor_factory_options(self) -> Dict[str, Any]:
-        """Backend factory kwargs implied by these options (the remote
-        backend's worker list and broadcast threshold; "multiprocess" is
-        the registry's alias of "remote")."""
-        if isinstance(self.executor, Executor):
-            return {}
-        opts: Dict[str, Any] = {}
-        if self.executor == "remote" and self.workers:
-            opts["workers"] = list(self.workers)
-        if (
-            self.executor in ("multiprocess", "remote")
-            and self.broadcast_min_bytes != DEFAULT_BROADCAST_MIN_BYTES
-        ):
-            opts["broadcast_min_bytes"] = self.broadcast_min_bytes
-        return opts
+        """Backend factory kwargs implied by these options: the remote
+        backend's worker list (the cross-field rule leaves ``workers``
+        set only next to the ``"remote"`` name)."""
+        return {"workers": list(self.workers)} if self.workers else {}
 
 
 # ``EngineOptions(executor, *, <one keyword per knob>)`` for help() and

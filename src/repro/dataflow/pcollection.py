@@ -122,6 +122,7 @@ from repro.dataflow.plan import (  # Fold: re-exported, the public home
     _Plan,
     _Stage,
 )
+from repro.utils.durable import write_atomic
 
 #: Module default for ``Pipeline(optimize=None)``.  The test harness flips
 #: this via the ``--no-optimize`` pytest option so the whole tier-1 suite
@@ -871,28 +872,23 @@ class Pipeline:
         return os.path.join(self.checkpoint_dir, digest + ".ckpt")
 
     def _checkpoint_store(self, digest: str, shards: List[Any]) -> None:
-        """Persist one boundary atomically (tmp + rename), shard by shard.
+        """Persist one boundary atomically (:func:`~repro.utils.durable.
+        write_atomic`), shard by shard.
 
         Spilled shards are resolved one at a time, so the write keeps the
-        engine's one-shard-resident memory profile.  Serialization
-        failures (exotic record types) skip the checkpoint rather than
-        fail the run.
+        engine's one-shard-resident memory profile.  Failures —
+        serialization of exotic record types, a full disk — skip the
+        checkpoint rather than fail the run.
         """
         path = self._checkpoint_path(digest)
         if os.path.exists(path):
             return
-        tmp = path + f".tmp-{uuid.uuid4().hex}"
         try:
-            with open(tmp, "wb") as fh:
-                fh.write(_dumps_payload(len(shards)))
-                for shard in shards:
-                    fh.write(_dumps_payload(_resolve(shard)))
-            os.replace(tmp, path)
+            write_atomic(path, itertools.chain(
+                [_dumps_payload(len(shards))],
+                (_dumps_payload(_resolve(shard)) for shard in shards),
+            ))
         except Exception:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return
         self.metrics.observe_checkpoint_store()
 

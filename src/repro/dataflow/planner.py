@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import json
 import os
-import uuid
 from typing import Dict, Iterable, List, Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.machine import MachineSpec
 from repro.dataflow.metrics import PipelineMetrics, StageProfile
+from repro.utils.durable import write_atomic
 
 __all__ = [
     "AdaptivePlanner",
@@ -152,13 +152,15 @@ class AdaptivePlanner:
                 for key, history in sorted(self.history.items())
             },
         }
-        self._write_atomic(
+        # Contexts sharing one directory flush concurrently; each write
+        # has its own temp file, so neither replaces the other's.
+        write_atomic(
             os.path.join(self.history_dir, PROFILE_HISTORY_FILE),
-            json.dumps(payload, sort_keys=True),
+            [json.dumps(payload, sort_keys=True).encode("utf-8")],
         )
-        self._write_atomic(
+        write_atomic(
             os.path.join(self.history_dir, COST_MODEL_FILE),
-            self.cost_model.to_json(),
+            [self.cost_model.to_json().encode("utf-8")],
         )
 
     # -- feedback ----------------------------------------------------------
@@ -170,20 +172,6 @@ class AdaptivePlanner:
         return predicted_vs_actual(metrics.stage_profiles, self.cost_model)
 
     # -- persistence helpers -----------------------------------------------
-
-    @staticmethod
-    def _write_atomic(path: str, text: str) -> None:
-        # A unique temp name: contexts sharing one directory flush
-        # concurrently, and a shared name lets one replace the other's.
-        tmp = f"{path}.tmp-{uuid.uuid4().hex}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
 
     @staticmethod
     def _load_model(history_dir: str) -> Optional[CostModel]:

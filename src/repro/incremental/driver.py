@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -57,6 +56,7 @@ from repro.incremental.delta import (
     synthetic_version,
 )
 from repro.utils.cancel import CancelToken
+from repro.utils.durable import write_atomic
 from repro.utils.rng import SeedLike
 
 _STATE_FILE = "incremental_state.json"
@@ -233,17 +233,7 @@ class IncrementalDriver:
         if not path:
             return
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".incr-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"version": version}, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, [json.dumps({"version": version}).encode()])
 
     # -- plan construction ----------------------------------------------
 

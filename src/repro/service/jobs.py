@@ -12,8 +12,9 @@ every omitted field replaced by its default so ``{"k": 5}`` and
 and the ``force`` flag are deliberately excluded: *who* asked and *how
 urgently* never changes *what* is computed, which is exactly what makes
 dedup safe across tenants.  Anything that does change the computation —
-a different seed, ``num_shards``, or ``checkpoint_salt`` — lands in the
-digest and therefore never dedups.
+a different seed or ``k`` — lands in the digest and therefore never
+dedups; so does every engine knob (``num_shards``, ``checkpoint_dir`` …),
+results-neutral or not, so one digest is one recorded configuration.
 
 The :class:`JobStore` is a directory of small JSON files — one per job
 record under ``jobs/``, one per *digest* under ``results/`` — written
@@ -28,7 +29,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -36,6 +36,7 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.pipeline import SelectorConfig
 from repro.dataflow.options import EngineOptions
+from repro.utils.durable import write_atomic
 
 __all__ = [
     "JOB_STATES",
@@ -228,8 +229,8 @@ def plan_digest(spec: JobSpec) -> str:
     sections; excludes tenant/priority/timeout/force (scheduling, not
     semantics).  Engine options go through ``EngineOptions`` resolution
     first, so spelling a default explicitly does not change the digest —
-    while any knob that changes results (``checkpoint_salt``, seeds,
-    ``num_shards`` …) does.
+    while a field that changes results (seeds, ``k`` …) does, and so
+    does any engine knob set to another value.
     """
     canonical = {
         "dataset": spec.dataset,
@@ -312,18 +313,7 @@ class JobRecord:
 
 
 def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, [json.dumps(payload).encode()])
 
 
 class JobStore:

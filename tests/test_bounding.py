@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from repro.core.bounding import (
     BoundingResult,
     _LiveEdges,
+    _MemoryRounds,
     _row_bounds,
+    alternate,
     bound,
     compute_utilities,
     kth_largest,
@@ -453,6 +455,52 @@ class TestBoundingBehaviour:
         b = bound(tiny_problem, k, mode="approximate", p=0.3, seed=42)
         np.testing.assert_array_equal(a.solution, b.solution)
         np.testing.assert_array_equal(a.remaining, b.remaining)
+
+
+class _MiscountingRounds(_MemoryRounds):
+    """``bound``'s rounds, except that the first shrink which discards
+    anything reports ``extra`` more points than it discarded."""
+
+    def __init__(self, problem, extra):
+        super().__init__(problem)
+        self.extra = extra
+        self.dropped = []
+
+    def shrink(self, k_remaining, n_remaining, keep):
+        dropped = super().shrink(k_remaining, n_remaining, keep)
+        self.dropped.append(dropped)
+        if dropped and len([d for d in self.dropped if d]) == 1:
+            return dropped + self.extra
+        return dropped
+
+
+class TestAlternateChecksTheRounds:
+    """``n_excluded`` counts what the shrinks reported, and a rounds
+    object whose counts disagree with the sets it holds is an error,
+    not a silently re-derived partition."""
+
+    K = 10
+
+    def _drive(self, problem, rounds):
+        return alternate(
+            problem, self.K, rounds, mode="exact", sampler="uniform",
+            p=1.0, seed_salt=0, max_rounds=100,
+        )
+
+    def test_honest_rounds_count_the_shrinks(self):
+        problem = random_problem(40, seed=3)
+        rounds = _MiscountingRounds(problem, extra=0)
+        result = self._drive(problem, rounds)
+        assert result.n_excluded == sum(rounds.dropped) > 0
+        reference = bound(problem, self.K)
+        assert result.n_excluded == reference.n_excluded
+        np.testing.assert_array_equal(result.solution, reference.solution)
+        np.testing.assert_array_equal(result.remaining, reference.remaining)
+
+    def test_over_reported_shrink_raises(self):
+        problem = random_problem(40, seed=3)
+        with pytest.raises(RuntimeError, match="bounding rounds reported"):
+            self._drive(problem, _MiscountingRounds(problem, extra=1))
 
 
 BOUND_MODES = {

@@ -225,12 +225,11 @@ def _run_cell(
         num_shards=N_SHARDS,
         spill_to_disk=spill,
         optimize=optimize,
-        stream_chunk_size=STREAM_CHUNK,
         shuffle=shuffle,
     )
     try:
         with DataflowContext(options) as ctx:
-            pipeline = ctx.pipeline()
+            pipeline = ctx.pipeline(stream_chunk_size=STREAM_CHUNK)
             try:
                 return program(pipeline)
             finally:

@@ -57,7 +57,7 @@ class TestEngineOptionsValidation:
         o = EngineOptions()
         assert o.executor == "sequential"
         assert o.num_shards == 8
-        assert o.optimize is None and o.stream_source is None
+        assert o.optimize is None
         assert o.workers is None
 
     def test_unknown_executor_rejected(self):
@@ -68,28 +68,21 @@ class TestEngineOptionsValidation:
         executor = SequentialExecutor()
         assert EngineOptions(executor).executor is executor
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(num_shards=0),
-        dict(stream_chunk_size=0),
-        dict(broadcast_min_bytes=-1),
-    ])
-    def test_range_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            EngineOptions(**kwargs)
+    def test_range_validation(self):
+        with pytest.raises(ValueError, match="num_shards"):
+            EngineOptions(num_shards=0)
 
     def test_workers_require_remote(self):
         with pytest.raises(ValueError, match="remote"):
             EngineOptions("thread", workers=("localhost:7077",))
 
     def test_instance_executor_rejects_factory_only_knobs(self):
-        """workers / broadcast_min_bytes configure the executor *factory*;
-        pairing them with an already-built instance would silently drop
-        them, so it is an error instead."""
+        """workers configure the executor *factory*; pairing them with an
+        already-built instance would silently drop them, so it is an
+        error instead."""
         executor = SequentialExecutor()
         with pytest.raises(ValueError, match="instance"):
             EngineOptions(executor, workers=("h:1",))
-        with pytest.raises(ValueError, match="instance"):
-            EngineOptions(executor, broadcast_min_bytes=1024)
 
     def test_worker_addresses_validated_at_construction(self):
         """Satellite bugfix: a malformed address fails here, not deep
@@ -114,30 +107,35 @@ class TestEngineOptionsValidation:
         with pytest.raises(ValueError):
             parse_worker_address(("h", "nope"))
 
-    def test_checkpoint_salt_requires_dir(self):
-        with pytest.raises(ValueError, match="checkpoint_dir"):
-            EngineOptions(checkpoint_salt="s")
+    @pytest.mark.parametrize("pair, want", [
+        (("h", 7077), ("h", 7077)),
+        (("h", np.int64(7077)), ("h", 7077)),
+        (("h", "7077"), ("h", 7077)),
+        (["h", 80], ("h", 80)),
+    ])
+    def test_pair_ports_that_are_integers_parse(self, pair, want):
+        host, port = parse_worker_address(pair)
+        assert (host, port) == want and type(port) is int
+
+    @pytest.mark.parametrize("port", [True, False, 7077.9, 7077.0, None,
+                                      "7077.0", " 7077"])
+    def test_pair_ports_are_checked_not_coerced(self, port):
+        """``int(True)`` / ``int(7077.9)`` used to pick port 1 / 7077 —
+        another address than the one written."""
+        with pytest.raises(ValueError, match="port"):
+            parse_worker_address(("h", port))
 
     def test_immutable(self):
         o = EngineOptions()
-        with pytest.raises(AttributeError, match="derive"):
+        with pytest.raises(AttributeError, match="immutable"):
             o.num_shards = 4
-
-    def test_derive_revalidates(self):
-        o = EngineOptions("remote", workers=("h:1",))
-        assert o.derive(num_shards=2).num_shards == 2
-        with pytest.raises(ValueError, match="remote"):
-            o.derive(executor="thread")  # workers now orphaned
-        with pytest.raises(ValueError, match="unknown engine option"):
-            o.derive(shards=2)
 
 
 class TestEngineOptionsRoundTrips:
     OPTIONS = EngineOptions(
         "remote", num_shards=16, spill_to_disk=True, optimize=False,
-        stream_source=True, workers=("10.0.0.1:7077", "10.0.0.2:7078"),
-        checkpoint_dir="ckpt", checkpoint_salt="v1",
-        broadcast_min_bytes=1024, stream_chunk_size=512,
+        workers=("10.0.0.1:7077", "10.0.0.2:7078"), checkpoint_dir="ckpt",
+        adaptive=True, shuffle="worker",
     )
 
     def test_dict_round_trip(self):
@@ -150,14 +148,12 @@ class TestEngineOptionsRoundTrips:
         add_engine_arguments(parser)
         args = parser.parse_args([
             "--executor", "remote", "--num-shards", "16", "--spill-to-disk",
-            "--no-optimize", "--stream-source",
+            "--no-optimize",
             "--workers", "10.0.0.1:7077,10.0.0.2:7078",
-            "--checkpoint-dir", "ckpt",
-            "--broadcast-min-bytes", "1024", "--stream-chunk-size", "512",
+            "--checkpoint-dir", "ckpt", "--adaptive-plan",
+            "--shuffle", "worker",
         ])
-        got = EngineOptions.from_namespace(args)
-        # --checkpoint-salt is not a CLI flag; everything else matches.
-        assert got == self.OPTIONS.derive(checkpoint_salt=None)
+        assert EngineOptions.from_namespace(args) == self.OPTIONS
 
     def test_namespace_precedence_json_flags(self, tmp_path, monkeypatch):
         """defaults < --engine-options JSON < explicit flags — and no
@@ -183,18 +179,18 @@ class TestEngineOptionsRoundTrips:
 
     def test_namespace_cross_layer_constraints(self, tmp_path):
         """Cross-field validation runs on the merged layers, not per
-        layer: checkpoint_salt from the JSON file plus --checkpoint-dir
-        from the command line is a valid combination."""
+        layer: workers from the JSON file plus --executor remote from the
+        command line is a valid combination."""
         blob = tmp_path / "options.json"
-        blob.write_text(json.dumps({"checkpoint_salt": "v1"}))
+        blob.write_text(json.dumps({"workers": ["h:1"]}))
         parser = argparse.ArgumentParser()
         add_engine_arguments(parser)
         args = parser.parse_args(
-            ["--engine-options", str(blob), "--checkpoint-dir", "ckpt"]
+            ["--engine-options", str(blob), "--executor", "remote"]
         )
         o = EngineOptions.from_namespace(args)
-        assert (o.checkpoint_dir, o.checkpoint_salt) == ("ckpt", "v1")
-        with pytest.raises(ValueError, match="checkpoint_dir"):
+        assert (o.executor, o.workers) == ("remote", ("h:1",))
+        with pytest.raises(ValueError, match="remote"):
             EngineOptions.from_namespace(
                 parser.parse_args(["--engine-options", str(blob)])
             )
@@ -242,13 +238,24 @@ class TestDataflowContext:
             assert second.create(range(4)).count() == 4
             second.close()
 
-    def test_per_pipeline_overrides(self, tmp_path):
+    def test_pipeline_arguments_pass_through(self, tmp_path):
+        """``Pipeline``'s own per-pipeline keywords go straight through;
+        the rest of the pipeline is the context's options."""
         options = EngineOptions(checkpoint_dir=str(tmp_path / "ckpt"))
         with DataflowContext(options) as ctx:
-            pipeline = ctx.pipeline(checkpoint_salt="stage-a")
+            pipeline = ctx.pipeline(
+                checkpoint_salt="stage-a", stream_chunk_size=16,
+                plan_records=100,
+            )
             assert pipeline.checkpoint_salt == "stage-a"
+            assert pipeline.stream_chunk_size == 16
+            assert pipeline.plan_records == 100
             assert pipeline.checkpoint_dir == options.checkpoint_dir
             pipeline.close()
+            default = ctx.pipeline()
+            assert default.checkpoint_salt is None
+            assert default.stream_chunk_size == 4096
+            default.close()
 
     def test_bounding_driver_closes_private_context_on_init_failure(
         self, small_problem, monkeypatch
@@ -535,45 +542,52 @@ def _sample(knob):
 #: The cross-field rules: knobs that are only legal next to another one.
 _COMPANIONS = {
     "workers": {"executor": "remote"},
-    "checkpoint_salt": {"checkpoint_dir": "ckpt"},
 }
 
 
 class TestKnobTableContract:
     """One entry of the field table is all a knob is: each one must show
     up — exactly once — as a flag family and a dict key, and survive
-    derive()/pickle."""
+    a dict round trip and pickle."""
 
     def test_exact_knob_set(self):
         """The configuration space, pinned: a knob added or removed is a
         deliberate edit here (14 -> 12 when ``columnar`` and ``fuse``,
-        which no caller ever switched off, stopped being options)."""
+        which no caller ever switched off, stopped being options; 12 -> 8
+        when ``stream_source``, ``checkpoint_salt``,
+        ``broadcast_min_bytes`` and ``stream_chunk_size``, which no caller
+        set, did)."""
         assert tuple(knob.name for knob in _KNOBS) == (
             "executor", "num_shards", "spill_to_disk", "optimize",
-            "stream_source", "workers", "checkpoint_dir", "checkpoint_salt",
-            "broadcast_min_bytes", "stream_chunk_size", "adaptive", "shuffle",
+            "workers", "checkpoint_dir", "adaptive", "shuffle",
         )
         assert tuple(EngineOptions().to_dict()) == EngineOptions._FIELDS
+        assert not hasattr(EngineOptions, "derive")
 
-    @pytest.mark.parametrize("removed", ["columnar", "fuse"])
+    @pytest.mark.parametrize("removed", [
+        "columnar", "fuse", "stream_source", "checkpoint_salt",
+        "broadcast_min_bytes", "stream_chunk_size",
+    ])
     def test_removed_knobs_are_rejected_on_every_surface(self, removed):
         """A removed knob is an unknown key everywhere a knob can arrive
-        from — never silently ignored."""
+        from — never silently ignored.  (``checkpoint_salt`` and
+        ``stream_chunk_size`` stay ``Pipeline`` keywords: they are per
+        pipeline, not engine configuration.)"""
         from repro.dataflow.pcollection import Pipeline
 
         with pytest.raises(TypeError, match=removed):
             EngineOptions(**{removed: True})
-        with pytest.raises(TypeError, match=removed):
-            Pipeline(**{removed: True})
+        if removed not in ("checkpoint_salt", "stream_chunk_size"):
+            with pytest.raises(TypeError, match=removed):
+                Pipeline(**{removed: True})
         with pytest.raises(ValueError, match=f"unknown.*{removed}"):
             EngineOptions.from_dict({removed: True})
-        with pytest.raises(ValueError, match=f"unknown.*{removed}"):
-            EngineOptions().derive(**{removed: True})
         parser = argparse.ArgumentParser()
         add_engine_arguments(parser)
         help_text = parser.format_help()
-        assert f"--{removed}" not in help_text
-        assert f"--no-{removed}" not in help_text
+        flag = removed.replace("_", "-")
+        assert f"--{flag}" not in help_text
+        assert f"--no-{flag}" not in help_text
 
     def test_every_flag_family_belongs_to_one_knob(self):
         parser = argparse.ArgumentParser()
@@ -616,13 +630,15 @@ class TestKnobTableContract:
             assert EngineOptions.from_namespace(
                 parser.parse_args(argv)
             ) == options
-        # derive() and pickle keep the value
+        # setting another knob next to it, and pickle, keep the value
         bystander_value, _ = _sample(
             next(k for k in _KNOBS if k.name == bystander)
         )
-        derived = options.derive(**{bystander: bystander_value})
-        assert getattr(derived, knob.name) == value
-        assert getattr(derived, bystander) == bystander_value
+        both = EngineOptions.from_dict(
+            {**options.to_dict(), bystander: bystander_value}
+        )
+        assert getattr(both, knob.name) == value
+        assert getattr(both, bystander) == bystander_value
         assert pickle.loads(pickle.dumps(options)) == options
 
     @pytest.mark.parametrize("blob, knob", [
@@ -631,8 +647,9 @@ class TestKnobTableContract:
         ('{"adaptive": "no"}', "adaptive"),
         ('{"num_shards": 2.7}', "num_shards"),
         ('{"num_shards": "4"}', "num_shards"),
-        ('{"stream_chunk_size": true}', "stream_chunk_size"),
-        ('{"broadcast_min_bytes": 1e6}', "broadcast_min_bytes"),
+        ('{"num_shards": true}', "num_shards"),
+        ('{"num_shards": 1e6}', "num_shards"),
+        ('{"executor": "remote", "workers": [["10.0.0.1", true]]}', "port"),
         ('{"optimize": "false"}', "optimize"),
     ])
     def test_outside_input_is_not_silently_coerced(self, blob, knob):

@@ -194,7 +194,7 @@ def test_branch_digest_is_independent_of_digest_order(tmp_path):
         )
 
         def digests(order):
-            pipeline = ctx.pipeline(adaptive=False)
+            pipeline = ctx.pipeline()
             try:
                 branches, _pooled = driver._build(pipeline, v0)
                 found = {

@@ -176,9 +176,8 @@ class TestCLI:
                 if re.match(r"\s*S\d+: ", line)
             ]
 
-        # The plans the beams drive: the kNN source eager (the beam's
-        # default), the bounding solution eager and its remaining set
-        # streamed.
+        # The plans the beams drive: the kNN source eager, the bounding
+        # solution eager and its remaining set streamed.
         assert "[materialized source 'knn/source']" in knn
         assert "stream source 'knn/source'" not in knn
         assert len(stage_lines(knn)) == 4
@@ -187,13 +186,6 @@ class TestCLI:
         assert len(stage_lines(bounding)) == 4
         for line in stage_lines(out):
             assert len(re.findall(r"\[cost ~[\d.]+ms\]", line)) == 1, line
-        streamed = main([
-            "plan", "--preset", "cifar100_tiny", "--n-points", "200",
-            "--optimize", "--stream-source",
-        ])
-        assert streamed == 0
-        knn = capsys.readouterr().out.split("bounding round plan:")[0]
-        assert "stream source 'knn/source'" in knn
         (join,) = [
             line for line in bounding.splitlines()
             if "cogroup-read cogroup 'bound/threeway_join'" in line
@@ -207,6 +199,48 @@ class TestCLI:
         assert "bound/pack" not in out
         assert "cogroup-write" not in join
         assert "'bound/threeway_join'" not in bounding.replace(join, "")
+
+    def test_plan_output_is_pinned_byte_for_byte(self, capsys):
+        """``repro plan --preset cifar100_tiny --n-points 200`` renders
+        what the beams run, and a refactor must not change it.  The
+        golden is that command's stdout, captured before the engine
+        options lost ``stream_source`` & co.; ``--optimize`` only keeps
+        it under a session run with ``--no-optimize`` (the default plan
+        is the optimized one)."""
+        code = main([
+            "plan", "--preset", "cifar100_tiny", "--n-points", "200",
+            "--optimize",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == "\n".join(PLAN_GOLDEN) + "\n"
+
+    @pytest.mark.parametrize("flags, knob", [
+        (["--num-shards", "0"], "num_shards"),
+        (["--workers", "h:1"], "workers"),
+        (["--engine-options", "removed.json"], "stream_source"),
+        (["--engine-options", "missing.json"], "missing.json"),
+    ])
+    @pytest.mark.parametrize("command", ["select", "plan", "watch"])
+    def test_bad_engine_options_are_a_usage_error(
+        self, command, flags, knob, tmp_path, monkeypatch, capsys
+    ):
+        """Resolved once, before any dataset loads: exit 2 with one
+        ``error:`` line naming the knob (or the file), no traceback."""
+        import repro.cli
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("the dataset loaded before the options")
+
+        monkeypatch.setattr(repro.cli, "load_dataset", no_dataset)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "removed.json").write_text('{"stream_source": true}')
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "cifar100_tiny", "--n-points", "100",
+                  *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err and knob in err
 
     @pytest.mark.parametrize("flags", [
         ["--alpha", "1.5"],
@@ -346,3 +380,25 @@ class TestOneDoorPerFlagFamily:
         with pytest.raises(ValueError, match="machines"):
             main(["select", "--preset", "cifar100_tiny", "--n-points", "100",
                   "--k", "5", "--machines", "0"])
+
+
+#: ``repro plan --preset cifar100_tiny --n-points 200``, line by line.
+PLAN_GOLDEN = (
+    'kNN build plan:',
+    'plan (optimize=on, shards=8)',
+    "[composite 'ShardedKnn']",
+    "  S1: shuffle-write group 'knn/group' [fused: flat_map 'knn/assign'] [vectorized] (elided reshard 'knn/assign_key') <- [materialized source 'knn/source'] [cost ~0.31ms]",
+    "  S2: group-read group 'knn/group' <- S1 [cost ~0.33ms]",
+    "  S3: combine-write combine_per_key 'knn/merge' (lifted from group 'knn/merge_group') [vectorized fold] [fused: flat_map 'knn/cell_knn'] [vectorized] (elided reshard 'knn/cand_key') <- S2 [cost ~0.31ms]",
+    "  S4: combine-read combine_per_key 'knn/merge' [vectorized fold] <- S3 [cost ~0.23ms]",
+    'result <- S4',
+    '',
+    'bounding round plan:',
+    'plan (optimize=on, shards=8)',
+    "S1: stream source 'state/remaining' (chunks of 4096) [cost ~3.20ms]",
+    "[composite 'BoundingFilter']",
+    "  S2: cogroup-read cogroup 'bound/threeway_join' <- [materialized source 'source/neighbors'] [co-partitioned], [materialized source 'state/solution'] [co-partitioned], S1 [co-partitioned] [cost ~3.20ms]",
+    "  S3: cogroup-write #0 cogroup 'bound/bounds_join' [fused: flat_map 'bound/invert'] [vectorized] (elided reshard 'bound/invert_key') <- S2 [cost ~2.74ms]",
+    "  S4: cogroup-read cogroup 'bound/bounds_join' + filter 'bound/bounded' + map_keyed_values 'bound/reduce' [post-shuffle fused] [vectorized] <- S3, S1 [co-partitioned], [materialized source 'source/utilities'] [co-partitioned] [cost ~2.74ms]",
+    'result <- S4',
+)

@@ -441,10 +441,9 @@ def test_fuzzed_delta_logs_keep_incremental_equal_to_cold(log):
     """Each version of a fuzzed delta log, driven on one warm checkpointed
     driver, selects exactly what a cold drive of that version selects."""
     version, deltas = log
-    engine = EngineOptions(num_shards=2)
     with tempfile.TemporaryDirectory() as warm_dir, DataflowContext(
-        engine.derive(checkpoint_dir=warm_dir)
-    ) as warm_ctx, DataflowContext(engine) as cold_ctx:
+        EngineOptions(num_shards=2, checkpoint_dir=warm_dir)
+    ) as warm_ctx, DataflowContext(EngineOptions(num_shards=2)) as cold_ctx:
         warm, cold = (
             IncrementalDriver(
                 _DELTA_PROBLEM, _DELTA_K, context=ctx,

@@ -7,8 +7,8 @@ multiplexing concurrent tenants onto shared warm ``DataflowContext``s
 one warm context stay **bit-identical** to solo one-shot runs.  A job
 whose plan digest matches a completed result is answered from the store
 without recompute (cross-tenant dedup); anything that changes the
-computation — seeds, ``num_shards``, ``checkpoint_salt`` — changes the
-digest and never dedups.  Admission control rejects over-cap submissions
+computation — seeds, ``k`` — changes the digest and never dedups, and so
+does any engine knob (``num_shards``, ``checkpoint_dir``).  Admission control rejects over-cap submissions
 cleanly (HTTP 429) before anything is persisted.
 
 Tests that exercise scheduling edges (queue-full, priority order,
@@ -151,14 +151,14 @@ class TestJobSpec:
             JobSpec.from_dict(_spec_dict(**overrides))
         )
 
-    def test_checkpoint_salt_changes_digest(self):
-        def salted(salt):
+    def test_selection_seed_changes_a_checkpointed_digest(self):
+        def seeded(seed):
             return JobSpec.from_dict(_spec_dict(
-                engine_options={"checkpoint_dir": "/tmp/ckpt",
-                                "checkpoint_salt": salt}
+                sel_seed=seed, engine_options={"checkpoint_dir": "ckpt"}
             ))
 
-        assert plan_digest(salted("v1")) != plan_digest(salted("v2"))
+        assert plan_digest(seeded(1)) != plan_digest(seeded(2))
+        assert family_digest(seeded(1)) != family_digest(seeded(2))
 
     def test_explicit_engine_defaults_do_not_change_digest(self):
         implicit = JobSpec.from_dict(_spec_dict())
@@ -207,7 +207,7 @@ class TestJobSpec:
         ({"spill_to_disk": "false"}, "spill_to_disk"),
         ({"adaptive": "no"}, "adaptive"),
         ({"num_shards": 2.7}, "num_shards"),
-        ({"stream_chunk_size": True}, "stream_chunk_size"),
+        ({"num_shards": True}, "num_shards"),
     ])
     def test_mistyped_engine_options_rejected_not_coerced(
         self, engine_options, knob
@@ -217,7 +217,10 @@ class TestJobSpec:
         with pytest.raises(ValueError, match=knob):
             JobSpec.from_dict(_spec_dict(engine_options=engine_options))
 
-    @pytest.mark.parametrize("removed", ["columnar", "fuse"])
+    @pytest.mark.parametrize("removed", [
+        "columnar", "fuse", "stream_source", "checkpoint_salt",
+        "broadcast_min_bytes", "stream_chunk_size",
+    ])
     def test_removed_engine_knob_is_an_unknown_key(self, removed):
         with pytest.raises(ValueError, match=f"unknown.*{removed}"):
             JobSpec.from_dict(_spec_dict(engine_options={removed: True}))
@@ -227,15 +230,17 @@ class TestJobSpec:
         default changes neither the digest nor the resolved options."""
         spec = JobSpec.from_dict(_spec_dict(engine_options={"adaptive": True}))
         # Pinned: the digests move only when the normalised dict does
-        # (last: it lost the removed ``columnar``/``fuse`` keys, so
-        # result-store entries keyed under the 14-knob dict now miss).
+        # (last: it lost the removed ``stream_source``,
+        # ``checkpoint_salt``, ``broadcast_min_bytes`` and
+        # ``stream_chunk_size`` keys, so result-store entries keyed under
+        # the 12-knob dict now miss).
         assert plan_digest(spec) == (
-            "c3e825b443ff7717ea09f8d166446c70b993e0ea"
-            "fe8ca65a7cf8b9897e568f67"
+            "ad66a49e643ab8febb2a97f744f09cdffdddbe3f"
+            "cca8dfd86275bc30a540a4e1"
         )
         assert family_digest(spec) == (
-            "d32066aa7b09de5d9ee09f767187ece904b2087d"
-            "470f4c028cc6d73d8db29dad"
+            "3acf39f8088ab398e173c75535cd649b85334720"
+            "d4836df24df22780966a2192"
         )
         options = spec.resolve_options()
         assert options.to_dict() == spec.engine_options
@@ -460,13 +465,17 @@ class TestScheduling:
         self, tmp_path
     ):
         """A record persisted by a version that still had the
-        ``columnar``/``fuse`` knobs must not take the boot down: the
-        service starts, that one job fails with the typed unknown-option
-        error, and its neighbours run."""
+        ``columnar``/``fuse`` knobs, or the four removed after them, must
+        not take the boot down: the service starts, that one job fails
+        with the typed unknown-option error, and its neighbours run."""
         state_dir = str(tmp_path)
         store = JobStore(state_dir)
         stale = JobRecord.create(JobSpec.from_dict(_spec_dict())).to_dict()
-        stale["spec"]["engine_options"].update(columnar=None, fuse=True)
+        stale["spec"]["engine_options"].update(
+            columnar=None, fuse=True, stream_source=None,
+            checkpoint_salt=None, broadcast_min_bytes=65536,
+            stream_chunk_size=4096,
+        )
         with open(store._job_path(stale["job_id"]), "w") as fh:
             json.dump(stale, fh)
         healthy = JobRecord.create(JobSpec.from_dict(_spec_dict(sel_seed=1)))
@@ -477,7 +486,10 @@ class TestScheduling:
             failed = _wait(svc, stale["job_id"])
             assert failed.state == "failed"
             assert failed.error.startswith("ValueError: unknown engine option")
-            assert "columnar" in failed.error and "fuse" in failed.error
+            for removed in ("columnar", "fuse", "stream_source",
+                            "checkpoint_salt", "broadcast_min_bytes",
+                            "stream_chunk_size"):
+                assert removed in failed.error
             assert _wait(svc, healthy.job_id).state == "done"
             assert svc.metrics()["counters"]["failed"] == 1
         finally:
@@ -587,32 +599,33 @@ class TestExecutionAndDedup:
         payloads = [service.result(r.job_id) for r in records]
         assert all(p == payloads[0] for p in payloads)
 
-    def test_differing_salt_and_options_do_not_dedup(
+    def test_differing_seeds_and_options_do_not_dedup(
         self, service, tmp_path
     ):
         ckpt = str(tmp_path / "ckpt")
         base = service.submit(JobSpec.from_dict(_spec_dict()))
-        salted_v1 = service.submit(JobSpec.from_dict(_spec_dict(
+        seeded_1 = service.submit(JobSpec.from_dict(_spec_dict(
+            sel_seed=1,
             engine_options={"executor": "sequential", "num_shards": 4,
-                            "checkpoint_dir": ckpt,
-                            "checkpoint_salt": "v1"}
+                            "checkpoint_dir": ckpt},
         )))
-        salted_v2 = service.submit(JobSpec.from_dict(_spec_dict(
+        seeded_2 = service.submit(JobSpec.from_dict(_spec_dict(
+            sel_seed=2,
             engine_options={"executor": "sequential", "num_shards": 4,
-                            "checkpoint_dir": ckpt,
-                            "checkpoint_salt": "v2"}
+                            "checkpoint_dir": ckpt},
         )))
         resharded = service.submit(JobSpec.from_dict(_spec_dict(
             engine_options={"executor": "sequential", "num_shards": 2}
         )))
-        records = (base, salted_v1, salted_v2, resharded)
+        records = (base, seeded_1, seeded_2, resharded)
         for record in records:
             assert _wait(service, record.job_id).state == "done"
         assert len({r.digest for r in records}) == 4
         metrics = service.metrics()
         assert metrics["counters"]["dedup_hits"] == 0
-        # One warm context per distinct EngineOptions profile.
-        assert len(metrics["warm_contexts"]) == 4
+        # One warm context per distinct EngineOptions profile (the two
+        # seeds share one).
+        assert len(metrics["warm_contexts"]) == 3
 
     def test_force_reexecutes_through_engine_checkpoints(
         self, service, tmp_path
@@ -702,6 +715,10 @@ class TestHTTP:
                 endpoint.submit(_spec_dict(selector={"k": _K, **knobs}))
             assert bad_spec.value.status == 400, knobs
             assert next(iter(knobs)) in str(bad_spec.value)
+        with pytest.raises(ServiceError) as removed_knob:
+            endpoint.submit(_spec_dict(engine_options={"stream_source": True}))
+        assert removed_knob.value.status == 400
+        assert "stream_source" in str(removed_knob.value)
         assert endpoint.jobs() == []
         assert endpoint.metrics()["counters"]["submitted"] == 0
 

@@ -3,8 +3,10 @@
 ``create()``/``create_keyed()`` shard generators lazily in bounded chunks:
 with spill-to-disk the driver never buffers more than one chunk of raw
 input, and chunked sharding is bit-identical (placement and order) to
-eager sharding.  These tests spy on the driver's stores, on the generator
-itself, and pin end-to-end selector invariance streaming vs materialized.
+eager sharding.  These tests spy on the driver's stores and on the
+generator itself.  (The beams' ingest is fixed: bounding streams its
+remaining set, kNN and greedy ingest eagerly; streamed ≡ eager at the
+pipeline level is also a cell of ``tests/test_differential.py``.)
 """
 
 import weakref
@@ -12,9 +14,6 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core.pipeline import DistributedSelector, SelectorConfig
-from repro.core.problem import SubsetProblem
-from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import Pipeline, _ShardGroup
 
 
@@ -195,60 +194,3 @@ class TestChunkedSharding:
         )
         assert got == want
 
-
-class TestSelectorStreamingInvariance:
-    """End-to-end: the selector's dataflow engine with --stream-source is
-    bit-identical to materialized ingest."""
-
-    @pytest.fixture(scope="class")
-    def problem(self):
-        from repro.data.registry import load_dataset
-
-        ds = load_dataset("cifar100_tiny", n_points=150, seed=0)
-        return SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
-
-    def test_selected_invariant(self, problem):
-        def run(stream_source):
-            config = SelectorConfig(
-                bounding="exact", machines=2, rounds=2, engine="dataflow",
-                options=EngineOptions(
-                    num_shards=4, stream_source=stream_source
-                ),
-            )
-            return DistributedSelector(problem, config).select(15, seed=4)
-
-        streamed, materialized = run(True), run(False)
-        np.testing.assert_array_equal(
-            streamed.selected, materialized.selected
-        )
-        assert streamed.objective == materialized.objective
-
-    def test_beam_bound_streaming_invariant(self, problem):
-        from repro.dataflow import beam_bound
-
-        on, _ = beam_bound(
-            problem, 15, seed=0,
-            options=EngineOptions(num_shards=4, stream_source=True),
-        )
-        off, _ = beam_bound(
-            problem, 15, seed=0,
-            options=EngineOptions(num_shards=4, stream_source=False),
-        )
-        np.testing.assert_array_equal(on.solution, off.solution)
-        np.testing.assert_array_equal(on.remaining, off.remaining)
-
-    def test_beam_knn_streaming_invariant(self):
-        from repro.dataflow import beam_knn_graph
-        from tests.test_knn import clustered_points
-
-        x, _ = clustered_points(n=150, n_clusters=3)
-        _, on, sims_on, _ = beam_knn_graph(
-            x, 5, seed=0,
-            options=EngineOptions(num_shards=4, stream_source=True),
-        )
-        _, off, sims_off, _ = beam_knn_graph(
-            x, 5, seed=0,
-            options=EngineOptions(num_shards=4, stream_source=False),
-        )
-        np.testing.assert_array_equal(on, off)
-        np.testing.assert_array_equal(sims_on, sims_off)
