@@ -12,7 +12,8 @@ and an 80 000-point ImageNet-like stand-in — slow but faithful.
 the appendix figures (default: the main-body 10 % only).
 
 Every bench prints the table/figure it regenerates; the paper's numbers are
-embedded alongside for eyeball comparison and recorded in EXPERIMENTS.md.
+embedded alongside for eyeball comparison, and the recorded-scale tables
+are kept under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.machine import MachineSpec
-from repro.core.distributed import LinearDeltaSchedule
+from repro.core.distributed import LinearDeltaSchedule, RoundShapes
 
 
 @dataclass(frozen=True)
@@ -205,18 +205,14 @@ class CostModel:
         adaptive: bool = False,
     ) -> float:
         """Wall-clock estimate for Algorithm 6."""
-        schedule = LinearDeltaSchedule(gamma)
-        cap = int(np.ceil(n / m))
+        shapes = RoundShapes(
+            n, k, m, rounds, adaptive, LinearDeltaSchedule(gamma)
+        )
         survivors = n
         total = 0.0
         for round_idx in range(1, rounds + 1):
-            n_round = min(schedule(n, rounds, round_idx, k), survivors)
-            m_round = (
-                int(np.ceil(survivors / cap)) if adaptive else m
-            )
-            m_round = max(1, min(m_round, survivors))
+            n_round, m_round, k_p = shapes.at(round_idx, survivors)
             n_p = int(np.ceil(survivors / m_round))
-            k_p = int(np.ceil(n_round / m_round))
             round_compute = self.greedy_partition_seconds(n_p, k_p, kg)
             round_shuffle = self.shuffle_seconds(survivors, m_round)
             total += (

@@ -8,9 +8,14 @@ the subset, and no machine ever needs DRAM for all of it.
 Round structure (with ``m`` machines, ``r`` rounds, budget ``k``):
 
 1. ``partition_cap = ceil(|V| / m)`` — fixed machine capacity.
-2. Each round: the survivors are randomly partitioned; each partition runs
-   the centralized heap greedy (Alg. 2) on its own subgraph (cross-partition
-   edges discarded) with target ``ceil(n_round / m_round)``; results union.
+2. Each round: point ``v`` goes to partition ``partition_of(v, seed,
+   m_round)`` under one seed per round, a counter-based hash (Salmon et
+   al., SC 2011) every engine and worker evaluates alike.  Each partition
+   ``P`` of the round's ``N`` survivors runs the centralized heap greedy
+   (Alg. 2) on its own subgraph (cross-partition edges discarded) with
+   target ``ceil(n_round · |P| / N)``; results union.  These targets sum
+   to at least ``n_round`` and none exceeds ``|P|``: no round comes up
+   short.
 3. *Adaptive partitioning* sets ``m_round = ceil(|V_{round-1}| /
    partition_cap)`` — the minimum number of machines that fit the surviving
    set — so later rounds approach the centralized algorithm.  (This is the
@@ -18,8 +23,9 @@ Round structure (with ``m`` machines, ``r`` rounds, budget ``k``):
    the second round collapses to a single partition and recovers 100 % of the
    centralized score, while round 1 matches the non-adaptive score.)
    Non-adaptive mode keeps ``m_round = m``.
-4. After the last round the union may exceed ``k`` by up to ``m_r`` points
-   due to per-partition rounding; uniform subsampling trims it.
+4. The last round's union exceeds ``k`` by fewer than ``m_r`` points
+   (each target rounds up); uniform subsampling trims it.  Both engines
+   run this loop through :func:`run_rounds`, so they select alike.
 
 Dropping cross-partition edges leaves each partition sparse: with ``m``
 machines a point keeps about ``1/m`` of its neighbors, so most points a
@@ -44,6 +50,7 @@ import numpy as np
 
 from repro.core.greedy import greedy_heap
 from repro.core.problem import SubsetProblem
+from repro.core.sampling import partition_of_column
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_cardinality
 
@@ -175,6 +182,12 @@ class RoundShapes:
         m_round = max(1, min(m_round, size))
         return n_round, m_round, int(np.ceil(n_round / m_round))
 
+    @staticmethod
+    def part_target(n_round: int, part_size: int, input_size: int) -> int:
+        """``ceil(n_round * part_size / input_size)``, in integers: a
+        round's targets sum to ``[n_round, n_round + #parts)``."""
+        return -(-int(n_round) * int(part_size) // int(input_size))
+
 
 def resolve_ground(
     n: int, candidates: Optional[np.ndarray], k: int
@@ -195,12 +208,21 @@ def resolve_ground(
     return ground, (check_cardinality(k, n0) if n0 else 0)
 
 
+def draw_partition_seed(rng: np.random.Generator) -> int:
+    """A round's one partition seed (step 2 of the module docstring)."""
+    return int(rng.integers(0, 2**31 - 1))
+
+
 def random_partitioner(
     round_idx: int, ids: np.ndarray, m_round: int, rng: np.random.Generator
 ) -> List[np.ndarray]:
-    """Uniform random balanced partition (the paper's only partitioner)."""
-    perm = rng.permutation(ids)
-    return [part for part in np.array_split(perm, m_round) if part.size]
+    """Uniform random partition (the paper's only partitioner): point ``v``
+    goes to ``partition_of(v, seed, m_round)`` under one
+    :func:`draw_partition_seed` draw — the dataflow engine's assignment.
+    Each part keeps the order of ``ids``; empty parts are dropped."""
+    pid = partition_of_column(ids, draw_partition_seed(rng), m_round)
+    parts = (ids[pid == j] for j in range(m_round))
+    return [part for part in parts if part.size]
 
 
 def stratified_partitioner(strata: np.ndarray) -> Partitioner:
@@ -314,6 +336,60 @@ def _check_cover(
         )
 
 
+def partition_greedy(
+    problem: SubsetProblem,
+    part: np.ndarray,
+    target: int,
+    base_penalty: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The global ids one partition keeps: Alg. 2 for ``target`` points on
+    ``problem`` restricted to ``part`` (local ids in ``part``'s order),
+    warm-started by ``base_penalty[part]``."""
+    local_penalty = base_penalty[part] if base_penalty is not None else None
+    result = greedy_heap(
+        problem.restrict(part), target, base_penalty=local_penalty
+    )
+    return part[result.selected]
+
+
+def run_rounds(
+    shapes: RoundShapes,
+    step: Callable[..., int],
+    survivors: Callable[[], np.ndarray],
+    rng: np.random.Generator,
+) -> DistributedResult:
+    """Algorithm 6's round loop for both engines, as
+    :func:`~repro.core.bounding.alternate` is Alg. 5's: it owns the
+    shapes, the :class:`RoundStats` and the final trim.
+
+    ``step(round_idx, input_size, n_round, m_round, rng)`` runs a round on
+    the engine's survivors (:func:`partition_greedy` on each part, for
+    :meth:`RoundShapes.part_target` points) and returns how many survive;
+    ``survivors()`` returns them sorted.  A round that keeps fewer than
+    ``n_round`` is a ``RuntimeError``.
+    """
+    if shapes.k == 0:
+        return DistributedResult(np.empty(0, dtype=np.int64))
+    stats: List[RoundStats] = []
+    size = shapes.n0
+    for round_idx in range(1, shapes.rounds + 1):
+        n_round, m_round, per_target = shapes.at(round_idx, size)
+        output_size = step(round_idx, size, n_round, m_round, rng)
+        if output_size < n_round:
+            raise RuntimeError(
+                f"round {round_idx} kept {output_size} of its target "
+                f"{n_round} points"
+            )
+        stats.append(RoundStats(
+            round_idx, size, n_round, m_round, per_target, output_size
+        ))
+        size = output_size
+    selected = survivors()
+    if selected.size > shapes.k:
+        selected = np.sort(rng.choice(selected, size=shapes.k, replace=False))
+    return DistributedResult(selected=selected, rounds=stats)
+
+
 def distributed_greedy(
     problem: SubsetProblem,
     k: int,
@@ -362,40 +438,19 @@ def distributed_greedy(
         int(survivors.size), k, m, rounds, adaptive,
         LinearDeltaSchedule() if schedule is None else schedule,
     )
-    if k == 0:
-        return DistributedResult(np.empty(0, dtype=np.int64))
-    stats: List[RoundStats] = []
 
-    for round_idx in range(1, rounds + 1):
-        n_round, m_round, per_target = shapes.at(round_idx, survivors.size)
+    def step(round_idx, input_size, n_round, m_round, rng) -> int:
+        nonlocal survivors
         parts = partitioner(round_idx, survivors, m_round, rng)
         _check_cover(parts, survivors, problem.n)
-        selected_parts: List[np.ndarray] = []
-        for part in parts:
-            local_k = min(per_target, part.size)
-            sub = problem.restrict(part)
-            local_penalty = (
-                base_penalty[part] if base_penalty is not None else None
+        survivors = np.sort(np.concatenate([
+            partition_greedy(
+                problem, part,
+                RoundShapes.part_target(n_round, part.size, input_size),
+                base_penalty,
             )
-            result = greedy_heap(sub, local_k, base_penalty=local_penalty)
-            selected_parts.append(part[result.selected])
-        new_survivors = (
-            np.sort(np.concatenate(selected_parts))
-            if selected_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        stats.append(
-            RoundStats(
-                round_idx=round_idx,
-                input_size=int(survivors.size),
-                target_size=int(n_round),
-                m_round=m_round,
-                per_partition_target=per_target,
-                output_size=int(new_survivors.size),
-            )
-        )
-        survivors = new_survivors
+            for part in parts
+        ]))
+        return int(survivors.size)
 
-    if survivors.size > k:
-        survivors = np.sort(rng.choice(survivors, size=k, replace=False))
-    return DistributedResult(selected=survivors, rounds=stats)
+    return run_rounds(shapes, step, lambda: survivors, rng)

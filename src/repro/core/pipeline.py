@@ -161,11 +161,14 @@ class DistributedSelector:
     ) -> SelectionReport:
         """Run the full pipeline for a budget of ``k`` points.
 
-        With ``config.engine == "dataflow"`` both stages run as jobs on the
-        Beam-like engine (``partitioner`` is a memory-engine knob and is
-        ignored; the dataflow greedy draws its own hash-based partitions),
-        and the per-stage :class:`~repro.dataflow.metrics.PipelineMetrics`
-        land in ``report.extra["bounding_metrics"/"greedy_metrics"]``.
+        Both engines share Alg. 5's driver and Alg. 6's round loop, so
+        from one ``seed`` they return the same ids, ``objective`` and
+        round stats.  With ``config.engine == "dataflow"`` both stages run
+        as jobs on the Beam-like engine, and the per-stage
+        :class:`~repro.dataflow.metrics.PipelineMetrics` land in
+        ``report.extra["bounding_metrics"/"greedy_metrics"]``.
+        ``partitioner`` replaces the memory engine's hashed partitions;
+        on the dataflow engine it is a ``ValueError`` before a stage runs.
 
         ``context`` lends the run an existing warm
         :class:`~repro.dataflow.context.DataflowContext` (dataflow engine
@@ -185,6 +188,11 @@ class DistributedSelector:
         k = check_cardinality(k, self.problem.n)
         rng = as_generator(seed)
         cfg = self.config
+        if cfg.engine == "dataflow" and partitioner is not random_partitioner:
+            raise ValueError(
+                "partitioner= requires engine='memory'; the dataflow "
+                "engine partitions by hash only"
+            )
         own_context = None
         if context is not None:
             if cfg.engine != "dataflow":
@@ -289,35 +297,24 @@ class DistributedSelector:
                     "bounding left fewer candidates than the open budget — "
                     "this indicates a bug (shrink must keep >= k points)"
                 )
-            base_penalty = self._solution_penalty(solution)
+            args = dict(m=cfg.machines, rounds=cfg.rounds,
+                        adaptive=cfg.adaptive, candidates=candidates,
+                        base_penalty=self._solution_penalty(solution),
+                        seed=rng)
             if dataflow:
                 from repro.dataflow import beam_distributed_greedy
 
-                greedy_result, greedy_metrics = beam_distributed_greedy(
-                    self.problem,
-                    k_remaining,
-                    m=cfg.machines,
-                    rounds=cfg.rounds,
-                    adaptive=cfg.adaptive,
-                    gamma=cfg.gamma,
-                    candidates=candidates,
-                    base_penalty=base_penalty,
-                    context=context,
-                    seed=rng,
+                greedy_result, extra["greedy_metrics"] = (
+                    beam_distributed_greedy(
+                        self.problem, k_remaining, gamma=cfg.gamma,
+                        context=context, **args,
+                    )
                 )
-                extra["greedy_metrics"] = greedy_metrics
             else:
                 greedy_result = distributed_greedy(
-                    self.problem,
-                    k_remaining,
-                    m=cfg.machines,
-                    rounds=cfg.rounds,
-                    adaptive=cfg.adaptive,
+                    self.problem, k_remaining,
                     schedule=LinearDeltaSchedule(cfg.gamma),
-                    partitioner=partitioner,
-                    candidates=candidates,
-                    base_penalty=base_penalty,
-                    seed=rng,
+                    partitioner=partitioner, **args,
                 )
             selected = np.sort(np.concatenate([solution, greedy_result.selected]))
         else:

@@ -10,17 +10,17 @@ Beam-like engine: each round applies the
     survivors ─ key_by(random partition id) ─ group_by_key
               ─ per-group centralized greedy ─ flatten
 
-with per-shard memory metered.  Behaviour matches the in-memory
-implementation given the same partition assignment.  Partitioning here is
-a counter-based hash: the driver's seeded generator draws one assignment
-seed per round, and point ``v`` goes to partition
-``int(hash01(v, seed) * m_round)`` — a SplitMix64 mix of the pair
-(:func:`~repro.core.sampling.partition_of`), evaluated over a whole
-shard's id column at once by its bit-identical twin.  The in-memory
-implementation permutes instead, so the two are statistically (not bit-)
-identical.  The in-memory partitions are balanced, so every round
-fills its target there; iid partition ids are not, so here a round may
-come up short — see *fill passes* in :func:`beam_distributed_greedy`.
+with per-shard memory metered.  The rounds run through
+:func:`~repro.core.distributed.run_rounds`, the in-memory engine's loop,
+and partition by the same rule: the round draws one seed
+(:func:`~repro.core.distributed.draw_partition_seed`) and point ``v``
+goes to partition ``partition_of(v, seed, m_round)`` — a SplitMix64 mix
+of the pair (:func:`~repro.core.sampling.partition_of`), evaluated over a
+whole shard's id column at once by its bit-identical twin.  Each
+partition keeps :meth:`~repro.core.distributed.RoundShapes.part_target`
+points, so no round comes up short, and the two engines select the same
+ids from the same seed, bit for bit.  The driver reads only each round's
+count; the survivors leave the pipeline once, after the last round.
 
 Engine configuration is one :class:`~repro.dataflow.options.EngineOptions`
 (``options=``) or a shared :class:`~repro.dataflow.context.DataflowContext`
@@ -31,7 +31,7 @@ eagerly, as one list of ids.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,15 +39,15 @@ from repro.core.distributed import (
     DistributedResult,
     LinearDeltaSchedule,
     RoundShapes,
-    RoundStats,
+    draw_partition_seed,
     resolve_ground,
+    run_rounds,
 )
 from repro.core.problem import SubsetProblem
 from repro.dataflow.library import PartitionedGreedy
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.context import DataflowContext, engine_context
 from repro.dataflow.options import EngineOptions
-from repro.dataflow.transforms import flatten
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -85,13 +85,9 @@ def beam_distributed_greedy(
     completed round.
 
     Returns exactly ``min(k, |candidates|)`` ids, deterministically per
-    seed on every executor.  *Fill passes*: partition ids are drawn iid,
-    so a partition can be smaller than its target and the round's union
-    smaller than the round's target; a round whose union falls below
-    ``k`` could never reach ``k`` again, so the shortfall is selected —
-    same per-partition greedy — from the round's unselected inputs,
-    split over the fewest machines that fit them (Alg. 6's adaptive
-    rule).  Rounds that stay at or above ``k`` run exactly as before.
+    seed on every executor, and the ids and round stats
+    :func:`~repro.core.distributed.distributed_greedy` returns for the
+    same arguments and seed.
     """
     rng = as_generator(seed)
     ground, k = resolve_ground(problem.n, candidates, k)
@@ -102,77 +98,26 @@ def beam_distributed_greedy(
     with engine_context(options, context) as ctx:
         pipeline = ctx.pipeline()
         try:
-            if k == 0:
-                return (
-                    DistributedResult(np.empty(0, dtype=np.int64)),
-                    pipeline.metrics,
-                )
             survivors = pipeline.create(ground.tolist(), name="greedy/source")
-            stats: List[RoundStats] = []
 
-            for round_idx in range(1, rounds + 1):
-                input_size = survivors.count()
-                if input_size == 0:
-                    break
-                n_round, m_round, per_target = shapes.at(round_idx, input_size)
-
-                # Random partition assignment: one seed drawn per round,
-                # hashed with each id (iid uniform partition ids; expected
-                # balance is fine for the shapes we reproduce and it is
-                # the natural dataflow formulation).
-                label = f"PartitionedGreedy[round {round_idx}]"
-                picked = survivors.apply(
+            def step(round_idx, input_size, n_round, m_round, rng) -> int:
+                nonlocal survivors
+                survivors = survivors.apply(
                     PartitionedGreedy(
                         problem,
-                        per_target=per_target,
+                        n_round=n_round,
+                        input_size=input_size,
                         m_round=m_round,
-                        assignment_seed=int(rng.integers(0, 2**31 - 1)),
+                        assignment_seed=draw_partition_seed(rng),
                         base_penalty=base_penalty,
                     ),
-                    name=label,
+                    name=f"PartitionedGreedy[round {round_idx}]",
                 )
-                output_size = picked.count()
-                # Fill passes (see the docstring).  ``input_size >= k``
-                # holds for every round, so the unselected inputs always
-                # cover the shortfall and each pass adds at least one id.
-                while output_size < k:
-                    taken = frozenset(picked.to_list())
-                    m_fill = shapes.machines_for(input_size - output_size)
-                    fill = survivors.filter(
-                        lambda v, _taken=taken: v not in _taken,
-                        name="greedy/unselected",
-                    ).apply(
-                        PartitionedGreedy(
-                            problem,
-                            per_target=int(
-                                np.ceil((n_round - output_size) / m_fill)
-                            ),
-                            m_round=m_fill,
-                            assignment_seed=int(rng.integers(0, 2**31 - 1)),
-                            base_penalty=base_penalty,
-                        ),
-                        name=f"{label} fill",
-                    )
-                    picked = flatten([picked, fill], name="greedy/filled")
-                    output_size = picked.count()
-                survivors = picked
-                stats.append(
-                    RoundStats(
-                        round_idx=round_idx,
-                        input_size=int(input_size),
-                        target_size=int(n_round),
-                        m_round=m_round,
-                        per_partition_target=per_target,
-                        output_size=int(output_size),
-                    )
-                )
+                return survivors.count()
 
-            final = np.sort(np.asarray(survivors.to_list(), dtype=np.int64))
-            if final.size > k:
-                final = np.sort(rng.choice(final, size=k, replace=False))
-            return (
-                DistributedResult(selected=final, rounds=stats),
-                pipeline.metrics,
-            )
+            def collect() -> np.ndarray:
+                return np.sort(np.asarray(survivors.to_list(), dtype=np.int64))
+
+            return run_rounds(shapes, step, collect, rng), pipeline.metrics
         finally:
             pipeline.close()

@@ -34,7 +34,7 @@ from typing import Any, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.bounding import kth_largest as array_kth_largest
-from repro.core.greedy import greedy_heap
+from repro.core.distributed import RoundShapes, partition_greedy
 from repro.core.sampling import keep_mask, partition_of, partition_of_column
 from repro.dataflow.columnar import (
     BatchDoFn,
@@ -932,6 +932,11 @@ class PartitionedGreedy(PTransform):
     hash of the ``(id, seed)`` pair scaled to ``[0, m_round)``, iid
     uniform over ids — so a fixed ``assignment_seed`` reproduces the
     round exactly on any backend, and no RNG object exists per record.
+    A partition of ``|P|`` of the round's ``input_size`` ids keeps
+    :meth:`~repro.core.distributed.RoundShapes.part_target` ``(n_round,
+    |P|, input_size)`` of them, by
+    :func:`~repro.core.distributed.partition_greedy` over its sorted ids —
+    the in-memory engine's round, bit for bit.
     The ``key_by`` carries the hash's column twin
     (:func:`partition_of_column`): a whole shard is assigned in one call
     and leaves keyed and columnar, so the shuffle write stays in NumPy,
@@ -943,7 +948,8 @@ class PartitionedGreedy(PTransform):
         self,
         problem: Any,
         *,
-        per_target: int,
+        n_round: int,
+        input_size: int,
         m_round: int,
         assignment_seed: int,
         base_penalty: Optional[np.ndarray] = None,
@@ -951,7 +957,8 @@ class PartitionedGreedy(PTransform):
     ) -> None:
         super().__init__(name)
         self.problem = problem
-        self.per_target = int(per_target)
+        self.n_round = int(n_round)
+        self.input_size = int(input_size)
         self.m_round = int(m_round)
         self.assignment_seed = int(assignment_seed)
         self.base_penalty = base_penalty
@@ -959,7 +966,7 @@ class PartitionedGreedy(PTransform):
     def expand(self, survivors: PCollection) -> PCollection:
         problem = self.problem
         base_penalty = self.base_penalty
-
+        n_round, input_size = self.n_round, self.input_size
         seed, m_round = self.assignment_seed, self.m_round
 
         def assign(v: int) -> int:
@@ -978,16 +985,10 @@ class PartitionedGreedy(PTransform):
             name="greedy/partition",
         ).group_by_key(name="greedy/group")
 
-        def select(members: np.ndarray, target=self.per_target) -> np.ndarray:
+        def select(members: np.ndarray) -> np.ndarray:
             part = np.sort(members)
-            sub = problem.restrict(part)
-            local_penalty = (
-                base_penalty[part] if base_penalty is not None else None
-            )
-            local = greedy_heap(
-                sub, min(target, part.size), base_penalty=local_penalty
-            )
-            return part[local.selected]
+            target = RoundShapes.part_target(n_round, part.size, input_size)
+            return partition_greedy(problem, part, target, base_penalty)
 
         def select_in_partition(kv):
             _pid, members = kv

@@ -1,5 +1,7 @@
 """Tests for the dataflow-expressed distributed greedy."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core.distributed import distributed_greedy
 from repro.core.greedy import greedy_heap
-from repro.core.objective import PairwiseObjective
 from repro.dataflow.greedy_beam import beam_distributed_greedy
 from repro.dataflow.options import EngineOptions
 from tests.conftest import random_problem
@@ -31,19 +32,17 @@ class TestBeamDistributedGreedy:
         assert len(result) == 64
         assert len(set(result.selected.tolist())) == 64
 
-    def test_quality_comparable_to_memory_version(self, tiny_problem):
+    def test_same_ids_as_memory_version(self, tiny_problem):
         k = tiny_problem.n // 10
-        obj = PairwiseObjective(tiny_problem)
         beam, _ = beam_distributed_greedy(
             tiny_problem, k, m=4, rounds=8, adaptive=True, seed=0
         )
         mem = distributed_greedy(
             tiny_problem, k, m=4, rounds=8, adaptive=True, seed=0
         )
-        beam_score = obj.value(beam.selected)
-        mem_score = obj.value(mem.selected)
-        # Different partition draws; scores should be in the same ballpark.
-        assert beam_score >= 0.9 * mem_score
+        # One partition rule, one target rule, one round loop.
+        assert beam.selected.tolist() == mem.selected.tolist()
+        assert beam.rounds == mem.rounds
 
     def test_memory_metered(self, tiny_problem):
         _, metrics = beam_distributed_greedy(
@@ -81,8 +80,11 @@ class TestBeamDistributedGreedy:
 
 
 class TestFillsBudget:
-    """iid partition ids can leave a partition smaller than its target;
-    the beam must still return exactly ``min(k, |candidates|)`` ids."""
+    """Hashed partition ids leave some partitions smaller than others; each
+    keeps ``ceil(n_round * |P| / N)``, so no round falls below its target
+    and both engines return exactly ``min(k, |candidates|)`` ids."""
+
+    SEEDS = range(16)
 
     @pytest.fixture(scope="class")
     def underfill_problem(self):
@@ -93,80 +95,93 @@ class TestFillsBudget:
         return SubsetProblem(ds.utilities, ds.graph, alpha=0.9)
 
     @staticmethod
-    def _select(problem, options, seeds):
+    def _select(problem, engine, options, seeds, **select_args):
         from repro.core.pipeline import DistributedSelector, SelectorConfig
         from repro.dataflow.context import DataflowContext
 
-        # 20 machines x target 2 = k exactly, over ~100 last-round inputs:
-        # any partition that draws fewer than 2 ids under-fills the round,
-        # which is about every other seed under *any* iid-uniform draw —
-        # so the fill pass is covered whatever hash assigns partitions.
+        # 20 machines x nominal target 2 = k exactly, over ~100 last-round
+        # inputs: 6 of seeds 0-15 draw a last-round partition of fewer
+        # than 2 ids (test_draws_short_partitions), which a fixed
+        # per-partition target could not make up.
         selector = DistributedSelector(
             problem,
             SelectorConfig(
-                bounding="exact", machines=20, rounds=4, engine="dataflow",
+                bounding="exact", machines=20, rounds=4, engine=engine,
                 options=options,
             ),
         )
+        if engine == "memory":
+            return {
+                seed: selector.select(40, seed=seed, **select_args)
+                for seed in seeds
+            }
         with DataflowContext(options) as ctx:
             return {
-                seed: selector.select(40, seed=seed, context=ctx)
+                seed: selector.select(
+                    40, seed=seed, context=ctx, **select_args
+                )
                 for seed in seeds
             }
 
     @pytest.fixture(scope="class")
     def sequential_reports(self, underfill_problem):
         return self._select(
-            underfill_problem, EngineOptions(num_shards=4), range(16)
+            underfill_problem, "dataflow", EngineOptions(num_shards=4),
+            self.SEEDS,
         )
 
-    @staticmethod
-    def _filled(report) -> bool:
-        """Whether the drive ran a fill pass (its ``greedy/unselected``
-        filter is declared once per pass)."""
-        counts = report.extra["greedy_metrics"].stage_counts
-        return counts.get("greedy/unselected", 0) > 0
-
     @pytest.fixture(scope="class")
-    def underfilling_seeds(self, sequential_reports):
-        return [
-            seed
-            for seed, report in sequential_reports.items()
-            if self._filled(report)
-        ]
+    def memory_reports(self, underfill_problem):
+        return self._select(
+            underfill_problem, "memory", EngineOptions(), self.SEEDS
+        )
 
     def test_bounded_selection_returns_k(
-        self, sequential_reports, underfilling_seeds
+        self, sequential_reports, memory_reports
     ):
         """Regression: a seed whose last round drew a partition smaller
         than its target returned 39 ids."""
-        for report in sequential_reports.values():
-            assert len(report) == 40
-            assert len(set(report.selected.tolist())) == 40
-            # No round ends short of k: a fill pass tops it up.
-            assert all(s.output_size >= 40 for s in report.greedy.rounds)
-        assert underfilling_seeds, "no seed of 16 needed a fill pass"
-        # Somewhere the filled union exceeds what one pass over
-        # m_round partitions x target could have produced.
-        assert any(
-            stats.output_size > stats.m_round * stats.per_partition_target
-            for seed in underfilling_seeds
-            for stats in sequential_reports[seed].greedy.rounds
-        )
+        for reports in (sequential_reports, memory_reports):
+            for report in reports.values():
+                assert len(report) == 40
+                assert len(set(report.selected.tolist())) == 40
+                assert all(
+                    s.output_size >= s.target_size
+                    for s in report.greedy.rounds
+                )
+        for seed in self.SEEDS:
+            assert (sequential_reports[seed].selected.tolist()
+                    == memory_reports[seed].selected.tolist())
+
+    def test_draws_short_partitions(self, underfill_problem):
+        """The shape reaches the case that returned 39 ids: a last round
+        (k = 40 over 20 partitions, nominal target 2) with a partition of
+        fewer than 2 ids."""
+        from repro.core.distributed import random_partitioner
+
+        smallest = []
+
+        def recording(round_idx, ids, m_round, rng):
+            parts = random_partitioner(round_idx, ids, m_round, rng)
+            if round_idx == 4:
+                sizes = [p.size for p in parts] + [0] * (m_round - len(parts))
+                smallest.append(min(sizes))
+            return parts
+
+        self._select(underfill_problem, "memory", EngineOptions(),
+                     self.SEEDS, partitioner=recording)
+        assert min(smallest) < 2
 
     @pytest.mark.parametrize("executor", ["thread", "remote"])
-    def test_filled_selection_identical_on_every_executor(
-        self, underfill_problem, sequential_reports, underfilling_seeds,
-        executor,
+    def test_selection_identical_on_every_executor(
+        self, underfill_problem, sequential_reports, executor,
     ):
-        """The fill pass is as deterministic as the rounds themselves."""
-        unfilled = [s for s in sequential_reports if s not in underfilling_seeds]
-        seeds = underfilling_seeds[:2] + unfilled[:1]
+        seeds = list(self.SEEDS)[:3]
         reports = self._select(
-            underfill_problem, EngineOptions(executor, num_shards=4), seeds
+            underfill_problem, "dataflow",
+            EngineOptions(executor, num_shards=4), seeds,
         )
         for seed in seeds:
-            assert self._filled(reports[seed]) == (seed in underfilling_seeds)
             np.testing.assert_array_equal(
                 reports[seed].selected, sequential_reports[seed].selected
             )
@@ -219,3 +234,91 @@ class TestFillsBudget:
         )
         with pytest.raises(RuntimeError, match="39 of the requested 40"):
             DistributedSelector(underfill_problem, config).select(40, seed=0)
+
+
+@pytest.fixture(scope="module")
+def matrix_context(matrix_executor):
+    """One context on the CI matrix's executor for the module's drives
+    (the remote backend spawns its workers once)."""
+    from repro.dataflow.context import DataflowContext
+
+    with DataflowContext(
+        EngineOptions(executor=matrix_executor, num_shards=4)
+    ) as context:
+        yield context
+
+
+@pytest.fixture(scope="module")
+def differential_problems():
+    from repro.core.problem import SubsetProblem
+    from repro.data.registry import load_dataset
+
+    ds = load_dataset("cifar100_tiny", n_points=300, seed=0)
+    return [
+        SubsetProblem.with_alpha(ds.utilities, ds.graph, alpha)
+        for alpha in (0.9, 0.5)
+    ]
+
+
+@pytest.mark.parametrize("bounding", [
+    {},
+    {"bounding": "exact"},
+    {"bounding": "approximate", "sampling_fraction": 0.3},
+    {"bounding": "approximate", "sampling_fraction": 0.7},
+], ids=["none", "exact", "approximate-0.3", "approximate-0.7"])
+def test_selector_engines_agree(differential_problems, matrix_context, bounding):
+    """``DistributedSelector`` on ``engine="memory"`` and
+    ``engine="dataflow"`` returns the same ids, ``objective`` and Alg. 6
+    round stats, compared with ``==``: α in {0.9, 0.5} x m in {2, 8} x
+    r in {1, 4} x adaptive x 2 seeds per bounding mode."""
+    from repro.core.pipeline import DistributedSelector, SelectorConfig
+
+    greedy_cells = 0
+    for problem in differential_problems:
+        k = problem.n // 4
+        for m, rounds, adaptive, seed in itertools.product(
+            (2, 8), (1, 4), (False, True), (0, 1)
+        ):
+            shape = dict(machines=m, rounds=rounds, adaptive=adaptive,
+                         **bounding)
+            mem = DistributedSelector(
+                problem, SelectorConfig(**shape)
+            ).select(k, seed=seed)
+            beam = DistributedSelector(
+                problem, SelectorConfig(engine="dataflow", **shape)
+            ).select(k, seed=seed, context=matrix_context)
+            cell = (problem.alpha, m, rounds, adaptive, seed)
+            assert beam.selected.tolist() == mem.selected.tolist(), cell
+            assert beam.objective == mem.objective, cell
+            assert _rounds(beam) == _rounds(mem), cell
+            greedy_cells += mem.greedy is not None
+    # Approximate bounding at p = 0.3 decides the whole subset on some
+    # cells; Alg. 6 must still run on others.
+    assert greedy_cells >= 8
+
+
+def _rounds(report):
+    return None if report.greedy is None else report.greedy.rounds
+
+
+def test_dataflow_engine_rejects_a_partitioner(monkeypatch):
+    """The dataflow engine partitions by hash only: a partitioner hook
+    there is a ``ValueError`` before any stage runs, not a silent drop."""
+    import repro.dataflow as dataflow
+    from repro.core.distributed import stratified_partitioner
+    from repro.core.pipeline import DistributedSelector, SelectorConfig
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(dataflow, "beam_bound", no_stage)
+    monkeypatch.setattr(dataflow, "beam_distributed_greedy", no_stage)
+    problem = random_problem(40, seed=0)
+    selector = DistributedSelector(problem, SelectorConfig(
+        bounding="exact", machines=2, engine="dataflow",
+        options=EngineOptions(num_shards=2),
+    ))
+    with pytest.raises(ValueError, match="partitioner"):
+        selector.select(
+            5, seed=0, partitioner=stratified_partitioner(np.zeros(40, int))
+        )

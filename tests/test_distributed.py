@@ -14,6 +14,7 @@ from repro.core.distributed import (
     RoundShapes,
     distributed_greedy,
     random_partitioner,
+    run_rounds,
     worst_case_partitioner,
 )
 from repro.core.greedy import greedy_heap
@@ -70,10 +71,6 @@ class TestPartitioners:
         parts = random_partitioner(1, ids, 7, as_generator(0))
         joined = np.sort(np.concatenate(parts))
         np.testing.assert_array_equal(joined, ids)
-
-    def test_random_partition_balanced(self):
-        parts = random_partitioner(1, np.arange(100), 4, as_generator(0))
-        assert all(p.size == 25 for p in parts)
 
     def test_worst_case_round1_isolates_reference(self):
         reference = np.arange(10)
@@ -269,19 +266,30 @@ class TestRoundShapes:
         with pytest.raises(ValueError, match=message):
             ClusterSimulator().what_if(1000, 10, m=m, rounds=rounds)
 
+    def test_a_round_that_comes_up_short_is_an_error(self):
+        """``run_rounds`` checks each round's count against its target:
+        an engine whose round kept fewer ids fails loudly."""
+        shapes = RoundShapes(10, 3, 2, 2)
+        with pytest.raises(RuntimeError, match="round 1 kept 2 of its"):
+            run_rounds(
+                shapes, lambda *round_args: 2, lambda: np.arange(2),
+                as_generator(0),
+            )
+
 
 class TestDistributedSelectionsGolden:
     """``distributed_greedy``'s selections over a fixed grid — 16 seeded
     problems × m ∈ {1, 4, 16} × rounds ∈ {1, 3} × ``base_penalty`` off/on
-    — and ``beam_distributed_greedy`` on two instances, pinned bit for
-    bit.  Every per-partition ``greedy_heap`` call feeds the digest, so a
-    kernel that picked differently anywhere would move it."""
+    — and ``beam_distributed_greedy`` on two instances, equal to
+    ``distributed_greedy`` there, pinned bit for bit.  Every
+    per-partition ``greedy_heap`` call feeds the digest, so a kernel that
+    picked differently anywhere would move it."""
 
     GOLDEN = {
         "distributed":
-            "6d8ba69e45c86c5447bc96a34b9af5fd2e1b79ea99197be718bd84e539b0a61b",
+            "27f688a566005c67f05b918faa003204e2c580afa4e3e9c3db747f8dcb750f45",
         "beam":
-            "8386aa4029aa3166066d8e63d767f8a07ab0af134d2d51ff37f19ad772b796a7",
+            "00eedc77b9463b64e9fe50e50a9031b51cf1668b7508cd7caa44f760db5fb0ef",
     }
 
     def test_distributed_digest(self):
@@ -307,5 +315,10 @@ class TestDistributedSelectionsGolden:
                 problem, problem.n // 4, m=8, rounds=3, seed=i,
                 options=EngineOptions(num_shards=4),
             )
+            memory = distributed_greedy(
+                problem, problem.n // 4, m=8, rounds=3, seed=i
+            )
+            assert result.selected.tolist() == memory.selected.tolist()
+            assert result.rounds == memory.rounds
             h.update(result.selected.tobytes())
         assert h.hexdigest() == self.GOLDEN["beam"]

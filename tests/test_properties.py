@@ -6,11 +6,15 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounding import bound, compute_utilities
-from repro.core.distributed import LinearDeltaSchedule, distributed_greedy
+from repro.core.distributed import (
+    LinearDeltaSchedule,
+    RoundShapes,
+    distributed_greedy,
+)
 from repro.core.greedy import _sparse_components, greedy_heap, greedy_naive
 from repro.core.normalization import normalize_scores
 from repro.core.objective import PairwiseObjective
@@ -105,6 +109,21 @@ def test_delta_schedule_total_work_bounded(n, r, gamma):
     k = max(1, n // 10)
     total = sum(schedule(n, r, i, k) for i in range(1, r + 1))
     assert k <= total <= r * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 500), min_size=1, max_size=40), st.data())
+def test_part_targets_never_come_up_short(sizes, data):
+    """Alg. 6's per-partition targets ``ceil(n_round * |P| / N)``: for any
+    partition sizes summing to ``N`` and any ``n_round <= N``, they sum to
+    ``[n_round, n_round + m)`` over the ``m`` parts, and none exceeds its
+    part — so no round keeps fewer than ``n_round`` points."""
+    total = sum(sizes)
+    assume(total > 0)
+    n_round = data.draw(st.integers(0, total))
+    targets = [RoundShapes.part_target(n_round, s, total) for s in sizes]
+    assert n_round <= sum(targets) < n_round + len(sizes)
+    assert all(0 <= t <= s for t, s in zip(targets, sizes))
 
 
 @settings(max_examples=30, deadline=None)
