@@ -83,17 +83,20 @@ from repro.service.jobs import selector_config
 
 
 def _build_problem(args: argparse.Namespace) -> tuple:
-    """Resolve (problem, embeddings) from --preset or --embeddings."""
+    """Resolve (problem, embeddings) from --preset or --embeddings.  An
+    ``ann`` graph is built on the command's engine options."""
+    options = getattr(args, "options", None)
     if args.preset:
         ds = load_dataset(
             args.preset, n_points=args.n_points, knn_k=args.knn_k,
-            knn_method=args.knn_method, seed=args.seed,
+            knn_method=args.knn_method, seed=args.seed, options=options,
         )
         utilities, graph, embeddings = ds.utilities, ds.graph, ds.embeddings
     elif args.embeddings:
         embeddings = np.load(args.embeddings)
         graph, _, _ = build_knn_graph(
-            embeddings, args.knn_k, method=args.knn_method, seed=args.seed
+            embeddings, args.knn_k, method=args.knn_method, seed=args.seed,
+            options=options,
         )
         if args.utilities:
             utilities = np.load(args.utilities)

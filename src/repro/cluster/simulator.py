@@ -1,16 +1,16 @@
 """Round-level cluster simulator for the distributed greedy algorithm.
 
 Couples the *actual* selection algorithm (Alg. 6) to the machine model:
-every round's partitions are checked against the machines' DRAM, per-round
-makespan is the slowest machine's simulated task time, and the run fails
-fast if any partition could not fit — the failure mode that motivates the
-whole paper (prior methods' final centralized merge).
+every round's largest drawn partition is checked against the machines'
+DRAM, per-round makespan is the slowest machine's simulated task time,
+and the run fails fast if any partition could not fit — the failure mode
+that motivates the whole paper (prior methods' final centralized merge).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from repro.core.distributed import (
     LinearDeltaSchedule,
     RoundShapes,
     distributed_greedy,
+    random_partitioner,
 )
 from repro.core.problem import SubsetProblem
 from repro.utils.rng import SeedLike
@@ -97,10 +98,21 @@ class ClusterSimulator:
         gamma: float = 0.75,
         seed: SeedLike = None,
     ) -> SimulatedRun:
-        """Run the real algorithm; bill time/memory against the model."""
+        """Run the real algorithm; bill time/memory against the model.
+
+        Each round is billed and DRAM-checked at the largest partition it
+        drew: hashed partitions are iid, not balanced, so that part runs
+        over the nominal ``ceil(N / m_round)``."""
         from repro.utils.rng import as_generator
 
         rng = as_generator(seed)
+        largest: Dict[int, int] = {}
+
+        def partitioner(round_idx, ids, m_round, rng):
+            parts = random_partitioner(round_idx, ids, m_round, rng)
+            largest[round_idx] = max(part.size for part in parts)
+            return parts
+
         result = distributed_greedy(
             problem,
             k,
@@ -108,6 +120,7 @@ class ClusterSimulator:
             rounds=rounds,
             adaptive=adaptive,
             schedule=LinearDeltaSchedule(gamma),
+            partitioner=partitioner,
             seed=rng,
         )
         kg = problem.graph.average_degree()
@@ -115,7 +128,7 @@ class ClusterSimulator:
         peak_bytes = 0
         preemptions = 0
         for stats in result.rounds:
-            partition_size = int(np.ceil(stats.input_size / stats.m_round))
+            partition_size = largest[stats.round_idx]
             state = greedy_state_bytes(
                 partition_size, neighbors_per_point=self.neighbors_per_point
             )
@@ -126,7 +139,11 @@ class ClusterSimulator:
                     f"points needs {state} B > {self.machine.dram_bytes} B DRAM"
                 )
             compute = self.cost_model.greedy_partition_seconds(
-                partition_size, stats.per_partition_target, kg
+                partition_size,
+                RoundShapes.part_target(
+                    stats.target_size, partition_size, stats.input_size
+                ),
+                kg,
             )
             shuffle = self.cost_model.shuffle_seconds(
                 stats.input_size, stats.m_round
@@ -175,7 +192,9 @@ class ClusterSimulator:
         Walks the same round structure :meth:`run` bills — round targets
         from the Δ-schedule, partition sizes from ``m_round`` — but takes
         every round's output at its target size instead of executing the
-        greedy, so the answer is closed-form.  Infeasible configurations
+        greedy, and every partition at its nominal ``ceil(survivors /
+        m_round)`` instead of the larger part :meth:`run` draws, so the
+        answer is closed-form.  Infeasible configurations
         (a partition's greedy state exceeding DRAM) come back with
         ``feasible=False`` rather than raising, so sweeps can rank every
         candidate.

@@ -14,7 +14,7 @@ everything Section 6's experiments consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from repro.data.synthetic import make_class_clusters
 from repro.graph.csr import NeighborGraph
 from repro.graph.symmetrize import build_knn_graph
 from repro.utils.rng import SeedLike
+
+if TYPE_CHECKING:
+    from repro.dataflow.options import EngineOptions
 
 
 @dataclass
@@ -78,6 +81,7 @@ def load_dataset(
     train_fraction: float = 0.1,
     temperature: float = 4.0,
     seed: SeedLike = 0,
+    options: "Optional[EngineOptions]" = None,
 ) -> SelectionDataset:
     """Materialize a preset dataset (embeddings, utilities, kNN graph).
 
@@ -91,7 +95,8 @@ def load_dataset(
         Override the neighbor count (paper default: 10).
     knn_method:
         ``"exact"`` or ``"ann"`` (ScaNN's IVF stage, run by the dataflow
-        kNN build; see :func:`repro.graph.symmetrize.build_knn_graph`).
+        kNN build on engine ``options``; see
+        :func:`repro.graph.symmetrize.build_knn_graph`).
     temperature:
         Coarse-classifier softmax temperature; larger values spread the
         margin-utility distribution (a very confident model would make all
@@ -121,7 +126,7 @@ def load_dataset(
         seed=seed,
     )
     graph, neighbors, sims = build_knn_graph(
-        embeddings, k, method=knn_method, seed=seed
+        embeddings, k, method=knn_method, seed=seed, options=options
     )
     return SelectionDataset(
         name=name,

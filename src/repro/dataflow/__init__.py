@@ -20,7 +20,8 @@ operator DAG** and a pluggable executor:
   (:class:`~repro.dataflow.columnar.BatchDoFn`, ``Fold(batch=...)``)
   over struct-of-arrays :class:`~repro.dataflow.columnar.ColumnarShard`
   s, with automatic per-record fallback for plain callables and
-  bit-identical results,
+  bit-identical results (the library ops have no row form: rows there
+  are a ``TypeError``),
 - sources stream: ``create()``/``create_keyed()`` shard generators lazily
   in bounded chunks, so the driver never materializes the ground set,
 - hash-shards every keyed operation across ``num_shards`` logical workers,

@@ -21,7 +21,8 @@ list-valued column, :func:`~repro.dataflow.library.by_point`: one record
 per point) and a round's joins touch only columns: both read as grouped
 views, the edge table is a ``repeat``/mask over the adjacency's child
 columns, and the bounds come out as a keyed ``(id; lower, umax)`` shard
-(per-record functions remain the automatic row fallback).
+(the library ops have no per-record form: rows there are a
+``TypeError``).
 
 A round's decision is one pass over those cached bounds:
 :class:`~repro.dataflow.library.OrderStatistics` folds them

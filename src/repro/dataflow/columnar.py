@@ -22,10 +22,12 @@ the columnar alternative:
     per-record one.  The engine applies ``batch`` to the entire shard
     when the op sits in the leading *batch prefix* of a fused chain;
     everywhere else the scalar ``fn`` runs per record — automatic
-    fallback, same results.  Consecutive batch ops chain without
-    leaving NumPy (batch-level fusion); the first non-batch op in a
-    chain is the *fallback boundary* where the shard is materialized to
-    rows (``explain()`` renders it).
+    fallback, same results.  An op declared without ``fn`` (the library
+    ops) has no fallback: a shard its kernel cannot read is
+    :func:`no_row_form`'s ``TypeError``.  Consecutive batch ops chain
+    without leaving NumPy (batch-level fusion); the first non-batch op
+    in a chain is the *fallback boundary* where the shard is
+    materialized to rows (``explain()`` renders it).
 
 :class:`ListColumn`
     A *list-valued* column — offsets plus aligned child columns — for
@@ -86,9 +88,12 @@ an unkeyed shard, all-row parts — groups rows exactly as before.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Iterator, List, NoReturn, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -101,6 +106,7 @@ __all__ = [
     "cogroup_columns",
     "group_columns",
     "int_keyed",
+    "no_row_form",
     "segment_group",
     "stable_shard",
     "stable_shard_column",
@@ -429,6 +435,19 @@ class ColumnarShard:
         return ColumnarShard(keys, columns)
 
 
+def no_row_form(label: str, shard_type: type, *_record: Any) -> NoReturn:
+    """The one error of an op built without a row form (every op of
+    :mod:`repro.dataflow.library`): ``label``'s whole-shard kernel was
+    handed a shard it cannot read.  Row records reach it as the missing
+    row form itself, called per record (``shard_type`` is then ``list``,
+    the row path's shard); a kernel calls it for columns of a shape it
+    does not read.  Nothing falls back to a per-record copy."""
+    raise TypeError(
+        f"{label!r} has no row form, and its whole-shard kernel cannot "
+        f"read this {shard_type.__name__} shard"
+    )
+
+
 class BatchDoFn:
     """A DoFn with a declared whole-shard (vectorized) implementation.
 
@@ -437,7 +456,10 @@ class BatchDoFn:
     whole-shard twin.  A ``BatchDoFn`` *is* its scalar function — calling
     it delegates to ``fn`` — so serialization, plan digests, and any
     engine path that does not know about batching behave exactly as if
-    the plain callable had been passed.
+    the plain callable had been passed.  ``fn=None`` builds an op with
+    no row form: wherever the engine would run ``fn`` — the op outside a
+    chain's batch prefix, or a twin that declines — it raises
+    :func:`no_row_form` instead.
 
     Batch contract (the user's promise, mirrored on :class:`Fold`'s
     ``add``/``merge`` contract): for a shard ``s`` (a list of records or
@@ -470,14 +492,17 @@ class BatchDoFn:
 
     def __init__(
         self,
-        fn: Callable[..., Any],
+        fn: Optional[Callable[..., Any]],
         batch: Callable[[Any], Any],
         *,
         label: Optional[str] = None,
     ) -> None:
-        self.fn = fn
         self.batch = batch
         self.label = label or getattr(fn, "__name__", "batch_do_fn")
+        self.fn = (
+            fn if fn is not None
+            else functools.partial(no_row_form, self.label, list)
+        )
 
     def __call__(self, *args: Any) -> Any:
         return self.fn(*args)

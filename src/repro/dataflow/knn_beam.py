@@ -24,7 +24,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.dataflow.columnar import ColumnarShard, ListColumn
 from repro.dataflow.library import ShardedKnn
 from repro.dataflow.metrics import PipelineMetrics
 from repro.dataflow.context import DataflowContext, engine_context
@@ -84,17 +83,6 @@ def _pad_short_rows(
         fill = perm[~np.isin(perm, used)][: int(missing.sum())]
         neighbors[v, missing] = fill
         sims[v, missing] = x[fill] @ x[v]
-
-
-def _top_k_columns(shard) -> Tuple[np.ndarray, ListColumn]:
-    """``(points, ListColumn(host, sim))`` of one merged shard — its
-    columns, or the same built from row records (the row fallback)."""
-    if isinstance(shard, ColumnarShard):
-        return shard.keys, shard.columns[0]
-    return (
-        np.fromiter((point for point, _ in shard), np.int64, len(shard)),
-        ListColumn.from_lists([top_k for _, top_k in shard]),
-    )
 
 
 def knn_plan(
@@ -162,9 +150,11 @@ def beam_knn_graph(
             merged = knn_plan(pipeline, x, centroids, k, nprobe)
             # Each point's record is its top-k, already ordered by
             # (-sim, host): its candidates go into its row as they are.
+            # A non-empty merged shard is the fold's ``(point;
+            # ListColumn(host, sim))`` columns, on either plan.
             for shard in merged.iter_stored():
                 if len(shard):
-                    point_ids, top_k = _top_k_columns(shard)
+                    point_ids, top_k = shard.keys, shard.columns[0]
                     lengths = top_k.lengths()
                     rows = np.repeat(point_ids, lengths)
                     ranks = np.arange(rows.size) - np.repeat(

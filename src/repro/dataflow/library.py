@@ -23,25 +23,35 @@ Composites are organization, not semantics: each expands to exactly the
 primitive transforms the beams used to build by hand, so results,
 metrics, and optimizer rewrites (combiner lifting, reshard elision,
 post-shuffle fusion) are unchanged.
+
+Every op here has one form, its whole-shard kernel: each is a
+``BatchDoFn`` or batch ``Fold`` declared without a row form, checked
+against its in-memory reference in ``repro.core``.  An op handed a
+shard its kernel cannot read — row records, or columns of another
+shape — raises :func:`~repro.dataflow.columnar.no_row_form`'s
+``TypeError`` naming the op and the shard's type; it never runs a
+per-record copy.  An empty shard (a destination no key reached) yields
+nothing.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.bounding import kth_largest as array_kth_largest
 from repro.core.distributed import RoundShapes, partition_greedy
-from repro.core.sampling import keep_mask, partition_of, partition_of_column
+from repro.core.sampling import keep_mask, partition_of_column
 from repro.dataflow.columnar import (
     BatchDoFn,
     CoGroupedShard,
     ColumnarShard,
     ListColumn,
     _stable_order,
+    no_row_form,
     segment_group,
 )
 from repro.dataflow.pcollection import Fold, PCollection, PTransform
@@ -58,7 +68,7 @@ __all__ = [
 
 def _id_column(shard: Any) -> np.ndarray:
     """A shard of point ids as one int64 column — the one row → column
-    conversion a batch twin over ids pays."""
+    conversion a kernel over ids pays (id sources are rows)."""
     if isinstance(shard, ColumnarShard):
         return shard.columns[0].astype(np.int64, copy=False)
     return np.fromiter(shard, dtype=np.int64, count=len(shard))
@@ -74,18 +84,13 @@ def by_point(column: Any) -> ColumnarShard:
     return ColumnarShard(np.arange(len(column), dtype=np.int64), (column,))
 
 
-def _similarity_rank(pair: Tuple[int, float]) -> Tuple[float, int]:
-    """Row sort key of a ``(host, sim)`` candidate: ``(-sim, host)``."""
-    return (-pair[1], pair[0])
-
-
 def _similarity_order(
     segments: np.ndarray, hosts: np.ndarray, sims: np.ndarray, n_segments: int
 ) -> np.ndarray:
     """Permutation putting ``(host, sim)`` candidates in ``(segment, -sim,
-    host)`` order: per segment, exactly the row form's
-    ``sort(key=_similarity_rank)`` — equal similarities (``-0.0`` and
-    ``0.0`` included) tie and fall back to the host.
+    host)`` order: per segment, ``sorted(key=lambda c: (-c.sim, c.host))``
+    — equal similarities (``-0.0`` and ``0.0`` included) tie and fall
+    back to the host.
 
     The same order as ``np.lexsort((hosts, -sims, segments))``, about 4×
     faster on the kNN merge's shards (n = 3000, k = 10, 8 shards: 10 ms
@@ -132,11 +137,11 @@ class ShardedKnn(PTransform):
     Columns end to end: the assignment leaves as a keyed ``(cell; host,
     is_home)`` shard, the cell kernel reads each cell as one slice of the
     group read's grouped view and emits ``(query; ListColumn(host,
-    sim))``, and the fold's batch form ranks a whole shard's candidates
-    per point in one pass (:func:`_similarity_order`) where its row form
-    sorts each point's list.  Both forms keep ties by host, so the result
-    is the exact top-k by ``(-similarity, host)`` even when similarities
-    repeat.
+    sim))``, and the fold ranks a whole shard's candidates per point in
+    one pass (:func:`_similarity_order`) — in the lifted combine's two
+    halves, or once per grouped shard in the naive plan.  Ties break by
+    host, so the result is the exact top-k by ``(-similarity, host)``
+    even when similarities repeat.
 
     ``x`` must be L2-normalized; ``centroids`` is the fitted coarse
     quantizer.  The stage DoFns capture both arrays, so the payload
@@ -164,14 +169,6 @@ class ShardedKnn(PTransform):
         # (1) multi-probe assignment: (cell, (point, is_home)).  Only the
         # home cell hosts the point (appears as a potential neighbor);
         # probe cells treat it as a query so boundary neighbors are found.
-        def assign(v: int):
-            sims = centroids @ x[v]
-            order = np.argsort(-sims)[:nprobe]
-            return [
-                (int(cell), (v, probe_rank == 0))
-                for probe_rank, cell in enumerate(order)
-            ]
-
         def assign_batch(shard):
             # One matmul for the whole shard; emitted columnar so the
             # downstream shuffle routes the cell keys without ever
@@ -188,7 +185,7 @@ class ShardedKnn(PTransform):
             return ColumnarShard(cells, (hosts, is_home))
 
         assigned = points.flat_map(
-            BatchDoFn(assign, assign_batch, label="knn/assign"),
+            BatchDoFn(None, assign_batch, label="knn/assign"),
             name="knn/assign",
         ).as_keyed(name="knn/assign_key")
 
@@ -213,32 +210,14 @@ class ShardedKnn(PTransform):
             real = top_sims != -np.inf
             return hosts[top][real], top_sims[real], real.sum(axis=1)
 
-        def cell_knn(kv) -> List[Tuple[int, List[Tuple[int, float]]]]:
-            # Row form: one cell record ``(cell, [(id, is_home), ...])``.
-            # Hosts are distinct within a cell (each point is home in
-            # exactly one), so ``np.sort`` is ``sorted``.
-            _cell, members = kv
-            ids = np.fromiter((m[0] for m in members), np.int64, len(members))
-            home = np.fromiter((m[1] for m in members), bool, len(members))
-            hosts, queries = np.sort(ids[home]), np.unique(ids)
-            if hosts.size == 0:
-                return []
-            top_hosts, top_sims, counts = cell_top_k(queries, hosts)
-            host_list, sim_list = top_hosts.tolist(), top_sims.tolist()
-            bounds = np.cumsum(counts).tolist()
-            return [
-                (q, list(zip(host_list[hi - n:hi], sim_list[hi - n:hi])))
-                for q, n, hi in zip(queries.tolist(), counts.tolist(), bounds)
-                if n
-            ]
-
         def cell_knn_batch(shard):
-            # Columnar form: each cell is one slice of the group read's
-            # grouped view; the queries with a candidate leave as one
-            # keyed ``(query; ListColumn(host, sim))`` shard.
-            if not _cogrouped(shard, 1):
-                return NotImplemented
-            members = shard.lists(0)
+            # Each cell is one slice of the group read's grouped view; the
+            # queries with a candidate leave as one keyed ``(query;
+            # ListColumn(host, sim))`` shard.
+            grouped = _grouped(shard, 1, "knn/cell_knn")
+            if grouped is None:
+                return []
+            members = grouped.lists(0)
             ids, home = members.children
             bounds = members.offsets.tolist()
             cells = []
@@ -260,21 +239,15 @@ class ShardedKnn(PTransform):
             )
 
         candidates = assigned.group_by_key(name="knn/group").flat_map(
-            BatchDoFn(cell_knn, cell_knn_batch, label="knn/cell_knn"),
+            BatchDoFn(None, cell_knn_batch, label="knn/cell_knn"),
             name="knn/cell_knn",
         ).as_keyed(name="knn/cand_key")
 
         # (3) merge per point: the top-k of the union of its (disjoint)
-        # candidate lists.  The row form sorts; the batch form ranks a
-        # whole shard — the pre-combine's candidate lists or the merge's
-        # routed partials alike, both are ``(point; ListColumn(host,
-        # sim))`` — by ``(point, -sim, host)`` and cuts each point at k.
-        def top_k(acc, candidates):
-            merged = acc + candidates
-            merged.sort(key=_similarity_rank)
-            del merged[k:]
-            return merged
-
+        # candidate lists.  One pass ranks a whole shard — the
+        # pre-combine's candidate lists or the merge's routed partials
+        # alike, both are ``(point; ListColumn(host, sim))`` — by
+        # ``(point, -sim, host)`` and cuts each point at k.
         def top_k_batch(shard):
             lists = shard.columns[0]
             hosts, sims = lists.children
@@ -295,23 +268,30 @@ class ShardedKnn(PTransform):
             )
 
         return candidates.group_by_key(name="knn/merge_group").map_values(
-            Fold(list, top_k, top_k, label="knn/topk", batch=top_k_batch),
+            Fold(list, None, label="knn/topk", batch=top_k_batch),
             name="knn/merge",
         )
 
 
-def _cogrouped(shard: Any, n_inputs: int) -> bool:
-    """Is ``shard`` the grouped view of ``n_inputs`` collections (and not
-    the row grouping's list)?"""
-    return isinstance(shard, CoGroupedShard) and len(shard.inputs) == n_inputs
+def _grouped(shard: Any, n_inputs: int, label: str) -> Optional[CoGroupedShard]:
+    """``shard`` as the grouped view of ``n_inputs`` collections — what
+    every join and group kernel here reads — or ``None`` for an empty
+    shard.  Anything else (the row grouping's list) is ``label``'s
+    :func:`~repro.dataflow.columnar.no_row_form` error."""
+    if isinstance(shard, CoGroupedShard) and len(shard.inputs) == n_inputs:
+        return shard
+    if len(shard):
+        no_row_form(label, type(shard))
+    return None
 
 
-def _packed_edges(shard: CoGroupedShard):
+def _packed_edges(shard: CoGroupedShard, label: str):
     """The edge table of a join whose input 0 is an adjacency source
     (:func:`by_point` over a CSR ``ListColumn``): ``(degrees, targets,
     weights)`` — each key's degree, and every edge's other endpoint and
-    weight, key after key in CSR order — or ``None`` when input 0 holds
-    no packed adjacency lists (rows rode along)."""
+    weight, key after key in CSR order.  Adjacency lists that arrived as
+    rows are ``label``'s :func:`~repro.dataflow.columnar.no_row_form`
+    error."""
     adjacency = shard.lists(0)
     packed = adjacency.children[0]
     if (
@@ -319,7 +299,7 @@ def _packed_edges(shard: CoGroupedShard):
         or not isinstance(packed, ListColumn)
         or len(packed.children) != 2
     ):
-        return None
+        no_row_form(label, type(shard))
     # The lists of consecutive keys are consecutive in the child columns.
     degrees = np.diff(packed.offsets[adjacency.offsets])
     return (
@@ -334,40 +314,24 @@ def _packed_edges(shard: CoGroupedShard):
 # then pickle them by reference instead of by value, every round.
 
 
-def _membership(in_solution, in_remaining) -> Optional[bool]:
-    if in_solution:
-        return True
-    if in_remaining:
-        return False
-    return None  # a was discarded by a shrink step
-
-
-def _invert(kv) -> Iterable[Tuple[int, Tuple[int, float, bool]]]:
+def _invert_batch(shard):
     """``bound/invert``: a's adjacency record (by symmetry, the edges whose
     neighbor endpoint is a) re-keyed to the other endpoint b, dead points
-    dropped, a's solution membership tagged."""
-    a, (adjacency, in_solution, in_remaining) = kv
-    flag = _membership(in_solution, in_remaining)
-    if flag is None:
+    (in neither the solution nor the remaining set) dropped, a's solution
+    membership tagged — the round's one edge exchange, as ``(b; a, s,
+    in_solution)`` columns the shuffle routes without one tuple per live
+    edge."""
+    grouped = _grouped(shard, 3, "bound/invert")
+    if grouped is None:
         return []
-    return [(b, (a, s, flag)) for edges in adjacency for b, s in edges]
-
-
-def _invert_batch(shard):
-    """The round's one edge exchange, columnar: ``(b; a, s, flag)`` arrays,
-    so the shuffle hashes and routes the b column without materializing
-    one tuple per live edge."""
-    edges = _packed_edges(shard) if _cogrouped(shard, 3) else None
-    if edges is None:
-        return NotImplemented
-    degrees, targets, weights = edges
-    in_solution = shard.counts(1) > 0
-    live = in_solution | (shard.counts(2) > 0)
+    degrees, targets, weights = _packed_edges(grouped, "bound/invert")
+    in_solution = grouped.counts(1) > 0
+    live = in_solution | (grouped.counts(2) > 0)
     # The edge table is the adjacency's child columns, each a repeated
     # per degree.
     columns = (
         targets,
-        np.repeat(shard.keys, degrees),
+        np.repeat(grouped.keys, degrees),
         weights,
         np.repeat(in_solution, degrees),
     )
@@ -379,16 +343,12 @@ def _invert_batch(shard):
     return ColumnarShard(columns[0], columns[1:])
 
 
-def _bounded(kv) -> bool:
-    """``bound/bounded``: b is unassigned and has a utility."""
-    _partners, in_remaining, utility = kv[1]
-    return bool(in_remaining and utility)
-
-
 def _bounded_batch(shard):
-    if not _cogrouped(shard, 3):
-        return NotImplemented
-    return (shard.counts(1) > 0) & (shard.counts(2) > 0)
+    """``bound/bounded``: b is unassigned and has a utility."""
+    grouped = _grouped(shard, 3, "bound/bounded")
+    if grouped is None:
+        return []
+    return (grouped.counts(1) > 0) & (grouped.counts(2) > 0)
 
 
 class BoundingFilter(PTransform):
@@ -434,24 +394,24 @@ class BoundingFilter(PTransform):
     ``bound/invert`` builds the edge table by ``repeat``/mask over the
     adjacency's child columns, ``bound/bounded`` is a mask over per-key
     counts and ``bound/reduce`` a segment reduction emitting a keyed
-    ``(b; lower, umax)`` shard.  Adjacency records as rows (or any
-    non-integer key) run the per-record functions instead, with the same
-    result.
+    ``(b; lower, umax)`` shard.  Integer keys are required: adjacency
+    records as rows, or non-integer keys, group as rows, which these
+    kernels do not read (a ``TypeError`` naming the op).  A point that
+    no live edge reached has both masses ``0.0``.
 
     **Summation order is part of the contract.**  A point's masses are
     summed left to right over its edges in *arrival order* at the join
     (source shard by source shard, each shard's edges in its record
-    order) by one explicit add per edge — never builtin ``sum``
-    (compensated on Python >= 3.12) nor a pairwise reduction — and both
-    paths reproduce exactly that order (``np.bincount`` adds its weights
-    one by one in input order), so bounds are identical to the last bit
-    across paths, plans, executors and Python versions.
+    order) by one explicit add per edge — ``np.bincount`` adds its
+    weights one by one in input order; never builtin ``sum``
+    (compensated on Python >= 3.12) nor a pairwise reduction — so bounds
+    are identical to the last bit across plans, executors and Python
+    versions, and to the in-memory ``repro.core.bounding.bound``.
 
     Sampling (``mode="approximate"``, ``p < 1``) is the in-memory
-    sampler: both paths hand a point's unassigned edges, in arrival
-    order, to :func:`~repro.core.sampling.keep_mask` — counter-based
-    per edge per round, since a distributed runner has no global RNG
-    stream.
+    sampler: a point's unassigned edges, in arrival order, go to
+    :func:`~repro.core.sampling.keep_mask` — counter-based per edge per
+    round, since a distributed runner has no global RNG stream.
     """
 
     def __init__(
@@ -494,71 +454,31 @@ class BoundingFilter(PTransform):
             [self.neighbors, self.solution, remaining],
             name="bound/threeway_join",
         ).flat_map(
-            BatchDoFn(_invert, _invert_batch, label="bound/invert"),
+            BatchDoFn(None, _invert_batch, label="bound/invert"),
             name="bound/invert",
         ).as_keyed(name="bound/invert_key")
 
         # (2) join with remaining + utilities keyed by b; sample and reduce.
         # ``filter`` + ``map_keyed_values`` keep the join's partitioning, so the
         # bounds feed the next round's joins without another routing pass.
-        # Masses are summed left to right in arrival order, one explicit
-        # add per edge: builtin ``sum`` is compensated on Python >= 3.12,
-        # and the bound's last bits must not depend on the interpreter.
-        def reduce_bounds(b, joined):
-            partners, _in_remaining, utility = joined
-            u = utility[0]
-            mass_solution = 0.0
-            unassigned: List[Tuple[int, float]] = []
-            for a, s, a_in_solution in partners:
-                if a_in_solution:
-                    mass_solution += s
-                else:
-                    unassigned.append((a, s))
-            mass_sampled = 0.0
-            if approximate and unassigned:
-                # The keep mask over the edge columns; the kept-mass
-                # accumulation stays a sequential Python-float sum in edge
-                # order so the bound matches the batch path to the last bit.
-                count = len(unassigned)
-                keep = keep_mask(
-                    b,
-                    np.fromiter((a for a, _ in unassigned), np.int64, count),
-                    np.fromiter((s for _, s in unassigned), np.float64, count),
-                    np.zeros(count, dtype=np.int64),
-                    p=p, sampler=sampler,
-                    round_salt=round_salt, seed_salt=seed_salt,
-                )
-                for (_a, s), kept in zip(unassigned, keep.tolist()):
-                    if kept:
-                        mass_sampled += s
-            else:
-                for _a, s in unassigned:
-                    mass_sampled += s
-            umax = u - ratio * mass_solution
-            lower = u - ratio * (mass_solution + mass_sampled)
-            return (lower, umax)
-
         def reduce_batch(shard):
-            if not _cogrouped(shard, 3):
-                return NotImplemented
-            segment, partners = shard.inputs[0]
-            utility_of, utility = shard.inputs[2]
-            if (
-                len(partners) != 3
-                or len(utility) != 1
-                or (shard.counts(2) != 1).any()
-            ):
-                return NotImplemented
+            grouped = _grouped(shard, 3, "bound/reduce")
+            if grouped is None:
+                return []
+            segment, partners = grouped.inputs[0]
+            if not segment.size:
+                # No edge reached this shard: the edge input is the empty
+                # row part's one object column.
+                partners = (segment, np.zeros(0), np.zeros(0, dtype=bool))
             sources, weights, in_solution = partners
-            if weights.dtype != np.float64 or in_solution.dtype != np.bool_:
-                return NotImplemented  # edges that arrived as rows
-            n = len(shard)
+            utility_of, utility = grouped.inputs[2]
+            n = len(grouped)
             u = np.empty(n, dtype=np.float64)
             u[utility_of] = utility[0]  # exactly one per key: any order
             # ``bincount`` adds its weights one by one in input order, and
-            # the edges are in arrival order: the same left-to-right sum
-            # per key as the loop above, nothing sorted
-            # (``np.add.reduceat`` sums pairwise and is not the same).
+            # the edges are in arrival order: a left-to-right sum per key,
+            # nothing sorted (``np.add.reduceat`` sums pairwise and builtin
+            # ``sum`` is compensated on Python >= 3.12; neither is the same).
             mass_solution = np.bincount(
                 segment[in_solution], weights=weights[in_solution], minlength=n
             )
@@ -566,7 +486,7 @@ class BoundingFilter(PTransform):
             segment, weights = segment[unassigned], weights[unassigned]
             if approximate and segment.size:
                 keep = keep_mask(
-                    shard.keys[segment], sources[unassigned], weights, segment,
+                    grouped.keys[segment], sources[unassigned], weights, segment,
                     p=p, sampler=sampler,
                     round_salt=round_salt, seed_salt=seed_salt,
                 )
@@ -574,15 +494,15 @@ class BoundingFilter(PTransform):
             mass_sampled = np.bincount(segment, weights=weights, minlength=n)
             umax = u - ratio * mass_solution
             lower = u - ratio * (mass_solution + mass_sampled)
-            return ColumnarShard(shard.keys, (lower, umax))
+            return ColumnarShard(grouped.keys, (lower, umax))
 
         return cogroup(
             [edges4, remaining, self.utilities], name="bound/bounds_join"
         ).filter(
-            BatchDoFn(_bounded, _bounded_batch, label="bound/bounded"),
+            BatchDoFn(None, _bounded_batch, label="bound/bounded"),
             name="bound/bounded",
         ).map_keyed_values(
-            BatchDoFn(reduce_bounds, reduce_batch, label="bound/reduce"),
+            BatchDoFn(None, reduce_batch, label="bound/reduce"),
             name="bound/reduce",
         )
 
@@ -620,13 +540,6 @@ def _key_float(key: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
-def _value_columns(record) -> tuple:
-    """A keyed record's value columns: a tuple value is one column per
-    entry (a columnar shard's row form), anything else is column 0."""
-    value = record[1]
-    return value if isinstance(value, tuple) else (value,)
-
-
 def _in_band(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return (keys >= np.uint64(lo)) & (keys <= np.uint64(hi))
 
@@ -639,23 +552,10 @@ def _concat_collected(a, b):
     return tuple(np.concatenate((x, y)) for x, y in zip(a, b))
 
 
-def _collect_fold(band=None):
+def _collect_fold(label: str, band=None) -> Fold:
     """Fold: every value column, restricted to the records whose column
     ``band[0]`` has its order key in ``[band[1], band[2]]`` (every record
     without a ``band``) — ``None`` when no record qualifies."""
-
-    def keep(columns) -> bool:
-        return band is None or band[1] <= _order_key(columns[band[0]]) <= band[2]
-
-    def add(acc, record):
-        columns = _value_columns(record)
-        if not keep(columns):
-            return acc
-        if acc is None:
-            acc = tuple([] for _ in columns)
-        for out, value in zip(acc, columns):
-            out.append(value)
-        return acc
 
     def batch(shard):
         columns = shard.columns
@@ -665,24 +565,16 @@ def _collect_fold(band=None):
             columns = tuple(col[mask] for col in columns)
         return tuple(np.asarray(col, dtype=np.float64) for col in columns)
 
-    return (lambda: None), add, _concat_collected, batch
+    return Fold(lambda: None, None, _concat_collected, label=label, batch=batch)
 
 
-def _histogram_fold(column: int, lo: int, hi: int, shift: int):
+def _histogram_fold(column: int, lo: int, hi: int, shift: int) -> Fold:
     """Fold: ``(counts, min, max)`` of the order keys of ``column`` in
     ``[lo, hi]`` — ``counts[b]`` keys with ``(key - lo) >> shift == b``;
     an empty band's min and max are ``2**64`` and ``-1``."""
 
     def zero():
         return np.zeros(_BUCKETS, dtype=np.int64), _MASK64 + 1, -1
-
-    def add(acc, record):
-        key = _order_key(_value_columns(record)[column])
-        if not lo <= key <= hi:
-            return acc
-        counts, low, high = acc
-        counts[(key - lo) >> shift] += 1
-        return counts, min(low, key), max(high, key)
 
     def batch(shard):
         keys = _order_key_column(shard.columns[column])
@@ -699,7 +591,7 @@ def _histogram_fold(column: int, lo: int, hi: int, shift: int):
     def merge(a, b):
         return a[0] + b[0], min(a[1], b[1]), max(a[2], b[2])
 
-    return zero, add, merge, batch
+    return Fold(zero, None, merge, label="order/histogram", batch=batch)
 
 
 def _passing(values, threshold: float, strict: bool):
@@ -708,19 +600,15 @@ def _passing(values, threshold: float, strict: bool):
     return values > threshold if strict else values >= threshold
 
 
-def _count_fold(column: int, threshold: float, strict: bool):
+def _count_fold(column: int, threshold: float, strict: bool) -> Fold:
     """Fold: how many records pass :func:`_passing` on ``column``."""
-
-    def add(acc, record):
-        value = _value_columns(record)[column]
-        return acc + bool(_passing(value, threshold, strict))
 
     def batch(shard):
         return int(np.count_nonzero(
             _passing(shard.columns[column], threshold, strict)
         ))
 
-    return int, add, operator.add, batch
+    return Fold(int, None, operator.add, label="order/count", batch=batch)
 
 
 class OrderStatistics:
@@ -732,8 +620,10 @@ class OrderStatistics:
     holds ``(key, value)`` records, ``value`` one float or a tuple of
     floats (column ``i`` is ``value[i]``) — the keyed ``(id; lower,
     umax)`` bounds, say.  Every question is one ``combine_globally`` whose
-    whole-shard form reads the columns and whose row form (the fallback)
-    reads records; both give the same answer.
+    whole-shard form reads the columns: the collection must be columnar
+    with integer keys — row records are a ``TypeError`` naming the fold
+    (``order/collect``, ``order/histogram``, ``order/band`` or
+    ``order/count``).
 
     - At most ``exact_cap`` records: the first question brings every
       value column to the driver in one fold, and every answer — any
@@ -762,10 +652,9 @@ class OrderStatistics:
         self.exact_cap = int(exact_cap)
         self._columns: Optional[tuple] = None
 
-    def _fold(self, fold, name: str) -> Any:
-        zero, add, merge, batch = fold
+    def _fold(self, fold: Fold) -> Any:
         return self.values.combine_globally(
-            zero, add, merge, batch=batch, name=name
+            fold.zero, fold.add, fold.merge, batch=fold.batch, name=fold.label
         )
 
     def _driver_columns(self) -> Optional[tuple]:
@@ -774,7 +663,7 @@ class OrderStatistics:
         if self._columns is None and 0 < self.n <= self.exact_cap:
             self._columns = tuple(
                 np.asarray(col, dtype=np.float64)
-                for col in self._fold(_collect_fold(), "order/collect")
+                for col in self._fold(_collect_fold("order/collect"))
             )
         return self._columns
 
@@ -790,7 +679,7 @@ class OrderStatistics:
         while lo < hi:
             shift = max(0, (hi - lo).bit_length() - _BUCKET_BITS)
             counts, low, high = self._fold(
-                _histogram_fold(column, lo, hi, shift), "order/histogram"
+                _histogram_fold(column, lo, hi, shift)
             )
             from_top = np.cumsum(counts[::-1])
             top = int(np.searchsorted(from_top, k - above))
@@ -802,7 +691,7 @@ class OrderStatistics:
             )
             if lo < hi and counts[bucket] <= self.exact_cap:
                 band = self._fold(
-                    _collect_fold((column, lo, hi)), "order/band"
+                    _collect_fold("order/band", (column, lo, hi))
                 )[column]
                 return array_kth_largest(
                     np.asarray(band, dtype=np.float64), k - above
@@ -822,60 +711,42 @@ class OrderStatistics:
             return 0
         columns = self._driver_columns()
         if columns is None:
-            return self._fold(
-                _count_fold(column, threshold, strict), "order/count"
-            )
+            return self._fold(_count_fold(column, threshold, strict))
         return int(np.count_nonzero(
             _passing(columns[column], threshold, strict)
         ))
 
 
-def _selected_edges(kv) -> List[Tuple[int, float]]:
-    """``score/invert``: a selected point's adjacency record (by symmetry,
-    the edges whose neighbor endpoint it is), as ``(b, s)`` re-keyed to
-    the other endpoint; nothing for an unselected point."""
-    _a, (adjacency, in_solution) = kv
-    if not in_solution:
-        return []
-    return [edge for edges in adjacency for edge in edges]
-
-
 def _selected_edges_batch(shard):
-    """``score/invert`` over columns: the selected keys' rows of the edge
-    table, a keyed ``(b; s)`` shard the shuffle routes column-wise."""
-    edges = _packed_edges(shard) if _cogrouped(shard, 2) else None
-    if edges is None:
-        return NotImplemented
-    degrees, targets, weights = edges
-    keep = np.repeat(shard.counts(1) > 0, degrees)
+    """``score/invert``: a selected point's adjacency record (by symmetry,
+    the edges whose neighbor endpoint it is) re-keyed to the other
+    endpoint — the selected keys' rows of the edge table, as a keyed
+    ``(b; s)`` shard the shuffle routes column-wise."""
+    grouped = _grouped(shard, 2, "score/invert")
+    if grouped is None:
+        return []
+    degrees, targets, weights = _packed_edges(grouped, "score/invert")
+    keep = np.repeat(grouped.counts(1) > 0, degrees)
     if not keep.any():
         return []
     return ColumnarShard(targets[keep], (weights[keep],))
 
 
-def _point_mass(kv) -> List[float]:
-    """``score/per_point``: a selected point's summed weight to selected
-    neighbors — left to right in arrival order, one add per edge (builtin
-    ``sum`` is compensated on Python >= 3.12)."""
-    _b, (weights, in_solution) = kv
-    if not in_solution:
-        return []
-    mass = 0.0
-    for weight in weights:
-        mass += weight
-    return [mass]
-
-
 def _point_mass_batch(shard):
-    """``score/per_point`` as one segment reduction: ``np.bincount`` adds
-    each key's weights one by one in arrival order — the row loop's sum."""
-    if not _cogrouped(shard, 2):
-        return NotImplemented
-    segments, columns = shard.inputs[0]
-    if len(columns) != 1 or columns[0].dtype != np.float64:
-        return NotImplemented  # edges that arrived as rows
-    mass = np.bincount(segments, weights=columns[0], minlength=len(shard))
-    return ColumnarShard(None, (mass[shard.counts(1) > 0],))
+    """``score/per_point``: each selected point's summed weight to
+    selected neighbors, one segment reduction — ``np.bincount`` adds a
+    key's weights one by one in arrival order (builtin ``sum`` is
+    compensated on Python >= 3.12).  A shard no edge reached holds the
+    empty row part's object column: masses ``0.0``."""
+    grouped = _grouped(shard, 2, "score/per_point")
+    if grouped is None:
+        return []
+    segments, (weights,) = grouped.inputs[0]
+    mass = np.bincount(
+        segments, weights=weights.astype(np.float64, copy=False),
+        minlength=len(grouped),
+    )
+    return ColumnarShard(None, (mass[grouped.counts(1) > 0],))
 
 
 class SelectedEdgeMass(PTransform):
@@ -890,10 +761,11 @@ class SelectedEdgeMass(PTransform):
     points' edges re-keyed to their other endpoint.
 
     Columns end to end with the columnar adjacency source (as for
-    :class:`BoundingFilter`): ``score/invert`` repeats and masks the
-    adjacency's child columns and ``score/per_point`` is one
-    ``np.bincount`` per shard; both sum in the same order as their row
-    forms, so the mass is identical to the last bit either way.
+    :class:`BoundingFilter`, whose key and row rules hold here too):
+    ``score/invert`` repeats and masks the adjacency's child columns and
+    ``score/per_point`` is one ``np.bincount`` per shard, summing in
+    arrival order, so the mass is identical to the last bit on every
+    plan and executor.
     """
 
     def __init__(self, solution: PCollection, *, name: str = "SelectedEdgeMass") -> None:
@@ -904,15 +776,13 @@ class SelectedEdgeMass(PTransform):
         half_edges = cogroup(
             [neighbors, self.solution], name="score/neighbor_join"
         ).flat_map(
-            BatchDoFn(
-                _selected_edges, _selected_edges_batch, label="score/invert"
-            ),
+            BatchDoFn(None, _selected_edges_batch, label="score/invert"),
             name="score/invert",
         ).as_keyed(name="score/invert_key")
         return cogroup(
             [half_edges, self.solution], name="score/source_join"
         ).flat_map(
-            BatchDoFn(_point_mass, _point_mass_batch, label="score/per_point"),
+            BatchDoFn(None, _point_mass_batch, label="score/per_point"),
             name="score/per_point",
         )
 
@@ -928,7 +798,8 @@ class PartitionedGreedy(PTransform):
     per-group greedy runs inside the shuffle read).
 
     Partition assignment is seeded and counter-based: point ``v`` goes to
-    :func:`partition_of` ``(v, assignment_seed, m_round)`` — a SplitMix64
+    :func:`~repro.core.sampling.partition_of` ``(v, assignment_seed,
+    m_round)`` — a SplitMix64
     hash of the ``(id, seed)`` pair scaled to ``[0, m_round)``, iid
     uniform over ids — so a fixed ``assignment_seed`` reproduces the
     round exactly on any backend, and no RNG object exists per record.
@@ -937,11 +808,11 @@ class PartitionedGreedy(PTransform):
     |P|, input_size)`` of them, by
     :func:`~repro.core.distributed.partition_greedy` over its sorted ids —
     the in-memory engine's round, bit for bit.
-    The ``key_by`` carries the hash's column twin
-    (:func:`partition_of_column`): a whole shard is assigned in one call
-    and leaves keyed and columnar, so the shuffle write stays in NumPy,
-    and the per-group greedy reads each partition's ids as one slice of
-    the group read's grouped column.
+    The ``key_by`` hashes a whole shard in one call
+    (:func:`~repro.core.sampling.partition_of_column`), which leaves keyed
+    and columnar, so the shuffle write stays in NumPy, and the per-group
+    greedy reads each partition's ids as one slice of the group read's
+    grouped column.
     """
 
     def __init__(
@@ -969,9 +840,6 @@ class PartitionedGreedy(PTransform):
         n_round, input_size = self.n_round, self.input_size
         seed, m_round = self.assignment_seed, self.m_round
 
-        def assign(v: int) -> int:
-            return partition_of(v, seed, m_round)
-
         def assign_batch(shard):
             # One hash over the shard's id column, emitted keyed and
             # columnar so the shuffle write routes it without row tuples.
@@ -980,8 +848,8 @@ class PartitionedGreedy(PTransform):
                 return []
             return ColumnarShard(partition_of_column(ids, seed, m_round), (ids,))
 
-        grouped = survivors.key_by(
-            BatchDoFn(assign, assign_batch, label="greedy/partition"),
+        partitions = survivors.key_by(
+            BatchDoFn(None, assign_batch, label="greedy/partition"),
             name="greedy/partition",
         ).group_by_key(name="greedy/group")
 
@@ -990,23 +858,20 @@ class PartitionedGreedy(PTransform):
             target = RoundShapes.part_target(n_round, part.size, input_size)
             return partition_greedy(problem, part, target, base_penalty)
 
-        def select_in_partition(kv):
-            _pid, members = kv
-            return select(np.asarray(members, dtype=np.int64)).tolist()
-
         def select_batch(shard):
             # Each partition's ids are one slice of the group read's
             # grouped id column — no per-partition list to rebuild.
-            if not _cogrouped(shard, 1):
-                return NotImplemented
-            members = shard.lists(0)
+            grouped = _grouped(shard, 1, "greedy/select")
+            if grouped is None:
+                return []
+            members = grouped.lists(0)
             ids = members.children[0].astype(np.int64, copy=False)
             bounds = members.offsets.tolist()
             return ColumnarShard(None, (np.concatenate([
                 select(ids[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
             ]),))
 
-        return grouped.flat_map(
-            BatchDoFn(select_in_partition, select_batch, label="greedy/select"),
+        return partitions.flat_map(
+            BatchDoFn(None, select_batch, label="greedy/select"),
             name="greedy/select",
         )

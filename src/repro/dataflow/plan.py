@@ -78,16 +78,20 @@ intermediate you will fan out from later to pin it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import (
     Any, Callable, Iterable, List, NamedTuple, Optional, Tuple,
 )
 
 from repro.dataflow.columnar import (
+    BatchDoFn,
+    CoGroupedShard,
     ColumnarShard,
     apply_batch_op,
     as_records,
     batch_prefix_len,
+    no_row_form,
 )
 
 
@@ -116,10 +120,14 @@ class Fold:
     output of its producing chain, the merge on the routed partials,
     which are accumulators — so a batch fold is one whose accumulators
     fold like values (``merge`` agrees with ``add``, as for sums, counts
-    and top-k lists).  Any other shard (rows, non-integer keys, an empty
-    shard) runs ``add``/``merge`` per record, as does the naive plan, so
-    a ``batch`` fold is held to the same differential bit-identity bar as
-    every other rewrite.
+    and top-k lists).  The naive plan calls it once per grouped shard,
+    on the group read's flat ``(key; value)`` columns
+    (:meth:`fold_grouped`).  Any other shard (rows, non-integer keys, an
+    empty shard) runs ``add``/``merge`` per record, so a ``batch`` fold
+    is held to the same differential bit-identity bar as every other
+    rewrite.  ``add=None`` declares a fold with no row form (the library
+    folds): there ``add`` — and ``merge``, unless given — raise
+    :func:`~repro.dataflow.columnar.no_row_form`.
     """
 
     __slots__ = ("zero", "add", "merge", "label", "batch")
@@ -127,12 +135,14 @@ class Fold:
     def __init__(
         self,
         zero: Callable[[], Any],
-        add: Callable[[Any, Any], Any],
+        add: Optional[Callable[[Any, Any], Any]],
         merge: Optional[Callable[[Any, Any], Any]] = None,
         *,
         label: str = "fold",
         batch: Optional[Callable[[ColumnarShard], ColumnarShard]] = None,
     ) -> None:
+        if add is None:
+            add = functools.partial(no_row_form, label, list)
         self.zero = zero
         self.add = add
         self.merge = merge if merge is not None else add
@@ -144,6 +154,17 @@ class Fold:
         for value in values:
             acc = self.add(acc, value)
         return acc
+
+    def fold_grouped(self, shard: Any) -> Any:
+        """``batch`` over a group read's one-input grouped view: its flat
+        ``(key; value)`` columns — keys in first-appearance order, values
+        in arrival order, what the lifted pre-combine folds too — give
+        one row per key in the view's key order.  ``NotImplemented`` for
+        any other shard, whose value lists then go through ``add``."""
+        if not (isinstance(shard, CoGroupedShard) and len(shard.inputs) == 1):
+            return NotImplemented
+        segments, columns = shard.inputs[0]
+        return self.batch(ColumnarShard(shard.keys[segments], columns))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Fold({self.label})"
@@ -310,14 +331,25 @@ def _chain_iter(records, ops: tuple):
     return it
 
 
+def _batch_op(kind: str, fn: Any) -> Tuple[str, Any]:
+    """A chain op as the chain runs it.  A batch :class:`Fold` under
+    ``map_values`` — the naive plan's unlifted ``group_by_key →
+    map_values(Fold)`` — runs as a :class:`BatchDoFn` whose kernel is
+    :meth:`Fold.fold_grouped`; every other op is itself."""
+    if kind == "map_values" and isinstance(fn, Fold) and fn.batch is not None:
+        return kind, BatchDoFn(fn, fn.fold_grouped, label=fn.label)
+    return kind, fn
+
+
 class _FusedChain:
     """A fused element-wise chain plus its one batch-prefix decision.
 
     ``ops`` are ``(kind, fn)`` pairs in execution order; ``n_batch`` is
     how many leading ops run whole-shard (ops declared as
-    :class:`BatchDoFn`).  Plain callables have an empty prefix, so the
-    row path is the automatic fallback — and the differential reference:
-    declare the same op without ``batch`` to reach it.
+    :class:`BatchDoFn`, and batch folds: :func:`_batch_op`).  Plain
+    callables have an empty prefix, so the row path is the automatic
+    fallback — and the differential reference: declare the same op
+    without ``batch`` to reach it.
 
     Built once per fusion walk, at planning time (:class:`_Chain`), so
     the stage function, the :class:`StageProfile` and the rendered
@@ -328,7 +360,7 @@ class _FusedChain:
     __slots__ = ("ops", "n_batch")
 
     def __init__(self, ops) -> None:
-        self.ops = tuple(ops)
+        self.ops = tuple(_batch_op(kind, fn) for kind, fn in ops)
         self.n_batch = batch_prefix_len(self.ops)
 
     @property

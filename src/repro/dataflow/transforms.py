@@ -5,7 +5,8 @@ declared-reduction handle for the plan optimizer: writing
 ``group_by_key().map_values(Fold(zero, add, merge))`` lets combiner lifting
 rewrite the pair to ``combine_per_key`` with pre-shuffle partial
 aggregation, while the naive plan (``optimize=False``) applies the fold to
-the grouped value lists directly.
+the grouped value lists directly — or, for a ``Fold(batch=...)``, its
+``batch`` once to a grouped shard's flat columns.
 
 Order statistics — the bounding thresholds ``U^k_min`` / ``U^k_max`` —
 are :class:`~repro.dataflow.library.OrderStatistics`: one columnar fold

@@ -8,13 +8,16 @@ on CIFAR/ImageNet.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.csr import NeighborGraph
 from repro.graph.knn import exact_knn
 from repro.utils.rng import SeedLike
+
+if TYPE_CHECKING:  # the engine loads only for ``method="ann"``
+    from repro.dataflow.options import EngineOptions
 
 
 def symmetrize_knn(
@@ -47,6 +50,7 @@ def build_knn_graph(
     method: str = "exact",
     seed: SeedLike = 0,
     block_size: int = 1024,
+    options: "Optional[EngineOptions]" = None,
 ) -> Tuple[NeighborGraph, np.ndarray, np.ndarray]:
     """End-to-end graph construction: kNN search + symmetrization.
 
@@ -55,9 +59,9 @@ def build_knn_graph(
     method:
         ``"exact"`` (blocked brute force) or ``"ann"``: ScaNN's IVF stage,
         run by the dataflow kNN build
-        (:func:`repro.dataflow.knn_beam.beam_knn_graph`) on default
-        :class:`~repro.dataflow.options.EngineOptions` with 4 probes and
-        10 k-means iterations.
+        (:func:`repro.dataflow.knn_beam.beam_knn_graph`) on ``options``
+        (default :class:`~repro.dataflow.options.EngineOptions` when
+        ``None``) with 4 probes and 10 k-means iterations.
 
     Returns
     -------
@@ -71,7 +75,7 @@ def build_knn_graph(
         from repro.dataflow.knn_beam import beam_knn_graph
 
         graph, neighbors, sims, _ = beam_knn_graph(
-            embeddings, k, nprobe=4, n_iter=10, seed=seed
+            embeddings, k, nprobe=4, n_iter=10, seed=seed, options=options
         )
         return graph, neighbors, sims
     raise ValueError(f"unknown method {method!r}; use 'exact' or 'ann'")

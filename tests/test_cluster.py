@@ -6,6 +6,8 @@ import pytest
 from repro.cluster.costmodel import CostModel, table4_rows
 from repro.cluster.machine import GB, MachineSpec, greedy_state_bytes
 from repro.cluster.simulator import ClusterSimulator, PartitionTooLargeError
+from repro.core.distributed import random_partitioner
+from repro.utils.rng import as_generator
 
 
 class TestMachineModel:
@@ -118,11 +120,19 @@ class TestSimulator:
         with pytest.raises(PartitionTooLargeError):
             sim.run(tiny_problem, 60, m=2, rounds=1, seed=0)
 
+    @staticmethod
+    def _largest_drawn(problem, m, seed):
+        """The largest first-round partition ``run(..., m=m, seed=seed)``
+        draws: Alg. 6's hashed partition, from the same generator."""
+        parts = random_partitioner(
+            1, np.arange(problem.n), m, as_generator(seed)
+        )
+        return max(part.size for part in parts)
+
     def test_partition_exactly_at_capacity_fits(self, tiny_problem):
         """The DRAM check is ``state > dram``: a partition whose state
         fills the machine to the byte runs; one byte less refuses it."""
-        partition = int(np.ceil(tiny_problem.n / 2))
-        cap = greedy_state_bytes(partition)
+        cap = greedy_state_bytes(self._largest_drawn(tiny_problem, 2, 0))
         run = ClusterSimulator(MachineSpec(dram_bytes=cap)).run(
             tiny_problem, 60, m=2, rounds=1, seed=0
         )
@@ -133,9 +143,20 @@ class TestSimulator:
             )
 
     def test_more_machines_smaller_partitions_fit(self, tiny_problem):
-        cap = greedy_state_bytes(int(np.ceil(tiny_problem.n / 8)) + 1)
+        cap = greedy_state_bytes(self._largest_drawn(tiny_problem, 8, 0))
         sim = ClusterSimulator(MachineSpec(dram_bytes=cap))
         run = sim.run(tiny_problem, 60, m=8, rounds=2, seed=0)
-        assert run.peak_partition_bytes <= cap
+        assert run.peak_partition_bytes == cap
         with pytest.raises(PartitionTooLargeError):
             sim.run(tiny_problem, 60, m=2, rounds=1, seed=0)
+
+    def test_dram_check_reads_the_drawn_partition(self, tiny_problem):
+        """Hashed partitions are iid, not balanced: a machine that holds
+        the nominal ``ceil(N / m)`` points can still be refused the part
+        the round actually drew."""
+        nominal = int(np.ceil(tiny_problem.n / 4))
+        drawn = self._largest_drawn(tiny_problem, 4, 0)
+        assert drawn > nominal
+        sim = ClusterSimulator(MachineSpec(dram_bytes=greedy_state_bytes(nominal)))
+        with pytest.raises(PartitionTooLargeError, match=f"partition of {drawn} "):
+            sim.run(tiny_problem, 60, m=4, rounds=1, seed=0)

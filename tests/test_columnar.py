@@ -59,7 +59,6 @@ from repro.dataflow.executor import (
     loads_with_broadcast,
 )
 from repro.dataflow import library
-from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import (
     Fold,
     Pipeline,
@@ -927,6 +926,29 @@ class TestBatchVsRowDeclaration:
         assert sum(calls[:4]) == 300 and sum(calls[4:]) == 9
         assert len(calls) == 8
 
+    def test_naive_plan_runs_a_fold_batch_once_per_grouped_shard(self):
+        """Under ``optimize=False`` the unlifted ``group_by_key →
+        map_values(Fold)`` calls ``batch`` once per grouped shard, on its
+        flat ``(key; value)`` columns, and never ``add`` (this fold has
+        none): the lifted combine's records, shard by shard."""
+        calls = []
+
+        def batch_fn(shard):
+            calls.append(len(shard))
+            return _sum_by_key(shard)
+
+        pairs = ColumnarShard(np.arange(300) % 9 - 4, (np.arange(300),))
+        runs = []
+        for optimize in (False, True):
+            pipeline = Pipeline(num_shards=4, optimize=optimize)
+            runs.append(_shards(pipeline.create_keyed(pairs).group_by_key(
+            ).map_values(Fold(int, None, batch=batch_fn))))
+            if not optimize:
+                # Keys -4..4 fill all four shards: one call per shard.
+                assert len(calls) == 4 and sum(calls) == 300
+                assert pipeline.metrics.stage_profiles[-1].vectorized
+        assert runs[0] == runs[1]
+
     def test_batch_fold_declines_empty_and_non_int_shards(self):
         """An empty shard and a non-integer key column run the scalar fold
         (the segment kernels need integer keys) — same records."""
@@ -959,118 +981,3 @@ class TestBatchVsRowDeclaration:
         assert _group_shard(ColumnarShard(
             np.array(["x", "y", "x"]), (np.arange(3),)
         )) == [("x", [0, 2]), ("y", [1])]
-
-
-class TestLibraryBeamsBatchVsRow:
-    """The library composites declare their hot DoFns as ``BatchDoFn``
-    and their folds with ``batch``; stripping the declarations (so the
-    scalar reference DoFns and folds run) must not move one bit of a
-    beam's output."""
-
-    @staticmethod
-    def _strip_batch(monkeypatch):
-        monkeypatch.setattr(
-            library, "BatchDoFn", lambda fn, batch, label=None: fn
-        )
-        monkeypatch.setattr(
-            library, "Fold",
-            lambda zero, add, merge=None, *, label="fold", batch=None: Fold(
-                zero, add, merge, label=label
-            ),
-        )
-
-    def test_knn_beam(self, monkeypatch):
-        from repro.dataflow.knn_beam import beam_knn_graph
-
-        x = np.random.default_rng(0).standard_normal((150, 8))
-
-        def build():
-            _, neighbors, sims, metrics = beam_knn_graph(
-                x, 4, n_clusters=5, options=EngineOptions(num_shards=4)
-            )
-            return neighbors, sims, metrics
-
-        neighbors, sims, metrics = build()
-        assert metrics.vectorized_stages > 0
-        self._strip_batch(monkeypatch)
-        row_neighbors, row_sims, row_metrics = build()
-        assert row_metrics.vectorized_stages == 0
-        np.testing.assert_array_equal(neighbors, row_neighbors)
-        np.testing.assert_array_equal(sims, row_sims)
-
-    @pytest.mark.parametrize("mode", ["exact", "approximate"])
-    def test_bounding_beam(self, monkeypatch, mode):
-        """``bound/invert``'s batch twin (the live edges as a keyed
-        ``ColumnarShard``, routed column-wise) vs its row fn."""
-        from repro.core.problem import SubsetProblem
-        from repro.data.registry import load_dataset
-        from repro.dataflow import beam_bound
-
-        ds = load_dataset("cifar100_tiny", n_points=200, seed=0)
-        problem = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
-
-        def build():
-            result, metrics = beam_bound(
-                problem, 50, mode=mode, p=0.7, seed=3,
-                options=EngineOptions(num_shards=4),
-            )
-            return result, metrics
-
-        result, metrics = build()
-        assert metrics.vectorized_stages > 0
-        self._strip_batch(monkeypatch)
-        row_result, row_metrics = build()
-        assert row_metrics.vectorized_stages == 0
-        np.testing.assert_array_equal(result.solution, row_result.solution)
-        np.testing.assert_array_equal(result.remaining, row_result.remaining)
-        assert result.k_remaining == row_result.k_remaining
-
-    def test_greedy_beam(self, monkeypatch):
-        """``greedy/partition``'s ``key_by`` twin (one hash per shard,
-        routed column-wise) vs its per-record fn."""
-        from repro.core.problem import SubsetProblem
-        from repro.data.registry import load_dataset
-        from repro.dataflow.greedy_beam import beam_distributed_greedy
-
-        ds = load_dataset("cifar100_tiny", n_points=200, seed=0)
-        problem = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
-
-        def build():
-            return beam_distributed_greedy(
-                problem, 20, m=4, rounds=3, seed=5,
-                options=EngineOptions(num_shards=4),
-            )
-
-        result, metrics = build()
-        assert metrics.vectorized_stages > 0
-        self._strip_batch(monkeypatch)
-        row_result, row_metrics = build()
-        assert row_metrics.vectorized_stages == 0
-        np.testing.assert_array_equal(result.selected, row_result.selected)
-        assert result.rounds == row_result.rounds
-        assert metrics.shuffled_records == row_metrics.shuffled_records
-
-    def test_score_beam(self, monkeypatch):
-        """``score/invert`` (repeat/mask over the adjacency columns) and
-        ``score/per_point`` (one ``np.bincount``) vs their row fns: the
-        same float, the same shuffle."""
-        from repro.core.problem import SubsetProblem
-        from repro.data.registry import load_dataset
-        from repro.dataflow import beam_score
-
-        ds = load_dataset("cifar100_tiny", n_points=200, seed=0)
-        problem = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
-        subset = np.random.default_rng(1).choice(200, 70, replace=False)
-
-        def build():
-            return beam_score(
-                problem, subset, options=EngineOptions(num_shards=4)
-            )
-
-        score, metrics = build()
-        assert metrics.vectorized_stages > 0
-        self._strip_batch(monkeypatch)
-        row_score, row_metrics = build()
-        assert row_metrics.vectorized_stages == 0
-        assert score == row_score
-        assert metrics.shuffled_records == row_metrics.shuffled_records

@@ -192,14 +192,13 @@ class TestOrderStatistics:
 
     @settings(max_examples=60, deadline=None)
     @given(_VALUES, st.data())
-    @pytest.mark.parametrize("form", ["columns", "rows"])
     @pytest.mark.parametrize("exact_cap", [4096, 3])
-    def test_kth_largest_matches_partition(self, form, exact_cap, values, data):
+    def test_kth_largest_matches_partition(self, exact_cap, values, data):
         n = len(values)
         k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
         pipeline = Pipeline(num_shards=3)
         stats = OrderStatistics(
-            _keyed_values(pipeline, values, form), exact_cap=exact_cap
+            _keyed_values(pipeline, values, "columns"), exact_cap=exact_cap
         )
         threshold = stats.kth_largest(k)
         assert threshold == _expected_kth(values, k)
@@ -210,18 +209,12 @@ class TestOrderStatistics:
             0, threshold
         )
 
-    @pytest.mark.parametrize("form", ["columns", "rows"])
-    def test_columns_of_tuple_values(self, form):
+    def test_columns_of_tuple_values(self):
         rng = np.random.default_rng(1)
         lower = rng.normal(size=300)
         umax = lower + rng.random(300)
         pipeline = Pipeline(num_shards=4)
-        if form == "columns":
-            pc = pipeline.create_keyed(ColumnarShard(np.arange(300), (lower, umax)))
-        else:
-            pc = pipeline.create_keyed(
-                [(i, (a, b)) for i, (a, b) in enumerate(zip(lower, umax))]
-            )
+        pc = pipeline.create_keyed(ColumnarShard(np.arange(300), (lower, umax)))
         for cap in (4096, 16):
             stats = OrderStatistics(pc, exact_cap=cap)
             t = stats.kth_largest(40, 1)
@@ -237,15 +230,14 @@ class TestOrderStatistics:
         )
         assert stats.kth_largest(1234) == _expected_kth(values, 1234)
 
-    @pytest.mark.parametrize("form", ["columns", "rows"])
     @pytest.mark.parametrize(
         "values",
         [[2.0] * 50, [-0.0] * 30 + [0.0] * 30, [1.0] * 40 + [3.0] * 40],
         ids=["constant", "signed-zeros", "two-values"],
     )
-    def test_more_equal_values_than_the_cap_terminates(self, form, values):
+    def test_more_equal_values_than_the_cap_terminates(self, values):
         pipeline = Pipeline(num_shards=3)
-        pc = _keyed_values(pipeline, values, form)
+        pc = _keyed_values(pipeline, values, "columns")
         for k in (1, len(values) // 2, len(values)):
             stats = OrderStatistics(pc, exact_cap=4)
             assert stats.kth_largest(k) == _expected_kth(values, k)
@@ -314,6 +306,21 @@ class TestOrderStatistics:
         )
         assert stats.kth_largest(77) == -3.5
         assert folds == ["order/histogram"]
+
+    @pytest.mark.parametrize(
+        "values", [[(0.5, 1.5)] * 6, [2.5] * 6], ids=["tuples", "floats"]
+    )
+    def test_row_records_are_a_type_error(self, values):
+        """Each fold has only its whole-shard form: row records raise the
+        one ``TypeError``, naming the fold and the row shard's type."""
+        pipeline = Pipeline(num_shards=3)
+        rows = pipeline.create_keyed(list(enumerate(values)))
+        with pytest.raises(TypeError, match="'order/collect'.*list"):
+            OrderStatistics(rows).kth_largest(2)
+        with pytest.raises(TypeError, match="'order/histogram'.*list"):
+            OrderStatistics(rows, exact_cap=2).kth_largest(2)
+        with pytest.raises(TypeError, match="'order/count'.*list"):
+            OrderStatistics(rows, exact_cap=2).count_above(0, 1.0)
 
     def test_k_out_of_range(self):
         pipeline = Pipeline(2)

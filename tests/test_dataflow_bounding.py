@@ -16,11 +16,10 @@ from repro.dataflow import (
     EngineOptions,
     beam_bound,
     beam_score,
-    library,
 )
 from repro.dataflow.bounding_beam import BeamBoundingDriver
 from repro.dataflow.columnar import ColumnarShard, ListColumn
-from repro.dataflow.library import BoundingFilter, by_point
+from repro.dataflow.library import BoundingFilter, SelectedEdgeMass, by_point
 from repro.dataflow.pcollection import Pipeline
 from repro.graph.csr import NeighborGraph
 from tests.conftest import random_problem
@@ -243,6 +242,25 @@ class TestBoundIsBeamBound:
                         got, want = got.tolist(), want.tolist()
                     assert got == want, (n, k, seed, name)
 
+    @pytest.mark.parametrize("mode", BOUND_MODES)
+    def test_same_decisions_when_a_join_shard_gets_no_edges(
+        self, matrix_executor, mode
+    ):
+        """On 3 shards, some ``bound/bounds_join`` destination of this
+        instance receives no edge record: ``bound/reduce`` reads its empty
+        edge input as "no edges" (both masses ``0.0``)."""
+        instance = random_problem(12, seed=3, avg_degree=3)
+        mem = bound(instance, 2, seed=0, **BOUND_MODES[mode])
+        beam, _ = beam_bound(
+            instance, 2, seed=0, **BOUND_MODES[mode],
+            options=EngineOptions(executor=matrix_executor, num_shards=3),
+        )
+        for name in DECISIONS:
+            got, want = getattr(beam, name), getattr(mem, name)
+            if isinstance(want, np.ndarray):
+                got, want = got.tolist(), want.tolist()
+            assert got == want, name
+
 
 @pytest.mark.parametrize("bad", [
     {"mode": "approximat"},
@@ -282,18 +300,11 @@ def _adjacency_source(pipeline, g):
     )
 
 
-def _strip_batch_twins(monkeypatch):
-    """The same composites built from plain callables: the row path."""
-    monkeypatch.setattr(
-        library, "BatchDoFn", lambda fn, batch, label=None: fn
-    )
-
-
 def _one_round(problem, *, num_shards, optimize, spill, **sampling):
     """``BoundingFilter`` over a mid-drive state — a partial solution, a
     remaining set, and points in neither (shrunk away) — two rounds with
-    different salts.  Returns the bounds and the counters that must not
-    depend on which path ran."""
+    different salts.  Returns the bounds and how many stages ran
+    vectorized."""
     n = problem.n
     g = problem.graph
     with Pipeline(
@@ -319,11 +330,7 @@ def _one_round(problem, *, num_shards, optimize, spill, **sampling):
             )).to_list()
             for salt in (1, 2)
         ]
-        metrics = pipeline.metrics
-        return bounds, (
-            metrics.shuffled_records, metrics.peak_shard_records,
-            metrics.executed_stages,
-        ), metrics.vectorized_stages
+        return bounds, pipeline.metrics.vectorized_stages
 
 
 SAMPLING = {
@@ -333,31 +340,24 @@ SAMPLING = {
 }
 
 
-class TestBoundingFilterColumnsVsRows:
-    """The composite as shipped (batch twins over the co-grouped view)
-    against the same composite built from plain callables: every bound
-    to the last bit, in the same order, with the same counters."""
+class TestBoundingFilterAcrossPlans:
+    """The composite over the co-grouped view: every bound to the last
+    bit, in the same order, on every plan and storage cell."""
 
-    @pytest.mark.parametrize("spill", [False, True], ids=["memory", "spill"])
-    @pytest.mark.parametrize("optimize", [True, False], ids=["optimized", "naive"])
     @pytest.mark.parametrize("num_shards", [1, 8])
     @pytest.mark.parametrize("sampling", SAMPLING)
-    def test_bit_identical_bounds_and_counters(
-        self, monkeypatch, sampling, num_shards, optimize, spill
-    ):
+    def test_plan_and_spill_cells_bit_identical(self, sampling, num_shards):
         problem = random_problem(120, seed=5, avg_degree=6)
-        config = dict(
-            num_shards=num_shards, optimize=optimize, spill=spill,
-            **SAMPLING[sampling],
-        )
-        bounds, counters, vectorized = _one_round(problem, **config)
-        assert vectorized > 0
-        assert all(len(b) > 0 for b in bounds)
-        _strip_batch_twins(monkeypatch)
-        row_bounds, row_counters, row_vectorized = _one_round(problem, **config)
-        assert row_vectorized == 0
-        assert repr(bounds) == repr(row_bounds)
-        assert counters == row_counters
+        cells = []
+        for optimize, spill in itertools.product([True, False], repeat=2):
+            bounds, vectorized = _one_round(
+                problem, num_shards=num_shards, optimize=optimize,
+                spill=spill, **SAMPLING[sampling],
+            )
+            assert vectorized > 0
+            assert all(len(b) > 0 for b in bounds)
+            cells.append(repr(bounds))
+        assert len(set(cells)) == 1
 
     @pytest.mark.parametrize("sampler", ["uniform", "weighted"])
     def test_sampling_changes_the_bounds(self, sampler):
@@ -365,13 +365,13 @@ class TestBoundingFilterColumnsVsRows:
         only re-test exact mode)."""
         problem = random_problem(120, seed=5, avg_degree=6)
         config = dict(num_shards=8, optimize=True, spill=False)
-        exact, _, _ = _one_round(problem, **config, **SAMPLING["exact"])
-        sampled, _, _ = _one_round(problem, **config, **SAMPLING[sampler])
+        exact, _ = _one_round(problem, **config, **SAMPLING["exact"])
+        sampled, _ = _one_round(problem, **config, **SAMPLING[sampler])
         assert [kv[0] for kv in exact[0]] == [kv[0] for kv in sampled[0]]
         assert exact[0] != sampled[0] and sampled[0] != sampled[1]
 
     @pytest.mark.parametrize("num_shards", [1, 8])
-    def test_masses_are_summed_left_to_right(self, monkeypatch, num_shards):
+    def test_masses_are_summed_left_to_right(self, num_shards):
         """Summation order is part of the contract.  Point 0's unassigned
         mass is ``1e16 + 1.0 - 1e16``: left to right that is ``0.0``; a
         compensated sum (builtin ``sum`` on Python >= 3.12) or a pairwise
@@ -412,8 +412,40 @@ class TestBoundingFilterColumnsVsRows:
 
         bounds = run()
         assert bounds[0] == (0.5, 0.5)  # both masses cancel to exactly 0.0
-        _strip_batch_twins(monkeypatch)
-        assert run() == bounds
+
+
+class TestRowRecords:
+    """The library ops have one form, their whole-shard kernel: fed row
+    records, a composite raises one ``TypeError`` naming the op and the
+    shard's type — the row grouping's ``list``, or a grouped view whose
+    adjacency arrived as rows — and runs no per-record copy."""
+
+    @pytest.fixture
+    def rows(self):
+        g = random_problem(30, seed=4, avg_degree=4).graph
+        with Pipeline(num_shards=3) as pipeline:
+            neighbors = pipeline.create_keyed(_adjacency_records(g))
+            solution = pipeline.create_keyed([(v, True) for v in range(0, 30, 3)])
+            yield pipeline, neighbors, solution
+
+    @pytest.mark.parametrize("columnar_state", [False, True], ids=["rows", "mixed"])
+    def test_bounding_filter(self, rows, columnar_state):
+        pipeline, neighbors, solution = rows
+        state = [(v, True) for v in range(30) if v % 3]
+        if columnar_state:  # the join reads a grouped view, adjacency as rows
+            state = by_point(np.ones(30, dtype=bool))
+        remaining = pipeline.create_keyed(state)
+        utilities = pipeline.create_keyed([(v, 1.0) for v in range(30)])
+        shard_type = "CoGroupedShard" if columnar_state else "list"
+        with pytest.raises(TypeError, match=f"'bound/invert'.*{shard_type}"):
+            remaining.apply(BoundingFilter(
+                neighbors, utilities, solution, ratio=1.0
+            )).to_list()
+
+    def test_selected_edge_mass(self, rows):
+        _pipeline, neighbors, solution = rows
+        with pytest.raises(TypeError, match="'score/invert'.*list"):
+            neighbors.apply(SelectedEdgeMass(solution)).to_list()
 
 
 class TestBoundsGolden:
@@ -512,6 +544,20 @@ class TestBeamScoring:
             p, subset, options=EngineOptions("sequential", num_shards=4)
         )
         assert score == golden
+
+    @pytest.mark.parametrize("num_shards", [4, 8])
+    def test_a_join_shard_with_no_selected_edge(self, num_shards):
+        """Ids 3 and 4 of this instance leave some ``score/source_join``
+        destination without an edge record: ``score/per_point`` reads its
+        empty edge input as mass ``0.0``."""
+        p = random_problem(8, seed=1, avg_degree=3)
+        ids = np.array([3, 4])
+        score, _ = beam_score(
+            p, ids, options=EngineOptions(num_shards=num_shards)
+        )
+        assert score == pytest.approx(
+            PairwiseObjective(p).value(ids), abs=1e-12
+        )
 
     def test_memory_bound(self, problem):
         ids = np.arange(0, problem.n, 2)

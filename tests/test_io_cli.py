@@ -126,6 +126,35 @@ class TestCLI:
         assert objective(**knn) in out
         assert objective() not in out
 
+    @pytest.mark.parametrize("source", ["preset", "embeddings"])
+    def test_ann_graph_is_built_on_the_engine_flags(
+        self, ds, tmp_path, monkeypatch, source
+    ):
+        """``--knn-method ann`` builds its graph on the command's engine
+        options, not on the defaults."""
+        from repro.dataflow import EngineOptions, knn_beam
+
+        seen = []
+        build = knn_beam.beam_knn_graph
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("options"))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(knn_beam, "beam_knn_graph", recording)
+        if source == "preset":
+            data = ["--preset", "cifar100_tiny", "--n-points", "200"]
+        else:
+            emb = str(tmp_path / "x.npy")
+            np.save(emb, ds.embeddings)
+            data = ["--embeddings", emb, "--knn-k", "5"]
+        code = main([
+            "select", *data, "--k", "20", "--knn-method", "ann",
+            "--no-optimize", "--num-shards", "3",
+        ])
+        assert code == 0
+        assert seen == [EngineOptions(optimize=False, num_shards=3)]
+
     def test_select_from_npy_files(self, ds, tmp_path, capsys):
         emb = str(tmp_path / "x.npy")
         lab = str(tmp_path / "y.npy")

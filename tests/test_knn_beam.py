@@ -144,15 +144,13 @@ class TestIvfReference:
             top_sims[q] = sims[q, hosts[order]]
         return neighbors, np.maximum(top_sims, 0.0)
 
-    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
     @pytest.mark.parametrize(
         "num_shards,optimize", [(8, True), (8, False), (3, True)]
     )
     def test_matches_reference_with_exact_ties(
-        self, monkeypatch, num_shards, optimize, rows
+        self, monkeypatch, num_shards, optimize
     ):
         from repro.dataflow import knn_beam
-        from tests.test_columnar import TestLibraryBeamsBatchVsRow
 
         x, centroids = self._data()
         expected = self._reference(x, centroids)
@@ -160,8 +158,6 @@ class TestIvfReference:
         monkeypatch.setattr(
             knn_beam, "_fit_centroids", lambda *_args: centroids.copy()
         )
-        if rows:
-            TestLibraryBeamsBatchVsRow._strip_batch(monkeypatch)
         _, neighbors, sims, _ = beam_knn_graph(
             x, self.K, nprobe=self.NPROBE,
             options=EngineOptions(num_shards=num_shards, optimize=optimize),
