@@ -22,7 +22,9 @@ This module property-tests the primitives that carry that promise:
 - every batch-declared operator against the *same op declared without
   its* ``batch`` — the engine's automatic row fallback, which is the
   reference the batch twins are held to (there is no runtime switch:
-  dropping the declaration is how the row path is reached).
+  dropping the declaration is how the row path is reached);
+- the library beams (kNN, bounding, Alg. 6 greedy, scoring) on every
+  plan × storage cell against their in-memory references.
 """
 
 import pickle
@@ -58,7 +60,7 @@ from repro.dataflow.executor import (
     dumps_with_broadcast,
     loads_with_broadcast,
 )
-from repro.dataflow import library
+from repro.dataflow import EngineOptions, library
 from repro.dataflow.pcollection import (
     Fold,
     Pipeline,
@@ -981,3 +983,115 @@ class TestBatchVsRowDeclaration:
         assert _group_shard(ColumnarShard(
             np.array(["x", "y", "x"]), (np.arange(3),)
         )) == [("x", [0, 2]), ("y", [1])]
+
+
+#: The engine cells a library beam must not notice: both plans (the naive
+#: one runs every batch ``Fold`` once per grouped shard), each with the
+#: shards in memory and spilled to disk.
+PLAN_CELLS = [
+    dict(optimize=optimize, spill_to_disk=spill)
+    for optimize in (True, False) for spill in (False, True)
+]
+
+
+class TestLibraryBeams:
+    """Every library composite has one form, its whole-shard kernel: each
+    beam runs vectorized on every plan × storage cell, to the same bits,
+    with a shuffle that spilling does not change, and equals its
+    in-memory reference."""
+
+    @staticmethod
+    def _cells(build):
+        """``build(options)`` on every cell of :data:`PLAN_CELLS`:
+        ``[(output, metrics)]``, each cell's stages vectorized."""
+        runs = [
+            build(EngineOptions(num_shards=4, **cell)) for cell in PLAN_CELLS
+        ]
+        for (_, metrics), cell in zip(runs, PLAN_CELLS):
+            assert metrics.vectorized_stages > 0, cell
+        for memory, spilled in zip(runs[::2], runs[1::2]):
+            assert memory[1].shuffled_records == spilled[1].shuffled_records
+        return [output for output, _ in runs]
+
+    @staticmethod
+    def _cifar(n_points=200):
+        from repro.core.problem import SubsetProblem
+        from repro.data.registry import load_dataset
+
+        ds = load_dataset("cifar100_tiny", n_points=n_points, seed=0)
+        return SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
+
+    def test_knn_beam(self):
+        """Probing every cell makes the IVF search exhaustive: each cell
+        is the exact kNN."""
+        from repro.dataflow.knn_beam import beam_knn_graph
+        from repro.graph.knn import exact_knn
+
+        x = np.random.default_rng(0).standard_normal((150, 8))
+
+        def build(options):
+            _, neighbors, sims, metrics = beam_knn_graph(
+                x, 4, n_clusters=5, nprobe=5, options=options
+            )
+            return (neighbors, sims), metrics
+
+        want_neighbors, want_sims = exact_knn(x, 4)
+        for neighbors, sims in self._cells(build):
+            np.testing.assert_array_equal(neighbors, want_neighbors)
+            np.testing.assert_allclose(sims, want_sims, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exact", "approximate"])
+    def test_bounding_beam(self, mode):
+        """``bound/invert`` routes the live edges column-wise and
+        ``bound/reduce`` sums them left to right: the in-memory decisions
+        on every cell."""
+        from repro.core.bounding import bound
+        from repro.dataflow import beam_bound
+
+        problem = self._cifar()
+
+        def build(options):
+            return beam_bound(
+                problem, 50, mode=mode, p=0.7, seed=3, options=options
+            )
+
+        want = bound(problem, 50, mode=mode, p=0.7, seed=3)
+        for result in self._cells(build):
+            np.testing.assert_array_equal(result.solution, want.solution)
+            np.testing.assert_array_equal(result.remaining, want.remaining)
+            assert result.k_remaining == want.k_remaining
+
+    def test_greedy_beam(self):
+        """``greedy/partition`` hashes one shard at a time: the in-memory
+        Alg. 6 selection and round count on every cell."""
+        from repro.core.distributed import distributed_greedy
+        from repro.dataflow.greedy_beam import beam_distributed_greedy
+
+        problem = self._cifar()
+
+        def build(options):
+            return beam_distributed_greedy(
+                problem, 20, m=4, rounds=3, seed=5, options=options
+            )
+
+        want = distributed_greedy(problem, 20, m=4, rounds=3, seed=5)
+        for result in self._cells(build):
+            assert result.selected.tolist() == want.selected.tolist()
+            assert result.rounds == want.rounds
+
+    def test_score_beam(self):
+        """``score/invert`` (repeat/mask over the adjacency columns) and
+        ``score/per_point`` (one ``np.bincount``): one float on every
+        cell, the objective's value to rounding."""
+        from repro.core.objective import PairwiseObjective
+        from repro.dataflow import beam_score
+
+        problem = self._cifar()
+        subset = np.random.default_rng(1).choice(200, 70, replace=False)
+        scores = self._cells(lambda options: beam_score(
+            problem, subset, options=options
+        ))
+        assert len(set(scores)) == 1
+        assert scores[0] == pytest.approx(
+            PairwiseObjective(problem).value(subset), rel=1e-12
+        )

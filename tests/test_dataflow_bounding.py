@@ -8,7 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.bounding import bound
+from repro.core.bounding import (
+    _keep_at,
+    _LiveEdges,
+    _lower_bound,
+    _solution_mass,
+    _upper_bound,
+    bound,
+)
 from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
 from repro.dataflow import (
@@ -303,7 +310,8 @@ def _adjacency_source(pipeline, g):
 def _one_round(problem, *, num_shards, optimize, spill, **sampling):
     """``BoundingFilter`` over a mid-drive state — a partial solution, a
     remaining set, and points in neither (shrunk away) — two rounds with
-    different salts.  Returns the bounds and how many stages ran
+    different salts.  Returns the bounds, the counters that must not
+    depend on where the records are kept, and how many stages ran
     vectorized."""
     n = problem.n
     g = problem.graph
@@ -330,7 +338,30 @@ def _one_round(problem, *, num_shards, optimize, spill, **sampling):
             )).to_list()
             for salt in (1, 2)
         ]
-        return bounds, pipeline.metrics.vectorized_stages
+        metrics = pipeline.metrics
+        return bounds, (
+            metrics.shuffled_records, metrics.peak_shard_records,
+            metrics.executed_stages,
+        ), metrics.vectorized_stages
+
+
+def _memory_bounds(problem, salt, *, mode, sampler="uniform", p=1.0):
+    """``_one_round``'s bounds of round ``salt`` from the in-memory
+    bounding helpers: ``{id: (lower, umax)}`` over the remaining set."""
+    n = problem.n
+    solution = np.zeros(n, dtype=bool)
+    solution[::7] = True
+    remaining = np.array([bool(v % 7 and v % 5) for v in range(n)])
+    live = _LiveEdges.of(problem.graph, np.flatnonzero(remaining))
+    keep = None
+    if mode == "approximate":
+        keep = _keep_at(live, remaining, dict(
+            p=p, sampler=sampler, round_salt=salt, seed_salt=11
+        ))
+    mass = _solution_mass(live, solution)
+    lower = _lower_bound(problem, live, remaining, solution, mass, keep)
+    umax = _upper_bound(problem, live.rows, mass)
+    return dict(zip(live.rows.tolist(), zip(lower.tolist(), umax.tolist())))
 
 
 SAMPLING = {
@@ -344,20 +375,42 @@ class TestBoundingFilterAcrossPlans:
     """The composite over the co-grouped view: every bound to the last
     bit, in the same order, on every plan and storage cell."""
 
+    @pytest.mark.parametrize("spill", [False, True], ids=["memory", "spill"])
+    @pytest.mark.parametrize("optimize", [True, False], ids=["optimized", "naive"])
     @pytest.mark.parametrize("num_shards", [1, 8])
     @pytest.mark.parametrize("sampling", SAMPLING)
-    def test_plan_and_spill_cells_bit_identical(self, sampling, num_shards):
+    def test_bit_identical_bounds_and_counters(
+        self, sampling, num_shards, optimize, spill
+    ):
+        """Each cell against the optimized in-memory-storage cell of its
+        shard count: the same bounds in the same order, to the last bit;
+        spilling changes no counter of its plan; and every bound is the
+        in-memory helpers' (summed in another order, so to rounding)."""
         problem = random_problem(120, seed=5, avg_degree=6)
-        cells = []
-        for optimize, spill in itertools.product([True, False], repeat=2):
-            bounds, vectorized = _one_round(
-                problem, num_shards=num_shards, optimize=optimize,
-                spill=spill, **SAMPLING[sampling],
+        bounds, counters, vectorized = _one_round(
+            problem, num_shards=num_shards, optimize=optimize, spill=spill,
+            **SAMPLING[sampling],
+        )
+        assert vectorized > 0
+        assert all(len(b) > 0 for b in bounds)
+        reference, _, _ = _one_round(
+            problem, num_shards=num_shards, optimize=True, spill=False,
+            **SAMPLING[sampling],
+        )
+        assert repr(bounds) == repr(reference)
+        _, memory_counters, _ = _one_round(
+            problem, num_shards=num_shards, optimize=optimize, spill=False,
+            **SAMPLING[sampling],
+        )
+        assert counters == memory_counters
+        for salt, got in zip((1, 2), bounds):
+            want = _memory_bounds(problem, salt, **SAMPLING[sampling])
+            got = dict(got)
+            assert sorted(got) == sorted(want)
+            np.testing.assert_allclose(
+                [got[v] for v in want], list(want.values()),
+                rtol=1e-12, atol=1e-12,
             )
-            assert vectorized > 0
-            assert all(len(b) > 0 for b in bounds)
-            cells.append(repr(bounds))
-        assert len(set(cells)) == 1
 
     @pytest.mark.parametrize("sampler", ["uniform", "weighted"])
     def test_sampling_changes_the_bounds(self, sampler):
@@ -365,8 +418,8 @@ class TestBoundingFilterAcrossPlans:
         only re-test exact mode)."""
         problem = random_problem(120, seed=5, avg_degree=6)
         config = dict(num_shards=8, optimize=True, spill=False)
-        exact, _ = _one_round(problem, **config, **SAMPLING["exact"])
-        sampled, _ = _one_round(problem, **config, **SAMPLING[sampler])
+        exact, _, _ = _one_round(problem, **config, **SAMPLING["exact"])
+        sampled, _, _ = _one_round(problem, **config, **SAMPLING[sampler])
         assert [kv[0] for kv in exact[0]] == [kv[0] for kv in sampled[0]]
         assert exact[0] != sampled[0] and sampled[0] != sampled[1]
 
