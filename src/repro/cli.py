@@ -63,6 +63,7 @@ one block shared by ``select`` and ``submit`` (built into a config by
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional
 
@@ -82,21 +83,25 @@ from repro.service.__main__ import add_service_arguments, run as cmd_serve
 from repro.service.jobs import selector_config
 
 
-def _build_problem(args: argparse.Namespace) -> tuple:
+def _build_problem(
+    args: argparse.Namespace, context: Optional[DataflowContext] = None
+) -> tuple:
     """Resolve (problem, embeddings) from --preset or --embeddings.  An
-    ``ann`` graph is built on the command's engine options."""
-    options = getattr(args, "options", None)
+    ``ann`` graph is built on the command's engine ``context`` when one
+    is open, else on the command's engine options."""
+    options = None if context is not None else getattr(args, "options", None)
     if args.preset:
         ds = load_dataset(
             args.preset, n_points=args.n_points, knn_k=args.knn_k,
             knn_method=args.knn_method, seed=args.seed, options=options,
+            context=context,
         )
         utilities, graph, embeddings = ds.utilities, ds.graph, ds.embeddings
     elif args.embeddings:
         embeddings = np.load(args.embeddings)
         graph, _, _ = build_knn_graph(
             embeddings, args.knn_k, method=args.knn_method, seed=args.seed,
-            options=options,
+            options=options, context=context,
         )
         if args.utilities:
             utilities = np.load(args.utilities)
@@ -137,7 +142,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
+def _print_plans(
+    problem, embeddings, args: argparse.Namespace, ctx: DataflowContext
+) -> int:
     """Render the dataflow plans a run would execute — no stage runs.
 
     Builds the kNN-construction and first bounding-round plans through
@@ -154,32 +161,32 @@ def _print_plans(problem, embeddings, args: argparse.Namespace) -> int:
     from repro.graph.knn import l2_normalize
 
     n = problem.n
-    with DataflowContext(args.options) as ctx:
-        pipeline = ctx.pipeline(plan_records=n)
-        try:
-            x = l2_normalize(embeddings)
-            n_clusters = max(1, min(n, int(np.sqrt(n))))
-            # The plan's shape (and cost) does not depend on centroid
-            # values, so the k-means fit is skipped here.
-            centroids = np.ascontiguousarray(x[:n_clusters])
-            knn = knn_plan(pipeline, x, centroids, args.knn_k, 1)
-            print("kNN build plan:")
-            print(knn.explain(costs=True))
-        finally:
-            pipeline.close()
-        driver = BeamBoundingDriver(problem, context=ctx)
-        try:
-            print()
-            print("bounding round plan:")
-            print(driver.explain(costs=True))
-        finally:
-            driver.close()
+    pipeline = ctx.pipeline(plan_records=n)
+    try:
+        x = l2_normalize(embeddings)
+        n_clusters = max(1, min(n, int(np.sqrt(n))))
+        # The plan's shape (and cost) does not depend on centroid
+        # values, so the k-means fit is skipped here.
+        centroids = np.ascontiguousarray(x[:n_clusters])
+        knn = knn_plan(pipeline, x, centroids, args.knn_k, 1)
+        print("kNN build plan:")
+        print(knn.explain(costs=True))
+    finally:
+        pipeline.close()
+    driver = BeamBoundingDriver(problem, context=ctx)
+    try:
+        print()
+        print("bounding round plan:")
+        print(driver.explain(costs=True))
+    finally:
+        driver.close()
     return 0
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    problem, embeddings = _build_problem(args)
-    return _print_plans(problem, embeddings, args)
+    with DataflowContext(args.options) as ctx:
+        problem, embeddings = _build_problem(args, ctx)
+        return _print_plans(problem, embeddings, args, ctx)
 
 
 def _print_incremental(result, prefix: str = "") -> None:
@@ -191,7 +198,9 @@ def _print_incremental(result, prefix: str = "") -> None:
           f"{result.executed_stages} stages executed")
 
 
-def _run_incremental(problem, k: int, args: argparse.Namespace) -> int:
+def _run_incremental(
+    problem, k: int, args: argparse.Namespace, ctx: DataflowContext
+) -> int:
     """``select --incremental``: one delta-aware drive (always dataflow)."""
     from repro.incremental import (
         IncrementalDriver,
@@ -199,21 +208,20 @@ def _run_incremental(problem, k: int, args: argparse.Namespace) -> int:
         synthetic_version,
     )
 
-    with DataflowContext(args.options) as ctx:
-        if args.explain:
-            version, _ = synthetic_version(
-                problem.utilities, args.dataset_version,
-                seed=args.seed, frac=args.delta_frac,
-            )
-            driver = IncrementalDriver(
-                problem, k, context=ctx, data_shards=args.data_shards
-            )
-            print(driver.explain(version))
-            return 0
-        result = drive_synthetic_version(
-            problem, k, args.dataset_version, context=ctx, seed=args.seed,
-            data_shards=args.data_shards, delta_frac=args.delta_frac,
+    if args.explain:
+        version, _ = synthetic_version(
+            problem.utilities, args.dataset_version,
+            seed=args.seed, frac=args.delta_frac,
         )
+        driver = IncrementalDriver(
+            problem, k, context=ctx, data_shards=args.data_shards
+        )
+        print(driver.explain(version))
+        return 0
+    result = drive_synthetic_version(
+        problem, k, args.dataset_version, context=ctx, seed=args.seed,
+        data_shards=args.data_shards, delta_frac=args.delta_frac,
+    )
     _print_incremental(result)
     if result.delta_records:
         print(f"deltas since last drive: {result.delta_records} records")
@@ -234,14 +242,14 @@ def cmd_watch(args: argparse.Namespace) -> int:
         synthetic_deltas,
     )
 
-    problem, _ = _build_problem(args)
-    k = args.k if args.k is not None else max(1, int(problem.n * 0.1))
-    version = DatasetVersion.initial(problem.utilities)
-    log = synthetic_deltas(
-        version, seed=args.seed, steps=args.steps, frac=args.delta_frac
-    )
-    spec = WindowSpec(args.window, slide=args.slide)
     with DataflowContext(args.options) as ctx:
+        problem, _ = _build_problem(args, ctx)
+        k = args.k if args.k is not None else max(1, int(problem.n * 0.1))
+        version = DatasetVersion.initial(problem.utilities)
+        log = synthetic_deltas(
+            version, seed=args.seed, steps=args.steps, frac=args.delta_frac
+        )
+        spec = WindowSpec(args.window, slide=args.slide)
         driver = IncrementalDriver(
             problem, k, context=ctx, data_shards=args.data_shards
         )
@@ -258,18 +266,32 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    problem, embeddings = _build_problem(args)
-    k = args.k if args.k is not None else max(1, int(problem.n * args.fraction))
-    if args.incremental:
-        return _run_incremental(problem, k, args)
-    if args.explain:
-        return _print_plans(problem, embeddings, args)
-    config = selector_config(
-        _selector_section(args),
-        args.options,
-        checkpoint_gc=args.checkpoint_gc,
+    # One engine context for the whole command: the ``ann`` graph build,
+    # the plans and the drive share its executor (one worker cluster).
+    dataflow = args.engine == "dataflow"
+    engine = (
+        DataflowContext(args.options)
+        if dataflow or args.incremental or args.explain
+        or args.knn_method == "ann"
+        else contextlib.nullcontext()
     )
-    report = DistributedSelector(problem, config).select(k, seed=args.seed)
+    with engine as ctx:
+        problem, embeddings = _build_problem(args, ctx)
+        k = args.k if args.k is not None else max(
+            1, int(problem.n * args.fraction)
+        )
+        if args.incremental:
+            return _run_incremental(problem, k, args, ctx)
+        if args.explain:
+            return _print_plans(problem, embeddings, args, ctx)
+        config = selector_config(
+            _selector_section(args),
+            args.options,
+            checkpoint_gc=args.checkpoint_gc,
+        )
+        report = DistributedSelector(problem, config).select(
+            k, seed=args.seed, context=ctx if dataflow else None
+        )
     if args.out:
         np.save(args.out, report.selected)
     if args.report:

@@ -25,6 +25,7 @@ from repro.graph.symmetrize import build_knn_graph
 from repro.utils.rng import SeedLike
 
 if TYPE_CHECKING:
+    from repro.dataflow.context import DataflowContext
     from repro.dataflow.options import EngineOptions
 
 
@@ -82,6 +83,7 @@ def load_dataset(
     temperature: float = 4.0,
     seed: SeedLike = 0,
     options: "Optional[EngineOptions]" = None,
+    context: "Optional[DataflowContext]" = None,
 ) -> SelectionDataset:
     """Materialize a preset dataset (embeddings, utilities, kNN graph).
 
@@ -95,7 +97,7 @@ def load_dataset(
         Override the neighbor count (paper default: 10).
     knn_method:
         ``"exact"`` or ``"ann"`` (ScaNN's IVF stage, run by the dataflow
-        kNN build on engine ``options``; see
+        kNN build on engine ``options`` or a shared ``context``; see
         :func:`repro.graph.symmetrize.build_knn_graph`).
     temperature:
         Coarse-classifier softmax temperature; larger values spread the
@@ -126,7 +128,8 @@ def load_dataset(
         seed=seed,
     )
     graph, neighbors, sims = build_knn_graph(
-        embeddings, k, method=knn_method, seed=seed, options=options
+        embeddings, k, method=knn_method, seed=seed, options=options,
+        context=context,
     )
     return SelectionDataset(
         name=name,

@@ -15,7 +15,11 @@ is never re-shuffled.
 Graph, utilities, solution and unassigned set all stay hash-partitioned
 by point id from round to round, so a round moves exactly one thing
 across a shuffle — its live edges, once, as columns
-(``metrics.shuffled_records`` counts them).  The graph and utility
+(``metrics.shuffled_records`` counts them) — and runs as two stages:
+the three-way join moves nothing, so it runs inside the write that
+routes those edges (join fusion, :mod:`repro.dataflow.plan`) and its
+grouped view is never stored or checkpointed; the second join's read
+computes the bounds.  The graph and utility
 sources are the problem's arrays as columns (the CSR graph is one
 list-valued column, :func:`~repro.dataflow.library.by_point`: one record
 per point) and a round's joins touch only columns: both read as grouped

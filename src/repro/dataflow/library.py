@@ -386,7 +386,10 @@ class BoundingFilter(PTransform):
     optimizer every join input but one is a narrow dependency; the only
     records that cross a shuffle are step 1's live edges, re-keyed to
     ``b``, once — emitted as a keyed :class:`ColumnarShard`
-    ``(b; a, s, in_solution)`` and routed column-wise.
+    ``(b; a, s, in_solution)`` and routed column-wise.  Step 1 reads all
+    its inputs in place, so it is no stage of its own: the write that
+    routes its edges runs it (join fusion), and a round is two stages —
+    that write and step 2's read.
 
     Columns end to end: hand in ``neighbors`` as the columnar adjacency
     source (``create_keyed(by_point(ListColumn(g.indptr, (g.indices,
@@ -758,7 +761,9 @@ class SelectedEdgeMass(PTransform):
     membership joins against the solution (no machine ever holds the
     subset as a lookup table); by symmetry the first reads each selected
     point's own adjacency record, so the only shuffle is the selected
-    points' edges re-keyed to their other endpoint.
+    points' edges re-keyed to their other endpoint — and the first join,
+    which moves nothing, runs inside that shuffle's write (join fusion):
+    two stages in all.
 
     Columns end to end with the columnar adjacency source (as for
     :class:`BoundingFilter`, whose key and row rules hold here too):

@@ -108,8 +108,8 @@ from repro.dataflow.columnar import (
 from repro.dataflow.columnar import stable_shard as _stable_shard
 from repro.dataflow.executor import (
     Executor,
-    _dumps_payload,
     _resolve,
+    dumps_data,
     resolve_executor,
 )
 from repro.dataflow.metrics import PipelineMetrics, StageProfile
@@ -180,7 +180,9 @@ class _PipelineState:
 class _DiskShard:
     """A shard spilled to disk; loaded lazily, one shard in memory at a time.
 
-    Supports ``len`` without loading (count cached at write time).
+    Supports ``len`` without loading (count cached at write time).  Written
+    by :func:`~repro.dataflow.executor.dumps_data`, like a checkpoint, so
+    whatever a checkpoint can hold (a record holding a lambda) spills too.
     """
 
     __slots__ = ("path", "_count", "_state")
@@ -190,7 +192,7 @@ class _DiskShard:
         self._count = len(records)
         self._state = state
         with open(path, "wb") as fh:
-            pickle.dump(records, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.write(dumps_data(records))
 
     def load(self) -> list:
         if self._state.closed:
@@ -284,6 +286,20 @@ def _compose_post_ops(fn, post):
         return _run(_fn(records))
 
     return read_and_chain
+
+
+def _after_join(group, fn):
+    """Stage: ``fn`` behind the join a stage absorbed (join fusion) —
+    each task groups its destination's parts with the cogroup grouper
+    ``group`` and hands the grouped view straight to ``fn``, so it is
+    never stored.  ``fn`` itself when there is no join."""
+    if group is None:
+        return fn
+
+    def group_then(parts, _group=group, _fn=fn):
+        return _fn(_group(parts))
+
+    return group_then
 
 
 def _make_keyed_bucketer(chain, num_shards):
@@ -885,8 +901,8 @@ class Pipeline:
             return
         try:
             write_atomic(path, itertools.chain(
-                [_dumps_payload(len(shards))],
-                (_dumps_payload(_resolve(shard)) for shard in shards),
+                [dumps_data(len(shards))],
+                (dumps_data(_resolve(shard)) for shard in shards),
             ))
         except Exception:
             return
@@ -1179,10 +1195,34 @@ class Pipeline:
     # Stage runners: each only builds its stage's function from the plan's
     # decisions and hands it to the metered planes above.
 
+    def _cogroup_input(self, stage: _Stage) -> Tuple[List[Any], Any]:
+        """A join's stage input — one :class:`_CoGroupParts` per
+        destination, from ``stage``'s inputs — and the grouper that runs
+        over it with ``stage``'s narrow chains: a cogroup read's, or the
+        join a write absorbed."""
+        per_input = [self._read(source) for source in stage.inputs]
+        group = _make_cogroup_grouper(tuple(
+            chain.fused if chain and chain.nodes else None
+            for chain in stage.narrow
+        ))
+        parts = [
+            _CoGroupParts([shards[i] for shards in per_input])
+            for i in range(self.num_shards)
+        ]
+        return parts, group
+
+    def _producer_input(self, stage: _Stage, fn) -> Tuple[List[Any], Any]:
+        """The shards a stage with a producing chain reads, and its stage
+        function ``fn`` as it runs over them: behind the join the stage
+        absorbed, if any (:func:`_after_join`)."""
+        if stage.join is None:
+            return self._read(stage.inputs[0]), fn
+        parts, group = self._cogroup_input(stage)
+        return parts, _after_join(group, fn)
+
     def _run_chain(self, stage: _Stage) -> List[Any]:
-        return self._run_stage(
-            stage.chain.fused.run, self._read(stage.inputs[0]), stage
-        )
+        shards, fn = self._producer_input(stage, stage.chain.fused.run)
+        return self._run_stage(fn, shards, stage)
 
     def _run_write(self, stage: _Stage) -> List[Any]:
         """A keyed shuffle write whose routed shards the driver needs —
@@ -1192,11 +1232,10 @@ class Pipeline:
         the driver anyway, so a worker exchange would move every byte
         twice.
         """
-        return self._driver_shuffle(
-            _make_keyed_bucketer(stage.chain.fused, self.num_shards),
-            self._read(stage.inputs[0]),
-            stage,
+        shards, route = self._producer_input(
+            stage, _make_keyed_bucketer(stage.chain.fused, self.num_shards)
         )
+        return self._driver_shuffle(route, shards, stage)
 
     def _run_rebalance(self, stage: _Stage) -> List[Any]:
         transformed = self._run_chain(stage)
@@ -1230,7 +1269,6 @@ class Pipeline:
         """
         write = read.inputs[0]
         self._begin(write)
-        base_shards = self._read(write.inputs[0])
         chain = write.chain.fused
         combine = read.kind == "combine-read"
         if combine:
@@ -1242,6 +1280,7 @@ class Pipeline:
         else:
             write_fn = _make_keyed_bucketer(chain, self.num_shards)
             read_fn = _group_shard
+        base_shards, write_fn = self._producer_input(write, write_fn)
         read_fn = _compose_post_ops(read_fn, read.post_chain.fused)
         exchanged = None
         if self._exchange_enabled():
@@ -1296,20 +1335,9 @@ class Pipeline:
         inside the read stage.  Every other input arrives through its
         own write stage (``optimize=False`` routes every input, unfused).
         """
-        per_input = [self._read(source) for source in stage.inputs]
-        read_chains = tuple(
-            chain.fused if chain and chain.nodes else None
-            for chain in stage.narrow
-        )
+        parts, group = self._cogroup_input(stage)
         return self._run_stage(
-            _compose_post_ops(
-                _make_cogroup_grouper(read_chains), stage.post_chain.fused
-            ),
-            [
-                _CoGroupParts([shards[i] for shards in per_input])
-                for i in range(self.num_shards)
-            ],
-            stage,
+            _compose_post_ops(group, stage.post_chain.fused), parts, stage
         )
 
     def _run_flatten(self, stage: _Stage) -> List[Any]:

@@ -14,7 +14,7 @@ stages cannot disagree.
 
 Plan optimization
 -----------------
-With ``optimize=True`` four rewrites apply (``optimize=False`` — the
+With ``optimize=True`` five rewrites apply (``optimize=False`` — the
 CLI's ``--no-optimize`` — reproduces the naive plan exactly):
 
 *Combiner lifting*
@@ -65,6 +65,18 @@ CLI's ``--no-optimize`` — reproduces the naive plan exactly):
     destination is what routing would have produced (routing a placed
     shard is the identity), so results are bit-identical to the
     route-everything ``optimize=False`` plan.
+
+*Join fusion*
+    A cogroup whose every input is read in place moves no record, so it
+    need not be a stage: when an uncached one starts the producing chain
+    of a shuffle write that is its only consumer, the write absorbs it.
+    The write's task for shard ``i`` is the join's per-input parts; it
+    groups them, runs the fused chain and routes, so the grouped view is
+    never materialized, spilled or checkpointed (``_Stage.join``,
+    rendered first in the write's ``[fused: …]`` list).  Boundary
+    digests come from node lineage, not from the plan, so no checkpoint
+    key moves, and results are bit-identical: the same grouper, chain
+    and router run back to back in one task.
 
 Sharing: materialized nodes execute once, and fusion stops at any
 element-wise node that already has multiple consumers, materializing it
@@ -535,7 +547,10 @@ class _Stage:
     already *materialized* ``_Node`` whose cached shards are read.
     ``narrow[i]`` is set for a *co-partitioned* cogroup input — read in
     place — to the key-preserving chain (and skipped reshards) the read
-    stage still has to run over it.
+    stage still has to run over it.  ``join`` is the cogroup a write
+    stage absorbed (join fusion): ``inputs``/``narrow`` are then that
+    join's, every one read in place, and each task groups its shard's
+    parts before the producing chain runs.
 
     Everything else is derived from those once, at construction, so it
     stays true after :meth:`truncate` (a stage shared by two readers is
@@ -549,7 +564,8 @@ class _Stage:
         Every node the stage consumes without materializing it — their
         claims on their deps are released when the stage runs.
     ``fused_stages``
-        Logical stages this one absorbed (``StageProfile.fused``).
+        Logical stages this one absorbed (``StageProfile.fused``), an
+        absorbed join included.
     ``vectorized``
         Does any of the stage run whole-shard — a producing or narrow
         chain's batch prefix, a batch fold, or the fused consumer
@@ -570,14 +586,15 @@ class _Stage:
 
     __slots__ = (
         "index", "kind", "label", "node", "chain", "post_chain", "inputs",
-        "narrow", "boundary", "fused_through", "fused_stages", "vectorized",
-        "moves_records", "charged_shuffle", "elided_shuffles", "lifted",
+        "narrow", "join", "boundary", "fused_through", "fused_stages",
+        "vectorized", "moves_records", "charged_shuffle", "elided_shuffles",
+        "lifted",
     )
 
     def __init__(
         self, kind: str, node: _Node, *, label: Optional[str] = None,
         chain: Optional[_Chain] = None, post: Optional[_Chain] = None,
-        inputs=(), narrow=(),
+        inputs=(), narrow=(), join: Optional[_Node] = None,
     ) -> None:
         self.index = 0
         self.kind = kind
@@ -591,6 +608,7 @@ class _Stage:
         self.post_chain: _Chain = post if post is not None else _Chain()
         self.inputs: tuple = tuple(inputs)
         self.narrow: Tuple[Optional[_Chain], ...] = tuple(narrow)
+        self.join = join
 
         post = self.post
         chains = [c for c in (chain, *self.narrow) if c is not None]
@@ -599,11 +617,14 @@ class _Stage:
         else:
             self.boundary = post[-1] if post else node
         through = [n for c in chains for n in c.nodes + c.elided]
+        if join is not None:
+            through.append(join)
         self.fused_through: Tuple[_Node, ...] = tuple(
             through + [*post, node] if post else through
         )
         self.fused_stages = (
             sum(len(c.nodes) for c in chains) + len(post) - (kind == "chain")
+            + (join is not None)
         )
         self.vectorized = _batch_fold(self) or any(
             c.fused.vectorized for c in (*chains, self.post_chain)
@@ -625,7 +646,7 @@ class _Stage:
         """Forget where the output came from, once it is stored: upstream
         stages (and through them upstream boundaries' shards) become
         collectable as the run advances, like a node's own lineage."""
-        self.chain = None
+        self.chain = self.join = None
         self.post_chain = _Chain()
         self.inputs = self.narrow = self.fused_through = ()
 
@@ -652,11 +673,11 @@ def _build_plan(node: _Node, *, optimize: bool) -> _Plan:
 
     Walks the DAG up to materialized ancestors and decides, once: which
     element-wise nodes fuse into which stage, which reshards a shuffle
-    write subsumes, which consumer chains fuse into a shuffle read, and
-    which cogroup inputs are read in place.  ``optimize=False`` fuses
-    producers only and routes every cogroup input unfused — the naive
-    plan.  Stages are emitted in execution order: inputs first, a write
-    just before its read.
+    write subsumes, which consumer chains fuse into a shuffle read, which
+    cogroup inputs are read in place, and which joins a write absorbs.
+    ``optimize=False`` fuses producers only and routes every cogroup
+    input unfused — the naive plan.  Stages are emitted in execution
+    order: inputs first, a write just before its read.
     """
     stages: List[_Stage] = []
     memo: dict = {}
@@ -667,9 +688,41 @@ def _build_plan(node: _Node, *, optimize: bool) -> _Plan:
         stage.index = len(stages)
         return stage
 
+    def co_partitioned(dep: _Node) -> Optional[_Chain]:
+        """The chain a cogroup reads ``dep`` through in place — its base
+        is partitioned and no fused op can rewrite a key — or ``None``
+        when ``dep`` has to be routed."""
+        if not optimize:
+            return None
+        chain = _peek_chain(dep, elide=True)
+        if chain.base.partitioned and all(
+            n.kind in _KEY_PRESERVING for n in chain.nodes
+        ):
+            return chain
+        return None
+
     def write(kind: str, op: _Node, chain: _Chain, **fields) -> _Stage:
-        """A keyed shuffle write, its producers (and the reshards it
-        subsumes) fused in."""
+        """A shuffle write, its producers (and the reshards it subsumes)
+        fused in.
+
+        Join fusion: when the producing chain starts at an uncached
+        cogroup this write is the only consumer of, and every input of
+        that join is read in place, the join moves no record — the write
+        absorbs it, so each task groups its shard's parts, runs the chain
+        and routes, and the grouped view is never stored."""
+        join = chain.base
+        if (
+            optimize
+            and join.kind == "cogroup"
+            and join.cached is None
+            and join.consumers <= 1     # our chain's claim only
+        ):
+            narrow = [co_partitioned(dep) for dep in join.deps]
+            if all(narrow):
+                return emit(
+                    kind, op, chain=chain, join=join, narrow=narrow,
+                    inputs=[produce(c.base) for c in narrow], **fields
+                )
         return emit(
             kind, op, chain=chain, inputs=[produce(chain.base)], **fields
         )
@@ -698,23 +751,19 @@ def _build_plan(node: _Node, *, optimize: bool) -> _Plan:
             )
         inputs, narrow = [], []
         for tag, dep in enumerate(op.deps):
-            chain = (
-                _peek_chain(dep, elide=True) if optimize else _Chain(base=dep)
-            )
-            if (
-                optimize
-                and chain.base.partitioned
-                and all(n.kind in _KEY_PRESERVING for n in chain.nodes)
-            ):
+            chain = co_partitioned(dep)
+            if chain is not None:
                 # Narrow dependency: shard i already is destination i's
-                # part and no fused op can rewrite a key — no write
-                # stage, the chain runs in the read.
+                # part — no write stage, the chain runs in the read.
                 inputs.append(produce(chain.base))
-                narrow.append(chain)
             else:
+                routed = (
+                    _peek_chain(dep, elide=True) if optimize
+                    else _Chain(base=dep)
+                )
                 label = f"cogroup-write #{tag} {_describe(op)}"
-                inputs.append(write("cogroup-write", op, chain, label=label))
-                narrow.append(None)
+                inputs.append(write("cogroup-write", op, routed, label=label))
+            narrow.append(chain)
         return emit(
             "cogroup-read", op, post=post, inputs=inputs, narrow=narrow
         )
@@ -771,13 +820,17 @@ def _vector_note(chain: _Chain) -> str:
     )
 
 
-def _chain_note(chain: _Chain, *, lead: str = "") -> str:
+def _chain_note(
+    chain: _Chain, *, lead: str = "", join: Optional[_Node] = None
+) -> str:
     """The suffix every consumer of a fused chain renders:
-    `` [<lead>; fused: a + b]`` (either half optional), the chain's
-    vector note, then one ``(elided …)`` per skipped reshard."""
+    `` [<lead>; fused: a + b]`` (either half optional; an absorbed
+    ``join`` leads the fused list), the chain's vector note, then one
+    ``(elided …)`` per skipped reshard."""
     parts = [lead] if lead else []
-    if chain.nodes:
-        parts.append("fused: " + " + ".join(map(_describe, chain.nodes)))
+    fused = ((join,) if join is not None else ()) + chain.nodes
+    if fused:
+        parts.append("fused: " + " + ".join(map(_describe, fused)))
     text = f" [{'; '.join(parts)}]" if parts else ""
     text += _vector_note(chain)
     for elided_node in chain.elided:
@@ -809,7 +862,7 @@ def _stage_text(stage: _Stage, stream_chunk_size: int, note: str) -> str:
         if _batch_fold(stage):
             text += " [vectorized fold]"
         if stage.chain is not None:
-            text += _chain_note(stage.chain)
+            text += _chain_note(stage.chain, join=stage.join)
     if stage.post:
         text += " + " + " + ".join(map(_describe, stage.post))
         text += f"{note} [post-shuffle fused]{_vector_note(stage.post_chain)}"

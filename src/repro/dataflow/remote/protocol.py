@@ -108,11 +108,12 @@ the driver's ``__main__`` would pickle by reference under the stdlib
 pickler and then fail to load on the worker.  The caller treats a
 serialization error as "run this shard on the driver".  Frames a worker
 builds (stored buckets, task replies, fetch answers) and the handshake
-and fetch requests are data, so they use the much cheaper stdlib pickler
-(:func:`dumps_plain`) and fall back to cloudpickle only when it raises:
-a class or function the worker received by value fails the stdlib
-pickler's by-reference identity check loudly, so the fallback cannot be
-skipped silently.
+and fetch requests are data, so they go through the engine's one data
+serializer, :func:`repro.dataflow.executor.dumps_data` — the one
+checkpoints and spills use too: the stdlib pickler, and cloudpickle only
+when it raises or its bytes name ``__main__``.  A class or function the
+worker received by value fails the stdlib pickler's by-reference
+identity check loudly, so the fallback cannot be skipped silently.
 
 Peer links
 ----------
@@ -131,6 +132,8 @@ import socket
 import struct
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.dataflow.executor import dumps_data
 
 try:
     import cloudpickle as _cloudpickle
@@ -211,15 +214,6 @@ def dumps(message: Tuple[Any, ...]) -> bytes:
     return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def dumps_plain(message: Any) -> bytes:
-    """Serialize a frame that carries no driver code: the stdlib pickler,
-    and :func:`dumps` only when it raises (a local or by-value class)."""
-    try:
-        return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    except (pickle.PicklingError, TypeError, AttributeError):
-        return dumps(message)
-
-
 def loads(payload: bytes) -> Tuple[Any, ...]:
     """Deserialize one message (cloudpickle output is plain pickle)."""
     return pickle.loads(payload)
@@ -266,7 +260,7 @@ def handshake(sock: socket.socket, address: Tuple[str, int]) -> None:
     Raises :class:`ProtocolVersionError` on a version mismatch and
     ``RuntimeError`` on any other answer; connection errors propagate.
     """
-    send_frame(sock, dumps_plain((MSG_PING, PROTOCOL_VERSION)))
+    send_frame(sock, dumps_data((MSG_PING, PROTOCOL_VERSION)))
     reply = recv_msg(sock)
     if reply[0] != MSG_PONG:
         raise RuntimeError(
@@ -295,7 +289,7 @@ def _fetch_on(
     sock: socket.socket, bucket_ids: List[str]
 ) -> Tuple[Dict[str, Optional[bytes]], int]:
     """One ``MSG_FETCH_BUCKETS`` round trip on an open link."""
-    send_frame(sock, dumps_plain((MSG_FETCH_BUCKETS, list(bucket_ids))))
+    send_frame(sock, dumps_data((MSG_FETCH_BUCKETS, list(bucket_ids))))
     out: Dict[str, Optional[bytes]] = {}
     chunk_frames = 0
     for bucket_id in bucket_ids:

@@ -34,8 +34,9 @@ per producing peer, over the daemon's own
 read stage in place — the driver sees routing metadata and final
 results, never bucket data.  A read that cannot fetch a part replies
 ``FETCH_FAILED``, and the driver declines the whole exchange.  Buckets
-and task replies are built here, so they go through the stdlib
-pickler (``protocol.dumps_plain``).
+and task replies are built here, so they go through the engine's data
+serializer (:func:`~repro.dataflow.executor.dumps_data`: the stdlib
+pickler first).
 
 Shutdown is graceful by default: ``(MSG_SHUTDOWN,)`` closes the listener
 and drains every connection's in-flight task before exiting, so other
@@ -74,7 +75,12 @@ from typing import Any, Dict, List, Optional, Tuple
 # so the selector, the service and the data presets never load here.
 import repro.dataflow.library  # noqa: F401
 from repro.dataflow.columnar import merge_bucket_parts
-from repro.dataflow.executor import _resolve, load_blob, loads_with_broadcast
+from repro.dataflow.executor import (
+    _resolve,
+    dumps_data,
+    load_blob,
+    loads_with_broadcast,
+)
 from repro.dataflow.remote import protocol
 from repro.dataflow.remote.protocol import (
     DEFAULT_BUCKET_CHUNK_BYTES,
@@ -105,7 +111,7 @@ from repro.dataflow.columnar import ColumnarShard
 
 def _send(sock: socket.socket, message: tuple) -> None:
     """Send one frame built on this worker (stdlib pickler first)."""
-    protocol.send_frame(sock, protocol.dumps_plain(message))
+    protocol.send_frame(sock, dumps_data(message))
 
 
 class _Heartbeat:
@@ -274,7 +280,7 @@ class WorkerServer:
                     for seq in range(n_chunks)
                 )
             for message in messages:
-                frame = protocol.frame(protocol.dumps_plain(message))
+                frame = protocol.frame(dumps_data(message))
                 frames.append(frame)
                 pending += len(frame)
                 if limit is not None and pending >= limit:
@@ -455,7 +461,7 @@ class WorkerServer:
                 n = len(bucket)
                 if not n:
                     continue
-                payload = protocol.dumps_plain(bucket)
+                payload = dumps_data(bucket)
                 self.store_bucket(f"{exchange_id}/{index}/{dest}", payload)
                 metas.append((dest, n, len(payload)))
             return extra, metas
@@ -521,15 +527,15 @@ class WorkerServer:
             except BaseException as exc:
                 reply = (MSG_ERROR, index, exc, traceback.format_exc())
             try:
-                payload = protocol.dumps_plain(reply)
+                payload = dumps_data(reply)
             except Exception:
                 # Unpicklable result or exception object: ship the traceback.
                 if reply[0] == MSG_ERROR:
-                    payload = protocol.dumps_plain(
+                    payload = dumps_data(
                         (MSG_ERROR, index, None, reply[3])
                     )
                 else:
-                    payload = protocol.dumps_plain(
+                    payload = dumps_data(
                         (
                             MSG_ERROR,
                             index,

@@ -17,6 +17,7 @@ from repro.graph.knn import exact_knn
 from repro.utils.rng import SeedLike
 
 if TYPE_CHECKING:  # the engine loads only for ``method="ann"``
+    from repro.dataflow.context import DataflowContext
     from repro.dataflow.options import EngineOptions
 
 
@@ -51,6 +52,7 @@ def build_knn_graph(
     seed: SeedLike = 0,
     block_size: int = 1024,
     options: "Optional[EngineOptions]" = None,
+    context: "Optional[DataflowContext]" = None,
 ) -> Tuple[NeighborGraph, np.ndarray, np.ndarray]:
     """End-to-end graph construction: kNN search + symmetrization.
 
@@ -61,7 +63,8 @@ def build_knn_graph(
         run by the dataflow kNN build
         (:func:`repro.dataflow.knn_beam.beam_knn_graph`) on ``options``
         (default :class:`~repro.dataflow.options.EngineOptions` when
-        ``None``) with 4 probes and 10 k-means iterations.
+        ``None``) or a shared ``context``, with 4 probes and 10 k-means
+        iterations.
 
     Returns
     -------
@@ -75,7 +78,8 @@ def build_knn_graph(
         from repro.dataflow.knn_beam import beam_knn_graph
 
         graph, neighbors, sims, _ = beam_knn_graph(
-            embeddings, k, nprobe=4, n_iter=10, seed=seed, options=options
+            embeddings, k, nprobe=4, n_iter=10, seed=seed, options=options,
+            context=context,
         )
         return graph, neighbors, sims
     raise ValueError(f"unknown method {method!r}; use 'exact' or 'ann'")

@@ -296,7 +296,156 @@ class TestCheckoutMove:
         assert moved["stores"] == 0 and moved["stages"] == 0
 
 
+#: Writes one boundary of records whose class lives in the script's own
+#: ``__main__`` — a class no other process can import.
+_MAIN_CLASS_PROGRAM = textwrap.dedent(
+    """
+    import sys
+
+    from repro.dataflow.pcollection import Pipeline
+
+
+    class Box:
+        def __init__(self, value):
+            self.value = value
+
+
+    with Pipeline(num_shards=2, checkpoint_dir=sys.argv[1]) as p:
+        p.create(range(6), name="src").map(Box).cache()
+        assert p.metrics.checkpoint_stores == 1
+    """
+)
+
+#: Loads every boundary in a checkpoint dir, in a process without ``Box``.
+_LOAD_PROGRAM = textwrap.dedent(
+    """
+    import json, os, pickle, sys
+
+    values = []
+    for name in sorted(os.listdir(sys.argv[1])):
+        with open(os.path.join(sys.argv[1], name), "rb") as fh:
+            for _ in range(pickle.load(fh)):
+                values += [box.value for box in pickle.load(fh)]
+    print(json.dumps(sorted(values)))
+    """
+)
+
+
+class TestDataSerializer:
+    """:func:`~repro.dataflow.executor.dumps_data` — the one serializer
+    behind checkpoints, spills and worker frames: the stdlib pickler's
+    bytes, cloudpickle's only where the stdlib pickler cannot serve."""
+
+    def test_bytes_equal_cloudpickle_on_engine_shards(self):
+        import pickle
+
+        cloudpickle = pytest.importorskip("cloudpickle")
+        from repro.dataflow.columnar import (
+            ColumnarShard,
+            ListColumn,
+            cogroup_columns,
+        )
+        from repro.dataflow.executor import dumps_data
+
+        ids = np.arange(6, dtype=np.int64)
+        lists = ListColumn(
+            np.array([0, 2, 3, 3, 5, 6, 8]),
+            (np.arange(8, dtype=np.int64), np.linspace(0.0, 1.0, 8)),
+        )
+        columnar = ColumnarShard(ids, (lists,))
+        marks = np.array([1, 4], dtype=np.int64)
+        grouped = cogroup_columns([
+            columnar,
+            ColumnarShard(marks, (np.ones(2, dtype=bool),)),
+            ColumnarShard(ids, (np.ones(6, dtype=bool),)),
+        ])
+        assert grouped is not None
+        rows = [(v, [(v + 1, 0.5)]) for v in range(6)]
+        for shard in (columnar, grouped, lists, rows, 6):
+            assert dumps_data(shard) == cloudpickle.dumps(
+                shard, protocol=pickle.HIGHEST_PROTOCOL
+            )
+            assert dumps_data(shard) == pickle.dumps(
+                shard, protocol=pickle.HIGHEST_PROTOCOL
+            )
+
+    def test_record_holding_a_lambda_checkpoints_and_resumes(self, tmp_path):
+        pytest.importorskip("cloudpickle")
+        ckpt = str(tmp_path / "ckpt")
+
+        def run():
+            with Pipeline(2, checkpoint_dir=ckpt) as pipeline:
+                pairs = pipeline.create(range(4), name="src").map(
+                    lambda x: (x, lambda: x * 10)
+                )
+                out = sorted((x, fn()) for x, fn in pairs.to_list())
+                return out, pipeline.metrics
+
+        first, m1 = run()
+        second, m2 = run()
+        assert first == second == [(x, x * 10) for x in range(4)]
+        assert m1.checkpoint_stores == 1
+        assert m2.checkpoint_hits == 1 and m2.executed_stages == 0
+
+    def test_main_class_written_by_one_process_loads_in_another(
+        self, tmp_path
+    ):
+        """The stdlib pickler writes a ``__main__`` class by reference,
+        which no other process resolves; its bytes name ``__main__``, so
+        the record travels by value instead."""
+        pytest.importorskip("cloudpickle")
+        ckpt = str(tmp_path / "ckpt")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        for program in (_MAIN_CLASS_PROGRAM, _LOAD_PROGRAM):
+            script = tmp_path / "drive.py"
+            script.write_text(program)
+            proc = subprocess.run(
+                [sys.executable, str(script), ckpt], env=env,
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == list(range(6))
+
+
 class TestBeamCheckpointing:
+    def test_fused_joins_store_no_boundary(self, tmp_path, problem, monkeypatch):
+        """A join that moves no record runs inside the write that routes
+        its output, so neither the bounding round's three-way join nor
+        scoring's neighbor join is ever stored or checkpointed — and a
+        resumed drive still hits every boundary it stored."""
+        from repro.dataflow import beam_score
+
+        stored = []
+        finish = Pipeline._finish_node
+
+        def recording(self, node, raw_shards, **kwargs):
+            if kwargs.get("checkpoint_digest") is not None:
+                stored.append(node.name)
+            return finish(self, node, raw_shards, **kwargs)
+
+        monkeypatch.setattr(Pipeline, "_finish_node", recording)
+        ckpt = str(tmp_path / "ckpt")
+        options = EngineOptions(
+            num_shards=4, optimize=True, checkpoint_dir=ckpt
+        )
+        result, m1 = beam_bound(
+            problem, problem.n // 10, mode="exact", seed=0, options=options
+        )
+        beam_score(problem, result.solution, options=options)
+        assert "bound/reduce" in stored         # the bounds boundary
+        assert "score/per_point" in stored      # the mass boundary
+        assert "bound/threeway_join" not in stored
+        assert "score/neighbor_join" not in stored
+        _, m2 = beam_bound(
+            problem, problem.n // 10, mode="exact", seed=0, options=options
+        )
+        assert m2.checkpoint_stores == 0
+        assert m2.checkpoint_hits > 0
+
     def test_bounding_drive_resumes(self, tmp_path, problem):
         ckpt = str(tmp_path / "ckpt")
         k = problem.n // 10

@@ -452,21 +452,21 @@ class TestCompositeGroups:
         if driver.pipeline.optimize:
             # One exchange per round: the graph, the solution and the
             # remaining set are read in place — only the live edges,
-            # re-keyed by ``bound/invert``, get a write stage.
+            # re-keyed by ``bound/invert``, get a write stage, and the
+            # three-way join, which moves nothing, runs inside it.
             # The graph source is the packed adjacency columns, routed
             # when the driver was built.
+            assert plan.count("cogroup-write #") == 1
             assert (
-                "cogroup-read cogroup 'bound/threeway_join' <- "
+                "cogroup-write #0 cogroup 'bound/bounds_join' "
+                "[fused: cogroup 'bound/threeway_join' + flat_map "
+                "'bound/invert'] [vectorized] "
+                "(elided reshard 'bound/invert_key') <- "
                 "[materialized source 'source/neighbors'] [co-partitioned], "
                 "[materialized source 'state/solution'] [co-partitioned], "
                 "[materialized source 'state/remaining'] [co-partitioned]"
             ) in plan
-            assert plan.count("cogroup-write #") == 1
-            assert (
-                "cogroup-write #0 cogroup 'bound/bounds_join' "
-                "[fused: flat_map 'bound/invert'] [vectorized] "
-                "(elided reshard 'bound/invert_key')"
-            ) in plan
+            assert "cogroup-read cogroup 'bound/threeway_join'" not in plan
             assert (
                 "+ filter 'bound/bounded' + map_keyed_values 'bound/reduce' "
                 "[post-shuffle fused] [vectorized] <- "

@@ -138,7 +138,10 @@ class TestCLI:
         build = knn_beam.beam_knn_graph
 
         def recording(*args, **kwargs):
-            seen.append(kwargs.get("options"))
+            context = kwargs.get("context")
+            seen.append(
+                kwargs.get("options") if context is None else context.options
+            )
             return build(*args, **kwargs)
 
         monkeypatch.setattr(knn_beam, "beam_knn_graph", recording)
@@ -154,6 +157,37 @@ class TestCLI:
         ])
         assert code == 0
         assert seen == [EngineOptions(optimize=False, num_shards=3)]
+
+    def test_ann_select_spawns_one_cluster(self, monkeypatch, capsys):
+        """``select --knn-method ann --executor remote`` opens one engine
+        context: the graph build and the drive share one worker cluster,
+        and select the same points as the sequential backend."""
+        from repro.dataflow.remote.cluster import LocalCluster
+
+        spawns = []
+        init = LocalCluster.__init__
+
+        def counting(self, *args, **kwargs):
+            spawns.append(args)
+            init(self, *args, **kwargs)
+
+        def selected(*flags):
+            code = main([
+                "select", "--preset", "cifar100_tiny", "--n-points", "300",
+                "--k", "30", "--knn-method", "ann", "--engine", "dataflow",
+                "--num-shards", "4", *flags,
+            ])
+            assert code == 0
+            (line,) = [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("selected ")
+            ]
+            return line
+
+        monkeypatch.setattr(LocalCluster, "__init__", counting)
+        remote = selected("--executor", "remote")
+        assert len(spawns) == 1
+        assert remote == selected("--executor", "sequential")
 
     def test_select_from_npy_files(self, ds, tmp_path, capsys):
         emb = str(tmp_path / "x.npy")
@@ -187,7 +221,8 @@ class TestCLI:
     def test_plan_prints_both_costed_plans(self, capsys):
         """``repro plan`` — the end-to-end caller of ``explain(costs=True)``
         — prints the kNN and the bounding plan, every stage costed once,
-        and the bounding join reads all three inputs in place."""
+        and the bounding join reads all three inputs in place — inside
+        the round's one write, since it moves nothing."""
         # --optimize: the join assertions are about the optimized plan,
         # whatever default the session runs under.
         code = main([
@@ -212,28 +247,35 @@ class TestCLI:
         assert len(stage_lines(knn)) == 4
         assert "stream source 'state/remaining'" in bounding
         assert "[materialized source 'state/solution']" in bounding
-        assert len(stage_lines(bounding)) == 4
+        assert len(stage_lines(bounding)) == 3
         for line in stage_lines(out):
             assert len(re.findall(r"\[cost ~[\d.]+ms\]", line)) == 1, line
         (join,) = [
             line for line in bounding.splitlines()
-            if "cogroup-read cogroup 'bound/threeway_join'" in line
+            if "'bound/threeway_join'" in line
         ]
         # All three inputs read in place; the graph is its columnar
-        # source, no pack stage in front of it.
+        # source, no pack stage in front of it.  The join moves nothing,
+        # so it is no stage of its own: the round's one write runs it.
         assert join.count("[co-partitioned") == 3
         assert (
             "[materialized source 'source/neighbors'] [co-partitioned]"
         ) in join
         assert "bound/pack" not in out
-        assert "cogroup-write" not in join
-        assert "'bound/threeway_join'" not in bounding.replace(join, "")
+        assert join.strip().startswith(
+            "S2: cogroup-write #0 cogroup 'bound/bounds_join' [fused: "
+            "cogroup 'bound/threeway_join' + flat_map 'bound/invert']"
+        )
+        assert bounding.count("cogroup-write") == 1
+        assert "cogroup-read cogroup 'bound/threeway_join'" not in out
 
     def test_plan_output_is_pinned_byte_for_byte(self, capsys):
         """``repro plan --preset cifar100_tiny --n-points 200`` renders
         what the beams run, and a refactor must not change it.  The
-        golden is that command's stdout, captured before the engine
-        options lost ``stream_source`` & co.; ``--optimize`` only keeps
+        golden is that command's stdout: the kNN block as captured
+        before the engine options lost ``stream_source`` & co., the
+        bounding block re-captured when the round's three-way join moved
+        into its edge write (join fusion); ``--optimize`` only keeps
         it under a session run with ``--no-optimize`` (the default plan
         is the optimized one)."""
         code = main([
@@ -426,8 +468,7 @@ PLAN_GOLDEN = (
     'plan (optimize=on, shards=8)',
     "S1: stream source 'state/remaining' (chunks of 4096) [cost ~3.20ms]",
     "[composite 'BoundingFilter']",
-    "  S2: cogroup-read cogroup 'bound/threeway_join' <- [materialized source 'source/neighbors'] [co-partitioned], [materialized source 'state/solution'] [co-partitioned], S1 [co-partitioned] [cost ~3.20ms]",
-    "  S3: cogroup-write #0 cogroup 'bound/bounds_join' [fused: flat_map 'bound/invert'] [vectorized] (elided reshard 'bound/invert_key') <- S2 [cost ~2.74ms]",
-    "  S4: cogroup-read cogroup 'bound/bounds_join' + filter 'bound/bounded' + map_keyed_values 'bound/reduce' [post-shuffle fused] [vectorized] <- S3, S1 [co-partitioned], [materialized source 'source/utilities'] [co-partitioned] [cost ~2.74ms]",
-    'result <- S4',
+    "  S2: cogroup-write #0 cogroup 'bound/bounds_join' [fused: cogroup 'bound/threeway_join' + flat_map 'bound/invert'] [vectorized] (elided reshard 'bound/invert_key') <- [materialized source 'source/neighbors'] [co-partitioned], [materialized source 'state/solution'] [co-partitioned], S1 [co-partitioned] [cost ~2.74ms]",
+    "  S3: cogroup-read cogroup 'bound/bounds_join' + filter 'bound/bounded' + map_keyed_values 'bound/reduce' [post-shuffle fused] [vectorized] <- S2, S1 [co-partitioned], [materialized source 'source/utilities'] [co-partitioned] [cost ~2.74ms]",
+    'result <- S3',
 )

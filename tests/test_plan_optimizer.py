@@ -15,8 +15,10 @@ from repro.dataflow import (
     beam_knn_graph,
     beam_score,
 )
-from repro.dataflow.columnar import BatchDoFn, as_records
-from repro.dataflow.pcollection import Fold, Pipeline, _Node
+from repro.dataflow.columnar import BatchDoFn, ListColumn, as_records
+from repro.dataflow.library import BoundingFilter, SelectedEdgeMass, by_point
+from repro.dataflow.pcollection import Fold, PCollection, Pipeline, _Node
+from repro.dataflow.plan import _build_plan
 from repro.dataflow.transforms import cogroup
 from tests.conftest import random_problem
 from tests.matchers import assert_that, equal_to, plan_matches
@@ -114,7 +116,8 @@ class TestGoldenPlans:
         """The scoring joins: co-partitioned inputs are read in place (no
         write stage, a ``[co-partitioned]`` note instead), the re-keyed
         edges route once with their chain fused into the write (reshard
-        elided), and the join consumer fuses into the read."""
+        elided), the first join — which moves nothing — runs inside that
+        write, and the join consumer fuses into the read."""
         pipeline = Pipeline(num_shards=4, optimize=True)
         neighbors = pipeline.create_keyed(
             [(v, [((v + 1) % 20, 1.0), ((v - 1) % 20, 0.5)])
@@ -139,16 +142,15 @@ class TestGoldenPlans:
         )
         assert mass.explain() == (
             "plan (optimize=on, shards=4)\n"
-            "S1: cogroup-read cogroup 'score/neighbor_join' <- "
+            "S1: cogroup-write #0 cogroup 'score/source_join' "
+            "[fused: cogroup 'score/neighbor_join' + flat_map 'score/invert'] "
+            "(elided reshard 'score/invert_key') <- "
             "[materialized source 'score/neighbors'] [co-partitioned], "
             "[materialized source 'score/solution'] [co-partitioned]\n"
-            "S2: cogroup-write #0 cogroup 'score/source_join' "
-            "[fused: flat_map 'score/invert'] "
-            "(elided reshard 'score/invert_key') <- S1\n"
-            "S3: cogroup-read cogroup 'score/source_join' "
-            "+ flat_map 'score/per_point' [post-shuffle fused] <- S2, "
+            "S2: cogroup-read cogroup 'score/source_join' "
+            "+ flat_map 'score/per_point' [post-shuffle fused] <- S1, "
             "[materialized source 'score/solution'] [co-partitioned]\n"
-            "result <- S3"
+            "result <- S2"
         )
         # 0-1 and 1-2 are the only edges with both endpoints selected.
         assert_that(mass, equal_to(
@@ -159,7 +161,7 @@ class TestGoldenPlans:
         # records that move are the five selected points' ten edges.
         assert metrics.elided_shuffles == 4
         assert metrics.shuffled_records == 10
-        assert metrics.executed_stages == 3
+        assert metrics.executed_stages == 2
 
     def test_cogroup_naive_plan_routes_every_input(self):
         """``optimize=False`` is the differential reference: every cogroup
@@ -562,6 +564,181 @@ class TestRewriteGuards:
         assert metrics.elided_shuffles == 0
         # key_by reshard + group shuffle: every record moves twice.
         assert metrics.shuffled_records == 120
+
+
+def _find(node, name):
+    """The node called ``name`` in the DAG below ``node``."""
+    stack, seen = [node], set()
+    while stack:
+        cur = stack.pop()
+        if cur.name == name:
+            return cur
+        if id(cur) not in seen:
+            seen.add(id(cur))
+            stack.extend(cur.deps)
+    raise LookupError(name)
+
+
+class TestJoinFusion:
+    """A cogroup whose every input is read in place moves no record: the
+    shuffle write that is its only consumer absorbs it.  Pinning the join
+    with a second consumer gives back the unfused plan — the reference
+    the fused one must match stage for stage, bar the join's own."""
+
+    @staticmethod
+    def _edge_mass(pipeline):
+        """``SelectedEdgeMass`` over a 20-cycle, 5 points selected."""
+        neighbors = pipeline.create_keyed(
+            by_point(ListColumn(
+                np.arange(0, 41, 2),
+                (np.array([(v + d) % 20 for v in range(20) for d in (1, -1)]),
+                 np.tile([1.0, 0.5], 20)),
+            )),
+            name="score/neighbors",
+        )
+        solution = pipeline.create_keyed(
+            [(v, True) for v in (0, 1, 2, 4, 6)], name="score/solution"
+        )
+        return neighbors.apply(SelectedEdgeMass(solution))
+
+    @staticmethod
+    def _bounds(pipeline, problem):
+        """One bounding round's ``BoundingFilter``, first-round state."""
+        g = problem.graph
+        neighbors = pipeline.create_keyed(
+            by_point(ListColumn(g.indptr, (g.indices, g.weights))),
+            name="source/neighbors",
+        )
+        utilities = pipeline.create_keyed(
+            by_point(problem.utilities), name="source/utilities"
+        )
+        solution = pipeline.create_keyed([], name="state/solution")
+        remaining = pipeline.create_keyed(
+            [(v, True) for v in range(problem.n)], name="state/remaining"
+        )
+        return remaining.apply(BoundingFilter(
+            neighbors, utilities, solution, ratio=problem.beta_over_alpha,
+        ))
+
+    @pytest.mark.parametrize("shape, join", [
+        ("bounds", "bound/threeway_join"),
+        ("edge_mass", "score/neighbor_join"),
+    ])
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_one_stage_fewer_only_when_optimized(self, shape, join, optimize):
+        pipeline = Pipeline(num_shards=4, optimize=optimize)
+        if shape == "bounds":
+            out = self._bounds(pipeline, random_problem(40, seed=2))
+        else:
+            out = self._edge_mass(pipeline)
+        fused = _build_plan(out._node, optimize=optimize).stages
+        join_node = _find(out._node, join)
+        pin = _Node("map", (join_node,), fn=None)
+        unfused = _build_plan(out._node, optimize=optimize).stages
+        pin.release_claims()
+        assert sum(s.elided_shuffles for s in fused) == sum(
+            s.elided_shuffles for s in unfused
+        )
+        assert not any(s.join for s in unfused)
+        if not optimize:
+            assert [s.label for s in fused] == [s.label for s in unfused]
+            assert not any(s.join for s in fused)
+            return
+        assert len(fused) == len(unfused) - 1
+        (write,) = [s for s in fused if s.join is join_node]
+        assert write.kind == "cogroup-write"
+        assert write.narrow and all(write.narrow)
+        assert write.boundary is None
+        standalone = f"cogroup-read cogroup '{join}'"
+        assert standalone in [s.label for s in unfused]
+        assert [s.label for s in fused] == [
+            s.label for s in unfused if s.label != standalone
+        ]
+
+    def test_fused_run_moves_what_the_unfused_run_moves(self):
+        """Executed: the same output, the same shuffle volume and elided
+        routing passes as with the join cached — one stage fewer."""
+        runs = []
+        for pin in (False, True):
+            pipeline = Pipeline(num_shards=4, optimize=True)
+            out = self._edge_mass(pipeline)
+            if pin:
+                # A materialized join is no candidate: the unfused plan.
+                PCollection(
+                    pipeline, _find(out._node, "score/neighbor_join"),
+                    keyed=True,
+                ).cache()
+            result = sorted(out.to_list())
+            m = pipeline.metrics
+            runs.append((
+                result, m.shuffled_records, m.elided_shuffles,
+                m.executed_stages,
+            ))
+        (fused, *fused_m, fused_stages), (pinned, *pinned_m, pinned_stages) = (
+            runs
+        )
+        # 0-1 and 1-2 are the only edges with both endpoints selected.
+        assert fused == pinned == [0.0, 0.0, 0.5, 1.0, 1.5]
+        assert fused_m == pinned_m == [10, 4]
+        assert fused_stages == pinned_stages - 1
+
+    @pytest.mark.parametrize("write", [
+        "shuffle", "shuffle-write", "combine-write", "rebalance",
+        "cogroup-write",
+    ])
+    def test_every_write_kind_absorbs_the_join(self, write):
+        """Whatever routes the join's output — a materialized reshard, a
+        group or lifted-combine shuffle (a worker exchange under
+        ``--worker-shuffle``), a rebalance, a routed cogroup input — runs
+        the join in its own tasks, with the naive plan's results."""
+
+        def build(pipeline):
+            left = pipeline.create_keyed(
+                [(v, v) for v in range(30)], name="l"
+            )
+            right = pipeline.create_keyed(
+                [(v, -v) for v in range(0, 30, 3)], name="r"
+            )
+            edges = cogroup([left, right], name="j").flat_map(
+                lambda kv: [(kv[0] % 7, x) for x in kv[1][0] + kv[1][1]],
+                name="emit",
+            )
+            if write == "shuffle":
+                return edges.as_keyed(name="route")
+            if write == "shuffle-write":
+                return edges.as_keyed(name="route").group_by_key(name="g")
+            if write == "combine-write":
+                return edges.as_keyed(name="route").group_by_key(
+                    name="g"
+                ).map_values(Fold.sum(), name="sum")
+            if write == "rebalance":
+                return edges.reshuffle(name="spread")
+            return cogroup([edges.as_keyed(name="route"), right], name="j2")
+
+        def canonical(records):
+            return sorted(repr(r) for r in records)
+
+        fused = Pipeline(num_shards=4, optimize=True)
+        out = build(fused)
+        (stage,) = [s for s in fused._plan(out._node).stages if s.join]
+        assert stage.kind == write
+        assert "fused: cogroup 'j'" in out.explain()
+        naive = build(Pipeline(num_shards=4, optimize=False))
+        assert canonical(out.to_list()) == canonical(naive.to_list())
+
+    def test_no_fusion_when_the_join_is_shared(self):
+        pipeline = Pipeline(num_shards=4, optimize=True)
+        left = pipeline.create_keyed([(v, v) for v in range(12)], name="l")
+        right = pipeline.create_keyed([(v, -v) for v in range(6)], name="r")
+        joined = cogroup([left, right], name="j")
+        moved = joined.flat_map(
+            lambda kv: [(kv[0] + 1, len(kv[1][0]))], name="shift"
+        ).as_keyed(name="shift_key")
+        sizes = joined.map_values(lambda v: len(v[1]), name="sizes")
+        out = cogroup([moved, right], name="j2")
+        assert "fused: cogroup 'j'" not in out.explain()
+        assert "cogroup-read cogroup 'j'" in out.explain()
+        assert len(out.to_list()) == 13 and sizes.count() == 12
 
 
 class TestBeamMetrics:

@@ -31,6 +31,7 @@ from repro.dataflow import EngineOptions, beam_bound, beam_knn_graph
 from repro.dataflow import executor as executor_module
 from repro.dataflow.executor import (
     _resolve,
+    dumps_data,
     executor_names,
     resolve_executor,
 )
@@ -181,10 +182,10 @@ class TestRemoteBasics:
         )
         assert [[box.value for box in shard] for shard in out] == [[2], [4, 6]]
         plain = (1, "a", np.arange(3))
-        assert protocol.dumps_plain(plain) == pickle.dumps(
+        assert dumps_data(plain) == pickle.dumps(
             plain, protocol=pickle.HIGHEST_PROTOCOL
         )
-        assert protocol.loads(protocol.dumps_plain(Box(5))).value == 5
+        assert protocol.loads(dumps_data(Box(5))).value == 5
 
     def test_spilled_shards_resolve_on_localhost_workers(self, cluster):
         executor = RemoteExecutor(workers=cluster.addresses)

@@ -46,6 +46,17 @@ class TestSpillToDisk:
             union = flatten([a, b])
             assert union.count() == 3
 
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_cached_records_holding_a_closure(self, spill):
+        """A stored shard whose records hold a lambda: the stdlib pickler
+        refuses it, so the spill writer falls back to cloudpickle — the
+        same serializer checkpoints use — and both settings agree."""
+        with Pipeline(2, spill_to_disk=spill) as pipeline:
+            pairs = pipeline.create(range(4)).map(lambda x: (x, lambda: x))
+            pairs.cache()
+            got = sorted((x, fn()) for x, fn in pairs.to_list())
+        assert got == [(x, x) for x in range(4)]
+
     def test_close_removes_files(self):
         pipeline = Pipeline(2, spill_to_disk=True)
         spill_dir = pipeline._spill_dir

@@ -33,6 +33,7 @@ import pytest
 from repro.dataflow import pcollection
 from repro.dataflow.columnar import BatchDoFn, ColumnarShard, as_records
 from repro.dataflow.context import DataflowContext
+from repro.dataflow.executor import dumps_data
 from repro.dataflow.options import EngineOptions
 from repro.dataflow.pcollection import Fold, Pipeline
 from repro.dataflow.remote import LocalCluster, RemoteExecutor
@@ -46,6 +47,7 @@ from repro.dataflow.remote.protocol import (
     PROTOCOL_VERSION,
     ProtocolVersionError,
 )
+from repro.dataflow.transforms import cogroup
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +293,48 @@ class TestExchangeDataPlane:
                 assert pipeline.metrics.p2p_shuffle_bytes > 0
             finally:
                 pipeline.close()
+
+
+class TestJoinFusedExchange:
+    """A write that absorbed a join (join fusion) runs as the exchange's
+    write half: each write task groups its shard's cogroup parts on the
+    worker, then routes — same results, same counters, no declines."""
+
+    @staticmethod
+    def _drive(pipeline, combine):
+        left = pipeline.create_keyed([(v, v) for v in range(60)], name="l")
+        right = pipeline.create_keyed(
+            [(v, -v) for v in range(0, 60, 4)], name="r"
+        )
+        grouped = cogroup([left, right], name="j").flat_map(
+            lambda kv: [(kv[0] % 7, x) for x in kv[1][0] + kv[1][1]],
+            name="emit",
+        ).as_keyed().group_by_key()
+        fold = Fold.sum() if combine else sorted
+        return sorted(grouped.map_values(fold).to_list())
+
+    @pytest.mark.parametrize("combine", [False, True])
+    def test_exchange_runs_the_absorbed_join(self, remote, combine):
+        reference = Pipeline(num_shards=4, optimize=False)
+        expected = self._drive(reference, combine)
+        exchanged = []
+        run_exchange = remote.run_exchange
+
+        def recording(*args, **kwargs):
+            out = run_exchange(*args, **kwargs)
+            exchanged.append(out is not None)
+            return out
+
+        remote.run_exchange = recording
+        pipeline = Pipeline(
+            num_shards=4, executor=remote, shuffle="worker", optimize=True
+        )
+        assert self._drive(pipeline, combine) == expected
+        assert exchanged == [True]
+        assert remote.stats()["exchange_fallbacks"] == 0
+        labels = [p.label for p in pipeline.metrics.stage_profiles]
+        assert "cogroup-read cogroup 'j'" not in labels
+        assert pipeline.metrics.elided_shuffles == 3   # 2 inputs + as_keyed
 
 
 def _metered(metrics):
@@ -582,7 +626,7 @@ class TestFaultFallback:
         it reply ``FETCH_FAILED`` (the reply that declines the exchange),
         never a partial merge."""
         reader, peer = counting_servers
-        peer.store_bucket("x/0/1", protocol.dumps_plain([(1, 2)]))
+        peer.store_bucket("x/0/1", dumps_data([(1, 2)]))
         held = ("peer", peer.host, peer.port, "x/0/1")
         value, n_merged, _, p2p_bytes, local_bytes, _ = (
             reader._make_shuffle_read_work(len, None, [held])()
@@ -1068,7 +1112,7 @@ class TestPeerLinks:
 
     def test_broken_pooled_link_is_replaced(self, counting_servers):
         server = counting_servers[0]
-        server.store_bucket("x/0/1", protocol.dumps_plain([(1, 2)]))
+        server.store_bucket("x/0/1", dumps_data([(1, 2)]))
         want = ({"x/0/1": server.get_bucket("x/0/1")}, 0)
         links = protocol.PeerLinks()
         try:
@@ -1204,5 +1248,5 @@ class TestProtocolVersion:
             assert f"version {PROTOCOL_VERSION}" in message
             # It crosses the wire intact (a worker's peer link raises it
             # inside a read task, whose error reply the driver re-raises).
-            clone = protocol.loads(protocol.dumps_plain(caught.value))
+            clone = protocol.loads(dumps_data(caught.value))
             assert str(clone) == message
