@@ -150,7 +150,7 @@ def _print_plans(
     Builds the kNN-construction and first bounding-round plans through
     the beams themselves (:func:`~repro.dataflow.knn_beam.knn_plan`,
     :meth:`~repro.dataflow.bounding_beam.BeamBoundingDriver.explain`),
-    so the sources stream exactly where a drive streams them, and prints
+    so the plans are the ones a drive runs, and prints
     :meth:`PCollection.explain` with the cost model's predicted wall time
     per stage.  With ``--adaptive-plan`` the predictions come from the
     planner's calibrated constants (persisted next to
@@ -161,7 +161,7 @@ def _print_plans(
     from repro.graph.knn import l2_normalize
 
     n = problem.n
-    pipeline = ctx.pipeline(plan_records=n)
+    pipeline = ctx.pipeline()
     try:
         x = l2_normalize(embeddings)
         n_clusters = max(1, min(n, int(np.sqrt(n))))

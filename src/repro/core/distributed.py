@@ -62,11 +62,8 @@ Partitioner = Callable[[int, np.ndarray, int, np.random.Generator], List[np.ndar
 def fingerprint(*parts: Any) -> str:
     """Deterministic content hash over arrays/scalars/strings.
 
-    The checkpoint-salt primitive for distributed drives: the dataflow
-    engine's stage checkpointing (``Pipeline(checkpoint_dir=...)``) keys
-    streaming sources by a caller-supplied salt, and this is how the
-    beams derive one from the data those sources will stream — so a
-    resumed run only reuses checkpoints produced from identical inputs.
+    The incremental runtime keys its per-shard reuse by it
+    (:meth:`~repro.incremental.delta.DatasetVersion.shard_fingerprint`).
     NumPy arrays hash by dtype, shape, and raw bytes (no serialization
     round trip); containers hash recursively with type markers so e.g.
     ``(1, 2)`` and ``[1, 2]`` cannot collide.
@@ -99,25 +96,6 @@ def _fingerprint_update(h, part: Any) -> None:
             f"cannot fingerprint {type(part).__name__!r}; pass arrays, "
             "scalars, strings, bytes, or nestings of those"
         )
-
-
-def problem_fingerprint(problem: SubsetProblem) -> str:
-    """Content hash of a :class:`SubsetProblem` (graph, utilities, α/β).
-
-    Two runs whose problems fingerprint equal stream bit-identical
-    graph/utility sources, which is exactly the guarantee checkpoint
-    salts must carry.
-    """
-    g = problem.graph
-    return fingerprint(
-        "subset-problem",
-        problem.utilities,
-        g.indptr,
-        g.indices,
-        g.weights,
-        float(problem.alpha),
-        float(problem.beta),
-    )
 
 
 @dataclass(frozen=True)

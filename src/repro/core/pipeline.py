@@ -70,10 +70,9 @@ class SelectorConfig:
         memory engine).  The selector opens one
         :class:`~repro.dataflow.context.DataflowContext` from it per run
         — the bounding and greedy stages share its (persistent) worker
-        pool or cluster, and it is closed when the run finishes.  The
-        bounding stage streams only its remaining-set source (its graph
-        and utilities are array columns, always eager); the greedy
-        stage ingests its (array-backed) ground set eagerly.
+        pool or cluster, and it is closed when the run finishes.  Both
+        stages ingest eagerly: bounding's graph, utilities and initial
+        remaining set are array columns, greedy's ground set a list.
     checkpoint_gc:
         After a successful run with ``options.checkpoint_dir``, delete
         every checkpoint entry the run did not touch (see

@@ -22,8 +22,9 @@ operator DAG** and a pluggable executor:
   s, with automatic per-record fallback for plain callables and
   bit-identical results (the library ops have no row form: rows there
   are a ``TypeError``),
-- sources stream: ``create()``/``create_keyed()`` shard generators lazily
-  in bounded chunks, so the driver never materializes the ground set,
+- one kind of source: ``create()``/``create_keyed()`` read any iterable
+  (or a keyed :class:`~repro.dataflow.columnar.ColumnarShard`, routed
+  column-wise) when called, so every source is content-hashed,
 - hash-shards every keyed operation across ``num_shards`` logical workers,
 - runs per-shard stage work on a :class:`~repro.dataflow.executor.Executor`
   — :class:`~repro.dataflow.executor.SequentialExecutor` (default), the

@@ -68,7 +68,6 @@ from repro.core.bounding import (
     check_bounding,
     draw_seed_salt,
 )
-from repro.core.distributed import fingerprint, problem_fingerprint
 from repro.core.problem import SubsetProblem
 from repro.dataflow.columnar import ListColumn
 from repro.dataflow.library import BoundingFilter, OrderStatistics, by_point
@@ -107,11 +106,11 @@ class BeamBoundingDriver:
     keeps them, calling this driver's rounds); point sets live sharded in
     the pipeline.
     The pipeline is built through the given context (or a private one from
-    ``options``); with a checkpoint directory, plan digests cover the
-    graph/utility columns and are salted with the problem's content
-    fingerprint so the streamed remaining-set source checkpoints too — a
-    killed drive rerun with the same directory resumes from its last
-    completed stage with bit-identical decisions.
+    ``options``); with a checkpoint directory, plan digests cover every
+    source's content (graph, utilities, the initial state), so a killed
+    drive rerun with the same directory resumes from its last completed
+    stage with bit-identical decisions, and a drive over other data
+    misses.
     """
 
     def __init__(
@@ -130,15 +129,7 @@ class BeamBoundingDriver:
         self._context_guard = engine_context(options, context)
         self.context = self._context_guard.__enter__()
         try:
-            salt = None
-            if self.context.options.checkpoint_dir is not None:
-                # Salt the plan digests with the problem's content so a
-                # resumed drive can only reuse checkpoints of its own data
-                # (streamed sources cannot be hashed).
-                salt = fingerprint(
-                    "bounding-sources", problem_fingerprint(problem)
-                )
-            self.pipeline = self.context.pipeline(checkpoint_salt=salt)
+            self.pipeline = self.context.pipeline()
             self._seed_salt = draw_seed_salt(seed)
             g = problem.graph
             # The graph is loop-invariant: its source is the CSR arrays
@@ -189,10 +180,11 @@ class BeamBoundingDriver:
 
     def _initial_state(self) -> Tuple[PCollection, PCollection]:
         """``(solution, remaining)`` before the first round: an empty
-        eager solution and every point unassigned, streamed."""
+        solution and every point unassigned, a column like the graph's."""
         solution = self.pipeline.create_keyed([], name="state/solution")
         remaining = self.pipeline.create_keyed(
-            ((v, True) for v in range(self.problem.n)), name="state/remaining"
+            by_point(np.ones(self.problem.n, dtype=bool)),
+            name="state/remaining",
         )
         return solution, remaining
 

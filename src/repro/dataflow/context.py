@@ -58,17 +58,13 @@ class DataflowContext:
         self._scoped = False
         self._closed = False
 
-    def pipeline(self, **pipeline_args: Any):
+    def pipeline(self):
         """A :class:`~repro.dataflow.pcollection.Pipeline` wired to this
         context's executor and options.
 
-        ``pipeline_args`` are ``Pipeline``'s own per-pipeline keywords,
-        handed straight through: ``checkpoint_salt`` (bounding derives
-        one from the problem it streams), ``stream_chunk_size``, and
-        ``plan_records`` (the caller's estimate of a streaming source's
-        size, for ``explain``'s cost notes).  The pipeline never owns the
-        executor; closing it leaves the context's executor running.  The
-        context's planner, if any, records the pipeline's stage profiles.
+        The pipeline never owns the executor; closing it leaves the
+        context's executor running.  The context's planner, if any,
+        records the pipeline's stage profiles.
         """
         from repro.dataflow.pcollection import Pipeline
 
@@ -84,7 +80,6 @@ class DataflowContext:
             touched_digests=self.touched_checkpoint_digests,
             planner=self.planner,
             shuffle=o.shuffle,
-            **pipeline_args,
         )
 
     def scoped(self) -> "DataflowContext":

@@ -120,8 +120,8 @@ def _validate_max_workers(max_workers: "int | None") -> int:
 
 
 def dumps_data(obj: Any) -> bytes:
-    """Serialize data — a shard, a checkpoint entry, a frame a worker
-    builds — with the cheapest pickler that round-trips it.
+    """Serialize data — a shard, a checkpoint entry, a wire frame — with
+    the cheapest pickler that round-trips it.
 
     The stdlib pickler first: for plain data its bytes are cloudpickle's,
     at about half the cost.  cloudpickle (when installed) takes over when

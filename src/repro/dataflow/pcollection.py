@@ -30,14 +30,9 @@ pure functions of bare nodes in :mod:`repro.dataflow.plan`:
    engine.  :meth:`PCollection.explain` formats the *same* plan value
    without executing it, so what is rendered is what runs.
 
-Streaming sources: :meth:`Pipeline.create`/:meth:`Pipeline.create_keyed`
-accept any iterable.  Generators and other bare iterators (anything that
-is not a materialized ``Collection``) shard lazily in bounded chunks of
-``stream_chunk_size`` records — with
-``spill_to_disk`` the driver never holds more than one chunk of the input,
-so the ground set is never materialized driver-side.  Chunked sharding
-reproduces eager sharding's placement and order exactly, so results are
-bit-identical; ``stream=True/False`` overrides the auto-detection.
+Sources: :meth:`Pipeline.create`/:meth:`Pipeline.create_keyed` accept
+any iterable and read it at ``create()`` time, so every source is
+materialized — and content-hashed for checkpointing — from the start.
 
 Spilling (``spill_to_disk=True``) happens only at materialization
 boundaries: fused intermediates never touch storage, and one shard is
@@ -51,9 +46,7 @@ subplan that produced it (operator kinds, names, shard count, source
 contents, and a *structural* digest of each DoFn — bytecode, constants,
 defaults, captured values and referenced globals, but no file path, line
 number or hash-seed order, see :mod:`repro.dataflow.digest` — so a
-checkout moved elsewhere, or edited above a DoFn, still resumes;
-streaming sources, whose contents cannot be hashed without consuming
-them, are keyed by the caller-supplied ``checkpoint_salt`` instead).  A
+checkout moved elsewhere, or edited above a DoFn, still resumes).  A
 rerun of the same plan over the same inputs finds the digest on disk and
 skips the whole subtree — which is how a killed bounding drive resumes
 from its last completed stage (``metrics.checkpoint_hits`` /
@@ -89,7 +82,6 @@ import tempfile
 import time
 import uuid
 import weakref
-from collections.abc import Collection
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -207,11 +199,10 @@ class _DiskShard:
 class _ShardGroup:
     """Aligned parts of one logical shard, presented as one virtual shard.
 
-    Used by Flatten (one part per input collection) and by streaming
-    sources (one part per consumed chunk).  Implements the shard protocol
-    (``len`` without loading; ``load`` resolves each part), so the stage
-    runs through the executor like every other and spilled parts are
-    loaded inside the worker, never on the driver.
+    Used by Flatten (one part per input collection).  Implements the
+    shard protocol (``len`` without loading; ``load`` resolves each
+    part), so the stage runs through the executor like every other and
+    spilled parts are loaded inside the worker, never on the driver.
     """
 
     __slots__ = ("parts",)
@@ -231,9 +222,9 @@ class _ShardGroup:
 
 class _CoGroupParts(_ShardGroup):
     """One destination shard of a CoGroupByKey: the per-input parts, kept
-    apart.  ``load`` resolves each part inside the worker (spilled and
-    multi-chunk parts included) and hands the read stage one entry per
-    input, in tag order."""
+    apart.  ``load`` resolves each part inside the worker (spilled parts
+    included) and hands the read stage one entry per input, in tag
+    order."""
 
     __slots__ = ()
 
@@ -506,9 +497,6 @@ class Pipeline:
         default) resolves to the module default ``DEFAULT_OPTIMIZE``;
         ``False`` keeps the naive plan reachable (the CLI's
         ``--no-optimize``).
-    stream_chunk_size:
-        Records per chunk when a source streams lazily (see
-        :meth:`create`).  Bounds driver memory during ingest.
     checkpoint_dir:
         Persist every materialization-boundary output here, keyed by a
         deterministic plan digest, and skip any boundary whose digest is
@@ -516,21 +504,10 @@ class Pipeline:
         last completed stage (see the module docstring).  The directory
         is created if missing and **never** cleaned by :meth:`close`
         (surviving the run is the point).
-    checkpoint_salt:
-        Content fingerprint standing in for streaming sources in the
-        plan digest (their data cannot be hashed without consuming the
-        iterator).  Callers must derive it from the streamed content
-        (e.g. :func:`repro.core.distributed.problem_fingerprint`);
-        without it, streaming sources — and everything derived from
-        them — are simply not checkpointed.
     planner:
         An :class:`~repro.dataflow.planner.AdaptivePlanner` that records
         every executed stage's profile and whose calibrated cost model
         prices ``explain``'s cost notes.  It never changes the plan.
-    plan_records:
-        Caller's estimate of a streaming source's size in records, for
-        ``explain``'s predicted-cost rendering (eager sources are simply
-        counted).
     shuffle:
         Shuffle data plane: ``"driver"`` merges buckets on the driver,
         ``"worker"`` runs group/combine shuffles as a worker-to-worker
@@ -549,20 +526,13 @@ class Pipeline:
         spill_to_disk: bool = False,
         executor: "str | Executor" = "sequential",
         optimize: Optional[bool] = None,
-        stream_chunk_size: int = 4096,
         checkpoint_dir: Optional[str] = None,
-        checkpoint_salt: Optional[str] = None,
         touched_digests: "Optional[set]" = None,
         planner=None,
-        plan_records: Optional[int] = None,
         shuffle: Optional[str] = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if stream_chunk_size < 1:
-            raise ValueError(
-                f"stream_chunk_size must be >= 1, got {stream_chunk_size}"
-            )
         if shuffle is not None and shuffle not in ("driver", "worker"):
             raise ValueError(
                 f"shuffle must be 'driver', 'worker', or None, got {shuffle!r}"
@@ -572,9 +542,7 @@ class Pipeline:
         self.spill_to_disk = bool(spill_to_disk)
         self.optimize = DEFAULT_OPTIMIZE if optimize is None else bool(optimize)
         self.shuffle = DEFAULT_SHUFFLE if shuffle is None else str(shuffle)
-        self.stream_chunk_size = int(stream_chunk_size)
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_salt = checkpoint_salt
         self.executor = resolve_executor(executor)
         self._owns_executor = not isinstance(executor, Executor)
         #: Checkpoint digests this run computed, stored, or resumed —
@@ -587,9 +555,6 @@ class Pipeline:
         )
         #: Records each stage's profile; ``None`` records nothing.
         self.planner = planner
-        #: The caller's estimate of a streaming source's size (records),
-        #: for ``explain``'s predicted-cost rendering.
-        self.plan_records = plan_records
         #: Plan digest of the boundary currently executing — stamps the
         #: stage profiles recorded under it (checkpointed runs only).
         self._current_digest: Optional[str] = None
@@ -647,52 +612,25 @@ class Pipeline:
     # -- sources -----------------------------------------------------------
 
     def create(
-        self,
-        elements: Iterable[Any],
-        *,
-        name: str = "create",
-        stream: Optional[bool] = None,
+        self, elements: Iterable[Any], *, name: str = "create"
     ) -> "PCollection":
-        """A round-robin-sharded PCollection from any iterable.
-
-        Materialized containers (lists, tuples, ranges, arrays, sets)
-        shard **eagerly** — the collection snapshots the input at create()
-        time, as the eager engine always did.  Genuinely lazy iterables —
-        generators and other iterators — shard **lazily in bounded
-        chunks** of ``stream_chunk_size`` records at first
-        materialization, so with ``spill_to_disk`` the driver never holds
-        more than one chunk of the input.  Chunked sharding reproduces
-        eager sharding's placement and order exactly (element ``i`` lands
-        on shard ``i % num_shards`` either way), so results are
-        bit-identical.  ``stream`` overrides the auto-detection in either
-        direction.
-        """
+        """A round-robin-sharded PCollection from any iterable, read now:
+        element ``i`` lands on shard ``i % num_shards``.  The collection
+        snapshots the input — later mutation of it does not leak in — and
+        an error the iterable raises surfaces here."""
         self.metrics.count_stage(name)
-        if stream is None:
-            stream = not isinstance(elements, Collection)
-        if stream:
-            node = self._new_node(
-                "stream_source", (), extra=(iter(elements), False), name=name
-            )
-            return PCollection(self, node, keyed=False)
         shards: List[List[Any]] = [[] for _ in range(self.num_shards)]
         for i, element in enumerate(elements):
             shards[i % self.num_shards].append(element)
         return self._from_materialized(shards, keyed=False, name=name)
 
     def create_keyed(
-        self,
-        pairs: Iterable[Tuple[Any, Any]],
-        *,
-        name: str = "create_keyed",
-        stream: Optional[bool] = None,
+        self, pairs: Iterable[Tuple[Any, Any]], *, name: str = "create_keyed"
     ) -> "PCollection":
-        """``(key, value)`` pairs, sharded by key.
-
-        Streaming (see :meth:`create`) routes each bounded chunk by key as
-        it is consumed — same placement, same order as eager sharding.  A
-        keyed :class:`~repro.dataflow.columnar.ColumnarShard` is its
-        records already in columns: it routes column-wise
+        """``(key, value)`` pairs, sharded by key, read now (as
+        :meth:`create`).  A keyed
+        :class:`~repro.dataflow.columnar.ColumnarShard` is its records
+        already in columns: it routes column-wise
         (:func:`~repro.dataflow.columnar.route_columnar`) into columnar
         shards, the same placement and order as the records would get.
         """
@@ -701,14 +639,6 @@ class Pipeline:
             return self._from_materialized(
                 route_columnar(pairs, self.num_shards), keyed=True, name=name
             )
-        if stream is None:
-            stream = not isinstance(pairs, Collection)
-        if stream:
-            node = self._new_node(
-                "stream_source", (), extra=(iter(pairs), True), name=name,
-                partitioned=True,
-            )
-            return PCollection(self, node, keyed=True)
         shards: List[List[Any]] = [[] for _ in range(self.num_shards)]
         for key, value in pairs:
             shards[_stable_shard(key, self.num_shards)].append((key, value))
@@ -763,7 +693,7 @@ class Pipeline:
         """Store + meter a node's output shards, then truncate its lineage.
 
         ``stored=True`` means the shards already went through
-        :meth:`_store_shard` (streaming sources spill chunk by chunk).
+        :meth:`_store_shard` (a boundary loaded from its checkpoint).
         ``checkpoint_digest`` persists the boundary under that key before
         lineage truncation (``None`` for non-checkpointable nodes, plain
         sources cached at creation, and boundaries *loaded* from a
@@ -809,9 +739,9 @@ class Pipeline:
     def _node_digest(self, node: _Node) -> Optional[str]:
         """Deterministic digest of the subplan below ``node`` (memoized).
 
-        ``None`` marks the node non-checkpointable (a streaming source
-        without a salt, an unserializable DoFn, …); the marker is
-        memoized too, and poisons every descendant.
+        ``None`` marks the node non-checkpointable (an unserializable
+        DoFn, …); the marker is memoized too, and poisons every
+        descendant.
         """
         memo = self._digest_memo
         if node in memo:
@@ -837,16 +767,16 @@ class Pipeline:
 
     def _compute_digest(self, node: _Node) -> Optional[str]:
         """SHA-256 over the checkpoint version, the shard count, the
-        node's kind and name, and then: an eager source's shards, or the
-        salt of a streaming one, or the structural digests
-        (:mod:`repro.dataflow.digest` — no paths, no line numbers, no
-        hash-seed order) of ``fn`` and ``extra`` followed by the digests
-        of the deps.  ``None``: not checkpointable."""
+        node's kind and name, and then: a source's shards, or the
+        structural digests (:mod:`repro.dataflow.digest` — no paths, no
+        line numbers, no hash-seed order) of ``fn`` and ``extra``
+        followed by the digests of the deps.  ``None``: not
+        checkpointable."""
         h = hashlib.sha256()
         h.update(self._CHECKPOINT_VERSION)
         h.update(f"|{self.num_shards}|{node.kind}|{node.name}|".encode())
         if node.kind == "source":
-            # Eager sources are cached at creation: their digest is their
+            # Sources are cached at creation: their digest is their
             # content, which is exactly what keys every derived boundary
             # to this run's input data.
             if node.cached is None:
@@ -857,11 +787,6 @@ class Pipeline:
                     _digest.update_digest(h, _resolve(shard))
             except Exception:
                 return None
-            return h.hexdigest()
-        if node.kind == "stream_source":
-            if self.checkpoint_salt is None:
-                return None
-            h.update(self.checkpoint_salt.encode())
             return h.hexdigest()
         if node.cached is not None:
             # Materialized mid-run without a recorded digest (checkpointing
@@ -1023,9 +948,7 @@ class Pipeline:
         finally:
             self._current_digest = prev_digest
         stage.truncate()
-        return self._finish_node(
-            node, raw, stored=stage.kind == "stream", checkpoint_digest=digest
-        )
+        return self._finish_node(node, raw, checkpoint_digest=digest)
 
     def _execute(self, stage: _Stage) -> List[Any]:
         self._begin(stage)
@@ -1091,60 +1014,6 @@ class Pipeline:
             payload_bytes=max(0, payload_after - payload_before),
         )
         return out
-
-    def _run_stream_source(self, stage: _Stage) -> List[Any]:
-        """Consume a lazy source chunk by chunk: route each bounded chunk,
-        store its per-shard buckets (spilled immediately when enabled),
-        and assemble each shard as a :class:`_ShardGroup` of chunk parts —
-        the driver never holds more than one chunk of raw input.  (No
-        stage function runs, so no ``StageProfile``; the returned shards
-        are already stored.)"""
-        node = stage.node
-        elements, keyed = node.extra
-        if elements is None:
-            raise RuntimeError(
-                f"streaming source '{node.name}' failed mid-consumption "
-                "earlier; its iterator is spent — rebuild the pipeline"
-            )
-        num = self.num_shards
-        parts: List[List[Any]] = [[] for _ in range(num)]
-        position = 0
-        try:
-            while True:
-                chunk = list(itertools.islice(elements, self.stream_chunk_size))
-                if not chunk:
-                    break
-                buckets: List[list] = [[] for _ in range(num)]
-                if keyed:
-                    for key, value in chunk:
-                        buckets[_stable_shard(key, num)].append((key, value))
-                else:
-                    for element in chunk:
-                        buckets[position % num].append(element)
-                        position += 1
-                del chunk
-                for shard_idx, bucket in enumerate(buckets):
-                    if bucket:
-                        parts[shard_idx].append(self._store_shard(bucket))
-                # Drop every bucket reference (including the loop variable)
-                # before reading the next chunk — otherwise two chunks are
-                # alive at once (spilled parts hold no records; in-memory
-                # parts intentionally do).
-                del buckets, bucket
-        except BaseException:
-            # Poison the node: the iterator is partially consumed, so a
-            # retry would silently cache truncated (or empty) data.
-            node.extra = (None, keyed)
-            raise
-        shards: List[Any] = []
-        for shard_parts in parts:
-            if not shard_parts:
-                shards.append([])
-            elif len(shard_parts) == 1:
-                shards.append(shard_parts[0])
-            else:
-                shards.append(_ShardGroup(shard_parts))
-        return shards
 
     def _exchange_enabled(self) -> bool:
         """Is the worker-to-worker shuffle data plane in play?"""
@@ -1353,7 +1222,6 @@ class Pipeline:
         )
 
     _STAGE_RUNNERS = {
-        "stream": _run_stream_source,
         "chain": _run_chain,
         "shuffle": _run_write,
         "cogroup-write": _run_write,
@@ -1382,7 +1250,6 @@ class Pipeline:
         return _format_plan(
             plan,
             num_shards=self.num_shards,
-            stream_chunk_size=self.stream_chunk_size,
             boundary_note=self._reuse_note if reuse else None,
             cost_note=self._cost_note(plan) if costs else None,
         )
@@ -1403,9 +1270,7 @@ class Pipeline:
         ``charged_shuffle``) and a plan-wide input-row estimate.
 
         The estimate sums the sizes of every materialized node the plan
-        reads; stream sources contribute the pipeline's declared
-        ``plan_records`` hint (or one chunk when no hint was given).
-        Deliberately coarse — predictions before any run exists only need
+        reads.  Deliberately coarse — predictions before any run exists only need
         the right order of magnitude to rank plans.
         """
         from repro.cluster.costmodel import CostModel
@@ -1417,8 +1282,7 @@ class Pipeline:
         for stage in plan.stages:
             read.extend(stage.inputs)
         cached = {id(src): src for src in read if isinstance(src, _Node)}
-        streams = sum(stage.kind == "stream" for stage in plan.stages)
-        rows = streams * (self.plan_records or self.stream_chunk_size) + sum(
+        rows = sum(
             len(shard) for node in cached.values() for shard in node.cached
         )
         parallelism = self._shuffle_parallelism()

@@ -528,13 +528,12 @@ class _Stage:
     """One physical stage — what runs, what is metered, what is rendered.
 
     ``kind`` is ``chain`` (a fused element-wise chain), ``shuffle`` (a
-    materialized reshard), ``rebalance``, ``flatten``, a shuffle half
+    materialized reshard), ``rebalance``, ``flatten``, or a shuffle half
     (``shuffle-write``/``group-read``, ``combine-write``/``combine-read``,
-    ``cogroup-write``/``cogroup-read``) or ``stream`` (a streaming
-    source: consumed on the driver, no stage function).  ``label`` is
-    the :class:`StageProfile` label (first token: the stage kind the
-    bench groups by); ``node`` the operator the stage belongs to (a write
-    and its read share it).  ``chain`` is the producing chain fused into
+    ``cogroup-write``/``cogroup-read``).  ``label`` is the
+    :class:`StageProfile` label (first token: the stage kind the bench
+    groups by); ``node`` the operator the stage belongs to (a write and
+    its read share it).  ``chain`` is the producing chain fused into
     the stage — ending in ``node`` itself for a ``chain`` stage — with
     the reshards it elides (``None`` on reads); ``post`` the consumers
     fused into a shuffle read (post-shuffle fusion) and ``post_chain``
@@ -730,8 +729,6 @@ def _build_plan(node: _Node, *, optimize: bool) -> _Plan:
     def operator(op: _Node, post: Optional[_Chain] = None) -> _Stage:
         """The stage(s) of a non-element-wise node, ``post`` fused in."""
         kind = op.kind
-        if kind == "stream_source":
-            return emit("stream", op)
         if kind == "reshard":
             return write("shuffle", op, _peek_chain(op.deps[0], elide=optimize))
         if kind == "reshuffle":
@@ -848,11 +845,9 @@ def _input_ref(source, narrow: Optional[_Chain] = None) -> str:
     return text
 
 
-def _stage_text(stage: _Stage, stream_chunk_size: int, note: str) -> str:
+def _stage_text(stage: _Stage, note: str) -> str:
     kind, node = stage.kind, stage.node
-    if kind == "stream":
-        text = f"stream source '{node.name}' (chunks of {stream_chunk_size})"
-    elif kind == "chain":
+    if kind == "chain":
         text = " + ".join(map(_describe, stage.chain.nodes))
         text += _vector_note(stage.chain)
     else:
@@ -879,7 +874,6 @@ def _format_plan(
     plan: _Plan,
     *,
     num_shards: int,
-    stream_chunk_size: int,
     boundary_note: Optional[Callable[[_Stage], str]] = None,
     cost_note: Optional[Callable[[_Stage], str]] = None,
 ) -> str:
@@ -917,7 +911,7 @@ def _format_plan(
                 "  " * depth + f"[composite '{token[0]}'{marker}]"
             )
         open_scope = scope
-        text = _stage_text(stage, stream_chunk_size, boundary_note(stage))
+        text = _stage_text(stage, boundary_note(stage))
         rendered.append(
             "  " * len(scope) + f"S{stage.index}: {text}{cost_note(stage)}"
         )

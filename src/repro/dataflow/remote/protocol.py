@@ -102,18 +102,18 @@ Worker → driver, in addition to the replies above:
     while a task runs, never after that task's reply, so the driver can
     tell a slow worker from a dead one without bounding task runtime.
 
-Serialization: frames the driver builds (stage payloads, user shards)
-use :mod:`cloudpickle` when available (:func:`dumps`): a class defined in
-the driver's ``__main__`` would pickle by reference under the stdlib
-pickler and then fail to load on the worker.  The caller treats a
-serialization error as "run this shard on the driver".  Frames a worker
-builds (stored buckets, task replies, fetch answers) and the handshake
-and fetch requests are data, so they go through the engine's one data
-serializer, :func:`repro.dataflow.executor.dumps_data` — the one
+Serialization: every frame (:func:`dumps`) goes through the engine's one
+data serializer, :func:`repro.dataflow.executor.dumps_data` — the one
 checkpoints and spills use too: the stdlib pickler, and cloudpickle only
-when it raises or its bytes name ``__main__``.  A class or function the
-worker received by value fails the stdlib pickler's by-reference
-identity check loudly, so the fallback cannot be skipped silently.
+when it raises or its bytes name ``__main__`` (a class defined in the
+driver's ``__main__`` would pickle by reference and then fail to load on
+the worker, so it travels by value).  Stage functions are the exception:
+they go through the broadcast-aware pickler
+(:func:`~repro.dataflow.executor.dumps_with_broadcast`).  The driver
+treats a serialization error on a task frame as "run this shard on the
+driver".  A class or function the worker received by value fails the
+stdlib pickler's by-reference identity check loudly, so the fallback
+cannot be skipped silently.
 
 Peer links
 ----------
@@ -134,11 +134,6 @@ import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.dataflow.executor import dumps_data
-
-try:
-    import cloudpickle as _cloudpickle
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _cloudpickle = None
 
 #: Message tags (first tuple element of every frame payload).
 (
@@ -208,10 +203,8 @@ class ProtocolVersionError(RuntimeError):
 
 
 def dumps(message: Tuple[Any, ...]) -> bytes:
-    """Serialize one message (cloudpickle when available)."""
-    if _cloudpickle is not None:
-        return _cloudpickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    """Serialize one message with the engine's one data serializer."""
+    return dumps_data(message)
 
 
 def loads(payload: bytes) -> Tuple[Any, ...]:

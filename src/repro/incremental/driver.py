@@ -268,7 +268,7 @@ class IncrementalDriver:
         ``reuse`` annotates boundaries whose checkpoint already exists —
         i.e. what the next :meth:`drive` will load instead of running.
         """
-        pipeline = self.context.pipeline(plan_records=version.num_alive)
+        pipeline = self.context.pipeline()
         try:
             _branches, pooled = self._build(pipeline, version)
             return pooled.explain(reuse=reuse)

@@ -121,42 +121,6 @@ class TestPipelineCheckpointing:
         assert second == first
         assert m2.checkpoint_hits == 0
 
-    def test_stream_source_without_salt_not_checkpointed(self, tmp_path):
-        ckpt = str(tmp_path / "ckpt")
-        pipeline = Pipeline(num_shards=4, checkpoint_dir=ckpt)
-        try:
-            out = sorted(
-                pipeline.create((x for x in range(60)), name="gen")
-                .map(lambda x: x + 1)
-                .to_list()
-            )
-            assert out == list(range(1, 61))
-            assert pipeline.metrics.checkpoint_stores == 0
-        finally:
-            pipeline.close()
-
-    def test_stream_source_with_salt_resumes(self, tmp_path):
-        ckpt = str(tmp_path / "ckpt")
-
-        def run():
-            pipeline = Pipeline(
-                num_shards=4, checkpoint_dir=ckpt, checkpoint_salt="data-v1"
-            )
-            try:
-                out = sorted(
-                    pipeline.create((x for x in range(60)), name="gen")
-                    .map(lambda x: x + 1)
-                    .to_list()
-                )
-                return out, pipeline.metrics.checkpoint_hits
-            finally:
-                pipeline.close()
-
-        first, hits1 = run()
-        second, hits2 = run()
-        assert first == second
-        assert hits1 == 0 and hits2 > 0
-
     def test_spill_and_checkpoint_compose(self, tmp_path):
         """A boundary written by a spilling run restores in a non-spilling
         one (and vice versa): storage mode is not part of the digest.
@@ -486,6 +450,53 @@ class TestBeamCheckpointing:
         )
         np.testing.assert_array_equal(resumed.solution, fresh.solution)
         np.testing.assert_array_equal(resumed.remaining, fresh.remaining)
+
+    @pytest.mark.parametrize("change", ["permuted_utilities", "alpha"])
+    def test_bounding_checkpoints_follow_the_problem(
+        self, tmp_path, problem, change
+    ):
+        """Bounding checkpoints are keyed by their data: a drive of
+        problem B into the directory a drive of problem A filled equals
+        B's own fresh drive, whether B permutes A's utilities over the
+        same graph or weighs the same utilities at another α."""
+        if change == "alpha":
+            first = problem
+            second = SubsetProblem.with_alpha(
+                problem.utilities, problem.graph, 0.5
+            )
+        else:
+            first = problem
+            second = SubsetProblem.with_alpha(
+                np.random.default_rng(0).permutation(problem.utilities),
+                problem.graph, 0.9,
+            )
+        ckpt = str(tmp_path / "ckpt")
+        k = problem.n // 10
+        fresh = {}
+        for name, instance in (("first", first), ("second", second)):
+            fresh[name], _ = beam_bound(
+                instance, k, mode="exact", seed=0,
+                options=EngineOptions(num_shards=4),
+            )
+        beam_bound(first, k, mode="exact", seed=0,
+                   options=EngineOptions(num_shards=4, checkpoint_dir=ckpt))
+        resumed, _ = beam_bound(
+            second, k, mode="exact", seed=0,
+            options=EngineOptions(num_shards=4, checkpoint_dir=ckpt),
+        )
+        # Not vacuous: the two problems bound differently.
+        assert not (
+            np.array_equal(fresh["first"].solution, fresh["second"].solution)
+            and np.array_equal(
+                fresh["first"].remaining, fresh["second"].remaining
+            )
+        )
+        np.testing.assert_array_equal(
+            resumed.solution, fresh["second"].solution
+        )
+        np.testing.assert_array_equal(
+            resumed.remaining, fresh["second"].remaining
+        )
 
     def test_greedy_drive_resumes(self, tmp_path, problem):
         ckpt = str(tmp_path / "ckpt")

@@ -94,7 +94,7 @@ class TestBeamBoundingEquivalence:
         )
         assert metrics.peak_shard_records == math.ceil(problem.n / 8)
 
-    def test_streamed_graph_is_released_once_packed(self, problem):
+    def test_graph_source_is_the_packed_adjacency(self, problem):
         """The graph source *is* the packed adjacency: columnar shards over
         the CSR arrays, one record per point, routed once at creation —
         no row copy of the adjacency and no pack stage exist."""

@@ -22,9 +22,8 @@ in-process ones.  All data is
 integer-valued and every declared fold is exact under regrouping, so
 "identical" means bit-identical, not approximately equal.  This is the
 headline guarantee for the plan-optimizer layer: combiner lifting,
-redundant-shuffle elision, post-shuffle fusion, and chunked streaming
-sources may change *where* and *how often* records move, never *what*
-comes out.
+redundant-shuffle elision and post-shuffle fusion may change *where*
+and *how often* records move, never *what* comes out.
 
 The program builder draws every random choice before any execution, so a
 given seed describes exactly one program; only the engine configuration
@@ -46,7 +45,6 @@ from repro.dataflow.transforms import cogroup, flatten
 
 N_PROGRAMS = 8
 N_SHARDS = 4
-STREAM_CHUNK = 16
 
 #: The configuration matrix: every {optimize} x {executor} x {spill}
 #: combination, plus the worker-to-worker shuffle plane on the remote
@@ -120,10 +118,9 @@ def _build_program(seed: int, pipeline: Pipeline):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(40, 120))
     data = list(range(n))
-    use_stream = bool(seed % 2)
     # ``kind`` tags the element type: "int" (unkeyed ints), "kv" (keyed
     # int->int), "kvlist" (group output), "kvtuple" (cogroup output).
-    pool = [("int", pipeline.create(data, stream=use_stream))]
+    pool = [("int", pipeline.create(data))]
 
     for _step in range(int(rng.integers(6, 11))):
         idx = int(rng.integers(len(pool)))
@@ -229,7 +226,7 @@ def _run_cell(
     )
     try:
         with DataflowContext(options) as ctx:
-            pipeline = ctx.pipeline(stream_chunk_size=STREAM_CHUNK)
+            pipeline = ctx.pipeline()
             try:
                 return program(pipeline)
             finally:
@@ -383,16 +380,11 @@ def test_partition_aware_cogroup_skips_the_shuffle():
 def test_programs_exercise_the_optimizer():
     """Meta-test: across the seeded programs, the optimized cells actually
     fire every rewrite (otherwise the matrix proves nothing)."""
-    lifted = elided = fused = streamed = 0
+    lifted = elided = fused = 0
     for seed in range(N_PROGRAMS):
-        pipeline = Pipeline(
-            num_shards=N_SHARDS, optimize=True, stream_chunk_size=STREAM_CHUNK
-        )
+        pipeline = Pipeline(num_shards=N_SHARDS, optimize=True)
         try:
             pool = _build_program(seed, pipeline)
-            streamed += sum(
-                1 for _k, c in pool if c._node.kind == "stream_source"
-            )
             for _kind, col in pool:
                 col.run()
             metrics = pipeline.metrics
@@ -404,7 +396,6 @@ def test_programs_exercise_the_optimizer():
     assert lifted > 0, "no program lifted a combiner"
     assert elided > 0, "no program elided a shuffle"
     assert fused > 0, "no program fused stages"
-    assert streamed > 0, "no program used a streaming source"
 
 
 def test_vectorized_path_fires_on_library_beams():

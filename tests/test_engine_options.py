@@ -238,24 +238,25 @@ class TestDataflowContext:
             assert second.create(range(4)).count() == 4
             second.close()
 
-    def test_pipeline_arguments_pass_through(self, tmp_path):
-        """``Pipeline``'s own per-pipeline keywords go straight through;
-        the rest of the pipeline is the context's options."""
+    @pytest.mark.parametrize(
+        "removed", ["checkpoint_salt", "stream_chunk_size", "plan_records"]
+    )
+    def test_pipeline_is_the_context_options_alone(self, tmp_path, removed):
+        """A context's pipeline takes no keyword: it is the context's
+        options alone, and ``Pipeline`` has no per-pipeline source or
+        salt keyword either."""
+        from repro.dataflow.pcollection import Pipeline
+
         options = EngineOptions(checkpoint_dir=str(tmp_path / "ckpt"))
         with DataflowContext(options) as ctx:
-            pipeline = ctx.pipeline(
-                checkpoint_salt="stage-a", stream_chunk_size=16,
-                plan_records=100,
-            )
-            assert pipeline.checkpoint_salt == "stage-a"
-            assert pipeline.stream_chunk_size == 16
-            assert pipeline.plan_records == 100
+            with pytest.raises(TypeError, match=removed):
+                ctx.pipeline(**{removed: 1})
+            pipeline = ctx.pipeline()
             assert pipeline.checkpoint_dir == options.checkpoint_dir
+            assert not hasattr(pipeline, removed)
             pipeline.close()
-            default = ctx.pipeline()
-            assert default.checkpoint_salt is None
-            assert default.stream_chunk_size == 4096
-            default.close()
+        with pytest.raises(TypeError, match=removed):
+            Pipeline(**{removed: 1})
 
     def test_bounding_driver_closes_private_context_on_init_failure(
         self, small_problem, monkeypatch
@@ -474,8 +475,8 @@ class TestCompositeGroups:
         else:
             assert plan.count("cogroup-write #") == 6
         # One application is one group: interleaved out-of-scope lines
-        # (the streamed utility source) mark re-entry as resumed instead
-        # of opening what reads like a second application.
+        # (another input's stages) mark re-entry as resumed instead of
+        # opening what reads like a second application.
         assert plan.count("[composite 'BoundingFilter']") == 1
         resumed = plan.count("[composite 'BoundingFilter' (resumed)]")
         headers = plan.count("composite 'BoundingFilter'")
@@ -570,16 +571,13 @@ class TestKnobTableContract:
     ])
     def test_removed_knobs_are_rejected_on_every_surface(self, removed):
         """A removed knob is an unknown key everywhere a knob can arrive
-        from — never silently ignored.  (``checkpoint_salt`` and
-        ``stream_chunk_size`` stay ``Pipeline`` keywords: they are per
-        pipeline, not engine configuration.)"""
+        from — never silently ignored."""
         from repro.dataflow.pcollection import Pipeline
 
         with pytest.raises(TypeError, match=removed):
             EngineOptions(**{removed: True})
-        if removed not in ("checkpoint_salt", "stream_chunk_size"):
-            with pytest.raises(TypeError, match=removed):
-                Pipeline(**{removed: True})
+        with pytest.raises(TypeError, match=removed):
+            Pipeline(**{removed: True})
         with pytest.raises(ValueError, match=f"unknown.*{removed}"):
             EngineOptions.from_dict({removed: True})
         parser = argparse.ArgumentParser()

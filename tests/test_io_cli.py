@@ -240,14 +240,13 @@ class TestCLI:
                 if re.match(r"\s*S\d+: ", line)
             ]
 
-        # The plans the beams drive: the kNN source eager, the bounding
-        # solution eager and its remaining set streamed.
+        # The plans the beams drive: every source materialized at
+        # creation, none a stage of its own.
         assert "[materialized source 'knn/source']" in knn
-        assert "stream source 'knn/source'" not in knn
         assert len(stage_lines(knn)) == 4
-        assert "stream source 'state/remaining'" in bounding
+        assert "[materialized source 'state/remaining']" in bounding
         assert "[materialized source 'state/solution']" in bounding
-        assert len(stage_lines(bounding)) == 3
+        assert len(stage_lines(bounding)) == 2
         for line in stage_lines(out):
             assert len(re.findall(r"\[cost ~[\d.]+ms\]", line)) == 1, line
         (join,) = [
@@ -263,7 +262,7 @@ class TestCLI:
         ) in join
         assert "bound/pack" not in out
         assert join.strip().startswith(
-            "S2: cogroup-write #0 cogroup 'bound/bounds_join' [fused: "
+            "S1: cogroup-write #0 cogroup 'bound/bounds_join' [fused: "
             "cogroup 'bound/threeway_join' + flat_map 'bound/invert']"
         )
         assert bounding.count("cogroup-write") == 1
@@ -274,8 +273,9 @@ class TestCLI:
         what the beams run, and a refactor must not change it.  The
         golden is that command's stdout: the kNN block as captured
         before the engine options lost ``stream_source`` & co., the
-        bounding block re-captured when the round's three-way join moved
-        into its edge write (join fusion); ``--optimize`` only keeps
+        bounding block re-captured when its remaining-set source became
+        an eager column (no stream stage; its cost note now counts the
+        source's rows, not a chunk-size guess); ``--optimize`` only keeps
         it under a session run with ``--no-optimize`` (the default plan
         is the optimized one)."""
         code = main([
@@ -466,9 +466,8 @@ PLAN_GOLDEN = (
     '',
     'bounding round plan:',
     'plan (optimize=on, shards=8)',
-    "S1: stream source 'state/remaining' (chunks of 4096) [cost ~3.20ms]",
     "[composite 'BoundingFilter']",
-    "  S2: cogroup-write #0 cogroup 'bound/bounds_join' [fused: cogroup 'bound/threeway_join' + flat_map 'bound/invert'] [vectorized] (elided reshard 'bound/invert_key') <- [materialized source 'source/neighbors'] [co-partitioned], [materialized source 'state/solution'] [co-partitioned], S1 [co-partitioned] [cost ~2.74ms]",
-    "  S3: cogroup-read cogroup 'bound/bounds_join' + filter 'bound/bounded' + map_keyed_values 'bound/reduce' [post-shuffle fused] [vectorized] <- S2, S1 [co-partitioned], [materialized source 'source/utilities'] [co-partitioned] [cost ~2.74ms]",
-    'result <- S3',
+    "  S1: cogroup-write #0 cogroup 'bound/bounds_join' [fused: cogroup 'bound/threeway_join' + flat_map 'bound/invert'] [vectorized] (elided reshard 'bound/invert_key') <- [materialized source 'source/neighbors'] [co-partitioned], [materialized source 'state/solution'] [co-partitioned], [materialized source 'state/remaining'] [co-partitioned] [cost ~0.54ms]",
+    "  S2: cogroup-read cogroup 'bound/bounds_join' + filter 'bound/bounded' + map_keyed_values 'bound/reduce' [post-shuffle fused] [vectorized] <- S1, [materialized source 'state/remaining'] [co-partitioned], [materialized source 'source/utilities'] [co-partitioned] [cost ~0.54ms]",
+    'result <- S2',
 )

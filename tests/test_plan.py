@@ -41,7 +41,6 @@ from tests.test_plan_optimizer import (
 )
 
 N_SHARDS = 4
-STREAM_CHUNK = 16
 
 
 # -- plan ≡ run ---------------------------------------------------------------
@@ -55,11 +54,8 @@ _LABELLED = re.compile(
 
 def _parse_stage_line(line):
     """``(label, vectorized, fused)`` — what the line claims the stage's
-    ``StageProfile`` will say — or ``None`` for a stream source (consumed
-    on the driver: a plan line, but no stage function)."""
+    ``StageProfile`` will say."""
     text = line.strip().split(": ", 1)[1]
-    if text.startswith("stream source "):
-        return None
     head = text.split(" <- ")[0]
     in_chains = sum(
         len(ops.split(" + ")) for ops in re.findall(r"fused: ([^\]]*)\]", text)
@@ -96,7 +92,7 @@ def _assert_plan_is_run(pipeline, col):
     plan = col.explain(costs=False)
     col.run()
     lines = [ln for ln in plan.splitlines() if re.match(r"\s*S\d+: ", ln)]
-    claimed = [c for c in map(_parse_stage_line, lines) if c is not None]
+    claimed = list(map(_parse_stage_line, lines))
     ran = [
         (p.label, p.vectorized, p.fused)
         for p in metrics.stage_profiles[ran_before:]
@@ -230,7 +226,7 @@ def test_plan_is_what_runs(program, optimize, plane, remote_cluster):
     )
     pipeline = Pipeline(
         num_shards=N_SHARDS, optimize=optimize, executor=executor,
-        shuffle=plane, stream_chunk_size=STREAM_CHUNK,
+        shuffle=plane,
     )
     try:
         sinks = PROGRAMS[program](pipeline)
@@ -317,9 +313,6 @@ def test_a_fused_read_with_two_readers_runs_once(shape, plane, remote_cluster):
 def test_parser_reads_the_golden_lines():
     """Meta-test: the line parser above is not vacuous."""
     assert _parse_stage_line(
-        "S1: stream source 'knn/source' (chunks of 4096)"
-    ) is None
-    assert _parse_stage_line(
         "  S3: combine-write combine_per_key 'col/sum' (lifted from group "
         "'col/group') [fused: map 'col/double' + map 'col/key'] [vectorized "
         "x1, row fallback at map 'col/key'] (elided reshard 'col/key') <- S2"
@@ -365,7 +358,7 @@ def _kinds(plan):
 
 
 def _render(plan):
-    return _format_plan(plan, num_shards=N_SHARDS, stream_chunk_size=16)
+    return _format_plan(plan, num_shards=N_SHARDS)
 
 
 class TestCombinerLifting:

@@ -171,13 +171,13 @@ class TestPlanningDecisions:
     attached planner leaves every rewrite and checkpoint in place."""
 
     def test_lift_gate_defaults_open(self):
-        """Combiners lift under a planner even for an input estimate the
-        cost model would once have judged too small to repay the lift."""
+        """Combiners lift under a planner even for an input the cost
+        model would once have judged too small to repay the lift."""
         from repro.dataflow.pcollection import Fold, Pipeline
 
         for planner in (None, AdaptivePlanner()):
             with Pipeline(
-                num_shards=4, optimize=True, planner=planner, plan_records=1
+                num_shards=4, optimize=True, planner=planner
             ) as pipeline:
                 folded = (
                     pipeline.create([(i % 3, i) for i in range(12)])
@@ -227,17 +227,17 @@ class TestKnobPrecedence:
             EngineOptions(adaptive=True, num_shards=8)
         ) as ctx:
             assert ctx.planner is not None
-            pipeline = ctx.pipeline(plan_records=100_000)
+            pipeline = ctx.pipeline()
             try:
                 assert pipeline.num_shards == 8
             finally:
                 pipeline.close()
 
     def test_planner_leaves_unset_num_shards_at_default(self):
-        """An input estimate large enough that a size-driven choice would
-        re-shard still runs on the options' own shard count."""
+        """An adaptive context's pipeline runs on the options' own shard
+        count: the planner never picks one."""
         with DataflowContext(EngineOptions(adaptive=True)) as ctx:
-            pipeline = ctx.pipeline(plan_records=100_000)
+            pipeline = ctx.pipeline()
             try:
                 assert pipeline.num_shards == EngineOptions().num_shards
             finally:
@@ -298,7 +298,7 @@ class TestBitIdenticalUnderAdaptive:
             x, 10, seed=0, options=EngineOptions()
         )
         with DataflowContext(EngineOptions(adaptive=True)) as ctx:
-            pipeline = ctx.pipeline(plan_records=x.shape[0])
+            pipeline = ctx.pipeline()
             pipeline.close()
             assert pipeline.num_shards == EngineOptions().num_shards
             adapt_graph, adapt_nb, adapt_sims, _ = beam_knn_graph(
@@ -370,7 +370,7 @@ class TestPredictedVsActual:
         problem = random_problem(200, seed=2)
         x, _ = clustered_points(200, dim=8, seed=4)
         with DataflowContext(EngineOptions(adaptive=True)) as ctx:
-            pipeline = ctx.pipeline(plan_records=200)
+            pipeline = ctx.pipeline()
             try:
                 pts = pipeline.create(range(200), name="knn/source")
                 knn_plan = pts.apply(
@@ -382,15 +382,11 @@ class TestPredictedVsActual:
                     name="src/neighbors",
                 )
                 utilities = pipeline.create_keyed(
-                    ((v, 1.0) for v in range(200)),
-                    name="src/utilities", stream=True,
+                    by_point(np.ones(200)), name="src/utilities"
                 )
-                solution = pipeline.create_keyed(
-                    iter(()), name="src/solution", stream=True
-                )
+                solution = pipeline.create_keyed([], name="src/solution")
                 remaining = pipeline.create_keyed(
-                    ((v, True) for v in range(200)),
-                    name="src/remaining", stream=True,
+                    by_point(np.ones(200, dtype=bool)), name="src/remaining"
                 )
                 bound_plan = remaining.apply(
                     BoundingFilter(neighbors, utilities, solution, ratio=0.1)

@@ -127,13 +127,16 @@ class TestRemoteBasics:
 
     def test_unserializable_shard_records_degrade_to_driver(self, remote):
         """A shard neither pickler can serialize (cloudpickle ships
-        lambdas, not locks) runs on the driver; the others stay remote."""
-        shards = [[threading.Lock(), 1], [2, 3]]
+        lambdas, not locks) runs on the driver; the others stay remote.
+        A shard whose records hold a lambda fails the stdlib pickler, and
+        the task frame falls back to cloudpickle: it runs on a worker."""
+        shards = [[threading.Lock(), 1], [2, 3], [lambda v: v, 4]]
         out = remote.run_stage(
             lambda records: (os.getpid(), len(records)), shards
         )
         assert out[0] == (os.getpid(), 2)
         assert out[1][0] != os.getpid() and out[1][1] == 2
+        assert out[2][0] != os.getpid() and out[2][1] == 2
 
     def test_dofn_error_on_driver_fallback_fails_stage(self, remote):
         """A DoFn exception while computing an unserializable shard on the
@@ -187,8 +190,16 @@ class TestRemoteBasics:
         )
         assert protocol.loads(dumps_data(Box(5))).value == 5
 
-    def test_spilled_shards_resolve_on_localhost_workers(self, cluster):
-        executor = RemoteExecutor(workers=cluster.addresses)
+    @pytest.mark.parametrize("resolve_before_send", [False, True])
+    def test_spilled_shards_resolve_on_localhost_workers(
+        self, cluster, resolve_before_send
+    ):
+        """Spilled shards reach the workers as paths (each worker loads
+        its own) or, with ``resolve_before_send``, as the records the
+        driver loaded — the same result either way."""
+        executor = RemoteExecutor(
+            workers=cluster.addresses, resolve_before_send=resolve_before_send
+        )
         try:
             pipeline = Pipeline(4, spill_to_disk=True, executor=executor)
             col = pipeline.create(range(200)).map(lambda x: x * 2)
