@@ -7,6 +7,7 @@ and on the input itself.
 import numpy as np
 import pytest
 
+from repro.dataflow.library import by_point
 from repro.dataflow.pcollection import Pipeline
 
 
@@ -74,3 +75,60 @@ class TestSources:
         pipeline.close()
         with pytest.raises(RuntimeError, match="pipeline closed"):
             pc.to_list()
+
+    @pytest.mark.parametrize(
+        "make",
+        (list, tuple, np.array, set, iter),
+        ids=("list", "tuple", "ndarray", "set", "iterator"),
+    )
+    def test_every_iterable_is_a_materialized_source(self, make):
+        """Containers and one-shot iterators alike become one ``source``
+        node, materialized at ``create()``: there is no lazy source kind."""
+        pipeline = Pipeline(num_shards=4)
+        pc = pipeline.create(make(range(10)))
+        assert pc._node.kind == "source" and pc.is_materialized
+        assert sorted(pc.to_list()) == list(range(10))
+
+    def test_generator_source_through_shuffle(self):
+        """A generator-fed keyed source feeds a grouping op exactly as
+        the list of its pairs does."""
+        data = [(i % 7, i) for i in range(300)]
+
+        def grouped(pairs):
+            pipeline = Pipeline(num_shards=4)
+            return sorted(
+                (k, sorted(v))
+                for k, v in pipeline.create_keyed(pairs).group_by_key().to_list()
+            )
+
+        assert grouped(iter(data)) == grouped(data)
+
+    def test_spilled_generator_source_matches_list_source(self):
+        """With spill on, a generator source stores and reloads the same
+        shards, in the same order, as the list source."""
+        pipelines = [
+            Pipeline(num_shards=4, spill_to_disk=True) for _ in range(2)
+        ]
+        try:
+            from_gen = pipelines[0].create(i for i in range(1000))
+            from_list = pipelines[1].create(list(range(1000)))
+            assert [list(s) for s in from_gen.iter_shards()] == [
+                list(s) for s in from_list.iter_shards()
+            ]
+        finally:
+            for pipeline in pipelines:
+                pipeline.close()
+
+    def test_columnar_remaining_set_matches_record_pairs(self):
+        """The bounding beam's initial remaining set, built as one keyed
+        column, shards exactly as the ``(v, True)`` pairs it replaces."""
+        n = 203
+        columnar = Pipeline(num_shards=8).create_keyed(
+            by_point(np.ones(n, dtype=bool))
+        )
+        records = Pipeline(num_shards=8).create_keyed(
+            (v, True) for v in range(n)
+        )
+        assert [list(s) for s in columnar.iter_shards()] == [
+            list(s) for s in records.iter_shards()
+        ]
