@@ -35,7 +35,10 @@ fold brings both columns to the driver, which takes the threshold
 ``U^k`` with ``np.partition`` and counts the survivors (or grown points)
 from the same arrays.  Above the cap, 1024-bucket histograms narrow to
 the threshold (O(exact_cap) driver state) and one counting fold
-follows.  The survivor marks and the set difference stay per-record:
+follows.  A round whose predecessor changed nothing reads the state that
+round read, so an unsampled round reuses the last round's bounds and
+runs no stage (a sampled round salts its hash by round and always
+computes).  The survivor marks and the set difference stay per-record:
 they see at most ``n / num_shards`` records a shard, where a NumPy call
 costs more than the loop it would replace.  The grow/shrink convergence
 loop is the in-memory reference's own
@@ -201,9 +204,21 @@ class BeamBoundingDriver:
         """This round's :meth:`_bounds` over the current state, cached: a
         round derives two consumers from the bounds one after the other
         (the threshold fold, then the survivors), and an uncached chain
-        would run the round's joins once per consumer."""
-        bounds = self._bounds(self._solution, self._remaining, keep)
-        return OrderStatistics(bounds.cache())
+        would run the round's joins once per consumer.
+
+        A round that changes nothing leaves both state collections as
+        they were (the same objects), so an unsampled round (``keep is
+        None``) over the state the last one read returns that round's
+        statistics: same inputs, same bounds, no stage run.  A sampled
+        round hashes its own round salt and always computes."""
+        state = (self._solution, self._remaining)
+        if keep is None and self._unsampled is not None:
+            solution, remaining, bounds = self._unsampled
+            if solution is state[0] and remaining is state[1]:
+                return bounds
+        bounds = OrderStatistics(self._bounds(*state, keep).cache())
+        self._unsampled = None if keep is not None else (*state, bounds)
+        return bounds
 
     def shrink(
         self, k_remaining: int, n_remaining: int, keep: Optional[dict]
@@ -250,6 +265,7 @@ class BeamBoundingDriver:
         """Execute Alg. 5; returns the result and the pipeline metrics."""
         cfg = self.config
         self._solution, self._remaining = self._initial_state()
+        self._unsampled = None
         result = alternate(
             self.problem, k, self, mode=cfg.mode, sampler=cfg.sampler,
             p=cfg.p, seed_salt=self._seed_salt, max_rounds=cfg.max_rounds,

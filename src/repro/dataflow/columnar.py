@@ -42,10 +42,12 @@ the columnar alternative:
     segment-grouping kernel turns the integer key columns of a
     destination into the distinct keys in first-appearance order, input
     by input — the row grouping's order — plus every record's segment
-    id; the *grouped view* keeps just that, so a batch consumer reduces
-    by segment (``np.bincount(segment_ids, weights=...)`` sums each
-    key's values left to right in arrival order) and the per-key lists
-    are built only if a consumer asks for them or for rows.  Its
+    id (a rank when input 0 is sorted and holds every key, else one
+    stable sort); the *grouped view* keeps just that, so a batch
+    consumer reduces by segment (``np.bincount(segment_ids,
+    weights=...)`` sums each key's values left to right in arrival
+    order) and the per-key lists are built only if a consumer asks for
+    them or for rows.  Its
     consumers: the cogroup read (bounding's and scoring's joins), the
     group read of a columnar shard (one input, records ``(key,
     [values])`` — the kNN cells, the greedy partitions), and the batch
@@ -615,6 +617,24 @@ def merge_bucket_parts(parts: List[Any]) -> Any:
 # -- the columnar join read -------------------------------------------------
 
 
+def _rank_segments(
+    key_columns: Sequence[np.ndarray],
+) -> Optional[List[np.ndarray]]:
+    """Each column's ranks in input 0 — :func:`segment_group`'s answer
+    when input 0 is strictly ascending and holds every later key, else
+    ``None``."""
+    head = key_columns[0]
+    if not head.size or (head[1:] <= head[:-1]).any():
+        return None
+    segments = [np.arange(head.size, dtype=np.int64)]
+    for col in key_columns[1:]:
+        rank = np.searchsorted(head, col)
+        if (rank == head.size).any() or (head[rank] != col).any():
+            return None
+        segments.append(rank.astype(np.int64, copy=False))
+    return segments
+
+
 def segment_group(
     key_columns: Sequence[np.ndarray],
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
@@ -623,11 +643,23 @@ def segment_group(
     segment ids (positions into that union).
 
     That is the key order a dict filled column by column would have —
-    the order the row-path grouping emits.  One stable sort over the
-    concatenated keys: each run of equal keys then starts at the key's
-    first appearance, and ranking the runs by that position restores
-    appearance order.  Needs at least one key.
+    the order the row-path grouping emits.
+
+    Rank path: when input 0's keys are strictly ascending and every
+    later input's keys are among them — a join led by a
+    :func:`~repro.dataflow.library.by_point` source, whose shards are
+    routed stably from an ``arange`` — the union *is* input 0 and a
+    key's segment id is its rank there: one ``searchsorted`` per later
+    input, no concatenation, no sort.  Otherwise one stable sort over
+    the concatenated keys: each run of equal keys then starts at the
+    key's first appearance, and ranking the runs by that position
+    restores appearance order.  Both give the same answer wherever the
+    rank path applies.  Needs at least one key.
     """
+    segments = _rank_segments(key_columns)
+    if segments is not None:
+        dtype = np.result_type(*key_columns)
+        return key_columns[0].astype(dtype, copy=False), segments
     all_keys = np.concatenate(key_columns)
     low = int(all_keys.min())
     order, sorted_keys = _stable_order(

@@ -344,11 +344,11 @@ def _invert_batch(shard):
 
 
 def _bounded_batch(shard):
-    """``bound/bounded``: b is unassigned and has a utility."""
+    """``bound/bounded``: b has a utility and is unassigned."""
     grouped = _grouped(shard, 3, "bound/bounded")
     if grouped is None:
         return []
-    return (grouped.counts(1) > 0) & (grouped.counts(2) > 0)
+    return (grouped.counts(0) > 0) & (grouped.counts(1) > 0)
 
 
 class BoundingFilter(PTransform):
@@ -363,11 +363,19 @@ class BoundingFilter(PTransform):
        and the remaining set, keyed by point ``a``: dead points (shrunk
        away) drop their edges, survivors re-key every edge to its other
        endpoint ``b`` with ``a``'s solution-membership tag;
-    2. cogroup of those live edges with the remaining set and the
-       utilities, keyed by ``b``: per point, the solution mass and the
-       (optionally hash-sampled) unassigned mass reduce to
+    2. cogroup of the utilities, the remaining set and those live edges,
+       keyed by ``b``: per point, the solution mass and the (optionally
+       hash-sampled) unassigned mass reduce to
        ``lower = u - ratio*(mass_sol + mass_unassigned)`` and
        ``umax = u - ratio*mass_sol``.
+
+    Each join lists a :func:`by_point` source first (``neighbors`` in
+    step 1, ``utilities`` in step 2): its shards hold every point of
+    theirs once, in ascending id, so the other inputs' keys are all
+    among them and the join groups by rank
+    (:func:`~repro.dataflow.columnar.segment_group`) instead of sorting.
+    The bounds then come out in ascending id per shard; each key's edges
+    still arrive in the same order, so the order does not reach a bound.
 
     **Precondition: the neighbor graph is symmetric, weights included** —
     ``(b, s)`` is in ``a``'s adjacency record exactly as often as
@@ -461,20 +469,21 @@ class BoundingFilter(PTransform):
             name="bound/invert",
         ).as_keyed(name="bound/invert_key")
 
-        # (2) join with remaining + utilities keyed by b; sample and reduce.
+        # (2) join utilities + remaining with the edges keyed by b; sample
+        # and reduce.  ``utilities`` first: the join groups by rank.
         # ``filter`` + ``map_keyed_values`` keep the join's partitioning, so the
         # bounds feed the next round's joins without another routing pass.
         def reduce_batch(shard):
             grouped = _grouped(shard, 3, "bound/reduce")
             if grouped is None:
                 return []
-            segment, partners = grouped.inputs[0]
+            utility_of, utility = grouped.inputs[0]
+            segment, partners = grouped.inputs[2]
             if not segment.size:
                 # No edge reached this shard: the edge input is the empty
                 # row part's one object column.
                 partners = (segment, np.zeros(0), np.zeros(0, dtype=bool))
             sources, weights, in_solution = partners
-            utility_of, utility = grouped.inputs[2]
             n = len(grouped)
             u = np.empty(n, dtype=np.float64)
             u[utility_of] = utility[0]  # exactly one per key: any order
@@ -500,7 +509,7 @@ class BoundingFilter(PTransform):
             return ColumnarShard(grouped.keys, (lower, umax))
 
         return cogroup(
-            [edges4, remaining, self.utilities], name="bound/bounds_join"
+            [self.utilities, remaining, edges4], name="bound/bounds_join"
         ).filter(
             BatchDoFn(None, _bounded_batch, label="bound/bounded"),
             name="bound/bounded",

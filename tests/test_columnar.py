@@ -592,6 +592,62 @@ class TestCoGroupColumns:
         keys, (ids,) = segment_group([wide])
         assert keys.tolist() == [2**62, -(2**62)] and ids.tolist() == [0, 1, 0]
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_segment_group_rank_path_is_the_sort_path(self, data):
+        """Input 0 strictly ascending and holding every later key (a join
+        led by a ``by_point`` source) takes the rank path: input 0 *is*
+        the union.  Any other shape sorts.  Either way the answer is the
+        one a dict filled column by column gives."""
+        wide = data.draw(st.booleans(), label="wide")
+        low, high = (-(2**62), 2**62) if wide else (-50, 50)
+        pool = data.draw(st.lists(
+            st.integers(low, high), min_size=1, max_size=20, unique=True
+        ), label="pool")
+        shape = data.draw(
+            st.sampled_from(["covered", "missing", "unsorted"]), label="shape"
+        )
+        if shape == "unsorted":
+            head = data.draw(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=30),
+                label="head",
+            )
+        else:
+            head = sorted(pool)
+        later = data.draw(st.lists(
+            st.lists(st.sampled_from(pool), max_size=30), max_size=3
+        ), label="later")
+        if shape == "missing":
+            stray = data.draw(
+                st.integers(low, high).filter(lambda key: key not in pool),
+                label="stray",
+            )
+            later.append(data.draw(st.permutations(
+                later.pop() + [stray] if later else [stray]
+            ), label="stray column"))
+        dtype = np.int64 if wide else data.draw(
+            st.sampled_from([np.int64, np.int32]), label="dtype"
+        )
+        columns = [np.array(col, dtype=dtype) for col in [head, *later]]
+
+        union = {}
+        for col in [head, *later]:
+            for key in col:
+                union.setdefault(key, len(union))
+        keys, segments = segment_group(columns)
+        assert keys.dtype == dtype and keys.tolist() == list(union)
+        assert [ids.tolist() for ids in segments] == [
+            [union[key] for key in col] for col in [head, *later]
+        ]
+        assert all(ids.dtype == np.int64 for ids in segments)
+        ranked = all(a < b for a, b in zip(head, head[1:])) and all(
+            key in set(head) for col in later for key in col
+        )
+        if shape != "unsorted":
+            assert ranked == (shape == "covered")
+        # The rank path hands input 0 back as the union, uncopied.
+        assert (keys is columns[0]) == ranked
+
     def test_narrow_integer_key_columns_group_as_int64(self):
         """int32 keys × thousands of records would overflow the packed
         (key, position) sort if it ran in the column's own dtype."""

@@ -139,7 +139,7 @@ class TestBeamBoundingEquivalence:
         # write: one write profile per round.
         rounds = sum(
             1 for profile in metrics.stage_profiles
-            if profile.label == "cogroup-write #0 cogroup 'bound/bounds_join'"
+            if profile.label == "cogroup-write #2 cogroup 'bound/bounds_join'"
         )
         assert rounds >= 2
         assert "bound/threeway_join" not in moved
@@ -186,6 +186,78 @@ class TestBeamBoundingEquivalence:
     def test_invalid_k(self, problem):
         with pytest.raises(ValueError):
             beam_bound(problem, problem.n + 1)
+
+
+class TestUnchangedStateReusesBounds:
+    """A shrink that drops nothing and a grow that adds nothing leave the
+    state as it was, so the next unsampled round reads the bounds the
+    last one computed instead of running its joins again; a sampled
+    round (``p < 1``) salts its hash by round and always computes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Per engine, what each ``shrink`` / ``grow`` call returned, in
+        order — the rounds that reach the engine (arithmetic-only rounds
+        and ``take_all`` never do)."""
+        from repro.core.bounding import _MemoryRounds
+
+        changes = {"memory": [], "dataflow": []}
+        for engine, rounds in (
+            ("memory", _MemoryRounds), ("dataflow", BeamBoundingDriver)
+        ):
+            for phase in ("shrink", "grow"):
+                def spy(self, *args, _run=getattr(rounds, phase),
+                        _log=changes[engine]):
+                    _log.append(_run(self, *args))
+                    return _log[-1]
+
+                monkeypatch.setattr(rounds, phase, spy)
+        return changes
+
+    @pytest.mark.parametrize("sampling", [
+        {"mode": "exact"},
+        {"mode": "approximate", "p": 1.0},
+        {"mode": "approximate", "p": 0.3},
+    ], ids=["exact", "approximate-1.0", "approximate-0.3"])
+    def test_one_bounds_join_per_changed_state(
+        self, problem, calls, tmp_path, sampling
+    ):
+        k = 40
+        mem = bound(problem, k, seed=0, track_history=True, **sampling)
+        assert any(changed == 0 for _phase, changed in mem.history)
+        beam, metrics = beam_bound(
+            problem, k, seed=0, options=EngineOptions(num_shards=4),
+            **sampling,
+        )
+        for name in DECISIONS:
+            got, want = getattr(beam, name), getattr(mem, name)
+            if isinstance(want, np.ndarray):
+                got, want = got.tolist(), want.tolist()
+            assert got == want, name
+        # Round by round, the same changes as the in-memory engine.
+        rounds = calls["dataflow"]
+        assert rounds == calls["memory"]
+        joins = sum(
+            1 for profile in metrics.stage_profiles
+            if profile.label == "cogroup-write #2 cogroup 'bound/bounds_join'"
+        )
+        after_change = sum(
+            1 for i in range(len(rounds)) if i == 0 or rounds[i - 1]
+        )
+        if sampling.get("p", 1.0) < 1.0:
+            assert joins == len(rounds)
+            return
+        # Some round followed a zero-change one and ran nothing.
+        assert joins == after_change < len(rounds)
+        # So a cold drive resumes nothing: no round recomputes a state an
+        # earlier round of the same drive already stored.  (A sampled
+        # round may: under the naive plan its three-way join is a
+        # boundary of its own, and that join is not salted.)
+        _, cold = beam_bound(
+            problem, k, seed=0, **sampling,
+            options=EngineOptions(num_shards=4, checkpoint_dir=str(tmp_path)),
+        )
+        assert cold.checkpoint_hits == 0 < cold.checkpoint_stores
 
 
 def _quantised_problem(n, seed):

@@ -427,6 +427,6 @@ def test_vectorized_path_fires_on_library_beams():
     # live edges as columns and the write routes them column-wise.
     exchanges = [
         p for p in bound_metrics.stage_profiles
-        if p.label == "cogroup-write #0 cogroup 'bound/bounds_join'"
+        if p.label == "cogroup-write #2 cogroup 'bound/bounds_join'"
     ]
     assert exchanges and all(p.vectorized for p in exchanges)

@@ -459,7 +459,7 @@ class TestCompositeGroups:
             # when the driver was built.
             assert plan.count("cogroup-write #") == 1
             assert (
-                "cogroup-write #0 cogroup 'bound/bounds_join' "
+                "cogroup-write #2 cogroup 'bound/bounds_join' "
                 "[fused: cogroup 'bound/threeway_join' + flat_map "
                 "'bound/invert'] [vectorized] "
                 "(elided reshard 'bound/invert_key') <- "

@@ -262,7 +262,7 @@ class TestCLI:
         ) in join
         assert "bound/pack" not in out
         assert join.strip().startswith(
-            "S1: cogroup-write #0 cogroup 'bound/bounds_join' [fused: "
+            "S1: cogroup-write #2 cogroup 'bound/bounds_join' [fused: "
             "cogroup 'bound/threeway_join' + flat_map 'bound/invert']"
         )
         assert bounding.count("cogroup-write") == 1
@@ -275,7 +275,9 @@ class TestCLI:
         before the engine options lost ``stream_source`` & co., the
         bounding block re-captured when its remaining-set source became
         an eager column (no stream stage; its cost note now counts the
-        source's rows, not a chunk-size guess); ``--optimize`` only keeps
+        source's rows, not a chunk-size guess) and again when the bounds
+        join came to list ``source/utilities`` first (its edge write is
+        input ``#2``); ``--optimize`` only keeps
         it under a session run with ``--no-optimize`` (the default plan
         is the optimized one)."""
         code = main([
@@ -467,7 +469,7 @@ PLAN_GOLDEN = (
     'bounding round plan:',
     'plan (optimize=on, shards=8)',
     "[composite 'BoundingFilter']",
-    "  S1: cogroup-write #0 cogroup 'bound/bounds_join' [fused: cogroup 'bound/threeway_join' + flat_map 'bound/invert'] [vectorized] (elided reshard 'bound/invert_key') <- [materialized source 'source/neighbors'] [co-partitioned], [materialized source 'state/solution'] [co-partitioned], [materialized source 'state/remaining'] [co-partitioned] [cost ~0.54ms]",
-    "  S2: cogroup-read cogroup 'bound/bounds_join' + filter 'bound/bounded' + map_keyed_values 'bound/reduce' [post-shuffle fused] [vectorized] <- S1, [materialized source 'state/remaining'] [co-partitioned], [materialized source 'source/utilities'] [co-partitioned] [cost ~0.54ms]",
+    "  S1: cogroup-write #2 cogroup 'bound/bounds_join' [fused: cogroup 'bound/threeway_join' + flat_map 'bound/invert'] [vectorized] (elided reshard 'bound/invert_key') <- [materialized source 'source/neighbors'] [co-partitioned], [materialized source 'state/solution'] [co-partitioned], [materialized source 'state/remaining'] [co-partitioned] [cost ~0.54ms]",
+    "  S2: cogroup-read cogroup 'bound/bounds_join' + filter 'bound/bounded' + map_keyed_values 'bound/reduce' [post-shuffle fused] [vectorized] <- [materialized source 'source/utilities'] [co-partitioned], [materialized source 'state/remaining'] [co-partitioned], S1 [cost ~0.54ms]",
     'result <- S2',
 )
