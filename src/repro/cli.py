@@ -300,6 +300,12 @@ def cmd_select(args: argparse.Namespace) -> int:
         save_report(report, args.report)
     print(f"selected {len(report)} of {problem.n} points, "
           f"objective {report.objective:.6f}")
+    certificate = report.certificate
+    ratio = certificate["certified_ratio"]
+    print(f"certified_ratio "
+          f"{'n/a' if ratio is None else format(ratio, '.4f')} "
+          f"(f(S*) <= {certificate['upper_bound']:.6f}, "
+          f"{certificate['kind']} bound)")
     if report.bounding is not None:
         b = report.bounding
         print(f"bounding: +{b.n_included} / -{b.n_excluded} "

@@ -38,6 +38,7 @@ _EXPORTS = {
     "instance_constants": ".theory",
     "InstanceConstants": ".theory",
     "guarantee_for_instance": ".theory",
+    "certify": ".theory",
 }
 
 __all__ = list(_EXPORTS)

@@ -62,11 +62,15 @@ Partitioner = Callable[[int, np.ndarray, int, np.random.Generator], List[np.ndar
 def fingerprint(*parts: Any) -> str:
     """Deterministic content hash over arrays/scalars/strings.
 
-    The incremental runtime keys its per-shard reuse by it
-    (:meth:`~repro.incremental.delta.DatasetVersion.shard_fingerprint`).
-    NumPy arrays hash by dtype, shape, and raw bytes (no serialization
-    round trip); containers hash recursively with type markers so e.g.
-    ``(1, 2)`` and ``[1, 2]`` cannot collide.
+    Incremental reuse is not keyed by it: the pipeline's content digests
+    (:mod:`repro.dataflow.digest`) key the checkpoints a drive resumes.
+    Its one caller is
+    :meth:`~repro.incremental.delta.DatasetVersion.shard_fingerprint`,
+    which no drive reads: only the bench's span list names it (the
+    ``incremental.delta.fingerprint`` probe).  NumPy arrays hash by
+    dtype, shape, and raw bytes (no serialization round trip);
+    containers hash recursively with type markers so e.g. ``(1, 2)`` and
+    ``[1, 2]`` cannot collide.
     """
     h = hashlib.sha256()
     _fingerprint_update(h, parts)

@@ -36,6 +36,7 @@ from repro.core.distributed import (
 from repro.core.objective import PairwiseObjective
 from repro.core.problem import SubsetProblem
 from repro.core.sampling import EDGE_SAMPLERS
+from repro.core.theory import certify
 from repro.dataflow.options import EngineOptions
 from repro.utils.cancel import CancelToken
 from repro.utils.rng import SeedLike, as_generator
@@ -136,6 +137,9 @@ class SelectionReport:
     bounding: Optional[BoundingResult] = None
     greedy: Optional[DistributedResult] = None
     extra: dict = field(default_factory=dict)
+    #: :func:`~repro.core.theory.certify`'s ``{upper_bound,
+    #: certified_ratio, kind}`` for ``selected``.
+    certificate: Optional[dict] = None
 
     def __len__(self) -> int:
         return int(self.selected.size)
@@ -335,6 +339,11 @@ class DistributedSelector:
             bounding=bounding_result,
             greedy=greedy_result,
             extra=extra,
+            # Only exact bounding keeps an optimum for the tighter bound.
+            certificate=certify(
+                self.problem, selected,
+                bounding_result if cfg.bounding == "exact" else None,
+            ),
         )
 
     def _solution_penalty(self, solution: np.ndarray) -> Optional[np.ndarray]:

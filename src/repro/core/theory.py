@@ -10,14 +10,21 @@ outputs S with
 with probability at least ``1 - |V| * exp(-2 (1-p)^2 p^2 a^2 kg / (b-a)^2)``
 (the constant follows Appendix B's final Hoeffding step).  ``p = 1`` recovers
 exact bounding's 1/2 guarantee.
+
+Theorem 4.6 is vacuous on most real instances, so a drive also certifies
+itself (:func:`certify`): an upper bound on ``f(S*)`` from submodularity
+alone, and ``f(S)`` over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro.core.bounding import BoundingResult
+from repro.core.objective import PairwiseObjective, SubsetLike, subset_mask
 from repro.core.problem import SubsetProblem
 
 
@@ -107,3 +114,58 @@ def guarantee_for_instance(
     else:
         prob = success_probability(consts.n, p, consts.kg, consts.a, consts.b)
     return factor, prob
+
+
+def _top_positive_sum(values: np.ndarray, k: int) -> float:
+    """The sum of the ``k`` largest positive entries of ``values``."""
+    positive = values[values > 0]
+    if k < positive.size:
+        positive = np.partition(positive, positive.size - k)[positive.size - k:]
+    return float(positive.sum())
+
+
+def certify(
+    problem: SubsetProblem,
+    selected: SubsetLike,
+    bounding: Optional[BoundingResult] = None,
+) -> Dict[str, Any]:
+    """A selection's quality certificate: ``f(S*) <= upper_bound`` over
+    every ``S*`` of ``k = |selected|`` points, and ``f(selected)`` over it.
+
+    ``bounding`` is the result of an *exact* bounding run on this problem
+    and ``k``, or ``None``; approximate bounding may discard an optimal
+    point, so its result must not be passed.  Neither bound needs ``f``
+    monotone, so both hold at every ``alpha, beta >= 0``:
+
+    - ``kind="exact_bounding"``: exact bounding keeps an optimum, some
+      ``S*`` with ``S' ⊆ S* ⊆ S' ∪ remaining``, so submodularity bounds
+      ``f(S*)`` by ``f(S')`` plus the ``k - |S'|`` largest positive
+      marginal gains ``Δ(v | S')`` over the remaining points;
+    - ``kind="modular"``: ``f(∅) = 0`` and submodularity bound it by the
+      sum of the ``k`` largest positive ``f({v}) = alpha * u(v)``.
+
+    ``certified_ratio`` is ``f(selected) / upper_bound`` — ``1.0`` when
+    ``f(selected)`` reaches the bound (the selection is optimal), and
+    ``None`` when the bound is not positive and the selection falls
+    below it (no ratio says anything then).
+    """
+    objective = PairwiseObjective(problem)
+    mask = subset_mask(selected, problem.n)
+    value = objective.value(mask)
+    k = int(np.count_nonzero(mask))
+    if bounding is None:
+        kind = "modular"
+        upper = _top_positive_sum(problem.alpha * problem.utilities, k)
+    else:
+        kind = "exact_bounding"
+        gains = objective.marginal_gains_all(bounding.solution)
+        upper = objective.value(bounding.solution) + _top_positive_sum(
+            gains[bounding.remaining], k - bounding.n_included
+        )
+    if value >= upper:
+        ratio: Optional[float] = 1.0
+    elif upper > 0:
+        ratio = value / upper
+    else:
+        ratio = None
+    return {"upper_bound": upper, "certified_ratio": ratio, "kind": kind}

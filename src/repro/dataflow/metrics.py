@@ -51,13 +51,9 @@ on the remote backend):
 
 ``p2p_shuffle_bytes``
     Serialized shuffle-bucket bytes fetched worker-to-worker (the data
-    plane the driver never touched).  An exchange that declines adds
+    plane the driver never touched), each bucket sent raw behind a
+    length header whatever its size.  An exchange that declines adds
     nothing: the driver merge reruns its shuffle.
-``bucket_fetch_chunks``
-    Bounded ``MSG_BUCKET_CHUNK`` frames received while fetching peer
-    buckets — large buckets stream in pieces instead of one frame per
-    fetch, so this counts only the chunked (multi-frame) transfers;
-    buckets small enough for a single frame add nothing.
 
 Per-stage observations (``stage_profiles``):
 
@@ -130,7 +126,6 @@ class PipelineMetrics:
     vectorized_stages: int = 0
     columnar_rows: int = 0
     p2p_shuffle_bytes: int = 0
-    bucket_fetch_chunks: int = 0
     stage_counts: Dict[str, int] = field(default_factory=dict)
     stage_profiles: List[StageProfile] = field(default_factory=list)
 
@@ -173,12 +168,9 @@ class PipelineMetrics:
         if self.stage_profiles:
             self.stage_profiles[-1].shuffled_records += n_records
 
-    def observe_exchange(
-        self, *, p2p_bytes: int, fetch_chunks: int = 0
-    ) -> None:
+    def observe_exchange(self, *, p2p_bytes: int) -> None:
         """One worker-to-worker shuffle exchange's byte accounting."""
         self.p2p_shuffle_bytes += p2p_bytes
-        self.bucket_fetch_chunks += fetch_chunks
 
     def observe_lifted_combiner(self) -> None:
         self.lifted_combiners += 1
@@ -209,7 +201,6 @@ class PipelineMetrics:
         self.vectorized_stages = 0
         self.columnar_rows = 0
         self.p2p_shuffle_bytes = 0
-        self.bucket_fetch_chunks = 0
         self.stage_counts.clear()
         self.stage_profiles.clear()
 
@@ -229,7 +220,6 @@ class PipelineMetrics:
             vectorized_stages=self.vectorized_stages,
             columnar_rows=self.columnar_rows,
             p2p_shuffle_bytes=self.p2p_shuffle_bytes,
-            bucket_fetch_chunks=self.bucket_fetch_chunks,
             stage_counts=dict(self.stage_counts),
             stage_profiles=[
                 StageProfile(**p.to_dict()) for p in self.stage_profiles

@@ -1189,10 +1189,7 @@ class Pipeline:
             rows_in=sum(info["dest_counts"]),
             payload_bytes=info["read_payload_bytes"],
         )
-        self.metrics.observe_exchange(
-            p2p_bytes=info["p2p_bytes"],
-            fetch_chunks=info.get("fetch_chunks", 0),
-        )
+        self.metrics.observe_exchange(p2p_bytes=info["p2p_bytes"])
         return results
 
     def _run_cogroup(self, stage: _Stage) -> List[Any]:

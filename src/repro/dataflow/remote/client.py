@@ -288,7 +288,6 @@ class RemoteExecutor(Executor):
         self.stage_payload_bytes = 0
         self.blob_evictions = 0
         self.p2p_shuffle_bytes = 0
-        self.bucket_fetch_chunks = 0
         self.exchange_fallbacks = 0
         self._exchange_counter = 0
         self._registry = BroadcastRegistry(broadcast_min_bytes)
@@ -370,7 +369,6 @@ class RemoteExecutor(Executor):
             "stage_payload_bytes": self.stage_payload_bytes,
             "blob_evictions": self.blob_evictions,
             "p2p_shuffle_bytes": self.p2p_shuffle_bytes,
-            "bucket_fetch_chunks": self.bucket_fetch_chunks,
             "exchange_fallbacks": self.exchange_fallbacks,
         }
 
@@ -485,7 +483,7 @@ class RemoteExecutor(Executor):
         All or nothing.  Returns ``(results, info)`` with one read-stage
         result per destination shard and an ``info`` dict of exchange
         telemetry (``moved``, ``pre_records``, ``p2p_bytes``,
-        ``local_bytes``, ``fetch_chunks``, per-destination counts, phase
+        ``local_bytes``, per-destination counts, phase
         timings) — or ``None``, and the caller reruns the shuffle
         through the driver merge.  ``None`` comes without an attempt
         when there are fewer than two shards or a stage function does
@@ -583,22 +581,18 @@ class RemoteExecutor(Executor):
 
         self._evict_shipped(w_digests | r_digests)
 
-        info: Dict[str, Any] = {
-            "p2p_bytes": 0, "local_bytes": 0, "fetch_chunks": 0,
-        }
+        info: Dict[str, Any] = {"p2p_bytes": 0, "local_bytes": 0}
         results: List[Any] = []
         dest_counts: List[int] = []
         dest_columnar: List[bool] = []
-        for value, n_merged, is_col, p2p, local, chunks in r_state.results:
+        for value, n_merged, is_col, p2p, local in r_state.results:
             results.append(value)
             dest_counts.append(n_merged)
             dest_columnar.append(is_col)
             info["p2p_bytes"] += p2p
             info["local_bytes"] += local
-            info["fetch_chunks"] += chunks
         with self._stats_lock:
             self.p2p_shuffle_bytes += info["p2p_bytes"]
-            self.bucket_fetch_chunks += info["fetch_chunks"]
         info.update(
             moved=moved,
             pre_records=offered,
@@ -799,7 +793,7 @@ class RemoteExecutor(Executor):
                 channel.shipped.move_to_end(digest)
                 continue
             blob = self._registry.blob(digest)
-            protocol.send_msg(channel.sock, (MSG_BLOB, digest, blob))
+            protocol.send_payloads(channel.sock, [((MSG_BLOB, digest), blob)])
             channel.shipped[digest] = len(blob)
             channel.shipped_bytes += len(blob)
             with self._stats_lock:

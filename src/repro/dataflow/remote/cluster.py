@@ -27,7 +27,7 @@ import os
 import subprocess
 import sys
 import threading
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 #: Thread-count variables of the BLAS builds NumPy may link.
@@ -72,10 +72,6 @@ class LocalCluster:
         during a long task).
     startup_timeout:
         Seconds to wait for each worker's ready line before giving up.
-    bucket_chunk_bytes:
-        Passed through as each worker's ``--bucket-chunk-bytes`` (the
-        per-frame cap on served shuffle buckets); ``None`` keeps the
-        worker default.
     """
 
     def __init__(
@@ -84,14 +80,12 @@ class LocalCluster:
         *,
         heartbeat_interval: float = 1.0,
         startup_timeout: float = 60.0,
-        bucket_chunk_bytes: "int | None" = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.addresses: List[Tuple[str, int]] = []
         self._procs: List[subprocess.Popen] = []
         self._heartbeat_interval = float(heartbeat_interval)
-        self._bucket_chunk_bytes = bucket_chunk_bytes
         try:
             env = _worker_env(int(n_workers))
             procs = [self._spawn_proc(env) for _ in range(int(n_workers))]
@@ -104,18 +98,15 @@ class LocalCluster:
             raise
 
     def _spawn_proc(self, env: dict) -> subprocess.Popen:
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.dataflow.remote.worker",
-            "--host", "127.0.0.1",
-            "--port", "0",
-            "--heartbeat-interval", str(self._heartbeat_interval),
-        ]
-        if self._bucket_chunk_bytes is not None:
-            argv += ["--bucket-chunk-bytes", str(self._bucket_chunk_bytes)]
         proc = subprocess.Popen(
-            argv,
+            [
+                sys.executable,
+                "-m",
+                "repro.dataflow.remote.worker",
+                "--host", "127.0.0.1",
+                "--port", "0",
+                "--heartbeat-interval", str(self._heartbeat_interval),
+            ],
             stdout=subprocess.PIPE,
             env=env,
         )

@@ -6,6 +6,14 @@ pickled tuple whose first element is a message tag.  Frames are written
 with a single ``sendall`` and read with an exact-length loop, so message
 boundaries survive TCP's stream semantics.
 
+Two messages carry bytes that are already serialized — a broadcast blob
+and a stored shuffle bucket — and those bytes are not pickled a second
+time: the message's frame is a small header whose last element is the
+payload's length (``None`` for no payload), and the raw payload follows
+it on the wire (:func:`send_payloads` writes headers and payloads in one
+gather-write straight from their buffers; :func:`recv_payload` checks the
+length against ``MAX_FRAME_BYTES`` and reads exactly that many bytes).
+
 Driver → worker messages
 ------------------------
 ``(MSG_PING, version)``
@@ -15,7 +23,7 @@ Driver → worker messages
     (:func:`handshake`) refuses a daemon speaking another version with a
     :class:`ProtocolVersionError` before any task or fetch is sent; a
     ``MSG_PONG`` without a version comes from a protocol-1 daemon.
-``(MSG_BLOB, digest, blob_bytes)``
+``(MSG_BLOB, digest, n_bytes)`` + ``n_bytes`` raw bytes
     One broadcast capture (see :mod:`repro.dataflow.executor`): the worker
     unpickles and caches it under ``digest`` for the channel's lifetime.
     No reply.
@@ -57,23 +65,16 @@ Worker-to-worker shuffle (appended tags, values never shift):
     Peer-to-peer fetch of every bucket one read task needs from one
     *producing* daemon: one request per (read task,
     peer), sent on a persistent peer link (:class:`PeerLinks`).  The
-    daemon answers each id in request order — one ``MSG_BUCKET`` frame,
-    or, when the stored payload exceeds its ``bucket_chunk_bytes``, a
-    run of ``MSG_BUCKET_CHUNK`` frames — and writes the whole answer
-    with a single ``sendall`` (flushed early only once the pending
-    frames pass ``bucket_chunk_bytes``, which keeps the send buffer
-    bounded).  The link stays open for the next request.  Tag 12 (the
-    protocol-1 one-request-per-bucket fetch) is retired and never reused.
-``(MSG_BUCKET, bucket_id, payload_bytes_or_None)``
-    The stored bucket's serialized bytes (``None`` when the id is
-    unknown — e.g. the exchange was already evicted).
-``(MSG_BUCKET_CHUNK, bucket_id, seq, n_chunks, chunk_bytes)``
-    One bounded piece of a large bucket: ``seq`` counts from 0 and the
-    fetcher concatenates all ``n_chunks`` pieces in order to recover
-    the serialized bucket.  Keeps a multi-hundred-MB bucket from
-    occupying one giant frame (and one giant contiguous driver/worker
-    buffer) per fetch; the receiver meters the frames as
-    ``bucket_fetch_chunks``.
+    daemon answers each id in request order with one ``MSG_BUCKET``
+    header and the stored bytes, the whole answer in one gather-write
+    (no payload is copied, whatever its size).  The link stays open for
+    the next request.  Tag 12 (the protocol-1 one-request-per-bucket
+    fetch) and tag 17 (protocol 3's bounded bucket chunk) are retired
+    and never reused.
+``(MSG_BUCKET, bucket_id, n_bytes_or_None)`` + ``n_bytes`` raw bytes
+    The stored bucket's serialized bytes; the length is ``None``, and no
+    bytes follow, when the id is unknown (e.g. the exchange was already
+    evicted).
 ``(MSG_TASK_SHUF_READ, index, sources)``
     A shuffle-read task: ``sources`` lists this destination shard's
     bucket parts in input-shard order, each ``("peer", host, port,
@@ -82,7 +83,7 @@ Worker-to-worker shuffle (appended tags, values never shift):
     ``merge_bucket_parts``, and runs the current stage function over
     the merged shard.  The reply is
     ``(MSG_RESULT, index, (value, n_merged, merged_columnar,
-    p2p_bytes, local_bytes, fetch_chunks))`` — or ``(MSG_RESULT, index,
+    p2p_bytes, local_bytes))`` — or ``(MSG_RESULT, index,
     (FETCH_FAILED, detail))`` when a producing peer is unreachable, in
     which case the driver declines the exchange and reruns the whole
     shuffle through its own merge.
@@ -122,7 +123,19 @@ of persistent connections per worker daemon, keyed by address and owned
 by its ``WorkerServer`` (the driver fetches no bucket and has no pool).
 A pooled link that fails is dropped and the fetch retried once on a
 fresh connection; only a failure there reaches the
-caller, which turns it into ``FETCH_FAILED``.
+caller, which turns it into ``FETCH_FAILED``.  A payload cut short (the
+peer closes before its announced length has arrived) or announced past
+``MAX_FRAME_BYTES`` is such a failure (``ConnectionError``).
+
+Versions
+--------
+Version 1 is the unversioned protocol that fetched one bucket per
+request.  Version 2 still sent inline-payload read sources and had the
+driver recover a ``FETCH_FAILED`` read itself.  Version 3 pickled a blob's
+or a bucket's bytes inside its message (one more copy on each end) and
+served a bucket past a size cap as a run of bounded chunk frames
+(tag 17).
+Version 4 sends both raw behind a length header.
 """
 
 from __future__ import annotations
@@ -158,21 +171,15 @@ MSG_BUCKET = 13
 MSG_TASK_SHUF_READ = 14
 MSG_EVICT_BUCKETS = 15
 MSG_EVICT_BLOBS = 16
-MSG_BUCKET_CHUNK = 17
+# 17 was protocol 3's bounded bucket chunk (a large bucket in pieces);
+# retired, never reused.
 MSG_FETCH_BUCKETS = 18
 
 #: Carried by the ``MSG_PING``/``MSG_PONG`` handshake.  Bump it whenever
 #: a tag is retired or a message changes shape: a daemon from another
-#: checkout is then refused at connect time instead of misreading frames.
-#: Version 1 is the unversioned protocol that fetched one bucket per
-#: request; version 2 still sent inline-payload read sources
-#: and had the driver recover a ``FETCH_FAILED`` read itself.
-PROTOCOL_VERSION = 3
-
-#: Default upper bound on one ``MSG_BUCKET`` payload before the serving
-#: daemon switches to ``MSG_BUCKET_CHUNK`` streaming (workers take
-#: ``--bucket-chunk-bytes``; ``None`` disables chunking).
-DEFAULT_BUCKET_CHUNK_BYTES = 4 << 20
+#: checkout is then refused at connect time instead of misreading frames
+#: (the module docstring lists what each version changed).
+PROTOCOL_VERSION = 4
 
 #: Shuffle-read reply marker: the worker could not fetch every assigned
 #: bucket (a producing peer died); the driver declines the exchange.  A
@@ -181,9 +188,16 @@ FETCH_FAILED = "__repro_bucket_fetch_failed__"
 
 _HEADER = struct.Struct(">Q")
 
-#: Upper bound on a single frame (a corrupted header must not trigger a
-#: multi-terabyte allocation).
+#: Upper bound on a single frame or raw payload (a corrupted header must
+#: not trigger a multi-terabyte allocation).
 MAX_FRAME_BYTES = 1 << 40
+
+#: Most bytes one ``recv`` asks for: the buffer grows as bytes arrive, so
+#: no length read off the wire sizes an allocation up front.
+_RECV_CHUNK = 1 << 20
+
+#: Most buffers one ``sendmsg`` takes (Linux's ``IOV_MAX``).
+_IOV_MAX = 1024
 
 
 class ProtocolVersionError(RuntimeError):
@@ -212,14 +226,14 @@ def loads(payload: bytes) -> Tuple[Any, ...]:
     return pickle.loads(payload)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
     buf = bytearray()
     while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
+        chunk = sock.recv(min(n - len(buf), _RECV_CHUNK))
         if not chunk:
             raise ConnectionError("peer closed the channel")
-        buf.extend(chunk)
-    return bytes(buf)
+        buf += chunk
+    return buf
 
 
 def frame(payload: bytes) -> bytes:
@@ -231,10 +245,47 @@ def send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(frame(payload))
 
 
-def recv_frame(sock: socket.socket) -> bytes:
+def recv_frame(sock: socket.socket) -> bytearray:
     (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
     if length > MAX_FRAME_BYTES:
         raise ConnectionError(f"oversized frame header ({length} bytes)")
+    return _recv_exact(sock, length)
+
+
+def send_payloads(
+    sock: socket.socket, items: Iterable[Tuple[tuple, Optional[bytes]]]
+) -> None:
+    """Send each ``(header, payload)``: the header tuple with the
+    payload's length appended (``None`` for no payload) as one frame, then
+    the payload's bytes straight from their buffer.  Every item goes out
+    in one gather-write (``sendmsg``), so a small answer is one write and
+    a large payload is never copied or joined."""
+    views: List[memoryview] = []
+    for header, payload in items:
+        length = None if payload is None else len(payload)
+        views.append(memoryview(frame(dumps_data((*header, length)))))
+        if length:
+            views.append(memoryview(payload))
+    i = 0
+    while i < len(views):
+        sent = sock.sendmsg(views[i:i + _IOV_MAX])
+        while sent:
+            if sent < len(views[i]):
+                views[i] = views[i][sent:]
+                break
+            sent -= len(views[i])
+            i += 1
+
+
+def recv_payload(sock: socket.socket, length: Any) -> Optional[bytearray]:
+    """The raw payload behind a header :func:`send_payloads` wrote:
+    ``None`` for a ``None`` length, else exactly ``length`` bytes.  A
+    length that is not an int in ``[0, MAX_FRAME_BYTES]`` is a
+    ``ConnectionError`` (the link is desynced or corrupt)."""
+    if length is None:
+        return None
+    if type(length) is not int or not 0 <= length <= MAX_FRAME_BYTES:
+        raise ConnectionError(f"bad payload length {length!r}")
     return _recv_exact(sock, length)
 
 
@@ -280,35 +331,16 @@ def peer_sources(
 
 def _fetch_on(
     sock: socket.socket, bucket_ids: List[str]
-) -> Tuple[Dict[str, Optional[bytes]], int]:
+) -> Dict[str, Optional[bytearray]]:
     """One ``MSG_FETCH_BUCKETS`` round trip on an open link."""
     send_frame(sock, dumps_data((MSG_FETCH_BUCKETS, list(bucket_ids))))
-    out: Dict[str, Optional[bytes]] = {}
-    chunk_frames = 0
+    out: Dict[str, Optional[bytearray]] = {}
     for bucket_id in bucket_ids:
-        reply = recv_msg(sock)
-        if reply[0] == MSG_BUCKET and reply[1] == bucket_id:
-            out[bucket_id] = reply[2]
-            continue
-        if reply[0] != MSG_BUCKET_CHUNK or reply[1] != bucket_id:
+        header = recv_msg(sock)
+        if len(header) != 3 or header[:2] != (MSG_BUCKET, bucket_id):
             raise ConnectionError("bucket fetch protocol violation")
-        pieces: List[bytes] = []
-        while True:
-            if (
-                reply[0] != MSG_BUCKET_CHUNK
-                or reply[1] != bucket_id
-                or reply[2] != len(pieces)
-            ):
-                raise ConnectionError(
-                    "bucket chunk sequence protocol violation"
-                )
-            pieces.append(reply[4])
-            chunk_frames += 1
-            if len(pieces) == reply[3]:
-                break
-            reply = recv_msg(sock)
-        out[bucket_id] = b"".join(pieces)
-    return out, chunk_frames
+        out[bucket_id] = recv_payload(sock, header[2])
+    return out
 
 
 class PeerLinks:
@@ -328,14 +360,11 @@ class PeerLinks:
 
     def fetch(
         self, host: str, port: int, bucket_ids: List[str]
-    ) -> Tuple[Dict[str, Optional[bytes]], int]:
+    ) -> Dict[str, Optional[bytearray]]:
         """Fetch several buckets from one peer daemon in one round trip.
 
-        Returns ``(id → serialized bytes, chunk_frames)`` — the value is
-        ``None`` when the peer no longer holds the bucket, and
-        ``chunk_frames`` counts the bounded ``MSG_BUCKET_CHUNK`` frames
-        received for buckets large enough to stream in pieces
-        (single-frame ``MSG_BUCKET`` replies add nothing).  A pooled link
+        Returns ``id → serialized bytes`` — ``None`` when the peer no
+        longer holds the bucket.  A pooled link
         that fails is dropped and the fetch retried once on a fresh
         connection; connection errors from that one propagate — the
         caller turns them into ``FETCH_FAILED`` and the driver declines
@@ -367,7 +396,7 @@ class PeerLinks:
     def _fetch_and_keep(
         self, address: Tuple[str, int], sock: socket.socket,
         bucket_ids: List[str],
-    ) -> Tuple[Dict[str, Optional[bytes]], int]:
+    ) -> Dict[str, Optional[bytearray]]:
         try:
             out = _fetch_on(sock, bucket_ids)
         except BaseException:

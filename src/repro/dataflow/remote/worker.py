@@ -21,22 +21,30 @@ lock, so a beat never interleaves with a reply and never follows one.
 Peer-link connections run no tasks and so never start a heartbeat
 thread.
 
-Worker-to-worker shuffle: a ``MSG_TASK_SHUF`` write task leaves its
-buckets in the *daemon-wide* bucket store (shared across connections —
-peers read it over their own persistent links), serialized once at write
-time; one ``MSG_FETCH_BUCKETS`` request serves every bucket a read task
-needs from this daemon to a peer in one round trip, and a
-``MSG_TASK_SHUF_READ`` task fetches its assigned parts — one request
-per producing peer, over the daemon's own
-:class:`~repro.dataflow.remote.protocol.PeerLinks` pool, which
-:meth:`WorkerServer.close` closes — merges them in input-shard order
-(bit-identical to the driver's ``merge_bucket_parts``), and runs the
-read stage in place — the driver sees routing metadata and final
-results, never bucket data.  A read that cannot fetch a part replies
-``FETCH_FAILED``, and the driver declines the whole exchange.  Buckets
-and task replies are built here, so they go through the engine's data
-serializer (:func:`~repro.dataflow.executor.dumps_data`: the stdlib
-pickler first).
+Worker-to-worker shuffle, in three steps:
+
+- a ``MSG_TASK_SHUF`` write task serializes its buckets once and leaves
+  them in the *daemon-wide* bucket store (shared across connections,
+  because peers read it over their own links);
+- a ``MSG_FETCH_BUCKETS`` request from a peer is answered with every
+  bucket it names, each stored payload sent raw behind a length header
+  straight from the store's buffer, the whole answer in one
+  gather-write (:func:`~repro.dataflow.remote.protocol.send_payloads`);
+- a ``MSG_TASK_SHUF_READ`` task fetches its assigned parts — one
+  request per producing peer, over the daemon's own
+  :class:`~repro.dataflow.remote.protocol.PeerLinks` pool, which
+  :meth:`WorkerServer.close` closes; its own parts come from the local
+  store — merges them in input-shard order (bit-identical to the
+  driver's ``merge_bucket_parts``) and runs the read stage in place.
+
+The driver sees routing metadata and final results, never bucket data.
+A read that cannot fetch a part — the peer is gone, or its answer is cut
+short — replies ``FETCH_FAILED``, and the driver declines the whole
+exchange.  Buckets and task replies are built here, so they go through
+the engine's data serializer
+(:func:`~repro.dataflow.executor.dumps_data`: the stdlib pickler first).
+A broadcast blob arrives the same raw way: a ``MSG_BLOB`` header, then
+its bytes.
 
 Shutdown is graceful by default: ``(MSG_SHUTDOWN,)`` closes the listener
 and drains every connection's in-flight task before exiting, so other
@@ -83,11 +91,9 @@ from repro.dataflow.executor import (
 )
 from repro.dataflow.remote import protocol
 from repro.dataflow.remote.protocol import (
-    DEFAULT_BUCKET_CHUNK_BYTES,
     FETCH_FAILED,
     MSG_BLOB,
     MSG_BUCKET,
-    MSG_BUCKET_CHUNK,
     MSG_BYE,
     MSG_ERROR,
     MSG_EVICT_BLOBS,
@@ -188,20 +194,8 @@ class WorkerServer:
         port: int = 0,
         *,
         heartbeat_interval: float = 1.0,
-        bucket_chunk_bytes: Optional[int] = DEFAULT_BUCKET_CHUNK_BYTES,
     ) -> None:
         self.heartbeat_interval = float(heartbeat_interval)
-        #: Serve a stored bucket larger than this in bounded
-        #: ``MSG_BUCKET_CHUNK`` frames instead of one giant ``MSG_BUCKET``
-        #: frame (``None`` disables chunking).
-        self.bucket_chunk_bytes = (
-            None if bucket_chunk_bytes is None else int(bucket_chunk_bytes)
-        )
-        if self.bucket_chunk_bytes is not None and self.bucket_chunk_bytes < 1:
-            raise ValueError(
-                "bucket_chunk_bytes must be >= 1 or None, got "
-                f"{bucket_chunk_bytes}"
-            )
         self._listener = socket.create_server((host, int(port)))
         self.host, self.port = self._listener.getsockname()[:2]
         #: Daemon-wide bucket store: ``"<exchange>/<input>/<dest>" ->
@@ -256,38 +250,13 @@ class WorkerServer:
         self, sock: socket.socket, bucket_ids: List[str]
     ) -> None:
         """Answer one ``MSG_FETCH_BUCKETS``: every id in request order, a
-        single frame for small (or missing) payloads, bounded
-        ``MSG_BUCKET_CHUNK`` frames otherwise — all in one ``sendall``,
-        flushed early only once the pending frames pass the chunk cap."""
-        limit = self.bucket_chunk_bytes
-        frames: List[bytes] = []
-        pending = 0
-        for bucket_id in bucket_ids:
-            payload = self.get_bucket(bucket_id)
-            if payload is None or limit is None or len(payload) <= limit:
-                messages = [(MSG_BUCKET, bucket_id, payload)]
-            else:
-                n_chunks = -(-len(payload) // limit)
-                # A generator: one chunk copy exists at a time.
-                messages = (
-                    (
-                        MSG_BUCKET_CHUNK,
-                        bucket_id,
-                        seq,
-                        n_chunks,
-                        payload[seq * limit:(seq + 1) * limit],
-                    )
-                    for seq in range(n_chunks)
-                )
-            for message in messages:
-                frame = protocol.frame(dumps_data(message))
-                frames.append(frame)
-                pending += len(frame)
-                if limit is not None and pending >= limit:
-                    sock.sendall(b"".join(frames))
-                    frames, pending = [], 0
-        if frames:
-            sock.sendall(b"".join(frames))
+        ``MSG_BUCKET`` header and the stored bytes (none for an unknown
+        id), all in one gather-write."""
+        protocol.send_payloads(
+            sock,
+            [((MSG_BUCKET, bucket_id), self.get_bucket(bucket_id))
+             for bucket_id in bucket_ids],
+        )
 
     # -- shutdown ----------------------------------------------------------
 
@@ -337,8 +306,9 @@ class WorkerServer:
                     # mismatch before sending anything else.
                     _send(sock, (MSG_PONG, PROTOCOL_VERSION))
                 elif tag == MSG_BLOB:
+                    blob = protocol.recv_payload(sock, message[2])
                     try:
-                        blobs[message[1]] = load_blob(message[2])
+                        blobs[message[1]] = load_blob(blob)
                     except BaseException:
                         # Leave the digest unresolved; the stage payload
                         # referencing it fails to load, which surfaces as
@@ -476,17 +446,14 @@ class WorkerServer:
             # One request per producing peer; own-daemon parts are served
             # from the local store.
             fetched: Dict[str, Optional[bytes]] = {}
-            fetch_chunks = 0
             own = (self.host, self.port)
             for (host, port), ids in protocol.peer_sources(
                 sources, exclude=own
             ).items():
                 try:
-                    got, n_chunks = self._links.fetch(host, port, ids)
+                    fetched.update(self._links.fetch(host, port, ids))
                 except (ConnectionError, OSError) as exc:
                     return (FETCH_FAILED, f"{host}:{port}: {exc}")
-                fetched.update(got)
-                fetch_chunks += n_chunks
             parts: List[Any] = []
             p2p_bytes = 0
             local_bytes = 0
@@ -509,10 +476,7 @@ class WorkerServer:
             n_merged = len(merged)
             merged_columnar = isinstance(merged, ColumnarShard)
             value = read_fn(merged)
-            return (
-                value, n_merged, merged_columnar, p2p_bytes, local_bytes,
-                fetch_chunks,
-            )
+            return value, n_merged, merged_columnar, p2p_bytes, local_bytes
 
         return work
 
@@ -565,15 +529,9 @@ def main(argv=None) -> int:
     parser.add_argument("--heartbeat-interval", type=float, default=1.0,
                         help="seconds between liveness frames while a "
                              "task computes")
-    parser.add_argument("--bucket-chunk-bytes", type=int,
-                        default=DEFAULT_BUCKET_CHUNK_BYTES,
-                        help="serve stored shuffle buckets larger than this "
-                             "in bounded MSG_BUCKET_CHUNK frames; 0 disables "
-                             "chunking")
     args = parser.parse_args(argv)
     server = WorkerServer(
-        args.host, args.port, heartbeat_interval=args.heartbeat_interval,
-        bucket_chunk_bytes=args.bucket_chunk_bytes or None,
+        args.host, args.port, heartbeat_interval=args.heartbeat_interval
     )
     print(f"REPRO_WORKER_READY {server.host} {server.port}", flush=True)
     server.serve_forever()

@@ -187,9 +187,8 @@ class IncrementalDriver:
     data_shards:
         Contiguous id ranges reuse works at: one checkpointed branch per
         range.  Changing it re-keys every branch, so the next drive on a
-        checkpoint directory is cold.
-    candidates_per_shard:
-        Per-shard candidate pool size (default ``k``, the GreeDi choice).
+        checkpoint directory is cold.  Each range contributes ``k``
+        candidates to the pool (the GreeDi choice).
     """
 
     def __init__(
@@ -199,7 +198,6 @@ class IncrementalDriver:
         *,
         context: DataflowContext,
         data_shards: int = 8,
-        candidates_per_shard: Optional[int] = None,
     ) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -209,7 +207,6 @@ class IncrementalDriver:
         self.k = k
         self.context = context
         self.data_shards = data_shards
-        self.candidates_per_shard = candidates_per_shard or k
         self.checkpoint_dir = context.options.checkpoint_dir
 
     # -- persistent state: the last driven version ----------------------
@@ -239,9 +236,7 @@ class IncrementalDriver:
 
     def _build(self, pipeline, version: DatasetVersion):
         """One branch per data shard, then a pooled refine shuffle."""
-        select_candidates = _make_local_selector(
-            self.problem, self.candidates_per_shard
-        )
+        select_candidates = _make_local_selector(self.problem, self.k)
         branches = []
         for shard in range(self.data_shards):
             ids, utilities = version.shard_payload(shard, self.data_shards)

@@ -29,6 +29,8 @@ def report_to_dict(report: SelectionReport) -> Dict[str, Any]:
         "objective": report.objective,
         "config": config,
     }
+    if report.certificate is not None:
+        out["certificate"] = report.certificate
     if report.bounding is not None:
         b = report.bounding
         out["bounding"] = {

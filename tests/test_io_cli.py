@@ -43,6 +43,8 @@ class TestReportIO:
         ).select(30, seed=0)
         data = report_to_dict(report)
         assert len(data["greedy_rounds"]) == 3
+        assert data["certificate"] == report.certificate
+        assert data["certificate"]["kind"] == "modular"
 
     def test_no_bounding_section_without_bounding(self, ds):
         problem = SubsetProblem.with_alpha(ds.utilities, ds.graph, 0.9)
@@ -82,7 +84,10 @@ class TestCLI:
         assert code == 0
         ids = np.load(out)
         assert ids.size == 30
-        assert "selected 30 of 300" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "selected 30 of 300" in out
+        assert "certified_ratio 0." in out
+        assert "modular bound)" in out
 
     def test_select_with_bounding_and_report(self, tmp_path, capsys):
         out = str(tmp_path / "ids.npy")

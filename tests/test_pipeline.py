@@ -9,8 +9,10 @@ from repro.core.pipeline import (
     SelectorConfig,
     centralized_reference,
 )
+from repro.core.problem import SubsetProblem
 from repro.core.theory import (
     approximation_factor,
+    certify,
     guarantee_for_instance,
     instance_constants,
     success_probability,
@@ -162,3 +164,38 @@ class TestTheory:
         factor, prob = guarantee_for_instance(tiny_problem, p=0.9)
         assert 0.0 <= factor <= 0.5
         assert 0.0 <= prob <= 1.0
+
+    @pytest.mark.parametrize("bounding,kind", [
+        (None, "modular"),
+        ("approximate", "modular"),
+        ("exact", "exact_bounding"),
+    ])
+    def test_selection_report_certifies_itself(
+        self, tiny_problem, bounding, kind
+    ):
+        """Only exact bounding earns the tighter bound; the ratio is
+        ``f(S)`` over the bound the report names."""
+        report = DistributedSelector(
+            tiny_problem,
+            SelectorConfig(bounding=bounding, machines=4, rounds=2),
+        ).select(40, seed=0)
+        cert = report.certificate
+        assert cert["kind"] == kind
+        assert cert["upper_bound"] >= report.objective
+        assert 0 < cert["certified_ratio"] <= 1.0
+        assert cert["certified_ratio"] == pytest.approx(
+            report.objective / cert["upper_bound"]
+        )
+
+    def test_certificate_without_a_positive_bound(self, tiny_problem):
+        """At alpha = 0 every f(S) <= 0 = the bound: a single point
+        (f = 0) is certified optimal, a penalised pair gets no ratio."""
+        g = tiny_problem.graph
+        problem = SubsetProblem.with_alpha(tiny_problem.utilities, g, 0.0)
+        assert certify(problem, [0])["certified_ratio"] == 1.0
+        dense = int(np.argmax(np.diff(g.indptr)))
+        pair = [dense, int(g.neighbors(dense)[0][0])]
+        cert = certify(problem, pair)
+        assert cert == {
+            "upper_bound": 0.0, "certified_ratio": None, "kind": "modular"
+        }

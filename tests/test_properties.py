@@ -21,10 +21,11 @@ from repro.core.objective import PairwiseObjective
 from repro.core.pipeline import DistributedSelector, SelectorConfig
 from repro.core.problem import SubsetProblem
 from repro.core.sampling import keep_mask
+from repro.core.theory import certify
 from repro.dataflow import DataflowContext, EngineOptions
 from repro.graph.csr import NeighborGraph
 from repro.incremental import DatasetVersion, Delta, IncrementalDriver
-from tests.conftest import random_problem
+from tests.conftest import branch_and_bound_best, random_problem
 
 
 @settings(max_examples=30, deadline=None)
@@ -477,3 +478,50 @@ def test_fuzzed_delta_logs_keep_incremental_equal_to_cold(log):
             want = cold.drive(version)
             np.testing.assert_array_equal(got.selected, want.selected)
             assert got.objective == want.objective
+
+
+#: Every balance ``with_alpha`` accepts, on a dyadic grid so each sum of
+#: quantised utilities and weights below is exact.
+_ALPHAS = [0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0]
+
+
+@st.composite
+def _certify_instances(draw):
+    """``(problem, k)``: n <= 20, quantised utilities (many ties) and
+    weights, ``beta = 1 - alpha`` at every accepted alpha."""
+    n = draw(st.integers(1, 20))
+    pair = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1),
+        st.integers(1, 4).map(lambda q: q / 4),
+    )
+    edges = [e for e in draw(st.lists(pair, max_size=3 * n)) if e[0] != e[1]]
+    a, b, w = (np.array(c) for c in zip(*edges)) if edges else ([], [], [])
+    graph = NeighborGraph.from_edges(
+        n, np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
+        np.asarray(w, dtype=np.float64),
+    )
+    problem = SubsetProblem.with_alpha(
+        _utilities(draw, n), graph, draw(st.sampled_from(_ALPHAS))
+    )
+    return problem, draw(st.integers(1, min(n, 6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_certify_instances())
+def test_certificate_bounds_the_optimum(instance):
+    """``certify``'s upper bound is never below the brute-forced optimum,
+    in both kinds: the modular bound (no or approximate bounding) at every
+    alpha, the exact-bounding one wherever bounding runs (alpha > 0)."""
+    problem, k = instance
+    best, best_sets = branch_and_bound_best(problem, k)
+    optimum = np.array(sorted(best_sets[0]), dtype=np.int64)
+    results = [None]
+    if problem.alpha > 0:
+        results.append(bound(problem, k, mode="exact"))
+    for bounding in results:
+        cert = certify(problem, optimum, bounding)
+        assert cert["kind"] == ("modular" if bounding is None
+                                else "exact_bounding")
+        assert cert["upper_bound"] >= best, (cert, best)
+        if cert["upper_bound"] > 0 or best >= cert["upper_bound"]:
+            assert cert["certified_ratio"] <= 1.0

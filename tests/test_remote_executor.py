@@ -281,15 +281,18 @@ class TestClosureBroadcast:
         _, ref_nbrs, _, _ = beam_knn_graph(
             x, 5, seed=0, options=EngineOptions(num_shards=4)
         )
-        blob_sends = []  # (worker socket, blob) per blob frame sent
-        send_msg = protocol.send_msg
+        blob_sends = []  # (worker socket, blob) per blob sent
+        send_payloads = protocol.send_payloads
 
-        def spy(sock, msg):
-            if msg[0] == MSG_BLOB:
-                blob_sends.append((sock, msg[2]))
-            return send_msg(sock, msg)
+        def spy(sock, items):
+            items = list(items)
+            blob_sends.extend(
+                (sock, payload) for header, payload in items
+                if header[0] == MSG_BLOB
+            )
+            return send_payloads(sock, items)
 
-        monkeypatch.setattr(protocol, "send_msg", spy)
+        monkeypatch.setattr(protocol, "send_payloads", spy)
         executor = RemoteExecutor(
             workers=cluster.addresses, broadcast_min_bytes=4096
         )

@@ -16,11 +16,15 @@ The satellites ride along: the reply-timeout scoping regression in
 ``MSG_FETCH_BUCKETS`` request per (read task, peer) over persistent
 links that a later exchange reuses, one fresh retry for a broken pooled
 link, and a handshake that refuses a daemon of another protocol version.
+Bucket payloads cross raw behind a length header: a part of any size
+arrives whole, and one cut short or announced oversized declines the
+exchange like a lost peer.
 
 Fault-injection tests spawn private clusters so killing a worker cannot
 disturb neighbouring tests; everything else shares one module cluster.
 """
 
+import contextlib
 import os
 import signal
 import socket
@@ -40,6 +44,7 @@ from repro.dataflow.remote import LocalCluster, RemoteExecutor
 from repro.dataflow.remote import protocol, worker
 from repro.dataflow.remote.client import _Channel, _fetch_failed
 from repro.dataflow.remote.protocol import (
+    MSG_BUCKET,
     MSG_PING,
     MSG_PONG,
     MSG_RESULT,
@@ -628,7 +633,7 @@ class TestFaultFallback:
         reader, peer = counting_servers
         peer.store_bucket("x/0/1", dumps_data([(1, 2)]))
         held = ("peer", peer.host, peer.port, "x/0/1")
-        value, n_merged, _, p2p_bytes, local_bytes, _ = (
+        value, n_merged, _, p2p_bytes, local_bytes = (
             reader._make_shuffle_read_work(len, None, [held])()
         )
         assert (value, n_merged, local_bytes) == (1, 1, 0)
@@ -755,104 +760,6 @@ class TestBlobCacheCap:
             assert executor.stats()["blob_evictions"] == 0
         finally:
             executor.close()
-
-
-class TestChunkedBucketFetch:
-    """Large served buckets stream as bounded ``MSG_BUCKET_CHUNK`` frames."""
-
-    @staticmethod
-    def _fat_drive(pipeline, n_records=64, value_bytes=64 * 1024,
-                   record_sleep=0.0):
-        """A grouped drive whose shuffle buckets are multi-MB: each
-        record carries a distinct ~64 KiB string, ~4 MiB total.
-
-        ``record_sleep`` pads the fused write stage so the dynamic task
-        pull spreads write tasks over every worker — each then holds
-        resident buckets and every read must peer-fetch at least one
-        part, instead of one fast worker taking the whole stage and
-        serving itself locally (which would leave zero peer traffic to
-        observe).  The pause changes no values, so results stay
-        bit-identical to an unpadded reference.
-
-        Keys cycle mod 3 — coprime to the 4-way sharding, so every
-        input shard holds every key and every destination bucket merges
-        parts from both workers (``i % 2`` would align keys with shards
-        and let a producer serve its own destinations entirely locally).
-        """
-        data = [(i % 3, i) for i in range(n_records)]
-
-        def fatten(kv, _w=value_bytes, _s=record_sleep):
-            if _s:
-                time.sleep(_s)
-            return (kv[0], ("%06d" % kv[1]) * (_w // 6))
-
-        return sorted(
-            pipeline.create(data)
-            .map(fatten)
-            .as_keyed()
-            .group_by_key()
-            .map_values(sorted)
-            .to_list()
-        )
-
-    def test_multi_mb_bucket_streams_in_chunks(self):
-        """With a small per-frame cap the fetch arrives as many chunk
-        frames, counted by ``bucket_fetch_chunks`` — results and every
-        other metric stay bit-identical to the sequential reference."""
-        reference = self._fat_drive(Pipeline(num_shards=4))
-        with LocalCluster(2, bucket_chunk_bytes=128 * 1024) as private:
-            executor = RemoteExecutor(
-                workers=private.addresses
-            )
-            try:
-                pipeline = Pipeline(
-                    num_shards=4, executor=executor, shuffle="worker",
-                    optimize=True,
-                )
-                got = self._fat_drive(pipeline, record_sleep=0.02)
-                assert got == reference
-                stats = executor.stats()
-                # ~512 KiB per fetched bucket part over a 128 KiB cap:
-                # the peer fetches must have streamed, several frames
-                # each.
-                assert stats["p2p_shuffle_bytes"] > 0
-                assert stats["bucket_fetch_chunks"] >= 2
-                assert stats["exchange_fallbacks"] == 0
-                assert (
-                    pipeline.metrics.bucket_fetch_chunks
-                    == stats["bucket_fetch_chunks"]
-                )
-            finally:
-                executor.close()
-
-    def test_small_buckets_stay_single_frame(self, remote):
-        """Under the (4 MiB) default cap, small buckets add no chunk
-        frames — the single-``MSG_BUCKET`` fast path is untouched."""
-        pipeline = Pipeline(num_shards=4, executor=remote, shuffle="worker")
-        _group_drive(pipeline)
-        assert remote.stats()["bucket_fetch_chunks"] == 0
-        assert pipeline.metrics.bucket_fetch_chunks == 0
-
-    def test_chunking_disabled_still_serves_large_buckets(self):
-        """``--bucket-chunk-bytes 0`` disables streaming: one frame per
-        fetch, zero chunk frames, identical results."""
-        reference = self._fat_drive(Pipeline(num_shards=4))
-        with LocalCluster(2, bucket_chunk_bytes=0) as private:
-            executor = RemoteExecutor(
-                workers=private.addresses
-            )
-            try:
-                pipeline = Pipeline(
-                    num_shards=4, executor=executor, shuffle="worker",
-                    optimize=True,
-                )
-                got = self._fat_drive(pipeline, record_sleep=0.02)
-                assert got == reference
-                stats = executor.stats()
-                assert stats["p2p_shuffle_bytes"] > 0
-                assert stats["bucket_fetch_chunks"] == 0
-            finally:
-                executor.close()
 
 
 class TestGracefulShutdown:
@@ -1040,22 +947,31 @@ class _CountingServer(worker.WorkerServer):
         super()._send_buckets(sock, bucket_ids)
 
 
-@pytest.fixture
-def counting_servers():
-    servers = [_CountingServer() for _ in range(2)]
+@contextlib.contextmanager
+def _serving(servers):
+    """Run in-process ``WorkerServer``s on daemon threads; stop them
+    (and their peer links) on exit."""
     threads = [
         threading.Thread(target=server.serve_forever, daemon=True)
         for server in servers
     ]
     for thread in threads:
         thread.start()
-    yield servers
-    for server in servers:
-        server._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
-        server.close()
-    for thread in threads:
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+    try:
+        yield servers
+    finally:
+        for server in servers:
+            server._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+            server.close()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+@pytest.fixture
+def counting_servers():
+    with _serving([_CountingServer() for _ in range(2)]) as servers:
+        yield servers
 
 
 def _exchange_pipeline(executor):
@@ -1113,7 +1029,7 @@ class TestPeerLinks:
     def test_broken_pooled_link_is_replaced(self, counting_servers):
         server = counting_servers[0]
         server.store_bucket("x/0/1", dumps_data([(1, 2)]))
-        want = ({"x/0/1": server.get_bucket("x/0/1")}, 0)
+        want = {"x/0/1": server.get_bucket("x/0/1")}
         links = protocol.PeerLinks()
         try:
             assert links.fetch(server.host, server.port, ["x/0/1"]) == want
@@ -1131,9 +1047,7 @@ class TestPeerLinks:
             host, port = private.addresses[0]
             links = protocol.PeerLinks()
             try:
-                assert links.fetch(host, port, ["x/0/0"]) == (
-                    {"x/0/0": None}, 0,
-                )
+                assert links.fetch(host, port, ["x/0/0"]) == {"x/0/0": None}
                 os.kill(private.pids[0], signal.SIGKILL)
                 private._procs[0].wait(timeout=15)
                 opened = []
@@ -1250,3 +1164,128 @@ class TestProtocolVersion:
             # inside a read task, whose error reply the driver re-raises).
             clone = protocol.loads(dumps_data(caught.value))
             assert str(clone) == message
+
+
+class _TornServer(worker.WorkerServer):
+    """An in-process daemon whose every bucket answer announces the first
+    bucket's full length, sends half of its bytes and hangs up."""
+
+    def _send_buckets(self, sock, bucket_ids):
+        payload = self.get_bucket(bucket_ids[0])
+        header = dumps_data((MSG_BUCKET, bucket_ids[0], len(payload)))
+        sock.sendall(protocol.frame(header) + payload[:len(payload) // 2])
+        sock.shutdown(socket.SHUT_RDWR)
+
+
+def _fat_drive(pipeline, barrier_dir=None):
+    """A grouped drive whose every bucket part is over 4 MiB: six records
+    of ~4.5 MiB each, keyed mod 3.  ``create`` deals them round-robin, so
+    shards {0, 3}, {0, 1} and {1, 2} hold keys 0, 1 and 2: once both
+    workers hold write tasks (``barrier_dir`` spreads the write), some
+    destination merges parts from both and its read fetches one from
+    its peer."""
+    data = [(i % 3, i) for i in range(6)]
+
+    def fatten(kv):
+        return (kv[0], ("%06d" % kv[1]) * ((9 << 19) // 6))
+
+    if barrier_dir is not None:
+        fatten = _on_both_workers(fatten, barrier_dir)
+    return sorted(
+        pipeline.create(data).map(fatten).as_keyed().group_by_key()
+        .map_values(sorted).to_list()
+    )
+
+
+class TestRawPayloads:
+    """Blobs and buckets cross a socket raw, behind a length header: a
+    payload of any size arrives whole, and one cut short or announced
+    past ``MAX_FRAME_BYTES`` fails the fetch, which declines the
+    exchange."""
+
+    @staticmethod
+    def _fake_peer(answer, hang_up):
+        """A listener that answers the handshake, reads one fetch request
+        and writes ``answer(bucket_ids)``; then it hangs up at once
+        (``hang_up``) or waits for the fetcher to."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10)
+
+        def serve():
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            with conn:
+                try:
+                    protocol.recv_msg(conn)  # the handshake's MSG_PING
+                    protocol.send_msg(conn, (MSG_PONG, PROTOCOL_VERSION))
+                    conn.sendall(answer(protocol.recv_msg(conn)[1]))
+                    if not hang_up:
+                        conn.recv(1)
+                except (ConnectionError, OSError):
+                    pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        return listener, thread
+
+    @pytest.mark.parametrize("answer,hang_up", [
+        # A header for N bytes, then N/2 of them and EOF.
+        (lambda ids: protocol.frame(dumps_data((MSG_BUCKET, ids[0], 1 << 16)))
+         + b"x" * (1 << 15), True),
+        # A length no frame may carry: refused before a byte is awaited.
+        (lambda ids: protocol.frame(dumps_data(
+            (MSG_BUCKET, ids[0], protocol.MAX_FRAME_BYTES + 1)
+        )), False),
+        # The answer for another bucket.
+        (lambda ids: protocol.frame(dumps_data((MSG_BUCKET, "x/9/9", 0))),
+         False),
+    ], ids=["torn", "oversized", "other-id"])
+    def test_damaged_answer_raises_connection_error(self, answer, hang_up):
+        listener, thread = self._fake_peer(answer, hang_up)
+        links = protocol.PeerLinks()
+        try:
+            host, port = listener.getsockname()[:2]
+            with pytest.raises(ConnectionError):
+                links.fetch(host, port, ["x/0/0"])
+            assert links._idle == {}  # the desynced link is not pooled
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            links.close()
+            listener.close()
+
+    def test_torn_peer_answer_declines_once_and_reruns_bit_identically(
+        self,
+    ):
+        seq = Pipeline(num_shards=4, optimize=True)
+        reference = _padded_group_drive(seq, pause=0)
+        with _serving([_TornServer() for _ in range(2)]) as servers:
+            executor = RemoteExecutor(
+                workers=[server.address for server in servers]
+            )
+            try:
+                pipeline = _exchange_pipeline(executor)
+                got = _padded_group_drive(pipeline)
+                stats = executor.stats()
+            finally:
+                executor.close()
+        assert got == reference
+        assert stats["exchange_fallbacks"] == 1
+        assert stats["worker_failures"] == 0
+        assert stats["p2p_shuffle_bytes"] == 0
+        assert _metered(pipeline.metrics) == _metered(seq.metrics)
+
+    def test_part_over_the_old_chunk_cap_arrives_whole(self, remote, tmp_path):
+        """Protocol 3 cut a bucket over 4 MiB into chunk frames; now it
+        crosses between peers as one raw payload."""
+        reference = _fat_drive(Pipeline(num_shards=4, optimize=True))
+        pipeline = _exchange_pipeline(remote)
+        got = _fat_drive(pipeline, tmp_path)
+        stats = remote.stats()
+        assert got == reference
+        assert stats["exchange_fallbacks"] == 0
+        # Every part holds a ~4.5 MiB record, and at least one crossed.
+        assert stats["p2p_shuffle_bytes"] > 4 << 20
+        assert pipeline.metrics.p2p_shuffle_bytes == stats["p2p_shuffle_bytes"]
