@@ -332,9 +332,10 @@ class DistributedSelector:
                 f"selected {selected.size} of the requested {k} points; "
                 "refusing to return a selection of another size"
             )
+        value = self.objective.value(selected)
         return SelectionReport(
             selected=selected,
-            objective=self.objective.value(selected),
+            objective=value,
             config=cfg,
             bounding=bounding_result,
             greedy=greedy_result,
@@ -343,6 +344,7 @@ class DistributedSelector:
             certificate=certify(
                 self.problem, selected,
                 bounding_result if cfg.bounding == "exact" else None,
+                value=value,
             ),
         )
 

@@ -128,6 +128,8 @@ def certify(
     problem: SubsetProblem,
     selected: SubsetLike,
     bounding: Optional[BoundingResult] = None,
+    *,
+    value: Optional[float] = None,
 ) -> Dict[str, Any]:
     """A selection's quality certificate: ``f(S*) <= upper_bound`` over
     every ``S*`` of ``k = |selected|`` points, and ``f(selected)`` over it.
@@ -147,11 +149,13 @@ def certify(
     ``certified_ratio`` is ``f(selected) / upper_bound`` — ``1.0`` when
     ``f(selected)`` reaches the bound (the selection is optimal), and
     ``None`` when the bound is not positive and the selection falls
-    below it (no ratio says anything then).
+    below it (no ratio says anything then).  ``value`` is ``f(selected)``
+    when the caller has already evaluated it.
     """
     objective = PairwiseObjective(problem)
     mask = subset_mask(selected, problem.n)
-    value = objective.value(mask)
+    if value is None:
+        value = objective.value(mask)
     k = int(np.count_nonzero(mask))
     if bounding is None:
         kind = "modular"

@@ -2,8 +2,13 @@
 
 The engine compiles a lazy operator DAG into *stages*: per-shard functions
 that take one shard's records and return either transformed records or
-routing buckets.  An :class:`Executor` decides how those per-shard calls
-run.  Three backends ship:
+routing buckets.  An :class:`Executor` is two calls: :meth:`~Executor.
+run_stage` runs one stage's per-shard function over every shard, and
+:meth:`~Executor.shuffle` runs one shuffle — write stage, bucket
+movement, read stage — and is the engine's only way to move records
+between shards.  The base class moves buckets through the driver merge;
+a backend with a data plane of its own (the remote one) overrides it and
+falls back to the driver merge itself.  Three backends ship:
 
 :class:`SequentialExecutor`
     One shard at a time on the driver — the reference backend.
@@ -48,21 +53,17 @@ are identical regardless of the backend.  Spilled shards (:class:`~repro.
 dataflow.pcollection._DiskShard`) are loaded inside the worker, never on
 the driver.
 
-Stage payload shapes: a stage function may return transformed records, a
-list of routing buckets (shuffle writes), or — for the optimizer's
-partial-aggregate DoFns — a ``(n_pre, buckets)`` tuple, where ``n_pre``
-meters the records the worker-local pre-combine absorbed before the
-shuffle.  Post-shuffle-fused read stages are plain composed closures
-(shuffle read + element-wise consumer chain in one pass).  Executors treat
-every shape opaquely: whatever the stage function returns is shipped back
-per shard (the remote backend pickles it), so new payload shapes need no
-executor changes.
+Stage payload shapes: ``run_stage`` ships whatever a stage function
+returns back per shard, opaquely.  A shuffle's write function returns
+``(offered, buckets)``: ``num_shards`` routing buckets, and the records a
+worker-local pre-combine absorbed (``None`` when it did not pre-combine).
 
 Executors are reusable across pipelines: a :class:`~repro.dataflow.
 pcollection.Pipeline` only closes an executor it created itself (from a
 string name), so one instance can serve several pipelines back to back —
 e.g. the bounding and greedy stages of a selection run share one worker
-pool.  ``run_stage`` is not re-entrant from multiple driver threads.
+pool.  ``run_stage`` and ``shuffle`` are not re-entrant from multiple
+driver threads.
 """
 
 from __future__ import annotations
@@ -73,12 +74,13 @@ import io
 import os
 import pickle
 import threading
+import time
 import weakref
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataflow.columnar import ColumnarShard
+from repro.dataflow.columnar import ColumnarShard, merge_bucket_parts
 
 try:  # Closure-capable serializer: stage payloads, by-value data.
     import cloudpickle as _cloudpickle
@@ -334,6 +336,68 @@ class Executor:
         """Apply ``fn`` to every shard, returning results in shard order."""
         raise NotImplementedError
 
+    def run_stage_metered(
+        self, fn: StageFn, shards: Sequence[Any]
+    ) -> Tuple[List[Any], float, int]:
+        """:meth:`run_stage`, plus its wall seconds and the stage payload
+        bytes it shipped (the ``stage_payload_bytes`` counter's growth)."""
+        before = self.stats().get("stage_payload_bytes", 0)
+        start = time.perf_counter()
+        out = self.run_stage(fn, shards)
+        seconds = time.perf_counter() - start
+        payload = self.stats().get("stage_payload_bytes", 0) - before
+        return out, seconds, max(0, payload)
+
+    def shuffle(
+        self,
+        write_fn: StageFn,
+        shards: Sequence[Any],
+        read_fn: "StageFn | None",
+        num_shards: int,
+        *,
+        exchange: bool = False,
+    ) -> Tuple[List[Any], Dict[str, Any]]:
+        """Run one shuffle: write stage, driver-side bucket merge (parts
+        in input-shard order), read stage — or, with ``read_fn=None``,
+        the merged shards as results.  ``exchange`` asks for a
+        worker-to-worker exchange, which only a backend with one honours.
+
+        Returns ``(results, info)``; every data plane fills ``info``
+        alike: ``moved``, ``pre_records`` (``None`` unless the write
+        pre-combined), ``dest_counts``, ``dest_columnar``, each stage's
+        ``*_seconds`` and ``*_payload_bytes``, and ``p2p_bytes``.
+        """
+        written, write_seconds, write_payload = self.run_stage_metered(
+            write_fn, shards
+        )
+        parts: List[List[Any]] = [[] for _ in range(num_shards)]
+        moved = 0
+        offered: "int | None" = None
+        for pre, buckets in written:
+            if pre is not None:
+                offered = (offered or 0) + pre
+            for dest, bucket in enumerate(buckets):
+                if len(bucket):
+                    parts[dest].append(bucket)
+                    moved += len(bucket)
+        merged = [merge_bucket_parts(p) for p in parts]
+        results, read_seconds, read_payload = merged, 0.0, 0
+        if read_fn is not None:
+            results, read_seconds, read_payload = self.run_stage_metered(
+                read_fn, merged
+            )
+        return results, {
+            "moved": moved,
+            "pre_records": offered,
+            "dest_counts": [len(shard) for shard in merged],
+            "dest_columnar": [isinstance(s, ColumnarShard) for s in merged],
+            "write_seconds": write_seconds,
+            "read_seconds": read_seconds,
+            "write_payload_bytes": write_payload,
+            "read_payload_bytes": read_payload,
+            "p2p_bytes": 0,
+        }
+
     def close(self) -> None:  # pragma: no cover - trivial
         """Release any worker resources (pools, processes).
 
@@ -442,11 +506,11 @@ class JobScopedExecutor(Executor):
     through live, since "how many workers" and "how big is the shared
     blob cache" are properties of the pool, not of any one job.
 
-    ``run_exchange`` (the worker-shuffle entry point) is exposed only
-    when the base has it, so the engine's feature probe
-    ``getattr(executor, "run_exchange", None)`` keeps answering honestly
-    for bases without one.  :meth:`close` never closes the base — its
-    lifetime belongs to whoever created it.
+    :meth:`shuffle` through the driver merge runs the base class's merge
+    over this view's :meth:`run_stage`, so jobs still interleave stage by
+    stage; an exchange runs whole under the lock, like one stage.
+    :meth:`close` never closes the base — its lifetime belongs to
+    whoever created it.
     """
 
     #: Base-stats keys that describe the shared pool rather than work
@@ -487,13 +551,23 @@ class JobScopedExecutor(Executor):
             delta = value - before.get(key, 0)
             self._counters[key] = self._counters.get(key, 0) + delta
 
-    def run_stage(self, fn: StageFn, shards: Sequence[Any]) -> List[Any]:
+    def _metered(self, call: Callable[[], Any]) -> Any:
         with self._lock:
             before = self._base.stats()
             try:
-                return self._base.run_stage(fn, shards)
+                return call()
             finally:
                 self._accumulate(self._base.stats(), before)
+
+    def run_stage(self, fn: StageFn, shards: Sequence[Any]) -> List[Any]:
+        return self._metered(lambda: self._base.run_stage(fn, shards))
+
+    def shuffle(self, *args: Any, exchange: bool = False) -> Any:
+        if not exchange:
+            return super().shuffle(*args)
+        return self._metered(
+            lambda: self._base.shuffle(*args, exchange=True)
+        )
 
     def stats(self) -> Dict[str, Any]:
         out = dict(self._counters)
@@ -511,20 +585,6 @@ class JobScopedExecutor(Executor):
     def __getattr__(self, attr: str) -> Any:
         if attr.startswith("_"):
             raise AttributeError(attr)
-        if attr == "run_exchange":
-            base_fn = getattr(self._base, "run_exchange", None)
-            if base_fn is None:
-                raise AttributeError(attr)
-
-            def run_exchange(*args: Any, **kwargs: Any) -> Any:
-                with self._lock:
-                    before = self._base.stats()
-                    try:
-                        return base_fn(*args, **kwargs)
-                    finally:
-                        self._accumulate(self._base.stats(), before)
-
-            return run_exchange
         return getattr(self._base, attr)
 
 

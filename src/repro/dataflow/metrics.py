@@ -36,6 +36,12 @@ Checkpoint counters (``Pipeline(checkpoint_dir=...)`` only):
     incremental driver reads its per-shard reuse from these hits.
 ``checkpoint_stores``
     Boundary outputs persisted to the checkpoint directory this run.
+``checkpoint_corrupt``
+    Checkpoint entries whose SHA-256 trailer did not vouch for them (a
+    torn write, a flipped byte, an entry from before the trailer): each
+    was moved aside as ``<digest>.ckpt.corrupt``, recomputed, and stored
+    again — so it counts in ``checkpoint_stores`` too, never in
+    ``checkpoint_hits``.
 
 Columnar-runtime counters:
 
@@ -68,7 +74,8 @@ deliberately excluded from the counter-style equality tests above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 
@@ -123,6 +130,7 @@ class PipelineMetrics:
     elided_shuffles: int = 0
     checkpoint_hits: int = 0
     checkpoint_stores: int = 0
+    checkpoint_corrupt: int = 0
     vectorized_stages: int = 0
     columnar_rows: int = 0
     p2p_shuffle_bytes: int = 0
@@ -184,44 +192,25 @@ class PipelineMetrics:
     def observe_checkpoint_store(self) -> None:
         self.checkpoint_stores += 1
 
+    def observe_checkpoint_corrupt(self) -> None:
+        self.checkpoint_corrupt += 1
+
     def count_stage(self, name: str) -> None:
         self.stage_counts[name] = self.stage_counts.get(name, 0) + 1
 
     def reset(self) -> None:
-        self.peak_shard_records = 0
-        self.shuffled_records = 0
-        self.pre_shuffle_records = 0
-        self.materialized_records = 0
-        self.executed_stages = 0
-        self.fused_stages = 0
-        self.lifted_combiners = 0
-        self.elided_shuffles = 0
-        self.checkpoint_hits = 0
-        self.checkpoint_stores = 0
-        self.vectorized_stages = 0
-        self.columnar_rows = 0
-        self.p2p_shuffle_bytes = 0
-        self.stage_counts.clear()
-        self.stage_profiles.clear()
+        """Every counter back to its default (the lists and dicts
+        emptied in place)."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (dict, list)):
+                value.clear()
+            else:
+                setattr(self, f.name, f.default)
 
     def snapshot(self) -> "PipelineMetrics":
         """Copy for before/after comparisons in tests."""
-        return PipelineMetrics(
-            peak_shard_records=self.peak_shard_records,
-            shuffled_records=self.shuffled_records,
-            pre_shuffle_records=self.pre_shuffle_records,
-            materialized_records=self.materialized_records,
-            executed_stages=self.executed_stages,
-            fused_stages=self.fused_stages,
-            lifted_combiners=self.lifted_combiners,
-            elided_shuffles=self.elided_shuffles,
-            checkpoint_hits=self.checkpoint_hits,
-            checkpoint_stores=self.checkpoint_stores,
-            vectorized_stages=self.vectorized_stages,
-            columnar_rows=self.columnar_rows,
-            p2p_shuffle_bytes=self.p2p_shuffle_bytes,
-            stage_counts=dict(self.stage_counts),
-            stage_profiles=[
-                StageProfile(**p.to_dict()) for p in self.stage_profiles
-            ],
-        )
+        return PipelineMetrics(**{
+            f.name: copy.deepcopy(getattr(self, f.name))
+            for f in fields(self)
+        })

@@ -58,7 +58,10 @@ optimizer rewrites differently simply key different boundaries, and a
 hit may legally cross ``optimize`` settings since backends and plans are
 bit-identical.  A node whose DoFn or source the digest pickler cannot
 reduce (a captured lock, an instance of a local class) is silently
-non-checkpointable (it and its descendants always execute).
+non-checkpointable (it and its descendants always execute).  Every entry
+carries a SHA-256 trailer (:mod:`repro.utils.durable`): a torn or
+bit-flipped entry is moved aside as ``.corrupt``, recomputed and stored
+again (``metrics.checkpoint_corrupt``), never loaded.
 
 Metrics semantics: ``stage_counts`` are recorded when transforms are
 *built*, ``shuffled_records`` / ``materialized_records`` when they
@@ -79,7 +82,6 @@ import os
 import pickle
 import shutil
 import tempfile
-import time
 import uuid
 import weakref
 from contextlib import contextmanager
@@ -94,7 +96,6 @@ from repro.dataflow.columnar import (
     cogroup_columns,
     group_columns,
     int_keyed,
-    merge_bucket_parts,
     route_columnar,
 )
 from repro.dataflow.columnar import stable_shard as _stable_shard
@@ -114,7 +115,12 @@ from repro.dataflow.plan import (  # Fold: re-exported, the public home
     _Plan,
     _Stage,
 )
-from repro.utils.durable import write_atomic
+from repro.utils.durable import (
+    CorruptFile,
+    quarantine,
+    read_verified,
+    write_atomic,
+)
 
 #: Module default for ``Pipeline(optimize=None)``.  The test harness flips
 #: this via the ``--no-optimize`` pytest option so the whole tier-1 suite
@@ -123,11 +129,11 @@ DEFAULT_OPTIMIZE = True
 
 #: Module default for ``Pipeline(shuffle=None)`` — the shuffle data
 #: plane: ``"driver"`` merges buckets on the driver (the historical star
-#: topology), ``"worker"`` exchanges them worker-to-worker on executors
-#: that implement ``run_exchange`` (the remote backend), with the driver
-#: merge rerunning any exchange that declines.  The test harness flips
-#: this via the ``--worker-shuffle`` pytest option; results are
-#: bit-identical.
+#: topology), ``"worker"`` asks the executor's ``shuffle`` for a
+#: worker-to-worker exchange, which the remote backend runs (rerunning
+#: any exchange that declines through the driver merge) and every other
+#: backend ignores.  The test harness flips this via the
+#: ``--worker-shuffle`` pytest option; results are bit-identical.
 DEFAULT_SHUFFLE = "driver"
 
 
@@ -175,6 +181,9 @@ class _DiskShard:
     Supports ``len`` without loading (count cached at write time).  Written
     by :func:`~repro.dataflow.executor.dumps_data`, like a checkpoint, so
     whatever a checkpoint can hold (a record holding a lambda) spills too.
+    Unlike a checkpoint it is written in place, with no trailer: nothing
+    outlives its pipeline to read a torn one, since the process that
+    could tear it owns the only reader and the spill dir dies with both.
     """
 
     __slots__ = ("path", "_count", "_state")
@@ -295,6 +304,7 @@ def _after_join(group, fn):
 
 def _make_keyed_bucketer(chain, num_shards):
     """Stage: shuffle write — fuse the producing chain into key routing.
+    Returns ``(None, buckets)``: nothing was pre-combined.
 
     When the whole producing chain ran batch and left a keyed
     :class:`ColumnarShard`, routing is vectorized too: one column hash +
@@ -310,11 +320,11 @@ def _make_keyed_bucketer(chain, num_shards):
             and isinstance(shard, ColumnarShard)
             and shard.keys is not None
         ):
-            return route_columnar(shard, _num)
+            return None, route_columnar(shard, _num)
         buckets: List[list] = [[] for _ in range(_num)]
         for element in _chain.rows(shard):
             buckets[_stable_shard(element[0], _num)].append(element)
-        return buckets
+        return None, buckets
 
     return route
 
@@ -336,7 +346,7 @@ def _batch_fold_input(shard, batch) -> bool:
 def _make_precombiner(chain, zero, add, num_shards, batch=None):
     """Stage: combiner lifting — local pre-combine, then bucket partials.
 
-    Returns ``(n_pre, buckets)`` so the driver can meter the pre-shuffle
+    Returns ``(n_pre, buckets)`` so the engine can meter the pre-shuffle
     record volume the local aggregation absorbed (the payload the executor
     ships back is the partials plus one int).
 
@@ -510,11 +520,12 @@ class Pipeline:
         prices ``explain``'s cost notes.  It never changes the plan.
     shuffle:
         Shuffle data plane: ``"driver"`` merges buckets on the driver,
-        ``"worker"`` runs group/combine shuffles as a worker-to-worker
-        exchange on executors that implement ``run_exchange`` (the
-        remote backend) — bucket bytes move peer-to-peer and the driver
-        only plans the assignment; an exchange that cannot finish
-        declines, and the driver merge reruns its whole shuffle.  ``None``
+        ``"worker"`` asks the executor to run group/combine shuffles as
+        a worker-to-worker exchange (``Executor.shuffle(...,
+        exchange=True)``), which the remote backend does — bucket bytes
+        move peer-to-peer and the driver only plans the assignment; an
+        exchange that cannot finish declines, and the executor reruns
+        its whole shuffle through the driver merge.  ``None``
         (the default) resolves to the module default
         ``DEFAULT_SHUFFLE``.  Results are bit-identical in both modes.
     """
@@ -734,7 +745,7 @@ class Pipeline:
     #: accumulator is a sorted top-k list, no longer a ``{host: sim}``
     #: dict; grouped reads store the grouped view), so no entry written
     #: before may reach a reader of the new shapes.
-    _CHECKPOINT_VERSION = b"repro-ckpt-3"
+    _CHECKPOINT_VERSION = b"repro-ckpt-4"
 
     def _node_digest(self, node: _Node) -> Optional[str]:
         """Deterministic digest of the subplan below ``node`` (memoized).
@@ -835,16 +846,20 @@ class Pipeline:
 
     def _checkpoint_load(self, digest: str) -> Optional[List[Any]]:
         """Load a boundary's shards, or ``None`` when absent/unreadable
-        (an unreadable entry is removed, so its recompute is stored).
+        (an unreadable entry is moved aside or removed, so its recompute
+        is stored).
 
-        Each shard is passed through :meth:`_store_shard` as soon as it is
-        read, so with ``spill_to_disk`` a resume keeps the engine's
-        one-shard-resident memory profile (mirroring the store path) —
-        the returned shards are already stored.
+        The file's trailer is checked first (:func:`~repro.utils.durable.
+        read_verified`); a corrupt one is quarantined as ``.corrupt`` and
+        counted in ``checkpoint_corrupt``.  Each shard is then passed
+        through :meth:`_store_shard` as soon as it is read, so with
+        ``spill_to_disk`` a resume keeps the engine's one-shard-resident
+        memory profile (mirroring the store path) — the returned shards
+        are already stored.
         """
         path = self._checkpoint_path(digest)
         try:
-            with open(path, "rb") as fh:
+            with read_verified(path) as fh:
                 n_shards = pickle.load(fh)
                 if n_shards != self.num_shards:
                     return None
@@ -854,10 +869,14 @@ class Pipeline:
                 ]
         except FileNotFoundError:
             return None
+        except CorruptFile:
+            quarantine(path)
+            self.metrics.observe_checkpoint_corrupt()
+            return None
         except Exception:
-            # Unreadable/corrupt entry (e.g. a torn file): remove it and
-            # recompute, so the recompute's store writes it again rather
-            # than skip the existing path.  A directory that refuses the
+            # A verified entry that still does not load (a record class
+            # gone since): remove it and recompute, so the recompute's
+            # store writes it again rather than skip the existing path.  A directory that refuses the
             # removal refuses that store too; the branch still recomputes.
             # (Shards already re-spilled before the failure are orphaned
             # in the spill dir until close() — harmless.)
@@ -1002,64 +1021,62 @@ class Pipeline:
             self.planner.record_profile(profile)
 
     def _run_stage(self, fn, shards, stage: _Stage) -> List[Any]:
-        payload_before = self.executor.stats().get("stage_payload_bytes", 0)
-        start = time.perf_counter()
-        out = self.executor.run_stage(fn, shards)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        payload_after = self.executor.stats().get("stage_payload_bytes", 0)
+        out, seconds, payload_bytes = self.executor.run_stage_metered(
+            fn, shards
+        )
         self._record_stage(
             stage,
-            wall_ms=wall_ms,
+            wall_ms=seconds * 1000.0,
             rows_in=_total_rows(shards),
-            payload_bytes=max(0, payload_after - payload_before),
+            payload_bytes=payload_bytes,
         )
         return out
 
-    def _exchange_enabled(self) -> bool:
-        """Is the worker-to-worker shuffle data plane in play?"""
-        return (
-            self.shuffle == "worker"
-            and getattr(self.executor, "run_exchange", None) is not None
-        )
-
     def _shuffle_parallelism(self) -> int:
         """Concurrent links bucket volume crosses (1 = driver funnel)."""
-        if not self._exchange_enabled():
-            return 1
-        try:
-            return max(int(self.executor.stats().get("n_workers", 1)), 1)
-        except Exception:  # pragma: no cover - defensive
-            return 1
+        on_peers = self.shuffle == "worker"
+        return self.executor.stats().get("n_workers", 1) if on_peers else 1
 
-    def _driver_shuffle(
-        self, write_fn, base_shards, write: _Stage, *, combine: bool = False
+    def _shuffle(
+        self, write_fn, base_shards, write: _Stage, read_fn=None,
+        read: Optional[_Stage] = None,
     ) -> List[Any]:
-        """Shuffle write stage (metered as ``write``) + driver-side bucket
-        merge.
-
-        With ``combine`` the write stage is a pre-combiner returning
-        ``(n_pre, buckets)`` per shard, and the pre-aggregation volume is
-        metered next to the moved volume.
-        """
-        stage_out = self._run_stage(write_fn, base_shards, write)
-        # Merge per input-shard part order; columnar buckets concatenate
-        # column-wise, mixed destinations degrade to rows.
-        parts: List[List[Any]] = [[] for _ in range(self.num_shards)]
-        moved = 0
-        offered: Optional[int] = 0 if combine else None
-        for out in stage_out:
-            if combine:
-                n_pre, out = out
-                offered += n_pre
-            for i, bucket in enumerate(out):
-                if len(bucket):
-                    parts[i].append(bucket)
-                    moved += len(bucket)
-        self.metrics.observe_shuffle(moved, pre_records=offered)
-        # The write stage above produced the routed buckets; credit the
-        # moved volume to it so the cost model sees the shuffle.
-        self.metrics.attribute_shuffle_to_last_stage(moved)
-        return [merge_bucket_parts(p) for p in parts]
+        """One ``Executor.shuffle`` call, metered from its ``info`` the
+        same whatever data plane ran it: the write stage, the moved
+        volume credited to it, a plain group's routed intermediate, and
+        the read stage when there is one."""
+        results, info = self.executor.shuffle(
+            write_fn, base_shards, read_fn, self.num_shards,
+            exchange=self.shuffle == "worker",
+        )
+        self._record_stage(
+            write,
+            wall_ms=info["write_seconds"] * 1000.0,
+            rows_in=_total_rows(base_shards),
+            payload_bytes=info["write_payload_bytes"],
+        )
+        self.metrics.observe_shuffle(
+            info["moved"], pre_records=info["pre_records"]
+        )
+        self.metrics.attribute_shuffle_to_last_stage(info["moved"])
+        if read is None:
+            return results
+        if read.kind == "group-read":
+            # The key-routed intermediate of a plain group is a real
+            # per-worker footprint, metered though never stored; combine
+            # partials (one accumulator per key) are not.
+            for count, is_columnar in zip(
+                info["dest_counts"], info["dest_columnar"]
+            ):
+                self.metrics.observe_shard(count, columnar=is_columnar)
+        self._record_stage(
+            read,
+            wall_ms=info["read_seconds"] * 1000.0,
+            rows_in=sum(info["dest_counts"]),
+            payload_bytes=info["read_payload_bytes"],
+        )
+        self.metrics.observe_exchange(p2p_bytes=info["p2p_bytes"])
+        return results
 
     # Stage runners: each only builds its stage's function from the plan's
     # decisions and hands it to the metered planes above.
@@ -1097,14 +1114,14 @@ class Pipeline:
         """A keyed shuffle write whose routed shards the driver needs —
         a materialized reshard, or one routed cogroup input.
 
-        Always the driver data plane: the merged shards are wanted on
-        the driver anyway, so a worker exchange would move every byte
-        twice.
+        Always the driver data plane — with no read stage there is no
+        exchange: the merged shards are wanted on the driver anyway, so
+        a worker exchange would move every byte twice.
         """
         shards, route = self._producer_input(
             stage, _make_keyed_bucketer(stage.chain.fused, self.num_shards)
         )
-        return self._driver_shuffle(route, shards, stage)
+        return self._shuffle(route, shards, stage)
 
     def _run_rebalance(self, stage: _Stage) -> List[Any]:
         transformed = self._run_chain(stage)
@@ -1121,26 +1138,18 @@ class Pipeline:
 
     def _run_grouping(self, read: _Stage) -> List[Any]:
         """GroupByKey / CombinePerKey: one grouping shuffle — write stage,
-        bucket movement, read stage — as a worker-to-worker exchange when
-        the data plane offers one, else through the driver merge.  (The
-        read drives its write, so both halves can run as one exchange.)
+        bucket movement, read stage — in one executor call.  (The read
+        drives its write, so both halves can run as one exchange.)
 
-        Both planes run the *same* stage functions and meter the same
-        two stages, shuffle volume credited to the write, so they cannot
-        diverge.  The executor may decline an exchange (too few shards,
-        something does not serialize, a producer lost with its buckets,
-        no live worker); the driver merge then reruns the whole shuffle,
+        Every data plane runs the *same* stage functions and meters the
+        same two stages, shuffle volume credited to the write, so they
+        cannot diverge.  A declined exchange reruns inside the executor,
         and only the rerun is metered.
-
-        The key-routed intermediate of a plain group is a real
-        per-worker footprint and is metered even though it is never
-        stored; combine partials (one accumulator per key) are not.
         """
         write = read.inputs[0]
         self._begin(write)
         chain = write.chain.fused
-        combine = read.kind == "combine-read"
-        if combine:
+        if read.kind == "combine-read":
             zero, add, merge, fold_batch = read.node.extra
             write_fn = _make_precombiner(
                 chain, zero, add, self.num_shards, batch=fold_batch
@@ -1151,46 +1160,7 @@ class Pipeline:
             read_fn = _group_shard
         base_shards, write_fn = self._producer_input(write, write_fn)
         read_fn = _compose_post_ops(read_fn, read.post_chain.fused)
-        exchanged = None
-        if self._exchange_enabled():
-            exchanged = self.executor.run_exchange(
-                write_fn, base_shards, read_fn, self.num_shards,
-                combine=combine,
-            )
-        if exchanged is None:
-            merged = self._driver_shuffle(
-                write_fn, base_shards, write, combine=combine
-            )
-            if not combine:
-                for shard in merged:
-                    self.metrics.observe_shard(
-                        len(shard), columnar=isinstance(shard, ColumnarShard)
-                    )
-            return self._run_stage(read_fn, merged, read)
-        results, info = exchanged
-        self._record_stage(
-            write,
-            wall_ms=info["write_seconds"] * 1000.0,
-            rows_in=_total_rows(base_shards),
-            payload_bytes=info["write_payload_bytes"],
-        )
-        self.metrics.observe_shuffle(
-            info["moved"], pre_records=info["pre_records"]
-        )
-        self.metrics.attribute_shuffle_to_last_stage(info["moved"])
-        if not combine:
-            for count, is_columnar in zip(
-                info["dest_counts"], info["dest_columnar"]
-            ):
-                self.metrics.observe_shard(count, columnar=is_columnar)
-        self._record_stage(
-            read,
-            wall_ms=info["read_seconds"] * 1000.0,
-            rows_in=sum(info["dest_counts"]),
-            payload_bytes=info["read_payload_bytes"],
-        )
-        self.metrics.observe_exchange(p2p_bytes=info["p2p_bytes"])
-        return results
+        return self._shuffle(write_fn, base_shards, write, read_fn, read)
 
     def _run_cogroup(self, stage: _Stage) -> List[Any]:
         """CoGroupByKey: bring every input's records for destination ``i``

@@ -34,8 +34,8 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.machine import MachineSpec
-from repro.dataflow.metrics import PipelineMetrics, StageProfile
-from repro.utils.durable import write_atomic
+from repro.dataflow.metrics import StageProfile
+from repro.utils.durable import read_payload, write_atomic
 
 __all__ = [
     "AdaptivePlanner",
@@ -163,31 +163,23 @@ class AdaptivePlanner:
             [self.cost_model.to_json().encode("utf-8")],
         )
 
-    # -- feedback ----------------------------------------------------------
-
-    def plan_costs(
-        self, metrics: PipelineMetrics
-    ) -> List[Dict[str, object]]:
-        """``report.extra["plan_costs"]`` rows for a finished drive."""
-        return predicted_vs_actual(metrics.stage_profiles, self.cost_model)
-
     # -- persistence helpers -----------------------------------------------
 
     @staticmethod
     def _load_model(history_dir: str) -> Optional[CostModel]:
-        path = os.path.join(history_dir, COST_MODEL_FILE)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return CostModel.from_json(fh.read())
+            payload = read_payload(os.path.join(history_dir, COST_MODEL_FILE))
+            if payload is not None:
+                return CostModel.from_json(payload.decode("utf-8"))
         except (OSError, ValueError, TypeError, KeyError):
-            return None
+            pass
+        return None
 
     @staticmethod
     def _load_history(history_dir: str) -> Dict[str, List[StageProfile]]:
         path = os.path.join(history_dir, PROFILE_HISTORY_FILE)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            payload = json.loads(read_payload(path) or b"{}")
             return {
                 key: [StageProfile.from_dict(d) for d in entries]
                 for key, entries in payload.get("profiles", {}).items()

@@ -1,10 +1,11 @@
 """``RemoteExecutor``: the engine's socket/RPC backend.
 
 Implements the exact :class:`~repro.dataflow.executor.Executor` contract
-— ``run_stage(fn, shards)`` returning results in shard order, plus an
-idempotent, concurrency-safe ``close`` — over a cluster of worker
-daemons reached by TCP, so every pipeline, beam, and optimizer pass runs
-unchanged with ``num_shards`` spread across real worker processes.
+— ``run_stage(fn, shards)`` returning results in shard order,
+``shuffle(...)``, and an idempotent, concurrency-safe ``close`` — over a
+cluster of worker daemons reached by TCP, so every pipeline, beam, and
+optimizer pass runs unchanged with ``num_shards`` spread across real
+worker processes.
 
 Scheduling is dynamic: per stage, each live worker receives any
 broadcast blobs it has not seen, the (small) stage payload, and then
@@ -29,18 +30,19 @@ dies mid-stage, ``run_stage`` raises.
 
 Worker-to-worker shuffle
 ------------------------
-``run_exchange(write_fn, shards, read_fn, num_shards)`` runs a shuffle
-as two worker stages with *no bucket data through the driver*: write
-tasks park their buckets on the producing worker's daemon, the driver
-plans only the bucket→worker assignment, and read tasks fetch their
-parts peer-to-peer before running the read stage in place.  An exchange
+``shuffle(write_fn, shards, read_fn, num_shards, exchange=True)`` runs a
+shuffle as two worker stages with *no bucket data through the driver*:
+write tasks park their buckets on the producing worker's daemon, the
+driver plans only the bucket→worker assignment, and read tasks fetch
+their parts peer-to-peer before running the read stage in place.
+Without ``exchange`` it is the base class's driver merge.  An exchange
 is all or nothing.  A worker that dies with a task in flight is
 requeued as in any stage; anything else that stops the exchange — a
 producer lost with its buckets, a shard frame that does not serialize,
 no live worker left — makes it *decline* (counted in
-``exchange_fallbacks``), and the pipeline reruns the whole shuffle
-through the driver merge.  Stages are pure, so the rerun is
-bit-identical.
+``exchange_fallbacks``), and the executor reruns the whole shuffle
+through the driver merge before it returns.  Stages are pure, so the
+rerun is bit-identical.
 """
 
 from __future__ import annotations
@@ -460,44 +462,27 @@ class RemoteExecutor(Executor):
 
     # -- worker-to-worker shuffle exchange ---------------------------------
 
-    def run_exchange(
+    def shuffle(
         self,
         write_fn: Callable[[Any], Any],
         shards: Sequence[Any],
-        read_fn: Callable[[Any], Any],
+        read_fn: Optional[Callable[[Any], Any]],
         num_shards: int,
         *,
-        combine: bool = False,
-    ) -> Optional[Tuple[List[Any], Dict[str, Any]]]:
-        """Run one shuffle (write stage + read stage) worker-to-worker.
-
-        ``write_fn`` is a bucketer: shard → ``num_shards`` buckets (or
-        ``(n_pre, buckets)`` when ``combine``).  Write tasks leave their
-        buckets resident on the producing worker; the driver collects
-        only ``(dest, n_records, n_bytes)`` routing metadata and plans
-        the read stage's bucket→worker assignment.  Read tasks fetch
-        their parts peer-to-peer, merge them in input-shard order
-        (exactly the driver's ``merge_bucket_parts``), and run
-        ``read_fn`` in place — zero bucket bytes cross the driver.
-
-        All or nothing.  Returns ``(results, info)`` with one read-stage
-        result per destination shard and an ``info`` dict of exchange
-        telemetry (``moved``, ``pre_records``, ``p2p_bytes``,
-        ``local_bytes``, per-destination counts, phase
-        timings) — or ``None``, and the caller reruns the shuffle
-        through the driver merge.  ``None`` comes without an attempt
-        when there are fewer than two shards or a stage function does
-        not serialize, and as a counted decline (``exchange_fallbacks``)
-        when a producer is lost with its buckets (dead at planning time,
-        or a read's ``FETCH_FAILED``), a shard frame does not serialize,
-        or no live worker is left.  A worker dying with a task in flight
-        is not a decline: the dispatch loop requeues the task.
+        exchange: bool = False,
+    ) -> Tuple[List[Any], Dict[str, Any]]:
+        """Run one shuffle worker-to-worker when ``exchange`` asks for
+        it (*Worker-to-worker shuffle* above), else through the base
+        class's driver merge.  No attempt is made without a read stage,
+        with fewer than two shards, or when a stage function does not
+        serialize; an attempt that declines is counted in
+        ``exchange_fallbacks`` and rerun through the driver merge.
         """
         if self._close_event.is_set():
             raise RuntimeError("executor closed")
         shards = list(shards)
-        if len(shards) < 2:
-            return None
+        if not exchange or read_fn is None or len(shards) < 2:
+            return super().shuffle(write_fn, shards, read_fn, num_shards)
         try:
             w_payload, w_digests = dumps_with_broadcast(
                 write_fn, self._registry
@@ -506,7 +491,7 @@ class RemoteExecutor(Executor):
                 read_fn, self._registry
             )
         except Exception:
-            return None
+            return super().shuffle(write_fn, shards, read_fn, num_shards)
         with self._stats_lock:
             self._exchange_counter += 1
             exchange_id = (
@@ -519,7 +504,7 @@ class RemoteExecutor(Executor):
                 shard = _resolve(shard)
             try:
                 frame = protocol.dumps(
-                    (MSG_TASK_SHUF, index, exchange_id, combine, shard)
+                    (MSG_TASK_SHUF, index, exchange_id, shard)
                 )
             except Exception:
                 return False
@@ -539,6 +524,7 @@ class RemoteExecutor(Executor):
         t_write = time.perf_counter()
         w_state = _StageState(len(shards))
         r_state = _StageState(num_shards)
+        declined = False
         try:
             self._run_on_channels(
                 [ch for ch in self._channels if ch.alive],
@@ -551,11 +537,11 @@ class RemoteExecutor(Executor):
             ):
                 raise _ExchangeDeclined()
             moved = 0
-            offered: Optional[int] = 0 if combine else None
+            offered: Optional[int] = None
             for index, owner in enumerate(w_state.owners):
-                extra, metas = w_state.results[index]
-                if combine and extra is not None:
-                    offered += extra
+                pre, metas = w_state.results[index]
+                if pre is not None:
+                    offered = (offered or 0) + pre
                 host, port = owner.address
                 for dest, n_records, _n_bytes in metas:
                     moved += n_records
@@ -572,38 +558,31 @@ class RemoteExecutor(Executor):
             ):
                 raise _ExchangeDeclined()
         except _ExchangeDeclined:
-            with self._stats_lock:
-                self.exchange_fallbacks += 1
-            return None
+            declined = True
         finally:
             self._evict_exchange(exchange_id)
+        if declined:
+            with self._stats_lock:
+                self.exchange_fallbacks += 1
+            return super().shuffle(write_fn, shards, read_fn, num_shards)
         read_seconds = time.perf_counter() - t_read
-
         self._evict_shipped(w_digests | r_digests)
-
-        info: Dict[str, Any] = {"p2p_bytes": 0, "local_bytes": 0}
-        results: List[Any] = []
-        dest_counts: List[int] = []
-        dest_columnar: List[bool] = []
-        for value, n_merged, is_col, p2p, local in r_state.results:
-            results.append(value)
-            dest_counts.append(n_merged)
-            dest_columnar.append(is_col)
-            info["p2p_bytes"] += p2p
-            info["local_bytes"] += local
-        with self._stats_lock:
-            self.p2p_shuffle_bytes += info["p2p_bytes"]
-        info.update(
-            moved=moved,
-            pre_records=offered,
-            dest_counts=dest_counts,
-            dest_columnar=dest_columnar,
-            write_seconds=t_read - t_write,
-            read_seconds=read_seconds,
-            write_payload_bytes=len(w_payload),
-            read_payload_bytes=len(r_payload),
+        results, counts, columnar, p2p, _local = map(
+            list, zip(*r_state.results)
         )
-        return results, info
+        with self._stats_lock:
+            self.p2p_shuffle_bytes += sum(p2p)
+        return results, {
+            "moved": moved,
+            "pre_records": offered,
+            "dest_counts": counts,
+            "dest_columnar": columnar,
+            "write_seconds": t_read - t_write,
+            "read_seconds": read_seconds,
+            "write_payload_bytes": len(w_payload),
+            "read_payload_bytes": len(r_payload),
+            "p2p_bytes": sum(p2p),
+        }
 
     def _check_stage(self, state: _StageState) -> None:
         """Re-raise what the channel loops recorded (they never raise)."""

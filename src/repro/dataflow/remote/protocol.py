@@ -51,16 +51,16 @@ Driver → worker messages
     keeps the historical abrupt ``os._exit``.
 
 Worker-to-worker shuffle (appended tags, values never shift):
-``(MSG_TASK_SHUF, index, exchange_id, combine, shard)``
-    A shuffle-write task: run the current stage function (a bucketer)
-    over ``shard``, but keep the resulting buckets resident on the
-    worker, registered in the daemon-wide bucket store under
-    ``"<exchange_id>/<index>/<dest>"`` ids.  The single reply is
-    ``(MSG_RESULT, index, (extra, metas))`` where ``metas`` lists
-    ``(dest, n_records, n_bytes)`` for each non-empty bucket and
-    ``extra`` is the pre-combine record count when ``combine`` is true
-    (the write fn returns ``(n_pre, buckets)``) else ``None`` — the
-    driver learns the routing without moving a byte of bucket data.
+``(MSG_TASK_SHUF, index, exchange_id, shard)``
+    A shuffle-write task: run the current stage function (a write
+    function, which returns ``(offered, buckets)``) over ``shard``, but
+    keep the resulting buckets resident on the worker, registered in the
+    daemon-wide bucket store under ``"<exchange_id>/<index>/<dest>"``
+    ids.  The single reply is ``(MSG_RESULT, index, (offered, metas))``
+    where ``metas`` lists ``(dest, n_records, n_bytes)`` for each
+    non-empty bucket and ``offered`` is the write's own: the records a
+    pre-combine absorbed, or ``None`` — the driver learns the routing
+    without moving a byte of bucket data.
 ``(MSG_FETCH_BUCKETS, bucket_ids)``
     Peer-to-peer fetch of every bucket one read task needs from one
     *producing* daemon: one request per (read task,
@@ -135,7 +135,9 @@ driver recover a ``FETCH_FAILED`` read itself.  Version 3 pickled a blob's
 or a bucket's bytes inside its message (one more copy on each end) and
 served a bucket past a size cap as a run of bounded chunk frames
 (tag 17).
-Version 4 sends both raw behind a length header.
+Version 4 sent both raw behind a length header, and its ``MSG_TASK_SHUF``
+carried a ``combine`` flag: did the write return ``(n_pre, buckets)``?
+Version 5 drops it, as every write returns ``(offered, buckets)``.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ MSG_FETCH_BUCKETS = 18
 #: a tag is retired or a message changes shape: a daemon from another
 #: checkout is then refused at connect time instead of misreading frames
 #: (the module docstring lists what each version changed).
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Shuffle-read reply marker: the worker could not fetch every assigned
 #: bucket (a producing peer died); the driver declines the exchange.  A

@@ -23,7 +23,8 @@ thread.
 
 Worker-to-worker shuffle, in three steps:
 
-- a ``MSG_TASK_SHUF`` write task serializes its buckets once and leaves
+- a ``MSG_TASK_SHUF`` write task runs the write function — every one
+  returns ``(offered, buckets)`` — serializes its buckets once and leaves
   them in the *daemon-wide* bucket store (shared across connections,
   because peers read it over their own links);
 - a ``MSG_FETCH_BUCKETS`` request from a peer is answered with every
@@ -363,8 +364,7 @@ class WorkerServer:
                         heartbeat,
                         message[1],
                         self._make_shuffle_write_work(
-                            fn, fn_error,
-                            message[1], message[2], message[3], message[4],
+                            fn, fn_error, message[1], message[2], message[3]
                         ),
                     )
                 elif tag == MSG_TASK_SHUF_READ:
@@ -415,17 +415,13 @@ class WorkerServer:
         return work
 
     def _make_shuffle_write_work(
-        self, fn, fn_error, index: int, exchange_id: str, combine: bool, shard
+        self, fn, fn_error, index: int, exchange_id: str, shard
     ):
-        """Run the bucketer, park the buckets locally, return their metas."""
+        """Run the write function, park its buckets locally, return
+        ``(offered, metas)``."""
 
         def work() -> Any:
-            out = self._check_fn(fn, fn_error)(_resolve(shard))
-            extra: Optional[int] = None
-            if combine:
-                extra, buckets = out
-            else:
-                buckets = out
+            offered, buckets = self._check_fn(fn, fn_error)(_resolve(shard))
             metas: List[Tuple[int, int, int]] = []
             for dest, bucket in enumerate(buckets):
                 n = len(bucket)
@@ -434,7 +430,7 @@ class WorkerServer:
                 payload = dumps_data(bucket)
                 self.store_bucket(f"{exchange_id}/{index}/{dest}", payload)
                 metas.append((dest, n, len(payload)))
-            return extra, metas
+            return offered, metas
 
         return work
 

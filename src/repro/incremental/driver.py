@@ -56,7 +56,7 @@ from repro.incremental.delta import (
     synthetic_version,
 )
 from repro.utils.cancel import CancelToken
-from repro.utils.durable import write_atomic
+from repro.utils.durable import read_payload, write_atomic
 from repro.utils.rng import SeedLike
 
 _STATE_FILE = "incremental_state.json"
@@ -218,12 +218,12 @@ class IncrementalDriver:
 
     def last_version(self) -> Optional[int]:
         """The dataset version of the last drive recorded in this
-        checkpoint directory, or ``None`` when no drive has run yet."""
+        checkpoint directory, or ``None`` when no drive has run yet — or
+        when its record is corrupt, which is moved aside as
+        ``.corrupt``: the drive is then cold, and bit-identical anyway."""
         path = self._state_path()
-        if not path or not os.path.exists(path):
-            return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return int(json.load(fh)["version"])
+        payload = read_payload(path) if path else None
+        return None if payload is None else int(json.loads(payload)["version"])
 
     def _save_version(self, version: int) -> None:
         path = self._state_path()

@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.pipeline import SelectorConfig
 from repro.dataflow.options import EngineOptions
-from repro.utils.durable import write_atomic
+from repro.utils.durable import read_payload, write_atomic
 
 __all__ = [
     "JOB_STATES",
@@ -316,6 +316,13 @@ def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
     write_atomic(path, [json.dumps(payload).encode()])
 
 
+def _read_json(path: str) -> Optional[Dict[str, Any]]:
+    """A file :func:`_atomic_write_json` wrote, or ``None`` when it is
+    absent or corrupt (:func:`~repro.utils.durable.read_payload`)."""
+    payload = read_payload(path)
+    return None if payload is None else json.loads(payload)
+
+
 class JobStore:
     """Directory-backed persistence for job records and results.
 
@@ -323,7 +330,10 @@ class JobStore:
     ``<state_dir>/results/<digest>.json`` holds one completed result
     payload, keyed by *digest* so every job of an identical spec — from
     any tenant — shares one entry.  All writes are atomic renames, so a
-    crash never leaves a half-written record behind.
+    crash never leaves a half-written record behind, and every read
+    checks the file's SHA-256 trailer (:mod:`repro.utils.durable`): a
+    corrupt record is skipped and a corrupt result is a dedup miss, each
+    moved aside as ``<name>.json.corrupt``.
     """
 
     def __init__(self, state_dir: str) -> None:
@@ -342,11 +352,11 @@ class JobStore:
         _atomic_write_json(self._job_path(record.job_id), record.to_dict())
 
     def load_job(self, job_id: str) -> Optional[JobRecord]:
-        try:
-            with open(self._job_path(job_id)) as fh:
-                return JobRecord.from_dict(json.load(fh))
-        except FileNotFoundError:
-            return None
+        """The persisted record, or ``None`` when it is absent or corrupt
+        (moved aside as ``.corrupt``: one torn record must not stop the
+        service from booting)."""
+        data = _read_json(self._job_path(job_id))
+        return None if data is None else JobRecord.from_dict(data)
 
     def iter_jobs(self) -> Iterator[JobRecord]:
         for name in sorted(os.listdir(self.jobs_dir)):
@@ -368,14 +378,13 @@ class JobStore:
         _atomic_write_json(self._result_path(digest), payload)
 
     def load_result(self, digest: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self._result_path(digest)) as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            return None
+        """The stored result, or ``None`` when absent or corrupt."""
+        return _read_json(self._result_path(digest))
 
     def has_result(self, digest: str) -> bool:
-        return os.path.exists(self._result_path(digest))
+        """Is a sound result stored?  A corrupt one is a dedup miss: it
+        is moved aside, and the job runs and stores it again."""
+        return read_payload(self._result_path(digest)) is not None
 
     def gc_results(
         self,

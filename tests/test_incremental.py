@@ -43,6 +43,7 @@ from repro.incremental import (
     shard_bounds,
     synthetic_deltas,
 )
+from repro.utils.durable import read_verified
 
 from tests.conftest import random_problem
 
@@ -243,8 +244,8 @@ def test_adaptive_context_keeps_the_engine_sharding(tmp_path):
                 problem, K, context=ctx, data_shards=DATA_SHARDS
             )
             results[adaptive] = driver.drive(version)
-        with open(checkpoint_dir / "incremental_state.json") as fh:
-            assert json.load(fh) == {"version": 0}
+        with read_verified(checkpoint_dir / "incremental_state.json") as fh:
+            assert json.loads(fh.read()) == {"version": 0}
         for entry in checkpoint_dir.glob("*.ckpt"):
             with open(entry, "rb") as fh:
                 assert pickle.load(fh) == options.num_shards

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.normalization import normalize_one, normalize_scores
+from repro.core.objective import PairwiseObjective, subset_mask
 from repro.core.pipeline import (
     DistributedSelector,
     SelectorConfig,
@@ -185,6 +186,32 @@ class TestTheory:
         assert 0 < cert["certified_ratio"] <= 1.0
         assert cert["certified_ratio"] == pytest.approx(
             report.objective / cert["upper_bound"]
+        )
+
+    @pytest.mark.parametrize("bounding", [None, "exact"])
+    def test_select_evaluates_its_selection_once(
+        self, tiny_problem, bounding, monkeypatch
+    ):
+        """The report's objective and its certificate share one
+        ``f(selected)``, and the certificate is the one ``certify``
+        computes on its own."""
+        evaluated = []
+        value = PairwiseObjective.value
+
+        def counting(self, subset):
+            evaluated.append(subset_mask(subset, self.problem.n).copy())
+            return value(self, subset)
+
+        monkeypatch.setattr(PairwiseObjective, "value", counting)
+        report = DistributedSelector(
+            tiny_problem,
+            SelectorConfig(bounding=bounding, machines=4, rounds=2),
+        ).select(40, seed=0)
+        selected = subset_mask(report.selected, tiny_problem.n)
+        assert sum(np.array_equal(m, selected) for m in evaluated) == 1
+        exact = report.bounding if bounding == "exact" else None
+        assert report.certificate == certify(
+            tiny_problem, report.selected, exact
         )
 
     def test_certificate_without_a_positive_bound(self, tiny_problem):

@@ -35,6 +35,7 @@ from repro.dataflow import (
     predicted_vs_actual,
 )
 from repro.dataflow.planner import COST_MODEL_FILE, PROFILE_HISTORY_FILE
+from repro.utils.durable import read_verified
 from tests.conftest import random_problem
 from tests.test_knn import clustered_points
 
@@ -149,8 +150,8 @@ class TestCalibration:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         for name in (PROFILE_HISTORY_FILE, COST_MODEL_FILE):
-            with open(os.path.join(history_dir, name)) as fh:
-                json.load(fh)
+            with read_verified(os.path.join(history_dir, name)) as fh:
+                json.loads(fh.read())
         assert sorted(os.listdir(history_dir)) == sorted(
             [PROFILE_HISTORY_FILE, COST_MODEL_FILE]
         )

@@ -42,6 +42,7 @@ from repro.service import (
     start_http_server,
 )
 from repro.service.jobs import family_digest
+from repro.utils.durable import write_atomic
 
 #: One tiny dataset shared by every real drive in this module.
 _DATASET = {"preset": "cifar100_tiny", "n_points": 100, "seed": 0}
@@ -476,8 +477,9 @@ class TestScheduling:
             checkpoint_salt=None, broadcast_min_bytes=65536,
             stream_chunk_size=4096,
         )
-        with open(store._job_path(stale["job_id"]), "w") as fh:
-            json.dump(stale, fh)
+        write_atomic(
+            store._job_path(stale["job_id"]), [json.dumps(stale).encode()]
+        )
         healthy = JobRecord.create(JobSpec.from_dict(_spec_dict(sel_seed=1)))
         store.save_job(healthy)
 

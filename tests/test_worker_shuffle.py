@@ -299,6 +299,62 @@ class TestExchangeDataPlane:
             finally:
                 pipeline.close()
 
+    def test_scoped_views_meter_their_own_exchanges(self, cluster, tmp_path):
+        """Two per-job views of one warm context run their exchanges
+        concurrently through ``JobScopedExecutor.shuffle``: each view's
+        stats hold its own peer bytes and stages only, and the base's
+        counts are their sum."""
+        group_ref = sorted(_group_drive(Pipeline(num_shards=4)))
+        combine_ref = sorted(_combine_drive(Pipeline(num_shards=4)))
+        options = EngineOptions(
+            "remote",
+            num_shards=4,
+            shuffle="worker",
+            optimize=True,
+            workers=[f"{h}:{p}" for h, p in cluster.addresses],
+        )
+        with DataflowContext(options) as ctx:
+            views = [ctx.scoped(), ctx.scoped()]
+            metered = [None, None]
+            errors = []
+
+            def job(i):
+                try:
+                    view, own = views[i], {"p2p": 0, "stages": 0}
+                    for drive, reference in (
+                        (_group_drive, group_ref),
+                        (_combine_drive, combine_ref),
+                    ):
+                        pipeline = view.pipeline()
+                        try:
+                            got = drive(pipeline, tmp_path)
+                            assert sorted(got) == reference
+                            own["p2p"] += pipeline.metrics.p2p_shuffle_bytes
+                            own["stages"] += pipeline.metrics.executed_stages
+                        finally:
+                            pipeline.close()
+                    metered[i] = own
+                except BaseException as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=job, args=(i,)) for i in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not errors, errors
+            stats = [view.executor.stats() for view in views]
+            for own, view_stats in zip(metered, stats):
+                assert view_stats["p2p_shuffle_bytes"] == own["p2p"]
+                assert view_stats["stages_run"] == own["stages"]
+                assert view_stats["exchange_fallbacks"] == 0
+            base = ctx.executor.stats()
+            for key in ("p2p_shuffle_bytes", "stages_run"):
+                assert base[key] == stats[0][key] + stats[1][key]
+            assert base["p2p_shuffle_bytes"] > 0
+
 
 class TestJoinFusedExchange:
     """A write that absorbed a join (join fusion) runs as the exchange's
@@ -323,19 +379,19 @@ class TestJoinFusedExchange:
         reference = Pipeline(num_shards=4, optimize=False)
         expected = self._drive(reference, combine)
         exchanged = []
-        run_exchange = remote.run_exchange
+        shuffle = remote.shuffle
 
         def recording(*args, **kwargs):
-            out = run_exchange(*args, **kwargs)
-            exchanged.append(out is not None)
-            return out
+            exchanged.append(kwargs["exchange"])
+            return shuffle(*args, **kwargs)
 
-        remote.run_exchange = recording
+        remote.shuffle = recording
         pipeline = Pipeline(
             num_shards=4, executor=remote, shuffle="worker", optimize=True
         )
         assert self._drive(pipeline, combine) == expected
         assert exchanged == [True]
+        assert remote._exchange_counter == 1
         assert remote.stats()["exchange_fallbacks"] == 0
         labels = [p.label for p in pipeline.metrics.stage_profiles]
         assert "cogroup-read cogroup 'j'" not in labels
@@ -585,9 +641,9 @@ class TestFaultFallback:
         assert stats["worker_failures"] == 0
 
     def test_unserializable_stage_function_is_not_an_attempt(self, remote):
-        """A stage function neither pickler can serialize returns ``None``
-        before any task is sent: the driver merge runs the shuffle (that
-        stage on the driver), and no decline is counted."""
+        """A stage function neither pickler can serialize makes no
+        attempt: before any task is sent, the driver merge runs the
+        shuffle (that stage on the driver), and no decline is counted."""
         guard = threading.Lock()
 
         def drive(pipeline):
@@ -610,10 +666,14 @@ class TestFaultFallback:
 
     def test_single_shard_exchange_is_not_an_attempt(self, remote):
         """Fewer than two shards leave nothing to shuffle between peers:
-        ``None`` without an attempt, and no decline counted."""
-        assert remote.run_exchange(
-            lambda shard: [shard, []], [[(1, 2)]], len, 2
-        ) is None
+        the driver merge runs it without an attempt, and no decline is
+        counted."""
+        results, info = remote.shuffle(
+            lambda shard: (None, [shard, []]), [[(1, 2)]], len, 2,
+            exchange=True,
+        )
+        assert results == [1, 0]
+        assert (info["moved"], info["p2p_bytes"]) == (1, 0)
         assert remote.stats()["exchange_fallbacks"] == 0
         assert remote._exchange_counter == 0
 
@@ -621,8 +681,9 @@ class TestFaultFallback:
         executor = RemoteExecutor(workers=cluster.addresses)
         executor.close()
         with pytest.raises(RuntimeError, match="executor closed"):
-            executor.run_exchange(
-                lambda shard: [shard, []], [[(1, 2)], [(3, 4)]], len, 2
+            executor.shuffle(
+                lambda shard: (None, [shard, []]), [[(1, 2)], [(3, 4)]],
+                len, 2, exchange=True,
             )
 
     def test_read_of_a_lost_part_replies_fetch_failed(self, counting_servers):
